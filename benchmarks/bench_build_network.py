@@ -1,12 +1,11 @@
 """Network-construction and plan-cache benchmarks.
 
-``Network`` construction is tracked under all three draw contracts:
+``Network`` construction is tracked under both draw contracts:
 
 * ``bench_build_network_100`` and ``bench_build_network_200_batched``
   time the v2 ``channel_draws="batched"`` group pipeline (per-pair draw
-  order, vectorized math); ``bench_build_network_100_reference`` times
-  the kept per-pair loop so the v2 speedup stays visible.  Every batched
-  build is asserted bit-identical to the reference in the test suite
+  order, vectorized math).  Every batched build is asserted
+  bit-identical to a per-pair oracle loop in the test suite
   (``tests/sim/test_network_batched_draws.py``).
 
 * ``bench_build_network_200`` and ``bench_build_network_500`` time the
@@ -90,16 +89,6 @@ def bench_build_network_500(benchmark):
     """Grouped construction of the 500-station tier (124750 pairs)."""
     network = benchmark(lambda: _build("dense-lan-500", "grouped"))
     assert len(network.stations) == 500
-
-
-def bench_build_network_100_reference(benchmark):
-    """The kept per-pair reference loop at 100 stations.
-
-    Compare with ``bench_build_network_100`` for the construction
-    speedup; the acceptance bar is batched >= 3x faster.
-    """
-    network = benchmark(lambda: _build("dense-lan-100", "per-pair"))
-    assert len(network.stations) == 100
 
 
 _plan_cache_state: dict = {}

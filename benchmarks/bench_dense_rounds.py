@@ -1,18 +1,16 @@
-"""Dense-LAN round-pipeline benchmarks: batched vs per-agent reference.
+"""Dense-LAN round benchmarks: the runner's batched round queries.
 
-The batched round pipeline (``repro.sim.runner``, ``pipeline="batched"``)
-evaluates the per-round MAC queries -- who has traffic, when does traffic
-arrive next, who may join -- as array operations over
-:class:`repro.sim.traffic.TrafficStateArrays` instead of one Python call
-per agent.  These benchmarks time a default-duration (100 ms) simulation
-of the ``dense-lan-100`` scenarios under both pipelines on the *same*
-pre-built network, so the measured difference is exactly the round
-pipeline (network construction, which is identical either way, is
-excluded).  Every run also asserts the two pipelines produce identical
-``NetworkMetrics`` -- the batching is a pure speedup, never a behaviour
-change.
+The event loop (``repro.sim.runner``) evaluates the per-round MAC
+queries -- who has traffic, when does traffic arrive next, who may join
+-- as array operations over :class:`repro.sim.traffic.TrafficStateArrays`
+instead of one Python call per agent.  These benchmarks time a
+default-duration (100 ms) simulation of the ``dense-lan-100`` scenarios
+on a pre-built network, so the measured time is exactly the rounds
+(network construction is excluded).  The test suite asserts the batched
+queries bit-identical to per-agent scans
+(``tests/sim/test_batched_pipeline.py``).
 
-The ``*_batched`` entries are tracked in ``BENCH_core.json``; run
+The entries are tracked in ``BENCH_core.json``; run
 ``python benchmarks/run_all.py --compare`` to gate regressions.
 """
 
@@ -26,58 +24,24 @@ _CONFIG = SimulationConfig(duration_us=100_000.0, n_subcarriers=8)
 _SEED = 1
 
 _networks: dict = {}
-_reference_metrics: dict = {}
 
 
-def _setup(scenario_name: str):
-    """Build (once) the scenario, its network and the reference metrics."""
+def _run(scenario_name: str):
+    """Simulate n+ on the scenario's (once-built) network."""
     if scenario_name not in _networks:
         scenario = scenario_factory(scenario_name)()
-        network = build_network(scenario, _SEED, _CONFIG)
-        reference = run_simulation(
-            scenario, "n+", seed=_SEED, config=_CONFIG, network=network,
-            pipeline="per-agent",
-        )
-        _networks[scenario_name] = (scenario, network)
-        _reference_metrics[scenario_name] = reference.to_dict()
-    return _networks[scenario_name]
-
-
-def _run(scenario_name: str, pipeline: str):
-    scenario, network = _setup(scenario_name)
-    metrics = run_simulation(
-        scenario, "n+", seed=_SEED, config=_CONFIG, network=network,
-        pipeline=pipeline,
-    )
-    # The pipelines must be interchangeable: identical metrics, bit for bit.
-    assert metrics.to_dict() == _reference_metrics[scenario_name]
-    return metrics
+        _networks[scenario_name] = (scenario, build_network(scenario, _SEED, _CONFIG))
+    scenario, network = _networks[scenario_name]
+    return run_simulation(scenario, "n+", seed=_SEED, config=_CONFIG, network=network)
 
 
 def bench_dense_lan_100_rounds_batched(benchmark):
-    """Batched round pipeline, 100-station saturated LAN, 100 ms window."""
-    metrics = benchmark(lambda: _run("dense-lan-100", "batched"))
-    assert metrics.elapsed_us >= _CONFIG.duration_us
-
-
-def bench_dense_lan_100_rounds_per_agent(benchmark):
-    """Per-agent reference pipeline on the identical scenario/network.
-
-    Compare with ``bench_dense_lan_100_rounds_batched`` for the round
-    pipeline's speedup; this entry is what makes the comparison visible
-    in every benchmark run.
-    """
-    metrics = benchmark(lambda: _run("dense-lan-100", "per-agent"))
+    """Batched round queries, 100-station saturated LAN, 100 ms window."""
+    metrics = benchmark(lambda: _run("dense-lan-100"))
     assert metrics.elapsed_us >= _CONFIG.duration_us
 
 
 def bench_dense_lan_100_bursty_rounds_batched(benchmark):
-    """Batched pipeline on the bursty 100-station LAN (joins + idle gaps)."""
-    metrics = benchmark(lambda: _run("dense-lan-100-bursty", "batched"))
-    assert metrics.elapsed_us >= _CONFIG.duration_us
-
-
-def bench_dense_lan_100_bursty_rounds_per_agent(benchmark):
-    """Per-agent reference on the bursty 100-station LAN."""
-    metrics = benchmark(lambda: _run("dense-lan-100-bursty", "per-agent"))
+    """Batched round queries on the bursty 100-station LAN (joins + idle gaps)."""
+    metrics = benchmark(lambda: _run("dense-lan-100-bursty"))
     assert metrics.elapsed_us >= _CONFIG.duration_us

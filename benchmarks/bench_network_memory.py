@@ -51,14 +51,11 @@ def measure(n_stations: int, channel_draws: str | None = None) -> dict:
     import numpy as np
 
     from repro.sim.network import Network
-    from repro.sim.runner import SimulationConfig, effective_channel_draws
+    from repro.sim.runner import effective_channel_draws
     from repro.sim.scenarios import scenario_factory
 
     scenario = scenario_factory(f"dense-lan-{n_stations}")()
-    config = SimulationConfig(
-        n_subcarriers=N_SUBCARRIERS, channel_draws=channel_draws
-    )
-    draws = effective_channel_draws(scenario, config)
+    draws = channel_draws or effective_channel_draws(scenario)
     testbed = scenario.make_testbed()
     rng = np.random.default_rng(SEED)
 
@@ -110,7 +107,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--channel-draws",
-        choices=["grouped", "batched", "per-pair"],
+        choices=["grouped", "batched"],
         default=None,
         help="force one draw contract for every tier (default: each tier's "
         "effective contract -- batched at 100/200, grouped at 500)",

@@ -18,13 +18,10 @@ constrained CI container the honest number is printed either way.  Pass
 
 The script itself is not tracked in ``BENCH_core.json`` (it is an
 orchestration benchmark, not a per-packet hot path), but the module also
-carries two tracked ``pytest-benchmark`` functions --
-``bench_sweep_cached_replay_store`` and
-``bench_sweep_cached_replay_json_cache`` -- that time a fully warm
-cache replay through the SQLite results store and the legacy JSON cell
-cache.  The pair pins the store's bookkeeping overhead (manifest upsert,
-state-machine scan, row loads) against the flat-file baseline it
-replaced.
+carries a tracked ``pytest-benchmark`` function,
+``bench_sweep_cached_replay_store``, that times a fully warm cache
+replay through the SQLite results store -- pure bookkeeping (manifest
+upsert, state-machine scan, row loads), no simulation.
 
     python benchmarks/bench_sweep_scaling.py
     python benchmarks/bench_sweep_scaling.py --runs 50 --workers 4 --require-speedup 3
@@ -47,12 +44,10 @@ from repro.sim.sweep import default_workers, run_sweep  # noqa: E402
 
 # -- tracked cache-replay benchmarks -----------------------------------------
 #
-# A fig12-sized grid (2 protocols x 50 runs = 100 cells) computed once
-# per backend, then replayed from the warm cache inside the benchmark
-# loop.  Every replay is pure cache bookkeeping -- no simulation -- so
-# the two numbers compare the SQLite store's per-sweep overhead (one
-# batched SELECT plus manifest bookkeeping) directly against the legacy
-# JSON cell files (one file read per cell).
+# A fig12-sized grid (2 protocols x 50 runs = 100 cells) computed once,
+# then replayed from the warm store inside the benchmark loop.  Every
+# replay is pure store bookkeeping -- one batched SELECT plus the
+# manifest -- with no simulation.
 
 _REPLAY_CONFIG = SimulationConfig(duration_us=2_000.0, n_subcarriers=8)
 _REPLAY_GRID = dict(
@@ -63,25 +58,16 @@ _REPLAY_CELLS = _REPLAY_GRID["n_runs"] * len(_REPLAY_GRID["protocols"])
 _state: dict = {}
 
 
-def _warm_cache(backend: str) -> str:
-    """Populate (once) a cache directory for ``backend``; return its path."""
-    if backend not in _state:
-        tmp = tempfile.TemporaryDirectory(prefix=f"bench-replay-{backend}-")
-        _state[backend] = tmp  # keep alive: cleaned up at interpreter exit
-        grid = _REPLAY_GRID
-        run_sweep(
-            grid["scenario"],
-            grid["protocols"],
-            n_runs=grid["n_runs"],
-            seed=grid["seed"],
-            config=_REPLAY_CONFIG,
-            cache_dir=tmp.name,
-            cache_backend=backend,
-        )
-    return _state[backend].name
+def _warm_cache() -> str:
+    """Populate (once) a results store; return its directory."""
+    if "store" not in _state:
+        tmp = tempfile.TemporaryDirectory(prefix="bench-replay-")
+        _state["store"] = tmp  # keep alive: cleaned up at interpreter exit
+        _replay(tmp.name)
+    return _state["store"].name
 
 
-def _replay(backend: str):
+def _replay(cache_dir: str):
     grid = _REPLAY_GRID
     return run_sweep(
         grid["scenario"],
@@ -89,21 +75,14 @@ def _replay(backend: str):
         n_runs=grid["n_runs"],
         seed=grid["seed"],
         config=_REPLAY_CONFIG,
-        cache_dir=_warm_cache(backend),
-        cache_backend=backend,
+        cache_dir=cache_dir,
     )
 
 
 def bench_sweep_cached_replay_store(benchmark):
-    """Warm 20-cell replay through the SQLite results store."""
-    result = benchmark(lambda: _replay("sqlite"))
-    assert result.cache_misses == 0
-    assert result.cache_hits == _REPLAY_CELLS
-
-
-def bench_sweep_cached_replay_json_cache(benchmark):
-    """The same warm replay through the legacy JSON cell cache."""
-    result = benchmark(lambda: _replay("json"))
+    """Warm 100-cell replay through the SQLite results store."""
+    cache_dir = _warm_cache()
+    result = benchmark(lambda: _replay(cache_dir))
     assert result.cache_misses == 0
     assert result.cache_hits == _REPLAY_CELLS
 

@@ -17,8 +17,8 @@ are caught mechanically:
 that have no baseline entry are reported but do not fail the comparison;
 refresh the baseline to start tracking them.
 
-``--quick`` skips the expensive entries -- the 500-station tier, the
-kept reference/comparison implementations -- so the gate fits in a CI
+``--quick`` skips the expensive entries -- the 500-station tier and the
+comparison entries -- so the gate fits in a CI
 minute; baseline entries that were deliberately not run are reported but
 do not fail a quick comparison.
 """
@@ -40,8 +40,8 @@ BASELINE_PATH = REPO_ROOT / "BENCH_core.json"
 #: Benchmark files whose timings are tracked against the baseline.  The
 #: figure-reproduction benchmarks are excluded: they are experiment
 #: re-runs, not per-packet hot paths.  ``bench_sweep_scaling`` tracks
-#: only its warm cache-replay pair (store vs legacy JSON cache); its
-#: scaling script remains untracked.
+#: only its warm results-store replay; its scaling script remains
+#: untracked.
 TRACKED_FILES = [
     "benchmarks/bench_core_primitives.py",
     "benchmarks/bench_dense_rounds.py",
@@ -52,16 +52,13 @@ TRACKED_FILES = [
     "benchmarks/bench_sweep_scaling.py",
 ]
 
-#: Entries skipped by ``--quick``: the 500-station tier and the kept
-#: reference/comparison implementations.  Each has a faster tracked
-#: sibling, so quick mode still covers every hot path once.
+#: Entries skipped by ``--quick``: the 500-station tier and the
+#: comparison entries.  Each has a faster tracked sibling, so quick mode
+#: still covers every hot path once.
 QUICK_DESELECT = [
     "bench_build_network_500",
-    "bench_build_network_100_reference",
     "bench_build_network_200_batched",
     "bench_nplus_rounds_no_plan_cache",
-    "bench_dense_lan_100_rounds_per_agent",
-    "bench_dense_lan_100_bursty_rounds_per_agent",
 ]
 
 #: Station counts measured by the memory benchmark (``--quick`` drops 500).

@@ -17,7 +17,7 @@ unit power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -184,8 +184,8 @@ class Testbed:
         This is *the* definition of a link's scalar random-draw sequence
         -- the shadowed SNR (one ``rng.normal``, skipped when ``snr_db``
         forces the budget) followed by the line-of-sight coin (one
-        ``rng.random``) -- shared by :meth:`link`, :meth:`link_batch` and
-        the batched network construction
+        ``rng.random``) -- shared by :meth:`link` and the batched network
+        construction
         (:meth:`repro.sim.network.Network._draw_channels`), so the
         bit-identity contract between those paths lives in one place.
 
@@ -215,8 +215,8 @@ class Testbed:
         """Every link's scalar draws at once -- the grouped (v3) contract.
 
         Where :meth:`draw_link_scalars` interleaves the two scalar draws
-        link by link (the contract the ``"batched"``/``"per-pair"`` v2
-        network constructions share), this consumes randomness
+        link by link (the v2 ``"batched"`` network construction's
+        contract), this consumes randomness
         **scalars-first**: ONE ``rng.normal`` call draws the shadowing of
         every link, then ONE ``rng.random`` call draws every
         line-of-sight coin.  A shadowing value is drawn (and discarded)
@@ -287,81 +287,6 @@ class Testbed:
             snr_db=float(snr_db),
             channel=channel,
         )
-
-    def link_batch(
-        self,
-        tx_locations: Sequence[int],
-        rx_locations: Sequence[int],
-        n_tx: int,
-        n_rx: int,
-        rng: np.random.Generator,
-        snr_db: Optional[Sequence[Optional[float]]] = None,
-    ) -> List[TestbedLink]:
-        """Draw many same-antenna-shape links with batched channel math.
-
-        Bit-identical to calling :meth:`link` once per ``(tx_locations[i],
-        rx_locations[i])`` with the same generator: the scalar draws
-        (shadowing, line-of-sight) and the per-link tap normals are
-        consumed in exactly the per-link order, but the tap scaling and
-        any further processing run as one stacked operation over the
-        whole batch.  ``snr_db`` may be ``None`` (derive every link from
-        geometry) or a sequence with ``None``/forced entries per link.
-        """
-        tx_locations = list(tx_locations)
-        rx_locations = list(rx_locations)
-        if len(tx_locations) != len(rx_locations):
-            raise ConfigurationError(
-                f"need one rx location per tx location, got "
-                f"{len(tx_locations)} vs {len(rx_locations)}"
-            )
-        n_links = len(tx_locations)
-        forced = list(snr_db) if snr_db is not None else [None] * n_links
-        if len(forced) != n_links:
-            raise ConfigurationError(
-                f"snr_db must have one entry per link, got {len(forced)}"
-            )
-
-        snrs: List[float] = []
-        decays: List[float] = []
-        raws: List[np.ndarray] = []
-        for a, b, forced_snr in zip(tx_locations, rx_locations, forced):
-            snr, decay = self.draw_link_scalars(a, b, rng, forced_snr)
-            snrs.append(snr)
-            decays.append(decay)
-            raws.append(rng.standard_normal((self.n_taps, 2, n_rx, n_tx)))
-
-        gains = db_to_linear(np.asarray(snrs, dtype=float))
-        taps = MultipathChannel.random_batch(
-            n_rx,
-            n_tx,
-            rng=None,
-            n_channels=n_links,
-            n_taps=self.n_taps,
-            decay_samples=np.asarray(decays),
-            average_gain=gains,
-            raw=np.stack(raws) if raws else np.zeros((0, self.n_taps, 2, n_rx, n_tx)),
-        )
-        return [
-            TestbedLink(
-                tx_location=a,
-                rx_location=b,
-                snr_db=snrs[index],
-                channel=MultipathChannel(taps=taps[index]),
-            )
-            for index, (a, b) in enumerate(zip(tx_locations, rx_locations))
-        ]
-
-    def link_between_placed(
-        self,
-        placements: Sequence[int],
-        tx_index: int,
-        rx_index: int,
-        n_tx: int,
-        n_rx: int,
-        rng: np.random.Generator,
-    ) -> TestbedLink:
-        """Convenience wrapper: link between two already-placed nodes."""
-        return self.link(placements[tx_index], placements[rx_index], n_tx, n_rx, rng)
 
 
 def default_testbed(hardware: Optional[HardwareProfile] = None) -> Testbed:

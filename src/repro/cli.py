@@ -89,7 +89,6 @@ def _simulation_config(args: argparse.Namespace) -> SimulationConfig:
         duration_us=args.duration_ms * 1000.0,
         n_subcarriers=args.subcarriers,
         packet_rate_pps=args.packet_rate_pps,
-        channel_draws=args.channel_draws,
         fault_profile=args.fault_profile,
         fault_trace=args.fault_trace,
         fidelity=args.fidelity,
@@ -451,13 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-flow Poisson arrival rate; 0 forces saturated sources even "
         "on a bursty scenario (default: saturated, or the scenario's hint)",
-    )
-    parser.add_argument(
-        "--channel-draws",
-        choices=["grouped", "batched", "per-pair"],
-        default=None,
-        help="channel-draw contract for network construction (default: the "
-        "scenario's hint, else 'batched'; dense-lan-500 declares 'grouped')",
     )
     parser.add_argument(
         "--fault-profile",

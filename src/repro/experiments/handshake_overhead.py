@@ -18,7 +18,7 @@ from repro.channel.testbed import Testbed, default_testbed
 from repro.experiments.report import format_table
 from repro.mac.handshake import alignment_feedback_symbols, handshake_overhead
 from repro.phy.rates import MCS, MCS_TABLE
-from repro.utils.linalg import orthonormal_complement, orthonormal_complement_batch
+from repro.utils.linalg import orthonormal_complement_batch
 
 __all__ = ["HandshakeExperiment", "run_handshake_experiment", "summarize"]
 
@@ -48,19 +48,6 @@ class HandshakeExperiment:
         return float(np.mean(self.feedback_symbols)) if self.feedback_symbols else 0.0
 
 
-def _alignment_subspaces_reference(response: np.ndarray) -> np.ndarray:
-    """Per-subcarrier complement computation, one SVD at a time.
-
-    Readable reference for the batched path of
-    :func:`run_handshake_experiment`; the test suite asserts equivalence.
-    """
-    n_sub, n_rx, _ = response.shape
-    subspaces = np.zeros((n_sub, n_rx, 1), dtype=complex)
-    for k in range(n_sub):
-        subspaces[k] = orthonormal_complement(response[k])[:, :1]
-    return subspaces
-
-
 def run_handshake_experiment(
     n_channels: int = 50,
     seed: int = 0,
@@ -76,11 +63,11 @@ def run_handshake_experiment(
 
     The subspace computation runs as one batched SVD over every
     ``(channel, subcarrier)`` pair
-    (:func:`repro.utils.linalg.orthonormal_complement_batch`, the PR-1
+    (:func:`repro.utils.linalg.orthonormal_complement_batch`, the
     batched pre-coder path) instead of ``n_channels * 64`` Python-level
     calls -- this loop was the dominant cost of the experiment.  Channel
-    draws stay sequential so seeded results match the reference
-    implementation exactly.
+    draws stay sequential so seeded results match the per-subcarrier
+    formulation (kept as a test oracle) exactly.
     """
     rng = np.random.default_rng(seed)
     testbed = testbed or default_testbed()

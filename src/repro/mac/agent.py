@@ -85,8 +85,8 @@ class BaseMacAgent:
     protocol_name = "base"
     supports_joining = False
     #: Whether :meth:`can_join` is equivalent to the vectorized
-    #: join-eligibility rule of the batched round pipeline (see
-    #: ``repro.sim.runner._BatchedEventDrivenLoop``).  Joining protocols
+    #: join-eligibility rule of the runner's round loop (see
+    #: ``repro.sim.runner._EventDrivenLoop._join_eligible``).  Joining protocols
     #: that set this advertise that the runner may skip their per-agent
     #: ``can_join`` calls in favour of the array computation.
     vectorized_join_eligibility = False

@@ -58,9 +58,9 @@ class NPlusMac(BeamformingMac):
 
     protocol_name = "n+"
     supports_joining = True
-    #: :meth:`can_join` is exactly the rule the batched round pipeline
+    #: :meth:`can_join` is exactly the rule the runner's round loop
     #: evaluates from :class:`~repro.sim.traffic.TrafficStateArrays`
-    #: (see ``_BatchedEventDrivenLoop._join_eligible``); if a subclass
+    #: (see ``repro.sim.runner._EventDrivenLoop._join_eligible``); if a subclass
     #: overrides :meth:`can_join` with different semantics it must clear
     #: this flag so the runner falls back to the per-agent path.
     vectorized_join_eligibility = True

@@ -106,9 +106,9 @@ def estimate_mimo_channel(
     every pair are gathered into one ``(n_rx, n_tx, n_symbols, fft)``
     stack, demodulated with a single batched FFT and solved against the
     known LTF sequence in one vectorised least-squares division, instead
-    of looping over antenna pairs.  The per-pair loop is kept as
-    :func:`_estimate_mimo_channel_reference` and the test suite asserts
-    both produce bit-identical estimates.
+    of looping over antenna pairs.  The per-pair loop is kept as a test
+    oracle (``tests/oracles/phy.py``) that asserts both produce
+    bit-identical estimates.
 
     Parameters
     ----------
@@ -161,39 +161,4 @@ def estimate_mimo_channel(
     matrices[occupied] = np.moveaxis(
         averaged[..., occupied] / reference[occupied], -1, 0
     )
-    return ChannelEstimate(matrices=matrices, valid_bins=np.where(occupied)[0])
-
-
-def _estimate_mimo_channel_reference(
-    received: np.ndarray,
-    preamble: Preamble,
-    preamble_start: int = 0,
-) -> ChannelEstimate:
-    """Per-(tx, rx)-pair estimation loop, kept as the readable reference.
-
-    :func:`estimate_mimo_channel` must produce bit-identical matrices;
-    the test suite asserts it for 1x1, 2x2, 3x3 and rectangular arrays.
-    """
-    received = np.asarray(received, dtype=complex)
-    if received.ndim == 1:
-        received = received.reshape(1, -1)
-    n_rx = received.shape[0]
-    config = preamble.config
-    if preamble_start + preamble.length > received.shape[1]:
-        raise DimensionError(
-            "received samples are shorter than the preamble: "
-            f"{received.shape[1]} < {preamble_start + preamble.length}"
-        )
-
-    matrices = np.zeros((config.fft_size, n_rx, preamble.n_antennas), dtype=complex)
-    reference = ltf_frequency_sequence(config)
-    occupied = np.abs(reference) > 0
-    for tx_antenna in range(preamble.n_antennas):
-        start, end = preamble.ltf_slot_bounds(tx_antenna)
-        start += preamble_start
-        end += preamble_start
-        for rx_antenna in range(n_rx):
-            slot = received[rx_antenna, start:end]
-            estimate = estimate_channel_from_ltf(slot, config)
-            matrices[:, rx_antenna, tx_antenna] = estimate
     return ChannelEstimate(matrices=matrices, valid_bins=np.where(occupied)[0])

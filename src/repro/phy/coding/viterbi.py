@@ -9,8 +9,9 @@ The decoder is fully vectorized: every branch metric of the frame is
 precomputed in one ``(n_steps, n_states, 2)`` array, and the
 add-compare-select recursion operates on whole state vectors per trellis
 step instead of iterating over states in Python.  The original readable
-per-state implementation is kept as :func:`_viterbi_decode_reference` and
-is asserted bit-exact against the vectorized decoder by the test suite.
+per-state implementation is kept as a test oracle
+(``tests/oracles/phy.py``) and asserted bit-exact against the vectorized
+decoder.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def viterbi_decode(
         current = step & 1
         np.add(incoming[step], pairs_views[current], out=candidates)
         # Strict comparison keeps the first (lower-state) predecessor on
-        # ties, matching the reference decoder's scan order.
+        # ties, matching the per-state decoder's scan order.
         np.less(high, low, out=choices_halved[step])
         np.minimum(low, high, out=halved_views[1 - current])
     path_metric = (path_metric, next_metric)[n_steps & 1]
@@ -145,92 +146,4 @@ def viterbi_decode(
         j = 1 if choice_list[step][state] else 0
         bits[step] = prev_bit_list[state][j]
         state = prev_state_list[state][j]
-    return bits[:n_data_bits]
-
-
-# -- reference implementation ------------------------------------------------
-
-
-def _branch_metrics_hard(received_pair: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """Hamming distance between a received coded pair and each branch output."""
-    metrics = np.zeros(outputs.shape[:2])
-    for idx in range(2):
-        value = received_pair[idx]
-        if np.isnan(value):
-            continue
-        metrics += outputs[:, :, idx] != int(round(float(value)))
-    return metrics
-
-
-def _branch_metrics_soft(received_pair: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """Negative correlation metric for soft inputs (LLR > 0 means bit 0)."""
-    metrics = np.zeros(outputs.shape[:2])
-    for idx in range(2):
-        llr = received_pair[idx]
-        if np.isnan(llr):
-            continue
-        # Bit value 0 should be rewarded when llr > 0; bit 1 when llr < 0.
-        signs = 1.0 - 2.0 * outputs[:, :, idx]  # +1 for bit 0, -1 for bit 1
-        metrics += -signs * llr
-    return metrics
-
-
-def _viterbi_decode_reference(
-    coded: np.ndarray,
-    n_data_bits: int,
-    soft: bool = False,
-    encoder: ConvolutionalEncoder | None = None,
-    terminated: bool = True,
-) -> np.ndarray:
-    """Slow per-state reference decoder (the seed implementation).
-
-    Kept as the readable specification of the trellis recursion; the test
-    suite asserts :func:`viterbi_decode` agrees with it bit-exactly.
-    """
-    encoder = encoder or default_encoder()
-    pairs = _checked_pairs(coded, n_data_bits, encoder, terminated)
-    n_steps = pairs.shape[0]
-
-    next_state, outputs = encoder.transitions()
-    n_states = encoder.n_states
-    metric_fn = _branch_metrics_soft if soft else _branch_metrics_hard
-
-    infinity = np.inf
-    path_metric = np.full(n_states, infinity)
-    path_metric[0] = 0.0
-    decisions = np.zeros((n_steps, n_states), dtype=np.int8)
-    predecessors = np.zeros((n_steps, n_states), dtype=np.int32)
-
-    for step in range(n_steps):
-        branch = metric_fn(pairs[step], outputs)
-        new_metric = np.full(n_states, infinity)
-        new_decision = np.zeros(n_states, dtype=np.int8)
-        new_pred = np.zeros(n_states, dtype=np.int32)
-        for state in range(n_states):
-            if not np.isfinite(path_metric[state]):
-                continue
-            for bit in range(2):
-                nxt = next_state[state, bit]
-                candidate = path_metric[state] + branch[state, bit]
-                if candidate < new_metric[nxt]:
-                    new_metric[nxt] = candidate
-                    new_decision[nxt] = bit
-                    new_pred[nxt] = state
-        path_metric = new_metric
-        decisions[step] = new_decision
-        predecessors[step] = new_pred
-
-    if terminated:
-        final_state = 0
-        if not np.isfinite(path_metric[0]):
-            final_state = int(np.argmin(path_metric))
-    else:
-        final_state = int(np.argmin(path_metric))
-
-    # Trace back.
-    bits = np.zeros(n_steps, dtype=np.int8)
-    state = final_state
-    for step in range(n_steps - 1, -1, -1):
-        bits[step] = decisions[step, state]
-        state = predecessors[step, state]
     return bits[:n_data_bits]

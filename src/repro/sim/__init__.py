@@ -37,13 +37,8 @@ from repro.sim.scenarios import (
     three_pair_scenario,
     two_pair_scenario,
 )
-from repro.sim.runner import (
-    SimulationConfig,
-    run_simulation,
-    run_many,
-    simulate_placement,
-)
-from repro.sim.sweep import SweepCache, SweepResult, run_sweep
+from repro.sim.runner import SimulationConfig, run_simulation, run_many
+from repro.sim.sweep import SweepResult, run_sweep
 
 __all__ = [
     "EventScheduler",
@@ -67,8 +62,6 @@ __all__ = [
     "SimulationConfig",
     "run_simulation",
     "run_many",
-    "simulate_placement",
-    "SweepCache",
     "SweepResult",
     "run_sweep",
 ]

@@ -26,10 +26,11 @@ under ``validation="full"``, and reports whether the original exception
 reproduced.  ``python -m repro.cli replay <capsule.json>`` wraps this.
 
 Capsules are written by the sweep parent process
-(:func:`repro.sim.sweep.run_sweep`); workers only ship error strings
-over their pipes, so capsules for cells that failed *in a parallel
-worker* carry no traceback or event ring -- the replay still
-reconstructs the failure locally with both.
+(:func:`repro.sim.sweep.run_sweep`); parallel workers ship the error,
+its traceback and (for a crash inside a simulation) the event ring over
+their pipes as plain data.  Only a cell lost to worker deaths or a
+timeout has no traceback -- the replay still reconstructs the failure
+locally.
 """
 
 from __future__ import annotations
@@ -162,8 +163,9 @@ def build_capsule(
     ``scenario`` is the constructed scenario object (used to materialise
     the fault schedule the failing run saw); ``spec`` is the cell's
     :class:`~repro.mac.variants.ProtocolSpec`; ``error`` is the sweep's
-    ``"TypeName: message"`` string.  ``traceback_text`` and ``events``
-    are only available when the cell failed in the parent process.
+    ``"TypeName: message"`` string.  ``traceback_text`` is ``None`` only
+    for a cell lost to worker deaths or a timeout; ``events`` exist only
+    for a crash inside a simulation.
     """
     from repro.sim.runner import build_fault_schedule, mac_seed
 
@@ -257,6 +259,7 @@ def replay_capsule(
     from repro.sim.runner import (
         SimulationConfig,
         build_network,
+        effective_channel_draws,
         mac_seed,
         run_simulation,
     )
@@ -271,8 +274,22 @@ def replay_capsule(
         capsule.scenario_fingerprint is None
         or scenario_digest(scenario) == capsule.scenario_fingerprint
     )
+    fields = dict(capsule.config)
+    # Capsules from before the draw contract became a property of the
+    # scenario alone carry a ``channel_draws`` config field.  Null or
+    # equal to the scenario's contract, it changed nothing; any other
+    # value built channels this build can no longer draw.
+    legacy_draws = fields.pop("channel_draws", None)
+    contract = effective_channel_draws(scenario)
+    if legacy_draws is not None and legacy_draws != contract:
+        raise ConfigurationError(
+            f"capsule config field 'channel_draws' is {legacy_draws!r}, but "
+            f"scenario {capsule.scenario!r} draws its channels with "
+            f"{contract!r}; the draw contract is chosen by the scenario "
+            "alone, so this cell cannot be replayed"
+        )
     try:
-        config = SimulationConfig(**capsule.config)
+        config = SimulationConfig(**fields)
     except TypeError as exc:
         raise ConfigurationError(
             f"capsule config does not match this build's SimulationConfig: {exc}"

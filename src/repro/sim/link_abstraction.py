@@ -31,9 +31,10 @@ know about it:
   counted at full power.
 
 All per-subcarrier quantities are computed as stacked ``(n_sub, ...)``
-arrays through batched ``np.linalg`` operations; the readable
-per-subcarrier formulations are kept as ``_*_reference`` functions and
-asserted equivalent by the test suite.
+arrays through batched ``np.linalg`` operations.  The one per-subcarrier
+loop left, :func:`_announced_subspace_per_subcarrier`, is the fallback
+for rank-degenerate channels, and the test suite asserts it agrees with
+the batched path on well-conditioned ones.
 """
 
 from __future__ import annotations
@@ -154,7 +155,9 @@ def announced_decoding_subspace(
     if interference_dirs is not None and interference_dirs.shape[2]:
         ortho, uniform = _uniform_orthonormal_basis(interference_dirs)
         if not uniform:
-            return _announced_subspace_reference(wanted_dirs, interference_dirs, n_wanted)
+            return _announced_subspace_per_subcarrier(
+                wanted_dirs, interference_dirs, n_wanted
+            )
         columns = columns - ortho @ (ortho.conj().transpose(0, 2, 1) @ columns)
 
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
@@ -162,16 +165,24 @@ def announced_decoding_subspace(
     if not np.all(ranks == n_wanted):
         # Degenerate channel on some subcarrier: take the readable path,
         # which pads with arbitrary orthonormal directions.
-        return _announced_subspace_reference(wanted_dirs, interference_dirs, n_wanted)
+        return _announced_subspace_per_subcarrier(
+            wanted_dirs, interference_dirs, n_wanted
+        )
     return u[:, :, :n_wanted]
 
 
-def _announced_subspace_reference(
+def _announced_subspace_per_subcarrier(
     wanted_dirs: np.ndarray,
     interference_dirs: Optional[np.ndarray],
     n_wanted: int,
 ) -> np.ndarray:
-    """Per-subcarrier reference formulation of the announced subspace."""
+    """The announced subspace one subcarrier at a time.
+
+    The fallback of :func:`announced_decoding_subspace` when the batched
+    SVD path cannot be used (interference or wanted directions of
+    non-uniform rank): a rank-deficient subcarrier is padded with
+    arbitrary orthonormal directions so downstream shapes stay fixed.
+    """
     from repro.utils.linalg import (
         orthonormal_basis,
         orthonormal_complement,

@@ -35,10 +35,9 @@ __all__ = ["ChannelBank", "Network"]
 
 #: The recognised channel-draw contracts, most recent first.  "grouped"
 #: is the v3 contract (scalars-first, one tap draw per antenna-shape
-#: group, estimation noise prefetched in stacked draws); "batched" and
-#: "per-pair" are the mutually bit-identical v2 contracts (per-pair draw
-#: order, vectorized vs readable math).
-DRAW_CONTRACTS = ("grouped", "batched", "per-pair")
+#: group, estimation noise prefetched in stacked draws); "batched" is the
+#: v2 contract (per-pair draw order, vectorized math).
+DRAW_CONTRACTS = ("grouped", "batched")
 
 #: Station ids are packed two-per-int64 (``a * 2**32 + b``) to index
 #: directed links in :class:`ChannelBank`; ids must stay below 2**31 so
@@ -376,10 +375,9 @@ class Network:
         * ``"batched"`` (default) -- the v2 contract: per pair (in
           canonical order) the shadowing draw, the line-of-sight coin
           and one tap-normal draw, with tap scaling and the 64-point FFT
-          vectorized per antenna-shape group.
-        * ``"per-pair"`` -- the readable v2 reference loop; bit-identical
-          to ``"batched"`` (the test suite asserts it down to the
-          post-draw generator state).
+          vectorized per antenna-shape group.  The test suite asserts
+          it bit-identical to a readable per-pair loop, down to the
+          post-draw generator state.
         * ``"grouped"`` -- the v3 contract: randomness is consumed
           scalars-first (one shadowing draw for *all* pairs, one
           line-of-sight draw for all pairs, then ONE tap draw per
@@ -429,10 +427,8 @@ class Network:
         self.channels = ChannelBank()
         if channel_draws == "grouped":
             self._draw_channels_grouped()
-        elif channel_draws == "batched":
-            self._draw_channels()
         else:
-            self._draw_channels_reference()
+            self._draw_channels()
 
     # -- construction helpers -----------------------------------------------------
 
@@ -561,10 +557,10 @@ class Network:
     def _draw_channels(self) -> None:
         """Draw every pair's channel with batched per-group math (v2).
 
-        Random numbers are consumed in exactly the order of
-        :meth:`_draw_channels_reference` -- per pair: shadowing, the
-        line-of-sight coin, then the tap normals in one call -- so the
-        result is bit-identical.  Everything downstream of the draws
+        Random numbers are consumed in the order of a readable per-pair
+        :meth:`~repro.channel.testbed.Testbed.link` loop -- per pair:
+        shadowing, the line-of-sight coin, then the tap normals in one
+        call -- so the result is bit-identical to it.  Everything downstream of the draws
         (path loss, tap scaling, the 64-point FFT, the subcarrier
         selection) runs once per antenna-shape group instead of once per
         pair, which is what makes 100-200 station construction cheap.
@@ -579,7 +575,7 @@ class Network:
         losses = self._pair_losses(ids)
         index_of = {node: row for row, node in enumerate(ids)}
 
-        # Pass 1: the per-pair draws, in reference order.  Only the three
+        # Pass 1: the per-pair draws, in canonical order.  Only the three
         # rng calls (and bookkeeping) remain per pair; the draw sequence
         # itself is defined once, in Testbed.draw_link_scalars.
         groups: Dict[Tuple[int, int], dict] = {}
@@ -621,41 +617,6 @@ class Network:
             )
             responses = frequency_response_batch(taps, 64)[:, bins]  # (C, n_sub, N, M)
             self.channels.add_group(group["pairs"], responses, snrs)
-
-    def _draw_channels_reference(self) -> None:
-        """Draw one frequency-selective channel per unordered station pair
-        and derive the reverse direction by reciprocity (transposition).
-
-        The readable per-pair loop, kept as the reference
-        :meth:`_draw_channels` is asserted bit-identical against.  The
-        drawn responses land in the same :class:`ChannelBank` layout as
-        the other contracts (grouped by antenna shape at the end).
-        """
-        bins = self._subcarrier_indices()
-        groups: Dict[Tuple[int, int], dict] = {}
-        for a, b, forced in self._pair_iter():
-            sta_a = self.stations[a]
-            sta_b = self.stations[b]
-            link = self.testbed.link(
-                sta_a.location,
-                sta_b.location,
-                n_tx=sta_a.n_antennas,
-                n_rx=sta_b.n_antennas,
-                rng=self.rng,
-                snr_db=forced,
-            )
-            response = link.frequency_response(64)[bins]  # (n_sub, N_b, M_a)
-            group = groups.setdefault(
-                (sta_a.n_antennas, sta_b.n_antennas),
-                {"pairs": [], "responses": [], "snrs": []},
-            )
-            group["pairs"].append((a, b))
-            group["responses"].append(response)
-            group["snrs"].append(link.snr_db)
-        for group in groups.values():
-            self.channels.add_group(
-                group["pairs"], np.stack(group["responses"]), group["snrs"]
-            )
 
     # -- lookups ---------------------------------------------------------------------
 
@@ -845,8 +806,7 @@ class Network:
         :meth:`~repro.channel.hardware.HardwareProfile.perturb_channel_batch`
         call.  Later :meth:`estimated_channel` calls hit the memo.
 
-        Under the v2 contracts (``"batched"``/``"per-pair"``) this is a
-        **no-op**: they keep the lazy one-link-at-a-time draw order so
+        Under the v2 ``"batched"`` contract this is a **no-op**: they keep the lazy one-link-at-a-time draw order so
         seeded v2 results stay reproducible.
 
         ``links`` is an iterable of ``(tx_id, rx_id, reciprocity)``.

@@ -17,19 +17,17 @@ Rounds are driven by the indexed event queue of
 :class:`~repro.sim.engine.EventScheduler`: each round is one scheduled
 event, and idle gaps between Poisson arrivals are skipped in a single
 event instead of being polled slot by slot, so lightly-loaded or
-many-node simulations no longer pay for empty airtime.  The original
-condensed ``while`` loop is kept as
-:func:`_run_simulation_condensed_reference` and the test suite asserts
-that both produce bit-identical metrics.
+many-node simulations no longer pay for empty airtime.
 
-The per-round MAC queries themselves are batched by default
-(``pipeline="batched"``): agents mirror their traffic state into
-:class:`~repro.sim.traffic.TrafficStateArrays` and the runner evaluates
-the ``has_traffic`` / ``next_traffic_time_us`` / join-eligibility masks
-for all agents with a handful of array operations per round, instead of
-one Python call per agent -- the difference between a 6-station paper
-topology and the ``dense-lan-100/200`` scenarios.  The per-agent scans
-are kept as ``pipeline="per-agent"`` and asserted bit-identical.
+The per-round MAC queries themselves are batched: agents mirror their
+traffic state into :class:`~repro.sim.traffic.TrafficStateArrays` and
+the runner evaluates the ``has_traffic`` / ``next_traffic_time_us`` /
+join-eligibility masks for all agents with a handful of array operations
+per round, instead of one Python call per agent -- the difference
+between a 6-station paper topology and the ``dense-lan-100/200``
+scenarios.  The slot-polling loop and the per-agent scans the event loop
+is asserted bit-identical against live in the test suite's oracles
+(``tests/oracles/runner.py``).
 
 The per-run environment (placements, channels) is frozen in a
 :class:`~repro.sim.network.Network`, so different protocols can be
@@ -72,7 +70,6 @@ __all__ = [
     "SimulationConfig",
     "run_simulation",
     "run_many",
-    "simulate_placement",
     "build_network",
     "build_fault_schedule",
     "effective_channel_draws",
@@ -148,17 +145,6 @@ class SimulationConfig:
         (:attr:`repro.sim.scenarios.Scenario.packet_rate_pps`, used by the
         bursty dense-LAN scenarios) applies instead; ``0`` explicitly
         forces saturated sources even on such a scenario.
-    channel_draws:
-        Which channel-draw contract builds the run's network (see
-        :class:`repro.sim.network.Network`): ``"grouped"`` (the v3
-        scalars-first contract), ``"batched"`` or ``"per-pair"`` (the
-        mutually bit-identical v2 contracts).  ``None`` (the default)
-        defers to the scenario's
-        :attr:`~repro.sim.scenarios.Scenario.channel_draws` hint (the
-        ``dense-lan-500`` tier declares ``"grouped"``), falling back to
-        ``"batched"``.  Unlike ``pipeline``/``plan_cache`` this knob
-        changes seeded results, so it is part of the sweep cache key
-        (via the config digest).
     fault_profile:
         Name of a registered fault profile (:mod:`repro.sim.faults`) to
         inject -- deep fades, loss episodes, station churn.  ``None``
@@ -166,8 +152,7 @@ class SimulationConfig:
         :attr:`~repro.sim.scenarios.Scenario.fault_profile` hint (the
         ``dense-lan-*-faulty`` variants declare ``"mixed"``); ``"none"``
         (or ``""``) explicitly disables faults even on such a scenario.
-        Like ``channel_draws`` this changes seeded results and is part
-        of the sweep cache key.
+        This changes seeded results and is part of the sweep cache key.
     fault_trace:
         Path to a JSON/CSV loss-trace file
         (:meth:`repro.sim.faults.FaultSchedule.from_trace`) whose
@@ -214,7 +199,6 @@ class SimulationConfig:
     bitrate_margin_db: float = 1.0
     max_rounds: int = 200_000
     packet_rate_pps: Optional[float] = None
-    channel_draws: Optional[str] = None
     fault_profile: Optional[str] = None
     fault_trace: Optional[str] = None
     fidelity: Optional[str] = None
@@ -246,17 +230,16 @@ def _effective_packet_rate(scenario: Scenario, config: SimulationConfig) -> Opti
     return getattr(scenario, "packet_rate_pps", None)
 
 
-def effective_channel_draws(scenario: Scenario, config: SimulationConfig) -> str:
-    """The channel-draw contract in effect: config beats the scenario hint.
+def effective_channel_draws(scenario: Scenario) -> str:
+    """The channel-draw contract of ``scenario``'s networks.
 
-    ``None`` everywhere resolves to ``"batched"``, the default v2
-    contract.  This is *the* resolution rule -- :func:`build_network`,
-    :func:`run_simulation` and the condensed reference all route through
-    it, so a scenario that declares the grouped contract (e.g.
-    ``dense-lan-500``) is built identically everywhere.
+    The contract is a property of the scenario alone: its
+    :attr:`~repro.sim.scenarios.Scenario.channel_draws` hint, ``None``
+    resolving to ``"batched"``, the default v2 contract.  This is *the*
+    resolution rule -- :func:`build_network` and :func:`run_simulation`
+    both route through it, so a scenario that declares the grouped
+    contract (e.g. ``dense-lan-500``) is built identically everywhere.
     """
-    if config.channel_draws is not None:
-        return config.channel_draws
     return getattr(scenario, "channel_draws", None) or "batched"
 
 
@@ -265,8 +248,7 @@ def effective_fault_profile(
 ) -> Optional[str]:
     """The fault profile in effect: config beats the scenario hint.
 
-    Mirrors :func:`effective_channel_draws`: an explicit config value
-    wins, with ``"none"``/``""`` meaning "explicitly fault-free" (the
+    An explicit config value wins, with ``"none"``/``""`` meaning "explicitly fault-free" (the
     only way to run a ``dense-lan-*-faulty`` scenario without its
     faults); ``None`` everywhere means no faults.
     """
@@ -279,10 +261,9 @@ def effective_fault_profile(
 def effective_fidelity(scenario: Scenario, config: SimulationConfig) -> str:
     """The PHY fidelity tier in effect: config beats the scenario hint.
 
-    Mirrors :func:`effective_channel_draws`: ``None`` everywhere resolves
-    to ``"abstraction"``, the bit-identical-to-before default.  This is
-    *the* resolution rule -- the event loops, the condensed reference's
-    refusal and the sweep digests all route through it.
+    ``None`` everywhere resolves to ``"abstraction"``, the
+    bit-identical-to-before default.  This is *the* resolution rule --
+    the event loop and the sweep digests both route through it.
     """
     name = config.fidelity
     if name is None:
@@ -416,33 +397,17 @@ def _evaluate_group(
     return delivered
 
 
-def _slot_aligned_idle_end_reference(
-    now_us: float, next_arrival_us: float, duration_us: float
-) -> float:
-    """Slot-by-slot walk across an idle gap (the readable reference).
-
-    This is exactly the condensed loop's polling: step the clock one 9 us
-    slot at a time until the next arrival (or the window end) is reached,
-    accumulating floating-point rounding along the way.  O(gap / slot)
-    Python iterations -- degenerate for sparse bursty traffic, which is
-    why the runners use :func:`_slot_aligned_idle_end` instead.
-    """
-    time = now_us + SLOT_TIME_US
-    while time < next_arrival_us and time < duration_us:
-        time += SLOT_TIME_US
-    return time
-
-
 def _slot_aligned_idle_end(
     now_us: float, next_arrival_us: float, duration_us: float
 ) -> float:
     """First slot boundary at or past the next arrival (or window end).
 
-    Bit-for-bit equal to :func:`_slot_aligned_idle_end_reference`: the
-    slot times are generated with ``np.cumsum`` over ``[now + slot, slot,
-    slot, ...]``, whose sequential left-to-right float64 additions
-    reproduce the reference's ``time += SLOT_TIME_US`` accumulation
-    exactly (a closed form ``now + k * slot`` would round differently).
+    Bit-for-bit equal to stepping the clock one 9 us slot at a time (the
+    slot-polling loop's ``time += SLOT_TIME_US``, kept as the test
+    oracle): the slot times are generated with ``np.cumsum`` over
+    ``[now + slot, slot, slot, ...]``, whose sequential left-to-right
+    float64 additions reproduce that accumulation exactly (a closed form
+    ``now + k * slot`` would round differently).
     The boundary slot is then located with a binary search, in bounded
     chunks so a day-long gap cannot allocate an unbounded array.
     """
@@ -465,23 +430,24 @@ class _EventDrivenLoop:
     """Drives the contention/transmission rounds on an :class:`EventScheduler`.
 
     Each round is one scheduled event; the handler resolves contention,
-    plays out the joint transmission exactly like the condensed loop, and
-    schedules the next round at the time the condensed loop would have
-    reached.  Idle gaps (all queues empty, next Poisson arrival in the
-    future) are crossed in a single event scheduled at the first busy
-    slot, instead of one iteration per 9 us slot, which is what lets the
-    runner scale to many lightly-loaded nodes.
+    plays out the joint transmission exactly like a slot-polling loop would
+    (the test suite keeps one as an oracle), and schedules the next round at
+    the time that loop would have reached.  Idle gaps (all queues empty,
+    next Poisson arrival in the future) are crossed in a single event
+    scheduled at the first busy slot, instead of one iteration per 9 us
+    slot, which is what lets the runner scale to many lightly-loaded nodes.
 
-    The per-round queries are factored into three hooks --
-    :meth:`_contending_agents`, :meth:`_next_traffic_time_us` and
-    :meth:`_join_eligible` -- implemented here as the straightforward
-    per-agent scans.  :class:`_BatchedEventDrivenLoop` overrides them with
-    array computations over :class:`~repro.sim.traffic.TrafficStateArrays`;
-    this class is the readable reference pipeline the batched one is
-    asserted bit-identical against.
+    The per-round queries -- who has traffic, when does traffic arrive
+    next, who may join -- are computed for all agents at once from the
+    incrementally maintained :class:`~repro.sim.traffic.TrafficStateArrays`,
+    so a round costs Python-level work only for the agents whose state
+    changed (participants and due Poisson arrivals) plus O(1) array
+    operations, instead of one ``has_traffic`` / ``can_join`` call per
+    agent.  The three queries are the hooks :meth:`_contending_agents`,
+    :meth:`_next_traffic_time_us` and :meth:`_join_eligible`; the test
+    suite's per-agent oracle overrides them with plain scans and asserts
+    bit-identical metrics.
     """
-
-    pipeline_name = "per-agent"
 
     def __init__(
         self,
@@ -535,6 +501,15 @@ class _EventDrivenLoop:
         # runner boundary attaches this ring to the exception so the
         # capsule records what the simulation was doing when it crashed.
         self.event_ring: deque = deque(maxlen=64)
+        self.arrays = TrafficStateArrays(self.agents.values())
+        # The vectorized join mask encodes the n+ eligibility rule; fall
+        # back to per-agent ``can_join`` for any joining protocol that has
+        # not declared its rule equivalent.
+        self._vectorized_join = all(
+            agent.vectorized_join_eligibility
+            for agent in self.agents.values()
+            if agent.supports_joining
+        )
 
     def run(self) -> NetworkMetrics:
         """Run rounds until the observation window closes."""
@@ -556,28 +531,64 @@ class _EventDrivenLoop:
             self.invariants.check_round(self)
         return self.metrics
 
-    # -- per-round queries (overridden by the batched pipeline) -----------------
+    # -- per-round queries ------------------------------------------------------
 
     def _contending_agents(self, now: float) -> List[object]:
         """Agents that want to contend right now (refills their queues)."""
-        return [agent for agent in self.agents.values() if agent.has_traffic(now)]
+        arrays = self.arrays
+        due = arrays.refill_due(now)
+        if due.any():
+            arrays.refill(now, due)
+        backlogged = arrays.backlogged
+        if not backlogged.any():
+            return []
+        if backlogged.all():
+            return arrays.agents
+        return [arrays.agents[index] for index in np.nonzero(backlogged)[0]]
 
     def _next_traffic_time_us(self, now: float) -> float:
         """Earliest time any agent could want to contend again."""
-        return min(
-            (agent.next_traffic_time_us(now) for agent in self.agents.values()),
-            default=float("inf"),
-        )
+        return self.arrays.next_traffic_time_us(now)
 
     def _join_eligible(self, now: float, exhausted: set) -> List[object]:
         """Agents eligible for this secondary-contention round."""
-        return [
-            agent
-            for agent in self.agents.values()
-            if agent.supports_joining
-            and agent.node_id not in exhausted
-            and agent.can_join(now, self.medium, self.config.min_join_airtime_us)
-        ]
+        if not self._vectorized_join:
+            return [
+                agent
+                for agent in self.agents.values()
+                if agent.supports_joining
+                and agent.node_id not in exhausted
+                and agent.can_join(now, self.medium, self.config.min_join_airtime_us)
+            ]
+        arrays, medium = self.arrays, self.medium
+        joinable = arrays.supports_joining
+        if exhausted:
+            joinable = joinable & ~np.isin(arrays.node_ids, list(exhausted))
+        if not joinable.any():
+            return []
+        # ``can_join`` refills (through ``has_traffic``) before its other
+        # checks, for every joinable agent -- replay those side effects
+        # first so Poisson pops land at the same instants as per-agent
+        # scans would, then evaluate the eligibility rule on the arrays.
+        due = joinable & arrays.refill_due(now)
+        if due.any():
+            arrays.refill(now, due)
+        if not medium.busy:
+            return []
+        if medium.current_end_us - now < self.config.min_join_airtime_us:
+            return []
+        used = medium.used_degrees_of_freedom
+        mask = (
+            joinable
+            & arrays.backlogged
+            & (arrays.n_antennas > used)
+            & (arrays.join_rx_antennas > used)
+        )
+        if not mask.any():
+            return []
+        busy_nodes = medium.transmitting_nodes() + medium.receiving_nodes()
+        mask &= ~np.isin(arrays.node_ids, busy_nodes)
+        return [arrays.agents[index] for index in np.nonzero(mask)[0]]
 
     # -- event handlers ---------------------------------------------------------
 
@@ -587,9 +598,9 @@ class _EventDrivenLoop:
     def _idle_poll_time(self, now: float) -> float:
         """First slot boundary at which an agent will have traffic.
 
-        Mirrors the condensed loop's slot-by-slot polling (including its
-        quantisation to slot multiples of the current time and its stop at
-        the window end) without calling into the agents at every slot.
+        Mirrors slot-by-slot polling (including its quantisation to slot
+        multiples of the current time and its stop at the window end)
+        without calling into the agents at every slot.
         """
         return _slot_aligned_idle_end(
             now, self._next_traffic_time_us(now), self.config.duration_us
@@ -768,112 +779,12 @@ class _EventDrivenLoop:
         self._schedule_round(max(end_of_round, now + SLOT_TIME_US))
 
 
-class _BatchedEventDrivenLoop(_EventDrivenLoop):
-    """The batched round pipeline: per-round queries as array operations.
-
-    Identical round mechanics to :class:`_EventDrivenLoop`, but the three
-    per-round scans -- who has traffic, when does traffic arrive next, who
-    may join -- are computed for all agents at once from the incrementally
-    maintained :class:`~repro.sim.traffic.TrafficStateArrays`, so a round
-    costs Python-level work only for the agents whose state changed
-    (participants and due Poisson arrivals) plus O(1) array operations,
-    instead of one ``has_traffic`` / ``can_join`` call per agent.  The
-    test suite asserts this pipeline's metrics are bit-identical to the
-    per-agent reference (and to the condensed slot-polling loop).
-    """
-
-    pipeline_name = "batched"
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        protocol: ProtocolLike,
-        rng: np.random.Generator,
-        config: SimulationConfig,
-        network: Network,
-        seed: Optional[int] = None,
-        plan_cache: Optional[PlanCache] = None,
-        fault_schedule: Optional[FaultSchedule] = None,
-    ) -> None:
-        super().__init__(
-            scenario, protocol, rng, config, network, seed, plan_cache, fault_schedule
-        )
-        self.arrays = TrafficStateArrays(self.agents.values())
-        # The vectorized join mask encodes the n+ eligibility rule; fall
-        # back to per-agent ``can_join`` for any joining protocol that has
-        # not declared its rule equivalent.
-        self._vectorized_join = all(
-            agent.vectorized_join_eligibility
-            for agent in self.agents.values()
-            if agent.supports_joining
-        )
-
-    # -- batched per-round queries ----------------------------------------------
-
-    def _contending_agents(self, now: float) -> List[object]:
-        arrays = self.arrays
-        due = arrays.refill_due(now)
-        if due.any():
-            arrays.refill(now, due)
-        backlogged = arrays.backlogged
-        if not backlogged.any():
-            return []
-        if backlogged.all():
-            return arrays.agents
-        return [arrays.agents[index] for index in np.nonzero(backlogged)[0]]
-
-    def _next_traffic_time_us(self, now: float) -> float:
-        return self.arrays.next_traffic_time_us(now)
-
-    def _join_eligible(self, now: float, exhausted: set) -> List[object]:
-        if not self._vectorized_join:
-            return super()._join_eligible(now, exhausted)
-        arrays, medium = self.arrays, self.medium
-        joinable = arrays.supports_joining
-        if exhausted:
-            joinable = joinable & ~np.isin(arrays.node_ids, list(exhausted))
-        if not joinable.any():
-            return []
-        # ``can_join`` refills (through ``has_traffic``) before its other
-        # checks, for every joinable agent -- replay those side effects
-        # first so Poisson pops land at the same instants as the per-agent
-        # pipeline's, then evaluate the eligibility rule on the arrays.
-        due = joinable & arrays.refill_due(now)
-        if due.any():
-            arrays.refill(now, due)
-        if not medium.busy:
-            return []
-        if medium.current_end_us - now < self.config.min_join_airtime_us:
-            return []
-        used = medium.used_degrees_of_freedom
-        mask = (
-            joinable
-            & arrays.backlogged
-            & (arrays.n_antennas > used)
-            & (arrays.join_rx_antennas > used)
-        )
-        if not mask.any():
-            return []
-        busy_nodes = medium.transmitting_nodes() + medium.receiving_nodes()
-        mask &= ~np.isin(arrays.node_ids, busy_nodes)
-        return [arrays.agents[index] for index in np.nonzero(mask)[0]]
-
-
-#: Pipeline name -> event-driven loop implementation.  Both produce
-#: bit-identical metrics; "per-agent" is the readable reference.
-_PIPELINES: Dict[str, type] = {
-    _BatchedEventDrivenLoop.pipeline_name: _BatchedEventDrivenLoop,
-    _EventDrivenLoop.pipeline_name: _EventDrivenLoop,
-}
-
-
 def run_simulation(
     scenario: Scenario,
     protocol: ProtocolLike,
     seed: int = 0,
     config: Optional[SimulationConfig] = None,
     network: Optional[Network] = None,
-    pipeline: str = "batched",
     plan_cache: bool = True,
     fault_schedule: Optional[FaultSchedule] = None,
 ) -> NetworkMetrics:
@@ -908,15 +819,6 @@ def run_simulation(
         Reuse an existing network (same placements/channels) instead of
         drawing a new one -- this is how protocols are compared on the
         same channel realisation.
-    pipeline:
-        ``"batched"`` (default) evaluates the per-round MAC queries --
-        who has traffic, when does traffic arrive next, who may join --
-        as array operations over all agents at once;  ``"per-agent"``
-        runs the readable reference pipeline that asks every agent
-        individually.  Both produce bit-identical metrics (the test suite
-        asserts it), so the choice never affects results, only speed --
-        which is why ``pipeline`` is deliberately not part of the sweep
-        cache key.
     plan_cache:
         ``True`` (default) memoizes the pure per-round planning math
         (pre-coder decompositions, measured post-projection SNRs) in a
@@ -925,8 +827,8 @@ def run_simulation(
         Channels are static within a run and channel estimates are
         measured once per simulation, so the cached and uncached paths
         produce bit-identical metrics (the test suite asserts it) --
-        like ``pipeline``, this knob is deliberately not part of the
-        sweep cache key.
+        which is why this knob is deliberately not part of the sweep
+        cache key.
     fault_schedule:
         An explicit :class:`~repro.sim.faults.FaultSchedule` to inject,
         overriding whatever :func:`build_fault_schedule` would resolve
@@ -938,12 +840,6 @@ def run_simulation(
     """
     config = config or SimulationConfig()
     protocol = resolve_protocol(protocol)
-    try:
-        loop_class = _PIPELINES[pipeline]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown pipeline {pipeline!r}; choose from {sorted(_PIPELINES)}"
-        ) from None
     if fault_schedule is None:
         fault_schedule = build_fault_schedule(scenario, config, seed)
     rng = np.random.default_rng(seed)
@@ -954,10 +850,10 @@ def run_simulation(
             rng,
             testbed=scenario.make_testbed(),
             n_subcarriers=config.n_subcarriers,
-            channel_draws=effective_channel_draws(scenario, config),
+            channel_draws=effective_channel_draws(scenario),
         )
     network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
-    loop = loop_class(
+    loop = _EventDrivenLoop(
         scenario,
         protocol,
         rng,
@@ -975,180 +871,6 @@ def run_simulation(
         # exception itself propagates unchanged.
         exc._repro_event_ring = list(loop.event_ring)
         raise
-
-
-def _run_simulation_condensed_reference(
-    scenario: Scenario,
-    protocol: ProtocolLike,
-    seed: int = 0,
-    config: Optional[SimulationConfig] = None,
-    network: Optional[Network] = None,
-) -> NetworkMetrics:
-    """The original slot-polling ``while`` loop, kept as the readable
-    reference implementation.
-
-    The event-driven runner must produce bit-identical metrics; the test
-    suite asserts this for saturated and bursty traffic.  Unlike the
-    event-driven loop this one pays one iteration per 9 us slot of idle
-    airtime, which is why it was replaced.
-
-    Fault injection is an event-driven-only feature: this loop has no
-    event boundaries to apply episodes at, so it refuses fault-enabled
-    configurations instead of silently ignoring them.
-    """
-    config = config or SimulationConfig()
-    if build_fault_schedule(scenario, config, seed) is not None:
-        raise ConfigurationError(
-            "the condensed reference loop does not support fault injection; "
-            "use run_simulation (or disable faults with fault_profile='none')"
-        )
-    if effective_fidelity(scenario, config) != "abstraction":
-        raise ConfigurationError(
-            "the condensed reference loop predates the fidelity layer; "
-            "use run_simulation (or fidelity='abstraction')"
-        )
-    if effective_validation(scenario, config) != "off":
-        raise ConfigurationError(
-            "the condensed reference loop predates the invariant layer; "
-            "use run_simulation (or validation='off')"
-        )
-    rng = np.random.default_rng(seed)
-    if network is None:
-        network = Network(
-            scenario.stations,
-            scenario.pairs,
-            rng,
-            testbed=scenario.make_testbed(),
-            n_subcarriers=config.n_subcarriers,
-            channel_draws=effective_channel_draws(scenario, config),
-        )
-    network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
-    agents = _build_agents(scenario, network, protocol, rng, config, seed)
-    medium = Medium()
-    metrics = NetworkMetrics()
-    for pair in scenario.pairs:
-        metrics.link(pair.name)
-
-    now = 0.0
-    rounds = 0
-    while now < config.duration_us:
-        contending = [agent for agent in agents.values() if agent.has_traffic(now)]
-        if not contending:
-            now += SLOT_TIME_US
-            continue
-
-        rounds += 1
-        if rounds > config.max_rounds:
-            raise SimulationError("simulation exceeded the configured round budget")
-
-        outcome = resolve_contention([agent.contender for agent in contending], rng)
-        groups: List[_TransmissionGroup] = []
-
-        if outcome.collision:
-            # Every collided winner transmits; all of their frames are lost.
-            end_max = now + outcome.start_delay_us
-            ack_us = 0.0
-            for node_id in outcome.winners:
-                agent = agents[node_id]
-                body_start = now + outcome.start_delay_us + agent.header_duration_us()
-                streams = agent.plan_initial(body_start, medium)
-                if not streams:
-                    continue
-                medium.add_streams(streams)
-                groups.extend(_groups_from_streams(agent, streams, collided=True, joined=False))
-                metrics.link(agent.name).collisions += 1
-                end_max = max(end_max, max(s.end_us for s in streams))
-                ack_us = max(ack_us, agent.ack_duration_us())
-            end_of_round = end_max + ack_us
-        else:
-            winner = agents[outcome.winners[0]]
-            body_start = now + outcome.start_delay_us + winner.header_duration_us()
-            streams = winner.plan_initial(body_start, medium)
-            if not streams:
-                # Nothing to send after all (race with traffic); burn a slot.
-                now += outcome.start_delay_us
-                continue
-            medium.add_streams(streams)
-            groups.extend(_groups_from_streams(winner, streams, collided=False, joined=False))
-            metrics.link(winner.name).transmissions += 1
-            ack_us = winner.ack_duration_us()
-
-            sense_start = body_start
-            exhausted: set = set()
-            while True:
-                eligible = [
-                    agent
-                    for agent in agents.values()
-                    if agent.supports_joining
-                    and agent.node_id not in exhausted
-                    and agent.can_join(sense_start, medium, config.min_join_airtime_us)
-                ]
-                if not eligible:
-                    break
-                join_round = resolve_contention([a.contender for a in eligible], rng)
-                join_agents = [agents[node_id] for node_id in join_round.winners]
-                join_body_start = (
-                    sense_start
-                    + join_round.start_delay_us
-                    + max(a.header_duration_us() for a in join_agents)
-                )
-                if join_body_start + config.min_join_airtime_us > medium.current_end_us:
-                    break
-                added_any = False
-                for agent in join_agents:
-                    join_streams = agent.plan_join(join_body_start, medium)
-                    if not join_streams:
-                        exhausted.add(agent.node_id)
-                        continue
-                    medium.add_streams(join_streams)
-                    groups.extend(
-                        _groups_from_streams(
-                            agent,
-                            join_streams,
-                            collided=join_round.collision,
-                            joined=True,
-                        )
-                    )
-                    link = metrics.link(agent.name)
-                    link.joins += 1
-                    if join_round.collision:
-                        link.collisions += 1
-                    added_any = True
-                sense_start = join_body_start
-                if not added_any:
-                    continue
-            end_of_round = medium.current_end_us + ack_us
-
-        all_streams = medium.active_streams
-        for group in groups:
-            delivered = _evaluate_group(network, group, all_streams, rng)
-            agent = group.agent
-            link = metrics.link(agent.name)
-            link.attempted_bits += group.payload_bits
-            link.airtime_us += sum(s.duration_us for s in group.streams) / max(
-                len(group.streams), 1
-            )
-            if delivered:
-                link.delivered_bits += group.payload_bits
-                link.packets_delivered += 1
-            else:
-                link.packets_failed += 1
-            agent.record_outcome(
-                group.receiver_id, group.payload_bits, delivered,
-                collided=group.collided,
-            )
-
-        medium.clear()
-        now = max(end_of_round, now + SLOT_TIME_US)
-
-    for agent in agents.values():
-        link = metrics.link(agent.name)
-        link.packets_dropped = sum(
-            queue.dropped_packets for queue in agent.queues.values()
-        )
-        link.quarantined_rounds = agent.quarantined_rounds
-    metrics.elapsed_us = now
-    return metrics
 
 
 def placement_seed(seed: int, run: int) -> int:
@@ -1176,9 +898,9 @@ def build_network(scenario: Scenario, run_seed: int, config: SimulationConfig) -
     """Draw the placements and channels of one run.
 
     This is *the* definition of how a run seed becomes a network --
-    :func:`run_many`, :func:`simulate_placement` and the sweep
-    orchestrator all build their networks here, which is what keeps
-    serial, parallel and cached results in lockstep.
+    :func:`run_many` and the sweep orchestrator both build their
+    networks here, which is what keeps serial, parallel and cached
+    results in lockstep.
     """
     return Network(
         scenario.stations,
@@ -1186,30 +908,7 @@ def build_network(scenario: Scenario, run_seed: int, config: SimulationConfig) -
         np.random.default_rng(run_seed),
         testbed=scenario.make_testbed(),
         n_subcarriers=config.n_subcarriers,
-        channel_draws=effective_channel_draws(scenario, config),
-    )
-
-
-def simulate_placement(
-    scenario_factory: Callable[[], Scenario],
-    protocol: ProtocolLike,
-    run_seed: int,
-    config: Optional[SimulationConfig] = None,
-) -> NetworkMetrics:
-    """Simulate one protocol on one random placement, self-contained.
-
-    Draws the network from ``run_seed`` (:func:`build_network`) and runs
-    the MAC simulation with :func:`mac_seed(run_seed) <mac_seed>` --
-    exactly what :func:`run_many` does for each (run, protocol) cell.
-    Because the result depends only on the arguments, this is the unit
-    of work the parallel sweep ships to worker processes and the unit
-    the results cache stores.
-    """
-    config = config or SimulationConfig()
-    scenario = scenario_factory()
-    network = build_network(scenario, run_seed, config)
-    return run_simulation(
-        scenario, protocol, seed=mac_seed(run_seed), config=config, network=network
+        channel_draws=effective_channel_draws(scenario),
     )
 
 

@@ -14,8 +14,8 @@ stable string::
 The ``dense-lan-*`` family models the production-scale regime the
 ROADMAP asks for: 20-500 node LANs with heterogeneous 1x1/2x2/3x3 antenna
 mixes on a larger synthetic floor, in saturated and bursty variants.
-The 100/200-station tier is the workload of the batched round pipeline
-(``repro.sim.runner``, ``pipeline="batched"``); the 500-station tier
+The 100/200-station tier is the workload of the runner's batched
+round queries (:mod:`repro.sim.runner`); the 500-station tier
 additionally declares the grouped (v3) channel-draw contract
 (``channel_draws="grouped"``), whose scalars-first construction is what
 makes a 124750-pair network draw affordable.
@@ -70,16 +70,14 @@ class Scenario:
         saturated sources.  A :class:`~repro.sim.runner.SimulationConfig`
         with an explicit ``packet_rate_pps`` overrides this hint.
     channel_draws:
-        Optional suggested channel-draw contract
-        (:class:`repro.sim.network.Network`): ``"grouped"``, ``"batched"``
-        or ``"per-pair"``.  ``None`` means the default (``"batched"``).
+        The channel-draw contract of this scenario's networks
+        (:class:`repro.sim.network.Network`): ``"grouped"`` or
+        ``"batched"``.  ``None`` means the default (``"batched"``).
         The 500-station tier declares ``"grouped"`` -- at that density
-        the v2 per-pair draw order is the dominant construction cost.  A
-        config with an explicit
-        :attr:`~repro.sim.runner.SimulationConfig.channel_draws`
-        overrides this hint.  The hint is part of
-        :func:`repro.sim.sweep.scenario_digest` because it changes every
-        seeded channel.
+        the v2 per-pair draw order is the dominant construction cost.
+        Only the scenario chooses the contract; no config overrides it.
+        Part of :func:`repro.sim.sweep.scenario_digest` because it
+        changes every seeded channel.
     fault_profile:
         Optional suggested fault profile (:mod:`repro.sim.faults`): the
         name of a registered :class:`~repro.sim.faults.FaultProfile`

@@ -1,8 +1,8 @@
 """Durable SQLite-backed results store for sweep cells.
 
-:class:`ResultsStore` replaces the flat-directory JSON
-:class:`~repro.sim.sweep.SweepCache` as the default persistence layer of
-:func:`~repro.sim.sweep.run_sweep`.  It keeps the cache's contract --
+:class:`ResultsStore` is the persistence layer of
+:func:`~repro.sim.sweep.run_sweep`; it replaced a flat directory of
+per-cell JSON files.  It keeps that cache's contract --
 cells keyed by the existing ``(scenario, protocol, run seed, config,
 schema version)`` digest, ``load``/``store`` returning and accepting
 :class:`~repro.sim.metrics.NetworkMetrics`, unreadable state treated as
@@ -273,7 +273,7 @@ class ResultsStore:
     # -- legacy JSON migration ---------------------------------------------
 
     def _migrate_legacy_json(self) -> None:
-        """One-shot import of a JSON :class:`SweepCache` directory.
+        """One-shot import of a legacy per-cell JSON cache directory.
 
         Every readable ``<key>.json`` cell in the store's directory is
         inserted as a ``done`` row under its original key -- the key
@@ -281,7 +281,7 @@ class ResultsStore:
         JSON files would have.  Unreadable files are skipped (they were
         misses before, they stay misses).  The migration runs once per
         store (recorded in ``store_meta``); the JSON files are left in
-        place for the old code path and for inspection.
+        place for inspection.
         """
         done = self._conn.execute(
             "SELECT value FROM store_meta WHERE key='json_migration_done'"
@@ -318,21 +318,7 @@ class ResultsStore:
                 (json.dumps({"imported": imported, "at": time.time()}),),
             )
 
-    # -- SweepCache-compatible interface -----------------------------------
-
-    def cell_key(
-        self,
-        scenario_key: str,
-        protocol,
-        run_seed: int,
-        config,
-        scenario_fingerprint: Optional[str] = None,
-    ) -> str:
-        """The cache key of one sweep cell (the digest scheme is shared
-        with -- and defined by -- :meth:`repro.sim.sweep.SweepCache.cell_key`)."""
-        from repro.sim.sweep import cell_key as _cell_key
-
-        return _cell_key(scenario_key, protocol, run_seed, config, scenario_fingerprint)
+    # -- cell interface ----------------------------------------------------
 
     def load(self, key: str) -> Optional[NetworkMetrics]:
         """The cached metrics for ``key``, or ``None`` on a miss.

@@ -51,6 +51,7 @@ import os
 import signal
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
@@ -89,11 +90,16 @@ class TaskDone:
 
 @dataclass(frozen=True)
 class TaskRetry:
-    """An attempt failed; the task will be retried after its backoff."""
+    """An attempt failed; the task will be retried after its backoff.
+
+    ``traceback`` is the worker-side traceback of a raised exception;
+    ``None`` when the attempt was lost to a timeout.
+    """
 
     task_id: int
     attempt: int
     error: str
+    traceback: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,16 @@ class TaskRequeued:
 
 @dataclass(frozen=True)
 class TaskFailed:
-    """Attempts (or re-queues) exhausted; the task's cells are failed."""
+    """Attempts (or re-queues) exhausted; the task's cells are failed.
+
+    ``traceback`` is the worker-side traceback of the last attempt's
+    exception; ``None`` when the task was lost to worker deaths or a
+    timeout.
+    """
 
     task_id: int
     error: str
+    traceback: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -139,7 +151,8 @@ def _worker_main(conn, heartbeat, worker_fn) -> None:
     only the parent, which then shuts workers down deliberately (after
     checkpointing).  Every exception -- including worker-side
     KeyboardInterrupt remnants -- is reported over the pipe rather than
-    crashing the worker, so the parent's accounting stays exact.
+    crashing the worker, so the parent's accounting stays exact; the
+    formatted traceback travels with the error string.
 
     The heartbeat thread doubles as an orphan watchdog: if the parent
     dies without shutting us down (SIGKILL to the sweep process), the
@@ -173,8 +186,9 @@ def _worker_main(conn, heartbeat, worker_fn) -> None:
             try:
                 result = worker_fn(payload)
             except BaseException as exc:  # report, don't die
+                error = (f"{type(exc).__name__}: {exc}", traceback.format_exc())
                 try:
-                    conn.send(("error", f"{type(exc).__name__}: {exc}"))
+                    conn.send(("error", error))
                 except (BrokenPipeError, OSError):
                     break
                 continue
@@ -448,7 +462,8 @@ class WorkerSupervisor:
             if kind == "ok":
                 events.append(TaskDone(task_id=task.task_id, result=value))
             else:
-                events.extend(self._attempt_failed(task, str(value)))
+                error, error_traceback = value
+                events.extend(self._attempt_failed(task, error, error_traceback))
         return events
 
     def _check_health(self) -> List[object]:
@@ -514,7 +529,9 @@ class WorkerSupervisor:
         events.extend(self._attempt_failed(task, reason))
         return events
 
-    def _attempt_failed(self, task: _Task, error: str) -> List[object]:
+    def _attempt_failed(
+        self, task: _Task, error: str, error_traceback: Optional[str] = None
+    ) -> List[object]:
         """Account one failed attempt; retry with backoff or fail the task.
 
         The exponential backoff is only scheduled when a retry will
@@ -528,8 +545,17 @@ class WorkerSupervisor:
                 )
             task.attempt += 1
             self._queue.append(task)
-            return [TaskRetry(task_id=task.task_id, attempt=task.attempt, error=error)]
-        return [TaskFailed(task_id=task.task_id, error=error)]
+            return [
+                TaskRetry(
+                    task_id=task.task_id,
+                    attempt=task.attempt,
+                    error=error,
+                    traceback=error_traceback,
+                )
+            ]
+        return [
+            TaskFailed(task_id=task.task_id, error=error, traceback=error_traceback)
+        ]
 
     def _shutdown(self) -> None:
         for worker in list(self._workers):

@@ -56,10 +56,9 @@ Typical use::
 Scenarios are usually referred to by registry name
 (:func:`repro.sim.scenarios.register_scenario`), which doubles as the
 cache key; passing a bare callable still works but only caches when an
-explicit ``scenario_key`` is supplied.  Legacy per-cell JSON caches
-(the pre-store :class:`SweepCache` layout) migrate into the store
-automatically the first time their directory is opened; pass
-``cache_backend="json"`` to keep using the flat-file cache instead.
+explicit ``scenario_key`` is supplied.  Legacy per-cell JSON caches (one
+``{"cell", "metrics"}`` file per cell, the pre-store layout) migrate into
+the store automatically the first time their directory is opened.
 """
 
 from __future__ import annotations
@@ -105,7 +104,6 @@ from repro.sim.supervisor import (
 __all__ = [
     "FailedCell",
     "SweepResult",
-    "SweepCache",
     "ResultsStore",
     "run_sweep",
     "cell_key",
@@ -269,7 +267,7 @@ def cell_key(
     config: SimulationConfig,
     scenario_fingerprint: Optional[str] = None,
 ) -> str:
-    """The cache key of one sweep cell -- shared by every backend.
+    """The cache key of one sweep cell.
 
     ``scenario_fingerprint`` (see :func:`scenario_digest`) ties the key
     to the scenario's structure, not just its registry name.
@@ -333,73 +331,6 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-class SweepCache:
-    """Legacy on-disk memo of simulated cells, one JSON file per cell.
-
-    Superseded by the SQLite :class:`~repro.sim.store.ResultsStore`
-    (the default ``run_sweep`` backend), which migrates a directory of
-    these files automatically on first open; kept for the
-    ``cache_backend="json"`` escape hatch and as the reference layout
-    the migration reads.
-
-    A cell is one ``(scenario, protocol, run seed, config)`` simulation;
-    its key is a SHA-256 over those coordinates plus a schema version.
-    Files are written atomically (temp file + rename) so a crashed or
-    parallel writer can never leave a truncated entry, and unreadable
-    entries are treated as misses rather than errors.
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def cell_key(
-        self,
-        scenario_key: str,
-        protocol: ProtocolLike,
-        run_seed: int,
-        config: SimulationConfig,
-        scenario_fingerprint: Optional[str] = None,
-    ) -> str:
-        """The cache key of one sweep cell (see :func:`cell_key`)."""
-        return cell_key(scenario_key, protocol, run_seed, config, scenario_fingerprint)
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def load(self, key: str) -> Optional[NetworkMetrics]:
-        """The cached metrics for ``key``, or ``None`` on a miss."""
-        path = self._path(key)
-        try:
-            data = json.loads(path.read_text())
-            return NetworkMetrics.from_dict(data["metrics"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def store(self, key: str, metrics: NetworkMetrics, describe: dict) -> None:
-        """Persist one cell atomically; ``describe`` is stored for humans.
-
-        The entry is written to a pid-suffixed temp file and moved into
-        place with :func:`os.replace` -- atomic on POSIX -- so concurrent
-        sweeps sharing a cache dir and crashed writers can never publish
-        a truncated entry under the final name (a reader sees either the
-        old complete entry or the new complete one).  A write that fails
-        midway removes its temp file before re-raising.
-        """
-        path = self._path(key)
-        payload = json.dumps({"cell": describe, "metrics": metrics.to_dict()}, indent=1)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            tmp.write_text(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
-
-
 @dataclass(frozen=True)
 class FailedCell:
     """One sweep cell that could not be computed (see :func:`run_sweep`).
@@ -411,9 +342,10 @@ class FailedCell:
     to the results store (``python -m repro.cli replay <path>`` re-runs
     the exact cell); ``None`` when the sweep ran without a cache
     directory.  ``traceback`` carries the full Python traceback of the
-    simulation crash (captured in-worker for parallel sweeps); it is
-    ``None`` only for failures outside a simulation, e.g. a worker that
-    kept dying or a task that timed out.
+    crash -- inside a simulation or before it, in the scenario factory or
+    the network draw -- captured in-worker for parallel sweeps; it is
+    ``None`` only when no exception was raised: a worker that kept dying
+    or a task that timed out.
     """
 
     protocol: str
@@ -449,7 +381,7 @@ class SweepResult:
         healthy machine.
     sweep_id:
         Manifest digest recorded in the results store (``None`` when
-        run without a cache directory or on the JSON backend).
+        run without a cache directory).
     """
 
     results: Dict[str, List[Optional[NetworkMetrics]]] = field(default_factory=dict)
@@ -558,18 +490,6 @@ def _simulate_run(args: Tuple) -> List[Tuple]:
     return outcomes
 
 
-def _open_cache(
-    cache_dir: Union[str, Path], backend: str
-) -> Union[ResultsStore, SweepCache]:
-    if backend == "sqlite":
-        return ResultsStore(cache_dir)
-    if backend == "json":
-        return SweepCache(cache_dir)
-    raise ConfigurationError(
-        f"unknown cache_backend {backend!r} (expected 'sqlite' or 'json')"
-    )
-
-
 class _InterruptRequested(KeyboardInterrupt):
     """Raised by the sweep's signal handlers to unwind to the checkpoint."""
 
@@ -592,7 +512,6 @@ def run_sweep(
     max_retries: int = 1,
     retry_backoff_s: float = 0.5,
     resume: bool = False,
-    cache_backend: str = "sqlite",
     hang_timeout_s: float = 30.0,
     max_worker_requeues: int = 3,
     shrink_after_deaths: int = 3,
@@ -680,18 +599,13 @@ def run_sweep(
         the parallel path it is non-blocking (a not-before time, so
         other tasks keep flowing).
     resume:
-        ``True`` requires a ``cache_dir`` (SQLite backend) holding a
+        ``True`` requires a ``cache_dir`` holding a
         checkpoint for this exact manifest -- same scenario structure,
         protocols, ``n_runs``, ``seed`` and config -- and completes the
         cells that are not ``done`` yet.  Raises
         :class:`~repro.exceptions.ConfigurationError` when no such
         manifest was ever recorded (a typo'd grid resumes nothing).
         The result is byte-identical to running the sweep uninterrupted.
-    cache_backend:
-        ``"sqlite"`` (default): the durable
-        :class:`~repro.sim.store.ResultsStore` with manifests,
-        checkpointing and cross-sweep queries.  ``"json"``: the legacy
-        flat-directory :class:`SweepCache` (no manifests, no resume).
     hang_timeout_s:
         A busy worker whose heartbeat goes stale this long is declared
         hung (SIGSTOP, deadlock -- distinct from a slow cell, which
@@ -742,7 +656,6 @@ def run_sweep(
     if n_runs < 1:
         raise ConfigurationError("need at least one run to sweep")
 
-    cache: Optional[Union[ResultsStore, SweepCache]] = None
     store: Optional[ResultsStore] = None
     fingerprint = None
     if cache_dir is not None:
@@ -750,16 +663,14 @@ def run_sweep(
             raise ConfigurationError(
                 "caching a factory scenario needs an explicit scenario_key"
             )
-        cache = _open_cache(cache_dir, cache_backend)
-        if isinstance(cache, ResultsStore):
-            store = cache
+        store = ResultsStore(cache_dir)
         # Tie keys to the scenario's structure, not just its name, so an
         # edited scenario definition cannot replay stale cells.
         fingerprint = scenario_digest(factory())
     if resume and store is None:
         raise ConfigurationError(
-            "resume=True needs a cache_dir with the SQLite results store "
-            "(cache_backend='sqlite'); the store holds the checkpoint to resume"
+            "resume=True needs a cache_dir; the results store there holds "
+            "the checkpoint to resume"
         )
 
     # Each cell's key is needed more than once (grid registration, hit
@@ -775,7 +686,7 @@ def run_sweep(
             _keys[coord] = cell_key(key, spec, run_seed, config, fingerprint)
         return _keys[coord]
 
-    config_fingerprint = config_digest(config) if cache is not None else None
+    config_fingerprint = config_digest(config) if store is not None else None
 
     def _describe(spec: ProtocolSpec, run: int, run_seed: int) -> dict:
         return {
@@ -848,15 +759,11 @@ def run_sweep(
         run_seed = placement_seed(seed, run)
         missing: List[ProtocolSpec] = []
         for spec in specs:
-            if cache is not None:
-                if store is not None:
-                    cached = preloaded.get(_cell_key(spec, run_seed))
-                else:
-                    cached = cache.load(_cell_key(spec, run_seed))
-                if cached is not None:
-                    grid[spec.key][run] = cached
-                    hits += 1
-                    continue
+            cached = preloaded.get(_cell_key(spec, run_seed)) if preloaded else None
+            if cached is not None:
+                grid[spec.key][run] = cached
+                hits += 1
+                continue
             missing.append(spec)
         if missing:
             pending.append((run, run_seed, missing))
@@ -866,10 +773,10 @@ def run_sweep(
         run: int, run_seed: int, spec: ProtocolSpec, metrics: NetworkMetrics
     ) -> None:
         grid[spec.key][run] = metrics
-        if cache is not None:
+        if store is not None:
             # Stored as soon as each task completes, so an interrupted or
             # partially failed sweep keeps every finished cell.
-            cache.store(
+            store.store(
                 _cell_key(spec, run_seed), metrics, describe=_describe(spec, run, run_seed)
             )
 
@@ -889,9 +796,9 @@ def run_sweep(
                 f"(run {run}, run_seed {run_seed}, "
                 f"protocols {[s.key for s in missing]}): {error}"
             )
-        # Capsules are written parent-side (workers only ship error
-        # strings), next to the results store; without a cache directory
-        # there is nowhere durable to put them.
+        # Capsules are written parent-side (workers ship the error and
+        # its traceback as plain data), next to the results store;
+        # without a cache directory there is nowhere durable to put them.
         capsule_dir = Path(cache_dir) / CAPSULE_DIRNAME if cache_dir is not None else None
         for spec in missing:
             capsule_path: Optional[str] = None
@@ -1002,7 +909,8 @@ def run_sweep(
                                           traceback_text=err_tb, ring=err_ring)
                         elif isinstance(event, TaskFailed):
                             run, run_seed, missing = tasks[event.task_id]
-                            _fail(run, run_seed, missing, event.error)
+                            _fail(run, run_seed, missing, event.error,
+                                  traceback_text=event.traceback)
                         elif isinstance(event, WorkerDeath):
                             worker_deaths += 1
                         # TaskRetry / TaskRequeued / PoolShrunk need no

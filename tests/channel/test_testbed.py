@@ -81,13 +81,6 @@ class TestLinkGeneration:
             gains.append(np.sum(np.abs(link.channel.taps) ** 2))
         assert 10 * np.log10(np.mean(gains)) == pytest.approx(20.0, abs=1.5)
 
-    def test_link_between_placed_nodes(self, rng):
-        testbed = default_testbed()
-        placements = testbed.place_nodes(4, rng)
-        link = testbed.link_between_placed(placements, 0, 3, n_tx=1, n_rx=2, rng=rng)
-        assert link.tx_location == placements[0]
-        assert link.rx_location == placements[3]
-
     def test_taps_respect_cyclic_prefix(self, rng):
         testbed = default_testbed()
         link = testbed.link(0, 5, 2, 2, rng)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,3 +31,17 @@ def rng_factory():
         return np.random.default_rng(seed)
 
     return make
+
+
+@pytest.fixture
+def write_legacy_cell():
+    """Writer of one pre-store JSON cache cell, the layout the results
+    store migrates: ``<key>.json`` holding ``{"cell", "metrics"}``."""
+
+    def write(directory, key: str, metrics, describe=None) -> Path:
+        path = Path(directory) / f"{key}.json"
+        payload = {"cell": describe or {}, "metrics": metrics.to_dict()}
+        path.write_text(json.dumps(payload, indent=1))
+        return path
+
+    return write

@@ -142,7 +142,7 @@ class TestHandshakeOverhead:
     def test_batched_subspaces_match_reference(self):
         """The one-shot batched SVD equals the per-subcarrier loop."""
         from repro.channel.testbed import default_testbed
-        from repro.experiments.handshake_overhead import _alignment_subspaces_reference
+        from oracles.mimo import alignment_subspaces_reference
         from repro.utils.linalg import orthonormal_complement_batch
 
         rng = np.random.default_rng(3)
@@ -150,6 +150,6 @@ class TestHandshakeOverhead:
         a, b = testbed.place_nodes(2, rng)
         link = testbed.link(a, b, n_tx=1, n_rx=2, rng=rng)
         response = link.frequency_response(64)
-        reference = _alignment_subspaces_reference(response)
+        reference = alignment_subspaces_reference(response)
         batched = orthonormal_complement_batch(response, 1)
         np.testing.assert_allclose(batched, reference, atol=1e-12)

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles.phy import estimate_mimo_channel_reference
 from repro.channel.models import awgn
 from repro.channel.multipath import MultipathChannel
 from repro.exceptions import DimensionError
-from repro.phy.channel_est import (
-    _estimate_mimo_channel_reference,
-    estimate_channel_from_ltf,
-    estimate_mimo_channel,
-)
+from repro.phy.channel_est import estimate_channel_from_ltf, estimate_mimo_channel
 from repro.phy.ofdm import OfdmConfig
 from repro.phy.preamble import Preamble, long_training_field
 
@@ -103,7 +100,7 @@ class TestBatchedEstimationEquivalence:
         channel = MultipathChannel.random(n_rx, n_tx, rng, n_taps=4)
         received = awgn(channel.apply(tx_samples), 0.02, rng)
         fast = estimate_mimo_channel(received, preamble)
-        reference = _estimate_mimo_channel_reference(received, preamble)
+        reference = estimate_mimo_channel_reference(received, preamble)
         assert np.array_equal(fast.matrices, reference.matrices)
         assert np.array_equal(fast.valid_bins, reference.valid_bins)
 
@@ -114,14 +111,14 @@ class TestBatchedEstimationEquivalence:
         clean = channel.apply(tx_samples)
         padded = np.concatenate([np.zeros((2, 41), dtype=complex), clean], axis=1)
         fast = estimate_mimo_channel(padded, preamble, preamble_start=41)
-        reference = _estimate_mimo_channel_reference(padded, preamble, preamble_start=41)
+        reference = estimate_mimo_channel_reference(padded, preamble, preamble_start=41)
         assert np.array_equal(fast.matrices, reference.matrices)
 
     def test_bit_identical_for_1d_input(self, rng):
         preamble = Preamble(n_antennas=1)
         received = (0.7 + 0.2j) * preamble.per_antenna_samples()[0]
         fast = estimate_mimo_channel(received, preamble)
-        reference = _estimate_mimo_channel_reference(received, preamble)
+        reference = estimate_mimo_channel_reference(received, preamble)
         assert np.array_equal(fast.matrices, reference.matrices)
 
     def test_short_capture_raises_like_reference(self):
@@ -129,4 +126,4 @@ class TestBatchedEstimationEquivalence:
         with pytest.raises(DimensionError):
             estimate_mimo_channel(np.zeros((2, 100), dtype=complex), preamble)
         with pytest.raises(DimensionError):
-            _estimate_mimo_channel_reference(np.zeros((2, 100), dtype=complex), preamble)
+            estimate_mimo_channel_reference(np.zeros((2, 100), dtype=complex), preamble)

@@ -1,5 +1,5 @@
 """Bit-exact equivalence of the vectorized Viterbi decoder against the
-readable per-state reference implementation, across hard, soft, punctured
+readable per-state oracle decoder, across hard, soft, punctured
 and erasure inputs."""
 
 from __future__ import annotations
@@ -7,13 +7,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.phy import viterbi_decode_reference
 from repro.phy.coding.convolutional import (
     ConvolutionalEncoder,
     conv_encode,
     default_encoder,
 )
 from repro.phy.coding.puncturing import depuncture, puncture
-from repro.phy.coding.viterbi import _viterbi_decode_reference, viterbi_decode
+from repro.phy.coding.viterbi import viterbi_decode
 
 RATES = [(1, 2), (2, 3), (3, 4)]
 
@@ -33,7 +34,7 @@ class TestHardEquivalence:
         bits = rng.integers(0, 2, n).astype(np.int8)
         noisy = _flip(conv_encode(bits), rng, 0.04)
         fast = viterbi_decode(noisy, n)
-        slow = _viterbi_decode_reference(noisy, n)
+        slow = viterbi_decode_reference(noisy, n)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("rate", RATES)
@@ -45,14 +46,14 @@ class TestHardEquivalence:
         depunctured = depuncture(received, rate, mother.size)
         assert np.isnan(depunctured).any() or rate == (1, 2)
         fast = viterbi_decode(depunctured, n)
-        slow = _viterbi_decode_reference(depunctured, n)
+        slow = viterbi_decode_reference(depunctured, n)
         assert np.array_equal(fast, slow)
 
     def test_unterminated_frames(self, rng):
         bits = rng.integers(0, 2, 120).astype(np.int8)
         coded = _flip(default_encoder().encode(bits, terminate=False), rng, 0.03)
         fast = viterbi_decode(coded, 120, terminated=False)
-        slow = _viterbi_decode_reference(coded, 120, terminated=False)
+        slow = viterbi_decode_reference(coded, 120, terminated=False)
         assert np.array_equal(fast, slow)
 
     def test_clean_frame_decodes_exactly(self, rng):
@@ -70,7 +71,7 @@ class TestSoftEquivalence:
         coded = conv_encode(bits)
         llrs = (1.0 - 2.0 * coded) * 3.0 + rng.normal(0.0, 1.5, coded.size)
         fast = viterbi_decode(llrs, n, soft=True)
-        slow = _viterbi_decode_reference(llrs, n, soft=True)
+        slow = viterbi_decode_reference(llrs, n, soft=True)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("rate", RATES)
@@ -82,7 +83,7 @@ class TestSoftEquivalence:
         llrs = (1.0 - 2.0 * kept) * 2.0 + rng.normal(0.0, 2.0, kept.size)
         depunctured = depuncture(llrs, rate, mother.size)
         fast = viterbi_decode(depunctured, n, soft=True)
-        slow = _viterbi_decode_reference(depunctured, n, soft=True)
+        slow = viterbi_decode_reference(depunctured, n, soft=True)
         assert np.array_equal(fast, slow)
 
     def test_erasures_contribute_zero_metric(self, rng):
@@ -107,7 +108,7 @@ class TestCustomEncoders:
         bits = rng.integers(0, 2, 80).astype(np.int8)
         noisy = _flip(encoder.encode(bits), rng, 0.05)
         fast = viterbi_decode(noisy, 80, encoder=encoder)
-        slow = _viterbi_decode_reference(noisy, 80, encoder=encoder)
+        slow = viterbi_decode_reference(noisy, 80, encoder=encoder)
         assert np.array_equal(fast, slow)
 
     def test_trellis_tables_are_cached_and_shared(self):

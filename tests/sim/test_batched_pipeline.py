@@ -1,17 +1,17 @@
-"""Tests for the batched round pipeline.
+"""Tests for the runner's batched round queries.
 
 The load-bearing guarantees:
 
-* the batched pipeline produces metrics bit-identical to the per-agent
-  reference pipeline (and to the condensed slot-polling loop) for
-  saturated and bursty traffic, on the paper topologies and dense LANs;
+* the event loop produces metrics bit-identical to the per-agent oracle
+  loop (and to the condensed slot-polling oracle) for saturated and
+  bursty traffic, on the paper topologies and dense LANs;
 * the batched ``has_traffic`` / ``next_traffic_time_us`` / join-eligibility
   masks agree with the per-agent methods at every round of a real run
   (checked by a cross-checking loop subclass);
 * results do not depend on the order the agents were built in (shuffled
   pair order, same network, same metrics);
-* the vectorised idle-gap computation reproduces the kept slot-stepping
-  reference loop bit for bit.
+* the vectorised idle-gap computation reproduces the slot-stepping
+  oracle bit for bit.
 """
 
 import os
@@ -19,15 +19,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from oracles.runner import (
+    PerAgentLoop,
+    run_simulation_condensed_reference,
+    slot_aligned_idle_end_reference,
+)
+from repro.sim import runner
 from repro.sim.runner import (
     SimulationConfig,
-    _BatchedEventDrivenLoop,
     _ESTIMATION_STREAM_TAG,
     _EventDrivenLoop,
-    _run_simulation_condensed_reference,
     _slot_aligned_idle_end,
-    _slot_aligned_idle_end_reference,
     build_network,
     run_simulation,
 )
@@ -41,65 +43,61 @@ from repro.sim.scenarios import (
 FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
 
 
+@pytest.fixture
+def per_agent(monkeypatch):
+    """``run_simulation`` on the per-agent oracle loop."""
+
+    def run(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)
+            return run_simulation(*args, **kwargs)
+
+    return run
+
+
 class TestPipelineEquivalence:
     """batched == per-agent == condensed, bit for bit."""
 
     @pytest.mark.parametrize("protocol", ["802.11n", "n+", "beamforming"])
-    def test_three_pair_all_protocols(self, protocol):
-        batched = run_simulation(
-            three_pair_scenario(), protocol, seed=11, config=FAST, pipeline="batched"
-        )
-        per_agent = run_simulation(
-            three_pair_scenario(), protocol, seed=11, config=FAST, pipeline="per-agent"
-        )
-        condensed = _run_simulation_condensed_reference(
+    def test_three_pair_all_protocols(self, protocol, per_agent):
+        batched = run_simulation(three_pair_scenario(), protocol, seed=11, config=FAST)
+        scans = per_agent(three_pair_scenario(), protocol, seed=11, config=FAST)
+        condensed = run_simulation_condensed_reference(
             three_pair_scenario(), protocol, seed=11, config=FAST
         )
-        assert batched.to_dict() == per_agent.to_dict() == condensed.to_dict()
+        assert batched.to_dict() == scans.to_dict() == condensed.to_dict()
 
     @pytest.mark.parametrize("name", ["dense-lan-20", "dense-lan-30", "dense-lan-50"])
-    def test_dense_lans(self, name):
+    def test_dense_lans(self, name, per_agent):
         scenario = scenario_factory(name)()
         config = SimulationConfig(duration_us=4_000.0, n_subcarriers=8)
-        batched = run_simulation(scenario, "n+", seed=3, config=config, pipeline="batched")
-        per_agent = run_simulation(
-            scenario, "n+", seed=3, config=config, pipeline="per-agent"
-        )
-        assert batched.to_dict() == per_agent.to_dict()
+        batched = run_simulation(scenario, "n+", seed=3, config=config)
+        scans = per_agent(scenario, "n+", seed=3, config=config)
+        assert batched.to_dict() == scans.to_dict()
 
     @pytest.mark.parametrize("rate_pps", [60.0, 300.0])
-    def test_bursty_traffic(self, rate_pps):
+    def test_bursty_traffic(self, rate_pps, per_agent):
         config = SimulationConfig(
             duration_us=25_000.0, n_subcarriers=8, packet_rate_pps=rate_pps
         )
-        batched = run_simulation(
-            three_pair_scenario(), "n+", seed=5, config=config, pipeline="batched"
-        )
-        per_agent = run_simulation(
-            three_pair_scenario(), "n+", seed=5, config=config, pipeline="per-agent"
-        )
-        condensed = _run_simulation_condensed_reference(
+        batched = run_simulation(three_pair_scenario(), "n+", seed=5, config=config)
+        scans = per_agent(three_pair_scenario(), "n+", seed=5, config=config)
+        condensed = run_simulation_condensed_reference(
             three_pair_scenario(), "n+", seed=5, config=config
         )
-        assert batched.to_dict() == per_agent.to_dict() == condensed.to_dict()
+        assert batched.to_dict() == scans.to_dict() == condensed.to_dict()
 
-    def test_bursty_dense_lan(self):
+    def test_bursty_dense_lan(self, per_agent):
         scenario = scenario_factory("dense-lan-20-bursty")()
         config = SimulationConfig(duration_us=6_000.0, n_subcarriers=8)
-        batched = run_simulation(scenario, "n+", seed=2, config=config, pipeline="batched")
-        per_agent = run_simulation(
-            scenario, "n+", seed=2, config=config, pipeline="per-agent"
-        )
-        assert batched.to_dict() == per_agent.to_dict()
-
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_simulation(three_pair_scenario(), "n+", config=FAST, pipeline="turbo")
+        batched = run_simulation(scenario, "n+", seed=2, config=config)
+        scans = per_agent(scenario, "n+", seed=2, config=config)
+        assert batched.to_dict() == scans.to_dict()
 
 
-class _CheckedBatchedLoop(_BatchedEventDrivenLoop):
-    """Batched loop that cross-checks every batched query against the
-    per-agent computation, mid-run, on live simulation state.
+class _CheckedBatchedLoop(_EventDrivenLoop):
+    """Event loop that cross-checks every batched query against the
+    per-agent oracle, mid-run, on live simulation state.
 
     The cross-checks are side-effect-free: the per-agent scans re-refill
     agents the batched path already refilled (or skipped as provable
@@ -121,13 +119,13 @@ class _CheckedBatchedLoop(_BatchedEventDrivenLoop):
 
     def _next_traffic_time_us(self, now):
         batched = super()._next_traffic_time_us(now)
-        reference = _EventDrivenLoop._next_traffic_time_us(self, now)
+        reference = PerAgentLoop._next_traffic_time_us(self, now)
         assert batched == reference
         return batched
 
     def _join_eligible(self, now, exhausted):
         batched = super()._join_eligible(now, exhausted)
-        reference = _EventDrivenLoop._join_eligible(self, now, exhausted)
+        reference = PerAgentLoop._join_eligible(self, now, exhausted)
         assert [a.node_id for a in batched] == sorted(a.node_id for a in reference)
         self.checked_join_rounds += 1
         return batched
@@ -176,7 +174,7 @@ class TestMaskEquivalence:
         scenario = scenario_factory("dense-lan-20")()
         config = SimulationConfig(duration_us=1_000.0, n_subcarriers=8)
         network = build_network(scenario, 1, config)
-        loop = _BatchedEventDrivenLoop(
+        loop = _EventDrivenLoop(
             scenario, "n+", np.random.default_rng(1), config, network, seed=1
         )
         arrays = loop.arrays
@@ -196,9 +194,9 @@ class TestMaskEquivalence:
 class TestShuffledAgentOrderDeterminism:
     """Metrics are a function of the topology, not of agent build order."""
 
-    @pytest.mark.parametrize("pipeline", ["batched", "per-agent"])
+    @pytest.mark.parametrize("loop", ["batched", "per-agent"])
     @pytest.mark.parametrize("rate_pps", [None, 250.0])
-    def test_reversed_pair_order_is_identical(self, pipeline, rate_pps):
+    def test_reversed_pair_order_is_identical(self, loop, rate_pps, per_agent):
         scenario = dense_lan_scenario(n_pairs=6, seed=9, packet_rate_pps=rate_pps)
         shuffled = Scenario(
             scenario.name,
@@ -209,17 +207,14 @@ class TestShuffledAgentOrderDeterminism:
         )
         config = SimulationConfig(duration_us=6_000.0, n_subcarriers=8)
         network = build_network(scenario, 4, config)
-        forward = run_simulation(
-            scenario, "n+", seed=4, config=config, network=network, pipeline=pipeline
-        )
-        reversed_order = run_simulation(
-            shuffled, "n+", seed=4, config=config, network=network, pipeline=pipeline
-        )
+        simulate = run_simulation if loop == "batched" else per_agent
+        forward = simulate(scenario, "n+", seed=4, config=config, network=network)
+        reversed_order = simulate(shuffled, "n+", seed=4, config=config, network=network)
         assert forward.to_dict() == reversed_order.to_dict()
 
 
 class TestSlotAlignedIdleEnd:
-    """The vectorised idle-gap computation vs the kept stepping loop."""
+    """The vectorised idle-gap computation vs the stepping oracle."""
 
     def test_matches_reference_on_random_gaps(self):
         rng = np.random.default_rng(0)
@@ -228,20 +223,20 @@ class TestSlotAlignedIdleEnd:
             arrival = now + float(rng.uniform(0.0, 2e5))
             duration = float(rng.uniform(0.0, 1e6))
             fast = _slot_aligned_idle_end(now, arrival, duration)
-            reference = _slot_aligned_idle_end_reference(now, arrival, duration)
+            reference = slot_aligned_idle_end_reference(now, arrival, duration)
             assert fast == reference
 
     def test_immediate_cases(self):
         assert _slot_aligned_idle_end(100.0, 50.0, 1e6) == (
-            _slot_aligned_idle_end_reference(100.0, 50.0, 1e6)
+            slot_aligned_idle_end_reference(100.0, 50.0, 1e6)
         )
         assert _slot_aligned_idle_end(100.0, float("inf"), 90.0) == (
-            _slot_aligned_idle_end_reference(100.0, float("inf"), 90.0)
+            slot_aligned_idle_end_reference(100.0, float("inf"), 90.0)
         )
 
     def test_infinite_arrival_stops_at_window_end(self):
         fast = _slot_aligned_idle_end(0.0, float("inf"), 5_000.0)
-        reference = _slot_aligned_idle_end_reference(0.0, float("inf"), 5_000.0)
+        reference = slot_aligned_idle_end_reference(0.0, float("inf"), 5_000.0)
         assert fast == reference
 
     def test_gap_longer_than_one_chunk(self):
@@ -249,7 +244,7 @@ class TestSlotAlignedIdleEnd:
         now = 123.456
         arrival = now + 70_000 * 9.0 + 1.0
         fast = _slot_aligned_idle_end(now, arrival, 1e9)
-        reference = _slot_aligned_idle_end_reference(now, arrival, 1e9)
+        reference = slot_aligned_idle_end_reference(now, arrival, 1e9)
         assert fast == reference
 
 
@@ -270,8 +265,8 @@ class TestDenseLan100:
         assert scenario_factory("dense-lan-100-bursty")().packet_rate_pps == 150.0
 
     def test_dense_lan_100_smoke(self):
-        """A dense-lan-100 run completes end to end on the batched
-        pipeline (shrunk under REPRO_QUICK, default-duration otherwise)."""
+        """A dense-lan-100 run completes end to end (shrunk under
+        REPRO_QUICK, default-duration otherwise)."""
         scenario = scenario_factory("dense-lan-100")()
         duration = 20_000.0 if os.environ.get("REPRO_QUICK") else 100_000.0
         config = SimulationConfig(duration_us=duration, n_subcarriers=8)

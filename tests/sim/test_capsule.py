@@ -33,7 +33,8 @@ from repro.sim.faults import (
     register_fault_profile,
 )
 from repro.sim.runner import SimulationConfig
-from repro.sim.scenarios import scenario_factory
+from repro.sim.scenarios import dense_lan_scenario, scenario_factory
+from repro.sim.store import ResultsStore
 from repro.sim.sweep import run_sweep, scenario_digest
 from repro.mac.variants import resolve_protocol
 
@@ -231,6 +232,71 @@ class TestSweepWritesCapsules:
             assert "injected crash" in failure.traceback
             assert replay_capsule(failure.capsule_path).reproduced
         assert all(m is not None for m in result.results["n+"])
+
+
+def _overcrowded_scenario():
+    """30 stations on the 20-location default floor: the network draw
+    raises before any protocol is simulated."""
+    return dataclasses.replace(
+        dense_lan_scenario(n_pairs=15, seed=0), testbed_factory=None
+    )
+
+
+class TestTaskLevelCrashes:
+    """A crash outside the per-protocol simulation -- here in the network
+    draw -- fails the whole task, and its traceback must reach the failed
+    cells, the store rows and the capsules on every worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_network_draw_crash_keeps_its_traceback(self, tmp_path, workers):
+        result = run_sweep(
+            _overcrowded_scenario,
+            ["n+"],
+            n_runs=2,
+            seed=0,
+            config=FAST,
+            workers=workers,
+            cache_dir=tmp_path,
+            scenario_key="overcrowded",
+            max_retries=0,
+        )
+        assert result.workers == workers
+        assert len(result.failures) == 2
+        for failure in result.failures:
+            assert "place_nodes" in failure.traceback
+            assert "place_nodes" in load_capsule(failure.capsule_path).traceback
+        rows = [r for r in ResultsStore(tmp_path).query() if r.status == "failed"]
+        assert len(rows) == 2
+        assert all("place_nodes" in row.traceback for row in rows)
+
+
+class TestLegacyCapsules:
+    """Capsules written while ``SimulationConfig`` still had a
+    ``channel_draws`` field (``null`` unless a contract was forced)."""
+
+    def _legacy_capsule(self, tmp_path, draws):
+        path = _crashy_sweep(tmp_path).failures[0].capsule_path
+        with open(path) as handle:
+            data = json.load(handle)
+        data["config"]["channel_draws"] = draws
+        legacy = tmp_path / "legacy" / "capsule.json"
+        legacy.parent.mkdir()
+        legacy.write_text(json.dumps(data))
+        return legacy
+
+    @pytest.mark.parametrize("draws", [None, "batched"])
+    def test_null_or_the_scenarios_contract_replays(
+        self, tmp_path, crashy_protocol, draws
+    ):
+        outcome = replay_capsule(self._legacy_capsule(tmp_path, draws))
+        assert outcome.reproduced
+
+    @pytest.mark.parametrize("draws", ["grouped", "per-pair"])
+    def test_any_other_contract_is_refused_naming_the_field(
+        self, tmp_path, crashy_protocol, draws
+    ):
+        with pytest.raises(ConfigurationError, match="'channel_draws'"):
+            replay_capsule(self._legacy_capsule(tmp_path, draws))
 
 
 class TestReplay:

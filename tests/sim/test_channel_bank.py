@@ -6,29 +6,36 @@ The load-bearing guarantees:
   forward direction's memory (no copies) -- and mutating any returned
   channel raises, which is what guards the shared-view invariant;
 * the ``(tx, rx) -> (group, slot, transposed)`` index is consistent with
-  the stacked per-group tensors, on every draw contract;
+  the stacked per-group tensors, on every draw contract and on the
+  per-pair oracle's bank, which fills the bank one pair at a time;
 * ``HardwareProfile.perturb_channel_batch`` is bit-identical to the
   equivalent sequence of per-channel ``perturb_channel`` calls;
 * ``Network.prefetch_estimates`` fills the estimate memo in stacked
   draws under the grouped contract and is a strict no-op under the v2
-  contracts (their lazy draw order is part of v2 reproducibility).
+  contract (its lazy draw order is part of v2 reproducibility).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from oracles.network import PerPairNetwork
 from repro.channel.hardware import HardwareProfile
 from repro.exceptions import DimensionError
-from repro.sim.network import ChannelBank, Network
+from repro.sim.network import DRAW_CONTRACTS, ChannelBank, Network
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import custom_pairs_scenario, three_pair_scenario
 
-ALL_CONTRACTS = ("grouped", "batched", "per-pair")
+# "per-pair" is the readable oracle of the "batched" contract
+# (:class:`oracles.network.PerPairNetwork`), not a production contract.
+ALL_CONTRACTS = DRAW_CONTRACTS + ("per-pair",)
 
 
 def _network(mode, seed=3, antenna_counts=(1, 2, 3, 2)):
     scenario = custom_pairs_scenario(list(antenna_counts))
-    return Network(
+    cls, mode = (PerPairNetwork, "batched") if mode == "per-pair" else (Network, mode)
+    return cls(
         scenario.stations,
         scenario.pairs,
         np.random.default_rng(seed),
@@ -137,13 +144,12 @@ class TestPerturbChannelBatch:
 
 class TestPrefetchEstimates:
     def test_noop_under_v2_contracts(self):
-        for mode in ("batched", "per-pair"):
-            network = _network(mode)
-            network.reseed_estimation_noise(5)
-            state_before = network._estimation_rng.bit_generator.state
-            network.prefetch_estimates([(0, 1, False), (0, 3, True)])
-            assert network._estimate_memo == {}
-            assert network._estimation_rng.bit_generator.state == state_before
+        network = _network("batched")
+        network.reseed_estimation_noise(5)
+        state_before = network._estimation_rng.bit_generator.state
+        network.prefetch_estimates([(0, 1, False), (0, 3, True)])
+        assert network._estimate_memo == {}
+        assert network._estimation_rng.bit_generator.state == state_before
 
     def test_fills_the_memo_under_grouped(self):
         network = _network("grouped")
@@ -170,9 +176,8 @@ class TestPrefetchEstimates:
     def test_grouped_simulation_is_deterministic(self):
         """The prefetch path is part of the seeded v3 contract: repeated
         runs produce bit-identical metrics."""
-        config = SimulationConfig(
-            duration_us=10_000.0, n_subcarriers=8, channel_draws="grouped"
-        )
-        first = run_simulation(three_pair_scenario(), "n+", seed=13, config=config)
-        second = run_simulation(three_pair_scenario(), "n+", seed=13, config=config)
+        config = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
+        scenario = dataclasses.replace(three_pair_scenario(), channel_draws="grouped")
+        first = run_simulation(scenario, "n+", seed=13, config=config)
+        second = run_simulation(scenario, "n+", seed=13, config=config)
         assert first.to_dict() == second.to_dict()

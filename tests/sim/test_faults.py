@@ -5,8 +5,8 @@ The load-bearing guarantees:
 * an **empty** fault schedule is a strict no-op: metrics are
   bit-identical to a run that never imported the fault layer;
 * faulted runs are a pure function of the seed (dedicated
-  ``(seed, FAULT_STREAM_TAG, ...)`` streams), identical across
-  pipelines and across the plan-cache on/off switch -- the epoch-keyed
+  ``(seed, FAULT_STREAM_TAG, ...)`` streams), identical on the
+  per-agent oracle loop and across the plan-cache on/off switch -- the epoch-keyed
   caches never serve a stale entry;
 * a fade scales both directions of a link in place and an ended fade
   restores the channel **bit-exactly**;
@@ -21,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles.runner import PerAgentLoop, run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.sim.faults import (
     ChurnEpisode,
@@ -33,10 +34,10 @@ from repro.sim.faults import (
     fault_profile,
     loss_episode_generator,
 )
+from repro.sim import runner
 from repro.sim.network import Network
 from repro.sim.runner import (
     SimulationConfig,
-    _run_simulation_condensed_reference,
     build_fault_schedule,
     build_network,
     effective_fault_profile,
@@ -146,11 +147,10 @@ class TestFaultedDeterminism:
         clean = run_simulation(FAULTY(), "n+", seed=7, config=off)
         assert faulty.to_dict() != clean.to_dict()
 
-    def test_pipelines_agree_under_faults(self):
-        batched = run_simulation(FAULTY(), "n+", seed=3, config=FAST, pipeline="batched")
-        per_agent = run_simulation(
-            FAULTY(), "n+", seed=3, config=FAST, pipeline="per-agent"
-        )
+    def test_pipelines_agree_under_faults(self, monkeypatch):
+        batched = run_simulation(FAULTY(), "n+", seed=3, config=FAST)
+        monkeypatch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)
+        per_agent = run_simulation(FAULTY(), "n+", seed=3, config=FAST)
         assert batched.to_dict() == per_agent.to_dict()
 
     def test_schedule_is_a_pure_function_of_the_seed(self):
@@ -164,15 +164,17 @@ class TestFaultedDeterminism:
         assert a.episodes  # mixed at 50 ms on 20 stations generates episodes
 
     def test_condensed_reference_refuses_faults(self):
-        with pytest.raises(ConfigurationError):
-            _run_simulation_condensed_reference(FAULTY(), "n+", seed=1, config=FAST)
+        with pytest.raises(ConfigurationError, match="fault injection"):
+            run_simulation_condensed_reference(FAULTY(), "n+", seed=1, config=FAST)
 
     def test_condensed_reference_runs_with_faults_disabled(self):
         config = SimulationConfig(
             duration_us=10_000.0, n_subcarriers=8, fault_profile="none"
         )
-        metrics = _run_simulation_condensed_reference(FAULTY(), "n+", seed=1, config=config)
-        assert metrics.total_throughput_mbps() >= 0.0
+        metrics = run_simulation_condensed_reference(FAULTY(), "n+", seed=1, config=config)
+        assert metrics.to_dict() == (
+            run_simulation(FAULTY(), "n+", seed=1, config=config).to_dict()
+        )
 
 
 class TestEpochInvalidation:

@@ -5,7 +5,7 @@ Four contracts under test:
 * ``fidelity="abstraction"`` (the default) is a strict no-op -- existing
   golden seeded metrics are reproduced bit-for-bit;
 * ``fidelity="auto"``/``"full"`` results are a pure function of the seed
-  across pipelines, plan-cache settings and sweep worker counts, with
+  across round loops, plan-cache settings and sweep worker counts, with
   escalated verdicts memoized per (link epoch, stream signature);
 * the cross-fidelity validation harness agrees with the abstraction
   outside the uncertainty band at a pinned rate (and its disagreements
@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles.runner import PerAgentLoop, run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError
 from repro.sim.fidelity import (
     DEFAULT_BAND_DB,
@@ -33,9 +34,9 @@ from repro.sim.fidelity import (
 from repro.sim.medium import ScheduledStream
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import receiver_stream_snrs
+from repro.sim import runner
 from repro.sim.runner import (
     SimulationConfig,
-    _run_simulation_condensed_reference,
     build_network,
     effective_fidelity,
     effective_fidelity_band_db,
@@ -74,8 +75,8 @@ class TestResolution:
             effective_fidelity(three_pair_scenario(), config)
 
     def test_condensed_reference_refuses_escalating_configs(self):
-        with pytest.raises(ConfigurationError):
-            _run_simulation_condensed_reference(
+        with pytest.raises(ConfigurationError, match="fidelity layer"):
+            run_simulation_condensed_reference(
                 three_pair_scenario(),
                 "n+",
                 seed=0,
@@ -99,12 +100,10 @@ class TestAbstractionBitIdentical:
         # pre-fidelity default -- an explicit "abstraction" run must
         # reproduce them exactly.
         config = SimulationConfig(
-            duration_us=20_000.0,
-            n_subcarriers=8,
-            channel_draws="grouped",
-            fidelity="abstraction",
+            duration_us=20_000.0, n_subcarriers=8, fidelity="abstraction"
         )
-        metrics = run_simulation(three_pair_scenario(), "n+", seed=42, config=config)
+        scenario = dataclasses.replace(three_pair_scenario(), channel_draws="grouped")
+        metrics = run_simulation(scenario, "n+", seed=42, config=config)
         assert metrics.elapsed_us == pytest.approx(20574.0, rel=1e-9)
         assert metrics.total_throughput_mbps() == pytest.approx(
             29.138524351122776, rel=1e-6
@@ -145,18 +144,21 @@ class TestAutoGoldenSnapshot:
 class TestAutoDeterminism:
     """Escalated verdicts are a pure function of the seed."""
 
-    def test_pipelines_and_plan_cache_bit_identical(self):
+    def test_pipelines_and_plan_cache_bit_identical(self, monkeypatch):
         scenario = scenario_factory("dense-lan-20-bursty")()
         reference = _dicts(run_simulation(scenario, "n+", seed=7, config=AUTO))
-        for kwargs in (
-            dict(pipeline="per-agent"),
-            dict(plan_cache=False),
-            dict(pipeline="per-agent", plan_cache=False),
-        ):
+        off = _dicts(run_simulation(scenario, "n+", seed=7, config=AUTO, plan_cache=False))
+        assert off == reference
+        monkeypatch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)
+        for plan_cache in (True, False):
             assert (
-                _dicts(run_simulation(scenario, "n+", seed=7, config=AUTO, **kwargs))
+                _dicts(
+                    run_simulation(
+                        scenario, "n+", seed=7, config=AUTO, plan_cache=plan_cache
+                    )
+                )
                 == reference
-            ), kwargs
+            ), plan_cache
 
     def test_sweep_workers_bit_identical(self):
         config = SimulationConfig(

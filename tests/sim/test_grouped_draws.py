@@ -9,6 +9,7 @@ reordering of those draws changes every seeded v3 result, which is what
 the replayed-stream test and the golden-metrics snapshot fail loudly on.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -144,12 +145,11 @@ class TestGoldenMetricsSnapshot:
     alongside another CACHE_SCHEMA_VERSION bump and a refreshed snapshot.
     """
 
-    CONFIG = SimulationConfig(
-        duration_us=20_000.0, n_subcarriers=8, channel_draws="grouped"
-    )
+    CONFIG = SimulationConfig(duration_us=20_000.0, n_subcarriers=8)
 
     def test_three_pair_nplus_snapshot(self):
-        metrics = run_simulation(three_pair_scenario(), "n+", seed=42, config=self.CONFIG)
+        scenario = dataclasses.replace(three_pair_scenario(), channel_draws="grouped")
+        metrics = run_simulation(scenario, "n+", seed=42, config=self.CONFIG)
         assert metrics.elapsed_us == pytest.approx(20574.0, rel=1e-9)
         assert metrics.total_throughput_mbps() == pytest.approx(
             29.138524351122776, rel=1e-6
@@ -164,23 +164,22 @@ class TestGoldenMetricsSnapshot:
 
 
 class TestContractResolution:
-    def test_config_beats_scenario_hint(self):
+    def test_scenario_hint_decides_the_contract(self):
         scenario = dense_lan_scenario(n_pairs=3, seed=1, channel_draws="grouped")
-        assert effective_channel_draws(scenario, SimulationConfig()) == "grouped"
-        override = SimulationConfig(channel_draws="per-pair")
-        assert effective_channel_draws(scenario, override) == "per-pair"
-        plain = three_pair_scenario()
-        assert effective_channel_draws(plain, SimulationConfig()) == "batched"
+        assert effective_channel_draws(scenario) == "grouped"
+        assert effective_channel_draws(three_pair_scenario()) == "batched"
 
     def test_build_network_honours_the_contract(self):
         scenario = dense_lan_scenario(n_pairs=3, seed=1, channel_draws="grouped")
         config = SimulationConfig(n_subcarriers=8)
         network = build_network(scenario, run_seed=2, config=config)
         assert network.channel_draws == "grouped"
-        forced = build_network(
-            scenario, run_seed=2, config=SimulationConfig(n_subcarriers=8, channel_draws="batched")
-        )
-        assert forced.channel_draws == "batched"
+        batched = dataclasses.replace(scenario, channel_draws="batched")
+        assert build_network(batched, run_seed=2, config=config).channel_draws == "batched"
+
+    def test_config_has_no_contract_field(self):
+        fields = {field.name for field in dataclasses.fields(SimulationConfig)}
+        assert "channel_draws" not in fields
 
 
 class TestDenseLan500Tier:

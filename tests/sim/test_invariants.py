@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from oracles.runner import run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError, InvariantViolation
 from repro.sim.invariants import (
     VALIDATION_MODES,
@@ -17,11 +18,7 @@ from repro.sim.invariants import (
     _REGISTRY,
 )
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
-from repro.sim.runner import (
-    SimulationConfig,
-    _run_simulation_condensed_reference,
-    run_simulation,
-)
+from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import scenario_factory
 
 FAST = SimulationConfig(duration_us=4000.0, n_subcarriers=4)
@@ -219,7 +216,7 @@ class TestRunnerIntegration:
             duration_us=4000.0, n_subcarriers=4, validation="cheap"
         )
         with pytest.raises(ConfigurationError, match="invariant layer"):
-            _run_simulation_condensed_reference(
+            run_simulation_condensed_reference(
                 THREE_PAIR(), "n+", seed=3, config=config
             )
 

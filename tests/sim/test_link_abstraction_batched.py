@@ -10,7 +10,7 @@ from repro.mimo.decoder import post_projection_snr_db
 from repro.mimo.dof import InterferenceStrategy
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import (
-    _announced_subspace_reference,
+    _announced_subspace_per_subcarrier,
     _effective_column,
     announced_decoding_subspace,
     interference_directions_at,
@@ -82,7 +82,7 @@ class TestAnnouncedSubspace:
         wanted = [_stream(medium, network, tx=2, rx=3, seed=3)]
         batched = announced_decoding_subspace(network, 3, wanted, [])
         wanted_dirs = interference_directions_at(network, 3, wanted)
-        reference = _announced_subspace_reference(wanted_dirs, None, 1)
+        reference = _announced_subspace_per_subcarrier(wanted_dirs, None, 1)
         assert np.allclose(batched, reference)
 
     def test_matches_reference_with_interference(self, network):
@@ -92,7 +92,7 @@ class TestAnnouncedSubspace:
         batched = announced_decoding_subspace(network, 3, wanted, interference)
         wanted_dirs = interference_directions_at(network, 3, wanted)
         interference_dirs = interference_directions_at(network, 3, interference)
-        reference = _announced_subspace_reference(wanted_dirs, interference_dirs, 1)
+        reference = _announced_subspace_per_subcarrier(wanted_dirs, interference_dirs, 1)
         assert np.allclose(batched, reference)
 
     def test_joiner_orthogonal_to_subspace_is_harmless(self, network):

@@ -1,8 +1,8 @@
 """Tests for the batched network-construction pipeline.
 
 The load-bearing guarantee: the batched draws -- grouped tap scaling, one
-stacked FFT per antenna-shape group -- are *bit-identical* to the kept
-per-pair reference loop, for every antenna mix, with and without forced
+stacked FFT per antenna-shape group -- are *bit-identical* to the
+per-pair oracle loop, for every antenna mix, with and without forced
 link SNRs, all the way down to the post-draw generator state (so every
 downstream draw, and therefore every simulated metric, is unchanged).
 """
@@ -10,8 +10,8 @@ downstream draw, and therefore every simulated metric, is unchanged).
 import numpy as np
 import pytest
 
+from oracles.network import PerPairNetwork
 from repro.channel.multipath import MultipathChannel, frequency_response_batch
-from repro.channel.testbed import default_testbed, dense_testbed
 from repro.exceptions import ConfigurationError
 from repro.sim.network import Network, _subcarrier_bins
 from repro.sim.runner import SimulationConfig, run_simulation
@@ -28,12 +28,8 @@ def _build_both(scenario, seed, **kwargs):
     batched = Network(
         scenario.stations, scenario.pairs, rng_batched, channel_draws="batched", **kwargs
     )
-    reference = Network(
-        scenario.stations,
-        scenario.pairs,
-        rng_reference,
-        channel_draws="per-pair",
-        **kwargs,
+    reference = PerPairNetwork(
+        scenario.stations, scenario.pairs, rng_reference, channel_draws="batched", **kwargs
     )
     return batched, reference, rng_batched, rng_reference
 
@@ -92,19 +88,20 @@ class TestBatchedDrawsBitIdentical:
 
     def test_empty_network_still_builds(self):
         """No stations -> no pairs, on every draw path."""
-        for mode in ("batched", "per-pair", "grouped"):
+        for mode in ("batched", "grouped"):
             network = Network([], [], np.random.default_rng(0), channel_draws=mode)
             assert network.channels.n_pairs == 0 and network.channels.n_groups == 0
 
     def test_unknown_draw_mode_rejected(self):
         scenario = three_pair_scenario()
-        with pytest.raises(ConfigurationError):
-            Network(
-                scenario.stations,
-                scenario.pairs,
-                np.random.default_rng(0),
-                channel_draws="turbo",
-            )
+        for mode in ("turbo", "per-pair"):
+            with pytest.raises(ConfigurationError):
+                Network(
+                    scenario.stations,
+                    scenario.pairs,
+                    np.random.default_rng(0),
+                    channel_draws=mode,
+                )
 
 
 class TestMultipathBatchPrimitives:
@@ -156,33 +153,6 @@ class TestMultipathBatchPrimitives:
             MultipathChannel.random_batch(
                 1, 1, rng=None, n_channels=2, n_taps=3, raw=np.zeros((2, 3, 2, 2, 2))
             )
-
-
-class TestTestbedLinkBatch:
-    @pytest.mark.parametrize("testbed_factory", [default_testbed, dense_testbed])
-    def test_matches_sequential_links(self, testbed_factory):
-        testbed = testbed_factory()
-        rng_batch = np.random.default_rng(23)
-        rng_seq = np.random.default_rng(23)
-        tx_locations = [0, 1, 2, 3]
-        rx_locations = [4, 5, 6, 7]
-        forced = [None, 18.0, None, 9.0]
-        links = testbed.link_batch(
-            tx_locations, rx_locations, n_tx=2, n_rx=3, rng=rng_batch, snr_db=forced
-        )
-        for link, a, b, snr in zip(links, tx_locations, rx_locations, forced):
-            expected = testbed.link(a, b, n_tx=2, n_rx=3, rng=rng_seq, snr_db=snr)
-            assert link.snr_db == expected.snr_db
-            assert np.array_equal(link.channel.taps, expected.channel.taps)
-        assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
-
-    def test_mismatched_lengths_rejected(self):
-        testbed = default_testbed()
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigurationError):
-            testbed.link_batch([0, 1], [2], n_tx=1, n_rx=1, rng=rng)
-        with pytest.raises(ConfigurationError):
-            testbed.link_batch([0, 1], [2, 3], n_tx=1, n_rx=1, rng=rng, snr_db=[1.0])
 
 
 class TestSubcarrierBinCache:

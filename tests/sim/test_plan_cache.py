@@ -16,10 +16,12 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
+from oracles.runner import PerAgentLoop
 from repro.mac.plan import PlanCache, stream_signature
+from repro.sim import runner
 from repro.sim.runner import (
     SimulationConfig,
-    _BatchedEventDrivenLoop,
+    _EventDrivenLoop,
     _ESTIMATION_STREAM_TAG,
     build_network,
     run_simulation,
@@ -98,23 +100,15 @@ class TestPlanCacheEquivalence:
         off = run_simulation(scenario, "n+", seed=2, config=config, plan_cache=False)
         assert on.to_dict() == off.to_dict()
 
-    @pytest.mark.parametrize("pipeline", ["batched", "per-agent"])
-    def test_cache_is_pipeline_independent(self, pipeline):
+    @pytest.mark.parametrize("loop", ["batched", "per-agent"])
+    def test_cache_is_pipeline_independent(self, loop, monkeypatch):
+        if loop == "per-agent":
+            monkeypatch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)
         on = run_simulation(
-            three_pair_scenario(),
-            "n+",
-            seed=5,
-            config=FAST,
-            pipeline=pipeline,
-            plan_cache=True,
+            three_pair_scenario(), "n+", seed=5, config=FAST, plan_cache=True
         )
         off = run_simulation(
-            three_pair_scenario(),
-            "n+",
-            seed=5,
-            config=FAST,
-            pipeline=pipeline,
-            plan_cache=False,
+            three_pair_scenario(), "n+", seed=5, config=FAST, plan_cache=False
         )
         assert on.to_dict() == off.to_dict()
 
@@ -124,7 +118,7 @@ class TestPlanCacheHits:
         network = build_network(scenario, seed, config)
         network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
         cache = PlanCache()
-        loop = _BatchedEventDrivenLoop(
+        loop = _EventDrivenLoop(
             scenario,
             "n+",
             np.random.default_rng(seed),

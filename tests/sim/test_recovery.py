@@ -29,7 +29,7 @@ from repro.sim.medium import Medium
 from repro.sim.network import Network
 from repro.sim.runner import SimulationConfig, run_many, run_simulation
 from repro.sim.scenarios import scenario_factory, three_pair_scenario
-from repro.sim.sweep import SweepCache, run_sweep
+from repro.sim.sweep import cell_key, run_sweep
 
 GOLDEN_CONFIG = SimulationConfig(duration_us=20_000.0, n_subcarriers=8)
 
@@ -244,11 +244,10 @@ class TestRecoverySweep:
             cache_dir=tmp_path,
         )
         assert second.cache_hits == 1 and second.cache_misses == 0
-        cache = SweepCache(tmp_path)
-        assert cache.cell_key("three-pair", "n+", 0, config) == cache.cell_key(
+        assert cell_key("three-pair", "n+", 0, config) == cell_key(
             "three-pair", ProtocolSpec("n+"), 0, config
         )
-        assert cache.cell_key("three-pair", "n+", 0, config) != cache.cell_key(
+        assert cell_key("three-pair", "n+", 0, config) != cell_key(
             "three-pair", "n+[recovery=erasure]", 0, config
         )
 
@@ -266,7 +265,7 @@ class TestRecoverySweep:
                 n_runs=1,
                 config=self.CONFIG,
             )
-        assert len(SweepCache(tmp_path)) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_many_rejects_duplicate_specs(self):
         with pytest.raises(ConfigurationError, match="duplicate protocol"):

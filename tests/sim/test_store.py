@@ -1,6 +1,6 @@
 """Tests for the SQLite results store (repro.sim.store).
 
-The store replaces the JSON SweepCache behind the same load/store
+The store replaces the legacy per-cell JSON cache behind the same load/store
 interface, so these tests pin three contracts: cache parity (done-only
 hits, corrupt state as a miss), the cell state machine that makes sweeps
 resumable, and the one-shot migration of legacy JSON caches.
@@ -21,7 +21,7 @@ from repro.sim.store import (
     STORE_SCHEMA_VERSION,
     ResultsStore,
 )
-from repro.sim.sweep import SweepCache, cell_key
+from repro.sim.sweep import cell_key
 
 FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
 
@@ -49,7 +49,7 @@ def _describe(protocol: str = "n+", run: int = 0) -> dict:
 
 
 class TestCacheParity:
-    """The SweepCache-compatible surface: load/store/len."""
+    """The cell surface: load/store/len."""
 
     def test_load_misses_on_unknown_key(self, tmp_path):
         assert ResultsStore(tmp_path).load("0" * 64) is None
@@ -60,15 +60,6 @@ class TestCacheParity:
         store.store("a" * 64, metrics, _describe())
         assert store.load("a" * 64).to_dict() == metrics.to_dict()
         assert len(store) == 1
-
-    def test_cell_key_delegates_to_the_sweep_scheme(self, tmp_path):
-        store = ResultsStore(tmp_path)
-        assert store.cell_key("three-pair", "n+", 4, FAST) == cell_key(
-            "three-pair", "n+", 4, FAST
-        )
-        assert store.cell_key("three-pair", "n+", 4, FAST) == SweepCache(
-            tmp_path
-        ).cell_key("three-pair", "n+", 4, FAST)
 
     def test_store_overwrites_atomically(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -237,38 +228,44 @@ class TestQueries:
 
 
 class TestJsonMigration:
-    def _seed_json_cache(self, tmp_path, n: int = 2) -> list:
-        cache = SweepCache(tmp_path)
-        keys = []
-        for run_seed in range(n):
-            key = cache.cell_key("three-pair", "n+", run_seed, FAST)
-            cache.store(key, _metrics(100 + run_seed), describe=_describe(run=run_seed))
-            keys.append(key)
-        return keys
+    @pytest.fixture
+    def seed_json_cache(self, tmp_path, write_legacy_cell):
+        def seed(n: int = 2) -> list:
+            keys = []
+            for run_seed in range(n):
+                key = cell_key("three-pair", "n+", run_seed, FAST)
+                write_legacy_cell(
+                    tmp_path, key, _metrics(100 + run_seed), _describe(run=run_seed)
+                )
+                keys.append(key)
+            return keys
 
-    def test_legacy_cells_migrate_on_first_open(self, tmp_path):
-        keys = self._seed_json_cache(tmp_path)
+        return seed
+
+    def test_legacy_cells_migrate_on_first_open(self, tmp_path, seed_json_cache):
+        keys = seed_json_cache()
         store = ResultsStore(tmp_path)
         assert len(store) == 2
         for i, key in enumerate(keys):
             assert store.load(key).links["a->b"].delivered_bits == 100 + i
         # The JSON files are left in place, untouched.
-        assert len(SweepCache(tmp_path)) == 2
+        assert len(list(tmp_path.glob("*.json"))) == 2
 
-    def test_migration_is_one_shot(self, tmp_path):
-        keys = self._seed_json_cache(tmp_path)
+    def test_migration_is_one_shot(self, tmp_path, seed_json_cache, write_legacy_cell):
+        keys = seed_json_cache()
         ResultsStore(tmp_path).close()
         # New JSON files appearing *after* the migration are not imported
-        # (the old code path is done; the store owns the directory now).
-        cache = SweepCache(tmp_path)
-        late_key = cache.cell_key("three-pair", "n+", 99, FAST)
-        cache.store(late_key, _metrics(), describe={})
+        # (the store owns the directory now).
+        late_key = cell_key("three-pair", "n+", 99, FAST)
+        write_legacy_cell(tmp_path, late_key, _metrics())
         store = ResultsStore(tmp_path)
         assert store.load(keys[0]) is not None
         assert store.load(late_key) is None
 
-    def test_unreadable_and_foreign_json_files_are_skipped(self, tmp_path):
-        keys = self._seed_json_cache(tmp_path, n=1)
+    def test_unreadable_and_foreign_json_files_are_skipped(
+        self, tmp_path, seed_json_cache
+    ):
+        keys = seed_json_cache(n=1)
         (tmp_path / ("e" * 64 + ".json")).write_text("{ truncated")
         (tmp_path / "notes.json").write_text(json.dumps({"metrics": {}}))
         store = ResultsStore(tmp_path)

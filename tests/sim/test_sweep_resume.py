@@ -78,13 +78,6 @@ class TestResumeValidation:
         with pytest.raises(ConfigurationError, match="resume"):
             run_sweep("three-pair", ["n+"], n_runs=1, config=FAST, resume=True)
 
-    def test_resume_requires_the_sqlite_backend(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="sqlite"):
-            run_sweep(
-                "three-pair", ["n+"], n_runs=1, config=FAST,
-                cache_dir=tmp_path, cache_backend="json", resume=True,
-            )
-
     def test_resume_rejects_an_unknown_manifest(self, tmp_path):
         run_sweep(
             "three-pair", ["n+"], n_runs=1, seed=4, config=FAST, cache_dir=tmp_path

@@ -19,6 +19,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    def test_draw_contract_is_not_an_option(self, capsys):
+        """The scenario alone chooses its channel-draw contract."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--help"])
+        assert "--channel-draws" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--channel-draws", "grouped"])
+
     def test_options_have_defaults(self):
         args = build_parser().parse_args(["fig12"])
         assert args.runs > 0

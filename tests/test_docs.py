@@ -115,18 +115,26 @@ def test_layout_table_paths_exist():
 
 def test_architecture_named_symbols_exist():
     """Functions/modules the architecture doc leans on must be importable."""
-    from repro.experiments.handshake_overhead import _alignment_subspaces_reference  # noqa: F401
-    from repro.phy.channel_est import _estimate_mimo_channel_reference  # noqa: F401
-    from repro.phy.coding.viterbi import _viterbi_decode_reference  # noqa: F401
-    from repro.sim.engine import EventScheduler  # noqa: F401
-    from repro.sim.runner import (  # noqa: F401
-        _run_simulation_condensed_reference,
-        _slot_aligned_idle_end,
-        _slot_aligned_idle_end_reference,
-        placement_seed,
-        simulate_placement,
+    from oracles.mimo import alignment_subspaces_reference  # noqa: F401
+    from oracles.network import PerPairNetwork  # noqa: F401
+    from oracles.phy import (  # noqa: F401
+        estimate_mimo_channel_reference,
+        viterbi_decode_reference,
     )
-    from repro.sim.sweep import SweepCache, run_sweep  # noqa: F401
+    from oracles.runner import (  # noqa: F401
+        PerAgentLoop,
+        run_simulation_condensed_reference,
+        slot_aligned_idle_end_reference,
+    )
+    from repro.sim.engine import EventScheduler  # noqa: F401
+    from repro.sim.link_abstraction import (  # noqa: F401
+        _announced_subspace_per_subcarrier,
+    )
+    from repro.sim.runner import (  # noqa: F401
+        _slot_aligned_idle_end,
+        placement_seed,
+    )
+    from repro.sim.sweep import run_sweep  # noqa: F401
     from repro.channel.testbed import dense_testbed  # noqa: F401
     from repro.sim.network import Network
     from repro.sim.traffic import TrafficStateArrays  # noqa: F401
