@@ -51,11 +51,11 @@ def measure(n_stations: int, channel_draws: str | None = None) -> dict:
     import numpy as np
 
     from repro.sim.network import Network
-    from repro.sim.runner import effective_channel_draws
+    from repro.sim.runner import RunSpec
     from repro.sim.scenarios import scenario_factory
 
     scenario = scenario_factory(f"dense-lan-{n_stations}")()
-    draws = channel_draws or effective_channel_draws(scenario)
+    draws = channel_draws or RunSpec.resolve(scenario).channel_draws
     testbed = scenario.make_testbed()
     rng = np.random.default_rng(SEED)
 

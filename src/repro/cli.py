@@ -435,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="directory of the on-disk sweep results store (default: no cache); "
-        "a legacy JSON cell cache found there is migrated in automatically",
+        help="directory of the on-disk sweep results store (default: no cache)",
     )
     parser.add_argument(
         "--resume",

@@ -25,7 +25,7 @@ the paper's USRP2/GNURadio prototype in simulation:
 
 from repro.phy.modulation import Modulation, get_modulation, MODULATIONS
 from repro.phy.rates import MCS, MCS_TABLE, mcs_by_index, data_rate_mbps
-from repro.phy.esnr import effective_snr_db, select_mcs, per_subcarrier_snr_db
+from repro.phy.esnr import esnr_db, select_mcs, per_subcarrier_snr_db
 
 __all__ = [
     "Modulation",
@@ -35,7 +35,7 @@ __all__ = [
     "MCS_TABLE",
     "mcs_by_index",
     "data_rate_mbps",
-    "effective_snr_db",
+    "esnr_db",
     "select_mcs",
     "per_subcarrier_snr_db",
 ]

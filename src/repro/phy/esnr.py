@@ -29,7 +29,7 @@ from repro.utils.db import linear_to_db
 
 __all__ = [
     "per_subcarrier_snr_db",
-    "effective_snr_db",
+    "esnr_db",
     "select_mcs",
     "esnr_for_modulation",
     "esnr_ber_average",
@@ -124,7 +124,7 @@ def esnr_for_modulation(subcarrier_snrs_db: Sequence[float], modulation: Modulat
     return float(10.0 * np.log10(effective_linear))
 
 
-def effective_snr_db(
+def esnr_db(
     subcarrier_snrs_db: Sequence[float],
     modulation: Optional[Modulation] = None,
 ) -> float:

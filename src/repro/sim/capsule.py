@@ -252,14 +252,15 @@ def replay_capsule(
     ``"full"``) so the invariant layer narrates the failure as early as
     possible.  The recorded fault schedule is replayed verbatim rather
     than re-derived, so capsules stay faithful even if episode
-    generation changes.
+    generation changes -- and a traced cell replays even after its
+    trace file is gone.
     """
     from repro.mac.variants import resolve_protocol
     from repro.sim.faults import FaultSchedule
     from repro.sim.runner import (
+        RunSpec,
         SimulationConfig,
         build_network,
-        effective_channel_draws,
         mac_seed,
         run_simulation,
     )
@@ -275,39 +276,43 @@ def replay_capsule(
         or scenario_digest(scenario) == capsule.scenario_fingerprint
     )
     fields = dict(capsule.config)
-    # Capsules from before the draw contract became a property of the
-    # scenario alone carry a ``channel_draws`` config field.  Null or
-    # equal to the scenario's contract, it changed nothing; any other
-    # value built channels this build can no longer draw.
     legacy_draws = fields.pop("channel_draws", None)
-    contract = effective_channel_draws(scenario)
-    if legacy_draws is not None and legacy_draws != contract:
-        raise ConfigurationError(
-            f"capsule config field 'channel_draws' is {legacy_draws!r}, but "
-            f"scenario {capsule.scenario!r} draws its channels with "
-            f"{contract!r}; the draw contract is chosen by the scenario "
-            "alone, so this cell cannot be replayed"
-        )
     try:
         config = SimulationConfig(**fields)
     except TypeError as exc:
         raise ConfigurationError(
             f"capsule config does not match this build's SimulationConfig: {exc}"
         ) from exc
-    config = dataclasses.replace(config, validation=validation)
+    # The recorded schedule already holds the trace's episodes, so the
+    # trace file itself is not re-read.
+    run_spec = RunSpec.resolve(
+        scenario,
+        dataclasses.replace(config, validation=validation, fault_trace=None),
+    )
+    # Capsules from before the draw contract became a property of the
+    # scenario alone carry a ``channel_draws`` config field.  Null or
+    # equal to the scenario's contract, it changed nothing; any other
+    # value built channels this build can no longer draw.
+    if legacy_draws is not None and legacy_draws != run_spec.channel_draws:
+        raise ConfigurationError(
+            f"capsule config field 'channel_draws' is {legacy_draws!r}, but "
+            f"scenario {capsule.scenario!r} draws its channels with "
+            f"{run_spec.channel_draws!r}; the draw contract is chosen by the "
+            "scenario alone, so this cell cannot be replayed"
+        )
     spec = resolve_protocol(capsule.protocol)
     schedule = (
         FaultSchedule.from_jsonable(capsule.fault_schedule)
         if capsule.fault_schedule
         else None
     )
-    network = build_network(scenario, capsule.run_seed, config)
+    network = build_network(scenario, capsule.run_seed, run_spec)
     try:
         metrics = run_simulation(
             scenario,
             spec,
             seed=mac_seed(capsule.run_seed),
-            config=config,
+            config=run_spec,
             network=network,
             fault_schedule=schedule,
         )

@@ -40,6 +40,7 @@ invalidates exactly that link's estimate memos and plan-cache entries.
 from __future__ import annotations
 
 import csv
+import hashlib
 import heapq
 import json
 from dataclasses import asdict, dataclass, field
@@ -62,6 +63,7 @@ __all__ = [
     "register_fault_profile",
     "fault_profile",
     "available_fault_profiles",
+    "read_trace",
 ]
 
 #: Stream tag mixed into the simulation seed for every fault draw, so
@@ -377,11 +379,11 @@ class FaultSchedule:
         ``KeyError``/``TypeError``/``IndexError`` from the middle of the
         parse.
         """
-        path = Path(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read fault trace {path}: {exc}") from exc
+        return read_trace(path)[1]
+
+    @classmethod
+    def _parse_trace(cls, path: Path, text: str) -> "FaultSchedule":
+        """The episodes of a trace file's ``text`` (see :meth:`from_trace`)."""
         rows: List[Tuple[str, dict]] = []  # (human row label, fields)
         if path.suffix.lower() == ".json":
             try:
@@ -467,6 +469,21 @@ class FaultSchedule:
                 )
             episodes.append(episode)
         return cls(episodes)
+
+
+def read_trace(path: Union[str, Path]) -> Tuple[str, FaultSchedule]:
+    """Read a loss-trace file once: ``(SHA-256 of its bytes, its episodes)``.
+
+    The digest keys a traced run in the sweep cache.  An unreadable or
+    malformed file raises :class:`~repro.exceptions.ConfigurationError`.
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read fault trace {path}: {exc}") from exc
+    return hashlib.sha256(data).hexdigest(), FaultSchedule._parse_trace(path, text)
 
 
 def _stateful_sort_key(episode: Episode) -> tuple:

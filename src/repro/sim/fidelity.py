@@ -454,20 +454,15 @@ def cross_validate_links(
     function of its arguments -- which is what lets the standing tier-1
     test pin its agreement rates.
     """
-    from repro.sim.runner import SimulationConfig, build_network
+    from repro.sim.runner import RunSpec, build_network
     from repro.sim.scenarios import scenario_factory
 
     if isinstance(scenario, str):
         scenario = scenario_factory(scenario)()
-    config = config or SimulationConfig()
+    run_spec = RunSpec.resolve(scenario, config)
     if band_db is None:
-        hint = getattr(scenario, "fidelity_band_db", None)
-        band_db = (
-            float(config.fidelity_band_db)
-            if config.fidelity_band_db is not None
-            else float(hint) if hint is not None else DEFAULT_BAND_DB
-        )
-    network = build_network(scenario, seed, config)
+        band_db = run_spec.fidelity_band_db
+    network = build_network(scenario, seed, run_spec)
     sampler = np.random.default_rng((seed, PHY_STREAM_TAG, 0x76616C))  # "val"
     pairs = list(scenario.pairs)
     count = min(int(n_links), len(pairs))
@@ -491,7 +486,7 @@ def cross_validate_links(
             end_us=100.0,
         )
         snrs = receiver_stream_snrs(network, rx, [stream], [stream], rng=None)[0]
-        selected = select_mcs(snrs, margin_db=config.bitrate_margin_db)
+        selected = select_mcs(snrs, margin_db=run_spec.bitrate_margin_db)
         candidates = {selected.index}
         if selected.index + 1 < len(MCS_TABLE):
             candidates.add(selected.index + 1)

@@ -11,8 +11,8 @@ into explicit checkers that run *during* a simulation and raise
 round and the links involved -- the moment one breaks, which is exactly
 the point a crash capsule (:mod:`repro.sim.capsule`) is most useful.
 
-Three validation modes, resolved by :func:`effective_validation` with the
-same config-beats-scenario-hint rule as the other simulation knobs:
+Three validation modes, resolved from ``SimulationConfig.validation`` by
+:meth:`repro.sim.runner.RunSpec.resolve` like every other simulation knob:
 
 ``"off"``
     The default.  No checker runs; the loops carry ``invariants=None``
@@ -41,7 +41,6 @@ from repro.exceptions import ConfigurationError, InvariantViolation
 
 __all__ = [
     "VALIDATION_MODES",
-    "effective_validation",
     "invariant",
     "registered_invariants",
     "InvariantSuite",
@@ -54,25 +53,6 @@ VALIDATION_MODES = ("off", "cheap", "full")
 #: "full"; cheap checkers run in both validating modes, full checkers
 #: only under ``validation="full"``.
 _REGISTRY: Dict[str, Tuple[str, Callable]] = {}
-
-
-def effective_validation(scenario, config) -> str:
-    """The validation mode in effect: config beats the scenario hint.
-
-    Mirrors :func:`repro.sim.runner.effective_fidelity`: ``None``
-    everywhere resolves to ``"off"``, the bit-identical-to-before
-    default.  Scenarios have no validation field today, but the hint
-    lookup keeps the resolution rule uniform with every other knob.
-    """
-    name = getattr(config, "validation", None)
-    if name is None:
-        name = getattr(scenario, "validation", None)
-    name = name or "off"
-    if name not in VALIDATION_MODES:
-        raise ConfigurationError(
-            f"unknown validation mode {name!r}; choose from {VALIDATION_MODES}"
-        )
-    return name
 
 
 def invariant(name: str, *, scope: str = "cheap"):

@@ -43,9 +43,11 @@ processes and still match a serial sweep byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,9 +58,15 @@ from repro.mac.plan import PlanCache
 from repro.mac.variants import ProtocolLike, resolve_protocol
 from repro.phy.esnr import packet_delivery_probability
 from repro.sim.engine import EventScheduler
-from repro.sim.faults import FaultInjector, FaultSchedule, fault_profile
+from repro.sim.faults import (
+    FaultInjector,
+    FaultSchedule,
+    LossEpisode,
+    fault_profile,
+    read_trace,
+)
 from repro.sim.fidelity import DEFAULT_BAND_DB, FIDELITY_MODES, FidelityEngine
-from repro.sim.invariants import InvariantSuite, effective_validation
+from repro.sim.invariants import VALIDATION_MODES, InvariantSuite
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.metrics import NetworkMetrics
@@ -68,15 +76,11 @@ from repro.sim.traffic import TrafficStateArrays
 
 __all__ = [
     "SimulationConfig",
+    "RunSpec",
     "run_simulation",
     "run_many",
     "build_network",
     "build_fault_schedule",
-    "effective_channel_draws",
-    "effective_fault_profile",
-    "effective_fidelity",
-    "effective_fidelity_band_db",
-    "effective_validation",
     "placement_seed",
     "mac_seed",
     "mac_factory",
@@ -111,10 +115,11 @@ def mac_factory(protocol) -> Callable:
 class SimulationConfig:
     """Parameters of one simulation run.
 
-    The config is part of the results-cache key used by
-    :mod:`repro.sim.sweep`: two runs with equal configs (and equal
-    scenario, protocol and seed) produce identical metrics, and any field
-    change invalidates the cached entry.
+    The config is resolved against the scenario's hints into a
+    :class:`RunSpec`, whose key payload is part of the results-cache key
+    used by :mod:`repro.sim.sweep`: two runs with equal resolved specs
+    (and equal scenario, protocol and seed) produce identical metrics,
+    and any change to a resolved value invalidates the cached entry.
 
     Attributes
     ----------
@@ -138,58 +143,43 @@ class SimulationConfig:
         Hard cap on transmission rounds (guards against runaway loops); a
         run that exceeds it raises :class:`~repro.exceptions.SimulationError`.
     packet_rate_pps:
-        Per-flow Poisson packet arrival rate.  ``None`` (the default)
-        means saturated sources, which is what the paper's evaluation
-        uses; a positive rate models bursty traffic.  When ``None``, a
-        scenario-level suggestion
-        (:attr:`repro.sim.scenarios.Scenario.packet_rate_pps`, used by the
-        bursty dense-LAN scenarios) applies instead; ``0`` explicitly
-        forces saturated sources even on such a scenario.
+        Per-flow Poisson packet arrival rate; a positive rate models
+        bursty traffic.  ``None`` (the default) defers to the scenario's
+        hint (the bursty dense-LAN scenarios suggest one), else the
+        saturated sources of the paper's evaluation; ``0`` forces
+        saturated sources even on a bursty scenario.
     fault_profile:
         Name of a registered fault profile (:mod:`repro.sim.faults`) to
         inject -- deep fades, loss episodes, station churn.  ``None``
-        (the default) defers to the scenario's
-        :attr:`~repro.sim.scenarios.Scenario.fault_profile` hint (the
-        ``dense-lan-*-faulty`` variants declare ``"mixed"``); ``"none"``
-        (or ``""``) explicitly disables faults even on such a scenario.
-        This changes seeded results and is part of the sweep cache key.
+        defers to the scenario's hint (``"mixed"`` on the
+        ``dense-lan-*-faulty`` variants); ``"none"`` or ``""`` disables
+        faults even on such a scenario.
     fault_trace:
         Path to a JSON/CSV loss-trace file
         (:meth:`repro.sim.faults.FaultSchedule.from_trace`) whose
-        episodes are injected in addition to the profile's.  Part of the
-        cache key; the digest records the path, so retracing a file in
-        place requires a fresh cache dir (traces are normally immutable
-        experiment inputs).
+        episodes are injected in addition to the profile's.  The cache
+        key covers the file's *content*, not its path.
     fidelity:
         PHY fidelity tier (:mod:`repro.sim.fidelity`): ``"abstraction"``
-        predicts every delivery from the link abstraction (bit-identical
-        to the pre-fidelity simulator), ``"auto"`` escalates receptions
-        whose delivery margin falls inside the uncertainty band to a real
-        transceiver probe whose verdict overrides the abstraction's coin,
-        and ``"full"`` escalates every evaluated reception.  ``None``
-        (the default) defers to the scenario's
-        :attr:`~repro.sim.scenarios.Scenario.fidelity` hint, falling back
-        to ``"abstraction"``.  Changes seeded results, so it is part of
-        the sweep cache key (via the config digest).
+        predicts every delivery from the link abstraction, ``"auto"``
+        escalates receptions whose delivery margin falls inside the
+        uncertainty band to a real transceiver probe whose verdict
+        overrides the abstraction's coin, and ``"full"`` escalates every
+        evaluated reception.  ``None`` defers to the scenario's hint,
+        else ``"abstraction"``.
     fidelity_band_db:
         Half-width (dB) of the ``"auto"`` uncertainty band around the
-        delivery cliff.  ``None`` defers to the scenario's
-        :attr:`~repro.sim.scenarios.Scenario.fidelity_band_db` hint,
-        falling back to
-        :data:`repro.sim.fidelity.DEFAULT_BAND_DB`.  Part of the cache
-        key for the same reason.
+        delivery cliff.  ``None`` defers to the scenario's hint, else
+        :data:`repro.sim.fidelity.DEFAULT_BAND_DB`.
     validation:
         Runtime invariant checking (:mod:`repro.sim.invariants`):
-        ``"off"`` runs no checkers (the execution path is exactly the
-        unvalidated one), ``"cheap"`` verifies the aggregate
-        conservation laws at transmission-round boundaries, ``"full"``
-        additionally checks every link and queue each round (the mode
-        ``repro replay`` re-executes crash capsules under).  ``None``
-        (the default) defers to a scenario hint, falling back to
-        ``"off"``.  Validation never changes seeded results -- a
-        violated invariant raises instead of altering the run -- but
-        the field still joins the config digest (all fields do), so
-        keep it ``"off"`` for production sweeps.
+        ``"off"`` (the default for ``None``) runs no checkers,
+        ``"cheap"`` verifies the aggregate conservation laws at
+        transmission-round boundaries, ``"full"`` additionally checks
+        every link and queue each round (the mode ``repro replay``
+        re-executes crash capsules under).  Validation never changes
+        seeded results -- a violated invariant raises instead -- so it
+        is left out of the sweep cache key.
     """
 
     duration_us: float = 100_000.0
@@ -218,96 +208,147 @@ class _TransmissionGroup:
     joined: bool = False
 
 
-def _effective_packet_rate(scenario: Scenario, config: SimulationConfig) -> Optional[float]:
-    """The Poisson rate in effect: explicit config beats the scenario hint.
+#: :class:`RunSpec` fields left out of its cache key: ``validation`` never
+#: changes results (a violated invariant raises instead of altering the
+#: run), and the parsed ``trace_episodes`` are covered by ``fault_trace``,
+#: the SHA-256 of the trace file they were read from.
+_UNKEYED_FIELDS = ("validation", "trace_episodes")
 
-    A config rate of ``0`` (or below) means "explicitly saturated" -- the
-    only way to override a bursty scenario's suggested rate back to the
-    paper's saturated sources.
+
+def _check_mode(name: str, modes: Sequence[str], what: str) -> None:
+    if name not in modes:
+        raise ConfigurationError(f"unknown {what} {name!r}; choose from {modes}")
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """A :class:`SimulationConfig` with every scenario hint resolved.
+
+    :meth:`resolve` is *the* resolution rule -- the only place where an
+    explicit config value is merged with a scenario hint -- and every
+    consumer (network build, fault schedule, agents, event loop, sweep
+    keys, capsule replay, the fidelity report) reads the resolved values
+    from here.  Fields keep their config names and hold the value in
+    effect: ``channel_draws`` is the scenario's contract (``"batched"``
+    unless it declares another), ``fault_trace`` the SHA-256 of the
+    trace file's bytes (its episodes in ``trace_episodes``), and every
+    other hinted field the config value when set, else the hint, else
+    the default.  :attr:`key_payload` is what a sweep cell's cache key
+    hashes: resolved values, not spellings.
     """
-    if config.packet_rate_pps is not None:
-        return config.packet_rate_pps if config.packet_rate_pps > 0 else None
-    return getattr(scenario, "packet_rate_pps", None)
 
+    duration_us: float
+    packet_size_bytes: int
+    n_subcarriers: int
+    min_join_airtime_us: float
+    bitrate_margin_db: float
+    max_rounds: int
+    packet_rate_pps: Optional[float]
+    channel_draws: str
+    fault_profile: Optional[str]
+    fault_trace: Optional[str]
+    trace_episodes: Tuple[LossEpisode, ...]
+    fidelity: str
+    fidelity_band_db: float
+    validation: str
 
-def effective_channel_draws(scenario: Scenario) -> str:
-    """The channel-draw contract of ``scenario``'s networks.
+    @classmethod
+    def resolve(
+        cls,
+        scenario: Scenario,
+        config: Union[SimulationConfig, "RunSpec", None] = None,
+    ) -> "RunSpec":
+        """Resolve ``config`` against ``scenario``'s hints.
 
-    The contract is a property of the scenario alone: its
-    :attr:`~repro.sim.scenarios.Scenario.channel_draws` hint, ``None``
-    resolving to ``"batched"``, the default v2 contract.  This is *the*
-    resolution rule -- :func:`build_network` and :func:`run_simulation`
-    both route through it, so a scenario that declares the grouped
-    contract (e.g. ``dense-lan-500``) is built identically everywhere.
-    """
-    return getattr(scenario, "channel_draws", None) or "batched"
+        A :class:`RunSpec` is already resolved and passes through
+        unchanged.  Raises :class:`~repro.exceptions.ConfigurationError`
+        for an unknown fidelity tier, validation mode or fault profile,
+        and for an unreadable or malformed fault trace.
+        """
+        if isinstance(config, RunSpec):
+            return config
+        config = config or SimulationConfig()
 
+        def hinted(name: str):
+            value = getattr(config, name)
+            return getattr(scenario, name) if value is None else value
 
-def effective_fault_profile(
-    scenario: Scenario, config: SimulationConfig
-) -> Optional[str]:
-    """The fault profile in effect: config beats the scenario hint.
-
-    An explicit config value wins, with ``"none"``/``""`` meaning "explicitly fault-free" (the
-    only way to run a ``dense-lan-*-faulty`` scenario without its
-    faults); ``None`` everywhere means no faults.
-    """
-    if config.fault_profile is not None:
-        name = config.fault_profile
-        return None if name in ("", "none") else name
-    return getattr(scenario, "fault_profile", None)
-
-
-def effective_fidelity(scenario: Scenario, config: SimulationConfig) -> str:
-    """The PHY fidelity tier in effect: config beats the scenario hint.
-
-    ``None`` everywhere resolves to ``"abstraction"``, the
-    bit-identical-to-before default.  This is *the* resolution rule --
-    the event loop and the sweep digests both route through it.
-    """
-    name = config.fidelity
-    if name is None:
-        name = getattr(scenario, "fidelity", None)
-    name = name or "abstraction"
-    if name not in FIDELITY_MODES:
-        raise ConfigurationError(
-            f"unknown fidelity {name!r}; choose from {FIDELITY_MODES}"
+        rate = hinted("packet_rate_pps")
+        if config.packet_rate_pps is not None and config.packet_rate_pps <= 0:
+            rate = None  # explicitly saturated
+        profile = hinted("fault_profile")
+        if profile in ("", "none"):
+            profile = None
+        elif profile is not None:
+            fault_profile(profile)  # unknown names fail here, not mid-run
+        trace_digest, trace_episodes = None, ()
+        if config.fault_trace:
+            trace_digest, schedule = read_trace(config.fault_trace)
+            trace_episodes = tuple(schedule.episodes)
+        fidelity = hinted("fidelity") or "abstraction"
+        _check_mode(fidelity, FIDELITY_MODES, "fidelity")
+        band = hinted("fidelity_band_db")
+        validation = config.validation or "off"
+        _check_mode(validation, VALIDATION_MODES, "validation mode")
+        return cls(
+            duration_us=config.duration_us,
+            packet_size_bytes=config.packet_size_bytes,
+            n_subcarriers=config.n_subcarriers,
+            min_join_airtime_us=config.min_join_airtime_us,
+            bitrate_margin_db=config.bitrate_margin_db,
+            max_rounds=config.max_rounds,
+            packet_rate_pps=rate,
+            channel_draws=scenario.channel_draws or "batched",
+            fault_profile=profile,
+            fault_trace=trace_digest,
+            trace_episodes=trace_episodes,
+            fidelity=fidelity,
+            fidelity_band_db=float(band) if band is not None else DEFAULT_BAND_DB,
+            validation=validation,
         )
-    return name
 
+    @cached_property
+    def key_payload(self) -> dict:
+        """The result-determining fields as a JSON-able dict (computed once).
 
-def effective_fidelity_band_db(scenario: Scenario, config: SimulationConfig) -> float:
-    """The uncertainty band half-width in effect: config beats the hint."""
-    if config.fidelity_band_db is not None:
-        return float(config.fidelity_band_db)
-    hint = getattr(scenario, "fidelity_band_db", None)
-    return float(hint) if hint is not None else DEFAULT_BAND_DB
+        A fault profile is keyed by its parameters, so retuning a
+        registered profile misses the cache.
+        """
+        payload = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name not in _UNKEYED_FIELDS
+        }
+        if self.fault_profile is not None:
+            payload["fault_profile"] = {
+                "name": self.fault_profile,
+                "params": dataclasses.asdict(fault_profile(self.fault_profile)),
+            }
+        return payload
 
 
 def build_fault_schedule(
-    scenario: Scenario, config: SimulationConfig, seed
+    scenario: Scenario, config: Union[SimulationConfig, RunSpec], seed
 ) -> Optional[FaultSchedule]:
     """Materialise the run's fault episodes, or ``None`` for none.
 
     This is *the* definition of how a (scenario, config, seed) triple
-    becomes a fault schedule -- :func:`run_simulation` and the sweep
-    digests both resolve faults here.  Profile episodes are generated
+    becomes a fault schedule -- :func:`run_simulation` and the crash
+    capsules both resolve faults here.  Profile episodes are generated
     from dedicated ``(seed, FAULT_STREAM_TAG, ...)`` streams; trace
-    episodes (``config.fault_trace``) are appended verbatim.  Returns
-    ``None`` when nothing is configured or everything generated empty,
-    so the caller's no-fault path is exactly the pre-fault code.
+    episodes are appended verbatim.  Returns ``None`` when nothing is
+    configured or everything generated empty, so the caller's no-fault
+    path is exactly the pre-fault code.
     """
+    run_spec = RunSpec.resolve(scenario, config)
     episodes = []
-    name = effective_fault_profile(scenario, config)
-    if name is not None:
-        profile = fault_profile(name)
-        episodes.extend(
-            FaultSchedule.from_profile(
-                profile, scenario, seed, config.duration_us
-            ).episodes
+    if run_spec.fault_profile is not None:
+        profile = fault_profile(run_spec.fault_profile)
+        schedule = FaultSchedule.from_profile(
+            profile, scenario, seed, run_spec.duration_us
         )
-    if config.fault_trace:
-        episodes.extend(FaultSchedule.from_trace(config.fault_trace).episodes)
+        episodes.extend(schedule.episodes)
+    episodes.extend(run_spec.trace_episodes)
     if not episodes:
         return None
     return FaultSchedule(episodes)
@@ -318,13 +359,12 @@ def _build_agents(
     network: Network,
     protocol: ProtocolLike,
     rng: np.random.Generator,
-    config: SimulationConfig,
+    run_spec: RunSpec,
     seed: Optional[int] = None,
     plan_cache: Optional[PlanCache] = None,
 ) -> Dict[int, object]:
     spec = resolve_protocol(protocol)
     agent_class = spec.agent_class
-    packet_rate = _effective_packet_rate(scenario, config)
     arrival_seed = None if seed is None else (seed, _ARRIVAL_STREAM_TAG)
     agents: Dict[int, object] = {}
     for pair in scenario.pairs:
@@ -332,9 +372,9 @@ def _build_agents(
             pair,
             network,
             rng,
-            packet_size_bytes=config.packet_size_bytes,
-            bitrate_margin_db=config.bitrate_margin_db,
-            packet_rate_pps=packet_rate,
+            packet_size_bytes=run_spec.packet_size_bytes,
+            bitrate_margin_db=run_spec.bitrate_margin_db,
+            packet_rate_pps=run_spec.packet_rate_pps,
             arrival_seed=arrival_seed,
             plan_cache=plan_cache,
             spec=spec,
@@ -454,18 +494,18 @@ class _EventDrivenLoop:
         scenario: Scenario,
         protocol: ProtocolLike,
         rng: np.random.Generator,
-        config: SimulationConfig,
+        config: Union[SimulationConfig, RunSpec],
         network: Network,
         seed: Optional[int] = None,
         plan_cache: Optional[PlanCache] = None,
         fault_schedule: Optional[FaultSchedule] = None,
     ) -> None:
-        self.config = config
+        self.run_spec = run_spec = RunSpec.resolve(scenario, config)
         self.rng = rng
         self.network = network
         self.plan_cache = plan_cache
         self.agents = _build_agents(
-            scenario, network, protocol, rng, config, seed, plan_cache
+            scenario, network, protocol, rng, run_spec, seed, plan_cache
         )
         self.medium = Medium()
         self.metrics = NetworkMetrics()
@@ -482,21 +522,19 @@ class _EventDrivenLoop:
         # No engine under "abstraction": the delivery path is exactly the
         # pre-fidelity code (strict no-op), like the fault hooks above.
         self.fidelity: Optional[FidelityEngine] = None
-        mode = effective_fidelity(scenario, config)
-        if mode != "abstraction":
+        if run_spec.fidelity != "abstraction":
             self.fidelity = FidelityEngine(
                 network,
                 seed,
-                mode=mode,
-                band_db=effective_fidelity_band_db(scenario, config),
+                mode=run_spec.fidelity,
+                band_db=run_spec.fidelity_band_db,
             )
         # No suite under "off": every invariant hook is behind an
         # ``is not None`` check, so the unvalidated path is exactly the
         # pre-invariant one (strict no-op, like faults and fidelity).
         self.invariants: Optional[InvariantSuite] = None
-        validation = effective_validation(scenario, config)
-        if validation != "off":
-            self.invariants = InvariantSuite(validation)
+        if run_spec.validation != "off":
+            self.invariants = InvariantSuite(run_spec.validation)
         # Last-N round summaries for crash capsules: when a run dies, the
         # runner boundary attaches this ring to the exception so the
         # capsule records what the simulation was doing when it crashed.
@@ -558,7 +596,7 @@ class _EventDrivenLoop:
                 for agent in self.agents.values()
                 if agent.supports_joining
                 and agent.node_id not in exhausted
-                and agent.can_join(now, self.medium, self.config.min_join_airtime_us)
+                and agent.can_join(now, self.medium, self.run_spec.min_join_airtime_us)
             ]
         arrays, medium = self.arrays, self.medium
         joinable = arrays.supports_joining
@@ -575,7 +613,7 @@ class _EventDrivenLoop:
             arrays.refill(now, due)
         if not medium.busy:
             return []
-        if medium.current_end_us - now < self.config.min_join_airtime_us:
+        if medium.current_end_us - now < self.run_spec.min_join_airtime_us:
             return []
         used = medium.used_degrees_of_freedom
         mask = (
@@ -603,13 +641,13 @@ class _EventDrivenLoop:
         without calling into the agents at every slot.
         """
         return _slot_aligned_idle_end(
-            now, self._next_traffic_time_us(now), self.config.duration_us
+            now, self._next_traffic_time_us(now), self.run_spec.duration_us
         )
 
     def _round(self) -> None:
         now = self.scheduler.now_us
-        config = self.config
-        if now >= config.duration_us:
+        run_spec = self.run_spec
+        if now >= run_spec.duration_us:
             return  # window over; nothing rescheduled, the queue drains
 
         faults = self.faults
@@ -633,7 +671,7 @@ class _EventDrivenLoop:
             return
 
         self.rounds += 1
-        if self.rounds > config.max_rounds:
+        if self.rounds > run_spec.max_rounds:
             raise SimulationError("simulation exceeded the configured round budget")
 
         agents, medium, metrics, rng = self.agents, self.medium, self.metrics, self.rng
@@ -694,7 +732,7 @@ class _EventDrivenLoop:
                     + join_round.start_delay_us
                     + max(a.header_duration_us() for a in join_agents)
                 )
-                if join_body_start + config.min_join_airtime_us > medium.current_end_us:
+                if join_body_start + run_spec.min_join_airtime_us > medium.current_end_us:
                     break
                 added_any = False
                 for agent in join_agents:
@@ -815,6 +853,8 @@ def run_simulation(
         Seed for placements, channels, backoff and delivery draws.
     config:
         Simulation parameters; defaults to :class:`SimulationConfig()`.
+        A :class:`RunSpec` already resolved for ``scenario`` is used as
+        is (a sweep resolves once and passes the spec to every cell).
     network:
         Reuse an existing network (same placements/channels) instead of
         drawing a new one -- this is how protocols are compared on the
@@ -833,15 +873,15 @@ def run_simulation(
         An explicit :class:`~repro.sim.faults.FaultSchedule` to inject,
         overriding whatever :func:`build_fault_schedule` would resolve
         from the scenario/config (mainly a test hook).  ``None`` (the
-        default) resolves the schedule from ``config.fault_profile`` /
-        ``config.fault_trace`` / the scenario hint; an *empty* schedule
+        default) resolves the schedule from the run's resolved fault
+        profile and trace; an *empty* schedule
         -- explicit or resolved -- is a strict no-op, bit-identical to
         a fault-free run.
     """
-    config = config or SimulationConfig()
     protocol = resolve_protocol(protocol)
+    run_spec = RunSpec.resolve(scenario, config)
     if fault_schedule is None:
-        fault_schedule = build_fault_schedule(scenario, config, seed)
+        fault_schedule = build_fault_schedule(scenario, run_spec, seed)
     rng = np.random.default_rng(seed)
     if network is None:
         network = Network(
@@ -849,15 +889,15 @@ def run_simulation(
             scenario.pairs,
             rng,
             testbed=scenario.make_testbed(),
-            n_subcarriers=config.n_subcarriers,
-            channel_draws=effective_channel_draws(scenario),
+            n_subcarriers=run_spec.n_subcarriers,
+            channel_draws=run_spec.channel_draws,
         )
     network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
     loop = _EventDrivenLoop(
         scenario,
         protocol,
         rng,
-        config,
+        run_spec,
         network,
         seed=seed,
         plan_cache=PlanCache() if plan_cache else None,
@@ -894,7 +934,9 @@ def mac_seed(run_seed: int) -> int:
     return run_seed + 17
 
 
-def build_network(scenario: Scenario, run_seed: int, config: SimulationConfig) -> Network:
+def build_network(
+    scenario: Scenario, run_seed: int, config: Union[SimulationConfig, RunSpec]
+) -> Network:
     """Draw the placements and channels of one run.
 
     This is *the* definition of how a run seed becomes a network --
@@ -902,13 +944,14 @@ def build_network(scenario: Scenario, run_seed: int, config: SimulationConfig) -
     networks here, which is what keeps serial, parallel and cached
     results in lockstep.
     """
+    run_spec = RunSpec.resolve(scenario, config)
     return Network(
         scenario.stations,
         scenario.pairs,
         np.random.default_rng(run_seed),
         testbed=scenario.make_testbed(),
-        n_subcarriers=config.n_subcarriers,
-        channel_draws=effective_channel_draws(scenario),
+        n_subcarriers=run_spec.n_subcarriers,
+        channel_draws=run_spec.channel_draws,
     )
 
 
@@ -950,7 +993,6 @@ def run_many(
         for default-parameter specs, so existing callers see unchanged
         dictionaries.
     """
-    config = config or SimulationConfig()
     specs = [resolve_protocol(protocol) for protocol in protocols]
     results: Dict[str, List[NetworkMetrics]] = {}
     for spec in specs:
@@ -962,13 +1004,14 @@ def run_many(
     for run in range(n_runs):
         run_seed = placement_seed(seed, run)
         scenario = scenario_factory()
-        network = build_network(scenario, run_seed, config)
+        run_spec = RunSpec.resolve(scenario, config)
+        network = build_network(scenario, run_seed, run_spec)
         for spec in specs:
             metrics = run_simulation(
                 scenario,
                 spec,
                 seed=mac_seed(run_seed),
-                config=config,
+                config=run_spec,
                 network=network,
             )
             results[spec.key].append(metrics)

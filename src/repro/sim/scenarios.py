@@ -52,6 +52,12 @@ __all__ = [
 class Scenario:
     """A set of stations and traffic pairs.
 
+    The fields after ``testbed_factory`` are *hints*, merged with a
+    :class:`~repro.sim.runner.SimulationConfig` by
+    :meth:`repro.sim.runner.RunSpec.resolve`: an explicit config value
+    beats every hint but ``channel_draws``, and the resolved values, not
+    the hints, reach the sweep cache key.
+
     Attributes
     ----------
     name:
@@ -66,40 +72,27 @@ class Scenario:
         placed on.  ``None`` means the default 20-location office floor;
         dense scenarios supply a larger floor so 20-50 nodes fit.
     packet_rate_pps:
-        Optional suggested per-flow Poisson arrival rate.  ``None`` means
-        saturated sources.  A :class:`~repro.sim.runner.SimulationConfig`
-        with an explicit ``packet_rate_pps`` overrides this hint.
+        Suggested per-flow Poisson arrival rate; ``None`` means
+        saturated sources.
     channel_draws:
         The channel-draw contract of this scenario's networks
         (:class:`repro.sim.network.Network`): ``"grouped"`` or
-        ``"batched"``.  ``None`` means the default (``"batched"``).
-        The 500-station tier declares ``"grouped"`` -- at that density
-        the v2 per-pair draw order is the dominant construction cost.
-        Only the scenario chooses the contract; no config overrides it.
-        Part of :func:`repro.sim.sweep.scenario_digest` because it
-        changes every seeded channel.
+        ``"batched"`` (the default, for ``None``).  The 500-station tier
+        declares ``"grouped"`` -- at that density the v2 per-pair draw
+        order is the dominant construction cost.  Only the scenario
+        chooses the contract; no config overrides it.
     fault_profile:
-        Optional suggested fault profile (:mod:`repro.sim.faults`): the
-        name of a registered :class:`~repro.sim.faults.FaultProfile`
-        whose episodes -- deep fades, loss bursts, station churn -- are
-        injected into every run.  ``None`` means a static network.  A
-        config with an explicit
-        :attr:`~repro.sim.runner.SimulationConfig.fault_profile`
-        overrides this hint (``"none"`` disables).  Part of
-        :func:`repro.sim.sweep.scenario_digest` (resolved parameters,
-        not just the name) because faults change seeded results.
+        Suggested fault profile (:mod:`repro.sim.faults`): the name of a
+        registered :class:`~repro.sim.faults.FaultProfile` whose
+        episodes -- deep fades, loss bursts, station churn -- are
+        injected into every run.  ``None`` means a static network.
     fidelity:
-        Optional suggested PHY fidelity tier (:mod:`repro.sim.fidelity`):
-        ``"abstraction"``, ``"auto"`` or ``"full"``.  ``None`` means the
-        default (``"abstraction"``).  A config with an explicit
-        :attr:`~repro.sim.runner.SimulationConfig.fidelity` overrides
-        this hint.  Part of :func:`repro.sim.sweep.scenario_digest`
-        because escalated verdicts change seeded results.
+        Suggested PHY fidelity tier (:mod:`repro.sim.fidelity`):
+        ``"abstraction"`` (the default, for ``None``), ``"auto"`` or
+        ``"full"``.
     fidelity_band_db:
-        Optional suggested uncertainty-band half-width (dB) for the
-        ``"auto"`` tier; ``None`` means
-        :data:`repro.sim.fidelity.DEFAULT_BAND_DB`.  Config override
-        wins.  Part of the scenario digest for the same reason.
+        Suggested uncertainty-band half-width (dB) for the ``"auto"``
+        tier; ``None`` means :data:`repro.sim.fidelity.DEFAULT_BAND_DB`.
     """
 
     name: str

@@ -1,12 +1,11 @@
 """Durable SQLite-backed results store for sweep cells.
 
 :class:`ResultsStore` is the persistence layer of
-:func:`~repro.sim.sweep.run_sweep`; it replaced a flat directory of
-per-cell JSON files.  It keeps that cache's contract --
-cells keyed by the existing ``(scenario, protocol, run seed, config,
-schema version)`` digest, ``load``/``store`` returning and accepting
+:func:`~repro.sim.sweep.run_sweep`: cells keyed by the sweep's
+``(scenario, protocol, run seed, resolved run spec, schema version)``
+digest, ``load``/``store`` returning and accepting
 :class:`~repro.sim.metrics.NetworkMetrics`, unreadable state treated as
-a miss -- and adds what a pile of JSON files cannot provide:
+a miss.  It provides
 
 * **durability**: one WAL-mode SQLite database, written in short atomic
   transactions, so a crashed or killed sweep process can never leave a
@@ -17,20 +16,13 @@ a miss -- and adds what a pile of JSON files cannot provide:
   sweep *resumable* -- a re-invocation sees exactly which cells still
   need computing;
 * **sweep manifests**: :meth:`begin_sweep` records the full grid
-  (scenario, fingerprint, protocols, seeds, config) up front under a
+  (scenario, fingerprint, protocols, seeds, run spec) up front under a
   manifest digest, so ``--resume`` can verify it is continuing the same
   sweep and ``repro results`` can enumerate past sweeps;
 * **queries across sweeps**: cells carry their coordinates (scenario,
   protocol, run, run seed, config digest) as indexed columns, so the
   store answers "all done n+ cells on dense-lan-50" without touching
   the metrics payloads.
-
-Legacy JSON caches migrate in one shot: opening a store in a directory
-that still holds ``<cell key>.json`` files imports every readable entry
-under its original key (the key scheme is unchanged, so migrated cells
-replay exactly where the JSON files would have) and records the
-migration in the store's meta table.  The JSON files are left in place
-untouched.
 
 Concurrency model: only the sweep *parent* process touches the store
 (workers ship metrics back over pipes), so a single connection per
@@ -161,13 +153,12 @@ class SweepRecord:
 
 
 class ResultsStore:
-    """SQLite results store, drop-in behind the JSON cache's interface.
+    """SQLite results store of sweep cells.
 
     ``root`` is the cache directory (the database lives at
-    ``root/results.sqlite``, next to any legacy JSON cells) or a direct
-    path to a ``.sqlite``/``.db`` file.  Opening is self-healing: a
-    file SQLite refuses to read is set aside as ``*.corrupt.<pid>`` and
-    a fresh store is created -- mirroring the JSON cache's
+    ``root/results.sqlite``) or a direct path to a ``.sqlite``/``.db``
+    file.  Opening is self-healing: a file SQLite refuses to read is set
+    aside as ``*.corrupt.<pid>`` and a fresh store is created -- the
     corrupt-entry-as-miss policy at whole-store granularity.
     """
 
@@ -189,7 +180,6 @@ class ResultsStore:
                 f"cannot create cache directory {self.root}: {exc}"
             ) from exc
         self._conn = self._open()
-        self._migrate_legacy_json()
 
     # -- connection lifecycle ----------------------------------------------
 
@@ -206,7 +196,7 @@ class ResultsStore:
                 ) from exc
             # An unreadable database (torn beyond WAL recovery, or not
             # SQLite at all) is set aside, not fatal: the cells it held
-            # become misses, exactly like a corrupt JSON entry did.
+            # become misses.
             quarantine = self.path.with_suffix(f".corrupt.{os.getpid()}")
             try:
                 os.replace(self.path, quarantine)
@@ -269,54 +259,6 @@ class ResultsStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- legacy JSON migration ---------------------------------------------
-
-    def _migrate_legacy_json(self) -> None:
-        """One-shot import of a legacy per-cell JSON cache directory.
-
-        Every readable ``<key>.json`` cell in the store's directory is
-        inserted as a ``done`` row under its original key -- the key
-        scheme is unchanged, so migrated cells hit exactly where the
-        JSON files would have.  Unreadable files are skipped (they were
-        misses before, they stay misses).  The migration runs once per
-        store (recorded in ``store_meta``); the JSON files are left in
-        place for inspection.
-        """
-        done = self._conn.execute(
-            "SELECT value FROM store_meta WHERE key='json_migration_done'"
-        ).fetchone()
-        if done is not None:
-            return
-        imported = 0
-        for entry in sorted(self.root.glob("*.json")):
-            key = entry.stem
-            if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):
-                continue  # not a cell file
-            try:
-                payload = json.loads(entry.read_text())
-                metrics_json = json.dumps(payload["metrics"], sort_keys=True)
-                NetworkMetrics.from_dict(payload["metrics"])  # validate
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            describe = payload.get("cell") or {}
-            if not isinstance(describe, dict):
-                describe = {}
-            self._upsert(
-                key,
-                status="done",
-                describe=describe,
-                metrics_json=metrics_json,
-                error=None,
-                keep_done=True,
-            )
-            imported += 1
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO store_meta (key, value) VALUES "
-                "('json_migration_done', ?)",
-                (json.dumps({"imported": imported, "at": time.time()}),),
-            )
 
     # -- cell interface ----------------------------------------------------
 
@@ -384,8 +326,7 @@ class ResultsStore:
         )
 
     def __len__(self) -> int:
-        """Finished cells in the store (parity with the JSON cache's
-        file count, which only ever held completed cells)."""
+        """Finished cells in the store."""
         return self.count("done")
 
     # -- cell state machine -------------------------------------------------
@@ -398,14 +339,10 @@ class ResultsStore:
         metrics_json: Optional[str],
         error: Optional[str],
         sweep_id: Optional[str] = None,
-        keep_done: bool = False,
         capsule_path: Optional[str] = None,
         traceback: Optional[str] = None,
     ) -> None:
         values = {col: describe.get(col) for col in _DESCRIBE_COLUMNS}
-        clause = ""
-        if keep_done:
-            clause = " WHERE cells.status != 'done'"
         with self._conn:
             self._conn.execute(
                 "INSERT INTO cells (key, status, scenario, scenario_fingerprint, "
@@ -421,7 +358,7 @@ class ResultsStore:
                 "metrics_json=excluded.metrics_json, error=excluded.error, "
                 "capsule_path=excluded.capsule_path, "
                 "traceback=excluded.traceback, "
-                "updated_at=excluded.updated_at" + clause,
+                "updated_at=excluded.updated_at",
                 (
                     key,
                     status,

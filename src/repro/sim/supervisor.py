@@ -42,6 +42,10 @@ anything; :mod:`repro.sim.sweep` feeds it run-level simulation tasks.
 Progress is reported as a stream of event objects from :meth:`events`,
 which is how the sweep layer mirrors assignments and completions into
 the results store's cell state machine.
+
+:func:`in_process_events` is the one-worker twin: it runs the tasks in
+the calling process and yields the same event stream under the same
+retry rule, so the sweep consumes one stream whatever the worker count.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ __all__ = [
     "TaskFailed",
     "WorkerDeath",
     "PoolShrunk",
+    "in_process_events",
 ]
 
 
@@ -139,6 +144,44 @@ class PoolShrunk:
     """Graceful degradation reduced the target pool size."""
 
     target: int
+
+
+# -- in-process executor -----------------------------------------------------
+
+
+def in_process_events(
+    worker_fn: Callable[[Any], Any],
+    payloads: Sequence[Any],
+    max_retries: int = 1,
+    retry_backoff_s: float = 0.5,
+) -> Iterator[object]:
+    """Run ``payloads`` one by one in this process, yielding task events.
+
+    Same events and retry rule as :class:`WorkerSupervisor`: a raised
+    :class:`Exception` yields :class:`TaskRetry`, sleeps the backoff
+    ``retry_backoff_s * 2**k`` and re-attempts, up to ``max_retries``
+    times; the final failure yields :class:`TaskFailed` with no backoff.
+    Only ``Exception`` is caught, so a ``KeyboardInterrupt`` unwinds
+    straight to the caller.  Nothing polls; the only sleep is a backoff.
+    """
+    max_retries = max(0, int(max_retries))
+    for task_id, payload in enumerate(payloads):
+        for attempt in range(max_retries + 1):
+            yield TaskAssigned(task_id, attempt)
+            try:
+                result = worker_fn(payload)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                error_traceback = traceback.format_exc()
+            else:
+                yield TaskDone(task_id, result)
+                break
+            if attempt == max_retries:
+                yield TaskFailed(task_id, error, error_traceback)
+                break
+            yield TaskRetry(task_id, attempt + 1, error, error_traceback)
+            if retry_backoff_s > 0:
+                time.sleep(retry_backoff_s * (2**attempt))
 
 
 # -- worker process ----------------------------------------------------------

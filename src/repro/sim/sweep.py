@@ -14,10 +14,10 @@ n_protocols`` grid one cell at a time; this module computes the same grid
   sharing one draw), trading a few extra draws for full concurrency;
 * **incrementally**, memoising every cell in a durable on-disk results
   store (:class:`~repro.sim.store.ResultsStore`, WAL-mode SQLite) keyed
-  by ``(scenario, protocol, run seed, config hash)`` so repeated figure
-  invocations only recompute what actually changed; and
+  by ``(scenario, protocol, run seed, resolved run spec)`` so repeated
+  figure invocations only recompute what actually changed; and
 * **durably**: with a cache directory, every sweep records a *manifest*
-  (grid, digests, seeds, config) up front and tracks each cell through
+  (grid, digests, seeds, run spec) up front and tracks each cell through
   ``pending -> running -> done/failed``, so a sweep killed mid-run --
   SIGINT, SIGTERM, OOM, reboot -- checkpoints (or is trivially
   reconstructible from committed cell states) and a re-invocation with
@@ -26,6 +26,15 @@ n_protocols`` grid one cell at a time; this module computes the same grid
   hung workers from slow cells, silently-killed workers (OOM) are
   detected and replaced with the affected cells re-queued, and repeated
   deaths shrink the pool instead of failing the sweep.
+
+A sweep runs in three stages.  The **plan** stage resolves the config
+once into a :class:`~repro.sim.runner.RunSpec`, lays out the grid and
+its cell keys, replays store hits and cuts the misses into tasks.  The
+**execute** stage consumes one stream of task events --
+:class:`~repro.sim.supervisor.WorkerSupervisor`'s for several workers,
+:func:`~repro.sim.supervisor.in_process_events` for one -- under one
+retry rule.  The **record** stage turns those events into store writes,
+:class:`FailedCell` records and crash capsules.
 
 All of this is possible because every cell is a pure function of its
 seeds: run ``r`` draws placements/channels from ``seed + 1000 * r`` and
@@ -56,32 +65,30 @@ Typical use::
 Scenarios are usually referred to by registry name
 (:func:`repro.sim.scenarios.register_scenario`), which doubles as the
 cache key; passing a bare callable still works but only caches when an
-explicit ``scenario_key`` is supplied.  Legacy per-cell JSON caches (one
-``{"cell", "metrics"}`` file per cell, the pre-store layout) migrate into
-the store automatically the first time their directory is opened.
+explicit ``scenario_key`` is supplied.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import signal
 import threading
-import time
 import traceback as _traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.channel.testbed import default_testbed
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.variants import ProtocolLike, ProtocolSpec, resolve_protocol
 from repro.sim.capsule import CAPSULE_DIRNAME, build_capsule, write_capsule
-from repro.sim.faults import fault_profile
 from repro.sim.metrics import NetworkMetrics
 from repro.sim.runner import (
+    RunSpec,
     SimulationConfig,
     build_network,
     mac_seed,
@@ -91,14 +98,12 @@ from repro.sim.runner import (
 from repro.sim.scenarios import Scenario, scenario_factory
 from repro.sim.store import ResultsStore
 from repro.sim.supervisor import (
-    PoolShrunk,
     TaskAssigned,
     TaskDone,
     TaskFailed,
-    TaskRequeued,
-    TaskRetry,
     WorkerDeath,
     WorkerSupervisor,
+    in_process_events,
 )
 
 __all__ = [
@@ -117,77 +122,53 @@ __all__ = [
 #: should invalidate previously cached sweep results.  The version is
 #: part of every cell key, so cells written under an older schema are
 #: *missed* (and recomputed), never replayed.
-#: 2: channel estimates are measured once per simulation (static-channel
-#:    invariant) instead of re-drawn on every planning query, which
-#:    changes every simulated metric for a given seed.
-#: 3: the grouped (v3) channel-draw contract landed -- scalars-first
-#:    construction draws, shape-grouped estimation-noise prefetch -- and
-#:    ``channel_draws`` joined both the scenario and the config digests,
-#:    so a v2 cell can never be replayed for a sweep that selects a
-#:    different contract.
-#: 4: the fault-injection layer landed (repro.sim.faults): retransmission
-#:    accounting changed at the partial-delivery boundary (span-aging
-#:    fail(), retry reset on forward progress, drop accounting), which
-#:    shifts every seeded metric, and the fault parameters joined both
-#:    digests -- ``fault_profile``/``fault_trace`` via the config, the
-#:    scenario's resolved profile parameters via the scenario digest --
-#:    so a static-network cell can never be replayed for a faulted sweep
-#:    (or vice versa).
-#: 5: the two-fidelity PHY layer landed (repro.sim.fidelity): the
-#:    ``fidelity``/``fidelity_band_db`` knobs joined both digests (the
-#:    config fields automatically, the scenario hints explicitly), so an
-#:    abstraction-tier cell can never be replayed for an escalating
-#:    sweep (or vice versa); abstraction-tier metrics themselves are
-#:    unchanged, but v4 cells predate the knobs' digest coverage.
-#: 6: the protocol-variant framework landed (repro.mac.variants): the
-#:    protocol coordinate of a cell key is now the *spec-canonical* form
-#:    ``name`` or ``name[param=value,...]`` with non-default parameters
-#:    sorted, so parameterised sweeps (``retry_cap``, the ``recovery``
-#:    family) get distinct cells.  Within v6 a default-parameter spec
-#:    canonicalises to the bare name, i.e. hashes identically to the
-#:    pre-framework key payload -- but v5 cells are still missed (and
-#:    recomputed) because the schema version itself is part of the key:
-#:    default-parameter metrics are bit-identical, yet metrics now carry
-#:    the ``recovered_bits`` counter, and replaying a v5 cell into a
-#:    parameterised grid would silently alias specs the v5 payload never
-#:    distinguished.
-#: (The SQLite results store did NOT bump the schema: cell keys and
-#: metrics payloads are unchanged, which is exactly what lets a legacy
-#: v6 JSON cache migrate into the store and keep hitting.)
-#: 7: the numerical-hardening layer landed (repro.utils.guarded + link
-#:    quarantine): decompositions that previously raised out of a
-#:    degenerate cell now fall back deterministically and quarantine the
-#:    link, so cells that *crashed* under v6 produce metrics under v7
-#:    (and metrics payloads carry the new ``quarantined_rounds``
-#:    counter); the ``validation`` knob also joined the config digest.
-#:    Healthy cells are bit-identical to v6, but replaying a v6 cache
-#:    into a grid whose degenerate cells now complete would mix
-#:    crash-semantics generations.
+#: 2: channel estimates measured once per simulation (every metric moved).
+#: 3: the grouped (v3) channel-draw contract; ``channel_draws`` keyed.
+#: 4: the fault layer (retransmission accounting at the partial-delivery
+#:    boundary moved every metric); fault parameters keyed.
+#: 5: the two-fidelity PHY layer; ``fidelity``/``fidelity_band_db`` keyed.
+#: 6: protocol variants; the protocol coordinate is the spec-canonical
+#:    ``name[param=value,...]``, and metrics carry ``recovered_bits``.
+#: 7: numerical hardening: degenerate cells that crashed under v6 now
+#:    complete (quarantining the link), and metrics carry
+#:    ``quarantined_rounds``.
+#:    Still 7 after the key payload became the resolved
+#:    :class:`~repro.sim.runner.RunSpec` (hinted values resolved, the
+#:    fault trace keyed by content, ``validation`` left out, the scenario
+#:    hints out of the structure digest): metrics are bit-identical, and
+#:    the changed payload already misses every cell keyed the old way.
 CACHE_SCHEMA_VERSION = 7
 
 
-def config_digest(config: SimulationConfig) -> str:
-    """Stable hex digest of a :class:`SimulationConfig`.
+def _digest(payload) -> str:
+    """SHA-256 hex digest of ``payload``'s canonical JSON."""
+    canonical = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    Any field change -- duration, subcarriers, packet rate, margins --
-    produces a different digest, which is how the results cache
-    invalidates on config change.
+
+def config_digest(run_spec: RunSpec) -> str:
+    """Stable hex digest of a resolved run, recorded with every stored cell.
+
+    Covers the key payload plus ``validation``, so the store row records
+    the full resolved run even though the cell key leaves the
+    result-neutral validation mode out.
     """
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _digest({**run_spec.key_payload, "validation": run_spec.validation})
 
 
 def scenario_digest(scenario: Scenario) -> str:
     """Stable hex digest of a scenario's *structure*.
 
-    Covers everything that shapes the simulation: stations (ids, antenna
-    counts, names), traffic pairs (endpoints, streams per receiver), the
-    suggested packet rate, and the testbed (candidate locations, the
-    full link budget and the hardware impairment profile).  Mixed into
-    every cache key next to the registry name, so editing a scenario's
-    definition -- a different antenna mix, a reshaped floor, a changed
-    hardware profile -- invalidates its cached cells automatically
-    instead of replaying stale results under the old name.
+    Covers stations (ids, antenna counts, names), traffic pairs
+    (endpoints, streams per receiver) and the testbed (candidate
+    locations, the full link budget and the hardware impairment
+    profile).  Mixed into every cache key next to the registry name, so
+    editing a scenario's definition -- a different antenna mix, a
+    reshaped floor, a changed hardware profile -- invalidates its cached
+    cells automatically instead of replaying stale results under the old
+    name.  The scenario's *hints* (packet rate, draw contract, fault
+    profile, fidelity) are not structure: they reach the key resolved,
+    through the :class:`~repro.sim.runner.RunSpec` key payload.
 
     Scenarios without a testbed factory are simulated on
     :func:`~repro.channel.testbed.default_testbed`, so that *effective*
@@ -201,7 +182,7 @@ def scenario_digest(scenario: Scenario) -> str:
         # The testbed the simulation will actually run on (see
         # repro.sim.network.Network), not the `None` placeholder.
         testbed = default_testbed()
-    payload = json.dumps(
+    return _digest(
         {
             "stations": [
                 (s.node_id, s.n_antennas, s.name) for s in scenario.stations
@@ -214,22 +195,6 @@ def scenario_digest(scenario: Scenario) -> str:
                 )
                 for p in scenario.pairs
             ],
-            "packet_rate_pps": scenario.packet_rate_pps,
-            # The scenario's channel-draw contract hint changes every
-            # seeded channel (see repro.sim.network.Network), so it is
-            # part of the structure -- editing a scenario from "batched"
-            # to "grouped" must miss the cache, not replay v2 cells.
-            "channel_draws": scenario.channel_draws,
-            # The *resolved* fault-profile parameters, not just the name:
-            # retuning a registered profile (or editing a scenario's
-            # profile hint) changes every seeded faulted metric, so it
-            # must miss the cache like any other structural edit.
-            "fault_profile": _scenario_fault_payload(scenario),
-            # The fidelity hints change which deliveries are decided by
-            # the full transceiver, i.e. seeded results -- same rule as
-            # the channel-draw and fault hints above.
-            "fidelity": getattr(scenario, "fidelity", None),
-            "fidelity_band_db": getattr(scenario, "fidelity_band_db", None),
             "testbed": {
                 "locations": [list(xy) for xy in testbed.locations],
                 "tx_power_dbm": testbed.tx_power_dbm,
@@ -242,56 +207,41 @@ def scenario_digest(scenario: Scenario) -> str:
                 "snr_range_db": [testbed.min_snr_db, testbed.max_snr_db],
                 "hardware": dataclasses.asdict(testbed.hardware),
             },
-        },
-        sort_keys=True,
+        }
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _scenario_fault_payload(scenario: Scenario) -> Optional[dict]:
-    """The scenario's fault profile, resolved to its parameters.
-
-    ``None`` for a static scenario (keeping pre-fault digests of such
-    scenarios' *structure* dependent only on the other fields).
-    """
-    name = getattr(scenario, "fault_profile", None)
-    if name is None:
-        return None
-    return {"name": name, "params": dataclasses.asdict(fault_profile(name))}
 
 
 def cell_key(
     scenario_key: str,
     protocol: ProtocolLike,
     run_seed: int,
-    config: SimulationConfig,
+    run_spec: RunSpec,
     scenario_fingerprint: Optional[str] = None,
 ) -> str:
     """The cache key of one sweep cell.
 
-    ``scenario_fingerprint`` (see :func:`scenario_digest`) ties the key
-    to the scenario's structure, not just its registry name.
-    ``protocol`` is canonicalised through
-    :func:`~repro.mac.variants.resolve_protocol` first, so a bare name
-    and its default-parameter spec produce the *same* key (pre-framework
-    call sites and spec-based ones share cells) while any non-default
-    parameter lands in the key as part of the ``name[param=value,...]``
-    coordinate.  The module-global :data:`CACHE_SCHEMA_VERSION` is part
-    of the payload, so cells written under an older schema are missed,
-    never replayed.
+    ``run_spec`` is the sweep's resolved :class:`~repro.sim.runner.RunSpec`;
+    its :attr:`~repro.sim.runner.RunSpec.key_payload` (resolved values,
+    not spellings) is what the key hashes.  ``scenario_fingerprint``
+    (see :func:`scenario_digest`) ties the key to the scenario's
+    structure, not just its registry name.  ``protocol`` is
+    canonicalised through :func:`~repro.mac.variants.resolve_protocol`
+    first, so a bare name and its default-parameter spec produce the
+    *same* key while any non-default parameter lands in the key as part
+    of the ``name[param=value,...]`` coordinate.  The module-global
+    :data:`CACHE_SCHEMA_VERSION` is part of the payload, so cells written
+    under an older schema are missed, never replayed.
     """
-    payload = json.dumps(
+    return _digest(
         {
             "schema": CACHE_SCHEMA_VERSION,
             "scenario": scenario_key,
             "scenario_fingerprint": scenario_fingerprint,
             "protocol": resolve_protocol(protocol).key,
             "run_seed": run_seed,
-            "config": dataclasses.asdict(config),
-        },
-        sort_keys=True,
+            "run_spec": run_spec.key_payload,
+        }
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def sweep_manifest_digest(manifest: dict) -> str:
@@ -299,12 +249,11 @@ def sweep_manifest_digest(manifest: dict) -> str:
 
     The manifest covers everything that defines the sweep -- scenario
     key and structural fingerprint, the ordered protocol specs, run
-    count, base seed, config -- so two invocations with the same digest
-    are by construction computing the same cells, which is what makes
-    ``resume=True`` safe to assert against.
+    count, base seed, resolved run spec -- so two invocations with the
+    same digest are by construction computing the same cells, which is
+    what makes ``resume=True`` safe to assert against.
     """
-    payload = json.dumps(manifest, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _digest(manifest)
 
 
 def default_workers() -> int:
@@ -458,9 +407,9 @@ def _simulate_run(args: Tuple) -> List[Tuple]:
     the network draw) still raise and fail the whole task, because every
     cell of the run genuinely shares that cause.
     """
-    factory, specs, run_seed, config = args
+    factory, specs, run_seed, run_spec = args
     scenario = factory()
-    network = build_network(scenario, run_seed, config)
+    network = build_network(scenario, run_seed, run_spec)
     outcomes = []
     for spec in specs:
         try:
@@ -468,7 +417,7 @@ def _simulate_run(args: Tuple) -> List[Tuple]:
                 scenario,
                 spec,
                 seed=mac_seed(run_seed),
-                config=config,
+                config=run_spec,
                 network=network,
             )
         except Exception as exc:
@@ -490,12 +439,382 @@ def _simulate_run(args: Tuple) -> List[Tuple]:
     return outcomes
 
 
+# -- plan --------------------------------------------------------------------
+
+#: One unit of work: ``(run, run_seed, protocol specs)`` -- the specs of a
+#: run whose cells missed the cache, sharing one network draw.
+_Task = Tuple[int, int, List[ProtocolSpec]]
+
+
+@dataclass
+class _SweepPlan:
+    """What the plan stage decided: the grid, its keys, hits and tasks."""
+
+    factory: Callable[[], Scenario]
+    scenario_key: Optional[str]
+    config: SimulationConfig
+    run_spec: RunSpec
+    specs: List[ProtocolSpec]
+    n_runs: int
+    seed: int
+    cache_dir: Optional[Union[str, Path]] = None
+    store: Optional[ResultsStore] = None
+    fingerprint: Optional[str] = None
+    config_fingerprint: Optional[str] = None
+    sweep_id: Optional[str] = None
+    keys: Dict[Tuple[str, int], str] = field(default_factory=dict)
+    grid: Dict[str, List[Optional[NetworkMetrics]]] = field(default_factory=dict)
+    tasks: List[_Task] = field(default_factory=list)
+    hits: int = 0
+    misses: int = 0
+    n_workers: int = 1
+
+    def describe(self, spec: ProtocolSpec, run: int) -> dict:
+        """The coordinates stored with a cell's row."""
+        return {
+            "scenario": self.scenario_key,
+            "scenario_fingerprint": self.fingerprint,
+            "protocol": spec.key,
+            "protocol_params": spec.resolved_params(),
+            "run": run,
+            "run_seed": placement_seed(self.seed, run),
+            "config_digest": self.config_fingerprint,
+        }
+
+
+def _resolve_specs(protocols: Sequence[ProtocolLike]) -> List[ProtocolSpec]:
+    """Resolve every protocol entry up front, refusing duplicates.
+
+    An unknown name or ill-typed parameter raises here -- with the
+    registry listing -- instead of dying inside a worker as a
+    :class:`FailedCell`.
+    """
+    specs = [resolve_protocol(p) for p in protocols]
+    if not specs:
+        raise ConfigurationError("need at least one protocol to sweep")
+    keys = [spec.key for spec in specs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigurationError(f"duplicate protocol {key!r} in the sweep grid")
+    return specs
+
+
+def _plan_sweep(
+    scenario: Union[str, Callable[[], Scenario]],
+    scenario_key: Optional[str],
+    protocols: Sequence[ProtocolLike],
+    n_runs: int,
+    seed: int,
+    config: Optional[SimulationConfig],
+    workers: Optional[int],
+    cache_dir: Optional[Union[str, Path]],
+    resume: bool,
+) -> _SweepPlan:
+    """The plan stage: resolve the run once, key the grid, replay hits.
+
+    Everything that can be refused is refused here, before any worker
+    spawns: unknown protocols or run parameters, an unreadable fault
+    trace, a factory without a cache key, a resume without a checkpoint.
+    """
+    factory, key = _resolve_scenario(scenario, scenario_key)
+    specs = _resolve_specs(protocols)
+    if n_runs < 1:
+        raise ConfigurationError("need at least one run to sweep")
+    if cache_dir is not None and key is None:
+        raise ConfigurationError(
+            "caching a factory scenario needs an explicit scenario_key"
+        )
+    if resume and cache_dir is None:
+        raise ConfigurationError(
+            "resume=True needs a cache_dir; the results store there holds "
+            "the checkpoint to resume"
+        )
+    config = config or SimulationConfig()
+    instance = factory()
+    plan = _SweepPlan(
+        factory=factory,
+        scenario_key=key,
+        config=config,
+        run_spec=RunSpec.resolve(instance, config),
+        specs=specs,
+        n_runs=n_runs,
+        seed=seed,
+        cache_dir=cache_dir,
+    )
+    if cache_dir is not None:
+        plan.store = ResultsStore(cache_dir)
+        # Tie keys to the scenario's structure, not just its name, so an
+        # edited scenario definition cannot replay stale cells.
+        plan.fingerprint = scenario_digest(instance)
+        _begin_sweep(plan, resume)
+    _scan_grid(plan)
+    if plan.tasks:
+        _chunk_tasks(plan, default_workers() if workers is None else workers)
+    return plan
+
+
+def _begin_sweep(plan: _SweepPlan, resume: bool) -> None:
+    """Key every cell and record the sweep's manifest in the store.
+
+    The full grid is recorded up front: every cell exists as a row
+    before any work starts, so an interruption at *any* point leaves a
+    store that knows exactly what remains.
+    """
+    store = plan.store
+    plan.config_fingerprint = config_digest(plan.run_spec)
+    manifest = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "scenario": plan.scenario_key,
+        "scenario_fingerprint": plan.fingerprint,
+        "protocols": [spec.key for spec in plan.specs],
+        "n_runs": plan.n_runs,
+        "seed": plan.seed,
+        "run_spec": plan.run_spec.key_payload,
+    }
+    plan.sweep_id = sweep_manifest_digest(manifest)
+    if resume and store.get_sweep(plan.sweep_id) is None:
+        raise ConfigurationError(
+            f"nothing to resume: no checkpoint for this sweep manifest "
+            f"(sweep_id {plan.sweep_id[:12]}...) in {plan.cache_dir}; run without "
+            "resume=True to start it, or check that scenario/protocols/"
+            "n_runs/seed/config match the interrupted invocation exactly"
+        )
+    cells = []
+    for run in range(plan.n_runs):
+        run_seed = placement_seed(plan.seed, run)
+        for spec in plan.specs:
+            key = cell_key(
+                plan.scenario_key, spec, run_seed, plan.run_spec, plan.fingerprint
+            )
+            plan.keys[(spec.key, run)] = key
+            cells.append((key, plan.describe(spec, run)))
+    store.begin_sweep(plan.sweep_id, manifest, cells=cells)
+
+
+def _scan_grid(plan: _SweepPlan) -> None:
+    """Fill the grid from the store and list the missed cells as tasks.
+
+    One pending task per run lists the specs whose cells missed, in
+    sweep order; the store is read in one batched prefetch rather than a
+    query per cell.
+    """
+    cached = plan.store.load_many(list(plan.keys.values())) if plan.keys else {}
+    plan.grid = {spec.key: [None] * plan.n_runs for spec in plan.specs}
+    for run in range(plan.n_runs):
+        missing: List[ProtocolSpec] = []
+        for spec in plan.specs:
+            metrics = cached.get(plan.keys[(spec.key, run)]) if cached else None
+            if metrics is None:
+                missing.append(spec)
+            else:
+                plan.grid[spec.key][run] = metrics
+                plan.hits += 1
+        if missing:
+            plan.tasks.append((run, placement_seed(plan.seed, run), missing))
+            plan.misses += len(missing)
+
+
+def _chunk_tasks(plan: _SweepPlan, workers: int) -> None:
+    """Split run tasks so that ``workers`` processes stay busy.
+
+    A run's protocols are chunked only when there are more workers than
+    uncached runs; every chunk still shares one network draw, so the
+    build count only grows as far as the concurrency actually used.
+    """
+    n_requested = max(1, int(workers))
+    per_task = max(1, -(-plan.misses // n_requested))  # ceil division
+    plan.tasks = [
+        (run, run_seed, missing[start : start + per_task])
+        for run, run_seed, missing in plan.tasks
+        for start in range(0, len(missing), per_task)
+    ]
+    plan.n_workers = min(n_requested, len(plan.tasks))
+
+
+# -- execute -----------------------------------------------------------------
+
+
+def _execute(
+    plan: _SweepPlan,
+    recorder: "_Recorder",
+    max_retries: int,
+    retry_backoff_s: float,
+    **pool_options,
+) -> None:
+    """The execute stage: drive the tasks, feeding every event to ``recorder``.
+
+    Several workers run under a :class:`WorkerSupervisor`, one in process
+    through :func:`in_process_events`: the same event stream under the
+    same retry rule.  Closing the stream tears a worker pool down.
+    """
+    payloads = [
+        (plan.factory, list(specs), run_seed, plan.run_spec)
+        for _, run_seed, specs in plan.tasks
+    ]
+    if plan.n_workers > 1:
+        events = WorkerSupervisor(
+            _simulate_run,
+            payloads,
+            workers=plan.n_workers,
+            max_retries=max_retries,
+            retry_backoff_s=retry_backoff_s,
+            **pool_options,
+        ).events()
+    else:
+        events = in_process_events(
+            _simulate_run, payloads, max_retries, retry_backoff_s
+        )
+    try:
+        for event in events:
+            recorder.record(event)
+    finally:
+        events.close()
+
+
+# -- record ------------------------------------------------------------------
+
+
+class _Recorder:
+    """The record stage: task events become store rows, failures, capsules.
+
+    Finished cells are stored as soon as their task completes, so an
+    interrupted or partially failed sweep keeps every finished cell.
+    Capsules are written parent-side (workers ship the error and its
+    traceback as plain data) next to the results store -- so only with a
+    cache directory.
+    """
+
+    def __init__(self, plan: _SweepPlan, strict: bool, max_retries: int):
+        self.plan = plan
+        self.strict = strict
+        self.max_retries = max_retries
+        self.failures: List[FailedCell] = []
+        self.worker_deaths = 0
+
+    def record(self, event: object) -> None:
+        """Mirror one task event into the grid and the store.
+
+        ``TaskRetry`` / ``TaskRequeued`` / ``PoolShrunk`` need no
+        bookkeeping: the cells stay ``running`` until they settle, and
+        the executor owns retries and pool size.
+        """
+        plan = self.plan
+        if isinstance(event, TaskAssigned):
+            run, _, specs = plan.tasks[event.task_id]
+            if plan.store is not None:
+                plan.store.mark_running([plan.keys[(s.key, run)] for s in specs])
+        elif isinstance(event, TaskDone):
+            run, run_seed, specs = plan.tasks[event.task_id]
+            for spec, outcome in zip(specs, event.result):
+                if outcome[0] == "ok":
+                    self._done(run, spec, outcome[1])
+                else:
+                    _, error, error_tb, ring = outcome
+                    self._fail(run, run_seed, [spec], error, error_tb, ring)
+        elif isinstance(event, TaskFailed):
+            run, run_seed, specs = plan.tasks[event.task_id]
+            self._fail(run, run_seed, specs, event.error, event.traceback)
+        elif isinstance(event, WorkerDeath):
+            self.worker_deaths += 1
+
+    def _done(self, run: int, spec: ProtocolSpec, metrics: NetworkMetrics) -> None:
+        plan = self.plan
+        plan.grid[spec.key][run] = metrics
+        if plan.store is not None:
+            plan.store.store(
+                plan.keys[(spec.key, run)], metrics, describe=plan.describe(spec, run)
+            )
+
+    def _fail(
+        self,
+        run: int,
+        run_seed: int,
+        specs: List[ProtocolSpec],
+        error: str,
+        traceback_text: Optional[str] = None,
+        ring: Optional[List[dict]] = None,
+    ) -> None:
+        if self.strict:
+            raise SimulationError(
+                f"sweep cell failed after {self.max_retries} retries "
+                f"(run {run}, run_seed {run_seed}, "
+                f"protocols {[s.key for s in specs]}): {error}"
+            )
+        plan = self.plan
+        for spec in specs:
+            capsule_path = None
+            if plan.cache_dir is not None:
+                try:
+                    capsule = build_capsule(
+                        plan.factory(), plan.scenario_key, plan.fingerprint, spec,
+                        run, run_seed, plan.config, error,
+                        traceback_text=traceback_text, events=ring,
+                    )
+                    capsule_path = str(
+                        write_capsule(capsule, Path(plan.cache_dir) / CAPSULE_DIRNAME)
+                    )
+                except Exception:
+                    # A capsule is a debugging aid; failing to write one
+                    # must never cost the sweep its failure record.
+                    capsule_path = None
+            self.failures.append(
+                FailedCell(
+                    protocol=spec.key, run=run, run_seed=run_seed, error=error,
+                    capsule_path=capsule_path, traceback=traceback_text,
+                )
+            )
+            if plan.store is not None:
+                plan.store.mark_failed(
+                    plan.keys[(spec.key, run)], error, plan.describe(spec, run),
+                    capsule_path=capsule_path, traceback=traceback_text,
+                )
+
+
 class _InterruptRequested(KeyboardInterrupt):
     """Raised by the sweep's signal handlers to unwind to the checkpoint."""
 
     def __init__(self, signum: int) -> None:
         super().__init__(signum)
         self.signum = signum
+
+
+@contextlib.contextmanager
+def _checkpoint_on_interrupt(
+    plan: _SweepPlan, install_handlers: bool
+) -> Iterator[None]:
+    """Checkpoint the sweep if the body is interrupted, then re-raise.
+
+    With ``install_handlers`` (main thread only), SIGINT/SIGTERM unwind
+    the body as :class:`_InterruptRequested`.  Any ``KeyboardInterrupt``
+    checkpoints running cells back to ``pending`` (finished ones are
+    already stored) and marks the manifest ``interrupted``; then the
+    signal's behaviour proceeds.
+    """
+    previous = {}
+
+    def _handler(signum, frame):
+        raise _InterruptRequested(signum)
+
+    def _restore() -> None:
+        while previous:
+            signal.signal(*previous.popitem())
+
+    if install_handlers:
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(signum, _handler)
+    try:
+        yield
+    except KeyboardInterrupt as exc:
+        if plan.sweep_id is not None:
+            plan.store.checkpoint_sweep(plan.sweep_id, status="interrupted")
+        _restore()
+        if getattr(exc, "signum", None) == signal.SIGTERM:
+            # Re-deliver so the process dies with the genuine SIGTERM
+            # disposition (exit status included), not an exception.
+            os.kill(os.getpid(), signal.SIGTERM)
+        raise KeyboardInterrupt from None
+    finally:
+        _restore()
 
 
 def run_sweep(
@@ -550,26 +869,22 @@ def run_sweep(
         Base seed; run ``r`` uses placement seed ``seed + 1000 * r`` (see
         :func:`repro.sim.runner.placement_seed`).
     config:
-        Simulation parameters; part of every cell's cache key.
+        Simulation parameters, resolved once against the scenario's
+        hints into a :class:`~repro.sim.runner.RunSpec` whose key payload
+        is part of every cell's cache key.
     workers:
-        Worker processes for uncached work.  Tasks ship run-level -- one
-        task per placement covering every protocol that missed the cache,
-        so each run draws its network exactly once no matter how many
-        protocols are swept (when more workers than uncached runs are
-        available, a run's protocols chunk across workers, each chunk
-        drawing once).  ``1`` (default) simulates in-process; ``None``
-        uses :func:`default_workers` (the ``REPRO_WORKERS`` override,
-        else the usable cores).  Worker processes must be able to import
-        :mod:`repro`, and callables passed as ``scenario`` must be
-        picklable (module-level functions and :func:`functools.partial`
-        of them are).
+        Worker processes for the uncached run-level tasks (see the
+        module docstring).  ``1`` (default) simulates in process;
+        ``None`` uses :func:`default_workers` (the ``REPRO_WORKERS``
+        override, else the usable cores).  Worker processes must be able
+        to import :mod:`repro`, and callables passed as ``scenario`` must
+        be picklable (module-level functions and
+        :func:`functools.partial` of them are).
     cache_dir:
         Directory of the durable on-disk results store; ``None`` disables
         caching (and checkpointing).  Entries are invalidated by any
-        change to the scenario name/structure, protocol, seed or config.
-        A directory holding a legacy JSON cell cache is migrated into
-        the store automatically (one shot; the JSON files are left in
-        place).
+        change to the scenario name/structure, protocol, seed or resolved
+        run parameters (validation excepted: it never changes results).
     scenario_key:
         Cache key override, required to cache a bare-callable
         ``scenario``.
@@ -579,14 +894,6 @@ def run_sweep(
         ``None``) and the sweep completes -- one pathological placement
         cannot abort an hours-long sweep.  ``True`` restores
         raise-on-failure (:class:`~repro.exceptions.SimulationError`).
-    cell_timeout_s:
-        Per-task timeout in seconds for the parallel path (``None``
-        disables).  A timed-out task's worker is killed (not abandoned)
-        and replaced; the task counts a failed attempt and is retried.
-        Heartbeats keep a merely *slow* cell distinguishable from a
-        *hung* worker -- see ``hang_timeout_s``.  Ignored in-process
-        (``workers=1``), where a timeout cannot be enforced without a
-        second process.
     max_retries:
         How many times a failed/timed-out task is retried before its
         cells are declared failed.  Retries are deterministic replays
@@ -595,31 +902,26 @@ def run_sweep(
     retry_backoff_s:
         Base of the exponential backoff before retry ``k``
         (``retry_backoff_s * 2**k`` seconds); ``0`` disables it.  Never
-        slept after the final failed attempt (no retry follows), and on
-        the parallel path it is non-blocking (a not-before time, so
-        other tasks keep flowing).
+        paid after the final failed attempt (no retry follows).  In
+        process it is a sleep; with worker processes it is non-blocking
+        (a not-before time, so other tasks keep flowing).
     resume:
         ``True`` requires a ``cache_dir`` holding a
         checkpoint for this exact manifest -- same scenario structure,
-        protocols, ``n_runs``, ``seed`` and config -- and completes the
-        cells that are not ``done`` yet.  Raises
+        protocols, ``n_runs``, ``seed`` and resolved run spec -- and
+        completes the cells that are not ``done`` yet.  Raises
         :class:`~repro.exceptions.ConfigurationError` when no such
         manifest was ever recorded (a typo'd grid resumes nothing).
         The result is byte-identical to running the sweep uninterrupted.
-    hang_timeout_s:
-        A busy worker whose heartbeat goes stale this long is declared
-        hung (SIGSTOP, deadlock -- distinct from a slow cell, which
-        keeps heartbeating), killed, and replaced; the cell is
-        re-queued.
-    max_worker_requeues:
-        Worker deaths tolerated per task before its cells fail -- the
-        bound that stops a cell which reproducibly OOMs its worker from
-        re-queueing forever.
-    shrink_after_deaths:
-        Graceful degradation: every this-many unexpected worker deaths
-        permanently shrinks the pool by one worker (never below one),
-        so a memory-starved machine converges to sustainable
-        parallelism instead of failing the sweep.
+    cell_timeout_s, hang_timeout_s, max_worker_requeues, shrink_after_deaths:
+        Worker-pool supervision, passed to
+        :class:`~repro.sim.supervisor.WorkerSupervisor` as its
+        ``task_timeout_s``, ``hang_timeout_s``, ``max_requeues`` and
+        ``shrink_after_deaths``: a slow cell's worker is killed and the
+        attempt retried, a hung worker (stale heartbeat) is replaced and
+        its task re-queued up to ``max_worker_requeues`` times, and
+        repeated deaths shrink the pool.  They act only with worker
+        processes; in process a timeout cannot be enforced.
 
     Durability
     ----------
@@ -638,352 +940,36 @@ def run_sweep(
         Metrics grid plus cache-hit, failed-cell and worker-death
         accounting.
     """
-    config = config or SimulationConfig()
-    factory, key = _resolve_scenario(scenario, scenario_key)
-    # Fail fast: resolve every protocol entry up front, so an unknown
-    # name or ill-typed parameter raises here -- with the registry
-    # listing -- instead of dying inside a worker as a FailedCell.
-    specs: List[ProtocolSpec] = [resolve_protocol(p) for p in protocols]
-    if not specs:
-        raise ConfigurationError("need at least one protocol to sweep")
-    seen_keys = set()
-    for spec in specs:
-        if spec.key in seen_keys:
-            raise ConfigurationError(
-                f"duplicate protocol {spec.key!r} in the sweep grid"
-            )
-        seen_keys.add(spec.key)
-    if n_runs < 1:
-        raise ConfigurationError("need at least one run to sweep")
-
-    store: Optional[ResultsStore] = None
-    fingerprint = None
-    if cache_dir is not None:
-        if key is None:
-            raise ConfigurationError(
-                "caching a factory scenario needs an explicit scenario_key"
-            )
-        store = ResultsStore(cache_dir)
-        # Tie keys to the scenario's structure, not just its name, so an
-        # edited scenario definition cannot replay stale cells.
-        fingerprint = scenario_digest(factory())
-    if resume and store is None:
-        raise ConfigurationError(
-            "resume=True needs a cache_dir; the results store there holds "
-            "the checkpoint to resume"
-        )
-
-    # Each cell's key is needed more than once (grid registration, hit
-    # scan, result recording) and hashing the config dataclass dominates
-    # a warm replay, so keys are memoised for the duration of this call
-    # (the config cannot change under us) and the constant config digest
-    # is computed once.
-    _keys: Dict[Tuple[str, int], str] = {}
-
-    def _cell_key(spec: ProtocolSpec, run_seed: int) -> str:
-        coord = (spec.key, run_seed)
-        if coord not in _keys:
-            _keys[coord] = cell_key(key, spec, run_seed, config, fingerprint)
-        return _keys[coord]
-
-    config_fingerprint = config_digest(config) if store is not None else None
-
-    def _describe(spec: ProtocolSpec, run: int, run_seed: int) -> dict:
-        return {
-            "scenario": key,
-            "scenario_fingerprint": fingerprint,
-            "protocol": spec.key,
-            "protocol_params": spec.resolved_params(),
-            "run": run,
-            "run_seed": run_seed,
-            "config_digest": config_fingerprint,
-        }
-
-    # -- manifest / checkpoint bookkeeping ---------------------------------
-    sweep_id = None
-    if store is not None:
-        manifest = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "scenario": key,
-            "scenario_fingerprint": fingerprint,
-            "protocols": [spec.key for spec in specs],
-            "n_runs": n_runs,
-            "seed": seed,
-            "config": dataclasses.asdict(config),
-        }
-        sweep_id = sweep_manifest_digest(manifest)
-        if resume and store.get_sweep(sweep_id) is None:
-            raise ConfigurationError(
-                f"nothing to resume: no checkpoint for this sweep manifest "
-                f"(sweep_id {sweep_id[:12]}...) in {cache_dir}; run without "
-                "resume=True to start it, or check that scenario/protocols/"
-                "n_runs/seed/config match the interrupted invocation exactly"
-            )
-        # Record the full grid up front: every cell exists as a row
-        # before any work starts, so an interruption at *any* point
-        # leaves a store that knows exactly what remains.
-        store.begin_sweep(
-            sweep_id,
-            manifest,
-            cells=[
-                (
-                    _cell_key(spec, placement_seed(seed, run)),
-                    _describe(spec, run, placement_seed(seed, run)),
-                )
-                for run in range(n_runs)
-                for spec in specs
-            ],
-        )
-
-    grid: Dict[str, List[Optional[NetworkMetrics]]] = {
-        spec.key: [None] * n_runs for spec in specs
-    }
-    # One pending task per run, listing the protocol specs whose cells
-    # missed the cache: the unit of work shipped to a worker.  Specs keep
-    # their sweep order inside each task so results are reproducible.
-    # Against the store the whole grid is prefetched in one batched
-    # SELECT rather than a query per cell.
-    preloaded: Dict[str, NetworkMetrics] = {}
-    if store is not None:
-        preloaded = store.load_many(
-            [
-                _cell_key(spec, placement_seed(seed, run))
-                for run in range(n_runs)
-                for spec in specs
-            ]
-        )
-    pending: List[Tuple[int, int, List[ProtocolSpec]]] = []  # (run, run_seed, specs)
-    misses = 0
-    hits = 0
-    for run in range(n_runs):
-        run_seed = placement_seed(seed, run)
-        missing: List[ProtocolSpec] = []
-        for spec in specs:
-            cached = preloaded.get(_cell_key(spec, run_seed)) if preloaded else None
-            if cached is not None:
-                grid[spec.key][run] = cached
-                hits += 1
-                continue
-            missing.append(spec)
-        if missing:
-            pending.append((run, run_seed, missing))
-            misses += len(missing)
-
-    def _record(
-        run: int, run_seed: int, spec: ProtocolSpec, metrics: NetworkMetrics
-    ) -> None:
-        grid[spec.key][run] = metrics
-        if store is not None:
-            # Stored as soon as each task completes, so an interrupted or
-            # partially failed sweep keeps every finished cell.
-            store.store(
-                _cell_key(spec, run_seed), metrics, describe=_describe(spec, run, run_seed)
-            )
-
-    failures: List[FailedCell] = []
-
-    def _fail(
-        run: int,
-        run_seed: int,
-        missing: List[ProtocolSpec],
-        error: str,
-        traceback_text: Optional[str] = None,
-        ring: Optional[List[dict]] = None,
-    ) -> None:
-        if strict:
-            raise SimulationError(
-                f"sweep cell failed after {max_retries} retries "
-                f"(run {run}, run_seed {run_seed}, "
-                f"protocols {[s.key for s in missing]}): {error}"
-            )
-        # Capsules are written parent-side (workers ship the error and
-        # its traceback as plain data), next to the results store;
-        # without a cache directory there is nowhere durable to put them.
-        capsule_dir = Path(cache_dir) / CAPSULE_DIRNAME if cache_dir is not None else None
-        for spec in missing:
-            capsule_path: Optional[str] = None
-            if capsule_dir is not None:
-                try:
-                    capsule = build_capsule(
-                        factory(), key, fingerprint, spec, run, run_seed,
-                        config, error, traceback_text=traceback_text, events=ring,
-                    )
-                    capsule_path = str(write_capsule(capsule, capsule_dir))
-                except Exception:
-                    # A capsule is a debugging aid; failing to write one
-                    # must never cost the sweep its failure record.
-                    capsule_path = None
-            failures.append(
-                FailedCell(
-                    protocol=spec.key, run=run, run_seed=run_seed, error=error,
-                    capsule_path=capsule_path, traceback=traceback_text,
-                )
-            )
-            if store is not None:
-                store.mark_failed(
-                    _cell_key(spec, run_seed), error, _describe(spec, run, run_seed),
-                    capsule_path=capsule_path, traceback=traceback_text,
-                )
-
-    def _backoff(attempt: int) -> None:
-        """Sleep the exponential backoff before retry ``attempt + 1``.
-
-        Only ever called when a retry will actually follow -- the final
-        failed attempt fails the cell immediately, without paying the
-        (by then pointless) delay.
-        """
-        if retry_backoff_s > 0:
-            time.sleep(retry_backoff_s * (2**attempt))
-
-    n_workers = 1
-    worker_deaths = 0
-    interrupted: Dict[str, Optional[int]] = {"signum": None}
-
-    def _handler(signum, frame):
-        interrupted["signum"] = signum
-        raise _InterruptRequested(signum)
-
-    # Checkpointable sweeps catch SIGINT/SIGTERM so an interruption
-    # flushes finished cells and records a resumable state first; the
-    # signal's default behaviour proceeds afterwards.  Signal handlers
-    # only work in the main thread; elsewhere the sweep simply runs
-    # without them.
-    handle_signals = (
-        store is not None
-        and pending
+    plan = _plan_sweep(
+        scenario, scenario_key, protocols, n_runs, seed, config, workers,
+        cache_dir, resume,
+    )
+    recorder = _Recorder(plan, strict, max_retries)
+    install_handlers = bool(
+        plan.store is not None
+        and plan.tasks
         and threading.current_thread() is threading.main_thread()
     )
-    previous_handlers = {}
-    if handle_signals:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous_handlers[signum] = signal.signal(signum, _handler)
-
-    try:
-        if pending:
-            n_requested = default_workers() if workers is None else max(1, int(workers))
-            # One task normally covers all of a run's uncached protocols, so
-            # the run's network is drawn once.  When more workers than
-            # uncached runs are available, each run's protocol list is
-            # chunked so the extra workers stay busy -- every chunk still
-            # shares one network draw across its protocols, so the build
-            # count only grows as far as the concurrency actually used.
-            per_task = max(1, -(-misses // n_requested))  # ceil division
-            tasks: List[Tuple[int, int, List[ProtocolSpec]]] = []
-            for run, run_seed, missing in pending:
-                for start in range(0, len(missing), per_task):
-                    tasks.append((run, run_seed, missing[start : start + per_task]))
-            n_workers = min(n_requested, len(tasks))
-            payloads = [
-                (factory, list(missing), run_seed, config)
-                for _, run_seed, missing in tasks
-            ]
-            if n_workers > 1:
-                supervisor = WorkerSupervisor(
-                    _simulate_run,
-                    payloads,
-                    workers=n_workers,
-                    task_timeout_s=cell_timeout_s,
-                    max_retries=max_retries,
-                    retry_backoff_s=retry_backoff_s,
-                    hang_timeout_s=hang_timeout_s,
-                    max_requeues=max_worker_requeues,
-                    shrink_after_deaths=shrink_after_deaths,
-                )
-                events = supervisor.events()
-                try:
-                    for event in events:
-                        if isinstance(event, TaskAssigned):
-                            run, run_seed, missing = tasks[event.task_id]
-                            if store is not None:
-                                store.mark_running(
-                                    [_cell_key(spec, run_seed) for spec in missing]
-                                )
-                        elif isinstance(event, TaskDone):
-                            run, run_seed, missing = tasks[event.task_id]
-                            for spec, outcome in zip(missing, event.result):
-                                if outcome[0] == "ok":
-                                    _record(run, run_seed, spec, outcome[1])
-                                else:
-                                    _, err, err_tb, err_ring = outcome
-                                    _fail(run, run_seed, [spec], err,
-                                          traceback_text=err_tb, ring=err_ring)
-                        elif isinstance(event, TaskFailed):
-                            run, run_seed, missing = tasks[event.task_id]
-                            _fail(run, run_seed, missing, event.error,
-                                  traceback_text=event.traceback)
-                        elif isinstance(event, WorkerDeath):
-                            worker_deaths += 1
-                        # TaskRetry / TaskRequeued / PoolShrunk need no
-                        # bookkeeping here: the cells stay `running` until
-                        # they settle, and the supervisor owns pool size.
-                finally:
-                    events.close()  # tears the worker pool down
-            else:
-                for (run, run_seed, missing), payload in zip(tasks, payloads):
-                    metrics_list = None
-                    error = "unknown error"
-                    error_tb: Optional[str] = None
-                    error_ring: Optional[List[dict]] = None
-                    if store is not None:
-                        store.mark_running(
-                            [_cell_key(spec, run_seed) for spec in missing]
-                        )
-                    for attempt in range(max_retries + 1):
-                        try:
-                            metrics_list = _simulate_run(payload)
-                            break
-                        except _InterruptRequested:
-                            raise
-                        except Exception as exc:
-                            error = f"{type(exc).__name__}: {exc}"
-                            # In-process we hold the live exception:
-                            # capture the traceback and the event ring
-                            # the runner boundary attached, for the
-                            # crash capsule.
-                            error_tb = _traceback.format_exc()
-                            error_ring = getattr(exc, "_repro_event_ring", None)
-                            if attempt < max_retries:
-                                _backoff(attempt)
-                    if metrics_list is None:
-                        _fail(run, run_seed, missing, error,
-                              traceback_text=error_tb, ring=error_ring)
-                        continue
-                    for spec, outcome in zip(missing, metrics_list):
-                        if outcome[0] == "ok":
-                            _record(run, run_seed, spec, outcome[1])
-                        else:
-                            _, err, err_tb, err_ring = outcome
-                            _fail(run, run_seed, [spec], err,
-                                  traceback_text=err_tb, ring=err_ring)
-        if store is not None and sweep_id is not None:
-            store.finish_sweep(sweep_id)
-    except KeyboardInterrupt:
-        # Includes _InterruptRequested from our handlers and a plain
-        # Ctrl-C KeyboardInterrupt raised while no handler was installed
-        # mid-cell: flush what finished (already stored cell by cell),
-        # checkpoint running cells back to pending, mark the manifest
-        # interrupted -- then let the signal's behaviour proceed.
-        if store is not None and sweep_id is not None:
-            store.checkpoint_sweep(sweep_id, status="interrupted")
-        if handle_signals:
-            for signum, previous in previous_handlers.items():
-                signal.signal(signum, previous)
-            previous_handlers = {}
-        if interrupted["signum"] == signal.SIGTERM:
-            # Re-deliver so the process dies with the genuine SIGTERM
-            # disposition (exit status included), not an exception.
-            os.kill(os.getpid(), signal.SIGTERM)
-        raise KeyboardInterrupt from None
-    finally:
-        for signum, previous in previous_handlers.items():
-            signal.signal(signum, previous)
-
+    with _checkpoint_on_interrupt(plan, install_handlers):
+        if plan.tasks:
+            _execute(
+                plan,
+                recorder,
+                max_retries,
+                retry_backoff_s,
+                task_timeout_s=cell_timeout_s,
+                hang_timeout_s=hang_timeout_s,
+                max_requeues=max_worker_requeues,
+                shrink_after_deaths=shrink_after_deaths,
+            )
+        if plan.sweep_id is not None:
+            plan.store.finish_sweep(plan.sweep_id)
     return SweepResult(
-        results={protocol: list(column) for protocol, column in grid.items()},
-        cache_hits=hits,
-        cache_misses=misses,
-        workers=n_workers if pending else 1,
-        failures=failures,
-        worker_deaths=worker_deaths,
-        sweep_id=sweep_id,
+        results={protocol: list(column) for protocol, column in plan.grid.items()},
+        cache_hits=plan.hits,
+        cache_misses=plan.misses,
+        workers=plan.n_workers,
+        failures=recorder.failures,
+        worker_deaths=recorder.worker_deaths,
+        sweep_id=plan.sweep_id,
     )

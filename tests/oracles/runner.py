@@ -30,6 +30,7 @@ from repro.sim.metrics import NetworkMetrics
 from repro.sim.network import Network
 from repro.sim.runner import (
     _ESTIMATION_STREAM_TAG,
+    RunSpec,
     SimulationConfig,
     _build_agents,
     _evaluate_group,
@@ -37,9 +38,6 @@ from repro.sim.runner import (
     _groups_from_streams,
     _TransmissionGroup,
     build_fault_schedule,
-    effective_channel_draws,
-    effective_fidelity,
-    effective_validation,
 )
 from repro.sim.scenarios import Scenario
 
@@ -62,7 +60,7 @@ class PerAgentLoop(_EventDrivenLoop):
             for agent in self.agents.values()
             if agent.supports_joining
             and agent.node_id not in exhausted
-            and agent.can_join(now, self.medium, self.config.min_join_airtime_us)
+            and agent.can_join(now, self.medium, self.run_spec.min_join_airtime_us)
         ]
 
 
@@ -90,7 +88,7 @@ def run_simulation_condensed_reference(
     event-driven loop replaced it.  Fault-, fidelity- and
     validation-free configurations only.
     """
-    config = config or SimulationConfig()
+    config = RunSpec.resolve(scenario, config)
     # Faults, fidelity escalation and validation all hook into the event
     # loop's round boundaries, which this loop does not have: refuse them
     # rather than silently ignore them.
@@ -99,12 +97,12 @@ def run_simulation_condensed_reference(
             "the condensed reference loop does not support fault injection; "
             "use run_simulation (or disable faults with fault_profile='none')"
         )
-    if effective_fidelity(scenario, config) != "abstraction":
+    if config.fidelity != "abstraction":
         raise ConfigurationError(
             "the condensed reference loop predates the fidelity layer; "
             "use run_simulation (or fidelity='abstraction')"
         )
-    if effective_validation(scenario, config) != "off":
+    if config.validation != "off":
         raise ConfigurationError(
             "the condensed reference loop predates the invariant layer; "
             "use run_simulation (or validation='off')"
@@ -117,7 +115,7 @@ def run_simulation_condensed_reference(
             rng,
             testbed=scenario.make_testbed(),
             n_subcarriers=config.n_subcarriers,
-            channel_draws=effective_channel_draws(scenario),
+            channel_draws=config.channel_draws,
         )
     network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
     agents = _build_agents(scenario, network, protocol, rng, config, seed)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.esnr import (
-    effective_snr_db,
+    esnr_db,
     esnr_ber_average,
     esnr_for_modulation,
     packet_delivery_probability,
@@ -38,11 +38,11 @@ class TestPerSubcarrierSnr:
 class TestEffectiveSnr:
     def test_flat_channel_esnr_equals_snr(self):
         snrs = [15.0] * 48
-        assert effective_snr_db(snrs) == pytest.approx(15.0, abs=0.1)
+        assert esnr_db(snrs) == pytest.approx(15.0, abs=0.1)
 
     def test_esnr_between_min_and_max(self, rng):
         snrs = rng.uniform(5, 25, size=48)
-        esnr = effective_snr_db(snrs)
+        esnr = esnr_db(snrs)
         assert snrs.min() - 1e-6 <= esnr <= snrs.max() + 1e-6
 
     def test_one_faded_subcarrier_is_not_catastrophic(self):
@@ -57,7 +57,7 @@ class TestEffectiveSnr:
         assert esnr_ber_average(snrs, modulation) < esnr_for_modulation(snrs, modulation)
 
     def test_empty_input(self):
-        assert effective_snr_db([]) == -np.inf
+        assert esnr_db([]) == -np.inf
 
     def test_monotonic_in_every_subcarrier(self, rng):
         base = rng.uniform(5, 20, size=16)

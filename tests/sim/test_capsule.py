@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,17 +222,39 @@ class TestSweepWritesCapsules:
         outcome = replay_capsule(result.failures[0].capsule_path)
         assert outcome.reproduced
 
-    def test_parallel_workers_ship_traceback_and_replayable_capsule(
-        self, tmp_path, crashy_protocol
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_ship_traceback_and_replayable_capsule(
+        self, tmp_path, crashy_protocol, workers
     ):
-        result = _crashy_sweep(
-            tmp_path, protocols=["n+", "crashy"], n_runs=2, workers=2
-        )
+        def sweep(cache_dir, n_workers):
+            return _crashy_sweep(
+                cache_dir, protocols=["n+", "crashy"], n_runs=2, workers=n_workers
+            )
+
+        result = sweep(tmp_path / "this", workers)
+        other = sweep(tmp_path / "other", 3 - workers)
         assert sorted(f.protocol for f in result.failures) == ["crashy", "crashy"]
+        # In process or in a worker, a failure is recorded identically --
+        # only the traceback text (its frames) may differ.
+        assert _failure_fields(result) == _failure_fields(other)
         for failure in result.failures:
             assert "injected crash" in failure.traceback
             assert replay_capsule(failure.capsule_path).reproduced
         assert all(m is not None for m in result.results["n+"])
+
+
+def _failure_fields(result):
+    """Every FailedCell and capsule field except the traceback text, in
+    cell order (worker processes settle cells in any order)."""
+    fields = []
+    for failure in sorted(result.failures, key=lambda f: (f.run, f.protocol)):
+        capsule = load_capsule(failure.capsule_path).to_dict()
+        del capsule["traceback"]
+        cell = dataclasses.asdict(failure)
+        del cell["traceback"]
+        cell["capsule_path"] = Path(failure.capsule_path).name
+        fields.append((cell, capsule))
+    return fields
 
 
 def _overcrowded_scenario():

@@ -37,10 +37,10 @@ from repro.sim.faults import (
 from repro.sim import runner
 from repro.sim.network import Network
 from repro.sim.runner import (
+    RunSpec,
     SimulationConfig,
     build_fault_schedule,
     build_network,
-    effective_fault_profile,
     run_simulation,
 )
 from repro.sim.scenarios import (
@@ -101,12 +101,12 @@ class TestFaultResolution:
     def test_config_beats_scenario_hint(self):
         scenario = FAULTY()
         assert scenario.fault_profile == "mixed"
-        assert effective_fault_profile(scenario, FAST) == "mixed"
+        assert RunSpec.resolve(scenario, FAST).fault_profile == "mixed"
         override = SimulationConfig(fault_profile="deep-fades")
-        assert effective_fault_profile(scenario, override) == "deep-fades"
+        assert RunSpec.resolve(scenario, override).fault_profile == "deep-fades"
         for off in ("none", ""):
             config = SimulationConfig(fault_profile=off)
-            assert effective_fault_profile(scenario, config) is None
+            assert RunSpec.resolve(scenario, config).fault_profile is None
 
     def test_unknown_profile_name_raises(self):
         with pytest.raises(ConfigurationError):

@@ -36,14 +36,13 @@ from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim import runner
 from repro.sim.runner import (
+    RunSpec,
     SimulationConfig,
     build_network,
-    effective_fidelity,
-    effective_fidelity_band_db,
     run_simulation,
 )
 from repro.sim.scenarios import dense_lan_scenario, scenario_factory, three_pair_scenario
-from repro.sim.sweep import config_digest, run_sweep, scenario_digest
+from repro.sim.sweep import cell_key, config_digest, run_sweep
 
 AUTO = SimulationConfig(duration_us=30_000.0, n_subcarriers=8, fidelity="auto")
 
@@ -56,23 +55,24 @@ class TestResolution:
     def test_default_is_abstraction(self):
         config = SimulationConfig()
         assert config.fidelity is None and config.fidelity_band_db is None
-        assert effective_fidelity(three_pair_scenario(), config) == "abstraction"
-        assert effective_fidelity_band_db(three_pair_scenario(), config) == DEFAULT_BAND_DB
+        resolved = RunSpec.resolve(three_pair_scenario(), config)
+        assert resolved.fidelity == "abstraction"
+        assert resolved.fidelity_band_db == DEFAULT_BAND_DB
 
     def test_config_beats_scenario_hint(self):
         scenario = dataclasses.replace(
             three_pair_scenario(), fidelity="auto", fidelity_band_db=1.5
         )
-        assert effective_fidelity(scenario, SimulationConfig()) == "auto"
-        assert effective_fidelity_band_db(scenario, SimulationConfig()) == 1.5
+        hinted = RunSpec.resolve(scenario, SimulationConfig())
+        assert (hinted.fidelity, hinted.fidelity_band_db) == ("auto", 1.5)
         override = SimulationConfig(fidelity="abstraction", fidelity_band_db=4.0)
-        assert effective_fidelity(scenario, override) == "abstraction"
-        assert effective_fidelity_band_db(scenario, override) == 4.0
+        resolved = RunSpec.resolve(scenario, override)
+        assert (resolved.fidelity, resolved.fidelity_band_db) == ("abstraction", 4.0)
 
     def test_unknown_fidelity_rejected(self):
         config = SimulationConfig(fidelity="magic")
         with pytest.raises(ConfigurationError):
-            effective_fidelity(three_pair_scenario(), config)
+            RunSpec.resolve(three_pair_scenario(), config)
 
     def test_condensed_reference_refuses_escalating_configs(self):
         with pytest.raises(ConfigurationError, match="fidelity layer"):
@@ -343,17 +343,18 @@ class TestCrossValidation:
 
 class TestDigests:
     def test_config_digest_covers_fidelity_knobs(self):
-        base = config_digest(SimulationConfig())
-        assert config_digest(SimulationConfig(fidelity="auto")) != base
-        assert config_digest(SimulationConfig(fidelity_band_db=2.0)) != base
+        def digest(config):
+            return config_digest(RunSpec.resolve(three_pair_scenario(), config))
 
-    def test_scenario_digest_covers_fidelity_hints(self):
+        base = digest(SimulationConfig())
+        assert digest(SimulationConfig(fidelity="auto")) != base
+        assert digest(SimulationConfig(fidelity_band_db=2.0)) != base
+
+    def test_cell_key_covers_fidelity_hints(self):
+        def key(scenario):
+            return cell_key("probe", "n+", 0, RunSpec.resolve(scenario, None))
+
         scenario = three_pair_scenario()
-        base = scenario_digest(scenario)
-        assert (
-            scenario_digest(dataclasses.replace(scenario, fidelity="auto")) != base
-        )
-        assert (
-            scenario_digest(dataclasses.replace(scenario, fidelity_band_db=1.0))
-            != base
-        )
+        base = key(scenario)
+        assert key(dataclasses.replace(scenario, fidelity="auto")) != base
+        assert key(dataclasses.replace(scenario, fidelity_band_db=1.0)) != base

@@ -17,9 +17,9 @@ import pytest
 
 from repro.sim.network import Network
 from repro.sim.runner import (
+    RunSpec,
     SimulationConfig,
     build_network,
-    effective_channel_draws,
     run_simulation,
 )
 from repro.sim.scenarios import (
@@ -166,8 +166,8 @@ class TestGoldenMetricsSnapshot:
 class TestContractResolution:
     def test_scenario_hint_decides_the_contract(self):
         scenario = dense_lan_scenario(n_pairs=3, seed=1, channel_draws="grouped")
-        assert effective_channel_draws(scenario) == "grouped"
-        assert effective_channel_draws(three_pair_scenario()) == "batched"
+        assert RunSpec.resolve(scenario).channel_draws == "grouped"
+        assert RunSpec.resolve(three_pair_scenario()).channel_draws == "batched"
 
     def test_build_network_honours_the_contract(self):
         scenario = dense_lan_scenario(n_pairs=3, seed=1, channel_draws="grouped")

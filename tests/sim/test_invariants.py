@@ -12,13 +12,12 @@ from repro.exceptions import ConfigurationError, InvariantViolation
 from repro.sim.invariants import (
     VALIDATION_MODES,
     InvariantSuite,
-    effective_validation,
     invariant,
     registered_invariants,
     _REGISTRY,
 )
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
-from repro.sim.runner import SimulationConfig, run_simulation
+from repro.sim.runner import RunSpec, SimulationConfig, run_simulation
 from repro.sim.scenarios import scenario_factory
 
 FAST = SimulationConfig(duration_us=4000.0, n_subcarriers=4)
@@ -54,18 +53,18 @@ class _StubLoop:
         self.rounds = 7
 
 
-class TestEffectiveValidation:
+class TestValidationResolution:
     def test_defaults_to_off(self):
-        assert effective_validation(THREE_PAIR(), SimulationConfig()) == "off"
+        assert RunSpec.resolve(THREE_PAIR(), SimulationConfig()).validation == "off"
 
     def test_config_selects_the_mode(self):
         config = SimulationConfig(validation="cheap")
-        assert effective_validation(THREE_PAIR(), config) == "cheap"
+        assert RunSpec.resolve(THREE_PAIR(), config).validation == "cheap"
 
     def test_unknown_mode_is_rejected(self):
         config = SimulationConfig(validation="paranoid")
         with pytest.raises(ConfigurationError, match="unknown validation mode"):
-            effective_validation(THREE_PAIR(), config)
+            RunSpec.resolve(THREE_PAIR(), config)
 
     def test_modes_constant_matches_registry_scopes(self):
         assert VALIDATION_MODES == ("off", "cheap", "full")

@@ -27,7 +27,7 @@ from repro.mac.variants import ProtocolSpec
 from repro.sim.faults import FaultInjector, FaultSchedule
 from repro.sim.medium import Medium
 from repro.sim.network import Network
-from repro.sim.runner import SimulationConfig, run_many, run_simulation
+from repro.sim.runner import RunSpec, SimulationConfig, run_many, run_simulation
 from repro.sim.scenarios import scenario_factory, three_pair_scenario
 from repro.sim.sweep import cell_key, run_sweep
 
@@ -244,11 +244,12 @@ class TestRecoverySweep:
             cache_dir=tmp_path,
         )
         assert second.cache_hits == 1 and second.cache_misses == 0
-        assert cell_key("three-pair", "n+", 0, config) == cell_key(
-            "three-pair", ProtocolSpec("n+"), 0, config
+        run_spec = RunSpec.resolve(three_pair_scenario(), config)
+        assert cell_key("three-pair", "n+", 0, run_spec) == cell_key(
+            "three-pair", ProtocolSpec("n+"), 0, run_spec
         )
-        assert cell_key("three-pair", "n+", 0, config) != cell_key(
-            "three-pair", "n+[recovery=erasure]", 0, config
+        assert cell_key("three-pair", "n+", 0, run_spec) != cell_key(
+            "three-pair", "n+[recovery=erasure]", 0, run_spec
         )
 
     def test_invalid_specs_fail_before_any_simulation(self, tmp_path):

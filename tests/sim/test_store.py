@@ -1,9 +1,8 @@
 """Tests for the SQLite results store (repro.sim.store).
 
-The store replaces the legacy per-cell JSON cache behind the same load/store
-interface, so these tests pin three contracts: cache parity (done-only
-hits, corrupt state as a miss), the cell state machine that makes sweeps
-resumable, and the one-shot migration of legacy JSON caches.
+These tests pin the store's contracts: cache semantics (done-only hits,
+corrupt state as a miss), the cell state machine that makes sweeps
+resumable, and the in-place upgrade of older table layouts.
 """
 
 import json
@@ -14,16 +13,12 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
-from repro.sim.runner import SimulationConfig
 from repro.sim.store import (
     CELL_STATES,
     STORE_FILENAME,
     STORE_SCHEMA_VERSION,
     ResultsStore,
 )
-from repro.sim.sweep import cell_key
-
-FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
 
 
 def _metrics(delivered: int = 1200) -> NetworkMetrics:
@@ -109,6 +104,24 @@ class TestSelfHealing:
         assert store.load("a" * 64) is not None
         # ...and the corrupt file was set aside for inspection.
         assert list(tmp_path.glob("*.corrupt.*"))
+
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"elapsed_us": 100.0, "li', '{"links": 5}', "[1, 2]"],
+        ids=["truncated", "bad-links", "wrong-shape"],
+    )
+    def test_unparseable_metrics_row_is_a_rewritable_miss(self, tmp_path, payload):
+        store = ResultsStore(tmp_path)
+        key = "a" * 64
+        store.store(key, _metrics(), _describe())
+        with store._conn:
+            store._conn.execute(
+                "UPDATE cells SET metrics_json=? WHERE key=?", (payload, key)
+            )
+        assert store.load(key) is None
+        assert store.load_many([key]) == {}
+        store.store(key, _metrics(), _describe())
+        assert store.load(key).to_dict() == _metrics().to_dict()
 
     def test_newer_store_layout_is_refused(self, tmp_path):
         ResultsStore(tmp_path).close()
@@ -225,52 +238,6 @@ class TestQueries:
         summary = store.summary()
         assert summary[("three-pair", "802.11n")] == {"done": 2}
         assert summary[("three-pair", "n+")] == {"done": 2, "failed": 1}
-
-
-class TestJsonMigration:
-    @pytest.fixture
-    def seed_json_cache(self, tmp_path, write_legacy_cell):
-        def seed(n: int = 2) -> list:
-            keys = []
-            for run_seed in range(n):
-                key = cell_key("three-pair", "n+", run_seed, FAST)
-                write_legacy_cell(
-                    tmp_path, key, _metrics(100 + run_seed), _describe(run=run_seed)
-                )
-                keys.append(key)
-            return keys
-
-        return seed
-
-    def test_legacy_cells_migrate_on_first_open(self, tmp_path, seed_json_cache):
-        keys = seed_json_cache()
-        store = ResultsStore(tmp_path)
-        assert len(store) == 2
-        for i, key in enumerate(keys):
-            assert store.load(key).links["a->b"].delivered_bits == 100 + i
-        # The JSON files are left in place, untouched.
-        assert len(list(tmp_path.glob("*.json"))) == 2
-
-    def test_migration_is_one_shot(self, tmp_path, seed_json_cache, write_legacy_cell):
-        keys = seed_json_cache()
-        ResultsStore(tmp_path).close()
-        # New JSON files appearing *after* the migration are not imported
-        # (the store owns the directory now).
-        late_key = cell_key("three-pair", "n+", 99, FAST)
-        write_legacy_cell(tmp_path, late_key, _metrics())
-        store = ResultsStore(tmp_path)
-        assert store.load(keys[0]) is not None
-        assert store.load(late_key) is None
-
-    def test_unreadable_and_foreign_json_files_are_skipped(
-        self, tmp_path, seed_json_cache
-    ):
-        keys = seed_json_cache(n=1)
-        (tmp_path / ("e" * 64 + ".json")).write_text("{ truncated")
-        (tmp_path / "notes.json").write_text(json.dumps({"metrics": {}}))
-        store = ResultsStore(tmp_path)
-        assert len(store) == 1
-        assert store.load(keys[0]) is not None
 
 
 _V1_SCHEMA = """

@@ -25,6 +25,7 @@ from repro.sim.supervisor import (
     TaskRetry,
     WorkerDeath,
     WorkerSupervisor,
+    in_process_events,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -156,6 +157,62 @@ class TestRetries:
                 order.append(event.task_id)
         # The even payloads completed while task 0 (payload 1) backed off.
         assert order[:3] == [1, 2, 3]
+
+
+class TestInProcessEvents:
+    """The one-worker executor yields the supervisor's events under its
+    retry rule, without a process."""
+
+    def test_assign_retry_assign_fail_with_one_backoff(self, monkeypatch):
+        import repro.sim.supervisor as supervisor_module
+
+        sleeps = []
+        monkeypatch.setattr(supervisor_module.time, "sleep", sleeps.append)
+        events = list(
+            in_process_events(_always_fail, [7], max_retries=1, retry_backoff_s=0.25)
+        )
+        assert [type(e) for e in events] == [
+            TaskAssigned, TaskRetry, TaskAssigned, TaskFailed,
+        ]
+        assert [e.attempt for e in events[:3]] == [0, 1, 1]
+        assert events[-1].error == "RuntimeError: nope"
+        assert "RuntimeError: nope" in events[-1].traceback
+        assert sleeps == [0.25]  # exactly max_retries backoffs
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_backoffs_double_and_skip_the_final_attempt(self, monkeypatch, max_retries):
+        import repro.sim.supervisor as supervisor_module
+
+        sleeps = []
+        monkeypatch.setattr(supervisor_module.time, "sleep", sleeps.append)
+        events = list(
+            in_process_events(
+                _always_fail, [1], max_retries=max_retries, retry_backoff_s=0.5
+            )
+        )
+        assert sum(isinstance(e, TaskAssigned) for e in events) == max_retries + 1
+        assert sleeps == [0.5 * 2**k for k in range(max_retries)]
+
+    def test_results_and_failures_settle_in_task_order(self):
+        events = list(
+            in_process_events(_fail_on_odd, [0, 1, 2], max_retries=0, retry_backoff_s=0)
+        )
+        settled = [
+            (type(e).__name__, e.task_id)
+            for e in events
+            if isinstance(e, (TaskDone, TaskFailed))
+        ]
+        assert settled == [("TaskDone", 0), ("TaskFailed", 1), ("TaskDone", 2)]
+        assert [e.result for e in events if isinstance(e, TaskDone)] == [0, 4]
+
+    def test_keyboard_interrupt_is_not_retried(self):
+        def interrupted(_):
+            raise KeyboardInterrupt
+
+        events = in_process_events(interrupted, [1], max_retries=3, retry_backoff_s=0)
+        assert isinstance(next(events), TaskAssigned)
+        with pytest.raises(KeyboardInterrupt):
+            next(events)
 
 
 class TestWorkerDeaths:

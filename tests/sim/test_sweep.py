@@ -17,6 +17,7 @@ from oracles.runner import run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
 from repro.sim.runner import (
+    RunSpec,
     SimulationConfig,
     build_network,
     mac_seed,
@@ -28,6 +29,11 @@ from repro.sim.store import ResultsStore
 from repro.sim.sweep import cell_key, config_digest, run_sweep, scenario_digest
 
 FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
+FAST_SPEC = RunSpec.resolve(three_pair_scenario(), FAST)
+
+
+def _spec(config, scenario=three_pair_scenario):
+    return RunSpec.resolve(scenario(), config)
 
 
 def _as_dicts(results):
@@ -153,11 +159,6 @@ class TestSweepCache:
         )
         assert grown.cache_hits == 2 and grown.cache_misses == 2
 
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        key = cell_key("three-pair", "n+", 4, FAST)
-        (tmp_path / f"{key}.json").write_text("{not json")
-        assert ResultsStore(tmp_path).load(key) is None
-
     def test_factory_scenario_requires_explicit_key(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_sweep(
@@ -273,18 +274,25 @@ class TestSweepCache:
         d = scenario_digest(dense_lan_scenario(n_pairs=2, seed=1, packet_rate_pps=9.0))
         assert a == b
         assert a != c
-        assert a != d
+        # A hint is not structure: it reaches the key resolved, through
+        # the run spec (see test_run_spec.py).
+        assert a == d
 
     def test_config_digest_changes_with_any_field(self):
-        base = config_digest(FAST)
-        assert config_digest(SimulationConfig(duration_us=10_000.0, n_subcarriers=8)) == base
-        assert config_digest(SimulationConfig(duration_us=10_001.0, n_subcarriers=8)) != base
-        assert (
-            config_digest(
-                SimulationConfig(duration_us=10_000.0, n_subcarriers=8, packet_rate_pps=5.0)
-            )
-            != base
+        base = config_digest(FAST_SPEC)
+        same = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
+        assert config_digest(_spec(same)) == base
+        longer = SimulationConfig(duration_us=10_001.0, n_subcarriers=8)
+        assert config_digest(_spec(longer)) != base
+        bursty = SimulationConfig(
+            duration_us=10_000.0, n_subcarriers=8, packet_rate_pps=5.0
         )
+        assert config_digest(_spec(bursty)) != base
+        # The stored digest records the validation mode the key leaves out.
+        validated = SimulationConfig(
+            duration_us=10_000.0, n_subcarriers=8, validation="cheap"
+        )
+        assert config_digest(_spec(validated)) != base
 
 
 class TestRunLevelTasks:
@@ -471,22 +479,25 @@ class TestSchemaBoundary:
     def test_cell_keys_differ_across_schema_versions(self, tmp_path, monkeypatch):
         import repro.sim.sweep as sweep_module
 
-        v7_key = cell_key("three-pair", "n+", 4, FAST)
+        v7_key = cell_key("three-pair", "n+", 4, FAST_SPEC)
         monkeypatch.setattr(sweep_module, "CACHE_SCHEMA_VERSION", 6)
-        v6_key = cell_key("three-pair", "n+", 4, FAST)
+        v6_key = cell_key("three-pair", "n+", 4, FAST_SPEC)
         assert v7_key != v6_key
 
-    def test_scenario_digest_covers_channel_draws(self):
+    def test_cell_key_covers_channel_draws(self):
         import dataclasses as dc
+
+        def key(scenario):
+            return cell_key("probe", "n+", 4, RunSpec.resolve(scenario, FAST))
 
         base = dense_lan_scenario(n_pairs=2, seed=1)
         assert base.channel_draws is None
         grouped = dc.replace(base, channel_draws="grouped")
-        assert scenario_digest(base) != scenario_digest(grouped)
+        assert key(base) != key(grouped)
         # The factory's channel_draws parameter feeds the same field.
-        assert scenario_digest(
+        assert key(
             dense_lan_scenario(n_pairs=2, seed=1, channel_draws="grouped")
-        ) == scenario_digest(grouped)
+        ) == key(grouped)
 
 
 def _crash_on_seed(run_seed_to_crash):
@@ -631,57 +642,38 @@ class TestSweepHardening:
         assert recovered.results["n+"][0] is not None
 
 
-class TestCacheCrashSafety:
-    def _metrics(self):
-        return NetworkMetrics(
-            elapsed_us=100.0, links={"a->b": LinkMetrics(pair_name="a->b")}
-        )
-
-    def test_truncated_entry_is_a_miss_and_rewritable(
-        self, tmp_path, write_legacy_cell
-    ):
-        key = cell_key("three-pair", "n+", 4, FAST)
-        path = write_legacy_cell(tmp_path, key, self._metrics())
-        full = path.read_text()
-        path.write_text(full[: len(full) // 2])
-        store = ResultsStore(tmp_path)
-        assert store.load(key) is None
-        store.store(key, self._metrics(), describe={})
-        assert store.load(key) is not None
-
-    def test_entry_with_wrong_shape_is_a_miss(self, tmp_path):
-        key = cell_key("three-pair", "n+", 4, FAST)
-        payloads = {"no-metrics": '{"cell": {}}', "bad-links": '{"metrics": {"links": 5}}'}
-        for name, payload in payloads.items():
-            directory = tmp_path / name
-            directory.mkdir()
-            (directory / f"{key}.json").write_text(payload)
-            assert ResultsStore(directory).load(key) is None, name
-
-
 class TestSchemaV4FaultDigests:
     """Fault parameters are part of every cache key (schema v4)."""
 
-    def test_config_digest_covers_fault_fields(self):
-        base = config_digest(FAST)
+    def test_config_digest_covers_fault_fields(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        trace.write_text('[{"start_us": 0, "duration_us": 500, "loss_rate": 0.5}]')
+        base = config_digest(FAST_SPEC)
         profiled = config_digest(
-            SimulationConfig(
-                duration_us=10_000.0, n_subcarriers=8, fault_profile="mixed"
+            _spec(
+                SimulationConfig(
+                    duration_us=10_000.0, n_subcarriers=8, fault_profile="mixed"
+                )
             )
         )
         traced = config_digest(
-            SimulationConfig(
-                duration_us=10_000.0, n_subcarriers=8, fault_trace="trace.json"
+            _spec(
+                SimulationConfig(
+                    duration_us=10_000.0, n_subcarriers=8, fault_trace=str(trace)
+                )
             )
         )
         assert len({base, profiled, traced}) == 3
 
-    def test_scenario_digest_covers_the_fault_profile(self):
+    def test_cell_key_covers_the_fault_profile_hint(self):
+        def key(scenario):
+            return cell_key("probe", "n+", 4, RunSpec.resolve(scenario, FAST))
+
         base = dense_lan_scenario(n_pairs=2, seed=1)
         faulty = dense_lan_scenario(n_pairs=2, seed=1, fault_profile="mixed")
-        assert scenario_digest(base) != scenario_digest(faulty)
+        assert key(base) != key(faulty)
 
-    def test_scenario_digest_tracks_profile_parameters(self, monkeypatch):
+    def test_cell_key_tracks_profile_parameters(self, monkeypatch):
         """Editing a registered profile's numbers invalidates cached
         cells even though the profile *name* is unchanged."""
         import dataclasses as dc
@@ -689,19 +681,26 @@ class TestSchemaV4FaultDigests:
         from repro.sim import faults
 
         scenario = dense_lan_scenario(n_pairs=2, seed=1, fault_profile="mixed")
-        before = scenario_digest(scenario)
+        before = cell_key("probe", "n+", 4, RunSpec.resolve(scenario, FAST))
         edited = dc.replace(faults.fault_profile("mixed"), fade_rate_per_s=999.0)
         monkeypatch.setitem(faults.FAULT_PROFILES, "mixed", edited)
-        assert scenario_digest(scenario) != before
+        after = cell_key("probe", "n+", 4, RunSpec.resolve(scenario, FAST))
+        assert after != before
 
     def test_cell_key_covers_fault_config(self):
-        base = cell_key("dense-lan-20-faulty", "n+", 4, FAST)
+        from repro.sim.scenarios import scenario_factory
+
+        faulty = scenario_factory("dense-lan-20-faulty")
+        base = cell_key("dense-lan-20-faulty", "n+", 4, _spec(FAST, faulty))
         off = cell_key(
             "dense-lan-20-faulty",
             "n+",
             4,
-            SimulationConfig(
-                duration_us=10_000.0, n_subcarriers=8, fault_profile="none"
+            _spec(
+                SimulationConfig(
+                    duration_us=10_000.0, n_subcarriers=8, fault_profile="none"
+                ),
+                faulty,
             ),
         )
         assert base != off
@@ -761,12 +760,13 @@ class TestRetryBackoff:
     """The backoff sleep is only paid when a retry will actually follow."""
 
     def test_no_sleep_after_the_final_in_process_attempt(self, monkeypatch):
+        import repro.sim.supervisor as supervisor_module
         import repro.sim.sweep as sweep_module
         from repro.sim.runner import placement_seed
 
         sleeps = []
         monkeypatch.setattr(
-            sweep_module.time, "sleep", lambda s: sleeps.append(s)
+            supervisor_module.time, "sleep", lambda s: sleeps.append(s)
         )
         monkeypatch.setattr(
             sweep_module, "build_network", _crash_on_seed(placement_seed(4, 0))
@@ -786,12 +786,13 @@ class TestRetryBackoff:
         assert sleeps == [0.25, 0.5]
 
     def test_zero_retries_never_sleeps(self, monkeypatch):
+        import repro.sim.supervisor as supervisor_module
         import repro.sim.sweep as sweep_module
         from repro.sim.runner import placement_seed
 
         sleeps = []
         monkeypatch.setattr(
-            sweep_module.time, "sleep", lambda s: sleeps.append(s)
+            supervisor_module.time, "sleep", lambda s: sleeps.append(s)
         )
         monkeypatch.setattr(
             sweep_module, "build_network", _crash_on_seed(placement_seed(4, 0))
