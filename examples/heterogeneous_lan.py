@@ -20,8 +20,8 @@ import os
 import numpy as np
 
 from repro.experiments.report import format_cdf_summary, format_table
-from repro.sim.runner import SimulationConfig, run_many
-from repro.sim.scenarios import heterogeneous_ap_scenario
+from repro.sim.runner import SimulationConfig
+from repro.sim.sweep import run_sweep
 
 #: Set REPRO_QUICK=1 to shrink the sweep for smoke testing.
 QUICK = bool(os.environ.get("REPRO_QUICK"))
@@ -32,9 +32,9 @@ PROTOCOLS = ("802.11n", "beamforming", "n+")
 
 def main() -> None:
     config = SimulationConfig(duration_us=20_000.0 if QUICK else 80_000.0, n_subcarriers=8)
-    results = run_many(
-        heterogeneous_ap_scenario, list(PROTOCOLS), n_runs=N_RUNS, seed=2, config=config
-    )
+    results = run_sweep(
+        "heterogeneous-ap", list(PROTOCOLS), n_runs=N_RUNS, seed=2, config=config
+    ).results
 
     rows = []
     for protocol in PROTOCOLS:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mac.variants import resolve_protocol
 from repro.phy.esnr import esnr_for_modulation
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.medium import Medium
 from repro.sim.network import Network
-from repro.sim.runner import mac_factory
 from repro.sim.scenarios import three_pair_scenario
 
 
@@ -54,7 +54,7 @@ def describe_streams(network, medium, label):
 
 
 def build_agents(network, rng):
-    NPlus = mac_factory("n+")
+    NPlus = resolve_protocol("n+").agent_class
     agents = {}
     for pair in network.pairs:
         agent = NPlus(pair, network, rng)

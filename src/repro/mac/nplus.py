@@ -57,13 +57,12 @@ class NPlusMac(BeamformingMac):
     """The n+ protocol agent: contend for time *and* degrees of freedom."""
 
     protocol_name = "n+"
-    supports_joining = True
     #: :meth:`can_join` is exactly the rule the runner's round loop
     #: evaluates from :class:`~repro.sim.traffic.TrafficStateArrays`
-    #: (see ``repro.sim.runner._EventDrivenLoop._join_eligible``); if a subclass
-    #: overrides :meth:`can_join` with different semantics it must clear
-    #: this flag so the runner falls back to the per-agent path.
-    vectorized_join_eligibility = True
+    #: (see ``repro.sim.runner._EventDrivenLoop._join_eligible``), so
+    #: :func:`~repro.mac.variants.register_variant` refuses a joining
+    #: agent class that overrides it.
+    supports_joining = True
 
     # -- timing -------------------------------------------------------------------
 

@@ -255,7 +255,19 @@ def register_variant(
     ``params`` defaults to the shared recovery family; pass a different
     tuple (usually ``RECOVERY_PARAMS + (...,)``) to add knobs.  Duplicate
     names raise unless ``overwrite=True`` (meant for tests).
+
+    A joining agent class (``supports_joining``) must keep n+'s
+    ``can_join``: the runner evaluates that eligibility rule from arrays
+    rather than calling the agents, so any other rule is refused here.
     """
+    if getattr(agent_class, "supports_joining", False):
+        from repro.mac.nplus import NPlusMac
+
+        if agent_class.can_join is not NPlusMac.can_join:
+            raise ConfigurationError(
+                f"variant {name!r}: a joining agent must use NPlusMac.can_join, "
+                "the eligibility rule the runner evaluates from arrays"
+            )
     seen = set()
     for spec in params:
         if spec.name in seen:

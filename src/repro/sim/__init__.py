@@ -37,7 +37,7 @@ from repro.sim.scenarios import (
     three_pair_scenario,
     two_pair_scenario,
 )
-from repro.sim.runner import SimulationConfig, run_simulation, run_many
+from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.sweep import SweepResult, run_sweep
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "heterogeneous_ap_scenario",
     "SimulationConfig",
     "run_simulation",
-    "run_many",
     "SweepResult",
     "run_sweep",
 ]

@@ -147,12 +147,8 @@ def _split_error(error: str) -> tuple:
 
 
 def build_capsule(
+    cell,
     scenario,
-    scenario_key: str,
-    scenario_fingerprint: Optional[str],
-    spec,
-    run: int,
-    run_seed: int,
     config,
     error: str,
     traceback_text: Optional[str] = None,
@@ -160,24 +156,24 @@ def build_capsule(
 ) -> CrashCapsule:
     """Assemble a capsule for one failed cell.
 
-    ``scenario`` is the constructed scenario object (used to materialise
-    the fault schedule the failing run saw); ``spec`` is the cell's
-    :class:`~repro.mac.variants.ProtocolSpec`; ``error`` is the sweep's
-    ``"TypeName: message"`` string.  ``traceback_text`` is ``None`` only
-    for a cell lost to worker deaths or a timeout; ``events`` exist only
-    for a crash inside a simulation.
+    ``cell`` is the failed :class:`~repro.sim.sweep.Cell`; its resolved
+    run spec materialises the fault schedule the failing run saw on
+    ``scenario`` (the constructed scenario object), so a traced cell
+    does not read its trace file again.  ``config`` is the sweep's
+    :class:`~repro.sim.runner.SimulationConfig`, recorded as given;
+    ``error`` is the sweep's ``"TypeName: message"`` string.
+    ``traceback_text`` is ``None`` only for a cell lost to worker deaths
+    or a timeout; ``events`` exist only for a crash inside a simulation.
     """
-    from repro.sim.runner import build_fault_schedule, mac_seed
-
-    schedule = build_fault_schedule(scenario, config, mac_seed(run_seed))
+    schedule = cell.fault_schedule(scenario)
     error_type, error_message = _split_error(error)
     return CrashCapsule(
-        scenario=scenario_key,
-        scenario_fingerprint=scenario_fingerprint,
-        protocol=spec.key,
-        protocol_params=spec.resolved_params(),
-        run=run,
-        run_seed=run_seed,
+        scenario=cell.scenario_key,
+        scenario_fingerprint=cell.fingerprint,
+        protocol=cell.spec.key,
+        protocol_params=cell.spec.resolved_params(),
+        run=cell.run,
+        run_seed=cell.run_seed,
         config=dataclasses.asdict(config),
         fault_schedule=schedule.to_jsonable() if schedule is not None else None,
         error_type=error_type,
@@ -245,27 +241,21 @@ def replay_capsule(
 ) -> ReplayOutcome:
     """Re-execute a capsule's cell and report whether the crash reproduced.
 
-    The cell is rebuilt exactly as the sweep worker built it -- same
-    scenario factory, same :func:`~repro.sim.runner.build_network` draw
-    from the run seed, same ``mac_seed`` MAC streams -- except that
-    ``config.validation`` is forced to ``validation`` (default
-    ``"full"``) so the invariant layer narrates the failure as early as
-    possible.  The recorded fault schedule is replayed verbatim rather
-    than re-derived, so capsules stay faithful even if episode
-    generation changes -- and a traced cell replays even after its
-    trace file is gone.
+    The cell is rebuilt as the :class:`~repro.sim.sweep.Cell` the sweep
+    simulated -- same scenario factory, run seed and protocol spec, so
+    :meth:`~repro.sim.sweep.Cell.simulate` draws the same network and MAC
+    streams -- except that ``config.validation`` is forced to
+    ``validation`` (default ``"full"``) so the invariant layer narrates
+    the failure as early as possible.  The recorded fault schedule is
+    replayed verbatim rather than re-derived, so capsules stay faithful
+    even if episode generation changes -- and a traced cell replays even
+    after its trace file is gone.
     """
     from repro.mac.variants import resolve_protocol
     from repro.sim.faults import FaultSchedule
-    from repro.sim.runner import (
-        RunSpec,
-        SimulationConfig,
-        build_network,
-        mac_seed,
-        run_simulation,
-    )
+    from repro.sim.runner import RunSpec, SimulationConfig
     from repro.sim.scenarios import scenario_factory
-    from repro.sim.sweep import scenario_digest
+    from repro.sim.sweep import Cell, scenario_digest
 
     if not isinstance(capsule, CrashCapsule):
         capsule = load_capsule(capsule)
@@ -300,22 +290,21 @@ def replay_capsule(
             f"{run_spec.channel_draws!r}; the draw contract is chosen by the "
             "scenario alone, so this cell cannot be replayed"
         )
-    spec = resolve_protocol(capsule.protocol)
+    cell = Cell(
+        scenario_key=capsule.scenario,
+        fingerprint=capsule.scenario_fingerprint,
+        spec=resolve_protocol(capsule.protocol),
+        run=capsule.run,
+        run_seed=capsule.run_seed,
+        run_spec=run_spec,
+    )
     schedule = (
         FaultSchedule.from_jsonable(capsule.fault_schedule)
         if capsule.fault_schedule
         else None
     )
-    network = build_network(scenario, capsule.run_seed, run_spec)
     try:
-        metrics = run_simulation(
-            scenario,
-            spec,
-            seed=mac_seed(capsule.run_seed),
-            config=run_spec,
-            network=network,
-            fault_schedule=schedule,
-        )
+        metrics = cell.simulate(scenario, fault_schedule=schedule)
     except Exception as exc:  # the point of a replay is to observe this
         import traceback as _traceback
 

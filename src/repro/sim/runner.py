@@ -47,7 +47,7 @@ import dataclasses
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,12 +78,10 @@ __all__ = [
     "SimulationConfig",
     "RunSpec",
     "run_simulation",
-    "run_many",
     "build_network",
     "build_fault_schedule",
     "placement_seed",
     "mac_seed",
-    "mac_factory",
 ]
 
 #: Stream tag mixed into the simulation seed for channel-estimation noise,
@@ -96,19 +94,6 @@ _ESTIMATION_STREAM_TAG = 0x657374  # "est"
 #: depend on the order agents are built or refilled in -- the same
 #: order-independence contract channel-estimation noise already has.
 _ARRIVAL_STREAM_TAG = 0x617272  # "arr"
-
-
-def mac_factory(protocol) -> Callable:
-    """Return the agent class of ``protocol``.
-
-    A thin shim over the variant registry of :mod:`repro.mac.variants`
-    (where the former hard-coded ``_PROTOCOLS`` dict now lives as
-    declarative registrations): accepts any protocol form
-    :func:`~repro.mac.variants.resolve_protocol` does and raises
-    :class:`~repro.exceptions.ConfigurationError` -- listing the
-    registered variants -- on unknown names.
-    """
-    return resolve_protocol(protocol).agent_class
 
 
 @dataclass
@@ -540,14 +525,6 @@ class _EventDrivenLoop:
         # capsule records what the simulation was doing when it crashed.
         self.event_ring: deque = deque(maxlen=64)
         self.arrays = TrafficStateArrays(self.agents.values())
-        # The vectorized join mask encodes the n+ eligibility rule; fall
-        # back to per-agent ``can_join`` for any joining protocol that has
-        # not declared its rule equivalent.
-        self._vectorized_join = all(
-            agent.vectorized_join_eligibility
-            for agent in self.agents.values()
-            if agent.supports_joining
-        )
 
     def run(self) -> NetworkMetrics:
         """Run rounds until the observation window closes."""
@@ -589,15 +566,12 @@ class _EventDrivenLoop:
         return self.arrays.next_traffic_time_us(now)
 
     def _join_eligible(self, now: float, exhausted: set) -> List[object]:
-        """Agents eligible for this secondary-contention round."""
-        if not self._vectorized_join:
-            return [
-                agent
-                for agent in self.agents.values()
-                if agent.supports_joining
-                and agent.node_id not in exhausted
-                and agent.can_join(now, self.medium, self.run_spec.min_join_airtime_us)
-            ]
+        """Agents eligible for this secondary-contention round.
+
+        The mask is n+'s ``can_join`` rule evaluated on the arrays (only
+        n+ joins; :func:`~repro.mac.variants.register_variant` refuses a
+        joining agent with any other rule).
+        """
         arrays, medium = self.arrays, self.medium
         joinable = arrays.supports_joining
         if exhausted:
@@ -918,9 +892,9 @@ def placement_seed(seed: int, run: int) -> int:
 
     Placements and channels are drawn from ``placement_seed(seed, run)``;
     the MAC simulation of every protocol on that placement uses
-    :func:`mac_seed` of it.  Both :func:`run_many` and the parallel
-    sweeps of :mod:`repro.sim.sweep` use this scheme, which is what makes
-    their results interchangeable (and cacheable per run).
+    :func:`mac_seed` of it.  :class:`repro.sim.sweep.Cell` applies this
+    scheme to every sweep cell, which is what makes cells interchangeable
+    (and cacheable per run).
     """
     return seed + 1000 * run
 
@@ -939,10 +913,10 @@ def build_network(
 ) -> Network:
     """Draw the placements and channels of one run.
 
-    This is *the* definition of how a run seed becomes a network --
-    :func:`run_many` and the sweep orchestrator both build their
-    networks here, which is what keeps serial, parallel and cached
-    results in lockstep.
+    This is *the* definition of how a run seed becomes a network -- the
+    sweep orchestrator and crash-capsule replays both build their
+    networks here, which is what keeps serial, parallel, cached and
+    replayed results in lockstep.
     """
     run_spec = RunSpec.resolve(scenario, config)
     return Network(
@@ -953,66 +927,3 @@ def build_network(
         n_subcarriers=run_spec.n_subcarriers,
         channel_draws=run_spec.channel_draws,
     )
-
-
-def run_many(
-    scenario_factory: Callable[[], Scenario],
-    protocols: Sequence[ProtocolLike],
-    n_runs: int,
-    seed: int = 0,
-    config: Optional[SimulationConfig] = None,
-) -> Dict[str, List[NetworkMetrics]]:
-    """Run every protocol over ``n_runs`` independent channel realisations.
-
-    For each run (i.e. each random assignment of nodes to locations) all
-    protocols are simulated on the *same* network, mirroring the paper's
-    methodology of comparing schemes location by location.  ``protocols``
-    entries may be bare names or any parameterised form
-    :func:`~repro.mac.variants.resolve_protocol` accepts, so one call can
-    compare ``"n+"`` against ``("n+", {"recovery": "erasure"})`` on
-    identical channels.  All specs are resolved (and validated) up front,
-    before any simulation runs.
-
-    Seeding semantics
-    -----------------
-    Run ``r`` draws its placement and channels from
-    :func:`placement_seed(seed, r) <placement_seed>` (``seed + 1000 * r``)
-    via :func:`build_network` and simulates every protocol with
-    :func:`mac_seed` of that run seed.  Each (run, protocol) cell is a
-    pure function of those seeds, so the cells can be computed in any
-    order -- serially here, or in parallel / from a cache by
-    :func:`repro.sim.sweep.run_sweep`, whose results are byte-identical
-    to this function's.
-
-    Returns
-    -------
-    dict
-        ``{spec key: [metrics of run 0, metrics of run 1, ...]}``, where
-        a spec's key is its canonical string form
-        (:attr:`~repro.mac.variants.ProtocolSpec.key`) -- the bare name
-        for default-parameter specs, so existing callers see unchanged
-        dictionaries.
-    """
-    specs = [resolve_protocol(protocol) for protocol in protocols]
-    results: Dict[str, List[NetworkMetrics]] = {}
-    for spec in specs:
-        if spec.key in results:
-            raise ConfigurationError(
-                f"duplicate protocol {spec.key!r} in the protocol list"
-            )
-        results[spec.key] = []
-    for run in range(n_runs):
-        run_seed = placement_seed(seed, run)
-        scenario = scenario_factory()
-        run_spec = RunSpec.resolve(scenario, config)
-        network = build_network(scenario, run_seed, run_spec)
-        for spec in specs:
-            metrics = run_simulation(
-                scenario,
-                spec,
-                seed=mac_seed(run_seed),
-                config=run_spec,
-                network=network,
-            )
-            results[spec.key].append(metrics)
-    return results

@@ -358,20 +358,10 @@ class WorkerSupervisor:
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: List[_Worker] = []
-        self._stop = False
         self.deaths = 0
         self.timeout_kills = 0
 
-    # -- public control ------------------------------------------------------
-
-    def request_stop(self) -> None:
-        """Stop dispatching and wind down (signal-handler safe: only
-        sets a flag; the event loop notices on its next iteration)."""
-        self._stop = True
-
-    @property
-    def stopped(self) -> bool:
-        return self._stop
+    # -- public state --------------------------------------------------------
 
     @property
     def target_pool_size(self) -> int:
@@ -388,7 +378,7 @@ class WorkerSupervisor:
         down via ``finally``, so no worker outlives the sweep.
         """
         try:
-            while (self._queue or self._busy()) and not self._stop:
+            while self._queue or self._busy():
                 for event in self._assign():
                     yield event
                 for event in self._collect():

@@ -1,17 +1,17 @@
 """Parallel experiment orchestration: sweep grids of (placement, protocol).
 
 The paper's headline figures are Monte-Carlo sweeps -- many random node
-placements, each simulated under several MAC protocols.  The serial
-:func:`~repro.sim.runner.run_many` loop computes the ``n_runs x
-n_protocols`` grid one cell at a time; this module computes the same grid
+placements, each simulated under several MAC protocols.  Each entry of
+the ``n_runs x n_protocols`` grid is a :class:`Cell`, and this module
+computes the grid
 
 * **in parallel**, fanning *run-level tasks* out over supervised worker
   processes -- one task per placement, covering every protocol that
   missed the cache, so each run's network is drawn exactly **once** and
-  shared by all protocols simulated on it (just like the serial
-  ``run_many`` loop).  Only when more workers than uncached runs are
-  available does a run's protocol list split into chunks (each still
-  sharing one draw), trading a few extra draws for full concurrency;
+  shared by all protocols simulated on it.  Only when more workers than
+  uncached runs are available does a run's cells split into chunks
+  (each still sharing one draw), trading a few extra draws for full
+  concurrency;
 * **incrementally**, memoising every cell in a durable on-disk results
   store (:class:`~repro.sim.store.ResultsStore`, WAL-mode SQLite) keyed
   by ``(scenario, protocol, run seed, resolved run spec)`` so repeated
@@ -28,18 +28,19 @@ n_protocols`` grid one cell at a time; this module computes the same grid
   deaths shrink the pool instead of failing the sweep.
 
 A sweep runs in three stages.  The **plan** stage resolves the config
-once into a :class:`~repro.sim.runner.RunSpec`, lays out the grid and
-its cell keys, replays store hits and cuts the misses into tasks.  The
-**execute** stage consumes one stream of task events --
+once into a :class:`~repro.sim.runner.RunSpec`, lays out the grid as
+cells, replays store hits and cuts the misses into tasks (lists of cells
+sharing one run).  The **execute** stage consumes one stream of task
+events --
 :class:`~repro.sim.supervisor.WorkerSupervisor`'s for several workers,
 :func:`~repro.sim.supervisor.in_process_events` for one -- under one
 retry rule.  The **record** stage turns those events into store writes,
 :class:`FailedCell` records and crash capsules.
 
 All of this is possible because every cell is a pure function of its
-seeds: run ``r`` draws placements/channels from ``seed + 1000 * r`` and
-each protocol simulation runs with its own seeded RNG streams (including
-the channel-estimation stream, see
+coordinates: run ``r`` draws placements/channels from ``seed + 1000 * r``
+and each protocol simulation runs with its own seeded RNG streams
+(including the channel-estimation stream, see
 :meth:`~repro.sim.network.Network.reseed_estimation_noise`).  A parallel
 sweep is therefore **byte-identical** to a serial one for a fixed seed,
 a resumed sweep is byte-identical to an uninterrupted one -- the test
@@ -79,6 +80,7 @@ import signal
 import threading
 import traceback as _traceback
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -86,10 +88,13 @@ from repro.channel.testbed import default_testbed
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.variants import ProtocolLike, ProtocolSpec, resolve_protocol
 from repro.sim.capsule import CAPSULE_DIRNAME, build_capsule, write_capsule
+from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import NetworkMetrics
+from repro.sim.network import Network
 from repro.sim.runner import (
     RunSpec,
     SimulationConfig,
+    build_fault_schedule,
     build_network,
     mac_seed,
     placement_seed,
@@ -107,11 +112,11 @@ from repro.sim.supervisor import (
 )
 
 __all__ = [
+    "Cell",
     "FailedCell",
     "SweepResult",
     "ResultsStore",
     "run_sweep",
-    "cell_key",
     "config_digest",
     "scenario_digest",
     "sweep_manifest_digest",
@@ -211,37 +216,113 @@ def scenario_digest(scenario: Scenario) -> str:
     )
 
 
-def cell_key(
-    scenario_key: str,
-    protocol: ProtocolLike,
-    run_seed: int,
-    run_spec: RunSpec,
-    scenario_fingerprint: Optional[str] = None,
-) -> str:
-    """The cache key of one sweep cell.
+@dataclass(frozen=True)
+class Cell:
+    """One sweep cell: a protocol simulated on one run's placement.
 
-    ``run_spec`` is the sweep's resolved :class:`~repro.sim.runner.RunSpec`;
-    its :attr:`~repro.sim.runner.RunSpec.key_payload` (resolved values,
-    not spellings) is what the key hashes.  ``scenario_fingerprint``
-    (see :func:`scenario_digest`) ties the key to the scenario's
-    structure, not just its registry name.  ``protocol`` is
-    canonicalised through :func:`~repro.mac.variants.resolve_protocol`
-    first, so a bare name and its default-parameter spec produce the
-    *same* key while any non-default parameter lands in the key as part
-    of the ``name[param=value,...]`` coordinate.  The module-global
-    :data:`CACHE_SCHEMA_VERSION` is part of the payload, so cells written
-    under an older schema are missed, never replayed.
+    A cell is a pure function of these coordinates, which is what lets
+    the grid be computed in any order, in any process, or replayed from
+    the store.  The seed scheme lives here and nowhere else: run ``r`` of
+    a sweep with base seed ``seed`` draws its placement and channels from
+    :func:`~repro.sim.runner.placement_seed` (see :meth:`grid`), and its
+    MAC simulation runs from :func:`~repro.sim.runner.mac_seed` of that
+    run seed.  ``fingerprint`` is the scenario's :func:`scenario_digest`
+    (``None`` without a results store) and ``run_spec`` the sweep's
+    resolved :class:`~repro.sim.runner.RunSpec`.
     """
-    return _digest(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "scenario": scenario_key,
-            "scenario_fingerprint": scenario_fingerprint,
-            "protocol": resolve_protocol(protocol).key,
-            "run_seed": run_seed,
-            "run_spec": run_spec.key_payload,
+
+    scenario_key: Optional[str]
+    fingerprint: Optional[str]
+    spec: ProtocolSpec
+    run: int
+    run_seed: int
+    run_spec: RunSpec
+
+    @classmethod
+    def grid(
+        cls,
+        scenario_key: Optional[str],
+        fingerprint: Optional[str],
+        specs: Sequence[ProtocolSpec],
+        n_runs: int,
+        seed: int,
+        run_spec: RunSpec,
+    ) -> List[List["Cell"]]:
+        """A sweep's cells: one list per run, in protocol order."""
+        rows = []
+        for run in range(n_runs):
+            run_seed = placement_seed(seed, run)
+            rows.append(
+                [
+                    cls(scenario_key, fingerprint, spec, run, run_seed, run_spec)
+                    for spec in specs
+                ]
+            )
+        return rows
+
+    @cached_property
+    def key(self) -> str:
+        """The cell's cache key (computed once).
+
+        Hashes the resolved run spec's
+        :attr:`~repro.sim.runner.RunSpec.key_payload` (resolved values,
+        not spellings), the scenario's structural fingerprint next to its
+        registry name, and the spec-canonical protocol coordinate, so a
+        bare name and its default-parameter spec share a key while any
+        non-default parameter changes it.  The module-global
+        :data:`CACHE_SCHEMA_VERSION` is part of the payload, so cells
+        written under an older schema are missed, never replayed.
+        """
+        return _digest(
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "scenario": self.scenario_key,
+                "scenario_fingerprint": self.fingerprint,
+                "protocol": self.spec.key,
+                "run_seed": self.run_seed,
+                "run_spec": self.run_spec.key_payload,
+            }
+        )
+
+    @cached_property
+    def row(self) -> dict:
+        """The coordinates stored with the cell's results-store row."""
+        return {
+            "scenario": self.scenario_key,
+            "scenario_fingerprint": self.fingerprint,
+            "protocol": self.spec.key,
+            "run": self.run,
+            "run_seed": self.run_seed,
+            "config_digest": config_digest(self.run_spec),
         }
-    )
+
+    def fault_schedule(self, scenario: Scenario) -> Optional[FaultSchedule]:
+        """The fault episodes this cell's simulation injects."""
+        return build_fault_schedule(scenario, self.run_spec, mac_seed(self.run_seed))
+
+    def simulate(
+        self,
+        scenario: Scenario,
+        network: Optional[Network] = None,
+        fault_schedule: Optional[FaultSchedule] = None,
+    ) -> NetworkMetrics:
+        """Simulate the cell.
+
+        ``network`` is the run's draw, shared by the cells of one run;
+        ``None`` draws it from the run seed.  ``fault_schedule``
+        overrides the schedule the run spec resolves to (a crash-capsule
+        replay passes the recorded one).
+        """
+        if network is None:
+            network = build_network(scenario, self.run_seed, self.run_spec)
+        return run_simulation(
+            scenario,
+            self.spec,
+            seed=mac_seed(self.run_seed),
+            config=self.run_spec,
+            network=network,
+            fault_schedule=fault_schedule,
+        )
 
 
 def sweep_manifest_digest(manifest: dict) -> str:
@@ -312,9 +393,9 @@ class SweepResult:
     Attributes
     ----------
     results:
-        ``{protocol: [metrics of run 0, run 1, ...]}`` -- the same shape
-        :func:`repro.sim.runner.run_many` returns.  A cell whose
-        computation failed (see ``failures``) is ``None``.
+        ``{protocol: [metrics of run 0, run 1, ...]}``, keyed by each
+        protocol spec's canonical string.  A cell whose computation
+        failed (see ``failures``) is ``None``.
     cache_hits, cache_misses:
         How many cells came from the cache vs were simulated.  A repeated
         invocation with an unchanged grid reports all hits.
@@ -391,35 +472,28 @@ def _resolve_scenario(
 
 
 def _simulate_run(args: Tuple) -> List[Tuple]:
-    """Worker entry point: simulate one placement under several protocols.
+    """Worker entry point: simulate the cells of one run.
 
     Tasks ship run-level so the placement's network is drawn exactly once
     (one :func:`~repro.sim.runner.build_network` call) and shared by all
-    the protocols that missed the cache -- the same sharing the serial
-    :func:`~repro.sim.runner.run_many` loop does.  Byte-identical to
-    per-cell computation either way, because every simulation reseeds its
-    own RNG streams from ``mac_seed(run_seed)``.
+    the cells that missed the cache.  Byte-identical to per-cell
+    computation either way, because every :meth:`Cell.simulate` reseeds
+    its own RNG streams.
 
-    Returns one outcome per spec: ``("ok", metrics)`` for a completed
+    Returns one outcome per cell: ``("ok", metrics)`` for a completed
     cell, ``("error", error, traceback, event_ring)`` for a crashed one
     -- a crash in one protocol's simulation never fails the run's other
     cells.  Failures *before* any simulation (the scenario factory or
     the network draw) still raise and fail the whole task, because every
     cell of the run genuinely shares that cause.
     """
-    factory, specs, run_seed, run_spec = args
+    factory, cells = args
     scenario = factory()
-    network = build_network(scenario, run_seed, run_spec)
+    network = build_network(scenario, cells[0].run_seed, cells[0].run_spec)
     outcomes = []
-    for spec in specs:
+    for cell in cells:
         try:
-            metrics = run_simulation(
-                scenario,
-                spec,
-                seed=mac_seed(run_seed),
-                config=run_spec,
-                network=network,
-            )
+            metrics = cell.simulate(scenario, network)
         except Exception as exc:
             # Isolate the crash to this protocol's cell: the run's other
             # protocols are independent simulations off the same network
@@ -441,45 +515,26 @@ def _simulate_run(args: Tuple) -> List[Tuple]:
 
 # -- plan --------------------------------------------------------------------
 
-#: One unit of work: ``(run, run_seed, protocol specs)`` -- the specs of a
-#: run whose cells missed the cache, sharing one network draw.
-_Task = Tuple[int, int, List[ProtocolSpec]]
-
 
 @dataclass
 class _SweepPlan:
-    """What the plan stage decided: the grid, its keys, hits and tasks."""
+    """What the plan stage decided: the grid's cells, hits and tasks.
+
+    A task is a list of cells that missed the cache and share one run,
+    so one network draw.
+    """
 
     factory: Callable[[], Scenario]
-    scenario_key: Optional[str]
     config: SimulationConfig
-    run_spec: RunSpec
-    specs: List[ProtocolSpec]
-    n_runs: int
-    seed: int
+    cells: List[List[Cell]]
     cache_dir: Optional[Union[str, Path]] = None
     store: Optional[ResultsStore] = None
-    fingerprint: Optional[str] = None
-    config_fingerprint: Optional[str] = None
     sweep_id: Optional[str] = None
-    keys: Dict[Tuple[str, int], str] = field(default_factory=dict)
     grid: Dict[str, List[Optional[NetworkMetrics]]] = field(default_factory=dict)
-    tasks: List[_Task] = field(default_factory=list)
+    tasks: List[List[Cell]] = field(default_factory=list)
     hits: int = 0
     misses: int = 0
     n_workers: int = 1
-
-    def describe(self, spec: ProtocolSpec, run: int) -> dict:
-        """The coordinates stored with a cell's row."""
-        return {
-            "scenario": self.scenario_key,
-            "scenario_fingerprint": self.fingerprint,
-            "protocol": spec.key,
-            "protocol_params": spec.resolved_params(),
-            "run": run,
-            "run_seed": placement_seed(self.seed, run),
-            "config_digest": self.config_fingerprint,
-        }
 
 
 def _resolve_specs(protocols: Sequence[ProtocolLike]) -> List[ProtocolSpec]:
@@ -510,7 +565,7 @@ def _plan_sweep(
     cache_dir: Optional[Union[str, Path]],
     resume: bool,
 ) -> _SweepPlan:
-    """The plan stage: resolve the run once, key the grid, replay hits.
+    """The plan stage: resolve the run once, lay out the cells, replay hits.
 
     Everything that can be refused is refused here, before any worker
     spawns: unknown protocols or run parameters, an unreadable fault
@@ -531,102 +586,95 @@ def _plan_sweep(
         )
     config = config or SimulationConfig()
     instance = factory()
+    run_spec = RunSpec.resolve(instance, config)
+    # Tie keys to the scenario's structure, not just its name, so an
+    # edited scenario definition cannot replay stale cells.
+    fingerprint = scenario_digest(instance) if cache_dir is not None else None
     plan = _SweepPlan(
         factory=factory,
-        scenario_key=key,
         config=config,
-        run_spec=RunSpec.resolve(instance, config),
-        specs=specs,
-        n_runs=n_runs,
-        seed=seed,
+        cells=Cell.grid(key, fingerprint, specs, n_runs, seed, run_spec),
         cache_dir=cache_dir,
     )
     if cache_dir is not None:
         plan.store = ResultsStore(cache_dir)
-        # Tie keys to the scenario's structure, not just its name, so an
-        # edited scenario definition cannot replay stale cells.
-        plan.fingerprint = scenario_digest(instance)
-        _begin_sweep(plan, resume)
+        _begin_sweep(plan, resume, seed)
     _scan_grid(plan)
     if plan.tasks:
         _chunk_tasks(plan, default_workers() if workers is None else workers)
     return plan
 
 
-def _begin_sweep(plan: _SweepPlan, resume: bool) -> None:
-    """Key every cell and record the sweep's manifest in the store.
+def _begin_sweep(plan: _SweepPlan, resume: bool, seed: int) -> None:
+    """Record the sweep's manifest and every cell's row in the store.
 
     The full grid is recorded up front: every cell exists as a row
     before any work starts, so an interruption at *any* point leaves a
     store that knows exactly what remains.
     """
-    store = plan.store
-    plan.config_fingerprint = config_digest(plan.run_spec)
+    first = plan.cells[0][0]
     manifest = {
         "schema": CACHE_SCHEMA_VERSION,
-        "scenario": plan.scenario_key,
-        "scenario_fingerprint": plan.fingerprint,
-        "protocols": [spec.key for spec in plan.specs],
-        "n_runs": plan.n_runs,
-        "seed": plan.seed,
-        "run_spec": plan.run_spec.key_payload,
+        "scenario": first.scenario_key,
+        "scenario_fingerprint": first.fingerprint,
+        "protocols": [cell.spec.key for cell in plan.cells[0]],
+        "n_runs": len(plan.cells),
+        "seed": seed,
+        "run_spec": first.run_spec.key_payload,
     }
     plan.sweep_id = sweep_manifest_digest(manifest)
-    if resume and store.get_sweep(plan.sweep_id) is None:
+    if resume and plan.store.get_sweep(plan.sweep_id) is None:
         raise ConfigurationError(
             f"nothing to resume: no checkpoint for this sweep manifest "
             f"(sweep_id {plan.sweep_id[:12]}...) in {plan.cache_dir}; run without "
             "resume=True to start it, or check that scenario/protocols/"
             "n_runs/seed/config match the interrupted invocation exactly"
         )
-    cells = []
-    for run in range(plan.n_runs):
-        run_seed = placement_seed(plan.seed, run)
-        for spec in plan.specs:
-            key = cell_key(
-                plan.scenario_key, spec, run_seed, plan.run_spec, plan.fingerprint
-            )
-            plan.keys[(spec.key, run)] = key
-            cells.append((key, plan.describe(spec, run)))
-    store.begin_sweep(plan.sweep_id, manifest, cells=cells)
+    plan.store.begin_sweep(
+        plan.sweep_id,
+        manifest,
+        cells=[(cell.key, cell.row) for run in plan.cells for cell in run],
+    )
 
 
 def _scan_grid(plan: _SweepPlan) -> None:
     """Fill the grid from the store and list the missed cells as tasks.
 
-    One pending task per run lists the specs whose cells missed, in
-    sweep order; the store is read in one batched prefetch rather than a
+    One pending task per run lists the cells that missed, in sweep
+    order; the store is read in one batched prefetch rather than a
     query per cell.
     """
-    cached = plan.store.load_many(list(plan.keys.values())) if plan.keys else {}
-    plan.grid = {spec.key: [None] * plan.n_runs for spec in plan.specs}
-    for run in range(plan.n_runs):
-        missing: List[ProtocolSpec] = []
-        for spec in plan.specs:
-            metrics = cached.get(plan.keys[(spec.key, run)]) if cached else None
+    cached = {}
+    if plan.store is not None:
+        cached = plan.store.load_many([cell.key for run in plan.cells for cell in run])
+    plan.grid = {cell.spec.key: [None] * len(plan.cells) for cell in plan.cells[0]}
+    for run in plan.cells:
+        missing = []
+        for cell in run:
+            metrics = cached.get(cell.key) if cached else None
             if metrics is None:
-                missing.append(spec)
+                missing.append(cell)
             else:
-                plan.grid[spec.key][run] = metrics
+                plan.grid[cell.spec.key][cell.run] = metrics
                 plan.hits += 1
         if missing:
-            plan.tasks.append((run, placement_seed(plan.seed, run), missing))
+            plan.tasks.append(missing)
             plan.misses += len(missing)
 
 
 def _chunk_tasks(plan: _SweepPlan, workers: int) -> None:
     """Split run tasks so that ``workers`` processes stay busy.
 
-    A run's protocols are chunked only when there are more workers than
+    A run's cells are chunked only when there are more workers than
     uncached runs; every chunk still shares one network draw, so the
     build count only grows as far as the concurrency actually used.
     """
     n_requested = max(1, int(workers))
     per_task = max(1, -(-plan.misses // n_requested))  # ceil division
     plan.tasks = [
-        (run, run_seed, missing[start : start + per_task])
-        for run, run_seed, missing in plan.tasks
-        for start in range(0, len(missing), per_task)
+        cells[start : start + per_task]
+        for cells in plan.tasks
+        for start in range(0, len(cells), per_task)
     ]
     plan.n_workers = min(n_requested, len(plan.tasks))
 
@@ -647,10 +695,7 @@ def _execute(
     through :func:`in_process_events`: the same event stream under the
     same retry rule.  Closing the stream tears a worker pool down.
     """
-    payloads = [
-        (plan.factory, list(specs), run_seed, plan.run_spec)
-        for _, run_seed, specs in plan.tasks
-    ]
+    payloads = [(plan.factory, cells) for cells in plan.tasks]
     if plan.n_workers > 1:
         events = WorkerSupervisor(
             _simulate_run,
@@ -700,36 +745,29 @@ class _Recorder:
         """
         plan = self.plan
         if isinstance(event, TaskAssigned):
-            run, _, specs = plan.tasks[event.task_id]
             if plan.store is not None:
-                plan.store.mark_running([plan.keys[(s.key, run)] for s in specs])
+                plan.store.mark_running([cell.key for cell in plan.tasks[event.task_id]])
         elif isinstance(event, TaskDone):
-            run, run_seed, specs = plan.tasks[event.task_id]
-            for spec, outcome in zip(specs, event.result):
+            for cell, outcome in zip(plan.tasks[event.task_id], event.result):
                 if outcome[0] == "ok":
-                    self._done(run, spec, outcome[1])
+                    self._done(cell, outcome[1])
                 else:
                     _, error, error_tb, ring = outcome
-                    self._fail(run, run_seed, [spec], error, error_tb, ring)
+                    self._fail([cell], error, error_tb, ring)
         elif isinstance(event, TaskFailed):
-            run, run_seed, specs = plan.tasks[event.task_id]
-            self._fail(run, run_seed, specs, event.error, event.traceback)
+            self._fail(plan.tasks[event.task_id], event.error, event.traceback)
         elif isinstance(event, WorkerDeath):
             self.worker_deaths += 1
 
-    def _done(self, run: int, spec: ProtocolSpec, metrics: NetworkMetrics) -> None:
+    def _done(self, cell: Cell, metrics: NetworkMetrics) -> None:
         plan = self.plan
-        plan.grid[spec.key][run] = metrics
+        plan.grid[cell.spec.key][cell.run] = metrics
         if plan.store is not None:
-            plan.store.store(
-                plan.keys[(spec.key, run)], metrics, describe=plan.describe(spec, run)
-            )
+            plan.store.store(cell.key, metrics, describe=cell.row)
 
     def _fail(
         self,
-        run: int,
-        run_seed: int,
-        specs: List[ProtocolSpec],
+        cells: List[Cell],
         error: str,
         traceback_text: Optional[str] = None,
         ring: Optional[List[dict]] = None,
@@ -737,17 +775,16 @@ class _Recorder:
         if self.strict:
             raise SimulationError(
                 f"sweep cell failed after {self.max_retries} retries "
-                f"(run {run}, run_seed {run_seed}, "
-                f"protocols {[s.key for s in specs]}): {error}"
+                f"(run {cells[0].run}, run_seed {cells[0].run_seed}, "
+                f"protocols {[cell.spec.key for cell in cells]}): {error}"
             )
         plan = self.plan
-        for spec in specs:
+        for cell in cells:
             capsule_path = None
             if plan.cache_dir is not None:
                 try:
                     capsule = build_capsule(
-                        plan.factory(), plan.scenario_key, plan.fingerprint, spec,
-                        run, run_seed, plan.config, error,
+                        cell, plan.factory(), plan.config, error,
                         traceback_text=traceback_text, events=ring,
                     )
                     capsule_path = str(
@@ -759,13 +796,13 @@ class _Recorder:
                     capsule_path = None
             self.failures.append(
                 FailedCell(
-                    protocol=spec.key, run=run, run_seed=run_seed, error=error,
-                    capsule_path=capsule_path, traceback=traceback_text,
+                    protocol=cell.spec.key, run=cell.run, run_seed=cell.run_seed,
+                    error=error, capsule_path=capsule_path, traceback=traceback_text,
                 )
             )
             if plan.store is not None:
                 plan.store.mark_failed(
-                    plan.keys[(spec.key, run)], error, plan.describe(spec, run),
+                    cell.key, error, cell.row,
                     capsule_path=capsule_path, traceback=traceback_text,
                 )
 
@@ -837,10 +874,11 @@ def run_sweep(
 ) -> SweepResult:
     """Sweep ``n_runs`` placements x ``protocols`` -- parallel, cached, durable.
 
-    Byte-identical to :func:`repro.sim.runner.run_many` with the same
-    ``(scenario, protocols, n_runs, seed, config)`` -- regardless of
-    worker count, cell execution order, whether cells were replayed
-    from the cache, or whether the sweep was interrupted and resumed.
+    Every cell is a :class:`Cell`, a pure function of its coordinates,
+    so the result is byte-identical to simulating the cells one by one
+    in process -- regardless of worker count, cell execution order,
+    whether cells were replayed from the cache, or whether the sweep was
+    interrupted and resumed.
     Retried and re-queued tasks cannot perturb results either: every
     cell is a pure function of its seeds, so a replay recomputes the
     identical metrics.

@@ -68,6 +68,20 @@ class TestRegistry:
                 "csma2", entry.agent_class, params=RECOVERY_PARAMS + RECOVERY_PARAMS
             )
 
+    def test_joining_agent_with_its_own_join_rule_is_refused(self):
+        """The runner evaluates n+'s join rule from arrays, never calling
+        ``can_join``, so a joiner with another rule cannot register."""
+
+        class EagerJoiner(variant("n+").agent_class):
+            protocol_name = "eager"
+
+            def can_join(self, now_us, medium, min_airtime_us):
+                return medium.busy
+
+        with pytest.raises(ConfigurationError, match="NPlusMac.can_join"):
+            register_variant("eager", EagerJoiner)
+        assert "eager" not in {entry.name for entry in available_variants()}
+
     def test_unknown_param_lookup_lists_known_params(self):
         with pytest.raises(ConfigurationError, match="retry_cap"):
             variant("n+").param("window")

@@ -12,18 +12,21 @@ formulations it is asserted bit-identical against:
   ``monkeypatch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)``);
 * :func:`slot_aligned_idle_end_reference` -- the slot-by-slot walk
   across an idle gap that :func:`repro.sim.runner._slot_aligned_idle_end`
-  computes in chunked ``cumsum`` blocks.
+  computes in chunked ``cumsum`` blocks;
+* :func:`run_many` -- the serial placement x protocol loop that
+  :func:`repro.sim.sweep.run_sweep` (parallel, cached, resumable) is
+  asserted byte-identical against.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.constants import SLOT_TIME_US
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.mac.variants import ProtocolLike
+from repro.mac.variants import ProtocolLike, resolve_protocol
 from repro.mac.csma import resolve_contention
 from repro.sim.medium import Medium
 from repro.sim.metrics import NetworkMetrics
@@ -38,6 +41,10 @@ from repro.sim.runner import (
     _groups_from_streams,
     _TransmissionGroup,
     build_fault_schedule,
+    build_network,
+    mac_seed,
+    placement_seed,
+    run_simulation,
 )
 from repro.sim.scenarios import Scenario
 
@@ -244,3 +251,35 @@ def run_simulation_condensed_reference(
         link.quarantined_rounds = agent.quarantined_rounds
     metrics.elapsed_us = now
     return metrics
+
+
+def run_many(
+    scenario_factory: Callable[[], Scenario],
+    protocols: Sequence[ProtocolLike],
+    n_runs: int,
+    seed: int = 0,
+    config: Optional[SimulationConfig] = None,
+) -> Dict[str, List[NetworkMetrics]]:
+    """Simulate every protocol on ``n_runs`` placements, one cell at a time.
+
+    Run ``r`` draws its network from ``placement_seed(seed, r)`` and
+    simulates every protocol on it with ``mac_seed`` of that run seed.
+    Returns ``{spec key: [metrics of run 0, run 1, ...]}``.
+    """
+    specs = [resolve_protocol(protocol) for protocol in protocols]
+    results: Dict[str, List[NetworkMetrics]] = {spec.key: [] for spec in specs}
+    for run in range(n_runs):
+        run_seed = placement_seed(seed, run)
+        scenario = scenario_factory()
+        run_spec = RunSpec.resolve(scenario, config)
+        network = build_network(scenario, run_seed, run_spec)
+        for spec in specs:
+            metrics = run_simulation(
+                scenario,
+                spec,
+                seed=mac_seed(run_seed),
+                config=run_spec,
+                network=network,
+            )
+            results[spec.key].append(metrics)
+    return results

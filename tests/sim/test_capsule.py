@@ -33,10 +33,10 @@ from repro.sim.faults import (
     LossEpisode,
     register_fault_profile,
 )
-from repro.sim.runner import SimulationConfig
+from repro.sim.runner import RunSpec, SimulationConfig
 from repro.sim.scenarios import dense_lan_scenario, scenario_factory
 from repro.sim.store import ResultsStore
-from repro.sim.sweep import run_sweep, scenario_digest
+from repro.sim.sweep import Cell, run_sweep, scenario_digest
 from repro.mac.variants import resolve_protocol
 
 FAST = SimulationConfig(duration_us=4000.0, n_subcarriers=4)
@@ -109,15 +109,19 @@ class TestFaultScheduleJsonable:
 class TestCapsuleRoundTrip:
     def _capsule(self):
         scenario = scenario_factory("three-pair")()
-        return build_capsule(
-            scenario,
-            "three-pair",
-            scenario_digest(scenario),
-            resolve_protocol("n+"),
+        cell = Cell(
+            scenario_key="three-pair",
+            fingerprint=scenario_digest(scenario),
+            spec=resolve_protocol("n+"),
             run=2,
             run_seed=2003,
-            config=FAST,
-            error="RuntimeError: boom",
+            run_spec=RunSpec.resolve(scenario, FAST),
+        )
+        return build_capsule(
+            cell,
+            scenario,
+            FAST,
+            "RuntimeError: boom",
             traceback_text="Traceback (most recent call last): ...",
             events=[{"round": 9}],
         )

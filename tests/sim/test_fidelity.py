@@ -22,6 +22,7 @@ import pytest
 
 from oracles.runner import PerAgentLoop, run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError
+from repro.mac.variants import resolve_protocol
 from repro.sim.fidelity import (
     DEFAULT_BAND_DB,
     FidelityEngine,
@@ -42,7 +43,7 @@ from repro.sim.runner import (
     run_simulation,
 )
 from repro.sim.scenarios import dense_lan_scenario, scenario_factory, three_pair_scenario
-from repro.sim.sweep import cell_key, config_digest, run_sweep
+from repro.sim.sweep import Cell, config_digest, run_sweep
 
 AUTO = SimulationConfig(duration_us=30_000.0, n_subcarriers=8, fidelity="auto")
 
@@ -352,7 +353,8 @@ class TestDigests:
 
     def test_cell_key_covers_fidelity_hints(self):
         def key(scenario):
-            return cell_key("probe", "n+", 0, RunSpec.resolve(scenario, None))
+            run_spec = RunSpec.resolve(scenario, None)
+            return Cell("probe", None, resolve_protocol("n+"), 0, 0, run_spec).key
 
         scenario = three_pair_scenario()
         base = key(scenario)

@@ -23,13 +23,13 @@ from repro.exceptions import ConfigurationError
 from repro.mac.csma import CW_MIN, DcfContender
 from repro.mac.dot11n import Dot11nMac
 from repro.mac.plain_csma import CsmaMac
-from repro.mac.variants import ProtocolSpec
+from repro.mac.variants import ProtocolSpec, resolve_protocol
 from repro.sim.faults import FaultInjector, FaultSchedule
 from repro.sim.medium import Medium
 from repro.sim.network import Network
-from repro.sim.runner import RunSpec, SimulationConfig, run_many, run_simulation
+from repro.sim.runner import RunSpec, SimulationConfig, run_simulation
 from repro.sim.scenarios import scenario_factory, three_pair_scenario
-from repro.sim.sweep import cell_key, run_sweep
+from repro.sim.sweep import Cell, run_sweep
 
 GOLDEN_CONFIG = SimulationConfig(duration_us=20_000.0, n_subcarriers=8)
 
@@ -172,12 +172,12 @@ class TestErasureRecovery:
     CONFIG = SimulationConfig(duration_us=100_000.0, n_subcarriers=8)
 
     def test_erasure_recovers_bits_on_a_faulty_scenario(self):
-        results = run_many(
-            scenario_factory("dense-lan-20-faulty"),
+        results = run_sweep(
+            "dense-lan-20-faulty",
             ["n+", "n+[recovery=erasure]"],
             n_runs=1,
             config=self.CONFIG,
-        )
+        ).results
         plain = results["n+"][0]
         coded = results["n+[recovery=erasure]"][0]
         assert all(link.recovered_bits == 0 for link in plain.links.values())
@@ -245,12 +245,13 @@ class TestRecoverySweep:
         )
         assert second.cache_hits == 1 and second.cache_misses == 0
         run_spec = RunSpec.resolve(three_pair_scenario(), config)
-        assert cell_key("three-pair", "n+", 0, run_spec) == cell_key(
-            "three-pair", ProtocolSpec("n+"), 0, run_spec
-        )
-        assert cell_key("three-pair", "n+", 0, run_spec) != cell_key(
-            "three-pair", "n+[recovery=erasure]", 0, run_spec
-        )
+
+        def key(protocol):
+            spec = resolve_protocol(protocol)
+            return Cell("three-pair", None, spec, 0, 0, run_spec).key
+
+        assert key("n+") == key(ProtocolSpec("n+"))
+        assert key("n+") != key("n+[recovery=erasure]")
 
     def test_invalid_specs_fail_before_any_simulation(self, tmp_path):
         with pytest.raises(ConfigurationError, match="registered variants"):
@@ -268,10 +269,10 @@ class TestRecoverySweep:
             )
         assert list(tmp_path.iterdir()) == []
 
-    def test_run_many_rejects_duplicate_specs(self):
+    def test_sweep_rejects_a_name_and_its_default_spec(self):
         with pytest.raises(ConfigurationError, match="duplicate protocol"):
-            run_many(
-                three_pair_scenario,
+            run_sweep(
+                "three-pair",
                 ["csma", ("csma", {})],
                 n_runs=1,
                 config=self.CONFIG,

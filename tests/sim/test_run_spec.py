@@ -15,6 +15,9 @@ import pytest
 import repro.sim.runner as runner_module
 import repro.sim.sweep as sweep_module
 from repro.exceptions import ConfigurationError
+from repro.mac.nplus import NPlusMac
+from repro.mac.variants import _VARIANTS, register_variant, resolve_protocol
+from repro.sim.capsule import load_capsule, replay_capsule
 from repro.sim.faults import FaultSchedule
 from repro.sim.fidelity import DEFAULT_BAND_DB
 from repro.sim.runner import (
@@ -29,7 +32,7 @@ from repro.sim.scenarios import (
     scenario_factory,
     three_pair_scenario,
 )
-from repro.sim.sweep import cell_key, run_sweep, scenario_digest
+from repro.sim.sweep import Cell, run_sweep, scenario_digest
 
 FAST = SimulationConfig(duration_us=4000.0, n_subcarriers=4)
 
@@ -46,8 +49,19 @@ UNKEYED_RUN_SPEC_FIELDS = {"validation", "trace_episodes"}
 TRACE = '[{"start_us": 0, "duration_us": 1500, "loss_rate": 0.6}]'
 
 
+class _BoomMac(NPlusMac):
+    """An n+ agent that raises the moment it wins the floor."""
+
+    protocol_name = "boom"
+
+    def plan_initial(self, *args, **kwargs):
+        raise RuntimeError("boom")
+
+
 def _key(scenario: Scenario, config) -> str:
-    return cell_key("probe", "n+", 0, RunSpec.resolve(scenario, config))
+    return Cell(
+        "probe", None, resolve_protocol("n+"), 0, 0, RunSpec.resolve(scenario, config)
+    ).key
 
 
 def _hinted_fidelity() -> Scenario:
@@ -244,7 +258,11 @@ class TestTraceKeying:
                 cache_dir=tmp_path / "cache",
             )
 
-    def test_a_sweep_reads_the_trace_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crashing"])
+    def test_a_sweep_reads_the_trace_once(self, tmp_path, monkeypatch, crash):
+        """Also when a cell fails: its capsule's fault schedule comes from
+        the resolved run, so it is written (and replays) even if the
+        trace file is gone by then."""
         trace = tmp_path / "trace.json"
         trace.write_text(TRACE)
         reads = []
@@ -253,8 +271,35 @@ class TestTraceKeying:
             runner_module, "read_trace", lambda path: reads.append(path) or real(path)
         )
         config = dataclasses.replace(FAST, fault_trace=str(trace))
-        run_sweep("three-pair", ["802.11n", "n+"], n_runs=3, config=config)
-        assert reads == [str(trace)]
+        if not crash:
+            run_sweep("three-pair", ["802.11n", "n+"], n_runs=3, config=config)
+            assert reads == [str(trace)]
+            return
+
+        episodes = FaultSchedule.from_trace(trace).to_jsonable()
+        real_simulate = sweep_module._simulate_run
+
+        def delete_trace_then_simulate(args):
+            trace.unlink(missing_ok=True)
+            return real_simulate(args)
+
+        monkeypatch.setattr(sweep_module, "_simulate_run", delete_trace_then_simulate)
+        register_variant("boom", _BoomMac)
+        try:
+            result = run_sweep(
+                "three-pair", ["boom", "n+"], n_runs=2, config=config,
+                cache_dir=tmp_path / "cache", max_retries=0,
+            )
+            assert reads == [str(trace)] and not trace.exists()
+            assert [(f.protocol, f.run) for f in result.failures] == [
+                ("boom", 0), ("boom", 1)
+            ]
+            for failure in result.failures:
+                capsule = load_capsule(failure.capsule_path)
+                assert capsule.fault_schedule == episodes
+                assert replay_capsule(capsule).reproduced
+        finally:
+            _VARIANTS.pop("boom", None)
 
     def test_traced_run_injects_the_trace_episodes(self, tmp_path):
         trace = tmp_path / "trace.json"

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.mac.variants import resolve_protocol
 from repro.sim.network import Network
-from repro.sim.runner import SimulationConfig, mac_factory, run_many, run_simulation
+from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import (
     custom_pairs_scenario,
     heterogeneous_ap_scenario,
     three_pair_scenario,
     two_pair_scenario,
 )
+from repro.sim.sweep import run_sweep
 
 FAST = SimulationConfig(duration_us=15_000.0, n_subcarriers=8)
 
@@ -46,13 +48,12 @@ class TestScenarios:
 
 class TestMacFactory:
     def test_known_protocols(self):
-        assert mac_factory("802.11n").protocol_name == "802.11n"
-        assert mac_factory("n+").protocol_name == "n+"
-        assert mac_factory("beamforming").protocol_name == "beamforming"
+        for name in ("802.11n", "n+", "beamforming"):
+            assert resolve_protocol(name).agent_class.protocol_name == name
 
     def test_unknown_protocol(self):
         with pytest.raises(ConfigurationError):
-            mac_factory("aloha")
+            resolve_protocol("aloha").agent_class
 
 
 class TestRunSimulation:
@@ -106,9 +107,9 @@ class TestRunSimulation:
 
 class TestRunMany:
     def test_structure_of_results(self):
-        results = run_many(
+        results = run_sweep(
             three_pair_scenario, ["802.11n", "n+"], n_runs=2, seed=0, config=FAST
-        )
+        ).results
         assert set(results) == {"802.11n", "n+"}
         assert len(results["n+"]) == 2
 
@@ -116,7 +117,9 @@ class TestRunMany:
         """The headline result: n+ delivers more total throughput than
         802.11n over a handful of runs (even short ones)."""
         config = SimulationConfig(duration_us=40_000.0, n_subcarriers=8)
-        results = run_many(three_pair_scenario, ["802.11n", "n+"], n_runs=4, seed=3, config=config)
+        results = run_sweep(
+            three_pair_scenario, ["802.11n", "n+"], n_runs=4, seed=3, config=config
+        ).results
         baseline = np.mean([m.total_throughput_mbps() for m in results["802.11n"]])
         nplus = np.mean([m.total_throughput_mbps() for m in results["n+"]])
         assert nplus > baseline

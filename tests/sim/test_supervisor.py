@@ -112,11 +112,18 @@ class TestHappyPath:
         assert done == {0: 2}
         assert supervisor.target_pool_size == 1
 
-    def test_request_stop_ends_the_loop_and_the_pool(self):
-        supervisor = WorkerSupervisor(_slow, list(range(4)), workers=2)
-        for _ in supervisor.events():
-            supervisor.request_stop()
-        assert supervisor.stopped
+    def test_closing_the_stream_ends_the_loop_and_the_pool(self):
+        """The sweep's execute stage closes the stream when its consumer
+        raises (an interrupt, a strict failure): busy workers die too."""
+        events = WorkerSupervisor(_slow, list(range(4)), workers=2).events()
+        with pytest.raises(KeyboardInterrupt):
+            try:
+                for event in events:
+                    assert isinstance(event, TaskAssigned)
+                    assert multiprocessing.active_children()
+                    raise KeyboardInterrupt
+            finally:
+                events.close()
         _assert_no_stray_workers()
 
 

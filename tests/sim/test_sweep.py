@@ -2,8 +2,8 @@
 
 The load-bearing guarantees:
 
-* a parallel sweep is byte-identical to a serial one (and to
-  ``run_many``) for a fixed seed;
+* a parallel sweep is byte-identical to a serial one (and to the
+  serial ``oracles.runner.run_many`` loop) for a fixed seed;
 * the on-disk cache replays unchanged cells and invalidates on any
   config change;
 * the event-driven runner matches the condensed-loop oracle bit for
@@ -13,20 +13,20 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
-from oracles.runner import run_simulation_condensed_reference
+from oracles.runner import run_many, run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError
+from repro.mac.variants import resolve_protocol
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
 from repro.sim.runner import (
     RunSpec,
     SimulationConfig,
     build_network,
     mac_seed,
-    run_many,
     run_simulation,
 )
 from repro.sim.scenarios import dense_lan_scenario, three_pair_scenario
 from repro.sim.store import ResultsStore
-from repro.sim.sweep import cell_key, config_digest, run_sweep, scenario_digest
+from repro.sim.sweep import Cell, config_digest, run_sweep, scenario_digest
 
 FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
 FAST_SPEC = RunSpec.resolve(three_pair_scenario(), FAST)
@@ -34,6 +34,11 @@ FAST_SPEC = RunSpec.resolve(three_pair_scenario(), FAST)
 
 def _spec(config, scenario=three_pair_scenario):
     return RunSpec.resolve(scenario(), config)
+
+
+def _key(scenario_key, run_seed, run_spec):
+    """The cache key of an n+ cell."""
+    return Cell(scenario_key, None, resolve_protocol("n+"), 0, run_seed, run_spec).key
 
 
 def _as_dicts(results):
@@ -476,19 +481,53 @@ class TestSchemaBoundary:
         assert _as_dicts(bumped.results) == _as_dicts(fresh.results)
         assert len(ResultsStore(tmp_path)) == 4
 
+    def test_key_format_is_pinned(self, tmp_path):
+        """Cell keys and the manifest digest, recorded before cells were
+        keyed by :class:`Cell`: any change here orphans every results
+        store on disk, so it needs a schema bump, not a new literal."""
+        result = run_sweep(
+            "dense-lan-20-faulty",
+            ["802.11n", "n+[recovery=erasure]"],
+            n_runs=2,
+            seed=4,
+            config=SimulationConfig(duration_us=20000.0, n_subcarriers=8),
+            cache_dir=tmp_path,
+        )
+        assert result.sweep_id == (
+            "3e3d916a84544856896869ec0f8ae848509939f81ad005601b190120e28d01f0"
+        )
+        keys = {
+            (cell.protocol, cell.run): cell.key
+            for cell in ResultsStore(tmp_path).query()
+        }
+        assert keys == {
+            ("802.11n", 0): (
+                "abacd0c024af095c760698690da9c527a3169e5dd81d6e609df7949e3ed52b3a"
+            ),
+            ("802.11n", 1): (
+                "f73a59982d3846bf25ff3c1d908c8d54e8746df5447113a24b628cab6982d781"
+            ),
+            ("n+[recovery=erasure]", 0): (
+                "ea6e415c1d1dd4b630396bd73f8d2c8ab277c6992fa555eaef1071171152519a"
+            ),
+            ("n+[recovery=erasure]", 1): (
+                "028d80cb401bc85fe72af1d5a79e25323e19efdb31b75aded43ebce06eb10755"
+            ),
+        }
+
     def test_cell_keys_differ_across_schema_versions(self, tmp_path, monkeypatch):
         import repro.sim.sweep as sweep_module
 
-        v7_key = cell_key("three-pair", "n+", 4, FAST_SPEC)
+        v7_key = _key("three-pair", 4, FAST_SPEC)
         monkeypatch.setattr(sweep_module, "CACHE_SCHEMA_VERSION", 6)
-        v6_key = cell_key("three-pair", "n+", 4, FAST_SPEC)
+        v6_key = _key("three-pair", 4, FAST_SPEC)
         assert v7_key != v6_key
 
     def test_cell_key_covers_channel_draws(self):
         import dataclasses as dc
 
         def key(scenario):
-            return cell_key("probe", "n+", 4, RunSpec.resolve(scenario, FAST))
+            return _key("probe", 4, RunSpec.resolve(scenario, FAST))
 
         base = dense_lan_scenario(n_pairs=2, seed=1)
         assert base.channel_draws is None
@@ -667,7 +706,7 @@ class TestSchemaV4FaultDigests:
 
     def test_cell_key_covers_the_fault_profile_hint(self):
         def key(scenario):
-            return cell_key("probe", "n+", 4, RunSpec.resolve(scenario, FAST))
+            return _key("probe", 4, RunSpec.resolve(scenario, FAST))
 
         base = dense_lan_scenario(n_pairs=2, seed=1)
         faulty = dense_lan_scenario(n_pairs=2, seed=1, fault_profile="mixed")
@@ -681,20 +720,19 @@ class TestSchemaV4FaultDigests:
         from repro.sim import faults
 
         scenario = dense_lan_scenario(n_pairs=2, seed=1, fault_profile="mixed")
-        before = cell_key("probe", "n+", 4, RunSpec.resolve(scenario, FAST))
+        before = _key("probe", 4, RunSpec.resolve(scenario, FAST))
         edited = dc.replace(faults.fault_profile("mixed"), fade_rate_per_s=999.0)
         monkeypatch.setitem(faults.FAULT_PROFILES, "mixed", edited)
-        after = cell_key("probe", "n+", 4, RunSpec.resolve(scenario, FAST))
+        after = _key("probe", 4, RunSpec.resolve(scenario, FAST))
         assert after != before
 
     def test_cell_key_covers_fault_config(self):
         from repro.sim.scenarios import scenario_factory
 
         faulty = scenario_factory("dense-lan-20-faulty")
-        base = cell_key("dense-lan-20-faulty", "n+", 4, _spec(FAST, faulty))
-        off = cell_key(
+        base = _key("dense-lan-20-faulty", 4, _spec(FAST, faulty))
+        off = _key(
             "dense-lan-20-faulty",
-            "n+",
             4,
             _spec(
                 SimulationConfig(

@@ -10,8 +10,10 @@ interruptions are injected deterministically in-process.
 
 import pytest
 
+from oracles.runner import run_many
 from repro.exceptions import ConfigurationError
 from repro.sim.runner import SimulationConfig, placement_seed
+from repro.sim.scenarios import three_pair_scenario
 from repro.sim.store import ResultsStore
 from repro.sim.sweep import run_sweep, sweep_manifest_digest
 
@@ -137,6 +139,8 @@ class TestInterruptAndResume:
             "three-pair", protocols, n_runs=3, seed=4, config=FAST
         )
         assert _as_dicts(resumed.results) == _as_dicts(fresh.results)
+        serial = run_many(three_pair_scenario, protocols, n_runs=3, seed=4, config=FAST)
+        assert _as_dicts(resumed.results) == _as_dicts(serial)
         store = ResultsStore(tmp_path)
         assert store.get_sweep(resumed.sweep_id).status == "done"
         assert store.count("pending") == store.count("running") == 0
