@@ -28,8 +28,7 @@ from repro.constants import INTERFERENCE_ADMISSION_THRESHOLD_DB
 from repro.exceptions import DimensionError, PrecodingError
 from repro.mac.power_control import admission_power_scale, interference_power_db
 from repro.mimo.dof import InterferenceStrategy, choose_strategy, max_concurrent_streams
-from repro.mimo.precoder import ReceiverConstraint, compute_precoders_batch
-from repro.utils.linalg import orthonormal_complement
+from repro.mimo.precoder import compute_precoders_batch
 
 __all__ = [
     "ProtectedReceiver",
@@ -39,7 +38,6 @@ __all__ = [
     "PlanCache",
     "stream_signature",
     "involved_node_ids",
-    "receiver_decoding_subspace",
     "plan_initial_transmission",
     "plan_join",
 ]
@@ -183,14 +181,6 @@ class ProtectedReceiver:
         """Null or align (Claim 3.1)."""
         return choose_strategy(self.n_antennas, self.n_wanted_streams)
 
-    def constraint(self, subcarrier: int) -> ReceiverConstraint:
-        """The per-subcarrier constraint this receiver imposes."""
-        if self.strategy is InterferenceStrategy.NULL or self.u_perp is None:
-            return ReceiverConstraint(channel=self.channel[subcarrier], u_perp=None)
-        return ReceiverConstraint(
-            channel=self.channel[subcarrier], u_perp=self.u_perp[subcarrier]
-        )
-
     def constraint_rows_batch(self) -> np.ndarray:
         """Constraint rows of every subcarrier, ``(n_sub, n_constraints, M)``.
 
@@ -247,19 +237,13 @@ class PlannedReceiver:
         if self.u_perp is not None:
             self.u_perp = np.asarray(self.u_perp, dtype=complex)
 
-    def decoding_subspace(self, subcarrier: int) -> np.ndarray:
-        """U-perp used on ``subcarrier``.
+    def decoding_subspace_batch(self, n_sub: int) -> np.ndarray:
+        """U-perp on every subcarrier, ``(n_sub, N, n)``.
 
         Defaults to the first ``n_streams`` canonical directions when the
         receiver sees no ongoing interference (it then has one spare
         constraint row per wanted stream, as Claim 3.5 requires).
         """
-        if self.u_perp is None:
-            return np.eye(self.n_antennas, dtype=complex)[:, : self.n_streams]
-        return self.u_perp[subcarrier]
-
-    def decoding_subspace_batch(self, n_sub: int) -> np.ndarray:
-        """U-perp on every subcarrier, ``(n_sub, N, n)``."""
         if self.u_perp is None:
             eye = np.eye(self.n_antennas, dtype=complex)[:, : self.n_streams]
             return np.broadcast_to(eye, (n_sub,) + eye.shape)
@@ -325,36 +309,6 @@ class TransmissionPlan:
         if not self.streams:
             return 0.0
         return total_power * self.power_scale / len(self.streams)
-
-
-def receiver_decoding_subspace(
-    n_antennas: int,
-    n_streams: int,
-    interference_directions: Optional[np.ndarray],
-) -> np.ndarray:
-    """The decoding subspace a receiver adopts for ``n_streams`` new
-    wanted streams given the interference already on the air.
-
-    Returns an ``(N, n_streams)`` orthonormal basis orthogonal to the
-    interference directions; the receiver decodes by projecting onto it,
-    and announces it (as U-perp) in its light-weight CTS.
-    """
-    if n_streams > n_antennas:
-        raise PrecodingError(
-            f"a receiver with {n_antennas} antennas cannot decode {n_streams} streams"
-        )
-    if interference_directions is None or np.asarray(interference_directions).size == 0:
-        return np.eye(n_antennas, dtype=complex)[:, :n_streams]
-    interference = np.asarray(interference_directions, dtype=complex)
-    if interference.ndim == 1:
-        interference = interference.reshape(-1, 1)
-    complement = orthonormal_complement(interference)
-    if complement.shape[1] < n_streams:
-        raise PrecodingError(
-            f"only {complement.shape[1]} interference-free dimensions remain, "
-            f"cannot decode {n_streams} streams"
-        )
-    return complement[:, :n_streams]
 
 
 def _n_subcarriers(arrays: Sequence[np.ndarray]) -> int:

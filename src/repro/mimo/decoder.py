@@ -11,7 +11,7 @@ quantity for the link-abstraction simulator and the bitrate selector.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -120,6 +120,8 @@ def post_projection_snr(
 ) -> np.ndarray:
     """Per-stream post-projection SNR of the zero-forcing receiver (linear).
 
+    One subcarrier of :func:`post_projection_snr_batch`.
+
     Parameters
     ----------
     wanted_channel:
@@ -144,21 +146,40 @@ def post_projection_snr(
     hw = np.asarray(wanted_channel, dtype=complex)
     if hw.ndim == 1:
         hw = hw.reshape(-1, 1)
-    n_streams = hw.shape[1]
+    hi = None
     if interference_directions is not None and np.asarray(interference_directions).size:
         hi = np.asarray(interference_directions, dtype=complex)
         if hi.ndim == 1:
             hi = hi.reshape(-1, 1)
-        projector = orthonormal_complement(hi)
-        h_eff = projector.conj().T @ hw
-    else:
-        h_eff = hw
-    if h_eff.shape[0] < n_streams or np.linalg.matrix_rank(h_eff) < n_streams:
-        return np.zeros(n_streams)
-    w = np.linalg.pinv(h_eff)
-    noise_total = noise_power + residual_interference_power
-    enhancement = np.sum(np.abs(w) ** 2, axis=1)
-    return signal_power / (noise_total * np.maximum(enhancement, 1e-30))
+        hi = hi[None]
+    return post_projection_snr_batch(
+        hw[None], hi, noise_power, signal_power, residual_interference_power
+    )[0]
+
+
+def _zero_forcing_snr(
+    h_eff: np.ndarray, noise_total: np.ndarray, signal_power: float
+) -> np.ndarray:
+    """Zero-forcing SNRs ``(n_sub, n)`` of a stack of projected channels."""
+    n_sub, rows, n_streams = h_eff.shape
+    if rows < n_streams:
+        return np.zeros((n_sub, n_streams))
+    effective_rank = np.linalg.matrix_rank(h_eff)
+    # numpy's default rcond, so the guarded happy path stays bit-identical
+    # to a plain ``np.linalg.pinv`` call.
+    w, _ = guarded.pinv_stack(h_eff, rcond=1e-15)  # (n_sub, n, rows)
+    enhancement = np.sum(np.abs(w) ** 2, axis=2)
+    snr = signal_power / (noise_total[:, None] * np.maximum(enhancement, 1e-30))
+    snr[effective_rank < n_streams] = 0.0
+    if not np.isfinite(snr).all():
+        guarded.note_degradation("nonfinite-snr")
+        snr = np.where(np.isfinite(snr), snr, 0.0)
+    return snr
+
+
+def _project_out(u: np.ndarray, rank: int, hw: np.ndarray) -> np.ndarray:
+    """``hw`` in the complement of the first ``rank`` columns of ``u``."""
+    return u[:, :, rank:].conj().transpose(0, 2, 1) @ hw
 
 
 def post_projection_snr_batch(
@@ -170,9 +191,9 @@ def post_projection_snr_batch(
 ) -> np.ndarray:
     """Per-subcarrier, per-stream post-projection SNR in one batched pass.
 
-    The link-abstraction simulator evaluates :func:`post_projection_snr`
-    once per OFDM subcarrier; this helper runs the whole stack through
-    batched ``np.linalg`` calls instead.
+    The receiver projects the wanted channels orthogonal to the
+    interference and zero-forces among the wanted streams (§3.4); a
+    stream the projection leaves inseparable gets SNR 0.
 
     Parameters
     ----------
@@ -192,69 +213,37 @@ def post_projection_snr_batch(
     Returns
     -------
     numpy.ndarray
-        ``(n_sub, n)`` linear SNRs, matching a per-subcarrier loop over
-        :func:`post_projection_snr`.
+        ``(n_sub, n)`` linear SNRs.
     """
     hw = np.asarray(wanted_channels, dtype=complex)
     if hw.ndim != 3:
         raise DimensionError(f"wanted channels must have shape (n_sub, N, n), got {hw.shape}")
     n_sub, _, n_streams = hw.shape
     residual = np.broadcast_to(np.asarray(residual_interference_power, dtype=float), (n_sub,))
-
-    hi = None
-    if interference_directions is not None and np.asarray(interference_directions).size:
-        hi = np.asarray(interference_directions, dtype=complex)
-
-    guards = guarded.guards_enabled()
-    if guards:
-        # NaN/Inf-poisoned subcarriers decode nothing: zero the poisoned
-        # matrices (their SNR comes out 0) instead of letting LAPACK raise
-        # or NaN propagate into the metrics.  No-op on finite stacks.
-        hw, _ = guarded.sanitize_stack(hw)
-        if hi is not None:
-            hi, _ = guarded.sanitize_stack(hi)
-
-    if hi is None:
-        h_eff = hw
-    else:
-        # Batched orthonormal complement of the interference.  The
-        # complement width is N - rank; when the rank varies across
-        # subcarriers (degenerate channels) fall back to the per-subcarrier
-        # reference path for correctness.
-        if guards:
-            u, s, _ = guarded.svd_stack(hi, full_matrices=True)
-        else:
-            u, s, _ = np.linalg.svd(hi, full_matrices=True)
-        ranks = singular_value_ranks(s)
-        rank = int(ranks[0])
-        if not np.all(ranks == rank):
-            return np.stack(
-                [
-                    post_projection_snr(
-                        hw[k], hi[k], noise_power, signal_power, float(residual[k])
-                    )
-                    for k in range(n_sub)
-                ]
-            )
-        projector = u[:, :, rank:]  # (n_sub, N, N - rank)
-        h_eff = projector.conj().transpose(0, 2, 1) @ hw
-
-    if h_eff.shape[1] < n_streams:
-        return np.zeros((n_sub, n_streams))
-    effective_rank = np.linalg.matrix_rank(h_eff)
-    if guards:
-        # numpy's default rcond, so the guarded happy path stays
-        # bit-identical to the unguarded ``np.linalg.pinv`` call.
-        w, _ = guarded.pinv_stack(h_eff, rcond=1e-15)
-    else:
-        w = np.linalg.pinv(h_eff)  # (n_sub, n, rows)
     noise_total = noise_power + residual
-    enhancement = np.sum(np.abs(w) ** 2, axis=2)
-    snr = signal_power / (noise_total[:, None] * np.maximum(enhancement, 1e-30))
-    snr[effective_rank < n_streams] = 0.0
-    if guards and not np.isfinite(snr).all():
-        guarded.note_degradation("nonfinite-snr")
-        snr = np.where(np.isfinite(snr), snr, 0.0)
+
+    # NaN/Inf-poisoned subcarriers decode nothing: zero the poisoned
+    # matrices (their SNR comes out 0) instead of letting LAPACK raise or
+    # NaN propagate into the metrics.  No-op on finite stacks.
+    hw, _ = guarded.sanitize_stack(hw)
+    if interference_directions is None or not np.asarray(interference_directions).size:
+        return _zero_forcing_snr(hw, noise_total, signal_power)
+    hi, _ = guarded.sanitize_stack(np.asarray(interference_directions, dtype=complex))
+
+    # The complement of the interference has width N - rank; a rank that
+    # varies across subcarriers (degenerate channels) gets one batched
+    # pass per distinct rank.
+    u, s, _ = guarded.svd_stack(hi, full_matrices=True)
+    ranks = singular_value_ranks(s)
+    rank = int(ranks[0])
+    if np.all(ranks == rank):
+        return _zero_forcing_snr(_project_out(u, rank, hw), noise_total, signal_power)
+    snr = np.zeros((n_sub, n_streams))
+    for rank in np.unique(ranks):
+        members = ranks == rank
+        snr[members] = _zero_forcing_snr(
+            _project_out(u[members], rank, hw[members]), noise_total[members], signal_power
+        )
     return snr
 
 

@@ -25,7 +25,7 @@ from repro.exceptions import DimensionError, PrecodingError
 from repro.mimo.alignment import alignment_constraint_rows
 from repro.mimo.nulling import nulling_constraint_rows
 from repro.utils import guarded
-from repro.utils.linalg import null_space, null_space_batch
+from repro.utils.linalg import null_space_batch
 
 __all__ = [
     "ReceiverConstraint",
@@ -141,11 +141,6 @@ def max_streams(n_tx_antennas: int, ongoing: Sequence[ReceiverConstraint]) -> in
     return max(0, n_tx_antennas - total_constraints)
 
 
-def _normalize_columns(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=0, keepdims=True)
-    return matrix / np.where(norms > 1e-15, norms, 1.0)
-
-
 def compute_precoders(
     n_tx_antennas: int,
     ongoing: Sequence[ReceiverConstraint],
@@ -155,6 +150,8 @@ def compute_precoders(
     rcond: float = 1e-10,
 ) -> List[np.ndarray]:
     """Compute the joiner's pre-coding vectors (Claim 3.5, Eq. 7).
+
+    One subcarrier of :func:`compute_precoders_batch`.
 
     Parameters
     ----------
@@ -186,94 +183,42 @@ def compute_precoders(
     ------
     PrecodingError
         If the constraints leave no room for the requested streams, or the
-        combined system is singular (e.g. channels are not independent).
+        combined system is singular or ill-conditioned (e.g. channels are
+        not independent) -- any degradation the batched kernel notes.
     """
-    ongoing = list(ongoing or [])
-    shared_rows = [r.constraint_rows() for r in ongoing]
+    shared_rows = [r.constraint_rows() for r in ongoing or []]
     for rows in shared_rows:
         if rows.shape[1] != n_tx_antennas:
             raise DimensionError(
                 f"an ongoing receiver's channel has {rows.shape[1]} transmit antennas, "
                 f"expected {n_tx_antennas}"
             )
-    shared = (
-        np.concatenate(shared_rows, axis=0)
-        if shared_rows
-        else np.zeros((0, n_tx_antennas), dtype=complex)
+    shared = np.concatenate(
+        [np.zeros((0, n_tx_antennas), dtype=complex)] + shared_rows, axis=0
     )
-    free_dof = n_tx_antennas - shared.shape[0]
-    if free_dof <= 0:
+    own_rows = own_stream_counts = own_row_counts = None
+    if own_receivers:
+        rows = [r.constraint_rows() for r in own_receivers]
+        own_rows = np.concatenate(rows, axis=0)[None]
+        own_stream_counts = [r.n_streams for r in own_receivers]
+        own_row_counts = [block.shape[0] for block in rows]
+    with guarded.capture_degradations() as capture:
+        solution = compute_precoders_batch(
+            n_tx_antennas,
+            shared[None],
+            own_rows=own_rows,
+            own_stream_counts=own_stream_counts,
+            own_row_counts=own_row_counts,
+            n_streams=n_streams,
+            normalize=normalize,
+            rcond=rcond,
+        )[0]
+    if capture.triggered:
         raise PrecodingError(
-            f"the {shared.shape[0]} ongoing streams consume every one of the joiner's "
-            f"{n_tx_antennas} antennas; it cannot transmit (Claim 3.2)"
+            "the combined constraint matrix is singular or ill-conditioned "
+            f"({', '.join(capture.events)})"
         )
-
-    # --- Simple case: no own-receiver cross constraints --------------------
-    if not own_receivers:
-        wanted = free_dof if n_streams is None else n_streams
-        if wanted > free_dof or wanted < 1:
-            raise PrecodingError(
-                f"cannot form {wanted} streams with {free_dof} free degrees of freedom"
-            )
-        basis = null_space(shared, rcond)
-        if basis.shape[1] < wanted:
-            raise PrecodingError(
-                "ongoing constraints are rank deficient; no usable null space"
-            )
-        precoders = basis[:, :wanted]
-        if normalize:
-            precoders = _normalize_columns(precoders)
-        return [precoders[:, i].copy() for i in range(wanted)]
-
-    # --- General case: Eq. 7 ------------------------------------------------
-    own_receivers = list(own_receivers)
-    total_own_streams = sum(r.n_streams for r in own_receivers)
-    if n_streams is not None and n_streams != total_own_streams:
-        raise PrecodingError(
-            f"n_streams={n_streams} disagrees with the own receivers' total "
-            f"({total_own_streams})"
-        )
-    if total_own_streams > free_dof:
-        raise PrecodingError(
-            f"own receivers ask for {total_own_streams} streams but only {free_dof} "
-            f"degrees of freedom are free (Claim 3.2)"
-        )
-
-    own_rows = [r.constraint_rows() for r in own_receivers]
-    own_row_counts = [rows.shape[0] for rows in own_rows]
-    matrix = np.concatenate([shared] + own_rows, axis=0)
-
-    # Right-hand side: zeros for the ongoing receivers; for own receivers,
-    # stream i destined to receiver j gets a unit entry in one of receiver
-    # j's rows and zeros in the rows of the other own receivers, so streams
-    # neither disturb ongoing receivers nor each other's receivers.
-    total_rows = matrix.shape[0]
-    rhs_columns = []
-    row_offset = shared.shape[0]
-    for receiver_index, receiver in enumerate(own_receivers):
-        base = row_offset + sum(own_row_counts[:receiver_index])
-        for stream in range(receiver.n_streams):
-            column = np.zeros(total_rows, dtype=complex)
-            column[base + stream] = 1.0
-            rhs_columns.append(column)
-    rhs = np.stack(rhs_columns, axis=1)
-
-    if matrix.shape[0] == matrix.shape[1]:
-        try:
-            solution = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise PrecodingError(f"the combined constraint matrix is singular: {exc}") from exc
-    else:
-        solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=rcond)
-        # Verify the hard constraints (protecting ongoing receivers) hold.
-        if shared.shape[0] and not np.allclose(shared @ solution, 0, atol=1e-8):
-            raise PrecodingError(
-                "least-squares solution cannot satisfy the nulling/alignment constraints"
-            )
-
-    if normalize:
-        solution = _normalize_columns(solution)
-    return [solution[:, i].copy() for i in range(solution.shape[1])]
+    return [vector.copy() for vector in solution]
 
 
 def _normalize_columns_batch(matrices: np.ndarray) -> np.ndarray:
@@ -291,12 +236,14 @@ def compute_precoders_batch(
     normalize: bool = True,
     rcond: float = 1e-10,
 ) -> np.ndarray:
-    """Batched version of :func:`compute_precoders` over all subcarriers.
+    """The joiner's pre-coders (Claim 3.5, Eq. 7) on all subcarriers at once.
 
     Instead of per-subcarrier :class:`ReceiverConstraint`/:class:`OwnReceiver`
     objects, the caller passes the constraint rows of *all* subcarriers as
     stacked arrays; the whole per-subcarrier linear algebra then runs as a
-    handful of batched ``np.linalg`` calls.
+    handful of batched ``np.linalg`` calls.  This is the one
+    implementation of Eq. 7; :func:`compute_precoders` is its
+    one-subcarrier form.
 
     Parameters
     ----------
@@ -350,12 +297,7 @@ def compute_precoders_batch(
             raise PrecodingError(
                 f"cannot form {wanted} streams with {free_dof} free degrees of freedom"
             )
-        try:
-            basis = null_space_batch(shared, wanted, rcond)  # (n_sub, M, wanted)
-        except DimensionError as exc:
-            raise PrecodingError(
-                "ongoing constraints are rank deficient; no usable null space"
-            ) from exc
+        basis = null_space_batch(shared, wanted, rcond)  # (n_sub, M, wanted)
         if normalize:
             basis = _normalize_columns_batch(basis)
         return basis.transpose(0, 2, 1)
@@ -409,29 +351,18 @@ def compute_precoders_batch(
 
     rhs_stack = np.broadcast_to(rhs, (n_sub,) + rhs.shape)
     if total_rows == n_tx_antennas:
-        if guarded.guards_enabled():
-            # A singular/ill-conditioned/NaN-poisoned system falls back to
-            # the pinned-rcond pseudo-inverse instead of killing the run;
-            # the degradation note drives link quarantine at the MAC layer.
-            solution, degraded = guarded.solve_stack(matrix, rhs_stack)
-            if degraded and n_shared and not np.allclose(shared @ solution, 0, atol=1e-8):
-                raise PrecodingError(
-                    "degenerate constraint matrix: the guarded fallback cannot "
-                    "satisfy the nulling/alignment constraints"
-                )
-        else:
-            try:
-                solution = np.linalg.solve(matrix, rhs_stack)
-            except np.linalg.LinAlgError as exc:
-                raise PrecodingError(
-                    f"the combined constraint matrix is singular: {exc}"
-                ) from exc
+        # A singular/ill-conditioned/NaN-poisoned system falls back to the
+        # pinned-rcond pseudo-inverse instead of killing the run; the
+        # degradation note drives link quarantine at the MAC layer.
+        solution, degraded = guarded.solve_stack(matrix, rhs_stack)
+        if degraded and n_shared and not np.allclose(shared @ solution, 0, atol=1e-8):
+            raise PrecodingError(
+                "degenerate constraint matrix: the guarded fallback cannot "
+                "satisfy the nulling/alignment constraints"
+            )
     else:
-        if guarded.guards_enabled():
-            pinv, _ = guarded.pinv_stack(matrix, rcond=rcond)
-            solution = pinv @ rhs
-        else:
-            solution = np.linalg.pinv(matrix, rcond=rcond) @ rhs
+        pinv, _ = guarded.pinv_stack(matrix, rcond=rcond)
+        solution = pinv @ rhs
         # Verify the hard constraints (protecting ongoing receivers) hold.
         if n_shared and not np.allclose(shared @ solution, 0, atol=1e-8):
             raise PrecodingError(

@@ -43,6 +43,7 @@ import csv
 import hashlib
 import heapq
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -368,8 +369,8 @@ class FaultSchedule:
         JSON: a list of objects (or ``{"episodes": [...]}``) with keys
         ``start_us``, ``duration_us``, ``loss_rate`` and optional
         ``tx_id``/``rx_id``.  CSV: rows of ``start_us, duration_us,
-        loss_rate[, tx_id, rx_id]``; a header row and ``#`` comment
-        lines are skipped.  This is the LinkGuardian-style trace-driven
+        loss_rate[, tx_id, rx_id]``; a header (only as the first row) and
+        ``#`` comment lines are skipped.  This is the LinkGuardian-style trace-driven
         path: measured (or generated) loss traces replay identically
         across runs and protocols.
 
@@ -407,13 +408,20 @@ class FaultSchedule:
                     )
                 rows.append((f"episode {index}", dict(entry)))
         else:
+            first_row = True
             for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
                 if not record or record[0].lstrip().startswith("#"):
                     continue
+                header_allowed, first_row = first_row, False
                 try:
                     float(record[0])
                 except ValueError:
-                    continue  # header row
+                    if header_allowed:
+                        continue  # header row
+                    raise ConfigurationError(
+                        f"fault trace {path}, line {lineno}: field 'start_us' "
+                        f"must be a number, got {record[0]!r}"
+                    ) from None
                 if len(record) < 3:
                     raise ConfigurationError(
                         f"fault trace {path}, line {lineno}: expected at least "
@@ -457,6 +465,12 @@ class FaultSchedule:
                 tx_id=_field(label, row, "tx_id", int, required=False),
                 rx_id=_field(label, row, "rx_id", int, required=False),
             )
+            for name in ("start_us", "duration_us"):
+                if not math.isfinite(getattr(episode, name)):
+                    raise ConfigurationError(
+                        f"fault trace {path}, {label}: field {name!r} must be "
+                        f"finite, got {getattr(episode, name)}"
+                    )
             if episode.duration_us <= 0:
                 raise ConfigurationError(
                     f"fault trace {path}, {label}: non-positive duration "

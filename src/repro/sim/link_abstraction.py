@@ -31,10 +31,9 @@ know about it:
   counted at full power.
 
 All per-subcarrier quantities are computed as stacked ``(n_sub, ...)``
-arrays through batched ``np.linalg`` operations.  The one per-subcarrier
-loop left, :func:`_announced_subspace_per_subcarrier`, is the fallback
-for rank-degenerate channels, and the test suite asserts it agrees with
-the batched path on well-conditioned ones.
+arrays through batched ``np.linalg`` operations, rank-degenerate
+channels included; the per-subcarrier formulations they are checked
+against live in the test oracles.
 """
 
 from __future__ import annotations
@@ -50,40 +49,23 @@ from repro.utils.linalg import singular_value_ranks
 
 __all__ = [
     "receiver_stream_snrs",
-    "unprotected_interference_power",
     "unprotected_interference_power_batch",
     "interference_directions_at",
     "announced_decoding_subspace",
 ]
 
 
-def unprotected_interference_power(
-    channel: np.ndarray, stream: ScheduledStream, subcarrier: int
-) -> float:
+def unprotected_interference_power_batch(
+    channel: np.ndarray, stream: ScheduledStream
+) -> np.ndarray:
     """Average per-receive-antenna power the stream would create at a
-    receiver with no protective pre-coding, on one subcarrier.
+    receiver with no protective pre-coding, on every subcarrier.
 
     For a unit-norm pre-coder drawn independently of the channel, the
     expected per-antenna interference power is ``power * ||H||_F^2 / (N M)``.
     """
-    h = channel[subcarrier]
-    n_rx, n_tx = h.shape
-    return float(stream.power * np.sum(np.abs(h) ** 2) / (n_rx * n_tx))
-
-
-def unprotected_interference_power_batch(
-    channel: np.ndarray, stream: ScheduledStream
-) -> np.ndarray:
-    """:func:`unprotected_interference_power` on every subcarrier at once."""
     n_rx, n_tx = channel.shape[1:]
     return stream.power * np.sum(np.abs(channel) ** 2, axis=(1, 2)) / (n_rx * n_tx)
-
-
-def _effective_column(channel: np.ndarray, stream: ScheduledStream, subcarrier: int) -> np.ndarray:
-    """The effective (power-scaled) channel column of a stream at a receiver."""
-    h = channel[subcarrier]
-    precoder = stream.precoders[subcarrier]
-    return np.sqrt(stream.power) * (h @ precoder)
 
 
 def _effective_columns(channel: np.ndarray, stream: ScheduledStream) -> np.ndarray:
@@ -109,21 +91,6 @@ def interference_directions_at(
         channel = network.true_channel(stream.transmitter_id, receiver_id)
         out[:, :, index] = _effective_columns(channel, stream)
     return out
-
-
-def _uniform_orthonormal_basis(stack: np.ndarray):
-    """Batched :func:`repro.utils.linalg.orthonormal_basis` over a stack.
-
-    Returns ``(bases, True)`` with shape ``(batch, n, rank)`` when every
-    matrix in the stack has the same rank, else ``(None, False)`` so the
-    caller can fall back to the per-matrix path.
-    """
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    ranks = singular_value_ranks(s)
-    rank = int(ranks[0])
-    if not np.all(ranks == rank):
-        return None, False
-    return u[:, :, :rank], True
 
 
 def announced_decoding_subspace(
@@ -153,57 +120,19 @@ def announced_decoding_subspace(
 
     columns = wanted_dirs
     if interference_dirs is not None and interference_dirs.shape[2]:
-        ortho, uniform = _uniform_orthonormal_basis(interference_dirs)
-        if not uniform:
-            return _announced_subspace_per_subcarrier(
-                wanted_dirs, interference_dirs, n_wanted
-            )
+        u, s, _ = np.linalg.svd(interference_dirs, full_matrices=False)
+        ranks = singular_value_ranks(s)
+        width = int(ranks.max())
+        # Rank-masked interference basis: a subcarrier whose interference
+        # has a lower rank contributes zero columns past it.
+        ortho = u[:, :, :width] * (np.arange(width) < ranks[:, None])[:, None, :]
         columns = columns - ortho @ (ortho.conj().transpose(0, 2, 1) @ columns)
 
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    ranks = singular_value_ranks(s)
-    if not np.all(ranks == n_wanted):
-        # Degenerate channel on some subcarrier: take the readable path,
-        # which pads with arbitrary orthonormal directions.
-        return _announced_subspace_per_subcarrier(
-            wanted_dirs, interference_dirs, n_wanted
-        )
+    # The thin SVD's left factor is orthonormal even where the projected
+    # wanted columns are rank deficient, so a degenerate subcarrier comes
+    # back padded with arbitrary orthonormal directions.
+    u, _, _ = np.linalg.svd(columns, full_matrices=False)
     return u[:, :, :n_wanted]
-
-
-def _announced_subspace_per_subcarrier(
-    wanted_dirs: np.ndarray,
-    interference_dirs: Optional[np.ndarray],
-    n_wanted: int,
-) -> np.ndarray:
-    """The announced subspace one subcarrier at a time.
-
-    The fallback of :func:`announced_decoding_subspace` when the batched
-    SVD path cannot be used (interference or wanted directions of
-    non-uniform rank): a rank-deficient subcarrier is padded with
-    arbitrary orthonormal directions so downstream shapes stay fixed.
-    """
-    from repro.utils.linalg import (
-        orthonormal_basis,
-        orthonormal_complement,
-        project_out_subspace,
-    )
-
-    n_sub, n_rx, _ = wanted_dirs.shape
-    out = np.zeros((n_sub, n_rx, n_wanted), dtype=complex)
-    for k in range(n_sub):
-        columns = wanted_dirs[k]
-        if interference_dirs is not None and interference_dirs.shape[2]:
-            columns = project_out_subspace(columns, interference_dirs[k])
-        basis = orthonormal_basis(columns)
-        out[k, :, : basis.shape[1]] = basis
-        if basis.shape[1] < n_wanted:
-            # Degenerate channel: pad with arbitrary orthonormal directions
-            # so downstream shapes stay consistent.
-            filler = orthonormal_complement(basis)
-            missing = n_wanted - basis.shape[1]
-            out[k, :, basis.shape[1] : n_wanted] = filler[:, :missing]
-    return out
 
 
 def receiver_stream_snrs(

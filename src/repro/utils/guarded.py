@@ -26,13 +26,11 @@ deterministically* instead of raising:
    accounted, non-exceptional outcome the metrics surface as
    ``quarantined_rounds``.
 
-Determinism contract: with guards *enabled* (the default) and
-well-conditioned finite inputs, every wrapper returns bit-identical
-results to the raw ``np.linalg`` call -- the guards only ever read the
-inputs/outputs on the happy path.  With guards *disabled*
-(:func:`guards_disabled`), the callers run exactly their pre-guard code
-and raise exactly the historical exceptions; the test suite asserts the
-disabled path bit-identical to the committed goldens.
+Determinism contract: on well-conditioned finite inputs every wrapper
+returns bit-identical results to the raw ``np.linalg`` call -- the
+guards only ever read the inputs/outputs on the happy path, and the
+committed golden metrics pin that.  The guards are always on; there is
+no raising variant of the batched kernels.
 
 The degradation state is process-global and not thread-safe, matching
 the simulator's execution model (one simulation per process; the sweep
@@ -49,13 +47,9 @@ import numpy as np
 __all__ = [
     "GUARD_RCOND",
     "CONDITION_LIMIT",
-    "guards_enabled",
-    "set_guards_enabled",
-    "guards_disabled",
     "note_degradation",
     "capture_degradations",
     "DegradationCapture",
-    "degradations_total",
     "nonfinite_matrices",
     "sanitize_stack",
     "svd_stack",
@@ -74,34 +68,7 @@ GUARD_RCOND = 1e-10
 #: which is exactly the regime a deep fade pushes mixed stacks into.
 CONDITION_LIMIT = 1e12
 
-_state = {"enabled": True, "total": 0}
 _captures: List["DegradationCapture"] = []
-
-
-def guards_enabled() -> bool:
-    """Whether the guarded fallbacks are active (they are by default)."""
-    return _state["enabled"]
-
-
-def set_guards_enabled(flag: bool) -> bool:
-    """Enable/disable the guards; returns the previous setting."""
-    previous = _state["enabled"]
-    _state["enabled"] = bool(flag)
-    return previous
-
-
-@contextmanager
-def guards_disabled() -> Iterator[None]:
-    """Run a block with the historical (raising) numerics.
-
-    Used by the bit-identity tests to assert that the guard-disabled
-    path is exactly today's behavior on all goldens.
-    """
-    previous = set_guards_enabled(False)
-    try:
-        yield
-    finally:
-        set_guards_enabled(previous)
 
 
 class DegradationCapture:
@@ -117,7 +84,6 @@ class DegradationCapture:
 
 def note_degradation(kind: str) -> None:
     """Record one guarded fallback (feeds every active capture scope)."""
-    _state["total"] += 1
     for capture in _captures:
         capture.events.append(kind)
 
@@ -136,11 +102,6 @@ def capture_degradations() -> Iterator[DegradationCapture]:
         yield capture
     finally:
         _captures.remove(capture)
-
-
-def degradations_total() -> int:
-    """Process-wide count of guarded fallbacks taken so far."""
-    return _state["total"]
 
 
 # -- stack hygiene -----------------------------------------------------------

@@ -118,16 +118,11 @@ def null_space_batch(
         Shape ``(batch, cols, n_vectors)``: per matrix, the first
         ``n_vectors`` columns that :func:`null_space` would return.
 
-    Raises
-    ------
-    DimensionError
-        If any matrix in the stack has a null space thinner than
-        ``n_vectors`` -- only when guards are disabled
-        (:mod:`repro.utils.guarded`).  With guards enabled (the
-        default), deficient matrices instead fall back to the
-        ``n_vectors`` *smallest*-singular-value directions (the
-        deterministic pinned-rcond choice) and a degradation is noted
-        so the MAC layer can quarantine the link.
+    A matrix whose null space is thinner than ``n_vectors`` does not
+    raise: it falls back to the ``n_vectors`` *smallest*-singular-value
+    directions (the deterministic pinned-rcond choice) and a degradation
+    is noted (:mod:`repro.utils.guarded`) so the MAC layer can
+    quarantine the link.
     """
     a = np.asarray(matrices, dtype=complex)
     if a.ndim != 3:
@@ -138,22 +133,14 @@ def null_space_batch(
     if rows == 0:
         eye = np.eye(cols, dtype=complex)[:, :n_vectors]
         return np.broadcast_to(eye, (batch, cols, n_vectors)).copy()
-    if guarded.guards_enabled():
-        _, s, vh = guarded.svd_stack(a, full_matrices=True)
-        ranks = singular_value_ranks(s, rcond)
-        if np.any(guarded.ill_conditioned(s)):
-            guarded.note_degradation("ill-conditioned-null-space")
-        deficient = ranks + n_vectors > cols
-        if np.any(deficient):
-            guarded.note_degradation("null-space-deficit")
-            ranks = np.where(deficient, cols - n_vectors, ranks)
-    else:
-        _, s, vh = np.linalg.svd(a, full_matrices=True)
-        ranks = singular_value_ranks(s, rcond)
-        if np.any(ranks + n_vectors > cols):
-            raise DimensionError(
-                f"a matrix in the stack has a null space of dimension smaller than {n_vectors}"
-            )
+    _, s, vh = guarded.svd_stack(a, full_matrices=True)
+    ranks = singular_value_ranks(s, rcond)
+    if np.any(guarded.ill_conditioned(s)):
+        guarded.note_degradation("ill-conditioned-null-space")
+    deficient = ranks + n_vectors > cols
+    if np.any(deficient):
+        guarded.note_degradation("null-space-deficit")
+        ranks = np.where(deficient, cols - n_vectors, ranks)
     # Gather rows ``rank .. rank + n_vectors`` of each V^H, even when the
     # ranks differ across the stack.
     row_idx = ranks[:, None] + np.arange(n_vectors)[None, :]
@@ -180,14 +167,10 @@ def orthonormal_complement_batch(
         ``n_vectors`` columns that :func:`orthonormal_complement` would
         return.
 
-    Raises
-    ------
-    DimensionError
-        If any matrix's complement has fewer than ``n_vectors``
-        dimensions -- only when guards are disabled
-        (:mod:`repro.utils.guarded`).  With guards enabled (the
-        default), deficient matrices fall back to the ``n_vectors``
-        weakest left-singular directions and a degradation is noted.
+    A matrix whose complement has fewer than ``n_vectors`` dimensions
+    does not raise: it falls back to the ``n_vectors`` weakest
+    left-singular directions and a degradation is noted
+    (:mod:`repro.utils.guarded`).
     """
     a = np.asarray(matrices, dtype=complex)
     if a.ndim != 3:
@@ -198,22 +181,14 @@ def orthonormal_complement_batch(
     if k == 0:
         eye = np.eye(n, dtype=complex)[:, :n_vectors]
         return np.broadcast_to(eye, (batch, n, n_vectors)).copy()
-    if guarded.guards_enabled():
-        u, s, _ = guarded.svd_stack(a, full_matrices=True)
-        ranks = singular_value_ranks(s, rcond)
-        if np.any(guarded.ill_conditioned(s)):
-            guarded.note_degradation("ill-conditioned-complement")
-        deficient = ranks + n_vectors > n
-        if np.any(deficient):
-            guarded.note_degradation("complement-deficit")
-            ranks = np.where(deficient, n - n_vectors, ranks)
-    else:
-        u, s, _ = np.linalg.svd(a, full_matrices=True)
-        ranks = singular_value_ranks(s, rcond)
-        if np.any(ranks + n_vectors > n):
-            raise DimensionError(
-                f"a matrix in the stack has an orthogonal complement thinner than {n_vectors}"
-            )
+    u, s, _ = guarded.svd_stack(a, full_matrices=True)
+    ranks = singular_value_ranks(s, rcond)
+    if np.any(guarded.ill_conditioned(s)):
+        guarded.note_degradation("ill-conditioned-complement")
+    deficient = ranks + n_vectors > n
+    if np.any(deficient):
+        guarded.note_degradation("complement-deficit")
+        ranks = np.where(deficient, n - n_vectors, ranks)
     col_idx = ranks[:, None] + np.arange(n_vectors)[None, :]
     selected = u[np.arange(batch)[:, None], :, col_idx]  # (batch, n_vectors, n)
     return selected.transpose(0, 2, 1)

@@ -10,7 +10,6 @@ from repro.mac.plan import (
     ProtectedReceiver,
     plan_initial_transmission,
     plan_join,
-    receiver_decoding_subspace,
 )
 from repro.mimo.dof import InterferenceStrategy
 from repro.utils.db import db_to_linear
@@ -32,23 +31,6 @@ def _u_perp_per_subcarrier(rng, n_rx, n_keep):
         )
         out[k] = orthonormal_complement(random)[:, :n_keep]
     return out
-
-
-class TestReceiverDecodingSubspace:
-    def test_no_interference_gives_canonical_basis(self):
-        subspace = receiver_decoding_subspace(3, 2, None)
-        assert subspace.shape == (3, 2)
-        assert np.allclose(subspace.conj().T @ subspace, np.eye(2))
-
-    def test_orthogonal_to_interference(self, rng):
-        interference = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
-        subspace = receiver_decoding_subspace(3, 2, interference)
-        assert np.allclose(interference.conj().T @ subspace, 0, atol=1e-10)
-
-    def test_too_many_streams_raise(self, rng):
-        interference = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-        with pytest.raises(PrecodingError):
-            receiver_decoding_subspace(2, 2, interference)
 
 
 class TestProtectedReceiver:

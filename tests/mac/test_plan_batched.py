@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.mimo import compute_precoders_reference
 from repro.exceptions import PrecodingError
 from repro.mac.plan import (
     PlannedReceiver,
@@ -13,12 +14,8 @@ from repro.mac.plan import (
     plan_initial_transmission,
     plan_join,
 )
-from repro.mimo.precoder import (
-    OwnReceiver,
-    ReceiverConstraint,
-    compute_precoders,
-    compute_precoders_batch,
-)
+from repro.mimo.dof import InterferenceStrategy
+from repro.mimo.precoder import OwnReceiver, ReceiverConstraint, compute_precoders_batch
 from repro.utils.linalg import orthonormal_complement
 
 N_SUB = 8
@@ -39,25 +36,42 @@ def _u_perp(rng, n_rx, n_keep):
     return out
 
 
+def _constraint(protected, k):
+    """The per-subcarrier constraint a protected receiver imposes."""
+    if protected.strategy is InterferenceStrategy.NULL or protected.u_perp is None:
+        return ReceiverConstraint(channel=protected.channel[k])
+    return ReceiverConstraint(channel=protected.channel[k], u_perp=protected.u_perp[k])
+
+
+def _own_receivers(receivers, k):
+    """The per-subcarrier own receivers (canonical U-perp when none was set)."""
+    return [
+        OwnReceiver(
+            channel=r.channel[k],
+            u_perp=(
+                np.eye(r.n_antennas, dtype=complex)[:, : r.n_streams]
+                if r.u_perp is None
+                else r.u_perp[k]
+            ),
+            n_streams=r.n_streams,
+        )
+        for r in receivers
+    ]
+
+
 def _reference_join_precoders(n_tx, protected, receivers, total_streams):
     """Per-subcarrier loop over the reference solver (the seed planner)."""
     out = np.zeros((N_SUB, total_streams, n_tx), dtype=complex)
     for k in range(N_SUB):
-        ongoing = [p.constraint(k) for p in protected]
+        ongoing = [_constraint(p, k) for p in protected]
         if len(receivers) == 1:
-            vectors = compute_precoders(
+            vectors = compute_precoders_reference(
                 n_tx, ongoing=ongoing, own_receivers=None, n_streams=total_streams
             )
         else:
-            own = [
-                OwnReceiver(
-                    channel=r.channel[k],
-                    u_perp=r.decoding_subspace(k),
-                    n_streams=r.n_streams,
-                )
-                for r in receivers
-            ]
-            vectors = compute_precoders(n_tx, ongoing=ongoing, own_receivers=own)
+            vectors = compute_precoders_reference(
+                n_tx, ongoing=ongoing, own_receivers=_own_receivers(receivers, k)
+            )
         for index, vector in enumerate(vectors):
             out[k, index] = vector
     return out
@@ -111,15 +125,9 @@ class TestPlanInitialBatched:
         plan = plan_initial_transmission(9, 3, receivers)
         reference = np.zeros((N_SUB, 3, 3), dtype=complex)
         for k in range(N_SUB):
-            own = [
-                OwnReceiver(
-                    channel=r.channel[k],
-                    u_perp=r.decoding_subspace(k),
-                    n_streams=r.n_streams,
-                )
-                for r in receivers
-            ]
-            vectors = compute_precoders(3, ongoing=[], own_receivers=own)
+            vectors = compute_precoders_reference(
+                3, ongoing=[], own_receivers=_own_receivers(receivers, k)
+            )
             for index, vector in enumerate(vectors):
                 reference[k, index] = vector
         for index, stream in enumerate(plan.streams):
@@ -131,7 +139,7 @@ class TestComputePrecodersBatch:
         shared = _channels(rng, 2, 4)
         batched = compute_precoders_batch(4, shared, n_streams=2)
         for k in range(N_SUB):
-            reference = compute_precoders(
+            reference = compute_precoders_reference(
                 4, ongoing=[ReceiverConstraint(channel=shared[k])], n_streams=2
             )
             for index, vector in enumerate(reference):

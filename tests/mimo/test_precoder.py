@@ -160,6 +160,19 @@ class TestMultiReceiverEq7:
         with pytest.raises(PrecodingError):
             compute_precoders(3, [], own, n_streams=2)
 
+    def test_singular_combined_system_raises(self, rng):
+        # Two own receivers with the same channel and decoding subspace
+        # make Eq. 7's matrix singular: the batched kernel falls back and
+        # notes a degradation, which the scalar API reports as an error.
+        h = _random(rng, (2, 3))
+        own = [
+            OwnReceiver(channel=h, u_perp=np.eye(2)[:, :1], n_streams=1),
+            OwnReceiver(channel=h, u_perp=np.eye(2)[:, :1], n_streams=1),
+        ]
+        ongoing = [ReceiverConstraint(channel=_random(rng, (1, 3)))]
+        with pytest.raises(PrecodingError, match="singular"):
+            compute_precoders(3, ongoing, own)
+
     def test_own_receiver_validation(self, rng):
         with pytest.raises(PrecodingError):
             OwnReceiver(channel=_random(rng, (2, 3)), u_perp=np.eye(2)[:, :1], n_streams=2)

@@ -559,6 +559,39 @@ class TestTraceValidation:
         with pytest.raises(ConfigurationError, match=r"line 2.*at least\s+3 fields"):
             FaultSchedule.from_trace(path)
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [("0,nan,0.5", "duration_us"), ("nan,1000,0.5", "start_us"),
+         ("0,inf,0.5", "duration_us")],
+    )
+    def test_csv_trace_non_finite_time_names_line_and_field(self, tmp_path, row, field):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"start_us,duration_us,loss_rate\n{row}\n")
+        with pytest.raises(ConfigurationError, match=rf"line 2.*{field}.*finite"):
+            FaultSchedule.from_trace(path)
+
+    @pytest.mark.parametrize(
+        "episode, field",
+        [({"start_us": 0.0, "duration_us": float("nan"), "loss_rate": 0.5}, "duration_us"),
+         ({"start_us": float("nan"), "duration_us": 1e3, "loss_rate": 0.5}, "start_us"),
+         ({"start_us": 0.0, "duration_us": float("inf"), "loss_rate": 0.5}, "duration_us")],
+    )
+    def test_json_trace_non_finite_time_names_episode_and_field(
+        self, tmp_path, episode, field
+    ):
+        path = tmp_path / "trace.json"
+        # json.dumps writes NaN/Infinity, which json.loads accepts.
+        path.write_text(json.dumps([{"start_us": 0.0, "duration_us": 10.0, "loss_rate": 0.1},
+                                    episode]))
+        with pytest.raises(ConfigurationError, match=rf"episode 1.*{field}.*finite"):
+            FaultSchedule.from_trace(path)
+
+    def test_csv_trace_rejects_unparseable_row_after_the_first(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("start_us,duration_us,loss_rate\n100,50,0.3\nl00,50,0.9\n")
+        with pytest.raises(ConfigurationError, match=r"line 3.*start_us.*'l00'"):
+            FaultSchedule.from_trace(path)
+
     def test_csv_trace_bad_field_names_line_and_field(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("100.0,fifty,0.3\n")

@@ -5,19 +5,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-
-from repro.mimo.decoder import post_projection_snr_db
+from oracles.mimo import (
+    announced_subspace_reference,
+    effective_column_reference,
+    post_projection_snr_reference,
+    unprotected_interference_power_reference,
+)
 from repro.mimo.dof import InterferenceStrategy
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import (
-    _announced_subspace_per_subcarrier,
-    _effective_column,
     announced_decoding_subspace,
     interference_directions_at,
     receiver_stream_snrs,
-    unprotected_interference_power,
     unprotected_interference_power_batch,
 )
+from repro.utils.db import linear_to_db
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.network import Network
 from repro.sim.scenarios import three_pair_scenario
@@ -62,7 +64,7 @@ class TestEffectiveColumns:
         for index, stream in enumerate(streams):
             channel = network.true_channel(stream.transmitter_id, 3)
             for k in range(N_SUB):
-                reference = _effective_column(channel, stream, k)
+                reference = effective_column_reference(channel, stream, k)
                 assert np.allclose(directions[k, :, index], reference)
 
     def test_unprotected_power_matches_per_subcarrier(self, network):
@@ -72,7 +74,7 @@ class TestEffectiveColumns:
         batched = unprotected_interference_power_batch(channel, stream)
         for k in range(N_SUB):
             assert batched[k] == pytest.approx(
-                unprotected_interference_power(channel, stream, k)
+                unprotected_interference_power_reference(channel, stream, k)
             )
 
 
@@ -82,7 +84,7 @@ class TestAnnouncedSubspace:
         wanted = [_stream(medium, network, tx=2, rx=3, seed=3)]
         batched = announced_decoding_subspace(network, 3, wanted, [])
         wanted_dirs = interference_directions_at(network, 3, wanted)
-        reference = _announced_subspace_per_subcarrier(wanted_dirs, None, 1)
+        reference = announced_subspace_reference(wanted_dirs, None, 1)
         assert np.allclose(batched, reference)
 
     def test_matches_reference_with_interference(self, network):
@@ -92,8 +94,30 @@ class TestAnnouncedSubspace:
         batched = announced_decoding_subspace(network, 3, wanted, interference)
         wanted_dirs = interference_directions_at(network, 3, wanted)
         interference_dirs = interference_directions_at(network, 3, interference)
-        reference = _announced_subspace_per_subcarrier(wanted_dirs, interference_dirs, 1)
+        reference = announced_subspace_reference(wanted_dirs, interference_dirs, 1)
         assert np.allclose(batched, reference)
+
+    def test_rank_deficient_subcarrier_is_padded_orthonormally(self, network):
+        # On subcarrier 2 the first wanted stream is steered to arrive
+        # exactly along the interference, so its projected column is zero:
+        # the announced basis there is padded with orthonormal filler, and
+        # everywhere else it matches the per-subcarrier formulation.
+        medium = Medium()
+        interference = [_stream(medium, network, tx=0, rx=1, seed=14)]
+        interference_dirs = interference_directions_at(network, 5, interference)
+        steered = _stream(medium, network, tx=4, rx=5, seed=15)
+        steered.precoders[2] = np.linalg.solve(
+            network.true_channel(4, 5)[2], interference_dirs[2, :, 0]
+        )
+        wanted = [steered, _stream(medium, network, tx=2, rx=3, seed=16)]
+        wanted_dirs = interference_directions_at(network, 5, wanted)
+
+        subspace = announced_decoding_subspace(network, 5, wanted, interference)
+        gram = subspace.conj().transpose(0, 2, 1) @ subspace
+        assert np.allclose(gram, np.broadcast_to(np.eye(2), (N_SUB, 2, 2)))
+        reference = announced_subspace_reference(wanted_dirs, interference_dirs, 2)
+        full_rank = [k for k in range(N_SUB) if k != 2]
+        assert np.allclose(subspace[full_rank], reference[full_rank])
 
     def test_joiner_orthogonal_to_subspace_is_harmless(self, network):
         medium = Medium()
@@ -114,22 +138,24 @@ def _reference_snrs(network, receiver_id, wanted, projection, residual_power):
     out = {s.stream_id: [] for s in wanted}
     for k in range(N_SUB):
         wanted_matrix = np.stack(
-            [_effective_column(channels[s.transmitter_id], s, k) for s in wanted], axis=1
+            [effective_column_reference(channels[s.transmitter_id], s, k) for s in wanted], axis=1
         )
         interference = (
             np.stack(
-                [_effective_column(channels[s.transmitter_id], s, k) for s in projection],
+                [effective_column_reference(channels[s.transmitter_id], s, k) for s in projection],
                 axis=1,
             )
             if projection
             else None
         )
-        per_stream = post_projection_snr_db(
-            wanted_matrix,
-            interference,
-            noise_power=noise,
-            signal_power=1.0,
-            residual_interference_power=float(residual_power[k]),
+        per_stream = linear_to_db(
+            post_projection_snr_reference(
+                wanted_matrix,
+                interference,
+                noise_power=noise,
+                signal_power=1.0,
+                residual_interference_power=float(residual_power[k]),
+            )
         )
         for index, stream in enumerate(wanted):
             out[stream.stream_id].append(float(per_stream[index]))

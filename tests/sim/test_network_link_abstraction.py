@@ -10,7 +10,7 @@ from repro.sim.link_abstraction import (
     announced_decoding_subspace,
     interference_directions_at,
     receiver_stream_snrs,
-    unprotected_interference_power,
+    unprotected_interference_power_batch,
 )
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.network import Network
@@ -156,8 +156,8 @@ class TestLinkAbstraction:
         weak = _stream(medium, network, tx=4, rx=5, power=0.1)
         strong = _stream(medium, network, tx=4, rx=5, power=1.0)
         channel = network.true_channel(4, 1)
-        assert unprotected_interference_power(channel, strong, 0) == pytest.approx(
-            10 * unprotected_interference_power(channel, weak, 0)
+        assert unprotected_interference_power_batch(channel, strong) == pytest.approx(
+            10 * unprotected_interference_power_batch(channel, weak)
         )
 
     def test_interference_directions_shape(self, network):

@@ -115,7 +115,12 @@ def test_layout_table_paths_exist():
 
 def test_architecture_named_symbols_exist():
     """Functions/modules the architecture doc leans on must be importable."""
-    from oracles.mimo import alignment_subspaces_reference  # noqa: F401
+    from oracles.mimo import (  # noqa: F401
+        alignment_subspaces_reference,
+        announced_subspace_reference,
+        compute_precoders_reference,
+        post_projection_snr_reference,
+    )
     from oracles.network import PerPairNetwork  # noqa: F401
     from oracles.phy import (  # noqa: F401
         estimate_mimo_channel_reference,
@@ -127,9 +132,7 @@ def test_architecture_named_symbols_exist():
         slot_aligned_idle_end_reference,
     )
     from repro.sim.engine import EventScheduler  # noqa: F401
-    from repro.sim.link_abstraction import (  # noqa: F401
-        _announced_subspace_per_subcarrier,
-    )
+    from repro.sim.link_abstraction import announced_decoding_subspace  # noqa: F401
     from repro.sim.runner import (  # noqa: F401
         _slot_aligned_idle_end,
         placement_seed,
