@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mac.variants import resolve_protocol
-from repro.phy.esnr import esnr_for_modulation
+from repro.phy.esnr import esnr_db
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.medium import Medium
 from repro.sim.network import Network
@@ -40,9 +40,7 @@ def describe_streams(network, medium, label):
         protects = ", ".join(protections) if protections else "nobody (first winner)"
         snrs = receiver_stream_snrs(network, group[0].receiver_id, group, streams)
         mean_snr = np.mean([np.mean(s) for s in snrs.values()])
-        esnr = esnr_for_modulation(
-            np.concatenate(list(snrs.values())), group[0].mcs.modulation
-        )
+        esnr = esnr_db(np.concatenate(list(snrs.values())))
         print(
             f"  {name} -> {receiver}: {len(group)} stream(s), MCS {group[0].mcs.index}, "
             f"protects {protects}"

@@ -9,8 +9,6 @@ but behaviour-preserving substitute:
 * :mod:`repro.channel.hardware` -- hardware impairments: noise floor,
   per-node carrier-frequency offsets, channel-estimation error and the
   finite nulling/alignment depth observed on real radios (§6.2).
-* :mod:`repro.channel.reciprocity` -- forward/reverse channel reciprocity
-  with a calibration error term (§2, footnote 2).
 * :mod:`repro.channel.testbed` -- a synthetic floor plan standing in for
   the testbed of Fig. 10: node placement, log-distance path loss,
   shadowing, and per-link MIMO channel generation.
@@ -19,7 +17,6 @@ but behaviour-preserving substitute:
 from repro.channel.models import awgn, rayleigh_mimo_channel, rician_mimo_channel
 from repro.channel.multipath import MultipathChannel, exponential_power_delay_profile
 from repro.channel.hardware import HardwareProfile
-from repro.channel.reciprocity import reverse_channel
 from repro.channel.testbed import Testbed, TestbedLink, default_testbed
 
 __all__ = [
@@ -29,7 +26,6 @@ __all__ = [
     "MultipathChannel",
     "exponential_power_delay_profile",
     "HardwareProfile",
-    "reverse_channel",
     "Testbed",
     "TestbedLink",
     "default_testbed",

@@ -36,10 +36,6 @@ class DecodingError(ReproError):
     deficiency of the wanted-stream channel, or an unsupported bitrate)."""
 
 
-class SynchronizationError(ReproError):
-    """Raised when packet detection or symbol synchronization fails."""
-
-
 class MediumAccessError(ReproError):
     """Raised on protocol violations in the MAC simulation, e.g. a node
     attempting to join more streams than the available degrees of freedom."""

@@ -1,6 +1,6 @@
 """Medium-access control: the n+ protocol and its baselines.
 
-* :mod:`repro.mac.frames` -- packets and the light-weight data/ACK headers.
+* :mod:`repro.mac.frames` -- the packets traffic sources queue.
 * :mod:`repro.mac.handshake` -- the light-weight RTS/CTS handshake (§3.5):
   overhead accounting and differential encoding of the alignment space.
 * :mod:`repro.mac.bitrate` -- per-packet ESNR-based bitrate selection
@@ -21,7 +21,7 @@
 from repro.mac.aggregation import airtime_for_bits, bits_in_airtime
 from repro.mac.bitrate import HistoricalRateController, choose_bitrate
 from repro.mac.csma import ContentionRound, DcfContender, resolve_contention
-from repro.mac.frames import AckHeader, DataHeader, Packet
+from repro.mac.frames import Packet
 from repro.mac.handshake import HandshakeOverhead, handshake_overhead
 from repro.mac.plan import (
     PlannedReceiver,
@@ -36,8 +36,6 @@ from repro.mac.retransmission import RetransmissionQueue
 
 __all__ = [
     "Packet",
-    "DataHeader",
-    "AckHeader",
     "choose_bitrate",
     "HistoricalRateController",
     "admission_power_scale",

@@ -31,8 +31,8 @@ def choose_bitrate(subcarrier_snrs_db: Sequence[float], margin_db: float = 0.0) 
     This is a thin, intention-revealing wrapper over
     :func:`repro.phy.esnr.select_mcs`: the receiver measures the SNRs on
     the light-weight RTS (already projected orthogonal to ongoing
-    transmissions), computes the effective SNR per candidate modulation
-    and returns the fastest scheme expected to deliver the packet.
+    transmissions), computes their effective SNR and returns the fastest
+    scheme expected to deliver the packet.
     """
     return select_mcs(subcarrier_snrs_db, MCS_TABLE, margin_db)
 

@@ -1,22 +1,17 @@
-"""MAC-layer frames: packets and the light-weight handshake headers.
+"""MAC-layer packets.
 
-n+ never sends standalone RTS/CTS control frames.  Instead the *data
-header* plays the role of the RTS and the *ACK header* plays the role of
-the CTS (§3.5, Fig. 8): both are transmitted right after the preamble and
-before the corresponding body, and both carry the fields other nodes need
-to contend for the remaining degrees of freedom.
+The light-weight data/ACK headers that stand in for RTS/CTS (§3.5,
+Fig. 8) are not modelled as objects: :mod:`repro.mac.handshake` charges
+their cost as OFDM symbols.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.constants import DEFAULT_PACKET_SIZE_BYTES
 
-__all__ = ["Packet", "DataHeader", "AckHeader"]
+__all__ = ["Packet"]
 
 
 @dataclass
@@ -48,74 +43,3 @@ class Packet:
     def size_bits(self) -> int:
         """Payload size in bits."""
         return self.size_bytes * 8
-
-
-@dataclass
-class DataHeader:
-    """The light-weight RTS: the data header sent ahead of the data body.
-
-    Attributes
-    ----------
-    transmitter_id:
-        The sending node.
-    receiver_ids:
-        Destination(s); more than one when a single node transmits
-        concurrently to multiple receivers (Fig. 4).
-    streams_per_receiver:
-        Number of spatial streams destined to each receiver, aligned with
-        ``receiver_ids``.
-    n_antennas:
-        Antennas the transmitter will use.
-    duration_us:
-        How long the body transmission will last.
-    mcs_index:
-        Bitrate of the body (may be revised by the ACK header's feedback).
-    """
-
-    transmitter_id: int
-    receiver_ids: List[int]
-    streams_per_receiver: List[int]
-    n_antennas: int
-    duration_us: float
-    mcs_index: int = 0
-
-    @property
-    def n_streams(self) -> int:
-        """Total spatial streams announced."""
-        return int(sum(self.streams_per_receiver))
-
-
-@dataclass
-class AckHeader:
-    """The light-weight CTS: the ACK header sent by a receiver.
-
-    Attributes
-    ----------
-    receiver_id:
-        The responding receiver.
-    transmitter_id:
-        The node it responds to.
-    mcs_index:
-        The bitrate the receiver selected from the measured effective SNR.
-    decoding_subspace:
-        U-perp per subcarrier (``(n_subcarriers, N, n)``) or a single
-        ``(N, n)`` matrix; broadcast so later joiners can align inside the
-        receiver's unwanted space (Claim 3.4).  ``None`` when the receiver
-        has no spare dimensions (joiners must null).
-    n_wanted_streams:
-        n, the number of streams this receiver is decoding.
-    n_antennas:
-        N, the receiver's antenna count.
-    """
-
-    receiver_id: int
-    transmitter_id: int
-    mcs_index: int
-    n_wanted_streams: int
-    n_antennas: int
-    decoding_subspace: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def has_unwanted_space(self) -> bool:
-        """Whether joiners may align at this receiver instead of nulling."""
-        return self.n_wanted_streams < self.n_antennas

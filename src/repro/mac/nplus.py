@@ -37,7 +37,6 @@ from repro.constants import (
 from repro.exceptions import PrecodingError
 from repro.mac.aggregation import bits_in_airtime
 from repro.mac.beamforming import BeamformingMac, distribute_streams
-from repro.mac.bitrate import choose_bitrate
 from repro.mac.plan import (
     PlannedReceiver,
     ProtectedReceiver,
@@ -45,6 +44,7 @@ from repro.mac.plan import (
     stream_signature,
 )
 from repro.mimo.dof import InterferenceStrategy, choose_strategy
+from repro.phy.esnr import esnr_db, mcs_for_esnr
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import announced_decoding_subspace, interference_directions_at
 from repro.sim.medium import Medium, ScheduledStream
@@ -309,20 +309,16 @@ class NPlusMac(BeamformingMac):
         # degree of freedom on a packet that cannot be decoded).
         airtime = end_us - start_us
         any_payload = False
-        from repro.phy.esnr import esnr_for_modulation
-
         lowest = MCS_TABLE[0]
         for receiver in receivers:
             group = [s for s in streams if s.receiver_id == receiver.receiver_id]
-            measured = self._measured_snrs(receiver.receiver_id, streams, medium.active_streams)
-            viable = (
-                esnr_for_modulation(measured, lowest.modulation)
-                >= lowest.min_esnr_db + self.bitrate_margin_db
+            esnr = esnr_db(
+                self._measured_snrs(receiver.receiver_id, streams, medium.active_streams)
             )
-            if not viable:
+            if esnr < lowest.min_esnr_db + self.bitrate_margin_db:
                 group[0].payload_bits = 0
                 continue
-            mcs = choose_bitrate(measured, self.bitrate_margin_db)
+            mcs = mcs_for_esnr(esnr, MCS_TABLE, self.bitrate_margin_db)
             capacity = bits_in_airtime(mcs, airtime, len(group))
             backlog = self.queues[receiver.receiver_id].backlog_bits
             payload = min(capacity, backlog)

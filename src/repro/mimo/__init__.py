@@ -2,8 +2,6 @@
 interference alignment and multi-dimensional carrier sense.
 
 * :mod:`repro.mimo.dof` -- degrees-of-freedom accounting (Claims 3.1, 3.2).
-* :mod:`repro.mimo.subspace` -- the "unwanted space" U and its orthogonal
-  complement U-perp at a receiver.
 * :mod:`repro.mimo.nulling` -- interference nulling (Claim 3.3).
 * :mod:`repro.mimo.alignment` -- interference alignment (Claim 3.4).
 * :mod:`repro.mimo.precoder` -- the general pre-coding solver (Claim 3.5,
@@ -12,12 +10,9 @@ interference alignment and multi-dimensional carrier sense.
   post-projection SNR (the quantity behind Fig. 7 and bitrate selection).
 * :mod:`repro.mimo.carrier_sense` -- multi-dimensional carrier sense
   (§3.2, Fig. 6).
-* :mod:`repro.mimo.streams` -- bookkeeping dataclasses describing ongoing
-  streams and receivers.
 """
 
 from repro.mimo.dof import InterferenceStrategy, max_concurrent_streams, choose_strategy
-from repro.mimo.subspace import unwanted_space, decoding_projection
 from repro.mimo.nulling import nulling_precoders, two_antenna_nulling_weight
 from repro.mimo.alignment import alignment_constraint_rows, alignment_precoders
 from repro.mimo.precoder import ReceiverConstraint, OwnReceiver, compute_precoders, max_streams
@@ -32,8 +27,6 @@ __all__ = [
     "InterferenceStrategy",
     "max_concurrent_streams",
     "choose_strategy",
-    "unwanted_space",
-    "decoding_projection",
     "nulling_precoders",
     "two_antenna_nulling_weight",
     "alignment_constraint_rows",

@@ -14,18 +14,15 @@ the paper's USRP2/GNURadio prototype in simulation:
   per-antenna orthogonal training, and preamble cross-correlation used by
   carrier sense.
 * :mod:`repro.phy.channel_est` -- least-squares MIMO channel estimation.
-* :mod:`repro.phy.cfo` -- carrier-frequency-offset estimation/correction.
-* :mod:`repro.phy.sync` -- packet detection and symbol timing.
 * :mod:`repro.phy.esnr` -- effective SNR (Halperin et al.) and the
   ESNR-to-bitrate table used by n+'s per-packet bitrate selection.
 * :mod:`repro.phy.rates` -- the 802.11 modulation-and-coding-scheme table.
-* :mod:`repro.phy.frame` -- PHY frame headers and serialization.
 * :mod:`repro.phy.transceiver` -- the end-to-end multi-antenna TX/RX chain.
 """
 
 from repro.phy.modulation import Modulation, get_modulation, MODULATIONS
 from repro.phy.rates import MCS, MCS_TABLE, mcs_by_index, data_rate_mbps
-from repro.phy.esnr import esnr_db, select_mcs, per_subcarrier_snr_db
+from repro.phy.esnr import esnr_db, select_mcs
 
 __all__ = [
     "Modulation",
@@ -37,5 +34,4 @@ __all__ = [
     "data_rate_mbps",
     "esnr_db",
     "select_mcs",
-    "per_subcarrier_snr_db",
 ]

@@ -140,24 +140,6 @@ class Modulation:
             llrs[:, bit] = (d_one - d_zero) / noise_var
         return llrs.reshape(-1)
 
-    # -- link-quality helpers ----------------------------------------------
-
-    def symbol_error_probability(self, snr_db: float) -> float:
-        """Approximate symbol error probability on an AWGN channel."""
-        from scipy.special import erfc
-
-        snr = 10 ** (snr_db / 10.0)
-        if self.bits_per_symbol == 1:
-            return float(0.5 * erfc(np.sqrt(snr)))
-        m = 1 << self.bits_per_symbol
-        k = np.sqrt(3.0 * snr / (m - 1))
-        per_axis = (1 - 1 / np.sqrt(m)) * erfc(k / np.sqrt(2))
-        return float(min(1.0, 2 * per_axis - per_axis**2))
-
-    def bit_error_probability(self, snr_db: float) -> float:
-        """Approximate (Gray-mapped) bit error probability on AWGN."""
-        return self.symbol_error_probability(snr_db) / self.bits_per_symbol
-
 
 def _make_modulations() -> Dict[str, Modulation]:
     return {

@@ -64,9 +64,9 @@ from repro.mac.plan import involved_node_ids, stream_signature
 from repro.phy.channel_est import ChannelEstimate
 from repro.phy.esnr import (
     delivery_margin_db,
-    esnr_for_modulation,
+    esnr_db,
+    mcs_for_esnr,
     packet_delivery_probability,
-    select_mcs,
 )
 from repro.phy.ofdm import OfdmConfig, OfdmModem
 from repro.phy.rates import MCS, MCS_TABLE
@@ -486,7 +486,8 @@ def cross_validate_links(
             end_us=100.0,
         )
         snrs = receiver_stream_snrs(network, rx, [stream], [stream], rng=None)[0]
-        selected = select_mcs(snrs, margin_db=run_spec.bitrate_margin_db)
+        esnr = esnr_db(snrs)
+        selected = mcs_for_esnr(esnr, MCS_TABLE, run_spec.bitrate_margin_db)
         candidates = {selected.index}
         if selected.index + 1 < len(MCS_TABLE):
             candidates.add(selected.index + 1)
@@ -506,7 +507,7 @@ def cross_validate_links(
                     transmitter_id=tx,
                     receiver_id=rx,
                     mcs_index=index,
-                    esnr_db=esnr_for_modulation(snrs, mcs.modulation),
+                    esnr_db=esnr,
                     margin_db=margin,
                     in_band=abs(margin) <= band_db,
                     abstraction_probability=probability,

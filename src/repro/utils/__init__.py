@@ -8,8 +8,6 @@ that the PHY, MIMO and MAC layers build on:
   multi-dimensional carrier sense.
 * :mod:`repro.utils.db` -- dB / linear power conversions.
 * :mod:`repro.utils.bits` -- bit packing, CRC-32 and pseudo-random payloads.
-* :mod:`repro.utils.validation` -- argument-checking helpers that raise the
-  library's exception types.
 """
 
 from repro.utils.db import (

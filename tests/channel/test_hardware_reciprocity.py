@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.channel.hardware import HardwareProfile
-from repro.channel.reciprocity import calibrated_reverse_channel, reverse_channel
+from repro.sim.network import Network
+from repro.sim.scenarios import custom_pairs_scenario
 from repro.utils.db import linear_to_db
 
 
@@ -74,23 +75,45 @@ class TestHardwareProfile:
         assert profile.estimation_error_variance(10.0) == pytest.approx(0.1)
 
 
-class TestReciprocity:
-    def test_ideal_reverse_is_transpose(self, rng):
-        forward = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        reverse = reverse_channel(forward)
-        assert reverse.shape == (3, 2)
-        assert np.allclose(reverse, forward.T)
+def _two_by_three_network():
+    """Pairs of 2 and 3 antennas: node 0 has 2 antennas, node 3 has 3."""
+    scenario = custom_pairs_scenario([2, 3])
+    return Network(scenario.stations, scenario.pairs, np.random.default_rng(7), n_subcarriers=8)
 
-    def test_calibrated_reverse_is_close_to_transpose(self, rng):
-        profile = HardwareProfile()
-        forward = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        estimate = calibrated_reverse_channel(forward, profile, rng)
-        relative_error = np.linalg.norm(estimate - forward.T) / np.linalg.norm(forward)
-        assert relative_error < 0.2
+
+class TestReciprocity:
+    def test_ideal_reverse_is_transpose(self):
+        network = _two_by_three_network()
+        a, b = 0, 3
+        forward = network.true_channel(a, b)
+        reverse = network.true_channel(b, a)
+        assert reverse.shape == (forward.shape[0], forward.shape[2], forward.shape[1])
+        assert np.array_equal(reverse, forward.transpose(0, 2, 1))
+
+    def test_calibrated_reverse_is_close_to_transpose(self):
+        network = _two_by_three_network()
+        a, b = 0, 3
+        forward = network.true_channel(a, b)
+        estimate = network.estimated_channel(b, a, reciprocity=True)
+        relative_error = np.linalg.norm(estimate - forward.transpose(0, 2, 1)) / np.linalg.norm(
+            forward
+        )
+        assert 0.0 < relative_error < 0.2
 
     def test_calibration_quality_parameter(self, rng):
-        forward = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        profile = HardwareProfile()
-        coarse = calibrated_reverse_channel(forward, profile, rng, calibration_quality_db=-10.0)
-        fine = calibrated_reverse_channel(forward, profile, rng, calibration_quality_db=-40.0)
-        assert np.linalg.norm(fine - forward.T) < np.linalg.norm(coarse - forward.T)
+        forward = rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))
+        reverse = forward.transpose(0, 2, 1)
+
+        def error(profile, reciprocity):
+            estimate = profile.perturb_channel(reverse, np.random.default_rng(1), reciprocity)
+            return np.linalg.norm(estimate - reverse)
+
+        coarse = HardwareProfile(reciprocity_error_db=-10.0)
+        fine = HardwareProfile(reciprocity_error_db=-40.0)
+        assert error(fine, True) < error(coarse, True)
+        # Same draws, so the errors scale exactly with the combined error
+        # power; the calibration penalty applies only to reverse estimates.
+        direct = error(coarse, False)
+        expected_ratio = np.sqrt(1.0 + 10 ** ((-10.0 - coarse.channel_estimation_error_db) / 10))
+        assert error(coarse, True) / direct == pytest.approx(expected_ratio)
+        assert error(fine, False) == pytest.approx(direct)

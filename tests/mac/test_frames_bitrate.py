@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mac.bitrate import HistoricalRateController, choose_bitrate
-from repro.mac.frames import AckHeader, DataHeader, Packet
+from repro.mac.frames import Packet
+from repro.phy.esnr import esnr_db, mcs_for_esnr
 from repro.phy.rates import MCS_TABLE
 
 
@@ -18,28 +19,6 @@ class TestPacket:
         assert packet.retries == 0
 
 
-class TestHeaders:
-    def test_data_header_stream_count(self):
-        header = DataHeader(
-            transmitter_id=2,
-            receiver_ids=[3, 4],
-            streams_per_receiver=[2, 1],
-            n_antennas=3,
-            duration_us=500.0,
-        )
-        assert header.n_streams == 3
-
-    def test_ack_header_unwanted_space_flag(self):
-        with_space = AckHeader(
-            receiver_id=1, transmitter_id=2, mcs_index=3, n_wanted_streams=1, n_antennas=2
-        )
-        without_space = AckHeader(
-            receiver_id=1, transmitter_id=2, mcs_index=3, n_wanted_streams=2, n_antennas=2
-        )
-        assert with_space.has_unwanted_space
-        assert not without_space.has_unwanted_space
-
-
 class TestChooseBitrate:
     def test_extreme_snrs(self):
         assert choose_bitrate([40.0] * 16).index == len(MCS_TABLE) - 1
@@ -48,6 +27,14 @@ class TestChooseBitrate:
     def test_margin_lowers_selection(self):
         snrs = [13.0] * 16
         assert choose_bitrate(snrs, margin_db=4.0).index <= choose_bitrate(snrs).index
+
+    def test_matches_the_rule_on_a_precomputed_esnr(self, rng):
+        # n+'s join check computes the ESNR once and picks the rate from
+        # it; that must be the rate choose_bitrate would have picked.
+        for _ in range(50):
+            snrs = rng.uniform(-5.0, 35.0, size=16)
+            margin = float(rng.uniform(-2.0, 4.0))
+            assert choose_bitrate(snrs, margin) == mcs_for_esnr(esnr_db(snrs), MCS_TABLE, margin)
 
 
 class TestHistoricalRateController:

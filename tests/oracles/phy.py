@@ -1,13 +1,19 @@
-"""PHY oracles: the per-state Viterbi decoder and per-pair channel estimation."""
+"""PHY oracles: the per-state Viterbi decoder, per-pair channel estimation,
+and the uncoded-BER-averaging effective SNR with its AWGN error curves."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import erfc
 
 from repro.exceptions import DimensionError
 from repro.phy.channel_est import ChannelEstimate, estimate_channel_from_ltf
 from repro.phy.coding.convolutional import ConvolutionalEncoder, default_encoder
 from repro.phy.coding.viterbi import _checked_pairs
+from repro.phy.modulation import Modulation
 from repro.phy.preamble import Preamble, ltf_frequency_sequence
 
 
@@ -127,3 +133,57 @@ def estimate_mimo_channel_reference(
             estimate = estimate_channel_from_ltf(slot, config)
             matrices[:, rx_antenna, tx_antenna] = estimate
     return ChannelEstimate(matrices=matrices, valid_bins=np.where(occupied)[0])
+
+
+def symbol_error_probability(modulation: Modulation, snr_db: float) -> float:
+    """Approximate symbol error probability of ``modulation`` on AWGN."""
+    snr = 10 ** (snr_db / 10.0)
+    if modulation.bits_per_symbol == 1:
+        return float(0.5 * erfc(np.sqrt(snr)))
+    m = 1 << modulation.bits_per_symbol
+    k = np.sqrt(3.0 * snr / (m - 1))
+    per_axis = (1 - 1 / np.sqrt(m)) * erfc(k / np.sqrt(2))
+    return float(min(1.0, 2 * per_axis - per_axis**2))
+
+
+def bit_error_probability(modulation: Modulation, snr_db: float) -> float:
+    """Approximate (Gray-mapped) bit error probability of ``modulation`` on AWGN."""
+    return symbol_error_probability(modulation, snr_db) / modulation.bits_per_symbol
+
+
+def _ber_for_snr(modulation: Modulation, snr_db: float) -> float:
+    """Uncoded BER of ``modulation`` at a given SNR, clipped to ``[1e-15, 0.5]``."""
+    return min(0.5, max(bit_error_probability(modulation, snr_db), 1e-15))
+
+
+def esnr_ber_average(subcarrier_snrs_db: Sequence[float], modulation: Modulation) -> float:
+    """The uncoded-BER-averaging effective SNR.
+
+    Averages the per-subcarrier *uncoded* BER for ``modulation`` and
+    inverts the BER curve to find the flat-channel SNR with the same
+    average BER.  This is the most literal reading of the ESNR definition,
+    but because it ignores the convolutional code and interleaver it is
+    dominated by the single worst subcarrier; the simulator's
+    :func:`repro.phy.esnr.esnr_db` averages mutual information instead,
+    and the tests pin how the two compare.
+    """
+    snrs = np.asarray(list(subcarrier_snrs_db), dtype=float)
+    if snrs.size == 0:
+        return -np.inf
+    bers = np.array([_ber_for_snr(modulation, snr) for snr in snrs])
+    mean_ber = float(np.mean(bers))
+    if mean_ber <= 1e-14:
+        return float(np.max(snrs))
+    if mean_ber >= 0.5 - 1e-12:
+        return float(np.min(snrs))
+
+    def objective(snr_db: float) -> float:
+        return _ber_for_snr(modulation, snr_db) - mean_ber
+
+    low, high = -20.0, 60.0
+    # The BER curve is monotonically decreasing in SNR, so bisection works.
+    try:
+        return float(brentq(objective, low, high))
+    except ValueError:
+        # mean BER outside the achievable bracket; clamp.
+        return float(np.clip(np.mean(snrs), low, high))

@@ -5,34 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy.esnr import (
-    esnr_db,
-    esnr_ber_average,
-    esnr_for_modulation,
-    packet_delivery_probability,
-    per_subcarrier_snr_db,
-    select_mcs,
-)
+from oracles.phy import esnr_ber_average
+from repro.phy.esnr import esnr_db, mcs_for_esnr, packet_delivery_probability, select_mcs
 from repro.phy.modulation import get_modulation
 from repro.phy.rates import MCS_TABLE
-
-
-class TestPerSubcarrierSnr:
-    def test_flat_channel(self):
-        gains = np.ones(48, dtype=complex)
-        snrs = per_subcarrier_snr_db(gains, noise_power=0.01)
-        assert np.allclose(snrs, 20.0)
-
-    def test_scales_with_signal_power(self):
-        gains = np.ones(4, dtype=complex)
-        low = per_subcarrier_snr_db(gains, 1.0, signal_power=1.0)
-        high = per_subcarrier_snr_db(gains, 1.0, signal_power=10.0)
-        assert np.allclose(high - low, 10.0)
-
-    def test_faded_subcarrier_has_lower_snr(self):
-        gains = np.array([1.0, 0.1], dtype=complex)
-        snrs = per_subcarrier_snr_db(gains, 0.01)
-        assert snrs[0] > snrs[1]
 
 
 class TestEffectiveSnr:
@@ -48,13 +24,11 @@ class TestEffectiveSnr:
     def test_one_faded_subcarrier_is_not_catastrophic(self):
         """With coding, one bad subcarrier should not collapse the ESNR."""
         snrs = [20.0] * 47 + [-10.0]
-        esnr = esnr_for_modulation(snrs, get_modulation("16qam"))
-        assert esnr > 15.0
+        assert esnr_db(snrs) > 15.0
 
     def test_ber_average_is_more_pessimistic(self):
         snrs = [20.0] * 47 + [-10.0]
-        modulation = get_modulation("16qam")
-        assert esnr_ber_average(snrs, modulation) < esnr_for_modulation(snrs, modulation)
+        assert esnr_ber_average(snrs, get_modulation("16qam")) < esnr_db(snrs)
 
     def test_empty_input(self):
         assert esnr_db([]) == -np.inf
@@ -63,8 +37,7 @@ class TestEffectiveSnr:
         base = rng.uniform(5, 20, size=16)
         improved = base.copy()
         improved[3] += 6.0
-        modulation = get_modulation("qpsk")
-        assert esnr_for_modulation(improved, modulation) > esnr_for_modulation(base, modulation)
+        assert esnr_db(improved) > esnr_db(base)
 
     @given(offset=st.floats(min_value=-5, max_value=5), seed=st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
@@ -72,10 +45,39 @@ class TestEffectiveSnr:
         """Raising every subcarrier by X dB raises the ESNR by about X dB."""
         rng = np.random.default_rng(seed)
         snrs = rng.uniform(8, 20, size=32)
-        modulation = get_modulation("qpsk")
-        base = esnr_for_modulation(snrs, modulation)
-        shifted = esnr_for_modulation(snrs + offset, modulation)
+        base = esnr_db(snrs)
+        shifted = esnr_db(snrs + offset)
         assert shifted - base == pytest.approx(offset, abs=1.5)
+
+    @given(snrs=st.lists(st.floats(min_value=-20.0, max_value=40.0), min_size=1, max_size=48))
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_geometric_mean_of_one_plus_snr(self, snrs):
+        """Averaging log2(1 + SNR) is a geometric mean of (1 + SNR)."""
+        linear = np.power(10.0, np.asarray(snrs) / 10.0)
+        expected = np.exp(np.mean(np.log1p(linear))) - 1.0
+        assert 10.0 ** (esnr_db(snrs) / 10.0) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @given(
+        snrs=st.lists(st.floats(min_value=-20.0, max_value=40.0), min_size=1, max_size=48),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_order_of_subcarriers_is_irrelevant(self, snrs, seed):
+        shuffled = np.random.default_rng(seed).permutation(snrs)
+        assert esnr_db(shuffled) == pytest.approx(esnr_db(snrs), abs=1e-9)
+
+    def test_accepts_any_iterable_of_snrs(self):
+        snrs = [3.0, 11.0, 17.5, 24.0]
+        expected = esnr_db(snrs)
+        assert esnr_db(tuple(snrs)) == expected
+        assert esnr_db(np.asarray(snrs)) == expected
+        assert esnr_db(snr for snr in snrs) == expected
+
+    def test_dead_subcarriers_floor_the_esnr(self):
+        assert esnr_db([-np.inf] * 4) == pytest.approx(-120.0)
+        one_dead = esnr_db([20.0] * 47 + [-np.inf])
+        assert np.isfinite(one_dead)
+        assert 19.0 < one_dead < 20.0
 
 
 class TestRateSelection:
@@ -96,7 +98,43 @@ class TestRateSelection:
     def test_selected_rate_threshold_is_met(self):
         snrs = [17.5] * 48
         mcs = select_mcs(snrs)
-        assert esnr_for_modulation(snrs, mcs.modulation) >= mcs.min_esnr_db
+        assert esnr_db(snrs) >= mcs.min_esnr_db
+
+    @given(
+        snrs=st.lists(st.floats(min_value=-10.0, max_value=45.0), min_size=1, max_size=48),
+        margin=st.floats(min_value=-4.0, max_value=8.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_selects_the_fastest_mcs_that_qualifies(self, snrs, margin):
+        esnr = esnr_db(snrs)
+        qualifying = [mcs for mcs in MCS_TABLE if mcs.min_esnr_db + margin <= esnr]
+        expected = (
+            max(qualifying, key=lambda mcs: mcs.data_rate_mbps()) if qualifying else MCS_TABLE[0]
+        )
+        assert select_mcs(snrs, margin_db=margin) == expected
+        assert mcs_for_esnr(esnr, MCS_TABLE, margin) == expected
+
+
+class TestMcsForEsnr:
+    @pytest.mark.parametrize("mcs", MCS_TABLE, ids=lambda mcs: f"mcs{mcs.index}")
+    def test_threshold_is_inclusive(self, mcs):
+        assert mcs_for_esnr(mcs.min_esnr_db) == mcs
+        assert mcs_for_esnr(mcs.min_esnr_db + 2.0, margin_db=2.0) == mcs
+
+    def test_table_may_be_a_one_shot_iterator(self):
+        assert mcs_for_esnr(30.0, iter(MCS_TABLE)) == MCS_TABLE[-1]
+        assert mcs_for_esnr(-5.0, iter(MCS_TABLE)) == MCS_TABLE[0]
+
+    def test_restricted_table_never_leaves_it(self):
+        table = MCS_TABLE[2:5]
+        assert mcs_for_esnr(40.0, table) == MCS_TABLE[4]
+        assert mcs_for_esnr(-5.0, table) == MCS_TABLE[2]
+        assert mcs_for_esnr(MCS_TABLE[3].min_esnr_db, table) == MCS_TABLE[3]
+
+    def test_unusable_esnr_gives_the_most_robust_entry(self):
+        assert mcs_for_esnr(-np.inf) == MCS_TABLE[0]
+        assert mcs_for_esnr(float("nan")) == MCS_TABLE[0]
+        assert select_mcs([]) == MCS_TABLE[0]
 
 
 class TestDeliveryProbability:
@@ -129,6 +167,31 @@ class TestDeliveryProbability:
         assert packet_delivery_probability(snrs, mcs, 48_000) <= packet_delivery_probability(
             snrs, mcs, 12_000
         )
+
+    @pytest.mark.parametrize("mcs", MCS_TABLE, ids=lambda mcs: f"mcs{mcs.index}")
+    def test_at_threshold_every_mcs_sits_on_the_same_logistic_point(self, mcs):
+        # The logistic is centred 2.5 dB below each threshold, with 1 dB
+        # steepness: delivery at the threshold is 1 / (1 + e^-2.5) ~ 0.92.
+        prob = packet_delivery_probability([mcs.min_esnr_db] * 16, mcs, 12_000)
+        assert prob == pytest.approx(1.0 / (1.0 + np.exp(-2.5)))
+
+    def test_steepness_flattens_the_cliff(self):
+        mcs = MCS_TABLE[3]
+        above = [mcs.min_esnr_db] * 16
+        below = [mcs.min_esnr_db - 5.0] * 16
+        assert packet_delivery_probability(above, mcs, 12_000, steepness_db=3.0) < (
+            packet_delivery_probability(above, mcs, 12_000, steepness_db=1.0)
+        )
+        assert packet_delivery_probability(below, mcs, 12_000, steepness_db=3.0) > (
+            packet_delivery_probability(below, mcs, 12_000, steepness_db=1.0)
+        )
+
+    def test_packets_up_to_12000_bits_share_one_probability(self):
+        mcs = MCS_TABLE[4]
+        snrs = [mcs.min_esnr_db - 1.0] * 16
+        reference = packet_delivery_probability(snrs, mcs, 12_000)
+        for bits in (1, 800, 11_999):
+            assert packet_delivery_probability(snrs, mcs, bits) == reference
 
     def test_probability_is_in_unit_interval(self, rng):
         mcs = MCS_TABLE[6]

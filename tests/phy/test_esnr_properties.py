@@ -1,16 +1,19 @@
 """Property tests for the ESNR mappings (repro.phy.esnr).
 
-Three families of properties:
+Four families of properties:
 
-* :func:`~repro.phy.esnr.esnr_for_modulation` is monotone under
-  per-subcarrier SNR increases (and exact on flat channels);
+* :func:`~repro.phy.esnr.esnr_db` is monotone under per-subcarrier SNR
+  increases (and exact on flat channels);
 * :func:`~repro.phy.esnr.select_mcs` is consistent with the per-MCS
   thresholds at +/-epsilon around every boundary;
-* the ordering between the uncoded-BER-averaging ESNR and the
-  mutual-information ESNR is pinned: both are bounded by the best
+* the ordering between the uncoded-BER-averaging ESNR (the
+  :func:`oracles.phy.esnr_ber_average` oracle) and the mutual-information
+  ESNR is pinned: both are bounded by the best
   subcarrier, they coincide on flat channels, and a deep fade drags the
   BER average (far) below the MI average -- the worst-subcarrier
-  domination that motivated switching rate selection to the MI mapping.
+  domination that motivated switching rate selection to the MI mapping;
+* the per-MCS thresholds sit where the code can still correct the
+  uncoded errors of the oracle's AWGN BER curves.
 """
 
 from __future__ import annotations
@@ -18,51 +21,38 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.phy.esnr import (
-    delivery_margin_db,
-    esnr_ber_average,
-    esnr_for_modulation,
-    packet_delivery_probability,
-    select_mcs,
-)
+from oracles.phy import bit_error_probability, esnr_ber_average
+from repro.phy.esnr import delivery_margin_db, esnr_db, packet_delivery_probability, select_mcs
 from repro.phy.rates import MCS_TABLE
 
 
 class TestMutualInformationEsnr:
     def test_flat_channel_is_exact(self):
         for snr in (-5.0, 0.0, 7.5, 22.0, 40.0):
-            flat = np.full(16, snr)
-            for mcs in MCS_TABLE:
-                assert esnr_for_modulation(flat, mcs.modulation) == pytest.approx(
-                    snr, abs=1e-9
-                )
+            assert esnr_db(np.full(16, snr)) == pytest.approx(snr, abs=1e-9)
 
     def test_monotone_under_single_subcarrier_increase(self, rng):
-        modulation = MCS_TABLE[3].modulation
         for _ in range(50):
             snrs = rng.uniform(-5.0, 35.0, size=int(rng.integers(2, 17)))
-            base = esnr_for_modulation(snrs, modulation)
+            base = esnr_db(snrs)
             bumped = snrs.copy()
             index = int(rng.integers(0, snrs.size))
             bumped[index] += float(rng.uniform(0.1, 10.0))
-            assert esnr_for_modulation(bumped, modulation) > base
+            assert esnr_db(bumped) > base
 
     def test_monotone_under_uniform_increase(self, rng):
-        modulation = MCS_TABLE[0].modulation
         for _ in range(20):
             snrs = rng.uniform(-5.0, 35.0, size=8)
-            base = esnr_for_modulation(snrs, modulation)
-            assert esnr_for_modulation(snrs + 3.0, modulation) > base
+            assert esnr_db(snrs + 3.0) > esnr_db(snrs)
 
     def test_bounded_by_best_and_worst_subcarrier(self, rng):
-        modulation = MCS_TABLE[5].modulation
         for _ in range(50):
             snrs = rng.uniform(-5.0, 35.0, size=8)
-            esnr = esnr_for_modulation(snrs, modulation)
+            esnr = esnr_db(snrs)
             assert float(np.min(snrs)) - 1e-9 <= esnr <= float(np.max(snrs)) + 1e-9
 
     def test_empty_channel_is_minus_infinity(self):
-        assert esnr_for_modulation([], MCS_TABLE[0].modulation) == -np.inf
+        assert esnr_db([]) == -np.inf
 
 
 class TestSelectMcsBoundaries:
@@ -104,14 +94,14 @@ class TestSelectMcsBoundaries:
 
 
 class TestEsnrOrderingPinned:
-    """esnr_ber_average vs esnr_for_modulation, pinned."""
+    """The esnr_ber_average oracle vs esnr_db, pinned."""
 
     def test_flat_channels_coincide(self):
         for mcs in MCS_TABLE:
             # Within the informative range of the BER curve inversion.
             flat = np.full(8, mcs.min_esnr_db - 2.0)
             ber = esnr_ber_average(flat, mcs.modulation)
-            mi = esnr_for_modulation(flat, mcs.modulation)
+            mi = esnr_db(flat)
             assert ber == pytest.approx(mi, abs=0.05)
 
     def test_both_bounded_by_the_best_subcarrier(self, rng):
@@ -120,7 +110,7 @@ class TestEsnrOrderingPinned:
                 snrs = rng.uniform(-5.0, 35.0, size=8)
                 best = float(np.max(snrs))
                 assert esnr_ber_average(snrs, mcs.modulation) <= best + 1e-6
-                assert esnr_for_modulation(snrs, mcs.modulation) <= best + 1e-9
+                assert esnr_db(snrs) <= best + 1e-9
 
     def test_deep_fade_drags_the_ber_average_below(self):
         # One faded subcarrier dominates the BER average but barely
@@ -130,7 +120,7 @@ class TestEsnrOrderingPinned:
             snrs = np.full(8, 25.0)
             snrs[0] = 0.0
             ber = esnr_ber_average(snrs, mcs.modulation)
-            mi = esnr_for_modulation(snrs, mcs.modulation)
+            mi = esnr_db(snrs)
             assert ber < mi
             assert mi - ber > 3.0  # far below, not marginally
 
@@ -142,9 +132,35 @@ class TestEsnrOrderingPinned:
         snrs = np.array([38.0, 40.0, 42.0, 44.0])
         modulation = MCS_TABLE[0].modulation  # BPSK: deepest underflow
         ber = esnr_ber_average(snrs, modulation)
-        mi = esnr_for_modulation(snrs, modulation)
+        mi = esnr_db(snrs)
         assert ber == pytest.approx(float(np.max(snrs)), abs=1e-6)
         assert ber > mi
+
+
+class TestThresholdsAgainstUncodedBer:
+    """Where the per-MCS ESNR thresholds sit on the AWGN BER curves of
+    the :mod:`oracles.phy` oracle: the code must be able to clean up the
+    uncoded errors left at the threshold, and a weaker (punctured) code
+    gets a threshold with fewer uncoded errors than the rate-1/2 mother
+    code on the same constellation."""
+
+    @pytest.mark.parametrize("mcs", MCS_TABLE, ids=lambda mcs: f"mcs{mcs.index}")
+    def test_threshold_leaves_correctable_uncoded_errors(self, mcs):
+        # Hard-decision Viterbi decoding of the K=7 code stops cleaning up
+        # near a 4% channel bit error rate at rate 1/2; punctured rates
+        # tolerate far less.
+        ber = bit_error_probability(mcs.modulation, mcs.min_esnr_db)
+        limit = 0.04 if mcs.coding_rate == (1, 2) else 0.01
+        assert 1e-4 < ber < limit
+
+    @pytest.mark.parametrize("modulation", ["bpsk", "qpsk", "16qam", "64qam"])
+    def test_stronger_code_tolerates_more_uncoded_errors(self, modulation):
+        schemes = [mcs for mcs in MCS_TABLE if mcs.modulation_name == modulation]
+        assert len(schemes) == 2
+        robust, fast = sorted(schemes, key=lambda mcs: mcs.coding_rate[0] / mcs.coding_rate[1])
+        assert bit_error_probability(robust.modulation, robust.min_esnr_db) > (
+            bit_error_probability(fast.modulation, fast.min_esnr_db)
+        )
 
 
 class TestDeliveryMargin:

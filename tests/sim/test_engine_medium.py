@@ -152,3 +152,44 @@ class TestMedium:
         stream.protected_receivers[9] = InterferenceStrategy.NULL
         assert stream.protects(9)
         assert not stream.protects(2)
+
+    def test_multiple_receivers_deduplicated_in_order(self):
+        medium = Medium()
+        medium.add_streams(
+            [_stream(medium, tx=1, rx=5), _stream(medium, tx=1, rx=6), _stream(medium, tx=1, rx=5)]
+        )
+        assert medium.receiving_nodes() == [5, 6]
+        assert medium.transmitting_nodes() == [1]
+        assert medium.used_degrees_of_freedom == 3
+        assert len(medium.streams_to(5)) == 2
+
+    def test_streams_for_an_idle_node_are_empty(self):
+        medium = Medium()
+        medium.add_streams([_stream(medium, tx=1, rx=2)])
+        assert medium.streams_to(9) == []
+        assert medium.streams_from(9) == []
+
+    def test_end_of_current_transmissions(self):
+        medium = Medium()
+        early = _stream(medium, tx=1, rx=2, end=500.0)
+        late = _stream(medium, tx=3, rx=4, order=1, end=800.0)
+        medium.add_streams([early, late])
+        assert medium.current_end_us == 800.0
+        medium.remove_streams([late])
+        assert medium.current_end_us == 500.0
+        assert medium.max_join_order() == 0
+
+    def test_active_streams_is_a_copy(self):
+        medium = Medium()
+        stream = _stream(medium)
+        medium.add_streams([stream])
+        medium.active_streams.clear()
+        assert medium.active_streams == [stream]
+
+    def test_removing_a_stream_twice_raises(self):
+        medium = Medium()
+        stream = _stream(medium)
+        medium.add_streams([stream])
+        medium.remove_streams([stream])
+        with pytest.raises(MediumAccessError):
+            medium.remove_streams([stream])

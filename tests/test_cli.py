@@ -1,8 +1,70 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+
+
+def _modules_loaded_by(statements: str) -> list:
+    """``sys.modules`` of a fresh interpreter after running ``statements``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_ROOT)
+    code = statements + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestRuntimeDependencies:
+    """NumPy is the only runtime requirement (README); SciPy is test-only."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        loaded = _modules_loaded_by("import repro.cli")
+        assert "repro.cli" in loaded
+        assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+
+    def test_importing_every_module_loads_no_scipy(self):
+        loaded = _modules_loaded_by(
+            "import importlib, pkgutil, repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(info.name)"
+        )
+        assert "repro.sim.fidelity" in loaded
+        assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig12", "--runs", "1", "--duration-ms", "5", "--subcarriers", "4"],
+            ["handshake", "--trials", "2"],
+            [
+                "sweep", "--scenario", "three-pair", "--runs", "1", "--duration-ms", "5",
+                "--subcarriers", "4", "--fidelity", "full",
+            ],
+        ],
+        ids=["fig12", "handshake", "sweep-full-phy"],
+    )
+    def test_running_an_experiment_loads_no_scipy(self, argv):
+        # A lazy import inside the simulation (rate selection, the full
+        # PHY tier) would slip past the import-time checks above.
+        loaded = _modules_loaded_by(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main({argv!r})"
+        )
+        assert "repro.sim.runner" in loaded
+        assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
 
 
 class TestParser:
