@@ -1,5 +1,10 @@
 """Setup shim for environments without the `wheel` package (offline installs)."""
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

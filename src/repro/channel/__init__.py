@@ -3,7 +3,7 @@
 This package replaces the paper's physical USRP2 testbed with a synthetic
 but behaviour-preserving substitute:
 
-* :mod:`repro.channel.models` -- AWGN and flat Rayleigh/Rician MIMO fading.
+* :mod:`repro.channel.models` -- complex Gaussian draws and AWGN.
 * :mod:`repro.channel.multipath` -- tapped-delay-line multipath and the
   per-subcarrier frequency-selective channel it induces.
 * :mod:`repro.channel.hardware` -- hardware impairments: noise floor,
@@ -14,15 +14,14 @@ but behaviour-preserving substitute:
   shadowing, and per-link MIMO channel generation.
 """
 
-from repro.channel.models import awgn, rayleigh_mimo_channel, rician_mimo_channel
+from repro.channel.models import awgn, complex_gaussian
 from repro.channel.multipath import MultipathChannel, exponential_power_delay_profile
 from repro.channel.hardware import HardwareProfile
 from repro.channel.testbed import Testbed, TestbedLink, default_testbed
 
 __all__ = [
     "awgn",
-    "rayleigh_mimo_channel",
-    "rician_mimo_channel",
+    "complex_gaussian",
     "MultipathChannel",
     "exponential_power_delay_profile",
     "HardwareProfile",

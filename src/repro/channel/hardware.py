@@ -58,16 +58,6 @@ class HardwareProfile:
 
     # -- derived quantities ----------------------------------------------------
 
-    @property
-    def noise_floor_mw(self) -> float:
-        """Noise floor in milliwatts."""
-        return float(db_to_linear(self.noise_floor_dbm))
-
-    def estimation_error_variance(self, channel_power: float) -> float:
-        """Variance of the channel-estimation error for a channel of the
-        given average power."""
-        return float(channel_power * db_to_linear(self.channel_estimation_error_db))
-
     def residual_interference_power(
         self, interference_power: float, aligned: bool, rng: np.random.Generator | None = None
     ) -> float:
@@ -186,7 +176,3 @@ class HardwareProfile:
         raw = rng.standard_normal((n_channels, 2) + channels.shape[1:])
         scale = np.sqrt(variance / 2.0).reshape((n_channels,) + (1,) * (channels.ndim - 1))
         return channels + scale * (raw[:, 0] + 1j * raw[:, 1])
-
-    def draw_cfo(self, rng: np.random.Generator) -> float:
-        """Draw a carrier-frequency offset for a node, in Hz."""
-        return float(rng.uniform(-self.max_cfo_hz, self.max_cfo_hz))

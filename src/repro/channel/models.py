@@ -1,19 +1,12 @@
-"""Elementary channel models: AWGN and small-scale MIMO fading."""
+"""Elementary channel models: complex Gaussian draws and AWGN."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.db import db_to_linear
 
-__all__ = [
-    "awgn",
-    "complex_gaussian",
-    "rayleigh_mimo_channel",
-    "rician_mimo_channel",
-    "apply_flat_channel",
-]
+__all__ = ["awgn", "complex_gaussian"]
 
 
 def complex_gaussian(shape, rng: np.random.Generator, variance: float = 1.0) -> np.ndarray:
@@ -28,57 +21,3 @@ def awgn(samples: np.ndarray, noise_power: float, rng: np.random.Generator) -> n
     """Add white Gaussian noise of the given (linear) power to ``samples``."""
     samples = np.asarray(samples, dtype=complex)
     return samples + complex_gaussian(samples.shape, rng, noise_power)
-
-
-def rayleigh_mimo_channel(n_rx: int, n_tx: int, rng: np.random.Generator) -> np.ndarray:
-    """An ``(n_rx, n_tx)`` i.i.d. Rayleigh-fading channel matrix with unit
-    average power per entry."""
-    return complex_gaussian((n_rx, n_tx), rng, 1.0)
-
-
-def rician_mimo_channel(
-    n_rx: int,
-    n_tx: int,
-    rng: np.random.Generator,
-    k_factor_db: float = 6.0,
-) -> np.ndarray:
-    """An ``(n_rx, n_tx)`` Rician channel with the given K-factor.
-
-    The line-of-sight component has a random but common phase ramp across
-    antennas, modelling a dominant direct path (used for the line-of-sight
-    locations of the testbed).
-    """
-    k = db_to_linear(k_factor_db)
-    scatter = rayleigh_mimo_channel(n_rx, n_tx, rng)
-    phase_rx = np.exp(1j * 2 * np.pi * rng.random(n_rx))
-    phase_tx = np.exp(1j * 2 * np.pi * rng.random(n_tx))
-    los = np.outer(phase_rx, phase_tx)
-    return np.sqrt(k / (k + 1)) * los + np.sqrt(1 / (k + 1)) * scatter
-
-
-def apply_flat_channel(samples: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    """Apply a flat (frequency-non-selective) MIMO channel matrix.
-
-    Parameters
-    ----------
-    samples:
-        Transmitted samples, shape ``(n_tx, n_samples)``.
-    channel:
-        Channel matrix, shape ``(n_rx, n_tx)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Received samples, shape ``(n_rx, n_samples)`` (noise-free).
-    """
-    samples = np.asarray(samples, dtype=complex)
-    channel = np.asarray(channel, dtype=complex)
-    if samples.ndim == 1:
-        samples = samples.reshape(1, -1)
-    if channel.ndim == 1:
-        channel = channel.reshape(1, -1)
-    if channel.shape[1] != samples.shape[0]:
-        raise ConfigurationError(
-            f"channel expects {channel.shape[1]} transmit antennas, got {samples.shape[0]}"
-        )
-    return channel @ samples

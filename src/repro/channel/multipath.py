@@ -151,14 +151,6 @@ class MultipathChannel:
         scale = np.sqrt(variance / 2.0)
         return scale[:, :, None, None] * (raw[:, :, 0] + 1j * raw[:, :, 1])
 
-    @classmethod
-    def flat(cls, matrix: np.ndarray) -> "MultipathChannel":
-        """Wrap a flat channel matrix as a single-tap multipath channel."""
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2:
-            raise DimensionError(f"matrix must be 2-D, got shape {matrix.shape}")
-        return cls(taps=matrix.reshape(1, *matrix.shape))
-
     # -- properties -----------------------------------------------------------
 
     @property
@@ -187,10 +179,6 @@ class MultipathChannel:
         padded = np.zeros((fft_size, self.n_rx, self.n_tx), dtype=complex)
         padded[: self.n_taps] = self.taps
         return np.fft.fft(padded, axis=0)
-
-    def average_matrix(self) -> np.ndarray:
-        """The frequency-averaged (narrowband-equivalent) channel matrix."""
-        return self.frequency_response().mean(axis=0)
 
     # -- application ------------------------------------------------------------
 
@@ -223,12 +211,6 @@ class MultipathChannel:
                 impulse = self.taps[:, rx, tx]
                 out[rx] += np.convolve(samples[tx], impulse)[:n_samples]
         return out
-
-    # -- composition ------------------------------------------------------------
-
-    def scaled(self, gain: float) -> "MultipathChannel":
-        """Return a copy with every tap scaled by ``sqrt(gain)`` (power gain)."""
-        return MultipathChannel(taps=self.taps * np.sqrt(gain))
 
 
 def frequency_response_batch(taps: np.ndarray, fft_size: int = NUM_SUBCARRIERS) -> np.ndarray:

@@ -52,11 +52,6 @@ class TestbedLink:
     snr_db: float
     channel: MultipathChannel
 
-    @property
-    def average_matrix(self) -> np.ndarray:
-        """Frequency-averaged channel matrix."""
-        return self.channel.average_matrix()
-
     def frequency_response(self, fft_size: int = 64) -> np.ndarray:
         """Per-subcarrier channel matrices, shape ``(fft_size, n_rx, n_tx)``."""
         return self.channel.frequency_response(fft_size)

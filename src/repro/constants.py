@@ -18,9 +18,6 @@ NUM_SUBCARRIERS = 64
 #: Number of subcarriers that carry data symbols.
 NUM_DATA_SUBCARRIERS = 48
 
-#: Number of pilot subcarriers.
-NUM_PILOT_SUBCARRIERS = 4
-
 #: Cyclic-prefix length in samples (1/4 of the FFT size).
 CYCLIC_PREFIX_LENGTH = 16
 
@@ -123,16 +120,3 @@ NOISE_FLOOR_DBM = -94.0
 
 #: Maximum transmit power per node, dBm (FCC-style single-transmitter cap).
 MAX_TX_POWER_DBM = 20.0
-
-# ---------------------------------------------------------------------------
-# Misc
-# ---------------------------------------------------------------------------
-
-#: Speed of light, m/s, used by the path-loss model.
-SPEED_OF_LIGHT = 299_792_458.0
-
-#: Carrier frequency of the RFX2400 daughterboards, Hz.
-CARRIER_FREQUENCY_HZ = 2.4e9
-
-#: Maximum antennas per node considered in the paper's evaluation.
-MAX_ANTENNAS = 4

@@ -20,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
-import numpy as np
-
-from repro.experiments.report import format_cdf_summary, format_table
+from repro.experiments.report import (
+    RunRatios,
+    format_cdf_summary,
+    format_table,
+    per_run_ratios,
+)
 from repro.sim.runner import SimulationConfig
 from repro.sim.scenarios import Scenario, three_pair_scenario
 from repro.sim.sweep import run_sweep
@@ -60,31 +63,22 @@ class ThroughputExperiment:
             return list(per)
         return []
 
-    def average_total(self, protocol: str) -> float:
-        """Mean total throughput of a protocol."""
-        return float(np.mean(self.totals[protocol])) if self.totals.get(protocol) else 0.0
-
     def total_gain(self) -> float:
         """Mean per-run ratio of n+ total throughput to 802.11n's."""
-        return self._gain_over("802.11n", None)
+        return self.gain_over("802.11n").mean
 
     def pair_gain(self, pair_name: str) -> float:
         """Mean per-run throughput ratio of one pair (n+ / 802.11n)."""
-        return self._gain_over("802.11n", pair_name)
+        return self.gain_over("802.11n", pair_name).mean
 
-    def _gain_over(self, baseline: str, pair_name: Optional[str]) -> float:
-        gains = []
-        n_runs = len(self.totals.get("n+", []))
-        for run in range(n_runs):
-            if pair_name is None:
-                numerator = self.totals["n+"][run]
-                denominator = self.totals[baseline][run]
-            else:
-                numerator = self.per_pair["n+"][pair_name][run]
-                denominator = self.per_pair[baseline][pair_name][run]
-            if denominator > 1e-9:
-                gains.append(numerator / denominator)
-        return float(np.mean(gains)) if gains else float("nan")
+    def gain_over(self, baseline: str, pair_name: Optional[str] = None) -> RunRatios:
+        """Per-run throughput ratios of n+ over ``baseline``, in total or
+        for one pair."""
+        if pair_name is None:
+            return per_run_ratios(self.totals.get("n+", []), self.totals.get(baseline, []))
+        return per_run_ratios(
+            self.per_pair["n+"][pair_name], self.per_pair[baseline][pair_name]
+        )
 
 
 def run_throughput_experiment(
@@ -157,10 +151,11 @@ def summarize(experiment: ThroughputExperiment) -> str:
         lines.append(f"-- Fig. 12({chr(ord('a') + index - 1)}): throughput of {pair} (Mb/s) --")
         for protocol in experiment.per_pair:
             lines.append(format_cdf_summary(protocol, experiment.per_pair[protocol][pair]))
-    rows = [["total network throughput", f"{experiment.total_gain():.2f}x"]]
+    gains = {"total network throughput": experiment.gain_over("802.11n")}
     for pair in experiment.pair_names():
         label = _HEADLINE_LABELS.get(pair, f"pair {pair}")
-        rows.append([label, f"{experiment.pair_gain(pair):.2f}x"])
+        gains[label] = experiment.gain_over("802.11n", pair)
+    rows = [[label, f"{gain.mean:.2f}x", gain.dropped_note()] for label, gain in gains.items()]
     lines.append("-- throughput gain of n+ over 802.11n (mean of per-run ratios) --")
-    lines.append(format_table(["quantity", "gain"], rows))
+    lines.append(format_table(["quantity", "gain", "zero-baseline runs"], rows))
     return "\n".join(lines)

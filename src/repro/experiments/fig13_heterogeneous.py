@@ -14,9 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
-import numpy as np
-
-from repro.experiments.report import format_cdf_summary, format_table
+from repro.experiments.report import (
+    RunRatios,
+    format_cdf_summary,
+    format_table,
+    per_run_ratios,
+)
 from repro.sim.runner import SimulationConfig
 from repro.sim.scenarios import Scenario, heterogeneous_ap_scenario
 from repro.sim.sweep import run_sweep
@@ -45,24 +48,16 @@ class HeterogeneousExperiment:
             return list(per)
         return []
 
-    def gain_over(self, baseline: str, flow: Optional[str] = None) -> List[float]:
-        """Per-run throughput ratios of n+ over ``baseline``."""
-        gains = []
-        for run in range(len(self.totals.get("n+", []))):
-            if flow is None:
-                numerator = self.totals["n+"][run]
-                denominator = self.totals[baseline][run]
-            else:
-                numerator = self.per_flow["n+"][flow][run]
-                denominator = self.per_flow[baseline][flow][run]
-            if denominator > 1e-9:
-                gains.append(numerator / denominator)
-        return gains
+    def gain_over(self, baseline: str, flow: Optional[str] = None) -> RunRatios:
+        """Per-run throughput ratios of n+ over ``baseline``, in total or
+        for one flow."""
+        if flow is None:
+            return per_run_ratios(self.totals.get("n+", []), self.totals.get(baseline, []))
+        return per_run_ratios(self.per_flow["n+"][flow], self.per_flow[baseline][flow])
 
     def mean_gain_over(self, baseline: str, flow: Optional[str] = None) -> float:
-        """Mean of :meth:`gain_over`."""
-        gains = self.gain_over(baseline, flow)
-        return float(np.mean(gains)) if gains else float("nan")
+        """Mean of :meth:`gain_over`'s per-run ratios."""
+        return self.gain_over(baseline, flow).mean
 
 
 def run_heterogeneous_experiment(
@@ -113,20 +108,19 @@ def summarize(experiment: HeterogeneousExperiment) -> str:
         lines.append(format_cdf_summary(protocol, experiment.totals[protocol]))
     for baseline, figure in (("802.11n", "Fig. 13(a)"), ("beamforming", "Fig. 13(b)")):
         lines.append(f"-- {figure}: throughput gain of n+ over {baseline} --")
-        lines.append(format_cdf_summary("total gain", experiment.gain_over(baseline)))
+        lines.append(format_cdf_summary("total gain", experiment.gain_over(baseline).ratios))
         for flow in experiment.flow_names():
-            lines.append(format_cdf_summary(f"gain of {flow}", experiment.gain_over(baseline, flow)))
-    rows = [
-        ["total, vs 802.11n", f"{experiment.mean_gain_over('802.11n'):.2f}x"],
-        ["total, vs beamforming", f"{experiment.mean_gain_over('beamforming'):.2f}x"],
-    ]
+            ratios = experiment.gain_over(baseline, flow).ratios
+            lines.append(format_cdf_summary(f"gain of {flow}", ratios))
+    gains = {
+        "total, vs 802.11n": experiment.gain_over("802.11n"),
+        "total, vs beamforming": experiment.gain_over("beamforming"),
+    }
     if "c1->AP1" in experiment.flow_names():
-        rows.append(
-            ["single-antenna client (c1), vs 802.11n", f"{experiment.mean_gain_over('802.11n', 'c1->AP1'):.2f}x"]
-        )
+        gains["single-antenna client (c1), vs 802.11n"] = experiment.gain_over("802.11n", "c1->AP1")
     if "AP2->c2+c3" in experiment.flow_names():
-        rows.append(
-            ["AP2 downlink flows, vs 802.11n", f"{experiment.mean_gain_over('802.11n', 'AP2->c2+c3'):.2f}x"]
-        )
-    lines.append(format_table(["quantity", "gain"], rows))
+        gains["AP2 downlink flows, vs 802.11n"] = experiment.gain_over("802.11n", "AP2->c2+c3")
+    rows = [[label, f"{gain.mean:.2f}x", gain.dropped_note()] for label, gain in gains.items()]
+    lines.append("-- headline gains of n+ (mean of per-run ratios) --")
+    lines.append(format_table(["quantity", "gain", "zero-baseline runs"], rows))
     return "\n".join(lines)

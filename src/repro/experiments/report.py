@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
-__all__ = ["format_table", "format_cdf_summary", "percentile_row"]
+__all__ = [
+    "format_table",
+    "format_cdf_summary",
+    "percentile_row",
+    "RunRatios",
+    "per_run_ratios",
+]
+
+#: A baseline throughput at or below this (Mb/s) delivered nothing, so the
+#: run has no defined gain.
+ZERO_BASELINE_MBPS = 1e-9
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -40,3 +51,37 @@ def format_cdf_summary(name: str, values: Sequence[float]) -> str:
     return (
         f"{name}: mean={mean}  p10={p10}  p25={p25}  median={p50}  p75={p75}  p90={p90}"
     )
+
+
+@dataclass(frozen=True)
+class RunRatios:
+    """Per-run throughput ratios of one protocol over a baseline.
+
+    Runs whose baseline delivered nothing have no ratio; they are left out
+    of ``ratios`` and counted in ``dropped``, so a summary can say how many
+    runs its estimate rests on.
+    """
+
+    ratios: List[float]
+    dropped: int
+
+    @property
+    def mean(self) -> float:
+        """The estimator the headline tables print: the mean of the
+        per-run ratios (``nan`` when every run was dropped)."""
+        return float(np.mean(self.ratios)) if self.ratios else float("nan")
+
+    def dropped_note(self) -> str:
+        """``"k of n runs dropped"`` for a summary table."""
+        return f"{self.dropped} of {len(self.ratios) + self.dropped} runs dropped"
+
+
+def per_run_ratios(values: Sequence[float], baselines: Sequence[float]) -> RunRatios:
+    """Ratios ``values[i] / baselines[i]`` of paired runs, skipping (and
+    counting) runs whose baseline is at most :data:`ZERO_BASELINE_MBPS`."""
+    ratios = [
+        value / baseline
+        for value, baseline in zip(values, baselines)
+        if baseline > ZERO_BASELINE_MBPS
+    ]
+    return RunRatios(ratios, len(values) - len(ratios))

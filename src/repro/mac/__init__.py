@@ -7,8 +7,8 @@
   (§3.4) plus a historical-rate controller used as an ablation baseline.
 * :mod:`repro.mac.power_control` -- the L-threshold admission/power rule
   (§4, "Imperfections in Nulling and Alignment").
-* :mod:`repro.mac.aggregation` -- fragmentation/aggregation so joiners end
-  with the first contention winner (§3.1).
+* :mod:`repro.mac.aggregation` -- airtime/payload-bit conversions that
+  size a joiner's burst to end with the first contention winner (§3.1).
 * :mod:`repro.mac.plan` -- the join policy: turning overheard headers and
   reciprocity channels into pre-coders, power scaling and a bitrate.
 * :mod:`repro.mac.csma` -- DCF-style contention (DIFS, backoff, collisions).

@@ -3,23 +3,18 @@
 n+ requires every transmission that joins the medium to finish at the
 same time as the transmissions already on the air (§3.1); this keeps the
 medium periodically idle so single-antenna nodes are not starved.  The
-joiner therefore sizes its payload to the *remaining* airtime: it
-fragments a packet that does not fit, or aggregates several queued
-packets when there is room for more than one (as 802.11n A-MPDU
-aggregation and ATM fragmentation do).
+joiner therefore sizes its payload to the *remaining* airtime, in whole
+OFDM symbols -- fragmenting or aggregating queued packets as 802.11n
+A-MPDU aggregation and ATM fragmentation do.  These helpers convert
+between that airtime and the payload bits it carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
 from repro.constants import OFDM_SYMBOL_DURATION_US_10MHZ
-from repro.exceptions import MediumAccessError
-from repro.mac.frames import Packet
 from repro.phy.rates import MCS
 
-__all__ = ["bits_in_airtime", "airtime_for_bits", "FragmentationDecision", "fill_airtime"]
+__all__ = ["bits_in_airtime", "airtime_for_bits"]
 
 
 def bits_in_airtime(mcs: MCS, airtime_us: float, n_streams: int = 1, bandwidth_mhz: float = 10.0) -> int:
@@ -40,52 +35,3 @@ def bits_in_airtime(mcs: MCS, airtime_us: float, n_streams: int = 1, bandwidth_m
 def airtime_for_bits(mcs: MCS, bits: int, n_streams: int = 1, bandwidth_mhz: float = 10.0) -> float:
     """Airtime needed for ``bits`` of payload (whole OFDM symbols)."""
     return mcs.airtime_us(bits, bandwidth_mhz, n_streams)
-
-
-@dataclass
-class FragmentationDecision:
-    """How a joiner fills the remaining airtime.
-
-    Attributes
-    ----------
-    whole_packets:
-        Packets transmitted in full (aggregation).
-    fragment_bits:
-        Bits of the next packet transmitted as a fragment (0 if none).
-    total_bits:
-        Total payload bits carried.
-    """
-
-    whole_packets: List[Packet]
-    fragment_bits: int
-    total_bits: int
-
-
-def fill_airtime(
-    queue: List[Packet],
-    capacity_bits: int,
-    allow_fragmentation: bool = True,
-) -> FragmentationDecision:
-    """Choose which queued packets (and fragment) fill ``capacity_bits``.
-
-    Packets are taken in FIFO order.  The decision never mutates the
-    queue; the caller removes/updates packets after the transmission is
-    acknowledged.
-    """
-    if capacity_bits < 0:
-        raise MediumAccessError("airtime capacity cannot be negative")
-    whole: List[Packet] = []
-    used = 0
-    fragment_bits = 0
-    for packet in queue:
-        if used + packet.size_bits <= capacity_bits:
-            whole.append(packet)
-            used += packet.size_bits
-        else:
-            if allow_fragmentation:
-                fragment_bits = max(0, capacity_bits - used)
-                used += fragment_bits
-            break
-    return FragmentationDecision(
-        whole_packets=whole, fragment_bits=fragment_bits, total_bits=used
-    )

@@ -71,7 +71,3 @@ class HistoricalRateController:
         old = self._delivery[mcs.index]
         sample = 1.0 if delivered else 0.0
         self._delivery[mcs.index] = (1 - self.ewma_weight) * old + self.ewma_weight * sample
-
-    def delivery_estimate(self, mcs: MCS) -> float:
-        """Current delivery-probability estimate for ``mcs``."""
-        return self._delivery[mcs.index]

@@ -40,10 +40,6 @@ class DcfContender:
     _cw: int = field(default=CW_MIN, repr=False)
     _fast_retransmit: bool = field(default=False, repr=False)
 
-    def draw_backoff(self, rng: np.random.Generator) -> int:
-        """Draw a uniform backoff counter from the current window."""
-        return int(rng.integers(0, self.backoff_window + 1))
-
     def record_collision(self) -> None:
         """Binary exponential backoff after a collision."""
         self._cw = min(2 * (self._cw + 1) - 1, self.cw_max)
@@ -65,11 +61,6 @@ class DcfContender:
         resets the window, a collision falls back to exponential backoff.
         """
         self._fast_retransmit = True
-
-    @property
-    def contention_window(self) -> int:
-        """Current contention window (slots)."""
-        return self._cw
 
     @property
     def backoff_window(self) -> int:
@@ -122,8 +113,7 @@ def resolve_contention(
     single array-bounded ``rng.integers`` draw (one RNG call per round
     instead of one per contender -- the O(n_nodes) cost the batched round
     pipeline removes); each counter is uniform on the contender's own
-    ``[0, cw]`` window exactly as :meth:`DcfContender.draw_backoff` draws
-    it.
+    ``[0, backoff_window]``.
     """
     if not contenders:
         return ContentionRound(winners=(), backoff_slots=0, start_delay_us=difs_us, collision=False)

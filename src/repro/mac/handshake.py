@@ -34,7 +34,6 @@ from repro.phy.rates import MCS
 
 __all__ = [
     "differential_encode_subspaces",
-    "differential_decode_subspaces",
     "quantized_alignment_bits",
     "alignment_feedback_symbols",
     "HandshakeOverhead",
@@ -76,17 +75,6 @@ def differential_encode_subspaces(subspaces: np.ndarray) -> Tuple[np.ndarray, np
     first = subspaces[0]
     differences = np.diff(subspaces, axis=0)
     return first, differences
-
-
-def differential_decode_subspaces(first: np.ndarray, differences: np.ndarray) -> np.ndarray:
-    """Invert :func:`differential_encode_subspaces`."""
-    first = np.asarray(first, dtype=complex)
-    differences = np.asarray(differences, dtype=complex)
-    n_subcarriers = differences.shape[0] + 1
-    out = np.empty((n_subcarriers, *first.shape), dtype=complex)
-    out[0] = first
-    out[1:] = first + np.cumsum(differences, axis=0)
-    return out
 
 
 def quantized_alignment_bits(subspaces: np.ndarray) -> int:

@@ -11,14 +11,14 @@ reduce transmit power until it does not, and only then contend.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.constants import INTERFERENCE_ADMISSION_THRESHOLD_DB
 from repro.utils.db import db_to_linear, linear_to_db
 
-__all__ = ["interference_power_db", "admission_power_scale", "may_join_at_full_power"]
+__all__ = ["interference_power_db", "admission_power_scale"]
 
 
 def interference_power_db(
@@ -72,11 +72,3 @@ def admission_power_scale(
     if worst <= threshold_db:
         return 1.0
     return float(db_to_linear(-(worst - threshold_db)))
-
-
-def may_join_at_full_power(
-    interference_levels_db: Sequence[float],
-    threshold_db: float = INTERFERENCE_ADMISSION_THRESHOLD_DB,
-) -> bool:
-    """Whether the joiner needs no power reduction at all."""
-    return admission_power_scale(interference_levels_db, threshold_db) >= 1.0

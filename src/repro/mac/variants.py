@@ -381,11 +381,6 @@ class ProtocolSpec:
         return resolved
 
     @property
-    def is_default(self) -> bool:
-        """Whether this spec carries no overrides (a bare name)."""
-        return not self.overrides
-
-    @property
     def key(self) -> str:
         """Canonical string form: ``name`` or ``name[k=v,...]``.
 

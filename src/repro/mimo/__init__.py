@@ -13,8 +13,8 @@ interference alignment and multi-dimensional carrier sense.
 """
 
 from repro.mimo.dof import InterferenceStrategy, max_concurrent_streams, choose_strategy
-from repro.mimo.nulling import nulling_precoders, two_antenna_nulling_weight
-from repro.mimo.alignment import alignment_constraint_rows, alignment_precoders
+from repro.mimo.nulling import nulling_precoders
+from repro.mimo.alignment import alignment_constraint_rows
 from repro.mimo.precoder import ReceiverConstraint, OwnReceiver, compute_precoders, max_streams
 from repro.mimo.decoder import (
     zero_forcing_decode,
@@ -28,9 +28,7 @@ __all__ = [
     "max_concurrent_streams",
     "choose_strategy",
     "nulling_precoders",
-    "two_antenna_nulling_weight",
     "alignment_constraint_rows",
-    "alignment_precoders",
     "ReceiverConstraint",
     "OwnReceiver",
     "compute_precoders",

@@ -10,19 +10,11 @@ third transmitter join two ongoing transmissions in §2.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
-from repro.exceptions import DimensionError, PrecodingError
-from repro.utils.linalg import null_space
+from repro.exceptions import DimensionError
 
-__all__ = [
-    "alignment_constraint_rows",
-    "alignment_precoders",
-    "align_third_transmitter_example",
-    "alignment_residual",
-]
+__all__ = ["alignment_constraint_rows"]
 
 
 def alignment_constraint_rows(channel: np.ndarray, u_perp: np.ndarray) -> np.ndarray:
@@ -52,106 +44,3 @@ def alignment_constraint_rows(channel: np.ndarray, u_perp: np.ndarray) -> np.nda
             f"U-perp lives in dimension {u.shape[0]} but the channel has {h.shape[0]} rows"
         )
     return u.conj().T @ h
-
-
-def alignment_precoders(
-    constraints: Sequence[np.ndarray],
-    n_tx_antennas: int,
-    n_streams: int | None = None,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Pre-coders satisfying a set of pre-computed constraint-row blocks.
-
-    This is the generic "stack the rows, take the null space" step shared
-    by nulling and alignment; see :func:`repro.mimo.precoder.compute_precoders`
-    for the full protocol combining both plus multiple own receivers.
-    """
-    rows = []
-    for block in constraints:
-        block = np.asarray(block, dtype=complex)
-        if block.ndim == 1:
-            block = block.reshape(1, -1)
-        if block.shape[1] != n_tx_antennas:
-            raise DimensionError(
-                f"constraint block has {block.shape[1]} columns, expected {n_tx_antennas}"
-            )
-        rows.append(block)
-    stacked = (
-        np.concatenate(rows, axis=0) if rows else np.zeros((0, n_tx_antennas), dtype=complex)
-    )
-    basis = null_space(stacked)
-    available = basis.shape[1]
-    wanted = available if n_streams is None else n_streams
-    if wanted > available or wanted == 0:
-        raise PrecodingError(
-            f"constraints leave {available} free degrees of freedom, "
-            f"cannot transmit {wanted} streams"
-        )
-    precoders = basis[:, :wanted]
-    if normalize:
-        norms = np.linalg.norm(precoders, axis=0, keepdims=True)
-        precoders = precoders / np.where(norms > 0, norms, 1.0)
-    return precoders
-
-
-def align_third_transmitter_example(
-    h_to_rx1: np.ndarray,
-    h_to_rx2: np.ndarray,
-    h_tx1_to_rx2: np.ndarray,
-) -> Tuple[np.ndarray, complex]:
-    """Solve the three-transmitter example of §2 (Eqs. 2a and 4).
-
-    tx3 (three antennas) must null at the single-antenna rx1 and align its
-    interference at the two-antenna rx2 with the interference rx2 already
-    sees from tx1.
-
-    Parameters
-    ----------
-    h_to_rx1:
-        Length-3 channel vector from tx3's antennas to rx1's antenna.
-    h_to_rx2:
-        ``(2, 3)`` channel matrix from tx3 to rx2.
-    h_tx1_to_rx2:
-        Length-2 channel vector from tx1 to rx2 (the interference
-        direction tx3 must align with).
-
-    Returns
-    -------
-    (v, L):
-        ``v`` is tx3's pre-coding vector (length 3, unit norm) and ``L``
-        the alignment constant of Eq. 4 such that the interference tx3
-        creates at rx2 equals ``L`` times tx1's interference direction.
-    """
-    h1 = np.asarray(h_to_rx1, dtype=complex).reshape(1, 3)
-    h2 = np.asarray(h_to_rx2, dtype=complex).reshape(2, 3)
-    f = np.asarray(h_tx1_to_rx2, dtype=complex).reshape(2)
-    if np.allclose(f, 0):
-        raise PrecodingError("tx1 creates no interference at rx2; nothing to align with")
-
-    # Nulling at rx1: h1 @ v = 0 (one row).  Alignment at rx2: the received
-    # vector h2 @ v must be parallel to f, i.e. orthogonal to the direction
-    # perpendicular to f (one more row).
-    f_perp = np.array([-np.conj(f[1]), np.conj(f[0])])
-    align_row = f_perp.conj().reshape(1, 2) @ h2
-    constraints = np.concatenate([h1, align_row], axis=0)
-    basis = null_space(constraints)
-    if basis.shape[1] == 0:
-        raise PrecodingError("no pre-coding vector satisfies both constraints")
-    v = basis[:, 0]
-    v = v / np.linalg.norm(v)
-    received = h2 @ v
-    # L is the scaling between the aligned interference and tx1's direction.
-    ratios = received[np.abs(f) > 1e-12] / f[np.abs(f) > 1e-12]
-    L = complex(ratios[0]) if ratios.size else 0.0
-    return v, L
-
-
-def alignment_residual(channel: np.ndarray, u_perp: np.ndarray, precoders: np.ndarray) -> float:
-    """Power leaking into the receiver's decoding subspace after alignment
-    (zero for ideal alignment)."""
-    rows = alignment_constraint_rows(channel, u_perp)
-    v = np.asarray(precoders, dtype=complex)
-    if v.ndim == 1:
-        v = v.reshape(-1, 1)
-    leak = rows @ v
-    return float(np.sum(np.abs(leak) ** 2))

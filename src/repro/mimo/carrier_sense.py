@@ -86,21 +86,12 @@ class MultiDimensionalCarrierSense:
             )
         self._ongoing.append(vectors)
 
-    def reset(self) -> None:
-        """Forget all ongoing transmissions (the medium went idle)."""
-        self._ongoing.clear()
-
     @property
     def n_ongoing_streams(self) -> int:
         """Number of degrees of freedom currently occupied."""
         if not self._ongoing:
             return 0
         return int(orthonormal_basis(np.concatenate(self._ongoing, axis=1)).shape[1])
-
-    @property
-    def remaining_dof(self) -> int:
-        """Degrees of freedom this node can still observe after projection."""
-        return self.n_antennas - self.n_ongoing_streams
 
     # -- projection ------------------------------------------------------------
 
@@ -123,7 +114,7 @@ class MultiDimensionalCarrierSense:
         Returns
         -------
         numpy.ndarray
-            ``(remaining_dof, n_samples)`` projected samples.
+            ``(n_antennas - n_ongoing_streams, n_samples)`` projected samples.
         """
         samples = np.asarray(samples, dtype=complex)
         if samples.ndim == 1:

@@ -18,11 +18,7 @@ import numpy as np
 from repro.exceptions import DecodingError, DimensionError
 from repro.utils import guarded
 from repro.utils.db import linear_to_db
-from repro.utils.linalg import (
-    orthonormal_basis,
-    orthonormal_complement,
-    singular_value_ranks,
-)
+from repro.utils.linalg import orthonormal_complement, singular_value_ranks
 
 __all__ = [
     "zero_forcing_decode",
@@ -31,7 +27,6 @@ __all__ = [
     "post_projection_snr_db",
     "post_projection_snr_batch",
     "post_projection_snr_db_batch",
-    "projection_angle",
 ]
 
 
@@ -283,25 +278,3 @@ def post_projection_snr_db(
             residual_interference_power,
         )
     )
-
-
-def projection_angle(wanted_direction: np.ndarray, interference_directions: np.ndarray) -> float:
-    """The angle theta of Fig. 7 between a wanted stream and the
-    interference subspace, in radians.
-
-    The post-projection amplitude of the wanted stream scales as
-    ``sin(theta)``; small angles mean low SNR and a low bitrate.
-    """
-    w = np.asarray(wanted_direction, dtype=complex).reshape(-1, 1)
-    hi = np.asarray(interference_directions, dtype=complex)
-    if hi.ndim == 1:
-        hi = hi.reshape(-1, 1)
-    if hi.size == 0:
-        return float(np.pi / 2)
-    basis = orthonormal_basis(hi)
-    w_norm = np.linalg.norm(w)
-    if w_norm == 0:
-        return 0.0
-    in_plane = np.linalg.norm(basis.conj().T @ w)
-    cos_theta = float(np.clip(in_plane / w_norm, 0.0, 1.0))
-    return float(np.arccos(cos_theta))

@@ -13,7 +13,6 @@ Two small but load-bearing rules of the protocol:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
 
 from repro.exceptions import DimensionError
 
@@ -21,7 +20,6 @@ __all__ = [
     "InterferenceStrategy",
     "choose_strategy",
     "max_concurrent_streams",
-    "network_degrees_of_freedom",
     "can_join",
 ]
 
@@ -67,15 +65,3 @@ def max_concurrent_streams(n_tx_antennas: int, n_ongoing_streams: int) -> int:
 def can_join(n_tx_antennas: int, n_ongoing_streams: int) -> bool:
     """Whether a transmitter has spare antennas to join the medium at all."""
     return max_concurrent_streams(n_tx_antennas, n_ongoing_streams) > 0
-
-
-def network_degrees_of_freedom(transmitter_antennas: Iterable[int]) -> int:
-    """Total degrees of freedom the network can use at any instant.
-
-    Equals the maximum antenna count among transmitters with traffic (§1):
-    n+ keeps adding concurrent streams until that many are in the air.
-    """
-    antennas = list(transmitter_antennas)
-    if not antennas:
-        return 0
-    return max(antennas)

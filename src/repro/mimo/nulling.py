@@ -16,24 +16,9 @@ from repro.exceptions import DimensionError, PrecodingError
 from repro.utils.linalg import null_space
 
 __all__ = [
-    "two_antenna_nulling_weight",
     "nulling_constraint_rows",
     "nulling_precoders",
-    "residual_interference",
 ]
-
-
-def two_antenna_nulling_weight(h_first: complex, h_second: complex) -> complex:
-    """The scalar weight of the two-antenna example in §2.
-
-    A 2-antenna transmitter sending ``q`` on its first antenna and
-    ``alpha * q`` on its second creates a null at a single-antenna receiver
-    whose channels are ``h_first`` and ``h_second`` when
-    ``alpha = -h_first / h_second``.
-    """
-    if h_second == 0:
-        raise PrecodingError("cannot null: the second antenna's channel is exactly zero")
-    return -h_first / h_second
 
 
 def nulling_constraint_rows(channel: np.ndarray) -> np.ndarray:
@@ -114,18 +99,3 @@ def nulling_precoders(
         norms = np.linalg.norm(precoders, axis=0, keepdims=True)
         precoders = precoders / np.where(norms > 0, norms, 1.0)
     return precoders
-
-
-def residual_interference(channel: np.ndarray, precoders: np.ndarray) -> float:
-    """The residual interference power a set of pre-coders leaves at a
-    receiver (should be ~0 for ideal nulling).
-
-    Returns the total power ``sum ||H v_i||^2`` over streams, for a unit
-    power symbol on each stream.
-    """
-    h = nulling_constraint_rows(channel)
-    v = np.asarray(precoders, dtype=complex)
-    if v.ndim == 1:
-        v = v.reshape(-1, 1)
-    leak = h @ v
-    return float(np.sum(np.abs(leak) ** 2))

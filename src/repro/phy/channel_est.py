@@ -11,15 +11,12 @@ carrier sense, and to decode MIMO streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.exceptions import DimensionError
-from repro.phy.ofdm import OfdmConfig, OfdmModem
 from repro.phy.preamble import Preamble, ltf_frequency_sequence
 
-__all__ = ["ChannelEstimate", "estimate_channel_from_ltf", "estimate_mimo_channel"]
+__all__ = ["ChannelEstimate", "estimate_mimo_channel"]
 
 
 @dataclass
@@ -54,45 +51,6 @@ class ChannelEstimate:
     def at(self, subcarrier: int) -> np.ndarray:
         """Return the ``(n_rx, n_tx)`` channel matrix of one subcarrier."""
         return self.matrices[subcarrier]
-
-    def average_matrix(self) -> np.ndarray:
-        """Return the channel averaged over the valid subcarriers.
-
-        Useful for narrowband reasoning and for the geometric examples of
-        §2 where a single matrix per link suffices.
-        """
-        return self.matrices[self.valid_bins].mean(axis=0)
-
-
-def estimate_channel_from_ltf(
-    received_slot: np.ndarray,
-    config: Optional[OfdmConfig] = None,
-) -> np.ndarray:
-    """Estimate the single-antenna channel from one received LTF slot.
-
-    Parameters
-    ----------
-    received_slot:
-        Time-domain samples of one antenna covering exactly the LTF slot
-        (``NUM_LONG_TRAINING_SYMBOLS`` OFDM symbols).
-    config:
-        OFDM numerology.
-
-    Returns
-    -------
-    numpy.ndarray
-        Complex array of length ``fft_size`` with the least-squares channel
-        estimate per subcarrier (zero on bins the LTF does not occupy).
-    """
-    config = config or OfdmConfig()
-    modem = OfdmModem(config)
-    grid = modem.demodulate_grid(np.asarray(received_slot, dtype=complex))
-    reference = ltf_frequency_sequence(config)
-    occupied = np.abs(reference) > 0
-    averaged = grid.mean(axis=0)
-    estimate = np.zeros(config.fft_size, dtype=complex)
-    estimate[occupied] = averaged[occupied] / reference[occupied]
-    return estimate
 
 
 def estimate_mimo_channel(
@@ -149,7 +107,7 @@ def estimate_mimo_channel(
 
     # Batched OFDM demodulation (drop each symbol's cyclic prefix, FFT
     # over the last axis) and LTF averaging, mirroring
-    # OfdmModem.demodulate_grid / estimate_channel_from_ltf exactly.
+    # OfdmModem.demodulate_grid and the per-slot LTF estimate exactly.
     sps = config.samples_per_symbol
     symbols = slots.reshape(n_rx, n_tx, slot_len // sps, sps)[..., config.cp_length :]
     grids = np.fft.fft(symbols, axis=-1) / np.sqrt(config.fft_size)

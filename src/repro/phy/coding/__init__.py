@@ -11,7 +11,7 @@ soft decision) undoing the convolutional code.
 """
 
 from repro.phy.coding.scrambler import scramble, descramble
-from repro.phy.coding.convolutional import ConvolutionalEncoder, conv_encode
+from repro.phy.coding.convolutional import ConvolutionalEncoder, default_encoder
 from repro.phy.coding.viterbi import viterbi_decode
 from repro.phy.coding.puncturing import puncture, depuncture, PUNCTURE_PATTERNS
 from repro.phy.coding.interleaver import interleave, deinterleave
@@ -21,7 +21,7 @@ __all__ = [
     "scramble",
     "descramble",
     "ConvolutionalEncoder",
-    "conv_encode",
+    "default_encoder",
     "viterbi_decode",
     "puncture",
     "depuncture",

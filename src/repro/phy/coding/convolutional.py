@@ -15,7 +15,6 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "ConvolutionalEncoder",
-    "conv_encode",
     "default_encoder",
     "CONSTRAINT_LENGTH",
     "G0",
@@ -170,7 +169,7 @@ class ConvolutionalEncoder:
         return prev_states, prev_bits
 
 
-#: Module-level default encoder used by the convenience functions.
+#: The shared default encoder (see :func:`default_encoder`).
 _DEFAULT_ENCODER = ConvolutionalEncoder()
 
 
@@ -181,8 +180,3 @@ def default_encoder() -> ConvolutionalEncoder:
     instance instead of constructing fresh tap arrays per call.
     """
     return _DEFAULT_ENCODER
-
-
-def conv_encode(bits: np.ndarray, terminate: bool = True) -> np.ndarray:
-    """Encode ``bits`` with the default 802.11 encoder."""
-    return _DEFAULT_ENCODER.encode(bits, terminate=terminate)

@@ -21,11 +21,7 @@ import numpy as np
 from repro.exceptions import DecodingError
 from repro.phy.coding.convolutional import ConvolutionalEncoder, default_encoder
 
-__all__ = ["viterbi_decode", "ERASURE"]
-
-#: Marker inserted by :func:`repro.phy.coding.puncturing.depuncture` for
-#: coded positions that were never transmitted.
-ERASURE = np.nan
+__all__ = ["viterbi_decode"]
 
 
 def _checked_pairs(
@@ -78,7 +74,7 @@ def viterbi_decode(
     ----------
     coded:
         The received coded stream.  For hard decoding this is a 0/1 array
-        (possibly with :data:`ERASURE` at punctured positions); for soft
+        (possibly with NaN erasures at punctured positions); for soft
         decoding it is an array of LLRs.
     n_data_bits:
         Number of information bits to return (excluding tail bits).

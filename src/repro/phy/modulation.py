@@ -121,25 +121,6 @@ class Modulation:
             out[:, bit] = (labels >> shift) & 1
         return out.reshape(-1)
 
-    def demodulate_soft(self, symbols: np.ndarray, noise_var: float = 1.0) -> np.ndarray:
-        """Return per-bit log-likelihood ratios (positive means bit = 0).
-
-        Uses the max-log approximation:
-        ``LLR(b) ~ (min_{s: b=1} |y-s|^2 - min_{s: b=0} |y-s|^2) / N0``.
-        """
-        symbols = np.asarray(symbols, dtype=complex).reshape(-1)
-        noise_var = max(float(noise_var), 1e-12)
-        distances = np.abs(symbols[:, None] - self.points[None, :]) ** 2
-        llrs = np.zeros((symbols.size, self.bits_per_symbol))
-        labels = np.arange(len(self.points))
-        for bit in range(self.bits_per_symbol):
-            shift = self.bits_per_symbol - 1 - bit
-            mask_one = ((labels >> shift) & 1).astype(bool)
-            d_zero = distances[:, ~mask_one].min(axis=1)
-            d_one = distances[:, mask_one].min(axis=1)
-            llrs[:, bit] = (d_one - d_zero) / noise_var
-        return llrs.reshape(-1)
-
 
 def _make_modulations() -> Dict[str, Modulation]:
     return {

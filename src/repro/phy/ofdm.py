@@ -157,11 +157,6 @@ class OfdmModem:
         shaped = samples.reshape(n_symbols, sps)[:, cfg.cp_length :]
         return np.fft.fft(shaped, axis=1) / np.sqrt(cfg.fft_size)
 
-    def demodulate(self, samples: np.ndarray) -> np.ndarray:
-        """Return the data-subcarrier symbols from time-domain samples."""
-        grid = self.demodulate_grid(samples)
-        return grid[:, self.config.data_index_array].reshape(-1)
-
     # -- helpers -------------------------------------------------------------
 
     def n_symbols(self, n_samples: int) -> int:

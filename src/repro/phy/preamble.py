@@ -31,10 +31,8 @@ __all__ = [
     "short_training_field",
     "long_training_symbol",
     "long_training_field",
-    "mimo_preamble",
     "Preamble",
     "cross_correlate",
-    "correlation_peak",
 ]
 
 # Frequency-domain definition of the 802.11a short training symbol: energy
@@ -164,11 +162,6 @@ class Preamble:
         return start, start + self.ltf_slot_length
 
 
-def mimo_preamble(n_antennas: int, config: OfdmConfig | None = None) -> Preamble:
-    """Convenience constructor for :class:`Preamble`."""
-    return Preamble(n_antennas=n_antennas, config=config or OfdmConfig())
-
-
 # ---------------------------------------------------------------------------
 # Correlation-based detection
 # ---------------------------------------------------------------------------
@@ -197,9 +190,3 @@ def cross_correlate(samples: np.ndarray, template: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.abs(dots) / np.where(denom > 0, denom, np.inf)
     return out
-
-
-def correlation_peak(samples: np.ndarray, template: np.ndarray) -> float:
-    """Return the maximum normalised correlation of the template."""
-    values = cross_correlate(samples, template)
-    return float(values.max()) if values.size else 0.0

@@ -20,7 +20,7 @@ from repro.constants import (
 from repro.exceptions import ConfigurationError
 from repro.phy.modulation import Modulation, get_modulation
 
-__all__ = ["MCS", "MCS_TABLE", "mcs_by_index", "data_rate_mbps", "lowest_mcs", "highest_mcs"]
+__all__ = ["MCS", "MCS_TABLE", "mcs_by_index", "data_rate_mbps"]
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,6 @@ def mcs_by_index(index: int) -> MCS:
     if not 0 <= index < len(MCS_TABLE):
         raise ConfigurationError(f"MCS index must be in [0, {len(MCS_TABLE) - 1}], got {index}")
     return MCS_TABLE[index]
-
-
-def lowest_mcs() -> MCS:
-    """Return the most robust (lowest-rate) MCS."""
-    return MCS_TABLE[0]
-
-
-def highest_mcs() -> MCS:
-    """Return the fastest MCS."""
-    return MCS_TABLE[-1]
 
 
 def data_rate_mbps(index: int, bandwidth_mhz: float = 10.0, n_streams: int = 1) -> float:

@@ -29,7 +29,6 @@ from repro.phy.coding.codec import Codec
 from repro.phy.ofdm import OfdmConfig, OfdmModem
 from repro.phy.preamble import Preamble
 from repro.phy.rates import MCS
-from repro.utils.bits import bit_error_rate
 
 __all__ = ["StreamConfig", "FrameLayout", "MimoTransmitter", "MimoReceiver", "DecodedStream"]
 
@@ -130,11 +129,6 @@ class FrameLayout:
         """Body length in samples."""
         return self.n_body_symbols * self.config.samples_per_symbol
 
-    @property
-    def frame_length(self) -> int:
-        """Total frame length in samples."""
-        return self.preamble_length + self.body_length
-
 
 @dataclass
 class DecodedStream:
@@ -156,10 +150,6 @@ class DecodedStream:
     bits: np.ndarray
     evm: float
     post_snr_db: float
-
-    def bit_error_rate(self, reference_bits: np.ndarray) -> float:
-        """BER of the decoded bits against a known reference."""
-        return bit_error_rate(np.asarray(reference_bits, dtype=np.int8), self.bits)
 
 
 class MimoTransmitter:
@@ -323,7 +313,8 @@ class MimoReceiver:
         frame_start:
             Sample index where the frame begins.
         noise_power:
-            Noise power per subcarrier used by the soft demapper.
+            Noise power per subcarrier, for the post-equalisation SNR
+            estimate.
         """
         samples = np.asarray(samples, dtype=complex)
         if samples.ndim == 1:

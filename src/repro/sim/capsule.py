@@ -109,19 +109,30 @@ class ReplayOutcome:
 
 
 def _git_revision() -> Optional[str]:
-    """Best-effort revision of the source tree, ``None`` off a checkout."""
+    """Best-effort revision of the source tree, ``None`` off a checkout.
+
+    A branch ref is a loose file under ``.git/refs`` until ``git gc`` or
+    ``git pack-refs`` moves it into ``.git/packed-refs``.
+    """
     root = Path(__file__).resolve()
     for parent in root.parents:
-        head = parent / ".git" / "HEAD"
-        if not head.is_file():
+        git = parent / ".git"
+        if not (git / "HEAD").is_file():
             continue
         try:
-            ref = head.read_text().strip()
-            if ref.startswith("ref: "):
-                return (parent / ".git" / ref[5:]).read_text().strip()
-            return ref
+            ref = (git / "HEAD").read_text().strip()
+            if not ref.startswith("ref: "):
+                return ref
+            ref = ref[5:]
+            if (git / ref).is_file():
+                return (git / ref).read_text().strip()
+            for line in (git / "packed-refs").read_text().splitlines():
+                sha, _, name = line.partition(" ")
+                if name == ref:
+                    return sha
         except OSError:
-            return None
+            pass
+        return None
     return None
 
 

@@ -5,7 +5,7 @@ The indexed event queue at the heart of the simulator: the main loop
 as an event here (which is how idle gaps are crossed in one hop instead
 of one slot at a time), and anything on its own clock -- Poisson packet
 arrivals, periodic metric snapshots, user callbacks in the examples --
-uses the same ``schedule``/``run_until`` primitives.  Events that share
+uses the same ``schedule_at``/``step`` primitives.  Events that share
 a timestamp run in scheduling order, so seeded runs are deterministic.
 """
 
@@ -52,12 +52,6 @@ class EventScheduler:
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_in(self, delay_us: float, callback: Callable[[], None]) -> _Event:
-        """Schedule ``callback`` after a relative delay."""
-        if delay_us < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay_us}")
-        return self.schedule_at(self._now + delay_us, callback)
-
     def cancel(self, event: _Event) -> None:
         """Cancel a previously scheduled event (lazy removal)."""
         event.cancelled = True
@@ -77,24 +71,3 @@ class EventScheduler:
             event.callback()
             return True
         return False
-
-    def run_until(self, time_us: float) -> None:
-        """Run every event scheduled at or before ``time_us``."""
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if head.time_us > time_us:
-                break
-            self.step()
-        self._now = max(self._now, time_us)
-
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Run until the queue drains; returns the number of events run."""
-        count = 0
-        while self.step():
-            count += 1
-            if count >= max_events:
-                raise SimulationError(f"event budget of {max_events} exceeded")
-        return count

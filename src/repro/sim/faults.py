@@ -15,7 +15,7 @@ timed episodes:
   deliveries overlapping the episode are additionally lost with
   ``loss_rate`` (network-wide, or scoped to one link).  Episodes come
   from a seeded generator (:func:`loss_episode_generator`) or from a
-  JSON/CSV trace file (:meth:`FaultSchedule.from_trace`);
+  JSON/CSV trace file (:func:`read_trace`);
 * :class:`ChurnEpisode` -- station churn: the node departs at
   ``start_us`` and returns ``duration_us`` later; while away, agents
   transmitting to or from it neither contend nor join.
@@ -61,7 +61,6 @@ __all__ = [
     "FaultSchedule",
     "FaultInjector",
     "loss_episode_generator",
-    "register_fault_profile",
     "fault_profile",
     "available_fault_profiles",
     "read_trace",
@@ -168,15 +167,6 @@ class FaultProfile:
     churn_rate_per_s: float = 0.0
     churn_downtime_us: Tuple[float, float] = (4_000.0, 15_000.0)
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether this profile can never generate an episode."""
-        return (
-            self.fade_rate_per_s <= 0
-            and self.loss_rate_per_s <= 0
-            and self.churn_rate_per_s <= 0
-        )
-
 
 def _renewal_process(
     rng: np.random.Generator,
@@ -250,16 +240,8 @@ class FaultSchedule:
         return not self.episodes
 
     @property
-    def fades(self) -> List[FadeEpisode]:
-        return [e for e in self.episodes if isinstance(e, FadeEpisode)]
-
-    @property
     def losses(self) -> List[LossEpisode]:
         return [e for e in self.episodes if isinstance(e, LossEpisode)]
-
-    @property
-    def churn(self) -> List[ChurnEpisode]:
-        return [e for e in self.episodes if isinstance(e, ChurnEpisode)]
 
     @classmethod
     def from_profile(
@@ -363,28 +345,8 @@ class FaultSchedule:
         return cls(episodes)
 
     @classmethod
-    def from_trace(cls, path: Union[str, Path]) -> "FaultSchedule":
-        """Load loss episodes from a JSON or CSV trace file.
-
-        JSON: a list of objects (or ``{"episodes": [...]}``) with keys
-        ``start_us``, ``duration_us``, ``loss_rate`` and optional
-        ``tx_id``/``rx_id``.  CSV: rows of ``start_us, duration_us,
-        loss_rate[, tx_id, rx_id]``; a header (only as the first row) and
-        ``#`` comment lines are skipped.  This is the LinkGuardian-style trace-driven
-        path: measured (or generated) loss traces replay identically
-        across runs and protocols.
-
-        Every row is validated as it is read; a malformed trace raises
-        :class:`~repro.exceptions.ConfigurationError` (a ``ValueError``)
-        naming the offending row and field -- never a raw
-        ``KeyError``/``TypeError``/``IndexError`` from the middle of the
-        parse.
-        """
-        return read_trace(path)[1]
-
-    @classmethod
     def _parse_trace(cls, path: Path, text: str) -> "FaultSchedule":
-        """The episodes of a trace file's ``text`` (see :meth:`from_trace`)."""
+        """The episodes of a trace file's ``text`` (see :func:`read_trace`)."""
         rows: List[Tuple[str, dict]] = []  # (human row label, fields)
         if path.suffix.lower() == ".json":
             try:
@@ -488,8 +450,22 @@ class FaultSchedule:
 def read_trace(path: Union[str, Path]) -> Tuple[str, FaultSchedule]:
     """Read a loss-trace file once: ``(SHA-256 of its bytes, its episodes)``.
 
-    The digest keys a traced run in the sweep cache.  An unreadable or
-    malformed file raises :class:`~repro.exceptions.ConfigurationError`.
+    JSON: a list of objects (or ``{"episodes": [...]}``) with keys
+    ``start_us``, ``duration_us``, ``loss_rate`` and optional
+    ``tx_id``/``rx_id``.  CSV: rows of ``start_us, duration_us,
+    loss_rate[, tx_id, rx_id]``; a header (only as the first row) and
+    ``#`` comment lines are skipped.  This is the LinkGuardian-style trace-driven
+    path: measured (or generated) loss traces replay identically
+    across runs and protocols.
+
+    Every row is validated as it is read; a malformed trace raises
+    :class:`~repro.exceptions.ConfigurationError` (a ``ValueError``)
+    naming the offending row and field -- never a raw
+    ``KeyError``/``TypeError``/``IndexError`` from the middle of the
+    parse.
+
+    The digest keys a traced run in the sweep cache.  An unreadable file
+    raises :class:`~repro.exceptions.ConfigurationError` too.
     """
     path = Path(path)
     try:
@@ -632,10 +608,6 @@ class FaultInjector:
 
     # -- churn queries ----------------------------------------------------------
 
-    def node_active(self, node_id: int) -> bool:
-        """Whether a station is currently present."""
-        return node_id not in self._away
-
     def agent_active(self, agent) -> bool:
         """Whether an agent may contend/join: its transmitter and every
         receiver of its pair must be present."""
@@ -694,16 +666,22 @@ class FaultInjector:
 #: Name -> declarative profile.  Stable names are what scenarios and the
 #: CLI's ``--fault-profile`` refer to; the sweep cache digests the
 #: *resolved* parameters so editing a profile invalidates cached cells.
-FAULT_PROFILES: Dict[str, FaultProfile] = {}
-
-
-def register_fault_profile(
-    name: str, profile: FaultProfile, overwrite: bool = False
-) -> None:
-    """Register a fault profile under a stable name."""
-    if name in FAULT_PROFILES and not overwrite:
-        raise ConfigurationError(f"fault profile {name!r} is already registered")
-    FAULT_PROFILES[name] = profile
+FAULT_PROFILES: Dict[str, FaultProfile] = {
+    # Rates are tuned to the compressed 40-100 ms observation windows the
+    # experiments use: a handful of episodes per entity per run, long
+    # enough to span several transmission rounds.
+    "deep-fades": FaultProfile(fade_rate_per_s=40.0, fade_depth_db=(12.0, 30.0)),
+    "bursty-loss": FaultProfile(loss_rate_per_s=60.0, loss_rate_range=(0.2, 0.9)),
+    "churn": FaultProfile(churn_rate_per_s=15.0, churn_downtime_us=(4_000.0, 12_000.0)),
+    "mixed": FaultProfile(
+        fade_rate_per_s=25.0,
+        fade_depth_db=(12.0, 30.0),
+        loss_rate_per_s=40.0,
+        loss_rate_range=(0.2, 0.8),
+        churn_rate_per_s=10.0,
+        churn_downtime_us=(4_000.0, 12_000.0),
+    ),
+}
 
 
 def fault_profile(name: str) -> FaultProfile:
@@ -719,28 +697,3 @@ def fault_profile(name: str) -> FaultProfile:
 def available_fault_profiles() -> List[str]:
     """Sorted names of every registered fault profile."""
     return sorted(FAULT_PROFILES)
-
-
-# The built-in profiles.  Rates are tuned to the compressed 40-100 ms
-# observation windows the experiments use: a handful of episodes per
-# entity per run, long enough to span several transmission rounds.
-register_fault_profile(
-    "deep-fades", FaultProfile(fade_rate_per_s=40.0, fade_depth_db=(12.0, 30.0))
-)
-register_fault_profile(
-    "bursty-loss", FaultProfile(loss_rate_per_s=60.0, loss_rate_range=(0.2, 0.9))
-)
-register_fault_profile(
-    "churn", FaultProfile(churn_rate_per_s=15.0, churn_downtime_us=(4_000.0, 12_000.0))
-)
-register_fault_profile(
-    "mixed",
-    FaultProfile(
-        fade_rate_per_s=25.0,
-        fade_depth_db=(12.0, 30.0),
-        loss_rate_per_s=40.0,
-        loss_rate_range=(0.2, 0.8),
-        churn_rate_per_s=10.0,
-        churn_downtime_us=(4_000.0, 12_000.0),
-    ),
-)

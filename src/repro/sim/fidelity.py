@@ -78,7 +78,6 @@ from repro.sim.network import _subcarrier_bins
 __all__ = [
     "PHY_STREAM_TAG",
     "FIDELITY_MODES",
-    "DEFAULT_FIDELITY",
     "DEFAULT_BAND_DB",
     "DEFAULT_PROBE_BITS",
     "phy_stream_rng",
@@ -96,8 +95,6 @@ PHY_STREAM_TAG = 0x706879  # "phy"
 
 #: The three fidelity tiers, in increasing PHY cost.
 FIDELITY_MODES = ("abstraction", "auto", "full")
-
-DEFAULT_FIDELITY = "abstraction"
 
 #: Half-width (dB) of the uncertainty band around the delivery cliff.
 #: Calibrated against the real chain: at ``margin = +band`` the probe

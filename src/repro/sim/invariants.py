@@ -35,14 +35,13 @@ observed clock and epoch map).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, InvariantViolation
 
 __all__ = [
     "VALIDATION_MODES",
     "invariant",
-    "registered_invariants",
     "InvariantSuite",
 ]
 
@@ -69,17 +68,6 @@ def invariant(name: str, *, scope: str = "cheap"):
         return fn
 
     return register
-
-
-def registered_invariants(mode: str = "full") -> List[str]:
-    """Names of the checkers active under ``mode`` (registration order)."""
-    if mode == "off":
-        return []
-    return [
-        name
-        for name, (scope, _) in _REGISTRY.items()
-        if scope == "cheap" or mode == "full"
-    ]
 
 
 class InvariantSuite:

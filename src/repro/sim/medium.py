@@ -15,7 +15,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.exceptions import MediumAccessError
 from repro.mimo.dof import InterferenceStrategy
 from repro.phy.rates import MCS
 
@@ -131,10 +130,6 @@ class Medium:
         """Streams destined to a given receiver."""
         return [s for s in self._streams if s.receiver_id == receiver_id]
 
-    def streams_from(self, transmitter_id: int) -> List[ScheduledStream]:
-        """Streams sent by a given transmitter."""
-        return [s for s in self._streams if s.transmitter_id == transmitter_id]
-
     def max_join_order(self) -> int:
         """Largest join order currently on the air (-1 when idle)."""
         if not self._streams:
@@ -146,16 +141,6 @@ class Medium:
     def add_streams(self, streams: List[ScheduledStream]) -> None:
         """Put new streams on the air."""
         self._streams.extend(streams)
-
-    def remove_streams(self, streams: List[ScheduledStream]) -> None:
-        """Take streams off the air."""
-        for stream in streams:
-            try:
-                self._streams.remove(stream)
-            except ValueError:
-                raise MediumAccessError(
-                    f"stream {stream.stream_id} is not on the medium"
-                ) from None
 
     def clear(self) -> None:
         """Remove every stream (end of a joint transmission)."""

@@ -76,13 +76,6 @@ class LinkMetrics:
             return 0.0
         return self.delivered_bits / elapsed_us
 
-    @property
-    def delivery_ratio(self) -> float:
-        """Fraction of attempted bits that were delivered."""
-        if self.attempted_bits == 0:
-            return 0.0
-        return self.delivered_bits / self.attempted_bits
-
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-safe), inverse of :meth:`from_dict`."""
         return asdict(self)

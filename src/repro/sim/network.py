@@ -337,11 +337,6 @@ class ChannelBank:
         return sum(len(block) for block in self._pair_groups)
 
     @property
-    def n_groups(self) -> int:
-        """Number of antenna-shape groups."""
-        return len(self._stacks)
-
-    @property
     def nbytes(self) -> int:
         """Bytes held by the stacked tensors (reciprocals are free views)."""
         return sum(stack.nbytes for stack in self._stacks) + sum(
@@ -624,13 +619,6 @@ class Network:
         """The station with the given id."""
         return self.stations[node_id]
 
-    def pair_for_transmitter(self, node_id: int) -> TrafficPair:
-        """The traffic pair whose transmitter is ``node_id``."""
-        for pair in self.pairs:
-            if pair.transmitter.node_id == node_id:
-                return pair
-        raise ConfigurationError(f"node {node_id} is not a transmitter of any pair")
-
     def link_snr_db(self, tx_id: int, rx_id: int) -> float:
         """The average SNR of the link between two stations."""
         return self.channels.snr_db(tx_id, rx_id)
@@ -648,16 +636,6 @@ class Network:
         return self.channels.channel(tx_id, rx_id)
 
     # -- dynamic channels (fault injection) --------------------------------------
-
-    def link_epoch(self, a: int, b: int) -> int:
-        """How many times the channel between two stations has changed.
-
-        0 for every link in a static network -- epochs only exist once
-        :meth:`bump_link_epoch` (via :meth:`fade_link` /
-        :meth:`restore_link`) touches the link.
-        """
-        key = (a, b) if a < b else (b, a)
-        return self._link_epochs.get(key, 0)
 
     @property
     def link_epochs(self) -> Dict[Tuple[int, int], int]:

@@ -141,7 +141,7 @@ class SimulationConfig:
         faults even on such a scenario.
     fault_trace:
         Path to a JSON/CSV loss-trace file
-        (:meth:`repro.sim.faults.FaultSchedule.from_trace`) whose
+        (:func:`repro.sim.faults.read_trace`) whose
         episodes are injected in addition to the profile's.  The cache
         key covers the file's *content*, not its path.
     fidelity:

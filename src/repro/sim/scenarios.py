@@ -40,7 +40,6 @@ __all__ = [
     "two_pair_scenario",
     "three_pair_scenario",
     "heterogeneous_ap_scenario",
-    "custom_pairs_scenario",
     "dense_lan_scenario",
     "register_scenario",
     "scenario_factory",
@@ -105,13 +104,6 @@ class Scenario:
     fidelity: Optional[str] = None
     fidelity_band_db: Optional[float] = None
 
-    def station_by_name(self, name: str) -> Station:
-        """Look up a station by its label."""
-        for station in self.stations:
-            if station.name == name:
-                return station
-        raise KeyError(f"no station named {name!r}")
-
     @property
     def max_antennas(self) -> int:
         """Maximum antenna count among transmitters (= network DoF, §1)."""
@@ -173,24 +165,6 @@ def heterogeneous_ap_scenario() -> Scenario:
         TrafficPair(ap2, [c2, c3], streams_per_receiver=[1, 1]),
     ]
     return Scenario("heterogeneous-ap", [c1, ap1, ap2, c2, c3], pairs)
-
-
-def custom_pairs_scenario(antenna_counts: List[int], name: str = "custom") -> Scenario:
-    """Build a scenario of independent pairs with given antenna counts.
-
-    ``antenna_counts=[1, 2, 3]`` reproduces :func:`three_pair_scenario`;
-    other lists let the benchmarks sweep the network's heterogeneity.
-    """
-    stations: List[Station] = []
-    pairs: List[TrafficPair] = []
-    node_id = 0
-    for index, antennas in enumerate(antenna_counts, start=1):
-        tx = Station(node_id, antennas, f"tx{index}")
-        rx = Station(node_id + 1, antennas, f"rx{index}")
-        node_id += 2
-        stations.extend([tx, rx])
-        pairs.append(TrafficPair(tx, [rx]))
-    return Scenario(name, stations, pairs)
 
 
 def dense_lan_scenario(

@@ -3,7 +3,7 @@
 :class:`ResultsStore` is the persistence layer of
 :func:`~repro.sim.sweep.run_sweep`: cells keyed by the sweep's
 ``(scenario, protocol, run seed, resolved run spec, schema version)``
-digest, ``load``/``store`` returning and accepting
+digest, ``load_many``/``store`` returning and accepting
 :class:`~repro.sim.metrics.NetworkMetrics`, unreadable state treated as
 a miss.  It provides
 
@@ -49,7 +49,6 @@ __all__ = [
     "SweepRecord",
     "STORE_FILENAME",
     "STORE_SCHEMA_VERSION",
-    "CELL_STATES",
 ]
 
 #: Filename of the database inside a cache directory.
@@ -64,13 +63,11 @@ STORE_FILENAME = "results.sqlite"
 #:    written next to the store) and ``traceback``.
 STORE_SCHEMA_VERSION = 2
 
-#: The cell state machine: manifest rows start ``pending``, move to
-#: ``running`` when shipped to a worker, and finish ``done`` (metrics
-#: attached) or ``failed`` (error attached).  An interrupted sweep's
-#: checkpoint resets ``running`` rows to ``pending`` so a resume
-#: recomputes exactly the unfinished cells.
-CELL_STATES = ("pending", "running", "done", "failed")
-
+#: The ``cells`` table holds the cell state machine: manifest rows start
+#: ``pending``, move to ``running`` when shipped to a worker, and finish
+#: ``done`` (metrics attached) or ``failed`` (error attached).  An
+#: interrupted sweep's checkpoint resets ``running`` rows to ``pending``
+#: so a resume recomputes exactly the unfinished cells.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
     key   TEXT PRIMARY KEY,
@@ -262,34 +259,14 @@ class ResultsStore:
 
     # -- cell interface ----------------------------------------------------
 
-    def load(self, key: str) -> Optional[NetworkMetrics]:
-        """The cached metrics for ``key``, or ``None`` on a miss.
-
-        Only ``done`` cells hit; ``pending``/``running``/``failed`` rows
-        (and unparseable payloads) are misses, so a previously failed or
-        interrupted cell is recomputed, never replayed.
-        """
-        try:
-            row = self._conn.execute(
-                "SELECT metrics_json FROM cells WHERE key=? AND status='done'",
-                (key,),
-            ).fetchone()
-        except sqlite3.DatabaseError:
-            return None
-        if row is None or row["metrics_json"] is None:
-            return None
-        try:
-            return NetworkMetrics.from_dict(json.loads(row["metrics_json"]))
-        except (ValueError, KeyError, TypeError):
-            return None
-
     def load_many(self, keys: Sequence[str]) -> Dict[str, NetworkMetrics]:
         """The cached metrics for every hit among ``keys``.
 
-        One batched ``SELECT`` instead of a round-trip per cell -- the
-        warm-replay fast path.  Misses (and unparseable payloads) are
-        simply absent from the returned mapping; the hit semantics are
-        exactly :meth:`load`'s.
+        Only ``done`` cells hit; ``pending``/``running``/``failed`` rows
+        (and unparseable payloads) are misses, absent from the returned
+        mapping, so a previously failed or interrupted cell is
+        recomputed, never replayed.  One batched ``SELECT`` instead of a
+        round-trip per cell -- the warm-replay fast path.
         """
         hits: Dict[str, NetworkMetrics] = {}
         chunk_size = 500  # stay well under SQLite's bound-variable limit

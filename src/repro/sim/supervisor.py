@@ -361,13 +361,6 @@ class WorkerSupervisor:
         self.deaths = 0
         self.timeout_kills = 0
 
-    # -- public state --------------------------------------------------------
-
-    @property
-    def target_pool_size(self) -> int:
-        """Current degradation target (initial workers minus shrinks)."""
-        return self._target
-
     # -- event loop ----------------------------------------------------------
 
     def events(self) -> Iterator[object]:

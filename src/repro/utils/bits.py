@@ -1,115 +1,12 @@
-"""Bit manipulation helpers: packing, CRC-32 and pseudo-random payloads."""
+"""Bit helpers: pseudo-random payload bits."""
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
-from repro.exceptions import DimensionError
-
-__all__ = [
-    "bytes_to_bits",
-    "bits_to_bytes",
-    "random_bits",
-    "random_payload",
-    "crc32",
-    "append_crc32",
-    "check_crc32",
-    "int_to_bits",
-    "bits_to_int",
-    "bit_errors",
-    "bit_error_rate",
-]
-
-#: Length of the CRC-32 checksum in bits.
-CRC32_LENGTH_BITS = 32
-
-
-def bytes_to_bits(data: bytes) -> np.ndarray:
-    """Expand a byte string to a 0/1 integer array, MSB first."""
-    arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    return np.unpackbits(arr).astype(np.int8)
-
-
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """Pack a 0/1 array (MSB first) into bytes.
-
-    The bit count must be a multiple of 8.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % 8 != 0:
-        raise DimensionError(f"bit count {bits.size} is not a multiple of 8")
-    return np.packbits(bits).tobytes()
+__all__ = ["random_bits"]
 
 
 def random_bits(count: int, rng: np.random.Generator) -> np.ndarray:
     """Return ``count`` uniformly random bits as an int8 array."""
     return rng.integers(0, 2, size=count, dtype=np.int8)
-
-
-def random_payload(num_bytes: int, rng: np.random.Generator) -> bytes:
-    """Return ``num_bytes`` of uniformly random payload."""
-    return rng.integers(0, 256, size=num_bytes, dtype=np.uint8).tobytes()
-
-
-def crc32(bits: np.ndarray) -> np.ndarray:
-    """Return the CRC-32 of a bit array as a 32-bit array (MSB first)."""
-    padded = np.asarray(bits, dtype=np.uint8)
-    remainder = (-padded.size) % 8
-    if remainder:
-        padded = np.concatenate([padded, np.zeros(remainder, dtype=np.uint8)])
-    value = zlib.crc32(bits_to_bytes(padded)) & 0xFFFFFFFF
-    return int_to_bits(value, CRC32_LENGTH_BITS)
-
-
-def append_crc32(bits: np.ndarray) -> np.ndarray:
-    """Return ``bits`` with their CRC-32 appended."""
-    bits = np.asarray(bits, dtype=np.int8)
-    return np.concatenate([bits, crc32(bits).astype(np.int8)])
-
-
-def check_crc32(bits_with_crc: np.ndarray) -> bool:
-    """Return ``True`` if the trailing 32 bits are the CRC-32 of the rest."""
-    bits_with_crc = np.asarray(bits_with_crc, dtype=np.int8)
-    if bits_with_crc.size < CRC32_LENGTH_BITS:
-        return False
-    payload = bits_with_crc[:-CRC32_LENGTH_BITS]
-    received = bits_with_crc[-CRC32_LENGTH_BITS:]
-    return bool(np.array_equal(crc32(payload).astype(np.int8), received))
-
-
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Return ``value`` as a ``width``-bit array, MSB first."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    if value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.int8)
-
-
-def bits_to_int(bits: np.ndarray) -> int:
-    """Interpret a bit array (MSB first) as an unsigned integer."""
-    value = 0
-    for bit in np.asarray(bits, dtype=np.int64):
-        value = (value << 1) | int(bit)
-    return value
-
-
-def bit_errors(a: np.ndarray, b: np.ndarray) -> int:
-    """Return the number of differing positions between two bit arrays."""
-    a = np.asarray(a, dtype=np.int8)
-    b = np.asarray(b, dtype=np.int8)
-    if a.shape != b.shape:
-        raise DimensionError(f"bit arrays differ in shape: {a.shape} vs {b.shape}")
-    return int(np.sum(a != b))
-
-
-def bit_error_rate(a: np.ndarray, b: np.ndarray) -> float:
-    """Return the fraction of differing positions between two bit arrays."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return bit_errors(a, b) / a.size

@@ -12,8 +12,6 @@ import numpy as np
 __all__ = [
     "db_to_linear",
     "linear_to_db",
-    "dbm_to_milliwatt",
-    "milliwatt_to_dbm",
     "signal_power",
     "power_db",
     "snr_db",
@@ -36,16 +34,6 @@ def linear_to_db(value_linear):
     """
     value = np.maximum(np.asarray(value_linear, dtype=float), _POWER_FLOOR)
     return 10.0 * np.log10(value)
-
-
-def dbm_to_milliwatt(value_dbm):
-    """Convert a power in dBm to milliwatts."""
-    return db_to_linear(value_dbm)
-
-
-def milliwatt_to_dbm(value_mw):
-    """Convert a power in milliwatts to dBm."""
-    return linear_to_db(value_mw)
 
 
 def signal_power(samples: np.ndarray) -> float:

@@ -25,12 +25,6 @@ __all__ = [
     "orthonormal_complement",
     "orthonormal_complement_batch",
     "singular_value_ranks",
-    "project_onto_subspace",
-    "project_out_subspace",
-    "projection_matrix",
-    "random_unitary",
-    "subspace_angle",
-    "is_in_subspace",
 ]
 
 #: Default relative tolerance used to decide which singular values are zero.
@@ -229,109 +223,3 @@ def orthonormal_complement(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> 
     tol = rcond * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > tol))
     return u[:, rank:]
-
-
-def projection_matrix(basis: np.ndarray) -> np.ndarray:
-    """Return the orthogonal-projection matrix onto the span of ``basis``.
-
-    ``basis`` need not be orthonormal; the projector is computed as
-    ``B (B^H B)^-1 B^H`` via the pseudo-inverse.
-    """
-    b = _as_complex_matrix(basis, "basis")
-    if b.shape[1] == 0:
-        return np.zeros((b.shape[0], b.shape[0]), dtype=complex)
-    return b @ np.linalg.pinv(b)
-
-
-def project_onto_subspace(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Project ``vectors`` onto the subspace spanned by the columns of
-    ``basis`` and return the *coordinates* in that basis.
-
-    Parameters
-    ----------
-    vectors:
-        Shape ``(n,)`` or ``(n, t)``: one column per time sample.
-    basis:
-        Shape ``(n, k)`` with orthonormal columns.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(k,)`` or ``(k, t)``: the coefficients ``basis^H @ vectors``.
-    """
-    b = _as_complex_matrix(basis, "basis")
-    v = np.asarray(vectors, dtype=complex)
-    squeeze = v.ndim == 1
-    if squeeze:
-        v = v.reshape(-1, 1)
-    if v.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"vectors have dimension {v.shape[0]} but basis lives in dimension {b.shape[0]}"
-        )
-    coords = b.conj().T @ v
-    return coords[:, 0] if squeeze else coords
-
-
-def project_out_subspace(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Remove from ``vectors`` every component lying in the span of
-    ``basis`` and return the residual expressed in the original coordinates.
-
-    This is the operation a receiver applies to cancel ongoing
-    transmissions before decoding or carrier sensing.
-    """
-    b = _as_complex_matrix(basis, "basis")
-    v = np.asarray(vectors, dtype=complex)
-    squeeze = v.ndim == 1
-    if squeeze:
-        v = v.reshape(-1, 1)
-    if v.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"vectors have dimension {v.shape[0]} but basis lives in dimension {b.shape[0]}"
-        )
-    if b.shape[1] == 0:
-        residual = v
-    else:
-        ortho = orthonormal_basis(b)
-        residual = v - ortho @ (ortho.conj().T @ v)
-    return residual[:, 0] if squeeze else residual
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Return a Haar-distributed ``n x n`` unitary matrix.
-
-    Useful for generating random orthogonal signalling directions in tests
-    and synthetic channels.
-    """
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    # Normalise the phases so the distribution is Haar.
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Return the principal angle (radians) between the subspaces spanned by
-    the columns of ``a`` and ``b``.
-
-    The angle between a wanted stream and the interference directions
-    determines the post-projection SNR (Fig. 7) and therefore the best
-    bitrate (§3.4).
-    """
-    qa = orthonormal_basis(_as_complex_matrix(a))
-    qb = orthonormal_basis(_as_complex_matrix(b))
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return float(np.pi / 2)
-    sigma = np.linalg.svd(qa.conj().T @ qb, compute_uv=False)
-    cos_theta = float(np.clip(sigma.max(), -1.0, 1.0))
-    return float(np.arccos(cos_theta))
-
-
-def is_in_subspace(vector: np.ndarray, basis: np.ndarray, tol: float = 1e-8) -> bool:
-    """Return ``True`` if ``vector`` lies (numerically) inside the span of
-    the columns of ``basis``."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        return True
-    residual = project_out_subspace(v, basis)
-    return float(np.linalg.norm(residual)) <= tol * max(1.0, norm)

@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
+from helpers import custom_pairs_scenario
 from repro.channel.hardware import HardwareProfile
 from repro.sim.network import Network
-from repro.sim.scenarios import custom_pairs_scenario
 from repro.utils.db import linear_to_db
 
 
 class TestHardwareProfile:
-    def test_noise_floor_conversion(self):
-        profile = HardwareProfile(noise_floor_dbm=-90.0)
-        assert linear_to_db(profile.noise_floor_mw) == pytest.approx(-90.0)
-
     def test_residual_interference_suppression_amount(self):
         profile = HardwareProfile(nulling_suppression_db=27.0, alignment_suppression_db=25.0)
         interference = 100.0
@@ -35,6 +31,13 @@ class TestHardwareProfile:
             profile.residual_interference_power(10.0, aligned=False, rng=rng) for _ in range(200)
         ]
         assert np.std(linear_to_db(values)) > 0.5
+
+    def test_jitter_vector_draw_matches_scalar_draws(self):
+        profile = HardwareProfile()
+        batched = profile.draw_suppression_jitter(np.random.default_rng(4), size=(3, 2))
+        rng = np.random.default_rng(4)
+        scalar = [[profile.draw_suppression_jitter(rng) for _ in range(2)] for _ in range(3)]
+        assert np.array_equal(batched, np.array(scalar))
 
     def test_perturb_channel_error_level(self, rng):
         profile = HardwareProfile(channel_estimation_error_db=-30.0)
@@ -65,14 +68,11 @@ class TestHardwareProfile:
         )
         assert reciprocal > direct
 
-    def test_cfo_draw_is_bounded(self, rng):
-        profile = HardwareProfile(max_cfo_hz=1000.0)
-        draws = [profile.draw_cfo(rng) for _ in range(100)]
-        assert all(-1000.0 <= value <= 1000.0 for value in draws)
-
-    def test_estimation_error_variance_scales_with_channel_power(self):
+    def test_estimation_error_variance_scales_with_channel_power(self, rng):
         profile = HardwareProfile(channel_estimation_error_db=-20.0)
-        assert profile.estimation_error_variance(10.0) == pytest.approx(0.1)
+        channel = np.full((200, 200), np.sqrt(10.0), dtype=complex)
+        error = profile.perturb_channel(channel, rng) - channel
+        assert np.mean(np.abs(error) ** 2) == pytest.approx(0.1, rel=0.05)
 
 
 def _two_by_three_network():

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channel.models import (
-    apply_flat_channel,
-    awgn,
-    complex_gaussian,
-    rayleigh_mimo_channel,
-    rician_mimo_channel,
-)
+from repro.channel.models import awgn, complex_gaussian
 from repro.exceptions import ConfigurationError
 
 
@@ -24,6 +18,10 @@ class TestComplexGaussian:
     def test_negative_variance_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             complex_gaussian(10, rng, -1.0)
+
+    def test_matrix_shape(self, rng):
+        """A flat Rayleigh MIMO channel is one ``(n_rx, n_tx)`` draw."""
+        assert complex_gaussian((3, 2), rng).shape == (3, 2)
 
     def test_circular_symmetry(self, rng):
         samples = complex_gaussian(100_000, rng)
@@ -43,39 +41,3 @@ class TestAwgn:
         noisy = awgn(clean, 0.1, rng)
         assert np.mean(noisy).real == pytest.approx(1.0, abs=0.02)
 
-
-class TestFadingChannels:
-    def test_rayleigh_unit_average_power(self, rng):
-        gains = [np.abs(rayleigh_mimo_channel(2, 2, rng)) ** 2 for _ in range(2000)]
-        assert np.mean(gains) == pytest.approx(1.0, rel=0.1)
-
-    def test_rician_k_factor_concentrates_power(self, rng):
-        rayleigh_spread = np.var(
-            [np.abs(rayleigh_mimo_channel(1, 1, rng)[0, 0]) for _ in range(3000)]
-        )
-        rician_spread = np.var(
-            [np.abs(rician_mimo_channel(1, 1, rng, k_factor_db=10.0)[0, 0]) for _ in range(3000)]
-        )
-        assert rician_spread < rayleigh_spread
-
-    def test_shapes(self, rng):
-        assert rayleigh_mimo_channel(3, 2, rng).shape == (3, 2)
-        assert rician_mimo_channel(2, 4, rng).shape == (2, 4)
-
-
-class TestApplyFlatChannel:
-    def test_matrix_multiplication_semantics(self, rng):
-        channel = np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
-        samples = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
-        received = apply_flat_channel(samples, channel)
-        assert np.allclose(received, channel @ samples)
-
-    def test_single_antenna_vector_input(self, rng):
-        channel = np.array([[0.5 + 0.5j]])
-        samples = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        received = apply_flat_channel(samples, channel)
-        assert np.allclose(received[0], 0.5 * (1 + 1j) * samples)
-
-    def test_mismatched_antennas_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            apply_flat_channel(np.zeros((3, 5)), np.zeros((2, 2)))

@@ -41,15 +41,26 @@ class TestMultipathChannel:
             gains.append(np.sum(np.abs(channel.taps) ** 2, axis=0).mean())
         assert np.mean(gains) == pytest.approx(10.0, rel=0.15)
 
-    def test_flat_constructor(self):
-        matrix = np.array([[1.0, 2.0]])
-        channel = MultipathChannel.flat(matrix)
-        assert channel.n_taps == 1
-        assert np.allclose(channel.average_matrix(), matrix)
+    def test_each_tap_carries_its_profile_share(self):
+        profile = exponential_power_delay_profile(4)
+        powers = np.mean(
+            [
+                np.abs(MultipathChannel.random(2, 2, np.random.default_rng(seed)).taps) ** 2
+                for seed in range(400)
+            ],
+            axis=(0, 2, 3),
+        )
+        assert np.allclose(powers, profile, rtol=0.2)
 
-    def test_flat_requires_matrix(self):
+    def test_single_tap_channel_averages_to_its_matrix(self):
+        matrix = np.array([[1.0, 2.0]])
+        channel = MultipathChannel(taps=matrix[None])
+        assert channel.n_taps == 1
+        assert np.allclose(channel.frequency_response().mean(axis=0), matrix)
+
+    def test_taps_must_be_a_stack_of_matrices(self):
         with pytest.raises(DimensionError):
-            MultipathChannel.flat(np.zeros(3))
+            MultipathChannel(taps=np.zeros(3))
 
     def test_frequency_response_shape(self, rng):
         channel = MultipathChannel.random(2, 3, rng, n_taps=3)
@@ -58,7 +69,7 @@ class TestMultipathChannel:
 
     def test_single_tap_channel_has_flat_response(self, rng):
         matrix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        response = MultipathChannel.flat(matrix).frequency_response(16)
+        response = MultipathChannel(taps=matrix[None]).frequency_response(16)
         for k in range(16):
             assert np.allclose(response[k], matrix)
 
@@ -80,10 +91,17 @@ class TestMultipathChannel:
         with pytest.raises(DimensionError):
             channel.apply(np.zeros((3, 10)))
 
-    def test_scaled_changes_power(self, rng):
-        channel = MultipathChannel.random(1, 1, rng)
-        scaled = channel.scaled(4.0)
-        assert np.allclose(np.abs(scaled.taps) ** 2, 4.0 * np.abs(channel.taps) ** 2)
+    def test_single_tap_apply_is_matrix_multiplication(self, rng):
+        matrix = np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
+        samples = rng.standard_normal((2, 10)) + 1j * rng.standard_normal((2, 10))
+        received = MultipathChannel(taps=matrix[None]).apply(samples)
+        assert np.allclose(received, matrix @ samples)
+
+    def test_single_antenna_vector_input(self, rng):
+        channel = MultipathChannel(taps=np.array([[[0.5 + 0.5j]]]))
+        samples = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        received = channel.apply(samples)
+        assert np.allclose(received[0], 0.5 * (1 + 1j) * samples)
 
     def test_parseval_consistency(self, rng):
         """Average frequency-domain power equals total tap power."""

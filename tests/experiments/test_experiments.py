@@ -14,10 +14,23 @@ from repro.experiments.fig11_nulling_alignment import (
     run_nulling_experiment,
     summarize as s11,
 )
-from repro.experiments.fig12_throughput import run_throughput_experiment, summarize as s12
-from repro.experiments.fig13_heterogeneous import run_heterogeneous_experiment, summarize as s13
+from repro.experiments.fig12_throughput import (
+    ThroughputExperiment,
+    run_throughput_experiment,
+    summarize as s12,
+)
+from repro.experiments.fig13_heterogeneous import (
+    HeterogeneousExperiment,
+    run_heterogeneous_experiment,
+    summarize as s13,
+)
 from repro.experiments.handshake_overhead import run_handshake_experiment, summarize as sh
-from repro.experiments.report import format_cdf_summary, format_table, percentile_row
+from repro.experiments.report import (
+    format_cdf_summary,
+    format_table,
+    per_run_ratios,
+    percentile_row,
+)
 from repro.sim.runner import SimulationConfig
 
 
@@ -35,6 +48,47 @@ class TestReportHelpers:
     def test_cdf_summary_contains_median(self):
         text = format_cdf_summary("x", [1.0, 2.0, 3.0])
         assert "median=2.0" in text
+
+
+class TestRunRatios:
+    def test_zero_baseline_runs_are_dropped_and_counted(self):
+        gain = per_run_ratios([2.0, 3.0, 5.0], [1.0, 0.0, 2.0])
+        assert gain.ratios == [2.0, 2.5]
+        assert gain.dropped == 1
+        assert gain.mean == pytest.approx(2.25)
+        assert gain.dropped_note() == "1 of 3 runs dropped"
+
+    def test_all_runs_dropped_has_no_mean(self):
+        gain = per_run_ratios([1.0], [0.0])
+        assert gain.ratios == [] and np.isnan(gain.mean)
+        assert gain.dropped_note() == "1 of 1 runs dropped"
+
+    def test_fig12_summary_counts_a_zero_baseline_run(self):
+        experiment = ThroughputExperiment(
+            totals={"802.11n": [1.0, 2.0], "n+": [2.0, 4.0]},
+            per_pair={
+                "802.11n": {"tx1->rx1": [1.0, 0.0]},
+                "n+": {"tx1->rx1": [1.5, 0.5]},
+            },
+        )
+        assert experiment.total_gain() == pytest.approx(2.0)
+        assert experiment.pair_gain("tx1->rx1") == pytest.approx(1.5)
+        summary = s12(experiment)
+        assert "mean of per-run ratios" in summary
+        assert "1 of 2 runs dropped" in summary
+        assert "0 of 2 runs dropped" in summary
+
+    def test_fig13_summary_counts_a_zero_baseline_run(self):
+        protocols = ("802.11n", "beamforming", "n+")
+        experiment = HeterogeneousExperiment(
+            totals={"802.11n": [0.0, 2.0], "beamforming": [1.0, 1.0], "n+": [3.0, 3.0]},
+            per_flow={protocol: {} for protocol in protocols},
+        )
+        assert experiment.mean_gain_over("802.11n") == pytest.approx(1.5)
+        assert experiment.gain_over("802.11n").dropped == 1
+        summary = s13(experiment)
+        assert "mean of per-run ratios" in summary
+        assert "1 of 2 runs dropped" in summary
 
 
 class TestFig9:
@@ -106,7 +160,7 @@ class TestFig12AndFig13:
         return run_heterogeneous_experiment(n_runs=3, seed=6, config=config)
 
     def test_fig12_nplus_improves_total_throughput(self, fig12):
-        assert fig12.average_total("n+") > fig12.average_total("802.11n")
+        assert np.mean(fig12.totals["n+"]) > np.mean(fig12.totals["802.11n"])
 
     def test_fig12_multi_antenna_pairs_gain_most(self, fig12):
         assert fig12.pair_gain("tx3->rx3") > fig12.pair_gain("tx1->rx1")

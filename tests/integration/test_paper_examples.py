@@ -8,9 +8,9 @@ Figs. 2, 3 and 4.
 import numpy as np
 import pytest
 
+from oracles.mimo import two_antenna_nulling_weight
 from repro.channel.models import awgn, complex_gaussian
 from repro.mimo.decoder import post_projection_snr_db, project_and_decode
-from repro.mimo.nulling import two_antenna_nulling_weight
 from repro.mimo.precoder import OwnReceiver, ReceiverConstraint, compute_precoders
 from repro.utils.db import db_to_linear
 from repro.utils.linalg import orthonormal_complement

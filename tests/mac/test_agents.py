@@ -163,4 +163,4 @@ class TestNPlusMac:
         assert delivered == 12000
         assert agent.backlog_bits(1) <= backlog_before
         agent.record_outcome(1, 12000, delivered=False)
-        assert agent.contender.contention_window > 15
+        assert agent.contender._cw > 15

@@ -12,28 +12,28 @@ from repro.mac.retransmission import RetransmissionQueue
 class TestDcfContender:
     def test_backoff_within_window(self, rng):
         contender = DcfContender(node_id=1)
-        draws = [contender.draw_backoff(rng) for _ in range(200)]
+        draws = [resolve_contention([contender], rng).backoff_slots for _ in range(200)]
         assert min(draws) >= 0
         assert max(draws) <= CW_MIN
 
     def test_collision_doubles_window(self):
         contender = DcfContender(node_id=1)
         contender.record_collision()
-        assert contender.contention_window == 2 * (CW_MIN + 1) - 1
+        assert contender._cw == 2 * (CW_MIN + 1) - 1
         contender.record_collision()
-        assert contender.contention_window == 4 * (CW_MIN + 1) - 1
+        assert contender._cw == 4 * (CW_MIN + 1) - 1
 
     def test_window_caps_at_cw_max(self):
         contender = DcfContender(node_id=1)
         for _ in range(20):
             contender.record_collision()
-        assert contender.contention_window == CW_MAX
+        assert contender._cw == CW_MAX
 
     def test_success_resets_window(self):
         contender = DcfContender(node_id=1)
         contender.record_collision()
         contender.record_success()
-        assert contender.contention_window == CW_MIN
+        assert contender._cw == CW_MIN
 
 
 class TestResolveContention:
@@ -92,7 +92,7 @@ class TestResolveContention:
         narrow = DcfContender(2)
         for _ in range(500):
             outcome = resolve_contention([wide, narrow], rng)
-            assert 0 <= outcome.backoff_slots <= narrow.contention_window
+            assert 0 <= outcome.backoff_slots <= narrow._cw
 
 
 class TestRetransmissionQueue:

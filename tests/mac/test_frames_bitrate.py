@@ -63,4 +63,4 @@ class TestHistoricalRateController:
         mcs = MCS_TABLE[2]
         for _ in range(50):
             controller.record(mcs, delivered=True)
-        assert 0.0 <= controller.delivery_estimate(mcs) <= 1.0
+        assert 0.0 <= controller._delivery[mcs.index] <= 1.0

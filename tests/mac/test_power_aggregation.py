@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.constants import INTERFERENCE_ADMISSION_THRESHOLD_DB
-from repro.exceptions import MediumAccessError
-from repro.mac.aggregation import FragmentationDecision, airtime_for_bits, bits_in_airtime, fill_airtime
-from repro.mac.frames import Packet
-from repro.mac.power_control import (
-    admission_power_scale,
-    interference_power_db,
-    may_join_at_full_power,
-)
+from repro.mac.aggregation import airtime_for_bits, bits_in_airtime
+from repro.mac.power_control import admission_power_scale, interference_power_db
 from repro.phy.rates import MCS_TABLE
 from repro.utils.db import db_to_linear
 
@@ -36,12 +30,11 @@ class TestInterferencePower:
 class TestAdmission:
     def test_below_threshold_keeps_full_power(self):
         assert admission_power_scale([10.0, 20.0]) == 1.0
-        assert may_join_at_full_power([26.9])
+        assert admission_power_scale([26.9]) == 1.0
 
     def test_above_threshold_scales_down(self):
         scale = admission_power_scale([INTERFERENCE_ADMISSION_THRESHOLD_DB + 6.0])
         assert scale == pytest.approx(db_to_linear(-6.0))
-        assert not may_join_at_full_power([INTERFERENCE_ADMISSION_THRESHOLD_DB + 6.0])
 
     def test_worst_receiver_governs(self):
         scale = admission_power_scale([10.0, INTERFERENCE_ADMISSION_THRESHOLD_DB + 3.0])
@@ -70,38 +63,15 @@ class TestAirtime:
     def test_zero_airtime(self):
         assert bits_in_airtime(MCS_TABLE[3], 0.0) == 0
 
+    def test_wider_channel_fits_more_symbols(self):
+        mcs = MCS_TABLE[0]
+        assert bits_in_airtime(mcs, 80.0, bandwidth_mhz=20.0) == 2 * bits_in_airtime(mcs, 80.0)
+
+    def test_negative_airtime_carries_no_bits(self):
+        assert bits_in_airtime(MCS_TABLE[3], -8.0) == 0
+
     def test_roundtrip_with_airtime_for_bits(self):
         mcs = MCS_TABLE[5]
         bits = 12000
         airtime = airtime_for_bits(mcs, bits)
         assert bits_in_airtime(mcs, airtime) >= bits
-
-
-class TestFillAirtime:
-    def _queue(self):
-        return [Packet(0, 1, size_bytes=1500, packet_id=i) for i in range(3)]
-
-    def test_aggregates_whole_packets(self):
-        decision = fill_airtime(self._queue(), capacity_bits=24_500)
-        assert len(decision.whole_packets) == 2
-        assert decision.fragment_bits == 500
-        assert decision.total_bits == 24_500
-
-    def test_fragments_when_capacity_is_small(self):
-        decision = fill_airtime(self._queue(), capacity_bits=5_000)
-        assert decision.whole_packets == []
-        assert decision.fragment_bits == 5_000
-
-    def test_no_fragmentation_mode(self):
-        decision = fill_airtime(self._queue(), capacity_bits=20_000, allow_fragmentation=False)
-        assert len(decision.whole_packets) == 1
-        assert decision.fragment_bits == 0
-        assert decision.total_bits == 12_000
-
-    def test_empty_queue(self):
-        decision = fill_airtime([], capacity_bits=10_000)
-        assert decision.total_bits == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(MediumAccessError):
-            fill_airtime(self._queue(), capacity_bits=-1)

@@ -135,7 +135,7 @@ class TestProtocolSpecCanonicalization:
         assert hash(bare) == hash(explicit)
         assert bare.key == explicit.key == "n+"
         assert bare.digest() == explicit.digest()
-        assert explicit.is_default
+        assert not explicit.overrides
 
     def test_overrides_make_a_distinct_value(self):
         spec = ProtocolSpec("n+", {"recovery": "erasure"})

@@ -4,13 +4,14 @@ example)."""
 import numpy as np
 import pytest
 
-from repro.exceptions import PrecodingError
-from repro.mimo.alignment import (
+from oracles.mimo import (
     align_third_transmitter_example,
-    alignment_constraint_rows,
     alignment_precoders,
     alignment_residual,
 )
+from repro.exceptions import PrecodingError
+from repro.mimo.alignment import alignment_constraint_rows
+from repro.mimo.precoder import ReceiverConstraint, compute_precoders
 from repro.utils.linalg import orthonormal_complement
 
 
@@ -68,6 +69,25 @@ class TestThirdTransmitterExample:
         with pytest.raises(PrecodingError):
             align_third_transmitter_example(_random(rng, 3), _random(rng, (2, 3)), np.zeros(2))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_production_solver_finds_the_same_direction(self, seed):
+        """``compute_precoders`` with rx1 nulled and rx2 announcing the
+        complement of tx1's direction as its decoding subspace picks the
+        §2 vector (up to phase)."""
+        rng = np.random.default_rng(seed)
+        h_rx1 = _random(rng, 3)
+        h_rx2 = _random(rng, (2, 3))
+        f_tx1 = _random(rng, 2)
+        v, _ = align_third_transmitter_example(h_rx1, h_rx2, f_tx1)
+        (produced,) = compute_precoders(
+            n_tx_antennas=3,
+            ongoing=[
+                ReceiverConstraint(channel=h_rx1),
+                ReceiverConstraint(channel=h_rx2, u_perp=orthonormal_complement(f_tx1)),
+            ],
+        )
+        assert abs(np.vdot(v, produced)) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestAlignmentPrecoders:
     def test_constraints_are_satisfied(self, rng):
@@ -85,6 +105,29 @@ class TestAlignmentPrecoders:
         align_rows = alignment_constraint_rows(channel, u_perp)
         precoders = alignment_precoders([align_rows], 3)
         assert precoders.shape[1] == 2  # 3 antennas - 1 alignment constraint
+
+    def test_spans_the_production_precoders(self, rng):
+        """The stacked-rows form and ``compute_precoders`` agree on the
+        admissible subspace for a nulled plus an aligned receiver."""
+        h_null = _random(rng, (1, 4))
+        h_align = _random(rng, (2, 4))
+        u_perp = orthonormal_complement(_random(rng, (2, 1)))
+        oracle = alignment_precoders(
+            [h_null, alignment_constraint_rows(h_align, u_perp)], n_tx_antennas=4
+        )
+        produced = np.stack(
+            compute_precoders(
+                n_tx_antennas=4,
+                ongoing=[
+                    ReceiverConstraint(channel=h_null),
+                    ReceiverConstraint(channel=h_align, u_perp=u_perp),
+                ],
+            ),
+            axis=1,
+        )
+        assert oracle.shape == produced.shape == (4, 2)
+        projector = oracle @ np.linalg.pinv(oracle)
+        assert np.allclose(projector @ produced, produced, atol=1e-9)
 
     def test_too_many_constraints_raise(self, rng):
         rows = _random(rng, (3, 3))

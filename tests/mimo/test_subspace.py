@@ -12,13 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mimo.alignment import alignment_constraint_rows, alignment_precoders
+from helpers import is_in_subspace
+from oracles.mimo import alignment_precoders
+from repro.mimo.alignment import alignment_constraint_rows
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import announced_decoding_subspace, interference_directions_at
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.network import Network
 from repro.sim.scenarios import three_pair_scenario
-from repro.utils.linalg import is_in_subspace, orthonormal_complement
+from repro.utils.linalg import orthonormal_complement
 
 N_SUB = 6
 

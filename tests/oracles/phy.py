@@ -3,17 +3,18 @@ and the uncoded-BER-averaging effective SNR with its AWGN error curves."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
 from repro.exceptions import DimensionError
-from repro.phy.channel_est import ChannelEstimate, estimate_channel_from_ltf
+from repro.phy.channel_est import ChannelEstimate
 from repro.phy.coding.convolutional import ConvolutionalEncoder, default_encoder
 from repro.phy.coding.viterbi import _checked_pairs
 from repro.phy.modulation import Modulation
+from repro.phy.ofdm import OfdmConfig, OfdmModem
 from repro.phy.preamble import Preamble, ltf_frequency_sequence
 
 
@@ -98,6 +99,21 @@ def viterbi_decode_reference(
         bits[step] = decisions[step, state]
         state = predecessors[step, state]
     return bits[:n_data_bits]
+
+
+def estimate_channel_from_ltf(
+    received_slot: np.ndarray, config: Optional[OfdmConfig] = None
+) -> np.ndarray:
+    """Least-squares single-antenna channel estimate from one received LTF
+    slot (``NUM_LONG_TRAINING_SYMBOLS`` OFDM symbols of time samples): one
+    value per FFT bin, zero on bins the LTF does not occupy."""
+    config = config or OfdmConfig()
+    grid = OfdmModem(config).demodulate_grid(np.asarray(received_slot, dtype=complex))
+    reference = ltf_frequency_sequence(config)
+    occupied = np.abs(reference) > 0
+    estimate = np.zeros(config.fft_size, dtype=complex)
+    estimate[occupied] = grid.mean(axis=0)[occupied] / reference[occupied]
+    return estimate
 
 
 def estimate_mimo_channel_reference(

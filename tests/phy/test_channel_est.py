@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles.phy import estimate_mimo_channel_reference
+from oracles.phy import estimate_channel_from_ltf, estimate_mimo_channel_reference
 from repro.channel.models import awgn
 from repro.channel.multipath import MultipathChannel
 from repro.exceptions import DimensionError
-from repro.phy.channel_est import estimate_channel_from_ltf, estimate_mimo_channel
+from repro.phy.channel_est import estimate_mimo_channel
 from repro.phy.ofdm import OfdmConfig
 from repro.phy.preamble import Preamble, long_training_field
 
@@ -30,6 +30,16 @@ class TestSisoEstimation:
         clean_error = np.mean(np.abs(clean_est[occupied] - gain) ** 2)
         noisy_error = np.mean(np.abs(noisy_est[occupied] - gain) ** 2)
         assert clean_error < noisy_error
+
+    def test_batched_estimator_matches_the_per_slot_form(self, rng):
+        preamble = Preamble(n_antennas=1)
+        received = awgn(
+            (0.4 + 0.9j) * preamble.per_antenna_samples(), 0.05, rng
+        )
+        start, end = preamble.ltf_slot_bounds(0)
+        expected = estimate_channel_from_ltf(received[0, start:end])
+        estimate = estimate_mimo_channel(received, preamble)
+        assert np.array_equal(estimate.matrices[:, 0, 0], expected)
 
 
 class TestMimoEstimation:
@@ -73,7 +83,8 @@ class TestMimoEstimation:
         channel = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         received = channel @ preamble.per_antenna_samples()
         estimate = estimate_mimo_channel(received, preamble)
-        assert np.allclose(estimate.average_matrix(), channel, atol=1e-6)
+        averaged = estimate.matrices[estimate.valid_bins].mean(axis=0)
+        assert np.allclose(averaged, channel, atol=1e-6)
 
     def test_short_capture_raises(self, rng):
         preamble = Preamble(n_antennas=2)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bit_error_rate
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.phy.coding import (
     Codec,
     ConvolutionalEncoder,
     PUNCTURE_PATTERNS,
-    conv_encode,
+    default_encoder,
     deinterleave,
     depuncture,
     descramble,
@@ -23,7 +24,7 @@ from repro.phy.coding import (
 from repro.phy.coding.puncturing import punctured_length
 from repro.phy.coding.scrambler import scrambler_sequence
 from repro.phy.rates import MCS_TABLE
-from repro.utils.bits import bit_error_rate, random_bits
+from repro.utils.bits import random_bits
 
 
 class TestScrambler:
@@ -50,7 +51,7 @@ class TestScrambler:
 class TestConvolutionalEncoder:
     def test_rate_is_one_half(self, rng):
         bits = random_bits(100, rng)
-        coded = conv_encode(bits)
+        coded = default_encoder().encode(bits)
         encoder = ConvolutionalEncoder()
         assert coded.size == 2 * (bits.size + encoder.tail_bits)
 
@@ -85,12 +86,12 @@ class TestConvolutionalEncoder:
 class TestViterbi:
     def test_decodes_clean_stream(self, rng):
         bits = random_bits(200, rng)
-        decoded = viterbi_decode(conv_encode(bits).astype(float), bits.size)
+        decoded = viterbi_decode(default_encoder().encode(bits).astype(float), bits.size)
         assert np.array_equal(decoded, bits)
 
     def test_corrects_scattered_errors(self, rng):
         bits = random_bits(300, rng)
-        coded = conv_encode(bits).astype(float)
+        coded = default_encoder().encode(bits).astype(float)
         corrupted = coded.copy()
         error_positions = rng.choice(coded.size, size=12, replace=False)
         corrupted[error_positions] = 1 - corrupted[error_positions]
@@ -99,7 +100,7 @@ class TestViterbi:
 
     def test_soft_decoding_beats_hard_on_noisy_llrs(self, rng):
         bits = random_bits(400, rng)
-        coded = conv_encode(bits)
+        coded = default_encoder().encode(bits)
         # BPSK over AWGN at low SNR.
         symbols = 1.0 - 2.0 * coded.astype(float)
         noisy = symbols + rng.normal(0, 0.9, coded.size)
@@ -111,7 +112,7 @@ class TestViterbi:
 
     def test_handles_erasures(self, rng):
         bits = random_bits(100, rng)
-        coded = conv_encode(bits).astype(float)
+        coded = default_encoder().encode(bits).astype(float)
         coded[10] = np.nan
         coded[45] = np.nan
         decoded = viterbi_decode(coded, bits.size)
@@ -151,7 +152,7 @@ class TestPuncturing:
 
     def test_viterbi_recovers_through_puncturing(self, rng):
         bits = random_bits(200, rng)
-        mother = conv_encode(bits)
+        mother = default_encoder().encode(bits)
         punctured = puncture(mother, (3, 4))
         restored = depuncture(punctured.astype(float), (3, 4), mother.size)
         decoded = viterbi_decode(restored, bits.size)

@@ -73,21 +73,6 @@ class TestMapping:
         with pytest.raises(DimensionError):
             get_modulation("16qam").modulate(random_bits(5, rng))
 
-    def test_soft_llr_signs_match_hard_decisions(self, rng):
-        modulation = get_modulation("qpsk")
-        bits = random_bits(200, rng)
-        symbols = modulation.modulate(bits)
-        llrs = modulation.demodulate_soft(symbols, noise_var=0.1)
-        hard_from_soft = (llrs < 0).astype(np.int8)
-        assert np.array_equal(hard_from_soft, bits)
-
-    def test_soft_llr_magnitude_grows_with_confidence(self):
-        modulation = get_modulation("bpsk")
-        clean = modulation.modulate(np.array([0], dtype=np.int8))
-        llr_clean = modulation.demodulate_soft(clean, noise_var=1.0)
-        llr_noisy = modulation.demodulate_soft(clean * 0.2, noise_var=1.0)
-        assert abs(llr_clean[0]) > abs(llr_noisy[0])
-
     @given(seed=st.integers(0, 1000), name=st.sampled_from(["bpsk", "qpsk", "16qam", "64qam"]))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, seed, name):

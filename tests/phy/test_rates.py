@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.phy.rates import MCS_TABLE, data_rate_mbps, highest_mcs, lowest_mcs, mcs_by_index
+from repro.phy.rates import MCS_TABLE, data_rate_mbps, mcs_by_index
 
 
 class TestMcsTable:
@@ -37,9 +37,10 @@ class TestMcsTable:
         mcs = mcs_by_index(4)
         assert mcs.data_rate_mbps(n_streams=3) == pytest.approx(3 * mcs.data_rate_mbps())
 
-    def test_lowest_and_highest(self):
-        assert lowest_mcs().index == 0
-        assert highest_mcs().index == len(MCS_TABLE) - 1
+    def test_table_runs_from_most_robust_to_fastest(self):
+        assert MCS_TABLE[0].index == 0
+        assert MCS_TABLE[-1].index == len(MCS_TABLE) - 1
+        assert MCS_TABLE[0].min_esnr_db < MCS_TABLE[-1].min_esnr_db
 
     def test_bad_index_raises(self):
         with pytest.raises(ConfigurationError):

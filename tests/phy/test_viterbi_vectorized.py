@@ -10,7 +10,6 @@ import pytest
 from oracles.phy import viterbi_decode_reference
 from repro.phy.coding.convolutional import (
     ConvolutionalEncoder,
-    conv_encode,
     default_encoder,
 )
 from repro.phy.coding.puncturing import depuncture, puncture
@@ -32,7 +31,7 @@ class TestHardEquivalence:
         rng = rng_factory(seed)
         n = int(rng.integers(1, 600))
         bits = rng.integers(0, 2, n).astype(np.int8)
-        noisy = _flip(conv_encode(bits), rng, 0.04)
+        noisy = _flip(default_encoder().encode(bits), rng, 0.04)
         fast = viterbi_decode(noisy, n)
         slow = viterbi_decode_reference(noisy, n)
         assert np.array_equal(fast, slow)
@@ -41,7 +40,7 @@ class TestHardEquivalence:
     def test_punctured_frames_with_erasures(self, rng, rate):
         n = 240
         bits = rng.integers(0, 2, n).astype(np.int8)
-        mother = conv_encode(bits)
+        mother = default_encoder().encode(bits)
         received = _flip(puncture(mother, rate), rng, 0.02)
         depunctured = depuncture(received, rate, mother.size)
         assert np.isnan(depunctured).any() or rate == (1, 2)
@@ -58,7 +57,7 @@ class TestHardEquivalence:
 
     def test_clean_frame_decodes_exactly(self, rng):
         bits = rng.integers(0, 2, 333).astype(np.int8)
-        decoded = viterbi_decode(conv_encode(bits).astype(float), 333)
+        decoded = viterbi_decode(default_encoder().encode(bits).astype(float), 333)
         assert np.array_equal(decoded, bits)
 
 
@@ -68,7 +67,7 @@ class TestSoftEquivalence:
         rng = rng_factory(100 + seed)
         n = int(rng.integers(1, 500))
         bits = rng.integers(0, 2, n).astype(np.int8)
-        coded = conv_encode(bits)
+        coded = default_encoder().encode(bits)
         llrs = (1.0 - 2.0 * coded) * 3.0 + rng.normal(0.0, 1.5, coded.size)
         fast = viterbi_decode(llrs, n, soft=True)
         slow = viterbi_decode_reference(llrs, n, soft=True)
@@ -78,7 +77,7 @@ class TestSoftEquivalence:
     def test_punctured_llrs_with_erasures(self, rng, rate):
         n = 180
         bits = rng.integers(0, 2, n).astype(np.int8)
-        mother = conv_encode(bits)
+        mother = default_encoder().encode(bits)
         kept = puncture(mother, rate)
         llrs = (1.0 - 2.0 * kept) * 2.0 + rng.normal(0.0, 2.0, kept.size)
         depunctured = depuncture(llrs, rate, mother.size)
@@ -91,7 +90,7 @@ class TestSoftEquivalence:
         # same as one where they carry zeros: erasures are fully masked.
         n = 100
         bits = rng.integers(0, 2, n).astype(np.int8)
-        mother = conv_encode(bits)
+        mother = default_encoder().encode(bits)
         kept = puncture(mother, (3, 4))
         llrs = (1.0 - 2.0 * kept) * 2.0 + rng.normal(0.0, 1.0, kept.size)
         depunctured = depuncture(llrs, (3, 4), mother.size)

@@ -15,6 +15,7 @@ from repro import cli
 from repro.exceptions import ConfigurationError
 from repro.mac.nplus import NPlusMac
 from repro.mac.variants import _VARIANTS, register_variant
+from repro.sim import capsule as capsule_module
 from repro.sim.capsule import (
     CAPSULE_DIRNAME,
     CAPSULE_SCHEMA_VERSION,
@@ -31,7 +32,6 @@ from repro.sim.faults import (
     FaultProfile,
     FaultSchedule,
     LossEpisode,
-    register_fault_profile,
 )
 from repro.sim.runner import RunSpec, SimulationConfig
 from repro.sim.scenarios import dense_lan_scenario, scenario_factory
@@ -104,6 +104,40 @@ class TestFaultScheduleJsonable:
             FaultSchedule.from_jsonable([{"type": "fade", "bogus": 1.0}])
         with pytest.raises(ConfigurationError, match="episode 0"):
             FaultSchedule.from_jsonable(["not-a-dict"])
+
+
+class TestGitRevision:
+    """Capsules record the checkout's revision, loose or packed."""
+
+    SHA = "0123456789abcdef0123456789abcdef01234567"
+
+    def _checkout(self, tmp_path, monkeypatch):
+        git = tmp_path / ".git"
+        git.mkdir()
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        module = tmp_path / "src" / "repro" / "sim" / "capsule.py"
+        monkeypatch.setattr(capsule_module, "__file__", str(module))
+        return git
+
+    def test_packed_ref_is_read(self, tmp_path, monkeypatch):
+        git = self._checkout(tmp_path, monkeypatch)
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'f' * 40} refs/heads/other\n"
+            f"{self.SHA} refs/heads/main\n"
+        )
+        assert capsule_module._git_revision() == self.SHA
+
+    def test_loose_ref_wins_over_a_stale_packed_one(self, tmp_path, monkeypatch):
+        git = self._checkout(tmp_path, monkeypatch)
+        (git / "packed-refs").write_text(f"{'f' * 40} refs/heads/main\n")
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "refs" / "heads" / "main").write_text(self.SHA + "\n")
+        assert capsule_module._git_revision() == self.SHA
+
+    def test_unknown_ref_is_none(self, tmp_path, monkeypatch):
+        self._checkout(tmp_path, monkeypatch)
+        assert capsule_module._git_revision() is None
 
 
 class TestCapsuleRoundTrip:
@@ -424,29 +458,26 @@ class TestExtremeFadeAcceptance:
     completes with zero crashed cells -- the guards degrade, quarantine
     and keep going instead of raising LinAlgError."""
 
-    def test_extreme_fade_sweep_has_zero_failures(self):
+    def test_extreme_fade_sweep_has_zero_failures(self, monkeypatch):
         profile = FaultProfile(
             fade_rate_per_s=400.0,
             fade_depth_db=(280.0, 320.0),  # ~1e-15 amplitude scale
             fade_duration_us=(5000.0, 20000.0),
         )
-        register_fault_profile("extreme-fade", profile, overwrite=True)
-        try:
-            config = SimulationConfig(
-                duration_us=20000.0,
-                n_subcarriers=4,
-                fault_profile="extreme-fade",
-            )
-            result = run_sweep(
-                "dense-lan-50-faulty",
-                ["n+"],
-                n_runs=1,
-                seed=11,
-                config=config,
-                workers=1,
-            )
-        finally:
-            FAULT_PROFILES.pop("extreme-fade", None)
+        monkeypatch.setitem(FAULT_PROFILES, "extreme-fade", profile)
+        config = SimulationConfig(
+            duration_us=20000.0,
+            n_subcarriers=4,
+            fault_profile="extreme-fade",
+        )
+        result = run_sweep(
+            "dense-lan-50-faulty",
+            ["n+"],
+            n_runs=1,
+            seed=11,
+            config=config,
+            workers=1,
+        )
         assert result.failures == []
         (metrics,) = result.results["n+"]
         assert metrics is not None

@@ -20,12 +20,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import custom_pairs_scenario
 from oracles.network import PerPairNetwork
 from repro.channel.hardware import HardwareProfile
 from repro.exceptions import DimensionError
 from repro.sim.network import DRAW_CONTRACTS, ChannelBank, Network
 from repro.sim.runner import SimulationConfig, run_simulation
-from repro.sim.scenarios import custom_pairs_scenario, three_pair_scenario
+from repro.sim.scenarios import three_pair_scenario
 
 # "per-pair" is the readable oracle of the "batched" contract
 # (:class:`oracles.network.PerPairNetwork`), not a production contract.
@@ -95,7 +96,7 @@ class TestChannelBankIndex:
         for a, b in bank.pairs():
             shape = bank.channel(a, b).shape[1:]  # (N, M)
             shapes.add((shape[1], shape[0]))  # stored keyed by (n_tx, n_rx)
-        assert bank.n_groups == len(shapes)
+        assert len(bank._stacks) == len(shapes)
         assert bank.n_pairs == 10 * 9 // 2
 
     def test_unknown_link_raises_keyerror(self):

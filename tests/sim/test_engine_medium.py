@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import MediumAccessError, SimulationError
+from repro.exceptions import SimulationError
 from repro.phy.rates import MCS_TABLE
 from repro.sim.engine import EventScheduler
 from repro.sim.medium import Medium, ScheduledStream
+
+
+def _drain(scheduler):
+    """Run events until the queue is empty, as the runner's loop does."""
+    while scheduler.step():
+        pass
 
 
 class TestEventScheduler:
@@ -16,7 +22,7 @@ class TestEventScheduler:
         scheduler.schedule_at(30.0, lambda: order.append("late"))
         scheduler.schedule_at(10.0, lambda: order.append("early"))
         scheduler.schedule_at(20.0, lambda: order.append("middle"))
-        scheduler.run_all()
+        _drain(scheduler)
         assert order == ["early", "middle", "late"]
 
     def test_ties_run_in_scheduling_order(self):
@@ -24,30 +30,38 @@ class TestEventScheduler:
         order = []
         scheduler.schedule_at(5.0, lambda: order.append("first"))
         scheduler.schedule_at(5.0, lambda: order.append("second"))
-        scheduler.run_all()
+        _drain(scheduler)
         assert order == ["first", "second"]
 
     def test_now_advances(self):
         scheduler = EventScheduler()
-        scheduler.schedule_in(42.0, lambda: None)
-        scheduler.run_all()
+        scheduler.schedule_at(42.0, lambda: None)
+        _drain(scheduler)
         assert scheduler.now_us == pytest.approx(42.0)
 
-    def test_run_until_stops_at_time(self):
+    def test_step_runs_one_event(self):
         scheduler = EventScheduler()
         fired = []
         scheduler.schedule_at(10.0, lambda: fired.append(10))
         scheduler.schedule_at(50.0, lambda: fired.append(50))
-        scheduler.run_until(20.0)
+        assert scheduler.step()
         assert fired == [10]
+        assert scheduler.now_us == 10.0
         assert scheduler.pending == 1
+
+    def test_step_on_an_empty_queue_returns_false(self):
+        scheduler = EventScheduler()
+        event = scheduler.schedule_at(10.0, lambda: None)
+        scheduler.cancel(event)
+        assert not scheduler.step()
+        assert scheduler.now_us == 0.0
 
     def test_cancelled_events_do_not_fire(self):
         scheduler = EventScheduler()
         fired = []
         event = scheduler.schedule_at(10.0, lambda: fired.append(1))
         scheduler.cancel(event)
-        scheduler.run_all()
+        _drain(scheduler)
         assert fired == []
 
     def test_events_can_schedule_more_events(self):
@@ -57,32 +71,22 @@ class TestEventScheduler:
         def chain():
             fired.append(scheduler.now_us)
             if len(fired) < 3:
-                scheduler.schedule_in(5.0, chain)
+                scheduler.schedule_at(scheduler.now_us + 5.0, chain)
 
-        scheduler.schedule_in(5.0, chain)
-        scheduler.run_all()
+        scheduler.schedule_at(5.0, chain)
+        _drain(scheduler)
         assert fired == [5.0, 10.0, 15.0]
 
     def test_scheduling_in_the_past_rejected(self):
         scheduler = EventScheduler()
         scheduler.schedule_at(10.0, lambda: None)
-        scheduler.run_all()
+        _drain(scheduler)
         with pytest.raises(SimulationError):
             scheduler.schedule_at(5.0, lambda: None)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
-            EventScheduler().schedule_in(-1.0, lambda: None)
-
-    def test_event_budget_guard(self):
-        scheduler = EventScheduler()
-
-        def forever():
-            scheduler.schedule_in(1.0, forever)
-
-        scheduler.schedule_in(1.0, forever)
-        with pytest.raises(SimulationError):
-            scheduler.run_all(max_events=100)
+            EventScheduler().schedule_at(-1.0, lambda: None)
 
 
 def _stream(medium, tx=1, rx=2, order=0, start=0.0, end=100.0):
@@ -101,19 +105,26 @@ def _stream(medium, tx=1, rx=2, order=0, start=0.0, end=100.0):
 
 
 class TestMedium:
-    def test_add_and_remove_streams(self):
+    def test_add_and_clear_streams(self):
         medium = Medium()
         stream = _stream(medium)
         medium.add_streams([stream])
         assert medium.busy
         assert medium.used_degrees_of_freedom == 1
-        medium.remove_streams([stream])
+        medium.clear()
         assert not medium.busy
 
     def test_stream_ids_are_unique(self):
         medium = Medium()
         ids = {medium.next_stream_id() for _ in range(100)}
         assert len(ids) == 100
+
+    def test_stream_ids_stay_unique_across_clear(self):
+        medium = Medium()
+        first = _stream(medium)
+        medium.add_streams([first])
+        medium.clear()
+        assert _stream(medium).stream_id != first.stream_id
 
     def test_queries(self):
         medium = Medium()
@@ -123,7 +134,6 @@ class TestMedium:
         assert medium.transmitting_nodes() == [1, 3]
         assert medium.receiving_nodes() == [2, 4]
         assert medium.streams_to(2) == [s1]
-        assert medium.streams_from(3) == [s2]
         assert medium.max_join_order() == 1
         assert medium.current_end_us == 500.0
 
@@ -131,12 +141,6 @@ class TestMedium:
         medium = Medium()
         assert medium.max_join_order() == -1
         assert medium.current_end_us == float("-inf")
-
-    def test_removing_unknown_stream_raises(self):
-        medium = Medium()
-        stray = _stream(medium)
-        with pytest.raises(MediumAccessError):
-            medium.remove_streams([stray])
 
     def test_clear(self):
         medium = Medium()
@@ -167,7 +171,6 @@ class TestMedium:
         medium = Medium()
         medium.add_streams([_stream(medium, tx=1, rx=2)])
         assert medium.streams_to(9) == []
-        assert medium.streams_from(9) == []
 
     def test_end_of_current_transmissions(self):
         medium = Medium()
@@ -175,7 +178,8 @@ class TestMedium:
         late = _stream(medium, tx=3, rx=4, order=1, end=800.0)
         medium.add_streams([early, late])
         assert medium.current_end_us == 800.0
-        medium.remove_streams([late])
+        medium.clear()
+        medium.add_streams([early])
         assert medium.current_end_us == 500.0
         assert medium.max_join_order() == 0
 
@@ -185,11 +189,3 @@ class TestMedium:
         medium.add_streams([stream])
         medium.active_streams.clear()
         assert medium.active_streams == [stream]
-
-    def test_removing_a_stream_twice_raises(self):
-        medium = Medium()
-        stream = _stream(medium)
-        medium.add_streams([stream])
-        medium.remove_streams([stream])
-        with pytest.raises(MediumAccessError):
-            medium.remove_streams([stream])

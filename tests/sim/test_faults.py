@@ -21,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import custom_pairs_scenario
 from oracles.runner import PerAgentLoop, run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.sim.faults import (
@@ -33,6 +34,7 @@ from repro.sim.faults import (
     available_fault_profiles,
     fault_profile,
     loss_episode_generator,
+    read_trace,
 )
 from repro.sim import runner
 from repro.sim.network import Network
@@ -44,7 +46,6 @@ from repro.sim.runner import (
     run_simulation,
 )
 from repro.sim.scenarios import (
-    custom_pairs_scenario,
     dense_lan_scenario,
     scenario_factory,
     three_pair_scenario,
@@ -91,7 +92,8 @@ class TestStrictNoOp:
         assert off.to_dict() == empty.to_dict()
 
     def test_empty_profile_resolves_to_no_schedule(self):
-        assert FaultProfile().is_empty
+        empty = FaultSchedule.from_profile(FaultProfile(), three_pair_scenario(), 0, 1e6)
+        assert empty.episodes == []
         config = SimulationConfig(duration_us=10_000.0, fault_profile="none")
         assert build_fault_schedule(three_pair_scenario(), config, 0) is None
         assert build_fault_schedule(three_pair_scenario(), FAST, 0) is None
@@ -116,7 +118,10 @@ class TestFaultResolution:
         names = available_fault_profiles()
         for name in ("deep-fades", "bursty-loss", "churn", "mixed"):
             assert name in names
-            assert not fault_profile(name).is_empty
+            schedule = FaultSchedule.from_profile(
+                fault_profile(name), three_pair_scenario(), 0, 1e6
+            )
+            assert schedule.episodes
 
     def test_trace_episodes_are_appended(self, tmp_path):
         trace = tmp_path / "loss.json"
@@ -204,8 +209,8 @@ class TestEpochInvalidation:
         network = _network()
         assert network.epoch_signature([0, 3, 5]) == ()
         network.fade_link(0, 3, depth_db=10.0)
-        assert network.link_epoch(0, 3) == 1
-        assert network.link_epoch(3, 0) == 1  # canonical pair
+        assert network.link_epochs[(0, 3)] == 1
+        assert list(network.link_epochs) == [(0, 3)]  # canonical pair
         assert network.epoch_signature([0, 3]) == (((0, 3), 1),)
         # links outside the node set do not leak into the signature
         assert network.epoch_signature([2, 5]) == ()
@@ -228,7 +233,7 @@ class TestEpochInvalidation:
         assert np.array_equal(network.true_channel(0, 3), before)
         assert np.array_equal(network.true_channel(3, 0), before_rev)
         assert network.channels.snr_db(0, 3) == snr_before
-        assert network.link_epoch(0, 3) == 2  # fade + restore
+        assert network.link_epochs[(0, 3)] == 2  # fade + restore
 
 
 class TestChannelBankKernels:
@@ -311,7 +316,7 @@ class TestScheduleGenerators:
             profile, three_pair_scenario(), 1, 100_000.0
         )
         by_link = {}
-        for episode in schedule.fades:
+        for episode in schedule.episodes:
             by_link.setdefault((episode.tx_id, episode.rx_id), []).append(episode)
         assert by_link
         for episodes in by_link.values():
@@ -335,7 +340,7 @@ class TestTraces:
         ]
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(episodes))
-        schedule = FaultSchedule.from_trace(path)
+        schedule = read_trace(path)[1]
         assert schedule.losses == [
             LossEpisode(0.0, 100.0, 0.25),
             LossEpisode(50.0, 10.0, 1.0, tx_id=0, rx_id=3),
@@ -346,7 +351,7 @@ class TestTraces:
         path.write_text(
             json.dumps({"episodes": [{"start_us": 1.0, "duration_us": 2.0, "loss_rate": 0.5}]})
         )
-        assert FaultSchedule.from_trace(path).losses == [LossEpisode(1.0, 2.0, 0.5)]
+        assert read_trace(path)[1].losses == [LossEpisode(1.0, 2.0, 0.5)]
 
     def test_csv_trace_skips_header_and_comments(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -356,7 +361,7 @@ class TestTraces:
             "100.0,50.0,0.3,,\n"
             "200.0,25.0,0.8,1,4\n"
         )
-        schedule = FaultSchedule.from_trace(path)
+        schedule = read_trace(path)[1]
         assert schedule.losses == [
             LossEpisode(100.0, 50.0, 0.3),
             LossEpisode(200.0, 25.0, 0.8, tx_id=1, rx_id=4),
@@ -366,13 +371,13 @@ class TestTraces:
         bad_duration = tmp_path / "bad1.csv"
         bad_duration.write_text("10.0,0.0,0.5\n")
         with pytest.raises(ConfigurationError):
-            FaultSchedule.from_trace(bad_duration)
+            read_trace(bad_duration)
         bad_rate = tmp_path / "bad2.csv"
         bad_rate.write_text("10.0,5.0,1.5\n")
         with pytest.raises(ConfigurationError):
-            FaultSchedule.from_trace(bad_rate)
+            read_trace(bad_rate)
         with pytest.raises(ConfigurationError):
-            FaultSchedule.from_trace(tmp_path / "missing.csv")
+            read_trace(tmp_path / "missing.csv")
 
 
 class TestInjector:
@@ -403,19 +408,19 @@ class TestInjector:
         injector = FaultInjector(schedule, network, seed=4)
         injector.advance(400.0)  # start and end both applied, in order
         assert np.array_equal(network.true_channel(0, 1), before)
-        assert network.link_epoch(0, 1) == 2
+        assert network.link_epochs[(0, 1)] == 2
 
     def test_churn_marks_nodes_away(self):
         scenario = three_pair_scenario()
         network = build_network(scenario, 4, FAST)
         schedule = FaultSchedule([ChurnEpisode(start_us=10.0, duration_us=100.0, node_id=2)])
         injector = FaultInjector(schedule, network, seed=0)
-        assert injector.node_active(2)
+        assert 2 not in injector._away
         injector.advance(20.0)
-        assert not injector.node_active(2)
-        assert injector.node_active(0)
+        assert 2 in injector._away
+        assert 0 not in injector._away
         injector.advance(200.0)
-        assert injector.node_active(2)
+        assert 2 not in injector._away
 
     def test_next_boundary_us(self):
         scenario = three_pair_scenario()
@@ -520,7 +525,7 @@ class TestTraceValidation:
             {"start_us": 5.0, "loss_rate": 0.5},
         ]))
         with pytest.raises(ConfigurationError, match=r"episode 1.*duration_us"):
-            FaultSchedule.from_trace(path)
+            read_trace(path)
 
     def test_json_trace_non_numeric_field_names_row_and_field(self, tmp_path):
         path = tmp_path / "trace.json"
@@ -528,7 +533,7 @@ class TestTraceValidation:
             [{"start_us": "soon", "duration_us": 10.0, "loss_rate": 0.5}]
         ))
         with pytest.raises(ConfigurationError, match=r"episode 0.*start_us.*'soon'"):
-            FaultSchedule.from_trace(path)
+            read_trace(path)
 
     def test_json_trace_non_integer_node_id_is_rejected(self, tmp_path):
         path = tmp_path / "trace.json"
@@ -537,27 +542,27 @@ class TestTraceValidation:
              "tx_id": "ap", "rx_id": 1},
         ]))
         with pytest.raises(ConfigurationError, match=r"tx_id.*must be an integer"):
-            FaultSchedule.from_trace(path)
+            read_trace(path)
 
     def test_json_trace_rejects_invalid_json_and_shapes(self, tmp_path):
         invalid = tmp_path / "bad.json"
         invalid.write_text("{ not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
-            FaultSchedule.from_trace(invalid)
+            read_trace(invalid)
         scalar = tmp_path / "scalar.json"
         scalar.write_text("42")
         with pytest.raises(ConfigurationError, match="must be a JSON list"):
-            FaultSchedule.from_trace(scalar)
+            read_trace(scalar)
         entries = tmp_path / "entries.json"
         entries.write_text(json.dumps([["positional", "row"]]))
         with pytest.raises(ConfigurationError, match=r"episode 0.*expected an\s+object"):
-            FaultSchedule.from_trace(entries)
+            read_trace(entries)
 
     def test_csv_trace_short_row_names_line(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("start_us,duration_us,loss_rate\n100.0,50.0\n")
         with pytest.raises(ConfigurationError, match=r"line 2.*at least\s+3 fields"):
-            FaultSchedule.from_trace(path)
+            read_trace(path)
 
     @pytest.mark.parametrize(
         "row, field",
@@ -568,7 +573,7 @@ class TestTraceValidation:
         path = tmp_path / "trace.csv"
         path.write_text(f"start_us,duration_us,loss_rate\n{row}\n")
         with pytest.raises(ConfigurationError, match=rf"line 2.*{field}.*finite"):
-            FaultSchedule.from_trace(path)
+            read_trace(path)
 
     @pytest.mark.parametrize(
         "episode, field",
@@ -584,13 +589,13 @@ class TestTraceValidation:
         path.write_text(json.dumps([{"start_us": 0.0, "duration_us": 10.0, "loss_rate": 0.1},
                                     episode]))
         with pytest.raises(ConfigurationError, match=rf"episode 1.*{field}.*finite"):
-            FaultSchedule.from_trace(path)
+            read_trace(path)
 
     def test_csv_trace_rejects_unparseable_row_after_the_first(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("start_us,duration_us,loss_rate\n100,50,0.3\nl00,50,0.9\n")
         with pytest.raises(ConfigurationError, match=r"line 3.*start_us.*'l00'"):
-            FaultSchedule.from_trace(path)
+            read_trace(path)
 
     def test_csv_trace_bad_field_names_line_and_field(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -598,4 +603,4 @@ class TestTraceValidation:
         with pytest.raises(
             ConfigurationError, match=r"line 1.*duration_us.*'fifty'"
         ):
-            FaultSchedule.from_trace(path)
+            read_trace(path)

@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import custom_pairs_scenario
 from repro.sim.network import Network
 from repro.sim.runner import (
     RunSpec,
@@ -23,7 +24,6 @@ from repro.sim.runner import (
     run_simulation,
 )
 from repro.sim.scenarios import (
-    custom_pairs_scenario,
     dense_lan_scenario,
     scenario_factory,
     three_pair_scenario,

@@ -13,7 +13,6 @@ from repro.sim.invariants import (
     VALIDATION_MODES,
     InvariantSuite,
     invariant,
-    registered_invariants,
     _REGISTRY,
 )
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
@@ -68,15 +67,14 @@ class TestValidationResolution:
 
     def test_modes_constant_matches_registry_scopes(self):
         assert VALIDATION_MODES == ("off", "cheap", "full")
-        assert registered_invariants("off") == []
-        cheap = set(registered_invariants("cheap"))
-        full = set(registered_invariants("full"))
+        cheap = {name for name, _ in InvariantSuite("cheap").checkers}
+        full = {name for name, _ in InvariantSuite("full").checkers}
         assert cheap < full
 
 
 class TestRegistry:
     def test_expected_checkers_are_registered(self):
-        names = set(registered_invariants("full"))
+        names = {name for name, _ in InvariantSuite("full").checkers}
         assert {
             "delivered-within-attempted",
             "recovered-within-delivered",

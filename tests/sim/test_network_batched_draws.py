@@ -10,13 +10,13 @@ downstream draw, and therefore every simulated metric, is unchanged).
 import numpy as np
 import pytest
 
+from helpers import custom_pairs_scenario
 from oracles.network import PerPairNetwork
 from repro.channel.multipath import MultipathChannel, frequency_response_batch
 from repro.exceptions import ConfigurationError
 from repro.sim.network import Network, _subcarrier_bins
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import (
-    custom_pairs_scenario,
     dense_lan_scenario,
     three_pair_scenario,
 )
@@ -90,7 +90,7 @@ class TestBatchedDrawsBitIdentical:
         """No stations -> no pairs, on every draw path."""
         for mode in ("batched", "grouped"):
             network = Network([], [], np.random.default_rng(0), channel_draws=mode)
-            assert network.channels.n_pairs == 0 and network.channels.n_groups == 0
+            assert network.channels.n_pairs == 0 and len(network.channels._stacks) == 0
 
     def test_unknown_draw_mode_rejected(self):
         scenario = three_pair_scenario()

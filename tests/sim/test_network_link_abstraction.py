@@ -64,11 +64,12 @@ class TestNetwork:
         with pytest.raises(ConfigurationError):
             network.true_channel(1, 1)
 
-    def test_station_and_pair_lookup(self, network):
+    def test_station_lookup(self, network):
         assert network.station(4).n_antennas == 3
-        assert network.pair_for_transmitter(4).name == "tx3->rx3"
-        with pytest.raises(ConfigurationError):
-            network.pair_for_transmitter(1)
+
+    def test_station_lookup_failure(self, network):
+        with pytest.raises(KeyError):
+            network.station(99)
 
     def test_forced_link_snr(self, rng):
         scenario = three_pair_scenario()

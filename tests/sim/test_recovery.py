@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.mac.csma import CW_MIN, DcfContender
+from repro.mac.csma import CW_MIN, DcfContender, resolve_contention
 from repro.mac.dot11n import Dot11nMac
 from repro.mac.plain_csma import CsmaMac
 from repro.mac.variants import ProtocolSpec, resolve_protocol
@@ -106,11 +106,11 @@ class TestFastRetransmitContender:
     def test_armed_contender_draws_zero_backoff(self):
         contender = DcfContender(node_id=0)
         contender.record_collision()
-        window = contender.contention_window
+        window = contender._cw
         contender.arm_fast_retransmit()
         assert contender.backoff_window == 0
-        assert contender.contention_window == window  # cw untouched
-        assert contender.draw_backoff(np.random.default_rng(0)) == 0
+        assert contender._cw == window  # cw untouched
+        assert resolve_contention([contender], np.random.default_rng(0)).backoff_slots == 0
 
     def test_success_and_collision_consume_the_pass(self):
         contender = DcfContender(node_id=0)
@@ -119,7 +119,7 @@ class TestFastRetransmitContender:
         assert contender.backoff_window == CW_MIN
         contender.arm_fast_retransmit()
         contender.record_collision()
-        assert contender.backoff_window == contender.contention_window > CW_MIN
+        assert contender.backoff_window == contender._cw > CW_MIN
 
     def _agent(self, spec):
         scenario = three_pair_scenario()

@@ -18,7 +18,7 @@ from repro.exceptions import ConfigurationError
 from repro.mac.nplus import NPlusMac
 from repro.mac.variants import _VARIANTS, register_variant, resolve_protocol
 from repro.sim.capsule import load_capsule, replay_capsule
-from repro.sim.faults import FaultSchedule
+from repro.sim.faults import read_trace
 from repro.sim.fidelity import DEFAULT_BAND_DB
 from repro.sim.runner import (
     RunSpec,
@@ -276,7 +276,7 @@ class TestTraceKeying:
             assert reads == [str(trace)]
             return
 
-        episodes = FaultSchedule.from_trace(trace).to_jsonable()
+        episodes = read_trace(trace)[1].to_jsonable()
         real_simulate = sweep_module._simulate_run
 
         def delete_trace_then_simulate(args):
@@ -307,11 +307,11 @@ class TestTraceKeying:
         scenario = three_pair_scenario()
         config = dataclasses.replace(FAST, fault_trace=str(trace))
         schedule = build_fault_schedule(scenario, config, 3)
-        assert schedule.episodes == FaultSchedule.from_trace(trace).episodes
+        assert schedule.episodes == read_trace(trace)[1].episodes
         traced = run_simulation(scenario, "n+", seed=3, config=config)
         explicit = run_simulation(
             scenario, "n+", seed=3, config=FAST,
-            fault_schedule=FaultSchedule.from_trace(trace),
+            fault_schedule=read_trace(trace)[1],
         )
         assert traced.to_dict() == explicit.to_dict()
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from helpers import custom_pairs_scenario
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.variants import resolve_protocol
 from repro.sim.network import Network
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import (
-    custom_pairs_scenario,
     heterogeneous_ap_scenario,
     three_pair_scenario,
     two_pair_scenario,
@@ -34,11 +34,8 @@ class TestScenarios:
         ap2_pair = scenario.pairs[1]
         assert ap2_pair.transmitter.n_antennas == 3
         assert len(ap2_pair.receivers) == 2
-        assert scenario.station_by_name("c1").n_antennas == 1
-
-    def test_station_lookup_failure(self):
-        with pytest.raises(KeyError):
-            three_pair_scenario().station_by_name("nobody")
+        by_name = {station.name: station for station in scenario.stations}
+        assert by_name["c1"].n_antennas == 1
 
     def test_custom_scenario(self):
         scenario = custom_pairs_scenario([2, 2, 4])
@@ -91,6 +88,11 @@ class TestRunSimulation:
         a = run_simulation(three_pair_scenario(), "n+", seed=11, config=FAST)
         b = run_simulation(three_pair_scenario(), "n+", seed=12, config=FAST)
         assert a.per_link_throughputs() != b.per_link_throughputs()
+
+    def test_round_budget_guard(self):
+        config = SimulationConfig(duration_us=15_000.0, n_subcarriers=8, max_rounds=1)
+        with pytest.raises(SimulationError):
+            run_simulation(three_pair_scenario(), "802.11n", seed=1, config=config)
 
     def test_network_reuse_keeps_channels_fixed(self, rng):
         scenario = three_pair_scenario()

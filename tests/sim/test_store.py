@@ -14,11 +14,15 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
 from repro.sim.store import (
-    CELL_STATES,
     STORE_FILENAME,
     STORE_SCHEMA_VERSION,
     ResultsStore,
 )
+
+
+def _load(store, key):
+    """The cached metrics for ``key``, or ``None`` on a miss."""
+    return store.load_many([key]).get(key)
 
 
 def _metrics(delivered: int = 1200) -> NetworkMetrics:
@@ -47,20 +51,20 @@ class TestCacheParity:
     """The cell surface: load/store/len."""
 
     def test_load_misses_on_unknown_key(self, tmp_path):
-        assert ResultsStore(tmp_path).load("0" * 64) is None
+        assert _load(ResultsStore(tmp_path), "0" * 64) is None
 
     def test_store_load_round_trip(self, tmp_path):
         store = ResultsStore(tmp_path)
         metrics = _metrics()
         store.store("a" * 64, metrics, _describe())
-        assert store.load("a" * 64).to_dict() == metrics.to_dict()
+        assert _load(store, "a" * 64).to_dict() == metrics.to_dict()
         assert len(store) == 1
 
     def test_store_overwrites_atomically(self, tmp_path):
         store = ResultsStore(tmp_path)
         store.store("a" * 64, _metrics(100), _describe())
         store.store("a" * 64, _metrics(999), _describe())
-        assert store.load("a" * 64).links["a->b"].delivered_bits == 999
+        assert _load(store, "a" * 64).links["a->b"].delivered_bits == 999
         assert len(store) == 1
 
     def test_only_done_cells_hit(self, tmp_path):
@@ -68,30 +72,30 @@ class TestCacheParity:
         key = "a" * 64
         store.store(key, _metrics(), _describe())
         store.mark_running([key])
-        assert store.load(key) is None
+        assert _load(store, key) is None
         store.mark_pending([key])
-        assert store.load(key) is None
+        assert _load(store, key) is None
         store.mark_failed(key, "boom", _describe())
-        assert store.load(key) is None
+        assert _load(store, key) is None
         assert len(store) == 0
 
-    def test_load_many_matches_per_key_loads(self, tmp_path):
+    def test_load_many_hits_only_done_cells(self, tmp_path):
         store = ResultsStore(tmp_path)
         store.store("a" * 64, _metrics(100), _describe(run=0))
         store.store("b" * 64, _metrics(200), _describe(run=1))
         store.store("c" * 64, _metrics(300), _describe(run=2))
         store.mark_failed("c" * 64, "boom", _describe(run=2))
         hits = store.load_many(["a" * 64, "b" * 64, "c" * 64, "d" * 64])
-        # Only done cells hit, exactly like load(); misses are absent.
+        # Only done cells hit; misses are absent.
         assert set(hits) == {"a" * 64, "b" * 64}
-        for key in hits:
-            assert hits[key].to_dict() == store.load(key).to_dict()
+        assert hits["a" * 64].to_dict() == _metrics(100).to_dict()
+        assert hits["b" * 64].to_dict() == _metrics(200).to_dict()
 
     def test_root_may_be_a_database_path(self, tmp_path):
         store = ResultsStore(tmp_path / "custom.sqlite")
         store.store("a" * 64, _metrics(), _describe())
         assert (tmp_path / "custom.sqlite").exists()
-        assert ResultsStore(tmp_path / "custom.sqlite").load("a" * 64) is not None
+        assert _load(ResultsStore(tmp_path / "custom.sqlite"), "a" * 64) is not None
 
 
 class TestSelfHealing:
@@ -101,7 +105,7 @@ class TestSelfHealing:
         # The unreadable store became an empty one (cells are misses)...
         assert len(store) == 0
         store.store("a" * 64, _metrics(), _describe())
-        assert store.load("a" * 64) is not None
+        assert _load(store, "a" * 64) is not None
         # ...and the corrupt file was set aside for inspection.
         assert list(tmp_path.glob("*.corrupt.*"))
 
@@ -118,10 +122,10 @@ class TestSelfHealing:
             store._conn.execute(
                 "UPDATE cells SET metrics_json=? WHERE key=?", (payload, key)
             )
-        assert store.load(key) is None
+        assert _load(store, key) is None
         assert store.load_many([key]) == {}
         store.store(key, _metrics(), _describe())
-        assert store.load(key).to_dict() == _metrics().to_dict()
+        assert _load(store, key).to_dict() == _metrics().to_dict()
 
     def test_newer_store_layout_is_refused(self, tmp_path):
         ResultsStore(tmp_path).close()
@@ -137,8 +141,15 @@ class TestSelfHealing:
 
 
 class TestStateMachine:
-    def test_states_are_the_documented_four(self):
-        assert CELL_STATES == ("pending", "running", "done", "failed")
+    def test_states_are_the_documented_four(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.begin_sweep("s" * 64, {}, [("a" * 64, _describe(run=0))])
+        with store._conn:
+            for state in ("pending", "running", "done", "failed"):
+                store._conn.execute("UPDATE cells SET status = ?", (state,))
+        with pytest.raises(sqlite3.IntegrityError):
+            with store._conn:
+                store._conn.execute("UPDATE cells SET status = 'lost'")
 
     def test_transitions_and_counts(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -164,7 +175,7 @@ class TestStateMachine:
             [("a" * 64, _describe()), ("b" * 64, _describe(run=1))],
         )
         # The done cell is this sweep's cache hit, not re-pended.
-        assert store.load("a" * 64) is not None
+        assert _load(store, "a" * 64) is not None
         assert store.count("pending") == 1
 
     def test_begin_sweep_resets_orphaned_running_cells(self, tmp_path):
@@ -303,7 +314,7 @@ class TestSchemaV2Migration:
         assert {"capsule_path", "traceback"} <= columns
         assert int(version) == STORE_SCHEMA_VERSION
         # old rows survive: the done cell still hits, the failure is kept
-        assert store.load("a" * 64).links["a->b"].delivered_bits == 1200
+        assert _load(store, "a" * 64).links["a->b"].delivered_bits == 1200
         failed = [r for r in store.query() if r.status == "failed"]
         assert failed[0].error == "RuntimeError: boom"
         assert failed[0].capsule_path is None

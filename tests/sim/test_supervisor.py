@@ -110,7 +110,7 @@ class TestHappyPath:
         supervisor = WorkerSupervisor(_double, [1], workers=16)
         _, done, _ = _drain(supervisor)
         assert done == {0: 2}
-        assert supervisor.target_pool_size == 1
+        assert supervisor._target == 1
 
     def test_closing_the_stream_ends_the_loop_and_the_pool(self):
         """The sweep's execute stage closes the stream when its consumer
@@ -262,7 +262,7 @@ class TestWorkerDeaths:
         assert set(failed) == {0, 1, 2}
         shrinks = [e.target for e in events if isinstance(e, PoolShrunk)]
         assert shrinks == [2, 1]  # never below one worker
-        assert supervisor.target_pool_size == 1
+        assert supervisor._target == 1
         _assert_no_stray_workers()
 
 

@@ -83,13 +83,6 @@ class TestMetrics:
         assert metrics.throughput_mbps("a->b") == pytest.approx(5.0)
         assert metrics.total_throughput_mbps() == pytest.approx(5.0)
 
-    def test_delivery_ratio(self):
-        link = LinkMetrics("x")
-        link.attempted_bits = 1000
-        link.delivered_bits = 900
-        assert link.delivery_ratio == pytest.approx(0.9)
-        assert LinkMetrics("y").delivery_ratio == 0.0
-
     def test_zero_elapsed_time(self):
         metrics = NetworkMetrics()
         metrics.link("a")
@@ -109,6 +102,10 @@ class TestMetrics:
 
     def test_jain_index_single_hog(self):
         assert jain_fairness_index([9.0, 0.0, 0.0]) == pytest.approx(1 / 3)
+
+    def test_jain_index_of_idle_links_is_one(self):
+        assert jain_fairness_index([]) == 1.0
+        assert jain_fairness_index([0.0, 0.0]) == 1.0
 
     def test_fairness_of_network_metrics(self):
         metrics = NetworkMetrics(elapsed_us=1e6)

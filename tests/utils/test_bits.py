@@ -1,99 +1,11 @@
-"""Tests for bit packing, CRC and payload helpers."""
+"""Tests for the payload-bit helper and the bit-error test tools."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from helpers import bit_error_rate, bit_errors
 from repro.exceptions import DimensionError
-from repro.utils.bits import (
-    append_crc32,
-    bit_error_rate,
-    bit_errors,
-    bits_to_bytes,
-    bits_to_int,
-    bytes_to_bits,
-    check_crc32,
-    crc32,
-    int_to_bits,
-    random_bits,
-    random_payload,
-)
-
-
-class TestBitPacking:
-    def test_bytes_to_bits_msb_first(self):
-        bits = bytes_to_bits(b"\x80\x01")
-        assert list(bits) == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
-
-    def test_roundtrip(self, rng):
-        data = random_payload(64, rng)
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-    def test_bits_to_bytes_requires_multiple_of_eight(self):
-        with pytest.raises(DimensionError):
-            bits_to_bytes(np.ones(7, dtype=np.int8))
-
-    @given(st.binary(min_size=0, max_size=64))
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip_property(self, data):
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-
-class TestIntBits:
-    def test_int_to_bits_and_back(self):
-        assert bits_to_int(int_to_bits(42, 8)) == 42
-
-    def test_width_too_small_raises(self):
-        with pytest.raises(ValueError):
-            int_to_bits(256, 8)
-
-    def test_negative_value_raises(self):
-        with pytest.raises(ValueError):
-            int_to_bits(-1, 8)
-
-    @given(st.integers(0, 2**20 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip_property(self, value):
-        assert bits_to_int(int_to_bits(value, 20)) == value
-
-
-class TestCrc:
-    def test_crc_detects_single_bit_error(self, rng):
-        payload = random_bits(200, rng)
-        frame = append_crc32(payload)
-        assert check_crc32(frame)
-        corrupted = frame.copy()
-        corrupted[10] ^= 1
-        assert not check_crc32(corrupted)
-
-    def test_crc_detects_error_in_checksum(self, rng):
-        frame = append_crc32(random_bits(64, rng))
-        corrupted = frame.copy()
-        corrupted[-1] ^= 1
-        assert not check_crc32(corrupted)
-
-    def test_crc_of_empty_payload(self):
-        frame = append_crc32(np.zeros(0, dtype=np.int8))
-        assert frame.size == 32
-        assert check_crc32(frame)
-
-    def test_too_short_frame_fails_check(self):
-        assert not check_crc32(np.ones(16, dtype=np.int8))
-
-    def test_crc_is_deterministic(self, rng):
-        payload = random_bits(100, rng)
-        assert np.array_equal(crc32(payload), crc32(payload))
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200), st.integers(0, 199))
-    @settings(max_examples=60, deadline=None)
-    def test_any_single_flip_is_detected(self, bits, position):
-        payload = np.array(bits, dtype=np.int8)
-        frame = append_crc32(payload)
-        index = position % payload.size
-        corrupted = frame.copy()
-        corrupted[index] ^= 1
-        assert not check_crc32(corrupted)
+from repro.utils.bits import random_bits
 
 
 class TestBitErrors:
@@ -113,3 +25,8 @@ class TestBitErrors:
     def test_random_bits_are_binary(self, rng):
         bits = random_bits(1000, rng)
         assert set(np.unique(bits)).issubset({0, 1})
+
+    def test_random_bits_follow_the_seed(self):
+        bits = random_bits(64, np.random.default_rng(3))
+        assert bits.shape == (64,) and bits.dtype == np.int8
+        assert np.array_equal(bits, random_bits(64, np.random.default_rng(3)))

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro.utils.db import (
     db_to_linear,
-    dbm_to_milliwatt,
     linear_to_db,
-    milliwatt_to_dbm,
     power_db,
     signal_power,
     snr_db,
@@ -22,10 +20,6 @@ class TestConversions:
         assert db_to_linear(10.0) == pytest.approx(10.0)
         assert db_to_linear(-10.0) == pytest.approx(0.1)
         assert linear_to_db(100.0) == pytest.approx(20.0)
-
-    def test_dbm_and_milliwatt(self):
-        assert dbm_to_milliwatt(0.0) == pytest.approx(1.0)
-        assert milliwatt_to_dbm(100.0) == pytest.approx(20.0)
 
     def test_zero_power_is_clamped(self):
         assert linear_to_db(0.0) < -200

@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_in_subspace, random_unitary, subspace_angle
+from oracles.mimo import project_out_subspace
 from repro.exceptions import DimensionError
-from repro.utils.linalg import (
-    is_in_subspace,
-    null_space,
-    orthonormal_basis,
-    orthonormal_complement,
-    project_onto_subspace,
-    project_out_subspace,
-    projection_matrix,
-    random_unitary,
-    subspace_angle,
-)
+from repro.utils.linalg import null_space, orthonormal_basis, orthonormal_complement
 
 
 def _random_complex(rng, shape):
@@ -105,18 +97,6 @@ class TestProjections:
         outside = complement @ _random_complex(rng, 3)
         residual = project_out_subspace(outside, basis)
         assert np.allclose(residual, outside, atol=1e-10)
-
-    def test_project_onto_coordinates(self, rng):
-        basis = orthonormal_basis(_random_complex(rng, (4, 2)))
-        coords = _random_complex(rng, 2)
-        vector = basis @ coords
-        recovered = project_onto_subspace(vector, basis)
-        assert np.allclose(recovered, coords, atol=1e-10)
-
-    def test_projection_matrix_is_idempotent(self, rng):
-        basis = _random_complex(rng, (4, 2))
-        p = projection_matrix(basis)
-        assert np.allclose(p @ p, p, atol=1e-10)
 
     def test_dimension_mismatch_raises(self, rng):
         basis = _random_complex(rng, (4, 2))
