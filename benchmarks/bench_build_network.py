@@ -10,8 +10,9 @@
 
 * ``bench_build_network_200`` and ``bench_build_network_500`` time the
   grouped (v3) contract (``channel_draws="grouped"``): scalars-first
-  draws, one tap draw per antenna-shape group, DFT evaluated directly at
-  the tracked bins, ChannelBank storage with reciprocal directions as
+  draws, one tap draw per antenna-shape group, the DFT evaluated directly
+  at the tracked bins as one BLAS matmul per group, ChannelBank storage
+  fed id arrays (no per-pair tuples) with reciprocal directions as
   views.  The acceptance bar of the v3 contract is ``bench_build_network_200``
   >= 2x faster than the committed v2 ``bench_build_network_200`` baseline
   (0.272 s); ``bench_build_network_500`` is the first tracked number at

@@ -148,8 +148,13 @@ class MultipathChannel:
         for value in np.unique(decays):
             profiles[decays == value] = exponential_power_delay_profile(n_taps, float(value))
         variance = profiles * gains[:, None]  # (n_channels, n_taps)
-        scale = np.sqrt(variance / 2.0)
-        return scale[:, :, None, None] * (raw[:, :, 0] + 1j * raw[:, :, 1])
+        scale = np.sqrt(variance / 2.0)[:, :, None, None]
+        # Scaling each part separately is the same float multiply per
+        # element as scaling the complex sum, without its temporaries.
+        taps = np.empty((n_channels, n_taps, n_rx, n_tx), dtype=complex)
+        np.multiply(scale, raw[:, :, 0], out=taps.real)
+        np.multiply(scale, raw[:, :, 1], out=taps.imag)
+        return taps
 
     # -- properties -----------------------------------------------------------
 
@@ -238,18 +243,20 @@ def frequency_response_at_bins_batch(
     """Frequency responses of a stack of channels, at selected bins only.
 
     Evaluates the DFT of the zero-padded taps directly at the requested
-    ``bins`` -- one einsum against an ``(n_taps, n_bins)`` twiddle matrix
-    -- instead of a full ``fft_size``-point FFT followed by bin
-    selection.  For the testbed's few-tap channels this is cheaper, and
-    (more importantly at the 500-station tier) it never materialises the
+    ``bins``: one BLAS matmul of the ``(n_bins, n_taps)`` twiddle matrix
+    against the taps viewed as ``(n_channels, n_taps, n_rx * n_tx)``,
+    instead of a full ``fft_size``-point FFT followed by bin selection.
+    For the testbed's few-tap channels this is cheaper, and (more
+    importantly at the 500-station tier) it never materialises the
     ``(n_channels, fft_size, n_rx, n_tx)`` padded intermediate.  The
     result equals ``frequency_response_batch(taps, fft_size)[:, bins]``
     up to floating-point rounding; the grouped (v3) draw contract of
     :meth:`repro.sim.network.Network._draw_channels_grouped` pins *this*
-    formulation.
+    formulation (schema 8).
 
     ``taps`` has shape ``(n_channels, n_taps, n_rx, n_tx)``; the result
-    has shape ``(n_channels, len(bins), n_rx, n_tx)``.
+    is a C-contiguous array of shape ``(n_channels, len(bins), n_rx,
+    n_tx)``.
     """
     taps = np.asarray(taps, dtype=complex)
     if taps.ndim != 4:
@@ -259,6 +266,7 @@ def frequency_response_at_bins_batch(
     bins = np.asarray(bins, dtype=int)
     if bins.ndim != 1:
         raise DimensionError(f"bins must be 1-D, got shape {bins.shape}")
-    delays = np.arange(taps.shape[1])
-    twiddle = np.exp((-2j * np.pi / fft_size) * np.outer(delays, bins))
-    return np.einsum("ctnm,tk->cknm", taps, twiddle)
+    n_channels, n_taps, n_rx, n_tx = taps.shape
+    twiddle = np.exp((-2j * np.pi / fft_size) * np.outer(bins, np.arange(n_taps)))
+    stacked = twiddle @ taps.reshape(n_channels, n_taps, n_rx * n_tx)
+    return stacked.reshape(n_channels, bins.size, n_rx, n_tx)

@@ -176,6 +176,8 @@ class BaseMacAgent:
         callbacks).  Once attached, every :meth:`refill` and
         :meth:`record_outcome` pushes the agent's new traffic state, which
         is what keeps the arrays incremental instead of rescanned.
+        ``None`` detaches the agent again (the runner does so when a run
+        ends, which breaks the agent <-> arrays reference cycle).
         """
         self._traffic_listener = listener
 

@@ -16,7 +16,7 @@ shared-view invariant.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,16 +105,19 @@ class ChannelBank:
 
     def add_group(
         self,
-        pairs: Sequence[Tuple[int, int]],
+        pairs: Union[Sequence[Tuple[int, int]], np.ndarray],
         responses: np.ndarray,
         snrs_db: Sequence[float],
     ) -> None:
         """Store one antenna-shape group of drawn channels.
 
-        ``pairs`` lists unordered ``(a, b)`` station ids in slot order;
-        ``responses`` is the stacked ``(len(pairs), n_sub, N, M)``
-        tensor whose slot ``i`` is the ``a -> b`` response of
-        ``pairs[i]``, and ``snrs_db`` the per-pair average link SNRs.
+        ``pairs`` lists unordered ``(a, b)`` station ids in slot order,
+        either as a sequence of ``(a, b)`` tuples or as an ``(n, 2)``
+        integer array (the grouped build passes its id columns stacked,
+        so no per-pair Python objects are made); ``responses`` is the
+        stacked ``(len(pairs), n_sub, N, M)`` tensor whose slot ``i`` is
+        the ``a -> b`` response of ``pairs[i]``, and ``snrs_db`` the
+        per-pair average link SNRs.
         """
         responses = np.asarray(responses)
         snrs = np.asarray(snrs_db, dtype=float)
@@ -127,7 +130,9 @@ class ChannelBank:
             raise DimensionError(
                 f"snrs_db must have one entry per pair, got shape {snrs.shape}"
             )
-        pair_array = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        # A private copy: the bank marks its pair table read-only, which
+        # must not reach back into an array the caller passed in.
+        pair_array = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
         if pair_array.size and (
             pair_array.min() < 0 or pair_array.max() >= _PAIR_KEY_BASE
         ):
@@ -501,13 +506,16 @@ class Network:
            ``(n_tx, n_rx)``, pairs inside a group in canonical order.
 
         Frequency responses are evaluated directly at the tracked bins
-        (:func:`~repro.channel.multipath.frequency_response_at_bins_batch`),
-        skipping the padded 64-point FFT.  Because draws depend only on
-        the *sorted* station ids, the result is independent of station-
-        and pair-list order (asserted by the test suite).  The draw
-        order deliberately differs from the v2 contracts -- it removes
-        their ~3 small rng calls per pair -- which is why this contract
-        rides the ``CACHE_SCHEMA_VERSION`` 3 bump.
+        (:func:`~repro.channel.multipath.frequency_response_at_bins_batch`,
+        one BLAS matmul per group), skipping the padded 64-point FFT, and
+        each group reaches the :class:`ChannelBank` with its station ids
+        as one ``(n, 2)`` array -- no per-pair Python objects.  Because
+        draws depend only on the *sorted* station ids, the result is
+        independent of station- and pair-list order (asserted by the
+        test suite).  The draw order deliberately differs from the v2
+        contracts -- it removes their ~3 small rng calls per pair --
+        which is why this contract rode the ``CACHE_SCHEMA_VERSION`` 3
+        bump; the matmul's ulp-level arithmetic is schema 8.
         """
         ids = sorted(self.stations)
         n = len(ids)
@@ -546,7 +554,7 @@ class Network:
                 raw=raw,
             )
             responses = frequency_response_at_bins_batch(taps, bins)
-            pairs = list(zip(id_arr[ai[rows]].tolist(), id_arr[bi[rows]].tolist()))
+            pairs = np.stack((id_arr[ai[rows]], id_arr[bi[rows]]), axis=1)
             self.channels.add_group(pairs, responses, snrs[rows])
 
     def _draw_channels(self) -> None:

@@ -527,24 +527,36 @@ class _EventDrivenLoop:
         self.arrays = TrafficStateArrays(self.agents.values())
 
     def run(self) -> NetworkMetrics:
-        """Run rounds until the observation window closes."""
-        self.scheduler.schedule_at(0.0, self._round)
-        while self.scheduler.step():
-            pass
-        if self.faults is not None:
-            self.faults.finalize()
-        for agent in self.agents.values():
-            link = self.metrics.link(agent.name)
-            link.packets_dropped = sum(
-                queue.dropped_packets for queue in agent.queues.values()
-            )
-            link.quarantined_rounds = agent.quarantined_rounds
-        self.metrics.elapsed_us = self.scheduler.now_us
-        if self.invariants is not None:
-            # One closing pass over the final accounting (the last round's
-            # check ran before packets_dropped/quarantined_rounds landed).
-            self.invariants.check_round(self)
-        return self.metrics
+        """Run rounds until the observation window closes.
+
+        However the run ends, every agent's traffic listener is detached:
+        agents and :class:`~repro.sim.traffic.TrafficStateArrays` point at
+        each other, and the agents hold the network, so that cycle would
+        otherwise keep a finished run's network alive until the cyclic
+        garbage collector runs.
+        """
+        try:
+            self.scheduler.schedule_at(0.0, self._round)
+            while self.scheduler.step():
+                pass
+            if self.faults is not None:
+                self.faults.finalize()
+            for agent in self.agents.values():
+                link = self.metrics.link(agent.name)
+                link.packets_dropped = sum(
+                    queue.dropped_packets for queue in agent.queues.values()
+                )
+                link.quarantined_rounds = agent.quarantined_rounds
+            self.metrics.elapsed_us = self.scheduler.now_us
+            if self.invariants is not None:
+                # One closing pass over the final accounting (the last
+                # round's check ran before packets_dropped/
+                # quarantined_rounds landed).
+                self.invariants.check_round(self)
+            return self.metrics
+        finally:
+            for agent in self.agents.values():
+                agent.attach_traffic_listener(None)
 
     # -- per-round queries ------------------------------------------------------
 

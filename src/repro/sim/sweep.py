@@ -142,7 +142,10 @@ __all__ = [
 #:    fault trace keyed by content, ``validation`` left out, the scenario
 #:    hints out of the structure digest): metrics are bit-identical, and
 #:    the changed payload already misses every cell keyed the old way.
-CACHE_SCHEMA_VERSION = 7
+#: 8: the grouped contract's at-bins DFT is one BLAS matmul instead of an
+#:    einsum, so grouped channels differ from v7's at the ulp level (v2
+#:    ``"batched"`` channels are bit-identical).
+CACHE_SCHEMA_VERSION = 8
 
 
 def _digest(payload) -> str:

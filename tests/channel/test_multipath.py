@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.multipath import MultipathChannel, exponential_power_delay_profile
+from repro.channel.multipath import (
+    MultipathChannel,
+    exponential_power_delay_profile,
+    frequency_response_at_bins_batch,
+    frequency_response_batch,
+)
 from repro.exceptions import ConfigurationError, DimensionError
+from repro.sim.network import _subcarrier_bins
 
 
 class TestPowerDelayProfile:
@@ -120,3 +126,38 @@ class TestMultipathChannel:
             np.concatenate([channel.taps, np.zeros((60, n_rx, n_tx))], axis=0), axis=0
         )
         assert np.allclose(response, manual, atol=1e-10)
+
+
+class TestFrequencyResponseAtBins:
+    """The grouped contract's at-bins DFT against the 64-point FFT path."""
+
+    # 16 is the default tracked-bin count; asking for 64 tracks every
+    # data bin of the OFDM layout.
+    @pytest.mark.parametrize("n_subcarriers", [16, 64])
+    @pytest.mark.parametrize("n_taps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_rx", [1, 2, 3])
+    @pytest.mark.parametrize("n_tx", [1, 2, 3])
+    def test_matches_fft_at_the_tracked_bins(self, n_rx, n_tx, n_taps, n_subcarriers):
+        rng = np.random.default_rng(100 * n_rx + 10 * n_tx + n_taps)
+        taps = MultipathChannel.random_batch(
+            n_rx, n_tx, rng, n_channels=7, n_taps=n_taps, average_gain=2.5
+        )
+        bins = _subcarrier_bins(n_subcarriers)
+        response = frequency_response_at_bins_batch(taps, bins)
+        assert response.shape == (7, bins.size, n_rx, n_tx)
+        assert response.flags.c_contiguous
+        expected = frequency_response_batch(taps, 64)[:, bins]
+        np.testing.assert_allclose(response, expected, rtol=1e-12, atol=0)
+
+    def test_empty_stack(self):
+        bins = _subcarrier_bins(16)
+        empty = np.zeros((0, 4, 2, 3), dtype=complex)
+        response = frequency_response_at_bins_batch(empty, bins)
+        assert response.shape == (0, 16, 2, 3)
+        assert response.flags.c_contiguous
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError):
+            frequency_response_at_bins_batch(np.zeros((4, 2, 3), complex), [1, 2])
+        with pytest.raises(DimensionError):
+            frequency_response_at_bins_batch(np.zeros((1, 4, 2, 3), complex), [[1, 2]])

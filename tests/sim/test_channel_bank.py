@@ -111,6 +111,33 @@ class TestChannelBankIndex:
         with pytest.raises(DimensionError):
             bank.add_group([(0, 1)], np.zeros((1, 4, 1, 1), dtype=complex), [5.0, 6.0])
 
+    def test_add_group_takes_tuples_or_an_id_array(self):
+        """Both spellings of ``pairs`` build the same bank, reciprocal
+        (transposed) lookups included; the bank never freezes the
+        caller's array."""
+        rng = np.random.default_rng(7)
+        groups = [
+            ([(0, 3), (1, 4), (2, 9)], (3, 6, 2, 1)),
+            ([(0, 1), (3, 5)], (2, 6, 3, 2)),
+        ]
+        by_tuples, by_array = ChannelBank(), ChannelBank()
+        for pairs, shape in groups:
+            responses = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            snrs = rng.uniform(5.0, 30.0, len(pairs))
+            by_tuples.add_group(pairs, responses.copy(), snrs.copy())
+            ids = np.array(pairs, dtype=np.int64)
+            by_array.add_group(ids, responses.copy(), snrs.copy())
+            assert ids.flags.writeable
+        assert by_array.pairs() == by_tuples.pairs()
+        for a, b in by_tuples.pairs():
+            for tx, rx in ((a, b), (b, a)):
+                assert by_array.lookup(tx, rx) == by_tuples.lookup(tx, rx)
+                assert np.array_equal(
+                    by_array.channel(tx, rx), by_tuples.channel(tx, rx)
+                )
+                assert by_array.snr_db(tx, rx) == by_tuples.snr_db(tx, rx)
+            assert by_array.lookup(b, a)[2]
+
     def test_nbytes_counts_each_pair_once(self):
         """Reciprocals are views: the bank holds one tensor slot per
         unordered pair, not two."""

@@ -448,7 +448,7 @@ class TestDenseScenarios:
 
 
 class TestSchemaBoundary:
-    """The CACHE_SCHEMA_VERSION 7 bump (guarded numerics + validation digest).
+    """The CACHE_SCHEMA_VERSION 8 bump (the grouped contract's matmul DFT).
 
     Cells written under an older schema must be *missed* -- recomputed
     under the current semantics -- never replayed; and the scenario's
@@ -459,10 +459,10 @@ class TestSchemaBoundary:
     def test_old_cached_cells_are_missed_after_the_bump(self, tmp_path, monkeypatch):
         import repro.sim.sweep as sweep_module
 
-        assert sweep_module.CACHE_SCHEMA_VERSION == 7
+        assert sweep_module.CACHE_SCHEMA_VERSION == 8
 
         # Populate the cache as a previous-schema writer would have keyed it.
-        monkeypatch.setattr(sweep_module, "CACHE_SCHEMA_VERSION", 6)
+        monkeypatch.setattr(sweep_module, "CACHE_SCHEMA_VERSION", 7)
         old = run_sweep(
             "three-pair", ["n+"], n_runs=2, seed=4, config=FAST, cache_dir=tmp_path
         )
@@ -470,13 +470,13 @@ class TestSchemaBoundary:
 
         # Back on the real schema: every old cell is a miss, not a replay.
         monkeypatch.undo()
-        assert sweep_module.CACHE_SCHEMA_VERSION == 7
+        assert sweep_module.CACHE_SCHEMA_VERSION == 8
         bumped = run_sweep(
             "three-pair", ["n+"], n_runs=2, seed=4, config=FAST, cache_dir=tmp_path
         )
         assert bumped.cache_hits == 0 and bumped.cache_misses == 2
         # The recomputed cells are correct (identical to an uncached sweep)
-        # and were re-stored under the v7 keys next to the stale v6 rows.
+        # and were re-stored under the v8 keys next to the stale v7 rows.
         fresh = run_sweep("three-pair", ["n+"], n_runs=2, seed=4, config=FAST)
         assert _as_dicts(bumped.results) == _as_dicts(fresh.results)
         assert len(ResultsStore(tmp_path)) == 4
@@ -494,7 +494,7 @@ class TestSchemaBoundary:
             cache_dir=tmp_path,
         )
         assert result.sweep_id == (
-            "3e3d916a84544856896869ec0f8ae848509939f81ad005601b190120e28d01f0"
+            "3d608c08d3bc54cf6ad9e84a29c72a4f0091d8c413895779983979f9a5c8126f"
         )
         keys = {
             (cell.protocol, cell.run): cell.key
@@ -502,26 +502,26 @@ class TestSchemaBoundary:
         }
         assert keys == {
             ("802.11n", 0): (
-                "abacd0c024af095c760698690da9c527a3169e5dd81d6e609df7949e3ed52b3a"
+                "293bbb8efe1ed658f523df010cce635c1f85dea07496e34db1da1322fb137a1c"
             ),
             ("802.11n", 1): (
-                "f73a59982d3846bf25ff3c1d908c8d54e8746df5447113a24b628cab6982d781"
+                "fad7d84f20801463b49248fe23a10fafd2cd34ad4bd620f6bb5c347aa832c8ce"
             ),
             ("n+[recovery=erasure]", 0): (
-                "ea6e415c1d1dd4b630396bd73f8d2c8ab277c6992fa555eaef1071171152519a"
+                "50cfd54b059ea9b699ca23acf487b7248507cc023291f73443c6efd9eb567220"
             ),
             ("n+[recovery=erasure]", 1): (
-                "028d80cb401bc85fe72af1d5a79e25323e19efdb31b75aded43ebce06eb10755"
+                "211260a4bbabeacd4b449c2bf675dcefc5607770485767ab4296354b6c3478d4"
             ),
         }
 
     def test_cell_keys_differ_across_schema_versions(self, tmp_path, monkeypatch):
         import repro.sim.sweep as sweep_module
 
+        v8_key = _key("three-pair", 4, FAST_SPEC)
+        monkeypatch.setattr(sweep_module, "CACHE_SCHEMA_VERSION", 7)
         v7_key = _key("three-pair", 4, FAST_SPEC)
-        monkeypatch.setattr(sweep_module, "CACHE_SCHEMA_VERSION", 6)
-        v6_key = _key("three-pair", 4, FAST_SPEC)
-        assert v7_key != v6_key
+        assert v8_key != v7_key
 
     def test_cell_key_covers_channel_draws(self):
         import dataclasses as dc
