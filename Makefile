@@ -21,9 +21,12 @@ precommit: test-fast bench-quick invariant-smoke
 # Fast end-to-end invariant pass: runs a bursty and a faulty scenario
 # under validation="cheap", so a broken conservation law fails the gate
 # even if no unit test covers it.  The 500-station run is the one that
-# builds its network under the grouped draw contract.
+# builds its network under the grouped draw contract; the fidelity-full
+# run sends every reception through the full-PHY probe (encode, fade,
+# equalise, Viterbi decode).
 invariant-smoke:
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-bursty --protocols n+ --runs 1 --duration-ms 20 --validation cheap
+	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-bursty --protocols n+ --runs 1 --duration-ms 20 --validation cheap --fidelity full
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-faulty --protocols n+ --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-500-bursty --protocols n+ --runs 1 --duration-ms 5 --validation cheap
 

@@ -88,18 +88,6 @@ def bench_codec_decode_1500_bytes(benchmark):
     assert np.array_equal(decoded, bits)
 
 
-def bench_viterbi_soft_decode_1500_bytes(benchmark):
-    """Soft-decision decoding cost of a 1500-byte packet (noisy LLR input)."""
-    rng = np.random.default_rng(4)
-    codec = Codec(MCS_TABLE[5])
-    bits = random_bits(12_000, rng)
-    coded = codec.encode(bits).astype(float)
-    llrs = (1.0 - 2.0 * coded) * 4.0 + rng.normal(0.0, 1.0, coded.size)
-
-    decoded = benchmark(lambda: codec.decode(llrs, bits.size, soft=True))
-    assert decoded.size == bits.size
-
-
 def bench_build_frame_precoded(benchmark):
     """Cost of building a 2-stream frame with per-subcarrier pre-coders
     (the n+ transmit hot path, §4 "Multipath")."""

@@ -6,8 +6,8 @@ The pipeline applied to a frame's bits is::
              -> puncture (to rate 2/3 or 3/4 if requested)
              -> interleave per OFDM symbol
 
-and the receiver reverses each stage, with a Viterbi decoder (hard or
-soft decision) undoing the convolutional code.
+and the receiver reverses each stage, with a hard-decision Viterbi
+decoder undoing the convolutional code.
 """
 
 from repro.phy.coding.scrambler import scramble, descramble

@@ -75,18 +75,16 @@ class Codec:
 
     # -- decode -------------------------------------------------------------
 
-    def decode(self, coded: np.ndarray, n_data_bits: int, soft: bool = False) -> np.ndarray:
+    def decode(self, coded: np.ndarray, n_data_bits: int) -> np.ndarray:
         """Recover ``n_data_bits`` information bits from a coded stream.
 
         Parameters
         ----------
         coded:
-            Hard bits (0/1) or LLRs if ``soft`` is true, of the same length
-            produced by :meth:`encode` for a frame of ``n_data_bits`` bits.
+            Hard bits (0/1), of the same length produced by :meth:`encode`
+            for a frame of ``n_data_bits`` bits.
         n_data_bits:
             The original (unpadded) information bit count.
-        soft:
-            Use soft-decision Viterbi decoding.
         """
         coded = np.asarray(coded, dtype=float)
         expected = self.n_ofdm_symbols(n_data_bits) * self.coded_bits_per_symbol
@@ -96,15 +94,12 @@ class Codec:
                 f"for {n_data_bits} data bits at MCS {self.mcs.index}"
             )
         n_bpsc = self.mcs.modulation.bits_per_symbol
-        if soft:
-            deinterleaved = deinterleave(coded, n_bpsc, self.coded_bits_per_symbol)
-        else:
-            deinterleaved = deinterleave(
-                coded.astype(np.int8), n_bpsc, self.coded_bits_per_symbol
-            ).astype(float)
+        deinterleaved = deinterleave(
+            coded.astype(np.int8), n_bpsc, self.coded_bits_per_symbol
+        ).astype(float)
         padded_len = self.padded_data_bits(n_data_bits)
         mother_len = 2 * (padded_len + self._encoder.tail_bits)
         unpunctured = depuncture(deinterleaved, self.mcs.coding_rate, mother_len)
-        decoded = viterbi_decode(unpunctured, padded_len, soft=soft, encoder=self._encoder)
+        decoded = viterbi_decode(unpunctured, padded_len, encoder=self._encoder)
         descrambled = descramble(decoded)
         return descrambled[:n_data_bits].astype(np.int8)

@@ -40,45 +40,57 @@ def _polynomial_taps(poly: int, constraint_length: int) -> np.ndarray:
 #: Trellis tables keyed by ``(g0, g1, constraint_length)``.  The tables are
 #: pure functions of the polynomials, so every encoder instance with the same
 #: parameters shares one read-only copy instead of rebuilding them per decode.
-_TRELLIS_CACHE: Dict[
-    Tuple[int, int, int], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-] = {}
+_TRELLIS_CACHE: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+#: Codes of one received coded bit after ``np.rint``: a clean ``0`` or
+#: ``1``, an erasure (NaN, metric 0 against either output bit), or any
+#: other value (matches neither output bit, metric 1).  A received coded
+#: pair is one of ``N_PAIR_PATTERNS = 4 * 4`` patterns ``4 * code0 + code1``.
+BIT_ZERO, BIT_ONE, BIT_ERASED, BIT_OTHER = range(4)
+N_PAIR_PATTERNS = 16
 
 
 def _build_trellis(
     g0: int, g1: int, constraint_length: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Build ``(next_state, outputs, prev_states, prev_bits)`` for a code."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Build ``(prev_states, prev_bits, incoming_metrics)`` for a code."""
     k = constraint_length
     n_states = 1 << (k - 1)
-    taps0 = _polynomial_taps(g0, k).astype(np.int64)
-    taps1 = _polynomial_taps(g1, k).astype(np.int64)
-
-    states = np.arange(n_states, dtype=np.int64)
-    input_bits = np.arange(2, dtype=np.int64)
-    registers = (input_bits[None, :] << (k - 1)) | states[:, None]  # (n_states, 2)
-    shifts = k - 1 - np.arange(k, dtype=np.int64)
-    windows = (registers[:, :, None] >> shifts) & 1  # (n_states, 2, k), newest first
-    out0 = (windows @ taps0) % 2
-    out1 = (windows @ taps1) % 2
-    next_state = (registers >> 1).astype(np.int32)
-    outputs = np.stack([out0, out1], axis=2).astype(np.int8)
 
     # Each state has exactly two incoming transitions, from the registers
     # ``2 * state`` and ``2 * state + 1`` (ascending predecessor order, which
     # matches the scan order of the reference add-compare-select loop).
-    incoming_registers = 2 * states[:, None] + input_bits[None, :]  # (n_states, 2)
-    prev_bits = (incoming_registers >> (k - 1)).astype(np.int8)
-    prev_states = (incoming_registers & (n_states - 1)).astype(np.int32)
+    states = np.arange(n_states, dtype=np.int64)
+    registers = 2 * states[:, None] + np.arange(2, dtype=np.int64)[None, :]  # (n_states, 2)
+    prev_bits = (registers >> (k - 1)).astype(np.int8)
+    prev_states = (registers & (n_states - 1)).astype(np.int32)
 
-    for array in (next_state, outputs, prev_states, prev_bits):
+    # The coded pair each incoming transition emits.
+    shifts = k - 1 - np.arange(k, dtype=np.int64)
+    windows = (registers[:, :, None] >> shifts) & 1  # (n_states, 2, k), newest first
+    out0 = (windows @ _polynomial_taps(g0, k).astype(np.int64)) % 2
+    out1 = (windows @ _polynomial_taps(g1, k).astype(np.int64)) % 2
+
+    # mismatch[code, bit]: metric of one received code against an emitted bit.
+    mismatch = np.zeros((4, 2))
+    mismatch[BIT_ZERO, 1] = mismatch[BIT_ONE, 0] = 1.0
+    mismatch[BIT_OTHER] = 1.0
+    codes = np.arange(4)
+    metrics = mismatch[codes[:, None, None, None], out0] + mismatch[codes[:, None, None], out1]
+    # [code0, code1, state, j] -> [pattern, h, k, j] with state = h * n_half + k
+    # -> [pattern, j, h, k], the layout of the decoder's candidate array.
+    metrics = metrics.reshape(N_PAIR_PATTERNS, 2, n_states // 2, 2).transpose(0, 3, 1, 2)
+    incoming_metrics = np.ascontiguousarray(metrics)
+
+    tables = (prev_states, prev_bits, incoming_metrics)
+    for array in tables:
         array.setflags(write=False)
-    return next_state, outputs, prev_states, prev_bits
+    return tables
 
 
 def _trellis_tables(
     g0: int, g1: int, constraint_length: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     key = (g0, g1, constraint_length)
     tables = _TRELLIS_CACHE.get(key)
     if tables is None:
@@ -136,24 +148,8 @@ class ConvolutionalEncoder:
         coded[1::2] = out1
         return coded
 
-    def transitions(self):
-        """Return the trellis transition tables used by the Viterbi decoder.
-
-        Returns
-        -------
-        next_state : numpy.ndarray, shape (n_states, 2)
-            ``next_state[s, b]`` is the state after input bit ``b`` in
-            state ``s``.
-        outputs : numpy.ndarray, shape (n_states, 2, 2)
-            ``outputs[s, b]`` is the pair of coded bits emitted.
-
-        The returned arrays are shared, read-only cached tables.
-        """
-        next_state, outputs, _, _ = _trellis_tables(self.g0, self.g1, self.constraint_length)
-        return next_state, outputs
-
     def predecessors(self):
-        """Return the reverse trellis tables used by the vectorized decoder.
+        """Return the reverse trellis tables used by the Viterbi decoder.
 
         Returns
         -------
@@ -165,8 +161,23 @@ class ConvolutionalEncoder:
 
         The returned arrays are shared, read-only cached tables.
         """
-        _, _, prev_states, prev_bits = _trellis_tables(self.g0, self.g1, self.constraint_length)
+        prev_states, prev_bits, _ = _trellis_tables(self.g0, self.g1, self.constraint_length)
         return prev_states, prev_bits
+
+    def incoming_metrics(self) -> np.ndarray:
+        """Return the Viterbi decoder's branch-metric table.
+
+        ``table[pattern, j, h, k]``, shape ``(16, 2, 2, n_states // 2)``, is
+        the Hamming metric of the ``j``-th incoming transition (see
+        :meth:`predecessors`) of state ``h * n_states // 2 + k`` when the
+        received coded pair has pattern ``4 * code0 + code1`` (codes
+        ``BIT_ZERO``, ``BIT_ONE``, ``BIT_ERASED``, ``BIT_OTHER``).  The
+        values are the small integers 0, 1 and 2 in float64.
+
+        The returned array is a shared, read-only cached table.
+        """
+        _, _, incoming_metrics = _trellis_tables(self.g0, self.g1, self.constraint_length)
+        return incoming_metrics
 
 
 #: The shared default encoder (see :func:`default_encoder`).

@@ -7,12 +7,30 @@ spectral lines; the same self-synchronising generator
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["scramble", "descramble", "scrambler_sequence"]
 
 #: Default initial state of the 7-bit scrambler register (all ones).
 DEFAULT_SEED = 0x7F
+
+#: Period of the sequence: ``x^7 + x^4 + 1`` is primitive, so every
+#: non-zero register state recurs after exactly ``2^7 - 1`` bits.
+PERIOD = 127
+
+
+@lru_cache(maxsize=None)
+def _scrambler_period(state: int) -> np.ndarray:
+    """One period of the sequence from the non-zero register ``state``."""
+    out = np.empty(PERIOD, dtype=np.int8)
+    for i in range(PERIOD):
+        feedback = ((state >> 6) ^ (state >> 3)) & 1
+        out[i] = feedback
+        state = ((state << 1) | feedback) & 0x7F
+    out.setflags(write=False)
+    return out
 
 
 def scrambler_sequence(length: int, seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -22,12 +40,7 @@ def scrambler_sequence(length: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     state = seed & 0x7F
     if state == 0:
         raise ValueError("scrambler seed must be non-zero")
-    out = np.empty(length, dtype=np.int8)
-    for i in range(length):
-        feedback = ((state >> 6) ^ (state >> 3)) & 1
-        out[i] = feedback
-        state = ((state << 1) | feedback) & 0x7F
-    return out
+    return np.resize(_scrambler_period(state), length)
 
 
 def scramble(bits: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:

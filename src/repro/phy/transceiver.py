@@ -351,7 +351,7 @@ class MimoReceiver:
             n_needed_symbols = codec.n_ofdm_symbols(n_bits)
             points = equalised[position, :n_needed_symbols, :].reshape(-1)
             coded_hard = mcs.modulation.demodulate_hard(points)
-            bits = codec.decode(coded_hard, n_bits, soft=False)
+            bits = codec.decode(coded_hard, n_bits)
             # Link-quality metrics from the equalised constellation.
             reference = mcs.modulation.points[
                 np.argmin(np.abs(points[:, None] - mcs.modulation.points[None, :]) ** 2, axis=1)

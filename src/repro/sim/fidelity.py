@@ -5,8 +5,10 @@ link abstraction (:mod:`repro.sim.link_abstraction` +
 :func:`repro.phy.esnr.packet_delivery_probability`), which costs
 microseconds per reception.  The full transceiver chain
 (:mod:`repro.phy.transceiver`: convolutional encode, OFDM modulate, fade,
-ZF equalise, Viterbi decode) costs ~10 ms per probe -- four orders of
-magnitude more -- but is the ground truth the abstraction approximates.
+ZF equalise, Viterbi decode) costs ~3.5 ms per 1024-bit probe (2-core
+x86-64 Xeon, NumPy 2.4; about 60% of it in the Viterbi decoder) -- three
+to four orders of magnitude more -- but is the ground truth the
+abstraction approximates.
 
 This module promotes that split into an explicit **fidelity tier**
 (``SimulationConfig.fidelity``):
@@ -104,7 +106,7 @@ DEFAULT_BAND_DB = 3.0
 
 #: Probe payload length (bits).  Long enough that the coded chain shows a
 #: sharp delivery cliff (short probes let Viterbi luck out several dB
-#: below threshold at 64-QAM), short enough to keep a probe ~10 ms.
+#: below threshold at 64-QAM), short enough to keep a probe ~3.5 ms.
 DEFAULT_PROBE_BITS = 1024
 
 # The probe chain is single-stream over the full 64-bin OFDM grid; the
@@ -203,7 +205,7 @@ class FidelityEngine:
     Escalated verdicts are memoized under the same structural key shape
     as the agents' measured-SNR memo -- ``(tx, rx, planned signature,
     concurrent signature, epoch signature of every involved node)`` -- so
-    a repeated contention configuration pays the ~10 ms probe once, and a
+    a repeated contention configuration pays the ~3.5 ms probe once, and a
     fault bumping any involved link's epoch retires exactly the entries
     that observed the old channel.  Because the verdict is computed from
     jitter-free SNRs and a dedicated :func:`phy_stream_rng` stream, the

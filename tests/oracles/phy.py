@@ -18,7 +18,28 @@ from repro.phy.ofdm import OfdmConfig, OfdmModem
 from repro.phy.preamble import Preamble, ltf_frequency_sequence
 
 
-def _branch_metrics_hard(received_pair: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+def trellis_transitions(encoder: ConvolutionalEncoder):
+    """Forward trellis of ``encoder``, built bit by bit.
+
+    ``next_state[s, b]`` is the state after input bit ``b`` in state ``s``,
+    and ``outputs[s, b]`` the coded pair emitted (g0 output first): the
+    shift register holds ``b`` above the ``K - 1`` bits of ``s``, and each
+    output is the parity of the register masked by its generator.
+    """
+    k = encoder.constraint_length
+    n_states = encoder.n_states
+    next_state = np.zeros((n_states, 2), dtype=np.int32)
+    outputs = np.zeros((n_states, 2, 2), dtype=np.int8)
+    for state in range(n_states):
+        for bit in range(2):
+            register = (bit << (k - 1)) | state
+            next_state[state, bit] = register >> 1
+            for idx, poly in enumerate((encoder.g0, encoder.g1)):
+                outputs[state, bit, idx] = bin(register & poly).count("1") % 2
+    return next_state, outputs
+
+
+def branch_metrics_hard(received_pair: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     """Hamming distance between a received coded pair and each branch output."""
     metrics = np.zeros(outputs.shape[:2])
     for idx in range(2):
@@ -29,36 +50,21 @@ def _branch_metrics_hard(received_pair: np.ndarray, outputs: np.ndarray) -> np.n
     return metrics
 
 
-def _branch_metrics_soft(received_pair: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """Negative correlation metric for soft inputs (LLR > 0 means bit 0)."""
-    metrics = np.zeros(outputs.shape[:2])
-    for idx in range(2):
-        llr = received_pair[idx]
-        if np.isnan(llr):
-            continue
-        # Bit value 0 should be rewarded when llr > 0; bit 1 when llr < 0.
-        signs = 1.0 - 2.0 * outputs[:, :, idx]  # +1 for bit 0, -1 for bit 1
-        metrics += -signs * llr
-    return metrics
-
-
 def viterbi_decode_reference(
     coded: np.ndarray,
     n_data_bits: int,
-    soft: bool = False,
     encoder: ConvolutionalEncoder | None = None,
     terminated: bool = True,
 ) -> np.ndarray:
-    """Slow per-state decoder: the readable specification of the trellis
-    recursion :func:`~repro.phy.coding.viterbi.viterbi_decode` must match
-    bit-exactly."""
+    """Slow per-state hard-decision decoder: the readable specification of
+    the trellis recursion :func:`~repro.phy.coding.viterbi.viterbi_decode`
+    must match bit-exactly."""
     encoder = encoder or default_encoder()
     pairs = _checked_pairs(coded, n_data_bits, encoder, terminated)
     n_steps = pairs.shape[0]
 
-    next_state, outputs = encoder.transitions()
+    next_state, outputs = trellis_transitions(encoder)
     n_states = encoder.n_states
-    metric_fn = _branch_metrics_soft if soft else _branch_metrics_hard
 
     infinity = np.inf
     path_metric = np.full(n_states, infinity)
@@ -67,7 +73,7 @@ def viterbi_decode_reference(
     predecessors = np.zeros((n_steps, n_states), dtype=np.int32)
 
     for step in range(n_steps):
-        branch = metric_fn(pairs[step], outputs)
+        branch = branch_metrics_hard(pairs[step], outputs)
         new_metric = np.full(n_states, infinity)
         new_decision = np.zeros(n_states, dtype=np.int8)
         new_pred = np.zeros(n_states, dtype=np.int32)
