@@ -23,11 +23,14 @@ precommit: test-fast bench-quick invariant-smoke
 # even if no unit test covers it.  The 500-station run is the one that
 # builds its network under the grouped draw contract; the fidelity-full
 # run sends every reception through the full-PHY probe (encode, fade,
-# equalise, Viterbi decode).
+# equalise, Viterbi decode).  The three-protocol faulty run sends every
+# protocol's receptions through the network's zero-forcing memo across
+# fade epochs.
 invariant-smoke:
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-bursty --protocols n+ --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-bursty --protocols n+ --runs 1 --duration-ms 20 --validation cheap --fidelity full
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-faulty --protocols n+ --runs 1 --duration-ms 20 --validation cheap
+	$(PYTHON) -m repro.cli sweep --scenario dense-lan-50-faulty --protocols "802.11n,n+,n+[recovery=erasure]" --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-500-bursty --protocols n+ --runs 1 --duration-ms 5 --validation cheap
 
 # Fails when README/ARCHITECTURE code blocks or the examples go stale.

@@ -26,7 +26,6 @@ __all__ = [
     "post_projection_snr",
     "post_projection_snr_db",
     "post_projection_snr_batch",
-    "post_projection_snr_db_batch",
 ]
 
 
@@ -56,9 +55,10 @@ def zero_forcing_decode(received: np.ndarray, channel: np.ndarray) -> np.ndarray
         raise DimensionError(
             f"received dimension {y.shape[0]} does not match channel rows {h.shape[0]}"
         )
-    if np.linalg.matrix_rank(h) < h.shape[1]:
+    separable, pinv = _separable_pinv(*np.linalg.svd(h.conj(), full_matrices=False), h.shape)
+    if not separable:
         raise DecodingError("wanted streams are not separable (rank-deficient channel)")
-    estimate = np.linalg.pinv(h) @ y
+    estimate = pinv @ y
     return estimate[:, 0] if squeeze else estimate
 
 
@@ -152,29 +152,73 @@ def post_projection_snr(
     )[0]
 
 
-def _zero_forcing_snr(
-    h_eff: np.ndarray, noise_total: np.ndarray, signal_power: float
-) -> np.ndarray:
-    """Zero-forcing SNRs ``(n_sub, n)`` of a stack of projected channels."""
+def _separable_pinv(u, s, vt, shape):
+    """``(full column rank?, pseudo-inverse)`` of a matrix or stack from the
+    thin SVD ``u, s, vt`` of its *conjugate*.
+
+    One SVD yields both answers bit-identically to the two-SVD form
+    ``matrix_rank(h) == n`` and ``np.linalg.pinv(h, rcond=1e-15)``: the
+    rank test is ``matrix_rank``'s tolerance rule and the inverse is
+    ``pinv``'s own formula on the same factors.
+    """
+    rows, n = shape[-2:]
+    smax = s.max(-1, keepdims=True, initial=0)
+    separable = np.count_nonzero(s > smax * (max(rows, n) * np.finfo(float).eps), axis=-1) >= n
+    large = s > 1e-15 * smax
+    inv = np.divide(1, s, where=large, out=s)
+    inv[~large] = 0
+    return separable, np.matmul(vt.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
+
+
+def _zero_forcing_gains(h_eff: np.ndarray):
+    """``(enhancement (n_sub, n), inseparable (n_sub,))`` of a stack of
+    projected channels: the zero-forcing noise enhancement of every
+    stream and the subcarriers whose streams cannot be separated."""
     n_sub, rows, n_streams = h_eff.shape
     if rows < n_streams:
-        return np.zeros((n_sub, n_streams))
-    effective_rank = np.linalg.matrix_rank(h_eff)
-    # numpy's default rcond, so the guarded happy path stays bit-identical
-    # to a plain ``np.linalg.pinv`` call.
-    w, _ = guarded.pinv_stack(h_eff, rcond=1e-15)  # (n_sub, n, rows)
-    enhancement = np.sum(np.abs(w) ** 2, axis=2)
-    snr = signal_power / (noise_total[:, None] * np.maximum(enhancement, 1e-30))
-    snr[effective_rank < n_streams] = 0.0
-    if not np.isfinite(snr).all():
-        guarded.note_degradation("nonfinite-snr")
-        snr = np.where(np.isfinite(snr), snr, 0.0)
-    return snr
+        return np.ones((n_sub, n_streams)), np.ones(n_sub, dtype=bool)
+    separable, w = _separable_pinv(
+        *guarded.svd_stack(h_eff.conj(), full_matrices=False), h_eff.shape
+    )  # w: (n_sub, n, rows)
+    if not np.isfinite(w).all():  # pragma: no cover - defensive
+        guarded.note_degradation("nonfinite-pinv")
+        w = np.where(np.isfinite(w), w, 0.0)
+    return np.sum(np.abs(w) ** 2, axis=2), ~separable
 
 
 def _project_out(u: np.ndarray, rank: int, hw: np.ndarray) -> np.ndarray:
     """``hw`` in the complement of the first ``rank`` columns of ``u``."""
     return u[:, :, rank:].conj().transpose(0, 2, 1) @ hw
+
+
+def _projection_gains(hw: np.ndarray, hi: Optional[np.ndarray]):
+    """The expensive half of :func:`post_projection_snr_batch`: project
+    the (sanitized) wanted channels ``hw`` orthogonal to the (sanitized)
+    interference ``hi`` and zero-force, returning
+    ``(enhancement, inseparable)`` -- which depend on nothing else."""
+    if hi is None:
+        return _zero_forcing_gains(hw)
+    # The complement of the interference has width N - rank; a rank that
+    # varies across subcarriers (degenerate channels) gets one batched
+    # pass per distinct rank.
+    u, s, _ = guarded.svd_stack(hi, full_matrices=True)
+    ranks = singular_value_ranks(s)
+    rank = int(ranks[0])
+    if np.all(ranks == rank):
+        return _zero_forcing_gains(_project_out(u, rank, hw))
+    n_sub, _, n_streams = hw.shape
+    enhancement = np.ones((n_sub, n_streams))
+    inseparable = np.zeros(n_sub, dtype=bool)
+    for rank in np.unique(ranks):
+        members = ranks == rank
+        enhancement[members], inseparable[members] = _zero_forcing_gains(
+            _project_out(u[members], rank, hw[members])
+        )
+    return enhancement, inseparable
+
+
+#: Entries a zero-forcing memo holds before it is cleared and refilled.
+ZERO_FORCING_MEMO_CAP = 1024
 
 
 def post_projection_snr_batch(
@@ -183,6 +227,7 @@ def post_projection_snr_batch(
     noise_power: float,
     signal_power: float = 1.0,
     residual_interference_power=0.0,
+    memo: Optional[dict] = None,
 ) -> np.ndarray:
     """Per-subcarrier, per-stream post-projection SNR in one batched pass.
 
@@ -204,6 +249,15 @@ def post_projection_snr_batch(
     residual_interference_power:
         Scalar or ``(n_sub,)`` residual interference treated as extra
         white noise.
+    memo:
+        Optional dict reused across calls (a
+        :class:`~repro.sim.network.Network` owns one per run).  The
+        projection and zero-forcing -- all the SVD work -- depend only
+        on the two channel stacks, so they are stored under the stacks'
+        exact bytes and shapes and a repeated configuration skips them;
+        the noise terms are applied on every call.  A computation that
+        noted a guarded degradation is not stored, so it is noted again
+        next time.  Results are bit-identical with or without a memo.
 
     Returns
     -------
@@ -213,7 +267,7 @@ def post_projection_snr_batch(
     hw = np.asarray(wanted_channels, dtype=complex)
     if hw.ndim != 3:
         raise DimensionError(f"wanted channels must have shape (n_sub, N, n), got {hw.shape}")
-    n_sub, _, n_streams = hw.shape
+    n_sub = hw.shape[0]
     residual = np.broadcast_to(np.asarray(residual_interference_power, dtype=float), (n_sub,))
     noise_total = noise_power + residual
 
@@ -221,44 +275,30 @@ def post_projection_snr_batch(
     # matrices (their SNR comes out 0) instead of letting LAPACK raise or
     # NaN propagate into the metrics.  No-op on finite stacks.
     hw, _ = guarded.sanitize_stack(hw)
-    if interference_directions is None or not np.asarray(interference_directions).size:
-        return _zero_forcing_snr(hw, noise_total, signal_power)
-    hi, _ = guarded.sanitize_stack(np.asarray(interference_directions, dtype=complex))
+    hi = None
+    if interference_directions is not None and np.asarray(interference_directions).size:
+        hi, _ = guarded.sanitize_stack(np.asarray(interference_directions, dtype=complex))
 
-    # The complement of the interference has width N - rank; a rank that
-    # varies across subcarriers (degenerate channels) gets one batched
-    # pass per distinct rank.
-    u, s, _ = guarded.svd_stack(hi, full_matrices=True)
-    ranks = singular_value_ranks(s)
-    rank = int(ranks[0])
-    if np.all(ranks == rank):
-        return _zero_forcing_snr(_project_out(u, rank, hw), noise_total, signal_power)
-    snr = np.zeros((n_sub, n_streams))
-    for rank in np.unique(ranks):
-        members = ranks == rank
-        snr[members] = _zero_forcing_snr(
-            _project_out(u[members], rank, hw[members]), noise_total[members], signal_power
-        )
+    if memo is None:
+        enhancement, inseparable = _projection_gains(hw, hi)
+    else:
+        key = (hw.shape, hw.tobytes(), None if hi is None else (hi.shape, hi.tobytes()))
+        gains = memo.get(key)
+        if gains is None:
+            with guarded.capture_degradations() as capture:
+                gains = _projection_gains(hw, hi)
+            if not capture.triggered:
+                if len(memo) >= ZERO_FORCING_MEMO_CAP:
+                    memo.clear()
+                memo[key] = gains
+        enhancement, inseparable = gains
+
+    snr = signal_power / (noise_total[:, None] * np.maximum(enhancement, 1e-30))
+    snr[inseparable] = 0.0
+    if not np.isfinite(snr).all():
+        guarded.note_degradation("nonfinite-snr")
+        snr = np.where(np.isfinite(snr), snr, 0.0)
     return snr
-
-
-def post_projection_snr_db_batch(
-    wanted_channels: np.ndarray,
-    interference_directions: Optional[np.ndarray],
-    noise_power: float,
-    signal_power: float = 1.0,
-    residual_interference_power=0.0,
-) -> np.ndarray:
-    """dB version of :func:`post_projection_snr_batch`."""
-    return linear_to_db(
-        post_projection_snr_batch(
-            wanted_channels,
-            interference_directions,
-            noise_power,
-            signal_power,
-            residual_interference_power,
-        )
-    )
 
 
 def post_projection_snr_db(

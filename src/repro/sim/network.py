@@ -422,6 +422,10 @@ class Network:
         # count).  Empty for every link that never changed, so the
         # static-network fast paths stay allocation-free.
         self._link_epochs: Dict[Tuple[int, int], int] = {}
+        # Projection/zero-forcing results keyed by channel-stack content
+        # (see :func:`repro.mimo.decoder.post_projection_snr_batch`);
+        # content keys stay valid across fades and across protocols.
+        self.zero_forcing_memo: dict = {}
 
         self._place_stations()
         self.channels = ChannelBank()

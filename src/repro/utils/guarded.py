@@ -5,7 +5,8 @@ toward singularity -- a deep fade scales a stored channel tensor toward
 zero -- and the batched decompositions fed by those channels
 (:func:`repro.utils.linalg.null_space_batch` SVDs,
 :func:`repro.mimo.precoder.compute_precoders_batch` solves,
-:func:`repro.mimo.decoder.post_projection_snr_batch` pinvs) then either
+:func:`repro.mimo.decoder.post_projection_snr_batch` SVDs, from which it
+takes both the rank test and the pseudo-inverse) then either
 raise ``LinAlgError``/``DimensionError`` and kill the whole run, or
 silently propagate NaN/Inf into metrics.  This module is the middle
 ground: condition-number and NaN/Inf guards that *fall back

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles.mimo import post_projection_snr_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.mimo import post_projection_snr_batch_reference, post_projection_snr_reference
 from repro.mimo.decoder import post_projection_snr_batch
 from repro.utils import guarded
 from repro.utils.linalg import (
@@ -144,3 +146,63 @@ class TestPostProjectionSnrBatch:
                 wanted[k], interference[k], 0.2, 1.0, float(residual[k])
             )
             assert np.allclose(batched[k], reference)
+
+
+def _degenerate_stacks(seed, n_sub, n_rx, n_wanted, n_interference, kind, exponent):
+    """Wanted and interference stacks of one of the shapes the zero-forcing
+    kernel must handle, scaled by ``10**exponent``."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    wanted = _stack(rng, n_sub, n_rx, n_wanted) * scale
+    interference = _stack(rng, n_sub, n_rx, n_interference) * scale if n_interference else None
+    some = rng.random(n_sub) < 0.5
+    if kind == "rank-deficient" and n_wanted >= 2:
+        wanted[some, :, -1] = wanted[some, :, 0] * (0.3 - 2j)
+    elif kind == "rank-deficient" and interference is not None:
+        wanted[some, :, 0] = 3.0 * interference[some, :, 0]
+    elif kind == "mixed-rank" and interference is not None:
+        if n_interference >= 2:
+            interference[some, :, -1] = 2j * interference[some, :, 0]
+        interference[~some] = 0.0
+    elif kind == "all-zero":
+        wanted[some] = 0.0
+        if interference is not None:
+            interference[:] = 0.0
+    elif kind == "nan-poisoned":
+        wanted[some, 0, 0] = np.nan
+        if interference is not None:
+            interference[~some, -1, -1] = np.inf
+    return wanted, interference
+
+
+class TestPostProjectionSnrBitIdentity:
+    """One SVD per stack gives bit for bit the two-SVD form
+    (``matrix_rank`` + ``np.linalg.pinv(rcond=1e-15)``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sub=st.integers(1, 6),
+        n_rx=st.integers(1, 4),
+        n_wanted=st.integers(1, 4),
+        n_interference=st.integers(0, 3),
+        kind=st.sampled_from(
+            ["random", "rank-deficient", "mixed-rank", "all-zero", "nan-poisoned"]
+        ),
+        exponent=st.integers(-8, 8),
+    )
+    def test_matches_the_two_svd_form(
+        self, seed, n_sub, n_rx, n_wanted, n_interference, kind, exponent
+    ):
+        # n_wanted > n_rx (and n_wanted > n_rx - rank) exercises rows < n.
+        wanted, interference = _degenerate_stacks(
+            seed, n_sub, n_rx, n_wanted, n_interference, kind, exponent
+        )
+        residual = np.random.default_rng(seed).random(n_sub)
+        args = (wanted, interference, 0.05, 2.0, residual)
+        with np.errstate(all="ignore"):
+            expected = post_projection_snr_batch_reference(*args)
+            assert np.array_equal(post_projection_snr_batch(*args), expected)
+            memo = {}
+            for _ in range(2):  # a miss, then a hit
+                assert np.array_equal(post_projection_snr_batch(*args, memo=memo), expected)

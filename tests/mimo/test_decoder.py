@@ -34,6 +34,20 @@ class TestZeroForcing:
         with pytest.raises(DecodingError):
             zero_forcing_decode(_random(rng, 3), h)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2), (4, 3), (2, 3)])
+    @pytest.mark.parametrize("exponent", [-8, 0, 8])
+    def test_bit_identical_to_rank_test_plus_pinv(self, rng, shape, exponent):
+        """One SVD gives the rank test and the pseudo-inverse of the
+        two-SVD form ``matrix_rank`` + ``np.linalg.pinv``, bit for bit."""
+        h = _random(rng, shape) * 10.0**exponent
+        received = _random(rng, (shape[0], 7))
+        if np.linalg.matrix_rank(h) < shape[1]:
+            with pytest.raises(DecodingError):
+                zero_forcing_decode(received, h)
+        else:
+            expected = np.linalg.pinv(h) @ received
+            assert np.array_equal(zero_forcing_decode(received, h), expected)
+
     def test_dimension_mismatch_raises(self, rng):
         with pytest.raises(DimensionError):
             zero_forcing_decode(_random(rng, 3), _random(rng, (2, 2)))

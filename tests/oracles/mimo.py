@@ -20,7 +20,13 @@ import numpy as np
 from repro.exceptions import DimensionError, PrecodingError
 from repro.mimo.alignment import alignment_constraint_rows
 from repro.mimo.precoder import OwnReceiver, ReceiverConstraint
-from repro.utils.linalg import null_space, orthonormal_basis, orthonormal_complement
+from repro.utils import guarded
+from repro.utils.linalg import (
+    null_space,
+    orthonormal_basis,
+    orthonormal_complement,
+    singular_value_ranks,
+)
 
 
 def project_out_subspace(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -183,6 +189,50 @@ def post_projection_snr_reference(
     noise_total = noise_power + residual_interference_power
     enhancement = np.sum(np.abs(w) ** 2, axis=1)
     return signal_power / (noise_total * np.maximum(enhancement, 1e-30))
+
+
+def post_projection_snr_batch_reference(
+    wanted_channels: np.ndarray,
+    interference_directions: Optional[np.ndarray],
+    noise_power: float,
+    signal_power: float = 1.0,
+    residual_interference_power=0.0,
+) -> np.ndarray:
+    """The batched post-projection SNR in its two-SVD form: the same
+    sanitizing, interference SVD and per-rank projection as
+    :func:`repro.mimo.decoder.post_projection_snr_batch`, then
+    ``np.linalg.matrix_rank`` and ``np.linalg.pinv(rcond=1e-15)`` of the
+    projected stack -- two SVDs where production takes both answers from
+    one.  Production must match it bit for bit."""
+    hw, _ = guarded.sanitize_stack(np.asarray(wanted_channels, dtype=complex))
+    n_sub, _, n_streams = hw.shape
+    residual = np.broadcast_to(np.asarray(residual_interference_power, dtype=float), (n_sub,))
+    noise_total = noise_power + residual
+
+    def zero_forcing(h_eff, noise):
+        rows = h_eff.shape[1]
+        if rows < n_streams:
+            return np.zeros((h_eff.shape[0], n_streams))
+        w = np.linalg.pinv(h_eff, rcond=1e-15)
+        enhancement = np.sum(np.abs(w) ** 2, axis=2)
+        snr = signal_power / (noise[:, None] * np.maximum(enhancement, 1e-30))
+        snr[np.linalg.matrix_rank(h_eff) < n_streams] = 0.0
+        return np.where(np.isfinite(snr), snr, 0.0)
+
+    if interference_directions is None or not np.asarray(interference_directions).size:
+        return zero_forcing(hw, noise_total)
+    hi, _ = guarded.sanitize_stack(np.asarray(interference_directions, dtype=complex))
+    u, s, _ = np.linalg.svd(hi, full_matrices=True)
+    ranks = singular_value_ranks(s)
+    if np.all(ranks == ranks[0]):
+        projector = u[:, :, ranks[0]:].conj().transpose(0, 2, 1)
+        return zero_forcing(projector @ hw, noise_total)
+    snr = np.zeros((n_sub, n_streams))
+    for rank in np.unique(ranks):
+        members = ranks == rank
+        projector = u[members][:, :, rank:].conj().transpose(0, 2, 1)
+        snr[members] = zero_forcing(projector @ hw[members], noise_total[members])
+    return snr
 
 
 def announced_subspace_reference(

@@ -4,8 +4,9 @@ Agents hold the network, and agents and the runner's traffic-state
 arrays point at each other, so unless the runner breaks that cycle when
 a run ends, a finished run's :class:`~repro.sim.network.Network` lives
 until the cyclic garbage collector happens to run -- at the 500-station
-tier that is a second network's worth of memory.  Each test disables the
-collector, so only reference counting can free the network.
+tier that is a second network's worth of memory.  The network's
+zero-forcing memo must die with it.  Each test disables the collector, so
+only reference counting can free the network.
 """
 
 import gc
@@ -20,12 +21,20 @@ from repro.sim.scenarios import scenario_factory
 CONFIG = SimulationConfig(duration_us=20_000.0, n_subcarriers=8)
 
 
+class _MemoEntry:
+    """A weak-referenceable value planted in a network's memo."""
+
+
 def _freed_after_run(scenario_name, protocol, config):
     """Run once on a caller-held network, drop it, report whether it died.
 
-    Returns ``(freed, error_type)``: the type of the exception the run
-    raised, if any.  Only the type is kept, because a live traceback
+    Returns ``(freed, memo_freed, memo_used, error_type)``: whether the
+    network and its zero-forcing memo died, whether the run stored
+    anything in the memo, and the type of the exception the run raised,
+    if any.  Only the type is kept, because a live traceback
     legitimately references the run's frames and with them the network.
+    (A dict cannot be weakly referenced, so the memo's death is seen
+    through an entry planted in it.)
     """
     scenario = scenario_factory(scenario_name)()
     gc.collect()
@@ -37,9 +46,12 @@ def _freed_after_run(scenario_name, protocol, config):
             run_simulation(scenario, protocol, seed=3, config=config, network=network)
         except SimulationError as exc:
             error_type = type(exc)
-        ref = weakref.ref(network)
-        del network
-        return ref() is None, error_type
+        memo_used = bool(network.zero_forcing_memo)
+        entry = _MemoEntry()
+        network.zero_forcing_memo["planted"] = entry
+        ref, memo_ref = weakref.ref(network), weakref.ref(entry)
+        del network, entry
+        return ref() is None, memo_ref() is None, memo_used, error_type
     finally:
         gc.enable()
 
@@ -53,14 +65,18 @@ def _freed_after_run(scenario_name, protocol, config):
     ],
 )
 def test_finished_run_frees_its_network(scenario_name, protocol):
-    freed, error_type = _freed_after_run(scenario_name, protocol, CONFIG)
+    freed, memo_freed, memo_used, error_type = _freed_after_run(
+        scenario_name, protocol, CONFIG
+    )
     assert error_type is None
     assert freed
+    assert memo_used and memo_freed
 
 
 def test_run_that_raises_frees_its_network():
     """The round-budget guard raises mid-run; the cleanup still runs."""
     config = SimulationConfig(duration_us=20_000.0, n_subcarriers=8, max_rounds=1)
-    freed, error_type = _freed_after_run("dense-lan-20-bursty", "n+", config)
+    freed, memo_freed, _, error_type = _freed_after_run("dense-lan-20-bursty", "n+", config)
     assert error_type is SimulationError
     assert freed
+    assert memo_freed
