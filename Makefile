@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke
+.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke reachability
 
 test:
 	$(PYTHON) -m pytest -q
@@ -32,6 +32,13 @@ invariant-smoke:
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-faulty --protocols n+ --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-50-faulty --protocols "802.11n,n+,n+[recovery=erasure]" --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-500-bursty --protocols n+ --runs 1 --duration-ms 5 --validation cheap
+
+# Runs the happy and adversity entry sets under a profiler and fails on
+# any src/repro function none of them executes that the allowlist
+# (tests/reachability_allowlist.txt) does not name with a reason; prints
+# each as "path:line name (n lines)".
+reachability:
+	$(PYTHON) tests/reachability.py
 
 # Fails when README/ARCHITECTURE code blocks or the examples go stale.
 docs-check:

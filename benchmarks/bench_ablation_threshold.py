@@ -33,8 +33,10 @@ def _threshold_sweep(thresholds, n_trials: int = 2000, seed: int = 0):
             level = interference_power_db(channel)
             scale = admission_power_scale([level], threshold_db=threshold)
             power_penalties_db.append(-linear_to_db(scale))
-            residual = hardware.residual_interference_power(
-                db_to_linear(unwanted_snr_db) * scale, aligned=False
+            residual = float(
+                hardware.residual_interference_power_batch(
+                    db_to_linear(unwanted_snr_db) * scale, aligned=False
+                )
             )
             before = wanted_snr_db
             after = linear_to_db(db_to_linear(wanted_snr_db) / (1.0 + residual))

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.channel.multipath import MultipathChannel
 from repro.mac.plan import PlannedReceiver, ProtectedReceiver, plan_join
 from repro.mimo.carrier_sense import MultiDimensionalCarrierSense
-from repro.phy.channel_est import estimate_mimo_channel
 from repro.phy.coding import Codec
-from repro.phy.preamble import Preamble
 from repro.phy.rates import MCS_TABLE
 from repro.phy.transceiver import MimoTransmitter, StreamConfig
 from repro.utils.bits import random_bits
@@ -40,31 +37,19 @@ def bench_plan_join_per_subcarrier(benchmark):
     receivers = [PlannedReceiver(5, 3, 1, channels(3, 3))]
 
     plan = benchmark(lambda: plan_join(4, 3, protected, receivers))
-    assert plan.n_streams == 1
+    assert len(plan.streams) == 1
 
 
-def bench_carrier_sense_projection(benchmark):
-    """Cost of projecting and sensing a 500-sample window on 3 antennas."""
+def bench_carrier_sense_power_db(benchmark):
+    """Cost of projecting a 500-sample window on 3 antennas and measuring
+    its power: the multi-dimensional carrier sense Fig. 9 runs."""
     rng = np.random.default_rng(1)
     sensor = MultiDimensionalCarrierSense(3)
     sensor.add_ongoing(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     samples = rng.standard_normal((3, 500)) + 1j * rng.standard_normal((3, 500))
 
-    result = benchmark(lambda: sensor.sense(samples))
-    assert result is not None
-
-
-def bench_estimate_mimo_channel_3x3(benchmark):
-    """Cost of estimating a full 3x3 MIMO channel from one preamble (all
-    (tx, rx) antenna pairs in one stacked demodulation + least squares)."""
-    rng = np.random.default_rng(6)
-    preamble = Preamble(n_antennas=3)
-    tx_samples = preamble.per_antenna_samples()
-    channel = MultipathChannel.random(3, 3, rng, n_taps=4)
-    received = channel.apply(tx_samples)
-
-    estimate = benchmark(lambda: estimate_mimo_channel(received, preamble))
-    assert estimate.n_rx == 3 and estimate.n_tx == 3
+    power_db = benchmark(lambda: sensor.sense_power_db(samples))
+    assert np.isfinite(power_db)
 
 
 def bench_codec_encode_1500_bytes(benchmark):

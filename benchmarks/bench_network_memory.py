@@ -72,14 +72,20 @@ def measure(n_stations: int, channel_draws: str | None = None) -> dict:
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    n_pairs = network.channels.n_pairs
+    bank = network.channels
+    # The bank's stacked tensors, one slot per unordered pair (reciprocals
+    # are free views).
+    n_pairs = sum(len(block) for block in bank._pair_groups)
+    bank_bytes = sum(stack.nbytes for stack in bank._stacks) + sum(
+        snrs.nbytes for snrs in bank._snrs
+    )
     return {
         "n_stations": n_stations,
         "n_pairs": n_pairs,
         "channel_draws": draws,
         "peak_bytes": int(peak),
         "bytes_per_pair": peak / n_pairs if n_pairs else 0.0,
-        "bank_bytes": int(network.channels.nbytes),
+        "bank_bytes": int(bank_bytes),
     }
 
 

@@ -58,30 +58,6 @@ class HardwareProfile:
 
     # -- derived quantities ----------------------------------------------------
 
-    def residual_interference_power(
-        self, interference_power: float, aligned: bool, rng: np.random.Generator | None = None
-    ) -> float:
-        """Residual interference power after nulling or alignment.
-
-        Parameters
-        ----------
-        interference_power:
-            The interference power (linear) the joiner would create with
-            no nulling/alignment at all.
-        aligned:
-            ``True`` for alignment, ``False`` for nulling.
-        rng:
-            Optional generator; when provided, the suppression fluctuates
-            log-normally by a couple of dB around its mean, reproducing
-            the spread of Fig. 11.
-        """
-        suppression_db = (
-            self.alignment_suppression_db if aligned else self.nulling_suppression_db
-        )
-        if rng is not None:
-            suppression_db = suppression_db + self.draw_suppression_jitter(rng)
-        return float(interference_power * db_to_linear(-suppression_db))
-
     #: Standard deviation (dB) of the per-packet suppression fluctuation
     #: around the mean, reproducing the spread of Fig. 11.
     SUPPRESSION_JITTER_SIGMA_DB = 2.0
@@ -100,12 +76,13 @@ class HardwareProfile:
         aligned: bool,
         suppression_jitter_db: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Vectorized :meth:`residual_interference_power`.
+        """Residual interference power after nulling or alignment.
 
         Parameters
         ----------
         interference_power:
-            Per-subcarrier unprotected interference powers (linear).
+            Per-subcarrier interference powers (linear) the joiner would
+            create with no nulling/alignment at all.
         aligned:
             ``True`` for alignment, ``False`` for nulling.
         suppression_jitter_db:

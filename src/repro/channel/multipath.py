@@ -9,7 +9,7 @@ and a time-domain ``apply`` for the sample-level experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -184,38 +184,6 @@ class MultipathChannel:
         padded = np.zeros((fft_size, self.n_rx, self.n_tx), dtype=complex)
         padded[: self.n_taps] = self.taps
         return np.fft.fft(padded, axis=0)
-
-    # -- application ------------------------------------------------------------
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Convolve transmitted samples with the channel.
-
-        Parameters
-        ----------
-        samples:
-            Shape ``(n_tx, n_samples)`` (or 1-D for a single antenna).
-
-        Returns
-        -------
-        numpy.ndarray
-            Received samples of shape ``(n_rx, n_samples)`` (the
-            convolution tail is truncated so input and output lengths
-            match, mimicking a continuously running receiver).
-        """
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim == 1:
-            samples = samples.reshape(1, -1)
-        if samples.shape[0] != self.n_tx:
-            raise DimensionError(
-                f"channel expects {self.n_tx} transmit antennas, got {samples.shape[0]}"
-            )
-        n_samples = samples.shape[1]
-        out = np.zeros((self.n_rx, n_samples), dtype=complex)
-        for rx in range(self.n_rx):
-            for tx in range(self.n_tx):
-                impulse = self.taps[:, rx, tx]
-                out[rx] += np.convolve(samples[tx], impulse)[:n_samples]
-        return out
 
 
 def frequency_response_batch(taps: np.ndarray, fft_size: int = NUM_SUBCARRIERS) -> np.ndarray:

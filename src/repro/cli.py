@@ -253,63 +253,63 @@ def _run_results(args: argparse.Namespace) -> None:
         raise ConfigurationError(
             "the 'results' command needs --cache-dir pointing at a results store"
         )
-    store = ResultsStore(args.cache_dir)
-    _print_header(f"Results store -- {args.cache_dir}")
-    sweeps = store.sweeps()
-    if sweeps:
-        rows = []
-        for record in sweeps:
-            manifest = record.manifest
-            rows.append(
-                [
-                    record.sweep_id[:12],
-                    record.status,
-                    str(manifest.get("scenario", "-")),
-                    str(manifest.get("n_runs", "-")),
-                    str(manifest.get("seed", "-")),
-                    ",".join(manifest.get("protocols", [])) or "-",
-                    time.strftime(
-                        "%Y-%m-%d %H:%M:%S", time.localtime(record.updated_at)
-                    ),
-                ]
+    with ResultsStore(args.cache_dir) as store:
+        _print_header(f"Results store -- {args.cache_dir}")
+        sweeps = store.sweeps()
+        if sweeps:
+            rows = []
+            for record in sweeps:
+                manifest = record.manifest
+                rows.append(
+                    [
+                        record.sweep_id[:12],
+                        record.status,
+                        str(manifest.get("scenario", "-")),
+                        str(manifest.get("n_runs", "-")),
+                        str(manifest.get("seed", "-")),
+                        ",".join(manifest.get("protocols", [])) or "-",
+                        time.strftime(
+                            "%Y-%m-%d %H:%M:%S", time.localtime(record.updated_at)
+                        ),
+                    ]
+                )
+            print(
+                format_table(
+                    ["sweep", "status", "scenario", "runs", "seed", "protocols", "updated"],
+                    rows,
+                )
             )
-        print(
-            format_table(
-                ["sweep", "status", "scenario", "runs", "seed", "protocols", "updated"],
-                rows,
-            )
-        )
-    else:
-        print("no sweep manifests recorded")
-    summary = store.summary()
-    if summary:
-        states = ("done", "failed", "running", "pending")
-        rows = [
-            [scenario or "-", protocol or "-"]
-            + [str(counts.get(state, 0)) for state in states]
-            for (scenario, protocol), counts in sorted(
-                summary.items(), key=lambda item: (item[0][0] or "", item[0][1] or "")
-            )
-        ]
-        print()
-        print(format_table(["scenario", "protocol", *states], rows))
-    else:
-        print("no cells recorded")
-    failed = store.query(status="failed")
-    if failed:
-        print()
-        rows = [
-            [
-                cell.scenario or "-",
-                cell.protocol or "-",
-                "-" if cell.run is None else str(cell.run),
-                (cell.error or "")[:44],
-                cell.capsule_path or "-",
+        else:
+            print("no sweep manifests recorded")
+        summary = store.summary()
+        if summary:
+            states = ("done", "failed", "running", "pending")
+            rows = [
+                [scenario or "-", protocol or "-"]
+                + [str(counts.get(state, 0)) for state in states]
+                for (scenario, protocol), counts in sorted(
+                    summary.items(), key=lambda item: (item[0][0] or "", item[0][1] or "")
+                )
             ]
-            for cell in failed
-        ]
-        print(format_table(["scenario", "protocol", "run", "error", "capsule"], rows))
-        print("\nreplay a capsule with: python -m repro.cli replay CAPSULE_PATH")
+            print()
+            print(format_table(["scenario", "protocol", *states], rows))
+        else:
+            print("no cells recorded")
+        failed = store.query(status="failed")
+        if failed:
+            print()
+            rows = [
+                [
+                    cell.scenario or "-",
+                    cell.protocol or "-",
+                    "-" if cell.run is None else str(cell.run),
+                    (cell.error or "")[:44],
+                    cell.capsule_path or "-",
+                ]
+                for cell in failed
+            ]
+            print(format_table(["scenario", "protocol", "run", "error", "capsule"], rows))
+            print("\nreplay a capsule with: python -m repro.cli replay CAPSULE_PATH")
 
 
 def _run_replay(args: argparse.Namespace) -> int:

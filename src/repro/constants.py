@@ -33,15 +33,9 @@ NULL_SUBCARRIER_INDICES = tuple([0] + list(range(27, 38)))
 #: Channel bandwidth of the paper's USRP2 testbed, in Hz.
 TESTBED_BANDWIDTH_HZ = 10e6
 
-#: Channel bandwidth of a standard 802.11 channel, in Hz.
-DOT11_BANDWIDTH_HZ = 20e6
-
 #: OFDM symbol duration on a 10 MHz channel, in microseconds.
 #: 80 samples at 10 Msps = 8 us (twice the 802.11a/20 MHz duration).
 OFDM_SYMBOL_DURATION_US_10MHZ = SAMPLES_PER_OFDM_SYMBOL / (TESTBED_BANDWIDTH_HZ / 1e6)
-
-#: OFDM symbol duration on a 20 MHz channel, in microseconds.
-OFDM_SYMBOL_DURATION_US_20MHZ = SAMPLES_PER_OFDM_SYMBOL / (DOT11_BANDWIDTH_HZ / 1e6)
 
 # ---------------------------------------------------------------------------
 # Preamble structure (802.11 short + long training fields)

@@ -27,7 +27,7 @@ from repro.experiments.report import (
     per_run_ratios,
 )
 from repro.sim.runner import SimulationConfig
-from repro.sim.scenarios import Scenario, three_pair_scenario
+from repro.sim.scenarios import Scenario
 from repro.sim.sweep import run_sweep
 
 __all__ = ["ThroughputExperiment", "run_throughput_experiment", "summarize"]
@@ -62,14 +62,6 @@ class ThroughputExperiment:
         for per in self.per_pair.values():
             return list(per)
         return []
-
-    def total_gain(self) -> float:
-        """Mean per-run ratio of n+ total throughput to 802.11n's."""
-        return self.gain_over("802.11n").mean
-
-    def pair_gain(self, pair_name: str) -> float:
-        """Mean per-run throughput ratio of one pair (n+ / 802.11n)."""
-        return self.gain_over("802.11n", pair_name).mean
 
     def gain_over(self, baseline: str, pair_name: Optional[str] = None) -> RunRatios:
         """Per-run throughput ratios of n+ over ``baseline``, in total or

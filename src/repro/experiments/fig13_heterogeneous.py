@@ -21,7 +21,7 @@ from repro.experiments.report import (
     per_run_ratios,
 )
 from repro.sim.runner import SimulationConfig
-from repro.sim.scenarios import Scenario, heterogeneous_ap_scenario
+from repro.sim.scenarios import Scenario
 from repro.sim.sweep import run_sweep
 
 __all__ = ["HeterogeneousExperiment", "run_heterogeneous_experiment", "summarize"]
@@ -54,10 +54,6 @@ class HeterogeneousExperiment:
         if flow is None:
             return per_run_ratios(self.totals.get("n+", []), self.totals.get(baseline, []))
         return per_run_ratios(self.per_flow["n+"][flow], self.per_flow[baseline][flow])
-
-    def mean_gain_over(self, baseline: str, flow: Optional[str] = None) -> float:
-        """Mean of :meth:`gain_over`'s per-run ratios."""
-        return self.gain_over(baseline, flow).mean
 
 
 def run_heterogeneous_experiment(

@@ -15,7 +15,7 @@
 * :mod:`repro.mac.retransmission` -- the retry queue.
 * :mod:`repro.mac.dot11n` / :mod:`repro.mac.nplus` /
   :mod:`repro.mac.beamforming` -- the three protocol agents used in the
-  evaluation (loaded lazily because they sit on top of the simulator).
+  evaluation (not re-exported here: they sit on top of the simulator).
 """
 
 from repro.mac.aggregation import airtime_for_bits, bits_in_airtime
@@ -54,29 +54,4 @@ __all__ = [
     "ContentionRound",
     "resolve_contention",
     "RetransmissionQueue",
-    "BaseMacAgent",
-    "Dot11nMac",
-    "NPlusMac",
-    "BeamformingMac",
 ]
-
-#: Agent classes are imported lazily (PEP 562) because they depend on the
-#: simulation package, which in turn uses the lightweight MAC modules.
-_LAZY_AGENTS = {
-    "BaseMacAgent": ("repro.mac.agent", "BaseMacAgent"),
-    "Dot11nMac": ("repro.mac.dot11n", "Dot11nMac"),
-    "NPlusMac": ("repro.mac.nplus", "NPlusMac"),
-    "BeamformingMac": ("repro.mac.beamforming", "BeamformingMac"),
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY_AGENTS:
-        import importlib
-
-        module_name, attribute = _LAZY_AGENTS[name]
-        module = importlib.import_module(module_name)
-        value = getattr(module, attribute)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,7 @@ joins ongoing transmissions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -23,15 +23,14 @@ from repro.constants import (
     SIFS_US,
 )
 from repro.exceptions import MediumAccessError
-from repro.mac.aggregation import airtime_for_bits
 from repro.mac.bitrate import choose_bitrate
 from repro.mac.csma import DcfContender
 from repro.mac.plan import PlanCache, involved_node_ids, stream_signature
 from repro.mac.retransmission import RetransmissionQueue
 from repro.phy.rates import MCS
 from repro.sim.link_abstraction import receiver_stream_snrs
-from repro.sim.medium import Medium, ScheduledStream
-from repro.sim.node import Station, TrafficPair
+from repro.sim.medium import ScheduledStream
+from repro.sim.node import TrafficPair
 from repro.sim.traffic import SaturatedSource
 
 __all__ = ["BaseMacAgent"]
@@ -235,30 +234,6 @@ class BaseMacAgent:
                 queue_space,
             )
 
-    def has_traffic(self, now_us: float) -> bool:
-        """Whether the agent wants to contend right now."""
-        self.refill(now_us)
-        return any(queue.has_traffic for queue in self.queues.values())
-
-    def backlog_bits(self, receiver_id: int) -> int:
-        """Unacknowledged bits queued for one receiver."""
-        return self.queues[receiver_id].backlog_bits
-
-    def next_traffic_time_us(self, now_us: float) -> float:
-        """Earliest time this agent could want to contend again.
-
-        ``now_us`` when a queue is already backlogged; otherwise the
-        earliest upcoming arrival across the traffic sources.  The
-        event-driven runner uses this to schedule the next contention poll
-        directly at the end of an idle gap.
-        """
-        times: List[float] = []
-        for receiver_id, queue in self.queues.items():
-            if queue.has_traffic:
-                return now_us
-            times.append(self.sources[receiver_id].next_packet_time_us(now_us))
-        return min(times) if times else float("inf")
-
     # -- timing helpers ----------------------------------------------------------------
 
     def header_duration_us(self) -> float:
@@ -385,25 +360,6 @@ class BaseMacAgent:
         return choose_bitrate(
             self._measured_snrs(receiver_id, planned, concurrent), self.bitrate_margin_db
         )
-
-    # -- planning (overridden by subclasses) ------------------------------------------------
-
-    def plan_initial(self, start_us: float, medium: Medium) -> List[ScheduledStream]:
-        """Plan a transmission on an idle medium.
-
-        Subclasses implement the stream formation; the base class raises.
-        """
-        raise NotImplementedError
-
-    def can_join(self, now_us: float, medium: Medium, min_airtime_us: float) -> bool:
-        """Whether the agent is eligible for secondary contention."""
-        return False
-
-    def plan_join(
-        self, start_us: float, medium: Medium
-    ) -> Optional[List[ScheduledStream]]:
-        """Plan a transmission joining the ongoing ones (n+ only)."""
-        return None
 
     # -- outcomes -------------------------------------------------------------------------------
 

@@ -17,21 +17,17 @@ from repro.phy.rates import MCS
 __all__ = ["bits_in_airtime", "airtime_for_bits"]
 
 
-def bits_in_airtime(mcs: MCS, airtime_us: float, n_streams: int = 1, bandwidth_mhz: float = 10.0) -> int:
+def bits_in_airtime(mcs: MCS, airtime_us: float, n_streams: int = 1) -> int:
     """Payload bits that fit in ``airtime_us`` at the given MCS.
 
-    The airtime is rounded down to whole OFDM symbols.
+    The airtime is rounded down to whole OFDM symbols of the 10 MHz channel.
     """
     if airtime_us <= 0:
         return 0
-    if bandwidth_mhz == 10.0:
-        symbol_us = OFDM_SYMBOL_DURATION_US_10MHZ
-    else:
-        symbol_us = 80.0 / bandwidth_mhz
-    n_symbols = int(airtime_us // symbol_us)
+    n_symbols = int(airtime_us // OFDM_SYMBOL_DURATION_US_10MHZ)
     return int(n_symbols * mcs.data_bits_per_ofdm_symbol * n_streams)
 
 
-def airtime_for_bits(mcs: MCS, bits: int, n_streams: int = 1, bandwidth_mhz: float = 10.0) -> float:
+def airtime_for_bits(mcs: MCS, bits: int, n_streams: int = 1) -> float:
     """Airtime needed for ``bits`` of payload (whole OFDM symbols)."""
-    return mcs.airtime_us(bits, bandwidth_mhz, n_streams)
+    return mcs.airtime_us(bits, n_streams)

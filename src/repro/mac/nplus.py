@@ -57,11 +57,9 @@ class NPlusMac(BeamformingMac):
     """The n+ protocol agent: contend for time *and* degrees of freedom."""
 
     protocol_name = "n+"
-    #: :meth:`can_join` is exactly the rule the runner's round loop
-    #: evaluates from :class:`~repro.sim.traffic.TrafficStateArrays`
-    #: (see ``repro.sim.runner._EventDrivenLoop._join_eligible``), so
-    #: :func:`~repro.mac.variants.register_variant` refuses a joining
-    #: agent class that overrides it.
+    #: Eligible for secondary contention; the runner's round loop decides
+    #: eligibility from :class:`~repro.sim.traffic.TrafficStateArrays`
+    #: (``repro.sim.runner._EventDrivenLoop._join_eligible``).
     supports_joining = True
 
     # -- timing -------------------------------------------------------------------
@@ -83,30 +81,6 @@ class NPlusMac(BeamformingMac):
         )
 
     # -- secondary contention ------------------------------------------------------
-
-    def can_join(self, now_us: float, medium: Medium, min_airtime_us: float) -> bool:
-        """Eligibility for secondary contention (multi-dimensional carrier
-        sense says the next degree of freedom is free)."""
-        if not medium.busy:
-            return False
-        if not self.has_traffic(now_us):
-            return False
-        used = medium.used_degrees_of_freedom
-        if self.n_antennas <= used:
-            return False
-        if self.node_id in medium.transmitting_nodes():
-            return False
-        if self.node_id in medium.receiving_nodes():
-            return False
-        if medium.current_end_us - now_us < min_airtime_us:
-            return False
-        # At least one of our receivers must have a spare dimension left
-        # after projecting out the ongoing streams.
-        return any(
-            self.network.station(r.node_id).n_antennas > used
-            and self.queues[r.node_id].has_traffic
-            for r in self.pair.receivers
-        )
 
     def _protected_receivers(self, medium: Medium) -> List[ProtectedReceiver]:
         """Build the protection constraints from the overheard headers."""

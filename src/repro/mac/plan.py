@@ -133,9 +133,6 @@ class PlanCache:
         self.hits += 1
         return value
 
-    def __len__(self) -> int:
-        return len(self._store)
-
 
 @dataclass
 class ProtectedReceiver:
@@ -298,11 +295,6 @@ class TransmissionPlan:
     streams: List[StreamPlan]
     power_scale: float = 1.0
     protects: Dict[int, InterferenceStrategy] = field(default_factory=dict)
-
-    @property
-    def n_streams(self) -> int:
-        """Number of spatial streams in the plan."""
-        return len(self.streams)
 
     def power_per_stream(self, total_power: float = 1.0) -> float:
         """Transmit power allocated to each stream (equal split)."""

@@ -49,8 +49,6 @@ an attempt fails on a lossy link:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -255,19 +253,7 @@ def register_variant(
     ``params`` defaults to the shared recovery family; pass a different
     tuple (usually ``RECOVERY_PARAMS + (...,)``) to add knobs.  Duplicate
     names raise unless ``overwrite=True`` (meant for tests).
-
-    A joining agent class (``supports_joining``) must keep n+'s
-    ``can_join``: the runner evaluates that eligibility rule from arrays
-    rather than calling the agents, so any other rule is refused here.
     """
-    if getattr(agent_class, "supports_joining", False):
-        from repro.mac.nplus import NPlusMac
-
-        if agent_class.can_join is not NPlusMac.can_join:
-            raise ConfigurationError(
-                f"variant {name!r}: a joining agent must use NPlusMac.can_join, "
-                "the eligibility rule the runner evaluates from arrays"
-            )
     seen = set()
     for spec in params:
         if spec.name in seen:
@@ -339,8 +325,8 @@ class ProtocolSpec:
     variant's :class:`ParamSpec` schema and overrides equal to their
     default are dropped, so ``ProtocolSpec("n+")``,
     ``ProtocolSpec("n+", {"retry_cap": 7})`` and ``ProtocolSpec("n+",
-    {})`` are the *same* value -- equal, same hash, same :attr:`key`,
-    same :meth:`digest`.  A default-parameter spec's :attr:`key` is the
+    {})`` are the *same* value -- equal, same hash and same :attr:`key`.
+    A default-parameter spec's :attr:`key` is the
     bare name, which is what keeps pre-framework cache entries and result
     dictionaries addressable.
     """
@@ -369,11 +355,6 @@ class ProtocolSpec:
 
     # -- views ---------------------------------------------------------------
 
-    @property
-    def params(self) -> Dict[str, Any]:
-        """The non-default overrides only."""
-        return dict(self.overrides)
-
     def resolved_params(self) -> Dict[str, Any]:
         """Every parameter of the variant with overrides applied."""
         resolved = variant(self.name).defaults()
@@ -398,27 +379,6 @@ class ProtocolSpec:
     def agent_class(self) -> type:
         """The registered agent class of this spec's variant."""
         return variant(self.name).agent_class
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form with *fully resolved* parameters."""
-        return {"name": self.name, "params": self.resolved_params()}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ProtocolSpec":
-        """Inverse of :meth:`to_dict` (defaults are re-canonicalized away)."""
-        return cls(payload["name"], payload.get("params"))
-
-    def digest(self) -> str:
-        """Stable content hash; equal for equal specs, name-only when default."""
-        payload = {"name": self.name, "params": dict(self.overrides)}
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()
-
-    def __str__(self) -> str:
-        return self.key
 
 
 def parse_protocol(text: str) -> ProtocolSpec:

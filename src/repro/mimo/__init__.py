@@ -15,13 +15,13 @@ interference alignment and multi-dimensional carrier sense.
 from repro.mimo.dof import InterferenceStrategy, max_concurrent_streams, choose_strategy
 from repro.mimo.nulling import nulling_precoders
 from repro.mimo.alignment import alignment_constraint_rows
-from repro.mimo.precoder import ReceiverConstraint, OwnReceiver, compute_precoders, max_streams
+from repro.mimo.precoder import ReceiverConstraint, compute_precoders
 from repro.mimo.decoder import (
     zero_forcing_decode,
     project_and_decode,
     post_projection_snr_db,
 )
-from repro.mimo.carrier_sense import MultiDimensionalCarrierSense, CarrierSenseResult
+from repro.mimo.carrier_sense import MultiDimensionalCarrierSense
 
 __all__ = [
     "InterferenceStrategy",
@@ -30,12 +30,9 @@ __all__ = [
     "nulling_precoders",
     "alignment_constraint_rows",
     "ReceiverConstraint",
-    "OwnReceiver",
     "compute_precoders",
-    "max_streams",
     "zero_forcing_decode",
     "project_and_decode",
     "post_projection_snr_db",
     "MultiDimensionalCarrierSense",
-    "CarrierSenseResult",
 ]

@@ -4,48 +4,23 @@ A node interested in the unused degrees of freedom first learns the
 channel vectors of the ongoing transmissions (from their light-weight RTS
 preambles), then projects its received samples onto the subspace
 orthogonal to those vectors.  In the projected space the ongoing signals
-vanish, so ordinary 802.11 carrier sense -- an energy check plus a
-preamble cross-correlation -- tells the node whether the *next* degree of
-freedom is free or occupied.
+vanish, so an ordinary 802.11 energy check tells the node whether the
+*next* degree of freedom is free or occupied (Fig. 9 measures that
+projected power).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.exceptions import DimensionError
-from repro.phy.preamble import cross_correlate
 from repro.utils.db import linear_to_db, signal_power
-from repro.utils.linalg import orthonormal_basis, orthonormal_complement
+from repro.utils.linalg import orthonormal_complement
 
-__all__ = ["CarrierSenseResult", "MultiDimensionalCarrierSense"]
-
-
-@dataclass(frozen=True)
-class CarrierSenseResult:
-    """Outcome of one carrier-sense measurement.
-
-    Attributes
-    ----------
-    busy:
-        Whether the sensed degree of freedom is occupied.
-    power_dbm:
-        Signal power after projection, in dB (relative units).
-    correlation:
-        Peak normalised preamble correlation after projection (0 if no
-        template was supplied).
-    energy_detected, preamble_detected:
-        The two 802.11 carrier-sense components individually.
-    """
-
-    busy: bool
-    power_dbm: float
-    correlation: float
-    energy_detected: bool
-    preamble_detected: bool
+__all__ = ["MultiDimensionalCarrierSense"]
 
 
 @dataclass
@@ -56,15 +31,9 @@ class MultiDimensionalCarrierSense:
     ----------
     n_antennas:
         Number of antennas at the sensing node.
-    energy_threshold_db:
-        Projected power above which the energy detector declares busy.
-    correlation_threshold:
-        Normalised correlation above which the preamble detector fires.
     """
 
     n_antennas: int
-    energy_threshold_db: float = -20.0
-    correlation_threshold: float = 0.6
     _ongoing: List[np.ndarray] = field(default_factory=list, repr=False)
 
     # -- bookkeeping of ongoing transmissions --------------------------------
@@ -85,13 +54,6 @@ class MultiDimensionalCarrierSense:
                 f"channel vectors have dimension {vectors.shape[0]}, expected {self.n_antennas}"
             )
         self._ongoing.append(vectors)
-
-    @property
-    def n_ongoing_streams(self) -> int:
-        """Number of degrees of freedom currently occupied."""
-        if not self._ongoing:
-            return 0
-        return int(orthonormal_basis(np.concatenate(self._ongoing, axis=1)).shape[1])
 
     # -- projection ------------------------------------------------------------
 
@@ -126,48 +88,9 @@ class MultiDimensionalCarrierSense:
         basis = self.projection_basis()
         return basis.conj().T @ samples
 
-    # -- the two 802.11 carrier-sense components ---------------------------------
+    # -- the energy detector ---------------------------------------------------------
 
     def sense_power_db(self, samples: np.ndarray) -> float:
         """Average projected power in dB."""
         projected = self.project(samples)
         return float(linear_to_db(signal_power(projected)))
-
-    def correlate_preamble(self, samples: np.ndarray, template: np.ndarray) -> float:
-        """Peak normalised preamble correlation in the projected space.
-
-        Each projected dimension contains a scaled copy of any new
-        transmission, so the correlation is computed per dimension and the
-        maximum returned.
-        """
-        projected = self.project(samples)
-        best = 0.0
-        for dimension in range(projected.shape[0]):
-            values = cross_correlate(projected[dimension], template)
-            if values.size:
-                best = max(best, float(values.max()))
-        return best
-
-    # -- combined decision --------------------------------------------------------
-
-    def sense(
-        self,
-        samples: np.ndarray,
-        preamble_template: Optional[np.ndarray] = None,
-    ) -> CarrierSenseResult:
-        """Run both carrier-sense components and combine them like 802.11
-        (busy if either fires)."""
-        power_db = self.sense_power_db(samples)
-        energy_detected = power_db > self.energy_threshold_db
-        correlation = 0.0
-        preamble_detected = False
-        if preamble_template is not None:
-            correlation = self.correlate_preamble(samples, preamble_template)
-            preamble_detected = correlation > self.correlation_threshold
-        return CarrierSenseResult(
-            busy=bool(energy_detected or preamble_detected),
-            power_dbm=power_db,
-            correlation=correlation,
-            energy_detected=bool(energy_detected),
-            preamble_detected=bool(preamble_detected),
-        )

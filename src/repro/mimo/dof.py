@@ -20,7 +20,6 @@ __all__ = [
     "InterferenceStrategy",
     "choose_strategy",
     "max_concurrent_streams",
-    "can_join",
 ]
 
 
@@ -60,8 +59,3 @@ def max_concurrent_streams(n_tx_antennas: int, n_ongoing_streams: int) -> int:
     if n_ongoing_streams < 0:
         raise DimensionError("the number of ongoing streams cannot be negative")
     return max(0, n_tx_antennas - n_ongoing_streams)
-
-
-def can_join(n_tx_antennas: int, n_ongoing_streams: int) -> bool:
-    """Whether a transmitter has spare antennas to join the medium at all."""
-    return max_concurrent_streams(n_tx_antennas, n_ongoing_streams) > 0

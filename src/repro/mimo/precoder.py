@@ -29,8 +29,6 @@ from repro.utils.linalg import null_space_batch
 
 __all__ = [
     "ReceiverConstraint",
-    "OwnReceiver",
-    "max_streams",
     "compute_precoders",
     "compute_precoders_batch",
 ]
@@ -85,73 +83,19 @@ class ReceiverConstraint:
             return nulling_constraint_rows(self.channel)
         return alignment_constraint_rows(self.channel, self.u_perp)
 
-    @property
-    def n_constraints(self) -> int:
-        """Number of constraint rows (= number of protected streams)."""
-        return self.constraint_rows().shape[0]
-
-
-@dataclass
-class OwnReceiver:
-    """A receiver of the joiner's *own* streams.
-
-    Attributes
-    ----------
-    channel:
-        ``(N, M)`` channel matrix from the joiner to this receiver.
-    u_perp:
-        ``(N, n)`` decoding subspace of this receiver, where ``n`` is the
-        number of streams it will receive from the joiner.  For a receiver
-        using all of its antennas, pass the identity.
-    n_streams:
-        Number of the joiner's streams destined to this receiver.
-    """
-
-    channel: np.ndarray
-    u_perp: np.ndarray
-    n_streams: int
-
-    def __post_init__(self) -> None:
-        self.channel = np.asarray(self.channel, dtype=complex)
-        if self.channel.ndim == 1:
-            self.channel = self.channel.reshape(1, -1)
-        self.u_perp = np.asarray(self.u_perp, dtype=complex)
-        if self.u_perp.ndim == 1:
-            self.u_perp = self.u_perp.reshape(-1, 1)
-        if self.u_perp.shape[0] != self.channel.shape[0]:
-            raise DimensionError(
-                "U-perp and the channel disagree on the receiver's antenna count"
-            )
-        if self.n_streams < 1:
-            raise PrecodingError("an own receiver must take at least one stream")
-        if self.n_streams > self.u_perp.shape[1]:
-            raise PrecodingError(
-                f"receiver's decoding subspace has dimension {self.u_perp.shape[1]} "
-                f"but {self.n_streams} streams are destined to it"
-            )
-
-    def constraint_rows(self) -> np.ndarray:
-        """Rows ``U'_perp^H H'`` of this receiver (Claim 3.5)."""
-        return alignment_constraint_rows(self.channel, self.u_perp)
-
-
-def max_streams(n_tx_antennas: int, ongoing: Sequence[ReceiverConstraint]) -> int:
-    """Maximum new streams given the ongoing receivers (Claim 3.2)."""
-    total_constraints = sum(r.n_constraints for r in ongoing)
-    return max(0, n_tx_antennas - total_constraints)
-
 
 def compute_precoders(
     n_tx_antennas: int,
     ongoing: Sequence[ReceiverConstraint],
-    own_receivers: Optional[Sequence[OwnReceiver]] = None,
     n_streams: Optional[int] = None,
     normalize: bool = True,
     rcond: float = 1e-10,
 ) -> List[np.ndarray]:
     """Compute the joiner's pre-coding vectors (Claim 3.5, Eq. 7).
 
-    One subcarrier of :func:`compute_precoders_batch`.
+    One subcarrier of :func:`compute_precoders_batch`, without own-receiver
+    cross constraints: the pre-coders are a null-space basis of the
+    ongoing constraints.
 
     Parameters
     ----------
@@ -159,14 +103,8 @@ def compute_precoders(
         M, the joiner's antenna count.
     ongoing:
         Receivers of ongoing streams that must see no new interference.
-    own_receivers:
-        The joiner's own receivers.  If omitted (or a single receiver with
-        no cross-stream separation requirements), the pre-coders are the
-        null-space basis of the ongoing constraints.
     n_streams:
-        Number of streams to form; defaults to the maximum (``M - K``) when
-        ``own_receivers`` is omitted, or to the sum of their ``n_streams``
-        otherwise.
+        Number of streams to form; defaults to the maximum (``M - K``).
     normalize:
         Scale each pre-coder to unit norm (unit per-stream transmit power).
     rcond:
@@ -175,9 +113,7 @@ def compute_precoders(
     Returns
     -------
     list of numpy.ndarray
-        One length-``M`` pre-coding vector per stream, ordered first by own
-        receiver (in the given order) and then by stream index within the
-        receiver.
+        One length-``M`` pre-coding vector per stream.
 
     Raises
     ------
@@ -196,19 +132,10 @@ def compute_precoders(
     shared = np.concatenate(
         [np.zeros((0, n_tx_antennas), dtype=complex)] + shared_rows, axis=0
     )
-    own_rows = own_stream_counts = own_row_counts = None
-    if own_receivers:
-        rows = [r.constraint_rows() for r in own_receivers]
-        own_rows = np.concatenate(rows, axis=0)[None]
-        own_stream_counts = [r.n_streams for r in own_receivers]
-        own_row_counts = [block.shape[0] for block in rows]
     with guarded.capture_degradations() as capture:
         solution = compute_precoders_batch(
             n_tx_antennas,
             shared[None],
-            own_rows=own_rows,
-            own_stream_counts=own_stream_counts,
-            own_row_counts=own_row_counts,
             n_streams=n_streams,
             normalize=normalize,
             rcond=rcond,
@@ -238,8 +165,8 @@ def compute_precoders_batch(
 ) -> np.ndarray:
     """The joiner's pre-coders (Claim 3.5, Eq. 7) on all subcarriers at once.
 
-    Instead of per-subcarrier :class:`ReceiverConstraint`/:class:`OwnReceiver`
-    objects, the caller passes the constraint rows of *all* subcarriers as
+    Instead of per-subcarrier :class:`ReceiverConstraint` objects, the
+    caller passes the constraint rows of *all* subcarriers as
     stacked arrays; the whole per-subcarrier linear algebra then runs as a
     handful of batched ``np.linalg`` calls.  This is the one
     implementation of Eq. 7; :func:`compute_precoders` is its

@@ -13,7 +13,7 @@ the paper's USRP2/GNURadio prototype in simulation:
 * :mod:`repro.phy.preamble` -- 802.11-style short/long training fields,
   per-antenna orthogonal training, and preamble cross-correlation used by
   carrier sense.
-* :mod:`repro.phy.channel_est` -- least-squares MIMO channel estimation.
+* :mod:`repro.phy.channel_est` -- per-subcarrier MIMO channel estimates.
 * :mod:`repro.phy.esnr` -- effective SNR (Halperin et al.) and the
   ESNR-to-bitrate table used by n+'s per-packet bitrate selection.
 * :mod:`repro.phy.rates` -- the 802.11 modulation-and-coding-scheme table.
@@ -21,7 +21,7 @@ the paper's USRP2/GNURadio prototype in simulation:
 """
 
 from repro.phy.modulation import Modulation, get_modulation, MODULATIONS
-from repro.phy.rates import MCS, MCS_TABLE, mcs_by_index, data_rate_mbps
+from repro.phy.rates import MCS, MCS_TABLE
 from repro.phy.esnr import esnr_db, select_mcs
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "MODULATIONS",
     "MCS",
     "MCS_TABLE",
-    "mcs_by_index",
-    "data_rate_mbps",
     "esnr_db",
     "select_mcs",
 ]

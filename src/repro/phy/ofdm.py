@@ -27,10 +27,6 @@ from repro.exceptions import DimensionError
 
 __all__ = ["OfdmConfig", "OfdmModem"]
 
-#: The 802.11a pilot polarity sequence (first few entries; it repeats).
-_PILOT_VALUES = np.array([1.0, 1.0, 1.0, -1.0])
-
-
 @dataclass(frozen=True)
 class OfdmConfig:
     """Static OFDM numerology.
@@ -91,40 +87,11 @@ class OfdmModem:
 
     # -- transmit -----------------------------------------------------------
 
-    def modulate(self, data_symbols: np.ndarray) -> np.ndarray:
-        """Turn frequency-domain data symbols into time-domain samples.
-
-        Parameters
-        ----------
-        data_symbols:
-            Complex array whose length is a multiple of the number of data
-            subcarriers; each group of ``n_data_subcarriers`` values forms
-            one OFDM symbol.
-
-        Returns
-        -------
-        numpy.ndarray
-            Time-domain samples of length
-            ``n_symbols * (fft_size + cp_length)``.
-        """
-        cfg = self.config
-        data_symbols = np.asarray(data_symbols, dtype=complex)
-        n_data = cfg.n_data_subcarriers
-        if data_symbols.size % n_data != 0:
-            raise DimensionError(
-                f"number of data symbols {data_symbols.size} is not a multiple of {n_data}"
-            )
-        n_symbols = data_symbols.size // n_data
-        grid = np.zeros((n_symbols, cfg.fft_size), dtype=complex)
-        grid[:, cfg.data_index_array] = data_symbols.reshape(n_symbols, n_data)
-        grid[:, cfg.pilot_index_array] = _PILOT_VALUES[: len(cfg.pilot_indices)]
-        return self.modulate_grid(grid)
-
     def modulate_grid(self, grid: np.ndarray) -> np.ndarray:
         """Modulate a full frequency-domain grid (``n_symbols x fft_size``).
 
-        Unlike :meth:`modulate`, the caller controls every bin, which the
-        MIMO transceiver uses to apply per-subcarrier pre-coding vectors.
+        The caller controls every bin, which the MIMO transceiver uses to
+        apply per-subcarrier pre-coding vectors.
         """
         cfg = self.config
         grid = np.asarray(grid, dtype=complex)
@@ -156,9 +123,3 @@ class OfdmModem:
         n_symbols = samples.size // sps
         shaped = samples.reshape(n_symbols, sps)[:, cfg.cp_length :]
         return np.fft.fft(shaped, axis=1) / np.sqrt(cfg.fft_size)
-
-    # -- helpers -------------------------------------------------------------
-
-    def n_symbols(self, n_samples: int) -> int:
-        """Number of complete OFDM symbols contained in ``n_samples``."""
-        return n_samples // self.config.samples_per_symbol

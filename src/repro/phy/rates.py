@@ -9,18 +9,14 @@ gets ``k`` times the per-stream rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.constants import (
-    NUM_DATA_SUBCARRIERS,
-    OFDM_SYMBOL_DURATION_US_10MHZ,
-    OFDM_SYMBOL_DURATION_US_20MHZ,
-)
-from repro.exceptions import ConfigurationError
+from repro.constants import NUM_DATA_SUBCARRIERS, OFDM_SYMBOL_DURATION_US_10MHZ
 from repro.phy.modulation import Modulation, get_modulation
 
-__all__ = ["MCS", "MCS_TABLE", "mcs_by_index", "data_rate_mbps"]
+__all__ = ["MCS", "MCS_TABLE"]
 
 
 @dataclass(frozen=True)
@@ -67,31 +63,17 @@ class MCS:
         """Information bits carried by one OFDM symbol of one spatial stream."""
         return self.coded_bits_per_ofdm_symbol * self.coding_rate_fraction
 
-    def data_rate_mbps(self, bandwidth_mhz: float = 10.0, n_streams: int = 1) -> float:
-        """Data rate in Mb/s for ``n_streams`` spatial streams."""
-        if bandwidth_mhz == 10.0:
-            symbol_us = OFDM_SYMBOL_DURATION_US_10MHZ
-        elif bandwidth_mhz == 20.0:
-            symbol_us = OFDM_SYMBOL_DURATION_US_20MHZ
-        else:
-            symbol_us = 80.0 / bandwidth_mhz
-        return n_streams * self.data_bits_per_ofdm_symbol / symbol_us
+    def data_rate_mbps(self, n_streams: int = 1) -> float:
+        """Data rate in Mb/s for ``n_streams`` spatial streams (10 MHz)."""
+        return n_streams * self.data_bits_per_ofdm_symbol / OFDM_SYMBOL_DURATION_US_10MHZ
 
-    def airtime_us(self, payload_bits: int, bandwidth_mhz: float = 10.0, n_streams: int = 1) -> float:
-        """Time to transmit ``payload_bits`` (excluding headers), microseconds."""
+    def airtime_us(self, payload_bits: int, n_streams: int = 1) -> float:
+        """Time to transmit ``payload_bits`` (excluding headers) on the
+        10 MHz channel, microseconds."""
         if payload_bits <= 0:
             return 0.0
         bits_per_symbol = self.data_bits_per_ofdm_symbol * n_streams
-        import math
-
-        n_symbols = math.ceil(payload_bits / bits_per_symbol)
-        if bandwidth_mhz == 10.0:
-            symbol_us = OFDM_SYMBOL_DURATION_US_10MHZ
-        elif bandwidth_mhz == 20.0:
-            symbol_us = OFDM_SYMBOL_DURATION_US_20MHZ
-        else:
-            symbol_us = 80.0 / bandwidth_mhz
-        return n_symbols * symbol_us
+        return math.ceil(payload_bits / bits_per_symbol) * OFDM_SYMBOL_DURATION_US_10MHZ
 
 
 #: The 802.11a/g rate set with the ESNR thresholds (in dB) used for
@@ -108,14 +90,3 @@ MCS_TABLE: List[MCS] = [
     MCS(7, "64qam", (3, 4), 22.5),
 ]
 
-
-def mcs_by_index(index: int) -> MCS:
-    """Return the MCS with the given table index."""
-    if not 0 <= index < len(MCS_TABLE):
-        raise ConfigurationError(f"MCS index must be in [0, {len(MCS_TABLE) - 1}], got {index}")
-    return MCS_TABLE[index]
-
-
-def data_rate_mbps(index: int, bandwidth_mhz: float = 10.0, n_streams: int = 1) -> float:
-    """Convenience wrapper: data rate of MCS ``index`` in Mb/s."""
-    return mcs_by_index(index).data_rate_mbps(bandwidth_mhz, n_streams)

@@ -11,9 +11,9 @@ The preamble is pre-coded with the same vectors as the data
 preamble directly obtains the *effective* channel of each stream and
 never needs to know the pre-coding vectors themselves.
 
-The receiver performs the inverse chain with least-squares channel
-estimation and per-subcarrier zero-forcing over all streams it can see,
-which is exactly the "solve the linear system" decoding of §2.
+The receiver performs the inverse chain: given the effective-channel
+estimate, per-subcarrier zero-forcing over all streams it can see, which
+is exactly the "solve the linear system" decoding of §2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DecodingError, DimensionError
-from repro.phy.channel_est import ChannelEstimate, estimate_mimo_channel
+from repro.phy.channel_est import ChannelEstimate
 from repro.phy.coding.codec import Codec
 from repro.phy.ofdm import OfdmConfig, OfdmModem
 from repro.phy.preamble import Preamble
@@ -258,7 +258,7 @@ class MimoTransmitter:
 
 
 class MimoReceiver:
-    """Estimates effective channels and decodes wanted streams."""
+    """Decodes wanted streams given their effective channels."""
 
     def __init__(self, n_antennas: int, config: Optional[OfdmConfig] = None):
         if n_antennas < 1:
@@ -267,33 +267,14 @@ class MimoReceiver:
         self.config = config or OfdmConfig()
         self._modem = OfdmModem(self.config)
 
-    # -- channel estimation --------------------------------------------------
-
-    def estimate_effective_channels(
-        self, samples: np.ndarray, layout: FrameLayout, frame_start: int = 0
-    ) -> ChannelEstimate:
-        """Estimate the per-stream effective channel from the preamble.
-
-        The returned estimate has one "transmit antenna" per *stream*: the
-        effective channel already folds in the transmitter's pre-coding.
-        """
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim == 1:
-            samples = samples.reshape(1, -1)
-        if samples.shape[0] != self.n_antennas:
-            raise DimensionError(
-                f"expected {self.n_antennas} receive chains, got {samples.shape[0]}"
-            )
-        return estimate_mimo_channel(samples, layout.preamble, frame_start)
-
     # -- decoding -------------------------------------------------------------
 
     def decode(
         self,
         samples: np.ndarray,
         layout: FrameLayout,
+        channel_estimate: ChannelEstimate,
         wanted_streams: Optional[Sequence[int]] = None,
-        channel_estimate: Optional[ChannelEstimate] = None,
         frame_start: int = 0,
         noise_power: float = 1e-6,
     ) -> Dict[int, DecodedStream]:
@@ -306,10 +287,11 @@ class MimoReceiver:
         layout:
             The frame layout shared by the transmitter (in the protocol it
             is conveyed by the light-weight header).
+        channel_estimate:
+            The per-stream effective channel: one "transmit antenna" per
+            stream, the transmitter's pre-coding already folded in.
         wanted_streams:
             Stream ids to decode; defaults to all streams in the frame.
-        channel_estimate:
-            Optional pre-computed effective-channel estimate.
         frame_start:
             Sample index where the frame begins.
         noise_power:
@@ -320,7 +302,6 @@ class MimoReceiver:
         if samples.ndim == 1:
             samples = samples.reshape(1, -1)
         wanted = list(wanted_streams) if wanted_streams is not None else list(layout.stream_ids)
-        estimate = channel_estimate or self.estimate_effective_channels(samples, layout, frame_start)
 
         cfg = layout.config
         body_start = frame_start + layout.preamble_length
@@ -334,7 +315,7 @@ class MimoReceiver:
         data_idx = cfg.data_index_array
         # Batched zero forcing: one stacked pseudo-inverse over all data
         # subcarriers instead of a per-subcarrier Python loop.
-        h = estimate.matrices[data_idx]  # (n_data, n_rx, n_streams)
+        h = channel_estimate.matrices[data_idx]  # (n_data, n_rx, n_streams)
         y = grids[:, :, data_idx].transpose(2, 0, 1)  # (n_data, n_rx, n_symbols)
         h_pinv = np.linalg.pinv(h)  # (n_data, n_streams, n_rx)
         equalised = (h_pinv @ y).transpose(1, 2, 0)  # (n_streams, n_symbols, n_data)

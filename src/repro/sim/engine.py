@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List
 
 from repro.exceptions import SimulationError
 
@@ -26,7 +26,6 @@ class _Event:
     time_us: float
     sequence: int
     callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class EventScheduler:
@@ -42,7 +41,7 @@ class EventScheduler:
         """Current simulation time, microseconds."""
         return self._now
 
-    def schedule_at(self, time_us: float, callback: Callable[[], None]) -> _Event:
+    def schedule_at(self, time_us: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at an absolute time."""
         if time_us < self._now:
             raise SimulationError(
@@ -50,24 +49,12 @@ class EventScheduler:
             )
         event = _Event(time_us=time_us, sequence=next(self._counter), callback=callback)
         heapq.heappush(self._queue, event)
-        return event
-
-    def cancel(self, event: _Event) -> None:
-        """Cancel a previously scheduled event (lazy removal)."""
-        event.cancelled = True
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._queue)
 
     def step(self) -> bool:
         """Run the next event.  Returns ``False`` when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time_us
-            event.callback()
-            return True
-        return False
+        if not self._queue:
+            return False
+        event = heapq.heappop(self._queue)
+        self._now = event.time_us
+        event.callback()
+        return True

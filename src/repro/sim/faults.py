@@ -239,10 +239,6 @@ class FaultSchedule:
         """An empty schedule is a strict no-op (asserted by the tests)."""
         return not self.episodes
 
-    @property
-    def losses(self) -> List[LossEpisode]:
-        return [e for e in self.episodes if isinstance(e, LossEpisode)]
-
     @classmethod
     def from_profile(
         cls, profile: FaultProfile, scenario, seed, duration_us: float
@@ -356,7 +352,12 @@ class FaultSchedule:
                     f"fault trace {path} is not valid JSON: {exc}"
                 ) from None
             if isinstance(data, dict):
-                data = data.get("episodes", [])
+                if "episodes" not in data:
+                    raise ConfigurationError(
+                        f"fault trace {path}: a JSON object must hold an "
+                        f"'episodes' list, got keys {sorted(data)}"
+                    )
+                data = data["episodes"]
             if not isinstance(data, list):
                 raise ConfigurationError(
                     f"fault trace {path} must be a JSON list of episode objects "
@@ -395,9 +396,9 @@ class FaultSchedule:
                     "duration_us": record[1],
                     "loss_rate": record[2],
                 }
-                if len(record) >= 5 and record[3].strip() and record[4].strip():
-                    row["tx_id"] = record[3]
-                    row["rx_id"] = record[4]
+                for index, name in ((3, "tx_id"), (4, "rx_id")):
+                    if len(record) > index and record[index].strip():
+                        row[name] = record[index]
                 rows.append((f"line {lineno}", row))
 
         def _field(label: str, row: dict, name: str, convert, required=True):
@@ -427,6 +428,12 @@ class FaultSchedule:
                 tx_id=_field(label, row, "tx_id", int, required=False),
                 rx_id=_field(label, row, "rx_id", int, required=False),
             )
+            if (episode.tx_id is None) != (episode.rx_id is None):
+                raise ConfigurationError(
+                    f"fault trace {path}, {label}: a loss episode names both "
+                    f"ends of a link (tx_id and rx_id) or neither, got "
+                    f"tx_id={episode.tx_id}, rx_id={episode.rx_id}"
+                )
             for name in ("start_us", "duration_us"):
                 if not math.isfinite(getattr(episode, name)):
                     raise ConfigurationError(
@@ -454,9 +461,11 @@ def read_trace(path: Union[str, Path]) -> Tuple[str, FaultSchedule]:
     ``start_us``, ``duration_us``, ``loss_rate`` and optional
     ``tx_id``/``rx_id``.  CSV: rows of ``start_us, duration_us,
     loss_rate[, tx_id, rx_id]``; a header (only as the first row) and
-    ``#`` comment lines are skipped.  This is the LinkGuardian-style trace-driven
-    path: measured (or generated) loss traces replay identically
-    across runs and protocols.
+    ``#`` comment lines are skipped.  An episode names both ends of a
+    link (it hits that directed link only) or neither (it hits every
+    link); a row with just one end is refused.  This is the
+    LinkGuardian-style trace-driven path: measured (or generated) loss
+    traces replay identically across runs and protocols.
 
     Every row is validated as it is read; a malformed trace raises
     :class:`~repro.exceptions.ConfigurationError` (a ``ValueError``)

@@ -227,15 +227,6 @@ class ChannelBank:
         group, slot, _ = self.lookup(tx_id, rx_id)
         return float(self._snrs[group][slot])
 
-    def __contains__(self, link: Tuple[int, int]) -> bool:
-        tx_id, rx_id = link
-        if (tx_id, rx_id) in self._memo:
-            return True
-        return (
-            self._locate(tx_id, rx_id) is not None
-            or self._locate(rx_id, tx_id) is not None
-        )
-
     # -- in-place update kernels -----------------------------------------------
 
     def _writable_group(self, group: int):
@@ -329,24 +320,6 @@ class ChannelBank:
             (self.channel(tx_id, rx_id).copy(), self.snr_db(tx_id, rx_id))
             for tx_id, rx_id in links
         ]
-
-    def pairs(self) -> List[Tuple[int, int]]:
-        """The stored unordered pairs, in (group, slot) order."""
-        return [
-            (int(a), int(b)) for block in self._pair_groups for a, b in block
-        ]
-
-    @property
-    def n_pairs(self) -> int:
-        """Number of stored unordered pairs."""
-        return sum(len(block) for block in self._pair_groups)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the stacked tensors (reciprocals are free views)."""
-        return sum(stack.nbytes for stack in self._stacks) + sum(
-            snrs.nbytes for snrs in self._snrs
-        )
 
 
 class Network:

@@ -87,8 +87,3 @@ class TrafficPair:
         """Readable pair label, e.g. ``"tx1->rx1"``."""
         receivers = "+".join(r.name for r in self.receivers)
         return f"{self.transmitter.name}->{receivers}"
-
-    @property
-    def n_streams(self) -> int:
-        """Total streams of an uncontended transmission."""
-        return int(sum(self.streams_per_receiver))

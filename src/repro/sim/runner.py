@@ -580,9 +580,11 @@ class _EventDrivenLoop:
     def _join_eligible(self, now: float, exhausted: set) -> List[object]:
         """Agents eligible for this secondary-contention round.
 
-        The mask is n+'s ``can_join`` rule evaluated on the arrays (only
-        n+ joins; :func:`~repro.mac.variants.register_variant` refuses a
-        joining agent with any other rule).
+        The mask is n+'s join rule, stated here once and evaluated on the
+        arrays for every agent class with ``supports_joining``: the medium
+        is busy with enough airtime left, the agent is backlogged, idle,
+        and both it and one of its backlogged receivers have an antenna
+        beyond the degrees of freedom in use.
         """
         arrays, medium = self.arrays, self.medium
         joinable = arrays.supports_joining
@@ -590,10 +592,10 @@ class _EventDrivenLoop:
             joinable = joinable & ~np.isin(arrays.node_ids, list(exhausted))
         if not joinable.any():
             return []
-        # ``can_join`` refills (through ``has_traffic``) before its other
-        # checks, for every joinable agent -- replay those side effects
-        # first so Poisson pops land at the same instants as per-agent
-        # scans would, then evaluate the eligibility rule on the arrays.
+        # The per-agent rule refills every joinable agent before its other
+        # checks -- replay those side effects first so Poisson pops land
+        # at the same instants as per-agent scans would, then evaluate the
+        # eligibility rule on the arrays.
         due = joinable & arrays.refill_due(now)
         if due.any():
             arrays.refill(now, due)

@@ -128,15 +128,6 @@ class CellRecord:
     capsule_path: Optional[str] = None
     traceback: Optional[str] = None
 
-    def metrics(self) -> Optional[NetworkMetrics]:
-        """Parse the stored metrics; ``None`` for non-``done`` cells."""
-        if self.metrics_json is None:
-            return None
-        try:
-            return NetworkMetrics.from_dict(json.loads(self.metrics_json))
-        except (ValueError, KeyError, TypeError):
-            return None
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -302,10 +293,6 @@ class ResultsStore:
             error=None,
         )
 
-    def __len__(self) -> int:
-        """Finished cells in the store."""
-        return self.count("done")
-
     # -- cell state machine -------------------------------------------------
 
     def _upsert(
@@ -386,16 +373,6 @@ class ResultsStore:
         self._upsert(key, status="failed", describe=describe,
                      metrics_json=None, error=error,
                      capsule_path=capsule_path, traceback=traceback)
-
-    def count(self, status: Optional[str] = None) -> int:
-        """Number of cells, optionally restricted to one state."""
-        if status is None:
-            row = self._conn.execute("SELECT COUNT(*) AS n FROM cells").fetchone()
-        else:
-            row = self._conn.execute(
-                "SELECT COUNT(*) AS n FROM cells WHERE status=?", (status,)
-            ).fetchone()
-        return int(row["n"])
 
     # -- sweep manifests / checkpointing ------------------------------------
 

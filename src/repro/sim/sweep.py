@@ -425,11 +425,6 @@ class SweepResult:
     worker_deaths: int = 0
     sweep_id: Optional[str] = None
 
-    @property
-    def n_runs(self) -> int:
-        """Number of placements per protocol (failed cells included)."""
-        return len(next(iter(self.results.values()), []))
-
     def totals_mbps(self, protocol: ProtocolLike) -> List[float]:
         """Per-run total network throughput of one protocol.
 
@@ -991,20 +986,24 @@ def run_sweep(
         and plan.tasks
         and threading.current_thread() is threading.main_thread()
     )
-    with _checkpoint_on_interrupt(plan, install_handlers):
-        if plan.tasks:
-            _execute(
-                plan,
-                recorder,
-                max_retries,
-                retry_backoff_s,
-                task_timeout_s=cell_timeout_s,
-                hang_timeout_s=hang_timeout_s,
-                max_requeues=max_worker_requeues,
-                shrink_after_deaths=shrink_after_deaths,
-            )
-        if plan.sweep_id is not None:
-            plan.store.finish_sweep(plan.sweep_id)
+    try:
+        with _checkpoint_on_interrupt(plan, install_handlers):
+            if plan.tasks:
+                _execute(
+                    plan,
+                    recorder,
+                    max_retries,
+                    retry_backoff_s,
+                    task_timeout_s=cell_timeout_s,
+                    hang_timeout_s=hang_timeout_s,
+                    max_requeues=max_worker_requeues,
+                    shrink_after_deaths=shrink_after_deaths,
+                )
+            if plan.sweep_id is not None:
+                plan.store.finish_sweep(plan.sweep_id)
+    finally:
+        if plan.store is not None:
+            plan.store.close()
     return SweepResult(
         results={protocol: list(column) for protocol, column in plan.grid.items()},
         cache_hits=plan.hits,

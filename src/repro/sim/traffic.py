@@ -53,10 +53,6 @@ class SaturatedSource:
         """Saturated sources always have traffic."""
         return True
 
-    def next_packet_time_us(self, now_us: float) -> float:
-        """When the next packet becomes available (now: always backlogged)."""
-        return now_us
-
     def next_packet(self, now_us: float) -> Packet:
         """Generate the next packet."""
         packet = Packet(
@@ -210,9 +206,6 @@ class TrafficStateArrays:
         }
         for agent in self.agents:
             agent.attach_traffic_listener(self)
-
-    def __len__(self) -> int:
-        return len(self.agents)
 
     # -- listener callbacks (invoked by the agents) -----------------------------
 

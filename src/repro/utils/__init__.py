@@ -12,26 +12,13 @@ that the PHY, MIMO and MAC layers build on:
   instead of raising on non-finite or singular input.
 """
 
-from repro.utils.db import (
-    db_to_linear,
-    linear_to_db,
-    power_db,
-    signal_power,
-    snr_db,
-)
-from repro.utils.linalg import (
-    null_space,
-    orthonormal_basis,
-    orthonormal_complement,
-)
+from repro.utils.db import db_to_linear, linear_to_db, signal_power
+from repro.utils.linalg import null_space, orthonormal_complement
 
 __all__ = [
     "db_to_linear",
     "linear_to_db",
-    "power_db",
     "signal_power",
-    "snr_db",
     "null_space",
-    "orthonormal_basis",
     "orthonormal_complement",
 ]

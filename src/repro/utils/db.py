@@ -13,8 +13,6 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "signal_power",
-    "power_db",
-    "snr_db",
 ]
 
 #: Floor used to avoid ``log10(0)`` when converting powers to dB.
@@ -43,12 +41,3 @@ def signal_power(samples: np.ndarray) -> float:
         return 0.0
     return float(np.mean(np.abs(samples) ** 2))
 
-
-def power_db(samples: np.ndarray) -> float:
-    """Return the average power of ``samples`` in dB (relative to 1.0)."""
-    return float(linear_to_db(signal_power(samples)))
-
-
-def snr_db(signal: np.ndarray, noise: np.ndarray) -> float:
-    """Return the SNR in dB between a signal vector and a noise vector."""
-    return float(linear_to_db(signal_power(signal)) - linear_to_db(signal_power(noise)))

@@ -21,7 +21,6 @@ from repro.utils import guarded
 __all__ = [
     "null_space",
     "null_space_batch",
-    "orthonormal_basis",
     "orthonormal_complement",
     "orthonormal_complement_batch",
     "singular_value_ranks",
@@ -186,22 +185,6 @@ def orthonormal_complement_batch(
     col_idx = ranks[:, None] + np.arange(n_vectors)[None, :]
     selected = u[np.arange(batch)[:, None], :, col_idx]  # (batch, n_vectors, n)
     return selected.transpose(0, 2, 1)
-
-
-def orthonormal_basis(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Return an orthonormal basis for the column space of ``matrix``.
-
-    Used to turn a set of (possibly linearly dependent) channel vectors of
-    ongoing transmissions into a clean basis of the occupied signal
-    subspace (Fig. 6).
-    """
-    a = _as_complex_matrix(matrix)
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    tol = rcond * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return u[:, :rank]
 
 
 def orthonormal_complement(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:

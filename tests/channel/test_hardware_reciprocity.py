@@ -13,23 +13,25 @@ class TestHardwareProfile:
     def test_residual_interference_suppression_amount(self):
         profile = HardwareProfile(nulling_suppression_db=27.0, alignment_suppression_db=25.0)
         interference = 100.0
-        nulled = profile.residual_interference_power(interference, aligned=False)
-        aligned = profile.residual_interference_power(interference, aligned=True)
+        nulled = profile.residual_interference_power_batch(interference, aligned=False)
+        aligned = profile.residual_interference_power_batch(interference, aligned=True)
         assert linear_to_db(interference / nulled) == pytest.approx(27.0, abs=1e-9)
         assert linear_to_db(interference / aligned) == pytest.approx(25.0, abs=1e-9)
 
     def test_alignment_leaves_more_residual_than_nulling(self):
         profile = HardwareProfile()
         interference = 50.0
-        assert profile.residual_interference_power(
+        assert profile.residual_interference_power_batch(
             interference, aligned=True
-        ) > profile.residual_interference_power(interference, aligned=False)
+        ) > profile.residual_interference_power_batch(interference, aligned=False)
 
     def test_randomised_suppression_has_spread(self, rng):
         profile = HardwareProfile()
-        values = [
-            profile.residual_interference_power(10.0, aligned=False, rng=rng) for _ in range(200)
-        ]
+        values = profile.residual_interference_power_batch(
+            np.full(200, 10.0),
+            aligned=False,
+            suppression_jitter_db=profile.draw_suppression_jitter(rng, size=200),
+        )
         assert np.std(linear_to_db(values)) > 0.5
 
     def test_jitter_vector_draw_matches_scalar_draws(self):

@@ -7,14 +7,16 @@ them.  Every public name here is imported by at least one test module
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.channel.multipath import MultipathChannel
 from repro.exceptions import DimensionError
+from repro.sim.network import ChannelBank
 from repro.sim.node import Station, TrafficPair
 from repro.sim.scenarios import Scenario
-from repro.utils.linalg import orthonormal_basis
+from repro.sim.store import ResultsStore
 
 
 # -- bits -----------------------------------------------------------------------
@@ -37,7 +39,55 @@ def bit_error_rate(a: np.ndarray, b: np.ndarray) -> float:
     return bit_errors(a, b) / a.size
 
 
+# -- channels -------------------------------------------------------------------
+
+
+def bank_pairs(bank: ChannelBank) -> List[Tuple[int, int]]:
+    """The unordered pairs a channel bank stores, in (group, slot) order."""
+    return [(int(a), int(b)) for block in bank._pair_groups for a, b in block]
+
+
+def bank_nbytes(bank: ChannelBank) -> int:
+    """Bytes held by a bank's stacked tensors (reciprocals are free views)."""
+    return sum(stack.nbytes for stack in bank._stacks) + sum(
+        snrs.nbytes for snrs in bank._snrs
+    )
+
+
+def apply_channel(channel: MultipathChannel, samples: np.ndarray) -> np.ndarray:
+    """Convolve ``(n_tx, n_samples)`` transmitted samples (or 1-D for one
+    antenna) with a multipath channel: ``(n_rx, n_samples)`` received
+    samples, the convolution tail truncated so lengths match."""
+    samples = np.asarray(samples, dtype=complex)
+    if samples.ndim == 1:
+        samples = samples.reshape(1, -1)
+    if samples.shape[0] != channel.n_tx:
+        raise DimensionError(
+            f"channel expects {channel.n_tx} transmit antennas, got {samples.shape[0]}"
+        )
+    n_samples = samples.shape[1]
+    out = np.zeros((channel.n_rx, n_samples), dtype=complex)
+    for rx in range(channel.n_rx):
+        for tx in range(channel.n_tx):
+            out[rx] += np.convolve(samples[tx], channel.taps[:, rx, tx])[:n_samples]
+    return out
+
+
 # -- subspaces ------------------------------------------------------------------
+
+
+def orthonormal_basis(matrix: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
+    """Return an orthonormal basis for the column space of ``matrix`` (a
+    1-D input is one column; singular values below ``rcond`` times the
+    largest are rank-deficient)."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim == 1:
+        a = a.reshape(-1, 1)
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    tol = rcond * (s[0] if s.size else 0.0)
+    return u[:, : int(np.sum(s > tol))]
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,6 +120,20 @@ def is_in_subspace(vector: np.ndarray, basis: np.ndarray, tol: float = 1e-8) -> 
     ortho = orthonormal_basis(basis)
     residual = v - ortho @ (ortho.conj().T @ v)
     return float(np.linalg.norm(residual)) <= tol * max(1.0, norm)
+
+
+# -- results stores ----------------------------------------------------------------
+
+
+def cell_count(store: ResultsStore, status: Optional[str] = None) -> int:
+    """Number of cells in ``store``, optionally restricted to one state."""
+    if status is None:
+        row = store._conn.execute("SELECT COUNT(*) AS n FROM cells").fetchone()
+    else:
+        row = store._conn.execute(
+            "SELECT COUNT(*) AS n FROM cells WHERE status=?", (status,)
+        ).fetchone()
+    return int(row["n"])
 
 
 # -- scenarios --------------------------------------------------------------------

@@ -8,10 +8,14 @@ Figs. 2, 3 and 4.
 import numpy as np
 import pytest
 
-from oracles.mimo import two_antenna_nulling_weight
+from oracles.mimo import (
+    OwnReceiver,
+    compute_precoders_with_own_receivers,
+    two_antenna_nulling_weight,
+)
 from repro.channel.models import awgn, complex_gaussian
 from repro.mimo.decoder import post_projection_snr_db, project_and_decode
-from repro.mimo.precoder import OwnReceiver, ReceiverConstraint, compute_precoders
+from repro.mimo.precoder import ReceiverConstraint, compute_precoders
 from repro.utils.db import db_to_linear
 from repro.utils.linalg import orthonormal_complement
 
@@ -153,7 +157,7 @@ class TestFig4HeterogeneousExample:
         u_perp_c2 = orthonormal_complement(h_c1_c2)[:, :1]
         u_perp_c3 = orthonormal_complement(h_c1_c3)[:, :1]
 
-        precoders = compute_precoders(
+        precoders = compute_precoders_with_own_receivers(
             3,
             [ReceiverConstraint(channel=h_ap2_ap1, u_perp=u_perp_ap1)],
             [

@@ -1,8 +1,8 @@
 """Tests for the protocol agents (802.11n, beamforming, n+)."""
 
-import numpy as np
 import pytest
 
+from oracles.runner import can_join
 from repro.mac.beamforming import BeamformingMac, distribute_streams
 from repro.mac.dot11n import Dot11nMac
 from repro.mac.nplus import NPlusMac
@@ -76,7 +76,7 @@ class TestDot11nMac:
         scenario, network = three_pair_network
         agent = Dot11nMac(scenario.pairs[2], network, rng)
         assert not agent.supports_joining
-        assert not agent.can_join(0.0, Medium(), 100.0)
+        assert not can_join(agent, 0.0, Medium(), 100.0)
 
 
 class TestBeamformingMac:
@@ -115,12 +115,12 @@ class TestNPlusMac:
         tx3_agent = NPlusMac(scenario.pairs[2], network, rng)
         tx3_agent.refill(0.0)
         # Idle medium: nothing to join.
-        assert not tx3_agent.can_join(0.0, medium, 96.0)
+        assert not can_join(tx3_agent, 0.0, medium, 96.0)
         self._start_tx1(scenario, network, rng, medium)
-        assert tx3_agent.can_join(200.0, medium, 96.0)
+        assert can_join(tx3_agent, 200.0, medium, 96.0)
         # A single-antenna node can never join.
         tx1_like = NPlusMac(scenario.pairs[0], network, rng)
-        assert not tx1_like.can_join(200.0, medium, 96.0)
+        assert not can_join(tx1_like, 200.0, medium, 96.0)
 
     def test_join_protects_ongoing_receiver(self, three_pair_network, rng):
         scenario, network = three_pair_network
@@ -158,9 +158,9 @@ class TestNPlusMac:
         scenario, network = three_pair_network
         agent = NPlusMac(scenario.pairs[0], network, rng)
         agent.refill(0.0)
-        backlog_before = agent.backlog_bits(1)
+        backlog_before = agent.queues[1].backlog_bits
         delivered = agent.record_outcome(1, 12000, delivered=True)
         assert delivered == 12000
-        assert agent.backlog_bits(1) <= backlog_before
+        assert agent.queues[1].backlog_bits <= backlog_before
         agent.record_outcome(1, 12000, delivered=False)
         assert agent.contender._cw > 15

@@ -59,7 +59,7 @@ class TestPlanInitial:
     def test_single_receiver_uses_identity_precoding(self, rng):
         receivers = [PlannedReceiver(5, n_antennas=2, n_streams=2, channel=_channels(rng, 2, 2))]
         plan = plan_initial_transmission(1, 2, receivers)
-        assert plan.n_streams == 2
+        assert len(plan.streams) == 2
         assert plan.power_scale == 1.0
         for index, stream in enumerate(plan.streams):
             expected = np.zeros(2)
@@ -74,7 +74,7 @@ class TestPlanInitial:
             PlannedReceiver(11, 2, 1, h_c3),
         ]
         plan = plan_initial_transmission(1, 3, receivers, multi_user_beamforming=True)
-        assert plan.n_streams == 3
+        assert len(plan.streams) == 3
         c3_stream = plan.streams[2]
         assert c3_stream.receiver_id == 11
         # The stream destined to c3 must not appear in c2's decoding rows.
@@ -103,7 +103,7 @@ class TestPlanJoin:
         protected = [ProtectedReceiver(1, 1, 1, _channels(rng, 1, 3, gain=db_to_linear(15.0)))]
         receivers = [PlannedReceiver(5, 3, 2, _channels(rng, 3, 3))]
         plan = plan_join(4, 3, protected, receivers)
-        assert plan.n_streams == 2
+        assert len(plan.streams) == 2
         assert plan.protects == {1: InterferenceStrategy.NULL}
         for stream in plan.streams:
             for k in range(N_SUB):
@@ -123,7 +123,7 @@ class TestPlanJoin:
         ]
         receivers = [PlannedReceiver(5, 3, 1, _channels(rng, 3, 3))]
         plan = plan_join(4, 3, protected, receivers)
-        assert plan.n_streams == 1
+        assert len(plan.streams) == 1
         assert plan.protects[3] is InterferenceStrategy.ALIGN
         stream = plan.streams[0]
         for k in range(N_SUB):
@@ -166,7 +166,7 @@ class TestPlanJoin:
             PlannedReceiver(4, 2, 1, _channels(rng, 2, 3), u_perp=_u_perp_per_subcarrier(rng, 2, 1)),
         ]
         plan = plan_join(2, 3, protected, receivers)
-        assert plan.n_streams == 2
+        assert len(plan.streams) == 2
         assert {s.receiver_id for s in plan.streams} == {3, 4}
 
     def test_join_without_receivers_rejected(self, rng):

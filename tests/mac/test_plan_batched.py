@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles.mimo import compute_precoders_reference
+from oracles.mimo import OwnReceiver, compute_precoders_reference
 from repro.exceptions import PrecodingError
 from repro.mac.plan import (
     PlannedReceiver,
@@ -15,7 +15,7 @@ from repro.mac.plan import (
     plan_join,
 )
 from repro.mimo.dof import InterferenceStrategy
-from repro.mimo.precoder import OwnReceiver, ReceiverConstraint, compute_precoders_batch
+from repro.mimo.precoder import ReceiverConstraint, compute_precoders_batch
 from repro.utils.linalg import orthonormal_complement
 
 N_SUB = 8

@@ -63,10 +63,6 @@ class TestAirtime:
     def test_zero_airtime(self):
         assert bits_in_airtime(MCS_TABLE[3], 0.0) == 0
 
-    def test_wider_channel_fits_more_symbols(self):
-        mcs = MCS_TABLE[0]
-        assert bits_in_airtime(mcs, 80.0, bandwidth_mhz=20.0) == 2 * bits_in_airtime(mcs, 80.0)
-
     def test_negative_airtime_carries_no_bits(self):
         assert bits_in_airtime(MCS_TABLE[3], -8.0) == 0
 

@@ -3,13 +3,14 @@ numerical fallback during planning (see :mod:`repro.utils.guarded`)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.mac.beamforming import BeamformingMac
 from repro.mac.nplus import NPlusMac
 from repro.sim.medium import Medium
 from repro.sim.network import Network
-from repro.sim.runner import SimulationConfig, run_simulation
+from repro.sim.runner import RunSpec, SimulationConfig, build_network, run_simulation
 from repro.sim.scenarios import (
     heterogeneous_ap_scenario,
     scenario_factory,
@@ -114,3 +115,21 @@ class TestQuarantineMetrics:
         for link in payload["links"].values():
             assert "quarantined_rounds" in link
             assert link["quarantined_rounds"] >= 0
+
+    @pytest.mark.parametrize("protocol", ["beamforming", "n+"])
+    def test_a_nan_channel_is_quarantined_not_raised(self, protocol):
+        """A non-finite channel reaches planning: the guards zero it and
+        note the degradation, the planner quarantines the link, and the
+        run completes with finite metrics."""
+        scenario = heterogeneous_ap_scenario()
+        config = RunSpec.resolve(
+            scenario, SimulationConfig(duration_us=20_000.0, n_subcarriers=8)
+        )
+        network = build_network(scenario, 0, config)
+        pair = scenario.pairs[-1]
+        tx, rx = pair.transmitter.node_id, pair.receivers[0].node_id
+        nan = np.full_like(network.channels.channel(tx, rx), np.nan)
+        network.channels.update_links([(tx, rx, nan, network.channels.snr_db(tx, rx))])
+        metrics = run_simulation(scenario, protocol, seed=0, config=config, network=network)
+        assert metrics.links[pair.name].quarantined_rounds > 0
+        assert np.isfinite(metrics.total_throughput_mbps())

@@ -8,7 +8,6 @@ from helpers import custom_pairs_scenario
 from repro.exceptions import DimensionError
 from repro.mimo.dof import (
     InterferenceStrategy,
-    can_join,
     choose_strategy,
     max_concurrent_streams,
 )
@@ -47,11 +46,6 @@ class TestClaim32:
 
     def test_idle_medium(self):
         assert max_concurrent_streams(4, 0) == 4
-
-    def test_can_join_helper(self):
-        assert can_join(3, 2)
-        assert not can_join(2, 2)
-        assert not can_join(1, 1)
 
     def test_invalid_arguments(self):
         with pytest.raises(DimensionError):

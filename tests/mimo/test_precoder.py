@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.mimo import OwnReceiver, compute_precoders_with_own_receivers
 from repro.exceptions import PrecodingError
-from repro.mimo.precoder import OwnReceiver, ReceiverConstraint, compute_precoders, max_streams
+from repro.mimo.precoder import ReceiverConstraint, compute_precoders
 from repro.utils.linalg import orthonormal_complement
 
 
@@ -18,30 +19,19 @@ class TestReceiverConstraint:
     def test_nulling_when_no_unwanted_space(self, rng):
         constraint = ReceiverConstraint(channel=_random(rng, (2, 3)))
         assert constraint.is_nulling
-        assert constraint.n_constraints == 2
+        assert constraint.constraint_rows().shape[0] == 2
 
     def test_alignment_constraint_count(self, rng):
         u_perp = orthonormal_complement(_random(rng, (3, 2)))
         constraint = ReceiverConstraint(channel=_random(rng, (3, 4)), u_perp=u_perp)
         assert not constraint.is_nulling
-        assert constraint.n_constraints == 1
+        assert constraint.constraint_rows().shape[0] == 1
 
     def test_mismatched_u_perp_rejected(self, rng):
         from repro.exceptions import DimensionError
 
         with pytest.raises(DimensionError):
             ReceiverConstraint(channel=_random(rng, (2, 3)), u_perp=_random(rng, (3, 1)))
-
-    def test_max_streams_claim_3_2(self, rng):
-        ongoing = [
-            ReceiverConstraint(channel=_random(rng, (1, 3))),
-            ReceiverConstraint(
-                channel=_random(rng, (2, 3)),
-                u_perp=orthonormal_complement(_random(rng, (2, 1))),
-            ),
-        ]
-        # One nulling row + one alignment row = 2 constraints; 3 antennas.
-        assert max_streams(3, ongoing) == 1
 
 
 class TestSingleReceiverJoin:
@@ -116,7 +106,7 @@ class TestMultiReceiverEq7:
             OwnReceiver(channel=h_c2, u_perp=u_perp_c2, n_streams=1),
             OwnReceiver(channel=h_c3, u_perp=u_perp_c3, n_streams=1),
         ]
-        precoders = compute_precoders(3, ongoing, own)
+        precoders = compute_precoders_with_own_receivers(3, ongoing, own)
         assert len(precoders) == 2
         v_c2, v_c3 = precoders
         # Neither stream disturbs AP1's decoding subspace.
@@ -139,7 +129,7 @@ class TestMultiReceiverEq7:
             OwnReceiver(channel=h_c2, u_perp=np.eye(2), n_streams=2),
             OwnReceiver(channel=h_c3, u_perp=np.eye(2)[:, :1], n_streams=1),
         ]
-        precoders = compute_precoders(3, [], own)
+        precoders = compute_precoders_with_own_receivers(3, [], own)
         assert len(precoders) == 3
         v1, v2, v3 = precoders
         # Streams 1-2 are for c2, stream 3 for c3: stream 3 must vanish in
@@ -153,12 +143,12 @@ class TestMultiReceiverEq7:
         own = [OwnReceiver(channel=_random(rng, (2, 2)), u_perp=np.eye(2), n_streams=2)]
         ongoing = [ReceiverConstraint(channel=_random(rng, (1, 2)))]
         with pytest.raises(PrecodingError):
-            compute_precoders(2, ongoing, own)
+            compute_precoders_with_own_receivers(2, ongoing, own)
 
     def test_inconsistent_stream_count_raises(self, rng):
         own = [OwnReceiver(channel=_random(rng, (2, 3)), u_perp=np.eye(2)[:, :1], n_streams=1)]
         with pytest.raises(PrecodingError):
-            compute_precoders(3, [], own, n_streams=2)
+            compute_precoders_with_own_receivers(3, [], own, n_streams=2)
 
     def test_singular_combined_system_raises(self, rng):
         # Two own receivers with the same channel and decoding subspace
@@ -171,7 +161,7 @@ class TestMultiReceiverEq7:
         ]
         ongoing = [ReceiverConstraint(channel=_random(rng, (1, 3)))]
         with pytest.raises(PrecodingError, match="singular"):
-            compute_precoders(3, ongoing, own)
+            compute_precoders_with_own_receivers(3, ongoing, own)
 
     def test_own_receiver_validation(self, rng):
         with pytest.raises(PrecodingError):

@@ -8,25 +8,104 @@ The package computes all of these as batched stack kernels
 the formulations here are the readable forms the tests check them
 against, together with the §2 worked examples and the stacked-rows
 alignment solver that :func:`repro.mimo.precoder.compute_precoders` is
-checked against.
+checked against.  :class:`OwnReceiver` and
+:func:`compute_precoders_with_own_receivers` are the per-subcarrier form
+of Eq. 7's own-receiver rows, which the package builds as stacked arrays
+(:class:`repro.mac.plan.PlannedReceiver`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from helpers import orthonormal_basis
 from repro.exceptions import DimensionError, PrecodingError
 from repro.mimo.alignment import alignment_constraint_rows
-from repro.mimo.precoder import OwnReceiver, ReceiverConstraint
+from repro.mimo.precoder import ReceiverConstraint, compute_precoders_batch
 from repro.utils import guarded
-from repro.utils.linalg import (
-    null_space,
-    orthonormal_basis,
-    orthonormal_complement,
-    singular_value_ranks,
-)
+from repro.utils.linalg import null_space, orthonormal_complement, singular_value_ranks
+
+
+@dataclass
+class OwnReceiver:
+    """A receiver of the joiner's *own* streams.
+
+    Attributes
+    ----------
+    channel:
+        ``(N, M)`` channel matrix from the joiner to this receiver.
+    u_perp:
+        ``(N, n)`` decoding subspace of this receiver, where ``n`` is the
+        number of streams it will receive from the joiner.  For a receiver
+        using all of its antennas, pass the identity.
+    n_streams:
+        Number of the joiner's streams destined to this receiver.
+    """
+
+    channel: np.ndarray
+    u_perp: np.ndarray
+    n_streams: int
+
+    def __post_init__(self) -> None:
+        self.channel = np.asarray(self.channel, dtype=complex)
+        if self.channel.ndim == 1:
+            self.channel = self.channel.reshape(1, -1)
+        self.u_perp = np.asarray(self.u_perp, dtype=complex)
+        if self.u_perp.ndim == 1:
+            self.u_perp = self.u_perp.reshape(-1, 1)
+        if self.u_perp.shape[0] != self.channel.shape[0]:
+            raise DimensionError(
+                "U-perp and the channel disagree on the receiver's antenna count"
+            )
+        if self.n_streams < 1:
+            raise PrecodingError("an own receiver must take at least one stream")
+        if self.n_streams > self.u_perp.shape[1]:
+            raise PrecodingError(
+                f"receiver's decoding subspace has dimension {self.u_perp.shape[1]} "
+                f"but {self.n_streams} streams are destined to it"
+            )
+
+    def constraint_rows(self) -> np.ndarray:
+        """Rows ``U'_perp^H H'`` of this receiver (Claim 3.5)."""
+        return alignment_constraint_rows(self.channel, self.u_perp)
+
+
+def compute_precoders_with_own_receivers(
+    n_tx_antennas: int,
+    ongoing: Sequence[ReceiverConstraint],
+    own_receivers: Sequence[OwnReceiver],
+    n_streams: Optional[int] = None,
+) -> List[np.ndarray]:
+    """Eq. 7 on one subcarrier through the package's batched kernel.
+
+    Raises :class:`~repro.exceptions.PrecodingError` when the combined
+    system is singular or ill-conditioned (any degradation the kernel
+    notes), like :func:`repro.mimo.precoder.compute_precoders`.
+    """
+    shared = np.concatenate(
+        [np.zeros((0, n_tx_antennas), dtype=complex)]
+        + [r.constraint_rows() for r in ongoing],
+        axis=0,
+    )
+    rows = [r.constraint_rows() for r in own_receivers]
+    with guarded.capture_degradations() as capture:
+        solution = compute_precoders_batch(
+            n_tx_antennas,
+            shared[None],
+            own_rows=np.concatenate(rows, axis=0)[None],
+            own_stream_counts=[r.n_streams for r in own_receivers],
+            own_row_counts=[block.shape[0] for block in rows],
+            n_streams=n_streams,
+        )[0]
+    if capture.triggered:
+        raise PrecodingError(
+            "the combined constraint matrix is singular or ill-conditioned "
+            f"({', '.join(capture.events)})"
+        )
+    return [vector.copy() for vector in solution]
 
 
 def project_out_subspace(vectors: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""PHY oracles: the per-state Viterbi decoder, per-pair channel estimation,
-and the uncoded-BER-averaging effective SNR with its AWGN error curves."""
+"""PHY oracles: the per-state Viterbi decoder, per-pair channel estimation
+(the tests' receivers decode with it), and the uncoded-BER-averaging
+effective SNR with its AWGN error curves."""
 
 from __future__ import annotations
 
@@ -127,11 +128,9 @@ def estimate_mimo_channel_reference(
     preamble: Preamble,
     preamble_start: int = 0,
 ) -> ChannelEstimate:
-    """Per-(tx, rx)-pair estimation loop.
-
-    :func:`~repro.phy.channel_est.estimate_mimo_channel` must produce
-    bit-identical matrices.
-    """
+    """Least-squares MIMO channel estimate from a received preamble: one
+    per-slot LTF estimate per (tx, rx) antenna pair.  The tests' receivers
+    decode with it (:meth:`repro.phy.transceiver.MimoReceiver.decode`)."""
     received = np.asarray(received, dtype=complex)
     if received.ndim == 1:
         received = received.reshape(1, -1)

@@ -10,6 +10,8 @@ formulations it is asserted bit-identical against:
 * :class:`PerAgentLoop` -- the event-driven loop with its three query
   hooks replaced by plain per-agent scans (swap it in with
   ``monkeypatch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)``);
+  the scans ask :func:`has_traffic` and :func:`can_join`, the per-agent
+  forms of the runner's array queries;
 * :func:`slot_aligned_idle_end_reference` -- the slot-by-slot walk
   across an idle gap that :func:`repro.sim.runner._slot_aligned_idle_end`
   computes in chunked ``cumsum`` blocks;
@@ -49,15 +51,63 @@ from repro.sim.runner import (
 from repro.sim.scenarios import Scenario
 
 
+def has_traffic(agent, now_us: float) -> bool:
+    """Whether ``agent`` wants to contend right now (refilling first)."""
+    agent.refill(now_us)
+    return any(queue.has_traffic for queue in agent.queues.values())
+
+
+def _next_traffic_time_us(agent, now_us: float) -> float:
+    """Earliest time ``agent`` could want to contend again: ``now_us`` when
+    a queue is backlogged, else the earliest upcoming arrival (``now_us``
+    for a source that is always backlogged)."""
+    times: List[float] = []
+    for receiver_id, queue in agent.queues.items():
+        if queue.has_traffic:
+            return now_us
+        source = agent.sources[receiver_id]
+        if getattr(source, "always_backlogged", False):
+            times.append(now_us)
+        else:
+            times.append(source.next_packet_time_us(now_us))
+    return min(times) if times else float("inf")
+
+
+def can_join(agent, now_us: float, medium: Medium, min_airtime_us: float) -> bool:
+    """n+'s eligibility for secondary contention (multi-dimensional
+    carrier sense says the next degree of freedom is free); ``False`` for
+    an agent that does not join."""
+    if not agent.supports_joining or not medium.busy:
+        return False
+    if not has_traffic(agent, now_us):
+        return False
+    used = medium.used_degrees_of_freedom
+    if agent.n_antennas <= used:
+        return False
+    if agent.node_id in medium.transmitting_nodes():
+        return False
+    if agent.node_id in medium.receiving_nodes():
+        return False
+    if medium.current_end_us - now_us < min_airtime_us:
+        return False
+    # At least one of its receivers must have a spare dimension left
+    # after projecting out the ongoing streams.
+    return any(
+        agent.network.station(r.node_id).n_antennas > used
+        and agent.queues[r.node_id].has_traffic
+        for r in agent.pair.receivers
+    )
+
+
 class PerAgentLoop(_EventDrivenLoop):
     """The event loop with every per-round query asked agent by agent."""
 
     def _contending_agents(self, now: float) -> List[object]:
-        return [agent for agent in self.agents.values() if agent.has_traffic(now)]
+        return [agent for agent in self.agents.values() if has_traffic(agent, now)]
 
     def _next_traffic_time_us(self, now: float) -> float:
         return min(
-            (agent.next_traffic_time_us(now) for agent in self.agents.values()),
+            (_next_traffic_time_us(agent, now) for agent in self.agents.values()),
             default=float("inf"),
         )
 
@@ -65,9 +115,8 @@ class PerAgentLoop(_EventDrivenLoop):
         return [
             agent
             for agent in self.agents.values()
-            if agent.supports_joining
-            and agent.node_id not in exhausted
-            and agent.can_join(now, self.medium, self.run_spec.min_join_airtime_us)
+            if agent.node_id not in exhausted
+            and can_join(agent, now, self.medium, self.run_spec.min_join_airtime_us)
         ]
 
 
@@ -134,7 +183,7 @@ def run_simulation_condensed_reference(
     now = 0.0
     rounds = 0
     while now < config.duration_us:
-        contending = [agent for agent in agents.values() if agent.has_traffic(now)]
+        contending = [agent for agent in agents.values() if has_traffic(agent, now)]
         if not contending:
             now += SLOT_TIME_US
             continue
@@ -181,9 +230,8 @@ def run_simulation_condensed_reference(
                 eligible = [
                     agent
                     for agent in agents.values()
-                    if agent.supports_joining
-                    and agent.node_id not in exhausted
-                    and agent.can_join(sense_start, medium, config.min_join_airtime_us)
+                    if agent.node_id not in exhausted
+                    and can_join(agent, sense_start, medium, config.min_join_airtime_us)
                 ]
                 if not eligible:
                     break

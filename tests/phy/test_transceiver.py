@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import bit_error_rate
+from helpers import apply_channel, bit_error_rate
+from oracles.phy import estimate_mimo_channel_reference
 from repro.channel.models import awgn
 from repro.channel.multipath import MultipathChannel
 from repro.exceptions import ConfigurationError
@@ -21,9 +22,14 @@ def _run_link(rng, n_tx, n_rx, streams, snr_db=30.0, n_taps=3):
         n_rx, n_tx, rng, n_taps=n_taps, average_gain=db_to_linear(snr_db)
     )
     noise_power = 1.0
-    received = awgn(channel.apply(samples), noise_power, rng)
-    receiver = MimoReceiver(n_rx)
-    return receiver.decode(received, layout, noise_power=noise_power)
+    received = awgn(apply_channel(channel, samples), noise_power, rng)
+    return _decode(MimoReceiver(n_rx), received, layout, noise_power=noise_power)
+
+
+def _decode(receiver, received, layout, **kwargs):
+    """Decode with the least-squares estimate of the received preamble."""
+    estimate = estimate_mimo_channel_reference(received, layout.preamble)
+    return receiver.decode(received, layout, estimate, **kwargs)
 
 
 class TestSingleStream:
@@ -90,8 +96,8 @@ class TestSpatialMultiplexing:
         transmitter = MimoTransmitter(2)
         samples, layout = transmitter.build_frame(streams)
         channel = MultipathChannel.random(2, 2, rng, n_taps=2, average_gain=1e3)
-        received = awgn(channel.apply(samples), 1.0, rng)
-        decoded = MimoReceiver(2).decode(received, layout, wanted_streams=[11], noise_power=1.0)
+        received = awgn(apply_channel(channel, samples), 1.0, rng)
+        decoded = _decode(MimoReceiver(2), received, layout, wanted_streams=[11], noise_power=1.0)
         assert list(decoded) == [11]
         assert bit_error_rate(bits_b, decoded[11].bits) == 0.0
 
@@ -113,8 +119,8 @@ class TestPrecodedNulling:
 
         matrix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         channel = MultipathChannel(taps=np.sqrt(db_to_linear(28.0)) * matrix[None])
-        received = awgn(channel.apply(samples), 1.0, rng)
-        decoded = MimoReceiver(2).decode(received, layout, noise_power=1.0)
+        received = awgn(apply_channel(channel, samples), 1.0, rng)
+        decoded = _decode(MimoReceiver(2), received, layout, noise_power=1.0)
         assert bit_error_rate(bits, decoded[0].bits) == 0.0
 
 

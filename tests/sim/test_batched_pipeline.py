@@ -21,6 +21,7 @@ import pytest
 
 from oracles.runner import (
     PerAgentLoop,
+    has_traffic,
     run_simulation_condensed_reference,
     slot_aligned_idle_end_reference,
 )
@@ -112,7 +113,7 @@ class _CheckedBatchedLoop(_EventDrivenLoop):
 
     def _contending_agents(self, now):
         batched = super()._contending_agents(now)
-        reference = [a for a in self.agents.values() if a.has_traffic(now)]
+        reference = [a for a in self.agents.values() if has_traffic(a, now)]
         assert [a.node_id for a in batched] == sorted(a.node_id for a in reference)
         self.checked_contention_rounds += 1
         return batched

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from repro import cli
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.nplus import NPlusMac
 from repro.mac.variants import _VARIANTS, register_variant
 from repro.sim import capsule as capsule_module
+from repro.sim import invariants as invariants_module
 from repro.sim.capsule import (
     CAPSULE_DIRNAME,
     CAPSULE_SCHEMA_VERSION,
@@ -33,6 +34,7 @@ from repro.sim.faults import (
     FaultSchedule,
     LossEpisode,
 )
+from repro.sim.invariants import invariant
 from repro.sim.runner import RunSpec, SimulationConfig
 from repro.sim.scenarios import dense_lan_scenario, scenario_factory
 from repro.sim.store import ResultsStore
@@ -400,6 +402,43 @@ class TestReplay:
         assert capsule.fault_schedule  # the faulty profile produced episodes
         outcome = replay_capsule(capsule)
         assert outcome.reproduced
+
+    def test_replay_reproduces_an_invariant_violation(self, tmp_path):
+        """A broken conservation law is a cell failure like any crash: its
+        capsule replays under full validation and names the checker."""
+
+        @invariant("always-violated")
+        def _violated(suite, loop):
+            suite.fail("always-violated", loop, detail="injected")
+
+        try:
+            result = run_sweep(
+                "three-pair",
+                ["n+"],
+                n_runs=1,
+                seed=3,
+                config=dataclasses.replace(FAST, validation="cheap"),
+                cache_dir=tmp_path,
+                max_retries=0,
+            )
+            outcome = replay_capsule(result.failures[0].capsule_path)
+        finally:
+            del invariants_module._REGISTRY["always-violated"]
+        assert outcome.reproduced
+        assert outcome.error_type == "InvariantViolation"
+        assert "always-violated" in outcome.error_message
+
+    def test_a_strict_sweep_closes_its_store_when_it_raises(
+        self, tmp_path, crashy_protocol, monkeypatch
+    ):
+        closed = []
+        close = ResultsStore.close
+        monkeypatch.setattr(
+            ResultsStore, "close", lambda store: (closed.append(store), close(store))
+        )
+        with pytest.raises(SimulationError):
+            _crashy_sweep(tmp_path, strict=True)
+        assert len(closed) == 1
 
 
 class TestCli:

@@ -133,7 +133,7 @@ class TestFaultResolution:
         )
         schedule = build_fault_schedule(three_pair_scenario(), config, 0)
         assert schedule is not None
-        assert schedule.losses == [LossEpisode(100.0, 500.0, 0.5)]
+        assert list(schedule.episodes) == [LossEpisode(100.0, 500.0, 0.5)]
 
 
 class TestFaultedDeterminism:
@@ -332,6 +332,32 @@ class TestScheduleGenerators:
         assert schedule.empty
 
 
+#: Traces that read literally would be a different schedule -- a loss on no
+#: link, or on every link -- so each is refused.
+_MISREAD_TRACES = [
+    (
+        "tx-only.json",
+        '[{"start_us": 0, "duration_us": 100, "loss_rate": 1.0, "tx_id": 3}]',
+        "both ends of a link",
+    ),
+    (
+        "rx-only.json",
+        '[{"start_us": 0, "duration_us": 100, "loss_rate": 1.0, "rx_id": 4}]',
+        "both ends of a link",
+    ),
+    (
+        "null-rx.json",
+        '[{"start_us": 0, "duration_us": 100, "loss_rate": 1.0, "tx_id": 3, '
+        '"rx_id": null}]',
+        "both ends of a link",
+    ),
+    ("empty-rx.csv", "0,100,1.0,3,\n", "both ends of a link"),
+    ("empty-tx.csv", "0,100,1.0,,4\n", "both ends of a link"),
+    ("tx-only.csv", "0,100,1.0,3\n", "both ends of a link"),
+    ("no-episodes.json", '{"loss": []}', "'episodes' list"),
+]
+
+
 class TestTraces:
     def test_json_trace_round_trip(self, tmp_path):
         episodes = [
@@ -341,7 +367,7 @@ class TestTraces:
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(episodes))
         schedule = read_trace(path)[1]
-        assert schedule.losses == [
+        assert list(schedule.episodes) == [
             LossEpisode(0.0, 100.0, 0.25),
             LossEpisode(50.0, 10.0, 1.0, tx_id=0, rx_id=3),
         ]
@@ -351,7 +377,7 @@ class TestTraces:
         path.write_text(
             json.dumps({"episodes": [{"start_us": 1.0, "duration_us": 2.0, "loss_rate": 0.5}]})
         )
-        assert read_trace(path)[1].losses == [LossEpisode(1.0, 2.0, 0.5)]
+        assert list(read_trace(path)[1].episodes) == [LossEpisode(1.0, 2.0, 0.5)]
 
     def test_csv_trace_skips_header_and_comments(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -362,7 +388,7 @@ class TestTraces:
             "200.0,25.0,0.8,1,4\n"
         )
         schedule = read_trace(path)[1]
-        assert schedule.losses == [
+        assert list(schedule.episodes) == [
             LossEpisode(100.0, 50.0, 0.3),
             LossEpisode(200.0, 25.0, 0.8, tx_id=1, rx_id=4),
         ]
@@ -378,6 +404,17 @@ class TestTraces:
             read_trace(bad_rate)
         with pytest.raises(ConfigurationError):
             read_trace(tmp_path / "missing.csv")
+
+    @pytest.mark.parametrize(
+        "name, text, match", _MISREAD_TRACES, ids=[case[0] for case in _MISREAD_TRACES]
+    )
+    def test_a_misread_trace_is_refused(self, tmp_path, name, text, match):
+        """A row naming one end of a link, or a JSON object with no
+        episodes list, is refused with a ``ConfigurationError``."""
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=match):
+            read_trace(path)
 
 
 class TestInjector:

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import custom_pairs_scenario
+from helpers import bank_pairs, custom_pairs_scenario
 from repro.sim.network import Network
 from repro.sim.runner import (
     RunSpec,
@@ -42,8 +42,8 @@ def _grouped(scenario, seed, **kwargs):
 
 
 def _assert_same_channels(first, second):
-    assert set(first.channels.pairs()) == set(second.channels.pairs())
-    for a, b in first.channels.pairs():
+    assert set(bank_pairs(first.channels)) == set(bank_pairs(second.channels))
+    for a, b in bank_pairs(first.channels):
         assert np.array_equal(first.true_channel(a, b), second.true_channel(a, b)), (a, b)
         assert first.link_snr_db(a, b) == second.link_snr_db(a, b)
 
@@ -200,7 +200,7 @@ class TestDenseLan500Tier:
         config = SimulationConfig(n_subcarriers=4)
         network = build_network(scenario, run_seed=0, config=config)
         assert network.channel_draws == "grouped"
-        assert network.channels.n_pairs == 500 * 499 // 2
+        assert len(bank_pairs(network.channels)) == 500 * 499 // 2
         testbed = network.testbed
         snrs = np.array(
             [network.link_snr_db(p.transmitter.node_id, p.receivers[0].node_id)

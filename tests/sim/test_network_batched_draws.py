@@ -10,7 +10,7 @@ downstream draw, and therefore every simulated metric, is unchanged).
 import numpy as np
 import pytest
 
-from helpers import custom_pairs_scenario
+from helpers import bank_pairs, custom_pairs_scenario
 from oracles.network import PerPairNetwork
 from repro.channel.multipath import MultipathChannel, frequency_response_batch
 from repro.exceptions import ConfigurationError
@@ -35,8 +35,8 @@ def _build_both(scenario, seed, **kwargs):
 
 
 def _assert_identical(batched, reference, rng_batched, rng_reference):
-    assert set(batched.channels.pairs()) == set(reference.channels.pairs())
-    for a, b in reference.channels.pairs():
+    assert set(bank_pairs(batched.channels)) == set(bank_pairs(reference.channels))
+    for a, b in bank_pairs(reference.channels):
         for tx, rx in ((a, b), (b, a)):
             assert batched.link_snr_db(tx, rx) == reference.link_snr_db(tx, rx)
             assert np.array_equal(
@@ -90,7 +90,7 @@ class TestBatchedDrawsBitIdentical:
         """No stations -> no pairs, on every draw path."""
         for mode in ("batched", "grouped"):
             network = Network([], [], np.random.default_rng(0), channel_draws=mode)
-            assert network.channels.n_pairs == 0 and len(network.channels._stacks) == 0
+            assert len(bank_pairs(network.channels)) == 0 and len(network.channels._stacks) == 0
 
     def test_unknown_draw_mode_rejected(self):
         scenario = three_pair_scenario()

@@ -145,7 +145,7 @@ class TestPlanCacheHits:
 
     def test_counters_start_at_zero(self):
         cache = PlanCache()
-        assert cache.hits == 0 and cache.misses == 0 and len(cache) == 0
+        assert cache.hits == 0 and cache.misses == 0 and not cache._store
         value = cache.get(("k",), lambda: 41)
         assert value == 41 and cache.misses == 1
         assert cache.get(("k",), lambda: 0) == 41

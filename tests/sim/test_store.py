@@ -11,6 +11,7 @@ import sqlite3
 
 import pytest
 
+from helpers import cell_count
 from repro.exceptions import ConfigurationError
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
 from repro.sim.store import (
@@ -58,14 +59,14 @@ class TestCacheParity:
         metrics = _metrics()
         store.store("a" * 64, metrics, _describe())
         assert _load(store, "a" * 64).to_dict() == metrics.to_dict()
-        assert len(store) == 1
+        assert cell_count(store, "done") == 1
 
     def test_store_overwrites_atomically(self, tmp_path):
         store = ResultsStore(tmp_path)
         store.store("a" * 64, _metrics(100), _describe())
         store.store("a" * 64, _metrics(999), _describe())
         assert _load(store, "a" * 64).links["a->b"].delivered_bits == 999
-        assert len(store) == 1
+        assert cell_count(store, "done") == 1
 
     def test_only_done_cells_hit(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -77,7 +78,7 @@ class TestCacheParity:
         assert _load(store, key) is None
         store.mark_failed(key, "boom", _describe())
         assert _load(store, key) is None
-        assert len(store) == 0
+        assert cell_count(store, "done") == 0
 
     def test_load_many_hits_only_done_cells(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -103,7 +104,7 @@ class TestSelfHealing:
         (tmp_path / STORE_FILENAME).write_text("this is not a sqlite database" * 100)
         store = ResultsStore(tmp_path)
         # The unreadable store became an empty one (cells are misses)...
-        assert len(store) == 0
+        assert cell_count(store, "done") == 0
         store.store("a" * 64, _metrics(), _describe())
         assert _load(store, "a" * 64) is not None
         # ...and the corrupt file was set aside for inspection.
@@ -126,6 +127,12 @@ class TestSelfHealing:
         assert store.load_many([key]) == {}
         store.store(key, _metrics(), _describe())
         assert _load(store, key).to_dict() == _metrics().to_dict()
+
+    def test_a_with_block_closes_the_store(self, tmp_path):
+        with ResultsStore(tmp_path) as store:
+            assert cell_count(store) == 0
+        with pytest.raises(sqlite3.ProgrammingError):
+            cell_count(store)
 
     def test_newer_store_layout_is_refused(self, tmp_path):
         ResultsStore(tmp_path).close()
@@ -157,14 +164,14 @@ class TestStateMachine:
         store.begin_sweep(
             "s" * 64, {"n_runs": 2}, [(k, _describe(run=i)) for i, k in enumerate(keys)]
         )
-        assert store.count("pending") == 2
+        assert cell_count(store, "pending") == 2
         store.mark_running(keys)
-        assert store.count("running") == 2
+        assert cell_count(store, "running") == 2
         store.store(keys[0], _metrics(), _describe(run=0))
         store.mark_failed(keys[1], "boom", _describe(run=1))
-        assert store.count("done") == 1
-        assert store.count("failed") == 1
-        assert store.count() == 2
+        assert cell_count(store, "done") == 1
+        assert cell_count(store, "failed") == 1
+        assert cell_count(store) == 2
 
     def test_begin_sweep_preserves_done_cells(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -176,7 +183,7 @@ class TestStateMachine:
         )
         # The done cell is this sweep's cache hit, not re-pended.
         assert _load(store, "a" * 64) is not None
-        assert store.count("pending") == 1
+        assert cell_count(store, "pending") == 1
 
     def test_begin_sweep_resets_orphaned_running_cells(self, tmp_path):
         """A sweep process that died without checkpointing leaves
@@ -186,16 +193,16 @@ class TestStateMachine:
         store.begin_sweep("s" * 64, {}, cells)
         store.mark_running(["a" * 64])
         store.begin_sweep("s" * 64, {}, cells)
-        assert store.count("running") == 0
-        assert store.count("pending") == 1
+        assert cell_count(store, "running") == 0
+        assert cell_count(store, "pending") == 1
 
     def test_checkpoint_resets_running_and_marks_interrupted(self, tmp_path):
         store = ResultsStore(tmp_path)
         store.begin_sweep("s" * 64, {"seed": 0}, [("a" * 64, _describe())])
         store.mark_running(["a" * 64])
         store.checkpoint_sweep("s" * 64)
-        assert store.count("running") == 0
-        assert store.count("pending") == 1
+        assert cell_count(store, "running") == 0
+        assert cell_count(store, "pending") == 1
         assert store.get_sweep("s" * 64).status == "interrupted"
 
     def test_finish_sweep_marks_done(self, tmp_path):
@@ -236,9 +243,10 @@ class TestQueries:
         store = ResultsStore(tmp_path)
         self._populate(store)
         without = store.query(protocol="n+", status="done")
-        assert all(record.metrics() is None for record in without)
+        assert all(record.metrics_json is None for record in without)
         with_payload = store.query(protocol="n+", status="done", with_metrics=True)
-        assert [r.metrics().links["a->b"].delivered_bits for r in with_payload] == [
+        metrics = [NetworkMetrics.from_dict(json.loads(r.metrics_json)) for r in with_payload]
+        assert [m.links["a->b"].delivered_bits for m in metrics] == [
             1,
             101,
         ]

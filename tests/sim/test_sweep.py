@@ -13,6 +13,7 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
+from helpers import cell_count
 from oracles.runner import run_many, run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError
 from repro.mac.variants import resolve_protocol
@@ -330,7 +331,8 @@ class TestRunLevelTasks:
             monkeypatch, n_runs=3, seed=4, config=FAST, workers=workers
         )
         assert calls == 3  # one build per run, not one per (run, protocol)
-        assert result.n_runs == 3 and len(result.results) == 2
+        assert len(result.results) == 2
+        assert all(len(runs) == 3 for runs in result.results.values())
 
     def test_cached_protocols_do_not_rebuild(self, monkeypatch, tmp_path):
         """A task only covers the protocols that missed the cache; a fully
@@ -466,7 +468,7 @@ class TestSchemaBoundary:
         old = run_sweep(
             "three-pair", ["n+"], n_runs=2, seed=4, config=FAST, cache_dir=tmp_path
         )
-        assert old.cache_misses == 2 and len(ResultsStore(tmp_path)) == 2
+        assert old.cache_misses == 2 and cell_count(ResultsStore(tmp_path), "done") == 2
 
         # Back on the real schema: every old cell is a miss, not a replay.
         monkeypatch.undo()
@@ -479,7 +481,7 @@ class TestSchemaBoundary:
         # and were re-stored under the v8 keys next to the stale v7 rows.
         fresh = run_sweep("three-pair", ["n+"], n_runs=2, seed=4, config=FAST)
         assert _as_dicts(bumped.results) == _as_dicts(fresh.results)
-        assert len(ResultsStore(tmp_path)) == 4
+        assert cell_count(ResultsStore(tmp_path), "done") == 4
 
     def test_key_format_is_pinned(self, tmp_path):
         """Cell keys and the manifest digest, recorded before cells were
@@ -671,7 +673,7 @@ class TestSweepHardening:
         assert failed.failures
         # Failed cells are recorded as `failed`, never as cached results:
         # len() counts only `done` cells and load() replays only those.
-        assert len(ResultsStore(tmp_path)) == 0
+        assert cell_count(ResultsStore(tmp_path), "done") == 0
         monkeypatch.undo()
         recovered = run_sweep(
             "three-pair", ["n+"], n_runs=1, seed=4, config=FAST, cache_dir=tmp_path

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import cell_count
 from repro.sim.runner import SimulationConfig
 from repro.sim.store import ResultsStore
 from repro.sim.sweep import run_sweep
@@ -118,8 +119,8 @@ class TestWorkerKill:
         serial = run_sweep("three-pair", ["802.11n", "n+"], n_runs=3, seed=4, config=FAST)
         assert _as_dicts(result.results) == _as_dicts(serial.results)
         store = ResultsStore(tmp_path / "store")
-        assert store.count("done") == 6
-        assert store.count("running") == store.count("pending") == 0
+        assert cell_count(store, "done") == 6
+        assert cell_count(store, "running") == cell_count(store, "pending") == 0
         assert store.get_sweep(result.sweep_id).status == "done"
 
 
@@ -149,7 +150,7 @@ def _wait_for_progress(cache_dir, min_done=2, timeout_s=60.0):
     while time.monotonic() < deadline:
         if (Path(cache_dir) / "results.sqlite").exists():
             store = ResultsStore(cache_dir)
-            done = store.count("done")
+            done = cell_count(store, "done")
             store.close()
             if done >= min_done:
                 return done
@@ -186,13 +187,13 @@ class TestParentKill:
         store = ResultsStore(tmp_path)
         sweeps = store.sweeps()
         assert len(sweeps) == 1
-        done_before = store.count("done")
+        done_before = cell_count(store, "done")
         assert 0 < done_before < GRID_CELLS
         if expects_checkpoint:
             assert sweeps[0].status == "interrupted"
             # The checkpoint flushed every in-flight cell back to pending.
-            assert store.count("running") == 0
-            assert store.count("pending") == GRID_CELLS - done_before
+            assert cell_count(store, "running") == 0
+            assert cell_count(store, "pending") == GRID_CELLS - done_before
         else:
             # SIGKILL: no checkpoint could run; whatever state was
             # committed is still consistent, and begin_sweep reclaims
@@ -216,5 +217,5 @@ class TestParentKill:
 
         store = ResultsStore(tmp_path)
         assert store.get_sweep(resumed.sweep_id).status == "done"
-        assert store.count("done") == GRID_CELLS
-        assert store.count("running") == store.count("pending") == 0
+        assert cell_count(store, "done") == GRID_CELLS
+        assert cell_count(store, "running") == cell_count(store, "pending") == 0

@@ -10,6 +10,7 @@ interruptions are injected deterministically in-process.
 
 import pytest
 
+from helpers import cell_count
 from oracles.runner import run_many
 from repro.exceptions import ConfigurationError
 from repro.sim.runner import SimulationConfig, placement_seed
@@ -127,9 +128,9 @@ class TestInterruptAndResume:
         assert len(sweeps) == 1 and sweeps[0].status == "interrupted"
         # The checkpoint left no cell in flight: run 0's cells are done,
         # everything else is pending again.
-        assert store.count("running") == 0
-        assert store.count("done") == len(protocols)
-        assert store.count("pending") == 2 * len(protocols)
+        assert cell_count(store, "running") == 0
+        assert cell_count(store, "done") == len(protocols)
+        assert cell_count(store, "pending") == 2 * len(protocols)
         store.close()
 
         resumed = run_sweep("three-pair", protocols, resume=True, **kwargs)
@@ -143,7 +144,7 @@ class TestInterruptAndResume:
         assert _as_dicts(resumed.results) == _as_dicts(serial)
         store = ResultsStore(tmp_path)
         assert store.get_sweep(resumed.sweep_id).status == "done"
-        assert store.count("pending") == store.count("running") == 0
+        assert cell_count(store, "pending") == cell_count(store, "running") == 0
 
     def test_interrupt_before_any_result_still_checkpoints(
         self, tmp_path, monkeypatch
@@ -163,7 +164,7 @@ class TestInterruptAndResume:
         monkeypatch.undo()
         store = ResultsStore(tmp_path)
         assert store.sweeps()[0].status == "interrupted"
-        assert store.count("pending") == 2 and store.count("done") == 0
+        assert cell_count(store, "pending") == 2 and cell_count(store, "done") == 0
         store.close()
         resumed = run_sweep(
             "three-pair", ["n+"], n_runs=2, seed=4, config=FAST,
@@ -171,6 +172,24 @@ class TestInterruptAndResume:
         )
         fresh = run_sweep("three-pair", ["n+"], n_runs=2, seed=4, config=FAST)
         assert _as_dicts(resumed.results) == _as_dicts(fresh.results)
+
+    def test_an_interrupted_sweep_closes_its_store(self, tmp_path, monkeypatch):
+        from repro.sim import sweep as sweep_module
+
+        closed = []
+        close = ResultsStore.close
+        monkeypatch.setattr(
+            ResultsStore, "close", lambda store: (closed.append(store), close(store))
+        )
+        monkeypatch.setattr(
+            sweep_module, "build_network", _interrupt_on_seed(placement_seed(4, 1))
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(
+                "three-pair", ["n+"], n_runs=2, seed=4, config=FAST,
+                cache_dir=tmp_path,
+            )
+        assert len(closed) == 1
 
     def test_failed_cells_are_retried_by_a_later_sweep(self, tmp_path, monkeypatch):
         """`failed` rows are misses: re-running the grid recomputes them
@@ -189,7 +208,7 @@ class TestInterruptAndResume:
         )
         assert first.failures
         store = ResultsStore(tmp_path)
-        assert store.count("failed") == 1
+        assert cell_count(store, "failed") == 1
         store.close()
 
         monkeypatch.setattr(sweep_module, "build_network", real)
@@ -198,4 +217,4 @@ class TestInterruptAndResume:
         )
         assert not second.failures and second.cache_misses == 1
         store = ResultsStore(tmp_path)
-        assert store.count("failed") == 0 and store.count("done") == 1
+        assert cell_count(store, "failed") == 0 and cell_count(store, "done") == 1

@@ -26,7 +26,7 @@ class TestTrafficPair:
         rx = Station(1, 2, "rx")
         pair = TrafficPair(tx, [rx])
         assert pair.streams_per_receiver == [2]
-        assert pair.n_streams == 2
+        assert sum(pair.streams_per_receiver) == 2
         assert pair.name == "tx->rx"
 
     def test_multi_receiver_default_split(self):

@@ -245,6 +245,18 @@ class TestDurableSweepCommands:
         assert "three-pair" in out
         assert "802.11n,n+" in out
 
+    def test_results_command_closes_its_store(self, capsys, tmp_path, monkeypatch):
+        from repro.sim.store import ResultsStore
+
+        closed = []
+        close = ResultsStore.close
+        monkeypatch.setattr(
+            ResultsStore, "close", lambda store: (closed.append(store), close(store))
+        )
+        assert main(self._sweep_argv(tmp_path)) == 0
+        assert main(["results", "--cache-dir", str(tmp_path)]) == 0
+        assert len(closed) == 2  # the sweep's store, then the listing's
+
     def test_results_command_on_an_empty_store(self, capsys, tmp_path):
         assert main(["results", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.db import (
-    db_to_linear,
-    linear_to_db,
-    power_db,
-    signal_power,
-    snr_db,
-)
+from repro.utils.db import db_to_linear, linear_to_db, signal_power
 
 
 class TestConversions:
@@ -45,13 +39,3 @@ class TestSignalPower:
 
     def test_empty_signal(self):
         assert signal_power(np.array([])) == 0.0
-
-    def test_power_db_of_unit_signal_is_zero(self):
-        samples = np.ones(100, dtype=complex)
-        assert power_db(samples) == pytest.approx(0.0, abs=1e-9)
-
-    def test_snr_db(self, rng):
-        signal = np.ones(1000, dtype=complex)
-        noise = 0.1 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000)) / np.sqrt(2)
-        measured = snr_db(signal, noise)
-        assert measured == pytest.approx(20.0, abs=1.0)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import is_in_subspace, random_unitary, subspace_angle
+from helpers import is_in_subspace, orthonormal_basis, random_unitary, subspace_angle
 from oracles.mimo import project_out_subspace
 from repro.exceptions import DimensionError
-from repro.utils.linalg import null_space, orthonormal_basis, orthonormal_complement
+from repro.utils.linalg import null_space, orthonormal_complement
 
 
 def _random_complex(rng, shape):
