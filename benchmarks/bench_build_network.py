@@ -3,9 +3,13 @@
 ``Network`` construction is tracked under both draw contracts:
 
 * ``bench_build_network_100`` and ``bench_build_network_200_batched``
-  time the v2 ``channel_draws="batched"`` group pipeline (per-pair draw
-  order, vectorized math).  Every batched build is asserted
-  bit-identical to a per-pair oracle loop in the test suite
+  time the v2 ``channel_draws="batched"`` contract: per-pair draw order
+  in exactly two generator calls per pair (the line-of-sight coin, then
+  one normal fill covering the pair's tap normals and the next pair's
+  shadowing normal), with the link budget, tap scaling and the padded
+  64-point FFT (on the contiguous axis) as array code per antenna-shape
+  group.  Every batched build is asserted bit-identical to a per-pair
+  oracle loop in the test suite
   (``tests/sim/test_network_batched_draws.py``).
 
 * ``bench_build_network_200`` and ``bench_build_network_500`` time the

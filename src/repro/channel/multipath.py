@@ -186,13 +186,24 @@ class MultipathChannel:
         return np.fft.fft(padded, axis=0)
 
 
-def frequency_response_batch(taps: np.ndarray, fft_size: int = NUM_SUBCARRIERS) -> np.ndarray:
-    """Per-subcarrier matrices of a whole stack of channels in one FFT.
+def frequency_response_batch(
+    taps: np.ndarray, bins: np.ndarray, fft_size: int = NUM_SUBCARRIERS
+) -> np.ndarray:
+    """Per-subcarrier matrices of a whole stack of channels, by FFT.
 
     ``taps`` has shape ``(n_channels, n_taps, n_rx, n_tx)`` (what
     :meth:`MultipathChannel.random_batch` returns); the result has shape
-    ``(n_channels, fft_size, n_rx, n_tx)`` and slice ``c`` is bit-identical
-    to ``MultipathChannel(taps[c]).frequency_response(fft_size)``.
+    ``(n_channels, len(bins), n_rx, n_tx)`` and slice ``c`` is
+    bit-identical to
+    ``MultipathChannel(taps[c]).frequency_response(fft_size)[bins]``.
+
+    The zero-padded taps are laid out ``(n_channels, n_rx, n_tx,
+    fft_size)`` so that pocketfft runs the same ``fft_size``-point
+    transform of every antenna pair on the contiguous last axis (no
+    strided gathers), in place.  The selected bins are returned laid out
+    bins-major in memory -- the layout ``fft(..., axis=1)[:, bins]``
+    produces, which the v2 draw contract of
+    :meth:`repro.sim.network.Network._draw_channels` has always stored.
     """
     taps = np.asarray(taps, dtype=complex)
     if taps.ndim != 4:
@@ -200,9 +211,10 @@ def frequency_response_batch(taps: np.ndarray, fft_size: int = NUM_SUBCARRIERS) 
             f"taps must have shape (n_channels, n_taps, n_rx, n_tx), got {taps.shape}"
         )
     n_channels, n_taps, n_rx, n_tx = taps.shape
-    padded = np.zeros((n_channels, fft_size, n_rx, n_tx), dtype=complex)
-    padded[:, :n_taps] = taps
-    return np.fft.fft(padded, axis=1)
+    padded = np.zeros((n_channels, n_rx, n_tx, fft_size), dtype=complex)
+    padded[..., :n_taps] = taps.transpose(0, 2, 3, 1)
+    spectrum = np.fft.fft(padded, axis=-1, out=padded)
+    return spectrum.transpose(3, 0, 1, 2)[bins].transpose(1, 0, 2, 3)
 
 
 def frequency_response_at_bins_batch(
@@ -217,9 +229,9 @@ def frequency_response_at_bins_batch(
     For the testbed's few-tap channels this is cheaper, and (more
     importantly at the 500-station tier) it never materialises the
     ``(n_channels, fft_size, n_rx, n_tx)`` padded intermediate.  The
-    result equals ``frequency_response_batch(taps, fft_size)[:, bins]``
-    up to floating-point rounding; the grouped (v3) draw contract of
-    :meth:`repro.sim.network.Network._draw_channels_grouped` pins *this*
+    result equals ``frequency_response_batch(taps, bins, fft_size)`` up
+    to floating-point rounding; the grouped (v3) draw contract of
+    :meth:`repro.sim.network.Network._draw_channels` pins *this*
     formulation (schema 8).
 
     ``taps`` has shape ``(n_channels, n_taps, n_rx, n_tx)``; the result

@@ -142,26 +142,14 @@ class Testbed:
         return self.path_loss_at_distance(self.distance(a, b))
 
     def link_snr_db(
-        self,
-        a: int,
-        b: int,
-        rng: Optional[np.random.Generator] = None,
-        path_loss_db: Optional[float] = None,
+        self, a: int, b: int, rng: Optional[np.random.Generator] = None
     ) -> float:
         """Average link SNR (dB) including shadowing, clamped to the
-        testbed's operating range.
-
-        ``path_loss_db`` lets a caller that already computed the
-        deterministic loss (e.g. vectorized over all pairs) skip the
-        per-call :meth:`path_loss_db`; the shadowing draw, budget
-        arithmetic and clamp are shared either way.
-        """
-        loss = self.path_loss_db(a, b) if path_loss_db is None else path_loss_db
+        testbed's operating range."""
+        loss = self.path_loss_db(a, b)
         if rng is not None:
             loss = loss + rng.normal(0.0, self.shadowing_sigma_db)
         snr = self.tx_power_dbm - loss - self.noise_floor_dbm
-        # min/max, not np.clip: same value, but cheap enough for the
-        # batched construction's once-per-pair call.
         return float(min(max(snr, self.min_snr_db), self.max_snr_db))
 
     # -- channel generation ------------------------------------------------------
@@ -172,76 +160,54 @@ class Testbed:
         rx_location: int,
         rng: np.random.Generator,
         snr_db: Optional[float] = None,
-        path_loss_db: Optional[float] = None,
     ) -> Tuple[float, float]:
         """The per-link scalar draws, in canonical order.
 
         This is *the* definition of a link's scalar random-draw sequence
         -- the shadowed SNR (one ``rng.normal``, skipped when ``snr_db``
         forces the budget) followed by the line-of-sight coin (one
-        ``rng.random``) -- shared by :meth:`link` and the batched network
-        construction
-        (:meth:`repro.sim.network.Network._draw_channels`), so the
-        bit-identity contract between those paths lives in one place.
-
-        ``path_loss_db`` lets a caller that has already computed the
-        deterministic log-distance loss (e.g. vectorized over all pairs)
-        skip the per-link :meth:`path_loss_db` call; the shadowing,
-        clamping and float arithmetic stay identical either way.
+        ``rng.random``) -- used by :meth:`link`.  The network
+        construction draws the same values in bulk and evaluates them
+        with :meth:`link_scalars_batch`.
 
         Returns ``(snr_db, decay_samples)``.
         """
         if snr_db is None:
-            snr_db = self.link_snr_db(
-                tx_location, rx_location, rng, path_loss_db=path_loss_db
-            )
+            snr_db = self.link_snr_db(tx_location, rx_location, rng)
         else:
             snr_db = float(snr_db)
         line_of_sight = rng.random() < self.los_probability
         # Line of sight: a strong first tap plus weak scattering.
         return snr_db, 0.6 if line_of_sight else 1.5
 
-    def draw_link_scalars_batch(
+    def link_scalars_batch(
         self,
         path_loss_db: np.ndarray,
-        rng: np.random.Generator,
+        shadowing: np.ndarray,
+        coins: np.ndarray,
         forced_snr_db: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Every link's scalar draws at once -- the grouped (v3) contract.
+        """Every link's ``(snr_db, decay_samples)`` from its drawn values.
 
-        Where :meth:`draw_link_scalars` interleaves the two scalar draws
-        link by link (the v2 ``"batched"`` network construction's
-        contract), this consumes randomness
-        **scalars-first**: ONE ``rng.normal`` call draws the shadowing of
-        every link, then ONE ``rng.random`` call draws every
-        line-of-sight coin.  A shadowing value is drawn (and discarded)
-        even for links whose SNR is forced, so the stream layout depends
-        only on the link count, never on the forced set.  Seeded results
-        therefore differ from the v2 contracts by design -- selecting
-        this contract rides the ``CACHE_SCHEMA_VERSION`` bump (see
-        :mod:`repro.sim.sweep`).
+        The array form of :meth:`draw_link_scalars`, with the draws taken
+        out: ``shadowing`` holds each link's standard-normal shadowing
+        draw and ``coins`` its uniform line-of-sight coin, so both network
+        draw contracts -- which consume the generator in different orders
+        -- share one link budget.  The budget is ``tx - (loss + sigma * z)
+        - noise floor``, clamped to the operating range, then replaced by
+        the forced SNR where ``forced_snr_db`` is not ``NaN`` (a forced
+        link's shadowing value is ignored).  Elementwise this is the same
+        float arithmetic as the scalar path.
 
-        Parameters
-        ----------
-        path_loss_db:
-            Deterministic log-distance losses, shape ``(n_links,)``.
-        rng:
-            The construction generator.
-        forced_snr_db:
-            Optional ``(n_links,)`` array of forced SNRs, ``NaN`` where
-            the link derives its budget from the geometry.
-
-        Returns ``(snr_db, decay_samples)`` arrays of shape ``(n_links,)``.
+        All arrays have shape ``(n_links,)``.
         """
-        loss = np.asarray(path_loss_db, dtype=float)
-        shadow = rng.normal(0.0, self.shadowing_sigma_db, size=loss.shape)
-        snr = self.tx_power_dbm - (loss + shadow) - self.noise_floor_dbm
+        shadow = self.shadowing_sigma_db * shadowing
+        snr = self.tx_power_dbm - (path_loss_db + shadow) - self.noise_floor_dbm
         snr = np.minimum(np.maximum(snr, self.min_snr_db), self.max_snr_db)
         if forced_snr_db is not None:
-            forced = np.asarray(forced_snr_db, dtype=float)
-            snr = np.where(np.isnan(forced), snr, forced)
-        line_of_sight = rng.random(loss.shape) < self.los_probability
-        decay = np.where(line_of_sight, 0.6, 1.5)
+            snr = np.where(np.isnan(forced_snr_db), snr, forced_snr_db)
+        # Line of sight: a strong first tap plus weak scattering.
+        decay = np.where(coins < self.los_probability, 0.6, 1.5)
         return snr, decay
 
     def link(

@@ -27,11 +27,12 @@ from repro.channel.multipath import (
     frequency_response_batch,
 )
 from repro.channel.testbed import Testbed, default_testbed
+from repro.constants import NUM_DATA_SUBCARRIERS
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.sim.node import Station, TrafficPair
 from repro.utils.db import db_to_linear
 
-__all__ = ["ChannelBank", "Network"]
+__all__ = ["ChannelBank", "Network", "check_subcarrier_count"]
 
 #: The recognised channel-draw contracts, most recent first.  "grouped"
 #: is the v3 contract (scalars-first, one tap draw per antenna-shape
@@ -43,6 +44,20 @@ DRAW_CONTRACTS = ("grouped", "batched")
 #: directed links in :class:`ChannelBank`; ids must stay below 2**31 so
 #: packed keys cannot overflow the signed 64-bit key array.
 _PAIR_KEY_BASE = 1 << 31
+
+
+def check_subcarrier_count(n_subcarriers: int) -> None:
+    """Refuse a subcarrier resolution the OFDM layout cannot provide.
+
+    The link abstraction tracks a subset of the 48 data subcarriers, so
+    ``n_subcarriers`` must lie in ``1..NUM_DATA_SUBCARRIERS``; anything
+    else raises :class:`~repro.exceptions.ConfigurationError`.
+    """
+    if not 1 <= n_subcarriers <= NUM_DATA_SUBCARRIERS:
+        raise ConfigurationError(
+            f"n_subcarriers must be between 1 and {NUM_DATA_SUBCARRIERS} "
+            f"(the OFDM data subcarriers), got {n_subcarriers}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -336,9 +351,10 @@ class Network:
     testbed:
         The synthetic deployment; defaults to :func:`default_testbed`.
     n_subcarriers:
-        Number of (evenly spaced) OFDM subcarriers tracked by the link
-        abstraction.  16 keeps runs fast while retaining frequency
-        selectivity; use 64 for full fidelity.
+        Number of (evenly spaced) OFDM data subcarriers tracked by the
+        link abstraction, ``1..NUM_DATA_SUBCARRIERS`` (48).  16 keeps runs
+        fast while retaining frequency selectivity; 48 tracks every data
+        subcarrier.
     forced_link_snrs_db:
         Optional map ``(tx_id, rx_id) -> SNR`` overriding the geometric
         link budget for controlled experiments.
@@ -347,10 +363,14 @@ class Network:
 
         * ``"batched"`` (default) -- the v2 contract: per pair (in
           canonical order) the shadowing draw, the line-of-sight coin
-          and one tap-normal draw, with tap scaling and the 64-point FFT
-          vectorized per antenna-shape group.  The test suite asserts
-          it bit-identical to a readable per-pair loop, down to the
-          post-draw generator state.
+          and the tap normals, in two generator calls per pair (the tap
+          normals and the next pair's shadowing normal are adjacent in
+          the stream and fill one row).  The link budget, tap scaling
+          and the padded 64-point FFT (on the contiguous axis) run as
+          array code per antenna-shape group, in the build method the
+          two contracts share.  The test suite asserts it bit-identical
+          to a readable per-pair loop, down to the post-draw generator
+          state.
         * ``"grouped"`` -- the v3 contract: randomness is consumed
           scalars-first (one shadowing draw for *all* pairs, one
           line-of-sight draw for all pairs, then ONE tap draw per
@@ -371,8 +391,7 @@ class Network:
         forced_link_snrs_db: Optional[Dict[Tuple[int, int], float]] = None,
         channel_draws: str = "batched",
     ) -> None:
-        if n_subcarriers < 1:
-            raise ConfigurationError("need at least one subcarrier")
+        check_subcarrier_count(n_subcarriers)
         if channel_draws not in DRAW_CONTRACTS:
             raise ConfigurationError(
                 f"unknown channel_draws {channel_draws!r}; "
@@ -402,10 +421,7 @@ class Network:
 
         self._place_stations()
         self.channels = ChannelBank()
-        if channel_draws == "grouped":
-            self._draw_channels_grouped()
-        else:
-            self._draw_channels()
+        self._draw_channels()
 
     # -- construction helpers -----------------------------------------------------
 
@@ -419,15 +435,6 @@ class Network:
 
     def _subcarrier_indices(self) -> np.ndarray:
         return _subcarrier_bins(self.n_subcarriers)
-
-    def _pair_iter(self):
-        """Unordered station pairs in canonical draw order, with the
-        forced SNR (or ``None``) of each."""
-        ids = sorted(self.stations)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                forced = self._forced_snrs.get((a, b), self._forced_snrs.get((b, a)))
-                yield a, b, forced
 
     def _pair_losses(self, ids: List[int]) -> np.ndarray:
         """Log-distance path loss of every placed-location pair.
@@ -449,8 +456,8 @@ class Network:
     def _forced_snr_rows(self, ids: List[int]) -> Optional[np.ndarray]:
         """Forced SNR per canonical pair row (``NaN`` = unforced).
 
-        Matches the precedence of :meth:`_pair_iter`: a ``(a, b)`` entry
-        with ``a < b`` wins over its ``(b, a)`` mirror.
+        A ``(a, b)`` entry with ``a < b`` wins over its ``(b, a)``
+        mirror.
         """
         if not self._forced_snrs:
             return None
@@ -468,58 +475,108 @@ class Network:
                 forced[row] = float(snr)
         return forced
 
-    def _draw_channels_grouped(self) -> None:
-        """Draw every pair's channel under the ``"grouped"`` v3 contract.
+    def _draw_channels(self) -> None:
+        """Draw every pair's channel under the network's draw contract.
 
-        Randomness is consumed **scalars-first**, with no per-pair rng
-        calls at all:
+        Both contracts share the canonical pair table (``a < b`` in
+        sorted-id order), the all-pairs path loss, the link budget
+        (:meth:`~repro.channel.testbed.Testbed.link_scalars_batch`), the
+        antenna-shape groups and the tap scaling.  They differ only in
+        the draw order and the transform:
 
-        1. one ``rng.normal`` call draws every pair's shadowing, in
-           canonical pair order (forced-SNR pairs draw and discard
-           theirs, so the stream layout depends only on the pair count);
-        2. one ``rng.random`` call draws every line-of-sight coin;
-        3. one ``rng.standard_normal`` call per antenna-shape group
-           draws all of that group's tap normals -- groups ordered by
-           ``(n_tx, n_rx)``, pairs inside a group in canonical order.
+        * ``"grouped"`` (v3) draws scalars-first -- every pair's
+          shadowing normal (forced pairs draw and discard theirs), every
+          line-of-sight coin, then one tap draw per antenna-shape group
+          in ``(n_tx, n_rx)`` order -- and evaluates the DFT at the
+          tracked bins (one BLAS matmul per group; schema 8).
+        * ``"batched"`` (v2) draws per pair, in canonical order: the
+          shadowing normal (unless forced), the coin, the tap normals.
+          ``rng.normal(0, s)`` is ``s`` times one standard-normal draw,
+          so a pair's tap normals and the next pair's shadowing normal
+          are adjacent in the stream: each pair costs one ``random()``
+          and one ``standard_normal(out=...)`` filling a row of its
+          group's tap array whose extra last slot takes the next pair's
+          shadowing normal.  The responses are the padded 64-point FFT at
+          the tracked bins, bit-identical to a per-pair
+          :meth:`~repro.channel.testbed.Testbed.link` loop down to the
+          post-draw generator state (asserted by the test suite).
 
-        Frequency responses are evaluated directly at the tracked bins
-        (:func:`~repro.channel.multipath.frequency_response_at_bins_batch`,
-        one BLAS matmul per group), skipping the padded 64-point FFT, and
-        each group reaches the :class:`ChannelBank` with its station ids
-        as one ``(n, 2)`` array -- no per-pair Python objects.  Because
-        draws depend only on the *sorted* station ids, the result is
-        independent of station- and pair-list order (asserted by the
-        test suite).  The draw order deliberately differs from the v2
-        contracts -- it removes their ~3 small rng calls per pair --
-        which is why this contract rode the ``CACHE_SCHEMA_VERSION`` 3
-        bump; the matmul's ulp-level arithmetic is schema 8.
+        Draws depend only on the sorted station ids, so the result is
+        independent of station- and pair-list order.
         """
         ids = sorted(self.stations)
         n = len(ids)
         if n < 2:
             return
-        bins = self._subcarrier_indices()
         testbed = self.testbed
+        rng = self.rng
         n_taps = testbed.n_taps
+        grouped = self.channel_draws == "grouped"
 
-        # Canonical pair table: np.triu_indices walks rows in the exact
-        # order of _pair_iter's nested loop.
+        # Canonical pair table: np.triu_indices walks the rows of the
+        # nested (a < b) loop in order.
         ai, bi = np.triu_indices(n, k=1)
+        n_pairs = ai.size
         losses = self._pair_losses(ids)[ai, bi]
         antennas = np.array([self.stations[node].n_antennas for node in ids])
-        n_tx = antennas[ai]
-        n_rx = antennas[bi]
+        forced = self._forced_snr_rows(ids)
 
-        snrs, decays = testbed.draw_link_scalars_batch(
-            losses, self.rng, forced_snr_db=self._forced_snr_rows(ids)
-        )
+        base = int(antennas.max()) + 1
+        shape_key = antennas[ai] * base + antennas[bi]  # n_tx * base + n_rx
+        keys, first = np.unique(shape_key, return_index=True)
+        if not grouped:  # v2 stores groups in order of first appearance
+            keys = keys[np.argsort(first)]
+        groups = [np.flatnonzero(shape_key == key) for key in keys]  # canonical order
+        shapes = [(int(key % base), int(key // base)) for key in keys]  # (n_rx, n_tx)
 
+        if grouped:
+            snrs, decays = testbed.link_scalars_batch(
+                losses, rng.standard_normal(n_pairs), rng.random(n_pairs), forced
+            )
+            # Drawn lazily, one group at a time, after the scalars.
+            raws = (
+                rng.standard_normal((rows.size, n_taps, 2, r, m))
+                for rows, (r, m) in zip(groups, shapes)
+            )
+        else:
+            unforced = np.ones(n_pairs, bool) if forced is None else np.isnan(forced)
+            # One row per pair: its tap normals, then a slot for the next
+            # pair's shadowing normal.
+            blocks = [
+                np.empty((rows.size, n_taps * 2 * r * m + 1))
+                for rows, (r, m) in zip(groups, shapes)
+            ]
+            outs = [None] * n_pairs
+            for rows, block in zip(groups, blocks):
+                block[:, -1] = 0.0
+                for row, out in zip(rows.tolist(), block):
+                    outs[row] = out
+            # A row takes no shadowing normal when the next pair is forced
+            # (or there is no next pair).
+            for row in np.flatnonzero(~np.append(unforced[1:], False)).tolist():
+                outs[row] = outs[row][:-1]
+            shadowing = np.zeros(n_pairs)
+            if unforced[0]:
+                shadowing[0] = rng.standard_normal()
+            coins = []
+            draw_coin, draw_normals = rng.random, rng.standard_normal
+            for out in outs:
+                coins.append(draw_coin())
+                draw_normals(out=out)
+            coins = np.array(coins)
+            for rows, block in zip(groups, blocks):
+                has_next = rows + 1 < n_pairs
+                shadowing[rows[has_next] + 1] = block[has_next, -1]
+            snrs, decays = testbed.link_scalars_batch(losses, shadowing, coins, forced)
+            raws = (
+                block[:, :-1].reshape(rows.size, n_taps, 2, r, m)
+                for rows, (r, m), block in zip(groups, shapes, blocks)
+            )
+
+        transform = frequency_response_at_bins_batch if grouped else frequency_response_batch
+        bins = self._subcarrier_indices()
         id_arr = np.array(ids)
-        shape_key = n_tx * (int(antennas.max()) + 1) + n_rx
-        for key in np.unique(shape_key):  # sorted == (n_tx, n_rx) lexicographic
-            rows = np.flatnonzero(shape_key == key)  # ascending == canonical order
-            m, r = int(n_tx[rows[0]]), int(n_rx[rows[0]])
-            raw = self.rng.standard_normal((rows.size, n_taps, 2, r, m))
+        for rows, (r, m), raw in zip(groups, shapes, raws):
             taps = MultipathChannel.random_batch(
                 r,
                 m,
@@ -530,73 +587,8 @@ class Network:
                 average_gain=db_to_linear(snrs[rows]),
                 raw=raw,
             )
-            responses = frequency_response_at_bins_batch(taps, bins)
             pairs = np.stack((id_arr[ai[rows]], id_arr[bi[rows]]), axis=1)
-            self.channels.add_group(pairs, responses, snrs[rows])
-
-    def _draw_channels(self) -> None:
-        """Draw every pair's channel with batched per-group math (v2).
-
-        Random numbers are consumed in the order of a readable per-pair
-        :meth:`~repro.channel.testbed.Testbed.link` loop -- per pair:
-        shadowing, the line-of-sight coin, then the tap normals in one
-        call -- so the result is bit-identical to it.  Everything downstream of the draws
-        (path loss, tap scaling, the 64-point FFT, the subcarrier
-        selection) runs once per antenna-shape group instead of once per
-        pair, which is what makes 100-200 station construction cheap.
-        """
-        if not self.stations:
-            return
-        bins = self._subcarrier_indices()
-        testbed = self.testbed
-        n_taps = testbed.n_taps
-
-        ids = sorted(self.stations)
-        losses = self._pair_losses(ids)
-        index_of = {node: row for row, node in enumerate(ids)}
-
-        # Pass 1: the per-pair draws, in canonical order.  Only the three
-        # rng calls (and bookkeeping) remain per pair; the draw sequence
-        # itself is defined once, in Testbed.draw_link_scalars.
-        groups: Dict[Tuple[int, int], dict] = {}
-        rng = self.rng
-        for a, b, forced in self._pair_iter():
-            sta_a = self.stations[a]
-            sta_b = self.stations[b]
-            snr, decay = testbed.draw_link_scalars(
-                sta_a.location,
-                sta_b.location,
-                rng,
-                snr_db=forced,
-                path_loss_db=losses[index_of[a], index_of[b]],
-            )
-            n_tx = sta_a.n_antennas
-            n_rx = sta_b.n_antennas
-            raw = rng.standard_normal((n_taps, 2, n_rx, n_tx))
-            group = groups.setdefault(
-                (n_tx, n_rx), {"pairs": [], "snrs": [], "decays": [], "raws": []}
-            )
-            group["pairs"].append((a, b))
-            group["snrs"].append(snr)
-            group["decays"].append(decay)
-            group["raws"].append(raw)
-
-        # Pass 2: per antenna-shape group, scale all taps and compute all
-        # frequency responses in one stacked FFT + fancy-index pass.
-        for (n_tx, n_rx), group in groups.items():
-            snrs = np.asarray(group["snrs"], dtype=float)
-            taps = MultipathChannel.random_batch(
-                n_rx,
-                n_tx,
-                rng=None,
-                n_channels=len(group["pairs"]),
-                n_taps=n_taps,
-                decay_samples=np.asarray(group["decays"]),
-                average_gain=db_to_linear(snrs),
-                raw=np.stack(group["raws"]),
-            )
-            responses = frequency_response_batch(taps, 64)[:, bins]  # (C, n_sub, N, M)
-            self.channels.add_group(group["pairs"], responses, snrs)
+            self.channels.add_group(pairs, transform(taps, bins), snrs[rows])
 
     # -- lookups ---------------------------------------------------------------------
 

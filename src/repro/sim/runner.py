@@ -70,7 +70,7 @@ from repro.sim.invariants import VALIDATION_MODES, InvariantSuite
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.metrics import NetworkMetrics
-from repro.sim.network import Network
+from repro.sim.network import Network, check_subcarrier_count
 from repro.sim.scenarios import Scenario
 from repro.sim.traffic import TrafficStateArrays
 
@@ -115,9 +115,10 @@ class SimulationConfig:
     packet_size_bytes:
         Payload of every generated packet (1500 in the paper).
     n_subcarriers:
-        Number of OFDM subcarriers tracked by the link abstraction.  16
-        keeps runs fast while retaining frequency selectivity; 64 is full
-        fidelity; 8 is a common test/CI setting.
+        Number of OFDM data subcarriers tracked by the link abstraction,
+        between 1 and 48.  16 keeps runs fast while retaining frequency
+        selectivity; 48 tracks every data subcarrier; 8 is a common
+        test/CI setting.
     min_join_airtime_us:
         A joiner needs at least this much airtime left in the ongoing
         transmission to bother joining (n+ only).
@@ -247,12 +248,14 @@ class RunSpec:
 
         A :class:`RunSpec` is already resolved and passes through
         unchanged.  Raises :class:`~repro.exceptions.ConfigurationError`
-        for an unknown fidelity tier, validation mode or fault profile,
-        and for an unreadable or malformed fault trace.
+        for a subcarrier count outside ``1..48``, an unknown fidelity
+        tier, validation mode or fault profile, and for an unreadable or
+        malformed fault trace.
         """
         if isinstance(config, RunSpec):
             return config
         config = config or SimulationConfig()
+        check_subcarrier_count(config.n_subcarriers)
 
         def hinted(name: str):
             value = getattr(config, name)

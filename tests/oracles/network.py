@@ -19,7 +19,18 @@ class PerPairNetwork(Network):
     it bit for bit, down to the post-draw generator state.
     """
 
+    def _pair_iter(self):
+        """Unordered station pairs in canonical draw order, with the
+        forced SNR (or ``None``) of each; a ``(a, b)`` entry with
+        ``a < b`` wins over its ``(b, a)`` mirror."""
+        ids = sorted(self.stations)
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                forced = self._forced_snrs.get((a, b), self._forced_snrs.get((b, a)))
+                yield a, b, forced
+
     def _draw_channels(self) -> None:
+        assert self.channel_draws == "batched", "the oracle draws the v2 contract only"
         bins = self._subcarrier_indices()
         groups: Dict[Tuple[int, int], dict] = {}
         for a, b, forced in self._pair_iter():

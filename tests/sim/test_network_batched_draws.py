@@ -1,20 +1,26 @@
 """Tests for the batched network-construction pipeline.
 
-The load-bearing guarantee: the batched draws -- grouped tap scaling, one
-stacked FFT per antenna-shape group -- are *bit-identical* to the
-per-pair oracle loop, for every antenna mix, with and without forced
-link SNRs, all the way down to the post-draw generator state (so every
-downstream draw, and therefore every simulated metric, is unchanged).
+The load-bearing guarantee: the v2 ``"batched"`` draws -- two generator
+calls per pair, the link budget, tap scaling and one stacked FFT per
+antenna-shape group as array code -- are *bit-identical* to the per-pair
+oracle loop, for every antenna mix, with and without forced link SNRs,
+all the way down to the post-draw generator state (so every downstream
+draw, and therefore every simulated metric, is unchanged).
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bank_pairs, custom_pairs_scenario
 from oracles.network import PerPairNetwork
 from repro.channel.multipath import MultipathChannel, frequency_response_batch
 from repro.exceptions import ConfigurationError
 from repro.sim.network import Network, _subcarrier_bins
+from repro.sim.node import Station
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import (
     dense_lan_scenario,
@@ -71,7 +77,18 @@ class TestBatchedDrawsBitIdentical:
 
     def test_full_subcarrier_resolution(self):
         scenario = three_pair_scenario()
-        _assert_identical(*_build_both(scenario, seed=9, n_subcarriers=64))
+        _assert_identical(*_build_both(scenario, seed=9, n_subcarriers=48))
+
+    @pytest.mark.parametrize("n_subcarriers", [0, 49, 64])
+    def test_subcarrier_count_beyond_the_data_bins_is_refused(self, n_subcarriers):
+        scenario = three_pair_scenario()
+        with pytest.raises(ConfigurationError, match="between 1 and 48"):
+            Network(
+                scenario.stations,
+                scenario.pairs,
+                np.random.default_rng(0),
+                n_subcarriers=n_subcarriers,
+            )
 
     def test_downstream_metrics_identical(self):
         """Same channels -> bit-identical simulated metrics."""
@@ -104,6 +121,95 @@ class TestBatchedDrawsBitIdentical:
                 )
 
 
+class _CountingGenerator:
+    """A generator stand-in that forwards every call and counts it by name."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestTwoGeneratorCallsPerPair:
+    @pytest.mark.parametrize("forced_first", [False, True])
+    def test_call_count(self, forced_first):
+        scenario = dense_lan_scenario(n_pairs=6, seed=4)
+        kwargs = dict(
+            testbed=scenario.make_testbed(),
+            n_subcarriers=8,
+            forced_link_snrs_db={(0, 1): 15.0} if forced_first else None,
+        )
+        counting = _CountingGenerator(np.random.default_rng(8))
+        network = Network(scenario.stations, scenario.pairs, counting, **kwargs)
+        n = len(scenario.stations)
+        n_pairs = n * (n - 1) // 2
+        # One placement draw, then per pair a coin and one normal fill;
+        # an unforced first pair adds its leading shadowing normal.
+        assert counting.calls == Counter(
+            choice=1, random=n_pairs, standard_normal=n_pairs + (not forced_first)
+        )
+        rng_reference = np.random.default_rng(8)
+        reference = PerPairNetwork(scenario.stations, scenario.pairs, rng_reference, **kwargs)
+        _assert_identical(network, reference, counting._rng, rng_reference)
+
+
+@st.composite
+def _draw_cases(draw):
+    """Stations, subcarrier count and a forced-SNR map for one build."""
+    n = draw(st.integers(2, 12))
+    ids = sorted(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True)))
+    stations = [Station(node, draw(st.integers(1, 3))) for node in ids]
+    canonical = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    hit = draw(st.sampled_from(["none", "first", "last", "every", "some"]))
+    chosen = {
+        "none": [],
+        "first": canonical[:1],
+        "last": canonical[-1:],
+        "every": canonical,
+        "some": draw(st.lists(st.sampled_from(canonical), unique=True)),
+    }[hit]
+    snr = st.floats(0.0, 40.0, allow_nan=False)
+    forced = {}
+    for a, b in chosen:
+        # Forward, mirrored, or both (the forward entry must win).
+        side = draw(st.sampled_from(["forward", "mirrored", "both"]))
+        if side != "forward":
+            forced[(b, a)] = draw(snr)
+        if side != "mirrored":
+            forced[(a, b)] = draw(snr)
+    n_subcarriers = draw(st.sampled_from([1, 8, 48]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return stations, n_subcarriers, forced, seed
+
+
+class TestDrawSplitProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_draw_cases())
+    def test_batched_build_equals_the_per_pair_loop(self, case):
+        stations, n_subcarriers, forced, seed = case
+        builds = []
+        for network_class in (Network, PerPairNetwork):
+            rng = np.random.default_rng(seed)
+            network = network_class(
+                stations,
+                [],
+                rng,
+                n_subcarriers=n_subcarriers,
+                forced_link_snrs_db=forced,
+            )
+            builds.append((network, rng))
+        (batched, rng_batched), (reference, rng_reference) = builds
+        _assert_identical(batched, reference, rng_batched, rng_reference)
+
+
 class TestMultipathBatchPrimitives:
     def test_random_batch_matches_sequential_random(self):
         rng_batch = np.random.default_rng(17)
@@ -134,12 +240,13 @@ class TestMultipathBatchPrimitives:
 
     def test_frequency_response_batch_matches_per_channel(self):
         rng = np.random.default_rng(4)
-        taps = MultipathChannel.random_batch(2, 2, rng, n_channels=5, n_taps=4)
-        responses = frequency_response_batch(taps, 64)
-        assert responses.shape == (5, 64, 2, 2)
-        for index in range(5):
-            expected = MultipathChannel(taps=taps[index]).frequency_response(64)
-            assert np.array_equal(responses[index], expected)
+        taps = MultipathChannel.random_batch(2, 3, rng, n_channels=5, n_taps=4)
+        for bins in (np.arange(64), _subcarrier_bins(16)):
+            responses = frequency_response_batch(taps, bins)
+            assert responses.shape == (5, bins.size, 2, 3)
+            for index in range(5):
+                expected = MultipathChannel(taps=taps[index]).frequency_response(64)[bins]
+                assert np.array_equal(responses[index], expected)
 
     def test_random_batch_validates_taps_and_raw(self):
         rng = np.random.default_rng(0)

@@ -183,6 +183,22 @@ class TestResolve:
         with pytest.raises(ConfigurationError, match="unknown fault profile"):
             RunSpec.resolve(three_pair_scenario(), SimulationConfig(fault_profile="x"))
 
+    @pytest.mark.parametrize("n_subcarriers", [0, 49, 64])
+    def test_subcarrier_count_beyond_the_data_bins_is_refused_at_resolve(
+        self, n_subcarriers
+    ):
+        config = SimulationConfig(n_subcarriers=n_subcarriers)
+        with pytest.raises(ConfigurationError, match="between 1 and 48"):
+            RunSpec.resolve(three_pair_scenario(), config)
+
+    @pytest.mark.parametrize("n_subcarriers", [49, 64])
+    def test_run_simulation_refuses_more_subcarriers_than_data_bins(
+        self, n_subcarriers
+    ):
+        config = SimulationConfig(duration_us=2_000.0, n_subcarriers=n_subcarriers)
+        with pytest.raises(ConfigurationError, match="between 1 and 48"):
+            run_simulation(three_pair_scenario(), "n+", seed=0, config=config)
+
     def test_key_payload_is_computed_once(self):
         run_spec = RunSpec.resolve(scenario_factory("dense-lan-20-faulty")(), FAST)
         assert run_spec.key_payload is run_spec.key_payload

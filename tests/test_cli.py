@@ -182,6 +182,32 @@ class TestMain:
             main(argv)
         assert not list(tmp_path.glob("*.json"))
 
+    def test_sweep_refuses_more_subcarriers_than_data_bins(self, tmp_path):
+        # Only 48 data subcarriers exist; a larger count used to fail every
+        # cell mid-run (and write a crash capsule) instead of the command.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_ROOT)
+        argv = [
+            "sweep",
+            "--scenario", "three-pair",
+            "--protocols", "n+",
+            "--runs", "1",
+            "--duration-ms", "5",
+            "--subcarriers", "64",
+            "--cache-dir", str(tmp_path),
+        ]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert "between 1 and 48" in result.stderr
+        assert not list(tmp_path.rglob("*capsule*"))
+        assert not (tmp_path / "capsules").exists()
+
     def test_sweep_command_runs_with_cache(self, capsys, tmp_path):
         argv = [
             "sweep",
