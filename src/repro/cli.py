@@ -58,7 +58,7 @@ from repro.mac.variants import available_variants, parse_protocol, split_protoco
 from repro.sim.capsule import load_capsule, replay_capsule
 from repro.sim.runner import SimulationConfig
 from repro.sim.scenarios import available_scenarios, scenario_factory
-from repro.sim.store import ResultsStore
+from repro.sim.store import ResultsStore, store_path
 from repro.sim.sweep import run_sweep
 
 __all__ = ["main", "build_parser"]
@@ -253,6 +253,11 @@ def _run_results(args: argparse.Namespace) -> None:
         raise ConfigurationError(
             "the 'results' command needs --cache-dir pointing at a results store"
         )
+    path = store_path(args.cache_dir)
+    if not path.exists():
+        # Opening would create an empty store, so a typo'd path would
+        # read as a store with no cells.
+        raise ConfigurationError(f"no results store at {path}")
     with ResultsStore(args.cache_dir) as store:
         _print_header(f"Results store -- {args.cache_dir}")
         sweeps = store.sweeps()
@@ -509,6 +514,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: parse arguments and run the selected experiment."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.workers < 0:
+        parser.error("--workers must be >= 0 (0 = all usable cores)")
     if args.workers == 0:
         args.workers = None  # run_sweep: None = all usable cores
     if args.packet_rate_pps is not None and args.packet_rate_pps < 0:

@@ -49,6 +49,7 @@ __all__ = [
     "SweepRecord",
     "STORE_FILENAME",
     "STORE_SCHEMA_VERSION",
+    "store_path",
 ]
 
 #: Filename of the database inside a cache directory.
@@ -140,24 +141,30 @@ class SweepRecord:
     updated_at: float
 
 
-class ResultsStore:
-    """SQLite results store of sweep cells.
+def store_path(root: Union[str, Path]) -> Path:
+    """The database file of the results store at ``root``.
 
     ``root`` is the cache directory (the database lives at
     ``root/results.sqlite``) or a direct path to a ``.sqlite``/``.db``
-    file.  Opening is self-healing: a file SQLite refuses to read is set
-    aside as ``*.corrupt.<pid>`` and a fresh store is created -- the
-    corrupt-entry-as-miss policy at whole-store granularity.
+    file.
+    """
+    root = Path(root)
+    return root if root.suffix in (".sqlite", ".db") else root / STORE_FILENAME
+
+
+class ResultsStore:
+    """SQLite results store of sweep cells.
+
+    ``root`` is a cache directory or a database file (see
+    :func:`store_path`).  Opening is self-healing: a file SQLite refuses
+    to read is set aside as ``*.corrupt.<pid>`` and a fresh store is
+    created -- the corrupt-entry-as-miss policy at whole-store
+    granularity.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
-        root = Path(root)
-        if root.suffix in (".sqlite", ".db"):
-            self.root = root.parent
-            self.path = root
-        else:
-            self.root = root
-            self.path = root / STORE_FILENAME
+        self.path = store_path(root)
+        self.root = self.path.parent
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

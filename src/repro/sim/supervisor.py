@@ -6,35 +6,30 @@ hung worker is indistinguishable from a slow cell, and there is no
 policy for a machine that keeps killing workers.  This module replaces
 the pool with a :class:`WorkerSupervisor` that owns one
 :class:`multiprocessing.Process` per worker, talks to each over its own
-pipe, and watches three distinct failure signals:
+pipe, and watches three ways of losing a worker:
 
 * **silent death** (OOM killer, external SIGKILL): the process is gone
-  while a task is assigned.  The task is re-queued (it is a pure
-  function of its seeds, so a replay is byte-identical) and a
-  replacement worker is spawned.
+  while a task is assigned.
 * **hang** (deadlock, SIGSTOP, a wedged C extension): the process is
   alive but its *heartbeat* -- a timestamp a daemon thread inside the
   worker refreshes every ``heartbeat_interval_s`` -- has gone stale for
   ``hang_timeout_s``.  A genuinely slow cell keeps heartbeating, so
-  slow and hung are told apart instead of sharing one timeout.  The
-  worker is killed, the task re-queued.
+  slow and hung are told apart instead of sharing one timeout.
 * **slow cell** (``task_timeout_s``): heartbeats are fresh but the task
-  exceeded its deadline.  The worker is killed (unlike the old pool
-  path, which had to abandon it still running) and the task counts a
-  failed *attempt* -- retried up to ``max_retries`` times, with
-  exponential backoff that is **skipped after the final attempt**
-  (no pointless sleep when no retry will follow; backoff is
-  non-blocking either way, implemented as a not-before timestamp so
-  other tasks keep flowing while one waits out its backoff).
+  exceeded its deadline, and the supervisor kills the worker itself.
+
+One failure rule covers all three: a lost worker is replaced and its
+task re-queued (it is a pure function of its seeds, so a replay is
+byte-identical), at most ``max_requeues`` times before the task fails.
+A task whose ``worker_fn`` *raises* fails at once: replaying a pure
+function replays its exception.
 
 Graceful degradation: every unexpected death (killed or hung -- not
 deliberate timeout kills) is counted, and each ``shrink_after_deaths``
 of them permanently shrinks the target pool by one worker (never below
 one).  A machine whose memory ceiling keeps OOM-killing an 8-worker
 sweep therefore converges to the parallelism it can actually sustain
-instead of failing the sweep.  Per-task re-queues are bounded by
-``max_requeues`` so a cell that itself reproducibly kills its worker
-eventually fails that cell -- and only that cell.
+instead of failing the sweep.
 
 The supervisor is deliberately generic -- ``worker_fn(payload) ->
 result`` with opaque payloads -- so it is testable without simulating
@@ -44,8 +39,8 @@ which is how the sweep layer mirrors assignments and completions into
 the results store's cell state machine.
 
 :func:`in_process_events` is the one-worker twin: it runs the tasks in
-the calling process and yields the same event stream under the same
-retry rule, so the sweep consumes one stream whatever the worker count.
+the calling process and yields the same event stream, so the sweep
+consumes one stream whatever the worker count.
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ __all__ = [
     "WorkerSupervisor",
     "TaskAssigned",
     "TaskDone",
-    "TaskRetry",
     "TaskRequeued",
     "TaskFailed",
     "WorkerDeath",
@@ -82,7 +76,6 @@ class TaskAssigned:
     """A task was shipped to a worker (mirror the cell to ``running``)."""
 
     task_id: int
-    attempt: int
 
 
 @dataclass(frozen=True)
@@ -94,22 +87,8 @@ class TaskDone:
 
 
 @dataclass(frozen=True)
-class TaskRetry:
-    """An attempt failed; the task will be retried after its backoff.
-
-    ``traceback`` is the worker-side traceback of a raised exception;
-    ``None`` when the attempt was lost to a timeout.
-    """
-
-    task_id: int
-    attempt: int
-    error: str
-    traceback: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class TaskRequeued:
-    """A worker died under the task; re-queued without consuming an attempt."""
+    """The task's worker was lost; the task goes back on the queue."""
 
     task_id: int
     requeues: int
@@ -118,11 +97,10 @@ class TaskRequeued:
 
 @dataclass(frozen=True)
 class TaskFailed:
-    """Attempts (or re-queues) exhausted; the task's cells are failed.
+    """The task raised, or outlived its re-queues; its cells are failed.
 
-    ``traceback`` is the worker-side traceback of the last attempt's
-    exception; ``None`` when the task was lost to worker deaths or a
-    timeout.
+    ``traceback`` is the worker-side traceback of the exception; ``None``
+    when the task was lost to worker deaths or timeouts.
     """
 
     task_id: int
@@ -150,38 +128,24 @@ class PoolShrunk:
 
 
 def in_process_events(
-    worker_fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    max_retries: int = 1,
-    retry_backoff_s: float = 0.5,
+    worker_fn: Callable[[Any], Any], payloads: Sequence[Any]
 ) -> Iterator[object]:
     """Run ``payloads`` one by one in this process, yielding task events.
 
-    Same events and retry rule as :class:`WorkerSupervisor`: a raised
-    :class:`Exception` yields :class:`TaskRetry`, sleeps the backoff
-    ``retry_backoff_s * 2**k`` and re-attempts, up to ``max_retries``
-    times; the final failure yields :class:`TaskFailed` with no backoff.
-    Only ``Exception`` is caught, so a ``KeyboardInterrupt`` unwinds
-    straight to the caller.  Nothing polls; the only sleep is a backoff.
+    The events of :class:`WorkerSupervisor` without a worker to lose: a
+    raised :class:`Exception` yields :class:`TaskFailed` with its
+    traceback.  Only ``Exception`` is caught, so a ``KeyboardInterrupt``
+    unwinds straight to the caller.
     """
-    max_retries = max(0, int(max_retries))
     for task_id, payload in enumerate(payloads):
-        for attempt in range(max_retries + 1):
-            yield TaskAssigned(task_id, attempt)
-            try:
-                result = worker_fn(payload)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                error_traceback = traceback.format_exc()
-            else:
-                yield TaskDone(task_id, result)
-                break
-            if attempt == max_retries:
-                yield TaskFailed(task_id, error, error_traceback)
-                break
-            yield TaskRetry(task_id, attempt + 1, error, error_traceback)
-            if retry_backoff_s > 0:
-                time.sleep(retry_backoff_s * (2**attempt))
+        yield TaskAssigned(task_id)
+        try:
+            result = worker_fn(payload)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            yield TaskFailed(task_id, error, traceback.format_exc())
+        else:
+            yield TaskDone(task_id, result)
 
 
 # -- worker process ----------------------------------------------------------
@@ -271,9 +235,7 @@ class _Heartbeat:
 class _Task:
     task_id: int
     payload: Any
-    attempt: int = 0
     requeues: int = 0
-    not_before: float = 0.0
 
 
 @dataclass
@@ -302,21 +264,15 @@ class WorkerSupervisor:
     workers:
         Initial pool size (capped at the number of tasks).
     task_timeout_s:
-        Per-attempt wall-clock deadline for one task; ``None`` disables.
-        Exceeding it kills the worker and consumes an attempt.
-    max_retries:
-        Failed/timed-out attempts retried per task beyond the first.
-    retry_backoff_s:
-        Base of the exponential backoff before retry ``k``
-        (``retry_backoff_s * 2**k`` seconds).  Never applied after the
-        final attempt, and never blocks other tasks (scheduled as a
-        not-before time, not a sleep).
+        Wall-clock deadline for one run of a task; ``None`` disables.
+        Exceeding it kills the worker and re-queues the task.
     heartbeat_interval_s / hang_timeout_s:
         Worker liveness: heartbeats refresh every interval; a busy
         worker whose heartbeat is older than ``hang_timeout_s`` is
         declared hung and replaced.
     max_requeues:
-        Worker deaths tolerated per task before the task fails.
+        Worker losses (deaths, hangs, timeouts) tolerated per task
+        before the task fails.
     shrink_after_deaths:
         Unexpected worker deaths per one-worker shrink of the target
         pool size (never below one).
@@ -330,8 +286,6 @@ class WorkerSupervisor:
         payloads: Sequence[Any],
         workers: int,
         task_timeout_s: Optional[float] = None,
-        max_retries: int = 1,
-        retry_backoff_s: float = 0.5,
         heartbeat_interval_s: float = 0.25,
         hang_timeout_s: float = 30.0,
         max_requeues: int = 3,
@@ -346,8 +300,6 @@ class WorkerSupervisor:
         self._n_tasks = len(self._queue)
         self._target = max(1, min(int(workers), self._n_tasks))
         self._task_timeout_s = task_timeout_s
-        self._max_retries = max(0, int(max_retries))
-        self._retry_backoff_s = retry_backoff_s
         self._heartbeat_interval_s = heartbeat_interval_s
         self._hang_timeout_s = hang_timeout_s
         self._max_requeues = max(0, int(max_requeues))
@@ -359,7 +311,6 @@ class WorkerSupervisor:
         self._ctx = multiprocessing.get_context(start_method)
         self._workers: List[_Worker] = []
         self.deaths = 0
-        self.timeout_kills = 0
 
     # -- event loop ----------------------------------------------------------
 
@@ -438,12 +389,10 @@ class WorkerSupervisor:
             if worker.task is None and len(self._alive()) > self._target:
                 self._retire(worker)
         idle = [w for w in self._workers if w.task is None and not w.retired]
-        ready = [t for t in self._queue if t.not_before <= now]
         for worker in idle:
-            if not ready:
+            if not self._queue:
                 break
-            task = ready.pop(0)
-            self._queue.remove(task)
+            task = self._queue.popleft()
             try:
                 worker.conn.send(task.payload)
             except (BrokenPipeError, OSError):
@@ -455,19 +404,13 @@ class WorkerSupervisor:
             worker.deadline = (
                 now + self._task_timeout_s if self._task_timeout_s else None
             )
-            events.append(TaskAssigned(task_id=task.task_id, attempt=task.attempt))
+            events.append(TaskAssigned(task_id=task.task_id))
         return events
 
     def _collect(self) -> List[object]:
         events: List[object] = []
         busy = self._busy()
         if not busy:
-            if self._queue:
-                # Everything queued is waiting out a backoff; sleep the
-                # smaller of the poll interval and the nearest release.
-                now = time.monotonic()
-                delay = min(t.not_before for t in self._queue) - now
-                time.sleep(max(0.0, min(self._poll_interval_s, delay)))
             return events
         by_conn: Dict[Any, _Worker] = {w.conn: w for w in busy}
         try:
@@ -489,7 +432,7 @@ class WorkerSupervisor:
                 events.append(TaskDone(task_id=task.task_id, result=value))
             else:
                 error, error_traceback = value
-                events.extend(self._attempt_failed(task, error, error_traceback))
+                events.append(TaskFailed(task.task_id, error, error_traceback))
         return events
 
     def _check_health(self) -> List[object]:
@@ -513,24 +456,28 @@ class WorkerSupervisor:
                 events.extend(self._death(worker, task, reason, deliberate=False))
             elif worker.deadline is not None and now > worker.deadline:
                 reason = f"timed out after {self._task_timeout_s} s"
-                events.extend(self._timeout(worker, task, reason))
+                events.extend(self._death(worker, task, reason, deliberate=True))
         return events
 
     def _death(
         self, worker: _Worker, task: _Task, reason: str, deliberate: bool
     ) -> List[object]:
-        """An unexpected worker loss: re-queue the task, replace, maybe shrink."""
+        """A lost worker: re-queue the task, replace the worker.
+
+        Only an unexpected loss (killed or hung, not ``deliberate``
+        timeout kills) counts toward shrinking the pool.
+        """
         events: List[object] = [
             WorkerDeath(reason=reason, task_id=task.task_id, deliberate=deliberate)
         ]
         self._retire(worker, kill=True)
-        self.deaths += 1
-        if self.deaths % self._shrink_after_deaths == 0 and self._target > 1:
-            self._target -= 1
-            events.append(PoolShrunk(target=self._target))
+        if not deliberate:
+            self.deaths += 1
+            if self.deaths % self._shrink_after_deaths == 0 and self._target > 1:
+                self._target -= 1
+                events.append(PoolShrunk(target=self._target))
         task.requeues += 1
         if task.requeues <= self._max_requeues:
-            task.not_before = 0.0
             self._queue.append(task)
             events.append(
                 TaskRequeued(task_id=task.task_id, requeues=task.requeues, reason=reason)
@@ -544,44 +491,6 @@ class WorkerSupervisor:
                 )
             )
         return events
-
-    def _timeout(self, worker: _Worker, task: _Task, reason: str) -> List[object]:
-        """A slow cell past its deadline: kill the worker, consume an attempt."""
-        events: List[object] = [
-            WorkerDeath(reason=reason, task_id=task.task_id, deliberate=True)
-        ]
-        self.timeout_kills += 1
-        self._retire(worker, kill=True)
-        events.extend(self._attempt_failed(task, reason))
-        return events
-
-    def _attempt_failed(
-        self, task: _Task, error: str, error_traceback: Optional[str] = None
-    ) -> List[object]:
-        """Account one failed attempt; retry with backoff or fail the task.
-
-        The exponential backoff is only scheduled when a retry will
-        actually follow -- after the final attempt the task fails
-        immediately, with no residual sleep.
-        """
-        if task.attempt < self._max_retries:
-            if self._retry_backoff_s > 0:
-                task.not_before = time.monotonic() + self._retry_backoff_s * (
-                    2**task.attempt
-                )
-            task.attempt += 1
-            self._queue.append(task)
-            return [
-                TaskRetry(
-                    task_id=task.task_id,
-                    attempt=task.attempt,
-                    error=error,
-                    traceback=error_traceback,
-                )
-            ]
-        return [
-            TaskFailed(task_id=task.task_id, error=error, traceback=error_traceback)
-        ]
 
     def _shutdown(self) -> None:
         for worker in list(self._workers):

@@ -27,15 +27,20 @@ computes the grid
   detected and replaced with the affected cells re-queued, and repeated
   deaths shrink the pool instead of failing the sweep.
 
+One failure rule holds for every task: it is re-run only when its worker
+is lost -- killed, hung, or killed at its ``cell_timeout_s`` deadline --
+at most ``max_worker_requeues`` times.  A task that raises fails its
+cells on the first attempt, since its replay would raise again.
+
 A sweep runs in three stages.  The **plan** stage resolves the config
 once into a :class:`~repro.sim.runner.RunSpec`, lays out the grid as
 cells, replays store hits and cuts the misses into tasks (lists of cells
 sharing one run).  The **execute** stage consumes one stream of task
 events --
 :class:`~repro.sim.supervisor.WorkerSupervisor`'s for several workers,
-:func:`~repro.sim.supervisor.in_process_events` for one -- under one
-retry rule.  The **record** stage turns those events into store writes,
-:class:`FailedCell` records and crash capsules.
+:func:`~repro.sim.supervisor.in_process_events` for one.  The **record**
+stage turns those events into store writes, :class:`FailedCell` records
+and crash capsules.
 
 All of this is possible because every cell is a pure function of its
 coordinates: run ``r`` draws placements/channels from ``seed + 1000 * r``
@@ -368,17 +373,17 @@ def default_workers() -> int:
 class FailedCell:
     """One sweep cell that could not be computed (see :func:`run_sweep`).
 
-    Records the cell coordinates and the final exception string after
-    every retry was exhausted, so a long sweep reports *which* cells are
-    missing and why instead of aborting on the first worker crash.
+    Records the cell coordinates and the exception string, so a long
+    sweep reports *which* cells are missing and why instead of aborting
+    on the first crash.
     ``capsule_path`` points at the replayable crash capsule written next
     to the results store (``python -m repro.cli replay <path>`` re-runs
     the exact cell); ``None`` when the sweep ran without a cache
     directory.  ``traceback`` carries the full Python traceback of the
     crash -- inside a simulation or before it, in the scenario factory or
     the network draw -- captured in-worker for parallel sweeps; it is
-    ``None`` only when no exception was raised: a worker that kept dying
-    or a task that timed out.
+    ``None`` only when no exception was raised: a task whose worker was
+    lost (killed, hung or timed out) on every try.
     """
 
     protocol: str
@@ -405,7 +410,7 @@ class SweepResult:
     workers:
         Worker processes used for the simulated cells (1 = in-process).
     failures:
-        The cells that still failed after retries, as
+        The cells that failed, as
         :class:`FailedCell` records (empty for a clean sweep; always
         empty under ``strict=True``, which raises instead).
     worker_deaths:
@@ -680,33 +685,20 @@ def _chunk_tasks(plan: _SweepPlan, workers: int) -> None:
 # -- execute -----------------------------------------------------------------
 
 
-def _execute(
-    plan: _SweepPlan,
-    recorder: "_Recorder",
-    max_retries: int,
-    retry_backoff_s: float,
-    **pool_options,
-) -> None:
+def _execute(plan: _SweepPlan, recorder: "_Recorder", **pool_options) -> None:
     """The execute stage: drive the tasks, feeding every event to ``recorder``.
 
     Several workers run under a :class:`WorkerSupervisor`, one in process
-    through :func:`in_process_events`: the same event stream under the
-    same retry rule.  Closing the stream tears a worker pool down.
+    through :func:`in_process_events`: the same event stream.  Closing the
+    stream tears a worker pool down.
     """
     payloads = [(plan.factory, cells) for cells in plan.tasks]
     if plan.n_workers > 1:
         events = WorkerSupervisor(
-            _simulate_run,
-            payloads,
-            workers=plan.n_workers,
-            max_retries=max_retries,
-            retry_backoff_s=retry_backoff_s,
-            **pool_options,
+            _simulate_run, payloads, workers=plan.n_workers, **pool_options
         ).events()
     else:
-        events = in_process_events(
-            _simulate_run, payloads, max_retries, retry_backoff_s
-        )
+        events = in_process_events(_simulate_run, payloads)
     try:
         for event in events:
             recorder.record(event)
@@ -727,19 +719,18 @@ class _Recorder:
     cache directory.
     """
 
-    def __init__(self, plan: _SweepPlan, strict: bool, max_retries: int):
+    def __init__(self, plan: _SweepPlan, strict: bool):
         self.plan = plan
         self.strict = strict
-        self.max_retries = max_retries
         self.failures: List[FailedCell] = []
         self.worker_deaths = 0
 
     def record(self, event: object) -> None:
         """Mirror one task event into the grid and the store.
 
-        ``TaskRetry`` / ``TaskRequeued`` / ``PoolShrunk`` need no
-        bookkeeping: the cells stay ``running`` until they settle, and
-        the executor owns retries and pool size.
+        ``TaskRequeued`` / ``PoolShrunk`` need no bookkeeping: the cells
+        stay ``running`` until they settle, and the executor owns
+        re-queues and pool size.
         """
         plan = self.plan
         if isinstance(event, TaskAssigned):
@@ -772,9 +763,8 @@ class _Recorder:
     ) -> None:
         if self.strict:
             raise SimulationError(
-                f"sweep cell failed after {self.max_retries} retries "
-                f"(run {cells[0].run}, run_seed {cells[0].run_seed}, "
-                f"protocols {[cell.spec.key for cell in cells]}): {error}"
+                f"sweep cell failed (protocols {[c.spec.key for c in cells]}, "
+                f"run {cells[0].run}, run_seed {cells[0].run_seed}): {error}"
             )
         plan = self.plan
         for cell in cells:
@@ -863,8 +853,6 @@ def run_sweep(
     scenario_key: Optional[str] = None,
     strict: bool = False,
     cell_timeout_s: Optional[float] = None,
-    max_retries: int = 1,
-    retry_backoff_s: float = 0.5,
     resume: bool = False,
     hang_timeout_s: float = 30.0,
     max_worker_requeues: int = 3,
@@ -877,9 +865,8 @@ def run_sweep(
     in process -- regardless of worker count, cell execution order,
     whether cells were replayed from the cache, or whether the sweep was
     interrupted and resumed.
-    Retried and re-queued tasks cannot perturb results either: every
-    cell is a pure function of its seeds, so a replay recomputes the
-    identical metrics.
+    Re-queued tasks cannot perturb results either: every cell is a pure
+    function of its seeds, so a replay recomputes the identical metrics.
 
     Parameters
     ----------
@@ -925,22 +912,11 @@ def run_sweep(
         Cache key override, required to cache a bare-callable
         ``scenario``.
     strict:
-        ``False`` (default): a task that still fails after retries is
-        recorded in :attr:`SweepResult.failures` (its grid cells stay
-        ``None``) and the sweep completes -- one pathological placement
+        ``False`` (default): a failed cell is recorded in
+        :attr:`SweepResult.failures` (its grid cell stays ``None``) and
+        the sweep completes -- one pathological placement
         cannot abort an hours-long sweep.  ``True`` restores
         raise-on-failure (:class:`~repro.exceptions.SimulationError`).
-    max_retries:
-        How many times a failed/timed-out task is retried before its
-        cells are declared failed.  Retries are deterministic replays
-        (same payload, same seeds), so they only help against transient
-        causes -- OOM kills, timeouts on a loaded machine.
-    retry_backoff_s:
-        Base of the exponential backoff before retry ``k``
-        (``retry_backoff_s * 2**k`` seconds); ``0`` disables it.  Never
-        paid after the final failed attempt (no retry follows).  In
-        process it is a sleep; with worker processes it is non-blocking
-        (a not-before time, so other tasks keep flowing).
     resume:
         ``True`` requires a ``cache_dir`` holding a
         checkpoint for this exact manifest -- same scenario structure,
@@ -953,11 +929,11 @@ def run_sweep(
         Worker-pool supervision, passed to
         :class:`~repro.sim.supervisor.WorkerSupervisor` as its
         ``task_timeout_s``, ``hang_timeout_s``, ``max_requeues`` and
-        ``shrink_after_deaths``: a slow cell's worker is killed and the
-        attempt retried, a hung worker (stale heartbeat) is replaced and
-        its task re-queued up to ``max_worker_requeues`` times, and
-        repeated deaths shrink the pool.  They act only with worker
-        processes; in process a timeout cannot be enforced.
+        ``shrink_after_deaths``: a slow cell's worker is killed, a hung
+        worker (stale heartbeat) or a killed one is replaced, and either
+        way the task is re-queued up to ``max_worker_requeues`` times;
+        repeated unexpected deaths shrink the pool.  They act only with
+        worker processes; in process a timeout cannot be enforced.
 
     Durability
     ----------
@@ -980,7 +956,7 @@ def run_sweep(
         scenario, scenario_key, protocols, n_runs, seed, config, workers,
         cache_dir, resume,
     )
-    recorder = _Recorder(plan, strict, max_retries)
+    recorder = _Recorder(plan, strict)
     install_handlers = bool(
         plan.store is not None
         and plan.tasks
@@ -992,8 +968,6 @@ def run_sweep(
                 _execute(
                     plan,
                     recorder,
-                    max_retries,
-                    retry_backoff_s,
                     task_timeout_s=cell_timeout_s,
                     hang_timeout_s=hang_timeout_s,
                     max_requeues=max_worker_requeues,

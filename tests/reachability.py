@@ -376,7 +376,6 @@ def _supervised_sweep(tmp: Path, name: str, action, **kwargs) -> object:
             config=SimulationConfig(duration_us=10_000.0, n_subcarriers=8),
             workers=2,
             cache_dir=tmp / f"{name}-store",
-            retry_backoff_s=0.0,
             **kwargs,
         )
 
@@ -397,10 +396,33 @@ def _hung_worker(tmp: Path) -> None:
 
 
 def _slow_cell(tmp: Path) -> None:
+    """The supervisor kills the stalled worker at its deadline; the
+    re-queued task does not stall again and succeeds."""
+    from repro.sim import sweep
+    from repro.sim.supervisor import WorkerDeath
+
+    deaths = []
+    record = sweep._Recorder.record
+
+    def recording(recorder, event):
+        if isinstance(event, WorkerDeath):
+            deaths.append(event)
+        record(recorder, event)
+
+    with _patched(sweep._Recorder, "record", recording):
+        result = _supervised_sweep(
+            tmp, "slow", lambda: time.sleep(3.0), cell_timeout_s=1.0
+        )
+    assert [d.deliberate for d in deaths] == [True] and not result.failures, result
+
+
+def _timed_out_cell(tmp: Path) -> None:
+    """The same stall with no re-queue left fails the task's two cells."""
     result = _supervised_sweep(
-        tmp, "slow", lambda: time.sleep(3.0), cell_timeout_s=1.0, max_retries=0
+        tmp, "timed-out", lambda: time.sleep(3.0), cell_timeout_s=1.0,
+        max_worker_requeues=0,
     )
-    assert len(result.failures) == 2, result
+    assert result.worker_deaths == 1 and len(result.failures) == 2, result
 
 
 def _interrupted_then_resumed(tmp: Path) -> None:
@@ -512,6 +534,7 @@ def _adversity_set(tmp: Path) -> List[Tuple[str, Callable[[], None]]]:
         ("SIGKILLed worker", lambda: _killed_worker(tmp)),
         ("hung worker", lambda: _hung_worker(tmp)),
         ("cell timeout", lambda: _slow_cell(tmp)),
+        ("cell timeout, no re-queue left", lambda: _timed_out_cell(tmp)),
         ("SIGINT, then --resume", lambda: _interrupted_then_resumed(tmp)),
         ("--fault-trace CSV and JSON", lambda: _fault_traces(tmp)),
         ("failed cell, results, replay", lambda: _failed_cell_replayed(tmp)),

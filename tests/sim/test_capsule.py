@@ -71,7 +71,6 @@ def _crashy_sweep(tmp_path, **kwargs):
         config=FAST,
         workers=1,
         cache_dir=tmp_path,
-        max_retries=0,
     )
     defaults.update(kwargs)
     return run_sweep(**defaults)
@@ -321,7 +320,6 @@ class TestTaskLevelCrashes:
             workers=workers,
             cache_dir=tmp_path,
             scenario_key="overcrowded",
-            max_retries=0,
         )
         assert result.workers == workers
         assert len(result.failures) == 2
@@ -419,7 +417,6 @@ class TestReplay:
                 seed=3,
                 config=dataclasses.replace(FAST, validation="cheap"),
                 cache_dir=tmp_path,
-                max_retries=0,
             )
             outcome = replay_capsule(result.failures[0].capsule_path)
         finally:

@@ -304,7 +304,7 @@ class TestTraceKeying:
         try:
             result = run_sweep(
                 "three-pair", ["boom", "n+"], n_runs=2, config=config,
-                cache_dir=tmp_path / "cache", max_retries=0,
+                cache_dir=tmp_path / "cache",
             )
             assert reads == [str(trace)] and not trace.exists()
             assert [(f.protocol, f.run) for f in result.failures] == [

@@ -18,6 +18,7 @@ from repro.sim.store import (
     STORE_FILENAME,
     STORE_SCHEMA_VERSION,
     ResultsStore,
+    store_path,
 )
 
 
@@ -97,6 +98,16 @@ class TestCacheParity:
         store.store("a" * 64, _metrics(), _describe())
         assert (tmp_path / "custom.sqlite").exists()
         assert _load(ResultsStore(tmp_path / "custom.sqlite"), "a" * 64) is not None
+
+    @pytest.mark.parametrize(
+        "root, database",
+        [("cache", "cache/" + STORE_FILENAME), ("x.sqlite", "x.sqlite"), ("x.db", "x.db")],
+    )
+    def test_store_path_is_the_file_the_store_opens(self, tmp_path, root, database):
+        assert store_path(tmp_path / root) == tmp_path / database
+        with ResultsStore(tmp_path / root) as store:
+            assert store.path == tmp_path / database
+        assert (tmp_path / database).exists()
 
 
 class TestSelfHealing:

@@ -4,9 +4,10 @@ The supervisor is generic -- ``worker_fn(payload) -> result`` -- so
 these tests drive it with tiny arithmetic payloads and misbehaving
 workers (suicide by SIGKILL, SIGSTOP freezes, deliberate sleeps) rather
 than simulations.  The contracts pinned here: every task settles exactly
-once (done or failed), worker deaths re-queue rather than fail, hangs
-are told apart from slow cells, the pool shrinks gracefully, and no
-worker process outlives the event loop.
+once (done or failed), a raising task fails on its first attempt, a lost
+worker (killed, hung or timed out) re-queues its task rather than
+failing it, hangs are told apart from slow cells, the pool shrinks
+gracefully, and no worker process outlives the event loop.
 """
 
 import multiprocessing
@@ -16,13 +17,13 @@ import time
 
 import pytest
 
+import repro.sim.supervisor as supervisor_module
 from repro.sim.supervisor import (
     PoolShrunk,
     TaskAssigned,
     TaskDone,
     TaskFailed,
     TaskRequeued,
-    TaskRetry,
     WorkerDeath,
     WorkerSupervisor,
     in_process_events,
@@ -78,9 +79,33 @@ def _freeze_once(args):
     time.sleep(60)  # never reached before the supervisor kills us
 
 
+def _stall_once(args):
+    """Stall past any short deadline the first time a marker allows it."""
+    marker, x = args
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return 2 * x
+    os.close(fd)
+    time.sleep(30)
+
+
 def _slow(x):
     time.sleep(30)
     return x
+
+
+def _in_process(worker_fn, payloads):
+    return in_process_events(worker_fn, payloads)
+
+
+def _two_workers(worker_fn, payloads):
+    return WorkerSupervisor(worker_fn, payloads, workers=2).events()
+
+
+both_executors = pytest.mark.parametrize(
+    "execute", [_in_process, _two_workers], ids=["in-process", "2-workers"]
+)
 
 
 def _drain(supervisor):
@@ -127,83 +152,95 @@ class TestHappyPath:
         _assert_no_stray_workers()
 
 
-class TestRetries:
-    def test_worker_errors_consume_attempts_then_fail(self):
-        supervisor = WorkerSupervisor(
-            _fail_on_odd, [0, 1, 2, 3], workers=2, max_retries=1, retry_backoff_s=0.0
+class TestFailureRule:
+    """One rule for both executors: a raised exception fails the task at
+    once; only a lost worker re-runs it."""
+
+    @both_executors
+    def test_a_clean_task_yields_assigned_then_done(self, execute):
+        events = list(execute(_double, [0, 1, 2]))
+        assert sorted(type(e).__name__ for e in events) == (
+            ["TaskAssigned"] * 3 + ["TaskDone"] * 3
         )
-        events, done, failed = _drain(supervisor)
-        assert done == {0: 0, 2: 4}
-        assert set(failed) == {1, 3}
-        assert all("odd payload" in error for error in failed.values())
-        # Each failed task burned its retry first.
-        retried = [e.task_id for e in events if isinstance(e, TaskRetry)]
-        assert sorted(retried) == [1, 3]
+        for task_id in range(3):
+            assigned, done = [e for e in events if e.task_id == task_id]
+            assert isinstance(assigned, TaskAssigned)
+            assert isinstance(done, TaskDone) and done.result == 2 * task_id
+
+    @both_executors
+    def test_a_raising_task_fails_on_its_first_attempt(self, execute, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(supervisor_module.time, "sleep", sleeps.append)
+        events = list(execute(_fail_on_odd, [0, 1, 2, 3]))
+        monkeypatch.undo()
+        for task_id in (1, 3):
+            assigned, failed = [e for e in events if e.task_id == task_id]
+            assert isinstance(assigned, TaskAssigned)
+            assert isinstance(failed, TaskFailed)
+            assert failed.error == f"ValueError: odd payload {task_id}"
+            assert "in _fail_on_odd" in failed.traceback
+            assert failed.traceback.rstrip().endswith(failed.error)
+        assert not any(isinstance(e, (TaskRequeued, WorkerDeath)) for e in events)
+        assert sleeps == []
         _assert_no_stray_workers()
 
-    def test_no_backoff_sleep_after_the_final_attempt(self):
-        """With zero retries a huge backoff must never be paid."""
+    def test_a_timed_out_task_is_requeued_without_shrinking_the_pool(self, tmp_path):
+        marker = str(tmp_path / "stalled-once")
         supervisor = WorkerSupervisor(
-            _always_fail, [1], workers=1, max_retries=0, retry_backoff_s=30.0
+            _stall_once,
+            [(marker, 1), (marker, 2)],
+            workers=2,
+            task_timeout_s=0.5,
+            heartbeat_interval_s=0.05,
+            shrink_after_deaths=1,
         )
-        start = time.monotonic()
-        _, done, failed = _drain(supervisor)
-        assert time.monotonic() - start < 5.0
-        assert done == {} and set(failed) == {0}
+        events, done, failed = _drain(supervisor)
+        assert failed == {}
+        assert done == {0: 2, 1: 4}
+        deaths = [e for e in events if isinstance(e, WorkerDeath)]
+        requeued = [e for e in events if isinstance(e, TaskRequeued)]
+        assert len(deaths) == 1 and deaths[0].deliberate
+        assert "timed out" in deaths[0].reason
+        assert [(e.task_id, e.requeues) for e in requeued] == [(deaths[0].task_id, 1)]
+        # A deliberate kill does not count toward shrinking the pool,
+        # even with a budget of one death per shrink.
+        assert not any(isinstance(e, PoolShrunk) for e in events)
+        assert supervisor._target == 2
+        assert supervisor.deaths == 0
+        _assert_no_stray_workers()
 
-    def test_backoff_is_nonblocking_for_other_tasks(self):
-        """One task waiting out its backoff must not stall the rest."""
+    def test_a_task_timing_out_past_its_requeues_fails(self):
         supervisor = WorkerSupervisor(
-            _fail_on_odd, [1, 0, 2, 4], workers=1, max_retries=1, retry_backoff_s=1.0
+            _slow,
+            [3, 4],
+            workers=2,
+            task_timeout_s=0.4,
+            max_requeues=1,
+            heartbeat_interval_s=0.05,
+            shrink_after_deaths=1,
         )
-        events = []
-        order = []
-        for event in supervisor.events():
-            events.append(event)
-            if isinstance(event, TaskDone):
-                order.append(event.task_id)
-        # The even payloads completed while task 0 (payload 1) backed off.
-        assert order[:3] == [1, 2, 3]
+        events, done, failed = _drain(supervisor)
+        assert done == {}
+        assert set(failed) == {0, 1}
+        assert all("timed out" in error for error in failed.values())
+        assert all("re-queued 1 time(s)" in error for error in failed.values())
+        assert all(
+            e.traceback is None for e in events if isinstance(e, TaskFailed)
+        )
+        deaths = [e for e in events if isinstance(e, WorkerDeath)]
+        assert len(deaths) == 4 and all(d.deliberate for d in deaths)
+        assert sum(isinstance(e, TaskRequeued) for e in events) == 2
+        assert not any(isinstance(e, PoolShrunk) for e in events)
+        assert supervisor.deaths == 0
+        _assert_no_stray_workers()
 
 
 class TestInProcessEvents:
-    """The one-worker executor yields the supervisor's events under its
-    retry rule, without a process."""
-
-    def test_assign_retry_assign_fail_with_one_backoff(self, monkeypatch):
-        import repro.sim.supervisor as supervisor_module
-
-        sleeps = []
-        monkeypatch.setattr(supervisor_module.time, "sleep", sleeps.append)
-        events = list(
-            in_process_events(_always_fail, [7], max_retries=1, retry_backoff_s=0.25)
-        )
-        assert [type(e) for e in events] == [
-            TaskAssigned, TaskRetry, TaskAssigned, TaskFailed,
-        ]
-        assert [e.attempt for e in events[:3]] == [0, 1, 1]
-        assert events[-1].error == "RuntimeError: nope"
-        assert "RuntimeError: nope" in events[-1].traceback
-        assert sleeps == [0.25]  # exactly max_retries backoffs
-
-    @pytest.mark.parametrize("max_retries", [0, 2])
-    def test_backoffs_double_and_skip_the_final_attempt(self, monkeypatch, max_retries):
-        import repro.sim.supervisor as supervisor_module
-
-        sleeps = []
-        monkeypatch.setattr(supervisor_module.time, "sleep", sleeps.append)
-        events = list(
-            in_process_events(
-                _always_fail, [1], max_retries=max_retries, retry_backoff_s=0.5
-            )
-        )
-        assert sum(isinstance(e, TaskAssigned) for e in events) == max_retries + 1
-        assert sleeps == [0.5 * 2**k for k in range(max_retries)]
+    """The one-worker executor yields the supervisor's events without a
+    process."""
 
     def test_results_and_failures_settle_in_task_order(self):
-        events = list(
-            in_process_events(_fail_on_odd, [0, 1, 2], max_retries=0, retry_backoff_s=0)
-        )
+        events = list(in_process_events(_fail_on_odd, [0, 1, 2]))
         settled = [
             (type(e).__name__, e.task_id)
             for e in events
@@ -216,7 +253,7 @@ class TestInProcessEvents:
         def interrupted(_):
             raise KeyboardInterrupt
 
-        events = in_process_events(interrupted, [1], max_retries=3, retry_backoff_s=0)
+        events = in_process_events(interrupted, [1])
         assert isinstance(next(events), TaskAssigned)
         with pytest.raises(KeyboardInterrupt):
             next(events)
@@ -282,26 +319,4 @@ class TestHangsAndTimeouts:
         deaths = [e for e in events if isinstance(e, WorkerDeath)]
         assert len(deaths) == 1 and not deaths[0].deliberate
         assert "hung" in deaths[0].reason
-        _assert_no_stray_workers()
-
-    def test_slow_task_is_killed_and_counts_an_attempt(self):
-        supervisor = WorkerSupervisor(
-            _slow,
-            [3],
-            workers=1,
-            task_timeout_s=0.4,
-            max_retries=0,
-            retry_backoff_s=0.0,
-            heartbeat_interval_s=0.05,
-            hang_timeout_s=30.0,
-        )
-        events, done, failed = _drain(supervisor)
-        assert done == {}
-        assert set(failed) == {0} and "timed out" in failed[0]
-        deaths = [e for e in events if isinstance(e, WorkerDeath)]
-        # A deliberate timeout kill, not an unexpected death: it neither
-        # shrinks the pool nor counts toward the death budget.
-        assert len(deaths) == 1 and deaths[0].deliberate
-        assert supervisor.timeout_kills == 1 and supervisor.deaths == 0
-        assert not any(isinstance(e, PoolShrunk) for e in events)
         _assert_no_stray_workers()

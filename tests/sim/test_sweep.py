@@ -569,7 +569,6 @@ class TestSweepHardening:
             n_runs=3,
             seed=4,
             config=FAST,
-            retry_backoff_s=0.0,
         )
         assert result.results["n+"][1] is None
         assert result.results["802.11n"][1] is None
@@ -600,38 +599,7 @@ class TestSweepHardening:
                 seed=4,
                 config=FAST,
                 strict=True,
-                retry_backoff_s=0.0,
-            )
-
-    def test_retry_recovers_from_a_transient_failure(self, monkeypatch):
-        import repro.sim.sweep as sweep_module
-        from repro.sim.runner import build_network as real_build_network
-
-        calls = {"count": 0}
-
-        def flaky(scenario, run_seed, config):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise RuntimeError("transient")
-            return real_build_network(scenario, run_seed, config)
-
-        monkeypatch.setattr(sweep_module, "build_network", flaky)
-        clean = run_sweep("three-pair", ["n+"], n_runs=1, seed=4, config=FAST)
-        monkeypatch.undo()
-        monkeypatch.setattr(sweep_module, "build_network", flaky)
-        calls["count"] = 0
-        retried = run_sweep(
-            "three-pair",
-            ["n+"],
-            n_runs=1,
-            seed=4,
-            config=FAST,
-            max_retries=1,
-            retry_backoff_s=0.0,
-        )
-        assert not retried.failures
-        # a retry is a deterministic replay: identical metrics
-        assert _as_dicts(retried.results) == _as_dicts(clean.results)
+                )
 
     def test_parallel_failure_is_recorded(self, monkeypatch):
         if "fork" not in __import__("multiprocessing").get_all_start_methods():
@@ -648,7 +616,6 @@ class TestSweepHardening:
             seed=4,
             config=FAST,
             workers=2,
-            retry_backoff_s=0.0,
         )
         assert [m is None for m in result.results["n+"]] == [False, True, False]
         assert [f.run for f in result.failures] == [1]
@@ -668,7 +635,6 @@ class TestSweepHardening:
             seed=4,
             config=FAST,
             cache_dir=tmp_path,
-            retry_backoff_s=0.0,
         )
         assert failed.failures
         # Failed cells are recorded as `failed`, never as cached results:
@@ -796,55 +762,121 @@ class TestDefaultWorkers:
         assert default_workers() == 1
 
 
-class TestRetryBackoff:
-    """The backoff sleep is only paid when a retry will actually follow."""
+def _needs_fork(workers):
+    if workers > 1 and "fork" not in __import__("multiprocessing").get_all_start_methods():
+        pytest.skip("needs fork so workers inherit the monkeypatch")
 
-    def test_no_sleep_after_the_final_in_process_attempt(self, monkeypatch):
+
+def _stall_once(marker, stall_s=30.0):
+    """A build_network whose first caller (process-wide) stalls first."""
+    import os
+    import time
+
+    from repro.sim.runner import build_network as real_build_network
+
+    def stalling(scenario, run_seed, config):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            pass
+        else:
+            time.sleep(stall_s)
+        return real_build_network(scenario, run_seed, config)
+
+    return stalling
+
+
+class TestFailureRule:
+    """A task is re-run only when its worker is lost; a raise fails it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_build_crash_fails_on_its_first_attempt(self, monkeypatch, workers):
+        import multiprocessing
+
         import repro.sim.supervisor as supervisor_module
         import repro.sim.sweep as sweep_module
         from repro.sim.runner import placement_seed
 
-        sleeps = []
-        monkeypatch.setattr(
-            supervisor_module.time, "sleep", lambda s: sleeps.append(s)
-        )
-        monkeypatch.setattr(
-            sweep_module, "build_network", _crash_on_seed(placement_seed(4, 0))
-        )
-        result = run_sweep(
-            "three-pair",
-            ["n+"],
-            n_runs=1,
-            seed=4,
-            config=FAST,
-            max_retries=2,
-            retry_backoff_s=0.25,
-        )
-        assert result.failures
-        # Two retries follow attempts 0 and 1; nothing follows attempt 2,
-        # so exactly two backoffs are paid -- not three.
-        assert sleeps == [0.25, 0.5]
+        _needs_fork(workers)
+        attempts = multiprocessing.Value("i", 0)
+        crash = _crash_on_seed(placement_seed(4, 1))
 
-    def test_zero_retries_never_sleeps(self, monkeypatch):
-        import repro.sim.supervisor as supervisor_module
-        import repro.sim.sweep as sweep_module
-        from repro.sim.runner import placement_seed
+        def counting(scenario, run_seed, config):
+            if run_seed == placement_seed(4, 1):
+                with attempts.get_lock():
+                    attempts.value += 1
+            return crash(scenario, run_seed, config)
 
         sleeps = []
-        monkeypatch.setattr(
-            supervisor_module.time, "sleep", lambda s: sleeps.append(s)
-        )
-        monkeypatch.setattr(
-            sweep_module, "build_network", _crash_on_seed(placement_seed(4, 0))
-        )
+        monkeypatch.setattr(sweep_module, "build_network", counting)
+        monkeypatch.setattr(supervisor_module.time, "sleep", sleeps.append)
         result = run_sweep(
-            "three-pair",
-            ["n+"],
-            n_runs=1,
-            seed=4,
-            config=FAST,
-            max_retries=0,
-            retry_backoff_s=30.0,
+            "three-pair", ["n+"], n_runs=2, seed=4, config=FAST, workers=workers
         )
-        assert result.failures
+        monkeypatch.undo()
+        assert attempts.value == 1
         assert sleeps == []
+        assert [f.run for f in result.failures] == [1]
+        assert "in crashing" in result.failures[0].traceback
+        assert result.worker_deaths == 0
+
+    def test_strict_names_a_simulation_crash_without_a_retry_count(
+        self, monkeypatch
+    ):
+        import repro.sim.sweep as sweep_module
+        from repro.exceptions import SimulationError
+        from repro.sim.runner import placement_seed
+
+        real_run_simulation = sweep_module.run_simulation
+
+        def crashing(scenario, spec, **kwargs):
+            if spec.key == "n+":
+                raise RuntimeError("injected simulation crash")
+            return real_run_simulation(scenario, spec, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "run_simulation", crashing)
+        with pytest.raises(SimulationError) as raised:
+            run_sweep(
+                "three-pair", ["802.11n", "n+"], n_runs=1, seed=4, config=FAST,
+                strict=True,
+            )
+        message = str(raised.value)
+        assert message == (
+            f"sweep cell failed (protocols ['n+'], run 0, run_seed "
+            f"{placement_seed(4, 0)}): RuntimeError: injected simulation crash"
+        )
+        assert "retr" not in message
+
+    def test_a_timed_out_cell_is_requeued_and_reproduces(self, monkeypatch, tmp_path):
+        import repro.sim.sweep as sweep_module
+
+        _needs_fork(2)
+        clean = run_sweep("three-pair", ["802.11n", "n+"], n_runs=2, seed=4, config=FAST)
+        monkeypatch.setattr(
+            sweep_module, "build_network", _stall_once(str(tmp_path / "stalled"))
+        )
+        requeued = run_sweep(
+            "three-pair", ["802.11n", "n+"], n_runs=2, seed=4, config=FAST,
+            workers=2, cell_timeout_s=1.0,
+        )
+        assert not requeued.failures
+        assert requeued.worker_deaths == 1
+        # The re-run is a deterministic replay: identical metrics.
+        assert _as_dicts(requeued.results) == _as_dicts(clean.results)
+
+    def test_a_cell_timing_out_past_its_requeues_fails(self, monkeypatch, tmp_path):
+        import repro.sim.sweep as sweep_module
+
+        _needs_fork(2)
+        monkeypatch.setattr(
+            sweep_module, "build_network", _stall_once(str(tmp_path / "stalled"))
+        )
+        result = run_sweep(
+            "three-pair", ["n+"], n_runs=2, seed=4, config=FAST,
+            workers=2, cell_timeout_s=1.0, max_worker_requeues=0,
+        )
+        assert len(result.failures) == 1
+        failure = result.failures[0]
+        assert "timed out" in failure.error and failure.traceback is None
+        assert result.results["n+"][1 - failure.run] is not None
+        assert result.worker_deaths == 1

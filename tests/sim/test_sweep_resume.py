@@ -204,7 +204,7 @@ class TestInterruptAndResume:
         monkeypatch.setattr(sweep_module, "build_network", crash)
         first = run_sweep(
             "three-pair", ["n+"], n_runs=1, seed=4, config=FAST,
-            cache_dir=tmp_path, retry_backoff_s=0.0,
+            cache_dir=tmp_path,
         )
         assert first.failures
         store = ResultsStore(tmp_path)

@@ -120,6 +120,11 @@ class TestParser:
 
 
 class TestMain:
+    def test_negative_workers_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--workers", "-3", "--runs", "1"])
+        assert "--workers must be >= 0" in capsys.readouterr().err
+
     def test_handshake_command_runs(self, capsys):
         exit_code = main(["handshake", "--trials", "5"])
         captured = capsys.readouterr()
@@ -262,6 +267,16 @@ class TestDurableSweepCommands:
         with pytest.raises(ConfigurationError, match="cache-dir"):
             main(["results"])
 
+    @pytest.mark.parametrize("name", ["typo-dir", "typo.sqlite"])
+    def test_results_command_refuses_a_path_with_no_store(self, tmp_path, name):
+        """A mistyped --cache-dir is refused, not opened as an empty store."""
+        from repro.exceptions import ConfigurationError
+
+        missing = tmp_path / name
+        with pytest.raises(ConfigurationError, match=f"no results store at .*{name}"):
+            main(["results", "--cache-dir", str(missing)])
+        assert list(tmp_path.iterdir()) == []
+
     def test_results_command_reports_sweeps_and_cells(self, capsys, tmp_path):
         assert main(self._sweep_argv(tmp_path)) == 0
         capsys.readouterr()
@@ -284,6 +299,9 @@ class TestDurableSweepCommands:
         assert len(closed) == 2  # the sweep's store, then the listing's
 
     def test_results_command_on_an_empty_store(self, capsys, tmp_path):
+        from repro.sim.store import ResultsStore
+
+        ResultsStore(tmp_path).close()
         assert main(["results", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "no sweep manifests recorded" in out
