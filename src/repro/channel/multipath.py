@@ -10,7 +10,6 @@ and a time-domain ``apply`` for the sample-level experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +20,10 @@ from repro.channel.models import complex_gaussian
 __all__ = [
     "exponential_power_delay_profile",
     "MultipathChannel",
+    "tap_scales",
+    "taps_from_normals",
     "frequency_response_batch",
+    "dft_twiddle",
     "frequency_response_at_bins_batch",
 ]
 
@@ -93,69 +95,6 @@ class MultipathChannel:
             taps[d] = complex_gaussian((n_rx, n_tx), rng, profile[d] * average_gain)
         return cls(taps=taps)
 
-    @classmethod
-    def random_batch(
-        cls,
-        n_rx: int,
-        n_tx: int,
-        rng: Optional[np.random.Generator],
-        n_channels: int,
-        n_taps: int = 4,
-        decay_samples=3.0,
-        average_gain=1.0,
-        raw: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Draw the taps of ``n_channels`` Rayleigh channels at once.
-
-        Returns a complex array of shape ``(n_channels, n_taps, n_rx,
-        n_tx)``; slice ``c`` is bit-identical to the taps of the ``c``-th
-        of ``n_channels`` sequential :meth:`random` calls on the same
-        generator (one ``standard_normal`` call fills array elements in
-        the same order the per-channel, per-tap draws consume them).
-        ``decay_samples`` and ``average_gain`` may be scalars or
-        per-channel arrays of length ``n_channels``.
-
-        ``raw`` lets a caller that must interleave other draws between
-        channels (e.g. per-link shadowing) pre-draw the standard normals
-        itself: shape ``(n_channels, n_taps, 2, n_rx, n_tx)``, where the
-        ``2`` axis is (real, imaginary) -- exactly what
-        ``rng.standard_normal`` consumes per tap.  When ``raw`` is given,
-        ``rng`` is unused and may be ``None``.
-        """
-        if n_channels < 0:
-            raise ConfigurationError(f"n_channels must be non-negative, got {n_channels}")
-        if n_taps > CYCLIC_PREFIX_LENGTH:
-            raise ConfigurationError(
-                f"n_taps ({n_taps}) must not exceed the cyclic prefix "
-                f"({CYCLIC_PREFIX_LENGTH})"
-            )
-        if raw is None:
-            if rng is None:
-                raise ConfigurationError("random_batch needs an rng when raw is not given")
-            raw = rng.standard_normal((n_channels, n_taps, 2, n_rx, n_tx))
-        raw = np.asarray(raw, dtype=float)
-        if raw.shape != (n_channels, n_taps, 2, n_rx, n_tx):
-            raise DimensionError(
-                f"raw must have shape {(n_channels, n_taps, 2, n_rx, n_tx)}, "
-                f"got {raw.shape}"
-            )
-        decays = np.broadcast_to(np.asarray(decay_samples, dtype=float), (n_channels,))
-        gains = np.broadcast_to(np.asarray(average_gain, dtype=float), (n_channels,))
-        # The profile is a pure function of (n_taps, decay); computing it
-        # once per distinct decay through the scalar helper keeps every
-        # float identical to what the per-channel constructor produces.
-        profiles = np.empty((n_channels, n_taps))
-        for value in np.unique(decays):
-            profiles[decays == value] = exponential_power_delay_profile(n_taps, float(value))
-        variance = profiles * gains[:, None]  # (n_channels, n_taps)
-        scale = np.sqrt(variance / 2.0)[:, :, None, None]
-        # Scaling each part separately is the same float multiply per
-        # element as scaling the complex sum, without its temporaries.
-        taps = np.empty((n_channels, n_taps, n_rx, n_tx), dtype=complex)
-        np.multiply(scale, raw[:, :, 0], out=taps.real)
-        np.multiply(scale, raw[:, :, 1], out=taps.imag)
-        return taps
-
     # -- properties -----------------------------------------------------------
 
     @property
@@ -186,16 +125,69 @@ class MultipathChannel:
         return np.fft.fft(padded, axis=0)
 
 
+def tap_scales(
+    n_taps: int, decay_samples: np.ndarray, average_gain: np.ndarray
+) -> np.ndarray:
+    """Per-part standard deviation of every tap of a stack of channels.
+
+    ``decay_samples`` and ``average_gain`` are per-channel arrays of
+    length ``n_channels``; the result has shape ``(n_channels, n_taps)``
+    and entry ``[c, d]`` is ``sqrt(profile[d] * gain / 2)``, the scale
+    :meth:`MultipathChannel.random` applies to the standard normals of
+    tap ``d`` -- computed with the same ufuncs, so taps built by
+    :func:`taps_from_normals` are bit-identical to sequential
+    :meth:`MultipathChannel.random` calls consuming the same normals.
+    """
+    if n_taps > CYCLIC_PREFIX_LENGTH:
+        raise ConfigurationError(
+            f"n_taps ({n_taps}) must not exceed the cyclic prefix "
+            f"({CYCLIC_PREFIX_LENGTH})"
+        )
+    decays = np.asarray(decay_samples, dtype=float)
+    gains = np.asarray(average_gain, dtype=float)
+    # The profile is a pure function of (n_taps, decay); computing it
+    # once per distinct decay through the scalar helper keeps every
+    # float identical to what the per-channel constructor produces.
+    profiles = np.empty((decays.size, n_taps))
+    for value in np.unique(decays):
+        profiles[decays == value] = exponential_power_delay_profile(n_taps, float(value))
+    variance = profiles * gains[:, None]  # (n_channels, n_taps)
+    return np.sqrt(variance / 2.0)
+
+
+def taps_from_normals(normals: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Complex taps of a stack of channels from their standard normals.
+
+    ``normals`` has shape ``(n_channels, n_taps, 2, n_rx, n_tx)``, where
+    the ``2`` axis is (real, imaginary) -- exactly the order in which
+    ``rng.standard_normal`` fills one channel's taps -- and ``scales``
+    shape ``(n_channels, n_taps)`` (:func:`tap_scales`).  Returns the
+    ``(n_channels, n_taps, n_rx, n_tx)`` taps.  Channel ``c`` depends on
+    row ``c`` alone, so any subset of channels gives the same bits as
+    the whole stack.
+    """
+    n_channels, n_taps, _, n_rx, n_tx = normals.shape
+    scale = scales[:, :, None, None]
+    # Scaling each part separately is the same float multiply per
+    # element as scaling the complex sum, without its temporaries.
+    taps = np.empty((n_channels, n_taps, n_rx, n_tx), dtype=complex)
+    np.multiply(scale, normals[:, :, 0], out=taps.real)
+    np.multiply(scale, normals[:, :, 1], out=taps.imag)
+    return taps
+
+
 def frequency_response_batch(
     taps: np.ndarray, bins: np.ndarray, fft_size: int = NUM_SUBCARRIERS
 ) -> np.ndarray:
     """Per-subcarrier matrices of a whole stack of channels, by FFT.
 
     ``taps`` has shape ``(n_channels, n_taps, n_rx, n_tx)`` (what
-    :meth:`MultipathChannel.random_batch` returns); the result has shape
+    :func:`taps_from_normals` returns); the result has shape
     ``(n_channels, len(bins), n_rx, n_tx)`` and slice ``c`` is
     bit-identical to
-    ``MultipathChannel(taps[c]).frequency_response(fft_size)[bins]``.
+    ``MultipathChannel(taps[c]).frequency_response(fft_size)[bins]`` --
+    pocketfft transforms one antenna pair at a time, so a stack of one
+    gives the same bits as the whole group.
 
     The zero-padded taps are laid out ``(n_channels, n_rx, n_tx,
     fft_size)`` so that pocketfft runs the same ``fft_size``-point
@@ -203,7 +195,7 @@ def frequency_response_batch(
     strided gathers), in place.  The selected bins are returned laid out
     bins-major in memory -- the layout ``fft(..., axis=1)[:, bins]``
     produces, which the v2 draw contract of
-    :meth:`repro.sim.network.Network._draw_channels` has always stored.
+    :class:`repro.sim.network.Network` has always stored.
     """
     taps = np.asarray(taps, dtype=complex)
     if taps.ndim != 4:
@@ -217,36 +209,43 @@ def frequency_response_batch(
     return spectrum.transpose(3, 0, 1, 2)[bins].transpose(1, 0, 2, 3)
 
 
-def frequency_response_at_bins_batch(
-    taps: np.ndarray, bins: np.ndarray, fft_size: int = NUM_SUBCARRIERS
+def dft_twiddle(
+    bins: np.ndarray, n_taps: int, fft_size: int = NUM_SUBCARRIERS
 ) -> np.ndarray:
+    """The ``(n_bins, n_taps)`` rows of the ``fft_size``-point DFT
+    matrix at ``bins``, restricted to the first ``n_taps`` samples: what
+    :func:`frequency_response_at_bins_batch` multiplies the taps by."""
+    bins = np.asarray(bins, dtype=int)
+    if bins.ndim != 1:
+        raise DimensionError(f"bins must be 1-D, got shape {bins.shape}")
+    return np.exp((-2j * np.pi / fft_size) * np.outer(bins, np.arange(n_taps)))
+
+
+def frequency_response_at_bins_batch(taps: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
     """Frequency responses of a stack of channels, at selected bins only.
 
-    Evaluates the DFT of the zero-padded taps directly at the requested
-    ``bins``: one BLAS matmul of the ``(n_bins, n_taps)`` twiddle matrix
-    against the taps viewed as ``(n_channels, n_taps, n_rx * n_tx)``,
-    instead of a full ``fft_size``-point FFT followed by bin selection.
-    For the testbed's few-tap channels this is cheaper, and (more
-    importantly at the 500-station tier) it never materialises the
-    ``(n_channels, fft_size, n_rx, n_tx)`` padded intermediate.  The
-    result equals ``frequency_response_batch(taps, bins, fft_size)`` up
-    to floating-point rounding; the grouped (v3) draw contract of
-    :meth:`repro.sim.network.Network._draw_channels` pins *this*
-    formulation (schema 8).
+    Evaluates the DFT of the zero-padded taps directly at the bins of
+    ``twiddle`` (:func:`dft_twiddle`, computed once per bin set): one
+    BLAS matmul of the ``(n_bins, n_taps)`` twiddle matrix against the
+    taps viewed as ``(n_channels, n_taps, n_rx * n_tx)``, instead of a
+    full ``fft_size``-point FFT followed by bin selection.  For the
+    testbed's few-tap channels this is cheaper, and it never
+    materialises the ``(n_channels, fft_size, n_rx, n_tx)`` padded
+    intermediate.  The result equals ``frequency_response_batch(taps,
+    bins, fft_size)`` up to floating-point rounding; the grouped (v3)
+    draw contract of :class:`repro.sim.network.Network` pins *this*
+    formulation (schema 8).  Channel ``c`` of the result depends on
+    channel ``c`` of ``taps`` alone (BLAS runs one matmul per channel),
+    so a stack of one gives the same bits as the whole group.
 
     ``taps`` has shape ``(n_channels, n_taps, n_rx, n_tx)``; the result
-    is a C-contiguous array of shape ``(n_channels, len(bins), n_rx,
+    is a C-contiguous array of shape ``(n_channels, n_bins, n_rx,
     n_tx)``.
     """
-    taps = np.asarray(taps, dtype=complex)
     if taps.ndim != 4:
         raise DimensionError(
             f"taps must have shape (n_channels, n_taps, n_rx, n_tx), got {taps.shape}"
         )
-    bins = np.asarray(bins, dtype=int)
-    if bins.ndim != 1:
-        raise DimensionError(f"bins must be 1-D, got shape {bins.shape}")
     n_channels, n_taps, n_rx, n_tx = taps.shape
-    twiddle = np.exp((-2j * np.pi / fft_size) * np.outer(bins, np.arange(n_taps)))
     stacked = twiddle @ taps.reshape(n_channels, n_taps, n_rx * n_tx)
-    return stacked.reshape(n_channels, bins.size, n_rx, n_tx)
+    return stacked.reshape(n_channels, twiddle.shape[0], n_rx, n_tx)

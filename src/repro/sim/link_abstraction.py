@@ -9,9 +9,10 @@ computation uses:
 * the *true* channels of the run (the pre-coders, in contrast, were
   computed by the transmitters from *estimated* channels).  True
   channels come out of the :class:`repro.sim.network.ChannelBank` as
-  read-only (possibly transposed) views of shared per-group tensors, so
-  everything here treats them as immutable inputs -- slicing and
-  einsum-ing views is fine, in-place writes would raise,
+  read-only (possibly transposed) views of responses it computes on a
+  link's first read and shares from then on, so everything here treats
+  them as immutable inputs -- slicing and einsum-ing views is fine,
+  in-place writes would raise,
 * the pre-coding vectors and power of every stream on the air,
 * the residual-interference model of the hardware profile for streams
   that were pre-coded to protect this receiver (imperfect nulling and
@@ -189,9 +190,8 @@ def receiver_stream_snrs(
 
     # Pre-fetch channels from every involved transmitter to this receiver.
     transmitters = {s.transmitter_id for s in concurrent_streams} | {transmitter_id}
-    channels = {
-        tx: network.true_channel(tx, receiver_id) for tx in transmitters if tx != receiver_id
-    }
+    senders = [tx for tx in transmitters if tx != receiver_id]
+    channels = dict(zip(senders, network.true_channels(senders, receiver_id)))
 
     projection_streams: List[ScheduledStream] = []
     residual_streams: List[ScheduledStream] = []

@@ -8,7 +8,7 @@ processes ship back to the orchestrator.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -77,8 +77,26 @@ class LinkMetrics:
         return self.delivered_bits / elapsed_us
 
     def to_dict(self) -> dict:
-        """Plain-dict form (JSON-safe), inverse of :meth:`from_dict`."""
-        return asdict(self)
+        """Plain-dict form (JSON-safe), inverse of :meth:`from_dict`.
+
+        Built field by field, in declaration order: every field is a
+        scalar, so :func:`dataclasses.asdict`'s recursion and deep copy
+        would only cost time (a sweep stores one dict per pair per run).
+        """
+        return {
+            "pair_name": self.pair_name,
+            "delivered_bits": self.delivered_bits,
+            "attempted_bits": self.attempted_bits,
+            "packets_delivered": self.packets_delivered,
+            "packets_failed": self.packets_failed,
+            "airtime_us": self.airtime_us,
+            "transmissions": self.transmissions,
+            "joins": self.joins,
+            "collisions": self.collisions,
+            "packets_dropped": self.packets_dropped,
+            "recovered_bits": self.recovered_bits,
+            "quarantined_rounds": self.quarantined_rounds,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinkMetrics":

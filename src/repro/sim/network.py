@@ -5,26 +5,32 @@ paper's methodology -- the assignment of nodes to testbed locations and
 the resulting channels -- so the MAC protocols under comparison see the
 exact same propagation environment.
 
-Channels are held in a :class:`ChannelBank`: one stacked read-only
-tensor per antenna-shape group plus an index from a directed ``(tx,
-rx)`` link to ``(group, slot, transposed)``.  The reciprocal direction
-of every pair is served as a transposed *view* of the same memory (no
-copies), which halves construction memory; the read-only flag guards the
+Channels are held in a :class:`ChannelBank`.  The build makes every
+generator call of its draw contract and keeps, per antenna-shape group,
+the draws that determine each pair's channel (tap normals, tap scales,
+SNR) plus an index from a directed ``(tx, rx)`` link to ``(group, slot,
+transposed)``.  A link's per-subcarrier response is computed the first
+time a run reads it -- a run reads a small share of the pairs -- and
+memoized read-only; the reciprocal direction is served as a transposed
+*view* of the same memory, and the read-only flag guards that
 shared-view invariant.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from functools import lru_cache, partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.channel.hardware import HardwareProfile
 from repro.channel.multipath import (
-    MultipathChannel,
+    dft_twiddle,
     frequency_response_at_bins_batch,
     frequency_response_batch,
+    tap_scales,
+    taps_from_normals,
 )
 from repro.channel.testbed import Testbed, default_testbed
 from repro.constants import NUM_DATA_SUBCARRIERS
@@ -83,30 +89,47 @@ def _subcarrier_bins(n_subcarriers: int) -> np.ndarray:
 
 
 class ChannelBank:
-    """Structure-of-arrays storage of every station pair's channel.
+    """Every station pair's channel, each response computed on first read.
 
     Channels drawn per unordered pair ``(a, b)`` (``a < b`` in canonical
-    draw order) are stored as one stacked tensor per antenna-shape group
-    -- shape ``(n_pairs_in_group, n_sub, N, M)`` -- plus an index
-    mapping a *directed* ``(tx, rx)`` link to ``(group, slot,
-    transposed)``.  The reciprocal ``b -> a`` direction is served as a
-    read-only transposed **view** of the same memory instead of a
-    ``.copy()``, halving construction memory.  Every stored array is
-    marked non-writable: a consumer mutating a returned channel would
-    silently corrupt the reverse direction and every memoized plan built
-    from it, so mutation raises instead (the shared-view invariant;
-    ``.copy()`` first for a scratch buffer).
+    draw order) are kept per antenna-shape group as the draws that
+    determine them: the raw tap normals ``(n_pairs_in_group, n_taps, 2,
+    N, M)``, the per-pair tap scales ``(n_pairs_in_group, n_taps)`` (from
+    the pair's delay spread and gain) and the per-pair average SNRs.  An
+    index maps a *directed* ``(tx, rx)`` link to ``(group, slot,
+    transposed)``.
+
+    A run reads only the links whose streams are on the air -- under
+    0.5% of the pairs of a 500-station network -- so a slot's ``(n_sub,
+    N, M)`` response is computed the first time anything touches the
+    link (:meth:`channel`, :meth:`channels`, :meth:`snapshot_links` or a
+    fault kernel), through the bank's ``transform``, and memoized.  Every slot depends
+    on its own normals alone, so the response is bit-identical to what a
+    whole-group computation gives for that slot.  The reciprocal ``b ->
+    a`` direction is served as a transposed **view** of the same memory.
+    Every memoized response is non-writable: a consumer mutating a
+    returned channel would silently corrupt the reverse direction and
+    every memoized plan built from it, so mutation raises instead (the
+    shared-view invariant; ``.copy()`` first for a scratch buffer).
+
+    ``transform`` maps a ``(k, n_taps, N, M)`` stack of taps to its
+    ``(k, n_sub, N, M)`` responses (see :class:`Network` for the one
+    each draw contract uses).
     """
 
-    def __init__(self) -> None:
-        self._stacks: List[np.ndarray] = []
+    def __init__(self, transform: Callable[[np.ndarray], np.ndarray]) -> None:
+        self._transform = transform
+        self._normals: List[np.ndarray] = []
+        self._scales: List[np.ndarray] = []
         self._snrs: List[np.ndarray] = []
+        #: Per-group ``slot -> response`` of every slot computed so far.
+        self._responses: List[Dict[int, np.ndarray]] = []
         #: Per-group ``(n_pairs_in_group, 2)`` int64 arrays of unordered
         #: ``(a, b)`` station ids in slot order.  The directed-link index
         #: is derived lazily from these (see :meth:`_sorted_index`): one
         #: lexsorted key array searched with ``np.searchsorted`` replaces
-        #: the old per-pair dict inserts, which dominated bank
-        #: construction at the 500-station tiers.
+        #: per-pair dict inserts, which would dominate bank construction
+        #: at the 500-station tiers.
         self._pair_groups: List[np.ndarray] = []
         self._sorted_keys: Optional[np.ndarray] = None
         self._sorted_groups: Optional[np.ndarray] = None
@@ -121,33 +144,41 @@ class ChannelBank:
     def add_group(
         self,
         pairs: Union[Sequence[Tuple[int, int]], np.ndarray],
-        responses: np.ndarray,
+        normals: np.ndarray,
+        scales: np.ndarray,
         snrs_db: Sequence[float],
     ) -> None:
-        """Store one antenna-shape group of drawn channels.
+        """Keep one antenna-shape group of drawn channels.
 
         ``pairs`` lists unordered ``(a, b)`` station ids in slot order,
         either as a sequence of ``(a, b)`` tuples or as an ``(n, 2)``
-        integer array (the grouped build passes its id columns stacked,
-        so no per-pair Python objects are made); ``responses`` is the
-        stacked ``(len(pairs), n_sub, N, M)`` tensor whose slot ``i`` is
-        the ``a -> b`` response of ``pairs[i]``, and ``snrs_db`` the
-        per-pair average link SNRs.
+        integer array (the network build passes its id columns stacked,
+        so no per-pair Python objects are made).  Slot ``i`` is the ``a
+        -> b`` channel of ``pairs[i]``: ``normals[i]`` its ``(n_taps, 2,
+        N, M)`` tap normals, ``scales[i]`` its ``(n_taps,)`` tap scales
+        (:func:`~repro.channel.multipath.tap_scales`) and ``snrs_db[i]``
+        its average SNR.  The bank keeps the arrays (read-only) and
+        computes no response.
         """
-        responses = np.asarray(responses)
+        normals = np.asarray(normals, dtype=float)
+        scales = np.asarray(scales, dtype=float)
         snrs = np.asarray(snrs_db, dtype=float)
-        if responses.ndim != 4 or responses.shape[0] != len(pairs):
+        n = len(pairs)
+        if normals.ndim != 5 or normals.shape[0] != n or normals.shape[2] != 2:
             raise DimensionError(
-                f"responses must have shape ({len(pairs)}, n_sub, N, M), "
-                f"got {responses.shape}"
+                f"normals must have shape ({n}, n_taps, 2, N, M), got {normals.shape}"
             )
-        if snrs.shape != (len(pairs),):
+        if scales.shape != normals.shape[:2]:
+            raise DimensionError(
+                f"scales must have shape {normals.shape[:2]}, got {scales.shape}"
+            )
+        if snrs.shape != (n,):
             raise DimensionError(
                 f"snrs_db must have one entry per pair, got shape {snrs.shape}"
             )
         # A private copy: the bank marks its pair table read-only, which
         # must not reach back into an array the caller passed in.
-        pair_array = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        pair_array = np.array(pairs, dtype=np.int64).reshape(n, 2)
         if pair_array.size and (
             pair_array.min() < 0 or pair_array.max() >= _PAIR_KEY_BASE
         ):
@@ -155,11 +186,12 @@ class ChannelBank:
                 "station ids must be non-negative and fit in 31 bits to be "
                 "packed into the pair-index keys"
             )
-        responses.setflags(write=False)
-        snrs.setflags(write=False)
-        pair_array.setflags(write=False)
-        self._stacks.append(responses)
+        for array in (normals, scales, snrs, pair_array):
+            array.setflags(write=False)
+        self._normals.append(normals)
+        self._scales.append(scales)
         self._snrs.append(snrs)
+        self._responses.append({})
         self._pair_groups.append(pair_array)
         # Invalidate the lazily built sorted index and resolved lookups.
         self._sorted_keys = None
@@ -231,11 +263,44 @@ class ChannelBank:
             self._memo[link] = entry
         return entry
 
+    def _computed(self, group: int, slots: Sequence[int]) -> List[np.ndarray]:
+        """The responses of distinct ``slots`` of one group, computing (in
+        one batch) and memoizing the ones no read has computed yet."""
+        computed = self._responses[group]
+        missing = [slot for slot in slots if slot not in computed]
+        if missing:
+            # One slot (the common first read) is a basic slice: a fancy
+            # index of one row would cost more than the whole transform.
+            rows = slice(missing[0], missing[0] + 1) if len(missing) == 1 else missing
+            taps = taps_from_normals(self._normals[group][rows], self._scales[group][rows])
+            for slot, response in zip(missing, self._transform(taps)):
+                response.setflags(write=False)
+                computed[slot] = response
+        return [computed[slot] for slot in slots]
+
     def channel(self, tx_id: int, rx_id: int) -> np.ndarray:
         """The read-only ``(n_sub, N, M)`` response of a directed link."""
         group, slot, transposed = self.lookup(tx_id, rx_id)
-        response = self._stacks[group][slot]
+        response = self._responses[group].get(slot)
+        if response is None:
+            (response,) = self._computed(group, (slot,))
         return response.transpose(0, 2, 1) if transposed else response
+
+    def channels(self, links: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
+        """:meth:`channel` of every directed link in ``links``; the unread
+        slots of each group are computed in one batch."""
+        located = [self.lookup(tx_id, rx_id) for tx_id, rx_id in links]
+        unread: Dict[int, Dict[int, None]] = {}
+        for group, slot, _ in located:
+            if slot not in self._responses[group]:
+                unread.setdefault(group, {})[slot] = None
+        for group, slots in unread.items():
+            self._computed(group, list(slots))
+        served = []
+        for group, slot, transposed in located:
+            response = self._responses[group][slot]
+            served.append(response.transpose(0, 2, 1) if transposed else response)
+        return served
 
     def snr_db(self, tx_id: int, rx_id: int) -> float:
         """The average SNR of a directed link (symmetric by reciprocity)."""
@@ -244,97 +309,94 @@ class ChannelBank:
 
     # -- in-place update kernels -----------------------------------------------
 
-    def _writable_group(self, group: int):
-        """Context values for an in-place write to one group's arrays.
-
-        The stacks stay read-only to consumers at all times -- views
-        handed out by :meth:`channel` keep the non-writable flag they
-        were created with -- so only these kernels, which re-freeze in a
-        ``finally``, ever write.
-        """
-        return self._stacks[group], self._snrs[group]
-
     def scale_links(
         self,
         links: Sequence[Tuple[int, int]],
         amplitude_scale: float,
         snr_delta_db: float = 0.0,
     ) -> None:
-        """Scale the stored tensors of ``links`` in place, O(affected slots).
+        """Scale the responses of ``links`` in place, O(affected slots).
 
-        The canonical stored tensor is scaled once per link, which fades
-        both directions at once (the reciprocal is a transposed view of
-        the same memory).  Affected slots are grouped per antenna-shape
-        group and written with one fancy-indexed multiply each -- no
-        group is rebuilt.  ``snr_delta_db`` adjusts the stored link SNRs
-        by the same episode (a fade of depth ``d`` dB passes
-        ``amplitude_scale=10**(-d/20)``, ``snr_delta_db=-d``).
+        The canonical response is scaled once per pair, which fades both
+        directions at once (the reciprocal is a transposed view of the
+        same memory); a link no read has computed yet is computed first,
+        so fading it equals reading it, then fading it.  ``snr_delta_db``
+        adjusts the stored link SNRs by the same episode (a fade of depth
+        ``d`` dB passes ``amplitude_scale=10**(-d/20)``,
+        ``snr_delta_db=-d``).
         """
-        by_group: Dict[int, List[int]] = {}
+        by_group: Dict[int, Dict[int, None]] = {}
         for tx_id, rx_id in links:
             group, slot, _ = self.lookup(tx_id, rx_id)
-            by_group.setdefault(group, []).append(slot)
-        for group, slots in by_group.items():
-            stack, snrs = self._writable_group(group)
-            stack.setflags(write=True)
-            snrs.setflags(write=True)
-            try:
-                stack[slots] *= amplitude_scale
+            by_group.setdefault(group, {})[slot] = None
+        for group, unique in by_group.items():
+            slots = list(unique)
+            for response in self._computed(group, slots):
+                with _writable(response):
+                    response *= amplitude_scale
+            snrs = self._snrs[group]
+            with _writable(snrs):
                 snrs[slots] += snr_delta_db
-            finally:
-                stack.setflags(write=False)
-                snrs.setflags(write=False)
 
     def update_links(
         self, updates: Sequence[Tuple[int, int, np.ndarray, float]]
     ) -> None:
-        """Replace the stored tensor and SNR of each link, in place.
+        """Overwrite the response and SNR of each link, in place.
 
         ``updates`` holds ``(tx_id, rx_id, response, snr_db)`` with the
-        response in ``(tx, rx)`` orientation and the slot's stored shape
-        (transposed automatically when the canonical stored direction is
-        the reciprocal).  Writes are batched per group into one stacked
-        fancy-index assignment -- O(affected slots), never a rebuild --
-        which is what makes restoring (or re-drawing) a faded link cheap
-        even in the 500-station tiers.
+        response in ``(tx, rx)`` orientation and the link's response
+        shape (transposed automatically when the canonical stored
+        direction is the reciprocal).  Every update is checked before any
+        is written; a link no read has computed yet is computed first, so
+        the check is against its own shape.  This is what makes restoring
+        (or re-drawing) a faded link cheap even in the 500-station tiers.
         """
-        grouped: Dict[int, Tuple[List[int], List[np.ndarray], List[float]]] = {}
+        writes = []
         for tx_id, rx_id, response, snr_db in updates:
             group, slot, transposed = self.lookup(tx_id, rx_id)
+            (stored,) = self._computed(group, (slot,))
             data = np.asarray(response)
             if transposed:
                 data = data.transpose(0, 2, 1)
-            stack = self._stacks[group]
-            if data.shape != stack.shape[1:]:
+            if data.shape != stored.shape:
                 raise DimensionError(
                     f"link ({tx_id}, {rx_id}) update has shape {data.shape}, "
-                    f"stored slots have shape {stack.shape[1:]}"
+                    f"its stored response has shape {stored.shape}"
                 )
-            slots, tensors, snr_values = grouped.setdefault(group, ([], [], []))
-            slots.append(slot)
-            tensors.append(data)
-            snr_values.append(float(snr_db))
-        for group, (slots, tensors, snr_values) in grouped.items():
-            stack, snrs = self._writable_group(group)
-            stack.setflags(write=True)
-            snrs.setflags(write=True)
-            try:
-                stack[slots] = np.stack(tensors)
-                snrs[slots] = snr_values
-            finally:
-                stack.setflags(write=False)
-                snrs.setflags(write=False)
+            writes.append((self._snrs[group], slot, stored, data, float(snr_db)))
+        for snrs, slot, stored, data, snr_db in writes:
+            with _writable(stored, snrs):
+                stored[...] = data
+                snrs[slot] = snr_db
 
     def snapshot_links(
         self, links: Sequence[Tuple[int, int]]
     ) -> List[Tuple[np.ndarray, float]]:
-        """Copies of ``links``' current tensors (in ``(tx, rx)``
+        """Copies of ``links``' current responses (in ``(tx, rx)``
         orientation) and SNRs, suitable for a bit-exact
         :meth:`update_links` restore later."""
         return [
             (self.channel(tx_id, rx_id).copy(), self.snr_db(tx_id, rx_id))
             for tx_id, rx_id in links
         ]
+
+
+@contextmanager
+def _writable(*arrays: np.ndarray) -> Iterator[None]:
+    """Let the fault kernels write ``arrays`` in place.
+
+    The bank's arrays stay read-only to consumers at all times -- views
+    handed out by :meth:`ChannelBank.channel` keep the non-writable flag
+    they were created with -- so only these kernels, which re-freeze on
+    exit, ever write.
+    """
+    for array in arrays:
+        array.setflags(write=True)
+    try:
+        yield
+    finally:
+        for array in arrays:
+            array.setflags(write=False)
 
 
 class Network:
@@ -365,20 +427,32 @@ class Network:
           canonical order) the shadowing draw, the line-of-sight coin
           and the tap normals, in two generator calls per pair (the tap
           normals and the next pair's shadowing normal are adjacent in
-          the stream and fill one row).  The link budget, tap scaling
-          and the padded 64-point FFT (on the contiguous axis) run as
-          array code per antenna-shape group, in the build method the
-          two contracts share.  The test suite asserts it bit-identical
-          to a readable per-pair loop, down to the post-draw generator
-          state.
+          the stream and fill one row).  The link budget and tap scales
+          run as array code per antenna-shape group, in the build
+          method the two contracts share; a read link's response is the
+          padded 64-point FFT (on the contiguous axis) at the tracked
+          bins.  The test suite asserts it bit-identical to a readable
+          per-pair loop, down to the post-draw generator state.
         * ``"grouped"`` -- the v3 contract: randomness is consumed
           scalars-first (one shadowing draw for *all* pairs, one
           line-of-sight draw for all pairs, then ONE tap draw per
-          antenna-shape group -- no per-pair rng calls at all) and
-          estimation noise is prefetched in stacked shape-grouped draws
-          (:meth:`prefetch_estimates`).  Seeded results deliberately
-          differ from v2, which is why selecting it rides the
-          ``CACHE_SCHEMA_VERSION`` 3 bump (:mod:`repro.sim.sweep`).
+          antenna-shape group -- no per-pair rng calls at all); a read
+          link's response is the DFT evaluated at the tracked bins (one
+          BLAS matmul), and estimation noise is prefetched in stacked
+          shape-grouped draws (:meth:`prefetch_estimates`).  Seeded
+          results deliberately differ from v2, which is why selecting it
+          rides the ``CACHE_SCHEMA_VERSION`` 3 bump
+          (:mod:`repro.sim.sweep`).
+
+    Construction computes no channel response: the :class:`ChannelBank`
+    keeps every group's draws and computes a link's response the first
+    time :meth:`true_channel` (or :meth:`true_channels`, which computes
+    a receiver's unread links in one batch), :meth:`estimated_channel`,
+    :meth:`prefetch_estimates` or a fault kernel reads it.  The
+    generator calls -- and so the post-build generator state and every
+    seeded result -- are the same as computing every response at build
+    time; a slot's response is bit-identical however many slots are
+    computed with it.
     """
 
     def __init__(
@@ -420,7 +494,13 @@ class Network:
         self.zero_forcing_memo: dict = {}
 
         self._place_stations()
-        self.channels = ChannelBank()
+        bins = self._subcarrier_indices()
+        if channel_draws == "grouped":
+            twiddle = dft_twiddle(bins, self.testbed.n_taps)
+            transform = partial(frequency_response_at_bins_batch, twiddle=twiddle)
+        else:
+            transform = partial(frequency_response_batch, bins=bins)
+        self.channels = ChannelBank(transform)
         self._draw_channels()
 
     # -- construction helpers -----------------------------------------------------
@@ -436,22 +516,20 @@ class Network:
     def _subcarrier_indices(self) -> np.ndarray:
         return _subcarrier_bins(self.n_subcarriers)
 
-    def _pair_losses(self, ids: List[int]) -> np.ndarray:
-        """Log-distance path loss of every placed-location pair.
+    def _pair_losses(self, ids: List[int], ai: np.ndarray, bi: np.ndarray) -> np.ndarray:
+        """Log-distance path loss of every canonical pair ``(ids[ai],
+        ids[bi])``.
 
         Vectorized once through the same
         :meth:`~repro.channel.testbed.Testbed.path_loss_at_distance`
         formula (and hypot/log10 ufuncs) the scalar per-pair path
         evaluates -- bit-identical elementwise.
         """
-        coords = np.array(
+        x, y = np.array(
             [self.testbed.locations[self.stations[node].location] for node in ids],
             dtype=float,
-        )
-        deltas = coords[:, None, :] - coords[None, :, :]
-        return self.testbed.path_loss_at_distance(
-            np.hypot(deltas[..., 0], deltas[..., 1])
-        )
+        ).T
+        return self.testbed.path_loss_at_distance(np.hypot(x[ai] - x[bi], y[ai] - y[bi]))
 
     def _forced_snr_rows(self, ids: List[int]) -> Optional[np.ndarray]:
         """Forced SNR per canonical pair row (``NaN`` = unforced).
@@ -481,14 +559,17 @@ class Network:
         Both contracts share the canonical pair table (``a < b`` in
         sorted-id order), the all-pairs path loss, the link budget
         (:meth:`~repro.channel.testbed.Testbed.link_scalars_batch`), the
-        antenna-shape groups and the tap scaling.  They differ only in
-        the draw order and the transform:
+        antenna-shape groups and the tap scales; each group's tap
+        normals, tap scales and SNRs go to the bank, which computes a
+        response only when a run reads the link.  The contracts differ
+        in the draw order and in the bank's transform (chosen in
+        ``__init__``):
 
         * ``"grouped"`` (v3) draws scalars-first -- every pair's
           shadowing normal (forced pairs draw and discard theirs), every
           line-of-sight coin, then one tap draw per antenna-shape group
           in ``(n_tx, n_rx)`` order -- and evaluates the DFT at the
-          tracked bins (one BLAS matmul per group; schema 8).
+          tracked bins (one BLAS matmul; schema 8).
         * ``"batched"`` (v2) draws per pair, in canonical order: the
           shadowing normal (unless forced), the coin, the tap normals.
           ``rng.normal(0, s)`` is ``s`` times one standard-normal draw,
@@ -500,6 +581,10 @@ class Network:
           the tracked bins, bit-identical to a per-pair
           :meth:`~repro.channel.testbed.Testbed.link` loop down to the
           post-draw generator state (asserted by the test suite).
+
+        A group's normals stay exactly as drawn -- the v2 rows are views
+        of the fill blocks -- so the bank holds the stream's tap normals
+        once and no response at all.
 
         Draws depend only on the sorted station ids, so the result is
         independent of station- and pair-list order.
@@ -517,16 +602,17 @@ class Network:
         # nested (a < b) loop in order.
         ai, bi = np.triu_indices(n, k=1)
         n_pairs = ai.size
-        losses = self._pair_losses(ids)[ai, bi]
+        losses = self._pair_losses(ids, ai, bi)
         antennas = np.array([self.stations[node].n_antennas for node in ids])
         forced = self._forced_snr_rows(ids)
 
         base = int(antennas.max()) + 1
         shape_key = antennas[ai] * base + antennas[bi]  # n_tx * base + n_rx
-        keys, first = np.unique(shape_key, return_index=True)
-        if not grouped:  # v2 stores groups in order of first appearance
-            keys = keys[np.argsort(first)]
+        keys = np.flatnonzero(np.bincount(shape_key))  # sorted: (n_tx, n_rx) order
         groups = [np.flatnonzero(shape_key == key) for key in keys]  # canonical order
+        if not grouped:  # v2 stores groups in order of first appearance
+            order = np.argsort([rows[0] for rows in groups])
+            keys, groups = keys[order], [groups[index] for index in order]
         shapes = [(int(key % base), int(key // base)) for key in keys]  # (n_rx, n_tx)
 
         if grouped:
@@ -573,22 +659,11 @@ class Network:
                 for rows, (r, m), block in zip(groups, shapes, blocks)
             )
 
-        transform = frequency_response_at_bins_batch if grouped else frequency_response_batch
-        bins = self._subcarrier_indices()
+        scales = tap_scales(n_taps, decays, db_to_linear(snrs))
         id_arr = np.array(ids)
-        for rows, (r, m), raw in zip(groups, shapes, raws):
-            taps = MultipathChannel.random_batch(
-                r,
-                m,
-                rng=None,
-                n_channels=rows.size,
-                n_taps=n_taps,
-                decay_samples=decays[rows],
-                average_gain=db_to_linear(snrs[rows]),
-                raw=raw,
-            )
+        for rows, raw in zip(groups, raws):
             pairs = np.stack((id_arr[ai[rows]], id_arr[bi[rows]]), axis=1)
-            self.channels.add_group(pairs, transform(taps, bins), snrs[rows])
+            self.channels.add_group(pairs, raw, scales[rows], snrs[rows])
 
     # -- lookups ---------------------------------------------------------------------
 
@@ -611,6 +686,17 @@ class Network:
         if tx_id == rx_id:
             raise ConfigurationError("a node has no channel to itself")
         return self.channels.channel(tx_id, rx_id)
+
+    def true_channels(self, tx_ids: Sequence[int], rx_id: int) -> List[np.ndarray]:
+        """:meth:`true_channel` of every ``tx -> rx_id`` link, in order.
+
+        The links no run has read yet are computed together, one batch
+        per antenna-shape group, instead of one transform call each --
+        what a receiver needs when many transmitters are on the air.
+        """
+        if rx_id in tx_ids:
+            raise ConfigurationError("a node has no channel to itself")
+        return self.channels.channels([(tx_id, rx_id) for tx_id in tx_ids])
 
     # -- dynamic channels (fault injection) --------------------------------------
 
@@ -670,8 +756,9 @@ class Network:
         """Apply a deep fade: scale the link's channel down by
         ``depth_db`` (amplitude ``10**(-depth/20)``) and bump its epoch.
 
-        The stored canonical tensor is scaled in place, so both
-        directions of the pair fade together (reciprocity).
+        The canonical response is scaled in place (computed first if no
+        run has read the link yet), so both directions of the pair fade
+        together (reciprocity).
         """
         depth = float(depth_db)
         self.channels.scale_links(

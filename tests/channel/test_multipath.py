@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_channel
+from helpers import apply_channel, random_taps
 from repro.channel.multipath import (
     MultipathChannel,
+    dft_twiddle,
     exponential_power_delay_profile,
     frequency_response_at_bins_batch,
     frequency_response_batch,
@@ -140,11 +141,9 @@ class TestFrequencyResponseAtBins:
     @pytest.mark.parametrize("n_tx", [1, 2, 3])
     def test_matches_fft_at_the_tracked_bins(self, n_rx, n_tx, n_taps, n_subcarriers):
         rng = np.random.default_rng(100 * n_rx + 10 * n_tx + n_taps)
-        taps = MultipathChannel.random_batch(
-            n_rx, n_tx, rng, n_channels=7, n_taps=n_taps, average_gain=2.5
-        )
+        taps = random_taps(n_rx, n_tx, rng, n_channels=7, n_taps=n_taps, average_gain=2.5)
         bins = _subcarrier_bins(n_subcarriers)
-        response = frequency_response_at_bins_batch(taps, bins)
+        response = frequency_response_at_bins_batch(taps, dft_twiddle(bins, n_taps))
         assert response.shape == (7, bins.size, n_rx, n_tx)
         assert response.flags.c_contiguous
         expected = frequency_response_batch(taps, bins)
@@ -153,12 +152,14 @@ class TestFrequencyResponseAtBins:
     def test_empty_stack(self):
         bins = _subcarrier_bins(16)
         empty = np.zeros((0, 4, 2, 3), dtype=complex)
-        response = frequency_response_at_bins_batch(empty, bins)
+        response = frequency_response_at_bins_batch(empty, dft_twiddle(bins, 4))
         assert response.shape == (0, 16, 2, 3)
         assert response.flags.c_contiguous
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
-            frequency_response_at_bins_batch(np.zeros((4, 2, 3), complex), [1, 2])
+            frequency_response_at_bins_batch(
+                np.zeros((4, 2, 3), complex), dft_twiddle([1, 2], 4)
+            )
         with pytest.raises(DimensionError):
-            frequency_response_at_bins_batch(np.zeros((1, 4, 2, 3), complex), [[1, 2]])
+            dft_twiddle([[1, 2]], 4)

@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.channel.multipath import MultipathChannel
+from repro.channel.multipath import MultipathChannel, tap_scales, taps_from_normals
 from repro.exceptions import DimensionError
 from repro.sim.network import ChannelBank
 from repro.sim.node import Station, TrafficPair
@@ -48,10 +48,43 @@ def bank_pairs(bank: ChannelBank) -> List[Tuple[int, int]]:
 
 
 def bank_nbytes(bank: ChannelBank) -> int:
-    """Bytes held by a bank's stacked tensors (reciprocals are free views)."""
-    return sum(stack.nbytes for stack in bank._stacks) + sum(
-        snrs.nbytes for snrs in bank._snrs
+    """Bytes a bank holds: the kept tap normals, tap scales and SNRs, plus
+    every response computed so far (reciprocals are free views)."""
+    kept = sum(
+        normals.nbytes + scales.nbytes + snrs.nbytes
+        for normals, scales, snrs in zip(bank._normals, bank._scales, bank._snrs)
     )
+    return kept + sum(
+        response.nbytes for responses in bank._responses for response in responses.values()
+    )
+
+
+def bank_computed_pairs(bank: ChannelBank) -> List[Tuple[int, int]]:
+    """The unordered pairs whose response the bank has computed so far."""
+    return [
+        (int(a), int(b))
+        for pairs, responses in zip(bank._pair_groups, bank._responses)
+        for a, b in pairs[sorted(responses)]
+    ]
+
+
+def random_taps(
+    n_rx: int,
+    n_tx: int,
+    rng: np.random.Generator,
+    n_channels: int,
+    n_taps: int = 4,
+    decay_samples=3.0,
+    average_gain=1.0,
+) -> np.ndarray:
+    """The ``(n_channels, n_taps, n_rx, n_tx)`` taps of ``n_channels``
+    Rayleigh channels from one ``standard_normal`` draw: channel ``c`` is
+    bit-identical to the ``c``-th of ``n_channels`` sequential
+    :meth:`MultipathChannel.random` calls on the same generator."""
+    normals = rng.standard_normal((n_channels, n_taps, 2, n_rx, n_tx))
+    decays = np.broadcast_to(np.asarray(decay_samples, dtype=float), (n_channels,))
+    gains = np.broadcast_to(np.asarray(average_gain, dtype=float), (n_channels,))
+    return taps_from_normals(normals, tap_scales(n_taps, decays, gains))
 
 
 def apply_channel(channel: MultipathChannel, samples: np.ndarray) -> np.ndarray:

@@ -13,8 +13,10 @@ records every ``src/repro`` code object that is entered:
   worker hangs and one whose cell overruns its timeout; a sweep
   interrupted with SIGINT and then resumed; ``--fault-trace`` in CSV and
   in JSON; a malformed trace; inputs refused up front; a NaN channel the
-  numerical guards absorb; and ``repro replay`` of the crash capsule of a
-  cell that broke an invariant.
+  numerical guards absorb; a fade episode on a link no plan has read
+  yet (its channel response is computed by the fault kernels); and
+  ``repro replay`` of the crash capsule of a cell that broke an
+  invariant.
 
 Worker processes are followed: a forked worker records what it entered
 and writes it out when it exits cleanly.  A worker that is SIGKILLed
@@ -529,6 +531,27 @@ def _poisoned_channel() -> None:
              *SHORT)
 
 
+def _fade_on_unread_link() -> None:
+    """A fade episode on a link no plan has read yet: the fault kernels
+    compute its channel response first, then snapshot, scale and restore
+    it."""
+    from repro.sim.faults import FadeEpisode, FaultSchedule
+    from repro.sim.runner import SimulationConfig, build_network, run_simulation
+    from repro.sim.scenarios import scenario_factory
+
+    scenario = scenario_factory("three-pair")()
+    config = SimulationConfig(duration_us=5_000.0)
+    network = build_network(scenario, 0, config)
+    # Two receivers: no stream is ever sent between them.
+    rx_a, rx_b = (pair.receivers[0].node_id for pair in scenario.pairs[:2])
+    group, slot, _ = network.channels.lookup(rx_a, rx_b)
+    assert slot not in network.channels._responses[group]
+    fade = FadeEpisode(start_us=0.0, duration_us=2_000.0, tx_id=rx_a, rx_id=rx_b, depth_db=20.0)
+    run_simulation(scenario, "n+", seed=0, config=config, network=network,
+                   fault_schedule=FaultSchedule([fade]))
+    assert slot in network.channels._responses[group]
+
+
 def _adversity_set(tmp: Path) -> List[Tuple[str, Callable[[], None]]]:
     return [
         ("SIGKILLed worker", lambda: _killed_worker(tmp)),
@@ -540,6 +563,7 @@ def _adversity_set(tmp: Path) -> List[Tuple[str, Callable[[], None]]]:
         ("failed cell, results, replay", lambda: _failed_cell_replayed(tmp)),
         ("bad input", _bad_input),
         ("non-finite channel", _poisoned_channel),
+        ("fade on a never-read link", _fade_on_unread_link),
     ]
 
 

@@ -6,8 +6,8 @@ The load-bearing guarantees:
   forward direction's memory (no copies) -- and mutating any returned
   channel raises, which is what guards the shared-view invariant;
 * the ``(tx, rx) -> (group, slot, transposed)`` index is consistent with
-  the stacked per-group tensors, on every draw contract and on the
-  per-pair oracle's bank, which fills the bank one pair at a time;
+  the per-group kept draws and computed responses, on every draw
+  contract and on the per-pair oracle's bank;
 * ``HardwareProfile.perturb_channel_batch`` is bit-identical to the
   equivalent sequence of per-channel ``perturb_channel`` calls;
 * ``Network.prefetch_estimates`` fills the estimate memo in stacked
@@ -16,6 +16,7 @@ The load-bearing guarantees:
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ import pytest
 from helpers import bank_nbytes, bank_pairs, custom_pairs_scenario
 from oracles.network import PerPairNetwork
 from repro.channel.hardware import HardwareProfile
+from repro.channel.multipath import frequency_response_batch
 from repro.exceptions import DimensionError
-from repro.sim.network import DRAW_CONTRACTS, ChannelBank, Network
+from repro.sim.network import DRAW_CONTRACTS, ChannelBank, Network, _subcarrier_bins
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import three_pair_scenario
 
@@ -75,6 +77,11 @@ class TestSharedViewInvariant:
             estimate[0, 0, 0] = 0.0
 
 
+def _bank():
+    """An empty bank with the v2 transform at 6 tracked bins."""
+    return ChannelBank(partial(frequency_response_batch, bins=_subcarrier_bins(6)))
+
+
 class TestChannelBankIndex:
     @pytest.mark.parametrize("mode", ALL_CONTRACTS)
     def test_lookup_is_consistent_with_the_stacks(self, mode):
@@ -83,10 +90,12 @@ class TestChannelBankIndex:
         for a, b in bank_pairs(bank):
             group, slot, transposed = bank.lookup(a, b)
             assert not transposed
+            assert tuple(bank._pair_groups[group][slot]) == (a, b)
             group_r, slot_r, transposed_r = bank.lookup(b, a)
             assert (group_r, slot_r, transposed_r) == (group, slot, True)
-            stack = bank._stacks[group]
-            assert np.array_equal(bank.channel(a, b), stack[slot])
+            channel = bank.channel(a, b)
+            assert channel is bank._responses[group][slot]
+            assert channel.shape[1:] == bank._normals[group].shape[3:]
             assert bank.snr_db(a, b) == bank.snr_db(b, a)
 
     def test_one_group_per_antenna_shape(self):
@@ -96,7 +105,7 @@ class TestChannelBankIndex:
         for a, b in bank_pairs(bank):
             shape = bank.channel(a, b).shape[1:]  # (N, M)
             shapes.add((shape[1], shape[0]))  # stored keyed by (n_tx, n_rx)
-        assert len(bank._stacks) == len(shapes)
+        assert len(bank._normals) == len(shapes)
         assert len(bank_pairs(bank)) == 10 * 9 // 2
 
     def test_unknown_link_raises_keyerror(self):
@@ -105,11 +114,17 @@ class TestChannelBankIndex:
             network.channels.lookup(0, 999)
 
     def test_add_group_validates_shapes(self):
-        bank = ChannelBank()
+        bank = _bank()
+        normals = np.zeros((1, 4, 2, 1, 1))
         with pytest.raises(DimensionError):
-            bank.add_group([(0, 1)], np.zeros((2, 4, 1, 1), dtype=complex), [5.0, 6.0])
+            bank.add_group([(0, 1)], np.zeros((2, 4, 2, 1, 1)), np.ones((2, 4)), [5.0])
         with pytest.raises(DimensionError):
-            bank.add_group([(0, 1)], np.zeros((1, 4, 1, 1), dtype=complex), [5.0, 6.0])
+            bank.add_group([(0, 1)], np.zeros((1, 4, 1, 1)), np.ones((1, 4)), [5.0])
+        with pytest.raises(DimensionError):
+            bank.add_group([(0, 1)], normals, np.ones((1, 3)), [5.0])
+        with pytest.raises(DimensionError):
+            bank.add_group([(0, 1)], normals, np.ones((1, 4)), [5.0, 6.0])
+        assert not bank._normals
 
     def test_add_group_takes_tuples_or_an_id_array(self):
         """Both spellings of ``pairs`` build the same bank, reciprocal
@@ -117,16 +132,17 @@ class TestChannelBankIndex:
         caller's array."""
         rng = np.random.default_rng(7)
         groups = [
-            ([(0, 3), (1, 4), (2, 9)], (3, 6, 2, 1)),
-            ([(0, 1), (3, 5)], (2, 6, 3, 2)),
+            ([(0, 3), (1, 4), (2, 9)], (3, 4, 2, 2, 1)),
+            ([(0, 1), (3, 5)], (2, 4, 2, 3, 2)),
         ]
-        by_tuples, by_array = ChannelBank(), ChannelBank()
+        by_tuples, by_array = _bank(), _bank()
         for pairs, shape in groups:
-            responses = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            normals = rng.standard_normal(shape)
+            scales = rng.uniform(0.1, 1.0, shape[:2])
             snrs = rng.uniform(5.0, 30.0, len(pairs))
-            by_tuples.add_group(pairs, responses.copy(), snrs.copy())
+            by_tuples.add_group(pairs, normals.copy(), scales.copy(), snrs.copy())
             ids = np.array(pairs, dtype=np.int64)
-            by_array.add_group(ids, responses.copy(), snrs.copy())
+            by_array.add_group(ids, normals.copy(), scales.copy(), snrs.copy())
             assert ids.flags.writeable
         assert bank_pairs(by_array) == bank_pairs(by_tuples)
         for a, b in bank_pairs(by_tuples):
@@ -139,13 +155,26 @@ class TestChannelBankIndex:
             assert by_array.lookup(b, a)[2]
 
     def test_nbytes_counts_each_pair_once(self):
-        """Reciprocals are views: the bank holds one tensor slot per
-        unordered pair, not two."""
+        """The bank holds each unordered pair's draws once, and a read
+        pair's response once -- reading both directions computes one
+        slot, the reciprocal being a view of it."""
         network = _network("grouped", antenna_counts=(2, 2))
         bank = network.channels
-        per_pair = 8 * 2 * 2 * 16  # n_sub * N * M * complex128
         n_pairs = len(bank_pairs(bank))
-        assert bank_nbytes(bank) == n_pairs * per_pair + n_pairs * 8
+        # Tap normals (n_taps * 2 parts * N * M floats), tap scales
+        # (n_taps floats) and the SNR (one float) of every pair.
+        n_taps = network.testbed.n_taps
+        kept = n_pairs * (n_taps * 2 * 2 * 2 * 8 + n_taps * 8 + 8)
+        assert bank_nbytes(bank) == kept
+        per_response = 8 * 2 * 2 * 16  # n_sub * N * M * complex128
+        pairs = bank_pairs(bank)
+        for a, b in pairs[:3]:
+            network.true_channel(a, b)
+            network.true_channel(b, a)
+        assert bank_nbytes(bank) == kept + 3 * per_response
+        for a, b in pairs:
+            network.true_channel(b, a)
+        assert bank_nbytes(bank) == kept + n_pairs * per_response
 
 
 class TestPerturbChannelBatch:

@@ -15,9 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bank_pairs, custom_pairs_scenario
+from helpers import bank_pairs, custom_pairs_scenario, random_taps
 from oracles.network import PerPairNetwork
-from repro.channel.multipath import MultipathChannel, frequency_response_batch
+from repro.channel.multipath import (
+    MultipathChannel,
+    frequency_response_batch,
+    tap_scales,
+    taps_from_normals,
+)
 from repro.exceptions import ConfigurationError
 from repro.sim.network import Network, _subcarrier_bins
 from repro.sim.node import Station
@@ -107,7 +112,7 @@ class TestBatchedDrawsBitIdentical:
         """No stations -> no pairs, on every draw path."""
         for mode in ("batched", "grouped"):
             network = Network([], [], np.random.default_rng(0), channel_draws=mode)
-            assert len(bank_pairs(network.channels)) == 0 and len(network.channels._stacks) == 0
+            assert len(bank_pairs(network.channels)) == 0 and len(network.channels._normals) == 0
 
     def test_unknown_draw_mode_rejected(self):
         scenario = three_pair_scenario()
@@ -211,20 +216,19 @@ class TestDrawSplitProperty:
 
 
 class TestMultipathBatchPrimitives:
-    def test_random_batch_matches_sequential_random(self):
+    def test_scaled_normals_match_sequential_random(self):
+        """One ``standard_normal`` draw, :func:`tap_scales` and
+        :func:`taps_from_normals` give each channel's taps bit-identical
+        to sequential :meth:`MultipathChannel.random` calls -- for the
+        whole stack and for any one row of it alone."""
         rng_batch = np.random.default_rng(17)
         rng_seq = np.random.default_rng(17)
         decays = np.array([0.6, 1.5, 3.0, 0.6])
         gains = np.array([1.0, 4.0, 0.25, 10.0])
-        taps = MultipathChannel.random_batch(
-            n_rx=2,
-            n_tx=3,
-            rng=rng_batch,
-            n_channels=4,
-            n_taps=3,
-            decay_samples=decays,
-            average_gain=gains,
-        )
+        normals = rng_batch.standard_normal((4, 3, 2, 2, 3))
+        scales = tap_scales(3, decays, gains)
+        assert scales.shape == (4, 3)
+        taps = taps_from_normals(normals, scales)
         assert taps.shape == (4, 3, 2, 3)
         for index in range(4):
             channel = MultipathChannel.random(
@@ -236,30 +240,25 @@ class TestMultipathBatchPrimitives:
                 average_gain=float(gains[index]),
             )
             assert np.array_equal(taps[index], channel.taps)
+            one = taps_from_normals(normals[[index]], scales[[index]])
+            assert np.array_equal(one[0], channel.taps)
         assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
 
     def test_frequency_response_batch_matches_per_channel(self):
         rng = np.random.default_rng(4)
-        taps = MultipathChannel.random_batch(2, 3, rng, n_channels=5, n_taps=4)
+        taps = random_taps(2, 3, rng, n_channels=5, n_taps=4)
         for bins in (np.arange(64), _subcarrier_bins(16)):
             responses = frequency_response_batch(taps, bins)
             assert responses.shape == (5, bins.size, 2, 3)
             for index in range(5):
                 expected = MultipathChannel(taps=taps[index]).frequency_response(64)[bins]
                 assert np.array_equal(responses[index], expected)
+                alone = frequency_response_batch(taps[index : index + 1], bins)
+                assert np.array_equal(alone[0], expected)
 
-    def test_random_batch_validates_taps_and_raw(self):
-        rng = np.random.default_rng(0)
+    def test_tap_scales_validates_the_tap_count(self):
         with pytest.raises(ConfigurationError):
-            MultipathChannel.random_batch(1, 1, rng, n_channels=2, n_taps=999)
-        with pytest.raises(ConfigurationError):
-            MultipathChannel.random_batch(1, 1, rng=None, n_channels=2)
-        from repro.exceptions import DimensionError
-
-        with pytest.raises(DimensionError):
-            MultipathChannel.random_batch(
-                1, 1, rng=None, n_channels=2, n_taps=3, raw=np.zeros((2, 3, 2, 2, 2))
-            )
+            tap_scales(999, np.ones(2), np.ones(2))
 
 
 class TestSubcarrierBinCache:

@@ -1,5 +1,8 @@
 """Tests for traffic sources, metrics and station dataclasses."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,34 @@ class TestMetrics:
         metrics.link("a").delivered_bits = 1_000_000
         metrics.link("b").delivered_bits = 1_000_000
         assert metrics.fairness_index() == pytest.approx(1.0)
+
+    def test_link_to_dict_equals_asdict(self):
+        """The field-by-field dict is what ``dataclasses.asdict`` gave:
+        same keys in the same order, same values and value types, and
+        the same stored JSON."""
+        link = LinkMetrics(
+            pair_name="tx1->rx1",
+            delivered_bits=12_000,
+            attempted_bits=15_000,
+            packets_delivered=1,
+            packets_failed=2,
+            airtime_us=np.float64(1234.5678),
+            transmissions=3,
+            joins=4,
+            collisions=5,
+            packets_dropped=6,
+            recovered_bits=7,
+            quarantined_rounds=8,
+        )
+        expected = dataclasses.asdict(link)
+        produced = link.to_dict()
+        assert list(produced) == list(expected)
+        assert [type(value) for value in produced.values()] == [
+            type(value) for value in expected.values()
+        ]
+        assert produced == expected
+        assert json.dumps(produced) == json.dumps(expected)
+        assert LinkMetrics.from_dict(produced) == link
 
     def test_read_paths_do_not_create_links(self):
         """Regression: querying a pair that never transmitted must not
