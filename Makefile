@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke reachability
+.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke reachability loc
 
 test:
 	$(PYTHON) -m pytest -q
@@ -39,6 +39,16 @@ invariant-smoke:
 # each as "path:line name (n lines)".
 reachability:
 	$(PYTHON) tests/reachability.py
+
+# Prints the line count (wc -l) of src/repro per package, largest first,
+# then its top-level modules and the total.
+loc:
+	@cd src/repro && for pkg in */; do \
+		[ -f "$${pkg}__init__.py" ] || continue; \
+		printf '%-12s %6d\n' "$$pkg" "$$(find $$pkg -name '*.py' -exec cat {} + | wc -l)"; \
+	done | sort -k2,2nr; \
+	printf '%-12s %6d\n' "top-level" "$$(cat *.py | wc -l)"; \
+	printf '%-12s %6d\n' "src/ total" "$$(find . -name '*.py' -exec cat {} + | wc -l)"
 
 # Fails when README/ARCHITECTURE code blocks or the examples go stale.
 docs-check:

@@ -29,13 +29,11 @@ that read links.
   committed v2 ``bench_build_network_200`` baseline (0.272 s);
   ``bench_build_network_500`` is the 500-station tier (124750 pairs).
 
-* The per-simulation plan cache (:class:`repro.mac.plan.PlanCache`)
-  memoizes the winner's pre-coder decompositions and measured SNRs by
-  contention configuration.  ``bench_nplus_rounds_plan_cache`` times a
-  default-window n+ simulation with the cache (the default);
-  ``bench_nplus_rounds_no_plan_cache`` recomputes every plan, for the
-  comparison.  Both runs assert identical metrics -- the cache is a pure
-  speedup.
+* Every run memoizes the winner's pre-coder decompositions and measured
+  SNRs by contention configuration in its own plan cache
+  (:class:`repro.mac.plan.PlanCache`).  ``bench_nplus_rounds_plan_cache``
+  times a default-window n+ simulation on a reused network and asserts
+  that every repetition reproduces the metrics of a reference run.
 
 All entries are tracked in ``BENCH_core.json``; run
 ``python benchmarks/run_all.py --compare`` (or ``make bench-compare``)
@@ -113,7 +111,7 @@ def _plan_cache_setup():
         config = SimulationConfig(duration_us=100_000.0, n_subcarriers=8)
         network = build_network(scenario, 1, config)
         reference = run_simulation(
-            scenario, "n+", seed=1, config=config, network=network, plan_cache=False
+            scenario, "n+", seed=1, config=config, network=network
         )
         _plan_cache_state.update(
             scenario=scenario,
@@ -124,7 +122,7 @@ def _plan_cache_setup():
     return _plan_cache_state
 
 
-def _run_rounds(plan_cache: bool):
+def _run_rounds():
     state = _plan_cache_setup()
     metrics = run_simulation(
         state["scenario"],
@@ -132,20 +130,13 @@ def _run_rounds(plan_cache: bool):
         seed=1,
         config=state["config"],
         network=state["network"],
-        plan_cache=plan_cache,
     )
-    # The cache must be a pure speedup: identical metrics either way.
+    # A run is a pure function of its arguments: every repetition matches.
     assert metrics.to_dict() == state["reference"]
     return metrics
 
 
 def bench_nplus_rounds_plan_cache(benchmark):
-    """n+ rounds on dense-lan-30, 100 ms window, plan cache on (default)."""
-    metrics = benchmark(lambda: _run_rounds(True))
-    assert metrics.elapsed_us >= 100_000.0
-
-
-def bench_nplus_rounds_no_plan_cache(benchmark):
-    """The same rounds recomputing every plan, for the comparison."""
-    metrics = benchmark(lambda: _run_rounds(False))
+    """n+ rounds on dense-lan-30, 100 ms window, planning memoized."""
+    metrics = benchmark(_run_rounds)
     assert metrics.elapsed_us >= 100_000.0

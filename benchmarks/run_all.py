@@ -52,13 +52,12 @@ TRACKED_FILES = [
     "benchmarks/bench_sweep_scaling.py",
 ]
 
-#: Entries skipped by ``--quick``: the 500-station tier and the
-#: comparison entries.  Each has a faster tracked sibling, so quick mode
+#: Entries skipped by ``--quick``: the 500-station tier and the v2
+#: comparison entry.  Each has a faster tracked sibling, so quick mode
 #: still covers every hot path once.
 QUICK_DESELECT = [
     "bench_build_network_500",
     "bench_build_network_200_batched",
-    "bench_nplus_rounds_no_plan_cache",
 ]
 
 #: Station counts measured by the memory benchmark (``--quick`` drops 500).

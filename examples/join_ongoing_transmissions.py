@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mac.plan import PlanCache
 from repro.mac.variants import resolve_protocol
 from repro.phy.esnr import esnr_db
 from repro.sim.link_abstraction import receiver_stream_snrs
@@ -53,9 +54,10 @@ def describe_streams(network, medium, label):
 
 def build_agents(network, rng):
     NPlus = resolve_protocol("n+").agent_class
+    plan_cache = PlanCache()  # one per simulation, shared by its agents
     agents = {}
     for pair in network.pairs:
-        agent = NPlus(pair, network, rng)
+        agent = NPlus(pair, network, rng, arrival_seed=(0,), plan_cache=plan_cache)
         agent.refill(0.0)
         agents[pair.transmitter.node_id] = agent
     return agents

@@ -56,29 +56,23 @@ class BaseMacAgent:
         Safety margin subtracted from the measured effective SNR before
         choosing a bitrate.
     arrival_seed:
-        Optional seed prefix (any sequence :func:`numpy.random.default_rng`
-        accepts) for the Poisson arrival processes.  When given, every
-        (transmitter, receiver) flow draws its arrivals from its own
-        stream seeded ``(*arrival_seed, transmitter_id, receiver_id)``, so
-        the arrival sequence of a flow is a pure function of the seed and
-        the flow's endpoints -- independent of the order agents are
-        created or refilled in.  When omitted, arrivals fall back to the
-        shared ``rng`` (the historical behaviour, which interleaves draws
-        across agents in refill order).
+        Seed prefix (any sequence :func:`numpy.random.default_rng`
+        accepts) for the Poisson arrival processes: every (transmitter,
+        receiver) flow draws its arrivals from its own stream seeded
+        ``(*arrival_seed, transmitter_id, receiver_id)``, so the arrival
+        sequence of a flow is a pure function of the seed and the flow's
+        endpoints -- independent of the order agents are created or
+        refilled in.  Saturated sources draw nothing from it.
     plan_cache:
-        Optional per-simulation :class:`~repro.mac.plan.PlanCache`.
-        When given, the pure planning computations (pre-coder
-        decompositions, measured post-projection SNRs) are memoized by
-        contention configuration; omitting it recomputes every plan from
-        scratch.  Both paths produce bit-identical metrics -- the cache
-        only skips recomputation the static-channel invariant makes
-        redundant.
+        The per-simulation :class:`~repro.mac.plan.PlanCache` that
+        memoizes the pure planning computations (pre-coder
+        decompositions, measured post-projection SNRs) by contention
+        configuration.
     spec:
         Optional :class:`~repro.mac.variants.ProtocolSpec` carrying the
         variant parameters (the recovery family: ``recovery``,
         ``retry_cap``, ``erasure_k``/``erasure_n``).  Omitting it uses
-        every default -- identical to a default-parameter spec, so
-        pre-framework construction sites need not change.
+        every default, exactly like a default-parameter spec.
     """
 
     protocol_name = "base"
@@ -89,11 +83,12 @@ class BaseMacAgent:
         pair: TrafficPair,
         network,
         rng: np.random.Generator,
+        *,
+        arrival_seed: Sequence[int],
+        plan_cache: PlanCache,
         packet_size_bytes: int = 1500,
         bitrate_margin_db: float = 0.0,
         packet_rate_pps: Optional[float] = None,
-        arrival_seed: Optional[Sequence[int]] = None,
-        plan_cache: Optional[PlanCache] = None,
         spec=None,
     ) -> None:
         self.pair = pair
@@ -127,17 +122,13 @@ class BaseMacAgent:
             else:
                 from repro.sim.traffic import PoissonSource
 
-                if arrival_seed is None:
-                    arrival_rng = rng
-                else:
-                    arrival_rng = np.random.default_rng(
-                        (*arrival_seed, pair.transmitter.node_id, receiver.node_id)
-                    )
                 self.sources[receiver.node_id] = PoissonSource(
                     source_id=pair.transmitter.node_id,
                     destination_id=receiver.node_id,
                     rate_packets_per_second=packet_rate_pps,
-                    rng=arrival_rng,
+                    rng=np.random.default_rng(
+                        (*arrival_seed, pair.transmitter.node_id, receiver.node_id)
+                    ),
                     packet_size_bytes=packet_size_bytes,
                 )
         self._round_robin = 0
@@ -247,13 +238,7 @@ class BaseMacAgent:
     # -- plan caching -------------------------------------------------------------------
 
     def _cached(self, key: tuple, compute):
-        """Memoize a pure planning computation in the per-simulation cache.
-
-        Falls through to ``compute()`` when no cache is attached, so the
-        cached and uncached paths stay interchangeable.
-        """
-        if self.plan_cache is None:
-            return compute()
+        """Memoize a pure planning computation in the per-simulation cache."""
         return self.plan_cache.get(key, compute)
 
     # -- numerical quarantine -----------------------------------------------------------

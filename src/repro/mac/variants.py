@@ -327,8 +327,8 @@ class ProtocolSpec:
     ``ProtocolSpec("n+", {"retry_cap": 7})`` and ``ProtocolSpec("n+",
     {})`` are the *same* value -- equal, same hash and same :attr:`key`.
     A default-parameter spec's :attr:`key` is the
-    bare name, which is what keeps pre-framework cache entries and result
-    dictionaries addressable.
+    bare name, so result dictionaries and sweep cells of a default
+    variant are addressed by the name alone (``"n+"``).
     """
 
     name: str

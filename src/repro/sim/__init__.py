@@ -8,7 +8,6 @@ per-subcarrier post-projection SNRs from the true channels, the
 pre-coders actually used, and the residual interference left by imperfect
 nulling/alignment.
 
-* :mod:`repro.sim.engine` -- a minimal discrete-event scheduler.
 * :mod:`repro.sim.node` -- stations (nodes with antennas and a location).
 * :mod:`repro.sim.medium` -- the shared medium and the streams on the air.
 * :mod:`repro.sim.traffic` -- saturated and Poisson traffic sources.
@@ -17,11 +16,10 @@ nulling/alignment.
 * :mod:`repro.sim.network` -- nodes + channels + hardware for one run.
 * :mod:`repro.sim.scenarios` -- the registered topologies: the paper's
   Figs. 2, 3 and 4 plus the dense-LAN family.
-* :mod:`repro.sim.runner` -- the event-driven contention/transmission loop.
+* :mod:`repro.sim.runner` -- the contention/transmission round loop.
 * :mod:`repro.sim.sweep` -- parallel, cached placement x protocol sweeps.
 """
 
-from repro.sim.engine import EventScheduler
 from repro.sim.node import Station, TrafficPair
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.traffic import SaturatedSource, PoissonSource
@@ -41,7 +39,6 @@ from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.sweep import SweepResult, run_sweep
 
 __all__ = [
-    "EventScheduler",
     "Station",
     "TrafficPair",
     "Medium",

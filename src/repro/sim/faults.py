@@ -511,7 +511,7 @@ class FaultInjector:
     overlaps, preserving the strict no-op contract.
     """
 
-    def __init__(self, schedule: FaultSchedule, network, seed) -> None:
+    def __init__(self, schedule: FaultSchedule, network, seed: int) -> None:
         self.network = network
         self._pending = sorted(
             (e for e in schedule.episodes if not isinstance(e, LossEpisode)),
@@ -604,7 +604,7 @@ class FaultInjector:
         """The next start/end instant after ``now_us`` (``inf`` when done).
 
         The runner clamps its idle wake-ups to this so a single
-        scheduler event can never jump over a fade edge or a returning
+        idle step can never jump over a fade edge or a returning
         station.  After :meth:`advance(now_us) <advance>` the boundary
         is strictly in the future.
         """

@@ -196,7 +196,7 @@ def simulate_probe_delivery(
 class FidelityEngine:
     """Per-simulation escalation state of the ``"auto"``/``"full"`` tiers.
 
-    One engine lives on the event loop; :func:`override_verdict` is called
+    One engine lives on the round loop; :func:`override_verdict` is called
     for every evaluated reception group *after* the abstraction has drawn
     its delivery coin.  ``None`` means "keep the abstraction's verdict"
     (the group is confidently far from the cliff); a bool is the full-PHY
@@ -216,7 +216,7 @@ class FidelityEngine:
     def __init__(
         self,
         network,
-        seed,
+        seed: int,
         mode: str = "auto",
         band_db: float = DEFAULT_BAND_DB,
         probe_bits: int = DEFAULT_PROBE_BITS,
@@ -227,7 +227,7 @@ class FidelityEngine:
                 "the 'abstraction' tier runs without an engine"
             )
         self.network = network
-        self.seed = 0 if seed is None else seed
+        self.seed = seed
         self.mode = mode
         self.band_db = float(band_db)
         self.probe_bits = int(probe_bits)

@@ -73,7 +73,7 @@ def invariant(name: str, *, scope: str = "cheap"):
 class InvariantSuite:
     """The checkers active for one run, plus their cross-round state.
 
-    The event-driven loops call :meth:`check_round` at the end of every
+    The round loop calls :meth:`check_round` at the end of every
     transmission round (and once more when the run closes); any violated
     law raises :class:`~repro.exceptions.InvariantViolation` out of the
     loop, which the runner boundary turns into a crash capsule.
@@ -152,7 +152,7 @@ def _check_finite_metrics(suite: InvariantSuite, loop) -> None:
 
 @invariant("clock-monotone")
 def _check_clock_monotone(suite: InvariantSuite, loop) -> None:
-    now = loop.scheduler.now_us
+    now = loop.now_us
     if not math.isfinite(now) or now < suite._last_now_us:
         suite.fail(
             "clock-monotone",

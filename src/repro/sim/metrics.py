@@ -20,6 +20,8 @@ __all__ = ["LinkMetrics", "NetworkMetrics", "empirical_cdf", "jain_fairness_inde
 class LinkMetrics:
     """Counters for one transmitter-receiver pair.
 
+    Every counter starts at 0 when the runner opens the link's entry.
+
     Attributes
     ----------
     pair_name:
@@ -36,9 +38,8 @@ class LinkMetrics:
         Protocol-level event counts.
     packets_dropped:
         Packets abandoned at the retry cap (see
-        :meth:`repro.mac.retransmission.RetransmissionQueue.fail`).  The
-        default of 0 keeps :meth:`from_dict` compatible with cache
-        entries written before the counter existed.
+        :meth:`repro.mac.retransmission.RetransmissionQueue.fail`),
+        summed over the pair's queues when the run closes.
     recovered_bits:
         Payload bits that would have been lost to a fault episode but
         were reconstructed receiver-side by the ``erasure`` recovery
@@ -46,15 +47,15 @@ class LinkMetrics:
         ``erasure_n`` survived).  Recovered bits are always a subset of
         the attempt's delivered bits -- a frame is either decoded (its
         erased fragments counted here) or lost (nothing recovered), so no
-        bit is both recovered and dropped.  Same default-0 back-compat
-        pattern as ``packets_dropped``.
+        bit is both recovered and dropped.  Stays 0 under every other
+        policy.
     quarantined_rounds:
         Planning calls in which this pair's transmitter declined (or
         trimmed) a transmission because the link was quarantined by the
         numerical guards (:mod:`repro.utils.guarded`): a degenerate
         decomposition fell back deterministically instead of raising, and
-        the link sits out until its channel epoch changes.  Same
-        default-0 back-compat pattern as ``packets_dropped``.
+        the link sits out until its channel epoch changes.  Copied from
+        the agent when the run closes.
     """
 
     pair_name: str

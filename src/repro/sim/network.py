@@ -482,7 +482,9 @@ class Network:
         self.hardware: HardwareProfile = self.testbed.hardware
         self.channel_draws = channel_draws
         self._forced_snrs = dict(forced_link_snrs_db or {})
-        self._estimation_rng: Optional[np.random.Generator] = None
+        # Measurement noise comes from the construction generator until
+        # reseed_estimation_noise() gives it a stream of its own.
+        self._estimation_rng: np.random.Generator = rng
         self._estimate_memo: Dict[Tuple[int, int, bool], np.ndarray] = {}
         # Per-link channel epochs (canonical (min, max) pair -> bump
         # count).  Empty for every link that never changed, so the
@@ -820,8 +822,8 @@ class Network:
         the memo.
 
         Measurement noise is drawn from the stream installed by
-        :meth:`reseed_estimation_noise` when one is set (the runner always
-        sets one), falling back to the construction generator otherwise.
+        :meth:`reseed_estimation_noise` (the runner always installs one;
+        before that, the construction generator).
         Under the ``"grouped"`` contract, :meth:`prefetch_estimates` can
         fill the memo for many links in stacked draws before the
         per-link queries arrive.
@@ -831,8 +833,9 @@ class Network:
         if memo is not None:
             return memo
         true = self.true_channel(tx_id, rx_id)
-        rng = self._estimation_rng if self._estimation_rng is not None else self.rng
-        estimate = self.hardware.perturb_channel(true, rng, reciprocity=reciprocity)
+        estimate = self.hardware.perturb_channel(
+            true, self._estimation_rng, reciprocity=reciprocity
+        )
         estimate.setflags(write=False)
         self._estimate_memo[key] = estimate
         return estimate
@@ -868,11 +871,10 @@ class Network:
             bucket.setdefault(key, true)
         if not pending:
             return
-        rng = self._estimation_rng if self._estimation_rng is not None else self.rng
         for (_, reciprocity), bucket in pending.items():
             stack = np.stack(list(bucket.values()))
             estimates = self.hardware.perturb_channel_batch(
-                stack, rng, reciprocity=reciprocity
+                stack, self._estimation_rng, reciprocity=reciprocity
             )
             estimates.setflags(write=False)
             for index, key in enumerate(bucket):

@@ -13,11 +13,10 @@ transmission on the medium:
    imperfect nulling/alignment included), ACKs are exchanged and queues
    and contention windows are updated.
 
-Rounds are driven by the indexed event queue of
-:class:`~repro.sim.engine.EventScheduler`: each round is one scheduled
-event, and idle gaps between Poisson arrivals are skipped in a single
-event instead of being polled slot by slot, so lightly-loaded or
-many-node simulations no longer pay for empty airtime.
+Rounds run in one plain loop: each round returns the time the next one
+starts, and idle gaps between Poisson arrivals are crossed in a single
+step to the first busy slot instead of being polled slot by slot, so
+lightly-loaded or many-node simulations do not pay for empty airtime.
 
 The per-round MAC queries themselves are batched: agents mirror their
 traffic state into :class:`~repro.sim.traffic.TrafficStateArrays` and
@@ -25,7 +24,7 @@ the runner evaluates the ``has_traffic`` / ``next_traffic_time_us`` /
 join-eligibility masks for all agents with a handful of array operations
 per round, instead of one Python call per agent -- the difference
 between a 6-station paper topology and the ``dense-lan-100/200``
-scenarios.  The slot-polling loop and the per-agent scans the event loop
+scenarios.  The slot-polling loop and the per-agent scans the round loop
 is asserted bit-identical against live in the test suite's oracles
 (``tests/oracles/runner.py``).
 
@@ -57,7 +56,6 @@ from repro.mac.csma import resolve_contention
 from repro.mac.plan import PlanCache
 from repro.mac.variants import ProtocolLike, resolve_protocol
 from repro.phy.esnr import packet_delivery_probability
-from repro.sim.engine import EventScheduler
 from repro.sim.faults import (
     FaultInjector,
     FaultSchedule,
@@ -212,7 +210,7 @@ class RunSpec:
 
     :meth:`resolve` is *the* resolution rule -- the only place where an
     explicit config value is merged with a scenario hint -- and every
-    consumer (network build, fault schedule, agents, event loop, sweep
+    consumer (network build, fault schedule, agents, round loop, sweep
     keys, capsule replay, the fidelity report) reads the resolved values
     from here.  Fields keep their config names and hold the value in
     effect: ``channel_draws`` is the scenario's contract (``"batched"``
@@ -348,12 +346,12 @@ def _build_agents(
     protocol: ProtocolLike,
     rng: np.random.Generator,
     run_spec: RunSpec,
-    seed: Optional[int] = None,
-    plan_cache: Optional[PlanCache] = None,
+    seed: int,
+    plan_cache: PlanCache,
 ) -> Dict[int, object]:
     spec = resolve_protocol(protocol)
     agent_class = spec.agent_class
-    arrival_seed = None if seed is None else (seed, _ARRIVAL_STREAM_TAG)
+    arrival_seed = (seed, _ARRIVAL_STREAM_TAG)
     agents: Dict[int, object] = {}
     for pair in scenario.pairs:
         agents[pair.transmitter.node_id] = agent_class(
@@ -455,15 +453,16 @@ def _slot_aligned_idle_end(
 
 
 class _EventDrivenLoop:
-    """Drives the contention/transmission rounds on an :class:`EventScheduler`.
+    """Drives the contention/transmission rounds of one run.
 
-    Each round is one scheduled event; the handler resolves contention,
-    plays out the joint transmission exactly like a slot-polling loop would
-    (the test suite keeps one as an oracle), and schedules the next round at
-    the time that loop would have reached.  Idle gaps (all queues empty,
-    next Poisson arrival in the future) are crossed in a single event
-    scheduled at the first busy slot, instead of one iteration per 9 us
-    slot, which is what lets the runner scale to many lightly-loaded nodes.
+    :meth:`run` is a plain loop over rounds: :meth:`_round` resolves
+    contention at ``now``, plays out the joint transmission exactly like a
+    slot-polling loop would (the test suite keeps one as an oracle), and
+    returns the time that loop would have reached -- or ``None`` once the
+    observation window has closed.  Idle gaps (all queues empty, next
+    Poisson arrival in the future) are crossed in a single step to the
+    first busy slot, instead of one iteration per 9 us slot, which is what
+    lets the runner scale to many lightly-loaded nodes.
 
     The per-round queries -- who has traffic, when does traffic arrive
     next, who may join -- are computed for all agents at once from the
@@ -484,22 +483,24 @@ class _EventDrivenLoop:
         rng: np.random.Generator,
         config: Union[SimulationConfig, RunSpec],
         network: Network,
-        seed: Optional[int] = None,
-        plan_cache: Optional[PlanCache] = None,
+        seed: int,
         fault_schedule: Optional[FaultSchedule] = None,
     ) -> None:
         self.run_spec = run_spec = RunSpec.resolve(scenario, config)
         self.rng = rng
         self.network = network
-        self.plan_cache = plan_cache
+        # One cache per run, created through this module's ``PlanCache``
+        # name so a tracer or a test can substitute it.
+        self.plan_cache = PlanCache()
         self.agents = _build_agents(
-            scenario, network, protocol, rng, run_spec, seed, plan_cache
+            scenario, network, protocol, rng, run_spec, seed, self.plan_cache
         )
         self.medium = Medium()
         self.metrics = NetworkMetrics()
         for pair in scenario.pairs:
             self.metrics.link(pair.name)
-        self.scheduler = EventScheduler()
+        #: Start time of the current round; never moves backwards.
+        self.now_us = 0.0
         self.rounds = 0
         # No injector for an empty/absent schedule: every fault hook in
         # _round() is behind an ``is not None`` check, so the no-fault
@@ -532,6 +533,9 @@ class _EventDrivenLoop:
     def run(self) -> NetworkMetrics:
         """Run rounds until the observation window closes.
 
+        Time never moves backwards: a round that would start before the
+        current one raises :class:`~repro.exceptions.SimulationError`.
+
         However the run ends, every agent's traffic listener is detached:
         agents and :class:`~repro.sim.traffic.TrafficStateArrays` point at
         each other, and the agents hold the network, so that cycle would
@@ -539,9 +543,15 @@ class _EventDrivenLoop:
         garbage collector runs.
         """
         try:
-            self.scheduler.schedule_at(0.0, self._round)
-            while self.scheduler.step():
-                pass
+            next_round: Optional[float] = 0.0
+            while next_round is not None:
+                if next_round < self.now_us:
+                    raise SimulationError(
+                        f"cannot start a round at {next_round} us, "
+                        f"current time is {self.now_us} us"
+                    )
+                self.now_us = next_round
+                next_round = self._round(next_round)
             if self.faults is not None:
                 self.faults.finalize()
             for agent in self.agents.values():
@@ -550,7 +560,7 @@ class _EventDrivenLoop:
                     queue.dropped_packets for queue in agent.queues.values()
                 )
                 link.quarantined_rounds = agent.quarantined_rounds
-            self.metrics.elapsed_us = self.scheduler.now_us
+            self.metrics.elapsed_us = self.now_us
             if self.invariants is not None:
                 # One closing pass over the final accounting (the last
                 # round's check ran before packets_dropped/
@@ -619,10 +629,7 @@ class _EventDrivenLoop:
         mask &= ~np.isin(arrays.node_ids, busy_nodes)
         return [arrays.agents[index] for index in np.nonzero(mask)[0]]
 
-    # -- event handlers ---------------------------------------------------------
-
-    def _schedule_round(self, time_us: float) -> None:
-        self.scheduler.schedule_at(time_us, self._round)
+    # -- rounds -----------------------------------------------------------------
 
     def _idle_poll_time(self, now: float) -> float:
         """First slot boundary at which an agent will have traffic.
@@ -635,11 +642,12 @@ class _EventDrivenLoop:
             now, self._next_traffic_time_us(now), self.run_spec.duration_us
         )
 
-    def _round(self) -> None:
-        now = self.scheduler.now_us
+    def _round(self, now: float) -> Optional[float]:
+        """Play the round starting at ``now``; return the next round's
+        start, or ``None`` when the observation window has closed."""
         run_spec = self.run_spec
         if now >= run_spec.duration_us:
-            return  # window over; nothing rescheduled, the queue drains
+            return None
 
         faults = self.faults
         if faults is not None:
@@ -658,8 +666,7 @@ class _EventDrivenLoop:
                 # returning station (or an ending fade) must be
                 # re-examined the moment it happens.
                 wake = min(wake, faults.next_boundary_us(now))
-            self._schedule_round(wake)
-            return
+            return wake
 
         self.rounds += 1
         if self.rounds > run_spec.max_rounds:
@@ -700,8 +707,7 @@ class _EventDrivenLoop:
             streams = winner.plan_initial(body_start, medium)
             if not streams:
                 # Nothing to send after all (race with traffic); burn a slot.
-                self._schedule_round(now + outcome.start_delay_us)
-                return
+                return now + outcome.start_delay_us
             medium.add_streams(streams)
             groups.extend(_groups_from_streams(winner, streams, collided=False, joined=False))
             metrics.link(winner.name).transmissions += 1
@@ -805,7 +811,7 @@ class _EventDrivenLoop:
         medium.clear()
         if self.invariants is not None:
             self.invariants.check_round(self)
-        self._schedule_round(max(end_of_round, now + SLOT_TIME_US))
+        return max(end_of_round, now + SLOT_TIME_US)
 
 
 def run_simulation(
@@ -814,7 +820,6 @@ def run_simulation(
     seed: int = 0,
     config: Optional[SimulationConfig] = None,
     network: Optional[Network] = None,
-    plan_cache: bool = True,
     fault_schedule: Optional[FaultSchedule] = None,
 ) -> NetworkMetrics:
     """Simulate one run of ``protocol`` on ``scenario``.
@@ -824,7 +829,9 @@ def run_simulation(
     :class:`~repro.sim.metrics.NetworkMetrics`, no matter what else was
     simulated before (channel-estimation noise gets its own stream seeded
     from ``seed``).  This is the contract the sweep cache and the parallel
-    orchestrator of :mod:`repro.sim.sweep` build on.
+    orchestrator of :mod:`repro.sim.sweep` build on.  The pure per-round
+    planning math is memoized in a :class:`~repro.mac.plan.PlanCache`
+    created for this run alone.
 
     Parameters
     ----------
@@ -838,8 +845,7 @@ def run_simulation(
         ``"beamforming"``), a parameterised string
         (``"n+[recovery=erasure]"``), a ``(name, params)`` pair or a
         :class:`~repro.mac.variants.ProtocolSpec`.  A bare name is
-        exactly a default-parameter spec -- bit-identical to every
-        pre-framework run.
+        exactly a default-parameter spec.
     seed:
         Seed for placements, channels, backoff and delivery draws.
     config:
@@ -850,16 +856,6 @@ def run_simulation(
         Reuse an existing network (same placements/channels) instead of
         drawing a new one -- this is how protocols are compared on the
         same channel realisation.
-    plan_cache:
-        ``True`` (default) memoizes the pure per-round planning math
-        (pre-coder decompositions, measured post-projection SNRs) in a
-        per-simulation :class:`~repro.mac.plan.PlanCache`, turning
-        repeated contention configurations into dictionary hits.
-        Channels are static within a run and channel estimates are
-        measured once per simulation, so the cached and uncached paths
-        produce bit-identical metrics (the test suite asserts it) --
-        which is why this knob is deliberately not part of the sweep
-        cache key.
     fault_schedule:
         An explicit :class:`~repro.sim.faults.FaultSchedule` to inject,
         overriding whatever :func:`build_fault_schedule` would resolve
@@ -891,7 +887,6 @@ def run_simulation(
         run_spec,
         network,
         seed=seed,
-        plan_cache=PlanCache() if plan_cache else None,
         fault_schedule=fault_schedule,
     )
     try:

@@ -57,9 +57,10 @@ STORE_FILENAME = "results.sqlite"
 
 #: Version of the store's *table layout* (independent of the cell-key
 #: schema version, which lives in :mod:`repro.sim.sweep` and is part of
-#: every cell key).  An on-disk store with a newer layout than this
-#: build understands is refused rather than guessed at; an *older*
-#: layout is migrated in place (additive ``ALTER TABLE``s only).
+#: every cell key).  An on-disk store with any other layout is refused
+#: rather than guessed at: a newer one needs a newer build, and an older
+#: (v1) one can only hold cells keyed under cache schema 6 or below,
+#: which no current key ever hits.
 #: 2: failed cells carry ``capsule_path`` (the replayable crash capsule
 #:    written next to the store) and ``traceback``.
 STORE_SCHEMA_VERSION = 2
@@ -210,39 +211,32 @@ class ResultsStore:
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(self.path, timeout=30.0)
         conn.row_factory = sqlite3.Row
+        # The layout is read before anything is written, so a refused
+        # store is left exactly as found; the refusal is not a
+        # DatabaseError, so _open() never quarantines it either.
+        has_meta = conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type='table' AND name='store_meta'"
+        ).fetchall()
+        rows = has_meta and conn.execute(
+            "SELECT value FROM store_meta WHERE key='store_schema'"
+        ).fetchall()
+        if rows and int(rows[0]["value"]) != STORE_SCHEMA_VERSION:
+            conn.close()
+            version = int(rows[0]["value"])
+            relation = "newer" if version > STORE_SCHEMA_VERSION else "older"
+            raise ConfigurationError(
+                f"results store {self.path} uses layout version {version}, "
+                f"{relation} than this build's {STORE_SCHEMA_VERSION}; "
+                "use a build of that layout or a fresh cache directory"
+            )
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         with conn:
             conn.executescript(_SCHEMA)
-            row = conn.execute(
-                "SELECT value FROM store_meta WHERE key='store_schema'"
-            ).fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT INTO store_meta (key, value) VALUES ('store_schema', ?)",
-                    (str(STORE_SCHEMA_VERSION),),
-                )
-            elif int(row["value"]) < STORE_SCHEMA_VERSION:
-                # Additive in-place migration of an older layout.  v1 -> v2
-                # only adds nullable columns, so existing rows (and every
-                # cached cell) are untouched.
-                if int(row["value"]) < 2:
-                    conn.execute("ALTER TABLE cells ADD COLUMN capsule_path TEXT")
-                    conn.execute("ALTER TABLE cells ADD COLUMN traceback TEXT")
-                conn.execute(
-                    "UPDATE store_meta SET value=? WHERE key='store_schema'",
-                    (str(STORE_SCHEMA_VERSION),),
-                )
-        # Raised outside the transaction block: inside it, closing the
-        # connection would make the context-manager exit raise a
-        # DatabaseError, which _open() would mistake for corruption and
-        # quarantine a perfectly healthy (just newer) store.
-        if row is not None and int(row["value"]) > STORE_SCHEMA_VERSION:
-            conn.close()
-            raise ConfigurationError(
-                f"results store {self.path} uses layout version {row['value']}, "
-                f"newer than this build's {STORE_SCHEMA_VERSION}; "
-                "upgrade the library or use a fresh cache directory"
+            conn.execute(
+                "INSERT OR IGNORE INTO store_meta (key, value) "
+                "VALUES ('store_schema', ?)",
+                (str(STORE_SCHEMA_VERSION),),
             )
         return conn
 

@@ -117,8 +117,8 @@ class PoissonSource:
     def next_packet_time_us(self, now_us: float) -> float:
         """Absolute time of the next arrival.
 
-        Used by the event-driven runner to jump over idle gaps in one
-        scheduler event instead of polling slot by slot.  Reading this
+        Used by the runner's round loop to jump over idle gaps in one
+        step instead of polling slot by slot.  Reading this
         does not consume randomness beyond what :meth:`has_packet` at the
         same instant would, so seeded runs stay byte-identical to the
         slot-polling loop.

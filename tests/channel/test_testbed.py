@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.channel.testbed import Testbed, default_testbed
+from repro.channel import testbed as testbed_module
+from repro.channel.testbed import default_testbed
 from repro.exceptions import ConfigurationError
 
 
@@ -28,7 +29,7 @@ class TestGeometry:
 
     def test_needs_at_least_two_locations(self):
         with pytest.raises(ConfigurationError):
-            Testbed(locations=[(0.0, 0.0)])
+            testbed_module.Testbed(locations=[(0.0, 0.0)])
 
 
 class TestLinkBudget:

@@ -13,10 +13,22 @@ import numpy as np
 
 from repro.channel.multipath import MultipathChannel, tap_scales, taps_from_normals
 from repro.exceptions import DimensionError
+from repro.mac.plan import PlanCache
 from repro.sim.network import ChannelBank
 from repro.sim.node import Station, TrafficPair
 from repro.sim.scenarios import Scenario
 from repro.sim.store import ResultsStore
+
+
+# -- MAC agents -----------------------------------------------------------------
+
+
+def make_agent(agent_class, pair: TrafficPair, network, rng, **kwargs):
+    """An agent of ``agent_class`` with a plan cache of its own and Poisson
+    arrival streams seeded ``(0, transmitter_id, receiver_id)``."""
+    return agent_class(
+        pair, network, rng, arrival_seed=(0,), plan_cache=PlanCache(), **kwargs
+    )
 
 
 # -- bits -----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import make_agent
 from oracles.runner import can_join
 from repro.mac.beamforming import BeamformingMac, distribute_streams
 from repro.mac.dot11n import Dot11nMac
@@ -43,7 +44,7 @@ class TestDistributeStreams:
 class TestDot11nMac:
     def test_plan_initial_uses_all_usable_antennas(self, three_pair_network, rng):
         scenario, network = three_pair_network
-        agent = Dot11nMac(scenario.pairs[2], network, rng)
+        agent = make_agent(Dot11nMac, scenario.pairs[2], network, rng)
         agent.refill(0.0)
         streams = agent.plan_initial(100.0, Medium())
         assert len(streams) == 3
@@ -53,14 +54,14 @@ class TestDot11nMac:
 
     def test_power_is_split_across_streams(self, three_pair_network, rng):
         scenario, network = three_pair_network
-        agent = Dot11nMac(scenario.pairs[1], network, rng)
+        agent = make_agent(Dot11nMac, scenario.pairs[1], network, rng)
         agent.refill(0.0)
         streams = agent.plan_initial(0.0, Medium())
         assert streams[0].power == pytest.approx(0.5)
 
     def test_round_robin_over_receivers(self, heterogeneous_network, rng):
         scenario, network = heterogeneous_network
-        agent = Dot11nMac(scenario.pairs[1], network, rng)  # AP2 with two clients
+        agent = make_agent(Dot11nMac, scenario.pairs[1], network, rng)  # AP2 with two clients
         agent.refill(0.0)
         first = agent.plan_initial(0.0, Medium())
         second = agent.plan_initial(0.0, Medium())
@@ -68,13 +69,13 @@ class TestDot11nMac:
 
     def test_no_traffic_returns_empty_plan(self, three_pair_network, rng):
         scenario, network = three_pair_network
-        agent = Dot11nMac(scenario.pairs[0], network, rng)
+        agent = make_agent(Dot11nMac, scenario.pairs[0], network, rng)
         # Do not refill: queues are empty.
         assert agent.plan_initial(0.0, Medium()) == []
 
     def test_does_not_join(self, three_pair_network, rng):
         scenario, network = three_pair_network
-        agent = Dot11nMac(scenario.pairs[2], network, rng)
+        agent = make_agent(Dot11nMac, scenario.pairs[2], network, rng)
         assert not agent.supports_joining
         assert not can_join(agent, 0.0, Medium(), 100.0)
 
@@ -82,7 +83,7 @@ class TestDot11nMac:
 class TestBeamformingMac:
     def test_serves_both_clients_at_once(self, heterogeneous_network, rng):
         scenario, network = heterogeneous_network
-        agent = BeamformingMac(scenario.pairs[1], network, rng)
+        agent = make_agent(BeamformingMac, scenario.pairs[1], network, rng)
         agent.refill(0.0)
         streams = agent.plan_initial(0.0, Medium())
         receivers = {s.receiver_id for s in streams}
@@ -95,7 +96,7 @@ class TestBeamformingMac:
 
     def test_all_streams_end_together(self, heterogeneous_network, rng):
         scenario, network = heterogeneous_network
-        agent = BeamformingMac(scenario.pairs[1], network, rng)
+        agent = make_agent(BeamformingMac, scenario.pairs[1], network, rng)
         agent.refill(0.0)
         streams = agent.plan_initial(0.0, Medium())
         assert len({s.end_us for s in streams}) == 1
@@ -103,7 +104,7 @@ class TestBeamformingMac:
 
 class TestNPlusMac:
     def _start_tx1(self, scenario, network, rng, medium):
-        tx1_agent = NPlusMac(scenario.pairs[0], network, rng)
+        tx1_agent = make_agent(NPlusMac, scenario.pairs[0], network, rng)
         tx1_agent.refill(0.0)
         streams = tx1_agent.plan_initial(100.0, medium)
         medium.add_streams(streams)
@@ -112,21 +113,21 @@ class TestNPlusMac:
     def test_eligibility_rules(self, three_pair_network, rng):
         scenario, network = three_pair_network
         medium = Medium()
-        tx3_agent = NPlusMac(scenario.pairs[2], network, rng)
+        tx3_agent = make_agent(NPlusMac, scenario.pairs[2], network, rng)
         tx3_agent.refill(0.0)
         # Idle medium: nothing to join.
         assert not can_join(tx3_agent, 0.0, medium, 96.0)
         self._start_tx1(scenario, network, rng, medium)
         assert can_join(tx3_agent, 200.0, medium, 96.0)
         # A single-antenna node can never join.
-        tx1_like = NPlusMac(scenario.pairs[0], network, rng)
+        tx1_like = make_agent(NPlusMac, scenario.pairs[0], network, rng)
         assert not can_join(tx1_like, 200.0, medium, 96.0)
 
     def test_join_protects_ongoing_receiver(self, three_pair_network, rng):
         scenario, network = three_pair_network
         medium = Medium()
         self._start_tx1(scenario, network, rng, medium)
-        tx3_agent = NPlusMac(scenario.pairs[2], network, rng)
+        tx3_agent = make_agent(NPlusMac, scenario.pairs[2], network, rng)
         tx3_agent.refill(0.0)
         streams = tx3_agent.plan_join(400.0, medium)
         assert streams is not None
@@ -138,10 +139,10 @@ class TestNPlusMac:
     def test_join_respects_remaining_dof(self, three_pair_network, rng):
         scenario, network = three_pair_network
         medium = Medium()
-        tx2_agent = NPlusMac(scenario.pairs[1], network, rng)
+        tx2_agent = make_agent(NPlusMac, scenario.pairs[1], network, rng)
         tx2_agent.refill(0.0)
         medium.add_streams(tx2_agent.plan_initial(100.0, medium))
-        tx3_agent = NPlusMac(scenario.pairs[2], network, rng)
+        tx3_agent = make_agent(NPlusMac, scenario.pairs[2], network, rng)
         tx3_agent.refill(0.0)
         streams = tx3_agent.plan_join(400.0, medium)
         assert streams is not None
@@ -149,14 +150,14 @@ class TestNPlusMac:
 
     def test_header_and_ack_overheads_exceed_baseline(self, three_pair_network, rng):
         scenario, network = three_pair_network
-        nplus = NPlusMac(scenario.pairs[2], network, rng)
-        dot11n = Dot11nMac(scenario.pairs[2], network, rng)
+        nplus = make_agent(NPlusMac, scenario.pairs[2], network, rng)
+        dot11n = make_agent(Dot11nMac, scenario.pairs[2], network, rng)
         assert nplus.header_duration_us() > dot11n.header_duration_us()
         assert nplus.ack_duration_us() > dot11n.ack_duration_us()
 
     def test_record_outcome_updates_queue_and_contention(self, three_pair_network, rng):
         scenario, network = three_pair_network
-        agent = NPlusMac(scenario.pairs[0], network, rng)
+        agent = make_agent(NPlusMac, scenario.pairs[0], network, rng)
         agent.refill(0.0)
         backlog_before = agent.queues[1].backlog_bits
         delivered = agent.record_outcome(1, 12000, delivered=True)

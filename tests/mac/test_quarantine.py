@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import make_agent
 from repro.mac.beamforming import BeamformingMac
 from repro.mac.nplus import NPlusMac
 from repro.sim.medium import Medium
@@ -35,7 +36,7 @@ def heterogeneous_network(rng):
 class TestQuarantineMechanism:
     def test_quarantine_pins_the_link_epoch(self, three_pair_network, rng):
         scenario, network = three_pair_network
-        agent = NPlusMac(scenario.pairs[0], network, rng)
+        agent = make_agent(NPlusMac, scenario.pairs[0], network, rng)
         receiver_id = agent.pair.receivers[0].node_id
         assert not agent.link_quarantined(receiver_id)
         agent.quarantine_link(receiver_id)
@@ -46,7 +47,7 @@ class TestQuarantineMechanism:
         # A quarantine lasts exactly one channel epoch: when the channel
         # changes (a fade starts or ends), the link gets a fresh chance.
         scenario, network = three_pair_network
-        agent = NPlusMac(scenario.pairs[0], network, rng)
+        agent = make_agent(NPlusMac, scenario.pairs[0], network, rng)
         receiver_id = agent.pair.receivers[0].node_id
         agent.quarantine_link(receiver_id)
         network.bump_link_epoch(agent.node_id, receiver_id)
@@ -57,7 +58,7 @@ class TestQuarantineMechanism:
         self, three_pair_network, rng
     ):
         scenario, network = three_pair_network
-        agent = NPlusMac(scenario.pairs[0], network, rng)
+        agent = make_agent(NPlusMac, scenario.pairs[0], network, rng)
         receiver_id = agent.pair.receivers[0].node_id
         agent.quarantine_link(receiver_id)
         other = scenario.pairs[1]
@@ -72,7 +73,7 @@ class TestQuarantinedPlanning:
         self, heterogeneous_network, rng
     ):
         scenario, network = heterogeneous_network
-        agent = BeamformingMac(scenario.pairs[1], network, rng)  # two clients
+        agent = make_agent(BeamformingMac, scenario.pairs[1], network, rng)  # two clients
         agent.refill(0.0)
         receiver_ids = [r.node_id for r in agent.pair.receivers]
         agent.quarantine_link(receiver_ids[0])
@@ -85,7 +86,7 @@ class TestQuarantinedPlanning:
         self, heterogeneous_network, rng
     ):
         scenario, network = heterogeneous_network
-        agent = BeamformingMac(scenario.pairs[1], network, rng)
+        agent = make_agent(BeamformingMac, scenario.pairs[1], network, rng)
         agent.refill(0.0)
         for receiver in agent.pair.receivers:
             agent.quarantine_link(receiver.node_id)
@@ -98,7 +99,7 @@ class TestQuarantinedPlanning:
         self, three_pair_network, rng
     ):
         scenario, network = three_pair_network
-        agent = BeamformingMac(scenario.pairs[0], network, rng)
+        agent = make_agent(BeamformingMac, scenario.pairs[0], network, rng)
         agent.quarantine_link(agent.pair.receivers[0].node_id)
         # queues never refilled: no candidates, so nothing was suppressed
         assert agent.plan_initial(0.0, Medium()) == []

@@ -1,17 +1,22 @@
-"""Runner oracles: the slot-polling loop and the per-agent round queries.
+"""Runner oracles: the slot-polling loop, the per-agent round queries and
+uncached planning.
 
-The production runner (:mod:`repro.sim.runner`) is an event-driven loop
-whose per-round queries are array operations over
-:class:`~repro.sim.traffic.TrafficStateArrays`.  These are the readable
-formulations it is asserted bit-identical against:
+The production runner (:mod:`repro.sim.runner`) is a round loop that
+jumps idle gaps, memoizes planning, and asks its per-round queries as
+array operations over :class:`~repro.sim.traffic.TrafficStateArrays`.
+These are the readable formulations it is asserted bit-identical against:
 
 * :func:`run_simulation_condensed_reference` -- the original ``while``
   loop that polls every 9 us slot and asks every agent every round;
-* :class:`PerAgentLoop` -- the event-driven loop with its three query
+* :class:`PerAgentLoop` -- the round loop with its three query
   hooks replaced by plain per-agent scans (swap it in with
   ``monkeypatch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)``);
   the scans ask :func:`has_traffic` and :func:`can_join`, the per-agent
   forms of the runner's array queries;
+* :class:`RecomputingPlanCache` -- a plan cache that never hits (swap it
+  in with ``monkeypatch.setattr(runner, "PlanCache",
+  RecomputingPlanCache)``), so every plan is computed from scratch: the
+  run the memoized planning is asserted bit-identical against;
 * :func:`slot_aligned_idle_end_reference` -- the slot-by-slot walk
   across an idle gap that :func:`repro.sim.runner._slot_aligned_idle_end`
   computes in chunked ``cumsum`` blocks;
@@ -30,6 +35,7 @@ from repro.constants import SLOT_TIME_US
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.variants import ProtocolLike, resolve_protocol
 from repro.mac.csma import resolve_contention
+from repro.mac.plan import PlanCache
 from repro.sim.medium import Medium
 from repro.sim.metrics import NetworkMetrics
 from repro.sim.network import Network
@@ -99,8 +105,16 @@ def can_join(agent, now_us: float, medium: Medium, min_airtime_us: float) -> boo
     )
 
 
+class RecomputingPlanCache(PlanCache):
+    """A plan cache that never hits: every lookup recomputes its value."""
+
+    def get(self, key: tuple, compute):
+        self.misses += 1
+        return compute()
+
+
 class PerAgentLoop(_EventDrivenLoop):
-    """The event loop with every per-round query asked agent by agent."""
+    """The round loop with every per-round query asked agent by agent."""
 
     def _contending_agents(self, now: float) -> List[object]:
         return [agent for agent in self.agents.values() if has_traffic(agent, now)]
@@ -141,11 +155,11 @@ def run_simulation_condensed_reference(
     """The original slot-polling ``while`` loop.
 
     Pays one iteration per 9 us slot of idle airtime, which is why the
-    event-driven loop replaced it.  Fault-, fidelity- and
-    validation-free configurations only.
+    runner's round loop jumps idle gaps instead, and recomputes every
+    plan.  Fault-, fidelity- and validation-free configurations only.
     """
     config = RunSpec.resolve(scenario, config)
-    # Faults, fidelity escalation and validation all hook into the event
+    # Faults, fidelity escalation and validation all hook into the runner
     # loop's round boundaries, which this loop does not have: refuse them
     # rather than silently ignore them.
     if build_fault_schedule(scenario, config, seed) is not None:
@@ -174,7 +188,9 @@ def run_simulation_condensed_reference(
             channel_draws=config.channel_draws,
         )
     network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
-    agents = _build_agents(scenario, network, protocol, rng, config, seed)
+    agents = _build_agents(
+        scenario, network, protocol, rng, config, seed, RecomputingPlanCache()
+    )
     medium = Medium()
     metrics = NetworkMetrics()
     for pair in scenario.pairs:

@@ -1,84 +1,9 @@
-"""Tests for the event scheduler and the medium bookkeeping."""
+"""Tests for the medium bookkeeping."""
 
 import numpy as np
-import pytest
 
-from repro.exceptions import SimulationError
 from repro.phy.rates import MCS_TABLE
-from repro.sim.engine import EventScheduler
 from repro.sim.medium import Medium, ScheduledStream
-
-
-def _drain(scheduler):
-    """Run events until the queue is empty, as the runner's loop does."""
-    while scheduler.step():
-        pass
-
-
-class TestEventScheduler:
-    def test_events_run_in_time_order(self):
-        scheduler = EventScheduler()
-        order = []
-        scheduler.schedule_at(30.0, lambda: order.append("late"))
-        scheduler.schedule_at(10.0, lambda: order.append("early"))
-        scheduler.schedule_at(20.0, lambda: order.append("middle"))
-        _drain(scheduler)
-        assert order == ["early", "middle", "late"]
-
-    def test_ties_run_in_scheduling_order(self):
-        scheduler = EventScheduler()
-        order = []
-        scheduler.schedule_at(5.0, lambda: order.append("first"))
-        scheduler.schedule_at(5.0, lambda: order.append("second"))
-        _drain(scheduler)
-        assert order == ["first", "second"]
-
-    def test_now_advances(self):
-        scheduler = EventScheduler()
-        scheduler.schedule_at(42.0, lambda: None)
-        _drain(scheduler)
-        assert scheduler.now_us == pytest.approx(42.0)
-
-    def test_step_runs_one_event(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule_at(10.0, lambda: fired.append(10))
-        scheduler.schedule_at(50.0, lambda: fired.append(50))
-        assert scheduler.step()
-        assert fired == [10]
-        assert scheduler.now_us == 10.0
-        assert scheduler.step()
-        assert fired == [10, 50]
-        assert not scheduler.step()
-
-    def test_step_on_an_empty_queue_returns_false(self):
-        scheduler = EventScheduler()
-        assert not scheduler.step()
-        assert scheduler.now_us == 0.0
-
-    def test_events_can_schedule_more_events(self):
-        scheduler = EventScheduler()
-        fired = []
-
-        def chain():
-            fired.append(scheduler.now_us)
-            if len(fired) < 3:
-                scheduler.schedule_at(scheduler.now_us + 5.0, chain)
-
-        scheduler.schedule_at(5.0, chain)
-        _drain(scheduler)
-        assert fired == [5.0, 10.0, 15.0]
-
-    def test_scheduling_in_the_past_rejected(self):
-        scheduler = EventScheduler()
-        scheduler.schedule_at(10.0, lambda: None)
-        _drain(scheduler)
-        with pytest.raises(SimulationError):
-            scheduler.schedule_at(5.0, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            EventScheduler().schedule_at(-1.0, lambda: None)
 
 
 def _stream(medium, tx=1, rx=2, order=0, start=0.0, end=100.0):

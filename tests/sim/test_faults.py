@@ -22,7 +22,11 @@ import numpy as np
 import pytest
 
 from helpers import custom_pairs_scenario
-from oracles.runner import PerAgentLoop, run_simulation_condensed_reference
+from oracles.runner import (
+    PerAgentLoop,
+    RecomputingPlanCache,
+    run_simulation_condensed_reference,
+)
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.sim.faults import (
     ChurnEpisode,
@@ -185,12 +189,13 @@ class TestFaultedDeterminism:
 class TestEpochInvalidation:
     """Exact invalidation: a fade re-measures its link, nothing else."""
 
-    def test_plan_cache_is_transparent_under_faults(self):
+    def test_plan_cache_is_transparent_under_faults(self, monkeypatch):
         """The property test of the epoch-keyed caches: cached and
         uncached faulted runs are bit-identical, i.e. every served
         cache entry equals a cold recompute."""
-        cached = run_simulation(FAULTY(), "n+", seed=9, config=FAST, plan_cache=True)
-        cold = run_simulation(FAULTY(), "n+", seed=9, config=FAST, plan_cache=False)
+        cached = run_simulation(FAULTY(), "n+", seed=9, config=FAST)
+        monkeypatch.setattr(runner, "PlanCache", RecomputingPlanCache)
+        cold = run_simulation(FAULTY(), "n+", seed=9, config=FAST)
         assert cached.to_dict() == cold.to_dict()
 
     def test_bump_evicts_only_the_bumped_link(self):

@@ -20,7 +20,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles.runner import PerAgentLoop, run_simulation_condensed_reference
+from oracles.runner import (
+    PerAgentLoop,
+    RecomputingPlanCache,
+    run_simulation_condensed_reference,
+)
 from repro.exceptions import ConfigurationError
 from repro.mac.variants import resolve_protocol
 from repro.sim.fidelity import (
@@ -147,19 +151,18 @@ class TestAutoDeterminism:
 
     def test_pipelines_and_plan_cache_bit_identical(self, monkeypatch):
         scenario = scenario_factory("dense-lan-20-bursty")()
-        reference = _dicts(run_simulation(scenario, "n+", seed=7, config=AUTO))
-        off = _dicts(run_simulation(scenario, "n+", seed=7, config=AUTO, plan_cache=False))
+
+        def run(plan_cache=runner.PlanCache):
+            with monkeypatch.context() as patch:
+                patch.setattr(runner, "PlanCache", plan_cache)
+                return _dicts(run_simulation(scenario, "n+", seed=7, config=AUTO))
+
+        reference = run()
+        off = run(RecomputingPlanCache)
         assert off == reference
         monkeypatch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)
-        for plan_cache in (True, False):
-            assert (
-                _dicts(
-                    run_simulation(
-                        scenario, "n+", seed=7, config=AUTO, plan_cache=plan_cache
-                    )
-                )
-                == reference
-            ), plan_cache
+        for plan_cache in (runner.PlanCache, RecomputingPlanCache):
+            assert run(plan_cache) == reference, plan_cache
 
     def test_sweep_workers_bit_identical(self):
         config = SimulationConfig(

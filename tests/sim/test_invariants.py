@@ -30,11 +30,6 @@ def FAULTY():
     return scenario_factory("dense-lan-20-faulty")()
 
 
-class _StubScheduler:
-    def __init__(self, now_us=0.0):
-        self.now_us = now_us
-
-
 class _StubNetwork:
     def __init__(self, epochs=None):
         self.link_epochs = dict(epochs or {})
@@ -46,7 +41,7 @@ class _StubLoop:
     def __init__(self, links=None, now_us=0.0, epochs=None):
         self.metrics = NetworkMetrics()
         self.metrics.links.update(links or {})
-        self.scheduler = _StubScheduler(now_us)
+        self.now_us = now_us
         self.network = _StubNetwork(epochs)
         self.agents = {}
         self.rounds = 7

@@ -6,9 +6,10 @@ The load-bearing guarantees:
   simulation and reused (static-channel invariant), and reseeding the
   estimation stream re-measures;
 * with estimates frozen, the planning math is pure, so a simulation with
-  the plan cache enabled is *bit-identical* to one that recomputes every
-  plan (asserted on the paper topology and on dense bursty LANs, where
-  joins exercise the join-plan cache);
+  the plan cache is *bit-identical* to one that recomputes every plan
+  under the never-hitting :class:`~oracles.runner.RecomputingPlanCache`
+  (asserted on the paper topology and on dense bursty LANs, where joins
+  exercise the join-plan cache);
 * the cache actually hits -- repeated contention configurations become
   dictionary lookups.
 """
@@ -16,7 +17,7 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
-from oracles.runner import PerAgentLoop
+from oracles.runner import PerAgentLoop, RecomputingPlanCache
 from repro.mac.plan import PlanCache, stream_signature
 from repro.sim import runner
 from repro.sim.runner import (
@@ -34,6 +35,13 @@ from repro.sim.scenarios import (
 )
 
 FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
+
+
+def _uncached(monkeypatch, *args, **kwargs):
+    """``run_simulation`` with every plan recomputed (a never-hitting cache)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "PlanCache", RecomputingPlanCache)
+        return run_simulation(*args, **kwargs)
 
 
 class TestEstimatedChannelMemo:
@@ -71,45 +79,37 @@ class TestPlanCacheEquivalence:
     """Cache on == cache off, bit for bit (planning is pure)."""
 
     @pytest.mark.parametrize("protocol", ["802.11n", "n+", "beamforming"])
-    def test_three_pair_all_protocols(self, protocol):
-        on = run_simulation(
-            three_pair_scenario(), protocol, seed=11, config=FAST, plan_cache=True
-        )
-        off = run_simulation(
-            three_pair_scenario(), protocol, seed=11, config=FAST, plan_cache=False
+    def test_three_pair_all_protocols(self, protocol, monkeypatch):
+        on = run_simulation(three_pair_scenario(), protocol, seed=11, config=FAST)
+        off = _uncached(
+            monkeypatch, three_pair_scenario(), protocol, seed=11, config=FAST
         )
         assert on.to_dict() == off.to_dict()
 
-    def test_heterogeneous_multi_receiver(self):
-        on = run_simulation(
-            heterogeneous_ap_scenario(), "n+", seed=4, config=FAST, plan_cache=True
-        )
-        off = run_simulation(
-            heterogeneous_ap_scenario(), "n+", seed=4, config=FAST, plan_cache=False
+    def test_heterogeneous_multi_receiver(self, monkeypatch):
+        on = run_simulation(heterogeneous_ap_scenario(), "n+", seed=4, config=FAST)
+        off = _uncached(
+            monkeypatch, heterogeneous_ap_scenario(), "n+", seed=4, config=FAST
         )
         assert on.to_dict() == off.to_dict()
 
-    def test_dense_lan_30_bursty(self):
+    def test_dense_lan_30_bursty(self, monkeypatch):
         """The ISSUE's acceptance workload: joins, collisions and idle
         gaps all hit the cache on a dense bursty LAN."""
         scenario = dense_lan_scenario(
             n_pairs=15, seed=30, packet_rate_pps=300.0, name="dense-lan-30-bursty"
         )
         config = SimulationConfig(duration_us=20_000.0, n_subcarriers=8)
-        on = run_simulation(scenario, "n+", seed=2, config=config, plan_cache=True)
-        off = run_simulation(scenario, "n+", seed=2, config=config, plan_cache=False)
+        on = run_simulation(scenario, "n+", seed=2, config=config)
+        off = _uncached(monkeypatch, scenario, "n+", seed=2, config=config)
         assert on.to_dict() == off.to_dict()
 
     @pytest.mark.parametrize("loop", ["batched", "per-agent"])
     def test_cache_is_pipeline_independent(self, loop, monkeypatch):
         if loop == "per-agent":
             monkeypatch.setattr(runner, "_EventDrivenLoop", PerAgentLoop)
-        on = run_simulation(
-            three_pair_scenario(), "n+", seed=5, config=FAST, plan_cache=True
-        )
-        off = run_simulation(
-            three_pair_scenario(), "n+", seed=5, config=FAST, plan_cache=False
-        )
+        on = run_simulation(three_pair_scenario(), "n+", seed=5, config=FAST)
+        off = _uncached(monkeypatch, three_pair_scenario(), "n+", seed=5, config=FAST)
         assert on.to_dict() == off.to_dict()
 
 
@@ -117,18 +117,11 @@ class TestPlanCacheHits:
     def _run_with_cache(self, scenario, seed, config):
         network = build_network(scenario, seed, config)
         network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
-        cache = PlanCache()
         loop = _EventDrivenLoop(
-            scenario,
-            "n+",
-            np.random.default_rng(seed),
-            config,
-            network,
-            seed=seed,
-            plan_cache=cache,
+            scenario, "n+", np.random.default_rng(seed), config, network, seed=seed
         )
         metrics = loop.run()
-        return cache, metrics
+        return loop.plan_cache, metrics
 
     def test_saturated_topology_mostly_hits(self):
         """On the saturated paper topology the same few contention
@@ -136,6 +129,13 @@ class TestPlanCacheHits:
         cache, _ = self._run_with_cache(three_pair_scenario(), 1, FAST)
         assert cache.misses > 0
         assert cache.hits > cache.misses
+
+    def test_recomputing_cache_never_hits(self, monkeypatch):
+        """The uncached side of the equivalence tests really recomputes."""
+        monkeypatch.setattr(runner, "PlanCache", RecomputingPlanCache)
+        cache, _ = self._run_with_cache(three_pair_scenario(), 1, FAST)
+        assert isinstance(cache, RecomputingPlanCache)
+        assert cache.hits == 0 and cache.misses > 0
 
     def test_join_plans_are_cached(self):
         cache, metrics = self._run_with_cache(three_pair_scenario(), 1, FAST)

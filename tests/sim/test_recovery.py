@@ -19,6 +19,7 @@ Three layers of guarantees:
 import numpy as np
 import pytest
 
+from helpers import make_agent
 from repro.exceptions import ConfigurationError
 from repro.mac.csma import CW_MIN, DcfContender, resolve_contention
 from repro.mac.dot11n import Dot11nMac
@@ -89,7 +90,9 @@ class TestCsmaVariant:
     def test_csma_caps_streams_at_one(self, rng):
         scenario = three_pair_scenario()
         network = Network(scenario.stations, scenario.pairs, rng, n_subcarriers=8)
-        agent = CsmaMac(scenario.pairs[2], network, np.random.default_rng(1))
+        agent = make_agent(
+            CsmaMac, scenario.pairs[2], network, np.random.default_rng(1)
+        )
         agent.refill(0.0)
         streams = agent.plan_initial(100.0, Medium())
         assert len(streams) == 1
@@ -97,7 +100,9 @@ class TestCsmaVariant:
     def test_dot11n_remains_uncapped(self, rng):
         scenario = three_pair_scenario()
         network = Network(scenario.stations, scenario.pairs, rng, n_subcarriers=8)
-        agent = Dot11nMac(scenario.pairs[2], network, np.random.default_rng(1))
+        agent = make_agent(
+            Dot11nMac, scenario.pairs[2], network, np.random.default_rng(1)
+        )
         agent.refill(0.0)
         assert len(agent.plan_initial(100.0, Medium())) == 3
 
@@ -126,8 +131,8 @@ class TestFastRetransmitContender:
         network = Network(
             scenario.stations, scenario.pairs, np.random.default_rng(3), n_subcarriers=8
         )
-        agent = Dot11nMac(
-            scenario.pairs[0], network, np.random.default_rng(1), spec=spec
+        agent = make_agent(
+            Dot11nMac, scenario.pairs[0], network, np.random.default_rng(1), spec=spec
         )
         agent.refill(0.0)
         return agent

@@ -5,8 +5,10 @@ import pytest
 
 from helpers import custom_pairs_scenario
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.mac.plan import PlanCache
 from repro.mac.variants import resolve_protocol
 from repro.sim.network import Network
+from repro.sim import runner
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import (
     heterogeneous_ap_scenario,
@@ -16,6 +18,8 @@ from repro.sim.scenarios import (
 from repro.sim.sweep import run_sweep
 
 FAST = SimulationConfig(duration_us=15_000.0, n_subcarriers=8)
+# Light enough that every station idles between packets.
+LIGHT = SimulationConfig(duration_us=15_000.0, n_subcarriers=8, packet_rate_pps=50.0)
 
 
 class TestScenarios:
@@ -94,6 +98,23 @@ class TestRunSimulation:
         with pytest.raises(SimulationError):
             run_simulation(three_pair_scenario(), "802.11n", seed=1, config=config)
 
+    def test_time_never_moves_backwards(self, monkeypatch):
+        """An idle step that lands before the current round is refused."""
+        calls = []
+
+        def backwards(loop, now):
+            calls.append(now)
+            assert len(calls) == 1, "the loop stepped back in time"
+            return now - 1.0
+
+        monkeypatch.setattr(runner._EventDrivenLoop, "_idle_poll_time", backwards)
+        config = SimulationConfig(
+            duration_us=15_000.0, n_subcarriers=8, packet_rate_pps=50.0
+        )
+        with pytest.raises(SimulationError, match="current time"):
+            run_simulation(three_pair_scenario(), "n+", seed=1, config=config)
+        assert calls
+
     def test_network_reuse_keeps_channels_fixed(self, rng):
         scenario = three_pair_scenario()
         network = Network(scenario.stations, scenario.pairs, rng, n_subcarriers=8)
@@ -106,6 +127,128 @@ class TestRunSimulation:
             metrics = run_simulation(heterogeneous_ap_scenario(), protocol, seed=4, config=FAST)
             assert metrics.total_throughput_mbps() > 0.5
 
+
+def _record_rounds(monkeypatch):
+    """Log every ``_EventDrivenLoop._round`` call as ``(now, clock, next)``:
+    its start, the loop's clock when it began, and what it returned."""
+    calls = []
+    original = runner._EventDrivenLoop._round
+
+    def recording(loop, now):
+        clock = loop.now_us
+        returned = original(loop, now)
+        calls.append((now, clock, returned))
+        return returned
+
+    monkeypatch.setattr(runner._EventDrivenLoop, "_round", recording)
+    return calls
+
+
+def _capture_loops(monkeypatch):
+    """Collect every ``_EventDrivenLoop`` a run constructs."""
+    loops = []
+    original = runner._EventDrivenLoop.__init__
+
+    def capturing(loop, *args, **kwargs):
+        original(loop, *args, **kwargs)
+        loops.append(loop)
+
+    monkeypatch.setattr(runner._EventDrivenLoop, "__init__", capturing)
+    return loops
+
+
+class TestRoundLoop:
+    """The run loop: each round returns the next round's start, or
+    ``None`` once the observation window has closed."""
+
+    def test_rounds_start_in_time_order(self, monkeypatch):
+        calls = _record_rounds(monkeypatch)
+        run_simulation(three_pair_scenario(), "n+", seed=3, config=LIGHT)
+        starts = [now for now, _, _ in calls]
+        assert starts[0] == 0.0
+        assert len(set(starts)) > 2
+        assert all(a <= b for a, b in zip(starts, starts[1:]))
+
+    def test_each_round_starts_where_the_previous_one_said(self, monkeypatch):
+        calls = _record_rounds(monkeypatch)
+        run_simulation(three_pair_scenario(), "n+", seed=3, config=FAST)
+        assert len(calls) > 2
+        for (_, _, returned), (now, _, _) in zip(calls, calls[1:]):
+            assert now == returned
+
+    def test_the_clock_is_the_start_of_the_round_being_played(self, monkeypatch):
+        calls = _record_rounds(monkeypatch)
+        run_simulation(three_pair_scenario(), "n+", seed=3, config=LIGHT)
+        assert all(clock == now for now, clock, _ in calls)
+
+    def test_the_run_ends_at_the_first_start_past_the_window(self, monkeypatch):
+        calls = _record_rounds(monkeypatch)
+        metrics = run_simulation(three_pair_scenario(), "n+", seed=3, config=FAST)
+        returned = [next_round for _, _, next_round in calls]
+        assert returned[-1] is None and None not in returned[:-1]
+        last = calls[-1][0]
+        assert last >= FAST.duration_us
+        assert all(now < FAST.duration_us for now, _, _ in calls[:-1])
+        assert metrics.elapsed_us == last
+
+    def test_a_round_may_start_at_the_current_time(self, monkeypatch):
+        """Only a start *before* the clock is refused: a zero-length idle
+        step replays the same instant and the run carries on."""
+        original = runner._EventDrivenLoop._idle_poll_time
+        stalled = []
+
+        def stall_once(loop, now):
+            if not stalled:
+                stalled.append(now)
+                return now
+            return original(loop, now)
+
+        monkeypatch.setattr(runner._EventDrivenLoop, "_idle_poll_time", stall_once)
+        calls = _record_rounds(monkeypatch)
+        metrics = run_simulation(three_pair_scenario(), "n+", seed=1, config=LIGHT)
+        starts = [now for now, _, _ in calls]
+        assert stalled and starts.count(stalled[0]) >= 2
+        assert metrics.elapsed_us >= LIGHT.duration_us
+
+    @pytest.mark.parametrize("outcome", ["finished", "raised"])
+    def test_agents_are_detached_however_the_run_ends(self, monkeypatch, outcome):
+        """Agents and the traffic arrays point at each other; the loop
+        breaks that cycle when the run finishes and when it raises."""
+        if outcome == "raised":
+            monkeypatch.setattr(
+                runner._EventDrivenLoop, "_idle_poll_time", lambda loop, now: now - 1.0
+            )
+        loops = _capture_loops(monkeypatch)
+        if outcome == "raised":
+            with pytest.raises(SimulationError):
+                run_simulation(three_pair_scenario(), "n+", seed=1, config=LIGHT)
+        else:
+            run_simulation(three_pair_scenario(), "n+", seed=1, config=LIGHT)
+        (loop,) = loops
+        assert loop.agents
+        assert all(
+            agent._traffic_listener is None for agent in loop.agents.values()
+        )
+
+    def test_each_run_creates_one_plan_cache_through_the_module_name(
+        self, monkeypatch
+    ):
+        """Tracers and the tests' never-hitting cache substitute
+        ``repro.sim.runner.PlanCache``; every run must build its cache there."""
+        created = []
+
+        class CountingPlanCache(PlanCache):
+            def __init__(self):
+                super().__init__()
+                created.append(self)
+
+        monkeypatch.setattr(runner, "PlanCache", CountingPlanCache)
+        loops = _capture_loops(monkeypatch)
+        for seed in (3, 4):
+            run_simulation(three_pair_scenario(), "n+", seed=seed, config=FAST)
+        assert len(created) == 2
+        assert [loop.plan_cache for loop in loops] == created
+        assert all(cache.hits > 0 for cache in created)
 
 class TestRunMany:
     def test_structure_of_results(self):

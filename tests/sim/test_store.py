@@ -2,7 +2,7 @@
 
 These tests pin the store's contracts: cache semantics (done-only hits,
 corrupt state as a miss), the cell state machine that makes sweeps
-resumable, and the in-place upgrade of older table layouts.
+resumable, and the refusal of any other table layout.
 """
 
 import json
@@ -300,10 +300,10 @@ INSERT INTO store_meta (key, value) VALUES ('store_schema', '1');
 """
 
 
-class TestSchemaV2Migration:
-    """In-place upgrade of a version-1 store (no capsule columns)."""
+class TestPreV2Layout:
+    """A version-1 store (no capsule columns) is refused, not migrated."""
 
-    def _seed_v1_store(self, tmp_path):
+    def test_v1_store_is_refused_and_left_unchanged(self, tmp_path):
         path = tmp_path / STORE_FILENAME
         conn = sqlite3.connect(path)
         with conn:
@@ -318,39 +318,64 @@ class TestSchemaV2Migration:
                 "VALUES (?, 'failed', 'n+', 'RuntimeError: boom', 0.0)",
                 ("b" * 64,),
             )
+        before = conn.execute("SELECT * FROM cells ORDER BY key").fetchall()
         conn.close()
-        return path
-
-    def test_v1_store_upgrades_in_place(self, tmp_path):
-        path = self._seed_v1_store(tmp_path)
-        store = ResultsStore(tmp_path)
+        with pytest.raises(ConfigurationError, match="older than this build"):
+            ResultsStore(tmp_path)
         conn = sqlite3.connect(path)
-        columns = {r[1] for r in conn.execute("PRAGMA table_info(cells)")}
+        after = conn.execute("SELECT * FROM cells ORDER BY key").fetchall()
         version = conn.execute(
             "SELECT value FROM store_meta WHERE key='store_schema'"
         ).fetchone()[0]
         conn.close()
-        assert {"capsule_path", "traceback"} <= columns
-        assert int(version) == STORE_SCHEMA_VERSION
-        # old rows survive: the done cell still hits, the failure is kept
-        assert _load(store, "a" * 64).links["a->b"].delivered_bits == 1200
-        failed = [r for r in store.query() if r.status == "failed"]
-        assert failed[0].error == "RuntimeError: boom"
-        assert failed[0].capsule_path is None
+        assert after == before
+        assert version == "1"
 
-    def test_migrated_store_accepts_capsule_records(self, tmp_path):
-        self._seed_v1_store(tmp_path)
-        store = ResultsStore(tmp_path)
-        store.mark_failed(
-            "b" * 64,
-            "RuntimeError: boom",
-            _describe(),
-            capsule_path="/tmp/capsule.json",
-            traceback="Traceback ...",
-        )
-        row = [r for r in store.query() if r.key == "b" * 64][0]
-        assert row.capsule_path == "/tmp/capsule.json"
-        assert row.traceback == "Traceback ..."
+
+def _file_state(path):
+    """Everything a refused open could touch: the schema objects, the
+    journal mode, the layout version and the rows."""
+    conn = sqlite3.connect(path)
+    state = (
+        conn.execute("SELECT type, name, sql FROM sqlite_master ORDER BY name").fetchall(),
+        conn.execute("PRAGMA journal_mode").fetchone()[0],
+        conn.execute("SELECT * FROM store_meta ORDER BY key").fetchall(),
+        conn.execute("SELECT * FROM cells ORDER BY key").fetchall(),
+    )
+    conn.close()
+    return state
+
+
+class TestRefusedLayout:
+    """A store of another layout is refused before anything is written."""
+
+    @pytest.mark.parametrize(
+        "version, relation",
+        [(1, "older"), (STORE_SCHEMA_VERSION + 1, "newer")],
+        ids=["older", "newer"],
+    )
+    def test_refused_store_is_left_exactly_as_found(self, tmp_path, version, relation):
+        path = tmp_path / STORE_FILENAME
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.executescript(_V1_SCHEMA)
+            conn.execute(
+                "UPDATE store_meta SET value=? WHERE key='store_schema'",
+                (str(version),),
+            )
+            conn.execute(
+                "INSERT INTO cells (key, status, protocol, metrics_json, updated_at) "
+                "VALUES (?, 'done', 'n+', ?, 0.0)",
+                ("a" * 64, json.dumps(_metrics().to_dict())),
+            )
+        conn.close()
+        before = _file_state(path)
+        with pytest.raises(ConfigurationError, match=f"{relation} than this build"):
+            ResultsStore(tmp_path)
+        assert _file_state(path) == before
+        assert before[1] == "delete"
+        # Refused, not quarantined: the file stays where it was, alone.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [STORE_FILENAME]
 
 
 class TestUnwritableDirectory:

@@ -128,12 +128,13 @@ def test_architecture_named_symbols_exist():
     )
     from oracles.runner import (  # noqa: F401
         PerAgentLoop,
+        RecomputingPlanCache,
         run_simulation_condensed_reference,
         slot_aligned_idle_end_reference,
     )
-    from repro.sim.engine import EventScheduler  # noqa: F401
     from repro.sim.link_abstraction import announced_decoding_subspace  # noqa: F401
     from repro.sim.runner import (  # noqa: F401
+        _EventDrivenLoop,
         _slot_aligned_idle_end,
         placement_seed,
     )
