@@ -20,8 +20,8 @@ The script itself is not tracked in ``BENCH_core.json`` (it is an
 orchestration benchmark, not a per-packet hot path), but the module also
 carries a tracked ``pytest-benchmark`` function,
 ``bench_sweep_cached_replay_store``, that times a fully warm cache
-replay through the SQLite results store -- pure bookkeeping (manifest
-upsert, state-machine scan, row loads), no simulation.
+replay through the SQLite results store -- a read of the manifest and
+one batched load of every cell, with no simulation and no write.
 
     python benchmarks/bench_sweep_scaling.py
     python benchmarks/bench_sweep_scaling.py --runs 50 --workers 4 --require-speedup 3
@@ -46,8 +46,9 @@ from repro.sim.sweep import default_workers, run_sweep  # noqa: E402
 #
 # A fig12-sized grid (2 protocols x 50 runs = 100 cells) computed once,
 # then replayed from the warm store inside the benchmark loop.  Every
-# replay is pure store bookkeeping -- one batched SELECT plus the
-# manifest -- with no simulation.
+# replay only reads the store -- the manifest lookup plus one batched
+# SELECT -- so it neither simulates nor writes, and closes with no
+# checkpoint to sync.
 
 _REPLAY_CONFIG = SimulationConfig(duration_us=2_000.0, n_subcarriers=8)
 _REPLAY_GRID = dict(

@@ -35,7 +35,7 @@ observed clock and epoch map).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.exceptions import ConfigurationError, InvariantViolation
 

@@ -28,6 +28,11 @@ Concurrency model: only the sweep *parent* process touches the store
 (workers ship metrics back over pipes), so a single connection per
 store suffices; WAL mode plus a generous busy timeout make concurrent
 sweeps sharing one cache directory safe, if serialised at commit time.
+Opening a store of the current layout writes nothing, and neither does
+a warm replay (see :func:`~repro.sim.sweep.run_sweep`), so a session
+that only reads -- a replay, ``repro results`` -- never waits on another
+sweep's write lock and closes with no checkpoint to sync.  A manifest's
+``updated_at`` is therefore its last write, not its last read.
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ __all__ = [
 
 #: Filename of the database inside a cache directory.
 STORE_FILENAME = "results.sqlite"
+
+#: Seconds a write waits on another connection's write lock before
+#: SQLite raises "database is locked".
+_BUSY_TIMEOUT_S = 30.0
 
 #: Version of the store's *table layout* (independent of the cell-key
 #: schema version, which lives in :mod:`repro.sim.sweep` and is part of
@@ -209,7 +218,7 @@ class ResultsStore:
             return self._connect()
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
+        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S)
         conn.row_factory = sqlite3.Row
         # The layout is read before anything is written, so a refused
         # store is left exactly as found; the refusal is not a
@@ -231,13 +240,16 @@ class ResultsStore:
             )
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
-        with conn:
-            conn.executescript(_SCHEMA)
-            conn.execute(
-                "INSERT OR IGNORE INTO store_meta (key, value) "
-                "VALUES ('store_schema', ?)",
-                (str(STORE_SCHEMA_VERSION),),
-            )
+        if not rows:
+            # Only a new store is laid out and stamped: opening a current
+            # one writes nothing (see the concurrency model above).
+            with conn:
+                conn.executescript(_SCHEMA)
+                conn.execute(
+                    "INSERT OR IGNORE INTO store_meta (key, value) "
+                    "VALUES ('store_schema', ?)",
+                    (str(STORE_SCHEMA_VERSION),),
+                )
         return conn
 
     def close(self) -> None:
@@ -474,7 +486,7 @@ class ResultsStore:
         )
 
     def sweeps(self) -> List[SweepRecord]:
-        """All recorded sweep manifests, most recent first."""
+        """All recorded sweep manifests, most recently written first."""
         rows = self._conn.execute(
             "SELECT * FROM sweeps ORDER BY updated_at DESC"
         ).fetchall()

@@ -15,7 +15,8 @@ computes the grid
 * **incrementally**, memoising every cell in a durable on-disk results
   store (:class:`~repro.sim.store.ResultsStore`, WAL-mode SQLite) keyed
   by ``(scenario, protocol, run seed, resolved run spec)`` so repeated
-  figure invocations only recompute what actually changed; and
+  figure invocations only recompute what actually changed, and a repeat
+  of a finished sweep only reads the store; and
 * **durably**: with a cache directory, every sweep records a *manifest*
   (grid, digests, seeds, run spec) up front and tracks each cell through
   ``pending -> running -> done/failed``, so a sweep killed mid-run --
@@ -524,7 +525,9 @@ class _SweepPlan:
     """What the plan stage decided: the grid's cells, hits and tasks.
 
     A task is a list of cells that missed the cache and share one run,
-    so one network draw.
+    so one network draw.  ``store`` is the open results store the run
+    records into: ``None`` without a cache directory, and for a replay,
+    which has nothing to record.
     """
 
     factory: Callable[[], Scenario]
@@ -601,8 +604,9 @@ def _plan_sweep(
     )
     if cache_dir is not None:
         plan.store = ResultsStore(cache_dir)
-        _begin_sweep(plan, resume, seed)
     _scan_grid(plan)
+    if plan.store is not None:
+        _begin_sweep(plan, resume, seed)
     if plan.tasks:
         _chunk_tasks(plan, default_workers() if workers is None else workers)
     return plan
@@ -614,6 +618,9 @@ def _begin_sweep(plan: _SweepPlan, resume: bool, seed: int) -> None:
     The full grid is recorded up front: every cell exists as a row
     before any work starts, so an interruption at *any* point leaves a
     store that knows exactly what remains.
+
+    A replay -- every cell a hit, under a manifest already recorded
+    ``done`` -- records nothing and drops the store from the plan.
     """
     first = plan.cells[0][0]
     manifest = {
@@ -626,13 +633,18 @@ def _begin_sweep(plan: _SweepPlan, resume: bool, seed: int) -> None:
         "run_spec": first.run_spec.key_payload,
     }
     plan.sweep_id = sweep_manifest_digest(manifest)
-    if resume and plan.store.get_sweep(plan.sweep_id) is None:
+    recorded = plan.store.get_sweep(plan.sweep_id)
+    if resume and recorded is None:
         raise ConfigurationError(
             f"nothing to resume: no checkpoint for this sweep manifest "
             f"(sweep_id {plan.sweep_id[:12]}...) in {plan.cache_dir}; run without "
             "resume=True to start it, or check that scenario/protocols/"
             "n_runs/seed/config match the interrupted invocation exactly"
         )
+    if not plan.tasks and recorded is not None and recorded.status == "done":
+        plan.store.close()
+        plan.store = None
+        return
     plan.store.begin_sweep(
         plan.sweep_id,
         manifest,
@@ -830,7 +842,7 @@ def _checkpoint_on_interrupt(
     try:
         yield
     except KeyboardInterrupt as exc:
-        if plan.sweep_id is not None:
+        if plan.store is not None:
             plan.store.checkpoint_sweep(plan.sweep_id, status="interrupted")
         _restore()
         if getattr(exc, "signum", None) == signal.SIGTERM:
@@ -944,7 +956,12 @@ def run_sweep(
     to ``pending``, the manifest is marked ``interrupted``, and the
     signal's default behaviour then proceeds (KeyboardInterrupt /
     termination).  ``resume=True`` -- or ``repro sweep --resume`` --
-    picks the sweep up exactly where it stopped.
+    picks the sweep up exactly where it stopped.  A sweep that wrote
+    closes with the checkpoint ``synchronous=NORMAL`` syncs to disk.  A
+    *replay* -- every cell ``done`` and this manifest recorded ``done``
+    -- only reads the store, so it syncs nothing and leaves the
+    manifest's ``updated_at`` (its last write) as it was; any other
+    sweep records its manifest.
 
     Returns
     -------
@@ -973,7 +990,7 @@ def run_sweep(
                     max_requeues=max_worker_requeues,
                     shrink_after_deaths=shrink_after_deaths,
                 )
-            if plan.sweep_id is not None:
+            if plan.store is not None:
                 plan.store.finish_sweep(plan.sweep_id)
     finally:
         if plan.store is not None:

@@ -30,7 +30,6 @@ from repro.mac.variants import resolve_protocol
 from repro.sim.fidelity import (
     DEFAULT_BAND_DB,
     FidelityEngine,
-    LinkCheck,
     _link_precoders,
     cross_validate_links,
     phy_stream_rng,
@@ -46,7 +45,7 @@ from repro.sim.runner import (
     build_network,
     run_simulation,
 )
-from repro.sim.scenarios import dense_lan_scenario, scenario_factory, three_pair_scenario
+from repro.sim.scenarios import scenario_factory, three_pair_scenario
 from repro.sim.sweep import Cell, config_digest, run_sweep
 
 AUTO = SimulationConfig(duration_us=30_000.0, n_subcarriers=8, fidelity="auto")

@@ -30,7 +30,6 @@ from repro.sim.runner import (
 from repro.sim.scenarios import (
     dense_lan_scenario,
     heterogeneous_ap_scenario,
-    scenario_factory,
     three_pair_scenario,
 )
 

@@ -158,6 +158,60 @@ class TestSelfHealing:
             ResultsStore(tmp_path)
 
 
+class TestReadingSessions:
+    """Opening a store of the current layout writes nothing, so a session
+    that only reads neither changes the file nor waits on a writer."""
+
+    def test_opening_a_current_store_leaves_it_byte_identical(self, tmp_path):
+        with ResultsStore(tmp_path) as store:
+            store.store("a" * 64, _metrics(), _describe())
+        path = tmp_path / STORE_FILENAME
+        before = path.read_bytes()
+        with ResultsStore(tmp_path) as store:
+            assert _load(store, "a" * 64).to_dict() == _metrics().to_dict()
+            assert store.sweeps() == []
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [STORE_FILENAME]
+
+    def test_a_replay_and_repro_results_do_not_wait_on_a_writer(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.sim import store as store_module
+        from repro.sim.runner import SimulationConfig
+        from repro.sim.sweep import run_sweep
+
+        def sweep():
+            return run_sweep(
+                "three-pair", ["802.11n", "n+"], n_runs=2, seed=4,
+                config=SimulationConfig(duration_us=4000.0, n_subcarriers=4),
+                cache_dir=tmp_path,
+            )
+
+        cold = sweep()
+        monkeypatch.setattr(store_module, "_BUSY_TIMEOUT_S", 0.2)
+        writer = sqlite3.connect(tmp_path / STORE_FILENAME, isolation_level=None)
+        writer.execute("BEGIN IMMEDIATE")
+        try:
+            # The lock is real: a write through the store gives up on it.
+            with ResultsStore(tmp_path) as store:
+                with pytest.raises(sqlite3.OperationalError, match="locked"):
+                    store.mark_pending(["a" * 64])
+            replay = sweep()
+            assert main(["results", "--cache-dir", str(tmp_path)]) == 0
+        finally:
+            writer.execute("ROLLBACK")
+            writer.close()
+        # Nothing timed out, so nothing was mistaken for corruption.
+        assert not list(tmp_path.glob("*.corrupt.*"))
+        assert replay.cache_hits == 4 and replay.cache_misses == 0
+        assert {p: [m.to_dict() for m in runs] for p, runs in replay.results.items()} == {
+            p: [m.to_dict() for m in runs] for p, runs in cold.results.items()
+        }
+        out = capsys.readouterr().out
+        assert "three-pair" in out and "802.11n,n+" in out
+
+
 class TestStateMachine:
     def test_states_are_the_documented_four(self, tmp_path):
         store = ResultsStore(tmp_path)

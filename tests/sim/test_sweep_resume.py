@@ -8,6 +8,9 @@ sweep) live in test_sweep_kill.py behind the slow marker; here the
 interruptions are injected deterministically in-process.
 """
 
+import hashlib
+import sqlite3
+
 import pytest
 
 from helpers import cell_count
@@ -15,7 +18,7 @@ from oracles.runner import run_many
 from repro.exceptions import ConfigurationError
 from repro.sim.runner import SimulationConfig, placement_seed
 from repro.sim.scenarios import three_pair_scenario
-from repro.sim.store import ResultsStore
+from repro.sim.store import ResultsStore, store_path
 from repro.sim.sweep import run_sweep, sweep_manifest_digest
 
 FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
@@ -218,3 +221,106 @@ class TestInterruptAndResume:
         assert not second.failures and second.cache_misses == 1
         store = ResultsStore(tmp_path)
         assert cell_count(store, "failed") == 0 and cell_count(store, "done") == 1
+
+
+def _file_state(cache_dir):
+    """The store file's sha256 and the names of every file beside it."""
+    digest = hashlib.sha256(store_path(cache_dir).read_bytes()).hexdigest()
+    return digest, sorted(p.name for p in cache_dir.iterdir())
+
+
+def _rows(cache_dir):
+    """Every row of the store's ``sweeps`` and ``cells`` tables."""
+    conn = sqlite3.connect(store_path(cache_dir))
+    conn.row_factory = sqlite3.Row
+    try:
+        return (
+            conn.execute("SELECT * FROM sweeps ORDER BY sweep_id").fetchall(),
+            conn.execute("SELECT * FROM cells ORDER BY key").fetchall(),
+        )
+    finally:
+        conn.close()
+
+
+class TestReplayWritesNothing:
+    """A repeat of a finished sweep reads the store and writes nothing:
+    the file keeps its bytes, no WAL is left beside it, and every row
+    (``updated_at`` included) stays as the last write left it."""
+
+    PROTOCOLS = ["802.11n", "n+"]
+
+    def _sweep(self, cache_dir, n_runs=2, **kwargs):
+        return run_sweep(
+            "three-pair", self.PROTOCOLS, n_runs=n_runs, seed=4, config=FAST,
+            cache_dir=cache_dir, **kwargs,
+        )
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["replay", "resume"])
+    def test_a_finished_sweep_replays_without_a_write(self, tmp_path, resume):
+        cold = self._sweep(tmp_path)
+        files, rows = _file_state(tmp_path), _rows(tmp_path)
+        assert files[1] == [store_path(tmp_path).name]
+
+        replay = self._sweep(tmp_path, resume=resume)
+
+        assert _file_state(tmp_path) == files
+        assert _rows(tmp_path) == rows
+        assert replay.cache_hits == 2 * len(self.PROTOCOLS)
+        assert replay.cache_misses == 0
+        assert replay.sweep_id == cold.sweep_id
+        assert _as_dicts(replay.results) == _as_dicts(cold.results)
+
+    def test_a_hit_grid_under_a_new_manifest_records_that_manifest(self, tmp_path):
+        whole = self._sweep(tmp_path, n_runs=3)
+        sweeps_before, cells_before = _rows(tmp_path)
+
+        subset = self._sweep(tmp_path, n_runs=2)
+
+        assert subset.cache_hits == 2 * len(self.PROTOCOLS)
+        assert subset.cache_misses == 0
+        assert subset.sweep_id != whole.sweep_id
+        assert _as_dicts(subset.results) == {
+            protocol: runs[:2] for protocol, runs in _as_dicts(whole.results).items()
+        }
+        sweeps_after, cells_after = _rows(tmp_path)
+        # The whole grid's manifest is untouched; the subset's is added, done.
+        assert [
+            row for row in sweeps_after if row["sweep_id"] == whole.sweep_id
+        ] == sweeps_before
+        with ResultsStore(tmp_path) as store:
+            assert {r.sweep_id: r.status for r in store.sweeps()} == {
+                whole.sweep_id: "done",
+                subset.sweep_id: "done",
+            }
+            assert store.get_sweep(subset.sweep_id).manifest["n_runs"] == 2
+            assert cell_count(store) == cell_count(store, "done") == len(cells_before)
+        # Recording it rewrote no result.
+        assert [(row["key"], row["metrics_json"]) for row in cells_after] == [
+            (row["key"], row["metrics_json"]) for row in cells_before
+        ]
+
+    @pytest.mark.parametrize("status", ["interrupted", "running"])
+    @pytest.mark.parametrize("resume", [False, True], ids=["rerun", "resume"])
+    def test_an_unfinished_manifest_with_every_cell_done_ends_done(
+        self, tmp_path, status, resume
+    ):
+        cold = self._sweep(tmp_path)
+        with ResultsStore(tmp_path) as store:
+            # As a sweep killed after its last cell was stored leaves it.
+            store.checkpoint_sweep(cold.sweep_id, status=status)
+
+        again = self._sweep(tmp_path, resume=resume)
+
+        assert again.cache_misses == 0
+        assert _as_dicts(again.results) == _as_dicts(cold.results)
+        with ResultsStore(tmp_path) as store:
+            assert store.get_sweep(cold.sweep_id).status == "done"
+
+    def test_resuming_a_hit_grid_with_no_manifest_still_raises(self, tmp_path):
+        self._sweep(tmp_path, n_runs=3)
+        files = _file_state(tmp_path)
+        # Every cell of the two-run grid is stored, under the three-run
+        # manifest: there is still nothing to resume.
+        with pytest.raises(ConfigurationError, match="nothing to resume"):
+            self._sweep(tmp_path, n_runs=2, resume=True)
+        assert _file_state(tmp_path)[0] == files[0]
