@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.mac.plan import PlannedReceiver, ProtectedReceiver, plan_join
 from repro.mimo.carrier_sense import MultiDimensionalCarrierSense
-from repro.phy.coding import Codec
+from repro.phy.coding.codec import Codec
 from repro.phy.rates import MCS_TABLE
 from repro.phy.transceiver import MimoTransmitter, StreamConfig
 from repro.utils.bits import random_bits

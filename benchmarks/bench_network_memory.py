@@ -53,7 +53,7 @@ def measure(n_stations: int, channel_draws: str | None = None) -> dict:
     import numpy as np
 
     from repro.sim.network import Network
-    from repro.sim.runner import RunSpec
+    from repro.sim.spec import RunSpec
     from repro.sim.scenarios import scenario_factory
 
     scenario = scenario_factory(f"dense-lan-{n_stations}")()

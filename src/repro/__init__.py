@@ -17,10 +17,16 @@ The library is organised in layers:
 * :mod:`repro.experiments` -- runnable reproductions of every figure in
   the paper's evaluation (Figs. 9 and 11-13).
 
+No package ``__init__`` imports its submodules: import a name from the
+module that defines it (``repro.sim.sweep.run_sweep``, not
+``repro.sim.run_sweep``), so a command loads only the modules it runs --
+a replay of stored sweep cells never loads the round loop, the MAC
+agents, MIMO or the PHY.
+
 Quickstart::
 
     import numpy as np
-    from repro.mimo import ReceiverConstraint, compute_precoders
+    from repro.mimo.precoder import ReceiverConstraint, compute_precoders
 
     rng = np.random.default_rng(0)
     # A 2-antenna transmitter joining a single-antenna pair: null at rx1.
@@ -32,7 +38,3 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
-
-from repro import constants, exceptions
-
-__all__ = ["constants", "exceptions", "__version__"]

@@ -13,19 +13,3 @@ but behaviour-preserving substitute:
   the testbed of Fig. 10: node placement, log-distance path loss,
   shadowing, and per-link MIMO channel generation.
 """
-
-from repro.channel.models import awgn, complex_gaussian
-from repro.channel.multipath import MultipathChannel, exponential_power_delay_profile
-from repro.channel.hardware import HardwareProfile
-from repro.channel.testbed import Testbed, TestbedLink, default_testbed
-
-__all__ = [
-    "awgn",
-    "complex_gaussian",
-    "MultipathChannel",
-    "exponential_power_delay_profile",
-    "HardwareProfile",
-    "Testbed",
-    "TestbedLink",
-    "default_testbed",
-]

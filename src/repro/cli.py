@@ -47,17 +47,11 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.experiments import fig9_carrier_sense as fig9
-from repro.experiments import fig11_nulling_alignment as fig11
-from repro.experiments import fig12_throughput as fig12
-from repro.experiments import fig13_heterogeneous as fig13
-from repro.experiments import handshake_overhead as handshake
 from repro.exceptions import ConfigurationError
 from repro.experiments.report import format_table
 from repro.mac.variants import available_variants, parse_protocol, split_protocol_list
-from repro.sim.capsule import load_capsule, replay_capsule
-from repro.sim.runner import SimulationConfig
 from repro.sim.scenarios import available_scenarios, scenario_factory
+from repro.sim.spec import SimulationConfig
 from repro.sim.store import ResultsStore, store_path
 from repro.sim.sweep import run_sweep
 
@@ -70,12 +64,16 @@ def _print_header(title: str) -> None:
 
 
 def _run_fig9(args: argparse.Namespace) -> None:
+    from repro.experiments import fig9_carrier_sense as fig9
+
     _print_header("Fig. 9 -- carrier sense in the presence of ongoing transmissions")
     result = fig9.run_carrier_sense_experiment(n_trials=args.trials, seed=args.seed)
     print(fig9.summarize(result))
 
 
 def _run_fig11(args: argparse.Namespace) -> None:
+    from repro.experiments import fig11_nulling_alignment as fig11
+
     _print_header("Fig. 11 -- residual error of nulling and alignment")
     nulling = fig11.run_nulling_experiment(n_trials=args.trials, seed=args.seed)
     alignment = fig11.run_alignment_experiment(n_trials=args.trials, seed=args.seed + 1)
@@ -98,6 +96,8 @@ def _simulation_config(args: argparse.Namespace) -> SimulationConfig:
 
 
 def _run_fig12(args: argparse.Namespace) -> None:
+    from repro.experiments import fig12_throughput as fig12
+
     scenario = args.scenario or "three-pair"
     _print_header(f"Fig. 12 -- throughput of n+ vs 802.11n ({scenario} scenario)")
     experiment = fig12.run_throughput_experiment(
@@ -113,6 +113,8 @@ def _run_fig12(args: argparse.Namespace) -> None:
 
 
 def _run_fig13(args: argparse.Namespace) -> None:
+    from repro.experiments import fig13_heterogeneous as fig13
+
     scenario = args.scenario or "heterogeneous-ap"
     _print_header(f"Fig. 13 -- {scenario} scenario vs 802.11n and beamforming")
     experiment = fig13.run_heterogeneous_experiment(
@@ -128,6 +130,8 @@ def _run_fig13(args: argparse.Namespace) -> None:
 
 
 def _run_handshake(args: argparse.Namespace) -> None:
+    from repro.experiments import handshake_overhead as handshake
+
     _print_header("§3.5 -- light-weight handshake overhead")
     result = handshake.run_handshake_experiment(n_channels=args.trials, seed=args.seed)
     print(handshake.summarize(result))
@@ -318,6 +322,8 @@ def _run_results(args: argparse.Namespace) -> None:
 
 
 def _run_replay(args: argparse.Namespace) -> int:
+    from repro.sim.capsule import load_capsule, replay_capsule
+
     if not args.target:
         raise ConfigurationError(
             "the 'replay' command needs the path of a crash capsule "

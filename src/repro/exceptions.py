@@ -52,7 +52,7 @@ class InvariantViolation(ReproError):
     links involved; the structured fields (:attr:`checker`, :attr:`round`,
     :attr:`links`) carry the same information for programmatic handling
     (crash capsules serialize them).  Raised only when
-    :attr:`repro.sim.runner.SimulationConfig.validation` is ``"cheap"``
+    :attr:`repro.sim.spec.SimulationConfig.validation` is ``"cheap"``
     or ``"full"`` -- the default ``"off"`` never runs the checkers.
     """
 

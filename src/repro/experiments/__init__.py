@@ -17,30 +17,3 @@ the paper reports:
 * :mod:`repro.experiments.report` -- plain-text table formatting shared by
   the benchmarks and examples.
 """
-
-from repro.experiments.fig9_carrier_sense import CarrierSenseExperiment, run_carrier_sense_experiment
-from repro.experiments.fig11_nulling_alignment import (
-    ResidualErrorExperiment,
-    run_nulling_experiment,
-    run_alignment_experiment,
-)
-from repro.experiments.fig12_throughput import ThroughputExperiment, run_throughput_experiment
-from repro.experiments.fig13_heterogeneous import (
-    HeterogeneousExperiment,
-    run_heterogeneous_experiment,
-)
-from repro.experiments.handshake_overhead import HandshakeExperiment, run_handshake_experiment
-
-__all__ = [
-    "CarrierSenseExperiment",
-    "run_carrier_sense_experiment",
-    "ResidualErrorExperiment",
-    "run_nulling_experiment",
-    "run_alignment_experiment",
-    "ThroughputExperiment",
-    "run_throughput_experiment",
-    "HeterogeneousExperiment",
-    "run_heterogeneous_experiment",
-    "HandshakeExperiment",
-    "run_handshake_experiment",
-]

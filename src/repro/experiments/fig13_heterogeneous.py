@@ -20,7 +20,7 @@ from repro.experiments.report import (
     format_table,
     per_run_ratios,
 )
-from repro.sim.runner import SimulationConfig
+from repro.sim.spec import SimulationConfig
 from repro.sim.scenarios import Scenario
 from repro.sim.sweep import run_sweep
 

@@ -15,43 +15,8 @@
 * :mod:`repro.mac.retransmission` -- the retry queue.
 * :mod:`repro.mac.dot11n` / :mod:`repro.mac.nplus` /
   :mod:`repro.mac.beamforming` -- the three protocol agents used in the
-  evaluation (not re-exported here: they sit on top of the simulator).
+  evaluation; they sit on top of the simulator, so
+  :mod:`repro.mac.variants` names them and imports one only when a
+  simulation asks for its class.
+* :mod:`repro.mac.variants` -- the protocol-variant registry.
 """
-
-from repro.mac.aggregation import airtime_for_bits, bits_in_airtime
-from repro.mac.bitrate import HistoricalRateController, choose_bitrate
-from repro.mac.csma import ContentionRound, DcfContender, resolve_contention
-from repro.mac.frames import Packet
-from repro.mac.handshake import HandshakeOverhead, handshake_overhead
-from repro.mac.plan import (
-    PlannedReceiver,
-    ProtectedReceiver,
-    StreamPlan,
-    TransmissionPlan,
-    plan_initial_transmission,
-    plan_join,
-)
-from repro.mac.power_control import admission_power_scale, interference_power_db
-from repro.mac.retransmission import RetransmissionQueue
-
-__all__ = [
-    "Packet",
-    "choose_bitrate",
-    "HistoricalRateController",
-    "admission_power_scale",
-    "interference_power_db",
-    "bits_in_airtime",
-    "airtime_for_bits",
-    "handshake_overhead",
-    "HandshakeOverhead",
-    "TransmissionPlan",
-    "StreamPlan",
-    "ProtectedReceiver",
-    "PlannedReceiver",
-    "plan_initial_transmission",
-    "plan_join",
-    "DcfContender",
-    "ContentionRound",
-    "resolve_contention",
-    "RetransmissionQueue",
-]

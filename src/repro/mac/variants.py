@@ -50,7 +50,7 @@ an attempt fails on a lossy link:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.constants import (
     DEFAULT_ERASURE_K,
@@ -205,12 +205,23 @@ RECOVERY_PARAMS: Tuple[ParamSpec, ...] = (
 
 @dataclass(frozen=True)
 class ProtocolVariant:
-    """A registered protocol: its agent class and parameter schema."""
+    """A registered protocol: its agent class and parameter schema.
+
+    ``load_agent`` returns the agent class.  A built-in variant's loader
+    imports the agent's module on first call, so resolving and validating
+    a protocol -- all a sweep's plan stage and a replay of stored cells
+    do -- loads no agent, and with it none of the round loop, MIMO or PHY.
+    """
 
     name: str
-    agent_class: type
+    load_agent: Callable[[], type]
     params: Tuple[ParamSpec, ...] = RECOVERY_PARAMS
     description: str = ""
+
+    @property
+    def agent_class(self) -> type:
+        """The agent class simulating this variant."""
+        return self.load_agent()
 
     @property
     def supports_joining(self) -> bool:
@@ -237,8 +248,43 @@ class ProtocolVariant:
         return ", ".join(f"{spec.name}={spec.default!r}" for spec in self.params)
 
 
-_VARIANTS: Dict[str, ProtocolVariant] = {}
-_BUILTINS_REGISTERED = False
+# The built-in agents sit on top of the round loop, so each loader imports
+# its agent's module only when a simulation first asks for the class.
+
+
+def _csma() -> type:
+    from repro.mac.plain_csma import CsmaMac
+
+    return CsmaMac
+
+
+def _dot11n() -> type:
+    from repro.mac.dot11n import Dot11nMac
+
+    return Dot11nMac
+
+
+def _beamforming() -> type:
+    from repro.mac.beamforming import BeamformingMac
+
+    return BeamformingMac
+
+
+def _nplus() -> type:
+    from repro.mac.nplus import NPlusMac
+
+    return NPlusMac
+
+
+_VARIANTS: Dict[str, ProtocolVariant] = {
+    name: ProtocolVariant(name, load_agent, description=description)
+    for name, load_agent, description in (
+        ("csma", _csma, "single-stream DCF baseline (one antenna used per attempt)"),
+        ("802.11n", _dot11n, "single-user spatial multiplexing over DCF (802.11n)"),
+        ("beamforming", _beamforming, "multi-user beamforming from one transmitter"),
+        ("n+", _nplus, "the paper's n+: joiners null/align into ongoing frames"),
+    )
+}
 
 
 def register_variant(
@@ -265,7 +311,7 @@ def register_variant(
         raise ConfigurationError(f"protocol variant {name!r} is already registered")
     entry = ProtocolVariant(
         name=name,
-        agent_class=agent_class,
+        load_agent=lambda: agent_class,
         params=tuple(params),
         description=description,
     )
@@ -273,32 +319,8 @@ def register_variant(
     return entry
 
 
-def _ensure_registered() -> None:
-    """Register the built-in variants (lazily: agents import the simulator)."""
-    global _BUILTINS_REGISTERED
-    if _BUILTINS_REGISTERED:
-        return
-    from repro.mac.beamforming import BeamformingMac
-    from repro.mac.dot11n import Dot11nMac
-    from repro.mac.nplus import NPlusMac
-    from repro.mac.plain_csma import CsmaMac
-
-    _BUILTINS_REGISTERED = True
-    for agent_class, description in (
-        (CsmaMac, "single-stream DCF baseline (one antenna used per attempt)"),
-        (Dot11nMac, "single-user spatial multiplexing over DCF (802.11n)"),
-        (BeamformingMac, "multi-user beamforming from one transmitter"),
-        (NPlusMac, "the paper's n+: joiners null/align into ongoing frames"),
-    ):
-        if agent_class.protocol_name not in _VARIANTS:
-            register_variant(
-                agent_class.protocol_name, agent_class, description=description
-            )
-
-
 def variant(name: str) -> ProtocolVariant:
     """Look up a registered variant, or raise listing what exists."""
-    _ensure_registered()
     try:
         return _VARIANTS[name]
     except KeyError:
@@ -313,7 +335,6 @@ def variant(name: str) -> ProtocolVariant:
 
 def available_variants() -> Tuple[ProtocolVariant, ...]:
     """All registered variants, sorted by name."""
-    _ensure_registered()
     return tuple(_VARIANTS[name] for name in sorted(_VARIANTS))
 
 

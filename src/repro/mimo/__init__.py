@@ -11,28 +11,3 @@ interference alignment and multi-dimensional carrier sense.
 * :mod:`repro.mimo.carrier_sense` -- multi-dimensional carrier sense
   (§3.2, Fig. 6).
 """
-
-from repro.mimo.dof import InterferenceStrategy, max_concurrent_streams, choose_strategy
-from repro.mimo.nulling import nulling_precoders
-from repro.mimo.alignment import alignment_constraint_rows
-from repro.mimo.precoder import ReceiverConstraint, compute_precoders
-from repro.mimo.decoder import (
-    zero_forcing_decode,
-    project_and_decode,
-    post_projection_snr_db,
-)
-from repro.mimo.carrier_sense import MultiDimensionalCarrierSense
-
-__all__ = [
-    "InterferenceStrategy",
-    "max_concurrent_streams",
-    "choose_strategy",
-    "nulling_precoders",
-    "alignment_constraint_rows",
-    "ReceiverConstraint",
-    "compute_precoders",
-    "zero_forcing_decode",
-    "project_and_decode",
-    "post_projection_snr_db",
-    "MultiDimensionalCarrierSense",
-]

@@ -19,17 +19,3 @@ the paper's USRP2/GNURadio prototype in simulation:
 * :mod:`repro.phy.rates` -- the 802.11 modulation-and-coding-scheme table.
 * :mod:`repro.phy.transceiver` -- the end-to-end multi-antenna TX/RX chain.
 """
-
-from repro.phy.modulation import Modulation, get_modulation, MODULATIONS
-from repro.phy.rates import MCS, MCS_TABLE
-from repro.phy.esnr import esnr_db, select_mcs
-
-__all__ = [
-    "Modulation",
-    "get_modulation",
-    "MODULATIONS",
-    "MCS",
-    "MCS_TABLE",
-    "esnr_db",
-    "select_mcs",
-]

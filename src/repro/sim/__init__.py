@@ -16,48 +16,15 @@ nulling/alignment.
 * :mod:`repro.sim.network` -- nodes + channels + hardware for one run.
 * :mod:`repro.sim.scenarios` -- the registered topologies: the paper's
   Figs. 2, 3 and 4 plus the dense-LAN family.
+* :mod:`repro.sim.spec` -- the run parameters resolved against a
+  scenario, and the seed scheme of a sweep.
 * :mod:`repro.sim.runner` -- the contention/transmission round loop.
 * :mod:`repro.sim.sweep` -- parallel, cached placement x protocol sweeps.
+* :mod:`repro.sim.store` -- the durable results store of a sweep.
+
+A sweep's *plan layer* (``scenarios``, ``spec``, ``faults``,
+``invariants``, ``metrics``, ``store`` and ``sweep`` itself) resolves the
+grid and reads stored cells; its *run layer* (``runner`` and everything
+it imports, ``fidelity``, ``supervisor``, ``capsule``) loads only when a
+cell is simulated.
 """
-
-from repro.sim.node import Station, TrafficPair
-from repro.sim.medium import Medium, ScheduledStream
-from repro.sim.traffic import SaturatedSource, PoissonSource
-from repro.sim.metrics import LinkMetrics, NetworkMetrics
-from repro.sim.network import Network
-from repro.sim.scenarios import (
-    Scenario,
-    available_scenarios,
-    dense_lan_scenario,
-    heterogeneous_ap_scenario,
-    register_scenario,
-    scenario_factory,
-    three_pair_scenario,
-    two_pair_scenario,
-)
-from repro.sim.runner import SimulationConfig, run_simulation
-from repro.sim.sweep import SweepResult, run_sweep
-
-__all__ = [
-    "Station",
-    "TrafficPair",
-    "Medium",
-    "ScheduledStream",
-    "SaturatedSource",
-    "PoissonSource",
-    "LinkMetrics",
-    "NetworkMetrics",
-    "Network",
-    "Scenario",
-    "available_scenarios",
-    "dense_lan_scenario",
-    "register_scenario",
-    "scenario_factory",
-    "three_pair_scenario",
-    "two_pair_scenario",
-    "heterogeneous_ap_scenario",
-    "SimulationConfig",
-    "run_simulation",
-    "SweepResult",
-    "run_sweep",
-]

@@ -171,7 +171,7 @@ def build_capsule(
     run spec materialises the fault schedule the failing run saw on
     ``scenario`` (the constructed scenario object), so a traced cell
     does not read its trace file again.  ``config`` is the sweep's
-    :class:`~repro.sim.runner.SimulationConfig`, recorded as given;
+    :class:`~repro.sim.spec.SimulationConfig`, recorded as given;
     ``error`` is the sweep's ``"TypeName: message"`` string.
     ``traceback_text`` is ``None`` only for a cell lost to worker deaths
     or a timeout; ``events`` exist only for a crash inside a simulation.
@@ -264,8 +264,8 @@ def replay_capsule(
     """
     from repro.mac.variants import resolve_protocol
     from repro.sim.faults import FaultSchedule
-    from repro.sim.runner import RunSpec, SimulationConfig
     from repro.sim.scenarios import scenario_factory
+    from repro.sim.spec import RunSpec, SimulationConfig
     from repro.sim.sweep import Cell, scenario_digest
 
     if not isinstance(capsule, CrashCapsule):

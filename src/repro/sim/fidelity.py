@@ -76,11 +76,10 @@ from repro.phy.transceiver import MimoReceiver, MimoTransmitter, StreamConfig
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.medium import ScheduledStream
 from repro.sim.network import _subcarrier_bins
+from repro.sim.spec import DEFAULT_BAND_DB, RunSpec
 
 __all__ = [
     "PHY_STREAM_TAG",
-    "FIDELITY_MODES",
-    "DEFAULT_BAND_DB",
     "DEFAULT_PROBE_BITS",
     "phy_stream_rng",
     "simulate_probe_delivery",
@@ -94,15 +93,6 @@ __all__ = [
 #: (payload bits and AWGN), decorrelating them from the backoff/delivery,
 #: estimation, arrival and fault streams.
 PHY_STREAM_TAG = 0x706879  # "phy"
-
-#: The three fidelity tiers, in increasing PHY cost.
-FIDELITY_MODES = ("abstraction", "auto", "full")
-
-#: Half-width (dB) of the uncertainty band around the delivery cliff.
-#: Calibrated against the real chain: at ``margin = +band`` the probe
-#: delivers essentially always, at ``margin = -band`` essentially never,
-#: so outside the band the abstraction's confident verdicts can stand.
-DEFAULT_BAND_DB = 3.0
 
 #: Probe payload length (bits).  Long enough that the coded chain shows a
 #: sharp delivery cliff (short probes let Viterbi luck out several dB
@@ -453,7 +443,7 @@ def cross_validate_links(
     function of its arguments -- which is what lets the standing tier-1
     test pin its agreement rates.
     """
-    from repro.sim.runner import RunSpec, build_network
+    from repro.sim.runner import build_network
     from repro.sim.scenarios import scenario_factory
 
     if isinstance(scenario, str):

@@ -12,7 +12,7 @@ round and the links involved -- the moment one breaks, which is exactly
 the point a crash capsule (:mod:`repro.sim.capsule`) is most useful.
 
 Three validation modes, resolved from ``SimulationConfig.validation`` by
-:meth:`repro.sim.runner.RunSpec.resolve` like every other simulation knob:
+:meth:`repro.sim.spec.RunSpec.resolve` like every other simulation knob:
 
 ``"off"``
     The default.  No checker runs; the loops carry ``invariants=None``

@@ -33,12 +33,12 @@ from repro.channel.multipath import (
     taps_from_normals,
 )
 from repro.channel.testbed import Testbed, default_testbed
-from repro.constants import NUM_DATA_SUBCARRIERS
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.sim.node import Station, TrafficPair
+from repro.sim.spec import check_subcarrier_count
 from repro.utils.db import db_to_linear
 
-__all__ = ["ChannelBank", "Network", "check_subcarrier_count"]
+__all__ = ["ChannelBank", "Network"]
 
 #: The recognised channel-draw contracts, most recent first.  "grouped"
 #: is the v3 contract (scalars-first, one tap draw per antenna-shape
@@ -50,20 +50,6 @@ DRAW_CONTRACTS = ("grouped", "batched")
 #: directed links in :class:`ChannelBank`; ids must stay below 2**31 so
 #: packed keys cannot overflow the signed 64-bit key array.
 _PAIR_KEY_BASE = 1 << 31
-
-
-def check_subcarrier_count(n_subcarriers: int) -> None:
-    """Refuse a subcarrier resolution the OFDM layout cannot provide.
-
-    The link abstraction tracks a subset of the 48 data subcarriers, so
-    ``n_subcarriers`` must lie in ``1..NUM_DATA_SUBCARRIERS``; anything
-    else raises :class:`~repro.exceptions.ConfigurationError`.
-    """
-    if not 1 <= n_subcarriers <= NUM_DATA_SUBCARRIERS:
-        raise ConfigurationError(
-            f"n_subcarriers must be between 1 and {NUM_DATA_SUBCARRIERS} "
-            f"(the OFDM data subcarriers), got {n_subcarriers}"
-        )
 
 
 @lru_cache(maxsize=None)

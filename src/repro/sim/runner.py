@@ -42,44 +42,33 @@ processes and still match a serial sweep byte for byte.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.constants import SLOT_TIME_US
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import SimulationError
 from repro.mac.csma import resolve_contention
 from repro.mac.plan import PlanCache
 from repro.mac.variants import ProtocolLike, resolve_protocol
 from repro.phy.esnr import packet_delivery_probability
-from repro.sim.faults import (
-    FaultInjector,
-    FaultSchedule,
-    LossEpisode,
-    fault_profile,
-    read_trace,
-)
-from repro.sim.fidelity import DEFAULT_BAND_DB, FIDELITY_MODES, FidelityEngine
-from repro.sim.invariants import VALIDATION_MODES, InvariantSuite
+from repro.sim.faults import FaultInjector, FaultSchedule, fault_profile
+from repro.sim.fidelity import FidelityEngine
+from repro.sim.invariants import InvariantSuite
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.metrics import NetworkMetrics
-from repro.sim.network import Network, check_subcarrier_count
+from repro.sim.network import Network
 from repro.sim.scenarios import Scenario
+from repro.sim.spec import RunSpec, SimulationConfig
 from repro.sim.traffic import TrafficStateArrays
 
 __all__ = [
-    "SimulationConfig",
-    "RunSpec",
     "run_simulation",
     "build_network",
     "build_fault_schedule",
-    "placement_seed",
-    "mac_seed",
 ]
 
 #: Stream tag mixed into the simulation seed for channel-estimation noise,
@@ -95,92 +84,6 @@ _ARRIVAL_STREAM_TAG = 0x617272  # "arr"
 
 
 @dataclass
-class SimulationConfig:
-    """Parameters of one simulation run.
-
-    The config is resolved against the scenario's hints into a
-    :class:`RunSpec`, whose key payload is part of the results-cache key
-    used by :mod:`repro.sim.sweep`: two runs with equal resolved specs
-    (and equal scenario, protocol and seed) produce identical metrics,
-    and any change to a resolved value invalidates the cached entry.
-
-    Attributes
-    ----------
-    duration_us:
-        Length of the observation window in simulated microseconds.  The
-        last transmission round may run past it; the metrics normalise by
-        the actual elapsed time.
-    packet_size_bytes:
-        Payload of every generated packet (1500 in the paper).
-    n_subcarriers:
-        Number of OFDM data subcarriers tracked by the link abstraction,
-        between 1 and 48.  16 keeps runs fast while retaining frequency
-        selectivity; 48 tracks every data subcarrier; 8 is a common
-        test/CI setting.
-    min_join_airtime_us:
-        A joiner needs at least this much airtime left in the ongoing
-        transmission to bother joining (n+ only).
-    bitrate_margin_db:
-        Safety margin subtracted from the measured effective SNR before
-        selecting a bitrate.
-    max_rounds:
-        Hard cap on transmission rounds (guards against runaway loops); a
-        run that exceeds it raises :class:`~repro.exceptions.SimulationError`.
-    packet_rate_pps:
-        Per-flow Poisson packet arrival rate; a positive rate models
-        bursty traffic.  ``None`` (the default) defers to the scenario's
-        hint (the bursty dense-LAN scenarios suggest one), else the
-        saturated sources of the paper's evaluation; ``0`` forces
-        saturated sources even on a bursty scenario.
-    fault_profile:
-        Name of a registered fault profile (:mod:`repro.sim.faults`) to
-        inject -- deep fades, loss episodes, station churn.  ``None``
-        defers to the scenario's hint (``"mixed"`` on the
-        ``dense-lan-*-faulty`` variants); ``"none"`` or ``""`` disables
-        faults even on such a scenario.
-    fault_trace:
-        Path to a JSON/CSV loss-trace file
-        (:func:`repro.sim.faults.read_trace`) whose
-        episodes are injected in addition to the profile's.  The cache
-        key covers the file's *content*, not its path.
-    fidelity:
-        PHY fidelity tier (:mod:`repro.sim.fidelity`): ``"abstraction"``
-        predicts every delivery from the link abstraction, ``"auto"``
-        escalates receptions whose delivery margin falls inside the
-        uncertainty band to a real transceiver probe whose verdict
-        overrides the abstraction's coin, and ``"full"`` escalates every
-        evaluated reception.  ``None`` defers to the scenario's hint,
-        else ``"abstraction"``.
-    fidelity_band_db:
-        Half-width (dB) of the ``"auto"`` uncertainty band around the
-        delivery cliff.  ``None`` defers to the scenario's hint, else
-        :data:`repro.sim.fidelity.DEFAULT_BAND_DB`.
-    validation:
-        Runtime invariant checking (:mod:`repro.sim.invariants`):
-        ``"off"`` (the default for ``None``) runs no checkers,
-        ``"cheap"`` verifies the aggregate conservation laws at
-        transmission-round boundaries, ``"full"`` additionally checks
-        every link and queue each round (the mode ``repro replay``
-        re-executes crash capsules under).  Validation never changes
-        seeded results -- a violated invariant raises instead -- so it
-        is left out of the sweep cache key.
-    """
-
-    duration_us: float = 100_000.0
-    packet_size_bytes: int = 1500
-    n_subcarriers: int = 16
-    min_join_airtime_us: float = 96.0
-    bitrate_margin_db: float = 1.0
-    max_rounds: int = 200_000
-    packet_rate_pps: Optional[float] = None
-    fault_profile: Optional[str] = None
-    fault_trace: Optional[str] = None
-    fidelity: Optional[str] = None
-    fidelity_band_db: Optional[float] = None
-    validation: Optional[str] = None
-
-
-@dataclass
 class _TransmissionGroup:
     """One (transmitter, receiver) reception to evaluate at the end."""
 
@@ -190,127 +93,6 @@ class _TransmissionGroup:
     payload_bits: int
     collided: bool = False
     joined: bool = False
-
-
-#: :class:`RunSpec` fields left out of its cache key: ``validation`` never
-#: changes results (a violated invariant raises instead of altering the
-#: run), and the parsed ``trace_episodes`` are covered by ``fault_trace``,
-#: the SHA-256 of the trace file they were read from.
-_UNKEYED_FIELDS = ("validation", "trace_episodes")
-
-
-def _check_mode(name: str, modes: Sequence[str], what: str) -> None:
-    if name not in modes:
-        raise ConfigurationError(f"unknown {what} {name!r}; choose from {modes}")
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """A :class:`SimulationConfig` with every scenario hint resolved.
-
-    :meth:`resolve` is *the* resolution rule -- the only place where an
-    explicit config value is merged with a scenario hint -- and every
-    consumer (network build, fault schedule, agents, round loop, sweep
-    keys, capsule replay, the fidelity report) reads the resolved values
-    from here.  Fields keep their config names and hold the value in
-    effect: ``channel_draws`` is the scenario's contract (``"batched"``
-    unless it declares another), ``fault_trace`` the SHA-256 of the
-    trace file's bytes (its episodes in ``trace_episodes``), and every
-    other hinted field the config value when set, else the hint, else
-    the default.  :attr:`key_payload` is what a sweep cell's cache key
-    hashes: resolved values, not spellings.
-    """
-
-    duration_us: float
-    packet_size_bytes: int
-    n_subcarriers: int
-    min_join_airtime_us: float
-    bitrate_margin_db: float
-    max_rounds: int
-    packet_rate_pps: Optional[float]
-    channel_draws: str
-    fault_profile: Optional[str]
-    fault_trace: Optional[str]
-    trace_episodes: Tuple[LossEpisode, ...]
-    fidelity: str
-    fidelity_band_db: float
-    validation: str
-
-    @classmethod
-    def resolve(
-        cls,
-        scenario: Scenario,
-        config: Union[SimulationConfig, "RunSpec", None] = None,
-    ) -> "RunSpec":
-        """Resolve ``config`` against ``scenario``'s hints.
-
-        A :class:`RunSpec` is already resolved and passes through
-        unchanged.  Raises :class:`~repro.exceptions.ConfigurationError`
-        for a subcarrier count outside ``1..48``, an unknown fidelity
-        tier, validation mode or fault profile, and for an unreadable or
-        malformed fault trace.
-        """
-        if isinstance(config, RunSpec):
-            return config
-        config = config or SimulationConfig()
-        check_subcarrier_count(config.n_subcarriers)
-
-        def hinted(name: str):
-            value = getattr(config, name)
-            return getattr(scenario, name) if value is None else value
-
-        rate = hinted("packet_rate_pps")
-        if config.packet_rate_pps is not None and config.packet_rate_pps <= 0:
-            rate = None  # explicitly saturated
-        profile = hinted("fault_profile")
-        if profile in ("", "none"):
-            profile = None
-        elif profile is not None:
-            fault_profile(profile)  # unknown names fail here, not mid-run
-        trace_digest, trace_episodes = None, ()
-        if config.fault_trace:
-            trace_digest, schedule = read_trace(config.fault_trace)
-            trace_episodes = tuple(schedule.episodes)
-        fidelity = hinted("fidelity") or "abstraction"
-        _check_mode(fidelity, FIDELITY_MODES, "fidelity")
-        band = hinted("fidelity_band_db")
-        validation = config.validation or "off"
-        _check_mode(validation, VALIDATION_MODES, "validation mode")
-        return cls(
-            duration_us=config.duration_us,
-            packet_size_bytes=config.packet_size_bytes,
-            n_subcarriers=config.n_subcarriers,
-            min_join_airtime_us=config.min_join_airtime_us,
-            bitrate_margin_db=config.bitrate_margin_db,
-            max_rounds=config.max_rounds,
-            packet_rate_pps=rate,
-            channel_draws=scenario.channel_draws or "batched",
-            fault_profile=profile,
-            fault_trace=trace_digest,
-            trace_episodes=trace_episodes,
-            fidelity=fidelity,
-            fidelity_band_db=float(band) if band is not None else DEFAULT_BAND_DB,
-            validation=validation,
-        )
-
-    @cached_property
-    def key_payload(self) -> dict:
-        """The result-determining fields as a JSON-able dict (computed once).
-
-        A fault profile is keyed by its parameters, so retuning a
-        registered profile misses the cache.
-        """
-        payload = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name not in _UNKEYED_FIELDS
-        }
-        if self.fault_profile is not None:
-            payload["fault_profile"] = {
-                "name": self.fault_profile,
-                "params": dataclasses.asdict(fault_profile(self.fault_profile)),
-            }
-        return payload
 
 
 def build_fault_schedule(
@@ -897,27 +679,6 @@ def run_simulation(
         # exception itself propagates unchanged.
         exc._repro_event_ring = list(loop.event_ring)
         raise
-
-
-def placement_seed(seed: int, run: int) -> int:
-    """The seed of run ``run`` in a sweep whose base seed is ``seed``.
-
-    Placements and channels are drawn from ``placement_seed(seed, run)``;
-    the MAC simulation of every protocol on that placement uses
-    :func:`mac_seed` of it.  :class:`repro.sim.sweep.Cell` applies this
-    scheme to every sweep cell, which is what makes cells interchangeable
-    (and cacheable per run).
-    """
-    return seed + 1000 * run
-
-
-def mac_seed(run_seed: int) -> int:
-    """The MAC-simulation seed of a run whose placement seed is ``run_seed``.
-
-    Offset from the placement seed so backoff/delivery draws are
-    decorrelated from the channel draws.
-    """
-    return run_seed + 17
 
 
 def build_network(

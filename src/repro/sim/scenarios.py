@@ -52,8 +52,8 @@ class Scenario:
     """A set of stations and traffic pairs.
 
     The fields after ``testbed_factory`` are *hints*, merged with a
-    :class:`~repro.sim.runner.SimulationConfig` by
-    :meth:`repro.sim.runner.RunSpec.resolve`: an explicit config value
+    :class:`~repro.sim.spec.SimulationConfig` by
+    :meth:`repro.sim.spec.RunSpec.resolve`: an explicit config value
     beats every hint but ``channel_draws``, and the resolved values, not
     the hints, reach the sweep cache key.
 
@@ -91,7 +91,7 @@ class Scenario:
         ``"full"``.
     fidelity_band_db:
         Suggested uncertainty-band half-width (dB) for the ``"auto"``
-        tier; ``None`` means :data:`repro.sim.fidelity.DEFAULT_BAND_DB`.
+        tier; ``None`` means :data:`repro.sim.spec.DEFAULT_BAND_DB`.
     """
 
     name: str

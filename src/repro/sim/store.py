@@ -169,7 +169,9 @@ class ResultsStore:
     :func:`store_path`).  Opening is self-healing: a file SQLite refuses
     to read is set aside as ``*.corrupt.<pid>`` and a fresh store is
     created -- the corrupt-entry-as-miss policy at whole-store
-    granularity.
+    granularity.  A store SQLite can read but not use now (an
+    :class:`sqlite3.OperationalError`, e.g. locked by another
+    connection past the busy timeout) raises and stays in place.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -199,6 +201,11 @@ class ResultsStore:
                 raise ConfigurationError(
                     f"cannot create results store at {self.path}: {exc}"
                 ) from exc
+            if isinstance(exc, sqlite3.OperationalError):
+                # The file is fine but SQLite could not use it now -- most
+                # often another connection held the write lock past the
+                # busy timeout -- so it stays where it is.
+                raise
             # An unreadable database (torn beyond WAL recovery, or not
             # SQLite at all) is set aside, not fatal: the cells it held
             # become misses.

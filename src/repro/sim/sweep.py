@@ -34,14 +34,17 @@ at most ``max_worker_requeues`` times.  A task that raises fails its
 cells on the first attempt, since its replay would raise again.
 
 A sweep runs in three stages.  The **plan** stage resolves the config
-once into a :class:`~repro.sim.runner.RunSpec`, lays out the grid as
+once into a :class:`~repro.sim.spec.RunSpec`, lays out the grid as
 cells, replays store hits and cuts the misses into tasks (lists of cells
 sharing one run).  The **execute** stage consumes one stream of task
 events --
 :class:`~repro.sim.supervisor.WorkerSupervisor`'s for several workers,
 :func:`~repro.sim.supervisor.in_process_events` for one.  The **record**
 stage turns those events into store writes, :class:`FailedCell` records
-and crash capsules.
+and crash capsules.  Only the plan stage's modules are imported with this
+one; the supervisor, the capsules and the round loop
+(:mod:`repro.sim.runner`) are imported by the stages that use them, so a
+sweep whose every cell is stored -- a replay -- never loads them.
 
 All of this is possible because every cell is a pure function of its
 coordinates: run ``r`` draws placements/channels from ``seed + 1000 * r``
@@ -88,34 +91,29 @@ import traceback as _traceback
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.channel.testbed import default_testbed
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.variants import ProtocolLike, ProtocolSpec, resolve_protocol
-from repro.sim.capsule import CAPSULE_DIRNAME, build_capsule, write_capsule
 from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import NetworkMetrics
-from repro.sim.network import Network
-from repro.sim.runner import (
-    RunSpec,
-    SimulationConfig,
-    build_fault_schedule,
-    build_network,
-    mac_seed,
-    placement_seed,
-    run_simulation,
-)
 from repro.sim.scenarios import Scenario, scenario_factory
+from repro.sim.spec import RunSpec, SimulationConfig, mac_seed, placement_seed
 from repro.sim.store import ResultsStore
-from repro.sim.supervisor import (
-    TaskAssigned,
-    TaskDone,
-    TaskFailed,
-    WorkerDeath,
-    WorkerSupervisor,
-    in_process_events,
-)
+
+if TYPE_CHECKING:
+    from repro.sim.network import Network
 
 __all__ = [
     "Cell",
@@ -144,7 +142,7 @@ __all__ = [
 #:    complete (quarantining the link), and metrics carry
 #:    ``quarantined_rounds``.
 #:    Still 7 after the key payload became the resolved
-#:    :class:`~repro.sim.runner.RunSpec` (hinted values resolved, the
+#:    :class:`~repro.sim.spec.RunSpec` (hinted values resolved, the
 #:    fault trace keyed by content, ``validation`` left out, the scenario
 #:    hints out of the structure digest): metrics are bit-identical, and
 #:    the changed payload already misses every cell keyed the old way.
@@ -152,6 +150,30 @@ __all__ = [
 #:    einsum, so grouped channels differ from v7's at the ulp level (v2
 #:    ``"batched"`` channels are bit-identical).
 CACHE_SCHEMA_VERSION = 8
+
+
+# The run layer -- the round loop of repro.sim.runner and everything it
+# imports -- loads only when a cell is simulated, so a sweep whose cells
+# are all stored never imports it.  These two functions are the sweep's
+# doors into it, and stay module-level names that the cells call through:
+# tests replace ``build_network`` to crash chosen runs, and perfbench's
+# tracer wraps ``run_simulation`` as its ``runner`` layer.
+
+
+def build_network(
+    scenario: Scenario, run_seed: int, config: Union[SimulationConfig, RunSpec]
+) -> Network:
+    """Draw one run's network: :func:`repro.sim.runner.build_network`."""
+    from repro.sim import runner
+
+    return runner.build_network(scenario, run_seed, config)
+
+
+def run_simulation(scenario: Scenario, protocol: ProtocolLike, **kwargs) -> NetworkMetrics:
+    """Simulate one cell: :func:`repro.sim.runner.run_simulation`."""
+    from repro.sim import runner
+
+    return runner.run_simulation(scenario, protocol, **kwargs)
 
 
 def _digest(payload) -> str:
@@ -182,7 +204,7 @@ def scenario_digest(scenario: Scenario) -> str:
     cells automatically instead of replaying stale results under the old
     name.  The scenario's *hints* (packet rate, draw contract, fault
     profile, fidelity) are not structure: they reach the key resolved,
-    through the :class:`~repro.sim.runner.RunSpec` key payload.
+    through the :class:`~repro.sim.spec.RunSpec` key payload.
 
     Scenarios without a testbed factory are simulated on
     :func:`~repro.channel.testbed.default_testbed`, so that *effective*
@@ -233,11 +255,11 @@ class Cell:
     the grid be computed in any order, in any process, or replayed from
     the store.  The seed scheme lives here and nowhere else: run ``r`` of
     a sweep with base seed ``seed`` draws its placement and channels from
-    :func:`~repro.sim.runner.placement_seed` (see :meth:`grid`), and its
-    MAC simulation runs from :func:`~repro.sim.runner.mac_seed` of that
+    :func:`~repro.sim.spec.placement_seed` (see :meth:`grid`), and its
+    MAC simulation runs from :func:`~repro.sim.spec.mac_seed` of that
     run seed.  ``fingerprint`` is the scenario's :func:`scenario_digest`
     (``None`` without a results store) and ``run_spec`` the sweep's
-    resolved :class:`~repro.sim.runner.RunSpec`.
+    resolved :class:`~repro.sim.spec.RunSpec`.
     """
 
     scenario_key: Optional[str]
@@ -274,7 +296,7 @@ class Cell:
         """The cell's cache key (computed once).
 
         Hashes the resolved run spec's
-        :attr:`~repro.sim.runner.RunSpec.key_payload` (resolved values,
+        :attr:`~repro.sim.spec.RunSpec.key_payload` (resolved values,
         not spellings), the scenario's structural fingerprint next to its
         registry name, and the spec-canonical protocol coordinate, so a
         bare name and its default-parameter spec share a key while any
@@ -307,6 +329,8 @@ class Cell:
 
     def fault_schedule(self, scenario: Scenario) -> Optional[FaultSchedule]:
         """The fault episodes this cell's simulation injects."""
+        from repro.sim.runner import build_fault_schedule
+
         return build_fault_schedule(scenario, self.run_spec, mac_seed(self.run_seed))
 
     def simulate(
@@ -604,11 +628,19 @@ def _plan_sweep(
     )
     if cache_dir is not None:
         plan.store = ResultsStore(cache_dir)
-    _scan_grid(plan)
-    if plan.store is not None:
-        _begin_sweep(plan, resume, seed)
-    if plan.tasks:
-        _chunk_tasks(plan, default_workers() if workers is None else workers)
+    try:
+        _scan_grid(plan)
+        if plan.store is not None:
+            _begin_sweep(plan, resume, seed)
+        if plan.tasks:
+            _chunk_tasks(plan, default_workers() if workers is None else workers)
+    except BaseException:
+        # A refusal after the open (a resume with nothing to resume, a bad
+        # REPRO_WORKERS) must not leave the store's connection, and its
+        # -wal/-shm files, open until a garbage collection.
+        if plan.store is not None:
+            plan.store.close()
+        raise
     return plan
 
 
@@ -700,10 +732,18 @@ def _chunk_tasks(plan: _SweepPlan, workers: int) -> None:
 def _execute(plan: _SweepPlan, recorder: "_Recorder", **pool_options) -> None:
     """The execute stage: drive the tasks, feeding every event to ``recorder``.
 
-    Several workers run under a :class:`WorkerSupervisor`, one in process
-    through :func:`in_process_events`: the same event stream.  Closing the
-    stream tears a worker pool down.
+    Several workers run under a
+    :class:`~repro.sim.supervisor.WorkerSupervisor`, one in process
+    through :func:`~repro.sim.supervisor.in_process_events`: the same
+    event stream.  Closing the stream tears a worker pool down.  The round
+    loop and the grid's agent classes are imported first, before a pool
+    forks, so every worker inherits them instead of importing them itself.
     """
+    from repro.sim import runner  # noqa: F401
+    from repro.sim.supervisor import WorkerSupervisor, in_process_events
+
+    for cell in plan.cells[0]:
+        cell.spec.agent_class
     payloads = [(plan.factory, cells) for cells in plan.tasks]
     if plan.n_workers > 1:
         events = WorkerSupervisor(
@@ -744,6 +784,8 @@ class _Recorder:
         stay ``running`` until they settle, and the executor owns
         re-queues and pool size.
         """
+        from repro.sim.supervisor import TaskAssigned, TaskDone, TaskFailed, WorkerDeath
+
         plan = self.plan
         if isinstance(event, TaskAssigned):
             if plan.store is not None:
@@ -778,6 +820,8 @@ class _Recorder:
                 f"sweep cell failed (protocols {[c.spec.key for c in cells]}, "
                 f"run {cells[0].run}, run_seed {cells[0].run_seed}): {error}"
             )
+        from repro.sim.capsule import CAPSULE_DIRNAME, build_capsule, write_capsule
+
         plan = self.plan
         for cell in cells:
             capsule_path = None
@@ -902,10 +946,10 @@ def run_sweep(
         Number of random placements.
     seed:
         Base seed; run ``r`` uses placement seed ``seed + 1000 * r`` (see
-        :func:`repro.sim.runner.placement_seed`).
+        :func:`repro.sim.spec.placement_seed`).
     config:
         Simulation parameters, resolved once against the scenario's
-        hints into a :class:`~repro.sim.runner.RunSpec` whose key payload
+        hints into a :class:`~repro.sim.spec.RunSpec` whose key payload
         is part of every cell's cache key.
     workers:
         Worker processes for the uncached run-level tasks (see the

@@ -11,14 +11,3 @@ that the PHY, MIMO and MAC layers build on:
 * :mod:`repro.utils.guarded` -- SVD and solve wrappers that degrade
   instead of raising on non-finite or singular input.
 """
-
-from repro.utils.db import db_to_linear, linear_to_db, signal_power
-from repro.utils.linalg import null_space, orthonormal_complement
-
-__all__ = [
-    "db_to_linear",
-    "linear_to_db",
-    "signal_power",
-    "null_space",
-    "orthonormal_complement",
-]

@@ -50,11 +50,10 @@ from repro.sim.runner import (
     _TransmissionGroup,
     build_fault_schedule,
     build_network,
-    mac_seed,
-    placement_seed,
     run_simulation,
 )
 from repro.sim.scenarios import Scenario
+from repro.sim.spec import mac_seed, placement_seed
 
 
 def has_traffic(agent, now_us: float) -> bool:

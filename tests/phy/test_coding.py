@@ -8,21 +8,12 @@ from hypothesis import strategies as st
 
 from helpers import bit_error_rate
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.phy.coding import (
-    Codec,
-    ConvolutionalEncoder,
-    PUNCTURE_PATTERNS,
-    default_encoder,
-    deinterleave,
-    depuncture,
-    descramble,
-    interleave,
-    puncture,
-    scramble,
-    viterbi_decode,
-)
-from repro.phy.coding.puncturing import punctured_length
-from repro.phy.coding.scrambler import scrambler_sequence
+from repro.phy.coding.codec import Codec
+from repro.phy.coding.convolutional import ConvolutionalEncoder, default_encoder
+from repro.phy.coding.interleaver import deinterleave, interleave
+from repro.phy.coding.puncturing import PUNCTURE_PATTERNS, depuncture, puncture, punctured_length
+from repro.phy.coding.scrambler import descramble, scramble, scrambler_sequence
+from repro.phy.coding.viterbi import viterbi_decode
 from repro.phy.rates import MCS_TABLE
 from repro.utils.bits import random_bits
 

@@ -1,4 +1,4 @@
-"""The run-resolution rule (:class:`repro.sim.runner.RunSpec`) and what the
+"""The run-resolution rule (:class:`repro.sim.spec.RunSpec`) and what the
 sweep cache keys with it: every field of a scenario or config is either
 structure, a resolved value in the key payload, or declared
 result-neutral; keys compare resolved values, not spellings; a fault
@@ -12,7 +12,8 @@ from functools import partial
 
 import pytest
 
-import repro.sim.runner as runner_module
+import repro.sim.spec as spec_module
+import repro.sim.supervisor as supervisor_module
 import repro.sim.sweep as sweep_module
 from repro.exceptions import ConfigurationError
 from repro.mac.nplus import NPlusMac
@@ -265,8 +266,8 @@ class TestTraceKeying:
         def no_executor(*args, **kwargs):
             raise AssertionError("an executor started before the trace was read")
 
-        monkeypatch.setattr(sweep_module, "WorkerSupervisor", no_executor)
-        monkeypatch.setattr(sweep_module, "in_process_events", no_executor)
+        monkeypatch.setattr(supervisor_module, "WorkerSupervisor", no_executor)
+        monkeypatch.setattr(supervisor_module, "in_process_events", no_executor)
         config = dataclasses.replace(FAST, fault_trace=str(tmp_path / "missing.csv"))
         with pytest.raises(ConfigurationError, match="cannot read fault trace"):
             run_sweep(
@@ -282,9 +283,9 @@ class TestTraceKeying:
         trace = tmp_path / "trace.json"
         trace.write_text(TRACE)
         reads = []
-        real = runner_module.read_trace
+        real = spec_module.read_trace
         monkeypatch.setattr(
-            runner_module, "read_trace", lambda path: reads.append(path) or real(path)
+            spec_module, "read_trace", lambda path: reads.append(path) or real(path)
         )
         config = dataclasses.replace(FAST, fault_trace=str(trace))
         if not crash:

@@ -121,6 +121,27 @@ class TestSelfHealing:
         # ...and the corrupt file was set aside for inspection.
         assert list(tmp_path.glob("*.corrupt.*"))
 
+    def test_a_locked_store_is_not_quarantined(self, tmp_path, monkeypatch):
+        """A new or unstamped store's first open writes its layout; when
+        another connection holds the write lock past the busy timeout,
+        the open raises and the file stays where it is."""
+        from repro.sim import store as store_module
+
+        path = tmp_path / STORE_FILENAME
+        writer = sqlite3.connect(path, isolation_level=None)
+        writer.execute("CREATE TABLE unrelated (x)")
+        before = path.read_bytes()
+        monkeypatch.setattr(store_module, "_BUSY_TIMEOUT_S", 0.2)
+        writer.execute("BEGIN IMMEDIATE")
+        try:
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                ResultsStore(tmp_path)
+        finally:
+            writer.execute("ROLLBACK")
+            writer.close()
+        assert not list(tmp_path.glob("*.corrupt.*"))
+        assert path.read_bytes() == before
+
     @pytest.mark.parametrize(
         "payload",
         ['{"elapsed_us": 100.0, "li', '{"links": 5}', "[1, 2]"],

@@ -18,14 +18,9 @@ from oracles.runner import run_many, run_simulation_condensed_reference
 from repro.exceptions import ConfigurationError
 from repro.mac.variants import resolve_protocol
 from repro.sim.metrics import LinkMetrics, NetworkMetrics
-from repro.sim.runner import (
-    RunSpec,
-    SimulationConfig,
-    build_network,
-    mac_seed,
-    run_simulation,
-)
+from repro.sim.runner import RunSpec, SimulationConfig, build_network, run_simulation
 from repro.sim.scenarios import dense_lan_scenario, three_pair_scenario
+from repro.sim.spec import mac_seed
 from repro.sim.store import ResultsStore
 from repro.sim.sweep import Cell, config_digest, run_sweep, scenario_digest
 
@@ -558,7 +553,7 @@ class TestSweepHardening:
 
     def test_in_process_failure_is_recorded(self, monkeypatch):
         import repro.sim.sweep as sweep_module
-        from repro.sim.runner import placement_seed
+        from repro.sim.spec import placement_seed
         from repro.sim.sweep import FailedCell
 
         bad_seed = placement_seed(4, 1)
@@ -586,7 +581,7 @@ class TestSweepHardening:
     def test_strict_restores_raise_on_failure(self, monkeypatch):
         import repro.sim.sweep as sweep_module
         from repro.exceptions import SimulationError
-        from repro.sim.runner import placement_seed
+        from repro.sim.spec import placement_seed
 
         monkeypatch.setattr(
             sweep_module, "build_network", _crash_on_seed(placement_seed(4, 0))
@@ -605,7 +600,7 @@ class TestSweepHardening:
         if "fork" not in __import__("multiprocessing").get_all_start_methods():
             pytest.skip("needs fork so workers inherit the monkeypatch")
         import repro.sim.sweep as sweep_module
-        from repro.sim.runner import placement_seed
+        from repro.sim.spec import placement_seed
 
         bad_seed = placement_seed(4, 1)
         monkeypatch.setattr(sweep_module, "build_network", _crash_on_seed(bad_seed))
@@ -623,7 +618,7 @@ class TestSweepHardening:
     def test_failed_cells_are_not_cached(self, monkeypatch, tmp_path):
         """A failure leaves no cache entry, so the next sweep recomputes."""
         import repro.sim.sweep as sweep_module
-        from repro.sim.runner import placement_seed
+        from repro.sim.spec import placement_seed
 
         monkeypatch.setattr(
             sweep_module, "build_network", _crash_on_seed(placement_seed(4, 0))
@@ -795,7 +790,7 @@ class TestFailureRule:
 
         import repro.sim.supervisor as supervisor_module
         import repro.sim.sweep as sweep_module
-        from repro.sim.runner import placement_seed
+        from repro.sim.spec import placement_seed
 
         _needs_fork(workers)
         attempts = multiprocessing.Value("i", 0)
@@ -825,7 +820,7 @@ class TestFailureRule:
     ):
         import repro.sim.sweep as sweep_module
         from repro.exceptions import SimulationError
-        from repro.sim.runner import placement_seed
+        from repro.sim.spec import placement_seed
 
         real_run_simulation = sweep_module.run_simulation
 

@@ -8,6 +8,7 @@ sweep) live in test_sweep_kill.py behind the slow marker; here the
 interruptions are injected deterministically in-process.
 """
 
+import gc
 import hashlib
 import sqlite3
 
@@ -16,8 +17,8 @@ import pytest
 from helpers import cell_count
 from oracles.runner import run_many
 from repro.exceptions import ConfigurationError
-from repro.sim.runner import SimulationConfig, placement_seed
 from repro.sim.scenarios import three_pair_scenario
+from repro.sim.spec import SimulationConfig, placement_seed
 from repro.sim.store import ResultsStore, store_path
 from repro.sim.sweep import run_sweep, sweep_manifest_digest
 
@@ -94,6 +95,29 @@ class TestResumeValidation:
                 "three-pair", ["n+"], n_runs=3, seed=4, config=FAST,
                 cache_dir=tmp_path, resume=True,
             )
+
+    def test_a_refused_resume_closes_its_store(self, tmp_path):
+        """Planning that raises after the store opened closes it there, so
+        no connection -- and no ``-wal``/``-shm`` file -- outlives it."""
+        run_sweep(
+            "three-pair", ["n+"], n_runs=1, seed=4, config=FAST, cache_dir=tmp_path
+        )
+        gc.disable()  # only the sweep may close the store, not a collection
+        try:
+            try:
+                run_sweep(
+                    "three-pair", ["n+"], n_runs=3, seed=4, config=FAST,
+                    cache_dir=tmp_path, resume=True,
+                )
+            except ConfigurationError as exc:
+                assert "nothing to resume" in str(exc)
+            else:
+                pytest.fail("resuming an unrecorded grid did not raise")
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                store_path(tmp_path).name
+            ]
+        finally:
+            gc.enable()
 
     def test_resuming_a_completed_sweep_is_a_cheap_no_op(self, tmp_path):
         first = run_sweep(

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -25,6 +27,32 @@ def _modules_loaded_by(statements: str) -> list:
     return json.loads(result.stdout.splitlines()[-1])
 
 
+#: Run-layer modules: only a simulated cell needs them, so neither
+#: ``import repro.cli`` nor a replay of stored cells may load one.
+RUN_LAYER = (
+    "repro.sim.runner",
+    "repro.sim.fidelity",
+    "repro.sim.supervisor",
+    "repro.mac.agent",
+    "repro.phy.transceiver",
+)
+
+
+def _run_layer_modules(loaded: list) -> list:
+    return [
+        name
+        for name in loaded
+        if name in RUN_LAYER or name == "repro.mimo" or name.startswith("repro.mimo.")
+    ]
+
+
+#: A small sweep: three-pair, 802.11n vs n+ on two placements.
+SMALL_SWEEP = [
+    "sweep", "--scenario", "three-pair", "--runs", "2", "--duration-ms", "5",
+    "--subcarriers", "4",
+]
+
+
 class TestRuntimeDependencies:
     """NumPy is the only runtime requirement (README); SciPy is test-only."""
 
@@ -32,6 +60,47 @@ class TestRuntimeDependencies:
         loaded = _modules_loaded_by("import repro.cli")
         assert "repro.cli" in loaded
         assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+
+    def test_importing_the_cli_loads_no_run_layer(self):
+        loaded = _modules_loaded_by("import repro.cli")
+        assert "repro.sim.sweep" in loaded
+        assert _run_layer_modules(loaded) == []
+
+    def test_a_warm_replay_loads_no_run_layer(self, tmp_path):
+        argv = [*SMALL_SWEEP, "--cache-dir", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        loaded = _modules_loaded_by(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "assert '4 cell(s) from cache, 0 simulated' in out.getvalue(), out.getvalue()"
+        )
+        assert "repro.sim.store" in loaded
+        assert _run_layer_modules(loaded) == []
+
+    def test_a_worker_pool_starts_with_the_round_loop_loaded(self):
+        """Forked workers inherit the round loop and the grid's agents
+        rather than each importing them."""
+        argv = [*SMALL_SWEEP, "--workers", "2"]
+        loaded = _modules_loaded_by(
+            "import contextlib, io, sys\n"
+            "from repro.sim import supervisor\n"
+            "at_start = []\n"
+            "original = supervisor.WorkerSupervisor.__init__\n"
+            "def recording_init(self, *args, **kwargs):\n"
+            "    at_start.append(set(sys.modules))\n"
+            "    original(self, *args, **kwargs)\n"
+            "supervisor.WorkerSupervisor.__init__ = recording_init\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "needed = {'repro.sim.runner', 'repro.mac.dot11n', 'repro.mac.nplus'}\n"
+            "assert len(at_start) == 1 and needed <= at_start[0], needed - at_start[0]"
+        )
+        assert "repro.sim.supervisor" in loaded
 
     def test_importing_every_module_loads_no_scipy(self):
         loaded = _modules_loaded_by(
@@ -43,18 +112,24 @@ class TestRuntimeDependencies:
         assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, modules",
         [
-            ["fig12", "--runs", "1", "--duration-ms", "5", "--subcarriers", "4"],
-            ["handshake", "--trials", "2"],
-            [
-                "sweep", "--scenario", "three-pair", "--runs", "1", "--duration-ms", "5",
-                "--subcarriers", "4", "--fidelity", "full",
-            ],
+            (
+                ["fig12", "--runs", "1", "--duration-ms", "5", "--subcarriers", "4"],
+                ("repro.experiments.fig12_throughput", "repro.sim.runner"),
+            ),
+            (["handshake", "--trials", "2"], ("repro.experiments.handshake_overhead",)),
+            (
+                [
+                    "sweep", "--scenario", "three-pair", "--runs", "1", "--duration-ms",
+                    "5", "--subcarriers", "4", "--fidelity", "full",
+                ],
+                ("repro.sim.runner", "repro.sim.fidelity"),
+            ),
         ],
         ids=["fig12", "handshake", "sweep-full-phy"],
     )
-    def test_running_an_experiment_loads_no_scipy(self, argv):
+    def test_running_an_experiment_loads_no_scipy(self, argv, modules):
         # A lazy import inside the simulation (rate selection, the full
         # PHY tier) would slip past the import-time checks above.
         loaded = _modules_loaded_by(
@@ -63,7 +138,8 @@ class TestRuntimeDependencies:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    main({argv!r})"
         )
-        assert "repro.sim.runner" in loaded
+        for module in modules:
+            assert module in loaded
         assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
 
 

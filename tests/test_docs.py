@@ -133,11 +133,8 @@ def test_architecture_named_symbols_exist():
         slot_aligned_idle_end_reference,
     )
     from repro.sim.link_abstraction import announced_decoding_subspace  # noqa: F401
-    from repro.sim.runner import (  # noqa: F401
-        _EventDrivenLoop,
-        _slot_aligned_idle_end,
-        placement_seed,
-    )
+    from repro.sim.runner import _EventDrivenLoop, _slot_aligned_idle_end  # noqa: F401
+    from repro.sim.spec import placement_seed  # noqa: F401
     from repro.sim.sweep import run_sweep  # noqa: F401
     from repro.channel.testbed import dense_testbed  # noqa: F401
     from repro.sim.network import Network
