@@ -15,12 +15,11 @@ from reporting import print_block
 
 from repro.channel.models import complex_gaussian
 from repro.exceptions import PrecodingError
-from repro.mimo.decoder import post_projection_snr_db
-from repro.mimo.nulling import nulling_precoders
-from repro.mimo.precoder import ReceiverConstraint, compute_precoders
+from repro.mimo.decoder import post_projection_snr_batch
+from repro.mimo.precoder import compute_precoders_batch
 from repro.phy.esnr import select_mcs
-from repro.utils.db import db_to_linear
-from repro.utils.linalg import orthonormal_complement
+from repro.utils.db import db_to_linear, linear_to_db
+from repro.utils.linalg import orthonormal_complement_batch
 
 
 def _third_joiner_comparison(n_trials: int = 300, seed: int = 0):
@@ -37,31 +36,29 @@ def _third_joiner_comparison(n_trials: int = 300, seed: int = 0):
         h_rx3 = complex_gaussian((3, 3), rng, gain)
         interference_at_rx2 = complex_gaussian((2, 1), rng, gain)
 
-        # Nulling-only: must null at rx1 (1 antenna) and rx2 (2 antennas).
+        # Nulling-only: must null at rx1 (1 antenna) and rx2 (2 antennas),
+        # i.e. satisfy all three rows of its channels (pre-coders take a
+        # stack of constraint matrices; one matrix is a one-element stack).
         try:
-            precoders = nulling_precoders([h_rx1, h_rx2], 3)
+            precoders = compute_precoders_batch(3, np.concatenate([h_rx1, h_rx2])[None])
             nulling_only_streams.append(precoders.shape[1])
         except PrecodingError:
             nulling_only_streams.append(0)
 
-        # Nulling at rx1 + alignment at rx2.
-        u_perp = orthonormal_complement(interference_at_rx2)[:, :1]
+        # Nulling at rx1 + alignment at rx2 (its row is U_perp^H H, Eq. 6).
+        u_perp = orthonormal_complement_batch(interference_at_rx2[None], 1)[0]
+        rows = np.concatenate([h_rx1, u_perp.conj().T @ h_rx2])
         try:
-            vectors = compute_precoders(
-                3,
-                [
-                    ReceiverConstraint(channel=h_rx1),
-                    ReceiverConstraint(channel=h_rx2, u_perp=u_perp),
-                ],
-            )
+            vectors = compute_precoders_batch(3, rows[None])[0]
         except PrecodingError:
             combined_streams.append(0)
             continue
         combined_streams.append(len(vectors))
         # The joiner's receiver projects out the two ongoing streams.
         ongoing_at_rx3 = complex_gaussian((3, 2), rng, gain)
-        snr = post_projection_snr_db(
-            (h_rx3 @ vectors[0]).reshape(3, 1), ongoing_at_rx3, noise_power=1.0
+        wanted = (h_rx3 @ vectors[0]).reshape(1, 3, 1)
+        snr = linear_to_db(
+            post_projection_snr_batch(wanted, ongoing_at_rx3[None], noise_power=1.0)[0]
         )
         mcs = select_mcs(list(snr) * 8)
         combined_rates_mbps.append(mcs.data_rate_mbps())

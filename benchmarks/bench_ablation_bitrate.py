@@ -16,9 +16,9 @@ from reporting import print_block
 
 from repro.channel.models import complex_gaussian
 from repro.mac.bitrate import HistoricalRateController, choose_bitrate
-from repro.mimo.decoder import post_projection_snr_db
+from repro.mimo.decoder import post_projection_snr_batch
 from repro.phy.esnr import packet_delivery_probability
-from repro.utils.db import db_to_linear
+from repro.utils.db import db_to_linear, linear_to_db
 
 
 def _per_packet_vs_historical(n_packets: int = 2000, seed: int = 0):
@@ -36,7 +36,10 @@ def _per_packet_vs_historical(n_packets: int = 2000, seed: int = 0):
             interference = complex_gaussian((2, 1), rng, db_to_linear(20.0))
         else:
             interference = None
-        snrs = list(post_projection_snr_db(h_wanted, interference, noise_power=1.0)) * 8
+        snr = post_projection_snr_batch(
+            h_wanted[None], None if interference is None else interference[None], noise_power=1.0
+        )[0]
+        snrs = list(linear_to_db(snr)) * 8
 
         # n+: measure on the light-weight RTS, pick per packet.
         mcs = choose_bitrate(snrs, margin_db=1.0)

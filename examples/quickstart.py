@@ -31,11 +31,12 @@ QUICK = bool(os.environ.get("REPRO_QUICK"))
 
 from repro.channel.models import complex_gaussian
 from repro.mimo.carrier_sense import MultiDimensionalCarrierSense
-from repro.mimo.decoder import post_projection_snr_db, project_and_decode
-from repro.mimo.precoder import ReceiverConstraint, compute_precoders
+from repro.mimo.decoder import post_projection_snr_batch
+from repro.mimo.precoder import compute_precoders_batch
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import three_pair_scenario
 from repro.utils.db import db_to_linear, linear_to_db
+from repro.utils.linalg import orthonormal_complement_batch
 
 
 def nulling_example(rng: np.random.Generator) -> None:
@@ -49,7 +50,9 @@ def nulling_example(rng: np.random.Generator) -> None:
     h_tx1_rx2 = complex_gaussian((2, 1), rng, db_to_linear(20.0))
 
     # tx2 nulls at rx1 (Claim 3.3): one pre-coding vector in the null space.
-    precoder = compute_precoders(2, [ReceiverConstraint(channel=h_tx2_rx1)])[0]
+    # The MIMO kernels take a stack of matrices (one per OFDM subcarrier);
+    # a single flat channel is a one-element stack.
+    precoder = compute_precoders_batch(2, h_tx2_rx1[None])[0, 0]
     leak_at_rx1 = np.abs(h_tx2_rx1 @ precoder)[0]
     print(f"interference tx2 leaves at rx1 : {linear_to_db(leak_at_rx1 ** 2):7.1f} dB (ideal: -inf)")
     assert leak_at_rx1**2 < 1e-12, "nulling should cancel tx2 at rx1 to numerical precision"
@@ -64,9 +67,12 @@ def nulling_example(rng: np.random.Generator) -> None:
         + (h_tx2_rx2 @ precoder).reshape(2, 1) @ q.reshape(1, -1)
         + noise
     )
-    decoded = project_and_decode(received, (h_tx2_rx2 @ precoder).reshape(2, 1), h_tx1_rx2)
+    # Project onto the complement of tx1's direction, then zero-force.
+    h_wanted = (h_tx2_rx2 @ precoder).reshape(2, 1)
+    projector = orthonormal_complement_batch(h_tx1_rx2[None], 1)[0]
+    decoded = np.linalg.pinv(projector.conj().T @ h_wanted) @ (projector.conj().T @ received)
     error = float(np.mean(np.abs(decoded - q) ** 2))
-    snr = post_projection_snr_db((h_tx2_rx2 @ precoder).reshape(2, 1), h_tx1_rx2, 1e-2)[0]
+    snr = linear_to_db(post_projection_snr_batch(h_wanted[None], h_tx1_rx2[None], 1e-2)[0, 0])
     print(f"rx2 post-projection SNR        : {snr:7.1f} dB")
     print(f"rx2 symbol error power         : {error:7.4f} (unit-power symbols)")
     assert error < 0.5, "projection decoding should recover tx2's unit-power symbols"

@@ -26,14 +26,14 @@ agents, MIMO or the PHY.
 Quickstart::
 
     import numpy as np
-    from repro.mimo.precoder import ReceiverConstraint, compute_precoders
+    from repro.mimo.precoder import compute_precoders_batch
 
     rng = np.random.default_rng(0)
     # A 2-antenna transmitter joining a single-antenna pair: null at rx1.
-    h_to_rx1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    precoders = compute_precoders(
-        n_tx_antennas=2, ongoing=[ReceiverConstraint(channel=h_to_rx1)]
-    )
+    # The kernels take a stack of matrices (one per subcarrier); one
+    # matrix is a one-element stack.
+    h_to_rx1 = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
+    precoders = compute_precoders_batch(2, h_to_rx1[None], n_streams=1)[0]
     assert np.allclose(h_to_rx1 @ precoders[0], 0)
 """
 

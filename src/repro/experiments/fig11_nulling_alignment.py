@@ -29,11 +29,9 @@ from repro.channel.hardware import HardwareProfile
 from repro.channel.models import complex_gaussian
 from repro.constants import INTERFERENCE_ADMISSION_THRESHOLD_DB
 from repro.experiments.report import format_table
-from repro.mimo.alignment import alignment_constraint_rows
-from repro.mimo.nulling import nulling_precoders
-from repro.mimo.precoder import ReceiverConstraint, compute_precoders
+from repro.mimo.precoder import compute_precoders_batch
 from repro.utils.db import db_to_linear, linear_to_db
-from repro.utils.linalg import orthonormal_complement
+from repro.utils.linalg import orthonormal_complement_batch
 
 __all__ = [
     "ResidualErrorExperiment",
@@ -121,7 +119,7 @@ def run_nulling_experiment(
         h_true = complex_gaussian((1, 2), rng, db_to_linear(unwanted_snr_db))
         h_estimated = hardware.perturb_channel(h_true, rng, reciprocity=True)
 
-        precoder = nulling_precoders([h_estimated], n_tx_antennas=2, n_streams=1)[:, 0]
+        precoder = compute_precoders_batch(2, h_estimated[None], n_streams=1)[0, 0]
         residual_power = float(np.sum(np.abs(h_true @ precoder) ** 2))
 
         wanted_power = db_to_linear(wanted_snr_db)
@@ -177,18 +175,15 @@ def run_alignment_experiment(
 
         # rx2's decoding direction: orthogonal to tx1's interference; its
         # announcement carries a little estimation error of its own.
-        u_perp_true = orthonormal_complement(h_tx1)[:, :1]
+        u_perp_true = orthonormal_complement_batch(h_tx1[None], 1)[0]
         u_perp_announced = hardware.perturb_channel(u_perp_true, rng)
         u_perp_announced = u_perp_announced / np.linalg.norm(u_perp_announced)
 
-        precoder = compute_precoders(
-            n_tx_antennas=3,
-            ongoing=[
-                ReceiverConstraint(channel=h_tx3_rx1_estimated, u_perp=None),
-                ReceiverConstraint(channel=h_tx3_estimated, u_perp=u_perp_announced),
-            ],
-            n_streams=1,
-        )[0]
+        # Constraint rows: null at rx1 (its channel), align at rx2 (Eq. 6).
+        rows = np.concatenate(
+            [h_tx3_rx1_estimated, u_perp_announced.conj().T @ h_tx3_estimated]
+        )
+        precoder = compute_precoders_batch(3, rows[None], n_streams=1)[0, 0]
 
         # Residual interference that leaks into rx2's true decoding direction.
         leak = u_perp_true.conj().T @ (h_tx3_true @ precoder)

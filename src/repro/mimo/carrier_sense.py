@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.exceptions import DimensionError
 from repro.utils.db import linear_to_db, signal_power
-from repro.utils.linalg import orthonormal_complement
+from repro.utils.linalg import orthonormal_complement_batch, singular_value_ranks
 
 __all__ = ["MultiDimensionalCarrierSense"]
 
@@ -58,11 +58,13 @@ class MultiDimensionalCarrierSense:
     # -- projection ------------------------------------------------------------
 
     def projection_basis(self) -> np.ndarray:
-        """Orthonormal basis of the subspace orthogonal to ongoing signals."""
+        """Orthonormal basis of the subspace orthogonal to ongoing signals;
+        its width is ``n_antennas`` minus the rank of their directions."""
         if not self._ongoing:
             return np.eye(self.n_antennas, dtype=complex)
-        occupied = np.concatenate(self._ongoing, axis=1)
-        return orthonormal_complement(occupied)
+        occupied = np.concatenate(self._ongoing, axis=1)[None]
+        rank = int(singular_value_ranks(np.linalg.svd(occupied, compute_uv=False))[0])
+        return orthonormal_complement_batch(occupied, self.n_antennas - rank)[0]
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Project received samples onto the interference-free subspace.

@@ -1,12 +1,13 @@
-"""Projection and zero-forcing decoding, and post-projection SNR.
+"""Post-projection SNR of the projection + zero-forcing decoder.
 
 A receiver in n+ decodes a wanted stream by projecting the received
 signal onto a direction orthogonal to everything else (ongoing
 interference plus its own other streams) and scaling -- the standard
 zero-forcing decoder (§3.4, Fig. 7).  The post-projection SNR depends on
 the angle between the wanted stream and the interference, which is why
-n+ must pick bitrates per packet; the helpers here compute exactly that
-quantity for the link-abstraction simulator and the bitrate selector.
+n+ must pick bitrates per packet; :func:`post_projection_snr_batch`
+computes exactly that quantity, on a stack of subcarriers, for the
+link-abstraction simulator and the bitrate selector.
 """
 
 from __future__ import annotations
@@ -15,146 +16,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import DecodingError, DimensionError
+from repro.exceptions import DimensionError
 from repro.utils import guarded
-from repro.utils.db import linear_to_db
-from repro.utils.linalg import orthonormal_complement, singular_value_ranks
+from repro.utils.linalg import singular_value_ranks
 
-__all__ = [
-    "zero_forcing_decode",
-    "project_and_decode",
-    "post_projection_snr",
-    "post_projection_snr_db",
-    "post_projection_snr_batch",
-]
-
-
-def zero_forcing_decode(received: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    """Zero-forcing estimate of the transmitted symbols.
-
-    Parameters
-    ----------
-    received:
-        ``(N,)`` or ``(N, T)`` received samples.
-    channel:
-        ``(N, S)`` effective channel of the S streams.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(S,)`` or ``(S, T)`` symbol estimates.
-    """
-    h = np.asarray(channel, dtype=complex)
-    if h.ndim == 1:
-        h = h.reshape(-1, 1)
-    y = np.asarray(received, dtype=complex)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y.reshape(-1, 1)
-    if y.shape[0] != h.shape[0]:
-        raise DimensionError(
-            f"received dimension {y.shape[0]} does not match channel rows {h.shape[0]}"
-        )
-    separable, pinv = _separable_pinv(*np.linalg.svd(h.conj(), full_matrices=False), h.shape)
-    if not separable:
-        raise DecodingError("wanted streams are not separable (rank-deficient channel)")
-    estimate = pinv @ y
-    return estimate[:, 0] if squeeze else estimate
-
-
-def project_and_decode(
-    received: np.ndarray,
-    wanted_channel: np.ndarray,
-    interference_directions: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Decode wanted streams after projecting out known interference.
-
-    Parameters
-    ----------
-    received:
-        ``(N,)`` or ``(N, T)`` received samples.
-    wanted_channel:
-        ``(N, n)`` effective channel of the wanted streams.
-    interference_directions:
-        ``(N, k)`` effective channel vectors of interference (ongoing
-        transmissions and/or residual streams).  ``None`` or empty means
-        plain zero-forcing.
-    """
-    y = np.asarray(received, dtype=complex)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y.reshape(-1, 1)
-    hw = np.asarray(wanted_channel, dtype=complex)
-    if hw.ndim == 1:
-        hw = hw.reshape(-1, 1)
-
-    if interference_directions is None or np.asarray(interference_directions).size == 0:
-        out = zero_forcing_decode(y, hw)
-        return out[:, 0] if squeeze else out
-
-    hi = np.asarray(interference_directions, dtype=complex)
-    if hi.ndim == 1:
-        hi = hi.reshape(-1, 1)
-    projector = orthonormal_complement(hi)  # (N, N-k)
-    if projector.shape[1] < hw.shape[1]:
-        raise DecodingError(
-            "after removing interference there are fewer dimensions than wanted streams"
-        )
-    y_proj = projector.conj().T @ y
-    h_proj = projector.conj().T @ hw
-    out = zero_forcing_decode(y_proj, h_proj)
-    return out[:, 0] if squeeze else out
-
-
-def post_projection_snr(
-    wanted_channel: np.ndarray,
-    interference_directions: Optional[np.ndarray],
-    noise_power: float,
-    signal_power: float = 1.0,
-    residual_interference_power: float = 0.0,
-) -> np.ndarray:
-    """Per-stream post-projection SNR of the zero-forcing receiver (linear).
-
-    One subcarrier of :func:`post_projection_snr_batch`.
-
-    Parameters
-    ----------
-    wanted_channel:
-        ``(N, n)`` effective channels of the wanted streams.
-    interference_directions:
-        ``(N, k)`` channel vectors of interference to project out (or
-        ``None``).
-    noise_power:
-        Thermal noise power per receive antenna (linear).
-    signal_power:
-        Transmit power per stream (linear).
-    residual_interference_power:
-        Extra interference power that survives nulling/alignment at this
-        receiver (hardware imperfections, §6.2); it is treated as
-        additional white noise.
-
-    Returns
-    -------
-    numpy.ndarray
-        Length-``n`` array of linear SNRs.
-    """
-    hw = np.asarray(wanted_channel, dtype=complex)
-    if hw.ndim == 1:
-        hw = hw.reshape(-1, 1)
-    hi = None
-    if interference_directions is not None and np.asarray(interference_directions).size:
-        hi = np.asarray(interference_directions, dtype=complex)
-        if hi.ndim == 1:
-            hi = hi.reshape(-1, 1)
-        hi = hi[None]
-    return post_projection_snr_batch(
-        hw[None], hi, noise_power, signal_power, residual_interference_power
-    )[0]
+__all__ = ["post_projection_snr_batch"]
 
 
 def _separable_pinv(u, s, vt, shape):
-    """``(full column rank?, pseudo-inverse)`` of a matrix or stack from the
-    thin SVD ``u, s, vt`` of its *conjugate*.
+    """``(full column rank?, pseudo-inverse)`` of a stack of matrices from
+    the thin SVD ``u, s, vt`` of its *conjugate*.
 
     One SVD yields both answers bit-identically to the two-SVD form
     ``matrix_rank(h) == n`` and ``np.linalg.pinv(h, rcond=1e-15)``: the
@@ -300,21 +171,3 @@ def post_projection_snr_batch(
         snr = np.where(np.isfinite(snr), snr, 0.0)
     return snr
 
-
-def post_projection_snr_db(
-    wanted_channel: np.ndarray,
-    interference_directions: Optional[np.ndarray],
-    noise_power: float,
-    signal_power: float = 1.0,
-    residual_interference_power: float = 0.0,
-) -> np.ndarray:
-    """dB version of :func:`post_projection_snr`."""
-    return linear_to_db(
-        post_projection_snr(
-            wanted_channel,
-            interference_directions,
-            noise_power,
-            signal_power,
-            residual_interference_power,
-        )
-    )

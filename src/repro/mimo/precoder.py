@@ -12,140 +12,25 @@ linear system, the constraints needed to
 
 With M transmit antennas and K ongoing streams the system has exactly
 ``M - K`` solutions, one pre-coding vector per new stream (Claim 3.2).
+
+The rows an ongoing N-antenna receiver contributes are its channel ``H``
+from the joiner when the joiner must null there (``H v = 0``, Claim 3.3),
+and ``U_perp^H H`` when it can align inside the receiver's unwanted space
+instead (Claim 3.4): only ``n`` rows for ``n`` wanted streams, which is
+what lets a third transmitter join two ongoing transmissions in §2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import DimensionError, PrecodingError
-from repro.mimo.alignment import alignment_constraint_rows
-from repro.mimo.nulling import nulling_constraint_rows
 from repro.utils import guarded
 from repro.utils.linalg import null_space_batch
 
-__all__ = [
-    "ReceiverConstraint",
-    "compute_precoders",
-    "compute_precoders_batch",
-]
-
-
-@dataclass
-class ReceiverConstraint:
-    """A receiver of an *ongoing* stream that the joiner must not disturb.
-
-    Attributes
-    ----------
-    channel:
-        ``(N, M)`` channel matrix from the joiner's antennas to this
-        receiver's antennas (obtained via reciprocity from the receiver's
-        light-weight CTS).
-    u_perp:
-        ``(N, n)`` orthonormal basis of the receiver's decoding subspace,
-        as broadcast in its CTS.  ``None`` means the receiver has no
-        unwanted space (n = N) and the joiner must null (Claim 3.1).
-    """
-
-    channel: np.ndarray
-    u_perp: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        self.channel = np.asarray(self.channel, dtype=complex)
-        if self.channel.ndim == 1:
-            self.channel = self.channel.reshape(1, -1)
-        if self.u_perp is not None:
-            self.u_perp = np.asarray(self.u_perp, dtype=complex)
-            if self.u_perp.ndim == 1:
-                self.u_perp = self.u_perp.reshape(-1, 1)
-            if self.u_perp.shape[0] != self.channel.shape[0]:
-                raise DimensionError(
-                    "U-perp and the channel disagree on the receiver's antenna count: "
-                    f"{self.u_perp.shape[0]} vs {self.channel.shape[0]}"
-                )
-
-    @property
-    def n_rx_antennas(self) -> int:
-        """The receiver's antenna count N."""
-        return self.channel.shape[0]
-
-    @property
-    def is_nulling(self) -> bool:
-        """Whether the joiner must null (no unwanted space at this receiver)."""
-        return self.u_perp is None or self.u_perp.shape[1] == self.n_rx_antennas
-
-    def constraint_rows(self) -> np.ndarray:
-        """The rows this receiver contributes to the joiner's linear system."""
-        if self.is_nulling:
-            return nulling_constraint_rows(self.channel)
-        return alignment_constraint_rows(self.channel, self.u_perp)
-
-
-def compute_precoders(
-    n_tx_antennas: int,
-    ongoing: Sequence[ReceiverConstraint],
-    n_streams: Optional[int] = None,
-    normalize: bool = True,
-    rcond: float = 1e-10,
-) -> List[np.ndarray]:
-    """Compute the joiner's pre-coding vectors (Claim 3.5, Eq. 7).
-
-    One subcarrier of :func:`compute_precoders_batch`, without own-receiver
-    cross constraints: the pre-coders are a null-space basis of the
-    ongoing constraints.
-
-    Parameters
-    ----------
-    n_tx_antennas:
-        M, the joiner's antenna count.
-    ongoing:
-        Receivers of ongoing streams that must see no new interference.
-    n_streams:
-        Number of streams to form; defaults to the maximum (``M - K``).
-    normalize:
-        Scale each pre-coder to unit norm (unit per-stream transmit power).
-    rcond:
-        Rank tolerance for the underlying decompositions.
-
-    Returns
-    -------
-    list of numpy.ndarray
-        One length-``M`` pre-coding vector per stream.
-
-    Raises
-    ------
-    PrecodingError
-        If the constraints leave no room for the requested streams, or the
-        combined system is singular or ill-conditioned (e.g. channels are
-        not independent) -- any degradation the batched kernel notes.
-    """
-    shared_rows = [r.constraint_rows() for r in ongoing or []]
-    for rows in shared_rows:
-        if rows.shape[1] != n_tx_antennas:
-            raise DimensionError(
-                f"an ongoing receiver's channel has {rows.shape[1]} transmit antennas, "
-                f"expected {n_tx_antennas}"
-            )
-    shared = np.concatenate(
-        [np.zeros((0, n_tx_antennas), dtype=complex)] + shared_rows, axis=0
-    )
-    with guarded.capture_degradations() as capture:
-        solution = compute_precoders_batch(
-            n_tx_antennas,
-            shared[None],
-            n_streams=n_streams,
-            normalize=normalize,
-            rcond=rcond,
-        )[0]
-    if capture.triggered:
-        raise PrecodingError(
-            "the combined constraint matrix is singular or ill-conditioned "
-            f"({', '.join(capture.events)})"
-        )
-    return [vector.copy() for vector in solution]
+__all__ = ["compute_precoders_batch"]
 
 
 def _normalize_columns_batch(matrices: np.ndarray) -> np.ndarray:
@@ -165,12 +50,11 @@ def compute_precoders_batch(
 ) -> np.ndarray:
     """The joiner's pre-coders (Claim 3.5, Eq. 7) on all subcarriers at once.
 
-    Instead of per-subcarrier :class:`ReceiverConstraint` objects, the
-    caller passes the constraint rows of *all* subcarriers as
+    The caller passes the constraint rows of *all* subcarriers as
     stacked arrays; the whole per-subcarrier linear algebra then runs as a
     handful of batched ``np.linalg`` calls.  This is the one
-    implementation of Eq. 7; :func:`compute_precoders` is its
-    one-subcarrier form.
+    implementation of Eq. 7; a single matrix is a one-element stack
+    (``compute_precoders_batch(2, h[None], n_streams=1)[0]``).
 
     Parameters
     ----------
@@ -189,7 +73,7 @@ def compute_precoders_batch(
         Constraint rows contributed by each own receiver (required with
         ``own_rows``); ``sum(own_row_counts)`` must equal ``T``.
     n_streams:
-        As in :func:`compute_precoders`.
+        Number of streams to form; defaults to the maximum (``M - K``).
     normalize:
         Scale each pre-coder to unit norm.
     rcond:
@@ -198,8 +82,8 @@ def compute_precoders_batch(
     Returns
     -------
     numpy.ndarray
-        ``(n_sub, n_streams, M)``: per subcarrier, the same pre-coding
-        vectors :func:`compute_precoders` returns (in the same order).
+        ``(n_sub, n_streams, M)``: per subcarrier, one unit-norm (with
+        ``normalize``) pre-coding vector per stream.
     """
     shared = np.asarray(ongoing_rows, dtype=complex)
     if shared.ndim != 3:

@@ -7,8 +7,10 @@ complements (the "unwanted space" U and its complement U-perp, and the
 projection plane used by carrier sense in Fig. 6), and projections of
 received samples onto those subspaces.
 
-All functions operate on complex ``numpy`` arrays.  Subspaces are always
-represented by matrices whose *columns* form an orthonormal basis.
+All functions operate on *stacks* of complex matrices (one per OFDM
+subcarrier, say); a single matrix is a one-element stack ``a[None]``.
+Subspaces are always represented by matrices whose *columns* form an
+orthonormal basis.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from repro.exceptions import DimensionError
 from repro.utils import guarded
 
 __all__ = [
-    "null_space",
     "null_space_batch",
-    "orthonormal_complement",
     "orthonormal_complement_batch",
     "singular_value_ranks",
 ]
@@ -30,57 +30,14 @@ __all__ = [
 DEFAULT_RCOND = 1e-10
 
 
-def _as_complex_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return ``a`` as a 2-D complex array, raising :class:`DimensionError`
-    if it cannot be interpreted as a matrix."""
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
-    return arr
-
-
-def null_space(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Return an orthonormal basis of the (right) null space of ``matrix``.
-
-    The null space of the stacked nulling/alignment constraint matrix is
-    exactly the set of admissible pre-coding vectors (Claims 3.3-3.5).
-
-    Parameters
-    ----------
-    matrix:
-        A ``(rows, cols)`` complex matrix ``A``.
-    rcond:
-        Singular values below ``rcond * max(singular values)`` are treated
-        as zero.
-
-    Returns
-    -------
-    numpy.ndarray
-        A ``(cols, k)`` matrix whose columns are orthonormal and satisfy
-        ``A @ v ~= 0``.  ``k`` may be zero, in which case the returned
-        array has shape ``(cols, 0)``.
-    """
-    a = _as_complex_matrix(matrix)
-    if a.shape[0] == 0:
-        # No constraints: the whole space is the null space.
-        return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    tol = rcond * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].conj().T
-
-
 def singular_value_ranks(
     singular_values: np.ndarray, rcond: float = DEFAULT_RCOND
 ) -> np.ndarray:
     """Numerical ranks of a stack of matrices from their singular values.
 
     ``singular_values`` has shape ``(batch, n_sv)`` (as returned by a
-    batched SVD); the tolerance is ``rcond * s_max`` per matrix, matching
-    the single-matrix functions above so batched fast paths and their
-    per-matrix fallbacks always agree on rank.
+    batched SVD); the tolerance is ``rcond * s_max`` per matrix, so every
+    kernel of the package agrees on rank.
     """
     s = np.asarray(singular_values)
     tol = rcond * s[:, :1]
@@ -92,8 +49,8 @@ def null_space_batch(
 ) -> np.ndarray:
     """Null-space bases of a stack of matrices in one batched SVD.
 
-    The per-subcarrier pre-coding math repeats :func:`null_space` once per
-    OFDM subcarrier; this helper performs the whole stack at once.
+    The null space of the stacked nulling/alignment constraint matrix is
+    exactly the set of admissible pre-coding vectors (Claims 3.3-3.5).
 
     Parameters
     ----------
@@ -103,13 +60,16 @@ def null_space_batch(
         How many null-space directions to return per matrix.  Each matrix
         must have a null space of at least this dimension.
     rcond:
-        Rank tolerance, as in :func:`null_space`.
+        Singular values below ``rcond * max(singular values)`` count as
+        zero.
 
     Returns
     -------
     numpy.ndarray
-        Shape ``(batch, cols, n_vectors)``: per matrix, the first
-        ``n_vectors`` columns that :func:`null_space` would return.
+        Shape ``(batch, cols, n_vectors)``: per matrix, orthonormal
+        columns ``v`` with ``A @ v ~= 0`` -- the right-singular vectors
+        that follow the matrix's numerical rank.  A matrix with no rows
+        constrains nothing: its null space is the whole space.
 
     A matrix whose null space is thinner than ``n_vectors`` does not
     raise: it falls back to the ``n_vectors`` *smallest*-singular-value
@@ -146,6 +106,11 @@ def orthonormal_complement_batch(
 ) -> np.ndarray:
     """Orthonormal-complement bases of a stack of matrices at once.
 
+    The complement of a matrix's column space is the subspace a
+    multi-antenna node projects onto to carrier sense "as if the medium
+    were idle" (§3.2), and the U-perp of Claim 3.4 when the matrix spans
+    the unwanted space U.
+
     Parameters
     ----------
     matrices:
@@ -156,9 +121,9 @@ def orthonormal_complement_batch(
     Returns
     -------
     numpy.ndarray
-        Shape ``(batch, n, n_vectors)``: per matrix, the first
-        ``n_vectors`` columns that :func:`orthonormal_complement` would
-        return.
+        Shape ``(batch, n, n_vectors)``: per matrix, orthonormal columns
+        orthogonal to its column space -- the left-singular vectors that
+        follow its numerical rank.
 
     A matrix whose complement has fewer than ``n_vectors`` dimensions
     does not raise: it falls back to the ``n_vectors`` weakest
@@ -186,23 +151,3 @@ def orthonormal_complement_batch(
     selected = u[np.arange(batch)[:, None], :, col_idx]  # (batch, n_vectors, n)
     return selected.transpose(0, 2, 1)
 
-
-def orthonormal_complement(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Return an orthonormal basis of the orthogonal complement of the
-    column space of ``matrix``.
-
-    This is the subspace a multi-antenna node projects onto in order to
-    carrier sense "as if the medium were idle" (§3.2), and the U-perp
-    matrix of Claim 3.4 when ``matrix`` spans the unwanted space U.
-
-    The returned basis has ``n - rank(matrix)`` columns where ``n`` is the
-    number of rows of ``matrix``.
-    """
-    a = _as_complex_matrix(matrix)
-    n = a.shape[0]
-    if a.shape[1] == 0:
-        return np.eye(n, dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    tol = rcond * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return u[:, rank:]

@@ -2,7 +2,8 @@
 
 These tests exercise the whole pipeline -- channels, pre-coding, the
 sample-level transceiver and decoding -- on the exact scenarios of
-Figs. 2, 3 and 4.
+Figs. 2, 3 and 4.  The package's kernels take a stack of matrices (one
+per subcarrier); a flat channel is a one-element stack.
 """
 
 import numpy as np
@@ -10,14 +11,18 @@ import pytest
 
 from oracles.mimo import (
     OwnReceiver,
+    ReceiverConstraint,
     compute_precoders_with_own_receivers,
+    ongoing_rows,
+    project_and_decode,
     two_antenna_nulling_weight,
 )
 from repro.channel.models import awgn, complex_gaussian
-from repro.mimo.decoder import post_projection_snr_db, project_and_decode
-from repro.mimo.precoder import ReceiverConstraint, compute_precoders
-from repro.utils.db import db_to_linear
-from repro.utils.linalg import orthonormal_complement
+from repro.exceptions import PrecodingError
+from repro.mimo.decoder import post_projection_snr_batch
+from repro.mimo.precoder import compute_precoders_batch
+from repro.utils.db import db_to_linear, linear_to_db
+from repro.utils.linalg import orthonormal_complement_batch
 
 
 def _channel(rng, shape, snr_db=20.0):
@@ -70,17 +75,15 @@ class TestFig3ThreePairExample:
         h_tx3_rx3 = _channel(rng, (3, 3))
 
         # tx2 nulls at rx1 (it joined second): one stream, pre-coder w2.
-        w2 = compute_precoders(2, [ReceiverConstraint(channel=h_tx2_rx1)])[0]
+        w2 = compute_precoders_batch(2, h_tx2_rx1[None])[0, 0]
         # tx3 nulls at rx1 and aligns at rx2 inside rx2's unwanted space.
         rx2_interference = h_tx1_rx2  # direction of p at rx2
-        u_perp_rx2 = orthonormal_complement(rx2_interference)[:, :1]
-        w3 = compute_precoders(
-            3,
-            [
-                ReceiverConstraint(channel=h_tx3_rx1),
-                ReceiverConstraint(channel=h_tx3_rx2, u_perp=u_perp_rx2),
-            ],
-        )[0]
+        u_perp_rx2 = orthonormal_complement_batch(rx2_interference[None], 1)[0]
+        ongoing = [
+            ReceiverConstraint(channel=h_tx3_rx1),
+            ReceiverConstraint(channel=h_tx3_rx2, u_perp=u_perp_rx2),
+        ]
+        w3 = compute_precoders_batch(3, ongoing_rows(3, ongoing))[0, 0]
 
         n = 500
         p = complex_gaussian(n, rng, 1.0)
@@ -129,13 +132,10 @@ class TestFig3ThreePairExample:
 
     def test_alignment_is_necessary(self, rng):
         """Nulling alone at rx1 and rx2 consumes all three antennas (Eq. 2)."""
-        from repro.exceptions import PrecodingError
-        from repro.mimo.nulling import nulling_precoders
-
         h_rx1 = _channel(rng, (1, 3))
         h_rx2 = _channel(rng, (2, 3))
         with pytest.raises(PrecodingError):
-            nulling_precoders([h_rx1, h_rx2], 3)
+            compute_precoders_batch(3, np.concatenate([h_rx1, h_rx2])[None])
 
 
 class TestFig4HeterogeneousExample:
@@ -154,8 +154,8 @@ class TestFig4HeterogeneousExample:
         # streams inside AP1's unwanted space (orthogonal to AP1's decoding
         # direction for c1).
         u_perp_ap1 = h_c1_ap1 / np.linalg.norm(h_c1_ap1)
-        u_perp_c2 = orthonormal_complement(h_c1_c2)[:, :1]
-        u_perp_c3 = orthonormal_complement(h_c1_c3)[:, :1]
+        u_perp_c2 = orthonormal_complement_batch(h_c1_c2[None], 1)[0]
+        u_perp_c3 = orthonormal_complement_batch(h_c1_c3[None], 1)[0]
 
         precoders = compute_precoders_with_own_receivers(
             3,
@@ -174,9 +174,11 @@ class TestFig4HeterogeneousExample:
 
         # c2 can decode p2: its post-projection SNR is healthy once p1 and
         # p3 are accounted for (p3 is aligned along p1 at c2).
-        snr_c2 = post_projection_snr_db(
-            (h_ap2_c2 @ v2).reshape(2, 1), h_c1_c2, noise_power=1e-3
-        )[0]
+        snr_c2 = linear_to_db(
+            post_projection_snr_batch(
+                (h_ap2_c2 @ v2).reshape(1, 2, 1), h_c1_c2[None], noise_power=1e-3
+            )[0, 0]
+        )
         assert snr_c2 > 10.0
         leak_p3_at_c2 = u_perp_c2.conj().T @ (h_ap2_c2 @ v3)
         assert np.max(np.abs(leak_p3_at_c2)) < 1e-8

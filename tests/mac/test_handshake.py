@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.mimo import orthonormal_complement
 from repro.channel.multipath import MultipathChannel
 from repro.exceptions import DimensionError
 from repro.mac.handshake import (
@@ -12,7 +13,6 @@ from repro.mac.handshake import (
     quantized_alignment_bits,
 )
 from repro.phy.rates import MCS_TABLE
-from repro.utils.linalg import orthonormal_complement
 
 
 def _smooth_subspaces(rng, n_subcarriers=64):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.mimo import orthonormal_complement
 from repro.constants import INTERFERENCE_ADMISSION_THRESHOLD_DB
 from repro.exceptions import PrecodingError
 from repro.mac.plan import (
@@ -13,7 +14,6 @@ from repro.mac.plan import (
 )
 from repro.mimo.dof import InterferenceStrategy
 from repro.utils.db import db_to_linear
-from repro.utils.linalg import orthonormal_complement
 
 N_SUB = 8
 

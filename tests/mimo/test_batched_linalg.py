@@ -1,5 +1,5 @@
 """Equivalence of the batched (stacked, per-subcarrier) linear algebra
-against the per-matrix reference functions it replaces in the hot paths."""
+against the per-matrix reference forms in ``tests/oracles/mimo.py``."""
 
 from __future__ import annotations
 
@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.mimo import post_projection_snr_batch_reference, post_projection_snr_reference
+from oracles.mimo import (
+    null_space,
+    orthonormal_complement,
+    post_projection_snr_batch_reference,
+    post_projection_snr_reference,
+)
 from repro.mimo.decoder import post_projection_snr_batch
 from repro.utils import guarded
-from repro.utils.linalg import (
-    null_space,
-    null_space_batch,
-    orthonormal_complement,
-    orthonormal_complement_batch,
-)
+from repro.utils.linalg import null_space_batch, orthonormal_complement_batch
 
 N_SUB = 12
 

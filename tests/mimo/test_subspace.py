@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from helpers import is_in_subspace
-from oracles.mimo import alignment_precoders
-from repro.mimo.alignment import alignment_constraint_rows
+from oracles.mimo import alignment_constraint_rows, alignment_precoders, orthonormal_complement
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import announced_decoding_subspace, interference_directions_at
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.network import Network
 from repro.sim.scenarios import three_pair_scenario
-from repro.utils.linalg import orthonormal_complement
 
 N_SUB = 6
 

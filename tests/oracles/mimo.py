@@ -1,17 +1,22 @@
 """MIMO oracles: the paper's per-subcarrier linear algebra, one subcarrier
 (one SVD, one solve) at a time.
 
-The package computes all of these as batched stack kernels
+The package computes all of these as batched stack kernels only
 (:func:`repro.mimo.precoder.compute_precoders_batch`,
 :func:`repro.mimo.decoder.post_projection_snr_batch`,
-:func:`repro.sim.link_abstraction.announced_decoding_subspace`, ...);
-the formulations here are the readable forms the tests check them
-against, together with the §2 worked examples and the stacked-rows
-alignment solver that :func:`repro.mimo.precoder.compute_precoders` is
-checked against.  :class:`OwnReceiver` and
-:func:`compute_precoders_with_own_receivers` are the per-subcarrier form
-of Eq. 7's own-receiver rows, which the package builds as stacked arrays
-(:class:`repro.mac.plan.PlannedReceiver`).
+:func:`repro.utils.linalg.null_space_batch`,
+:func:`repro.utils.linalg.orthonormal_complement_batch`,
+:func:`repro.sim.link_abstraction.announced_decoding_subspace`, ...); a
+test runs one matrix through them as a one-element stack.  The forms
+here are the readable per-matrix ones the tests check those kernels
+against: :func:`null_space` and :func:`orthonormal_complement`, the
+nulling/alignment constraint rows of an ongoing receiver
+(:class:`ReceiverConstraint`, Claims 3.3 and 3.4), the projection +
+zero-forcing decoder (:func:`project_and_decode`, §3.4), together with
+the §2 worked examples and the stacked-rows alignment solver.
+:class:`OwnReceiver` and :func:`compute_precoders_with_own_receivers`
+are the per-subcarrier form of Eq. 7's own-receiver rows, which the
+package builds as stacked arrays (:class:`repro.mac.plan.PlannedReceiver`).
 """
 
 from __future__ import annotations
@@ -22,11 +27,101 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from helpers import orthonormal_basis
-from repro.exceptions import DimensionError, PrecodingError
-from repro.mimo.alignment import alignment_constraint_rows
-from repro.mimo.precoder import ReceiverConstraint, compute_precoders_batch
+from repro.exceptions import DecodingError, DimensionError, PrecodingError
+from repro.mimo.precoder import compute_precoders_batch
 from repro.utils import guarded
-from repro.utils.linalg import null_space, orthonormal_complement, singular_value_ranks
+from repro.utils.linalg import DEFAULT_RCOND, singular_value_ranks
+
+
+# -- per-matrix subspaces, constraint rows and decoding ---------------------
+
+
+def _rank(singular_values: np.ndarray, rcond: float) -> int:
+    """Numerical rank: singular values above ``rcond * s_max``."""
+    s = singular_values
+    return int(np.sum(s > rcond * (s[0] if s.size else 0.0)))
+
+
+def null_space(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+    """Orthonormal basis (as columns) of the right null space of one
+    ``(rows, cols)`` matrix: the right-singular vectors past its rank.
+    With no rows nothing is constrained, so the whole space is returned."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[_rank(s, rcond) :].conj().T
+
+
+def orthonormal_complement(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+    """Orthonormal basis of the complement of one ``(n, k)`` matrix's
+    column space: the left-singular vectors past its rank, so
+    ``n - rank`` columns."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.shape[1] == 0:
+        return np.eye(a.shape[0], dtype=complex)
+    u, s, _ = np.linalg.svd(a, full_matrices=True)
+    return u[:, _rank(s, rcond) :]
+
+
+def alignment_constraint_rows(channel: np.ndarray, u_perp: np.ndarray) -> np.ndarray:
+    """The ``(n, M)`` rows ``U_perp^H H`` of aligning inside a receiver's
+    unwanted space (Eq. 6): annihilating them keeps the joiner's signal
+    out of the receiver's ``n``-dimensional decoding subspace."""
+    return np.asarray(u_perp, dtype=complex).conj().T @ np.asarray(channel, dtype=complex)
+
+
+@dataclass
+class ReceiverConstraint:
+    """A receiver of an *ongoing* stream that the joiner must not disturb.
+
+    ``channel`` is the ``(N, M)`` channel from the joiner to it and
+    ``u_perp`` the ``(N, n)`` basis of its decoding subspace; ``None``
+    (or ``n = N``) means it has no unwanted space, so the joiner nulls
+    (Claim 3.3: the rows are the channel itself), otherwise it aligns
+    (Claim 3.4: ``n`` rows instead of ``N``).
+    """
+
+    channel: np.ndarray
+    u_perp: Optional[np.ndarray] = None
+
+    def constraint_rows(self) -> np.ndarray:
+        """The rows this receiver contributes to the joiner's system."""
+        channel = np.asarray(self.channel, dtype=complex)
+        if self.u_perp is None or np.shape(self.u_perp)[1] == channel.shape[0]:
+            return channel
+        return alignment_constraint_rows(channel, self.u_perp)
+
+
+def ongoing_rows(n_tx_antennas: int, ongoing: Sequence[ReceiverConstraint]) -> np.ndarray:
+    """The ongoing receivers' rows as the ``(1, K, M)`` one-subcarrier
+    stack :func:`repro.mimo.precoder.compute_precoders_batch` takes."""
+    rows = [np.zeros((0, n_tx_antennas), dtype=complex)]
+    rows += [receiver.constraint_rows() for receiver in ongoing]
+    return np.concatenate(rows, axis=0)[None]
+
+
+def project_and_decode(
+    received: np.ndarray,
+    wanted_channel: np.ndarray,
+    interference_directions: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Zero-forcing estimates ``(n, T)`` of the wanted streams from
+    ``(N, T)`` received samples, after projecting out the ``(N, k)``
+    interference (§3.4, Fig. 2) -- the decoder whose SNR
+    :func:`repro.mimo.decoder.post_projection_snr_batch` computes."""
+    y = np.asarray(received, dtype=complex)
+    hw = np.asarray(wanted_channel, dtype=complex)
+    if interference_directions is not None:
+        projector = orthonormal_complement(interference_directions)
+        if projector.shape[1] < hw.shape[1]:
+            raise DecodingError(
+                "after removing interference there are fewer dimensions than wanted streams"
+            )
+        y, hw = projector.conj().T @ y, projector.conj().T @ hw
+    if np.linalg.matrix_rank(hw) < hw.shape[1]:
+        raise DecodingError("wanted streams are not separable (rank-deficient channel)")
+    return np.linalg.pinv(hw) @ y
 
 
 @dataclass
@@ -83,18 +178,13 @@ def compute_precoders_with_own_receivers(
 
     Raises :class:`~repro.exceptions.PrecodingError` when the combined
     system is singular or ill-conditioned (any degradation the kernel
-    notes), like :func:`repro.mimo.precoder.compute_precoders`.
+    notes) instead of returning the kernel's guarded fallback.
     """
-    shared = np.concatenate(
-        [np.zeros((0, n_tx_antennas), dtype=complex)]
-        + [r.constraint_rows() for r in ongoing],
-        axis=0,
-    )
     rows = [r.constraint_rows() for r in own_receivers]
     with guarded.capture_degradations() as capture:
         solution = compute_precoders_batch(
             n_tx_antennas,
-            shared[None],
+            ongoing_rows(n_tx_antennas, ongoing),
             own_rows=np.concatenate(rows, axis=0)[None],
             own_stream_counts=[r.n_streams for r in own_receivers],
             own_row_counts=[block.shape[0] for block in rows],

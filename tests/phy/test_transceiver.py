@@ -106,10 +106,10 @@ class TestPrecodedNulling:
     def test_nulling_precoder_protects_a_bystander(self, rng):
         """A 2-antenna transmitter nulling at a single-antenna bystander
         must deliver its stream while leaving (almost) no power there."""
-        from repro.mimo.nulling import nulling_precoders
+        from repro.mimo.precoder import compute_precoders_batch
 
         h_bystander = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
-        precoder = nulling_precoders([h_bystander], 2, n_streams=1)[:, 0]
+        precoder = compute_precoders_batch(2, h_bystander[None], n_streams=1)[0, 0]
         bits = random_bits(400, rng)
         streams = [StreamConfig(bits=bits, mcs=MCS_TABLE[2], precoder=precoder, stream_id=0)]
         transmitter = MimoTransmitter(2)

@@ -16,13 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.mimo import null_space, orthonormal_complement
 from repro.utils import guarded
-from repro.utils.linalg import (
-    null_space,
-    null_space_batch,
-    orthonormal_complement,
-    orthonormal_complement_batch,
-)
+from repro.utils.linalg import null_space_batch, orthonormal_complement_batch
 
 N_SUB = 8
 
