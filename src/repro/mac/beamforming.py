@@ -11,9 +11,7 @@ the limitation Fig. 13(b) quantifies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List
 
 from repro.exceptions import PrecodingError
 from repro.mac.agent import BaseMacAgent

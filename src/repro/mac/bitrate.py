@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
-import numpy as np
-
 from repro.phy.esnr import select_mcs
 from repro.phy.rates import MCS, MCS_TABLE
 

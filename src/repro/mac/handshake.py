@@ -22,8 +22,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.constants import (
-    HEADER_OFDM_SYMBOLS,
-    NPLUS_ACK_HEADER_EXTRA_SYMBOLS,
     NPLUS_DATA_HEADER_EXTRA_SYMBOLS,
     NUM_DATA_SUBCARRIERS,
     OFDM_SYMBOL_DURATION_US_10MHZ,

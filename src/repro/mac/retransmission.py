@@ -11,7 +11,7 @@ atomic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.constants import MAX_RETRIES
 from repro.mac.frames import Packet

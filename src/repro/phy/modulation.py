@@ -9,7 +9,7 @@ modulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 

@@ -15,7 +15,6 @@ transmissions for multi-dimensional carrier sense.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 

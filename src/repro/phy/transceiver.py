@@ -227,7 +227,7 @@ class MimoTransmitter:
         cfg = self.config
         virtual = preamble.per_antenna_samples()  # (n_streams, length)
         out = np.zeros((self.n_antennas, preamble.length), dtype=complex)
-        from repro.phy.preamble import ltf_frequency_sequence, long_training_field, short_training_field
+        from repro.phy.preamble import ltf_frequency_sequence, short_training_field
 
         stf = short_training_field(cfg) / np.sqrt(len(streams))
         # STF: transmit through the first stream's average pre-coder so the

@@ -23,7 +23,7 @@ makes a 124750-pair network draw affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 

@@ -19,13 +19,19 @@ Readable reference forms live in ``tests/oracles`` and test tools in
   (``tests/reachability.py``).  A function only tests call is deleted, or
   moves to ``tests/oracles`` (a form production is checked against) or
   ``tests/helpers.py`` (a test tool).
+
+One more rule keeps the package's imports honest: every name a module
+under ``src/repro`` imports is used in that module or listed in its
+``__all__`` (``from __future__`` imports and lines marked
+``# noqa: F401`` excepted) -- an import nothing reads costs load time and
+misleads a reader about what the module depends on.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 TESTS_ROOT = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_ROOT.parent
@@ -186,3 +192,60 @@ def test_every_private_oracle_helper_is_used():
         if name not in _names_used(_parse(modules[module])):
             unused.append(f"{module}.{name}")
     assert unused == [], "unused oracle helpers: " + ", ".join(sorted(unused))
+
+
+def _annotations(tree: ast.AST) -> Iterator[ast.AST]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names_read(tree: ast.AST) -> Set[str]:
+    """Every bare name ``tree`` reads, including those inside quoted
+    (forward-reference) annotations."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= _names_read(ast.parse(node.value, mode="eval"))
+    return read
+
+
+def _exported(tree: ast.Module) -> Set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return {element.value for element in node.value.elts}
+    return set()
+
+
+def _unused_imports(path: Path) -> List[str]:
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    kept = _names_read(tree) | _exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in kept:
+                unused.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_package_import_is_used():
+    unused = [
+        entry for path in sorted(PACKAGE_ROOT.rglob("*.py")) for entry in _unused_imports(path)
+    ]
+    assert unused == [], "imports nothing in their module reads: " + ", ".join(unused)
