@@ -174,7 +174,7 @@ def _run_protocols(args: argparse.Namespace) -> None:
         rows.append(
             [
                 entry.name,
-                entry.agent_class.__name__,
+                entry.agent_name,
                 "yes" if entry.supports_joining else "no",
                 params,
             ]

@@ -49,8 +49,9 @@ an attempt fails on a lossy link:
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.constants import (
     DEFAULT_ERASURE_K,
@@ -207,26 +208,39 @@ RECOVERY_PARAMS: Tuple[ParamSpec, ...] = (
 class ProtocolVariant:
     """A registered protocol: its agent class and parameter schema.
 
-    ``load_agent`` returns the agent class.  A built-in variant's loader
-    imports the agent's module on first call, so resolving and validating
-    a protocol -- all a sweep's plan stage and a replay of stored cells
-    do -- loads no agent, and with it none of the round loop, MIMO or PHY.
+    ``agent`` is the agent class or, for the built-ins, its
+    ``"module:Class"`` path, imported on first use of :attr:`agent_class`;
+    ``joins`` states whether the agent joins ongoing transmissions.  So
+    resolving, validating and listing protocols -- all a sweep's plan
+    stage, a replay of stored cells and ``repro protocols`` do -- loads no
+    agent, and with it none of the round loop, MIMO or PHY.
     """
 
     name: str
-    load_agent: Callable[[], type]
+    agent: Union[str, type]
+    joins: bool = False
     params: Tuple[ParamSpec, ...] = RECOVERY_PARAMS
     description: str = ""
 
     @property
+    def agent_name(self) -> str:
+        """The agent class's name, known without importing it."""
+        if isinstance(self.agent, str):
+            return self.agent.rpartition(":")[2]
+        return self.agent.__name__
+
+    @property
     def agent_class(self) -> type:
         """The agent class simulating this variant."""
-        return self.load_agent()
+        if isinstance(self.agent, str):
+            module, _, name = self.agent.partition(":")
+            return getattr(importlib.import_module(module), name)
+        return self.agent
 
     @property
     def supports_joining(self) -> bool:
         """Whether agents of this variant join ongoing transmissions."""
-        return bool(getattr(self.agent_class, "supports_joining", False))
+        return self.joins
 
     def param(self, name: str) -> ParamSpec:
         """The :class:`ParamSpec` called ``name``, or raise listing them."""
@@ -248,41 +262,35 @@ class ProtocolVariant:
         return ", ".join(f"{spec.name}={spec.default!r}" for spec in self.params)
 
 
-# The built-in agents sit on top of the round loop, so each loader imports
-# its agent's module only when a simulation first asks for the class.
-
-
-def _csma() -> type:
-    from repro.mac.plain_csma import CsmaMac
-
-    return CsmaMac
-
-
-def _dot11n() -> type:
-    from repro.mac.dot11n import Dot11nMac
-
-    return Dot11nMac
-
-
-def _beamforming() -> type:
-    from repro.mac.beamforming import BeamformingMac
-
-    return BeamformingMac
-
-
-def _nplus() -> type:
-    from repro.mac.nplus import NPlusMac
-
-    return NPlusMac
-
-
+# The built-in agents sit on top of the round loop, so they are named by
+# path and imported only when a simulation first asks for the class.
 _VARIANTS: Dict[str, ProtocolVariant] = {
-    name: ProtocolVariant(name, load_agent, description=description)
-    for name, load_agent, description in (
-        ("csma", _csma, "single-stream DCF baseline (one antenna used per attempt)"),
-        ("802.11n", _dot11n, "single-user spatial multiplexing over DCF (802.11n)"),
-        ("beamforming", _beamforming, "multi-user beamforming from one transmitter"),
-        ("n+", _nplus, "the paper's n+: joiners null/align into ongoing frames"),
+    name: ProtocolVariant(name, agent, joins=joins, description=description)
+    for name, agent, joins, description in (
+        (
+            "csma",
+            "repro.mac.plain_csma:CsmaMac",
+            False,
+            "single-stream DCF baseline (one antenna used per attempt)",
+        ),
+        (
+            "802.11n",
+            "repro.mac.dot11n:Dot11nMac",
+            False,
+            "single-user spatial multiplexing over DCF (802.11n)",
+        ),
+        (
+            "beamforming",
+            "repro.mac.beamforming:BeamformingMac",
+            False,
+            "multi-user beamforming from one transmitter",
+        ),
+        (
+            "n+",
+            "repro.mac.nplus:NPlusMac",
+            True,
+            "the paper's n+: joiners null/align into ongoing frames",
+        ),
     )
 }
 
@@ -311,7 +319,8 @@ def register_variant(
         raise ConfigurationError(f"protocol variant {name!r} is already registered")
     entry = ProtocolVariant(
         name=name,
-        load_agent=lambda: agent_class,
+        agent=agent_class,
+        joins=bool(getattr(agent_class, "supports_joining", False)),
         params=tuple(params),
         description=description,
     )

@@ -51,6 +51,17 @@ class TestRegistry:
             assert entry.agent_class.protocol_name == entry.name
             assert entry.params == RECOVERY_PARAMS
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_declarations_match_their_agent_classes(self, name):
+        """A built-in names its agent by path and declares whether it
+        joins; both must agree with the class the path loads."""
+        entry = variant(name)
+        module, _, class_name = entry.agent.partition(":")
+        agent = entry.agent_class
+        assert (agent.__module__, agent.__name__) == (module, class_name)
+        assert entry.agent_name == agent.__name__
+        assert entry.supports_joining is bool(agent.supports_joining)
+
     def test_only_nplus_joins(self):
         joining = {e.name for e in available_variants() if e.supports_joining}
         assert joining == {"n+"}

@@ -81,6 +81,23 @@ class TestRuntimeDependencies:
         assert "repro.sim.store" in loaded
         assert _run_layer_modules(loaded) == []
 
+    def test_listing_protocols_loads_no_agent(self):
+        loaded = _modules_loaded_by(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    main(['protocols'])\n"
+            "assert 'NPlusMac' in out.getvalue(), out.getvalue()"
+        )
+        agents = {f"repro.mac.{name}" for name in ("dot11n", "beamforming", "nplus", "plain_csma")}
+        assert "repro.mac.variants" in loaded
+        assert [
+            name
+            for name in loaded
+            if name in agents or name.startswith(("repro.mimo.", "repro.phy."))
+        ] == []
+
     def test_a_worker_pool_starts_with_the_round_loop_loaded(self):
         """Forked workers inherit the round loop and the grid's agents
         rather than each importing them."""

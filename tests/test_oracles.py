@@ -30,6 +30,7 @@ misleads a reader about what the module depends on.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
@@ -107,10 +108,16 @@ def _package_modules() -> Dict[str, Path]:
     return modules
 
 
+#: A ``"module:Name"`` path to a package object, imported by name at run time.
+_MODULE_PATH = re.compile(r"(repro(?:\.\w+)+):\w+")
+
+
 def _imported_modules(tree: ast.AST, modules: Dict[str, Path]) -> Set[str]:
     """Package modules that ``tree`` imports, at any depth of the file.
 
-    ``from package import submodule`` counts as importing the submodule.
+    ``from package import submodule`` counts as importing the submodule,
+    and a ``"repro.module:Name"`` string (how the protocol registry names
+    a built-in agent it imports on first use) as importing the module.
     """
     imported = set()
     for node in ast.walk(tree):
@@ -119,6 +126,10 @@ def _imported_modules(tree: ast.AST, modules: Dict[str, Path]) -> Set[str]:
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             imported.add(node.module)
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = _MODULE_PATH.fullmatch(node.value)
+            if match:
+                imported.add(match.group(1))
     return imported & modules.keys()
 
 
