@@ -150,6 +150,17 @@ class SweepRecord:
     created_at: float
     updated_at: float
 
+    @classmethod
+    def from_row(cls, row: sqlite3.Row) -> "SweepRecord":
+        """The record of one ``sweeps`` table row."""
+        return cls(
+            sweep_id=row["sweep_id"],
+            manifest=json.loads(row["manifest_json"]),
+            status=row["status"],
+            created_at=row["created_at"],
+            updated_at=row["updated_at"],
+        )
+
 
 def store_path(root: Union[str, Path]) -> Path:
     """The database file of the results store at ``root``.
@@ -322,23 +333,22 @@ class ResultsStore:
         describe: dict,
         metrics_json: Optional[str],
         error: Optional[str],
-        sweep_id: Optional[str] = None,
         capsule_path: Optional[str] = None,
         traceback: Optional[str] = None,
     ) -> None:
+        """Write a cell's outcome; an existing row keeps its ``sweep_id``."""
         values = {col: describe.get(col) for col in _DESCRIBE_COLUMNS}
         with self._conn:
             self._conn.execute(
                 "INSERT INTO cells (key, status, scenario, scenario_fingerprint, "
-                "protocol, run, run_seed, config_digest, sweep_id, metrics_json, "
+                "protocol, run, run_seed, config_digest, metrics_json, "
                 "error, capsule_path, traceback, updated_at) "
-                "VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?) "
+                "VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?) "
                 "ON CONFLICT(key) DO UPDATE SET status=excluded.status, "
                 "scenario=excluded.scenario, "
                 "scenario_fingerprint=excluded.scenario_fingerprint, "
                 "protocol=excluded.protocol, run=excluded.run, "
                 "run_seed=excluded.run_seed, config_digest=excluded.config_digest, "
-                "sweep_id=COALESCE(excluded.sweep_id, cells.sweep_id), "
                 "metrics_json=excluded.metrics_json, error=excluded.error, "
                 "capsule_path=excluded.capsule_path, "
                 "traceback=excluded.traceback, "
@@ -352,7 +362,6 @@ class ResultsStore:
                     values["run"],
                     values["run_seed"],
                     values["config_digest"],
-                    sweep_id,
                     metrics_json,
                     error,
                     capsule_path,
@@ -444,11 +453,15 @@ class ResultsStore:
                     for key, describe in cells
                 ],
             )
-            self._conn.execute(
-                "UPDATE cells SET status='pending', updated_at=? "
-                "WHERE sweep_id=? AND status='running'",
-                (now, sweep_id),
-            )
+            self._requeue_running(sweep_id, now)
+
+    def _requeue_running(self, sweep_id: str, now: float) -> None:
+        """Move the manifest's ``running`` cells back to ``pending``."""
+        self._conn.execute(
+            "UPDATE cells SET status='pending', updated_at=? "
+            "WHERE sweep_id=? AND status='running'",
+            (now, sweep_id),
+        )
 
     def checkpoint_sweep(self, sweep_id: str, status: str = "interrupted") -> None:
         """Flush an interrupted sweep to a resumable state.
@@ -459,11 +472,7 @@ class ResultsStore:
         """
         now = time.time()
         with self._conn:
-            self._conn.execute(
-                "UPDATE cells SET status='pending', updated_at=? "
-                "WHERE sweep_id=? AND status='running'",
-                (now, sweep_id),
-            )
+            self._requeue_running(sweep_id, now)
             self._conn.execute(
                 "UPDATE sweeps SET status=?, updated_at=? WHERE sweep_id=?",
                 (status, now, sweep_id),
@@ -482,31 +491,14 @@ class ResultsStore:
         row = self._conn.execute(
             "SELECT * FROM sweeps WHERE sweep_id=?", (sweep_id,)
         ).fetchone()
-        if row is None:
-            return None
-        return SweepRecord(
-            sweep_id=row["sweep_id"],
-            manifest=json.loads(row["manifest_json"]),
-            status=row["status"],
-            created_at=row["created_at"],
-            updated_at=row["updated_at"],
-        )
+        return None if row is None else SweepRecord.from_row(row)
 
     def sweeps(self) -> List[SweepRecord]:
         """All recorded sweep manifests, most recently written first."""
         rows = self._conn.execute(
             "SELECT * FROM sweeps ORDER BY updated_at DESC"
         ).fetchall()
-        return [
-            SweepRecord(
-                sweep_id=row["sweep_id"],
-                manifest=json.loads(row["manifest_json"]),
-                status=row["status"],
-                created_at=row["created_at"],
-                updated_at=row["updated_at"],
-            )
-            for row in rows
-        ]
+        return [SweepRecord.from_row(row) for row in rows]
 
     # -- cross-sweep queries -------------------------------------------------
 
