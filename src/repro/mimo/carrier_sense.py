@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.exceptions import DimensionError
 from repro.utils.db import linear_to_db, signal_power
-from repro.utils.linalg import orthonormal_complement_batch, singular_value_ranks
+from repro.utils.linalg import orthonormal_complement_batch
 
 __all__ = ["MultiDimensionalCarrierSense"]
 
@@ -62,9 +62,8 @@ class MultiDimensionalCarrierSense:
         its width is ``n_antennas`` minus the rank of their directions."""
         if not self._ongoing:
             return np.eye(self.n_antennas, dtype=complex)
-        occupied = np.concatenate(self._ongoing, axis=1)[None]
-        rank = int(singular_value_ranks(np.linalg.svd(occupied, compute_uv=False))[0])
-        return orthonormal_complement_batch(occupied, self.n_antennas - rank)[0]
+        occupied = np.concatenate(self._ongoing, axis=1)
+        return orthonormal_complement_batch(occupied[None])[0]
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Project received samples onto the interference-free subspace.

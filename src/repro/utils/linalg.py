@@ -15,6 +15,8 @@ orthonormal basis.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.exceptions import DimensionError
@@ -102,7 +104,7 @@ def null_space_batch(
 
 
 def orthonormal_complement_batch(
-    matrices: np.ndarray, n_vectors: int, rcond: float = DEFAULT_RCOND
+    matrices: np.ndarray, n_vectors: Optional[int] = None, rcond: float = DEFAULT_RCOND
 ) -> np.ndarray:
     """Orthonormal-complement bases of a stack of matrices at once.
 
@@ -116,7 +118,9 @@ def orthonormal_complement_batch(
     matrices:
         Complex array of shape ``(batch, n, k)``.
     n_vectors:
-        Number of complement directions to return per matrix.
+        Number of complement directions to return per matrix.  ``None``
+        returns all ``n - rank`` of them, which needs every matrix of the
+        stack to have the same rank (a one-element stack always does).
 
     Returns
     -------
@@ -134,15 +138,20 @@ def orthonormal_complement_batch(
     if a.ndim != 3:
         raise DimensionError(f"expected a stack of matrices, got shape {a.shape}")
     batch, n, k = a.shape
-    if n_vectors < 0 or n_vectors > n:
+    if n_vectors is not None and not 0 <= n_vectors <= n:
         raise DimensionError(f"cannot take {n_vectors} complement vectors in dimension {n}")
     if k == 0:
         eye = np.eye(n, dtype=complex)[:, :n_vectors]
-        return np.broadcast_to(eye, (batch, n, n_vectors)).copy()
+        return np.broadcast_to(eye, (batch,) + eye.shape).copy()
     u, s, _ = guarded.svd_stack(a, full_matrices=True)
     ranks = singular_value_ranks(s, rcond)
     if np.any(guarded.ill_conditioned(s)):
         guarded.note_degradation("ill-conditioned-complement")
+    if n_vectors is None:
+        rank = int(ranks[0])
+        if np.any(ranks != rank):
+            raise DimensionError("the complements differ in width across the stack")
+        return u[:, :, rank:]
     deficient = ranks + n_vectors > n
     if np.any(deficient):
         guarded.note_degradation("complement-deficit")

@@ -13,6 +13,7 @@ from oracles.mimo import (
     post_projection_snr_batch_reference,
     post_projection_snr_reference,
 )
+from repro.exceptions import DimensionError
 from repro.mimo.decoder import post_projection_snr_batch
 from repro.utils import guarded
 from repro.utils.linalg import null_space_batch, orthonormal_complement_batch
@@ -87,6 +88,20 @@ class TestOrthonormalComplementBatch:
         stack = np.zeros((N_SUB, 3, 0), dtype=complex)
         batched = orthonormal_complement_batch(stack, 3)
         assert np.allclose(batched, np.broadcast_to(np.eye(3), (N_SUB, 3, 3)))
+
+    def test_every_direction_when_no_width_is_given(self, rng):
+        stack = _stack(rng, N_SUB, 4, 2)
+        stack[:, :, 1] = 3.0 * stack[:, :, 0]
+        batched = orthonormal_complement_batch(stack)
+        assert batched.shape == (N_SUB, 4, 3)
+        for k in range(N_SUB):
+            assert np.array_equal(batched[k], orthonormal_complement(stack[k]))
+
+    def test_no_width_needs_one_rank_across_the_stack(self, rng):
+        stack = _stack(rng, N_SUB, 4, 2)
+        stack[5, :, 1] = stack[5, :, 0]
+        with pytest.raises(DimensionError):
+            orthonormal_complement_batch(stack)
 
     def test_columns_are_orthogonal_to_input(self, rng):
         stack = _stack(rng, N_SUB, 4, 1)
