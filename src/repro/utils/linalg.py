@@ -149,7 +149,7 @@ def orthonormal_complement_batch(
         guarded.note_degradation("ill-conditioned-complement")
     if n_vectors is None:
         rank = int(ranks[0])
-        if np.any(ranks != rank):
+        if batch > 1 and np.any(ranks != rank):
             raise DimensionError("the complements differ in width across the stack")
         return u[:, :, rank:]
     deficient = ranks + n_vectors > n

@@ -21,14 +21,14 @@ def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def null_space(a, n_vectors):
+def _null_space(a, n_vectors):
     """``(basis, degradations noted)`` of one matrix's null space."""
     with guarded.capture_degradations() as capture:
         basis = null_space_batch(np.asarray(a, dtype=complex)[None], n_vectors)[0]
     return basis, capture.events
 
 
-def orthonormal_complement(a, n_vectors):
+def _complement(a, n_vectors):
     """``(basis, degradations noted)`` of one matrix's column-space complement."""
     with guarded.capture_degradations() as capture:
         basis = orthonormal_complement_batch(np.asarray(a, dtype=complex)[None], n_vectors)[0]
@@ -38,29 +38,29 @@ def orthonormal_complement(a, n_vectors):
 class TestNullSpace:
     def test_vectors_satisfy_constraints(self, rng):
         a = _random_complex(rng, (2, 4))
-        basis, events = null_space(a, 2)
+        basis, events = _null_space(a, 2)
         assert basis.shape == (4, 2) and events == []
         assert np.allclose(a @ basis, 0, atol=1e-10)
 
     def test_columns_are_orthonormal(self, rng):
         a = _random_complex(rng, (1, 3))
-        basis, _ = null_space(a, 2)
+        basis, _ = _null_space(a, 2)
         gram = basis.conj().T @ basis
         assert np.allclose(gram, np.eye(basis.shape[1]), atol=1e-10)
 
     def test_full_rank_square_matrix_has_empty_null_space(self, rng):
         a = _random_complex(rng, (3, 3))
-        assert null_space(a, 0)[1] == []
-        assert "null-space-deficit" in null_space(a, 1)[1]
+        assert _null_space(a, 0)[1] == []
+        assert "null-space-deficit" in _null_space(a, 1)[1]
 
     def test_zero_constraints_return_identity_like_basis(self):
-        basis, events = null_space(np.zeros((0, 3)), 3)
+        basis, events = _null_space(np.zeros((0, 3)), 3)
         assert np.array_equal(basis, np.eye(3)) and events == []
 
     def test_rank_deficient_matrix(self, rng):
         row = _random_complex(rng, (1, 4))
         a = np.vstack([row, 2 * row, 3 * row])
-        basis, events = null_space(a, 3)
+        basis, events = _null_space(a, 3)
         assert basis.shape == (4, 3)
         assert "null-space-deficit" not in events
         assert np.allclose(a @ basis, 0, atol=1e-9)
@@ -76,27 +76,27 @@ class TestOrthonormalBasisAndComplement:
 
     def test_complement_is_orthogonal(self, rng):
         a = _random_complex(rng, (4, 2))
-        complement, events = orthonormal_complement(a, 2)
+        complement, events = _complement(a, 2)
         assert complement.shape == (4, 2) and events == []
         assert np.allclose(a.conj().T @ complement, 0, atol=1e-10)
 
     def test_complement_of_empty_is_full_space(self):
-        complement, events = orthonormal_complement(np.zeros((3, 0)), 3)
+        complement, events = _complement(np.zeros((3, 0)), 3)
         assert np.array_equal(complement, np.eye(3)) and events == []
 
     def test_dimensions_add_up(self, rng):
         for n_cols in range(4):
             a = _random_complex(rng, (4, n_cols)) if n_cols else np.zeros((4, 0))
             width = 4 - orthonormal_basis(a).shape[1]
-            assert "complement-deficit" not in orthonormal_complement(a, width)[1]
+            assert "complement-deficit" not in _complement(a, width)[1]
             if width < 4:
-                assert "complement-deficit" in orthonormal_complement(a, width + 1)[1]
+                assert "complement-deficit" in _complement(a, width + 1)[1]
 
     def test_duplicate_columns_do_not_inflate_rank(self, rng):
         column = _random_complex(rng, (4, 1))
         a = np.concatenate([column, column], axis=1)
         assert orthonormal_basis(a).shape[1] == 1
-        complement, events = orthonormal_complement(a, 3)
+        complement, events = _complement(a, 3)
         assert "complement-deficit" not in events
         assert np.allclose(a.conj().T @ complement, 0, atol=1e-10)
 
@@ -111,7 +111,7 @@ class TestProjections:
     def test_project_out_keeps_orthogonal_component(self, rng):
         a = _random_complex(rng, (5, 2))
         basis = orthonormal_basis(a)
-        complement, _ = orthonormal_complement(a, 3)
+        complement, _ = _complement(a, 3)
         outside = complement @ _random_complex(rng, 3)
         residual = project_out_subspace(outside, basis)
         assert np.allclose(residual, outside, atol=1e-10)
@@ -146,7 +146,7 @@ class TestRandomUnitaryAndAngles:
     def test_is_in_subspace_detects_membership(self, rng):
         basis = orthonormal_basis(_random_complex(rng, (4, 2)))
         assert is_in_subspace(basis[:, 0], basis)
-        complement, _ = orthonormal_complement(basis, 2)
+        complement, _ = _complement(basis, 2)
         assert not is_in_subspace(complement[:, 0], basis)
 
     def test_zero_vector_is_in_any_subspace(self, rng):
@@ -161,7 +161,7 @@ class TestLinalgProperties:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n_rows, n_cols)) + 1j * rng.standard_normal((n_rows, n_cols))
         rank = np.linalg.matrix_rank(a)
-        basis, events = null_space(a, n_cols - rank)
+        basis, events = _null_space(a, n_cols - rank)
         assert basis.shape == (n_cols, n_cols - rank)
         assert "null-space-deficit" not in events
         if basis.shape[1]:
@@ -173,6 +173,6 @@ class TestLinalgProperties:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((dim, n_vectors)) + 1j * rng.standard_normal((dim, n_vectors))
         basis = orthonormal_basis(a)
-        complement, _ = orthonormal_complement(a, dim - basis.shape[1])
+        complement, _ = _complement(a, dim - basis.shape[1])
         full = np.concatenate([basis, complement], axis=1)
         assert np.allclose(full @ full.conj().T, np.eye(dim), atol=1e-8)
