@@ -40,16 +40,16 @@ def _third_joiner_comparison(n_trials: int = 300, seed: int = 0):
         # i.e. satisfy all three rows of its channels (pre-coders take a
         # stack of constraint matrices; one matrix is a one-element stack).
         try:
-            precoders = compute_precoders_batch(3, np.concatenate([h_rx1, h_rx2])[None])
+            precoders, _ = compute_precoders_batch(3, np.concatenate([h_rx1, h_rx2])[None])
             nulling_only_streams.append(precoders.shape[1])
         except PrecodingError:
             nulling_only_streams.append(0)
 
         # Nulling at rx1 + alignment at rx2 (its row is U_perp^H H, Eq. 6).
-        u_perp = orthonormal_complement_batch(interference_at_rx2[None], 1)[0]
+        u_perp = orthonormal_complement_batch(interference_at_rx2[None], 1)[0][0]
         rows = np.concatenate([h_rx1, u_perp.conj().T @ h_rx2])
         try:
-            vectors = compute_precoders_batch(3, rows[None])[0]
+            vectors = compute_precoders_batch(3, rows[None])[0][0]
         except PrecodingError:
             combined_streams.append(0)
             continue
@@ -58,7 +58,7 @@ def _third_joiner_comparison(n_trials: int = 300, seed: int = 0):
         ongoing_at_rx3 = complex_gaussian((3, 2), rng, gain)
         wanted = (h_rx3 @ vectors[0]).reshape(1, 3, 1)
         snr = linear_to_db(
-            post_projection_snr_batch(wanted, ongoing_at_rx3[None], noise_power=1.0)[0]
+            post_projection_snr_batch(wanted, ongoing_at_rx3[None], noise_power=1.0)[0][0]
         )
         mcs = select_mcs(list(snr) * 8)
         combined_rates_mbps.append(mcs.data_rate_mbps())

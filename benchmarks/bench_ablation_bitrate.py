@@ -38,7 +38,7 @@ def _per_packet_vs_historical(n_packets: int = 2000, seed: int = 0):
             interference = None
         snr = post_projection_snr_batch(
             h_wanted[None], None if interference is None else interference[None], noise_power=1.0
-        )[0]
+        )[0][0]
         snrs = list(linear_to_db(snr)) * 8
 
         # n+: measure on the light-weight RTS, pick per packet.

@@ -51,8 +51,11 @@ def nulling_example(rng: np.random.Generator) -> None:
 
     # tx2 nulls at rx1 (Claim 3.3): one pre-coding vector in the null space.
     # The MIMO kernels take a stack of matrices (one per OFDM subcarrier);
-    # a single flat channel is a one-element stack.
-    precoder = compute_precoders_batch(2, h_tx2_rx1[None])[0, 0]
+    # a single flat channel is a one-element stack.  Each returns its value
+    # with a per-subcarrier mask of the members its guards fell back on.
+    precoders, degraded = compute_precoders_batch(2, h_tx2_rx1[None])
+    assert not degraded.any(), "a healthy channel takes no guarded fallback"
+    precoder = precoders[0, 0]
     leak_at_rx1 = np.abs(h_tx2_rx1 @ precoder)[0]
     print(f"interference tx2 leaves at rx1 : {linear_to_db(leak_at_rx1 ** 2):7.1f} dB (ideal: -inf)")
     assert leak_at_rx1**2 < 1e-12, "nulling should cancel tx2 at rx1 to numerical precision"
@@ -69,10 +72,10 @@ def nulling_example(rng: np.random.Generator) -> None:
     )
     # Project onto the complement of tx1's direction, then zero-force.
     h_wanted = (h_tx2_rx2 @ precoder).reshape(2, 1)
-    projector = orthonormal_complement_batch(h_tx1_rx2[None], 1)[0]
+    projector = orthonormal_complement_batch(h_tx1_rx2[None], 1)[0][0]
     decoded = np.linalg.pinv(projector.conj().T @ h_wanted) @ (projector.conj().T @ received)
     error = float(np.mean(np.abs(decoded - q) ** 2))
-    snr = linear_to_db(post_projection_snr_batch(h_wanted[None], h_tx1_rx2[None], 1e-2)[0, 0])
+    snr = linear_to_db(post_projection_snr_batch(h_wanted[None], h_tx1_rx2[None], 1e-2)[0][0, 0])
     print(f"rx2 post-projection SNR        : {snr:7.1f} dB")
     print(f"rx2 symbol error power         : {error:7.4f} (unit-power symbols)")
     assert error < 0.5, "projection decoding should recover tx2's unit-power symbols"

@@ -33,8 +33,10 @@ Quickstart::
     # The kernels take a stack of matrices (one per subcarrier); one
     # matrix is a one-element stack.
     h_to_rx1 = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
-    precoders = compute_precoders_batch(2, h_to_rx1[None], n_streams=1)[0]
-    assert np.allclose(h_to_rx1 @ precoders[0], 0)
+    # It returns the pre-coders and a per-subcarrier mask of the
+    # subcarriers whose system was degenerate (none here).
+    precoders, degraded = compute_precoders_batch(2, h_to_rx1[None], n_streams=1)
+    assert np.allclose(h_to_rx1 @ precoders[0, 0], 0) and not degraded.any()
 """
 
 __version__ = "1.0.0"

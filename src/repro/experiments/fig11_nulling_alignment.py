@@ -119,7 +119,8 @@ def run_nulling_experiment(
         h_true = complex_gaussian((1, 2), rng, db_to_linear(unwanted_snr_db))
         h_estimated = hardware.perturb_channel(h_true, rng, reciprocity=True)
 
-        precoder = compute_precoders_batch(2, h_estimated[None], n_streams=1)[0, 0]
+        precoders, _ = compute_precoders_batch(2, h_estimated[None], n_streams=1)
+        precoder = precoders[0, 0]
         residual_power = float(np.sum(np.abs(h_true @ precoder) ** 2))
 
         wanted_power = db_to_linear(wanted_snr_db)
@@ -175,7 +176,7 @@ def run_alignment_experiment(
 
         # rx2's decoding direction: orthogonal to tx1's interference; its
         # announcement carries a little estimation error of its own.
-        u_perp_true = orthonormal_complement_batch(h_tx1[None], 1)[0]
+        u_perp_true = orthonormal_complement_batch(h_tx1[None], 1)[0][0]
         u_perp_announced = hardware.perturb_channel(u_perp_true, rng)
         u_perp_announced = u_perp_announced / np.linalg.norm(u_perp_announced)
 
@@ -183,7 +184,8 @@ def run_alignment_experiment(
         rows = np.concatenate(
             [h_tx3_rx1_estimated, u_perp_announced.conj().T @ h_tx3_estimated]
         )
-        precoder = compute_precoders_batch(3, rows[None], n_streams=1)[0, 0]
+        precoders, _ = compute_precoders_batch(3, rows[None], n_streams=1)
+        precoder = precoders[0, 0]
 
         # Residual interference that leaks into rx2's true decoding direction.
         leak = u_perp_true.conj().T @ (h_tx3_true @ precoder)

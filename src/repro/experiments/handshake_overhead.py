@@ -79,7 +79,7 @@ def run_handshake_experiment(
         link = testbed.link(a, b, n_tx=1, n_rx=2, rng=rng)
         responses.append(link.frequency_response(64))  # (64, 2, 1)
     stacked = np.concatenate(responses, axis=0)  # (n_channels * 64, 2, 1)
-    subspaces = orthonormal_complement_batch(stacked, 1)
+    subspaces, _ = orthonormal_complement_batch(stacked, 1)
     per_channel = subspaces.reshape(n_channels, 64, 2, 1)
     symbols: List[int] = [
         alignment_feedback_symbols(per_channel[i]) for i in range(n_channels)

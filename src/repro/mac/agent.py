@@ -246,8 +246,8 @@ class BaseMacAgent:
     def quarantine_link(self, receiver_id: int) -> None:
         """Sit a link out after a guarded numerical fallback.
 
-        Called by the planning layer when :mod:`repro.utils.guarded`
-        reports that a decomposition feeding this link's plan degraded
+        Called by the planning layer when a guarded kernel's mask
+        (:mod:`repro.utils.guarded`) flags a member of this link's plan
         (non-finite or near-singular channel, typically mid-fade).  The
         link's current epoch signature is pinned; the quarantine lifts
         automatically the moment the signature changes (the fault layer
@@ -271,8 +271,8 @@ class BaseMacAgent:
     def _quarantine_signature(self) -> tuple:
         """Sorted ids of the still-quarantined receivers, as a cache-key
         component: quarantine state can flip within one channel epoch
-        (links are quarantined *during* planning), so plan memo keys must
-        carry it explicitly."""
+        (links are quarantined as their plans come back degraded), so plan
+        memo keys must carry it explicitly."""
         return tuple(
             sorted(
                 receiver_id

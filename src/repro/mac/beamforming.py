@@ -20,7 +20,6 @@ from repro.mac.plan import PlannedReceiver, plan_initial_transmission
 from repro.mimo.dof import InterferenceStrategy
 from repro.phy.rates import MCS_TABLE
 from repro.sim.medium import Medium, ScheduledStream
-from repro.utils import guarded
 
 __all__ = ["BeamformingMac", "distribute_streams"]
 
@@ -120,19 +119,19 @@ class BeamformingMac(BaseMacAgent):
             tuple((r.receiver_id, r.n_streams) for r in receivers),
             self.network.epoch_signature(involved),
         )
-        with guarded.capture_degradations() as capture:
-            plan = self._cached(key, _compute)
-        if capture.triggered:
-            # A guarded fallback fired inside the decomposition: the
-            # channel is numerically degenerate, so never transmit with the
-            # fallback precoders -- decline the plan and quarantine the
-            # links until their channel epoch changes.
+        plan = self._cached(key, _compute)
+        if plan is None:
+            return []
+        if plan.degraded.any():
+            # A guarded fallback fired inside the decomposition (the cached
+            # plan keeps its mask, so a hit sees it too): the channel is
+            # numerically degenerate, so never transmit with the fallback
+            # precoders -- decline the plan and quarantine the links until
+            # their channel epoch changes.
             for planned in receivers:
                 self.quarantine_link(planned.receiver_id)
             if not suppressed:
                 self.quarantined_rounds += 1
-            return []
-        if plan is None:
             return []
 
         join_order = medium.max_join_order() + 1

@@ -24,9 +24,7 @@ it reduces to plain spatial multiplexing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.constants import (
     NPLUS_ACK_HEADER_EXTRA_SYMBOLS,
@@ -48,7 +46,7 @@ from repro.phy.esnr import esnr_db, mcs_for_esnr
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import announced_decoding_subspace, interference_directions_at
 from repro.sim.medium import Medium, ScheduledStream
-from repro.utils import guarded
+from repro.utils.linalg import orthonormal_complement_batch
 
 __all__ = ["NPlusMac"]
 
@@ -82,8 +80,13 @@ class NPlusMac(BeamformingMac):
 
     # -- secondary contention ------------------------------------------------------
 
-    def _protected_receivers(self, medium: Medium) -> List[ProtectedReceiver]:
-        """Build the protection constraints from the overheard headers."""
+    def _protected_receivers(self, medium: Medium) -> Optional[List[ProtectedReceiver]]:
+        """Build the protection constraints from the overheard headers.
+
+        ``None`` when a receiver's announced decoding subspace degraded
+        (:mod:`repro.utils.guarded`): the joiner cannot protect that
+        receiver, so it does not join.
+        """
         protected: List[ProtectedReceiver] = []
         for receiver_id in medium.receiving_nodes():
             wanted = medium.streams_to(receiver_id)
@@ -98,7 +101,11 @@ class NPlusMac(BeamformingMac):
                     for s in medium.active_streams
                     if s.receiver_id != receiver_id and not s.protects(receiver_id)
                 ]
-                u_perp = announced_decoding_subspace(self.network, receiver_id, wanted, others)
+                u_perp, degraded = announced_decoding_subspace(
+                    self.network, receiver_id, wanted, others
+                )
+                if degraded.any():
+                    return None
             protected.append(
                 ProtectedReceiver(
                     receiver_id=receiver_id,
@@ -112,9 +119,16 @@ class NPlusMac(BeamformingMac):
             )
         return protected
 
-    def _own_receivers(self, medium: Medium, max_streams: int) -> List[PlannedReceiver]:
+    def _own_receivers(
+        self, medium: Medium, max_streams: int
+    ) -> Tuple[List[PlannedReceiver], List[int]]:
         """Choose which of our receivers take the new streams and build
-        their planning records."""
+        their planning records.
+
+        Returns ``(planned, degraded)``: a receiver whose orthogonal
+        subspace degraded (the guards fell back) is left out of the join
+        and named in ``degraded``, for :meth:`plan_join` to quarantine.
+        """
         used = medium.used_degrees_of_freedom
         candidates = []
         capacities = []
@@ -128,25 +142,18 @@ class NPlusMac(BeamformingMac):
                 continue
             candidates.append(receiver)
             capacities.append(capacity)
-        if not candidates:
-            return []
         allocation = distribute_streams(max_streams, capacities)
         planned: List[PlannedReceiver] = []
+        degraded: List[int] = []
         for receiver, n_streams in zip(candidates, allocation):
             if n_streams == 0:
                 continue
-            with guarded.capture_degradations() as capture:
-                ongoing_at_receiver = interference_directions_at(
-                    self.network, receiver.node_id, medium.active_streams
-                )
-                u_perp = _subspace_orthogonal_to(
-                    ongoing_at_receiver, receiver.n_antennas, n_streams
-                )
-            if capture.triggered:
-                # The orthogonal subspace at this receiver degraded (the
-                # guards fell back); exclude it from the join and sit the
-                # link out until its channel epoch changes.
-                self.quarantine_link(receiver.node_id)
+            ongoing_at_receiver = interference_directions_at(
+                self.network, receiver.node_id, medium.active_streams
+            )
+            u_perp, members = orthonormal_complement_batch(ongoing_at_receiver, n_streams)
+            if members.any():
+                degraded.append(receiver.node_id)
                 continue
             planned.append(
                 PlannedReceiver(
@@ -157,22 +164,25 @@ class NPlusMac(BeamformingMac):
                     u_perp=u_perp,
                 )
             )
-        return planned
+        return planned, degraded
 
     def _join_plan_core(self, medium: Medium):
         """The expensive, pure part of a join: subspaces and pre-coders.
 
-        Returns ``(plan, receivers)`` or ``None`` when no join is
-        possible.  Under the static-channel invariant this is a pure
-        function of the streams on the air and of which of our receivers
-        are backlogged, so :meth:`plan_join` memoizes it by that
-        configuration -- the airtime- and backlog-dependent payload
-        sizing stays outside the cache.
+        Returns ``(plan, receivers, degraded)``: ``plan`` is ``None`` when
+        no join is possible, and ``degraded`` names the own receivers
+        whose planning math fell back.  Under the static-channel
+        invariant this is a pure function of the streams on the air and
+        of which of our receivers are backlogged, so :meth:`plan_join`
+        memoizes it by that configuration and quarantines ``degraded``
+        outside the memo, so a hit quarantines what the miss did -- the
+        airtime- and backlog-dependent payload sizing stays outside the
+        cache too.
         """
         used = medium.used_degrees_of_freedom
         max_new = self.n_antennas - used
         if max_new <= 0:
-            return None
+            return None, [], []
         # Measure every link this configuration can need in one batched
         # prefetch: the reciprocity estimates to all ongoing receivers
         # plus the forward estimates to our own candidate receivers.  A
@@ -187,31 +197,28 @@ class NPlusMac(BeamformingMac):
             ]
         )
         protected = self._protected_receivers(medium)
-        receivers = self._own_receivers(medium, max_new)
+        if protected is None:
+            return None, [], []
+        receivers, degraded = self._own_receivers(medium, max_new)
         if not receivers:
-            return None
-        with guarded.capture_degradations() as capture:
-            try:
-                plan = plan_join(
-                    transmitter_id=self.node_id,
-                    n_tx_antennas=self.n_antennas,
-                    protected=protected,
-                    receivers=receivers,
-                    noise_power=self.network.noise_power,
-                )
-            except PrecodingError:
-                plan = None
-        if capture.triggered:
+            return None, [], degraded
+        try:
+            plan = plan_join(
+                transmitter_id=self.node_id,
+                n_tx_antennas=self.n_antennas,
+                protected=protected,
+                receivers=receivers,
+                noise_power=self.network.noise_power,
+            )
+        except PrecodingError:
+            return None, [], degraded
+        if plan.degraded.any():
             # The joint pre-coder solve degraded: never transmit with the
             # fallback pre-coders.  The shared constraint matrix does not
             # say which link is at fault, so quarantine every planned one
             # (each lifts as soon as its channel epoch changes).
-            for receiver in receivers:
-                self.quarantine_link(receiver.receiver_id)
-            return None
-        if plan is None:
-            return None
-        return plan, receivers
+            return None, [], degraded + [r.receiver_id for r in receivers]
+        return plan, receivers, degraded
 
     def plan_join(
         self, start_us: float, medium: Medium
@@ -237,15 +244,16 @@ class NPlusMac(BeamformingMac):
             stream_signature(medium.active_streams),
             backlogged,
             # Quarantine state can change *within* one channel epoch (links
-            # are quarantined during planning), so the memo key must carry
+            # are quarantined after planning), so the memo key must carry
             # it or a pre-quarantine plan would be replayed from cache.
             self._quarantine_signature(),
             self.network.epoch_signature(involved),
         )
-        core = self._cached(key, lambda: self._join_plan_core(medium))
-        if core is None:
+        plan, receivers, degraded = self._cached(key, lambda: self._join_plan_core(medium))
+        for receiver_id in degraded:
+            self.quarantine_link(receiver_id)
+        if plan is None:
             return None
-        plan, receivers = core
 
         end_us = medium.current_end_us
         if end_us <= start_us:
@@ -304,17 +312,3 @@ class NPlusMac(BeamformingMac):
         if not any_payload:
             return None
         return streams
-
-
-def _subspace_orthogonal_to(
-    directions: np.ndarray, n_antennas: int, n_streams: int
-) -> np.ndarray:
-    """Per-subcarrier decoding subspace orthogonal to given directions.
-
-    ``directions`` has shape ``(n_subcarriers, N, k)``; the result has
-    shape ``(n_subcarriers, N, n_streams)``.  All subcarriers are handled
-    by one batched SVD.
-    """
-    from repro.utils.linalg import orthonormal_complement_batch
-
-    return orthonormal_complement_batch(directions, n_streams)

@@ -289,12 +289,18 @@ class TransmissionPlan:
     protects:
         Receiver ids this transmission nulls/aligns at, mapped to the
         strategy used -- empty for a first contention winner.
+    degraded:
+        ``(n_subcarriers,)`` mask of the subcarriers whose pre-coder math
+        fell back (:mod:`repro.utils.guarded`); empty when no
+        decomposition ran.  A plan with any member flagged must never be
+        transmitted: the planner quarantines its links instead.
     """
 
     transmitter_id: int
     streams: List[StreamPlan]
     power_scale: float = 1.0
     protects: Dict[int, InterferenceStrategy] = field(default_factory=dict)
+    degraded: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def power_per_stream(self, total_power: float = 1.0) -> float:
         """Transmit power allocated to each stream (equal split)."""
@@ -352,7 +358,7 @@ def plan_initial_transmission(
     for receiver in receivers:
         stream_receivers.extend([receiver.receiver_id] * receiver.n_streams)
     own_rows = [r.constraint_rows_batch(n_sub) for r in receivers]
-    precoders = compute_precoders_batch(
+    precoders, degraded = compute_precoders_batch(
         n_tx_antennas,
         ongoing_rows=np.zeros((n_sub, 0, n_tx_antennas), dtype=complex),
         own_rows=np.concatenate(own_rows, axis=1),
@@ -363,7 +369,7 @@ def plan_initial_transmission(
         StreamPlan(stream_index=i, receiver_id=stream_receivers[i], precoders=precoders[:, i, :])
         for i in range(total_streams)
     ]
-    return TransmissionPlan(transmitter_id=transmitter_id, streams=streams)
+    return TransmissionPlan(transmitter_id=transmitter_id, streams=streams, degraded=degraded)
 
 
 def plan_join(
@@ -435,14 +441,14 @@ def plan_join(
         else np.zeros((n_sub, 0, n_tx_antennas), dtype=complex)
     )
     if len(receivers) == 1:
-        precoders = compute_precoders_batch(
+        precoders, degraded = compute_precoders_batch(
             n_tx_antennas,
             ongoing_rows=shared_rows,
             n_streams=total_streams,
         )
     else:
         own_rows = [r.constraint_rows_batch(n_sub) for r in receivers]
-        precoders = compute_precoders_batch(
+        precoders, degraded = compute_precoders_batch(
             n_tx_antennas,
             ongoing_rows=shared_rows,
             own_rows=np.concatenate(own_rows, axis=1),
@@ -460,4 +466,5 @@ def plan_join(
         streams=streams,
         power_scale=power_scale,
         protects=protects,
+        degraded=degraded,
     )

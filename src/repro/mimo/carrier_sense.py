@@ -35,6 +35,10 @@ class MultiDimensionalCarrierSense:
 
     n_antennas: int
     _ongoing: List[np.ndarray] = field(default_factory=list, repr=False)
+    _basis: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._basis = np.eye(self.n_antennas, dtype=complex)
 
     # -- bookkeeping of ongoing transmissions --------------------------------
 
@@ -54,16 +58,16 @@ class MultiDimensionalCarrierSense:
                 f"channel vectors have dimension {vectors.shape[0]}, expected {self.n_antennas}"
             )
         self._ongoing.append(vectors)
+        occupied = np.concatenate(self._ongoing, axis=1)
+        self._basis = orthonormal_complement_batch(occupied[None])[0][0]
 
     # -- projection ------------------------------------------------------------
 
     def projection_basis(self) -> np.ndarray:
         """Orthonormal basis of the subspace orthogonal to ongoing signals;
-        its width is ``n_antennas`` minus the rank of their directions."""
-        if not self._ongoing:
-            return np.eye(self.n_antennas, dtype=complex)
-        occupied = np.concatenate(self._ongoing, axis=1)
-        return orthonormal_complement_batch(occupied[None])[0]
+        its width is ``n_antennas`` minus the rank of their directions
+        (computed once per :meth:`add_ongoing`)."""
+        return self._basis
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Project received samples onto the interference-free subspace.

@@ -12,7 +12,7 @@ link-abstraction simulator and the bitrate selector.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,26 +35,23 @@ def _separable_pinv(u, s, vt, shape):
     rows, n = shape[-2:]
     smax = s.max(-1, keepdims=True, initial=0)
     separable = np.count_nonzero(s > smax * (max(rows, n) * np.finfo(float).eps), axis=-1) >= n
-    large = s > 1e-15 * smax
-    inv = np.divide(1, s, where=large, out=s)
-    inv[~large] = 0
-    return separable, np.matmul(vt.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
+    return separable, guarded.pinv_from_svd(u, s, vt, 1e-15 * smax)
 
 
 def _zero_forcing_gains(h_eff: np.ndarray):
-    """``(enhancement (n_sub, n), inseparable (n_sub,))`` of a stack of
-    projected channels: the zero-forcing noise enhancement of every
-    stream and the subcarriers whose streams cannot be separated."""
+    """``(enhancement (n_sub, n), inseparable (n_sub,), degraded (n_sub,))``
+    of a stack of projected channels: the zero-forcing noise enhancement
+    of every stream, the subcarriers whose streams cannot be separated,
+    and those a guard fell back on."""
     n_sub, rows, n_streams = h_eff.shape
     if rows < n_streams:
-        return np.ones((n_sub, n_streams)), np.ones(n_sub, dtype=bool)
-    separable, w = _separable_pinv(
-        *guarded.svd_stack(h_eff.conj(), full_matrices=False), h_eff.shape
-    )  # w: (n_sub, n, rows)
+        return np.ones((n_sub, n_streams)), np.ones(n_sub, dtype=bool), np.zeros(n_sub, dtype=bool)
+    u, s, vt, degraded = guarded.svd_stack(h_eff.conj(), full_matrices=False)
+    separable, w = _separable_pinv(u, s, vt, h_eff.shape)  # w: (n_sub, n, rows)
     if not np.isfinite(w).all():  # pragma: no cover - defensive
-        guarded.note_degradation("nonfinite-pinv")
+        degraded |= guarded.nonfinite_matrices(w)
         w = np.where(np.isfinite(w), w, 0.0)
-    return np.sum(np.abs(w) ** 2, axis=2), ~separable
+    return np.sum(np.abs(w) ** 2, axis=2), ~separable, degraded
 
 
 def _project_out(u: np.ndarray, rank: int, hw: np.ndarray) -> np.ndarray:
@@ -66,26 +63,29 @@ def _projection_gains(hw: np.ndarray, hi: Optional[np.ndarray]):
     """The expensive half of :func:`post_projection_snr_batch`: project
     the (sanitized) wanted channels ``hw`` orthogonal to the (sanitized)
     interference ``hi`` and zero-force, returning
-    ``(enhancement, inseparable)`` -- which depend on nothing else."""
+    ``(enhancement, inseparable, degraded)`` -- which depend on nothing
+    else."""
     if hi is None:
         return _zero_forcing_gains(hw)
     # The complement of the interference has width N - rank; a rank that
     # varies across subcarriers (degenerate channels) gets one batched
     # pass per distinct rank.
-    u, s, _ = guarded.svd_stack(hi, full_matrices=True)
+    u, s, _, degraded = guarded.svd_stack(hi, full_matrices=True)
     ranks = singular_value_ranks(s)
     rank = int(ranks[0])
     if np.all(ranks == rank):
-        return _zero_forcing_gains(_project_out(u, rank, hw))
+        enhancement, inseparable, projected = _zero_forcing_gains(_project_out(u, rank, hw))
+        return enhancement, inseparable, degraded | projected
     n_sub, _, n_streams = hw.shape
     enhancement = np.ones((n_sub, n_streams))
     inseparable = np.zeros(n_sub, dtype=bool)
     for rank in np.unique(ranks):
         members = ranks == rank
-        enhancement[members], inseparable[members] = _zero_forcing_gains(
+        enhancement[members], inseparable[members], projected = _zero_forcing_gains(
             _project_out(u[members], rank, hw[members])
         )
-    return enhancement, inseparable
+        degraded[members] |= projected
+    return enhancement, inseparable, degraded
 
 
 #: Entries a zero-forcing memo holds before it is cleared and refilled.
@@ -99,7 +99,7 @@ def post_projection_snr_batch(
     signal_power: float = 1.0,
     residual_interference_power=0.0,
     memo: Optional[dict] = None,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per-subcarrier, per-stream post-projection SNR in one batched pass.
 
     The receiver projects the wanted channels orthogonal to the
@@ -126,14 +126,16 @@ def post_projection_snr_batch(
         projection and zero-forcing -- all the SVD work -- depend only
         on the two channel stacks, so they are stored under the stacks'
         exact bytes and shapes and a repeated configuration skips them;
-        the noise terms are applied on every call.  A computation that
-        noted a guarded degradation is not stored, so it is noted again
-        next time.  Results are bit-identical with or without a memo.
+        the noise terms are applied on every call.  An entry stores the
+        projection's degraded mask with the gains, so a hit reports what
+        the miss did.  Results are bit-identical with or without a memo.
 
     Returns
     -------
-    numpy.ndarray
-        ``(n_sub, n)`` linear SNRs.
+    tuple
+        ``(snr, degraded)``: ``(n_sub, n)`` linear SNRs and the ``(n_sub,)``
+        mask of the subcarriers a guard fell back on (non-finite channels,
+        which decode nothing, or a non-converged decomposition).
     """
     hw = np.asarray(wanted_channels, dtype=complex)
     if hw.ndim != 3:
@@ -145,29 +147,30 @@ def post_projection_snr_batch(
     # NaN/Inf-poisoned subcarriers decode nothing: zero the poisoned
     # matrices (their SNR comes out 0) instead of letting LAPACK raise or
     # NaN propagate into the metrics.  No-op on finite stacks.
-    hw, _ = guarded.sanitize_stack(hw)
+    # The sanitized bytes key the memo, so these masks are per call.
+    hw, degraded = guarded.sanitize_stack(hw)
     hi = None
     if interference_directions is not None and np.asarray(interference_directions).size:
-        hi, _ = guarded.sanitize_stack(np.asarray(interference_directions, dtype=complex))
+        hi, poisoned = guarded.sanitize_stack(np.asarray(interference_directions, dtype=complex))
+        degraded = degraded | poisoned
 
     if memo is None:
-        enhancement, inseparable = _projection_gains(hw, hi)
+        enhancement, inseparable, projected = _projection_gains(hw, hi)
     else:
         key = (hw.shape, hw.tobytes(), None if hi is None else (hi.shape, hi.tobytes()))
         gains = memo.get(key)
         if gains is None:
-            with guarded.capture_degradations() as capture:
-                gains = _projection_gains(hw, hi)
-            if not capture.triggered:
-                if len(memo) >= ZERO_FORCING_MEMO_CAP:
-                    memo.clear()
-                memo[key] = gains
-        enhancement, inseparable = gains
+            gains = _projection_gains(hw, hi)
+            if len(memo) >= ZERO_FORCING_MEMO_CAP:
+                memo.clear()
+            memo[key] = gains
+        enhancement, inseparable, projected = gains
 
     snr = signal_power / (noise_total[:, None] * np.maximum(enhancement, 1e-30))
     snr[inseparable] = 0.0
+    degraded = degraded | projected
     if not np.isfinite(snr).all():
-        guarded.note_degradation("nonfinite-snr")
+        degraded |= ~np.isfinite(snr).all(axis=1)
         snr = np.where(np.isfinite(snr), snr, 0.0)
-    return snr
+    return snr, degraded
 

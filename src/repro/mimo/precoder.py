@@ -22,7 +22,7 @@ what lets a third transmitter join two ongoing transmissions in §2.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,14 +47,14 @@ def compute_precoders_batch(
     n_streams: Optional[int] = None,
     normalize: bool = True,
     rcond: float = 1e-10,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """The joiner's pre-coders (Claim 3.5, Eq. 7) on all subcarriers at once.
 
     The caller passes the constraint rows of *all* subcarriers as
     stacked arrays; the whole per-subcarrier linear algebra then runs as a
     handful of batched ``np.linalg`` calls.  This is the one
     implementation of Eq. 7; a single matrix is a one-element stack
-    (``compute_precoders_batch(2, h[None], n_streams=1)[0]``).
+    (``compute_precoders_batch(2, h[None], n_streams=1)[0][0]``).
 
     Parameters
     ----------
@@ -81,9 +81,14 @@ def compute_precoders_batch(
 
     Returns
     -------
-    numpy.ndarray
-        ``(n_sub, n_streams, M)``: per subcarrier, one unit-norm (with
-        ``normalize``) pre-coding vector per stream.
+    tuple
+        ``(precoders, degraded)``.  ``precoders`` has shape ``(n_sub,
+        n_streams, M)``: per subcarrier, one unit-norm (with
+        ``normalize``) pre-coding vector per stream.  ``degraded`` is the
+        ``(n_sub,)`` mask of the subcarriers whose system was singular,
+        ill-conditioned or non-finite: their pre-coders are the guarded
+        fallback (:mod:`repro.utils.guarded`), may not protect the ongoing
+        receivers, and must never be transmitted.
     """
     shared = np.asarray(ongoing_rows, dtype=complex)
     if shared.ndim != 3:
@@ -108,10 +113,10 @@ def compute_precoders_batch(
             raise PrecodingError(
                 f"cannot form {wanted} streams with {free_dof} free degrees of freedom"
             )
-        basis = null_space_batch(shared, wanted, rcond)  # (n_sub, M, wanted)
+        basis, degraded = null_space_batch(shared, wanted, rcond)  # (n_sub, M, wanted)
         if normalize:
             basis = _normalize_columns_batch(basis)
-        return basis.transpose(0, 2, 1)
+        return basis.transpose(0, 2, 1), degraded
 
     # --- General case: Eq. 7 ------------------------------------------------
     own = np.asarray(own_rows, dtype=complex)
@@ -164,22 +169,18 @@ def compute_precoders_batch(
     if total_rows == n_tx_antennas:
         # A singular/ill-conditioned/NaN-poisoned system falls back to the
         # pinned-rcond pseudo-inverse instead of killing the run; the
-        # degradation note drives link quarantine at the MAC layer.
+        # degraded mask drives link quarantine at the MAC layer.
         solution, degraded = guarded.solve_stack(matrix, rhs_stack)
-        if degraded and n_shared and not np.allclose(shared @ solution, 0, atol=1e-8):
-            raise PrecodingError(
-                "degenerate constraint matrix: the guarded fallback cannot "
-                "satisfy the nulling/alignment constraints"
-            )
     else:
-        pinv, _ = guarded.pinv_stack(matrix, rcond=rcond)
+        pinv, degraded = guarded.pinv_stack(matrix, rcond=rcond)
         solution = pinv @ rhs
-        # Verify the hard constraints (protecting ongoing receivers) hold.
-        if n_shared and not np.allclose(shared @ solution, 0, atol=1e-8):
+        # Verify the hard constraints (protecting ongoing receivers) hold;
+        # a degraded solution is flagged instead.
+        if n_shared and not np.allclose(shared @ solution, 0, atol=1e-8) and not degraded.any():
             raise PrecodingError(
                 "least-squares solution cannot satisfy the nulling/alignment constraints"
             )
 
     if normalize:
         solution = _normalize_columns_batch(solution)
-    return solution.transpose(0, 2, 1)
+    return solution.transpose(0, 2, 1), degraded

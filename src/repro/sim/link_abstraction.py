@@ -56,6 +56,7 @@ import numpy as np
 from repro.mimo.decoder import post_projection_snr_batch
 from repro.mimo.dof import InterferenceStrategy
 from repro.sim.medium import ScheduledStream
+from repro.utils import guarded
 from repro.utils.db import linear_to_db
 from repro.utils.linalg import singular_value_ranks
 
@@ -119,7 +120,10 @@ def announced_decoding_subspace(
     signal orthogonal to U-perp (Claim 3.4) therefore cannot disturb the
     receiver's decoding.
 
-    Returns an array of shape ``(n_subcarriers, N, n_wanted)``.
+    Returns ``(u_perp, degraded)``: U-perp of shape ``(n_subcarriers, N,
+    n_wanted)`` and the ``(n_subcarriers,)`` mask of the subcarriers
+    whose channels were non-finite or whose SVD did not converge
+    (:mod:`repro.utils.guarded`), where U-perp carries no information.
     """
     wanted = list(wanted_streams)
     n_wanted = len(wanted)
@@ -131,8 +135,9 @@ def announced_decoding_subspace(
     )
 
     columns = wanted_dirs
+    poisoned = False
     if interference_dirs is not None and interference_dirs.shape[2]:
-        u, s, _ = np.linalg.svd(interference_dirs, full_matrices=False)
+        u, s, _, poisoned = guarded.svd_stack(interference_dirs, full_matrices=False)
         ranks = singular_value_ranks(s)
         width = int(ranks.max())
         # Rank-masked interference basis: a subcarrier whose interference
@@ -143,8 +148,8 @@ def announced_decoding_subspace(
     # The thin SVD's left factor is orthonormal even where the projected
     # wanted columns are rank deficient, so a degenerate subcarrier comes
     # back padded with arbitrary orthonormal directions.
-    u, _, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, :, :n_wanted]
+    u, _, _, degraded = guarded.svd_stack(columns, full_matrices=False)
+    return u[:, :, :n_wanted], degraded | poisoned
 
 
 def receiver_stream_snrs(
@@ -248,16 +253,15 @@ def receiver_stream_snrs(
             channels[stream.transmitter_id], stream
         )
 
-    per_stream_db = linear_to_db(
-        post_projection_snr_batch(
-            wanted_matrix,
-            interference,
-            noise_power=noise,
-            signal_power=1.0,
-            residual_interference_power=residual_power,
-            memo=network.zero_forcing_memo,
-        )
-    )  # (n_sub, n_wanted)
+    snr, _ = post_projection_snr_batch(
+        wanted_matrix,
+        interference,
+        noise_power=noise,
+        signal_power=1.0,
+        residual_interference_power=residual_power,
+        memo=network.zero_forcing_memo,
+    )
+    per_stream_db = linear_to_db(snr)  # (n_sub, n_wanted)
     return {
         stream.stream_id: np.ascontiguousarray(per_stream_db[:, index])
         for index, stream in enumerate(wanted)

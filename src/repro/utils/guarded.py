@@ -19,43 +19,41 @@ deterministically* instead of raising:
 2. singular or ill-conditioned systems are solved with a pseudo-inverse
    at the pinned :data:`GUARD_RCOND` (never a caller-tuned tolerance, so
    the fallback result is reproducible across call sites);
-3. every fallback is *recorded* via :func:`note_degradation`, and the
-   MAC planning layer wraps its computations in
-   :func:`capture_degradations` -- a triggered capture quarantines the
-   link for the current channel epoch
-   (:meth:`repro.mac.agent.BaseMacAgent.quarantine_link`), which is the
-   accounted, non-exceptional outcome the metrics surface as
-   ``quarantined_rounds``.
+3. every kernel returns a per-member ``degraded`` mask next to its value,
+   ``(batch,)`` booleans flagging exactly the stack members a guard fell
+   back on.  The kernels built on these (null spaces, complements,
+   pre-coders, post-projection SNRs) pass the masks up, and there is one
+   quarantine rule: a MAC planner never transmits with a plan whose
+   members degraded -- it quarantines the links those members belong to
+   for the current channel epoch
+   (:meth:`repro.mac.agent.BaseMacAgent.quarantine_link`), the accounted,
+   non-exceptional outcome the metrics surface as ``quarantined_rounds``.
+   A memo stores the mask with the value, so a hit quarantines exactly
+   what the miss did.
 
 Determinism contract: on well-conditioned finite inputs every wrapper
 returns bit-identical results to the raw ``np.linalg`` call -- the
 guards only ever read the inputs/outputs on the happy path, and the
 committed golden metrics pin that.  The guards are always on; there is
-no raising variant of the batched kernels.
-
-The degradation state is process-global and not thread-safe, matching
-the simulator's execution model (one simulation per process; the sweep
-parallelises across processes, never threads).
+no raising variant of the batched kernels.  The kernels are pure
+functions of their inputs: the module keeps no state.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
     "GUARD_RCOND",
     "CONDITION_LIMIT",
-    "note_degradation",
-    "capture_degradations",
-    "DegradationCapture",
     "nonfinite_matrices",
     "sanitize_stack",
     "svd_stack",
     "solve_stack",
     "pinv_stack",
+    "pinv_from_svd",
     "ill_conditioned",
 ]
 
@@ -68,41 +66,6 @@ GUARD_RCOND = 1e-10
 #: singular value carries no information at double precision (eps ~ 2e-16),
 #: which is exactly the regime a deep fade pushes mixed stacks into.
 CONDITION_LIMIT = 1e12
-
-_captures: List["DegradationCapture"] = []
-
-
-class DegradationCapture:
-    """Degradation events observed while a capture scope was active."""
-
-    def __init__(self) -> None:
-        self.events: List[str] = []
-
-    @property
-    def triggered(self) -> bool:
-        return bool(self.events)
-
-
-def note_degradation(kind: str) -> None:
-    """Record one guarded fallback (feeds every active capture scope)."""
-    for capture in _captures:
-        capture.events.append(kind)
-
-
-@contextmanager
-def capture_degradations() -> Iterator[DegradationCapture]:
-    """Collect the degradations noted inside the ``with`` block.
-
-    Captures nest: an inner scope's events are also seen by outer
-    scopes, so a planning-level capture observes fallbacks taken deep
-    inside the precoder math.
-    """
-    capture = DegradationCapture()
-    _captures.append(capture)
-    try:
-        yield capture
-    finally:
-        _captures.remove(capture)
 
 
 # -- stack hygiene -----------------------------------------------------------
@@ -120,11 +83,12 @@ def nonfinite_matrices(stack: np.ndarray) -> np.ndarray:
 def sanitize_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Replace non-finite matrices in a stack with all-zero matrices.
 
-    Returns ``(clean, mask)``.  When every entry is finite the input
+    Returns ``(clean, degraded)``.  When every entry is finite the input
     array is returned *unchanged* (same object -- the happy path stays
-    bit-identical and copy-free); otherwise a copy is made, the poisoned
-    matrices are zeroed whole (partial NaN contamination leaves nothing
-    trustworthy in the matrix) and one degradation is noted.
+    bit-identical and copy-free); otherwise a copy is made and the
+    poisoned matrices are zeroed whole (partial NaN contamination leaves
+    nothing trustworthy in the matrix).  ``degraded`` flags the zeroed
+    members.
     """
     a = np.asarray(stack)
     # One-pass screen: NaN/Inf anywhere makes the sum non-finite, so a
@@ -136,7 +100,6 @@ def sanitize_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     bad = nonfinite_matrices(a)
     if not bad.any():
         return a, bad
-    note_degradation("nonfinite-input")
     clean = np.array(a, copy=True)
     clean[bad] = 0.0
     return clean, bad
@@ -166,86 +129,98 @@ def ill_conditioned(
 
 
 def svd_stack(stack: np.ndarray, full_matrices: bool = True):
-    """Batched SVD that cannot raise: ``(u, s, vh)`` for the whole stack.
+    """Batched SVD that cannot raise: ``(u, s, vh, degraded)``.
 
     Non-finite matrices are zeroed first; the (very rare) LAPACK
     non-convergence on finite input falls back to a per-matrix sweep
-    that zeroes exactly the non-converging members.  Well-conditioned
-    finite stacks take the plain ``np.linalg.svd`` path untouched.
+    that zeroes exactly the non-converging members.  ``degraded`` flags
+    every zeroed member.  Well-conditioned finite stacks take the plain
+    ``np.linalg.svd`` path untouched.
     """
-    clean, _ = sanitize_stack(np.asarray(stack, dtype=complex))
+    clean, degraded = sanitize_stack(np.asarray(stack, dtype=complex))
     try:
-        return np.linalg.svd(clean, full_matrices=full_matrices)
+        return (*np.linalg.svd(clean, full_matrices=full_matrices), degraded)
     except np.linalg.LinAlgError:  # pragma: no cover - LAPACK-dependent
-        note_degradation("svd-non-convergent")
         fixed = np.array(clean, copy=True)
         for index in range(fixed.shape[0]):
             try:
                 np.linalg.svd(fixed[index], compute_uv=False)
             except np.linalg.LinAlgError:
                 fixed[index] = 0.0
-        return np.linalg.svd(fixed, full_matrices=full_matrices)
+                degraded[index] = True
+        return (*np.linalg.svd(fixed, full_matrices=full_matrices), degraded)
+
+
+def pinv_from_svd(u, s, vh, cutoff) -> np.ndarray:
+    """``np.linalg.pinv``'s formula on the thin SVD ``u, s, vh`` of a
+    stack's *conjugate*: singular values at or below ``cutoff`` (per
+    matrix, ``(batch, 1)``) count as zero.  Overwrites ``s``."""
+    large = s > cutoff
+    inv = np.divide(1, s, where=large, out=s)
+    inv[~large] = 0
+    return np.matmul(vh.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
 
 
 def pinv_stack(
     stack: np.ndarray, rcond: float = GUARD_RCOND
-) -> Tuple[np.ndarray, bool]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Batched pseudo-inverse that cannot raise: ``(pinv, degraded)``.
 
-    ``degraded`` is ``True`` when any guard fired (non-finite input,
-    non-convergence, or a non-finite result that had to be zeroed).
+    ``np.linalg.pinv``'s own formula on the :func:`svd_stack` factors of
+    the conjugate, so finite input gives its result bit for bit.
+    ``degraded`` flags the members :func:`svd_stack` zeroed and any whose
+    result was non-finite and had to be zeroed.
     """
-    clean, bad = sanitize_stack(np.asarray(stack, dtype=complex))
-    degraded = bool(bad.any())
-    try:
-        out = np.linalg.pinv(clean, rcond=rcond)
-    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK-dependent
-        note_degradation("pinv-non-convergent")
-        degraded = True
-        rows = []
-        for matrix in clean:
-            try:
-                rows.append(np.linalg.pinv(matrix, rcond=rcond))
-            except np.linalg.LinAlgError:
-                rows.append(
-                    np.zeros((matrix.shape[1], matrix.shape[0]), dtype=complex)
-                )
-        out = np.stack(rows)
+    u, s, vh, degraded = svd_stack(np.conj(stack), full_matrices=False)
+    out = pinv_from_svd(u, s, vh, rcond * s.max(-1, keepdims=True, initial=0))
     if not np.isfinite(out).all():  # pragma: no cover - defensive
-        note_degradation("nonfinite-pinv")
-        degraded = True
+        degraded |= nonfinite_matrices(out)
         out = np.where(np.isfinite(out), out, 0.0)
     return out, degraded
 
 
+def _solved(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> bool:
+    """Whether ``out`` is a finite solution of ``a @ out = b`` whose
+    residual does not betray ill-conditioning."""
+    if not np.isfinite(out).all():
+        return False
+    scale = max(float(np.max(np.abs(b), initial=0.0)), 1.0)
+    residual = float(np.max(np.abs(a @ out - b), initial=0.0))
+    return residual <= 1e-6 * scale
+
+
 def solve_stack(
     matrices: np.ndarray, rhs: np.ndarray, rcond: float = GUARD_RCOND
-) -> Tuple[np.ndarray, bool]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Batched linear solve that cannot raise: ``(solution, degraded)``.
 
-    The happy path is exactly ``np.linalg.solve`` (bit-identical result);
-    a singular system, non-finite inputs/outputs, or a solution whose
-    residual betrays ill-conditioning all fall back to the pinned-rcond
-    pseudo-inverse, with ``degraded=True``.
+    The happy path is exactly ``np.linalg.solve`` (bit-identical result).
+    A singular system, non-finite inputs/outputs, or a solution whose
+    residual betrays ill-conditioning anywhere in the stack falls back,
+    for the whole stack, to the pinned-rcond pseudo-inverse.  ``degraded``
+    then flags the non-finite members and each member whose own solve
+    fails the same checks, so a fallback always flags at least one.
     """
     a, bad_a = sanitize_stack(np.asarray(matrices, dtype=complex))
     b, bad_b = sanitize_stack(np.asarray(rhs, dtype=complex))
-    if not (bad_a.any() or bad_b.any()):
+    degraded = bad_a | bad_b
+    if not degraded.any():
         try:
             out = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
-            note_degradation("singular-solve")
+            pass
         else:
-            if np.isfinite(out).all():
-                scale = max(float(np.max(np.abs(b), initial=0.0)), 1.0)
-                residual = float(np.max(np.abs(a @ out - b), initial=0.0))
-                if residual <= 1e-6 * scale:
-                    return out, False
-                note_degradation("ill-conditioned-solve")
-            else:
-                note_degradation("nonfinite-solve")
-    pinv, _ = pinv_stack(a, rcond=rcond)
+            if _solved(a, b, out):
+                return out, degraded
+    for index in np.flatnonzero(~degraded):
+        try:
+            member = np.linalg.solve(a[index], b[index])
+        except np.linalg.LinAlgError:
+            degraded[index] = True
+        else:
+            degraded[index] = not _solved(a[index], b[index], member)
+    pinv, pinv_degraded = pinv_stack(a, rcond=rcond)
     out = pinv @ b
     if not np.isfinite(out).all():  # pragma: no cover - defensive
         out = np.where(np.isfinite(out), out, 0.0)
-    return out, True
+    return out, degraded | pinv_degraded

@@ -67,17 +67,21 @@ def null_space_batch(
 
     Returns
     -------
-    numpy.ndarray
-        Shape ``(batch, cols, n_vectors)``: per matrix, orthonormal
-        columns ``v`` with ``A @ v ~= 0`` -- the right-singular vectors
-        that follow the matrix's numerical rank.  A matrix with no rows
-        constrains nothing: its null space is the whole space.
+    tuple
+        ``(basis, degraded)``.  ``basis`` has shape ``(batch, cols,
+        n_vectors)``: per matrix, orthonormal columns ``v`` with
+        ``A @ v ~= 0`` -- the right-singular vectors that follow the
+        matrix's numerical rank.  A matrix with no rows constrains
+        nothing: its null space is the whole space.  ``degraded`` is the
+        ``(batch,)`` mask of the members whose basis cannot be trusted
+        (see below).
 
     A matrix whose null space is thinner than ``n_vectors`` does not
     raise: it falls back to the ``n_vectors`` *smallest*-singular-value
-    directions (the deterministic pinned-rcond choice) and a degradation
-    is noted (:mod:`repro.utils.guarded`) so the MAC layer can
-    quarantine the link.
+    directions (the deterministic pinned-rcond choice) and is flagged in
+    ``degraded``, as is a non-finite or ill-conditioned matrix
+    (:mod:`repro.utils.guarded`), so the MAC layer can quarantine the
+    link.
     """
     a = np.asarray(matrices, dtype=complex)
     if a.ndim != 3:
@@ -87,20 +91,18 @@ def null_space_batch(
         raise DimensionError(f"cannot take {n_vectors} null-space vectors in dimension {cols}")
     if rows == 0:
         eye = np.eye(cols, dtype=complex)[:, :n_vectors]
-        return np.broadcast_to(eye, (batch, cols, n_vectors)).copy()
-    _, s, vh = guarded.svd_stack(a, full_matrices=True)
+        return np.broadcast_to(eye, (batch, cols, n_vectors)).copy(), np.zeros(batch, dtype=bool)
+    _, s, vh, degraded = guarded.svd_stack(a, full_matrices=True)
     ranks = singular_value_ranks(s, rcond)
-    if np.any(guarded.ill_conditioned(s)):
-        guarded.note_degradation("ill-conditioned-null-space")
     deficient = ranks + n_vectors > cols
-    if np.any(deficient):
-        guarded.note_degradation("null-space-deficit")
+    degraded = degraded | guarded.ill_conditioned(s) | deficient
+    if deficient.any():
         ranks = np.where(deficient, cols - n_vectors, ranks)
     # Gather rows ``rank .. rank + n_vectors`` of each V^H, even when the
     # ranks differ across the stack.
     row_idx = ranks[:, None] + np.arange(n_vectors)[None, :]
     selected = vh[np.arange(batch)[:, None], row_idx, :]  # (batch, n_vectors, cols)
-    return selected.conj().transpose(0, 2, 1)
+    return selected.conj().transpose(0, 2, 1), degraded
 
 
 def orthonormal_complement_batch(
@@ -124,15 +126,17 @@ def orthonormal_complement_batch(
 
     Returns
     -------
-    numpy.ndarray
-        Shape ``(batch, n, n_vectors)``: per matrix, orthonormal columns
-        orthogonal to its column space -- the left-singular vectors that
-        follow its numerical rank.
+    tuple
+        ``(basis, degraded)``.  ``basis`` has shape ``(batch, n,
+        n_vectors)``: per matrix, orthonormal columns orthogonal to its
+        column space -- the left-singular vectors that follow its
+        numerical rank.  ``degraded`` is the ``(batch,)`` mask of the
+        members whose basis cannot be trusted (see below).
 
     A matrix whose complement has fewer than ``n_vectors`` dimensions
     does not raise: it falls back to the ``n_vectors`` weakest
-    left-singular directions and a degradation is noted
-    (:mod:`repro.utils.guarded`).
+    left-singular directions and is flagged in ``degraded``, as is a
+    non-finite or ill-conditioned matrix (:mod:`repro.utils.guarded`).
     """
     a = np.asarray(matrices, dtype=complex)
     if a.ndim != 3:
@@ -142,21 +146,19 @@ def orthonormal_complement_batch(
         raise DimensionError(f"cannot take {n_vectors} complement vectors in dimension {n}")
     if k == 0:
         eye = np.eye(n, dtype=complex)[:, :n_vectors]
-        return np.broadcast_to(eye, (batch,) + eye.shape).copy()
-    u, s, _ = guarded.svd_stack(a, full_matrices=True)
+        return np.broadcast_to(eye, (batch,) + eye.shape).copy(), np.zeros(batch, dtype=bool)
+    u, s, _, degraded = guarded.svd_stack(a, full_matrices=True)
     ranks = singular_value_ranks(s, rcond)
-    if np.any(guarded.ill_conditioned(s)):
-        guarded.note_degradation("ill-conditioned-complement")
+    degraded = degraded | guarded.ill_conditioned(s)
     if n_vectors is None:
         rank = int(ranks[0])
         if batch > 1 and np.any(ranks != rank):
             raise DimensionError("the complements differ in width across the stack")
-        return u[:, :, rank:]
+        return u[:, :, rank:], degraded
     deficient = ranks + n_vectors > n
-    if np.any(deficient):
-        guarded.note_degradation("complement-deficit")
+    degraded |= deficient
+    if deficient.any():
         ranks = np.where(deficient, n - n_vectors, ranks)
     col_idx = ranks[:, None] + np.arange(n_vectors)[None, :]
     selected = u[np.arange(batch)[:, None], :, col_idx]  # (batch, n_vectors, n)
-    return selected.transpose(0, 2, 1)
-
+    return selected.transpose(0, 2, 1), degraded

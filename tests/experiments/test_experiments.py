@@ -206,5 +206,5 @@ class TestHandshakeOverhead:
         link = testbed.link(a, b, n_tx=1, n_rx=2, rng=rng)
         response = link.frequency_response(64)
         reference = alignment_subspaces_reference(response)
-        batched = orthonormal_complement_batch(response, 1)
+        batched, _ = orthonormal_complement_batch(response, 1)
         np.testing.assert_allclose(batched, reference, atol=1e-12)

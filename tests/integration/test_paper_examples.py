@@ -75,15 +75,15 @@ class TestFig3ThreePairExample:
         h_tx3_rx3 = _channel(rng, (3, 3))
 
         # tx2 nulls at rx1 (it joined second): one stream, pre-coder w2.
-        w2 = compute_precoders_batch(2, h_tx2_rx1[None])[0, 0]
+        w2 = compute_precoders_batch(2, h_tx2_rx1[None])[0][0, 0]
         # tx3 nulls at rx1 and aligns at rx2 inside rx2's unwanted space.
         rx2_interference = h_tx1_rx2  # direction of p at rx2
-        u_perp_rx2 = orthonormal_complement_batch(rx2_interference[None], 1)[0]
+        u_perp_rx2 = orthonormal_complement_batch(rx2_interference[None], 1)[0][0]
         ongoing = [
             ReceiverConstraint(channel=h_tx3_rx1),
             ReceiverConstraint(channel=h_tx3_rx2, u_perp=u_perp_rx2),
         ]
-        w3 = compute_precoders_batch(3, ongoing_rows(3, ongoing))[0, 0]
+        w3 = compute_precoders_batch(3, ongoing_rows(3, ongoing))[0][0, 0]
 
         n = 500
         p = complex_gaussian(n, rng, 1.0)
@@ -154,8 +154,8 @@ class TestFig4HeterogeneousExample:
         # streams inside AP1's unwanted space (orthogonal to AP1's decoding
         # direction for c1).
         u_perp_ap1 = h_c1_ap1 / np.linalg.norm(h_c1_ap1)
-        u_perp_c2 = orthonormal_complement_batch(h_c1_c2[None], 1)[0]
-        u_perp_c3 = orthonormal_complement_batch(h_c1_c3[None], 1)[0]
+        u_perp_c2 = orthonormal_complement_batch(h_c1_c2[None], 1)[0][0]
+        u_perp_c3 = orthonormal_complement_batch(h_c1_c3[None], 1)[0][0]
 
         precoders = compute_precoders_with_own_receivers(
             3,
@@ -177,7 +177,7 @@ class TestFig4HeterogeneousExample:
         snr_c2 = linear_to_db(
             post_projection_snr_batch(
                 (h_ap2_c2 @ v2).reshape(1, 2, 1), h_c1_c2[None], noise_power=1e-3
-            )[0, 0]
+            )[0][0, 0]
         )
         assert snr_c2 > 10.0
         leak_p3_at_c2 = u_perp_c2.conj().T @ (h_ap2_c2 @ v3)

@@ -1,10 +1,7 @@
 """Tests for DCF contention and the retransmission queue."""
 
-import numpy as np
-import pytest
-
 from repro.constants import CW_MAX, CW_MIN, DIFS_US, SLOT_TIME_US
-from repro.mac.csma import ContentionRound, DcfContender, resolve_contention
+from repro.mac.csma import DcfContender, resolve_contention
 from repro.mac.frames import Packet
 from repro.mac.retransmission import RetransmissionQueue
 

@@ -1,8 +1,5 @@
 """Tests for MAC frames and bitrate selection."""
 
-import numpy as np
-import pytest
-
 from repro.mac.bitrate import HistoricalRateController, choose_bitrate
 from repro.mac.frames import Packet
 from repro.phy.esnr import esnr_db, mcs_for_esnr

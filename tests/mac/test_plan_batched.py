@@ -141,7 +141,7 @@ class TestPlanInitialBatched:
 class TestComputePrecodersBatch:
     def test_simple_case_matches_reference(self, rng):
         shared = _channels(rng, 2, 4)
-        batched = compute_precoders_batch(4, shared, n_streams=2)
+        batched, _ = compute_precoders_batch(4, shared, n_streams=2)
         for k in range(N_SUB):
             reference = compute_precoders_reference(
                 4, ongoing=[ReceiverConstraint(channel=shared[k])], n_streams=2
@@ -151,7 +151,7 @@ class TestComputePrecodersBatch:
 
     def test_unit_norm_precoders(self, rng):
         shared = _channels(rng, 1, 3)
-        batched = compute_precoders_batch(3, shared, n_streams=2)
+        batched, _ = compute_precoders_batch(3, shared, n_streams=2)
         norms = np.linalg.norm(batched, axis=2)
         assert np.allclose(norms, 1.0)
 

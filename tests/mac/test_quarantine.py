@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import make_agent
+from oracles.runner import RecomputingPlanCache
 from repro.mac.beamforming import BeamformingMac
 from repro.mac.nplus import NPlusMac
+from repro.sim import runner
 from repro.sim.medium import Medium
 from repro.sim.network import Network
 from repro.sim.runner import RunSpec, SimulationConfig, build_network, run_simulation
@@ -120,17 +122,39 @@ class TestQuarantineMetrics:
     @pytest.mark.parametrize("protocol", ["beamforming", "n+"])
     def test_a_nan_channel_is_quarantined_not_raised(self, protocol):
         """A non-finite channel reaches planning: the guards zero it and
-        note the degradation, the planner quarantines the link, and the
-        run completes with finite metrics."""
-        scenario = heterogeneous_ap_scenario()
-        config = RunSpec.resolve(
-            scenario, SimulationConfig(duration_us=20_000.0, n_subcarriers=8)
-        )
-        network = build_network(scenario, 0, config)
-        pair = scenario.pairs[-1]
+        flag the member, the planner quarantines the link, and the run
+        completes with finite metrics."""
+        pair = heterogeneous_ap_scenario().pairs[-1]
         tx, rx = pair.transmitter.node_id, pair.receivers[0].node_id
-        nan = np.full_like(network.channels.channel(tx, rx), np.nan)
-        network.channels.update_links([(tx, rx, nan, network.channels.snr_db(tx, rx))])
-        metrics = run_simulation(scenario, protocol, seed=0, config=config, network=network)
+        metrics = _poisoned_run(protocol, tx, rx)
         assert metrics.links[pair.name].quarantined_rounds > 0
         assert np.isfinite(metrics.total_throughput_mbps())
+
+    @pytest.mark.parametrize("protocol", ["beamforming", "n+"])
+    def test_a_degraded_run_does_not_depend_on_the_plan_cache(self, protocol, monkeypatch):
+        """A cached plan keeps its degraded mask, so a hit quarantines what
+        a miss would: the run equals one that recomputes every plan."""
+        pair = heterogeneous_ap_scenario().pairs[-1]
+        tx, rx = pair.transmitter.node_id, pair.receivers[0].node_id
+        memoized = _poisoned_run(protocol, tx, rx).to_dict()
+        monkeypatch.setattr(runner, "PlanCache", RecomputingPlanCache)
+        assert _poisoned_run(protocol, tx, rx).to_dict() == memoized
+
+    def test_a_nan_ongoing_link_declines_the_join(self):
+        """A NaN on c1 -> AP1, the link of the ongoing reception a joiner
+        must protect: AP1's announced decoding subspace degrades, so n+
+        declines the join instead of raising, and quarantines none of
+        the joiner's own links."""
+        metrics = _poisoned_run("n+", 0, 1)
+        assert np.isfinite(metrics.total_throughput_mbps())
+        assert [link.quarantined_rounds for link in metrics.links.values()] == [0, 0]
+
+
+def _poisoned_run(protocol, tx, rx):
+    """``heterogeneous-ap`` at seed 0, 20 ms, with link ``tx -> rx`` NaN."""
+    scenario = heterogeneous_ap_scenario()
+    config = RunSpec.resolve(scenario, SimulationConfig(duration_us=20_000.0, n_subcarriers=8))
+    network = build_network(scenario, 0, config)
+    nan = np.full_like(network.channels.channel(tx, rx), np.nan)
+    network.channels.update_links([(tx, rx, nan, network.channels.snr_db(tx, rx))])
+    return run_simulation(scenario, protocol, seed=0, config=config, network=network)

@@ -29,7 +29,7 @@ class TestConstraintRows:
         u_perp = orthonormal_complement(_random(rng, (3, 1)))[:, :2]
         rows = alignment_constraint_rows(channel, u_perp)
         assert rows.shape == (2, 4)
-        precoders = compute_precoders_batch(4, rows[None])
+        precoders, _ = compute_precoders_batch(4, rows[None])
         assert precoders.shape == (1, 2, 4)
         assert np.allclose(u_perp.conj().T @ channel @ precoders[0].T, 0, atol=1e-10)
 
@@ -82,7 +82,7 @@ class TestThirdTransmitterExample:
                 channel=h_rx2, u_perp=orthonormal_complement(f_tx1.reshape(2, 1))
             ),
         ]
-        (produced,) = compute_precoders_batch(3, ongoing_rows(3, ongoing))[0]
+        (produced,) = compute_precoders_batch(3, ongoing_rows(3, ongoing))[0][0]
         assert abs(np.vdot(v, produced)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -116,7 +116,7 @@ class TestAlignmentPrecoders:
             ReceiverConstraint(channel=h_null),
             ReceiverConstraint(channel=h_align, u_perp=u_perp),
         ]
-        produced = compute_precoders_batch(4, ongoing_rows(4, ongoing))[0].T
+        produced = compute_precoders_batch(4, ongoing_rows(4, ongoing))[0][0].T
         assert oracle.shape == produced.shape == (4, 2)
         projector = oracle @ np.linalg.pinv(oracle)
         assert np.allclose(projector @ produced, produced, atol=1e-9)

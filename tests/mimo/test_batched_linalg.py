@@ -30,14 +30,14 @@ def _stack(rng, n_sub, rows, cols):
 class TestNullSpaceBatch:
     def test_matches_per_matrix_null_space(self, rng):
         stack = _stack(rng, N_SUB, 2, 4)
-        batched = null_space_batch(stack, 2)
+        batched, _ = null_space_batch(stack, 2)
         for k in range(N_SUB):
             reference = null_space(stack[k])[:, :2]
             assert np.allclose(batched[k], reference)
 
     def test_empty_constraints_give_identity(self, rng):
         stack = np.zeros((N_SUB, 0, 3), dtype=complex)
-        batched = null_space_batch(stack, 2)
+        batched, _ = null_space_batch(stack, 2)
         assert np.allclose(batched, np.broadcast_to(np.eye(3)[:, :2], (N_SUB, 3, 2)))
 
     def test_mixed_ranks_across_the_stack(self, rng):
@@ -45,33 +45,33 @@ class TestNullSpaceBatch:
         # the gather must still pick the right null-space columns per entry.
         stack = _stack(rng, N_SUB, 2, 4)
         stack[3, 1] = stack[3, 0]
-        batched = null_space_batch(stack, 2)
+        batched, _ = null_space_batch(stack, 2)
         for k in range(N_SUB):
             reference = null_space(stack[k])[:, :2]
             assert np.allclose(batched[k], reference)
 
     def test_too_thin_null_space_falls_back_under_guards(self, rng):
-        # The deficit is recorded as a degradation and the call returns the least-constrained directions instead of
-        # raising -- the MAC layer turns the recorded event into a link
-        # quarantine.
+        # The deficit flags the member degraded and the call returns the
+        # least-constrained directions instead of raising -- the MAC layer
+        # turns the flag into a link quarantine.
         stack = _stack(rng, N_SUB, 3, 4)
-        with guarded.capture_degradations() as capture:
-            batched = null_space_batch(stack, 2)
-        assert capture.triggered
-        assert "null-space-deficit" in capture.events
+        batched, degraded = null_space_batch(stack, 2)
+        # every member is well conditioned: the deficit alone flags it
+        assert not guarded.ill_conditioned(np.linalg.svd(stack, compute_uv=False)).any()
+        assert degraded.all()
         assert batched.shape == (N_SUB, 4, 2)
         assert np.isfinite(batched).all()
 
     def test_vectors_annihilate_constraints(self, rng):
         stack = _stack(rng, N_SUB, 2, 5)
-        batched = null_space_batch(stack, 3)
+        batched, _ = null_space_batch(stack, 3)
         assert np.allclose(stack @ batched, 0, atol=1e-10)
 
 
 class TestOrthonormalComplementBatch:
     def test_matches_per_matrix_complement(self, rng):
         stack = _stack(rng, N_SUB, 4, 2)
-        batched = orthonormal_complement_batch(stack, 2)
+        batched, _ = orthonormal_complement_batch(stack, 2)
         for k in range(N_SUB):
             reference = orthonormal_complement(stack[k])[:, :2]
             assert np.allclose(batched[k], reference)
@@ -79,20 +79,20 @@ class TestOrthonormalComplementBatch:
     def test_mixed_ranks_across_the_stack(self, rng):
         stack = _stack(rng, N_SUB, 4, 2)
         stack[5, :, 1] = stack[5, :, 0]
-        batched = orthonormal_complement_batch(stack, 2)
+        batched, _ = orthonormal_complement_batch(stack, 2)
         for k in range(N_SUB):
             reference = orthonormal_complement(stack[k])[:, :2]
             assert np.allclose(batched[k], reference)
 
     def test_empty_directions_give_identity(self):
         stack = np.zeros((N_SUB, 3, 0), dtype=complex)
-        batched = orthonormal_complement_batch(stack, 3)
+        batched, _ = orthonormal_complement_batch(stack, 3)
         assert np.allclose(batched, np.broadcast_to(np.eye(3), (N_SUB, 3, 3)))
 
     def test_every_direction_when_no_width_is_given(self, rng):
         stack = _stack(rng, N_SUB, 4, 2)
         stack[:, :, 1] = 3.0 * stack[:, :, 0]
-        batched = orthonormal_complement_batch(stack)
+        batched, _ = orthonormal_complement_batch(stack)
         assert batched.shape == (N_SUB, 4, 3)
         for k in range(N_SUB):
             assert np.array_equal(batched[k], orthonormal_complement(stack[k]))
@@ -105,7 +105,7 @@ class TestOrthonormalComplementBatch:
 
     def test_columns_are_orthogonal_to_input(self, rng):
         stack = _stack(rng, N_SUB, 4, 1)
-        batched = orthonormal_complement_batch(stack, 3)
+        batched, _ = orthonormal_complement_batch(stack, 3)
         assert np.allclose(stack.conj().transpose(0, 2, 1) @ batched, 0, atol=1e-10)
 
 
@@ -114,7 +114,7 @@ class TestPostProjectionSnrBatch:
         wanted = _stack(rng, N_SUB, 3, 2)
         interference = _stack(rng, N_SUB, 3, 1)
         residual = rng.random(N_SUB)
-        batched = post_projection_snr_batch(
+        batched, _ = post_projection_snr_batch(
             wanted, interference, noise_power=0.1, signal_power=2.0,
             residual_interference_power=residual,
         )
@@ -126,7 +126,7 @@ class TestPostProjectionSnrBatch:
 
     def test_no_interference_matches(self, rng):
         wanted = _stack(rng, N_SUB, 3, 3)
-        batched = post_projection_snr_batch(wanted, None, noise_power=0.05)
+        batched, _ = post_projection_snr_batch(wanted, None, noise_power=0.05)
         for k in range(N_SUB):
             assert np.allclose(
                 batched[k], post_projection_snr_reference(wanted[k], None, 0.05)
@@ -137,7 +137,7 @@ class TestPostProjectionSnrBatch:
         # cannot be separated and the reference returns zeros.
         wanted = _stack(rng, N_SUB, 2, 2)
         interference = _stack(rng, N_SUB, 2, 1)
-        batched = post_projection_snr_batch(wanted, interference, noise_power=0.1)
+        batched, _ = post_projection_snr_batch(wanted, interference, noise_power=0.1)
         assert np.allclose(batched, 0.0)
 
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
@@ -153,7 +153,7 @@ class TestPostProjectionSnrBatch:
             interference[9, :, 1] = 2j * interference[9, :, 0]
         if n_ranks >= 3:
             interference[7] = 0.0
-        batched = post_projection_snr_batch(
+        batched, _ = post_projection_snr_batch(
             wanted, interference, noise_power=0.2, residual_interference_power=residual
         )
         for k in range(N_SUB):
@@ -217,7 +217,10 @@ class TestPostProjectionSnrBitIdentity:
         args = (wanted, interference, 0.05, 2.0, residual)
         with np.errstate(all="ignore"):
             expected = post_projection_snr_batch_reference(*args)
-            assert np.array_equal(post_projection_snr_batch(*args), expected)
+            snr, degraded = post_projection_snr_batch(*args)
+            assert np.array_equal(snr, expected)
             memo = {}
             for _ in range(2):  # a miss, then a hit
-                assert np.array_equal(post_projection_snr_batch(*args, memo=memo), expected)
+                memoized, memoized_degraded = post_projection_snr_batch(*args, memo=memo)
+                assert np.array_equal(memoized, expected)
+                assert np.array_equal(memoized_degraded, degraded)

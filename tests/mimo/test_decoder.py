@@ -20,7 +20,7 @@ def _random(rng, shape):
 def post_projection_snr(wanted, interference, noise_power, **kwargs):
     """Per-stream linear SNRs on one subcarrier."""
     stack = None if interference is None else np.asarray(interference)[None]
-    return post_projection_snr_batch(np.asarray(wanted)[None], stack, noise_power, **kwargs)[0]
+    return post_projection_snr_batch(np.asarray(wanted)[None], stack, noise_power, **kwargs)[0][0]
 
 
 class TestZeroForcing:

@@ -22,7 +22,7 @@ def _random_channel(rng, n_rx, n_tx):
 def nulling_precoders(channels, n_tx_antennas, n_streams=None):
     """``(M, n_streams)`` pre-coders nulling at every listed receiver."""
     rows = np.concatenate(channels, axis=0)[None]
-    return compute_precoders_batch(n_tx_antennas, rows, n_streams=n_streams)[0].T
+    return compute_precoders_batch(n_tx_antennas, rows, n_streams=n_streams)[0][0].T
 
 
 def _leak_power(channel, precoders):

@@ -27,7 +27,7 @@ def _random(rng, shape):
 def compute_precoders(n_tx_antennas, ongoing, n_streams=None):
     """The joiner's pre-coding vectors on one subcarrier."""
     stack = ongoing_rows(n_tx_antennas, ongoing)
-    return list(compute_precoders_batch(n_tx_antennas, stack, n_streams=n_streams)[0])
+    return list(compute_precoders_batch(n_tx_antennas, stack, n_streams=n_streams)[0][0])
 
 
 class TestReceiverConstraint:
@@ -166,8 +166,8 @@ class TestMultiReceiverEq7:
     def test_singular_combined_system_raises(self, rng):
         # Two own receivers with the same channel and decoding subspace
         # make Eq. 7's matrix singular: the batched kernel falls back and
-        # notes a degradation, which the one-subcarrier form reports as an
-        # error.
+        # flags the subcarrier degraded, which the one-subcarrier form
+        # reports as an error.
         h = _random(rng, (2, 3))
         own = [
             OwnReceiver(channel=h, u_perp=np.eye(2)[:, :1], n_streams=1),

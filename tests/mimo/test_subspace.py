@@ -78,22 +78,23 @@ class TestUnwantedSpace:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_dimensions(self, network, layout):
         receiver, wanted, interference = _layout(network, layout)
-        u_perp = announced_decoding_subspace(network, receiver, wanted, interference)
+        u_perp, degraded = announced_decoding_subspace(network, receiver, wanted, interference)
         n_rx = network.station(receiver).n_antennas
         assert u_perp.shape == (N_SUB, n_rx, len(wanted))
+        assert degraded.shape == (N_SUB,) and not degraded.any()
 
     def test_no_spare_dimension_gives_identity(self, network):
         # Two wanted streams at a 2-antenna receiver use both dimensions:
         # U-perp is the whole space and the unwanted space is empty.
         medium = Medium()
         wanted = [_stream(medium, network, 2, 3, seed=s) for s in (1, 2)]
-        u_perp = announced_decoding_subspace(network, 3, wanted, [])
+        u_perp, _ = announced_decoding_subspace(network, 3, wanted, [])
         assert np.allclose(_projector(u_perp), np.broadcast_to(np.eye(2), (N_SUB, 2, 2)))
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_existing_interference_lies_inside_unwanted_space(self, network, layout):
         receiver, wanted, interference = _layout(network, layout)
-        u_perp = announced_decoding_subspace(network, receiver, wanted, interference)
+        u_perp, _ = announced_decoding_subspace(network, receiver, wanted, interference)
         directions = interference_directions_at(network, receiver, interference)
         assert np.allclose(u_perp.conj().transpose(0, 2, 1) @ directions, 0, atol=1e-10)
         for k in range(N_SUB):
@@ -104,7 +105,7 @@ class TestUnwantedSpace:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_u_perp_columns_are_orthonormal(self, network, layout):
         receiver, wanted, interference = _layout(network, layout)
-        u_perp = announced_decoding_subspace(network, receiver, wanted, interference)
+        u_perp, _ = announced_decoding_subspace(network, receiver, wanted, interference)
         gram = u_perp.conj().transpose(0, 2, 1) @ u_perp
         n_wanted = len(wanted)
         assert np.allclose(gram, np.broadcast_to(np.eye(n_wanted), (N_SUB, n_wanted, n_wanted)))
@@ -112,7 +113,7 @@ class TestUnwantedSpace:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_wanted_streams_remain_separable(self, network, layout):
         receiver, wanted, interference = _layout(network, layout)
-        u_perp = announced_decoding_subspace(network, receiver, wanted, interference)
+        u_perp, _ = announced_decoding_subspace(network, receiver, wanted, interference)
         projected = u_perp.conj().transpose(0, 2, 1) @ interference_directions_at(
             network, receiver, wanted
         )
@@ -123,7 +124,7 @@ class TestUnwantedSpace:
         # so projecting onto it loses none of the wanted signal.
         medium = Medium()
         wanted = [_stream(medium, network, 4, 5, seed=3)]
-        u_perp = announced_decoding_subspace(network, 5, wanted, [])
+        u_perp, _ = announced_decoding_subspace(network, 5, wanted, [])
         directions = interference_directions_at(network, 5, wanted)
         projected = u_perp.conj().transpose(0, 2, 1) @ directions
         assert np.allclose(
@@ -136,8 +137,8 @@ class TestUnwantedSpace:
         weak = [_stream(medium, network, 2, 3, power=0.01, seed=5)]
         strong = [_stream(medium, network, 2, 3, power=100.0, seed=5)]
         assert np.allclose(
-            _projector(announced_decoding_subspace(network, 5, wanted, weak)),
-            _projector(announced_decoding_subspace(network, 5, wanted, strong)),
+            _projector(announced_decoding_subspace(network, 5, wanted, weak)[0]),
+            _projector(announced_decoding_subspace(network, 5, wanted, strong)[0]),
         )
 
     def test_u_perp_depends_only_on_the_wanted_span(self, network):
@@ -150,8 +151,8 @@ class TestUnwantedSpace:
             _stream(medium, network, 4, 5, precoders=first.precoders - 1j * second.precoders),
         ]
         interference = [_stream(medium, network, 0, 1, seed=8)]
-        original = announced_decoding_subspace(network, 5, [first, second], interference)
-        remixed = announced_decoding_subspace(network, 5, mixed, interference)
+        original, _ = announced_decoding_subspace(network, 5, [first, second], interference)
+        remixed, _ = announced_decoding_subspace(network, 5, mixed, interference)
         assert np.allclose(_projector(original), _projector(remixed))
 
     def test_aligned_joiner_does_not_reach_the_decoding_subspace(self, network):
@@ -160,7 +161,7 @@ class TestUnwantedSpace:
         medium = Medium()
         wanted = [_stream(medium, network, 4, 5, seed=9)]
         interference = [_stream(medium, network, 0, 1, seed=11)]
-        u_perp = announced_decoding_subspace(network, 5, wanted, interference)
+        u_perp, _ = announced_decoding_subspace(network, 5, wanted, interference)
         channel = network.true_channel(2, 5)
         for k in range(N_SUB):
             rows = alignment_constraint_rows(channel[k], u_perp[k])
@@ -173,7 +174,7 @@ class TestUnwantedSpace:
         # The orthogonality checks above are not vacuous: a transmitter the
         # receiver was not told about does leak into U-perp.
         receiver, wanted, interference = _layout(network, "3ant-1w-1i")
-        u_perp = announced_decoding_subspace(network, receiver, wanted, interference)
+        u_perp, _ = announced_decoding_subspace(network, receiver, wanted, interference)
         foreign = interference_directions_at(
             network, receiver, [_stream(Medium(), network, 0, 1, seed=12)]
         )

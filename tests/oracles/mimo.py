@@ -177,24 +177,21 @@ def compute_precoders_with_own_receivers(
     """Eq. 7 on one subcarrier through the package's batched kernel.
 
     Raises :class:`~repro.exceptions.PrecodingError` when the combined
-    system is singular or ill-conditioned (any degradation the kernel
-    notes) instead of returning the kernel's guarded fallback.
+    system is singular or ill-conditioned (the kernel flags the
+    subcarrier degraded) instead of returning the kernel's guarded
+    fallback.
     """
     rows = [r.constraint_rows() for r in own_receivers]
-    with guarded.capture_degradations() as capture:
-        solution = compute_precoders_batch(
-            n_tx_antennas,
-            ongoing_rows(n_tx_antennas, ongoing),
-            own_rows=np.concatenate(rows, axis=0)[None],
-            own_stream_counts=[r.n_streams for r in own_receivers],
-            own_row_counts=[block.shape[0] for block in rows],
-            n_streams=n_streams,
-        )[0]
-    if capture.triggered:
-        raise PrecodingError(
-            "the combined constraint matrix is singular or ill-conditioned "
-            f"({', '.join(capture.events)})"
-        )
+    (solution,), (degraded,) = compute_precoders_batch(
+        n_tx_antennas,
+        ongoing_rows(n_tx_antennas, ongoing),
+        own_rows=np.concatenate(rows, axis=0)[None],
+        own_stream_counts=[r.n_streams for r in own_receivers],
+        own_row_counts=[block.shape[0] for block in rows],
+        n_streams=n_streams,
+    )
+    if degraded:
+        raise PrecodingError("the combined constraint matrix is singular or ill-conditioned")
     return [vector.copy() for vector in solution]
 
 

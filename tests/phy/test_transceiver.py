@@ -109,7 +109,7 @@ class TestPrecodedNulling:
         from repro.mimo.precoder import compute_precoders_batch
 
         h_bystander = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
-        precoder = compute_precoders_batch(2, h_bystander[None], n_streams=1)[0, 0]
+        precoder = compute_precoders_batch(2, h_bystander[None], n_streams=1)[0][0, 0]
         bits = random_bits(400, rng)
         streams = [StreamConfig(bits=bits, mcs=MCS_TABLE[2], precoder=precoder, stream_id=0)]
         transmitter = MimoTransmitter(2)

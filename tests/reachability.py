@@ -511,24 +511,29 @@ def _bad_input() -> None:
 
 
 def _poisoned_channel() -> None:
-    """A NaN channel on one link: the numerical guards zero it, note the
-    degradation, and the planners quarantine the link instead of raising."""
+    """A NaN channel on one link: the numerical guards zero it and flag the
+    member, and the planners quarantine the link instead of raising.  On
+    link 0 -> 1 (c1 -> AP1, the ongoing reception a joiner must protect)
+    AP1's announced decoding subspace degrades and n+ declines the join."""
     import numpy as np
 
     from repro.sim import sweep
     from repro.sim.runner import build_network
 
-    def poisoned(scenario, run_seed, config):
-        network = build_network(scenario, run_seed, config)
-        pair = scenario.pairs[-1]
-        tx, rx = pair.transmitter.node_id, pair.receivers[0].node_id
-        nan = np.full_like(network.channels.channel(tx, rx), np.nan)
-        network.channels.update_links([(tx, rx, nan, network.channels.snr_db(tx, rx))])
-        return network
+    def poisoned(tx, rx):
+        def build(scenario, run_seed, config):
+            network = build_network(scenario, run_seed, config)
+            nan = np.full_like(network.channels.channel(tx, rx), np.nan)
+            network.channels.update_links([(tx, rx, nan, network.channels.snr_db(tx, rx))])
+            return network
 
-    with _patched(sweep, "build_network", poisoned):
-        _cli("sweep", "--scenario", "heterogeneous-ap", "--protocols", "beamforming,n+",
-             *SHORT)
+        return build
+
+    # AP2 -> c2 (the last pair's first receiver), then c1 -> AP1.
+    for tx, rx in [(2, 3), (0, 1)]:
+        with _patched(sweep, "build_network", poisoned(tx, rx)):
+            _cli("sweep", "--scenario", "heterogeneous-ap", "--protocols", "beamforming,n+",
+                 *SHORT)
 
 
 def _fade_on_unread_link() -> None:

@@ -1,7 +1,6 @@
 """Tests for non-saturated (Poisson) traffic through the full simulator."""
 
 import numpy as np
-import pytest
 
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import three_pair_scenario

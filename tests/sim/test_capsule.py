@@ -20,7 +20,6 @@ from repro.sim import invariants as invariants_module
 from repro.sim.capsule import (
     CAPSULE_DIRNAME,
     CAPSULE_SCHEMA_VERSION,
-    CrashCapsule,
     build_capsule,
     load_capsule,
     replay_capsule,

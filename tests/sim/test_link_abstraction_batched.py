@@ -82,7 +82,7 @@ class TestAnnouncedSubspace:
     def test_matches_reference_without_interference(self, network):
         medium = Medium()
         wanted = [_stream(medium, network, tx=2, rx=3, seed=3)]
-        batched = announced_decoding_subspace(network, 3, wanted, [])
+        batched, _ = announced_decoding_subspace(network, 3, wanted, [])
         wanted_dirs = interference_directions_at(network, 3, wanted)
         reference = announced_subspace_reference(wanted_dirs, None, 1)
         assert np.allclose(batched, reference)
@@ -91,7 +91,7 @@ class TestAnnouncedSubspace:
         medium = Medium()
         wanted = [_stream(medium, network, tx=2, rx=3, seed=4)]
         interference = [_stream(medium, network, tx=4, rx=5, seed=5)]
-        batched = announced_decoding_subspace(network, 3, wanted, interference)
+        batched, _ = announced_decoding_subspace(network, 3, wanted, interference)
         wanted_dirs = interference_directions_at(network, 3, wanted)
         interference_dirs = interference_directions_at(network, 3, interference)
         reference = announced_subspace_reference(wanted_dirs, interference_dirs, 1)
@@ -112,7 +112,7 @@ class TestAnnouncedSubspace:
         wanted = [steered, _stream(medium, network, tx=2, rx=3, seed=16)]
         wanted_dirs = interference_directions_at(network, 5, wanted)
 
-        subspace = announced_decoding_subspace(network, 5, wanted, interference)
+        subspace, _ = announced_decoding_subspace(network, 5, wanted, interference)
         gram = subspace.conj().transpose(0, 2, 1) @ subspace
         assert np.allclose(gram, np.broadcast_to(np.eye(2), (N_SUB, 2, 2)))
         reference = announced_subspace_reference(wanted_dirs, interference_dirs, 2)
@@ -122,7 +122,7 @@ class TestAnnouncedSubspace:
     def test_joiner_orthogonal_to_subspace_is_harmless(self, network):
         medium = Medium()
         wanted = [_stream(medium, network, tx=2, rx=3, seed=6)]
-        subspace = announced_decoding_subspace(network, 3, wanted, [])
+        subspace, _ = announced_decoding_subspace(network, 3, wanted, [])
         # Columns are orthonormal per subcarrier.
         gram = subspace.conj().transpose(0, 2, 1) @ subspace
         assert np.allclose(gram, np.broadcast_to(np.eye(1), (N_SUB, 1, 1)))

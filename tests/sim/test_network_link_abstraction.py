@@ -171,7 +171,7 @@ class TestLinkAbstraction:
         medium = Medium()
         wanted = [_stream(medium, network, tx=2, rx=3, order=1)]
         interference = [_stream(medium, network, tx=0, rx=1, order=0)]
-        subspace = announced_decoding_subspace(network, 3, wanted, interference)
+        subspace, _ = announced_decoding_subspace(network, 3, wanted, interference)
         assert subspace.shape == (8, 2, 1)
         directions = interference_directions_at(network, 3, interference)
         for k in range(8):

@@ -4,9 +4,10 @@
 of a configuration (the projection and the zero-forcing noise
 enhancement) under the exact bytes of its channel stacks; the noise
 terms are applied on every call.  These tests pin that a hit equals a
-fresh computation bit for bit, that a changed channel misses, that a
-degraded computation is never stored, and that whole runs are unchanged
-when the memo never hits.
+fresh computation bit for bit, that an entry keeps the degraded mask
+of the computation it stores, so a hit reports what the miss did, that
+a changed channel misses, and that whole runs are unchanged when the
+memo never hits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.network import Network
 from repro.sim.runner import SimulationConfig, build_network, run_simulation
 from repro.sim.scenarios import scenario_factory, three_pair_scenario
-from repro.utils import guarded
 
 N_SUB = 8
 
@@ -48,9 +48,11 @@ class TestMemoHit:
         post_projection_snr_batch(wanted, interference, 0.1, memo=memo)
         assert len(memo) == 1
         kwargs = {"noise_power": 0.1, **changed}
-        hit = post_projection_snr_batch(wanted, interference, memo=memo, **kwargs)
+        hit, hit_degraded = post_projection_snr_batch(wanted, interference, memo=memo, **kwargs)
         assert len(memo) == 1
-        assert np.array_equal(hit, post_projection_snr_batch(wanted, interference, **kwargs))
+        fresh, fresh_degraded = post_projection_snr_batch(wanted, interference, **kwargs)
+        assert np.array_equal(hit, fresh)
+        assert np.array_equal(hit_degraded, fresh_degraded)
 
     def test_key_is_the_content_not_the_array(self, rng):
         wanted = _stack(rng, 2, 1)
@@ -61,18 +63,32 @@ class TestMemoHit:
         post_projection_snr_batch(wanted.reshape(N_SUB, 1, 2), None, 0.1, memo=memo)
         assert len(memo) == 2
 
-    def test_nan_poisoned_input_is_noted_on_every_call(self, rng):
+    def test_nan_poisoned_input_is_flagged_on_every_call(self, rng):
         wanted = _stack(rng, 2, 1)
         wanted[3, 0, 0] = np.nan
         memo = {}
         results = []
         for _ in range(2):
-            with guarded.capture_degradations() as capture:
-                results.append(post_projection_snr_batch(wanted, None, 0.1, memo=memo))
-            assert capture.events == ["nonfinite-input"]
+            snr, degraded = post_projection_snr_batch(wanted, None, 0.1, memo=memo)
+            assert degraded.tolist() == [k == 3 for k in range(N_SUB)]
+            results.append(snr)
         assert len(memo) == 1
         assert np.array_equal(results[0], results[1])
         assert results[0][3, 0] == 0.0
+
+    def test_a_zero_channel_sharing_the_key_is_not_flagged(self, rng):
+        # The sanitized NaN stack and a genuinely zero member have the same
+        # bytes, so they share an entry; the non-finite flag is per call.
+        wanted = _stack(rng, 2, 1)
+        wanted[3] = 0.0
+        poisoned = wanted.copy()
+        poisoned[3, 0, 0] = np.nan
+        memo = {}
+        post_projection_snr_batch(poisoned, None, 0.1, memo=memo)
+        snr, degraded = post_projection_snr_batch(wanted, None, 0.1, memo=memo)
+        assert len(memo) == 1
+        assert not degraded.any()
+        assert snr[3, 0] == 0.0
 
 
 class TestMemoMiss:
@@ -82,11 +98,11 @@ class TestMemoMiss:
         memo = {}
         post_projection_snr_batch(stacks["wanted"], stacks["interference"], 0.1, memo=memo)
         stacks[changed] = _stack(rng, 3, 1)
-        result = post_projection_snr_batch(
+        result, _ = post_projection_snr_batch(
             stacks["wanted"], stacks["interference"], 0.1, memo=memo
         )
         assert len(memo) == 2
-        fresh = post_projection_snr_batch(stacks["wanted"], stacks["interference"], 0.1)
+        fresh, _ = post_projection_snr_batch(stacks["wanted"], stacks["interference"], 0.1)
         assert np.array_equal(result, fresh)
 
     def test_fade_on_an_involved_link_misses(self):
@@ -129,28 +145,28 @@ class TestMemoMiss:
             assert not np.array_equal(snrs, before[stream_id])
 
 
-def test_degraded_computation_is_recomputed_and_noted_again(rng, monkeypatch):
-    """Every batched SVD fails to converge once, so every computation
-    takes the guarded fallback and notes it; none may be stored."""
+def test_degraded_computation_is_stored_with_its_mask(rng, monkeypatch):
+    """The SVD of one member never converges: the guarded fallback zeroes
+    that member (its SNR is 0) and flags it, and the memo stores the
+    mask with the gains, so the hit flags the same member."""
     svd = np.linalg.svd
-    armed = [True]
+    wanted = _stack(rng, 3, 2)
+    stuck = wanted[5].conj()  # the zero-forcing SVD runs on the conjugate
 
-    def non_convergent_once(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            armed[0] = not armed[0]
-            if not armed[0]:
-                raise np.linalg.LinAlgError("SVD did not converge")
+    def non_convergent_member(a, *args, **kwargs):
+        members = a if np.ndim(a) == 3 else [a]
+        if any(np.array_equal(member, stuck) for member in members):
+            raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 
-    wanted = _stack(rng, 3, 2)
-    expected = post_projection_snr_batch(wanted, None, 0.1)
-    monkeypatch.setattr(np.linalg, "svd", non_convergent_once)
+    expected, _ = post_projection_snr_batch(wanted, None, 0.1)
+    expected[5] = 0.0
+    monkeypatch.setattr(np.linalg, "svd", non_convergent_member)
     memo = {}
-    for _ in range(2):
-        with guarded.capture_degradations() as capture:
-            result = post_projection_snr_batch(wanted, None, 0.1, memo=memo)
-        assert capture.events == ["svd-non-convergent"]
-        assert memo == {}
+    for _ in range(2):  # a miss, then a hit
+        result, degraded = post_projection_snr_batch(wanted, None, 0.1, memo=memo)
+        assert degraded.tolist() == [k == 5 for k in range(N_SUB)]
+        assert len(memo) == 1
         assert np.array_equal(result, expected)
 
 

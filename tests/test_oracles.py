@@ -20,9 +20,9 @@ Readable reference forms live in ``tests/oracles`` and test tools in
   moves to ``tests/oracles`` (a form production is checked against) or
   ``tests/helpers.py`` (a test tool).
 
-One more rule keeps the package's imports honest: every name a module
-under ``src/repro`` imports is used in that module or listed in its
-``__all__`` (``from __future__`` imports and lines marked
+One more rule keeps the imports honest: every name a module under
+``src/repro`` or ``tests/`` imports is used in that module or listed in
+its ``__all__`` (``from __future__`` imports and lines marked
 ``# noqa: F401`` excepted) -- an import nothing reads costs load time and
 misleads a reader about what the module depends on.
 """
@@ -257,6 +257,9 @@ def _unused_imports(path: Path) -> List[str]:
 
 def test_every_package_import_is_used():
     unused = [
-        entry for path in sorted(PACKAGE_ROOT.rglob("*.py")) for entry in _unused_imports(path)
+        entry
+        for root in (PACKAGE_ROOT, TESTS_ROOT)
+        for path in sorted(root.rglob("*.py"))
+        for entry in _unused_imports(path)
     ]
     assert unused == [], "imports nothing in their module reads: " + ", ".join(unused)

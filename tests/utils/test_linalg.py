@@ -1,8 +1,11 @@
 """Tests for the subspace/linear-algebra primitives.
 
 The kernels take a stack of matrices; one matrix is a one-element stack.
-A basis wider than the subspace is a deficit the kernel notes as a
-guarded degradation, so "no degradation noted" pins the dimension.
+A basis wider than the subspace is a deficit the kernel flags in its
+degraded mask, so an unflagged call on a well-conditioned matrix pins the
+dimension.  A rank-deficient matrix is flagged as ill-conditioned
+whatever the width; there an orthonormal basis inside the subspace pins
+it.
 """
 
 import numpy as np
@@ -13,7 +16,6 @@ from hypothesis import strategies as st
 from helpers import is_in_subspace, orthonormal_basis, random_unitary, subspace_angle
 from oracles.mimo import project_out_subspace
 from repro.exceptions import DimensionError
-from repro.utils import guarded
 from repro.utils.linalg import null_space_batch, orthonormal_complement_batch
 
 
@@ -22,24 +24,24 @@ def _random_complex(rng, shape):
 
 
 def _null_space(a, n_vectors):
-    """``(basis, degradations noted)`` of one matrix's null space."""
-    with guarded.capture_degradations() as capture:
-        basis = null_space_batch(np.asarray(a, dtype=complex)[None], n_vectors)[0]
-    return basis, capture.events
+    """``(basis, degraded)`` of one matrix's null space."""
+    (basis,), (degraded,) = null_space_batch(np.asarray(a, dtype=complex)[None], n_vectors)
+    return basis, degraded
 
 
 def _complement(a, n_vectors):
-    """``(basis, degradations noted)`` of one matrix's column-space complement."""
-    with guarded.capture_degradations() as capture:
-        basis = orthonormal_complement_batch(np.asarray(a, dtype=complex)[None], n_vectors)[0]
-    return basis, capture.events
+    """``(basis, degraded)`` of one matrix's column-space complement."""
+    (basis,), (degraded,) = orthonormal_complement_batch(
+        np.asarray(a, dtype=complex)[None], n_vectors
+    )
+    return basis, degraded
 
 
 class TestNullSpace:
     def test_vectors_satisfy_constraints(self, rng):
         a = _random_complex(rng, (2, 4))
-        basis, events = _null_space(a, 2)
-        assert basis.shape == (4, 2) and events == []
+        basis, degraded = _null_space(a, 2)
+        assert basis.shape == (4, 2) and not degraded
         assert np.allclose(a @ basis, 0, atol=1e-10)
 
     def test_columns_are_orthonormal(self, rng):
@@ -50,19 +52,20 @@ class TestNullSpace:
 
     def test_full_rank_square_matrix_has_empty_null_space(self, rng):
         a = _random_complex(rng, (3, 3))
-        assert _null_space(a, 0)[1] == []
-        assert "null-space-deficit" in _null_space(a, 1)[1]
+        assert not _null_space(a, 0)[1]
+        assert _null_space(a, 1)[1]
 
     def test_zero_constraints_return_identity_like_basis(self):
-        basis, events = _null_space(np.zeros((0, 3)), 3)
-        assert np.array_equal(basis, np.eye(3)) and events == []
+        basis, degraded = _null_space(np.zeros((0, 3)), 3)
+        assert np.array_equal(basis, np.eye(3)) and not degraded
 
     def test_rank_deficient_matrix(self, rng):
         row = _random_complex(rng, (1, 4))
         a = np.vstack([row, 2 * row, 3 * row])
-        basis, events = _null_space(a, 3)
+        basis, degraded = _null_space(a, 3)
         assert basis.shape == (4, 3)
-        assert "null-space-deficit" not in events
+        assert degraded  # ill-conditioned
+        assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-10)
         assert np.allclose(a @ basis, 0, atol=1e-9)
 
 
@@ -76,28 +79,29 @@ class TestOrthonormalBasisAndComplement:
 
     def test_complement_is_orthogonal(self, rng):
         a = _random_complex(rng, (4, 2))
-        complement, events = _complement(a, 2)
-        assert complement.shape == (4, 2) and events == []
+        complement, degraded = _complement(a, 2)
+        assert complement.shape == (4, 2) and not degraded
         assert np.allclose(a.conj().T @ complement, 0, atol=1e-10)
 
     def test_complement_of_empty_is_full_space(self):
-        complement, events = _complement(np.zeros((3, 0)), 3)
-        assert np.array_equal(complement, np.eye(3)) and events == []
+        complement, degraded = _complement(np.zeros((3, 0)), 3)
+        assert np.array_equal(complement, np.eye(3)) and not degraded
 
     def test_dimensions_add_up(self, rng):
         for n_cols in range(4):
             a = _random_complex(rng, (4, n_cols)) if n_cols else np.zeros((4, 0))
             width = 4 - orthonormal_basis(a).shape[1]
-            assert "complement-deficit" not in _complement(a, width)[1]
+            assert not _complement(a, width)[1]
             if width < 4:
-                assert "complement-deficit" in _complement(a, width + 1)[1]
+                assert _complement(a, width + 1)[1]
 
     def test_duplicate_columns_do_not_inflate_rank(self, rng):
         column = _random_complex(rng, (4, 1))
         a = np.concatenate([column, column], axis=1)
         assert orthonormal_basis(a).shape[1] == 1
-        complement, events = _complement(a, 3)
-        assert "complement-deficit" not in events
+        complement, degraded = _complement(a, 3)
+        assert degraded  # ill-conditioned
+        assert np.allclose(complement.conj().T @ complement, np.eye(3), atol=1e-10)
         assert np.allclose(a.conj().T @ complement, 0, atol=1e-10)
 
 
@@ -161,9 +165,9 @@ class TestLinalgProperties:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n_rows, n_cols)) + 1j * rng.standard_normal((n_rows, n_cols))
         rank = np.linalg.matrix_rank(a)
-        basis, events = _null_space(a, n_cols - rank)
+        basis, degraded = _null_space(a, n_cols - rank)
         assert basis.shape == (n_cols, n_cols - rank)
-        assert "null-space-deficit" not in events
+        assert not degraded
         if basis.shape[1]:
             assert np.allclose(a @ basis, 0, atol=1e-8)
 
