@@ -49,6 +49,15 @@ _TRELLIS_CACHE: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray, np.ndar
 BIT_ZERO, BIT_ONE, BIT_ERASED, BIT_OTHER = range(4)
 N_PAIR_PATTERNS = 16
 
+#: Block-metric tables keyed like :data:`_TRELLIS_CACHE`: ``(steps, table)``
+#: per code, built on the first decode and shared read-only.
+_BLOCK_CACHE: Dict[Tuple[int, int, int], Tuple[int, np.ndarray]] = {}
+
+#: Most trellis steps one block of the decoder spans, and the size limit of
+#: a code's block-metric table (one int8 entry per pattern tuple and path).
+_MAX_BLOCK_STEPS = 3
+_BLOCK_TABLE_BYTES = 2 << 20
+
 
 def _build_trellis(
     g0: int, g1: int, constraint_length: int
@@ -97,6 +106,44 @@ def _trellis_tables(
         tables = _build_trellis(g0, g1, constraint_length)
         _TRELLIS_CACHE[key] = tables
     return tables
+
+
+def _build_block_metrics(
+    prev_states: np.ndarray, incoming_metrics: np.ndarray, memory: int
+) -> Tuple[int, np.ndarray]:
+    """Build ``(steps, table)``: the summed metric of every ``steps``-step path.
+
+    ``steps`` is ``min(_MAX_BLOCK_STEPS, memory)``, shrunk while the table
+    would exceed :data:`_BLOCK_TABLE_BYTES`.  The path into end state
+    ``H * (n_states >> steps) + K`` from predecessor ``K * 2**steps + J``
+    takes, at its ``i``-th step from the end, the incoming transition
+    ``(J >> (steps - i)) & 1`` (so a tie rule that prefers the lower
+    predecessor at every step prefers the lowest ``J``).
+    ``table[pattern, J, H, K]`` sums the one-step metrics along that path
+    for the received pair patterns ``pattern = sum(p_i * 16**(steps - i))``,
+    ``p_1`` the first step's.  Entries are at most ``2 * steps``, in int8.
+    """
+    n_states = prev_states.shape[0]
+    steps = min(_MAX_BLOCK_STEPS, memory)
+    while steps > 1 and N_PAIR_PATTERNS**steps * n_states * (1 << steps) > _BLOCK_TABLE_BYTES:
+        steps -= 1
+    n_half = n_states // 2
+    span = 1 << steps
+    low, high, end = np.ogrid[:span, :span, : n_states >> steps]
+    state = high * (n_states >> steps) + end  # end state of each (J, H, K) path
+    # Walk each path back from its end state; terms[i] is step i's metric.
+    terms = [None] * steps
+    for step in range(steps - 1, -1, -1):
+        j = (low >> step) & 1
+        terms[step] = np.ascontiguousarray(
+            incoming_metrics[:, j, state // n_half, state % n_half], dtype=np.int8
+        )
+        state = prev_states[state, j]
+    table = terms[0]
+    for term in terms[1:]:
+        table = (table[:, None] + term[None]).reshape((-1,) + term.shape[1:])
+    table.setflags(write=False)
+    return steps, table
 
 
 class ConvolutionalEncoder:
@@ -178,6 +225,30 @@ class ConvolutionalEncoder:
         """
         _, _, incoming_metrics = _trellis_tables(self.g0, self.g1, self.constraint_length)
         return incoming_metrics
+
+    def block_metrics(self) -> Tuple[int, np.ndarray]:
+        """Return ``(steps, table)``, the multi-step branch-metric table.
+
+        ``table[pattern, J, H, K]``, shape
+        ``(16**steps, 2**steps, 2**steps, n_states >> steps)`` in int8, is
+        the summed Hamming metric of the ``steps``-step path from state
+        ``K * 2**steps + J`` to state ``H * (n_states >> steps) + K`` when
+        the ``steps`` received coded pairs have the patterns
+        ``p_1, ..., p_steps`` (see :meth:`incoming_metrics`) and
+        ``pattern = sum(p_i * 16**(steps - i))``.  ``steps`` is 3 for the
+        802.11 code, fewer for a code with less memory or too many states
+        for a 2 MiB table.
+
+        The returned array is a shared, read-only cached table, built on
+        the first call for the code.
+        """
+        key = (self.g0, self.g1, self.constraint_length)
+        block = _BLOCK_CACHE.get(key)
+        if block is None:
+            prev_states, _ = self.predecessors()
+            block = _build_block_metrics(prev_states, self.incoming_metrics(), self.tail_bits)
+            _BLOCK_CACHE[key] = block
+        return block
 
 
 #: The shared default encoder (see :func:`default_encoder`).

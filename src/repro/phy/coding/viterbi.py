@@ -5,24 +5,30 @@ rounded values, with punctured positions marked by erasures (NaN) that
 contribute zero metric.  A rounded value that is neither 0 nor 1 matches
 neither output bit (metric 1).
 
-The decoder does three things per frame, each with a fixed number of NumPy
-calls or one tight Python loop:
+The decoder advances ``steps`` trellis steps per add-compare-select (3 for
+the 802.11 code: a radix-8 trellis), with a fixed number of NumPy calls per
+block of steps or one tight Python loop:
 
-* **Branch metrics from a table.**  After rounding, every received coded
-  pair is one of 16 patterns (each bit is 0, 1, erased or other).  The
-  encoder caches the incoming metrics of every state for each pattern
-  (:meth:`~repro.phy.coding.convolutional.ConvolutionalEncoder.incoming_metrics`),
-  so the frame's metrics are one gather, ``table[pattern]``.
-* **Add-compare-select over a history array.**  Every step's path metrics
-  are one row of an ``(n_steps + 1, n_states)`` array.  The trellis has
-  butterfly structure -- the predecessors of state ``s`` are
-  ``(2s, 2s + 1) mod n_states`` -- so each step is one ``np.add`` of the
-  incoming metrics to a strided view of the previous row, and one
-  ``np.minimum`` of the two candidates into the next row.  The survivor
-  decisions (``candidate[1] < candidate[0]``: ties keep the lower
-  predecessor) are taken for all steps at once after the loop.
-* **Traceback through packed words.**  Each step's decisions are packed
-  into one Python int, and the walk reads ``(word >> state) & 1``.
+* **Block metrics from a table.**  After rounding, every received coded
+  pair is one of 16 patterns (each bit is 0, 1, erased or other), and a
+  block of ``steps`` pairs is one of ``16**steps`` pattern tuples.  The
+  encoder caches, per code, the summed metric of every ``steps``-step
+  path for each tuple in int8
+  (:meth:`~repro.phy.coding.convolutional.ConvolutionalEncoder.block_metrics`),
+  so the frame's metrics are one gather, ``table[tuple]``.  A frame whose
+  step count is not a multiple of ``steps`` gets virtual steps in front of
+  its first real one: erased pairs whose input bits are forced to zero.
+* **Add-compare-select over a history array.**  Every block's path
+  metrics are one row of an ``(n_blocks + 1, n_states)`` array.  Over
+  ``steps`` steps the predecessors of state ``H * (n_states >> steps) + K``
+  are the ``2**steps`` states ``K * 2**steps + J``, so each block is one
+  ``np.add`` of the block metrics to a strided view of the previous row,
+  and one ``np.minimum.reduce`` over ``J`` into the next row.  Metrics are
+  small integers (or inf), so the float64 sums are exact.
+* **Traceback.**  Keeping the lower predecessor on every one-step tie keeps
+  the lowest ``J``, so the walk takes the first ``J`` whose candidate
+  reaches the new metric, ``state = ((state << steps) | J) & mask``; a
+  block's input bits are the top ``steps`` bits of its end state.
 
 The readable per-state decoder is kept as a test oracle
 (``tests/oracles/phy.py``) and asserted bit-exact against this one.
@@ -38,14 +44,16 @@ from repro.phy.coding.convolutional import (
     BIT_ONE,
     BIT_OTHER,
     BIT_ZERO,
+    N_PAIR_PATTERNS,
     ConvolutionalEncoder,
     default_encoder,
 )
 
 __all__ = ["viterbi_decode"]
 
-#: Bits in one lane of a packed decision word.
-_LANE_BITS = 64
+#: The received pattern of a virtual step: both bits erased, metric 0
+#: against every transition.
+_ERASED_PAIR = 4 * BIT_ERASED + BIT_ERASED
 
 
 def _checked_pairs(
@@ -78,20 +86,6 @@ def _pair_patterns(pairs: np.ndarray) -> np.ndarray:
     return 4 * codes[:, 0] + codes[:, 1]
 
 
-def _packed_words(choices: np.ndarray) -> list:
-    """One Python int per step whose bit ``s`` is ``choices[step, s]``."""
-    n_steps, n_states = choices.shape
-    n_lanes = -(-n_states // _LANE_BITS)
-    padded = np.zeros((n_steps, n_lanes * _LANE_BITS), dtype=bool)
-    padded[:, :n_states] = choices
-    lanes = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-    words = lanes[:, 0].tolist()
-    for lane in range(1, n_lanes):
-        shift = lane * _LANE_BITS
-        words = [word | (high << shift) for word, high in zip(words, lanes[:, lane].tolist())]
-    return words
-
-
 def viterbi_decode(
     coded: np.ndarray,
     n_data_bits: int,
@@ -117,25 +111,38 @@ def viterbi_decode(
     pairs = _checked_pairs(coded, n_data_bits, encoder, terminated)
     n_steps = pairs.shape[0]
     n_states = encoder.n_states
-    n_half = n_states // 2
+    memory = encoder.tail_bits
+    steps, table = encoder.block_metrics()
+    span = 1 << steps
+    n_low = n_states >> steps
+    n_blocks = -(-n_steps // steps)
+    pad = n_blocks * steps - n_steps
 
-    # incoming[step, j, h, k]: metric of the j-th incoming transition of
-    # state h * n_half + k, whose predecessor is state 2k + j.
-    incoming = encoder.incoming_metrics()[_pair_patterns(pairs)]
+    # The frame runs as n_blocks blocks of `steps` steps; `pad` virtual
+    # steps in front of the first real one fill the first block.
+    patterns = np.concatenate([np.full(pad, _ERASED_PAIR), _pair_patterns(pairs)])
+    digits = N_PAIR_PATTERNS ** np.arange(steps - 1, -1, -1)
+    # candidates[block, J, H, K] starts as the metric of the path into
+    # state H * n_low + K from state K * span + J (see block_metrics); the
+    # loop adds the predecessor's path metric in place.
+    candidates = table[patterns.reshape(n_blocks, steps) @ digits].astype(float)
+    if pad:
+        # A virtual step's input bit is zero: the first block may only end
+        # in states whose `pad` lowest input bits (the low bits of H) are 0.
+        candidates[0, :, np.arange(span) % (1 << pad) != 0] = np.inf
 
-    history = np.empty((n_steps + 1, n_states))
+    history = np.empty((n_blocks + 1, n_states))
     history[0] = np.inf
     history[0, 0] = 0.0
-    # previous[step, j, 0, k] is history[step, 2k + j], broadcast over h.
-    previous = history[:-1].reshape(n_steps, n_half, 2).transpose(0, 2, 1)[:, :, None, :]
-    following = history[1:].reshape(n_steps, 2, n_half)
-    candidates = np.empty((n_steps, 2, 2, n_half))
-    for inc_t, prev_t, cand_t, next_t in zip(incoming, previous, candidates, following):
-        np.add(inc_t, prev_t, out=cand_t)
-        np.minimum(cand_t[0], cand_t[1], out=next_t)
-    # Strict comparison keeps the first (lower-state) predecessor on ties,
-    # matching the per-state decoder's scan order.
-    choices = (candidates[:, 1] < candidates[:, 0]).reshape(n_steps, n_states)
+    # previous[block, J, 0, K] is history[block, K * span + J], broadcast over H.
+    previous = history[:-1].reshape(n_blocks, n_low, span).transpose(0, 2, 1)[:, :, None, :]
+    following = history[1:].reshape(n_blocks, span, n_low)
+    for cand_t, prev_t, next_t in zip(candidates, previous, following):
+        np.add(cand_t, prev_t, out=cand_t)
+        np.minimum.reduce(cand_t, axis=0, out=next_t)
+    # reached[block, J, state]: whether the path from predecessor J
+    # reaches the state's new metric, one byte per flag.
+    reached = (candidates == following[:, None]).tobytes()
     path_metric = history[-1]
 
     if terminated:
@@ -145,16 +152,23 @@ def viterbi_decode(
     else:
         final_state = int(np.argmin(path_metric))
 
-    # Trace back.  Plain Python ints and lists are faster than numpy scalar
-    # indexing for this strictly sequential walk.
-    prev_states, prev_bits = encoder.predecessors()
-    prev_state_list = prev_states.tolist()
-    prev_bit_list = prev_bits.tolist()
-    words = _packed_words(choices)
-    bits = [0] * n_steps
+    # Trace back through the first J whose path reaches the new metric (the
+    # per-state decoder's tie rule; see the module docstring).  Plain Python
+    # ints and bytes are faster than numpy scalar indexing for this strictly
+    # sequential walk.
+    mask = n_states - 1
+    end_states = [0] * n_blocks
     state = final_state
-    for step in range(n_steps - 1, -1, -1):
-        j = (words[step] >> state) & 1
-        bits[step] = prev_bit_list[state][j]
-        state = prev_state_list[state][j]
-    return np.array(bits[:n_data_bits], dtype=np.int8)
+    for block in range(n_blocks - 1, -1, -1):
+        end_states[block] = state
+        flag = block * span * n_states + state
+        choice = 0
+        while not reached[flag]:
+            flag += n_states
+            choice += 1
+        state = ((state << steps) | choice) & mask
+    # A block's input bits, first step lowest, are the top bits H of its
+    # end state.
+    inputs = np.array(end_states, dtype=np.int64)[:, None] >> (memory - steps)
+    bits = (inputs >> np.arange(steps)) & 1
+    return bits.reshape(-1)[pad : pad + n_data_bits].astype(np.int8)

@@ -50,6 +50,11 @@ _LTS_SEQUENCE = np.array(
 )
 
 
+#: Samples in the (default) short training field: its length without
+#: building it.
+_STF_LENGTH = NUM_SHORT_TRAINING_REPEATS * SHORT_TRAINING_SYMBOL_LENGTH
+
+
 def _frequency_grid_from_sequence(config: OfdmConfig) -> np.ndarray:
     """Place the LTS sequence (bins -26..26) on the FFT grid."""
     grid = np.zeros(config.fft_size, dtype=complex)
@@ -130,7 +135,7 @@ class Preamble:
     @property
     def length(self) -> int:
         """Total preamble length in samples."""
-        return len(self.stf) + self.n_antennas * self.ltf_slot_length
+        return _STF_LENGTH + self.n_antennas * self.ltf_slot_length
 
     def per_antenna_samples(self) -> np.ndarray:
         """Return the preamble samples for each antenna.
@@ -157,7 +162,7 @@ class Preamble:
         """Return (start, end) sample indices of antenna ``antenna``'s LTF."""
         if not 0 <= antenna < self.n_antennas:
             raise DimensionError(f"antenna index {antenna} out of range")
-        start = len(self.stf) + antenna * self.ltf_slot_length
+        start = _STF_LENGTH + antenna * self.ltf_slot_length
         return start, start + self.ltf_slot_length
 
 

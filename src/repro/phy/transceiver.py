@@ -165,9 +165,20 @@ class MimoTransmitter:
     def build_frame(self, streams: Sequence[StreamConfig]) -> tuple:
         """Return ``(samples, layout)`` for the given streams.
 
-        ``samples`` has shape ``(n_antennas, frame_length)``.  All streams
-        must fit in the same number of OFDM symbols; shorter streams are
-        padded by their codec.
+        ``samples`` has shape ``(n_antennas, frame_length)``: the pre-coded
+        preamble followed by the body of :meth:`build_body`.
+        """
+        streams = list(streams)
+        body, layout = self.build_body(streams)
+        preamble_samples = self._build_precoded_preamble(streams, layout.preamble)
+        return np.concatenate([preamble_samples, body], axis=1), layout
+
+    def build_body(self, streams: Sequence[StreamConfig]) -> tuple:
+        """Return ``(body, layout)``: the frame's data symbols, no preamble.
+
+        ``body`` has shape ``(n_antennas, layout.body_length)``.  All
+        streams must fit in the same number of OFDM symbols; shorter
+        streams are padded by their codec.
         """
         streams = list(streams)
         if not streams:
@@ -206,8 +217,6 @@ class MimoTransmitter:
             [self._modem.modulate_grid(antenna_grids[a]) for a in range(self.n_antennas)]
         )
 
-        # Pre-coded preamble: one LTF slot per stream, each passed through
-        # that stream's pre-coding vectors.
         layout = FrameLayout(
             n_streams=len(streams),
             n_body_symbols=n_symbols,
@@ -216,14 +225,14 @@ class MimoTransmitter:
             stream_ids=[s.stream_id for s in streams],
             config=cfg,
         )
-        preamble_samples = self._build_precoded_preamble(streams, layout.preamble)
-        samples = np.concatenate([preamble_samples, body], axis=1)
-        return samples, layout
+        return body, layout
 
     def _build_precoded_preamble(
         self, streams: Sequence[StreamConfig], preamble: Preamble
     ) -> np.ndarray:
-        """Pre-code the per-stream preamble onto the physical antennas."""
+        """Pre-code the per-stream preamble onto the physical antennas: one
+        LTF slot per stream, each passed through that stream's pre-coding
+        vectors."""
         cfg = self.config
         virtual = preamble.per_antenna_samples()  # (n_streams, length)
         out = np.zeros((self.n_antennas, preamble.length), dtype=complex)

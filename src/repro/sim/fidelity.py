@@ -5,8 +5,9 @@ link abstraction (:mod:`repro.sim.link_abstraction` +
 :func:`repro.phy.esnr.packet_delivery_probability`), which costs
 microseconds per reception.  The full transceiver chain
 (:mod:`repro.phy.transceiver`: convolutional encode, OFDM modulate, fade,
-ZF equalise, Viterbi decode) costs ~3.5 ms per 1024-bit probe (2-core
-x86-64 Xeon, NumPy 2.4; about 60% of it in the Viterbi decoder) -- three
+ZF equalise, Viterbi decode) costs ~4 ms per 1024-bit probe (median over
+the eight MCSs at their delivery cliff on a shared 2-core x86-64 Xeon VM,
+NumPy 2.4.6, Python 3.11; about 60% of it in the Viterbi decoder) -- three
 to four orders of magnitude more -- but is the ground truth the
 abstraction approximates.
 
@@ -96,7 +97,7 @@ PHY_STREAM_TAG = 0x706879  # "phy"
 
 #: Probe payload length (bits).  Long enough that the coded chain shows a
 #: sharp delivery cliff (short probes let Viterbi luck out several dB
-#: below threshold at 64-QAM), short enough to keep a probe ~3.5 ms.
+#: below threshold at 64-QAM), short enough to keep a probe ~4 ms.
 DEFAULT_PROBE_BITS = 1024
 
 # The probe chain is single-stream over the full 64-bin OFDM grid; the
@@ -163,16 +164,17 @@ def simulate_probe_delivery(
     amplitude = np.sqrt(np.power(10.0, snr_per_bin / 10.0) * noise_power)
 
     bits = rng.integers(0, 2, size=int(probe_bits), dtype=np.uint8)
-    samples, layout = _PROBE_TX.build_frame(
+    body, layout = _PROBE_TX.build_body(
         [StreamConfig(bits=bits, mcs=mcs, precoder=np.array([1.0 + 0j]))]
     )
-    body = samples[0, layout.preamble_length :]
-    grid = _MODEM.demodulate_grid(body)
+    grid = _MODEM.demodulate_grid(body[0])
     faded = _MODEM.modulate_grid(grid * amplitude[None, :])
     noise = np.sqrt(noise_power / 2.0) * (
         rng.standard_normal(faded.size) + 1j * rng.standard_normal(faded.size)
     )
-    received = np.concatenate([samples[0, : layout.preamble_length], faded + noise])
+    # Under perfect CSI the receiver reads only the body, so the probe
+    # builds no preamble and leaves its span silent.
+    received = np.concatenate([np.zeros(layout.preamble_length, dtype=complex), faded + noise])
     estimate = ChannelEstimate(
         matrices=amplitude.astype(complex)[:, None, None],
         valid_bins=np.arange(_OFDM.fft_size),
@@ -195,7 +197,7 @@ class FidelityEngine:
     Escalated verdicts are memoized under the same structural key shape
     as the agents' measured-SNR memo -- ``(tx, rx, planned signature,
     concurrent signature, epoch signature of every involved node)`` -- so
-    a repeated contention configuration pays the ~3.5 ms probe once, and a
+    a repeated contention configuration pays the ~4 ms probe once, and a
     fault bumping any involved link's epoch retires exactly the entries
     that observed the old channel.  Because the verdict is computed from
     jitter-free SNRs and a dedicated :func:`phy_stream_rng` stream, the

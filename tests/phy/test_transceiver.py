@@ -135,6 +135,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MimoTransmitter(2).build_frame([])
 
+    def test_frame_is_preamble_then_body(self, rng):
+        precoders = np.array([[1.0, 1j], [1.0, -1.0]]) / np.sqrt(2)
+        streams = [
+            StreamConfig(bits=random_bits(n_bits, rng), mcs=MCS_TABLE[index], precoder=precoder)
+            for n_bits, index, precoder in zip((300, 200), (3, 1), precoders)
+        ]
+        transmitter = MimoTransmitter(2)
+        samples, layout = transmitter.build_frame(streams)
+        body, body_layout = transmitter.build_body(streams)
+        assert body_layout == layout
+        assert body.shape == (2, layout.body_length)
+        assert np.array_equal(samples[:, layout.preamble_length :], body)
+
     def test_layout_reports_lengths(self, rng):
         bits = random_bits(100, rng)
         streams = [StreamConfig(bits=bits, mcs=MCS_TABLE[0], precoder=np.array([1.0]), stream_id=0)]

@@ -35,7 +35,11 @@ from repro.sim.fidelity import (
     phy_stream_rng,
     simulate_probe_delivery,
 )
+from repro.phy.channel_est import ChannelEstimate
+from repro.phy.ofdm import OfdmConfig, OfdmModem
+from repro.phy.transceiver import MimoReceiver, MimoTransmitter, StreamConfig
 from repro.sim.medium import ScheduledStream
+from repro.sim.network import _subcarrier_bins
 from repro.phy.rates import MCS_TABLE
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim import runner
@@ -282,6 +286,36 @@ class TestFidelityEngine:
             FidelityEngine(network, 1, mode="abstraction")
 
 
+def _full_frame_probe(subcarrier_snrs_db, mcs, rng, probe_bits, noise_power=1.0):
+    """The probe chain with the full frame: the pre-coded preamble is built
+    and spliced in front of the faded, noisy body."""
+    snrs = np.asarray(subcarrier_snrs_db, dtype=float)
+    bins = np.asarray(_subcarrier_bins(snrs.size), dtype=float)
+    order = np.argsort(bins)
+    config = OfdmConfig()
+    modem = OfdmModem(config)
+    snr_per_bin = np.interp(np.arange(config.fft_size, dtype=float), bins[order], snrs[order])
+    amplitude = np.sqrt(np.power(10.0, snr_per_bin / 10.0) * noise_power)
+    bits = rng.integers(0, 2, size=int(probe_bits), dtype=np.uint8)
+    samples, layout = MimoTransmitter(1, config).build_frame(
+        [StreamConfig(bits=bits, mcs=mcs, precoder=np.array([1.0 + 0j]))]
+    )
+    grid = modem.demodulate_grid(samples[0, layout.preamble_length :])
+    faded = modem.modulate_grid(grid * amplitude[None, :])
+    noise = np.sqrt(noise_power / 2.0) * (
+        rng.standard_normal(faded.size) + 1j * rng.standard_normal(faded.size)
+    )
+    received = np.concatenate([samples[0, : layout.preamble_length], faded + noise])
+    estimate = ChannelEstimate(
+        matrices=amplitude.astype(complex)[:, None, None],
+        valid_bins=np.arange(config.fft_size),
+    )
+    decoded = MimoReceiver(1, config).decode(
+        received.reshape(1, -1), layout, channel_estimate=estimate, noise_power=noise_power
+    )
+    return bool(np.array_equal(decoded[0].bits, bits))
+
+
 class TestProbeChain:
     def test_probe_cliff(self):
         # Far above the MCS threshold the real chain always delivers;
@@ -295,6 +329,19 @@ class TestProbeChain:
 
     def test_empty_snrs_never_deliver(self):
         assert not simulate_probe_delivery([], MCS_TABLE[0], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mcs", MCS_TABLE, ids=lambda mcs: f"mcs{mcs.index}")
+    def test_body_only_probe_matches_the_full_frame_probe(self, mcs):
+        # The probe builds no preamble; the full-frame probe (build_frame,
+        # preamble spliced back into the received samples) must give the
+        # same verdicts and leave the probe generator in the same state.
+        snrs = mcs.min_esnr_db + np.array([-8.0, -6.0, -4.0, -2.0, 2.0])[:, None] + np.zeros(8)
+        fast_rng = np.random.default_rng((33, mcs.index))
+        slow_rng = np.random.default_rng((33, mcs.index))
+        fast = [simulate_probe_delivery(row, mcs, fast_rng, probe_bits=256) for row in snrs]
+        slow = [_full_frame_probe(row, mcs, slow_rng, probe_bits=256) for row in snrs]
+        assert fast == slow and True in fast and False in fast
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 class TestCrossValidation:
