@@ -15,8 +15,9 @@ test-fast:
 	$(PYTHON) -m pytest -q -m "not slow"
 
 # The documented pre-commit gate: the fast test selection, the
-# CI-affordable benchmark comparison, and the invariant smoke.
-precommit: test-fast bench-quick invariant-smoke
+# CI-affordable benchmark comparison, the invariant smoke, and the
+# execution-reachability guard (test-fast deselects its slow pytest twin).
+precommit: test-fast bench-quick invariant-smoke reachability
 
 # Fast end-to-end invariant pass: runs a bursty and a faulty scenario
 # under validation="cheap", so a broken conservation law fails the gate

@@ -11,5 +11,12 @@ but behaviour-preserving substitute:
   finite nulling/alignment depth observed on real radios (§6.2).
 * :mod:`repro.channel.testbed` -- a synthetic floor plan standing in for
   the testbed of Fig. 10: node placement, log-distance path loss,
-  shadowing, and per-link MIMO channel generation.
+  shadowing and the line-of-sight coin.
+
+Links are drawn and measured only as stacks: the network construction
+and the handshake experiment feed their drawn normals through
+``Testbed.link_scalars_batch``, ``tap_scales``, ``taps_from_normals`` and
+a batched frequency response, and every channel estimate -- one link is
+a stack of one -- is ``HardwareProfile.perturb_channel_batch``.  The
+one-link forms they are checked against live in ``tests/oracles/channel.py``.
 """

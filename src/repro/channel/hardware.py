@@ -97,41 +97,24 @@ class HardwareProfile:
             suppression_db = suppression_db + np.asarray(suppression_jitter_db, dtype=float)
         return np.asarray(interference_power, dtype=float) * db_to_linear(-suppression_db)
 
-    def perturb_channel(
-        self, channel: np.ndarray, rng: np.random.Generator, reciprocity: bool = False
-    ) -> np.ndarray:
-        """Return a noisy estimate of ``channel``.
-
-        Adds complex Gaussian error at ``channel_estimation_error_db``
-        below the channel power (plus the reciprocity penalty when the
-        estimate is derived from the reverse direction).
-        """
-        channel = np.asarray(channel, dtype=complex)
-        power = float(np.mean(np.abs(channel) ** 2)) if channel.size else 0.0
-        error_db = self.channel_estimation_error_db
-        if reciprocity:
-            error_db = 10 * np.log10(
-                db_to_linear(error_db) + db_to_linear(self.reciprocity_error_db)
-            )
-        variance = power * db_to_linear(error_db)
-        error = np.sqrt(variance / 2.0) * (
-            rng.standard_normal(channel.shape) + 1j * rng.standard_normal(channel.shape)
-        )
-        return channel + error
-
     def perturb_channel_batch(
         self, channels: np.ndarray, rng: np.random.Generator, reciprocity: bool = False
     ) -> np.ndarray:
         """Noisy estimates of a stack of same-shape channels at once.
 
-        ``channels`` has shape ``(n_channels, ...)``.  The error normals
-        are drawn as one ``(n_channels, 2, ...)`` block, which consumes
-        the generator in exactly the order of ``n_channels`` sequential
-        :meth:`perturb_channel` calls -- slice ``c`` of the result is
-        bit-identical to ``perturb_channel(channels[c], rng,
-        reciprocity)`` (the test suite asserts it).  One stacked call
-        instead of two rng calls plus bookkeeping per link is what makes
-        the grouped estimate prefetch
+        Each estimate adds complex Gaussian error at
+        ``channel_estimation_error_db`` below its channel's mean power
+        (plus the reciprocity penalty when the estimate is derived from
+        the reverse direction).  ``channels`` has shape ``(n_channels,
+        ...)``; one channel is measured as the stack ``channel[None]``.
+        The error normals are drawn as one ``(n_channels, 2, ...)``
+        block -- each channel's real parts, then its imaginary parts --
+        so slice ``c`` of the result does not depend on how the
+        channels are stacked: measuring them one at a time, in order,
+        gives the same bits and leaves the generator in the same state
+        (the test suite asserts it).  One stacked call instead of two rng
+        calls plus bookkeeping per link is what makes the grouped
+        estimate prefetch
         (:meth:`repro.sim.network.Network.prefetch_estimates`) cheap.
         """
         channels = np.asarray(channels, dtype=complex)

@@ -2,24 +2,21 @@
 
 The paper handles multipath by running nulling and alignment per OFDM
 subcarrier (§4, "Multipath").  This module provides the corresponding
-channel substrate: a per-antenna-pair FIR channel whose 64-point frequency
-response gives the per-subcarrier MIMO matrices the MIMO layer consumes,
-and a time-domain ``apply`` for the sample-level experiments.
+channel substrate for whole stacks of links at once: per-antenna-pair FIR
+taps scaled from one block of standard normals, and their frequency
+responses -- the per-subcarrier MIMO matrices the MIMO layer consumes --
+by a 64-point FFT or, at a few tracked bins, by a DFT matmul.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constants import CYCLIC_PREFIX_LENGTH, NUM_SUBCARRIERS
 from repro.exceptions import ConfigurationError, DimensionError
-from repro.channel.models import complex_gaussian
 
 __all__ = [
     "exponential_power_delay_profile",
-    "MultipathChannel",
     "tap_scales",
     "taps_from_normals",
     "frequency_response_batch",
@@ -45,86 +42,6 @@ def exponential_power_delay_profile(n_taps: int, decay_samples: float = 3.0) -> 
     return profile / profile.sum()
 
 
-@dataclass
-class MultipathChannel:
-    """A static frequency-selective MIMO channel.
-
-    Attributes
-    ----------
-    taps:
-        Complex array of shape ``(n_taps, n_rx, n_tx)``; ``taps[d]`` is the
-        channel matrix of delay ``d`` samples.
-    """
-
-    taps: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.taps = np.asarray(self.taps, dtype=complex)
-        if self.taps.ndim != 3:
-            raise DimensionError(
-                f"taps must have shape (n_taps, n_rx, n_tx), got {self.taps.shape}"
-            )
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def random(
-        cls,
-        n_rx: int,
-        n_tx: int,
-        rng: np.random.Generator,
-        n_taps: int = 4,
-        decay_samples: float = 3.0,
-        average_gain: float = 1.0,
-    ) -> "MultipathChannel":
-        """Draw a random Rayleigh multipath channel.
-
-        ``average_gain`` scales the total power of the channel (linear).
-        The number of taps must stay within the cyclic prefix so that OFDM
-        sees no inter-symbol interference, matching the design assumption
-        of §4.
-        """
-        if n_taps > CYCLIC_PREFIX_LENGTH:
-            raise ConfigurationError(
-                f"n_taps ({n_taps}) must not exceed the cyclic prefix "
-                f"({CYCLIC_PREFIX_LENGTH})"
-            )
-        profile = exponential_power_delay_profile(n_taps, decay_samples)
-        taps = np.zeros((n_taps, n_rx, n_tx), dtype=complex)
-        for d in range(n_taps):
-            taps[d] = complex_gaussian((n_rx, n_tx), rng, profile[d] * average_gain)
-        return cls(taps=taps)
-
-    # -- properties -----------------------------------------------------------
-
-    @property
-    def n_taps(self) -> int:
-        """Number of delay taps."""
-        return self.taps.shape[0]
-
-    @property
-    def n_rx(self) -> int:
-        """Number of receive antennas."""
-        return self.taps.shape[1]
-
-    @property
-    def n_tx(self) -> int:
-        """Number of transmit antennas."""
-        return self.taps.shape[2]
-
-    # -- conversions -----------------------------------------------------------
-
-    def frequency_response(self, fft_size: int = NUM_SUBCARRIERS) -> np.ndarray:
-        """Per-subcarrier channel matrices.
-
-        Returns a complex array of shape ``(fft_size, n_rx, n_tx)`` where
-        slice ``k`` is the channel matrix seen on subcarrier ``k``.
-        """
-        padded = np.zeros((fft_size, self.n_rx, self.n_tx), dtype=complex)
-        padded[: self.n_taps] = self.taps
-        return np.fft.fft(padded, axis=0)
-
-
 def tap_scales(
     n_taps: int, decay_samples: np.ndarray, average_gain: np.ndarray
 ) -> np.ndarray:
@@ -132,11 +49,9 @@ def tap_scales(
 
     ``decay_samples`` and ``average_gain`` are per-channel arrays of
     length ``n_channels``; the result has shape ``(n_channels, n_taps)``
-    and entry ``[c, d]`` is ``sqrt(profile[d] * gain / 2)``, the scale
-    :meth:`MultipathChannel.random` applies to the standard normals of
-    tap ``d`` -- computed with the same ufuncs, so taps built by
-    :func:`taps_from_normals` are bit-identical to sequential
-    :meth:`MultipathChannel.random` calls consuming the same normals.
+    and entry ``[c, d]`` is ``sqrt(profile[d] * gain / 2)``, the
+    standard deviation of each part (real, imaginary) of tap ``d`` of a
+    Rayleigh channel of average power ``gain``.
     """
     if n_taps > CYCLIC_PREFIX_LENGTH:
         raise ConfigurationError(
@@ -183,11 +98,10 @@ def frequency_response_batch(
 
     ``taps`` has shape ``(n_channels, n_taps, n_rx, n_tx)`` (what
     :func:`taps_from_normals` returns); the result has shape
-    ``(n_channels, len(bins), n_rx, n_tx)`` and slice ``c`` is
-    bit-identical to
-    ``MultipathChannel(taps[c]).frequency_response(fft_size)[bins]`` --
-    pocketfft transforms one antenna pair at a time, so a stack of one
-    gives the same bits as the whole group.
+    ``(n_channels, len(bins), n_rx, n_tx)``: slice ``c`` is the
+    ``fft_size``-point FFT of channel ``c``'s zero-padded taps along the
+    delay axis, at ``bins``.  Pocketfft transforms one antenna pair at a
+    time, so a stack of one gives the same bits as the whole group.
 
     The zero-padded taps are laid out ``(n_channels, n_rx, n_tx,
     fft_size)`` so that pocketfft runs the same ``fft_size``-point

@@ -22,39 +22,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.channel.hardware import HardwareProfile
-from repro.channel.multipath import MultipathChannel
 from repro.constants import MAX_TX_POWER_DBM, NOISE_FLOOR_DBM
 from repro.exceptions import ConfigurationError
-from repro.utils.db import db_to_linear
 
-__all__ = ["Testbed", "TestbedLink", "default_testbed", "dense_testbed"]
-
-
-@dataclass(frozen=True)
-class TestbedLink:
-    """A directional link between two placed nodes.
-
-    Attributes
-    ----------
-    tx_location, rx_location:
-        Indices into the testbed's location list.
-    snr_db:
-        Average SNR of the link at full transmit power (single antenna,
-        unit-power stream).
-    channel:
-        The frequency-selective MIMO channel, scaled so that the average
-        per-antenna-pair power gain equals the linear SNR (i.e. noise has
-        unit power at the receiver).
-    """
-
-    tx_location: int
-    rx_location: int
-    snr_db: float
-    channel: MultipathChannel
-
-    def frequency_response(self, fft_size: int = 64) -> np.ndarray:
-        """Per-subcarrier channel matrices, shape ``(fft_size, n_rx, n_tx)``."""
-        return self.channel.frequency_response(fft_size)
+__all__ = ["Testbed", "default_testbed", "dense_testbed"]
 
 
 @dataclass
@@ -109,12 +80,6 @@ class Testbed:
         """Number of candidate node positions."""
         return len(self.locations)
 
-    def distance(self, a: int, b: int) -> float:
-        """Euclidean distance between two locations, metres."""
-        xa, ya = self.locations[a]
-        xb, yb = self.locations[b]
-        return float(np.hypot(xa - xb, ya - yb))
-
     def place_nodes(self, n_nodes: int, rng: np.random.Generator) -> List[int]:
         """Assign ``n_nodes`` nodes to distinct random locations."""
         if n_nodes > self.n_locations:
@@ -129,56 +94,12 @@ class Testbed:
         """Log-distance path loss at ``distance`` metres (scalar or array).
 
         Distances clamp to the 1 m reference.  This is *the* propagation
-        formula: the scalar :meth:`path_loss_db` and the vectorized
-        all-pairs computation of the batched network construction both
-        evaluate it, so a model change cannot diverge between them.
+        formula: the all-pairs network construction and the handshake
+        experiment's link draws both evaluate it.
         """
         return self.reference_loss_db + 10 * self.path_loss_exponent * np.log10(
             np.maximum(distance, 1.0)
         )
-
-    def path_loss_db(self, a: int, b: int) -> float:
-        """Deterministic log-distance path loss between two locations."""
-        return self.path_loss_at_distance(self.distance(a, b))
-
-    def link_snr_db(
-        self, a: int, b: int, rng: Optional[np.random.Generator] = None
-    ) -> float:
-        """Average link SNR (dB) including shadowing, clamped to the
-        testbed's operating range."""
-        loss = self.path_loss_db(a, b)
-        if rng is not None:
-            loss = loss + rng.normal(0.0, self.shadowing_sigma_db)
-        snr = self.tx_power_dbm - loss - self.noise_floor_dbm
-        return float(min(max(snr, self.min_snr_db), self.max_snr_db))
-
-    # -- channel generation ------------------------------------------------------
-
-    def draw_link_scalars(
-        self,
-        tx_location: int,
-        rx_location: int,
-        rng: np.random.Generator,
-        snr_db: Optional[float] = None,
-    ) -> Tuple[float, float]:
-        """The per-link scalar draws, in canonical order.
-
-        This is *the* definition of a link's scalar random-draw sequence
-        -- the shadowed SNR (one ``rng.normal``, skipped when ``snr_db``
-        forces the budget) followed by the line-of-sight coin (one
-        ``rng.random``) -- used by :meth:`link`.  The network
-        construction draws the same values in bulk and evaluates them
-        with :meth:`link_scalars_batch`.
-
-        Returns ``(snr_db, decay_samples)``.
-        """
-        if snr_db is None:
-            snr_db = self.link_snr_db(tx_location, rx_location, rng)
-        else:
-            snr_db = float(snr_db)
-        line_of_sight = rng.random() < self.los_probability
-        # Line of sight: a strong first tap plus weak scattering.
-        return snr_db, 0.6 if line_of_sight else 1.5
 
     def link_scalars_batch(
         self,
@@ -189,15 +110,16 @@ class Testbed:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Every link's ``(snr_db, decay_samples)`` from its drawn values.
 
-        The array form of :meth:`draw_link_scalars`, with the draws taken
-        out: ``shadowing`` holds each link's standard-normal shadowing
-        draw and ``coins`` its uniform line-of-sight coin, so both network
-        draw contracts -- which consume the generator in different orders
-        -- share one link budget.  The budget is ``tx - (loss + sigma * z)
-        - noise floor``, clamped to the operating range, then replaced by
-        the forced SNR where ``forced_snr_db`` is not ``NaN`` (a forced
-        link's shadowing value is ignored).  Elementwise this is the same
-        float arithmetic as the scalar path.
+        The draws are taken out: ``shadowing`` holds each link's
+        standard-normal shadowing draw and ``coins`` its uniform
+        line-of-sight coin, so every caller -- the two network draw
+        contracts and the handshake experiment, which consume the
+        generator in different orders -- shares one link budget.  The
+        budget is ``tx - (loss + sigma * z) - noise floor``, clamped to
+        the operating range, then replaced by the forced SNR where
+        ``forced_snr_db`` is not ``NaN`` (a forced link's shadowing value
+        is ignored).  A line-of-sight link (coin below
+        ``los_probability``) decays over 0.6 samples, any other over 1.5.
 
         All arrays have shape ``(n_links,)``.
         """
@@ -209,45 +131,6 @@ class Testbed:
         # Line of sight: a strong first tap plus weak scattering.
         decay = np.where(coins < self.los_probability, 0.6, 1.5)
         return snr, decay
-
-    def link(
-        self,
-        tx_location: int,
-        rx_location: int,
-        n_tx: int,
-        n_rx: int,
-        rng: np.random.Generator,
-        snr_db: Optional[float] = None,
-    ) -> TestbedLink:
-        """Draw the channel of a link.
-
-        Parameters
-        ----------
-        tx_location, rx_location:
-            Location indices of the two endpoints.
-        n_tx, n_rx:
-            Antenna counts.
-        rng:
-            Random generator (placements, shadowing and fading).
-        snr_db:
-            Force the average link SNR instead of deriving it from the
-            geometry; used by controlled experiments such as Fig. 11.
-        """
-        snr_db, decay = self.draw_link_scalars(tx_location, rx_location, rng, snr_db)
-        channel = MultipathChannel.random(
-            n_rx=n_rx,
-            n_tx=n_tx,
-            rng=rng,
-            n_taps=self.n_taps,
-            decay_samples=decay,
-            average_gain=float(db_to_linear(snr_db)),
-        )
-        return TestbedLink(
-            tx_location=tx_location,
-            rx_location=rx_location,
-            snr_db=float(snr_db),
-            channel=channel,
-        )
 
 
 def default_testbed(hardware: Optional[HardwareProfile] = None) -> Testbed:

@@ -117,9 +117,9 @@ def run_nulling_experiment(
         # Channel from tx2's two antennas to rx1's antenna; the average
         # per-antenna gain realises the unwanted SNR.
         h_true = complex_gaussian((1, 2), rng, db_to_linear(unwanted_snr_db))
-        h_estimated = hardware.perturb_channel(h_true, rng, reciprocity=True)
+        h_estimated = hardware.perturb_channel_batch(h_true[None], rng, reciprocity=True)
 
-        precoders, _ = compute_precoders_batch(2, h_estimated[None], n_streams=1)
+        precoders, _ = compute_precoders_batch(2, h_estimated, n_streams=1)
         precoder = precoders[0, 0]
         residual_power = float(np.sum(np.abs(h_true @ precoder) ** 2))
 
@@ -169,15 +169,19 @@ def run_alignment_experiment(
         h_wanted = complex_gaussian((2, 1), rng, db_to_linear(wanted_snr_db))
         h_tx1 = complex_gaussian((2, 1), rng, db_to_linear(interferer_snr_db))
         h_tx3_true = complex_gaussian((2, 3), rng, db_to_linear(unwanted_snr_db))
-        h_tx3_estimated = hardware.perturb_channel(h_tx3_true, rng, reciprocity=True)
+        h_tx3_estimated = hardware.perturb_channel_batch(
+            h_tx3_true[None], rng, reciprocity=True
+        )[0]
         # tx3 also needs to null at rx1 (1 antenna) as in Fig. 3.
         h_tx3_rx1_true = complex_gaussian((1, 3), rng, db_to_linear(unwanted_snr_db))
-        h_tx3_rx1_estimated = hardware.perturb_channel(h_tx3_rx1_true, rng, reciprocity=True)
+        h_tx3_rx1_estimated = hardware.perturb_channel_batch(
+            h_tx3_rx1_true[None], rng, reciprocity=True
+        )[0]
 
         # rx2's decoding direction: orthogonal to tx1's interference; its
         # announcement carries a little estimation error of its own.
         u_perp_true = orthonormal_complement_batch(h_tx1[None], 1)[0][0]
-        u_perp_announced = hardware.perturb_channel(u_perp_true, rng)
+        u_perp_announced = hardware.perturb_channel_batch(u_perp_true[None], rng)[0]
         u_perp_announced = u_perp_announced / np.linalg.norm(u_perp_announced)
 
         # Constraint rows: null at rx1 (its channel), align at rx2 (Eq. 6).

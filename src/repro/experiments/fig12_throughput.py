@@ -109,6 +109,10 @@ def run_throughput_experiment(
     resume:
         Resume an interrupted cached sweep (see
         :func:`repro.sim.sweep.run_sweep`); requires ``cache_dir``.
+
+    The sweep is strict: a figure averages complete, paired runs, so a
+    failed cell raises :class:`~repro.exceptions.SimulationError` naming
+    it rather than leaving a hole in the grid.
     """
     config = config or SimulationConfig(duration_us=duration_us)
     protocols = ["802.11n", "n+"]
@@ -121,6 +125,7 @@ def run_throughput_experiment(
         workers=workers,
         cache_dir=cache_dir,
         resume=resume,
+        strict=True,
     )
     raw = sweep.results
     pair_names = sweep.link_names()

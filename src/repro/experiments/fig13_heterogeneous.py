@@ -72,7 +72,7 @@ def run_heterogeneous_experiment(
     :func:`repro.experiments.fig12_throughput.run_throughput_experiment`:
     any registered scenario (e.g. the dense LANs) can be swept, fanned out
     over worker processes, memoised in the on-disk results store, and
-    resumed after an interruption.
+    resumed after an interruption; a failed cell raises, as there.
     """
     config = config or SimulationConfig(duration_us=duration_us)
     protocols = ["802.11n", "beamforming", "n+"]
@@ -85,6 +85,7 @@ def run_heterogeneous_experiment(
         workers=workers,
         cache_dir=cache_dir,
         resume=resume,
+        strict=True,
     )
     raw = sweep.results
     flow_names = sweep.link_names()

@@ -14,10 +14,12 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.channel.multipath import frequency_response_batch, tap_scales, taps_from_normals
 from repro.channel.testbed import Testbed, default_testbed
 from repro.experiments.report import format_table
 from repro.mac.handshake import alignment_feedback_symbols, handshake_overhead
 from repro.phy.rates import MCS, MCS_TABLE
+from repro.utils.db import db_to_linear
 from repro.utils.linalg import orthonormal_complement_batch
 
 __all__ = ["HandshakeExperiment", "run_handshake_experiment", "summarize"]
@@ -65,21 +67,14 @@ def run_handshake_experiment(
     ``(channel, subcarrier)`` pair
     (:func:`repro.utils.linalg.orthonormal_complement_batch`, the
     batched pre-coder path) instead of ``n_channels * 64`` Python-level
-    calls -- this loop was the dominant cost of the experiment.  Channel
-    draws stay sequential so seeded results match the per-subcarrier
-    formulation (kept as a test oracle) exactly.
+    calls -- this loop was the dominant cost of the experiment.
     """
     rng = np.random.default_rng(seed)
     testbed = testbed or default_testbed()
     # 16-QAM rate 3/4 at 10 MHz is 18 Mb/s -- the paper's reference point.
     reference_mcs = reference_mcs or MCS_TABLE[5]
-    responses: List[np.ndarray] = []
-    for _ in range(n_channels):
-        a, b = testbed.place_nodes(2, rng)
-        link = testbed.link(a, b, n_tx=1, n_rx=2, rng=rng)
-        responses.append(link.frequency_response(64))  # (64, 2, 1)
-    stacked = np.concatenate(responses, axis=0)  # (n_channels * 64, 2, 1)
-    subspaces, _ = orthonormal_complement_batch(stacked, 1)
+    responses = _draw_link_responses(testbed, n_channels, rng)  # (n, 64, 2, 1)
+    subspaces, _ = orthonormal_complement_batch(responses.reshape(-1, 2, 1), 1)
     per_channel = subspaces.reshape(n_channels, 64, 2, 1)
     symbols: List[int] = [
         alignment_feedback_symbols(per_channel[i]) for i in range(n_channels)
@@ -92,6 +87,36 @@ def run_handshake_experiment(
         overhead_fraction=overhead.symbol_fraction,
         reference_mcs_index=reference_mcs.index,
     )
+
+
+def _draw_link_responses(
+    testbed: Testbed, n_channels: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The 64-bin responses of ``n_channels`` random 1x2 links of
+    ``testbed``, shape ``(n_channels, 64, 2, 1)``.
+
+    Each link draws, in order: two distinct locations, its shadowing
+    normal, its line-of-sight coin and its tap normals.  The loop only
+    draws; the link budget, the tap scaling and the FFT then run once
+    over the whole stack, through the kernels the network construction
+    uses.
+    """
+    n_taps = testbed.n_taps
+    placements = np.empty((n_channels, 2), dtype=int)
+    shadowing = np.empty(n_channels)
+    coins = np.empty(n_channels)
+    normals = np.empty((n_channels, n_taps, 2, 2, 1))
+    for index in range(n_channels):
+        placements[index] = testbed.place_nodes(2, rng)
+        shadowing[index] = rng.standard_normal()
+        coins[index] = rng.random()
+        rng.standard_normal(out=normals[index])
+    xy = np.asarray(testbed.locations, dtype=float)[placements]  # (n, 2, 2)
+    dx, dy = (xy[:, 0] - xy[:, 1]).T
+    losses = testbed.path_loss_at_distance(np.hypot(dx, dy))
+    snrs, decays = testbed.link_scalars_batch(losses, shadowing, coins)
+    taps = taps_from_normals(normals, tap_scales(n_taps, decays, db_to_linear(snrs)))
+    return frequency_response_batch(taps, np.arange(64))
 
 
 def summarize(result: HandshakeExperiment) -> str:

@@ -182,6 +182,8 @@ class ConvolutionalEncoder:
         bits = np.asarray(bits, dtype=np.int8)
         if terminate:
             bits = np.concatenate([bits, np.zeros(self.tail_bits, dtype=np.int8)])
+        if bits.size == 0:
+            return np.zeros(0, dtype=np.int8)
         # Build the sliding window of the shift register: window[i] holds
         # [b_i, b_{i-1}, ..., b_{i-K+1}] with zeros before the frame start.
         padded = np.concatenate([np.zeros(self.constraint_length - 1, dtype=np.int8), bits])

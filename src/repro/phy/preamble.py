@@ -24,12 +24,10 @@ from repro.constants import (
     SHORT_TRAINING_SYMBOL_LENGTH,
 )
 from repro.exceptions import DimensionError
-from repro.phy.ofdm import OfdmConfig, OfdmModem
+from repro.phy.ofdm import OfdmConfig
 
 __all__ = [
     "short_training_field",
-    "long_training_symbol",
-    "long_training_field",
     "Preamble",
     "cross_correlate",
 ]
@@ -55,15 +53,6 @@ _LTS_SEQUENCE = np.array(
 _STF_LENGTH = NUM_SHORT_TRAINING_REPEATS * SHORT_TRAINING_SYMBOL_LENGTH
 
 
-def _frequency_grid_from_sequence(config: OfdmConfig) -> np.ndarray:
-    """Place the LTS sequence (bins -26..26) on the FFT grid."""
-    grid = np.zeros(config.fft_size, dtype=complex)
-    bins = list(range(-26, 27))
-    for value, b in zip(_LTS_SEQUENCE, bins):
-        grid[b % config.fft_size] = value
-    return grid
-
-
 def short_training_field(
     config: OfdmConfig | None = None,
     n_repeats: int = NUM_SHORT_TRAINING_REPEATS,
@@ -80,27 +69,14 @@ def short_training_field(
     return np.tile(one_symbol, n_repeats)
 
 
-def long_training_symbol(config: OfdmConfig | None = None) -> np.ndarray:
-    """Return one time-domain long training symbol (with cyclic prefix)."""
-    config = config or OfdmConfig()
-    grid = _frequency_grid_from_sequence(config)
-    modem = OfdmModem(config)
-    return modem.modulate_grid(grid.reshape(1, -1))
-
-
-def long_training_field(
-    config: OfdmConfig | None = None,
-    n_symbols: int = NUM_LONG_TRAINING_SYMBOLS,
-) -> np.ndarray:
-    """Return ``n_symbols`` long training symbols back to back."""
-    one = long_training_symbol(config)
-    return np.tile(one, n_symbols)
-
-
 def ltf_frequency_sequence(config: OfdmConfig | None = None) -> np.ndarray:
-    """Return the known frequency-domain LTF values on the full FFT grid."""
+    """Return the known frequency-domain LTF values on the full FFT grid:
+    the LTS sequence at bins -26..26, zero elsewhere."""
     config = config or OfdmConfig()
-    return _frequency_grid_from_sequence(config)
+    grid = np.zeros(config.fft_size, dtype=complex)
+    for value, b in zip(_LTS_SEQUENCE, range(-26, 27)):
+        grid[b % config.fft_size] = value
+    return grid
 
 
 @dataclass
@@ -123,11 +99,6 @@ class Preamble:
             raise DimensionError("a preamble needs at least one antenna")
 
     @property
-    def stf(self) -> np.ndarray:
-        """The shared short training field samples."""
-        return short_training_field(self.config)
-
-    @property
     def ltf_slot_length(self) -> int:
         """Samples per LTF slot."""
         return NUM_LONG_TRAINING_SYMBOLS * self.config.samples_per_symbol
@@ -136,27 +107,6 @@ class Preamble:
     def length(self) -> int:
         """Total preamble length in samples."""
         return _STF_LENGTH + self.n_antennas * self.ltf_slot_length
-
-    def per_antenna_samples(self) -> np.ndarray:
-        """Return the preamble samples for each antenna.
-
-        Returns
-        -------
-        numpy.ndarray
-            Shape ``(n_antennas, length)``.  Antenna ``i`` transmits the
-            STF (scaled so the sum over antennas keeps unit power) followed
-            by its LTF in slot ``i`` and silence in the other slots.
-        """
-        stf = self.stf
-        ltf = long_training_field(self.config)
-        slot = self.ltf_slot_length
-        samples = np.zeros((self.n_antennas, self.length), dtype=complex)
-        stf_scale = 1.0 / np.sqrt(self.n_antennas)
-        for antenna in range(self.n_antennas):
-            samples[antenna, : len(stf)] = stf * stf_scale
-            start = len(stf) + antenna * slot
-            samples[antenna, start : start + slot] = ltf
-        return samples
 
     def ltf_slot_bounds(self, antenna: int) -> tuple:
         """Return (start, end) sample indices of antenna ``antenna``'s LTF."""

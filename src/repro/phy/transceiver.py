@@ -140,16 +140,10 @@ class DecodedStream:
         Identifier of the decoded stream.
     bits:
         The decoded information bits.
-    evm:
-        Error-vector magnitude of the equalised constellation points.
-    post_snr_db:
-        Estimated post-equalisation SNR in dB.
     """
 
     stream_id: int
     bits: np.ndarray
-    evm: float
-    post_snr_db: float
 
 
 class MimoTransmitter:
@@ -234,7 +228,6 @@ class MimoTransmitter:
         LTF slot per stream, each passed through that stream's pre-coding
         vectors."""
         cfg = self.config
-        virtual = preamble.per_antenna_samples()  # (n_streams, length)
         out = np.zeros((self.n_antennas, preamble.length), dtype=complex)
         from repro.phy.preamble import ltf_frequency_sequence, short_training_field
 
@@ -285,7 +278,6 @@ class MimoReceiver:
         channel_estimate: ChannelEstimate,
         wanted_streams: Optional[Sequence[int]] = None,
         frame_start: int = 0,
-        noise_power: float = 1e-6,
     ) -> Dict[int, DecodedStream]:
         """Decode the wanted streams of a frame.
 
@@ -303,9 +295,6 @@ class MimoReceiver:
             Stream ids to decode; defaults to all streams in the frame.
         frame_start:
             Sample index where the frame begins.
-        noise_power:
-            Noise power per subcarrier, for the post-equalisation SNR
-            estimate.
         """
         samples = np.asarray(samples, dtype=complex)
         if samples.ndim == 1:
@@ -328,8 +317,6 @@ class MimoReceiver:
         y = grids[:, :, data_idx].transpose(2, 0, 1)  # (n_data, n_rx, n_symbols)
         h_pinv = np.linalg.pinv(h)  # (n_data, n_streams, n_rx)
         equalised = (h_pinv @ y).transpose(1, 2, 0)  # (n_streams, n_symbols, n_data)
-        # Noise enhancement of the ZF equaliser per stream.
-        post_noise = noise_power * np.sum(np.abs(h_pinv) ** 2, axis=2).T
 
         results: Dict[int, DecodedStream] = {}
         for position, stream_id in enumerate(layout.stream_ids):
@@ -341,16 +328,7 @@ class MimoReceiver:
             n_needed_symbols = codec.n_ofdm_symbols(n_bits)
             points = equalised[position, :n_needed_symbols, :].reshape(-1)
             coded_hard = mcs.modulation.demodulate_hard(points)
-            bits = codec.decode(coded_hard, n_bits)
-            # Link-quality metrics from the equalised constellation.
-            reference = mcs.modulation.points[
-                np.argmin(np.abs(points[:, None] - mcs.modulation.points[None, :]) ** 2, axis=1)
-            ]
-            error = points - reference
-            evm = float(np.sqrt(np.mean(np.abs(error) ** 2)))
-            signal = float(np.mean(np.abs(reference) ** 2))
-            post_snr_db = float(10 * np.log10(max(signal, 1e-30) / max(evm**2, 1e-30)))
             results[stream_id] = DecodedStream(
-                stream_id=stream_id, bits=bits, evm=evm, post_snr_db=post_snr_db
+                stream_id=stream_id, bits=codec.decode(coded_hard, n_bits)
             )
         return results

@@ -179,9 +179,7 @@ def simulate_probe_delivery(
         matrices=amplitude.astype(complex)[:, None, None],
         valid_bins=np.arange(_OFDM.fft_size),
     )
-    decoded = _PROBE_RX.decode(
-        received.reshape(1, -1), layout, channel_estimate=estimate, noise_power=noise_power
-    )
+    decoded = _PROBE_RX.decode(received.reshape(1, -1), layout, channel_estimate=estimate)
     return bool(np.array_equal(decoded[0].bits, bits))
 
 

@@ -508,10 +508,10 @@ class Network:
         """Log-distance path loss of every canonical pair ``(ids[ai],
         ids[bi])``.
 
-        Vectorized once through the same
+        Vectorized once through the
         :meth:`~repro.channel.testbed.Testbed.path_loss_at_distance`
-        formula (and hypot/log10 ufuncs) the scalar per-pair path
-        evaluates -- bit-identical elementwise.
+        formula; elementwise it is bit-identical to evaluating each pair
+        alone (the per-pair test oracle does).
         """
         x, y = np.array(
             [self.testbed.locations[self.stations[node].location] for node in ids],
@@ -566,9 +566,8 @@ class Network:
           and one ``standard_normal(out=...)`` filling a row of its
           group's tap array whose extra last slot takes the next pair's
           shadowing normal.  The responses are the padded 64-point FFT at
-          the tracked bins, bit-identical to a per-pair
-          :meth:`~repro.channel.testbed.Testbed.link` loop down to the
-          post-draw generator state (asserted by the test suite).
+          the tracked bins, bit-identical to the test suite's one-link-at-a-time
+          oracle loop down to the post-draw generator state.
 
         A group's normals stay exactly as drawn -- the v2 rows are views
         of the fill blocks -- so the bank holds the stream's tap normals
@@ -819,9 +818,9 @@ class Network:
         if memo is not None:
             return memo
         true = self.true_channel(tx_id, rx_id)
-        estimate = self.hardware.perturb_channel(
-            true, self._estimation_rng, reciprocity=reciprocity
-        )
+        estimate = self.hardware.perturb_channel_batch(
+            true[None], self._estimation_rng, reciprocity=reciprocity
+        )[0]
         estimate.setflags(write=False)
         self._estimate_memo[key] = estimate
         return estimate

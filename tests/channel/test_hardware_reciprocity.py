@@ -44,37 +44,35 @@ class TestHardwareProfile:
     def test_perturb_channel_error_level(self, rng):
         profile = HardwareProfile(channel_estimation_error_db=-30.0)
         channel = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        errors = []
-        for _ in range(300):
-            estimate = profile.perturb_channel(channel, rng)
-            errors.append(np.mean(np.abs(estimate - channel) ** 2))
+        stack = np.broadcast_to(channel, (300, 4, 4))
+        errors = np.abs(profile.perturb_channel_batch(stack, rng) - stack) ** 2
         error_db = linear_to_db(np.mean(errors) / np.mean(np.abs(channel) ** 2))
         assert error_db == pytest.approx(-30.0, abs=1.5)
 
     def test_reciprocity_estimates_are_noisier(self, rng):
         profile = HardwareProfile()
         channel = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        direct = np.mean(
-            [
-                np.mean(np.abs(profile.perturb_channel(channel, rng) - channel) ** 2)
-                for _ in range(300)
-            ]
-        )
+        stack = np.broadcast_to(channel, (300, 3, 3))
+        direct = np.mean(np.abs(profile.perturb_channel_batch(stack, rng) - stack) ** 2)
         reciprocal = np.mean(
-            [
-                np.mean(
-                    np.abs(profile.perturb_channel(channel, rng, reciprocity=True) - channel) ** 2
-                )
-                for _ in range(300)
-            ]
+            np.abs(profile.perturb_channel_batch(stack, rng, reciprocity=True) - stack) ** 2
         )
         assert reciprocal > direct
 
     def test_estimation_error_variance_scales_with_channel_power(self, rng):
         profile = HardwareProfile(channel_estimation_error_db=-20.0)
         channel = np.full((200, 200), np.sqrt(10.0), dtype=complex)
-        error = profile.perturb_channel(channel, rng) - channel
+        error = profile.perturb_channel_batch(channel[None], rng)[0] - channel
         assert np.mean(np.abs(error) ** 2) == pytest.approx(0.1, rel=0.05)
+
+    def test_each_channel_is_scaled_by_its_own_power(self, rng):
+        profile = HardwareProfile(channel_estimation_error_db=-20.0)
+        channels = np.stack(
+            [np.full((100, 100), np.sqrt(gain), dtype=complex) for gain in (1.0, 100.0)]
+        )
+        error = profile.perturb_channel_batch(channels, rng) - channels
+        powers = np.mean(np.abs(error) ** 2, axis=(1, 2))
+        assert powers == pytest.approx([0.01, 1.0], rel=0.05)
 
 
 def _two_by_three_network():
@@ -107,7 +105,9 @@ class TestReciprocity:
         reverse = forward.transpose(0, 2, 1)
 
         def error(profile, reciprocity):
-            estimate = profile.perturb_channel(reverse, np.random.default_rng(1), reciprocity)
+            estimate = profile.perturb_channel_batch(
+                reverse[None], np.random.default_rng(1), reciprocity
+            )[0]
             return np.linalg.norm(estimate - reverse)
 
         coarse = HardwareProfile(reciprocity_error_db=-10.0)

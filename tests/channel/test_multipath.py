@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_channel, random_taps
+from oracles.channel import MultipathChannel
 from repro.channel.multipath import (
-    MultipathChannel,
     dft_twiddle,
     exponential_power_delay_profile,
     frequency_response_at_bins_batch,
     frequency_response_batch,
+    tap_scales,
 )
 from repro.exceptions import ConfigurationError, DimensionError
 from repro.sim.network import _subcarrier_bins
@@ -31,55 +32,71 @@ class TestPowerDelayProfile:
             exponential_power_delay_profile(0)
 
 
-class TestMultipathChannel:
-    def test_random_channel_shapes(self, rng):
-        channel = MultipathChannel.random(3, 2, rng, n_taps=4)
-        assert channel.n_taps == 4
-        assert channel.n_rx == 3
-        assert channel.n_tx == 2
+class TestRandomTaps:
+    """Rayleigh taps from one normal block (:func:`tap_scales` and
+    :func:`taps_from_normals`) and their responses
+    (:func:`frequency_response_batch`)."""
 
-    def test_taps_cannot_exceed_cyclic_prefix(self, rng):
+    def test_taps_shape(self, rng):
+        taps = random_taps(3, 2, rng, n_channels=5, n_taps=4)
+        assert taps.shape == (5, 4, 3, 2)
+
+    def test_taps_cannot_exceed_cyclic_prefix(self):
+        tap_scales(16, np.ones(1), np.ones(1))
         with pytest.raises(ConfigurationError):
-            MultipathChannel.random(1, 1, rng, n_taps=17)
+            tap_scales(17, np.ones(1), np.ones(1))
 
     def test_average_gain_controls_power(self, rng):
-        gains = []
-        for seed in range(300):
-            channel = MultipathChannel.random(2, 2, np.random.default_rng(seed), average_gain=10.0)
-            gains.append(np.sum(np.abs(channel.taps) ** 2, axis=0).mean())
+        taps = random_taps(2, 2, rng, n_channels=300, average_gain=10.0)
+        gains = np.sum(np.abs(taps) ** 2, axis=1).mean(axis=(1, 2))
         assert np.mean(gains) == pytest.approx(10.0, rel=0.15)
 
-    def test_each_tap_carries_its_profile_share(self):
+    def test_each_tap_carries_its_profile_share(self, rng):
         profile = exponential_power_delay_profile(4)
-        powers = np.mean(
-            [
-                np.abs(MultipathChannel.random(2, 2, np.random.default_rng(seed)).taps) ** 2
-                for seed in range(400)
-            ],
-            axis=(0, 2, 3),
-        )
+        taps = random_taps(2, 2, rng, n_channels=400, n_taps=4)
+        powers = np.mean(np.abs(taps) ** 2, axis=(0, 2, 3))
         assert np.allclose(powers, profile, rtol=0.2)
 
     def test_single_tap_channel_averages_to_its_matrix(self):
         matrix = np.array([[1.0, 2.0]])
-        channel = MultipathChannel(taps=matrix[None])
-        assert channel.n_taps == 1
-        assert np.allclose(channel.frequency_response().mean(axis=0), matrix)
+        response = frequency_response_batch(matrix[None, None], np.arange(64))
+        assert np.allclose(response[0].mean(axis=0), matrix)
 
-    def test_taps_must_be_a_stack_of_matrices(self):
+    def test_taps_must_be_a_stack_of_channels(self):
         with pytest.raises(DimensionError):
-            MultipathChannel(taps=np.zeros(3))
+            frequency_response_batch(np.zeros((3, 2, 2)), np.arange(64))
 
     def test_frequency_response_shape(self, rng):
-        channel = MultipathChannel.random(2, 3, rng, n_taps=3)
-        response = channel.frequency_response(64)
-        assert response.shape == (64, 2, 3)
+        taps = random_taps(2, 3, rng, n_channels=4, n_taps=3)
+        assert frequency_response_batch(taps, np.arange(64)).shape == (4, 64, 2, 3)
 
     def test_single_tap_channel_has_flat_response(self, rng):
         matrix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        response = MultipathChannel(taps=matrix[None]).frequency_response(16)
+        response = frequency_response_batch(matrix[None, None], np.arange(16), fft_size=16)
         for k in range(16):
-            assert np.allclose(response[k], matrix)
+            assert np.allclose(response[0, k], matrix)
+
+    def test_parseval_consistency(self, rng):
+        """Average frequency-domain power equals total tap power."""
+        taps = random_taps(1, 1, rng, n_channels=1, n_taps=5)[0, :, 0, 0]
+        response = frequency_response_batch(taps[None, :, None, None], np.arange(64))
+        tap_power = np.sum(np.abs(taps) ** 2)
+        assert np.mean(np.abs(response) ** 2) == pytest.approx(tap_power, rel=1e-6)
+
+    @given(n_rx=st.integers(1, 3), n_tx=st.integers(1, 3), seed=st.integers(0, 200))
+    @settings(max_examples=30, deadline=None)
+    def test_frequency_response_matches_fft_of_taps(self, n_rx, n_tx, seed):
+        rng = np.random.default_rng(seed)
+        taps = random_taps(n_rx, n_tx, rng, n_channels=2, n_taps=4)
+        response = frequency_response_batch(taps, np.arange(64))
+        manual = np.fft.fft(
+            np.concatenate([taps, np.zeros((2, 60, n_rx, n_tx))], axis=1), axis=1
+        )
+        assert np.allclose(response, manual, atol=1e-10)
+
+
+class TestApplyChannel:
+    """The tests' time-domain channel (:func:`helpers.apply_channel`)."""
 
     def test_apply_is_convolution(self, rng):
         channel = MultipathChannel.random(1, 1, rng, n_taps=3)
@@ -110,24 +127,6 @@ class TestMultipathChannel:
         samples = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         received = apply_channel(channel, samples)
         assert np.allclose(received[0], 0.5 * (1 + 1j) * samples)
-
-    def test_parseval_consistency(self, rng):
-        """Average frequency-domain power equals total tap power."""
-        channel = MultipathChannel.random(1, 1, rng, n_taps=5)
-        response = channel.frequency_response(64)[:, 0, 0]
-        tap_power = np.sum(np.abs(channel.taps[:, 0, 0]) ** 2)
-        assert np.mean(np.abs(response) ** 2) == pytest.approx(tap_power, rel=1e-6)
-
-    @given(n_rx=st.integers(1, 3), n_tx=st.integers(1, 3), seed=st.integers(0, 200))
-    @settings(max_examples=30, deadline=None)
-    def test_frequency_response_matches_fft_of_taps(self, n_rx, n_tx, seed):
-        rng = np.random.default_rng(seed)
-        channel = MultipathChannel.random(n_rx, n_tx, rng, n_taps=4)
-        response = channel.frequency_response(64)
-        manual = np.fft.fft(
-            np.concatenate([channel.taps, np.zeros((60, n_rx, n_tx))], axis=0), axis=0
-        )
-        assert np.allclose(response, manual, atol=1e-10)
 
 
 class TestFrequencyResponseAtBins:

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 
 from repro.channel import testbed as testbed_module
+from repro.channel.multipath import tap_scales, taps_from_normals
 from repro.channel.testbed import default_testbed
 from repro.exceptions import ConfigurationError
+from repro.utils.db import db_to_linear
+
+
+def _link_scalars(testbed, rng, n_links):
+    """``(snr_db, decay_samples)`` of ``n_links`` random links: random
+    placements, then one shadowing and one coin block."""
+    xy = np.array(testbed.locations)[[testbed.place_nodes(2, rng) for _ in range(n_links)]]
+    losses = testbed.path_loss_at_distance(np.hypot(*(xy[:, 0] - xy[:, 1]).T))
+    return testbed.link_scalars_batch(
+        losses, rng.standard_normal(n_links), rng.random(n_links)
+    )
 
 
 class TestGeometry:
     def test_default_testbed_has_enough_locations(self):
         testbed = default_testbed()
         assert testbed.n_locations >= 15
-
-    def test_distance_is_symmetric(self):
-        testbed = default_testbed()
-        assert testbed.distance(0, 5) == pytest.approx(testbed.distance(5, 0))
 
     def test_placements_are_distinct(self, rng):
         testbed = default_testbed()
@@ -34,55 +42,75 @@ class TestGeometry:
 
 class TestLinkBudget:
     def test_path_loss_increases_with_distance(self):
-        testbed = default_testbed()
-        near = min(range(1, testbed.n_locations), key=lambda i: testbed.distance(0, i))
-        far = max(range(1, testbed.n_locations), key=lambda i: testbed.distance(0, i))
-        assert testbed.path_loss_db(0, far) > testbed.path_loss_db(0, near)
+        losses = default_testbed().path_loss_at_distance(np.array([1.0, 2.0, 5.0, 12.0, 30.0]))
+        assert np.all(np.diff(losses) > 0)
 
-    def test_snr_is_clamped_to_operating_range(self, rng):
+    def test_path_loss_clamps_to_the_reference_distance(self):
         testbed = default_testbed()
-        for a in range(0, 10, 2):
-            for b in range(1, 10, 2):
-                if a == b:
-                    continue
-                snr = testbed.link_snr_db(a, b, rng)
-                assert testbed.min_snr_db <= snr <= testbed.max_snr_db
+        losses = testbed.path_loss_at_distance(np.array([0.0, 0.5, 1.0]))
+        assert np.all(losses == testbed.reference_loss_db)
+
+    def test_snr_is_clamped_to_operating_range(self):
+        testbed = default_testbed()
+        losses = np.linspace(20.0, 200.0, 50)
+        snr, _ = testbed.link_scalars_batch(losses, np.zeros(50), np.ones(50))
+        assert np.all((testbed.min_snr_db <= snr) & (snr <= testbed.max_snr_db))
+        assert snr[0] == testbed.max_snr_db
+        assert snr[-1] == testbed.min_snr_db
+
+    def test_shadowing_shifts_the_budget_by_sigma_per_unit(self):
+        testbed = default_testbed()
+        # A loss that leaves the budget mid-range: no clamp either way.
+        loss = testbed.tx_power_dbm - testbed.noise_floor_dbm - 15.0
+        snr, _ = testbed.link_scalars_batch(
+            np.full(2, loss), np.array([0.0, 1.0]), np.ones(2)
+        )
+        assert snr[0] == pytest.approx(15.0)
+        assert snr[0] - snr[1] == pytest.approx(testbed.shadowing_sigma_db)
+
+    def test_forced_snr_is_respected(self):
+        testbed = default_testbed()
+        snr, _ = testbed.link_scalars_batch(
+            np.full(2, 80.0), np.array([0.3, 0.3]), np.ones(2), np.array([np.nan, 17.0])
+        )
+        assert snr[1] == 17.0
+        # A forced value is taken as given, even outside the clamp range.
+        forced, _ = testbed.link_scalars_batch(
+            np.full(1, 80.0), np.zeros(1), np.ones(1), np.array([45.0])
+        )
+        assert forced[0] == 45.0
+
+    def test_line_of_sight_links_decay_faster(self):
+        testbed = default_testbed()
+        p = testbed.los_probability
+        coins = np.array([0.0, p - 1e-9, p, 0.999])
+        _, decay = testbed.link_scalars_batch(np.full(4, 80.0), np.zeros(4), coins)
+        assert decay.tolist() == [0.6, 0.6, 1.5, 1.5]
 
     def test_link_snrs_span_a_wide_range(self, rng):
         """The synthetic deployment must produce both strong and weak links,
         mirroring the 5-30 dB spread of the paper's testbed."""
-        testbed = default_testbed()
-        snrs = []
-        for _ in range(200):
-            a, b = testbed.place_nodes(2, rng)
-            snrs.append(testbed.link_snr_db(a, b, rng))
-        assert min(snrs) < 12.0
-        assert max(snrs) > 24.0
+        snrs, decays = _link_scalars(default_testbed(), rng, 200)
+        assert snrs.min() < 12.0
+        assert snrs.max() > 24.0
+        # Both line-of-sight and scattered links occur.
+        assert set(decays.tolist()) == {0.6, 1.5}
 
 
-class TestLinkGeneration:
-    def test_link_shapes_and_snr(self, rng):
-        testbed = default_testbed()
-        link = testbed.link(0, 7, n_tx=2, n_rx=3, rng=rng)
-        assert link.channel.n_tx == 2
-        assert link.channel.n_rx == 3
-        assert link.frequency_response(64).shape == (64, 3, 2)
-        assert testbed.min_snr_db <= link.snr_db <= testbed.max_snr_db
-
-    def test_forced_snr_is_respected(self, rng):
-        testbed = default_testbed()
-        link = testbed.link(0, 7, n_tx=1, n_rx=1, rng=rng, snr_db=17.0)
-        assert link.snr_db == pytest.approx(17.0)
-
+class TestLinkChannels:
     def test_channel_power_tracks_snr(self, rng):
         testbed = default_testbed()
-        gains = []
-        for seed in range(200):
-            link = testbed.link(0, 9, 1, 1, np.random.default_rng(seed), snr_db=20.0)
-            gains.append(np.sum(np.abs(link.channel.taps) ** 2))
+        n_links = 200
+        _, decays = _link_scalars(testbed, rng, n_links)
+        scales = tap_scales(testbed.n_taps, decays, db_to_linear(np.full(n_links, 20.0)))
+        normals = rng.standard_normal((n_links, testbed.n_taps, 2, 1, 1))
+        gains = np.sum(np.abs(taps_from_normals(normals, scales)) ** 2, axis=(1, 2, 3))
         assert 10 * np.log10(np.mean(gains)) == pytest.approx(20.0, abs=1.5)
 
-    def test_taps_respect_cyclic_prefix(self, rng):
+    def test_taps_respect_cyclic_prefix(self):
         testbed = default_testbed()
-        link = testbed.link(0, 5, 2, 2, rng)
-        assert link.channel.n_taps <= 16
+        assert testbed.n_taps <= 16
+        assert tap_scales(testbed.n_taps, np.array([0.6]), np.ones(1)).shape == (
+            1,
+            testbed.n_taps,
+        )

@@ -24,7 +24,13 @@ from repro.experiments.fig13_heterogeneous import (
     run_heterogeneous_experiment,
     summarize as s13,
 )
-from repro.experiments.handshake_overhead import run_handshake_experiment, summarize as sh
+from oracles.channel import draw_link_reference
+from repro.channel.testbed import default_testbed, dense_testbed
+from repro.experiments.handshake_overhead import (
+    _draw_link_responses,
+    run_handshake_experiment,
+    summarize as sh,
+)
 from repro.experiments.report import (
     format_cdf_summary,
     format_table,
@@ -180,6 +186,48 @@ class TestFig12AndFig13:
         assert "Fig. 13(a)" in s13(fig13)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("floor", ["default", "dense"])
+def test_handshake_link_draws_match_the_one_link_oracle(floor, seed):
+    """The handshake experiment's stacked link draw is bit-identical to
+    drawing each link alone -- placements, shadowing, coin, taps, then
+    its 64-point response -- down to the post-draw generator state."""
+    testbed = default_testbed() if floor == "default" else dense_testbed(64)
+    rng = np.random.default_rng(seed)
+    responses = _draw_link_responses(testbed, 40, rng)
+    rng_oracle = np.random.default_rng(seed)
+    expected = []
+    for _ in range(40):
+        a, b = testbed.place_nodes(2, rng_oracle)
+        _, channel = draw_link_reference(testbed, a, b, n_tx=1, n_rx=2, rng=rng_oracle)
+        expected.append(channel.frequency_response(64))
+    assert responses.shape == (40, 64, 2, 1)
+    assert np.array_equal(responses, np.stack(expected))
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("experiment", [run_throughput_experiment, run_heterogeneous_experiment])
+def test_figure_sweeps_raise_on_a_failed_cell(monkeypatch, experiment):
+    """A figure averages complete, paired runs: a crashed cell names
+    itself in a SimulationError instead of reaching the averaging as
+    ``None``."""
+    from repro.exceptions import SimulationError
+    from repro.sim import runner, sweep
+    from repro.sim.spec import placement_seed
+
+    crash_seed = placement_seed(2, 1)
+
+    def crashing(scenario, run_seed, config):
+        if run_seed == crash_seed:
+            raise RuntimeError("planted build crash")
+        return runner.build_network(scenario, run_seed, config)
+
+    monkeypatch.setattr(sweep, "build_network", crashing)
+    config = SimulationConfig(duration_us=2_000.0, n_subcarriers=4)
+    with pytest.raises(SimulationError, match=rf"run 1, run_seed {crash_seed}\b"):
+        experiment(n_runs=2, seed=2, config=config)
+
+
 class TestHandshakeOverhead:
     @pytest.fixture(scope="class")
     def result(self):
@@ -196,15 +244,10 @@ class TestHandshakeOverhead:
 
     def test_batched_subspaces_match_reference(self):
         """The one-shot batched SVD equals the per-subcarrier loop."""
-        from repro.channel.testbed import default_testbed
         from oracles.mimo import alignment_subspaces_reference
         from repro.utils.linalg import orthonormal_complement_batch
 
-        rng = np.random.default_rng(3)
-        testbed = default_testbed()
-        a, b = testbed.place_nodes(2, rng)
-        link = testbed.link(a, b, n_tx=1, n_rx=2, rng=rng)
-        response = link.frequency_response(64)
+        response = _draw_link_responses(default_testbed(), 1, np.random.default_rng(3))[0]
         reference = alignment_subspaces_reference(response)
         batched, _ = orthonormal_complement_batch(response, 1)
         np.testing.assert_allclose(batched, reference, atol=1e-12)

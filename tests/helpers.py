@@ -11,7 +11,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.channel.multipath import MultipathChannel, tap_scales, taps_from_normals
+from oracles.channel import MultipathChannel
+from repro.channel.multipath import tap_scales, taps_from_normals
 from repro.exceptions import DimensionError
 from repro.mac.plan import PlanCache
 from repro.sim.network import ChannelBank
@@ -90,9 +91,10 @@ def random_taps(
     average_gain=1.0,
 ) -> np.ndarray:
     """The ``(n_channels, n_taps, n_rx, n_tx)`` taps of ``n_channels``
-    Rayleigh channels from one ``standard_normal`` draw: channel ``c`` is
-    bit-identical to the ``c``-th of ``n_channels`` sequential
-    :meth:`MultipathChannel.random` calls on the same generator."""
+    Rayleigh channels from one ``standard_normal`` draw, through the
+    package's tap kernels: channel ``c`` is bit-identical to the ``c``-th
+    of ``n_channels`` sequential :meth:`oracles.channel.MultipathChannel.random`
+    calls on the same generator."""
     normals = rng.standard_normal((n_channels, n_taps, 2, n_rx, n_tx))
     decays = np.broadcast_to(np.asarray(decay_samples, dtype=float), (n_channels,))
     gains = np.broadcast_to(np.asarray(average_gain, dtype=float), (n_channels,))

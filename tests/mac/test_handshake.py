@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.channel import MultipathChannel
 from oracles.mimo import orthonormal_complement
-from repro.channel.multipath import MultipathChannel
 from repro.exceptions import DimensionError
 from repro.mac.handshake import (
     alignment_feedback_symbols,

@@ -7,6 +7,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from oracles.channel import draw_link_reference
 from repro.channel.multipath import (
     dft_twiddle,
     frequency_response_at_bins_batch,
@@ -19,7 +20,7 @@ class PerPairNetwork(Network):
     """A :class:`~repro.sim.network.Network` whose v2 ``"batched"``
     contract is drawn by the readable per-pair loop.
 
-    One :meth:`~repro.channel.testbed.Testbed.link` call per unordered
+    One :func:`~oracles.channel.draw_link_reference` call per unordered
     station pair, in canonical order, with the reverse direction derived
     by reciprocity.  The production vectorized construction must match
     it bit for bit, down to the post-draw generator state.
@@ -49,7 +50,8 @@ class PerPairNetwork(Network):
         for a, b, forced in self._pair_iter():
             sta_a = self.stations[a]
             sta_b = self.stations[b]
-            link = self.testbed.link(
+            snr_db, channel = draw_link_reference(
+                self.testbed,
                 sta_a.location,
                 sta_b.location,
                 n_tx=sta_a.n_antennas,
@@ -57,15 +59,15 @@ class PerPairNetwork(Network):
                 rng=self.rng,
                 snr_db=forced,
             )
-            self.eager_responses[(a, b)] = link.frequency_response(64)[bins]
+            self.eager_responses[(a, b)] = channel.frequency_response(64)[bins]
             group = groups.setdefault(
                 (sta_a.n_antennas, sta_b.n_antennas),
                 {"pairs": [], "normals": [], "snrs": []},
             )
-            taps = link.channel.taps  # (n_taps, N_b, M_a)
+            taps = channel.taps  # (n_taps, N_b, M_a)
             group["pairs"].append((a, b))
             group["normals"].append(np.stack((taps.real, taps.imag), axis=1))
-            group["snrs"].append(link.snr_db)
+            group["snrs"].append(snr_db)
         for group in groups.values():
             normals = np.stack(group["normals"])
             self.channels.add_group(

@@ -1,6 +1,7 @@
-"""PHY oracles: the per-state Viterbi decoder, per-pair channel estimation
-(the tests' receivers decode with it), and the uncoded-BER-averaging
-effective SNR with its AWGN error curves."""
+"""PHY oracles: the per-state Viterbi decoder, the unprecoded training
+fields and per-pair channel estimation from them (the tests' receivers
+decode with it), and the uncoded-BER-averaging effective SNR with its
+AWGN error curves."""
 
 from __future__ import annotations
 
@@ -10,13 +11,14 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
+from repro.constants import NUM_LONG_TRAINING_SYMBOLS
 from repro.exceptions import DimensionError
 from repro.phy.channel_est import ChannelEstimate
 from repro.phy.coding.convolutional import ConvolutionalEncoder, default_encoder
 from repro.phy.coding.viterbi import _checked_pairs
 from repro.phy.modulation import Modulation
 from repro.phy.ofdm import OfdmConfig, OfdmModem
-from repro.phy.preamble import Preamble, ltf_frequency_sequence
+from repro.phy.preamble import Preamble, ltf_frequency_sequence, short_training_field
 
 
 def trellis_transitions(encoder: ConvolutionalEncoder):
@@ -106,6 +108,34 @@ def viterbi_decode_reference(
         bits[step] = decisions[step, state]
         state = predecessors[step, state]
     return bits[:n_data_bits]
+
+
+def long_training_symbol(config: Optional[OfdmConfig] = None) -> np.ndarray:
+    """One time-domain long training symbol, cyclic prefix included."""
+    config = config or OfdmConfig()
+    grid = ltf_frequency_sequence(config)
+    return OfdmModem(config).modulate_grid(grid.reshape(1, -1))
+
+
+def long_training_field(
+    config: Optional[OfdmConfig] = None, n_symbols: int = NUM_LONG_TRAINING_SYMBOLS
+) -> np.ndarray:
+    """``n_symbols`` long training symbols back to back."""
+    return np.tile(long_training_symbol(config), n_symbols)
+
+
+def per_antenna_samples(preamble: Preamble) -> np.ndarray:
+    """The ``(n_antennas, length)`` unprecoded preamble: every antenna
+    sends the STF (scaled so the sum over antennas keeps unit power),
+    then antenna ``i`` its LTF in slot ``i`` and silence in the others."""
+    stf = short_training_field(preamble.config) * (1.0 / np.sqrt(preamble.n_antennas))
+    ltf = long_training_field(preamble.config)
+    samples = np.zeros((preamble.n_antennas, preamble.length), dtype=complex)
+    samples[:, : len(stf)] = stf
+    for antenna in range(preamble.n_antennas):
+        start, end = preamble.ltf_slot_bounds(antenna)
+        samples[antenna, start:end] = ltf
+    return samples
 
 
 def estimate_channel_from_ltf(

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import apply_channel
-from oracles.phy import estimate_channel_from_ltf, estimate_mimo_channel_reference
+from oracles.channel import MultipathChannel
+from oracles.phy import (
+    estimate_channel_from_ltf,
+    estimate_mimo_channel_reference,
+    long_training_field,
+    per_antenna_samples,
+)
 from repro.channel.models import awgn
-from repro.channel.multipath import MultipathChannel
 from repro.exceptions import DimensionError
-from repro.phy.preamble import Preamble, long_training_field
+from repro.phy.preamble import Preamble
 
 
 class TestSisoEstimation:
@@ -33,7 +38,7 @@ class TestSisoEstimation:
     def test_batched_estimator_matches_the_per_slot_form(self, rng):
         preamble = Preamble(n_antennas=1)
         received = awgn(
-            (0.4 + 0.9j) * preamble.per_antenna_samples(), 0.05, rng
+            (0.4 + 0.9j) * per_antenna_samples(preamble), 0.05, rng
         )
         start, end = preamble.ltf_slot_bounds(0)
         expected = estimate_channel_from_ltf(received[0, start:end])
@@ -45,7 +50,7 @@ class TestMimoEstimation:
     @pytest.mark.parametrize("n_tx,n_rx", [(1, 1), (2, 2), (3, 3), (2, 3), (3, 2)])
     def test_flat_mimo_channel_recovered(self, n_tx, n_rx, rng):
         preamble = Preamble(n_antennas=n_tx)
-        tx_samples = preamble.per_antenna_samples()
+        tx_samples = per_antenna_samples(preamble)
         channel = rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
         received = channel @ tx_samples
         estimate = estimate_mimo_channel_reference(received, preamble)
@@ -55,7 +60,7 @@ class TestMimoEstimation:
 
     def test_frequency_selective_channel_matches_response(self, rng):
         preamble = Preamble(n_antennas=2)
-        tx_samples = preamble.per_antenna_samples()
+        tx_samples = per_antenna_samples(preamble)
         channel = MultipathChannel.random(2, 2, rng, n_taps=4)
         received = apply_channel(channel, tx_samples)
         estimate = estimate_mimo_channel_reference(received, preamble)
@@ -70,7 +75,7 @@ class TestMimoEstimation:
 
     def test_noise_floor_limits_accuracy(self, rng):
         preamble = Preamble(n_antennas=1)
-        tx_samples = preamble.per_antenna_samples()
+        tx_samples = per_antenna_samples(preamble)
         channel = np.array([[2.0 + 1.0j]])
         received = awgn(channel @ tx_samples, 0.05, rng)
         estimate = estimate_mimo_channel_reference(received, preamble)
@@ -80,7 +85,7 @@ class TestMimoEstimation:
     def test_average_matrix(self, rng):
         preamble = Preamble(n_antennas=2)
         channel = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        received = channel @ preamble.per_antenna_samples()
+        received = channel @ per_antenna_samples(preamble)
         estimate = estimate_mimo_channel_reference(received, preamble)
         averaged = estimate.matrices[estimate.valid_bins].mean(axis=0)
         assert np.allclose(averaged, channel, atol=1e-6)
@@ -93,7 +98,7 @@ class TestMimoEstimation:
     def test_preamble_offset_honoured(self, rng):
         preamble = Preamble(n_antennas=1)
         channel = np.array([[1.5 - 0.5j]])
-        clean = channel @ preamble.per_antenna_samples()
+        clean = channel @ per_antenna_samples(preamble)
         padded = np.concatenate([np.zeros((1, 37), dtype=complex), clean], axis=1)
         estimate = estimate_mimo_channel_reference(padded, preamble, preamble_start=37)
         for k in estimate.valid_bins[:5]:

@@ -57,11 +57,14 @@ class TestScrambler:
 
 
 class TestConvolutionalEncoder:
-    def test_rate_is_one_half(self, rng):
-        bits = random_bits(100, rng)
-        coded = default_encoder().encode(bits)
-        encoder = ConvolutionalEncoder()
-        assert coded.size == 2 * (bits.size + encoder.tail_bits)
+    @pytest.mark.parametrize("n_bits", [0, 1, 100])
+    @pytest.mark.parametrize("terminate", [True, False])
+    def test_rate_is_one_half(self, rng, n_bits, terminate):
+        bits = random_bits(n_bits, rng)
+        coded = default_encoder().encode(bits, terminate=terminate)
+        tail = ConvolutionalEncoder().tail_bits if terminate else 0
+        assert coded.dtype == np.int8
+        assert coded.size == 2 * (bits.size + tail)
 
     def test_known_vector(self):
         """The 802.11 encoder output for an impulse is its generator pair."""

@@ -91,7 +91,7 @@ class TestMultipathTolerance:
     def test_cp_absorbs_short_multipath(self, rng):
         """A channel shorter than the CP must look like a per-subcarrier
         complex gain (no inter-symbol interference)."""
-        from repro.channel.multipath import MultipathChannel
+        from oracles.channel import MultipathChannel
 
         modem = OfdmModem()
         grid = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))

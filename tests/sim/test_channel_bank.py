@@ -9,7 +9,9 @@ The load-bearing guarantees:
   the per-group kept draws and computed responses, on every draw
   contract and on the per-pair oracle's bank;
 * ``HardwareProfile.perturb_channel_batch`` is bit-identical to the
-  equivalent sequence of per-channel ``perturb_channel`` calls;
+  equivalent sequence of one-channel estimates (the test oracle
+  ``perturb_channel_reference``), on contiguous channels and on the
+  transposed views the bank serves;
 * ``Network.prefetch_estimates`` fills the estimate memo in stacked
   draws under the grouped contract and is a strict no-op under the v2
   contract (its lazy draw order is part of v2 reproducibility).
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from helpers import bank_nbytes, bank_pairs, custom_pairs_scenario
+from oracles.channel import perturb_channel_reference
 from oracles.network import PerPairNetwork
 from repro.channel.hardware import HardwareProfile
 from repro.channel.multipath import frequency_response_batch
@@ -187,11 +190,28 @@ class TestPerturbChannelBatch:
         rng_seq = np.random.default_rng(99)
         batch = hardware.perturb_channel_batch(channels, rng_batch, reciprocity=reciprocity)
         for index in range(channels.shape[0]):
-            expected = hardware.perturb_channel(
-                channels[index], rng_seq, reciprocity=reciprocity
+            expected = perturb_channel_reference(
+                hardware, channels[index], rng_seq, reciprocity=reciprocity
             )
             assert np.array_equal(batch[index], expected)
         assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
+
+    @pytest.mark.parametrize("reciprocity", [False, True])
+    def test_one_channel_stack_matches_the_oracle(self, reciprocity):
+        """``Network.estimated_channel`` measures one channel as a stack
+        of one -- including the read-only transposed views the bank
+        serves for reverse directions."""
+        hardware = HardwareProfile()
+        network = _network("batched")
+        for tx, rx in ((0, 1), (1, 0), (0, 3), (3, 0)):
+            channel = network.true_channel(tx, rx)
+            for seed in range(5):
+                rng_batch = np.random.default_rng(seed)
+                rng_one = np.random.default_rng(seed)
+                batch = hardware.perturb_channel_batch(channel[None], rng_batch, reciprocity)
+                expected = perturb_channel_reference(hardware, channel, rng_one, reciprocity)
+                assert batch[0].tobytes() == expected.tobytes()
+                assert rng_batch.bit_generator.state == rng_one.bit_generator.state
 
     def test_rejects_unstacked_input(self):
         with pytest.raises(ValueError):

@@ -311,7 +311,7 @@ def _full_frame_probe(subcarrier_snrs_db, mcs, rng, probe_bits, noise_power=1.0)
         valid_bins=np.arange(config.fft_size),
     )
     decoded = MimoReceiver(1, config).decode(
-        received.reshape(1, -1), layout, channel_estimate=estimate, noise_power=noise_power
+        received.reshape(1, -1), layout, channel_estimate=estimate
     )
     return bool(np.array_equal(decoded[0].bits, bits))
 

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bank_pairs, custom_pairs_scenario, random_taps
+from oracles.channel import MultipathChannel
 from oracles.network import PerPairNetwork
 from repro.channel.multipath import (
-    MultipathChannel,
     frequency_response_batch,
     tap_scales,
     taps_from_normals,
