@@ -21,7 +21,7 @@ Installed as a module runner::
 Each figure sub-command runs the corresponding experiment from
 :mod:`repro.experiments` and prints the same summary rows the benchmark
 harness produces.  ``scenarios`` lists the registered topologies,
-``protocols`` lists the registered protocol variants with their typed
+``protocols`` lists the protocol variants and their shared typed
 parameters (:mod:`repro.mac.variants`), ``sweep`` runs an arbitrary
 scenario x protocol grid through the parallel orchestrator
 (:mod:`repro.sim.sweep`) -- protocol entries may carry parameters in
@@ -49,7 +49,12 @@ from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.report import format_table
-from repro.mac.variants import available_variants, parse_protocol, split_protocol_list
+from repro.mac.variants import (
+    RECOVERY_PARAMS,
+    available_variants,
+    parse_protocol,
+    split_protocol_list,
+)
 from repro.sim.scenarios import available_scenarios, scenario_factory
 from repro.sim.spec import SimulationConfig
 from repro.sim.store import ResultsStore, store_path
@@ -166,20 +171,22 @@ def _run_scenarios(args: argparse.Namespace) -> None:
 
 def _run_protocols(args: argparse.Namespace) -> None:
     _print_header("Registered protocol variants")
-    rows = []
-    for entry in available_variants():
-        params = ", ".join(
-            f"{spec.name}={spec.default!r}" for spec in entry.params
-        ) or "-"
-        rows.append(
-            [
-                entry.name,
-                entry.agent_name,
-                "yes" if entry.supports_joining else "no",
-                params,
-            ]
-        )
-    print(format_table(["protocol", "agent", "joins", "params (defaults)"], rows))
+    rows = [
+        [entry.name, entry.agent_name, "yes" if entry.supports_joining else "no"]
+        for entry in available_variants()
+    ]
+    print(format_table(["protocol", "agent", "joins"], rows))
+    print("\nParameters of every protocol:")
+    rows = [
+        [
+            spec.name,
+            repr(spec.default),
+            spec.description
+            + (f" ({', '.join(spec.choices)})" if spec.choices else ""),
+        ]
+        for spec in RECOVERY_PARAMS
+    ]
+    print(format_table(["param", "default", "meaning"], rows))
     print(
         "\nSweep syntax: --protocols \"name,name[param=value,...]\", e.g. "
         "\"n+,n+[recovery=erasure,retry_cap=3]\""
@@ -189,7 +196,7 @@ def _run_protocols(args: argparse.Namespace) -> None:
 def _run_sweep(args: argparse.Namespace) -> int:
     scenario = args.scenario or "three-pair"
     # Parse (and so validate) every entry up front: an unknown name or
-    # parameter aborts here with the registry listing, before any worker
+    # parameter aborts here with the protocol listing, before any worker
     # or simulation starts.
     protocols = [parse_protocol(item) for item in split_protocol_list(args.protocols)]
     _print_header(
@@ -522,6 +529,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 0:
         parser.error("--workers must be >= 0 (0 = all usable cores)")
+    for flag in ("trials", "runs", "links"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1")
     if args.workers == 0:
         args.workers = None  # run_sweep: None = all usable cores
     if args.packet_rate_pps is not None and args.packet_rate_pps < 0:

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.channel.multipath import frequency_response_batch, tap_scales, taps_from_normals
 from repro.channel.testbed import Testbed, default_testbed
+from repro.exceptions import ConfigurationError
 from repro.experiments.report import format_table
 from repro.mac.handshake import alignment_feedback_symbols, handshake_overhead
 from repro.phy.rates import MCS, MCS_TABLE
@@ -69,6 +70,8 @@ def run_handshake_experiment(
     batched pre-coder path) instead of ``n_channels * 64`` Python-level
     calls -- this loop was the dominant cost of the experiment.
     """
+    if n_channels < 1:
+        raise ConfigurationError(f"need at least one channel, got {n_channels}")
     rng = np.random.default_rng(seed)
     testbed = testbed or default_testbed()
     # 16-QAM rate 3/4 at 10 MHz is 18 Mb/s -- the paper's reference point.

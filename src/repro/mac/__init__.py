@@ -18,5 +18,5 @@
   evaluation; they sit on top of the simulator, so
   :mod:`repro.mac.variants` names them and imports one only when a
   simulation asks for its class.
-* :mod:`repro.mac.variants` -- the protocol-variant registry.
+* :mod:`repro.mac.variants` -- the protocol table and its parameter family.
 """

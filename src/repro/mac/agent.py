@@ -15,10 +15,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.constants import (
-    DEFAULT_ERASURE_K,
-    DEFAULT_ERASURE_N,
     HEADER_OFDM_SYMBOLS,
-    MAX_RETRIES,
     OFDM_SYMBOL_DURATION_US_10MHZ,
     SIFS_US,
 )
@@ -27,6 +24,7 @@ from repro.mac.bitrate import choose_bitrate
 from repro.mac.csma import DcfContender
 from repro.mac.plan import PlanCache, involved_node_ids, stream_signature
 from repro.mac.retransmission import RetransmissionQueue
+from repro.mac.variants import default_params
 from repro.phy.rates import MCS
 from repro.sim.link_abstraction import receiver_stream_snrs
 from repro.sim.medium import ScheduledStream
@@ -97,11 +95,11 @@ class BaseMacAgent:
         self.plan_cache = plan_cache
         self.bitrate_margin_db = bitrate_margin_db
         self.spec = spec
-        params = spec.resolved_params() if spec is not None else {}
-        self.recovery: str = params.get("recovery", "none")
-        self.retry_cap: int = int(params.get("retry_cap", MAX_RETRIES))
-        self.erasure_k: int = int(params.get("erasure_k", DEFAULT_ERASURE_K))
-        self.erasure_n: int = int(params.get("erasure_n", DEFAULT_ERASURE_N))
+        params = spec.resolved_params() if spec is not None else default_params()
+        self.recovery: str = params["recovery"]
+        self.retry_cap: int = params["retry_cap"]
+        self.erasure_k: int = params["erasure_k"]
+        self.erasure_n: int = params["erasure_n"]
         self.contender = DcfContender(node_id=pair.transmitter.node_id)
         self.queues: Dict[int, RetransmissionQueue] = {}
         self.sources: Dict[int, object] = {}

@@ -262,7 +262,7 @@ def replay_capsule(
     even if episode generation changes -- and a traced cell replays even
     after its trace file is gone.
     """
-    from repro.mac.variants import resolve_protocol
+    from repro.mac.variants import parse_protocol
     from repro.sim.faults import FaultSchedule
     from repro.sim.scenarios import scenario_factory
     from repro.sim.spec import RunSpec, SimulationConfig
@@ -276,10 +276,8 @@ def replay_capsule(
         capsule.scenario_fingerprint is None
         or scenario_digest(scenario) == capsule.scenario_fingerprint
     )
-    fields = dict(capsule.config)
-    legacy_draws = fields.pop("channel_draws", None)
     try:
-        config = SimulationConfig(**fields)
+        config = SimulationConfig(**capsule.config)
     except TypeError as exc:
         raise ConfigurationError(
             f"capsule config does not match this build's SimulationConfig: {exc}"
@@ -290,21 +288,10 @@ def replay_capsule(
         scenario,
         dataclasses.replace(config, validation=validation, fault_trace=None),
     )
-    # Capsules from before the draw contract became a property of the
-    # scenario alone carry a ``channel_draws`` config field.  Null or
-    # equal to the scenario's contract, it changed nothing; any other
-    # value built channels this build can no longer draw.
-    if legacy_draws is not None and legacy_draws != run_spec.channel_draws:
-        raise ConfigurationError(
-            f"capsule config field 'channel_draws' is {legacy_draws!r}, but "
-            f"scenario {capsule.scenario!r} draws its channels with "
-            f"{run_spec.channel_draws!r}; the draw contract is chosen by the "
-            "scenario alone, so this cell cannot be replayed"
-        )
     cell = Cell(
         scenario_key=capsule.scenario,
         fingerprint=capsule.scenario_fingerprint,
-        spec=resolve_protocol(capsule.protocol),
+        spec=parse_protocol(capsule.protocol),
         run=capsule.run,
         run_seed=capsule.run_seed,
         run_spec=run_spec,

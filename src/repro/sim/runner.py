@@ -623,9 +623,9 @@ def run_simulation(
         suggested Poisson packet rate; both are honoured here.
     protocol:
         Any form :func:`~repro.mac.variants.resolve_protocol` accepts: a
-        registered variant name (``"csma"``, ``"802.11n"``, ``"n+"``,
+        variant name (``"csma"``, ``"802.11n"``, ``"n+"``,
         ``"beamforming"``), a parameterised string
-        (``"n+[recovery=erasure]"``), a ``(name, params)`` pair or a
+        (``"n+[recovery=erasure]"``) or a
         :class:`~repro.mac.variants.ProtocolSpec`.  A bare name is
         exactly a default-parameter spec.
     seed:

@@ -14,6 +14,7 @@ a sweep or replaying a stored grid never loads the round loop
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
@@ -198,13 +199,18 @@ class RunSpec:
 
         A :class:`RunSpec` is already resolved and passes through
         unchanged.  Raises :class:`~repro.exceptions.ConfigurationError`
-        for a subcarrier count outside ``1..48``, an unknown fidelity
-        tier, validation mode or fault profile, and for an unreadable or
-        malformed fault trace.
+        for a duration that is not finite and positive, a subcarrier
+        count outside ``1..48``, an unknown fidelity tier, validation
+        mode or fault profile, and for an unreadable or malformed fault
+        trace.
         """
         if isinstance(config, RunSpec):
             return config
         config = config or SimulationConfig()
+        if not (math.isfinite(config.duration_us) and config.duration_us > 0):
+            raise ConfigurationError(
+                f"duration_us must be finite and > 0, got {config.duration_us}"
+            )
         check_subcarrier_count(config.n_subcarriers)
 
         def hinted(name: str):

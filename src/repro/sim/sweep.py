@@ -458,9 +458,9 @@ class SweepResult:
     def totals_mbps(self, protocol: ProtocolLike) -> List[float]:
         """Per-run total network throughput of one protocol.
 
-        ``protocol`` may be the grid key (a spec-canonical string such as
-        ``"n+"`` or ``"n+[recovery=erasure]"``) or any form
-        :func:`~repro.mac.variants.resolve_protocol` accepts.  Failed
+        ``protocol`` is a protocol string (the grid key, such as ``"n+"``
+        or ``"n+[recovery=erasure]"``, or any other spelling of it) or a
+        :class:`~repro.mac.variants.ProtocolSpec`.  Failed
         cells (``None`` in the grid) are skipped, so aggregates stay
         computable on a partially-failed sweep.
         """
@@ -571,7 +571,7 @@ def _resolve_specs(protocols: Sequence[ProtocolLike]) -> List[ProtocolSpec]:
     """Resolve every protocol entry up front, refusing duplicates.
 
     An unknown name or ill-typed parameter raises here -- with the
-    registry listing -- instead of dying inside a worker as a
+    protocol listing -- instead of dying inside a worker as a
     :class:`FailedCell`.
     """
     specs = [resolve_protocol(p) for p in protocols]
@@ -931,14 +931,14 @@ def run_sweep(
         zero-argument factory returning a :class:`Scenario`.
     protocols:
         Protocols to compare on every placement: bare names, parameterised
-        strings (``"n+[recovery=erasure]"``), ``(name, params)`` pairs or
+        strings (``"n+[recovery=erasure]"``) or
         :class:`~repro.mac.variants.ProtocolSpec` objects, freely mixed --
         so a grid can range over protocol *parameters*, e.g.
-        ``[("n+", {"retry_cap": c}) for c in (1, 3, 7)]``.  Every entry is
+        ``[f"n+[retry_cap={c}]" for c in (1, 3, 7)]``.  Every entry is
         resolved and validated *before* any worker is spawned; an unknown
         name or unknown/ill-typed parameter raises
         :class:`~repro.exceptions.ConfigurationError` listing the
-        registered variants and their parameters.  The result grid is
+        variants and their parameters.  The result grid is
         keyed by each spec's canonical string
         (:attr:`~repro.mac.variants.ProtocolSpec.key` -- the bare name
         for default parameters).

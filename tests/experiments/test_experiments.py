@@ -26,6 +26,7 @@ from repro.experiments.fig13_heterogeneous import (
 )
 from oracles.channel import draw_link_reference
 from repro.channel.testbed import default_testbed, dense_testbed
+from repro.exceptions import ConfigurationError
 from repro.experiments.handshake_overhead import (
     _draw_link_responses,
     run_handshake_experiment,
@@ -241,6 +242,11 @@ class TestHandshakeOverhead:
 
     def test_summary_renders(self, result):
         assert "overhead" in sh(result)
+
+    @pytest.mark.parametrize("n_channels", [0, -1])
+    def test_no_channels_is_refused(self, n_channels):
+        with pytest.raises(ConfigurationError, match="at least one channel"):
+            run_handshake_experiment(n_channels=n_channels)
 
     def test_batched_subspaces_match_reference(self):
         """The one-shot batched SVD equals the per-subcarrier loop."""

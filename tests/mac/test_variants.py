@@ -1,4 +1,4 @@
-"""Tests for the protocol-variant framework (repro.mac.variants).
+"""Tests for the protocol table (repro.mac.variants).
 
 The load-bearing guarantees:
 
@@ -7,10 +7,11 @@ The load-bearing guarantees:
   which is what keeps every pre-framework call site and cached sweep
   grid addressable;
 * parameters are typed and validated at construction, so a bad spec
-  fails fast with an error naming the variant's known parameters;
+  fails fast with an error naming the family's known parameters;
 * the string grammar (``name[k=v,...]``) round-trips through
-  :func:`parse_protocol` and the registry listing matches the CLI's
-  ``protocols`` command.
+  :func:`parse_protocol`, a string and a spec are the only accepted
+  spellings, and the table matches the CLI's ``protocols`` command;
+* spec keys and the sweep cell keys built on them are pinned literals.
 """
 
 import pickle
@@ -25,31 +26,29 @@ from repro.mac.variants import (
     RECOVERY_PARAMS,
     ParamSpec,
     ProtocolSpec,
+    ProtocolVariant,
     available_variants,
     parse_protocol,
-    register_variant,
     resolve_protocol,
     split_protocol_list,
     variant,
 )
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import three_pair_scenario
+from repro.sim.spec import RunSpec
+from repro.sim.sweep import CACHE_SCHEMA_VERSION, Cell, scenario_digest
 
 BUILTIN_NAMES = ("802.11n", "beamforming", "csma", "n+")
 
 
-class TestRegistry:
-    def test_builtins_are_registered(self):
+class TestTable:
+    def test_the_table_holds_the_four_builtins(self):
         names = tuple(entry.name for entry in available_variants())
-        # Subset, not equality: docs examples may register demo variants
-        # in the same process.
-        assert set(BUILTIN_NAMES) <= set(names)
-        assert names == tuple(sorted(names))
+        assert names == BUILTIN_NAMES
 
     def test_variants_name_their_agent_class(self):
         for entry in available_variants():
             assert entry.agent_class.protocol_name == entry.name
-            assert entry.params == RECOVERY_PARAMS
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtin_declarations_match_their_agent_classes(self, name):
@@ -66,42 +65,36 @@ class TestRegistry:
         joining = {e.name for e in available_variants() if e.supports_joining}
         assert joining == {"n+"}
 
-    def test_a_joining_subclass_joins_by_the_runner_rule(self):
+    def test_a_joining_subclass_joins_by_the_runner_rule(self, monkeypatch):
         """Joining is a class flag: the runner evaluates n+'s join rule for
-        any registered agent class with ``supports_joining``."""
+        any agent class in the table with ``supports_joining``."""
 
         class Relabelled(variant("n+").agent_class):
             protocol_name = "n+relabelled"
 
-        register_variant("n+relabelled", Relabelled)
-        try:
-            config = SimulationConfig(duration_us=20_000.0, n_subcarriers=4)
-            relabelled = run_simulation(three_pair_scenario(), "n+relabelled", 3, config)
-        finally:
-            _VARIANTS.pop("n+relabelled", None)
+        monkeypatch.setitem(
+            _VARIANTS,
+            "n+relabelled",
+            ProtocolVariant("n+relabelled", Relabelled, supports_joining=True),
+        )
+        config = SimulationConfig(duration_us=20_000.0, n_subcarriers=4)
+        relabelled = run_simulation(three_pair_scenario(), "n+relabelled", 3, config)
         nplus = run_simulation(three_pair_scenario(), "n+", 3, config)
         assert sum(link.joins for link in relabelled.links.values()) > 0
         assert relabelled.to_dict() == nplus.to_dict()
 
     def test_unknown_variant_lists_what_exists(self):
-        with pytest.raises(ConfigurationError, match="registered variants"):
+        with pytest.raises(ConfigurationError, match="registered variants") as info:
             variant("aloha")
-
-    def test_duplicate_registration_rejected(self):
-        entry = variant("csma")
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_variant("csma", entry.agent_class)
-
-    def test_duplicate_param_declaration_rejected(self):
-        entry = variant("csma")
-        with pytest.raises(ConfigurationError, match="twice"):
-            register_variant(
-                "csma2", entry.agent_class, params=RECOVERY_PARAMS + RECOVERY_PARAMS
-            )
+        message = str(info.value)
+        for name in BUILTIN_NAMES:
+            assert name in message
+        # The shared parameter family is stated once, not per variant.
+        assert message.count("retry_cap=7") == 1
 
     def test_unknown_param_lookup_lists_known_params(self):
         with pytest.raises(ConfigurationError, match="retry_cap"):
-            variant("n+").param("window")
+            parse_protocol("n+[window=3]")
 
 
 class TestParamSpec:
@@ -113,11 +106,6 @@ class TestParamSpec:
         with pytest.raises(ConfigurationError, match="expects int"):
             spec.validate(3.5)
 
-    def test_float_param_accepts_ints(self):
-        spec = ParamSpec("rate", float, 1.0)
-        assert spec.validate(2) == 2.0
-        assert isinstance(spec.validate(2), float)
-
     def test_minimum_and_choices_enforced(self):
         spec = ParamSpec("cap", int, 7, minimum=0)
         with pytest.raises(ConfigurationError, match=">= 0"):
@@ -128,12 +116,18 @@ class TestParamSpec:
 
     def test_parse_coerces_cli_strings(self):
         assert ParamSpec("cap", int, 7).parse("3") == 3
-        assert ParamSpec("rate", float, 1.0).parse("2.5") == 2.5
-        assert ParamSpec("flag", bool, False).parse("yes") is True
-        with pytest.raises(ConfigurationError, match="expects int"):
-            ParamSpec("cap", int, 7).parse("three")
-        with pytest.raises(ConfigurationError, match="expects a boolean"):
-            ParamSpec("flag", bool, False).parse("maybe")
+        assert ParamSpec("mode", str, "none").parse("erasure") == "erasure"
+        for text in ("three", "2.5"):
+            with pytest.raises(ConfigurationError, match="expects int"):
+                ParamSpec("cap", int, 7).parse(text)
+
+    def test_the_family_is_one_str_and_three_ints(self):
+        assert [(p.name, p.type) for p in RECOVERY_PARAMS] == [
+            ("recovery", str),
+            ("retry_cap", int),
+            ("erasure_k", int),
+            ("erasure_n", int),
+        ]
 
 
 class TestProtocolSpecCanonicalization:
@@ -182,26 +176,24 @@ class TestProtocolSpecCanonicalization:
 
 
 class TestResolveProtocol:
-    def test_accepted_forms_are_interchangeable(self):
+    def test_a_string_and_a_spec_are_interchangeable(self):
         spec = ProtocolSpec("n+", {"recovery": "erasure"})
-        for form in (
-            spec,
-            "n+[recovery=erasure]",
+        assert resolve_protocol(spec) is spec
+        assert resolve_protocol("n+[recovery=erasure]") == spec
+
+    @pytest.mark.parametrize(
+        "form",
+        [
             ("n+", {"recovery": "erasure"}),
             ["n+", {"recovery": "erasure"}],
             {"name": "n+", "params": {"recovery": "erasure"}},
-        ):
-            assert resolve_protocol(form) == spec
-
-    def test_rejections_are_informative(self):
-        with pytest.raises(ConfigurationError, match="'name' entry"):
-            resolve_protocol({"params": {}})
-        with pytest.raises(ConfigurationError, match="unknown entries"):
-            resolve_protocol({"name": "n+", "extra": 1})
-        with pytest.raises(ConfigurationError, match="must be \\(name, params\\)"):
-            resolve_protocol(("n+",))
+            42,
+        ],
+        ids=["tuple", "list", "mapping", "int"],
+    )
+    def test_any_other_form_is_refused(self, form):
         with pytest.raises(ConfigurationError, match="cannot interpret"):
-            resolve_protocol(42)
+            resolve_protocol(form)
 
 
 class TestStringGrammar:
@@ -223,12 +215,41 @@ class TestStringGrammar:
 
 
 class TestCliListing:
-    def test_protocols_command_matches_registry(self, capsys):
+    def test_protocols_command_matches_the_table(self, capsys):
         from repro.cli import main
 
         assert main(["protocols"]) == 0
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         for entry in available_variants():
-            assert entry.name in out
-            for param in entry.params:
-                assert param.name in out
+            assert any(line.startswith(entry.name + " ") for line in lines)
+        # The family is listed once, one row per parameter.
+        for param in RECOVERY_PARAMS:
+            assert sum(line.startswith(param.name + " ") for line in lines) == 1
+
+
+class TestPinnedKeys:
+    """Spec keys and the cell keys built on them, as recorded before the
+    table was closed; a change here re-keys every cached sweep."""
+
+    CELL_KEYS = {
+        "n+": "333e6e7747564789f42c573c2a55663903033442fc6bc0fdeff1d359a9fef59b",
+        "n+[recovery=erasure]": (
+            "0d32861a6ccd1bbdf1879b1c72a6ea37bc1727b1619798c615c2d60a52c89ec4"
+        ),
+        "csma[retry_cap=3]": (
+            "b227373147a1a770ee10a6da21f88ede37f12e6f35e65d20bd6f3b20aef18ae4"
+        ),
+    }
+
+    def test_spec_and_cell_keys_are_unchanged(self):
+        assert CACHE_SCHEMA_VERSION == 8
+        scenario = three_pair_scenario()
+        run_spec = RunSpec.resolve(
+            scenario, SimulationConfig(duration_us=8_000.0, n_subcarriers=8)
+        )
+        fingerprint = scenario_digest(scenario)
+        for text, cell_key in self.CELL_KEYS.items():
+            spec = resolve_protocol(text)
+            assert spec.key == text
+            cell = Cell("three-pair", fingerprint, spec, 0, 0, run_spec)
+            assert cell.key == cell_key

@@ -14,7 +14,7 @@ import pytest
 from repro import cli
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.nplus import NPlusMac
-from repro.mac.variants import _VARIANTS, register_variant
+from repro.mac.variants import _VARIANTS, ProtocolVariant
 from repro.sim import capsule as capsule_module
 from repro.sim import invariants as invariants_module
 from repro.sim.capsule import (
@@ -52,13 +52,17 @@ class CrashMac(NPlusMac):
         raise RuntimeError("injected crash for capsule tests")
 
 
+def _set_crashy(monkeypatch, agent_class):
+    """Point the ``crashy`` protocol at ``agent_class`` for one test."""
+    monkeypatch.setitem(
+        _VARIANTS, "crashy", ProtocolVariant("crashy", agent_class, supports_joining=True)
+    )
+
+
 @pytest.fixture
-def crashy_protocol():
-    register_variant("crashy", CrashMac, overwrite=True)
-    try:
-        yield "crashy"
-    finally:
-        _VARIANTS.pop("crashy", None)
+def crashy_protocol(monkeypatch):
+    _set_crashy(monkeypatch, CrashMac)
+    return "crashy"
 
 
 def _crashy_sweep(tmp_path, **kwargs):
@@ -332,9 +336,11 @@ class TestTaskLevelCrashes:
 
 class TestLegacyCapsules:
     """Capsules written while ``SimulationConfig`` still had a
-    ``channel_draws`` field (``null`` unless a contract was forced)."""
+    ``channel_draws`` field: the scenario alone chooses the draw
+    contract now, so such a config is not this build's and is refused."""
 
-    def _legacy_capsule(self, tmp_path, draws):
+    @pytest.mark.parametrize("draws", [None, "batched", "grouped"])
+    def test_a_channel_draws_field_is_refused(self, tmp_path, crashy_protocol, draws):
         path = _crashy_sweep(tmp_path).failures[0].capsule_path
         with open(path) as handle:
             data = json.load(handle)
@@ -342,21 +348,10 @@ class TestLegacyCapsules:
         legacy = tmp_path / "legacy" / "capsule.json"
         legacy.parent.mkdir()
         legacy.write_text(json.dumps(data))
-        return legacy
-
-    @pytest.mark.parametrize("draws", [None, "batched"])
-    def test_null_or_the_scenarios_contract_replays(
-        self, tmp_path, crashy_protocol, draws
-    ):
-        outcome = replay_capsule(self._legacy_capsule(tmp_path, draws))
-        assert outcome.reproduced
-
-    @pytest.mark.parametrize("draws", ["grouped", "per-pair"])
-    def test_any_other_contract_is_refused_naming_the_field(
-        self, tmp_path, crashy_protocol, draws
-    ):
-        with pytest.raises(ConfigurationError, match="'channel_draws'"):
-            replay_capsule(self._legacy_capsule(tmp_path, draws))
+        with pytest.raises(
+            ConfigurationError, match="does not match this build's SimulationConfig"
+        ):
+            replay_capsule(legacy)
 
 
 class TestReplay:
@@ -377,11 +372,11 @@ class TestReplay:
         assert first.error_message == second.error_message
 
     def test_replay_of_a_fixed_crash_reports_not_reproduced(
-        self, tmp_path, crashy_protocol
+        self, tmp_path, crashy_protocol, monkeypatch
     ):
         # the "bug" gets fixed: the capsule's protocol now runs clean
         path = _crashy_sweep(tmp_path).failures[0].capsule_path
-        register_variant("crashy", NPlusMac, overwrite=True)
+        _set_crashy(monkeypatch, NPlusMac)
         outcome = replay_capsule(path)
         assert not outcome.reproduced
         assert outcome.error_type is None
@@ -467,10 +462,10 @@ class TestCli:
         assert "RuntimeError" in out
 
     def test_replay_of_a_clean_cell_exits_nonzero(
-        self, tmp_path, crashy_protocol, capsys
+        self, tmp_path, crashy_protocol, capsys, monkeypatch
     ):
         path = _crashy_sweep(tmp_path).failures[0].capsule_path
-        register_variant("crashy", NPlusMac, overwrite=True)
+        _set_crashy(monkeypatch, NPlusMac)
         rc = cli.main(["replay", path])
         assert rc == 1
         assert "NOT reproduced" in capsys.readouterr().out

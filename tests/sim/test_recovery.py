@@ -51,7 +51,7 @@ GOLDEN = {
 
 RECOVERY_SPECS = (
     "n+",
-    ("n+", {"recovery": "fast-retransmit"}),
+    ProtocolSpec("n+", {"recovery": "fast-retransmit"}),
     "n+[recovery=erasure]",
 )
 
@@ -230,9 +230,9 @@ class TestRecoverySweep:
                     assert link.packets_dropped >= 0
                     if key != "n+[recovery=erasure]":
                         assert link.recovered_bits == 0
-        # totals are addressable by grid key and by any protocol form
+        # totals are addressable by grid key and by a spec
         assert sweep.totals_mbps("n+[recovery=erasure]") == sweep.totals_mbps(
-            ("n+", {"recovery": "erasure"})
+            ProtocolSpec("n+", {"recovery": "erasure"})
         )
 
     def test_bare_name_and_default_spec_share_cache_cells(self, tmp_path):
@@ -278,7 +278,7 @@ class TestRecoverySweep:
         with pytest.raises(ConfigurationError, match="duplicate protocol"):
             run_sweep(
                 "three-pair",
-                ["csma", ("csma", {})],
+                ["csma", ProtocolSpec("csma", {})],
                 n_runs=1,
                 config=self.CONFIG,
             )

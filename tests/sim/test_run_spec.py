@@ -17,7 +17,7 @@ import repro.sim.supervisor as supervisor_module
 import repro.sim.sweep as sweep_module
 from repro.exceptions import ConfigurationError
 from repro.mac.nplus import NPlusMac
-from repro.mac.variants import _VARIANTS, register_variant, resolve_protocol
+from repro.mac.variants import _VARIANTS, ProtocolVariant, resolve_protocol
 from repro.sim.capsule import load_capsule, replay_capsule
 from repro.sim.faults import read_trace
 from repro.sim.fidelity import DEFAULT_BAND_DB
@@ -192,6 +192,17 @@ class TestResolve:
         with pytest.raises(ConfigurationError, match="between 1 and 48"):
             RunSpec.resolve(three_pair_scenario(), config)
 
+    @pytest.mark.parametrize("duration_us", [0.0, -5_000.0, float("nan"), float("inf")])
+    def test_a_duration_that_is_not_finite_and_positive_is_refused(
+        self, tmp_path, duration_us
+    ):
+        config = SimulationConfig(duration_us=duration_us)
+        with pytest.raises(ConfigurationError, match="duration_us must be"):
+            RunSpec.resolve(three_pair_scenario(), config)
+        with pytest.raises(ConfigurationError, match="duration_us must be"):
+            run_sweep("three-pair", ["n+"], n_runs=1, config=config, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("n_subcarriers", [49, 64])
     def test_run_simulation_refuses_more_subcarriers_than_data_bins(
         self, n_subcarriers
@@ -301,22 +312,21 @@ class TestTraceKeying:
             return real_simulate(args)
 
         monkeypatch.setattr(sweep_module, "_simulate_run", delete_trace_then_simulate)
-        register_variant("boom", _BoomMac)
-        try:
-            result = run_sweep(
-                "three-pair", ["boom", "n+"], n_runs=2, config=config,
-                cache_dir=tmp_path / "cache",
-            )
-            assert reads == [str(trace)] and not trace.exists()
-            assert [(f.protocol, f.run) for f in result.failures] == [
-                ("boom", 0), ("boom", 1)
-            ]
-            for failure in result.failures:
-                capsule = load_capsule(failure.capsule_path)
-                assert capsule.fault_schedule == episodes
-                assert replay_capsule(capsule).reproduced
-        finally:
-            _VARIANTS.pop("boom", None)
+        monkeypatch.setitem(
+            _VARIANTS, "boom", ProtocolVariant("boom", _BoomMac, supports_joining=True)
+        )
+        result = run_sweep(
+            "three-pair", ["boom", "n+"], n_runs=2, config=config,
+            cache_dir=tmp_path / "cache",
+        )
+        assert reads == [str(trace)] and not trace.exists()
+        assert [(f.protocol, f.run) for f in result.failures] == [
+            ("boom", 0), ("boom", 1)
+        ]
+        for failure in result.failures:
+            capsule = load_capsule(failure.capsule_path)
+            assert capsule.fault_schedule == episodes
+            assert replay_capsule(capsule).reproduced
 
     def test_traced_run_injects_the_trace_episodes(self, tmp_path):
         trace = tmp_path / "trace.json"

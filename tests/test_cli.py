@@ -218,6 +218,22 @@ class TestMain:
             main(["sweep", "--workers", "-3", "--runs", "1"])
         assert "--workers must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["handshake", "--trials", "0"],
+            ["fig9", "--trials", "0"],
+            ["sweep", "--runs", "0"],
+            ["validate-fidelity", "--links", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_zero_counts_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"{argv[1]} must be >= 1" in capsys.readouterr().err
+
     def test_handshake_command_runs(self, capsys):
         exit_code = main(["handshake", "--trials", "5"])
         captured = capsys.readouterr()
