@@ -239,7 +239,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         f"on {result.workers} worker(s) in {elapsed:.1f} s"
     )
     if result.worker_deaths:
-        print(f"{result.worker_deaths} worker death(s) absorbed (see 'repro results')")
+        print(f"{result.worker_deaths} worker(s) lost; their cells were re-run")
     if result.failures:
         # Failed cells make the sweep exit non-zero even without
         # --strict: the grid is incomplete, and scripts piping sweeps
@@ -536,7 +536,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.workers = None  # run_sweep: None = all usable cores
     if args.packet_rate_pps is not None and args.packet_rate_pps < 0:
         parser.error("--packet-rate-pps must be >= 0 (0 = saturated sources)")
-    exit_code = _COMMANDS[args.command](args)
+    try:
+        exit_code = _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     return int(exit_code) if exit_code else 0
 
 

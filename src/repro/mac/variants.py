@@ -249,7 +249,7 @@ def variant(name: str) -> ProtocolVariant:
     except KeyError:
         defaults = ", ".join(f"{k}={v!r}" for k, v in default_params().items())
         raise ConfigurationError(
-            f"unknown protocol {name!r}; registered variants: "
+            f"unknown protocol {name!r}; protocols: "
             f"{', '.join(sorted(_VARIANTS))} (each takes {defaults})"
         ) from None
 

@@ -22,16 +22,15 @@ computes the grid
   ``pending -> running -> done/failed``, so a sweep killed mid-run --
   SIGINT, SIGTERM, OOM, reboot -- checkpoints (or is trivially
   reconstructible from committed cell states) and a re-invocation with
-  ``resume=True`` completes exactly the unfinished cells.  The worker
-  pool is supervised (:mod:`repro.sim.supervisor`): heartbeats tell
-  hung workers from slow cells, silently-killed workers (OOM) are
-  detected and replaced with the affected cells re-queued, and repeated
-  deaths shrink the pool instead of failing the sweep.
+  ``resume=True`` completes exactly the unfinished cells.
 
 One failure rule holds for every task: it is re-run only when its worker
-is lost -- killed, hung, or killed at its ``cell_timeout_s`` deadline --
-at most ``max_worker_requeues`` times.  A task that raises fails its
-cells on the first attempt, since its replay would raise again.
+dies (SIGKILL, the OOM killer), and then at most
+:data:`~repro.sim.supervisor.MAX_REQUEUES` times.  A task that raises
+fails its cells on the first attempt, since its replay would raise
+again.  A hung worker holds its cells until the sweep is interrupted;
+with a cache directory the interrupt checkpoints them, and a resume
+re-runs them.
 
 A sweep runs in three stages.  The **plan** stage resolves the config
 once into a :class:`~repro.sim.spec.RunSpec`, lays out the grid as
@@ -407,8 +406,8 @@ class FailedCell:
     directory.  ``traceback`` carries the full Python traceback of the
     crash -- inside a simulation or before it, in the scenario factory or
     the network draw -- captured in-worker for parallel sweeps; it is
-    ``None`` only when no exception was raised: a task whose worker was
-    lost (killed, hung or timed out) on every try.
+    ``None`` only when no exception was raised: a task whose worker died
+    on every try.
     """
 
     protocol: str
@@ -439,9 +438,8 @@ class SweepResult:
         :class:`FailedCell` records (empty for a clean sweep; always
         empty under ``strict=True``, which raises instead).
     worker_deaths:
-        Workers lost and replaced during the sweep (OOM kills, hangs;
-        deliberate slow-cell timeout kills included).  ``0`` on a
-        healthy machine.
+        Workers that died holding a task (SIGKILL, the OOM killer) and
+        were replaced, their cells re-run.  ``0`` on a healthy machine.
     sweep_id:
         Manifest digest recorded in the results store (``None`` when
         run without a cache directory).
@@ -729,7 +727,7 @@ def _chunk_tasks(plan: _SweepPlan, workers: int) -> None:
 # -- execute -----------------------------------------------------------------
 
 
-def _execute(plan: _SweepPlan, recorder: "_Recorder", **pool_options) -> None:
+def _execute(plan: _SweepPlan, recorder: "_Recorder") -> None:
     """The execute stage: drive the tasks, feeding every event to ``recorder``.
 
     Several workers run under a
@@ -746,9 +744,7 @@ def _execute(plan: _SweepPlan, recorder: "_Recorder", **pool_options) -> None:
         cell.spec.agent_class
     payloads = [(plan.factory, cells) for cells in plan.tasks]
     if plan.n_workers > 1:
-        events = WorkerSupervisor(
-            _simulate_run, payloads, workers=plan.n_workers, **pool_options
-        ).events()
+        events = WorkerSupervisor(_simulate_run, payloads, plan.n_workers).events()
     else:
         events = in_process_events(_simulate_run, payloads)
     try:
@@ -780,9 +776,8 @@ class _Recorder:
     def record(self, event: object) -> None:
         """Mirror one task event into the grid and the store.
 
-        ``TaskRequeued`` / ``PoolShrunk`` need no bookkeeping: the cells
-        stay ``running`` until they settle, and the executor owns
-        re-queues and pool size.
+        ``TaskRequeued`` needs no bookkeeping: the cells stay
+        ``running`` until they settle, and the executor owns re-queues.
         """
         from repro.sim.supervisor import TaskAssigned, TaskDone, TaskFailed, WorkerDeath
 
@@ -908,11 +903,7 @@ def run_sweep(
     cache_dir: Optional[Union[str, Path]] = None,
     scenario_key: Optional[str] = None,
     strict: bool = False,
-    cell_timeout_s: Optional[float] = None,
     resume: bool = False,
-    hang_timeout_s: float = 30.0,
-    max_worker_requeues: int = 3,
-    shrink_after_deaths: int = 3,
 ) -> SweepResult:
     """Sweep ``n_runs`` placements x ``protocols`` -- parallel, cached, durable.
 
@@ -981,15 +972,6 @@ def run_sweep(
         :class:`~repro.exceptions.ConfigurationError` when no such
         manifest was ever recorded (a typo'd grid resumes nothing).
         The result is byte-identical to running the sweep uninterrupted.
-    cell_timeout_s, hang_timeout_s, max_worker_requeues, shrink_after_deaths:
-        Worker-pool supervision, passed to
-        :class:`~repro.sim.supervisor.WorkerSupervisor` as its
-        ``task_timeout_s``, ``hang_timeout_s``, ``max_requeues`` and
-        ``shrink_after_deaths``: a slow cell's worker is killed, a hung
-        worker (stale heartbeat) or a killed one is replaced, and either
-        way the task is re-queued up to ``max_worker_requeues`` times;
-        repeated unexpected deaths shrink the pool.  They act only with
-        worker processes; in process a timeout cannot be enforced.
 
     Durability
     ----------
@@ -1026,14 +1008,7 @@ def run_sweep(
     try:
         with _checkpoint_on_interrupt(plan, install_handlers):
             if plan.tasks:
-                _execute(
-                    plan,
-                    recorder,
-                    task_timeout_s=cell_timeout_s,
-                    hang_timeout_s=hang_timeout_s,
-                    max_requeues=max_worker_requeues,
-                    shrink_after_deaths=shrink_after_deaths,
-                )
+                _execute(plan, recorder)
             if plan.store is not None:
                 plan.store.finish_sweep(plan.sweep_id)
     finally:

@@ -84,7 +84,7 @@ class TestTable:
         assert relabelled.to_dict() == nplus.to_dict()
 
     def test_unknown_variant_lists_what_exists(self):
-        with pytest.raises(ConfigurationError, match="registered variants") as info:
+        with pytest.raises(ConfigurationError, match="protocols:") as info:
             variant("aloha")
         message = str(info.value)
         for name in BUILTIN_NAMES:

@@ -470,9 +470,10 @@ class TestCli:
         assert rc == 1
         assert "NOT reproduced" in capsys.readouterr().out
 
-    def test_replay_requires_a_capsule_path(self):
-        with pytest.raises(ConfigurationError, match="capsule"):
+    def test_replay_requires_a_capsule_path(self, capsys):
+        with pytest.raises(SystemExit):
             cli.main(["replay"])
+        assert "capsule" in capsys.readouterr().err
 
     def test_results_lists_failed_cells(self, tmp_path, crashy_protocol, capsys):
         _crashy_sweep(tmp_path)

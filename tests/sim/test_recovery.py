@@ -259,7 +259,7 @@ class TestRecoverySweep:
         assert key("n+") != key("n+[recovery=erasure]")
 
     def test_invalid_specs_fail_before_any_simulation(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="registered variants"):
+        with pytest.raises(ConfigurationError, match="protocols:"):
             run_sweep("three-pair", ["aloha"], n_runs=1, config=self.CONFIG)
         with pytest.raises(ConfigurationError, match="known parameters"):
             run_sweep(

@@ -762,23 +762,20 @@ def _needs_fork(workers):
         pytest.skip("needs fork so workers inherit the monkeypatch")
 
 
-def _stall_once(marker, stall_s=30.0):
-    """A build_network whose first caller (process-wide) stalls first."""
+def _killed_on_seed(run_seed_to_kill):
+    """A build_network whose every caller for one placement seed SIGKILLs
+    its own process."""
     import os
-    import time
+    import signal
 
     from repro.sim.runner import build_network as real_build_network
 
-    def stalling(scenario, run_seed, config):
-        try:
-            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            pass
-        else:
-            time.sleep(stall_s)
+    def killing(scenario, run_seed, config):
+        if run_seed == run_seed_to_kill:
+            os.kill(os.getpid(), signal.SIGKILL)
         return real_build_network(scenario, run_seed, config)
 
-    return stalling
+    return killing
 
 
 class TestFailureRule:
@@ -787,8 +784,8 @@ class TestFailureRule:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_build_crash_fails_on_its_first_attempt(self, monkeypatch, workers):
         import multiprocessing
+        import time
 
-        import repro.sim.supervisor as supervisor_module
         import repro.sim.sweep as sweep_module
         from repro.sim.spec import placement_seed
 
@@ -804,7 +801,7 @@ class TestFailureRule:
 
         sleeps = []
         monkeypatch.setattr(sweep_module, "build_network", counting)
-        monkeypatch.setattr(supervisor_module.time, "sleep", sleeps.append)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
         result = run_sweep(
             "three-pair", ["n+"], n_runs=2, seed=4, config=FAST, workers=workers
         )
@@ -842,36 +839,29 @@ class TestFailureRule:
         )
         assert "retr" not in message
 
-    def test_a_timed_out_cell_is_requeued_and_reproduces(self, monkeypatch, tmp_path):
+    def test_a_cell_whose_worker_always_dies_fails_after_its_requeues(
+        self, monkeypatch, tmp_path
+    ):
         import repro.sim.sweep as sweep_module
-
-        _needs_fork(2)
-        clean = run_sweep("three-pair", ["802.11n", "n+"], n_runs=2, seed=4, config=FAST)
-        monkeypatch.setattr(
-            sweep_module, "build_network", _stall_once(str(tmp_path / "stalled"))
-        )
-        requeued = run_sweep(
-            "three-pair", ["802.11n", "n+"], n_runs=2, seed=4, config=FAST,
-            workers=2, cell_timeout_s=1.0,
-        )
-        assert not requeued.failures
-        assert requeued.worker_deaths == 1
-        # The re-run is a deterministic replay: identical metrics.
-        assert _as_dicts(requeued.results) == _as_dicts(clean.results)
-
-    def test_a_cell_timing_out_past_its_requeues_fails(self, monkeypatch, tmp_path):
-        import repro.sim.sweep as sweep_module
+        from repro.sim.spec import placement_seed
+        from repro.sim.supervisor import MAX_REQUEUES
 
         _needs_fork(2)
         monkeypatch.setattr(
-            sweep_module, "build_network", _stall_once(str(tmp_path / "stalled"))
+            sweep_module, "build_network", _killed_on_seed(placement_seed(4, 1))
         )
         result = run_sweep(
-            "three-pair", ["n+"], n_runs=2, seed=4, config=FAST,
-            workers=2, cell_timeout_s=1.0, max_worker_requeues=0,
+            "three-pair", ["802.11n", "n+"], n_runs=2, seed=4, config=FAST,
+            workers=2, cache_dir=tmp_path,
         )
-        assert len(result.failures) == 1
-        failure = result.failures[0]
-        assert "timed out" in failure.error and failure.traceback is None
-        assert result.results["n+"][1 - failure.run] is not None
-        assert result.worker_deaths == 1
+        assert sorted((f.run, f.protocol) for f in result.failures) == [
+            (1, "802.11n"), (1, "n+"),
+        ]
+        for failure in result.failures:
+            assert "died every time" in failure.error
+            assert failure.traceback is None
+        assert all(result.results[p][0] is not None for p in ("802.11n", "n+"))
+        with ResultsStore(tmp_path) as store:
+            assert cell_count(store, "done") == 2
+            assert cell_count(store, "failed") == 2
+        assert result.worker_deaths == MAX_REQUEUES + 1

@@ -234,6 +234,25 @@ class TestMain:
         assert info.value.code == 2
         assert f"{argv[1]} must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--protocols", "foo"],
+            ["sweep", "--scenario", "nope"],
+            ["sweep", "--fault-profile", "nope"],
+            ["sweep", "--subcarriers", "64"],
+            ["fig12", "--duration-ms", "-5"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_a_configuration_error_is_one_line_and_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--runs", "1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert len([l for l in err.splitlines() if l.startswith("repro: error:")]) == 1
+        assert "Traceback" not in err
+
     def test_handshake_command_runs(self, capsys):
         exit_code = main(["handshake", "--trials", "5"])
         captured = capsys.readouterr()
@@ -283,8 +302,6 @@ class TestMain:
         assert "csma[retry_cap=3]" in out
 
     def test_sweep_rejects_bad_specs_before_simulating(self, capsys, tmp_path):
-        from repro.exceptions import ConfigurationError
-
         argv = [
             "sweep",
             "--scenario", "three-pair",
@@ -292,8 +309,9 @@ class TestMain:
             "--runs", "1",
             "--cache-dir", str(tmp_path),
         ]
-        with pytest.raises(ConfigurationError, match="registered variants"):
+        with pytest.raises(SystemExit):
             main(argv)
+        assert "unknown protocol 'aloha'; protocols:" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.json"))
 
     def test_sweep_refuses_more_subcarriers_than_data_bins(self, tmp_path):
@@ -358,11 +376,10 @@ class TestDurableSweepCommands:
         assert args.resume is False
         assert build_parser().parse_args(["sweep", "--resume"]).resume is True
 
-    def test_resume_without_a_recorded_manifest_is_rejected(self, tmp_path):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="nothing to resume"):
+    def test_resume_without_a_recorded_manifest_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
             main(self._sweep_argv(tmp_path, extra=["--resume"]))
+        assert "nothing to resume" in capsys.readouterr().err
 
     def test_resume_after_a_completed_sweep_replays_from_cache(self, capsys, tmp_path):
         assert main(self._sweep_argv(tmp_path)) == 0
@@ -370,20 +387,18 @@ class TestDurableSweepCommands:
         assert main(self._sweep_argv(tmp_path, extra=["--resume"])) == 0
         assert "2 cell(s) from cache, 0 simulated" in capsys.readouterr().out
 
-    def test_results_command_requires_a_cache_dir(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="cache-dir"):
+    def test_results_command_requires_a_cache_dir(self, capsys):
+        with pytest.raises(SystemExit):
             main(["results"])
+        assert "cache-dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["typo-dir", "typo.sqlite"])
-    def test_results_command_refuses_a_path_with_no_store(self, tmp_path, name):
+    def test_results_command_refuses_a_path_with_no_store(self, capsys, tmp_path, name):
         """A mistyped --cache-dir is refused, not opened as an empty store."""
-        from repro.exceptions import ConfigurationError
-
         missing = tmp_path / name
-        with pytest.raises(ConfigurationError, match=f"no results store at .*{name}"):
+        with pytest.raises(SystemExit):
             main(["results", "--cache-dir", str(missing)])
+        assert f"no results store at {missing}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_results_command_reports_sweeps_and_cells(self, capsys, tmp_path):
