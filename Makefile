@@ -42,7 +42,8 @@ reachability:
 	$(PYTHON) tests/reachability.py
 
 # Prints the line count (wc -l) of src/repro per package, largest first,
-# then its top-level modules and the total.
+# then its top-level modules and the total, then the code lines of that
+# total: the lines left after docstrings, comments and blank lines.
 loc:
 	@cd src/repro && for pkg in */; do \
 		[ -f "$${pkg}__init__.py" ] || continue; \
@@ -50,6 +51,7 @@ loc:
 	done | sort -k2,2nr; \
 	printf '%-12s %6d\n' "top-level" "$$(cat *.py | wc -l)"; \
 	printf '%-12s %6d\n' "src/ total" "$$(find . -name '*.py' -exec cat {} + | wc -l)"
+	@$(PYTHON) tests/code_lines.py
 
 # Fails when README/ARCHITECTURE code blocks or the examples go stale.
 docs-check:

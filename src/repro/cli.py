@@ -170,7 +170,7 @@ def _run_scenarios(args: argparse.Namespace) -> None:
 
 
 def _run_protocols(args: argparse.Namespace) -> None:
-    _print_header("Registered protocol variants")
+    _print_header("Protocol variants")
     rows = [
         [entry.name, entry.agent_name, "yes" if entry.supports_joining else "no"]
         for entry in available_variants()
@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="half-width (dB) of the 'auto' uncertainty band around the "
-        "delivery cliff (default: the scenario's hint, else 3.0)",
+        "delivery cliff (default 3.0)",
     )
     parser.add_argument(
         "--links",
@@ -539,7 +539,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         exit_code = _COMMANDS[args.command](args)
     except ConfigurationError as exc:
-        parser.error(str(exc))
+        # A refused input is one line; argparse's own parse errors above
+        # keep their usage text.
+        parser.exit(2, f"repro: error: {exc}\n")
     return int(exit_code) if exit_code else 0
 
 

@@ -82,6 +82,18 @@ DEFAULT_ERASURE_N = 8
 #: Default MAC payload size used throughout the paper's evaluation, bytes.
 DEFAULT_PACKET_SIZE_BYTES = 1500
 
+#: Safety margin (dB) subtracted from the measured effective SNR before a
+#: bitrate is chosen.
+BITRATE_MARGIN_DB = 1.0
+
+#: A joiner needs at least this much airtime (microseconds) left in the
+#: ongoing transmission to bother joining (n+ only).
+MIN_JOIN_AIRTIME_US = 96.0
+
+#: Hard cap on transmission rounds per simulation; a run that exceeds it
+#: raises instead of looping forever.
+MAX_ROUNDS = 200_000
+
 #: PHY/MAC header overhead expressed in OFDM symbols (PLCP-style header).
 HEADER_OFDM_SYMBOLS = 5
 

@@ -18,7 +18,7 @@ the numbers a serial run produces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.experiments.report import (
     RunRatios,
@@ -27,7 +27,6 @@ from repro.experiments.report import (
     per_run_ratios,
 )
 from repro.sim.spec import SimulationConfig
-from repro.sim.scenarios import Scenario
 from repro.sim.sweep import run_sweep
 
 __all__ = ["ThroughputExperiment", "run_throughput_experiment", "summarize"]
@@ -75,10 +74,9 @@ class ThroughputExperiment:
 
 def run_throughput_experiment(
     n_runs: int = 20,
-    duration_us: float = 120_000.0,
     seed: int = 0,
     config: Optional[SimulationConfig] = None,
-    scenario: Union[str, Callable[[], Scenario]] = "three-pair",
+    scenario: str = "three-pair",
     workers: Optional[int] = 1,
     cache_dir: Optional[str] = None,
     resume: bool = False,
@@ -90,15 +88,13 @@ def run_throughput_experiment(
     n_runs:
         Number of random placements (each run compares both protocols on
         the same channels).
-    duration_us:
-        Simulated time per run.
     seed:
         Base random seed.
     config:
-        Override the full simulation configuration (``duration_us`` is
-        ignored if this is given).
+        The simulation configuration (``None`` means the
+        :class:`~repro.sim.spec.SimulationConfig` defaults).
     scenario:
-        Registered scenario name or factory; the paper's Fig. 12 uses the
+        Registered scenario name; the paper's Fig. 12 uses the
         default ``"three-pair"``, and the dense LANs
         (``"dense-lan-20"``...) run the same comparison at scale.
     workers:
@@ -114,7 +110,6 @@ def run_throughput_experiment(
     failed cell raises :class:`~repro.exceptions.SimulationError` naming
     it rather than leaving a hole in the grid.
     """
-    config = config or SimulationConfig(duration_us=duration_us)
     protocols = ["802.11n", "n+"]
     sweep = run_sweep(
         scenario,

@@ -12,7 +12,7 @@ the single-antenna client loses only slightly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.experiments.report import (
     RunRatios,
@@ -21,7 +21,6 @@ from repro.experiments.report import (
     per_run_ratios,
 )
 from repro.sim.spec import SimulationConfig
-from repro.sim.scenarios import Scenario
 from repro.sim.sweep import run_sweep
 
 __all__ = ["HeterogeneousExperiment", "run_heterogeneous_experiment", "summarize"]
@@ -58,23 +57,21 @@ class HeterogeneousExperiment:
 
 def run_heterogeneous_experiment(
     n_runs: int = 20,
-    duration_us: float = 120_000.0,
     seed: int = 0,
     config: Optional[SimulationConfig] = None,
-    scenario: Union[str, Callable[[], Scenario]] = "heterogeneous-ap",
+    scenario: str = "heterogeneous-ap",
     workers: Optional[int] = 1,
     cache_dir: Optional[str] = None,
     resume: bool = False,
 ) -> HeterogeneousExperiment:
     """Run the Fig. 13 sweep over random placements.
 
-    ``scenario``/``workers``/``cache_dir``/``resume`` behave as in
+    ``config``/``scenario``/``workers``/``cache_dir``/``resume`` behave as in
     :func:`repro.experiments.fig12_throughput.run_throughput_experiment`:
     any registered scenario (e.g. the dense LANs) can be swept, fanned out
     over worker processes, memoised in the on-disk results store, and
     resumed after an interruption; a failed cell raises, as there.
     """
-    config = config or SimulationConfig(duration_us=duration_us)
     protocols = ["802.11n", "beamforming", "n+"]
     sweep = run_sweep(
         scenario,

@@ -15,6 +15,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.constants import (
+    BITRATE_MARGIN_DB,
     HEADER_OFDM_SYMBOLS,
     OFDM_SYMBOL_DURATION_US_10MHZ,
     SIFS_US,
@@ -48,11 +49,6 @@ class BaseMacAgent:
         The :class:`repro.sim.network.Network` of the current run.
     rng:
         Random generator (backoff draws, delivery coin flips).
-    packet_size_bytes:
-        Payload size of generated packets (1500 in the paper).
-    bitrate_margin_db:
-        Safety margin subtracted from the measured effective SNR before
-        choosing a bitrate.
     arrival_seed:
         Seed prefix (any sequence :func:`numpy.random.default_rng`
         accepts) for the Poisson arrival processes: every (transmitter,
@@ -84,8 +80,6 @@ class BaseMacAgent:
         *,
         arrival_seed: Sequence[int],
         plan_cache: PlanCache,
-        packet_size_bytes: int = 1500,
-        bitrate_margin_db: float = 0.0,
         packet_rate_pps: Optional[float] = None,
         spec=None,
     ) -> None:
@@ -93,7 +87,6 @@ class BaseMacAgent:
         self.network = network
         self.rng = rng
         self.plan_cache = plan_cache
-        self.bitrate_margin_db = bitrate_margin_db
         self.spec = spec
         params = spec.resolved_params() if spec is not None else default_params()
         self.recovery: str = params["recovery"]
@@ -115,7 +108,6 @@ class BaseMacAgent:
                 self.sources[receiver.node_id] = SaturatedSource(
                     source_id=pair.transmitter.node_id,
                     destination_id=receiver.node_id,
-                    packet_size_bytes=packet_size_bytes,
                 )
             else:
                 from repro.sim.traffic import PoissonSource
@@ -127,7 +119,6 @@ class BaseMacAgent:
                     rng=np.random.default_rng(
                         (*arrival_seed, pair.transmitter.node_id, receiver.node_id)
                     ),
-                    packet_size_bytes=packet_size_bytes,
                 )
         self._round_robin = 0
         # receiver_id -> epoch signature of the link at quarantine time.
@@ -341,7 +332,7 @@ class BaseMacAgent:
         fastest adequate MCS; the most constrained stream governs.
         """
         return choose_bitrate(
-            self._measured_snrs(receiver_id, planned, concurrent), self.bitrate_margin_db
+            self._measured_snrs(receiver_id, planned, concurrent), BITRATE_MARGIN_DB
         )
 
     # -- outcomes -------------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.constants import (
+    BITRATE_MARGIN_DB,
     NPLUS_ACK_HEADER_EXTRA_SYMBOLS,
     NPLUS_DATA_HEADER_EXTRA_SYMBOLS,
     OFDM_SYMBOL_DURATION_US_10MHZ,
@@ -297,10 +298,10 @@ class NPlusMac(BeamformingMac):
             esnr = esnr_db(
                 self._measured_snrs(receiver.receiver_id, streams, medium.active_streams)
             )
-            if esnr < lowest.min_esnr_db + self.bitrate_margin_db:
+            if esnr < lowest.min_esnr_db + BITRATE_MARGIN_DB:
                 group[0].payload_bits = 0
                 continue
-            mcs = mcs_for_esnr(esnr, MCS_TABLE, self.bitrate_margin_db)
+            mcs = mcs_for_esnr(esnr, MCS_TABLE, BITRATE_MARGIN_DB)
             capacity = bits_in_airtime(mcs, airtime, len(group))
             backlog = self.queues[receiver.receiver_id].backlog_bits
             payload = min(capacity, backlog)

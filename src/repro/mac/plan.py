@@ -378,7 +378,6 @@ def plan_join(
     protected: Sequence[ProtectedReceiver],
     receivers: Sequence[PlannedReceiver],
     noise_power: float = 1.0,
-    admission_threshold_db: float = INTERFERENCE_ADMISSION_THRESHOLD_DB,
     n_streams: Optional[int] = None,
 ) -> TransmissionPlan:
     """Plan a transmission that joins ongoing transmissions (§3.3).
@@ -396,8 +395,6 @@ def plan_join(
     noise_power:
         Receiver noise power in the same normalisation as the channels
         (used by the L-threshold admission rule).
-    admission_threshold_db:
-        The L threshold.
     n_streams:
         Total new streams; defaults to the receivers' total, capped by
         Claim 3.2.
@@ -428,7 +425,9 @@ def plan_join(
     interference_levels = [
         interference_power_db(p.channel, noise_power=noise_power) for p in protected
     ]
-    power_scale = admission_power_scale(interference_levels, admission_threshold_db)
+    power_scale = admission_power_scale(
+        interference_levels, INTERFERENCE_ADMISSION_THRESHOLD_DB
+    )
 
     stream_receivers: List[int] = []
     for receiver in receivers:

@@ -28,9 +28,8 @@ reproduced.  ``python -m repro.cli replay <capsule.json>`` wraps this.
 Capsules are written by the sweep parent process
 (:func:`repro.sim.sweep.run_sweep`); parallel workers ship the error,
 its traceback and (for a crash inside a simulation) the event ring over
-their pipes as plain data.  Only a cell lost to worker deaths or a
-timeout has no traceback -- the replay still reconstructs the failure
-locally.
+their pipes as plain data.  Only a cell whose worker died on every try
+has no traceback -- the replay still reconstructs the failure locally.
 """
 
 from __future__ import annotations
@@ -173,8 +172,8 @@ def build_capsule(
     does not read its trace file again.  ``config`` is the sweep's
     :class:`~repro.sim.spec.SimulationConfig`, recorded as given;
     ``error`` is the sweep's ``"TypeName: message"`` string.
-    ``traceback_text`` is ``None`` only for a cell lost to worker deaths
-    or a timeout; ``events`` exist only for a crash inside a simulation.
+    ``traceback_text`` is ``None`` only for a cell whose worker died on
+    every try; ``events`` exist only for a crash inside a simulation.
     """
     schedule = cell.fault_schedule(scenario)
     error_type, error_message = _split_error(error)

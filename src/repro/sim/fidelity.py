@@ -62,6 +62,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.constants import BITRATE_MARGIN_DB
 from repro.exceptions import ConfigurationError
 from repro.mac.plan import involved_node_ids, stream_signature
 from repro.phy.channel_est import ChannelEstimate
@@ -209,7 +210,6 @@ class FidelityEngine:
         seed: int,
         mode: str = "auto",
         band_db: float = DEFAULT_BAND_DB,
-        probe_bits: int = DEFAULT_PROBE_BITS,
     ) -> None:
         if mode not in ("auto", "full"):
             raise ConfigurationError(
@@ -220,7 +220,6 @@ class FidelityEngine:
         self.seed = seed
         self.mode = mode
         self.band_db = float(band_db)
-        self.probe_bits = int(probe_bits)
         #: Reception groups examined / escalated to the PHY / memo hits
         #: among the escalations -- the numbers the benchmarks track.
         self.evaluations = 0
@@ -304,7 +303,6 @@ class FidelityEngine:
                 snrs[stream.stream_id],
                 stream.mcs,
                 rng,
-                probe_bits=self.probe_bits,
                 noise_power=self.network.noise_power,
             ):
                 return False
@@ -418,25 +416,26 @@ def _link_precoders(network, transmitter_id: int, receiver_id: int) -> np.ndarra
 
 
 def cross_validate_links(
-    scenario,
+    scenario: str,
     seed: int = 0,
     n_links: int = 8,
     config=None,
-    band_db: Optional[float] = None,
-    probe_bits: int = DEFAULT_PROBE_BITS,
     trials: int = 3,
 ) -> FidelityReport:
     """Run both fidelities on sampled links and tabulate their agreement.
 
-    Samples ``n_links`` traffic pairs from the scenario's real network
-    (placements and channels drawn exactly as a simulation run would,
-    via :func:`repro.sim.runner.build_network`), computes each link's
+    Samples ``n_links`` traffic pairs from the real network of the
+    registered scenario named ``scenario`` (placements and channels
+    drawn exactly as a simulation run would, via
+    :func:`repro.sim.runner.build_network`), computes each link's
     single-stream post-projection SNRs, and evaluates two MCS per link on
     *identical inputs*: the rate the simulator would select and its
     next-faster neighbour (which by construction sits at or below
     threshold, populating the uncertain region).  The abstraction's
     verdict is ``packet_delivery_probability >= 0.5``; the PHY's is the
-    majority of ``trials`` seeded probe frames.
+    majority of ``trials`` seeded probe frames of
+    :data:`DEFAULT_PROBE_BITS` bits, and a check is in band when its
+    margin lies within ``config``'s ``fidelity_band_db``.
 
     Every draw (link sample, probe bits, noise) comes from dedicated
     ``(seed, PHY_STREAM_TAG, ...)`` streams, so the report is a pure
@@ -446,11 +445,9 @@ def cross_validate_links(
     from repro.sim.runner import build_network
     from repro.sim.scenarios import scenario_factory
 
-    if isinstance(scenario, str):
-        scenario = scenario_factory(scenario)()
+    scenario = scenario_factory(scenario)()
     run_spec = RunSpec.resolve(scenario, config)
-    if band_db is None:
-        band_db = run_spec.fidelity_band_db
+    band_db = run_spec.fidelity_band_db
     network = build_network(scenario, seed, run_spec)
     sampler = np.random.default_rng((seed, PHY_STREAM_TAG, 0x76616C))  # "val"
     pairs = list(scenario.pairs)
@@ -458,7 +455,8 @@ def cross_validate_links(
     picks = [pairs[i] for i in sampler.choice(len(pairs), size=count, replace=False)]
 
     report = FidelityReport(
-        scenario=scenario.name, seed=seed, band_db=band_db, probe_bits=probe_bits
+        scenario=scenario.name, seed=seed, band_db=band_db,
+        probe_bits=DEFAULT_PROBE_BITS,
     )
     for pair in picks:
         tx = pair.transmitter.node_id
@@ -470,25 +468,23 @@ def cross_validate_links(
             precoders=_link_precoders(network, tx, rx),
             power=1.0,
             mcs=MCS_TABLE[0],
-            payload_bits=int(probe_bits),
+            payload_bits=DEFAULT_PROBE_BITS,
             start_us=0.0,
             end_us=100.0,
         )
         snrs = receiver_stream_snrs(network, rx, [stream], [stream], rng=None)[0]
         esnr = esnr_db(snrs)
-        selected = mcs_for_esnr(esnr, MCS_TABLE, run_spec.bitrate_margin_db)
+        selected = mcs_for_esnr(esnr, MCS_TABLE, BITRATE_MARGIN_DB)
         candidates = {selected.index}
         if selected.index + 1 < len(MCS_TABLE):
             candidates.add(selected.index + 1)
         for index in sorted(candidates):
             mcs = MCS_TABLE[index]
-            probability = packet_delivery_probability(snrs, mcs, int(probe_bits))
+            probability = packet_delivery_probability(snrs, mcs, DEFAULT_PROBE_BITS)
             margin = delivery_margin_db(snrs, mcs)
             rng = phy_stream_rng(seed, tx, rx, ("validate", index))
             delivered = sum(
-                simulate_probe_delivery(
-                    snrs, mcs, rng, probe_bits=probe_bits, noise_power=network.noise_power
-                )
+                simulate_probe_delivery(snrs, mcs, rng, noise_power=network.noise_power)
                 for _ in range(trials)
             )
             report.checks.append(

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.constants import SLOT_TIME_US
+from repro.constants import MAX_ROUNDS, MIN_JOIN_AIRTIME_US, SLOT_TIME_US
 from repro.exceptions import SimulationError
 from repro.mac.csma import resolve_contention
 from repro.mac.plan import PlanCache
@@ -140,8 +140,6 @@ def _build_agents(
             pair,
             network,
             rng,
-            packet_size_bytes=run_spec.packet_size_bytes,
-            bitrate_margin_db=run_spec.bitrate_margin_db,
             packet_rate_pps=run_spec.packet_rate_pps,
             arrival_seed=arrival_seed,
             plan_cache=plan_cache,
@@ -396,7 +394,7 @@ class _EventDrivenLoop:
             arrays.refill(now, due)
         if not medium.busy:
             return []
-        if medium.current_end_us - now < self.run_spec.min_join_airtime_us:
+        if medium.current_end_us - now < MIN_JOIN_AIRTIME_US:
             return []
         used = medium.used_degrees_of_freedom
         mask = (
@@ -451,8 +449,8 @@ class _EventDrivenLoop:
             return wake
 
         self.rounds += 1
-        if self.rounds > run_spec.max_rounds:
-            raise SimulationError("simulation exceeded the configured round budget")
+        if self.rounds > MAX_ROUNDS:
+            raise SimulationError("simulation exceeded the round budget")
 
         agents, medium, metrics, rng = self.agents, self.medium, self.metrics, self.rng
         outcome = resolve_contention([agent.contender for agent in contending], rng)
@@ -511,7 +509,7 @@ class _EventDrivenLoop:
                     + join_round.start_delay_us
                     + max(a.header_duration_us() for a in join_agents)
                 )
-                if join_body_start + run_spec.min_join_airtime_us > medium.current_end_us:
+                if join_body_start + MIN_JOIN_AIRTIME_US > medium.current_end_us:
                     break
                 added_any = False
                 for agent in join_agents:

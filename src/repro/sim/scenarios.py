@@ -85,13 +85,6 @@ class Scenario:
         registered :class:`~repro.sim.faults.FaultProfile` whose
         episodes -- deep fades, loss bursts, station churn -- are
         injected into every run.  ``None`` means a static network.
-    fidelity:
-        Suggested PHY fidelity tier (:mod:`repro.sim.fidelity`):
-        ``"abstraction"`` (the default, for ``None``), ``"auto"`` or
-        ``"full"``.
-    fidelity_band_db:
-        Suggested uncertainty-band half-width (dB) for the ``"auto"``
-        tier; ``None`` means :data:`repro.sim.spec.DEFAULT_BAND_DB`.
     """
 
     name: str
@@ -101,8 +94,6 @@ class Scenario:
     packet_rate_pps: Optional[float] = None
     channel_draws: Optional[str] = None
     fault_profile: Optional[str] = None
-    fidelity: Optional[str] = None
-    fidelity_band_db: Optional[float] = None
 
     @property
     def max_antennas(self) -> int:
@@ -257,19 +248,18 @@ def dense_lan_scenario(
 _SCENARIOS: Dict[str, Callable[[], Scenario]] = {}
 
 
-def register_scenario(
-    name: str, factory: Callable[[], Scenario], overwrite: bool = False
-) -> None:
+def register_scenario(name: str, factory: Callable[[], Scenario]) -> None:
     """Register a zero-argument scenario factory under a stable name.
 
-    Registered names are accepted everywhere a scenario is selected: the
-    CLI's ``--scenario`` flag, the figure experiments and
+    A registered name is the only way to select a scenario: the CLI's
+    ``--scenario`` flag, the figure experiments and
     :func:`repro.sim.sweep.run_sweep` (where the name also keys the
-    results cache).  Registering a parameterised family is a one-liner
-    with :func:`functools.partial`, as the ``dense-lan-*`` entries below
-    demonstrate.
+    results cache and the crash capsules) all take one.  Registering a
+    parameterised family is a one-liner with :func:`functools.partial`,
+    as the ``dense-lan-*`` entries below demonstrate.  A name registers
+    once.
     """
-    if name in _SCENARIOS and not overwrite:
+    if name in _SCENARIOS:
         raise ConfigurationError(f"scenario {name!r} is already registered")
     _SCENARIOS[name] = factory
 
@@ -278,15 +268,16 @@ def scenario_factory(name: str) -> Callable[[], Scenario]:
     """Look up a registered scenario factory by name.
 
     Raises :class:`~repro.exceptions.ConfigurationError` with the list of
-    known names on a miss (``help(repro.sim.scenarios)`` and
-    ``python -m repro.cli scenarios`` both show what is available).
+    known names for anything else -- an unknown name or a value that is
+    not a name (``python -m repro.cli scenarios`` shows what is
+    available).
     """
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
+    factory = _SCENARIOS.get(name) if isinstance(name, str) else None
+    if factory is None:
         raise ConfigurationError(
             f"unknown scenario {name!r}; choose from {available_scenarios()}"
-        ) from None
+        )
+    return factory
 
 
 def available_scenarios() -> List[str]:

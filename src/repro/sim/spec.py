@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.constants import NUM_DATA_SUBCARRIERS
+from repro.constants import (
+    BITRATE_MARGIN_DB,
+    DEFAULT_PACKET_SIZE_BYTES,
+    MAX_ROUNDS,
+    MIN_JOIN_AIRTIME_US,
+    NUM_DATA_SUBCARRIERS,
+)
 from repro.exceptions import ConfigurationError
 from repro.sim.faults import LossEpisode, fault_profile, read_trace
 from repro.sim.invariants import VALIDATION_MODES
@@ -68,6 +74,9 @@ class SimulationConfig:
     used by :mod:`repro.sim.sweep`: two runs with equal resolved specs
     (and equal scenario, protocol and seed) produce identical metrics,
     and any change to a resolved value invalidates the cached entry.
+    What the paper's evaluation fixes -- the packet size, the bitrate
+    margin, the joiner's minimum airtime and the round budget -- is a
+    constant in :mod:`repro.constants`, not a field.
 
     Attributes
     ----------
@@ -75,22 +84,11 @@ class SimulationConfig:
         Length of the observation window in simulated microseconds.  The
         last transmission round may run past it; the metrics normalise by
         the actual elapsed time.
-    packet_size_bytes:
-        Payload of every generated packet (1500 in the paper).
     n_subcarriers:
         Number of OFDM data subcarriers tracked by the link abstraction,
         between 1 and 48.  16 keeps runs fast while retaining frequency
         selectivity; 48 tracks every data subcarrier; 8 is a common
         test/CI setting.
-    min_join_airtime_us:
-        A joiner needs at least this much airtime left in the ongoing
-        transmission to bother joining (n+ only).
-    bitrate_margin_db:
-        Safety margin subtracted from the measured effective SNR before
-        selecting a bitrate.
-    max_rounds:
-        Hard cap on transmission rounds (guards against runaway loops); a
-        run that exceeds it raises :class:`~repro.exceptions.SimulationError`.
     packet_rate_pps:
         Per-flow Poisson packet arrival rate; a positive rate models
         bursty traffic.  ``None`` (the default) defers to the scenario's
@@ -114,12 +112,10 @@ class SimulationConfig:
         escalates receptions whose delivery margin falls inside the
         uncertainty band to a real transceiver probe whose verdict
         overrides the abstraction's coin, and ``"full"`` escalates every
-        evaluated reception.  ``None`` defers to the scenario's hint,
-        else ``"abstraction"``.
+        evaluated reception.  ``None`` means ``"abstraction"``.
     fidelity_band_db:
         Half-width (dB) of the ``"auto"`` uncertainty band around the
-        delivery cliff.  ``None`` defers to the scenario's hint, else
-        :data:`DEFAULT_BAND_DB`.
+        delivery cliff.  ``None`` means :data:`DEFAULT_BAND_DB`.
     validation:
         Runtime invariant checking (:mod:`repro.sim.invariants`):
         ``"off"`` (the default for ``None``) runs no checkers,
@@ -132,11 +128,7 @@ class SimulationConfig:
     """
 
     duration_us: float = 100_000.0
-    packet_size_bytes: int = 1500
     n_subcarriers: int = 16
-    min_join_airtime_us: float = 96.0
-    bitrate_margin_db: float = 1.0
-    max_rounds: int = 200_000
     packet_rate_pps: Optional[float] = None
     fault_profile: Optional[str] = None
     fault_trace: Optional[str] = None
@@ -168,18 +160,15 @@ class RunSpec:
     from here.  Fields keep their config names and hold the value in
     effect: ``channel_draws`` is the scenario's contract (``"batched"``
     unless it declares another), ``fault_trace`` the SHA-256 of the
-    trace file's bytes (its episodes in ``trace_episodes``), and every
-    other hinted field the config value when set, else the hint, else
-    the default.  :attr:`key_payload` is what a sweep cell's cache key
-    hashes: resolved values, not spellings.
+    trace file's bytes (its episodes in ``trace_episodes``),
+    ``packet_rate_pps`` and ``fault_profile`` the config value when set,
+    else the scenario's hint, and the other fields the config value,
+    else the default.  :attr:`key_payload` is what a sweep cell's cache
+    key hashes: resolved values, not spellings.
     """
 
     duration_us: float
-    packet_size_bytes: int
     n_subcarriers: int
-    min_join_airtime_us: float
-    bitrate_margin_db: float
-    max_rounds: int
     packet_rate_pps: Optional[float]
     channel_draws: str
     fault_profile: Optional[str]
@@ -229,25 +218,21 @@ class RunSpec:
         if config.fault_trace:
             trace_digest, schedule = read_trace(config.fault_trace)
             trace_episodes = tuple(schedule.episodes)
-        fidelity = hinted("fidelity") or "abstraction"
+        fidelity = config.fidelity or "abstraction"
         _check_mode(fidelity, FIDELITY_MODES, "fidelity")
-        band = hinted("fidelity_band_db")
+        band = config.fidelity_band_db
         validation = config.validation or "off"
         _check_mode(validation, VALIDATION_MODES, "validation mode")
         return cls(
             duration_us=config.duration_us,
-            packet_size_bytes=config.packet_size_bytes,
             n_subcarriers=config.n_subcarriers,
-            min_join_airtime_us=config.min_join_airtime_us,
-            bitrate_margin_db=config.bitrate_margin_db,
-            max_rounds=config.max_rounds,
             packet_rate_pps=rate,
             channel_draws=scenario.channel_draws or "batched",
             fault_profile=profile,
             fault_trace=trace_digest,
             trace_episodes=trace_episodes,
             fidelity=fidelity,
-            fidelity_band_db=float(band) if band is not None else DEFAULT_BAND_DB,
+            fidelity_band_db=DEFAULT_BAND_DB if band is None else float(band),
             validation=validation,
         )
 
@@ -263,6 +248,14 @@ class RunSpec:
             for f in dataclasses.fields(self)
             if f.name not in _UNKEYED_FIELDS
         }
+        # Former config fields, now constants: keyed under their old names
+        # and values so that recorded cell keys and sweep ids still match.
+        payload.update(
+            packet_size_bytes=DEFAULT_PACKET_SIZE_BYTES,
+            min_join_airtime_us=MIN_JOIN_AIRTIME_US,
+            bitrate_margin_db=BITRATE_MARGIN_DB,
+            max_rounds=MAX_ROUNDS,
+        )
         if self.fault_profile is not None:
             payload["fault_profile"] = {
                 "name": self.fault_profile,

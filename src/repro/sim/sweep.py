@@ -71,10 +71,10 @@ Typical use::
     run_sweep("three-pair", ["802.11n", "n+"], n_runs=50,
               seed=0, workers=4, cache_dir=".sweep-cache", resume=True)
 
-Scenarios are usually referred to by registry name
-(:func:`repro.sim.scenarios.register_scenario`), which doubles as the
-cache key; passing a bare callable still works but only caches when an
-explicit ``scenario_key`` is supplied.
+A sweep's scenario is a registered name
+(:func:`repro.sim.scenarios.register_scenario`): the name keys the
+cache, the manifest and the crash capsules, and every worker builds the
+scenario from it.
 """
 
 from __future__ import annotations
@@ -256,12 +256,13 @@ class Cell:
     a sweep with base seed ``seed`` draws its placement and channels from
     :func:`~repro.sim.spec.placement_seed` (see :meth:`grid`), and its
     MAC simulation runs from :func:`~repro.sim.spec.mac_seed` of that
-    run seed.  ``fingerprint`` is the scenario's :func:`scenario_digest`
+    run seed.  ``scenario_key`` is the scenario's registered name,
+    ``fingerprint`` its :func:`scenario_digest`
     (``None`` without a results store) and ``run_spec`` the sweep's
     resolved :class:`~repro.sim.spec.RunSpec`.
     """
 
-    scenario_key: Optional[str]
+    scenario_key: str
     fingerprint: Optional[str]
     spec: ProtocolSpec
     run: int
@@ -271,7 +272,7 @@ class Cell:
     @classmethod
     def grid(
         cls,
-        scenario_key: Optional[str],
+        scenario_key: str,
         fingerprint: Optional[str],
         specs: Sequence[ProtocolSpec],
         n_runs: int,
@@ -477,27 +478,7 @@ class SweepResult:
         return []
 
 
-def _resolve_scenario(
-    scenario: Union[str, Callable[[], Scenario]],
-    scenario_key: Optional[str],
-) -> Tuple[Callable[[], Scenario], Optional[str]]:
-    """Turn a registry name or factory into ``(factory, cache key)``.
-
-    A registry name is its own cache key.  A bare callable is only
-    cacheable with an explicit ``scenario_key`` -- its arguments are not
-    visible here, so guessing a key from its name could silently alias
-    differently-parameterised sweeps.
-    """
-    if isinstance(scenario, str):
-        return scenario_factory(scenario), scenario_key or scenario
-    if not callable(scenario):
-        raise ConfigurationError(
-            f"scenario must be a registered name or a factory, got {scenario!r}"
-        )
-    return scenario, scenario_key
-
-
-def _simulate_run(args: Tuple) -> List[Tuple]:
+def _simulate_run(cells: List[Cell]) -> List[Tuple]:
     """Worker entry point: simulate the cells of one run.
 
     Tasks ship run-level so the placement's network is drawn exactly once
@@ -513,8 +494,7 @@ def _simulate_run(args: Tuple) -> List[Tuple]:
     the network draw) still raise and fail the whole task, because every
     cell of the run genuinely shares that cause.
     """
-    factory, cells = args
-    scenario = factory()
+    scenario = scenario_factory(cells[0].scenario_key)()
     network = build_network(scenario, cells[0].run_seed, cells[0].run_spec)
     outcomes = []
     for cell in cells:
@@ -583,8 +563,7 @@ def _resolve_specs(protocols: Sequence[ProtocolLike]) -> List[ProtocolSpec]:
 
 
 def _plan_sweep(
-    scenario: Union[str, Callable[[], Scenario]],
-    scenario_key: Optional[str],
+    scenario: str,
     protocols: Sequence[ProtocolLike],
     n_runs: int,
     seed: int,
@@ -596,17 +575,13 @@ def _plan_sweep(
     """The plan stage: resolve the run once, lay out the cells, replay hits.
 
     Everything that can be refused is refused here, before any worker
-    spawns: unknown protocols or run parameters, an unreadable fault
-    trace, a factory without a cache key, a resume without a checkpoint.
+    spawns: an unknown scenario, protocol or run parameter, an
+    unreadable fault trace, a resume without a checkpoint.
     """
-    factory, key = _resolve_scenario(scenario, scenario_key)
+    factory = scenario_factory(scenario)
     specs = _resolve_specs(protocols)
     if n_runs < 1:
         raise ConfigurationError("need at least one run to sweep")
-    if cache_dir is not None and key is None:
-        raise ConfigurationError(
-            "caching a factory scenario needs an explicit scenario_key"
-        )
     if resume and cache_dir is None:
         raise ConfigurationError(
             "resume=True needs a cache_dir; the results store there holds "
@@ -621,7 +596,7 @@ def _plan_sweep(
     plan = _SweepPlan(
         factory=factory,
         config=config,
-        cells=Cell.grid(key, fingerprint, specs, n_runs, seed, run_spec),
+        cells=Cell.grid(scenario, fingerprint, specs, n_runs, seed, run_spec),
         cache_dir=cache_dir,
     )
     if cache_dir is not None:
@@ -742,11 +717,10 @@ def _execute(plan: _SweepPlan, recorder: "_Recorder") -> None:
 
     for cell in plan.cells[0]:
         cell.spec.agent_class
-    payloads = [(plan.factory, cells) for cells in plan.tasks]
     if plan.n_workers > 1:
-        events = WorkerSupervisor(_simulate_run, payloads, plan.n_workers).events()
+        events = WorkerSupervisor(_simulate_run, plan.tasks, plan.n_workers).events()
     else:
-        events = in_process_events(_simulate_run, payloads)
+        events = in_process_events(_simulate_run, plan.tasks)
     try:
         for event in events:
             recorder.record(event)
@@ -894,14 +868,13 @@ def _checkpoint_on_interrupt(
 
 
 def run_sweep(
-    scenario: Union[str, Callable[[], Scenario]],
+    scenario: str,
     protocols: Sequence[ProtocolLike],
     n_runs: int,
     seed: int = 0,
     config: Optional[SimulationConfig] = None,
     workers: Optional[int] = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    scenario_key: Optional[str] = None,
     strict: bool = False,
     resume: bool = False,
 ) -> SweepResult:
@@ -918,8 +891,11 @@ def run_sweep(
     Parameters
     ----------
     scenario:
-        A registered scenario name (preferred; also keys the cache) or a
-        zero-argument factory returning a :class:`Scenario`.
+        A registered scenario name
+        (:func:`repro.sim.scenarios.register_scenario`), which also keys
+        the cache; anything else raises
+        :class:`~repro.exceptions.ConfigurationError` listing the
+        registered scenarios.
     protocols:
         Protocols to compare on every placement: bare names, parameterised
         strings (``"n+[recovery=erasure]"``) or
@@ -947,17 +923,12 @@ def run_sweep(
         module docstring).  ``1`` (default) simulates in process;
         ``None`` uses :func:`default_workers` (the ``REPRO_WORKERS``
         override, else the usable cores).  Worker processes must be able
-        to import :mod:`repro`, and callables passed as ``scenario`` must
-        be picklable (module-level functions and
-        :func:`functools.partial` of them are).
+        to import :mod:`repro`; each builds the scenario from its name.
     cache_dir:
         Directory of the durable on-disk results store; ``None`` disables
         caching (and checkpointing).  Entries are invalidated by any
         change to the scenario name/structure, protocol, seed or resolved
         run parameters (validation excepted: it never changes results).
-    scenario_key:
-        Cache key override, required to cache a bare-callable
-        ``scenario``.
     strict:
         ``False`` (default): a failed cell is recorded in
         :attr:`SweepResult.failures` (its grid cell stays ``None``) and
@@ -996,8 +967,7 @@ def run_sweep(
         accounting.
     """
     plan = _plan_sweep(
-        scenario, scenario_key, protocols, n_runs, seed, config, workers,
-        cache_dir, resume,
+        scenario, protocols, n_runs, seed, config, workers, cache_dir, resume
     )
     recorder = _Recorder(plan, strict)
     install_handlers = bool(

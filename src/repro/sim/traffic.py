@@ -35,13 +35,10 @@ class SaturatedSource:
     ----------
     source_id, destination_id:
         Endpoints of the flow.
-    packet_size_bytes:
-        Size of every generated packet.
     """
 
     source_id: int
     destination_id: int
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
     _next_packet_id: int = field(default=0, repr=False)
 
     #: Saturated sources can always deliver another packet immediately, so
@@ -58,7 +55,7 @@ class SaturatedSource:
         packet = Packet(
             source=self.source_id,
             destination=self.destination_id,
-            size_bytes=self.packet_size_bytes,
+            size_bytes=DEFAULT_PACKET_SIZE_BYTES,
             packet_id=self._next_packet_id,
             created_us=now_us,
         )
@@ -76,8 +73,6 @@ class PoissonSource:
         Endpoints of the flow.
     rate_packets_per_second:
         Mean arrival rate.
-    packet_size_bytes:
-        Size of every generated packet.
     rng:
         Random generator for the arrival process.
     """
@@ -86,7 +81,6 @@ class PoissonSource:
     destination_id: int
     rate_packets_per_second: float
     rng: np.random.Generator
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
     _next_arrival_us: Optional[float] = field(default=None, repr=False)
     _next_packet_id: int = field(default=0, repr=False)
 
@@ -132,7 +126,7 @@ class PoissonSource:
         packet = Packet(
             source=self.source_id,
             destination=self.destination_id,
-            size_bytes=self.packet_size_bytes,
+            size_bytes=DEFAULT_PACKET_SIZE_BYTES,
             packet_id=self._next_packet_id,
             created_us=self._next_arrival_us,
         )

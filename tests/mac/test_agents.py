@@ -4,6 +4,8 @@ import pytest
 
 from helpers import make_agent
 from oracles.runner import can_join
+from repro.constants import BITRATE_MARGIN_DB
+from repro.mac import agent as agent_module
 from repro.mac.beamforming import BeamformingMac, distribute_streams
 from repro.mac.dot11n import Dot11nMac
 from repro.mac.nplus import NPlusMac
@@ -39,6 +41,27 @@ class TestDistributeStreams:
 
     def test_single_receiver(self):
         assert distribute_streams(3, [3]) == [3]
+
+
+class TestBitrateMargin:
+    def test_an_agent_built_outside_a_run_uses_the_runs_margin(
+        self, three_pair_network, rng, monkeypatch
+    ):
+        """The margin is one constant, not a per-agent default that can
+        disagree with the one a run passes."""
+        margins = []
+        real = agent_module.choose_bitrate
+
+        def spy(snrs, margin_db):
+            margins.append(margin_db)
+            return real(snrs, margin_db)
+
+        monkeypatch.setattr(agent_module, "choose_bitrate", spy)
+        scenario, network = three_pair_network
+        agent = make_agent(Dot11nMac, scenario.pairs[2], network, rng)
+        agent.refill(0.0)
+        assert agent.plan_initial(0.0, Medium())
+        assert margins == [BITRATE_MARGIN_DB]
 
 
 class TestDot11nMac:

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.constants import SLOT_TIME_US
+from repro.constants import MAX_ROUNDS, MIN_JOIN_AIRTIME_US, SLOT_TIME_US
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.mac.variants import ProtocolLike, resolve_protocol
 from repro.mac.csma import resolve_contention
@@ -129,7 +129,7 @@ class PerAgentLoop(_EventDrivenLoop):
             agent
             for agent in self.agents.values()
             if agent.node_id not in exhausted
-            and can_join(agent, now, self.medium, self.run_spec.min_join_airtime_us)
+            and can_join(agent, now, self.medium, MIN_JOIN_AIRTIME_US)
         ]
 
 
@@ -204,8 +204,8 @@ def run_simulation_condensed_reference(
             continue
 
         rounds += 1
-        if rounds > config.max_rounds:
-            raise SimulationError("simulation exceeded the configured round budget")
+        if rounds > MAX_ROUNDS:
+            raise SimulationError("simulation exceeded the round budget")
 
         outcome = resolve_contention([agent.contender for agent in contending], rng)
         groups: List[_TransmissionGroup] = []
@@ -246,7 +246,7 @@ def run_simulation_condensed_reference(
                     agent
                     for agent in agents.values()
                     if agent.node_id not in exhausted
-                    and can_join(agent, sense_start, medium, config.min_join_airtime_us)
+                    and can_join(agent, sense_start, medium, MIN_JOIN_AIRTIME_US)
                 ]
                 if not eligible:
                     break
@@ -257,7 +257,7 @@ def run_simulation_condensed_reference(
                     + join_round.start_delay_us
                     + max(a.header_duration_us() for a in join_agents)
                 )
-                if join_body_start + config.min_join_airtime_us > medium.current_end_us:
+                if join_body_start + MIN_JOIN_AIRTIME_US > medium.current_end_us:
                     break
                 added_any = False
                 for agent in join_agents:

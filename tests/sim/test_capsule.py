@@ -35,7 +35,12 @@ from repro.sim.faults import (
 )
 from repro.sim.invariants import invariant
 from repro.sim.runner import RunSpec, SimulationConfig
-from repro.sim.scenarios import dense_lan_scenario, scenario_factory
+from repro.sim.scenarios import (
+    _SCENARIOS,
+    dense_lan_scenario,
+    register_scenario,
+    scenario_factory,
+)
 from repro.sim.store import ResultsStore
 from repro.sim.sweep import Cell, run_sweep, scenario_digest
 from repro.mac.variants import resolve_protocol
@@ -307,22 +312,29 @@ def _overcrowded_scenario():
     )
 
 
+@pytest.fixture
+def overcrowded():
+    """:func:`_overcrowded_scenario` registered as ``"overcrowded"``."""
+    register_scenario("overcrowded", _overcrowded_scenario)
+    yield "overcrowded"
+    _SCENARIOS.pop("overcrowded")
+
+
 class TestTaskLevelCrashes:
     """A crash outside the per-protocol simulation -- here in the network
     draw -- fails the whole task, and its traceback must reach the failed
     cells, the store rows and the capsules on every worker count."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_network_draw_crash_keeps_its_traceback(self, tmp_path, workers):
+    def test_network_draw_crash_keeps_its_traceback(self, tmp_path, workers, overcrowded):
         result = run_sweep(
-            _overcrowded_scenario,
+            overcrowded,
             ["n+"],
             n_runs=2,
             seed=0,
             config=FAST,
             workers=workers,
             cache_dir=tmp_path,
-            scenario_key="overcrowded",
         )
         assert result.workers == workers
         assert len(result.failures) == 2

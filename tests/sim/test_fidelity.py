@@ -26,7 +26,6 @@ from oracles.runner import (
     run_simulation_condensed_reference,
 )
 from repro.exceptions import ConfigurationError
-from repro.mac.variants import resolve_protocol
 from repro.sim.fidelity import (
     DEFAULT_BAND_DB,
     FidelityEngine,
@@ -50,7 +49,7 @@ from repro.sim.runner import (
     run_simulation,
 )
 from repro.sim.scenarios import scenario_factory, three_pair_scenario
-from repro.sim.sweep import Cell, config_digest, run_sweep
+from repro.sim.sweep import config_digest, run_sweep
 
 AUTO = SimulationConfig(duration_us=30_000.0, n_subcarriers=8, fidelity="auto")
 
@@ -66,16 +65,6 @@ class TestResolution:
         resolved = RunSpec.resolve(three_pair_scenario(), config)
         assert resolved.fidelity == "abstraction"
         assert resolved.fidelity_band_db == DEFAULT_BAND_DB
-
-    def test_config_beats_scenario_hint(self):
-        scenario = dataclasses.replace(
-            three_pair_scenario(), fidelity="auto", fidelity_band_db=1.5
-        )
-        hinted = RunSpec.resolve(scenario, SimulationConfig())
-        assert (hinted.fidelity, hinted.fidelity_band_db) == ("auto", 1.5)
-        override = SimulationConfig(fidelity="abstraction", fidelity_band_db=4.0)
-        resolved = RunSpec.resolve(scenario, override)
-        assert (resolved.fidelity, resolved.fidelity_band_db) == ("abstraction", 4.0)
 
     def test_unknown_fidelity_rejected(self):
         config = SimulationConfig(fidelity="magic")
@@ -399,13 +388,3 @@ class TestDigests:
         base = digest(SimulationConfig())
         assert digest(SimulationConfig(fidelity="auto")) != base
         assert digest(SimulationConfig(fidelity_band_db=2.0)) != base
-
-    def test_cell_key_covers_fidelity_hints(self):
-        def key(scenario):
-            run_spec = RunSpec.resolve(scenario, None)
-            return Cell("probe", None, resolve_protocol("n+"), 0, 0, run_spec).key
-
-        scenario = three_pair_scenario()
-        base = key(scenario)
-        assert key(dataclasses.replace(scenario, fidelity="auto")) != base
-        assert key(dataclasses.replace(scenario, fidelity_band_db=1.0)) != base

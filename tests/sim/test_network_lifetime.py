@@ -15,6 +15,7 @@ import weakref
 import pytest
 
 from repro.exceptions import SimulationError
+from repro.sim import runner
 from repro.sim.runner import SimulationConfig, build_network, run_simulation
 from repro.sim.scenarios import scenario_factory
 
@@ -73,10 +74,10 @@ def test_finished_run_frees_its_network(scenario_name, protocol):
     assert memo_used and memo_freed
 
 
-def test_run_that_raises_frees_its_network():
+def test_run_that_raises_frees_its_network(monkeypatch):
     """The round-budget guard raises mid-run; the cleanup still runs."""
-    config = SimulationConfig(duration_us=20_000.0, n_subcarriers=8, max_rounds=1)
-    freed, memo_freed, _, error_type = _freed_after_run("dense-lan-20-bursty", "n+", config)
+    monkeypatch.setattr(runner, "MAX_ROUNDS", 1)
+    freed, memo_freed, _, error_type = _freed_after_run("dense-lan-20-bursty", "n+", CONFIG)
     assert error_type is SimulationError
     assert freed
     assert memo_freed

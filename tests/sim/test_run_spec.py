@@ -65,12 +65,6 @@ def _key(scenario: Scenario, config) -> str:
     ).key
 
 
-def _hinted_fidelity() -> Scenario:
-    return dataclasses.replace(
-        three_pair_scenario(), fidelity="auto", fidelity_band_db=1.5
-    )
-
-
 class TestFieldWalk:
     """Adding a field without deciding where it is keyed fails here."""
 
@@ -117,8 +111,6 @@ class TestFieldWalk:
             packet_rate_pps=9.0,
             channel_draws="grouped",
             fault_profile="mixed",
-            fidelity="auto",
-            fidelity_band_db=1.0,
         )
         assert scenario_digest(hinted) == scenario_digest(scenario)
 
@@ -145,10 +137,6 @@ KEY_CASES = [
                  False, id="disable-a-faulty-profile"),
     pytest.param(scenario_factory("dense-lan-20-faulty"),
                  {"fault_profile": "deep-fades"}, False, id="swap-a-faulty-profile"),
-    pytest.param(_hinted_fidelity, {"fidelity": "abstraction"}, False,
-                 id="override-a-fidelity-hint"),
-    pytest.param(_hinted_fidelity, {"fidelity_band_db": 4.0}, False,
-                 id="override-a-band-hint"),
 ]
 
 

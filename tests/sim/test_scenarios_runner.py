@@ -93,10 +93,10 @@ class TestRunSimulation:
         b = run_simulation(three_pair_scenario(), "n+", seed=12, config=FAST)
         assert a.per_link_throughputs() != b.per_link_throughputs()
 
-    def test_round_budget_guard(self):
-        config = SimulationConfig(duration_us=15_000.0, n_subcarriers=8, max_rounds=1)
-        with pytest.raises(SimulationError):
-            run_simulation(three_pair_scenario(), "802.11n", seed=1, config=config)
+    def test_round_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(runner, "MAX_ROUNDS", 1)
+        with pytest.raises(SimulationError, match="round budget"):
+            run_simulation(three_pair_scenario(), "802.11n", seed=1, config=FAST)
 
     def test_time_never_moves_backwards(self, monkeypatch):
         """An idle step that lands before the current round is refused."""
@@ -253,7 +253,7 @@ class TestRoundLoop:
 class TestRunMany:
     def test_structure_of_results(self):
         results = run_sweep(
-            three_pair_scenario, ["802.11n", "n+"], n_runs=2, seed=0, config=FAST
+            "three-pair", ["802.11n", "n+"], n_runs=2, seed=0, config=FAST
         ).results
         assert set(results) == {"802.11n", "n+"}
         assert len(results["n+"]) == 2
@@ -263,7 +263,7 @@ class TestRunMany:
         802.11n over a handful of runs (even short ones)."""
         config = SimulationConfig(duration_us=40_000.0, n_subcarriers=8)
         results = run_sweep(
-            three_pair_scenario, ["802.11n", "n+"], n_runs=4, seed=3, config=config
+            "three-pair", ["802.11n", "n+"], n_runs=4, seed=3, config=config
         ).results
         baseline = np.mean([m.total_throughput_mbps() for m in results["802.11n"]])
         nplus = np.mean([m.total_throughput_mbps() for m in results["n+"]])

@@ -133,9 +133,7 @@ class TestSweepCache:
     def test_cache_invalidates_on_config_change(self, tmp_path):
         run_sweep("three-pair", ["n+"], n_runs=2, seed=4, config=FAST, cache_dir=tmp_path)
         changed = SimulationConfig(
-            duration_us=FAST.duration_us,
-            n_subcarriers=FAST.n_subcarriers,
-            bitrate_margin_db=FAST.bitrate_margin_db + 1.0,
+            duration_us=FAST.duration_us, n_subcarriers=FAST.n_subcarriers + 1
         )
         rerun = run_sweep(
             "three-pair", ["n+"], n_runs=2, seed=4, config=changed, cache_dir=tmp_path
@@ -160,43 +158,31 @@ class TestSweepCache:
         )
         assert grown.cache_hits == 2 and grown.cache_misses == 2
 
-    def test_factory_scenario_requires_explicit_key(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            run_sweep(
-                three_pair_scenario, ["n+"], n_runs=1, config=FAST, cache_dir=tmp_path
-            )
-        # With an explicit key it caches like a registered name.
-        result = run_sweep(
-            three_pair_scenario,
-            ["n+"],
-            n_runs=1,
-            config=FAST,
-            cache_dir=tmp_path,
-            scenario_key="my-three-pair",
-        )
-        assert result.cache_misses == 1
+    @pytest.mark.parametrize(
+        "scenario", [three_pair_scenario, three_pair_scenario()], ids=["factory", "object"]
+    )
+    def test_a_non_name_scenario_is_refused(self, tmp_path, scenario):
+        """Only a registered name keys the cache and replays from a capsule."""
+        with pytest.raises(ConfigurationError, match=r"unknown scenario .*'three-pair'"):
+            run_sweep(scenario, ["n+"], n_runs=1, config=FAST, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_edited_scenario_definition_invalidates_cache(self, tmp_path):
         """Re-registering a structurally different scenario under the same
         name must not replay the old name's cached cells."""
-        from repro.sim.scenarios import register_scenario
+        from repro.sim.scenarios import _SCENARIOS, register_scenario
 
         register_scenario("cache-probe", lambda: dense_lan_scenario(n_pairs=2, seed=1))
         try:
             first = run_sweep(
                 "cache-probe", ["n+"], n_runs=1, config=FAST, cache_dir=tmp_path
             )
-            register_scenario(
-                "cache-probe",
-                lambda: dense_lan_scenario(n_pairs=3, seed=1),
-                overwrite=True,
-            )
+            _SCENARIOS.pop("cache-probe")
+            register_scenario("cache-probe", lambda: dense_lan_scenario(n_pairs=3, seed=1))
             second = run_sweep(
                 "cache-probe", ["n+"], n_runs=1, config=FAST, cache_dir=tmp_path
             )
         finally:
-            from repro.sim.scenarios import _SCENARIOS
-
             _SCENARIOS.pop("cache-probe", None)
         assert first.cache_misses == 1
         assert second.cache_hits == 0 and second.cache_misses == 1
