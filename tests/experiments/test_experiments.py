@@ -39,6 +39,7 @@ from repro.experiments.report import (
     percentile_row,
 )
 from repro.sim.runner import SimulationConfig
+from repro.sim.scenarios import heterogeneous_ap_scenario, three_pair_scenario
 
 
 class TestReportHelpers:
@@ -227,6 +228,20 @@ def test_figure_sweeps_raise_on_a_failed_cell(monkeypatch, experiment):
     config = SimulationConfig(duration_us=2_000.0, n_subcarriers=4)
     with pytest.raises(SimulationError, match=rf"run 1, run_seed {crash_seed}\b"):
         experiment(n_runs=2, seed=2, config=config)
+
+
+@pytest.mark.parametrize(
+    "experiment, factory",
+    [
+        (run_throughput_experiment, three_pair_scenario),
+        (run_heterogeneous_experiment, heterogeneous_ap_scenario),
+    ],
+)
+def test_figure_sweeps_take_a_registered_name_only(tmp_path, experiment, factory):
+    config = SimulationConfig(duration_us=2_000.0, n_subcarriers=4)
+    with pytest.raises(ConfigurationError, match="unknown scenario"):
+        experiment(n_runs=1, config=config, scenario=factory, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestHandshakeOverhead:

@@ -48,7 +48,7 @@ from repro.sim.runner import (
     build_network,
     run_simulation,
 )
-from repro.sim.scenarios import scenario_factory, three_pair_scenario
+from repro.sim.scenarios import Scenario, scenario_factory, three_pair_scenario
 from repro.sim.sweep import config_digest, run_sweep
 
 AUTO = SimulationConfig(duration_us=30_000.0, n_subcarriers=8, fidelity="auto")
@@ -65,6 +65,15 @@ class TestResolution:
         resolved = RunSpec.resolve(three_pair_scenario(), config)
         assert resolved.fidelity == "abstraction"
         assert resolved.fidelity_band_db == DEFAULT_BAND_DB
+
+    def test_the_config_is_the_only_source(self):
+        """A scenario carries no fidelity hint; the config's values resolve
+        as they are."""
+        names = {f.name for f in dataclasses.fields(Scenario)}
+        assert names.isdisjoint({"fidelity", "fidelity_band_db"})
+        config = SimulationConfig(fidelity="auto", fidelity_band_db=1.5)
+        resolved = RunSpec.resolve(three_pair_scenario(), config)
+        assert (resolved.fidelity, resolved.fidelity_band_db) == ("auto", 1.5)
 
     def test_unknown_fidelity_rejected(self):
         config = SimulationConfig(fidelity="magic")
@@ -361,6 +370,13 @@ class TestCrossValidation:
         assert [dataclasses.asdict(c) for c in first.checks] == [
             dataclasses.asdict(c) for c in second.checks
         ]
+
+    @pytest.mark.parametrize(
+        "scenario", [three_pair_scenario, three_pair_scenario()], ids=["factory", "object"]
+    )
+    def test_a_scenario_that_is_not_a_name_is_refused(self, scenario):
+        with pytest.raises(ConfigurationError, match=r"unknown scenario .*'three-pair'"):
+            cross_validate_links(scenario, seed=0, n_links=1)
 
     def test_format_table_mentions_every_check(self):
         report = cross_validate_links("three-pair", seed=0, n_links=2)

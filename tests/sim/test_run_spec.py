@@ -8,6 +8,7 @@ reaches the key."""
 from __future__ import annotations
 
 import dataclasses
+import json
 from functools import partial
 
 import pytest
@@ -203,6 +204,20 @@ class TestResolve:
         run_spec = RunSpec.resolve(scenario_factory("dense-lan-20-faulty")(), FAST)
         assert run_spec.key_payload is run_spec.key_payload
         assert run_spec.key_payload["fault_profile"]["name"] == "mixed"
+
+    def test_the_key_keeps_the_former_config_fields(self):
+        """Packet size, join airtime, bitrate margin and round budget are
+        constants now, but recorded keys hashed them as config fields: the
+        payload keeps them under those names with the same JSON values."""
+        run_spec = RunSpec.resolve(three_pair_scenario(), FAST)
+        former = ("packet_size_bytes", "min_join_airtime_us", "bitrate_margin_db", "max_rounds")
+        fields = {f.name for f in dataclasses.fields(RunSpec)}
+        assert fields.isdisjoint(former)
+        payload = run_spec.key_payload
+        assert json.dumps({name: payload[name] for name in former}) == (
+            '{"packet_size_bytes": 1500, "min_join_airtime_us": 96.0, '
+            '"bitrate_margin_db": 1.0, "max_rounds": 200000}'
+        )
 
     @pytest.mark.parametrize("protocol", ["802.11n", "n+"])
     def test_run_simulation_is_bit_identical_from_a_resolved_spec(self, protocol):

@@ -11,7 +11,10 @@ from repro.sim.network import Network
 from repro.sim import runner
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.sim.scenarios import (
+    _SCENARIOS,
     heterogeneous_ap_scenario,
+    register_scenario,
+    scenario_factory,
     three_pair_scenario,
     two_pair_scenario,
 )
@@ -40,6 +43,15 @@ class TestScenarios:
         assert len(ap2_pair.receivers) == 2
         by_name = {station.name: station for station in scenario.stations}
         assert by_name["c1"].n_antennas == 1
+
+    def test_a_name_registers_once(self):
+        register_scenario("register-once", two_pair_scenario)
+        try:
+            with pytest.raises(ConfigurationError, match="already registered"):
+                register_scenario("register-once", three_pair_scenario)
+            assert scenario_factory("register-once") is two_pair_scenario
+        finally:
+            _SCENARIOS.pop("register-once")
 
     def test_custom_scenario(self):
         scenario = custom_pairs_scenario([2, 2, 4])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.constants import DEFAULT_PACKET_SIZE_BYTES
 from repro.exceptions import ConfigurationError
 from repro.sim.metrics import LinkMetrics, NetworkMetrics, empirical_cdf, jain_fairness_index
 from repro.sim.node import Station, TrafficPair
@@ -72,6 +73,18 @@ class TestTrafficSources:
             arrivals.append(packet.created_us)
         gaps = np.diff(arrivals)
         assert np.mean(gaps) == pytest.approx(100.0, rel=0.3)
+
+    def test_every_source_sends_the_papers_packet_size(self, rng):
+        sources = [
+            SaturatedSource(0, 1),
+            PoissonSource(0, 1, rate_packets_per_second=10_000.0, rng=rng),
+        ]
+        for source in sources:
+            now = 0.0
+            while not source.has_packet(now):
+                now += 10.0
+            assert source.next_packet(now).size_bytes == DEFAULT_PACKET_SIZE_BYTES
+        assert DEFAULT_PACKET_SIZE_BYTES == 1500
 
     def test_poisson_no_packet_before_first_arrival(self, rng):
         source = PoissonSource(0, 1, rate_packets_per_second=1.0, rng=rng)
