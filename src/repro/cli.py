@@ -426,10 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--runs", type=int, default=8, help="random placements for the throughput experiments"
     )
     parser.add_argument(
-        "--duration-ms", type=float, default=80.0, help="simulated time per run, milliseconds"
+        "--duration-ms",
+        type=float,
+        default=80.0,
+        help="simulated time per run, milliseconds (default 80; a library "
+        "SimulationConfig defaults to 100)",
     )
     parser.add_argument(
-        "--subcarriers", type=int, default=12, help="subcarriers tracked by the link abstraction"
+        "--subcarriers",
+        type=int,
+        default=12,
+        help="subcarriers tracked by the link abstraction (default 12; a "
+        "library SimulationConfig defaults to 16)",
     )
     parser.add_argument(
         "--scenario",

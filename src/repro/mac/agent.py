@@ -10,7 +10,7 @@ joins ongoing transmissions.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,14 +21,15 @@ from repro.constants import (
     SIFS_US,
 )
 from repro.exceptions import MediumAccessError
+from repro.mac.aggregation import airtime_for_bits
 from repro.mac.bitrate import choose_bitrate
 from repro.mac.csma import DcfContender
 from repro.mac.plan import PlanCache, involved_node_ids, stream_signature
 from repro.mac.retransmission import RetransmissionQueue
 from repro.mac.variants import default_params
-from repro.phy.rates import MCS
-from repro.sim.link_abstraction import receiver_stream_snrs
-from repro.sim.medium import ScheduledStream
+from repro.phy.rates import MCS, MCS_TABLE
+from repro.sim.link_abstraction import FLOOR_SNR_DB, receiver_stream_snrs, solo_link
+from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.node import TrafficPair
 from repro.sim.traffic import SaturatedSource
 
@@ -329,11 +330,50 @@ class BaseMacAgent:
         The receiver measures the post-projection SNR of each of its wanted
         streams on the (light-weight) RTS given the transmissions on the
         air at that moment, computes the effective SNR and picks the
-        fastest adequate MCS; the most constrained stream governs.
+        fastest adequate MCS; the most constrained stream governs.  A
+        measurement at the floor on every subcarrier (streams the receiver
+        cannot separate) gets MCS 0, which is what its ESNR selects.
         """
-        return choose_bitrate(
-            self._measured_snrs(receiver_id, planned, concurrent), BITRATE_MARGIN_DB
-        )
+        measured = self._measured_snrs(receiver_id, planned, concurrent)
+        if (measured == FLOOR_SNR_DB).all():
+            return MCS_TABLE[0]
+        return choose_bitrate(measured, BITRATE_MARGIN_DB)
+
+    def _solo_plan(
+        self,
+        start_us: float,
+        medium: Medium,
+        receiver_id: int,
+        payload_bits: int,
+        max_streams: Optional[int] = None,
+    ) -> List[ScheduledStream]:
+        """An idle-medium transmission to one receiver, read from the
+        network's solo-link table (:func:`~repro.sim.link_abstraction.solo_link`).
+
+        One stream per usable antenna (at most ``max_streams``), stream
+        ``j`` on antenna ``j`` at an equal share of the power, carrying
+        ``payload_bits`` at the MCS the receiver measures with nothing
+        else on the air.  Every stream records the table entry, so
+        delivery reads the same SNRs while the transmitter stays alone.
+        """
+        solo = solo_link(self.network, self.node_id, receiver_id, max_streams)
+        end_us = start_us + airtime_for_bits(solo.mcs, payload_bits, solo.n_streams)
+        return [
+            ScheduledStream(
+                stream_id=medium.next_stream_id(),
+                transmitter_id=self.node_id,
+                receiver_id=receiver_id,
+                precoders=precoders,
+                power=solo.power,
+                mcs=solo.mcs,
+                payload_bits=payload_bits if index == 0 else 0,
+                start_us=start_us,
+                end_us=end_us,
+                join_order=0,
+                solo=solo,
+            )
+            for index, precoders in enumerate(solo.precoders)
+        ]
 
     # -- outcomes -------------------------------------------------------------------------------
 

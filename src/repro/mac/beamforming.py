@@ -96,6 +96,13 @@ class BeamformingMac(BaseMacAgent):
             )
         if not receivers:
             return []
+        if len(receivers) == 1 and not medium.busy:
+            # One receiver on an idle medium: plain spatial multiplexing,
+            # read from the network's solo-link table.
+            receiver_id = receivers[0].receiver_id
+            packet = self.queues[receiver_id].head()
+            payload_bits = self.queues[receiver_id].take_bits(packet.size_bits) if packet else 0
+            return self._solo_plan(start_us, medium, receiver_id, payload_bits)
 
         # The pre-coder decomposition is a pure function of which
         # receivers take how many streams (channel estimates are memoized

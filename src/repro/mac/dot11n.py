@@ -42,14 +42,15 @@ class Dot11nMac(BaseMacAgent):
         return None
 
     def plan_initial(self, start_us: float, medium: Medium) -> List[ScheduledStream]:
-        """One packet to one receiver, one stream per usable antenna."""
+        """One packet to one receiver, one stream per usable antenna.
+
+        On an idle medium the plan, its SNRs and its bitrate come from the
+        network's solo-link table; a later collided winner (the medium
+        already carries the earlier winners' streams) measures afresh.
+        """
         receiver_id = self._next_receiver_id()
         if receiver_id is None:
             return []
-        receiver = self.network.station(receiver_id)
-        n_streams = min(self.n_antennas, receiver.n_antennas)
-        if self.max_streams is not None:
-            n_streams = min(n_streams, self.max_streams)
         packet = self.queues[receiver_id].head()
         if packet is None:
             return []
@@ -59,6 +60,14 @@ class Dot11nMac(BaseMacAgent):
         payload_bits = self.queues[receiver_id].take_bits(packet.size_bits)
         if payload_bits == 0:
             return []
+        if not medium.busy:
+            return self._solo_plan(
+                start_us, medium, receiver_id, payload_bits, self.max_streams
+            )
+        receiver = self.network.station(receiver_id)
+        n_streams = min(self.n_antennas, receiver.n_antennas)
+        if self.max_streams is not None:
+            n_streams = min(n_streams, self.max_streams)
         join_order = medium.max_join_order() + 1
 
         streams: List[ScheduledStream] = []
@@ -82,8 +91,9 @@ class Dot11nMac(BaseMacAgent):
             )
         streams[0].payload_bits = payload_bits
 
-        # The receiver measures the (interference-free) effective SNR on the
-        # header and feeds back the best bitrate.
+        # The receiver measures the effective SNR on the header, after
+        # projecting out the earlier winners' streams, and feeds back the
+        # best bitrate.
         mcs = self._select_mcs(receiver_id, streams, medium.active_streams)
         duration = airtime_for_bits(mcs, payload_bits, n_streams)
         for stream in streams:

@@ -108,7 +108,14 @@ class PlanCache:
     the faded link, and the signature is ``()`` (key shape unchanged,
     zero cost) until a fault actually occurs.  The cache
     must not be shared across simulations (the runner creates one per
-    :func:`repro.sim.runner.run_simulation`).  Cached arrays are shared
+    :func:`repro.sim.runner.run_simulation`).
+
+    An idle-medium plan to one receiver -- every 802.11n and CSMA first
+    winner, and a beamforming or n+ winner with one backlogged receiver
+    -- is no longer memoized here: its pre-coders, SNRs and MCS come from
+    the network's solo-link table
+    (:func:`repro.sim.link_abstraction.solo_link`), which outlives the
+    run and serves every protocol on the network.  Cached arrays are shared
     by reference, so callers must treat them as read-only -- the same
     shared-view invariant the :class:`repro.sim.network.ChannelBank`
     *enforces* for the true channels (they are non-writable views; a

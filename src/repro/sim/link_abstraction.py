@@ -45,27 +45,197 @@ work by the stacks' exact bytes; the residual-interference and noise
 terms, including the seeded suppression jitter, are applied on every
 call, so results are bit-identical to computing afresh.  Content keys
 need no invalidation: a fade changes the channel bytes and misses.
+
+Two answers are fixed before any of that work:
+
+* **Idle medium.**  A traffic link whose transmitter sends ``n``
+  identity-precoded streams at power ``1/n`` with nothing else on the air
+  has SNRs and an MCS that depend only on the link and its channel epoch.
+  :func:`solo_link` reads them from the network's ``solo_links`` table,
+  which it fills in batched passes over many traffic links, one per
+  ``(N_rx, M_tx, n)`` shape (stacked LAPACK factors each matrix on its
+  own, so the bits match the one-link call); an entry whose epoch moved
+  is recomputed alone.  Idle-medium plans and solo receptions read it
+  instead of calling :func:`receiver_stream_snrs`.
+* **A full receiver** (§3's degrees of freedom): an ``N``-antenna
+  receiver decoding ``n >= N`` streams has no dimension left to project
+  out nonzero interference, so :func:`receiver_stream_snrs` returns the
+  floor SNR for every wanted stream without any SVD -- exactly what the
+  full kernel computes, since its complement of width ``N - rank < n``
+  leaves the streams inseparable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constants import BITRATE_MARGIN_DB
+from repro.mac.bitrate import choose_bitrate
 from repro.mimo.decoder import post_projection_snr_batch
 from repro.mimo.dof import InterferenceStrategy
+from repro.phy.rates import MCS
 from repro.sim.medium import ScheduledStream
 from repro.utils import guarded
 from repro.utils.db import linear_to_db
 from repro.utils.linalg import singular_value_ranks
 
 __all__ = [
+    "FLOOR_SNR_DB",
+    "SoloLink",
+    "solo_link",
     "receiver_stream_snrs",
     "unprotected_interference_power_batch",
     "interference_directions_at",
     "announced_decoding_subspace",
 ]
+
+
+#: The SNR (dB) of a stream its receiver cannot separate: SNR 0 at the
+#: :func:`~repro.utils.db.linear_to_db` floor.
+FLOOR_SNR_DB = float(linear_to_db(0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class SoloLink:
+    """What an idle medium determines about one traffic link.
+
+    The transmitter sends ``len(precoders)`` streams, stream ``j``
+    pre-coded by the ``j``-th unit vector at power :attr:`power`, and
+    nothing else is on the air.  ``snrs_db`` holds each stream's
+    per-subcarrier post-projection SNRs (read-only, stream order),
+    ``mcs`` the bitrate the receiver feeds back for them, and ``epoch``
+    the link's :meth:`~repro.sim.network.Network.epoch_signature` they
+    were computed at.
+    """
+
+    precoders: Tuple[np.ndarray, ...]
+    snrs_db: Tuple[np.ndarray, ...]
+    mcs: MCS
+    epoch: tuple
+
+    @property
+    def n_streams(self) -> int:
+        """Streams of the plan."""
+        return len(self.precoders)
+
+    @property
+    def power(self) -> float:
+        """Transmit power of each stream (an equal split of 1)."""
+        return 1.0 / self.n_streams
+
+
+def _solo_key(network, transmitter_id: int, receiver_id: int, max_streams) -> tuple:
+    """``(tx, rx, n)``: one stream per usable antenna, at most ``max_streams``."""
+    n_streams = min(
+        network.station(transmitter_id).n_antennas,
+        network.station(receiver_id).n_antennas,
+    )
+    if max_streams is not None:
+        n_streams = min(n_streams, max_streams)
+    return transmitter_id, receiver_id, n_streams
+
+
+def _fill_solo_links(network, keys: Iterable[tuple]) -> None:
+    """Compute the :class:`SoloLink` of every ``(tx, rx, n)`` key.
+
+    One pass per ``(N_rx, M_tx, n)`` shape: one channel read, one
+    effective-column einsum and one decoder call over the ``links x
+    n_sub`` stack.  Every member is its own matrix to LAPACK and to the
+    noise and floor arithmetic, so each link's SNRs are bit-identical to
+    :func:`receiver_stream_snrs` of its streams alone, and its MCS is
+    :func:`~repro.mac.bitrate.choose_bitrate` of them, as the agents pick
+    it.
+    """
+    shapes: Dict[tuple, List[tuple]] = {}
+    for key in keys:
+        tx_id, rx_id, n_streams = key
+        shape = (
+            network.station(rx_id).n_antennas,
+            network.station(tx_id).n_antennas,
+            n_streams,
+        )
+        shapes.setdefault(shape, []).append(key)
+    n_sub = network.n_subcarriers
+    for (n_rx, n_tx, n_streams), group in shapes.items():
+        channels = np.stack(network.channels.channels([key[:2] for key in group]))
+        identity = np.eye(n_tx, n_streams, dtype=complex)
+        precoders = tuple(np.tile(identity[:, j], (n_sub, 1)) for j in range(n_streams))
+        for vector in precoders:
+            vector.setflags(write=False)
+        columns = np.sqrt(1.0 / n_streams) * np.einsum("lknm,mj->lknj", channels, identity)
+        snr, _ = post_projection_snr_batch(
+            columns.reshape(-1, n_rx, n_streams),
+            None,
+            noise_power=network.noise_power,
+        )
+        snrs_db = linear_to_db(snr).reshape(len(group), n_sub, n_streams)
+        for key, link_db in zip(group, snrs_db):
+            streams = tuple(
+                np.ascontiguousarray(link_db[:, index]) for index in range(n_streams)
+            )
+            for stream in streams:
+                stream.setflags(write=False)
+            network.solo_links[key] = SoloLink(
+                precoders=precoders,
+                snrs_db=streams,
+                mcs=choose_bitrate(np.concatenate(streams), BITRATE_MARGIN_DB),
+                epoch=network.epoch_signature(key[:2]),
+            )
+
+
+def solo_link(
+    network, transmitter_id: int, receiver_id: int, max_streams: Optional[int] = None
+) -> SoloLink:
+    """The idle-medium :class:`SoloLink` of a traffic link.
+
+    The link sends one stream per usable antenna (``min(M, N)``), capped
+    at ``max_streams`` when given.  Entries live in the network's
+    ``solo_links`` table, keyed ``(tx, rx, n)``, so every protocol run on
+    the network shares them.
+
+    A key read for the first time is computed in one batched pass with
+    as many other traffic links of ``network.pairs`` (same stream cap,
+    no entry yet) as the table already holds, so the table doubles with
+    each miss.  A network whose runs read most of its links fills them
+    in a handful of passes, and one whose runs read a few of many (the
+    500-station LAN's 20 ms runs read about 6 of its 250) computes few
+    entries it never reads.  An entry whose link epoch moved since (a
+    fade or its restore) is recomputed alone.
+    """
+    key = _solo_key(network, transmitter_id, receiver_id, max_streams)
+    table = network.solo_links
+    entry = table.get(key)
+    if entry is None:
+        traffic = (
+            _solo_key(network, pair.transmitter.node_id, receiver.node_id, max_streams)
+            for pair in network.pairs
+            for receiver in pair.receivers
+        )
+        others = [k for k in traffic if k != key and k not in table][: len(table)]
+        _fill_solo_links(network, [key, *others])
+    elif entry.epoch != network.epoch_signature(key[:2]):
+        _fill_solo_links(network, [key])
+    else:
+        return entry
+    return table[key]
+
+
+def _inseparable(n_wanted: int, interference: Optional[np.ndarray]) -> bool:
+    """Whether §3's degrees-of-freedom count already answers the receiver.
+
+    ``n_wanted >= N`` streams fill an ``N``-antenna receiver, so any
+    nonzero interference it must project out leaves them inseparable.
+    The count applies when the sanitized interference stack is nonzero on
+    every subcarrier; a zero or poisoned subcarrier leaves the answer to
+    the full kernel.
+    """
+    if interference is None or n_wanted < interference.shape[1]:
+        return False
+    clean, _ = guarded.sanitize_stack(interference)
+    return bool(clean.any(axis=(1, 2)).all())
 
 
 def unprotected_interference_power_batch(
@@ -182,7 +352,11 @@ def receiver_stream_snrs(
     -------
     dict
         Maps each wanted stream's ``stream_id`` to an array of
-        per-subcarrier SNRs in dB.
+        per-subcarrier SNRs in dB.  Wanted streams that fill the receiver
+        while it projects out interference that is nonzero on every
+        subcarrier get :data:`FLOOR_SNR_DB` without any decomposition
+        (the module's degrees-of-freedom rule); the jitter is drawn first,
+        so ``rng`` advances as it does on the full path.
     """
     wanted = list(wanted_streams)
     if not wanted:
@@ -215,9 +389,6 @@ def receiver_stream_snrs(
         else:
             raw_streams.append(stream)
 
-    wanted_matrix = np.stack(
-        [_effective_columns(channels[s.transmitter_id], s) for s in wanted], axis=2
-    )  # (n_sub, N, n_wanted)
     interference = (
         np.stack(
             [_effective_columns(channels[s.transmitter_id], s) for s in projection_streams],
@@ -227,27 +398,30 @@ def receiver_stream_snrs(
         else None
     )
 
-    residual_power = np.zeros(n_sub)
-    if residual_streams:
-        # One draw per (subcarrier, stream) in row-major order, matching the
-        # draw order of the per-subcarrier loop so seeded runs reproduce.
-        jitter = (
-            network.hardware.draw_suppression_jitter(
-                rng, size=(n_sub, len(residual_streams))
-            )
-            if rng is not None
-            else None
+    # One draw per (subcarrier, stream) in row-major order, matching the
+    # draw order of the per-subcarrier loop so seeded runs reproduce.
+    jitter = None
+    if residual_streams and rng is not None:
+        jitter = network.hardware.draw_suppression_jitter(
+            rng, size=(n_sub, len(residual_streams))
         )
-        for index, stream in enumerate(residual_streams):
-            strategy = stream.protected_receivers.get(receiver_id, InterferenceStrategy.NULL)
-            unprotected = unprotected_interference_power_batch(
-                channels[stream.transmitter_id], stream
-            )
-            residual_power += network.hardware.residual_interference_power_batch(
-                unprotected,
-                aligned=strategy is InterferenceStrategy.ALIGN,
-                suppression_jitter_db=None if jitter is None else jitter[:, index],
-            )
+    if _inseparable(len(wanted), interference):
+        return {stream.stream_id: np.full(n_sub, FLOOR_SNR_DB) for stream in wanted}
+
+    wanted_matrix = np.stack(
+        [_effective_columns(channels[s.transmitter_id], s) for s in wanted], axis=2
+    )  # (n_sub, N, n_wanted)
+    residual_power = np.zeros(n_sub)
+    for index, stream in enumerate(residual_streams):
+        strategy = stream.protected_receivers.get(receiver_id, InterferenceStrategy.NULL)
+        unprotected = unprotected_interference_power_batch(
+            channels[stream.transmitter_id], stream
+        )
+        residual_power += network.hardware.residual_interference_power_batch(
+            unprotected,
+            aligned=strategy is InterferenceStrategy.ALIGN,
+            suppression_jitter_db=None if jitter is None else jitter[:, index],
+        )
     for stream in raw_streams:
         residual_power += unprotected_interference_power_batch(
             channels[stream.transmitter_id], stream

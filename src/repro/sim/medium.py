@@ -11,12 +11,15 @@ stream was pre-coded to protect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.mimo.dof import InterferenceStrategy
 from repro.phy.rates import MCS
+
+if TYPE_CHECKING:
+    from repro.sim.link_abstraction import SoloLink
 
 __all__ = ["ScheduledStream", "Medium"]
 
@@ -42,11 +45,18 @@ class ScheduledStream:
     start_us, end_us:
         Transmission interval of the data body.
     join_order:
-        0 for the first contention winner's streams, 1 for the second
-        winner's, and so on; collisions share a join order.
+        ``Medium.max_join_order() + 1`` when the stream was planned: 0 on
+        an idle medium, one more for each later plan in the round.  Every
+        collided winner plans after the earlier winners' streams are on
+        the medium, so a later collider's streams come after theirs, and
+        its receiver projects the earlier colliders' streams out.
     protected_receivers:
         Receivers this stream was pre-coded to protect, with the strategy
         used at each (nulling or alignment).
+    solo:
+        The :class:`~repro.sim.link_abstraction.SoloLink` an idle-medium
+        plan was read from, ``None`` for every other plan; delivery reads
+        its SNRs while the transmitter is alone on the air.
     """
 
     stream_id: int
@@ -60,6 +70,7 @@ class ScheduledStream:
     end_us: float
     join_order: int = 0
     protected_receivers: Dict[int, InterferenceStrategy] = field(default_factory=dict)
+    solo: Optional["SoloLink"] = None
 
     @property
     def duration_us(self) -> float:

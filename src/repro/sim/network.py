@@ -480,6 +480,11 @@ class Network:
         # (see :func:`repro.mimo.decoder.post_projection_snr_batch`);
         # content keys stay valid across fades and across protocols.
         self.zero_forcing_memo: dict = {}
+        # Idle-medium SNRs and MCS of the traffic links, keyed (tx, rx,
+        # n streams) and tagged with the link epoch they were computed at
+        # (see :func:`repro.sim.link_abstraction.solo_link`); shared by
+        # every protocol run on the network.
+        self.solo_links: dict = {}
 
         self._place_stations()
         bins = self._subcarrier_indices()

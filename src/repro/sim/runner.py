@@ -181,9 +181,16 @@ def _evaluate_group(
         return False
     if group.payload_bits <= 0:
         return False
-    snrs = receiver_stream_snrs(
-        network, group.receiver_id, group.streams, list(all_streams), rng=rng
-    )
+    transmitter_id = group.agent.node_id
+    solo = group.streams[0].solo
+    if solo is not None and all(s.transmitter_id == transmitter_id for s in all_streams):
+        # An idle-medium plan still alone on the air: the reception is
+        # the table's measurement (no residual streams, so no jitter).
+        snrs = {s.stream_id: db for s, db in zip(group.streams, solo.snrs_db)}
+    else:
+        snrs = receiver_stream_snrs(
+            network, group.receiver_id, group.streams, list(all_streams), rng=rng
+        )
     probability = 1.0
     for stream in group.streams:
         per_subcarrier = snrs[stream.stream_id]
@@ -196,7 +203,7 @@ def _evaluate_group(
     delivered = bool(rng.random() < probability)
     if fidelity is not None:
         verdict = fidelity.override_verdict(
-            group.agent.node_id, group.receiver_id, group.streams, all_streams, snrs
+            transmitter_id, group.receiver_id, group.streams, all_streams, snrs
         )
         if verdict is not None:
             delivered = verdict

@@ -11,6 +11,7 @@ from repro.mac.dot11n import Dot11nMac
 from repro.mac.nplus import NPlusMac
 from repro.mimo.dof import InterferenceStrategy
 from repro.sim.medium import Medium
+from repro.sim import link_abstraction
 from repro.sim.network import Network
 from repro.sim.scenarios import heterogeneous_ap_scenario, three_pair_scenario
 
@@ -43,20 +44,39 @@ class TestDistributeStreams:
         assert distribute_streams(3, [3]) == [3]
 
 
+def _spy_on_choose_bitrate(monkeypatch, module):
+    """Record the margin of every ``module.choose_bitrate`` call."""
+    margins = []
+    real = module.choose_bitrate
+
+    def spy(snrs, margin_db):
+        margins.append(margin_db)
+        return real(snrs, margin_db)
+
+    monkeypatch.setattr(module, "choose_bitrate", spy)
+    return margins
+
+
 class TestBitrateMargin:
     def test_an_agent_built_outside_a_run_uses_the_runs_margin(
-        self, three_pair_network, rng, monkeypatch
+        self, heterogeneous_network, rng, monkeypatch
     ):
         """The margin is one constant, not a per-agent default that can
-        disagree with the one a run passes."""
-        margins = []
-        real = agent_module.choose_bitrate
+        disagree with the one a run passes.  AP2's two-receiver plan is
+        measured by the agent itself, once per receiver."""
+        margins = _spy_on_choose_bitrate(monkeypatch, agent_module)
+        scenario, network = heterogeneous_network
+        agent = make_agent(BeamformingMac, scenario.pairs[1], network, rng)
+        agent.refill(0.0)
+        assert agent.plan_initial(0.0, Medium())
+        assert margins == [BITRATE_MARGIN_DB] * 2
 
-        def spy(snrs, margin_db):
-            margins.append(margin_db)
-            return real(snrs, margin_db)
-
-        monkeypatch.setattr(agent_module, "choose_bitrate", spy)
+    def test_the_idle_medium_table_uses_the_runs_margin(
+        self, three_pair_network, rng, monkeypatch
+    ):
+        """An idle-medium plan reads its MCS from the network's solo-link
+        table, which picks it with the same margin."""
+        margins = _spy_on_choose_bitrate(monkeypatch, link_abstraction)
         scenario, network = three_pair_network
         agent = make_agent(Dot11nMac, scenario.pairs[2], network, rng)
         agent.refill(0.0)

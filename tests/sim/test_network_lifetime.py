@@ -5,8 +5,8 @@ arrays point at each other, so unless the runner breaks that cycle when
 a run ends, a finished run's :class:`~repro.sim.network.Network` lives
 until the cyclic garbage collector happens to run -- at the 500-station
 tier that is a second network's worth of memory.  The network's
-zero-forcing memo must die with it.  Each test disables the collector, so
-only reference counting can free the network.
+zero-forcing memo and its solo-link table must die with it.  Each test
+disables the collector, so only reference counting can free the network.
 """
 
 import gc
@@ -23,19 +23,20 @@ CONFIG = SimulationConfig(duration_us=20_000.0, n_subcarriers=8)
 
 
 class _MemoEntry:
-    """A weak-referenceable value planted in a network's memo."""
+    """A weak-referenceable value planted in a network's memos."""
 
 
 def _freed_after_run(scenario_name, protocol, config):
     """Run once on a caller-held network, drop it, report whether it died.
 
     Returns ``(freed, memo_freed, memo_used, error_type)``: whether the
-    network and its zero-forcing memo died, whether the run stored
-    anything in the memo, and the type of the exception the run raised,
-    if any.  Only the type is kept, because a live traceback
-    legitimately references the run's frames and with them the network.
-    (A dict cannot be weakly referenced, so the memo's death is seen
-    through an entry planted in it.)
+    network died, whether its zero-forcing memo and its solo-link table
+    both died, whether the run stored anything in either, and the type of
+    the exception the run raised, if any.  (An 802.11n run on idle media
+    reads only the table; an n+ run uses both.)  Only the type is kept,
+    because a live traceback legitimately references the run's frames
+    and with them the network.  (A dict cannot be weakly referenced, so
+    each memo's death is seen through an entry planted in it.)
     """
     scenario = scenario_factory(scenario_name)()
     gc.collect()
@@ -47,12 +48,15 @@ def _freed_after_run(scenario_name, protocol, config):
             run_simulation(scenario, protocol, seed=3, config=config, network=network)
         except SimulationError as exc:
             error_type = type(exc)
-        memo_used = bool(network.zero_forcing_memo)
-        entry = _MemoEntry()
-        network.zero_forcing_memo["planted"] = entry
-        ref, memo_ref = weakref.ref(network), weakref.ref(entry)
-        del network, entry
-        return ref() is None, memo_ref() is None, memo_used, error_type
+        memo_used = bool(network.zero_forcing_memo) or bool(network.solo_links)
+        entries = [_MemoEntry(), _MemoEntry()]
+        network.zero_forcing_memo["planted"] = entries[0]
+        network.solo_links["planted"] = entries[1]
+        ref = weakref.ref(network)
+        memo_refs = [weakref.ref(entry) for entry in entries]
+        del network, entries
+        memo_freed = all(memo_ref() is None for memo_ref in memo_refs)
+        return ref() is None, memo_freed, memo_used, error_type
     finally:
         gc.enable()
 

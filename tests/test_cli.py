@@ -188,6 +188,21 @@ class TestParser:
         assert args.duration_ms > 0
         assert args.seed == 0
 
+    def test_the_help_states_both_run_defaults(self):
+        """The CLI and SimulationConfig default the run window and the
+        subcarriers differently; each flag's help names both values."""
+        from repro.sim.spec import SimulationConfig
+
+        actions = {action.dest: action for action in build_parser()._actions}
+        library = SimulationConfig()
+        for dest, library_default in (
+            ("duration_ms", library.duration_us / 1000.0),
+            ("subcarriers", library.n_subcarriers),
+        ):
+            action = actions[dest]
+            assert f"default {action.default:g}" in action.help
+            assert f"SimulationConfig defaults to {library_default:g}" in action.help
+
     def test_option_overrides(self):
         args = build_parser().parse_args(
             ["fig12", "--runs", "3", "--duration-ms", "25", "--seed", "9"]
