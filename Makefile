@@ -26,13 +26,16 @@ precommit: test-fast bench-quick invariant-smoke reachability
 # run sends every reception through the full-PHY probe (encode, fade,
 # equalise, Viterbi decode).  The three-protocol faulty run sends every
 # protocol's receptions through the network's zero-forcing memo across
-# fade epochs.
+# fade epochs.  The paper's two topologies run multi-receiver Eq. 7
+# pre-coding (heterogeneous-ap's two-client AP beamforms) and n+ joins.
 invariant-smoke:
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-bursty --protocols n+ --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-bursty --protocols n+ --runs 1 --duration-ms 20 --validation cheap --fidelity full
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-faulty --protocols n+ --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-50-faulty --protocols "802.11n,n+,n+[recovery=erasure]" --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-500-bursty --protocols n+ --runs 1 --duration-ms 5 --validation cheap
+	$(PYTHON) -m repro.cli sweep --scenario heterogeneous-ap --protocols "802.11n,beamforming,n+" --runs 1 --duration-ms 20 --validation cheap
+	$(PYTHON) -m repro.cli sweep --scenario three-pair --protocols "802.11n,n+" --runs 1 --duration-ms 20 --validation cheap
 
 # Runs the happy and adversity entry sets under a profiler and fails on
 # any src/repro function none of them executes that the allowlist

@@ -15,9 +15,9 @@ import numpy as np
 from reporting import print_block
 
 from repro.channel.models import complex_gaussian
-from repro.mac.bitrate import HistoricalRateController, choose_bitrate
+from repro.mac.bitrate import HistoricalRateController
 from repro.mimo.decoder import post_projection_snr_batch
-from repro.phy.esnr import packet_delivery_probability
+from repro.phy.esnr import packet_delivery_probability, select_mcs
 from repro.utils.db import db_to_linear, linear_to_db
 
 
@@ -42,7 +42,7 @@ def _per_packet_vs_historical(n_packets: int = 2000, seed: int = 0):
         snrs = list(linear_to_db(snr)) * 8
 
         # n+: measure on the light-weight RTS, pick per packet.
-        mcs = choose_bitrate(snrs, margin_db=1.0)
+        mcs = select_mcs(snrs, margin_db=1.0)
         if rng.random() < packet_delivery_probability(snrs, mcs, packet_bits):
             per_packet_bits += packet_bits
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mac.plan import PlannedReceiver, ProtectedReceiver, plan_join
+from repro.mac.plan import PlannedReceiver, ProtectedReceiver, plan_transmission
 from repro.mimo.carrier_sense import MultiDimensionalCarrierSense
 from repro.phy.coding.codec import Codec
 from repro.phy.rates import MCS_TABLE
@@ -36,7 +36,7 @@ def bench_plan_join_per_subcarrier(benchmark):
     ]
     receivers = [PlannedReceiver(5, 3, 1, channels(3, 3))]
 
-    plan = benchmark(lambda: plan_join(4, 3, protected, receivers))
+    plan = benchmark(lambda: plan_transmission(4, 3, protected, receivers))
     assert len(plan.streams) == 1
 
 

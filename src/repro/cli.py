@@ -43,6 +43,7 @@ A ``sweep`` that ends with failed cells exits non-zero (even without
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional
@@ -546,10 +547,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--packet-rate-pps must be >= 0 (0 = saturated sources)")
     try:
         exit_code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
     except ConfigurationError as exc:
         # A refused input is one line; argparse's own parse errors above
         # keep their usage text.
         parser.exit(2, f"repro: error: {exc}\n")
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro protocols | head -1``).
+        # Point stdout at devnull so the interpreter's final flush cannot
+        # fail again, and exit 1 without a traceback, as Python itself
+        # does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return int(exit_code) if exit_code else 0
 
 

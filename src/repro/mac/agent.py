@@ -1,11 +1,11 @@
 """The base MAC agent shared by n+, 802.11n and the beamforming baseline.
 
 An agent owns one traffic pair: it keeps per-receiver packet queues fed by
-saturated (or Poisson) sources, carries the DCF contention state, knows
-how to plan a transmission on an idle medium, and records the outcome of
-every attempt.  The protocol-specific subclasses override how streams are
-formed (single-user, multi-user beamforming) and whether/how the node
-joins ongoing transmissions.
+saturated (or Poisson) sources, carries the DCF contention state, builds
+the single-user plan (:meth:`BaseMacAgent._solo_plan`) and records the
+outcome of every attempt.  The protocol-specific subclasses decide which
+receivers a transmission serves, beamform to several of them and
+whether/how the node joins ongoing transmissions.
 """
 
 from __future__ import annotations
@@ -22,13 +22,19 @@ from repro.constants import (
 )
 from repro.exceptions import MediumAccessError
 from repro.mac.aggregation import airtime_for_bits
-from repro.mac.bitrate import choose_bitrate
 from repro.mac.csma import DcfContender
 from repro.mac.plan import PlanCache, involved_node_ids, stream_signature
 from repro.mac.retransmission import RetransmissionQueue
 from repro.mac.variants import default_params
+from repro.phy.esnr import select_mcs
 from repro.phy.rates import MCS, MCS_TABLE
-from repro.sim.link_abstraction import FLOOR_SNR_DB, receiver_stream_snrs, solo_link
+from repro.sim.link_abstraction import (
+    FLOOR_SNR_DB,
+    identity_precoders,
+    receiver_stream_snrs,
+    solo_link,
+    solo_stream_count,
+)
 from repro.sim.medium import Medium, ScheduledStream
 from repro.sim.node import TrafficPair
 from repro.sim.traffic import SaturatedSource
@@ -337,7 +343,7 @@ class BaseMacAgent:
         measured = self._measured_snrs(receiver_id, planned, concurrent)
         if (measured == FLOOR_SNR_DB).all():
             return MCS_TABLE[0]
-        return choose_bitrate(measured, BITRATE_MARGIN_DB)
+        return select_mcs(measured, margin_db=BITRATE_MARGIN_DB)
 
     def _solo_plan(
         self,
@@ -347,33 +353,53 @@ class BaseMacAgent:
         payload_bits: int,
         max_streams: Optional[int] = None,
     ) -> List[ScheduledStream]:
-        """An idle-medium transmission to one receiver, read from the
-        network's solo-link table (:func:`~repro.sim.link_abstraction.solo_link`).
+        """A single-user transmission to one receiver (802.11n spatial
+        multiplexing).
 
         One stream per usable antenna (at most ``max_streams``), stream
-        ``j`` on antenna ``j`` at an equal share of the power, carrying
-        ``payload_bits`` at the MCS the receiver measures with nothing
-        else on the air.  Every stream records the table entry, so
-        delivery reads the same SNRs while the transmitter stays alone.
+        ``j`` on antenna ``j``
+        (:func:`~repro.sim.link_abstraction.identity_precoders`) at an
+        equal share of the power, carrying ``payload_bits`` on stream 0.
+        On an idle medium the MCS comes from the network's solo-link
+        table (:func:`~repro.sim.link_abstraction.solo_link`) and every
+        stream records the entry, so delivery reads the same SNRs while
+        the transmitter stays alone.  On a busy medium (a later collided
+        winner) the receiver measures the streams against those already
+        on the air (:meth:`_select_mcs`); the table is neither read nor
+        filled.
         """
-        solo = solo_link(self.network, self.node_id, receiver_id, max_streams)
-        end_us = start_us + airtime_for_bits(solo.mcs, payload_bits, solo.n_streams)
-        return [
+        n_streams = solo_stream_count(self.network, self.node_id, receiver_id, max_streams)
+        solo = None if medium.busy else solo_link(
+            self.network, self.node_id, receiver_id, max_streams
+        )
+        join_order = medium.max_join_order() + 1
+        streams = [
             ScheduledStream(
                 stream_id=medium.next_stream_id(),
                 transmitter_id=self.node_id,
                 receiver_id=receiver_id,
                 precoders=precoders,
-                power=solo.power,
-                mcs=solo.mcs,
+                power=1.0 / n_streams,
+                mcs=MCS_TABLE[0],
                 payload_bits=payload_bits if index == 0 else 0,
                 start_us=start_us,
-                end_us=end_us,
-                join_order=0,
+                end_us=start_us,
+                join_order=join_order,
                 solo=solo,
             )
-            for index, precoders in enumerate(solo.precoders)
+            for index, precoders in enumerate(
+                identity_precoders(self.network.n_subcarriers, self.n_antennas, n_streams)
+            )
         ]
+        if solo is None:
+            mcs = self._select_mcs(receiver_id, streams, medium.active_streams)
+        else:
+            mcs = solo.mcs
+        end_us = start_us + airtime_for_bits(mcs, payload_bits, n_streams)
+        for stream in streams:
+            stream.mcs = mcs
+            stream.end_us = end_us
+        return streams
 
     # -- outcomes -------------------------------------------------------------------------------
 
@@ -409,16 +435,3 @@ class BaseMacAgent:
             backlogged, join_rx_antennas, _ = self._queue_snapshot()
             self._traffic_listener.agent_outcome(self.node_id, backlogged, join_rx_antennas)
         return acknowledged
-
-    # -- shared helpers for subclasses -------------------------------------------------------------
-
-    def _equal_power(self, n_streams: int, power_scale: float = 1.0) -> float:
-        """Per-stream transmit power with an equal split of the budget."""
-        if n_streams <= 0:
-            return 0.0
-        return power_scale / n_streams
-
-    def _constant_precoders(self, vector: np.ndarray) -> np.ndarray:
-        """Tile a single pre-coding vector across all tracked subcarriers."""
-        vector = np.asarray(vector, dtype=complex)
-        return np.tile(vector, (self.network.n_subcarriers, 1))

@@ -15,8 +15,8 @@ from typing import Dict, List
 
 from repro.exceptions import PrecodingError
 from repro.mac.agent import BaseMacAgent
-from repro.mac.aggregation import airtime_for_bits
-from repro.mac.plan import PlannedReceiver, plan_initial_transmission
+from repro.mac.aggregation import airtime_for_bits, bits_in_airtime
+from repro.mac.plan import PlannedReceiver, TransmissionPlan, plan_transmission
 from repro.mimo.dof import InterferenceStrategy
 from repro.phy.rates import MCS_TABLE
 from repro.sim.medium import Medium, ScheduledStream
@@ -64,8 +64,48 @@ class BeamformingMac(BaseMacAgent):
     def _receivers_with_traffic(self) -> List[int]:
         return [r.node_id for r in self.pair.receivers if self.queues[r.node_id].has_traffic]
 
+    def _scheduled_streams(
+        self,
+        plan: TransmissionPlan,
+        receivers: List[PlannedReceiver],
+        start_us: float,
+        end_us: float,
+        medium: Medium,
+    ) -> List[ScheduledStream]:
+        """The streams of an Eq. 7 plan, at MCS 0 and without payload.
+
+        Each stream protects what :attr:`TransmissionPlan.protects` names,
+        then aligns at the transmitter's other own receivers in receiver
+        order.
+        """
+        join_order = medium.max_join_order() + 1
+        power = plan.power_per_stream()
+        streams: List[ScheduledStream] = []
+        for stream_plan in plan.streams:
+            protected: Dict[int, InterferenceStrategy] = dict(plan.protects)
+            for receiver in receivers:
+                if receiver.receiver_id != stream_plan.receiver_id:
+                    protected[receiver.receiver_id] = InterferenceStrategy.ALIGN
+            streams.append(
+                ScheduledStream(
+                    stream_id=medium.next_stream_id(),
+                    transmitter_id=self.node_id,
+                    receiver_id=stream_plan.receiver_id,
+                    precoders=stream_plan.precoders,
+                    power=power,
+                    mcs=MCS_TABLE[0],
+                    payload_bits=0,
+                    start_us=start_us,
+                    end_us=end_us,
+                    join_order=join_order,
+                    protected_receivers=protected,
+                )
+            )
+        return streams
+
     def plan_initial(self, start_us: float, medium: Medium) -> List[ScheduledStream]:
-        """Beamform to every backlogged receiver simultaneously."""
+        """Beamform to every backlogged receiver simultaneously (a single
+        one gets the single-user plan)."""
         candidates = self._receivers_with_traffic()
         receiver_ids = [r for r in candidates if not self.link_quarantined(r)]
         suppressed = len(receiver_ids) < len(candidates)
@@ -96,9 +136,8 @@ class BeamformingMac(BaseMacAgent):
             )
         if not receivers:
             return []
-        if len(receivers) == 1 and not medium.busy:
-            # One receiver on an idle medium: plain spatial multiplexing,
-            # read from the network's solo-link table.
+        if len(receivers) == 1:
+            # One receiver: single-user spatial multiplexing.
             receiver_id = receivers[0].receiver_id
             packet = self.queues[receiver_id].head()
             payload_bits = self.queues[receiver_id].take_bits(packet.size_bits) if packet else 0
@@ -109,11 +148,12 @@ class BeamformingMac(BaseMacAgent):
         # per simulation), so it is memoized by that allocation.
         def _compute():
             try:
-                return plan_initial_transmission(
+                return plan_transmission(
                     self.node_id,
                     self.n_antennas,
+                    [],
                     receivers,
-                    multi_user_beamforming=len(receivers) > 1,
+                    self.network.noise_power,
                 )
             except PrecodingError:
                 return None
@@ -141,31 +181,7 @@ class BeamformingMac(BaseMacAgent):
                 self.quarantined_rounds += 1
             return []
 
-        join_order = medium.max_join_order() + 1
-        power = plan.power_per_stream()
-        own_receiver_ids = [r.receiver_id for r in receivers]
-        streams: List[ScheduledStream] = []
-        for stream_plan in plan.streams:
-            protected: Dict[int, InterferenceStrategy] = {
-                other: InterferenceStrategy.ALIGN
-                for other in own_receiver_ids
-                if other != stream_plan.receiver_id
-            }
-            streams.append(
-                ScheduledStream(
-                    stream_id=medium.next_stream_id(),
-                    transmitter_id=self.node_id,
-                    receiver_id=stream_plan.receiver_id,
-                    precoders=stream_plan.precoders,
-                    power=power,
-                    mcs=MCS_TABLE[0],
-                    payload_bits=0,
-                    start_us=start_us,
-                    end_us=start_us,
-                    join_order=join_order,
-                    protected_receivers=protected,
-                )
-            )
+        streams = self._scheduled_streams(plan, receivers, start_us, start_us, medium)
 
         # Bitrate and payload per receiver.  The *primary* receiver (first in
         # the plan) transmits one full packet and its airtime sets the body
@@ -188,8 +204,6 @@ class BeamformingMac(BaseMacAgent):
         end_us = start_us + duration
         for stream in streams:
             stream.end_us = end_us
-
-        from repro.mac.aggregation import bits_in_airtime
 
         for receiver in receivers[1:]:
             group = [s for s in streams if s.receiver_id == receiver.receiver_id]

@@ -7,32 +7,19 @@ selects the bitrate of *each* packet from the effective SNR measured on
 the light-weight RTS after projection, and feeds the decision back in the
 light-weight CTS.
 
-This module provides that per-packet selector, plus a conventional
-historical-rate controller used as an ablation baseline
-(``benchmarks/bench_ablation_bitrate.py``).
+That per-packet selector is :func:`repro.phy.esnr.select_mcs`.  This
+module provides the conventional historical-rate controller it is
+compared against in an ablation (``benchmarks/bench_ablation_bitrate.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict
 
-from repro.phy.esnr import select_mcs
 from repro.phy.rates import MCS, MCS_TABLE
 
-__all__ = ["choose_bitrate", "HistoricalRateController"]
-
-
-def choose_bitrate(subcarrier_snrs_db: Sequence[float], margin_db: float = 0.0) -> MCS:
-    """Pick the best MCS from per-subcarrier post-projection SNRs.
-
-    This is a thin, intention-revealing wrapper over
-    :func:`repro.phy.esnr.select_mcs`: the receiver measures the SNRs on
-    the light-weight RTS (already projected orthogonal to ongoing
-    transmissions), computes their effective SNR and returns the fastest
-    scheme expected to deliver the packet.
-    """
-    return select_mcs(subcarrier_snrs_db, MCS_TABLE, margin_db)
+__all__ = ["HistoricalRateController"]
 
 
 @dataclass

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.mac.agent import BaseMacAgent
-from repro.mac.aggregation import airtime_for_bits
-from repro.phy.rates import MCS_TABLE
 from repro.sim.medium import Medium, ScheduledStream
 
 __all__ = ["Dot11nMac"]
@@ -42,12 +38,8 @@ class Dot11nMac(BaseMacAgent):
         return None
 
     def plan_initial(self, start_us: float, medium: Medium) -> List[ScheduledStream]:
-        """One packet to one receiver, one stream per usable antenna.
-
-        On an idle medium the plan, its SNRs and its bitrate come from the
-        network's solo-link table; a later collided winner (the medium
-        already carries the earlier winners' streams) measures afresh.
-        """
+        """One packet to one receiver, one stream per usable antenna
+        (:meth:`~repro.mac.agent.BaseMacAgent._solo_plan`)."""
         receiver_id = self._next_receiver_id()
         if receiver_id is None:
             return []
@@ -60,43 +52,4 @@ class Dot11nMac(BaseMacAgent):
         payload_bits = self.queues[receiver_id].take_bits(packet.size_bits)
         if payload_bits == 0:
             return []
-        if not medium.busy:
-            return self._solo_plan(
-                start_us, medium, receiver_id, payload_bits, self.max_streams
-            )
-        receiver = self.network.station(receiver_id)
-        n_streams = min(self.n_antennas, receiver.n_antennas)
-        if self.max_streams is not None:
-            n_streams = min(n_streams, self.max_streams)
-        join_order = medium.max_join_order() + 1
-
-        streams: List[ScheduledStream] = []
-        power = self._equal_power(n_streams)
-        for index in range(n_streams):
-            vector = np.zeros(self.n_antennas, dtype=complex)
-            vector[index] = 1.0
-            streams.append(
-                ScheduledStream(
-                    stream_id=medium.next_stream_id(),
-                    transmitter_id=self.node_id,
-                    receiver_id=receiver_id,
-                    precoders=self._constant_precoders(vector),
-                    power=power,
-                    mcs=MCS_TABLE[0],
-                    payload_bits=0,
-                    start_us=start_us,
-                    end_us=start_us,
-                    join_order=join_order,
-                )
-            )
-        streams[0].payload_bits = payload_bits
-
-        # The receiver measures the effective SNR on the header, after
-        # projecting out the earlier winners' streams, and feeds back the
-        # best bitrate.
-        mcs = self._select_mcs(receiver_id, streams, medium.active_streams)
-        duration = airtime_for_bits(mcs, payload_bits, n_streams)
-        for stream in streams:
-            stream.mcs = mcs
-            stream.end_us = start_us + duration
-        return streams
+        return self._solo_plan(start_us, medium, receiver_id, payload_bits, self.max_streams)

@@ -24,7 +24,7 @@ it reduces to plain spatial multiplexing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.constants import (
     BITRATE_MARGIN_DB,
@@ -39,7 +39,7 @@ from repro.mac.beamforming import BeamformingMac, distribute_streams
 from repro.mac.plan import (
     PlannedReceiver,
     ProtectedReceiver,
-    plan_join,
+    plan_transmission,
     stream_signature,
 )
 from repro.mimo.dof import InterferenceStrategy, choose_strategy
@@ -204,7 +204,7 @@ class NPlusMac(BeamformingMac):
         if not receivers:
             return None, [], degraded
         try:
-            plan = plan_join(
+            plan = plan_transmission(
                 transmitter_id=self.node_id,
                 n_tx_antennas=self.n_antennas,
                 protected=protected,
@@ -259,31 +259,7 @@ class NPlusMac(BeamformingMac):
         end_us = medium.current_end_us
         if end_us <= start_us:
             return None
-        join_order = medium.max_join_order() + 1
-        power = plan.power_per_stream()
-        own_receiver_ids = [r.receiver_id for r in receivers]
-
-        streams: List[ScheduledStream] = []
-        for stream_plan in plan.streams:
-            protected_map: Dict[int, InterferenceStrategy] = dict(plan.protects)
-            for other in own_receiver_ids:
-                if other != stream_plan.receiver_id:
-                    protected_map[other] = InterferenceStrategy.ALIGN
-            streams.append(
-                ScheduledStream(
-                    stream_id=medium.next_stream_id(),
-                    transmitter_id=self.node_id,
-                    receiver_id=stream_plan.receiver_id,
-                    precoders=stream_plan.precoders,
-                    power=power,
-                    mcs=MCS_TABLE[0],
-                    payload_bits=0,
-                    start_us=start_us,
-                    end_us=end_us,
-                    join_order=join_order,
-                    protected_receivers=protected_map,
-                )
-            )
+        streams = self._scheduled_streams(plan, receivers, start_us, end_us, medium)
 
         # Per-receiver bitrate (measured after projection, §3.4) and payload
         # sized to the remaining airtime (fragmentation/aggregation, §3.1).

@@ -8,13 +8,13 @@ hardware limits -- it produces a :class:`TransmissionPlan`: one
 per-subcarrier pre-coding vector per stream, plus the transmit-power scale
 imposed by the L-threshold rule.
 
-Two entry points:
-
-* :func:`plan_initial_transmission` -- the first contention winner (or any
-  802.11n-style transmitter on an idle medium); also covers multi-user
-  beamforming to several own receivers.
-* :func:`plan_join` -- a joiner that must not interfere with ongoing
-  receivers (the heart of n+, §3.3).
+One entry point, :func:`plan_transmission`, solves Eq. 7 against the
+constraint rows: multi-user beamforming to several own receivers on an
+idle medium (no protected receivers), or a joiner that must not
+interfere with ongoing receivers (the heart of n+, §3.3).  A
+transmission to one receiver on an idle medium -- or any 802.11n-style
+transmitter -- is single-user spatial multiplexing instead, built by
+:meth:`repro.mac.agent.BaseMacAgent._solo_plan`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ __all__ = [
     "PlanCache",
     "stream_signature",
     "involved_node_ids",
-    "plan_initial_transmission",
-    "plan_join",
+    "plan_transmission",
 ]
 
 
@@ -89,14 +88,13 @@ class PlanCache:
 
     Channels never change within a run and channel estimates are measured
     once per simulation, so the expensive per-round planning math --
-    pre-coder decompositions (:func:`plan_initial_transmission`,
-    :func:`plan_join`), announced decoding subspaces and the
-    post-projection SNRs a receiver would feed back -- is a pure function
-    of the contention configuration.  The cache maps a structural key
-    (built from :func:`stream_signature` plus whatever else the
-    computation depends on) to the computed value; after the first
-    occurrence of each configuration the dominant per-round SVD work
-    becomes a dictionary hit.
+    pre-coder decompositions (:func:`plan_transmission`), announced
+    decoding subspaces and the post-projection SNRs a receiver would feed
+    back -- is a pure function of the contention configuration.  The
+    cache maps a structural key (built from :func:`stream_signature` plus
+    whatever else the computation depends on) to the computed value;
+    after the first occurrence of each configuration the dominant
+    per-round SVD work becomes a dictionary hit.
 
     Entries are never *evicted* within a run.  In a static network there
     is nothing to invalidate on; under fault injection
@@ -110,13 +108,15 @@ class PlanCache:
     must not be shared across simulations (the runner creates one per
     :func:`repro.sim.runner.run_simulation`).
 
-    An idle-medium plan to one receiver -- every 802.11n and CSMA first
-    winner, and a beamforming or n+ winner with one backlogged receiver
-    -- is no longer memoized here: its pre-coders, SNRs and MCS come from
-    the network's solo-link table
-    (:func:`repro.sim.link_abstraction.solo_link`), which outlives the
-    run and serves every protocol on the network.  Cached arrays are shared
-    by reference, so callers must treat them as read-only -- the same
+    A first winner's plan to one receiver is never memoized here: it is
+    single-user spatial multiplexing
+    (:meth:`repro.mac.agent.BaseMacAgent._solo_plan`), whose pre-coders
+    are fixed and whose idle-medium SNRs and MCS come from the network's
+    solo-link table (:func:`repro.sim.link_abstraction.solo_link`), which
+    outlives the run and serves every protocol on the network.  The
+    ``initial-plan`` key therefore holds only multi-receiver beamforming
+    plans; ``join-plan`` holds the n+ joins.  Cached arrays are shared by
+    reference, so callers must treat them as read-only -- the same
     shared-view invariant the :class:`repro.sim.network.ChannelBank`
     *enforces* for the true channels (they are non-writable views; a
     would-be mutation raises instead of corrupting every plan built from
@@ -323,102 +323,51 @@ def _n_subcarriers(arrays: Sequence[np.ndarray]) -> int:
     return sizes.pop()
 
 
-def plan_initial_transmission(
-    transmitter_id: int,
-    n_tx_antennas: int,
-    receivers: Sequence[PlannedReceiver],
-    multi_user_beamforming: bool = False,
-) -> TransmissionPlan:
-    """Plan a transmission on an idle medium (the first contention winner).
-
-    With a single receiver and no beamforming the transmitter simply maps
-    one stream per antenna (802.11n spatial multiplexing).  With several
-    receivers -- or ``multi_user_beamforming`` -- it zero-forces between
-    its own receivers via Eq. 7 with no ongoing constraints.
-    """
-    receivers = list(receivers)
-    if not receivers:
-        raise PrecodingError("an initial transmission needs at least one receiver")
-    total_streams = sum(r.n_streams for r in receivers)
-    if total_streams > n_tx_antennas:
-        raise PrecodingError(
-            f"{total_streams} streams exceed the transmitter's {n_tx_antennas} antennas"
-        )
-
-    n_sub = _n_subcarriers([r.channel for r in receivers])
-
-    if len(receivers) == 1 and not multi_user_beamforming:
-        receiver = receivers[0]
-        streams = []
-        for index in range(receiver.n_streams):
-            precoders = np.zeros((n_sub, n_tx_antennas), dtype=complex)
-            precoders[:, index] = 1.0
-            streams.append(
-                StreamPlan(stream_index=index, receiver_id=receiver.receiver_id, precoders=precoders)
-            )
-        return TransmissionPlan(transmitter_id=transmitter_id, streams=streams)
-
-    # Multi-user beamforming: solve Eq. 7 (with no ongoing receivers) on
-    # every subcarrier at once, so each stream lands orthogonally to the
-    # other receivers' decoding subspaces.
-    stream_receivers: List[int] = []
-    for receiver in receivers:
-        stream_receivers.extend([receiver.receiver_id] * receiver.n_streams)
-    own_rows = [r.constraint_rows_batch(n_sub) for r in receivers]
-    precoders, degraded = compute_precoders_batch(
-        n_tx_antennas,
-        ongoing_rows=np.zeros((n_sub, 0, n_tx_antennas), dtype=complex),
-        own_rows=np.concatenate(own_rows, axis=1),
-        own_stream_counts=[r.n_streams for r in receivers],
-        own_row_counts=[rows.shape[1] for rows in own_rows],
-    )
-    streams = [
-        StreamPlan(stream_index=i, receiver_id=stream_receivers[i], precoders=precoders[:, i, :])
-        for i in range(total_streams)
-    ]
-    return TransmissionPlan(transmitter_id=transmitter_id, streams=streams, degraded=degraded)
-
-
-def plan_join(
+def plan_transmission(
     transmitter_id: int,
     n_tx_antennas: int,
     protected: Sequence[ProtectedReceiver],
     receivers: Sequence[PlannedReceiver],
     noise_power: float = 1.0,
-    n_streams: Optional[int] = None,
 ) -> TransmissionPlan:
-    """Plan a transmission that joins ongoing transmissions (§3.3).
+    """Pre-code a transmission by Eq. 7 against its constraint rows.
+
+    The rows are the protected receivers' (nulling or alignment, §3.3)
+    and, with several own receivers, each own receiver's decoding rows
+    (Claim 3.5), so streams to one own receiver stay out of the others'
+    decoding subspaces.  Multi-user beamforming on an idle medium is the
+    case with no protected receivers; an n+ join adds the receivers of
+    the ongoing streams.
 
     Parameters
     ----------
     transmitter_id:
-        The joining node.
+        The transmitting node.
     n_tx_antennas:
         M, its antenna count.
     protected:
-        The receivers of ongoing streams (from overheard headers).
+        The receivers of ongoing streams (from overheard headers); empty
+        on an idle medium.
     receivers:
-        The joiner's own receivers.
+        The transmitter's own receivers.
     noise_power:
         Receiver noise power in the same normalisation as the channels
         (used by the L-threshold admission rule).
-    n_streams:
-        Total new streams; defaults to the receivers' total, capped by
-        Claim 3.2.
 
     Raises
     ------
     PrecodingError
-        If the ongoing streams leave no degree of freedom for the joiner.
+        If the receivers want more streams than the degrees of freedom
+        the ongoing streams leave (Claim 3.2).
     """
     protected = list(protected)
     receivers = list(receivers)
     if not receivers:
-        raise PrecodingError("a join needs at least one own receiver")
+        raise PrecodingError("a transmission needs at least one own receiver")
 
     k_ongoing = sum(p.n_constraints for p in protected)
     free = max_concurrent_streams(n_tx_antennas, k_ongoing)
-    requested = sum(r.n_streams for r in receivers) if n_streams is None else n_streams
+    requested = sum(r.n_streams for r in receivers)
     if requested > free:
         raise PrecodingError(
             f"requested {requested} streams but only {free} degrees of freedom are free "
@@ -427,7 +376,7 @@ def plan_join(
 
     n_sub = _n_subcarriers([p.channel for p in protected] + [r.channel for r in receivers])
 
-    # L-threshold admission: how loud would the joiner be at each
+    # L-threshold admission: how loud would the transmitter be at each
     # protected receiver with no pre-coding at all?
     interference_levels = [
         interference_power_db(p.channel, noise_power=noise_power) for p in protected

@@ -20,6 +20,7 @@ thresholds to pick the fastest scheme expected to deliver the packet.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,15 +36,19 @@ __all__ = [
 ]
 
 
-def esnr_db(subcarrier_snrs_db: Sequence[float]) -> float:
+def esnr_db(subcarrier_snrs_db: Iterable[float]) -> float:
     """Mean-mutual-information effective SNR (dB) of per-subcarrier SNRs.
 
     Per-subcarrier SNRs are mapped to mutual information
     (``log2(1 + SNR)``), averaged, and mapped back to the SNR of a flat
     channel with the same average -- the standard effective-SNR mapping
     of system-level OFDM simulators.  An empty input has ESNR ``-inf``.
+    An array is read as it is, without a round trip through Python
+    floats; a one-shot iterator is read into a list first.
     """
-    snrs = np.asarray(list(subcarrier_snrs_db), dtype=float)
+    if isinstance(subcarrier_snrs_db, Iterator):
+        subcarrier_snrs_db = list(subcarrier_snrs_db)
+    snrs = np.asarray(subcarrier_snrs_db, dtype=float)
     if snrs.size == 0:
         return -np.inf
     snr_linear = np.power(10.0, snrs / 10.0)

@@ -154,7 +154,7 @@ def simulate_probe_delivery(
     that :func:`~repro.phy.esnr.packet_delivery_probability` compresses
     into a logistic.
     """
-    snrs = np.asarray(list(subcarrier_snrs_db), dtype=float)
+    snrs = np.asarray(subcarrier_snrs_db, dtype=float)
     if snrs.size == 0:
         return False
     bins = np.asarray(_subcarrier_bins(snrs.size), dtype=float)

@@ -67,15 +67,16 @@ Two answers are fixed before any of that work:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import BITRATE_MARGIN_DB
-from repro.mac.bitrate import choose_bitrate
 from repro.mimo.decoder import post_projection_snr_batch
 from repro.mimo.dof import InterferenceStrategy
+from repro.phy.esnr import select_mcs
 from repro.phy.rates import MCS
 from repro.sim.medium import ScheduledStream
 from repro.utils import guarded
@@ -85,6 +86,8 @@ from repro.utils.linalg import singular_value_ranks
 __all__ = [
     "FLOOR_SNR_DB",
     "SoloLink",
+    "identity_precoders",
+    "solo_stream_count",
     "solo_link",
     "receiver_stream_snrs",
     "unprotected_interference_power_batch",
@@ -102,8 +105,8 @@ FLOOR_SNR_DB = float(linear_to_db(0.0))
 class SoloLink:
     """What an idle medium determines about one traffic link.
 
-    The transmitter sends ``len(precoders)`` streams, stream ``j``
-    pre-coded by the ``j``-th unit vector at power :attr:`power`, and
+    The transmitter sends ``len(snrs_db)`` streams, stream ``j`` pre-coded
+    by :func:`identity_precoders` at power ``1 / len(snrs_db)``, and
     nothing else is on the air.  ``snrs_db`` holds each stream's
     per-subcarrier post-projection SNRs (read-only, stream order),
     ``mcs`` the bitrate the receiver feeds back for them, and ``epoch``
@@ -111,30 +114,42 @@ class SoloLink:
     were computed at.
     """
 
-    precoders: Tuple[np.ndarray, ...]
     snrs_db: Tuple[np.ndarray, ...]
     mcs: MCS
     epoch: tuple
 
-    @property
-    def n_streams(self) -> int:
-        """Streams of the plan."""
-        return len(self.precoders)
 
-    @property
-    def power(self) -> float:
-        """Transmit power of each stream (an equal split of 1)."""
-        return 1.0 / self.n_streams
+@functools.lru_cache(maxsize=None)
+def identity_precoders(n_sub: int, n_tx: int, n_streams: int) -> Tuple[np.ndarray, ...]:
+    """Single-user spatial multiplexing: stream ``j`` on antenna ``j``.
+
+    One read-only ``(n_sub, n_tx)`` pre-coder per stream, shared by every
+    caller asking for the same shape.
+    """
+    identity = np.eye(n_tx, n_streams, dtype=complex)
+    precoders = tuple(np.tile(identity[:, j], (n_sub, 1)) for j in range(n_streams))
+    for vector in precoders:
+        vector.setflags(write=False)
+    return precoders
 
 
-def _solo_key(network, transmitter_id: int, receiver_id: int, max_streams) -> tuple:
-    """``(tx, rx, n)``: one stream per usable antenna, at most ``max_streams``."""
+def solo_stream_count(
+    network, transmitter_id: int, receiver_id: int, max_streams: Optional[int] = None
+) -> int:
+    """Streams of a single-user plan: one per usable antenna, at most
+    ``max_streams``."""
     n_streams = min(
         network.station(transmitter_id).n_antennas,
         network.station(receiver_id).n_antennas,
     )
     if max_streams is not None:
         n_streams = min(n_streams, max_streams)
+    return n_streams
+
+
+def _solo_key(network, transmitter_id: int, receiver_id: int, max_streams) -> tuple:
+    """``(tx, rx, n)`` with ``n`` from :func:`solo_stream_count`."""
+    n_streams = solo_stream_count(network, transmitter_id, receiver_id, max_streams)
     return transmitter_id, receiver_id, n_streams
 
 
@@ -142,12 +157,12 @@ def _fill_solo_links(network, keys: Iterable[tuple]) -> None:
     """Compute the :class:`SoloLink` of every ``(tx, rx, n)`` key.
 
     One pass per ``(N_rx, M_tx, n)`` shape: one channel read, one
-    effective-column einsum and one decoder call over the ``links x
-    n_sub`` stack.  Every member is its own matrix to LAPACK and to the
-    noise and floor arithmetic, so each link's SNRs are bit-identical to
-    :func:`receiver_stream_snrs` of its streams alone, and its MCS is
-    :func:`~repro.mac.bitrate.choose_bitrate` of them, as the agents pick
-    it.
+    effective-column einsum per stream and one decoder call over the
+    ``links x n_sub`` stack.  Every member is its own matrix to LAPACK
+    and to the noise and floor arithmetic, so each link's SNRs are
+    bit-identical to :func:`receiver_stream_snrs` of its streams alone,
+    and its MCS is :func:`~repro.phy.esnr.select_mcs` of them, as the
+    agents pick it.
     """
     shapes: Dict[tuple, List[tuple]] = {}
     for key in keys:
@@ -161,11 +176,13 @@ def _fill_solo_links(network, keys: Iterable[tuple]) -> None:
     n_sub = network.n_subcarriers
     for (n_rx, n_tx, n_streams), group in shapes.items():
         channels = np.stack(network.channels.channels([key[:2] for key in group]))
-        identity = np.eye(n_tx, n_streams, dtype=complex)
-        precoders = tuple(np.tile(identity[:, j], (n_sub, 1)) for j in range(n_streams))
-        for vector in precoders:
-            vector.setflags(write=False)
-        columns = np.sqrt(1.0 / n_streams) * np.einsum("lknm,mj->lknj", channels, identity)
+        columns = np.sqrt(1.0 / n_streams) * np.stack(
+            [
+                np.einsum("lknm,km->lkn", channels, precoders)
+                for precoders in identity_precoders(n_sub, n_tx, n_streams)
+            ],
+            axis=3,
+        )
         snr, _ = post_projection_snr_batch(
             columns.reshape(-1, n_rx, n_streams),
             None,
@@ -179,9 +196,8 @@ def _fill_solo_links(network, keys: Iterable[tuple]) -> None:
             for stream in streams:
                 stream.setflags(write=False)
             network.solo_links[key] = SoloLink(
-                precoders=precoders,
                 snrs_db=streams,
-                mcs=choose_bitrate(np.concatenate(streams), BITRATE_MARGIN_DB),
+                mcs=select_mcs(np.concatenate(streams), margin_db=BITRATE_MARGIN_DB),
                 epoch=network.epoch_signature(key[:2]),
             )
 

@@ -10,6 +10,7 @@ from repro.mac.beamforming import BeamformingMac, distribute_streams
 from repro.mac.dot11n import Dot11nMac
 from repro.mac.nplus import NPlusMac
 from repro.mimo.dof import InterferenceStrategy
+from repro.phy.rates import MCS_TABLE
 from repro.sim.medium import Medium
 from repro.sim import link_abstraction
 from repro.sim.network import Network
@@ -44,16 +45,16 @@ class TestDistributeStreams:
         assert distribute_streams(3, [3]) == [3]
 
 
-def _spy_on_choose_bitrate(monkeypatch, module):
-    """Record the margin of every ``module.choose_bitrate`` call."""
+def _spy_on_select_mcs(monkeypatch, module):
+    """Record the margin of every ``module.select_mcs`` call."""
     margins = []
-    real = module.choose_bitrate
+    real = module.select_mcs
 
-    def spy(snrs, margin_db):
+    def spy(snrs, table=MCS_TABLE, margin_db=0.0):
         margins.append(margin_db)
-        return real(snrs, margin_db)
+        return real(snrs, table, margin_db)
 
-    monkeypatch.setattr(module, "choose_bitrate", spy)
+    monkeypatch.setattr(module, "select_mcs", spy)
     return margins
 
 
@@ -64,7 +65,7 @@ class TestBitrateMargin:
         """The margin is one constant, not a per-agent default that can
         disagree with the one a run passes.  AP2's two-receiver plan is
         measured by the agent itself, once per receiver."""
-        margins = _spy_on_choose_bitrate(monkeypatch, agent_module)
+        margins = _spy_on_select_mcs(monkeypatch, agent_module)
         scenario, network = heterogeneous_network
         agent = make_agent(BeamformingMac, scenario.pairs[1], network, rng)
         agent.refill(0.0)
@@ -76,7 +77,7 @@ class TestBitrateMargin:
     ):
         """An idle-medium plan reads its MCS from the network's solo-link
         table, which picks it with the same margin."""
-        margins = _spy_on_choose_bitrate(monkeypatch, link_abstraction)
+        margins = _spy_on_select_mcs(monkeypatch, link_abstraction)
         scenario, network = three_pair_network
         agent = make_agent(Dot11nMac, scenario.pairs[2], network, rng)
         agent.refill(0.0)

@@ -1,8 +1,7 @@
-"""Tests for MAC frames and bitrate selection."""
+"""Tests for MAC frames and the historical rate controller."""
 
-from repro.mac.bitrate import HistoricalRateController, choose_bitrate
+from repro.mac.bitrate import HistoricalRateController
 from repro.mac.frames import Packet
-from repro.phy.esnr import esnr_db, mcs_for_esnr
 from repro.phy.rates import MCS_TABLE
 
 
@@ -14,24 +13,6 @@ class TestPacket:
         packet = Packet(source=3, destination=4)
         assert packet.size_bytes == 1500
         assert packet.retries == 0
-
-
-class TestChooseBitrate:
-    def test_extreme_snrs(self):
-        assert choose_bitrate([40.0] * 16).index == len(MCS_TABLE) - 1
-        assert choose_bitrate([-5.0] * 16).index == 0
-
-    def test_margin_lowers_selection(self):
-        snrs = [13.0] * 16
-        assert choose_bitrate(snrs, margin_db=4.0).index <= choose_bitrate(snrs).index
-
-    def test_matches_the_rule_on_a_precomputed_esnr(self, rng):
-        # n+'s join check computes the ESNR once and picks the rate from
-        # it; that must be the rate choose_bitrate would have picked.
-        for _ in range(50):
-            snrs = rng.uniform(-5.0, 35.0, size=16)
-            margin = float(rng.uniform(-2.0, 4.0))
-            assert choose_bitrate(snrs, margin) == mcs_for_esnr(esnr_db(snrs), MCS_TABLE, margin)
 
 
 class TestHistoricalRateController:

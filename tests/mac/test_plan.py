@@ -9,8 +9,7 @@ from repro.exceptions import PrecodingError
 from repro.mac.plan import (
     PlannedReceiver,
     ProtectedReceiver,
-    plan_initial_transmission,
-    plan_join,
+    plan_transmission,
 )
 from repro.mimo.dof import InterferenceStrategy
 from repro.utils.db import db_to_linear
@@ -55,16 +54,8 @@ class TestProtectedReceiver:
             ProtectedReceiver(1, 1, 1, channel=rng.standard_normal((1, 3)))
 
 
-class TestPlanInitial:
-    def test_single_receiver_uses_identity_precoding(self, rng):
-        receivers = [PlannedReceiver(5, n_antennas=2, n_streams=2, channel=_channels(rng, 2, 2))]
-        plan = plan_initial_transmission(1, 2, receivers)
-        assert len(plan.streams) == 2
-        assert plan.power_scale == 1.0
-        for index, stream in enumerate(plan.streams):
-            expected = np.zeros(2)
-            expected[index] = 1.0
-            assert np.allclose(stream.precoders, expected)
+class TestPlanIdleMedium:
+    """Eq. 7 with no protected receivers: multi-user beamforming."""
 
     def test_multi_user_beamforming_protects_other_client(self, rng):
         h_c2 = _channels(rng, 2, 3)
@@ -73,8 +64,9 @@ class TestPlanInitial:
             PlannedReceiver(10, 2, 2, h_c2),
             PlannedReceiver(11, 2, 1, h_c3),
         ]
-        plan = plan_initial_transmission(1, 3, receivers, multi_user_beamforming=True)
+        plan = plan_transmission(1, 3, [], receivers)
         assert len(plan.streams) == 3
+        assert plan.power_scale == 1.0 and plan.protects == {}
         c3_stream = plan.streams[2]
         assert c3_stream.receiver_id == 11
         # The stream destined to c3 must not appear in c2's decoding rows.
@@ -85,15 +77,18 @@ class TestPlanInitial:
     def test_too_many_streams_rejected(self, rng):
         receivers = [PlannedReceiver(5, 3, 3, _channels(rng, 3, 2))]
         with pytest.raises(PrecodingError):
-            plan_initial_transmission(1, 2, receivers)
+            plan_transmission(1, 2, [], receivers)
 
     def test_empty_receivers_rejected(self):
         with pytest.raises(PrecodingError):
-            plan_initial_transmission(1, 2, [])
+            plan_transmission(1, 2, [], [])
 
     def test_power_per_stream_splits_budget(self, rng):
-        receivers = [PlannedReceiver(5, 2, 2, _channels(rng, 2, 2))]
-        plan = plan_initial_transmission(1, 2, receivers)
+        receivers = [
+            PlannedReceiver(5, 2, 1, _channels(rng, 2, 2)),
+            PlannedReceiver(6, 2, 1, _channels(rng, 2, 2)),
+        ]
+        plan = plan_transmission(1, 2, [], receivers)
         assert plan.power_per_stream() == pytest.approx(0.5)
 
 
@@ -102,7 +97,7 @@ class TestPlanJoin:
         """tx3 joins the single-antenna pair: nulls at rx1, two streams to rx3."""
         protected = [ProtectedReceiver(1, 1, 1, _channels(rng, 1, 3, gain=db_to_linear(15.0)))]
         receivers = [PlannedReceiver(5, 3, 2, _channels(rng, 3, 3))]
-        plan = plan_join(4, 3, protected, receivers)
+        plan = plan_transmission(4, 3, protected, receivers)
         assert len(plan.streams) == 2
         assert plan.protects == {1: InterferenceStrategy.NULL}
         for stream in plan.streams:
@@ -122,7 +117,7 @@ class TestPlanJoin:
             ),
         ]
         receivers = [PlannedReceiver(5, 3, 1, _channels(rng, 3, 3))]
-        plan = plan_join(4, 3, protected, receivers)
+        plan = plan_transmission(4, 3, protected, receivers)
         assert len(plan.streams) == 1
         assert plan.protects[3] is InterferenceStrategy.ALIGN
         stream = plan.streams[0]
@@ -136,20 +131,20 @@ class TestPlanJoin:
         protected = [ProtectedReceiver(1, 2, 2, _channels(rng, 2, 3))]
         receivers = [PlannedReceiver(5, 3, 2, _channels(rng, 3, 3))]
         with pytest.raises(PrecodingError):
-            plan_join(4, 3, protected, receivers)
+            plan_transmission(4, 3, protected, receivers)
 
     def test_power_control_engages_for_loud_joiners(self, rng):
         loud_gain = db_to_linear(INTERFERENCE_ADMISSION_THRESHOLD_DB + 8.0)
         protected = [ProtectedReceiver(1, 1, 1, _channels(rng, 1, 3, gain=loud_gain))]
         receivers = [PlannedReceiver(5, 3, 2, _channels(rng, 3, 3))]
-        plan = plan_join(4, 3, protected, receivers)
+        plan = plan_transmission(4, 3, protected, receivers)
         assert plan.power_scale < 1.0
 
     def test_quiet_joiner_keeps_full_power(self, rng):
         quiet_gain = db_to_linear(10.0)
         protected = [ProtectedReceiver(1, 1, 1, _channels(rng, 1, 3, gain=quiet_gain))]
         receivers = [PlannedReceiver(5, 3, 2, _channels(rng, 3, 3))]
-        assert plan_join(4, 3, protected, receivers).power_scale == 1.0
+        assert plan_transmission(4, 3, protected, receivers).power_scale == 1.0
 
     def test_fig4_join_with_two_own_receivers(self, rng):
         protected = [
@@ -165,14 +160,14 @@ class TestPlanJoin:
             PlannedReceiver(3, 2, 1, _channels(rng, 2, 3), u_perp=_u_perp_per_subcarrier(rng, 2, 1)),
             PlannedReceiver(4, 2, 1, _channels(rng, 2, 3), u_perp=_u_perp_per_subcarrier(rng, 2, 1)),
         ]
-        plan = plan_join(2, 3, protected, receivers)
+        plan = plan_transmission(2, 3, protected, receivers)
         assert len(plan.streams) == 2
         assert {s.receiver_id for s in plan.streams} == {3, 4}
 
     def test_join_without_receivers_rejected(self, rng):
         protected = [ProtectedReceiver(1, 1, 1, _channels(rng, 1, 3))]
         with pytest.raises(PrecodingError):
-            plan_join(4, 3, protected, [])
+            plan_transmission(4, 3, protected, [])
 
     def test_inconsistent_subcarrier_counts_rejected(self, rng):
         from repro.exceptions import DimensionError
@@ -181,4 +176,4 @@ class TestPlanJoin:
         bad = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
         receivers = [PlannedReceiver(5, 3, 1, bad)]
         with pytest.raises(DimensionError):
-            plan_join(4, 3, protected, receivers)
+            plan_transmission(4, 3, protected, receivers)

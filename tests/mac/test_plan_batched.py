@@ -16,8 +16,7 @@ from repro.exceptions import PrecodingError
 from repro.mac.plan import (
     PlannedReceiver,
     ProtectedReceiver,
-    plan_initial_transmission,
-    plan_join,
+    plan_transmission,
 )
 from repro.mimo.dof import InterferenceStrategy
 from repro.mimo.precoder import compute_precoders_batch
@@ -88,7 +87,7 @@ class TestPlanJoinBatched:
             ProtectedReceiver(2, 2, 1, _channels(rng, 2, 4), u_perp=_u_perp(rng, 2, 1)),
         ]
         receivers = [PlannedReceiver(5, 4, 2, _channels(rng, 4, 4))]
-        plan = plan_join(9, 4, protected, receivers)
+        plan = plan_transmission(9, 4, protected, receivers)
         reference = _reference_join_precoders(4, protected, receivers, 2)
         for index, stream in enumerate(plan.streams):
             assert np.allclose(stream.precoders, reference[:, index, :])
@@ -99,7 +98,7 @@ class TestPlanJoinBatched:
             PlannedReceiver(5, 2, 1, _channels(rng, 2, 4)),
             PlannedReceiver(6, 2, 1, _channels(rng, 2, 4)),
         ]
-        plan = plan_join(9, 4, protected, receivers)
+        plan = plan_transmission(9, 4, protected, receivers)
         reference = _reference_join_precoders(4, protected, receivers, 2)
         for index, stream in enumerate(plan.streams):
             assert np.allclose(stream.precoders, reference[:, index, :])
@@ -108,25 +107,25 @@ class TestPlanJoinBatched:
         protected = [ProtectedReceiver(1, 3, 3, _channels(rng, 3, 3))]
         receivers = [PlannedReceiver(5, 3, 1, _channels(rng, 3, 3))]
         with pytest.raises(PrecodingError):
-            plan_join(9, 3, protected, receivers)
+            plan_transmission(9, 3, protected, receivers)
 
     def test_precoders_null_at_protected_receivers(self, rng):
         channel = _channels(rng, 1, 3)
         protected = [ProtectedReceiver(1, 1, 1, channel)]
         receivers = [PlannedReceiver(5, 3, 1, _channels(rng, 3, 3))]
-        plan = plan_join(9, 3, protected, receivers)
+        plan = plan_transmission(9, 3, protected, receivers)
         for k in range(N_SUB):
             leak = channel[k] @ plan.streams[0].precoders[k]
             assert np.allclose(leak, 0, atol=1e-8)
 
 
-class TestPlanInitialBatched:
+class TestPlanIdleMediumBatched:
     def test_multi_user_beamforming_matches_reference(self, rng):
         receivers = [
             PlannedReceiver(5, 2, 1, _channels(rng, 2, 3)),
             PlannedReceiver(6, 2, 2, _channels(rng, 2, 3), u_perp=_u_perp(rng, 2, 2)),
         ]
-        plan = plan_initial_transmission(9, 3, receivers)
+        plan = plan_transmission(9, 3, [], receivers)
         reference = np.zeros((N_SUB, 3, 3), dtype=complex)
         for k in range(N_SUB):
             vectors = compute_precoders_reference(

@@ -73,6 +73,11 @@ class TestEffectiveSnr:
         assert esnr_db(np.asarray(snrs)) == expected
         assert esnr_db(snr for snr in snrs) == expected
 
+    def test_an_array_a_list_and_a_tuple_give_identical_bits(self, rng):
+        array = rng.uniform(-5.0, 35.0, size=48)
+        values = [esnr_db(array), esnr_db(array.tolist()), esnr_db(tuple(array))]
+        assert len({np.float64(v).tobytes() for v in values}) == 1
+
     def test_dead_subcarriers_floor_the_esnr(self):
         assert esnr_db([-np.inf] * 4) == pytest.approx(-120.0)
         one_dead = esnr_db([20.0] * 47 + [-np.inf])

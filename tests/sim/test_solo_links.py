@@ -6,7 +6,7 @@ SNRs and MCS from a per-network table filled in batched passes, and
 receiver whose wanted streams fill its antennas without a decomposition.
 Both stand in for what the measurement path computes: the table for
 :func:`receiver_stream_snrs` of the link's streams alone plus
-:func:`~repro.mac.bitrate.choose_bitrate`, the rule for the full
+:func:`~repro.phy.esnr.select_mcs`, the rule for the full
 projection kernel.  These tests hold them to that path bit for bit,
 through fades and restores, and pin the collision ordering the rule's
 main use rests on.
@@ -25,15 +25,20 @@ from helpers import make_agent
 from repro.channel.hardware import HardwareProfile
 from repro.constants import BITRATE_MARGIN_DB
 from repro.mac import agent as agent_module
-from repro.mac.bitrate import choose_bitrate
+from repro.mac.aggregation import airtime_for_bits
+from repro.mac.beamforming import BeamformingMac
 from repro.mac.csma import ContentionRound
 from repro.mac.dot11n import Dot11nMac
+from repro.mac.nplus import NPlusMac
+from repro.mac.plain_csma import CsmaMac
 from repro.mimo.decoder import post_projection_snr_batch
 from repro.mimo.dof import InterferenceStrategy
+from repro.phy.esnr import select_mcs
 from repro.phy.rates import MCS_TABLE
 from repro.sim import link_abstraction, runner
 from repro.sim.link_abstraction import (
     FLOOR_SNR_DB,
+    identity_precoders,
     receiver_stream_snrs,
     solo_link,
 )
@@ -77,12 +82,9 @@ def _assert_matches_measurement(network, key, entry):
     streams = _identity_streams(network, tx_id, rx_id, n_streams)
     measured = receiver_stream_snrs(network, rx_id, streams, streams)
     expected = [measured[s.stream_id] for s in streams]
-    assert entry.n_streams == n_streams
+    assert len(entry.snrs_db) == n_streams
     assert [a.tobytes() for a in entry.snrs_db] == [a.tobytes() for a in expected]
-    assert entry.mcs is choose_bitrate(np.concatenate(expected), BITRATE_MARGIN_DB)
-    assert entry.power == 1.0 / n_streams
-    for precoders, stream in zip(entry.precoders, streams):
-        assert precoders.tobytes() == stream.precoders.tobytes()
+    assert entry.mcs is select_mcs(np.concatenate(expected), margin_db=BITRATE_MARGIN_DB)
 
 
 def _traffic_links(network):
@@ -152,6 +154,62 @@ class TestTable:
         run_simulation(scenario, protocol, seed=0, config=CONFIG, network=network)
         assert readers and set(readers) == {0}
         assert all(key[0] == 0 for key in network.solo_links)
+
+
+class TestSingleUserPlan:
+    def test_identity_precoders_put_stream_j_on_antenna_j(self):
+        _, network = _network("three-pair")
+        precoders = identity_precoders(network.n_subcarriers, 3, 2)
+        assert identity_precoders(network.n_subcarriers, 3, 2) is precoders
+        expected = _identity_streams(network, 4, 5, 3)[:2]
+        assert [p.tobytes() for p in precoders] == [s.precoders.tobytes() for s in expected]
+        assert not any(p.flags.writeable for p in precoders)
+
+    @pytest.mark.parametrize(
+        "agent_class, n_streams",
+        [(Dot11nMac, 2), (CsmaMac, 1), (BeamformingMac, 2), (NPlusMac, 2)],
+        ids=lambda value: getattr(value, "protocol_name", value),
+    )
+    def test_a_busy_medium_plan_measures_and_leaves_the_table(
+        self, agent_class, n_streams, monkeypatch
+    ):
+        """A later collided winner to one receiver: tx2 plans for rx2
+        (both 2 antennas) while tx1's stream is on the air."""
+        scenario, network = _network("three-pair")
+        solo_link(network, 0, 1)
+        table = dict(network.solo_links)
+        monkeypatch.setattr(
+            agent_module, "solo_link", mock.Mock(side_effect=AssertionError)
+        )
+        medium = Medium()
+        medium.add_streams(
+            _identity_streams(network, 0, 1, 1, first_id=medium.next_stream_id())
+        )
+        agent = make_agent(agent_class, scenario.pairs[1], network, np.random.default_rng(0))
+        agent.refill(0.0)
+        calls = []
+
+        def select_mcs_spy(receiver_id, planned, concurrent):
+            calls.append((receiver_id, list(planned), list(concurrent)))
+            return MCS_TABLE[3]
+
+        monkeypatch.setattr(agent, "_select_mcs", select_mcs_spy)
+        streams = agent.plan_initial(50.0, medium)
+
+        precoders = identity_precoders(network.n_subcarriers, 2, n_streams)
+        assert len(streams) == n_streams
+        assert all(s.precoders is p for s, p in zip(streams, precoders))
+        assert all(s.power == 1.0 / n_streams for s in streams)
+        assert all(s.join_order == medium.max_join_order() + 1 == 1 for s in streams)
+        assert all(s.solo is None and s.receiver_id == 3 for s in streams)
+        assert calls == [(3, streams, medium.active_streams)]
+        assert all(s.mcs is MCS_TABLE[3] for s in streams)
+        payload = streams[0].payload_bits
+        assert payload > 0 and all(s.payload_bits == 0 for s in streams[1:])
+        end_us = 50.0 + airtime_for_bits(MCS_TABLE[3], payload, n_streams)
+        assert all(s.start_us == 50.0 and s.end_us == end_us for s in streams)
+        assert network.solo_links == table
+        assert all(network.solo_links[key] is entry for key, entry in table.items())
 
 
 class TestFaults:
@@ -364,7 +422,7 @@ class TestFullReceiverRule:
         already on the air is full: MCS 0, and no ESNR is computed."""
         scenario, network = _network("three-pair")
         monkeypatch.setattr(
-            agent_module, "choose_bitrate", mock.Mock(side_effect=AssertionError)
+            agent_module, "select_mcs", mock.Mock(side_effect=AssertionError)
         )
         medium = Medium()
         medium.add_streams(

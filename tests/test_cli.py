@@ -372,6 +372,30 @@ class TestMain:
         assert "2 cell(s) from cache, 0 simulated" in second
 
 
+class TestClosedPipe:
+    @pytest.mark.parametrize("command", ["protocols", "scenarios"])
+    def test_a_closed_stdout_exits_without_a_traceback(self, command):
+        """``repro protocols | head -1``: the reader is gone before the
+        listing is written."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_ROOT)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cli", command],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == ""
+        assert result.returncode == 1
+
+
 class TestDurableSweepCommands:
     def _sweep_argv(self, tmp_path, extra=()):
         return [
