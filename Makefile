@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke reachability loc
+.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke reachability settable loc
 
 test:
 	$(PYTHON) -m pytest -q
@@ -15,9 +15,10 @@ test-fast:
 	$(PYTHON) -m pytest -q -m "not slow"
 
 # The documented pre-commit gate: the fast test selection, the
-# CI-affordable benchmark comparison, the invariant smoke, and the
-# execution-reachability guard (test-fast deselects its slow pytest twin).
-precommit: test-fast bench-quick invariant-smoke reachability
+# CI-affordable benchmark comparison, the invariant smoke, the
+# execution-reachability guard (test-fast deselects its slow pytest twin)
+# and the settable-parameter guard.
+precommit: test-fast bench-quick invariant-smoke reachability settable
 
 # Fast end-to-end invariant pass: runs a bursty and a faulty scenario
 # under validation="cheap", so a broken conservation law fails the gate
@@ -43,6 +44,14 @@ invariant-smoke:
 # each as "path:line name (n lines)".
 reachability:
 	$(PYTHON) tests/reachability.py
+
+# Scans src/repro statically and fails on any defaulted parameter that no
+# call in src/, benchmarks/, examples/ or perfbench/ sets (by keyword, by
+# position, through functools.partial or a ** forward) and that the
+# allowlist (tests/settable_allowlist.txt) does not name with a reason;
+# prints each as "path:line function(param=default)".
+settable:
+	$(PYTHON) tests/settable.py
 
 # Prints the line count (wc -l) of src/repro per package, largest first,
 # then its top-level modules and the total, then the code lines of that

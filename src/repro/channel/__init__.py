@@ -11,7 +11,9 @@ but behaviour-preserving substitute:
   finite nulling/alignment depth observed on real radios (§6.2).
 * :mod:`repro.channel.testbed` -- a synthetic floor plan standing in for
   the testbed of Fig. 10: node placement, log-distance path loss,
-  shadowing and the line-of-sight coin.
+  shadowing and the line-of-sight coin.  Every link's SNR is its
+  shadowed budget; as in the paper's random placements, no link's SNR
+  is pinned.
 
 Links are drawn and measured only as stacks: the network construction
 and the handshake experiment feed their drawn normals through

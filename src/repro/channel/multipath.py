@@ -91,25 +91,22 @@ def taps_from_normals(normals: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return taps
 
 
-def frequency_response_batch(
-    taps: np.ndarray, bins: np.ndarray, fft_size: int = NUM_SUBCARRIERS
-) -> np.ndarray:
+def frequency_response_batch(taps: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Per-subcarrier matrices of a whole stack of channels, by FFT.
 
     ``taps`` has shape ``(n_channels, n_taps, n_rx, n_tx)`` (what
     :func:`taps_from_normals` returns); the result has shape
-    ``(n_channels, len(bins), n_rx, n_tx)``: slice ``c`` is the
-    ``fft_size``-point FFT of channel ``c``'s zero-padded taps along the
-    delay axis, at ``bins``.  Pocketfft transforms one antenna pair at a
-    time, so a stack of one gives the same bits as the whole group.
+    ``(n_channels, len(bins), n_rx, n_tx)``: slice ``c`` is the 64-point
+    (``NUM_SUBCARRIERS``) FFT of channel ``c``'s zero-padded taps along
+    the delay axis, at ``bins``.  Pocketfft transforms one antenna pair
+    at a time, so a stack of one gives the same bits as the whole group.
 
-    The zero-padded taps are laid out ``(n_channels, n_rx, n_tx,
-    fft_size)`` so that pocketfft runs the same ``fft_size``-point
-    transform of every antenna pair on the contiguous last axis (no
-    strided gathers), in place.  The selected bins are returned laid out
-    bins-major in memory -- the layout ``fft(..., axis=1)[:, bins]``
-    produces, which the v2 draw contract of
-    :class:`repro.sim.network.Network` has always stored.
+    The zero-padded taps are laid out ``(n_channels, n_rx, n_tx, 64)``
+    so that pocketfft runs the same 64-point transform of every antenna
+    pair on the contiguous last axis (no strided gathers), in place.
+    The selected bins are returned laid out bins-major in memory -- the
+    layout ``fft(..., axis=1)[:, bins]`` produces, which the v2 draw
+    contract of :class:`repro.sim.network.Network` has always stored.
     """
     taps = np.asarray(taps, dtype=complex)
     if taps.ndim != 4:
@@ -117,22 +114,20 @@ def frequency_response_batch(
             f"taps must have shape (n_channels, n_taps, n_rx, n_tx), got {taps.shape}"
         )
     n_channels, n_taps, n_rx, n_tx = taps.shape
-    padded = np.zeros((n_channels, n_rx, n_tx, fft_size), dtype=complex)
+    padded = np.zeros((n_channels, n_rx, n_tx, NUM_SUBCARRIERS), dtype=complex)
     padded[..., :n_taps] = taps.transpose(0, 2, 3, 1)
     spectrum = np.fft.fft(padded, axis=-1, out=padded)
     return spectrum.transpose(3, 0, 1, 2)[bins].transpose(1, 0, 2, 3)
 
 
-def dft_twiddle(
-    bins: np.ndarray, n_taps: int, fft_size: int = NUM_SUBCARRIERS
-) -> np.ndarray:
-    """The ``(n_bins, n_taps)`` rows of the ``fft_size``-point DFT
-    matrix at ``bins``, restricted to the first ``n_taps`` samples: what
+def dft_twiddle(bins: np.ndarray, n_taps: int) -> np.ndarray:
+    """The ``(n_bins, n_taps)`` rows of the 64-point DFT matrix at
+    ``bins``, restricted to the first ``n_taps`` samples: what
     :func:`frequency_response_at_bins_batch` multiplies the taps by."""
     bins = np.asarray(bins, dtype=int)
     if bins.ndim != 1:
         raise DimensionError(f"bins must be 1-D, got shape {bins.shape}")
-    return np.exp((-2j * np.pi / fft_size) * np.outer(bins, np.arange(n_taps)))
+    return np.exp((-2j * np.pi / NUM_SUBCARRIERS) * np.outer(bins, np.arange(n_taps)))
 
 
 def frequency_response_at_bins_batch(taps: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
@@ -142,11 +137,11 @@ def frequency_response_at_bins_batch(taps: np.ndarray, twiddle: np.ndarray) -> n
     ``twiddle`` (:func:`dft_twiddle`, computed once per bin set): one
     BLAS matmul of the ``(n_bins, n_taps)`` twiddle matrix against the
     taps viewed as ``(n_channels, n_taps, n_rx * n_tx)``, instead of a
-    full ``fft_size``-point FFT followed by bin selection.  For the
+    full 64-point FFT followed by bin selection.  For the
     testbed's few-tap channels this is cheaper, and it never
-    materialises the ``(n_channels, fft_size, n_rx, n_tx)`` padded
+    materialises the ``(n_channels, 64, n_rx, n_tx)`` padded
     intermediate.  The result equals ``frequency_response_batch(taps,
-    bins, fft_size)`` up to floating-point rounding; the grouped (v3)
+    bins)`` up to floating-point rounding; the grouped (v3)
     draw contract of :class:`repro.sim.network.Network` pins *this*
     formulation (schema 8).  Channel ``c`` of the result depends on
     channel ``c`` of ``taps`` alone (BLAS runs one matmul per channel),

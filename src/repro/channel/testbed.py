@@ -17,7 +17,7 @@ unit power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class Testbed:
         path_loss_db: np.ndarray,
         shadowing: np.ndarray,
         coins: np.ndarray,
-        forced_snr_db: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Every link's ``(snr_db, decay_samples)`` from its drawn values.
 
@@ -116,9 +115,7 @@ class Testbed:
         contracts and the handshake experiment, which consume the
         generator in different orders -- shares one link budget.  The
         budget is ``tx - (loss + sigma * z) - noise floor``, clamped to
-        the operating range, then replaced by the forced SNR where
-        ``forced_snr_db`` is not ``NaN`` (a forced link's shadowing value
-        is ignored).  A line-of-sight link (coin below
+        the operating range.  A line-of-sight link (coin below
         ``los_probability``) decays over 0.6 samples, any other over 1.5.
 
         All arrays have shape ``(n_links,)``.
@@ -126,14 +123,12 @@ class Testbed:
         shadow = self.shadowing_sigma_db * shadowing
         snr = self.tx_power_dbm - (path_loss_db + shadow) - self.noise_floor_dbm
         snr = np.minimum(np.maximum(snr, self.min_snr_db), self.max_snr_db)
-        if forced_snr_db is not None:
-            snr = np.where(np.isnan(forced_snr_db), snr, forced_snr_db)
         # Line of sight: a strong first tap plus weak scattering.
         decay = np.where(coins < self.los_probability, 0.6, 1.5)
         return snr, decay
 
 
-def default_testbed(hardware: Optional[HardwareProfile] = None) -> Testbed:
+def default_testbed() -> Testbed:
     """The default synthetic floor plan.
 
     Twenty candidate locations laid out over a ~30 m x 20 m office floor:
@@ -145,30 +140,25 @@ def default_testbed(hardware: Optional[HardwareProfile] = None) -> Testbed:
     south_offices = [(4.0 + 6.0 * i, 3.5) for i in range(5)]
     corners = [(1.0, 1.0), (29.0, 1.0), (1.0, 19.0), (29.0, 19.0)]
     locations = corridor + north_offices + south_offices + corners
-    return Testbed(locations=locations, hardware=hardware or HardwareProfile())
+    return Testbed(locations=locations)
 
 
-def dense_testbed(
-    n_locations: int = 64,
-    width_m: float = 60.0,
-    height_m: float = 40.0,
-    seed: int = 0,
-    hardware: Optional[HardwareProfile] = None,
-) -> Testbed:
+def dense_testbed(n_locations: int = 64, seed: int = 0) -> Testbed:
     """A larger synthetic floor for the dense-LAN scenarios.
 
     The default 20-location floor of :func:`default_testbed` cannot hold
     the 20-50 node scenarios of :func:`repro.sim.scenarios.dense_lan_scenario`,
     so this builds a bigger one: ``n_locations`` candidate positions on a
-    jittered grid covering ``width_m`` x ``height_m`` metres (roughly a
-    whole office storey at the defaults).  The layout is deterministic
-    given ``seed`` -- the jitter comes from a generator seeded here, not
-    from any per-run randomness -- so scenarios built on it have stable
-    geometry for caching and cross-run comparisons.
+    jittered grid covering 60 m x 40 m (roughly a whole office storey).
+    The layout is deterministic given ``seed`` -- the jitter comes from a
+    generator seeded here, not from any per-run randomness -- so scenarios
+    built on it have stable geometry for caching and cross-run
+    comparisons.
     """
     if n_locations < 2:
         raise ConfigurationError("a testbed needs at least two locations")
     rng = np.random.default_rng(seed)
+    width_m, height_m = 60.0, 40.0
     n_cols = int(np.ceil(np.sqrt(n_locations * width_m / height_m)))
     n_rows = int(np.ceil(n_locations / n_cols))
     xs = np.linspace(2.0, width_m - 2.0, n_cols)
@@ -186,4 +176,4 @@ def dense_testbed(
         )
         for (x, y), (dx, dy) in zip(grid, jitter)
     ]
-    return Testbed(locations=locations, hardware=hardware or HardwareProfile())
+    return Testbed(locations=locations)

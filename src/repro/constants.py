@@ -86,6 +86,13 @@ DEFAULT_PACKET_SIZE_BYTES = 1500
 #: bitrate is chosen.
 BITRATE_MARGIN_DB = 1.0
 
+#: The delivery model's logistic (:func:`repro.phy.esnr.packet_delivery_probability`):
+#: its steepness (dB of ESNR margin per logistic unit) and how far (dB)
+#: below each MCS's ``min_esnr_db`` its 50% point sits.  Hand-set; the
+#: two values a calibration against the full PHY would refit.
+DELIVERY_STEEPNESS_DB = 1.0
+DELIVERY_THRESHOLD_OFFSET_DB = 2.5
+
 #: A joiner needs at least this much airtime (microseconds) left in the
 #: ongoing transmission to bother joining (n+ only).
 MIN_JOIN_AIRTIME_US = 96.0

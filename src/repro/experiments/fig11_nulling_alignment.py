@@ -96,18 +96,14 @@ def _draw_snr(rng: np.random.Generator, bins: Tuple[Tuple[float, float], ...]) -
     return float(rng.uniform(low, high))
 
 
-def run_nulling_experiment(
-    n_trials: int = 400,
-    seed: int = 0,
-    hardware: Optional[HardwareProfile] = None,
-) -> ResidualErrorExperiment:
+def run_nulling_experiment(n_trials: int = 400, seed: int = 0) -> ResidualErrorExperiment:
     """Reproduce Fig. 11(a): SNR reduction due to imperfect nulling.
 
     Topology of Fig. 2: a single-antenna pair tx1-rx1 plus a 2-antenna
     pair tx2-rx2; tx2 nulls at rx1 using an estimated channel.
     """
     rng = np.random.default_rng(seed)
-    hardware = hardware or HardwareProfile()
+    hardware = HardwareProfile()
     result = ResidualErrorExperiment(mechanism="nulling")
     below_threshold: List[float] = []
 
@@ -142,11 +138,7 @@ def run_nulling_experiment(
     return result
 
 
-def run_alignment_experiment(
-    n_trials: int = 400,
-    seed: int = 1,
-    hardware: Optional[HardwareProfile] = None,
-) -> ResidualErrorExperiment:
+def run_alignment_experiment(n_trials: int = 400, seed: int = 1) -> ResidualErrorExperiment:
     """Reproduce Fig. 11(b): SNR reduction due to imperfect alignment.
 
     Topology of Fig. 3, measured at the 2-antenna receiver rx2: tx1 and
@@ -154,7 +146,7 @@ def run_alignment_experiment(
     using estimated channels and rx2's (estimated) unwanted subspace.
     """
     rng = np.random.default_rng(seed)
-    hardware = hardware or HardwareProfile()
+    hardware = HardwareProfile()
     result = ResidualErrorExperiment(mechanism="alignment")
     below_threshold: List[float] = []
 

@@ -17,19 +17,13 @@ the numbers a serial run produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.experiments.report import (
-    RunRatios,
-    format_cdf_summary,
-    format_table,
-    per_run_ratios,
-)
+from repro.experiments.report import ThroughputExperiment, format_cdf_summary, format_table
 from repro.sim.spec import SimulationConfig
 from repro.sim.sweep import run_sweep
 
-__all__ = ["ThroughputExperiment", "run_throughput_experiment", "summarize"]
+__all__ = ["run_throughput_experiment", "summarize"]
 
 #: §6.3 headline labels for the default scenario's pairs.
 _HEADLINE_LABELS = {
@@ -37,39 +31,6 @@ _HEADLINE_LABELS = {
     "tx2->rx2": "2-antenna pair (tx2)",
     "tx3->rx3": "3-antenna pair (tx3)",
 }
-
-
-@dataclass
-class ThroughputExperiment:
-    """Results of the Fig. 12 reproduction.
-
-    Attributes
-    ----------
-    totals:
-        Total network throughput per run, keyed by protocol (Mb/s).
-    per_pair:
-        Per-pair throughput per run, keyed by protocol then pair name.
-    """
-
-    totals: Dict[str, List[float]] = field(default_factory=dict)
-    per_pair: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
-
-    # -- derived summaries ------------------------------------------------------
-
-    def pair_names(self) -> List[str]:
-        """The traffic pairs present in the results."""
-        for per in self.per_pair.values():
-            return list(per)
-        return []
-
-    def gain_over(self, baseline: str, pair_name: Optional[str] = None) -> RunRatios:
-        """Per-run throughput ratios of n+ over ``baseline``, in total or
-        for one pair."""
-        if pair_name is None:
-            return per_run_ratios(self.totals.get("n+", []), self.totals.get(baseline, []))
-        return per_run_ratios(
-            self.per_pair["n+"][pair_name], self.per_pair[baseline][pair_name]
-        )
 
 
 def run_throughput_experiment(
@@ -110,10 +71,9 @@ def run_throughput_experiment(
     failed cell raises :class:`~repro.exceptions.SimulationError` naming
     it rather than leaving a hole in the grid.
     """
-    protocols = ["802.11n", "n+"]
     sweep = run_sweep(
         scenario,
-        protocols,
+        ["802.11n", "n+"],
         n_runs=n_runs,
         seed=seed,
         config=config,
@@ -122,16 +82,7 @@ def run_throughput_experiment(
         resume=resume,
         strict=True,
     )
-    raw = sweep.results
-    pair_names = sweep.link_names()
-
-    experiment = ThroughputExperiment()
-    for protocol in protocols:
-        experiment.totals[protocol] = [m.total_throughput_mbps() for m in raw[protocol]]
-        experiment.per_pair[protocol] = {
-            name: [m.throughput_mbps(name) for m in raw[protocol]] for name in pair_names
-        }
-    return experiment
+    return ThroughputExperiment.from_sweep(sweep)
 
 
 def summarize(experiment: ThroughputExperiment) -> str:
@@ -139,12 +90,12 @@ def summarize(experiment: ThroughputExperiment) -> str:
     lines = ["-- Fig. 12(a): total network throughput (Mb/s) --"]
     for protocol in experiment.totals:
         lines.append(format_cdf_summary(protocol, experiment.totals[protocol]))
-    for index, pair in enumerate(experiment.pair_names(), start=2):
+    for index, pair in enumerate(experiment.link_names(), start=2):
         lines.append(f"-- Fig. 12({chr(ord('a') + index - 1)}): throughput of {pair} (Mb/s) --")
-        for protocol in experiment.per_pair:
-            lines.append(format_cdf_summary(protocol, experiment.per_pair[protocol][pair]))
+        for protocol in experiment.per_link:
+            lines.append(format_cdf_summary(protocol, experiment.per_link[protocol][pair]))
     gains = {"total network throughput": experiment.gain_over("802.11n")}
-    for pair in experiment.pair_names():
+    for pair in experiment.link_names():
         label = _HEADLINE_LABELS.get(pair, f"pair {pair}")
         gains[label] = experiment.gain_over("802.11n", pair)
     rows = [[label, f"{gain.mean:.2f}x", gain.dropped_note()] for label, gain in gains.items()]

@@ -11,48 +11,13 @@ the single-antenna client loses only slightly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.experiments.report import (
-    RunRatios,
-    format_cdf_summary,
-    format_table,
-    per_run_ratios,
-)
+from repro.experiments.report import ThroughputExperiment, format_cdf_summary, format_table
 from repro.sim.spec import SimulationConfig
 from repro.sim.sweep import run_sweep
 
-__all__ = ["HeterogeneousExperiment", "run_heterogeneous_experiment", "summarize"]
-
-
-@dataclass
-class HeterogeneousExperiment:
-    """Results of the Fig. 13 reproduction.
-
-    Attributes
-    ----------
-    totals:
-        Total throughput per run, keyed by protocol.
-    per_flow:
-        Per-flow throughput per run, keyed by protocol then flow name.
-    """
-
-    totals: Dict[str, List[float]] = field(default_factory=dict)
-    per_flow: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
-
-    def flow_names(self) -> List[str]:
-        """The traffic flows present in the results."""
-        for per in self.per_flow.values():
-            return list(per)
-        return []
-
-    def gain_over(self, baseline: str, flow: Optional[str] = None) -> RunRatios:
-        """Per-run throughput ratios of n+ over ``baseline``, in total or
-        for one flow."""
-        if flow is None:
-            return per_run_ratios(self.totals.get("n+", []), self.totals.get(baseline, []))
-        return per_run_ratios(self.per_flow["n+"][flow], self.per_flow[baseline][flow])
+__all__ = ["run_heterogeneous_experiment", "summarize"]
 
 
 def run_heterogeneous_experiment(
@@ -63,7 +28,7 @@ def run_heterogeneous_experiment(
     workers: Optional[int] = 1,
     cache_dir: Optional[str] = None,
     resume: bool = False,
-) -> HeterogeneousExperiment:
+) -> ThroughputExperiment:
     """Run the Fig. 13 sweep over random placements.
 
     ``config``/``scenario``/``workers``/``cache_dir``/``resume`` behave as in
@@ -72,10 +37,9 @@ def run_heterogeneous_experiment(
     over worker processes, memoised in the on-disk results store, and
     resumed after an interruption; a failed cell raises, as there.
     """
-    protocols = ["802.11n", "beamforming", "n+"]
     sweep = run_sweep(
         scenario,
-        protocols,
+        ["802.11n", "beamforming", "n+"],
         n_runs=n_runs,
         seed=seed,
         config=config,
@@ -84,18 +48,10 @@ def run_heterogeneous_experiment(
         resume=resume,
         strict=True,
     )
-    raw = sweep.results
-    flow_names = sweep.link_names()
-    experiment = HeterogeneousExperiment()
-    for protocol in protocols:
-        experiment.totals[protocol] = [m.total_throughput_mbps() for m in raw[protocol]]
-        experiment.per_flow[protocol] = {
-            name: [m.throughput_mbps(name) for m in raw[protocol]] for name in flow_names
-        }
-    return experiment
+    return ThroughputExperiment.from_sweep(sweep)
 
 
-def summarize(experiment: HeterogeneousExperiment) -> str:
+def summarize(experiment: ThroughputExperiment) -> str:
     """Render the Fig. 13 gain CDFs and headline ratios."""
     lines = ["-- total throughput per protocol (Mb/s) --"]
     for protocol in experiment.totals:
@@ -103,16 +59,16 @@ def summarize(experiment: HeterogeneousExperiment) -> str:
     for baseline, figure in (("802.11n", "Fig. 13(a)"), ("beamforming", "Fig. 13(b)")):
         lines.append(f"-- {figure}: throughput gain of n+ over {baseline} --")
         lines.append(format_cdf_summary("total gain", experiment.gain_over(baseline).ratios))
-        for flow in experiment.flow_names():
+        for flow in experiment.link_names():
             ratios = experiment.gain_over(baseline, flow).ratios
             lines.append(format_cdf_summary(f"gain of {flow}", ratios))
     gains = {
         "total, vs 802.11n": experiment.gain_over("802.11n"),
         "total, vs beamforming": experiment.gain_over("beamforming"),
     }
-    if "c1->AP1" in experiment.flow_names():
+    if "c1->AP1" in experiment.link_names():
         gains["single-antenna client (c1), vs 802.11n"] = experiment.gain_over("802.11n", "c1->AP1")
-    if "AP2->c2+c3" in experiment.flow_names():
+    if "AP2->c2+c3" in experiment.link_names():
         gains["AP2 downlink flows, vs 802.11n"] = experiment.gain_over("802.11n", "AP2->c2+c3")
     rows = [[label, f"{gain.mean:.2f}x", gain.dropped_note()] for label, gain in gains.items()]
     lines.append("-- headline gains of n+ (mean of per-run ratios) --")

@@ -24,6 +24,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.channel.models import awgn, complex_gaussian
+from repro.constants import SAMPLES_PER_OFDM_SYMBOL
 from repro.experiments.report import format_table
 from repro.mimo.carrier_sense import MultiDimensionalCarrierSense
 from repro.phy.preamble import cross_correlate, short_training_field
@@ -33,6 +34,17 @@ from repro.utils.bits import random_bits
 from repro.utils.db import db_to_linear, linear_to_db
 
 __all__ = ["CarrierSenseExperiment", "run_carrier_sense_experiment", "summarize"]
+
+#: SNRs (dB) at the sensing node for the correlation CDFs: the ongoing
+#: (strong) tx1 and the new (weak) tx2 -- the paper focuses on SNR < 3 dB
+#: because that is where sensing is hard.
+TX1_SNR_DB = 10.0
+TX2_SNR_DB = 3.0
+#: SNRs (dB) of the power-profile illustration: Fig. 9(a) shows a strong
+#: ongoing tx1 masking a moderately strong tx2 unless the sensing node
+#: projects.
+POWER_PROFILE_TX1_SNR_DB = 20.0
+POWER_PROFILE_TX2_SNR_DB = 10.0
 
 
 @dataclass
@@ -75,38 +87,23 @@ def _transmit_frame(n_antennas: int, n_bits: int, rng: np.random.Generator) -> n
     return samples
 
 
-def _per_symbol_power_db(samples: np.ndarray, symbol_length: int = 80) -> np.ndarray:
+def _per_symbol_power_db(samples: np.ndarray) -> np.ndarray:
     """Average power (dB) of consecutive OFDM-symbol-sized windows."""
     total = np.sum(np.abs(samples) ** 2, axis=0)
-    n_symbols = total.size // symbol_length
-    trimmed = total[: n_symbols * symbol_length].reshape(n_symbols, symbol_length)
+    n_symbols = total.size // SAMPLES_PER_OFDM_SYMBOL
+    trimmed = total[: n_symbols * SAMPLES_PER_OFDM_SYMBOL].reshape(
+        n_symbols, SAMPLES_PER_OFDM_SYMBOL
+    )
     return linear_to_db(trimmed.mean(axis=1))
 
 
-def run_carrier_sense_experiment(
-    n_trials: int = 20,
-    tx1_snr_db: float = 10.0,
-    tx2_snr_db: float = 3.0,
-    power_profile_tx1_snr_db: float = 20.0,
-    power_profile_tx2_snr_db: float = 10.0,
-    seed: int = 0,
-) -> CarrierSenseExperiment:
-    """Run the Fig. 9 reproduction.
+def run_carrier_sense_experiment(n_trials: int = 20, seed: int = 0) -> CarrierSenseExperiment:
+    """Run the Fig. 9 reproduction at the module's four SNRs.
 
     Parameters
     ----------
     n_trials:
         Number of independent channel/noise realisations.
-    tx1_snr_db:
-        SNR of the ongoing (strong) transmission at the sensing node.
-    tx2_snr_db:
-        SNR of the new (weak) transmission used for the correlation CDFs --
-        the paper focuses on SNR < 3 dB because that is where sensing is
-        hard.
-    power_profile_tx1_snr_db, power_profile_tx2_snr_db:
-        SNRs used for the power-profile illustration (Fig. 9(a) shows a
-        strong ongoing tx1 masking a moderately strong tx2 unless the
-        sensing node projects).
     seed:
         Random seed.
     """
@@ -124,11 +121,11 @@ def run_carrier_sense_experiment(
 
     for _ in range(n_trials):
         # Flat channels from tx1 (1 antenna) and tx2 (2 antennas) to tx3.
-        h1 = complex_gaussian((n_sense_antennas, 1), rng, db_to_linear(tx1_snr_db))
-        h1_power = h1 * np.sqrt(db_to_linear(power_profile_tx1_snr_db - tx1_snr_db))
-        h2_weak = complex_gaussian((n_sense_antennas, 2), rng, db_to_linear(tx2_snr_db))
+        h1 = complex_gaussian((n_sense_antennas, 1), rng, db_to_linear(TX1_SNR_DB))
+        h1_power = h1 * np.sqrt(db_to_linear(POWER_PROFILE_TX1_SNR_DB - TX1_SNR_DB))
+        h2_weak = complex_gaussian((n_sense_antennas, 2), rng, db_to_linear(TX2_SNR_DB))
         h2_power = complex_gaussian(
-            (n_sense_antennas, 2), rng, db_to_linear(power_profile_tx2_snr_db)
+            (n_sense_antennas, 2), rng, db_to_linear(POWER_PROFILE_TX2_SNR_DB)
         )
 
         # tx1's frame must outlast tx2's start by a comfortable margin so the

@@ -10,7 +10,7 @@ overhead for a 1500-byte packet at 18 Mb/s (the paper estimates ~4 %).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.channel.testbed import Testbed, default_testbed
 from repro.exceptions import ConfigurationError
 from repro.experiments.report import format_table
 from repro.mac.handshake import alignment_feedback_symbols, handshake_overhead
-from repro.phy.rates import MCS, MCS_TABLE
+from repro.phy.rates import MCS_TABLE
 from repro.utils.db import db_to_linear
 from repro.utils.linalg import orthonormal_complement_batch
 
@@ -51,13 +51,8 @@ class HandshakeExperiment:
         return float(np.mean(self.feedback_symbols)) if self.feedback_symbols else 0.0
 
 
-def run_handshake_experiment(
-    n_channels: int = 50,
-    seed: int = 0,
-    testbed: Optional[Testbed] = None,
-    reference_mcs: Optional[MCS] = None,
-) -> HandshakeExperiment:
-    """Measure the alignment-feedback size on synthetic testbed channels.
+def run_handshake_experiment(n_channels: int = 50, seed: int = 0) -> HandshakeExperiment:
+    """Measure the alignment-feedback size on the default testbed's channels.
 
     For each random link the receiver's 2-antenna decoding subspace is
     computed per subcarrier (orthogonal to a random 1-stream interferer)
@@ -73,10 +68,9 @@ def run_handshake_experiment(
     if n_channels < 1:
         raise ConfigurationError(f"need at least one channel, got {n_channels}")
     rng = np.random.default_rng(seed)
-    testbed = testbed or default_testbed()
     # 16-QAM rate 3/4 at 10 MHz is 18 Mb/s -- the paper's reference point.
-    reference_mcs = reference_mcs or MCS_TABLE[5]
-    responses = _draw_link_responses(testbed, n_channels, rng)  # (n, 64, 2, 1)
+    reference_mcs = MCS_TABLE[5]
+    responses = _draw_link_responses(default_testbed(), n_channels, rng)  # (n, 64, 2, 1)
     subspaces, _ = orthonormal_complement_batch(responses.reshape(-1, 2, 1), 1)
     per_channel = subspaces.reshape(n_channels, 64, 2, 1)
     symbols: List[int] = [

@@ -1,11 +1,15 @@
-"""Plain-text table helpers shared by experiments, benchmarks and examples."""
+"""Plain-text table helpers shared by experiments, benchmarks and examples,
+and the per-run throughput results the figure sweeps report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.sweep import SweepResult
 
 __all__ = [
     "format_table",
@@ -13,6 +17,7 @@ __all__ = [
     "percentile_row",
     "RunRatios",
     "per_run_ratios",
+    "ThroughputExperiment",
 ]
 
 #: A baseline throughput at or below this (Mb/s) delivered nothing, so the
@@ -36,12 +41,16 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def percentile_row(values: Sequence[float], percentiles: Sequence[float] = (10, 25, 50, 75, 90)) -> List[float]:
-    """Return the requested percentiles of ``values`` (rounded)."""
+#: The percentiles a CDF summary reports.
+PERCENTILES = (10, 25, 50, 75, 90)
+
+
+def percentile_row(values: Sequence[float]) -> List[float]:
+    """Return the :data:`PERCENTILES` of ``values`` (rounded)."""
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
-        return [float("nan")] * len(percentiles)
-    return [round(float(np.percentile(data, p)), 2) for p in percentiles]
+        return [float("nan")] * len(PERCENTILES)
+    return [round(float(np.percentile(data, p)), 2) for p in PERCENTILES]
 
 
 def format_cdf_summary(name: str, values: Sequence[float]) -> str:
@@ -85,3 +94,46 @@ def per_run_ratios(values: Sequence[float], baselines: Sequence[float]) -> RunRa
         if baseline > ZERO_BASELINE_MBPS
     ]
     return RunRatios(ratios, len(values) - len(ratios))
+
+
+@dataclass
+class ThroughputExperiment:
+    """Per-run throughputs of a protocol comparison (Figs. 12 and 13).
+
+    Attributes
+    ----------
+    totals:
+        Total network throughput per run, keyed by protocol (Mb/s).
+    per_link:
+        Per-run throughput keyed by protocol, then by traffic-pair name
+        (``"tx1->rx1"``, ``"AP2->c2+c3"``).
+    """
+
+    totals: Dict[str, List[float]] = field(default_factory=dict)
+    per_link: Dict[str, Dict[str, List[float]]] = field(default_factory=dict)
+
+    @classmethod
+    def from_sweep(cls, sweep: "SweepResult") -> "ThroughputExperiment":
+        """The totals and per-link throughputs of every protocol of a
+        strict sweep (no failed cells), in the sweep's protocol order."""
+        names = sweep.link_names()
+        experiment = cls()
+        for protocol, runs in sweep.results.items():
+            experiment.totals[protocol] = sweep.totals_mbps(protocol)
+            experiment.per_link[protocol] = {
+                name: [m.throughput_mbps(name) for m in runs] for name in names
+            }
+        return experiment
+
+    def link_names(self) -> List[str]:
+        """The traffic pairs present in the results."""
+        for per in self.per_link.values():
+            return list(per)
+        return []
+
+    def gain_over(self, baseline: str, link: Optional[str] = None) -> RunRatios:
+        """Per-run throughput ratios of n+ over ``baseline``, in total or
+        for one link."""
+        if link is None:
+            return per_run_ratios(self.totals.get("n+", []), self.totals.get(baseline, []))
+        return per_run_ratios(self.per_link["n+"][link], self.per_link[baseline][link])

@@ -95,8 +95,6 @@ class ContentionRound:
 def resolve_contention(
     contenders: Sequence[DcfContender],
     rng: np.random.Generator,
-    difs_us: float = DIFS_US,
-    slot_us: float = SLOT_TIME_US,
 ) -> ContentionRound:
     """Resolve one contention round among ``contenders``.
 
@@ -116,7 +114,7 @@ def resolve_contention(
     ``[0, backoff_window]``.
     """
     if not contenders:
-        return ContentionRound(winners=(), backoff_slots=0, start_delay_us=difs_us, collision=False)
+        return ContentionRound(winners=(), backoff_slots=0, start_delay_us=DIFS_US, collision=False)
     ordered = sorted(contenders, key=lambda c: c.node_id)
     highs = np.array([c.backoff_window for c in ordered], dtype=np.int64)
     values = rng.integers(0, highs + 1)
@@ -127,6 +125,6 @@ def resolve_contention(
     return ContentionRound(
         winners=winners,
         backoff_slots=smallest,
-        start_delay_us=difs_us + smallest * slot_us,
+        start_delay_us=DIFS_US + smallest * SLOT_TIME_US,
         collision=len(winners) > 1,
     )

@@ -136,7 +136,6 @@ def handshake_overhead(
     mcs: MCS,
     payload_bytes: int = 1500,
     alignment_symbols: int = 3,
-    n_streams: int = 1,
 ) -> HandshakeOverhead:
     """Compute the light-weight handshake overhead (§3.5).
 
@@ -147,7 +146,7 @@ def handshake_overhead(
     extra_sifs = 2 * SIFS_US
     extra_symbols = alignment_symbols + 1 + NPLUS_DATA_HEADER_EXTRA_SYMBOLS
     extra_symbol_time = extra_symbols * OFDM_SYMBOL_DURATION_US_10MHZ
-    data_time = mcs.airtime_us(payload_bytes * 8, n_streams=n_streams)
+    data_time = mcs.airtime_us(payload_bytes * 8)
     overhead = extra_sifs + extra_symbol_time
     return HandshakeOverhead(
         extra_sifs_us=extra_sifs,

@@ -277,7 +277,7 @@ class NPlusMac(BeamformingMac):
             if esnr < lowest.min_esnr_db + BITRATE_MARGIN_DB:
                 group[0].payload_bits = 0
                 continue
-            mcs = mcs_for_esnr(esnr, MCS_TABLE, BITRATE_MARGIN_DB)
+            mcs = mcs_for_esnr(esnr, BITRATE_MARGIN_DB)
             capacity = bits_in_airtime(mcs, airtime, len(group))
             backlog = self.queues[receiver.receiver_id].backlog_bits
             payload = min(capacity, backlog)

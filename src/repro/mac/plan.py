@@ -309,11 +309,12 @@ class TransmissionPlan:
     protects: Dict[int, InterferenceStrategy] = field(default_factory=dict)
     degraded: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
-    def power_per_stream(self, total_power: float = 1.0) -> float:
-        """Transmit power allocated to each stream (equal split)."""
+    def power_per_stream(self) -> float:
+        """Transmit power allocated to each stream: the unit total power,
+        scaled by ``power_scale``, split equally."""
         if not self.streams:
             return 0.0
-        return total_power * self.power_scale / len(self.streams)
+        return self.power_scale / len(self.streams)
 
 
 def _n_subcarriers(arrays: Sequence[np.ndarray]) -> int:

@@ -24,7 +24,6 @@ __all__ = ["interference_power_db", "admission_power_scale"]
 def interference_power_db(
     channel_to_receiver: np.ndarray,
     noise_power: float = 1.0,
-    tx_power: float = 1.0,
 ) -> float:
     """Interference power (dB above the noise) an unprotected, un-precoded
     transmission would create at a receiver.
@@ -37,15 +36,14 @@ def interference_power_db(
         the power is averaged across subcarriers.
     noise_power:
         Receiver noise power (linear, same normalisation as the channel).
-    tx_power:
-        The joiner's transmit power (linear).
+
+    The joiner transmits at unit power.
     """
     h = np.asarray(channel_to_receiver, dtype=complex)
-    # With total transmit power split evenly (and uncorrelated) across the
-    # transmitter's antennas, the expected interference power at one
-    # receive antenna is ``tx_power`` times the mean squared channel gain.
-    average_gain = float(np.mean(np.abs(h) ** 2))
-    power = tx_power * average_gain
+    # With unit total transmit power split evenly (and uncorrelated) across
+    # the transmitter's antennas, the expected interference power at one
+    # receive antenna is the mean squared channel gain.
+    power = float(np.mean(np.abs(h) ** 2))
     return float(linear_to_db(power / max(noise_power, 1e-30)))
 
 

@@ -45,8 +45,6 @@ def compute_precoders_batch(
     own_stream_counts: Optional[Sequence[int]] = None,
     own_row_counts: Optional[Sequence[int]] = None,
     n_streams: Optional[int] = None,
-    normalize: bool = True,
-    rcond: float = 1e-10,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The joiner's pre-coders (Claim 3.5, Eq. 7) on all subcarriers at once.
 
@@ -74,18 +72,14 @@ def compute_precoders_batch(
         ``own_rows``); ``sum(own_row_counts)`` must equal ``T``.
     n_streams:
         Number of streams to form; defaults to the maximum (``M - K``).
-    normalize:
-        Scale each pre-coder to unit norm.
-    rcond:
-        Rank tolerance for the underlying decompositions.
 
     Returns
     -------
     tuple
         ``(precoders, degraded)``.  ``precoders`` has shape ``(n_sub,
-        n_streams, M)``: per subcarrier, one unit-norm (with
-        ``normalize``) pre-coding vector per stream.  ``degraded`` is the
-        ``(n_sub,)`` mask of the subcarriers whose system was singular,
+        n_streams, M)``: per subcarrier, one unit-norm pre-coding vector
+        per stream.  ``degraded`` is the ``(n_sub,)`` mask of the
+        subcarriers whose system was singular,
         ill-conditioned or non-finite: their pre-coders are the guarded
         fallback (:mod:`repro.utils.guarded`), may not protect the ongoing
         receivers, and must never be transmitted.
@@ -113,10 +107,8 @@ def compute_precoders_batch(
             raise PrecodingError(
                 f"cannot form {wanted} streams with {free_dof} free degrees of freedom"
             )
-        basis, degraded = null_space_batch(shared, wanted, rcond)  # (n_sub, M, wanted)
-        if normalize:
-            basis = _normalize_columns_batch(basis)
-        return basis.transpose(0, 2, 1), degraded
+        basis, degraded = null_space_batch(shared, wanted)  # (n_sub, M, wanted)
+        return _normalize_columns_batch(basis).transpose(0, 2, 1), degraded
 
     # --- General case: Eq. 7 ------------------------------------------------
     own = np.asarray(own_rows, dtype=complex)
@@ -172,7 +164,7 @@ def compute_precoders_batch(
         # degraded mask drives link quarantine at the MAC layer.
         solution, degraded = guarded.solve_stack(matrix, rhs_stack)
     else:
-        pinv, degraded = guarded.pinv_stack(matrix, rcond=rcond)
+        pinv, degraded = guarded.pinv_stack(matrix)
         solution = pinv @ rhs
         # Verify the hard constraints (protecting ongoing receivers) hold;
         # a degraded solution is flagged instead.
@@ -181,6 +173,4 @@ def compute_precoders_batch(
                 "least-squares solution cannot satisfy the nulling/alignment constraints"
             )
 
-    if normalize:
-        solution = _normalize_columns_batch(solution)
-    return solution.transpose(0, 2, 1), degraded
+    return _normalize_columns_batch(solution).transpose(0, 2, 1), degraded

@@ -7,23 +7,21 @@ spectral lines; the same self-synchronising generator
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 __all__ = ["scramble", "descramble", "scrambler_sequence"]
 
-#: Default initial state of the 7-bit scrambler register (all ones).
-DEFAULT_SEED = 0x7F
+#: Initial state of the 7-bit scrambler register (all ones).
+SEED = 0x7F
 
 #: Period of the sequence: ``x^7 + x^4 + 1`` is primitive, so every
 #: non-zero register state recurs after exactly ``2^7 - 1`` bits.
 PERIOD = 127
 
 
-@lru_cache(maxsize=None)
-def _scrambler_period(state: int) -> np.ndarray:
-    """One period of the sequence from the non-zero register ``state``."""
+def _scrambler_period() -> np.ndarray:
+    """One period of the sequence from the register state :data:`SEED`."""
+    state = SEED
     out = np.empty(PERIOD, dtype=np.int8)
     for i in range(PERIOD):
         feedback = ((state >> 6) ^ (state >> 3)) & 1
@@ -33,22 +31,22 @@ def _scrambler_period(state: int) -> np.ndarray:
     return out
 
 
-def scrambler_sequence(length: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+_PERIOD_BITS = _scrambler_period()
+
+
+def scrambler_sequence(length: int) -> np.ndarray:
     """Return ``length`` bits of the 802.11 scrambling sequence."""
     if length < 0:
         raise ValueError("length must be non-negative")
-    state = seed & 0x7F
-    if state == 0:
-        raise ValueError("scrambler seed must be non-zero")
-    return np.resize(_scrambler_period(state), length)
+    return np.resize(_PERIOD_BITS, length)
 
 
-def scramble(bits: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
+def scramble(bits: np.ndarray) -> np.ndarray:
     """XOR ``bits`` with the scrambling sequence."""
     bits = np.asarray(bits, dtype=np.int8)
-    return (bits ^ scrambler_sequence(bits.size, seed)).astype(np.int8)
+    return (bits ^ scrambler_sequence(bits.size)).astype(np.int8)
 
 
-def descramble(bits: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
+def descramble(bits: np.ndarray) -> np.ndarray:
     """Reverse :func:`scramble` (the operation is an involution)."""
-    return scramble(bits, seed)
+    return scramble(bits)

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.constants import DELIVERY_STEEPNESS_DB, DELIVERY_THRESHOLD_OFFSET_DB
 from repro.phy.rates import MCS, MCS_TABLE
 
 __all__ = [
@@ -58,25 +59,19 @@ def esnr_db(subcarrier_snrs_db: Iterable[float]) -> float:
     return float(10.0 * np.log10(effective_linear))
 
 
-def mcs_for_esnr(esnr: float, table: Iterable[MCS] = MCS_TABLE, margin_db: float = 0.0) -> MCS:
-    """The fastest MCS of ``table`` with ``min_esnr_db + margin_db <= esnr``.
+def mcs_for_esnr(esnr: float, margin_db: float = 0.0) -> MCS:
+    """The fastest MCS of ``MCS_TABLE`` with ``min_esnr_db + margin_db <= esnr``.
 
-    If none qualifies the first (most robust) entry of ``table`` is
-    returned.
+    If none qualifies the first (most robust) entry is returned.
     """
-    table = list(table)
-    best = table[0]
-    for mcs in table:
+    best = MCS_TABLE[0]
+    for mcs in MCS_TABLE:
         if esnr >= mcs.min_esnr_db + margin_db:
             best = mcs
     return best
 
 
-def select_mcs(
-    subcarrier_snrs_db: Sequence[float],
-    table: Iterable[MCS] = MCS_TABLE,
-    margin_db: float = 0.0,
-) -> MCS:
+def select_mcs(subcarrier_snrs_db: Sequence[float], margin_db: float = 0.0) -> MCS:
     """Pick the fastest MCS whose ESNR threshold is met (§3.4).
 
     The ESNR of the subcarriers (:func:`esnr_db`) is computed once and
@@ -84,19 +79,16 @@ def select_mcs(
     safety margin; the fastest scheme that qualifies wins.  If none
     qualifies the most robust MCS is returned.
     """
-    return mcs_for_esnr(esnr_db(subcarrier_snrs_db), table, margin_db)
+    return mcs_for_esnr(esnr_db(subcarrier_snrs_db), margin_db)
 
 
-def delivery_margin_db(
-    subcarrier_snrs_db: Sequence[float],
-    mcs: MCS,
-    threshold_offset_db: float = 2.5,
-) -> float:
+def delivery_margin_db(subcarrier_snrs_db: Sequence[float], mcs: MCS) -> float:
     """Signed ESNR distance (dB) to the 50% delivery point at ``mcs``.
 
     The abstraction's delivery model is a logistic centred
-    ``threshold_offset_db`` *below* ``mcs.min_esnr_db`` (see
-    :func:`packet_delivery_probability`): the per-MCS thresholds of
+    :data:`~repro.constants.DELIVERY_THRESHOLD_OFFSET_DB` *below*
+    ``mcs.min_esnr_db`` (see :func:`packet_delivery_probability`): the
+    per-MCS thresholds of
     Halperin et al. mark where delivery is already likely, not the 50%
     point.  This helper exposes that margin directly so the fidelity
     layer (:mod:`repro.sim.fidelity`) classifies links against the *same*
@@ -104,32 +96,31 @@ def delivery_margin_db(
     ``|margin| <= band_db`` sits in the uncertain region where the
     abstraction and the full transceiver may disagree.
     """
-    return float(esnr_db(subcarrier_snrs_db) - mcs.min_esnr_db + threshold_offset_db)
+    return float(esnr_db(subcarrier_snrs_db) - mcs.min_esnr_db + DELIVERY_THRESHOLD_OFFSET_DB)
 
 
 def packet_delivery_probability(
     subcarrier_snrs_db: Sequence[float],
     mcs: MCS,
     packet_bits: int,
-    steepness_db: float = 1.0,
-    threshold_offset_db: float = 2.5,
 ) -> float:
     """Probability that a packet at ``mcs`` is delivered, given the ESNR.
 
     The paper's prototype observes essentially binary behaviour around the
     ESNR threshold (packets either deliver or not); we model the packet
-    delivery ratio as a logistic function of the ESNR margin with a
-    configurable steepness, which reproduces that cliff while keeping the
-    simulation differentiable in the SNR.  The per-MCS ``min_esnr_db``
-    values are the points where delivery is already *likely* (that is how
-    the ESNR-to-rate table of Halperin et al. is defined), so the logistic
-    is centred ``threshold_offset_db`` below the threshold: a packet sent
-    exactly at threshold succeeds with probability ~0.9, one sent a couple
-    of dB above essentially always succeeds, and one sent a couple of dB
-    below almost always fails.
+    delivery ratio as a logistic function of the ESNR margin
+    (:data:`~repro.constants.DELIVERY_STEEPNESS_DB` per unit), which
+    reproduces that cliff while keeping the simulation differentiable in
+    the SNR.  The per-MCS ``min_esnr_db`` values are the points where
+    delivery is already *likely* (that is how the ESNR-to-rate table of
+    Halperin et al. is defined), so the logistic is centred
+    :data:`~repro.constants.DELIVERY_THRESHOLD_OFFSET_DB` below the
+    threshold: a packet sent exactly at threshold succeeds with
+    probability ~0.9, one sent a couple of dB above essentially always
+    succeeds, and one sent a couple of dB below almost always fails.
     """
-    margin = delivery_margin_db(subcarrier_snrs_db, mcs, threshold_offset_db)
-    base = 1.0 / (1.0 + np.exp(-margin / max(steepness_db, 1e-3)))
+    margin = delivery_margin_db(subcarrier_snrs_db, mcs)
+    base = 1.0 / (1.0 + np.exp(-margin / DELIVERY_STEEPNESS_DB))
     # Longer packets are slightly harder to deliver at the same BER.
     length_factor = min(1.0, 12_000 / max(packet_bits, 1))
     exponent = 1.0 + 0.25 * (1.0 - length_factor)

@@ -53,11 +53,8 @@ _LTS_SEQUENCE = np.array(
 _STF_LENGTH = NUM_SHORT_TRAINING_REPEATS * SHORT_TRAINING_SYMBOL_LENGTH
 
 
-def short_training_field(
-    config: OfdmConfig | None = None,
-    n_repeats: int = NUM_SHORT_TRAINING_REPEATS,
-) -> np.ndarray:
-    """Return the time-domain short training field (default 10 repeats of a
+def short_training_field(config: OfdmConfig | None = None) -> np.ndarray:
+    """Return the time-domain short training field (10 repeats of a
     16-sample symbol)."""
     config = config or OfdmConfig()
     grid = np.zeros(config.fft_size, dtype=complex)
@@ -66,7 +63,7 @@ def short_training_field(
         grid[bin_index % config.fft_size] = scale * value
     full = np.fft.ifft(grid) * np.sqrt(config.fft_size)
     one_symbol = full[:SHORT_TRAINING_SYMBOL_LENGTH]
-    return np.tile(one_symbol, n_repeats)
+    return np.tile(one_symbol, NUM_SHORT_TRAINING_REPEATS)
 
 
 def ltf_frequency_sequence(config: OfdmConfig | None = None) -> np.ndarray:

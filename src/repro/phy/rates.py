@@ -63,9 +63,9 @@ class MCS:
         """Information bits carried by one OFDM symbol of one spatial stream."""
         return self.coded_bits_per_ofdm_symbol * self.coding_rate_fraction
 
-    def data_rate_mbps(self, n_streams: int = 1) -> float:
-        """Data rate in Mb/s for ``n_streams`` spatial streams (10 MHz)."""
-        return n_streams * self.data_bits_per_ofdm_symbol / OFDM_SYMBOL_DURATION_US_10MHZ
+    def data_rate_mbps(self) -> float:
+        """Data rate in Mb/s of one spatial stream (10 MHz)."""
+        return self.data_bits_per_ofdm_symbol / OFDM_SYMBOL_DURATION_US_10MHZ
 
     def airtime_us(self, payload_bits: int, n_streams: int = 1) -> float:
         """Time to transmit ``payload_bits`` (excluding headers) on the

@@ -276,10 +276,8 @@ class MimoReceiver:
         samples: np.ndarray,
         layout: FrameLayout,
         channel_estimate: ChannelEstimate,
-        wanted_streams: Optional[Sequence[int]] = None,
-        frame_start: int = 0,
     ) -> Dict[int, DecodedStream]:
-        """Decode the wanted streams of a frame.
+        """Decode every stream of a frame that starts at sample 0.
 
         Parameters
         ----------
@@ -291,18 +289,12 @@ class MimoReceiver:
         channel_estimate:
             The per-stream effective channel: one "transmit antenna" per
             stream, the transmitter's pre-coding already folded in.
-        wanted_streams:
-            Stream ids to decode; defaults to all streams in the frame.
-        frame_start:
-            Sample index where the frame begins.
         """
         samples = np.asarray(samples, dtype=complex)
         if samples.ndim == 1:
             samples = samples.reshape(1, -1)
-        wanted = list(wanted_streams) if wanted_streams is not None else list(layout.stream_ids)
-
         cfg = layout.config
-        body_start = frame_start + layout.preamble_length
+        body_start = layout.preamble_length
         body_end = body_start + layout.body_length
         if body_end > samples.shape[1]:
             raise DecodingError("received samples end before the frame body does")
@@ -320,8 +312,6 @@ class MimoReceiver:
 
         results: Dict[int, DecodedStream] = {}
         for position, stream_id in enumerate(layout.stream_ids):
-            if stream_id not in wanted:
-                continue
             mcs = layout.stream_mcs[position]
             n_bits = layout.stream_bits[position]
             codec = Codec(mcs)

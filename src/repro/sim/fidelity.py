@@ -101,6 +101,9 @@ PHY_STREAM_TAG = 0x706879  # "phy"
 #: below threshold at 64-QAM), short enough to keep a probe ~4 ms.
 DEFAULT_PROBE_BITS = 1024
 
+#: Probe frames per :func:`cross_validate_links` verdict (a majority).
+VALIDATION_TRIALS = 3
+
 # The probe chain is single-stream over the full 64-bin OFDM grid; the
 # transceiver objects are stateless across calls, so module singletons
 # avoid rebuilding codec tables per probe.
@@ -134,18 +137,18 @@ def simulate_probe_delivery(
     subcarrier_snrs_db: Sequence[float],
     mcs: MCS,
     rng: np.random.Generator,
-    probe_bits: int = DEFAULT_PROBE_BITS,
     noise_power: float = 1.0,
 ) -> bool:
     """Run one probe frame through the full transceiver chain.
 
     The abstraction's per-tracked-bin post-projection SNRs are
     interpolated across the 64-bin OFDM grid and realised as a
-    frequency-selective single-stream channel; a ``probe_bits`` payload is
-    convolutionally encoded, modulated, faded, hit with complex AWGN of
-    ``noise_power`` per bin (the modem's unitary FFT scaling maps
-    time-domain variance 1:1 to per-bin variance), and decoded by the real
-    ZF + Viterbi receiver under perfect CSI.  Delivered means the decoded
+    frequency-selective single-stream channel; a
+    :data:`DEFAULT_PROBE_BITS` payload is convolutionally encoded,
+    modulated, faded, hit with complex AWGN of ``noise_power`` per bin
+    (the modem's unitary FFT scaling maps time-domain variance 1:1 to
+    per-bin variance), and decoded by the real ZF + Viterbi receiver
+    under perfect CSI.  Delivered means the decoded
     payload is bit-exact -- the same all-or-nothing criterion the
     abstraction's delivery coin models.
 
@@ -164,7 +167,7 @@ def simulate_probe_delivery(
     )
     amplitude = np.sqrt(np.power(10.0, snr_per_bin / 10.0) * noise_power)
 
-    bits = rng.integers(0, 2, size=int(probe_bits), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=DEFAULT_PROBE_BITS, dtype=np.uint8)
     body, layout = _PROBE_TX.build_body(
         [StreamConfig(bits=bits, mcs=mcs, precoder=np.array([1.0 + 0j]))]
     )
@@ -420,7 +423,6 @@ def cross_validate_links(
     seed: int = 0,
     n_links: int = 8,
     config=None,
-    trials: int = 3,
 ) -> FidelityReport:
     """Run both fidelities on sampled links and tabulate their agreement.
 
@@ -433,7 +435,7 @@ def cross_validate_links(
     next-faster neighbour (which by construction sits at or below
     threshold, populating the uncertain region).  The abstraction's
     verdict is ``packet_delivery_probability >= 0.5``; the PHY's is the
-    majority of ``trials`` seeded probe frames of
+    majority of :data:`VALIDATION_TRIALS` seeded probe frames of
     :data:`DEFAULT_PROBE_BITS` bits, and a check is in band when its
     margin lies within ``config``'s ``fidelity_band_db``.
 
@@ -474,7 +476,7 @@ def cross_validate_links(
         )
         snrs = receiver_stream_snrs(network, rx, [stream], [stream], rng=None)[0]
         esnr = esnr_db(snrs)
-        selected = mcs_for_esnr(esnr, MCS_TABLE, BITRATE_MARGIN_DB)
+        selected = mcs_for_esnr(esnr, BITRATE_MARGIN_DB)
         candidates = {selected.index}
         if selected.index + 1 < len(MCS_TABLE):
             candidates.add(selected.index + 1)
@@ -485,7 +487,7 @@ def cross_validate_links(
             rng = phy_stream_rng(seed, tx, rx, ("validate", index))
             delivered = sum(
                 simulate_probe_delivery(snrs, mcs, rng, noise_power=network.noise_power)
-                for _ in range(trials)
+                for _ in range(VALIDATION_TRIALS)
             )
             report.checks.append(
                 LinkCheck(
@@ -498,7 +500,7 @@ def cross_validate_links(
                     abstraction_probability=probability,
                     abstraction_delivers=probability >= 0.5,
                     phy_delivered=int(delivered),
-                    phy_trials=int(trials),
+                    phy_trials=VALIDATION_TRIALS,
                 )
             )
     return report

@@ -403,9 +403,6 @@ class Network:
         link abstraction, ``1..NUM_DATA_SUBCARRIERS`` (48).  16 keeps runs
         fast while retaining frequency selectivity; 48 tracks every data
         subcarrier.
-    forced_link_snrs_db:
-        Optional map ``(tx_id, rx_id) -> SNR`` overriding the geometric
-        link budget for controlled experiments.
     channel_draws:
         Which draw contract turns the generator into channels:
 
@@ -448,7 +445,6 @@ class Network:
         rng: np.random.Generator,
         testbed: Optional[Testbed] = None,
         n_subcarriers: int = 16,
-        forced_link_snrs_db: Optional[Dict[Tuple[int, int], float]] = None,
         channel_draws: str = "batched",
     ) -> None:
         check_subcarrier_count(n_subcarriers)
@@ -467,7 +463,6 @@ class Network:
         self.noise_power = 1.0
         self.hardware: HardwareProfile = self.testbed.hardware
         self.channel_draws = channel_draws
-        self._forced_snrs = dict(forced_link_snrs_db or {})
         # Measurement noise comes from the construction generator until
         # reseed_estimation_noise() gives it a stream of its own.
         self._estimation_rng: np.random.Generator = rng
@@ -524,28 +519,6 @@ class Network:
         ).T
         return self.testbed.path_loss_at_distance(np.hypot(x[ai] - x[bi], y[ai] - y[bi]))
 
-    def _forced_snr_rows(self, ids: List[int]) -> Optional[np.ndarray]:
-        """Forced SNR per canonical pair row (``NaN`` = unforced).
-
-        A ``(a, b)`` entry with ``a < b`` wins over its ``(b, a)``
-        mirror.
-        """
-        if not self._forced_snrs:
-            return None
-        n = len(ids)
-        index_of = {node: row for row, node in enumerate(ids)}
-        forced = np.full(n * (n - 1) // 2, np.nan)
-        for prefer_forward in (False, True):
-            for (x, y), snr in self._forced_snrs.items():
-                if x == y or x not in index_of or y not in index_of:
-                    continue
-                if (x < y) != prefer_forward:
-                    continue
-                i, j = sorted((index_of[x], index_of[y]))
-                row = i * n - i * (i + 1) // 2 + (j - i - 1)
-                forced[row] = float(snr)
-        return forced
-
     def _draw_channels(self) -> None:
         """Draw every pair's channel under the network's draw contract.
 
@@ -559,12 +532,12 @@ class Network:
         ``__init__``):
 
         * ``"grouped"`` (v3) draws scalars-first -- every pair's
-          shadowing normal (forced pairs draw and discard theirs), every
-          line-of-sight coin, then one tap draw per antenna-shape group
-          in ``(n_tx, n_rx)`` order -- and evaluates the DFT at the
-          tracked bins (one BLAS matmul; schema 8).
+          shadowing normal, every line-of-sight coin, then one tap draw
+          per antenna-shape group in ``(n_tx, n_rx)`` order -- and
+          evaluates the DFT at the tracked bins (one BLAS matmul;
+          schema 8).
         * ``"batched"`` (v2) draws per pair, in canonical order: the
-          shadowing normal (unless forced), the coin, the tap normals.
+          shadowing normal, the coin, the tap normals.
           ``rng.normal(0, s)`` is ``s`` times one standard-normal draw,
           so a pair's tap normals and the next pair's shadowing normal
           are adjacent in the stream: each pair costs one ``random()``
@@ -596,7 +569,6 @@ class Network:
         n_pairs = ai.size
         losses = self._pair_losses(ids, ai, bi)
         antennas = np.array([self.stations[node].n_antennas for node in ids])
-        forced = self._forced_snr_rows(ids)
 
         base = int(antennas.max()) + 1
         shape_key = antennas[ai] * base + antennas[bi]  # n_tx * base + n_rx
@@ -609,7 +581,7 @@ class Network:
 
         if grouped:
             snrs, decays = testbed.link_scalars_batch(
-                losses, rng.standard_normal(n_pairs), rng.random(n_pairs), forced
+                losses, rng.standard_normal(n_pairs), rng.random(n_pairs)
             )
             # Drawn lazily, one group at a time, after the scalars.
             raws = (
@@ -617,7 +589,6 @@ class Network:
                 for rows, (r, m) in zip(groups, shapes)
             )
         else:
-            unforced = np.ones(n_pairs, bool) if forced is None else np.isnan(forced)
             # One row per pair: its tap normals, then a slot for the next
             # pair's shadowing normal.
             blocks = [
@@ -626,16 +597,12 @@ class Network:
             ]
             outs = [None] * n_pairs
             for rows, block in zip(groups, blocks):
-                block[:, -1] = 0.0
                 for row, out in zip(rows.tolist(), block):
                     outs[row] = out
-            # A row takes no shadowing normal when the next pair is forced
-            # (or there is no next pair).
-            for row in np.flatnonzero(~np.append(unforced[1:], False)).tolist():
-                outs[row] = outs[row][:-1]
-            shadowing = np.zeros(n_pairs)
-            if unforced[0]:
-                shadowing[0] = rng.standard_normal()
+            # The last pair has no next pair's shadowing normal to take.
+            outs[-1] = outs[-1][:-1]
+            shadowing = np.empty(n_pairs)
+            shadowing[0] = rng.standard_normal()
             coins = []
             draw_coin, draw_normals = rng.random, rng.standard_normal
             for out in outs:
@@ -645,7 +612,7 @@ class Network:
             for rows, block in zip(groups, blocks):
                 has_next = rows + 1 < n_pairs
                 shadowing[rows[has_next] + 1] = block[has_next, -1]
-            snrs, decays = testbed.link_scalars_batch(losses, shadowing, coins, forced)
+            snrs, decays = testbed.link_scalars_batch(losses, shadowing, coins)
             raws = (
                 block[:, :-1].reshape(rows.size, n_taps, 2, r, m)
                 for rows, (r, m), block in zip(groups, shapes, blocks)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -158,9 +158,13 @@ def heterogeneous_ap_scenario() -> Scenario:
     return Scenario("heterogeneous-ap", [c1, ap1, ap2, c2, c3], pairs)
 
 
+#: The antenna counts a dense LAN's pairs are drawn from: 1x1, 2x2 and
+#: 3x3 links, like a real office LAN.
+ANTENNA_MIX = (1, 2, 3)
+
+
 def dense_lan_scenario(
     n_pairs: int = 10,
-    antenna_mix: Sequence[int] = (1, 2, 3),
     seed: int = 0,
     packet_rate_pps: Optional[float] = None,
     name: Optional[str] = None,
@@ -171,8 +175,7 @@ def dense_lan_scenario(
 
     This is the scaling workload beyond the paper's 2-3 pair topologies:
     ``n_pairs`` transmitter-receiver pairs (so ``2 * n_pairs`` stations)
-    whose antenna counts are drawn from ``antenna_mix`` -- the default
-    mixes 1x1, 2x2 and 3x3 links like a real office LAN.  The scenario
+    whose antenna counts are drawn from :data:`ANTENNA_MIX`.  The scenario
     carries a :func:`~repro.channel.testbed.dense_testbed` sized to hold
     every node, so placements still vary run by run while the topology
     (which pair has how many antennas) is frozen by ``seed``.
@@ -183,14 +186,12 @@ def dense_lan_scenario(
         Number of traffic pairs.  10-25 pairs give the 20-50 node LANs of
         the registered ``dense-lan-20/30/50`` scenarios; 50 and 100 pairs
         give the ``dense-lan-100/200`` tier.
-    antenna_mix:
-        Antenna counts to draw from, one draw per pair.  At least one
-        pair is forced to the largest count so the network always has
-        multiple degrees of freedom.
     seed:
-        Freezes the antenna assignment (not the placements, which are per
-        run).  Factories with the same arguments build identical
-        scenarios, which keeps sweep cache keys stable.
+        Freezes the antenna assignment, one draw per pair (not the
+        placements, which are per run); if every pair draws one antenna,
+        the first takes the largest count so the network always has
+        multiple degrees of freedom.  Factories with the same arguments
+        build identical scenarios, which keeps sweep cache keys stable.
     packet_rate_pps:
         Suggested per-flow Poisson rate for the bursty variants; ``None``
         keeps the paper's saturated sources.
@@ -208,16 +209,13 @@ def dense_lan_scenario(
     """
     if n_pairs < 1:
         raise ConfigurationError("a dense LAN needs at least one pair")
-    if not antenna_mix:
-        raise ConfigurationError("antenna_mix must not be empty")
     from repro.channel.testbed import dense_testbed
 
     rng = np.random.default_rng(seed)
-    mix = [int(a) for a in antenna_mix]
-    counts = [mix[int(i)] for i in rng.integers(0, len(mix), size=n_pairs)]
-    if max(counts) == 1 and max(mix) > 1:
+    counts = [ANTENNA_MIX[i] for i in rng.integers(0, len(ANTENNA_MIX), size=n_pairs)]
+    if max(counts) == 1:
         # Guarantee the network has spare degrees of freedom to share.
-        counts[0] = max(mix)
+        counts[0] = max(ANTENNA_MIX)
 
     stations: List[Station] = []
     pairs: List[TrafficPair] = []

@@ -188,10 +188,11 @@ class RunSpec:
 
         A :class:`RunSpec` is already resolved and passes through
         unchanged.  Raises :class:`~repro.exceptions.ConfigurationError`
-        for a duration that is not finite and positive, a subcarrier
-        count outside ``1..48``, an unknown fidelity tier, validation
-        mode or fault profile, and for an unreadable or malformed fault
-        trace.
+        for a duration that is not finite and positive, a packet rate
+        that is not finite, a fidelity band that is not finite and
+        non-negative, a subcarrier count outside ``1..48``, an unknown
+        fidelity tier, validation mode or fault profile, and for an
+        unreadable or malformed fault trace.
         """
         if isinstance(config, RunSpec):
             return config
@@ -206,6 +207,10 @@ class RunSpec:
             value = getattr(config, name)
             return getattr(scenario, name) if value is None else value
 
+        if config.packet_rate_pps is not None and not math.isfinite(config.packet_rate_pps):
+            raise ConfigurationError(
+                f"packet_rate_pps must be finite, got {config.packet_rate_pps}"
+            )
         rate = hinted("packet_rate_pps")
         if config.packet_rate_pps is not None and config.packet_rate_pps <= 0:
             rate = None  # explicitly saturated
@@ -221,6 +226,8 @@ class RunSpec:
         fidelity = config.fidelity or "abstraction"
         _check_mode(fidelity, FIDELITY_MODES, "fidelity")
         band = config.fidelity_band_db
+        if band is not None and not (math.isfinite(band) and band >= 0):
+            raise ConfigurationError(f"fidelity_band_db must be finite and >= 0, got {band}")
         validation = config.validation or "off"
         _check_mode(validation, VALIDATION_MODES, "validation mode")
         return cls(

@@ -105,10 +105,8 @@ def sanitize_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return clean, bad
 
 
-def ill_conditioned(
-    singular_values: np.ndarray, limit: float = CONDITION_LIMIT
-) -> np.ndarray:
-    """Per-matrix mask of condition numbers beyond ``limit``.
+def ill_conditioned(singular_values: np.ndarray) -> np.ndarray:
+    """Per-matrix mask of condition numbers beyond :data:`CONDITION_LIMIT`.
 
     ``singular_values`` has shape ``(batch, n_sv)`` sorted descending (as
     returned by a batched SVD).  An all-zero matrix (``s_max == 0``) is
@@ -122,7 +120,7 @@ def ill_conditioned(
     # smax > limit * smin is cond > limit without the division, and it
     # also flags singular-with-signal members (smin == 0 < smax) while
     # leaving all-zero matrices (smax == smin == 0) unflagged.
-    return smax > limit * smin
+    return smax > CONDITION_LIMIT * smin
 
 
 # -- guarded decompositions --------------------------------------------------
@@ -161,18 +159,17 @@ def pinv_from_svd(u, s, vh, cutoff) -> np.ndarray:
     return np.matmul(vh.swapaxes(-1, -2), inv[..., None] * u.swapaxes(-1, -2))
 
 
-def pinv_stack(
-    stack: np.ndarray, rcond: float = GUARD_RCOND
-) -> Tuple[np.ndarray, np.ndarray]:
+def pinv_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Batched pseudo-inverse that cannot raise: ``(pinv, degraded)``.
 
     ``np.linalg.pinv``'s own formula on the :func:`svd_stack` factors of
-    the conjugate, so finite input gives its result bit for bit.
+    the conjugate at :data:`GUARD_RCOND`, so finite input gives
+    ``np.linalg.pinv(stack, rcond=GUARD_RCOND)`` bit for bit.
     ``degraded`` flags the members :func:`svd_stack` zeroed and any whose
     result was non-finite and had to be zeroed.
     """
     u, s, vh, degraded = svd_stack(np.conj(stack), full_matrices=False)
-    out = pinv_from_svd(u, s, vh, rcond * s.max(-1, keepdims=True, initial=0))
+    out = pinv_from_svd(u, s, vh, GUARD_RCOND * s.max(-1, keepdims=True, initial=0))
     if not np.isfinite(out).all():  # pragma: no cover - defensive
         degraded |= nonfinite_matrices(out)
         out = np.where(np.isfinite(out), out, 0.0)
@@ -189,9 +186,7 @@ def _solved(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> bool:
     return residual <= 1e-6 * scale
 
 
-def solve_stack(
-    matrices: np.ndarray, rhs: np.ndarray, rcond: float = GUARD_RCOND
-) -> Tuple[np.ndarray, np.ndarray]:
+def solve_stack(matrices: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Batched linear solve that cannot raise: ``(solution, degraded)``.
 
     The happy path is exactly ``np.linalg.solve`` (bit-identical result).
@@ -219,7 +214,7 @@ def solve_stack(
             degraded[index] = True
         else:
             degraded[index] = not _solved(a[index], b[index], member)
-    pinv, pinv_degraded = pinv_stack(a, rcond=rcond)
+    pinv, pinv_degraded = pinv_stack(a)
     out = pinv @ b
     if not np.isfinite(out).all():  # pragma: no cover - defensive
         out = np.where(np.isfinite(out), out, 0.0)

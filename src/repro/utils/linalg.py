@@ -32,23 +32,19 @@ __all__ = [
 DEFAULT_RCOND = 1e-10
 
 
-def singular_value_ranks(
-    singular_values: np.ndarray, rcond: float = DEFAULT_RCOND
-) -> np.ndarray:
+def singular_value_ranks(singular_values: np.ndarray) -> np.ndarray:
     """Numerical ranks of a stack of matrices from their singular values.
 
     ``singular_values`` has shape ``(batch, n_sv)`` (as returned by a
-    batched SVD); the tolerance is ``rcond * s_max`` per matrix, so every
-    kernel of the package agrees on rank.
+    batched SVD); the tolerance is ``DEFAULT_RCOND * s_max`` per matrix,
+    so every kernel of the package agrees on rank.
     """
     s = np.asarray(singular_values)
-    tol = rcond * s[:, :1]
+    tol = DEFAULT_RCOND * s[:, :1]
     return np.sum(s > tol, axis=1)
 
 
-def null_space_batch(
-    matrices: np.ndarray, n_vectors: int, rcond: float = DEFAULT_RCOND
-) -> np.ndarray:
+def null_space_batch(matrices: np.ndarray, n_vectors: int) -> np.ndarray:
     """Null-space bases of a stack of matrices in one batched SVD.
 
     The null space of the stacked nulling/alignment constraint matrix is
@@ -60,9 +56,8 @@ def null_space_batch(
         Complex array of shape ``(batch, rows, cols)``.
     n_vectors:
         How many null-space directions to return per matrix.  Each matrix
-        must have a null space of at least this dimension.
-    rcond:
-        Singular values below ``rcond * max(singular values)`` count as
+        must have a null space of at least this dimension.  Singular
+        values below ``DEFAULT_RCOND * max(singular values)`` count as
         zero.
 
     Returns
@@ -93,7 +88,7 @@ def null_space_batch(
         eye = np.eye(cols, dtype=complex)[:, :n_vectors]
         return np.broadcast_to(eye, (batch, cols, n_vectors)).copy(), np.zeros(batch, dtype=bool)
     _, s, vh, degraded = guarded.svd_stack(a, full_matrices=True)
-    ranks = singular_value_ranks(s, rcond)
+    ranks = singular_value_ranks(s)
     deficient = ranks + n_vectors > cols
     degraded = degraded | guarded.ill_conditioned(s) | deficient
     if deficient.any():
@@ -106,7 +101,7 @@ def null_space_batch(
 
 
 def orthonormal_complement_batch(
-    matrices: np.ndarray, n_vectors: Optional[int] = None, rcond: float = DEFAULT_RCOND
+    matrices: np.ndarray, n_vectors: Optional[int] = None
 ) -> np.ndarray:
     """Orthonormal-complement bases of a stack of matrices at once.
 
@@ -148,7 +143,7 @@ def orthonormal_complement_batch(
         eye = np.eye(n, dtype=complex)[:, :n_vectors]
         return np.broadcast_to(eye, (batch,) + eye.shape).copy(), np.zeros(batch, dtype=bool)
     u, s, _, degraded = guarded.svd_stack(a, full_matrices=True)
-    ranks = singular_value_ranks(s, rcond)
+    ranks = singular_value_ranks(s)
     degraded = degraded | guarded.ill_conditioned(s)
     if n_vectors is None:
         rank = int(ranks[0])

@@ -68,18 +68,6 @@ class TestLinkBudget:
         assert snr[0] == pytest.approx(15.0)
         assert snr[0] - snr[1] == pytest.approx(testbed.shadowing_sigma_db)
 
-    def test_forced_snr_is_respected(self):
-        testbed = default_testbed()
-        snr, _ = testbed.link_scalars_batch(
-            np.full(2, 80.0), np.array([0.3, 0.3]), np.ones(2), np.array([np.nan, 17.0])
-        )
-        assert snr[1] == 17.0
-        # A forced value is taken as given, even outside the clamp range.
-        forced, _ = testbed.link_scalars_batch(
-            np.full(1, 80.0), np.zeros(1), np.ones(1), np.array([45.0])
-        )
-        assert forced[0] == 45.0
-
     def test_line_of_sight_links_decay_faster(self):
         testbed = default_testbed()
         p = testbed.los_probability

@@ -14,16 +14,8 @@ from repro.experiments.fig11_nulling_alignment import (
     run_nulling_experiment,
     summarize as s11,
 )
-from repro.experiments.fig12_throughput import (
-    ThroughputExperiment,
-    run_throughput_experiment,
-    summarize as s12,
-)
-from repro.experiments.fig13_heterogeneous import (
-    HeterogeneousExperiment,
-    run_heterogeneous_experiment,
-    summarize as s13,
-)
+from repro.experiments.fig12_throughput import run_throughput_experiment, summarize as s12
+from repro.experiments.fig13_heterogeneous import run_heterogeneous_experiment, summarize as s13
 from oracles.channel import draw_link_reference
 from repro.channel.testbed import default_testbed, dense_testbed
 from repro.exceptions import ConfigurationError
@@ -33,12 +25,14 @@ from repro.experiments.handshake_overhead import (
     summarize as sh,
 )
 from repro.experiments.report import (
+    ThroughputExperiment,
     format_cdf_summary,
     format_table,
     per_run_ratios,
     percentile_row,
 )
 from repro.sim.runner import SimulationConfig
+from repro.sim.sweep import run_sweep
 from repro.sim.scenarios import heterogeneous_ap_scenario, three_pair_scenario
 
 
@@ -74,7 +68,7 @@ class TestRunRatios:
     def test_fig12_summary_counts_a_zero_baseline_run(self):
         experiment = ThroughputExperiment(
             totals={"802.11n": [1.0, 2.0], "n+": [2.0, 4.0]},
-            per_pair={
+            per_link={
                 "802.11n": {"tx1->rx1": [1.0, 0.0]},
                 "n+": {"tx1->rx1": [1.5, 0.5]},
             },
@@ -88,9 +82,9 @@ class TestRunRatios:
 
     def test_fig13_summary_counts_a_zero_baseline_run(self):
         protocols = ("802.11n", "beamforming", "n+")
-        experiment = HeterogeneousExperiment(
+        experiment = ThroughputExperiment(
             totals={"802.11n": [0.0, 2.0], "beamforming": [1.0, 1.0], "n+": [3.0, 3.0]},
-            per_flow={protocol: {} for protocol in protocols},
+            per_link={protocol: {} for protocol in protocols},
         )
         assert experiment.gain_over("802.11n").mean == pytest.approx(1.5)
         assert experiment.gain_over("802.11n").dropped == 1
@@ -186,6 +180,25 @@ class TestFig12AndFig13:
 
     def test_fig13_summary_renders(self, fig13):
         assert "Fig. 13(a)" in s13(fig13)
+
+    def test_both_figures_return_the_shared_result(self, fig12, fig13):
+        assert type(fig12) is type(fig13) is ThroughputExperiment
+        assert list(fig12.totals) == list(fig12.per_link) == ["802.11n", "n+"]
+        assert list(fig13.totals) == list(fig13.per_link) == ["802.11n", "beamforming", "n+"]
+        assert fig12.link_names() == ["tx1->rx1", "tx2->rx2", "tx3->rx3"]
+        assert fig13.link_names() == ["c1->AP1", "AP2->c2+c3"]
+
+
+def test_throughput_results_read_every_protocol_and_link_of_a_sweep():
+    config = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
+    sweep = run_sweep("two-pair", ["csma", "n+"], n_runs=2, seed=3, config=config)
+    experiment = ThroughputExperiment.from_sweep(sweep)
+    assert list(experiment.totals) == list(sweep.results)
+    for protocol, runs in sweep.results.items():
+        assert experiment.totals[protocol] == [m.total_throughput_mbps() for m in runs]
+        assert experiment.per_link[protocol] == {
+            name: [m.throughput_mbps(name) for m in runs] for name in sweep.link_names()
+        }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

@@ -10,7 +10,6 @@ from repro.mac.beamforming import BeamformingMac, distribute_streams
 from repro.mac.dot11n import Dot11nMac
 from repro.mac.nplus import NPlusMac
 from repro.mimo.dof import InterferenceStrategy
-from repro.phy.rates import MCS_TABLE
 from repro.sim.medium import Medium
 from repro.sim import link_abstraction
 from repro.sim.network import Network
@@ -50,9 +49,9 @@ def _spy_on_select_mcs(monkeypatch, module):
     margins = []
     real = module.select_mcs
 
-    def spy(snrs, table=MCS_TABLE, margin_db=0.0):
+    def spy(snrs, margin_db=0.0):
         margins.append(margin_db)
-        return real(snrs, table, margin_db)
+        return real(snrs, margin_db)
 
     monkeypatch.setattr(module, "select_mcs", spy)
     return margins

@@ -15,10 +15,10 @@ class TestInterferencePower:
         channel = np.full((1, 2), np.sqrt(10.0), dtype=complex)
         assert interference_power_db(channel, noise_power=1.0) == pytest.approx(10.0, abs=0.01)
 
-    def test_scales_with_tx_power(self, rng):
+    def test_scales_with_channel_power(self, rng):
         channel = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        full = interference_power_db(channel, tx_power=1.0)
-        reduced = interference_power_db(channel, tx_power=0.1)
+        full = interference_power_db(channel)
+        reduced = interference_power_db(np.sqrt(0.1) * channel)
         assert full - reduced == pytest.approx(10.0, abs=1e-6)
 
     def test_per_subcarrier_channel_averaged(self, rng):

@@ -14,7 +14,7 @@ bit for bit, down to the generator state; the PHY tests also use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -96,24 +96,20 @@ def draw_link_reference(
     n_tx: int,
     n_rx: int,
     rng: np.random.Generator,
-    snr_db: Optional[float] = None,
 ) -> Tuple[float, MultipathChannel]:
     """One link of ``testbed``: ``(snr_db, channel)``.
 
-    Draws, in order: the shadowing normal (skipped when ``snr_db`` forces
-    the budget), the line-of-sight coin, then the channel's taps.  The
+    Draws, in order: the shadowing normal, the line-of-sight coin, then
+    the channel's taps.  The
     shadowed log-distance budget is clamped to the testbed's operating
     range; the channel's average power gain is the linear SNR.
     """
-    if snr_db is None:
-        xa, ya = testbed.locations[tx_location]
-        xb, yb = testbed.locations[rx_location]
-        loss = testbed.path_loss_at_distance(float(np.hypot(xa - xb, ya - yb)))
-        loss = loss + rng.normal(0.0, testbed.shadowing_sigma_db)
-        snr = testbed.tx_power_dbm - loss - testbed.noise_floor_dbm
-        snr_db = float(min(max(snr, testbed.min_snr_db), testbed.max_snr_db))
-    else:
-        snr_db = float(snr_db)
+    xa, ya = testbed.locations[tx_location]
+    xb, yb = testbed.locations[rx_location]
+    loss = testbed.path_loss_at_distance(float(np.hypot(xa - xb, ya - yb)))
+    loss = loss + rng.normal(0.0, testbed.shadowing_sigma_db)
+    snr = testbed.tx_power_dbm - loss - testbed.noise_floor_dbm
+    snr_db = float(min(max(snr, testbed.min_snr_db), testbed.max_snr_db))
     line_of_sight = rng.random() < testbed.los_probability
     channel = MultipathChannel.random(
         n_rx=n_rx,

@@ -3,6 +3,7 @@ whole-group response computation of the grouped contract."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Tuple
 
 import numpy as np
@@ -32,22 +33,12 @@ class PerPairNetwork(Network):
     responses through the one bank API.
     """
 
-    def _pair_iter(self):
-        """Unordered station pairs in canonical draw order, with the
-        forced SNR (or ``None``) of each; a ``(a, b)`` entry with
-        ``a < b`` wins over its ``(b, a)`` mirror."""
-        ids = sorted(self.stations)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                forced = self._forced_snrs.get((a, b), self._forced_snrs.get((b, a)))
-                yield a, b, forced
-
     def _draw_channels(self) -> None:
         assert self.channel_draws == "batched", "the oracle draws the v2 contract only"
         bins = self._subcarrier_indices()
         self.eager_responses: Dict[Tuple[int, int], np.ndarray] = {}
         groups: Dict[Tuple[int, int], dict] = {}
-        for a, b, forced in self._pair_iter():
+        for a, b in combinations(sorted(self.stations), 2):
             sta_a = self.stations[a]
             sta_b = self.stations[b]
             snr_db, channel = draw_link_reference(
@@ -57,7 +48,6 @@ class PerPairNetwork(Network):
                 n_tx=sta_a.n_antennas,
                 n_rx=sta_b.n_antennas,
                 rng=self.rng,
-                snr_db=forced,
             )
             self.eager_responses[(a, b)] = channel.frequency_response(64)[bins]
             group = groups.setdefault(

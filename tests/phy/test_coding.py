@@ -31,23 +31,17 @@ class TestScrambler:
         sequence = scrambler_sequence(127)
         assert abs(int(np.sum(sequence)) - 64) <= 1
 
-    def test_zero_seed_rejected(self):
-        with pytest.raises(ValueError):
-            scrambler_sequence(10, seed=0)
-
-    def test_different_seeds_differ(self):
-        assert not np.array_equal(scrambler_sequence(50, 0x7F), scrambler_sequence(50, 0x29))
-
-    @pytest.mark.parametrize("seed", [0x01, 0x5D, 0x7F])
     @pytest.mark.parametrize("length", [0, 5, 127, 128, 3000])
-    def test_sequence_matches_bit_by_bit_lfsr(self, seed, length):
-        state = seed
+    def test_sequence_matches_bit_by_bit_lfsr(self, length):
+        # The register starts all ones; x^7 + x^4 + 1 is primitive, so
+        # 127 bits or more walk every non-zero register state.
+        state = 0x7F
         expected = []
         for _ in range(length):
             feedback = ((state >> 6) ^ (state >> 3)) & 1
             expected.append(feedback)
             state = ((state << 1) | feedback) & 0x7F
-        sequence = scrambler_sequence(length, seed)
+        sequence = scrambler_sequence(length)
         assert sequence.dtype == np.int8
         assert sequence.tolist() == expected
 

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.phy import esnr_ber_average
-from repro.phy.esnr import esnr_db, mcs_for_esnr, packet_delivery_probability, select_mcs
+from repro.constants import DELIVERY_STEEPNESS_DB, DELIVERY_THRESHOLD_OFFSET_DB
+from repro.phy.esnr import (
+    delivery_margin_db,
+    esnr_db,
+    mcs_for_esnr,
+    packet_delivery_probability,
+    select_mcs,
+)
 from repro.phy.modulation import get_modulation
 from repro.phy.rates import MCS_TABLE
 
@@ -117,7 +124,7 @@ class TestRateSelection:
             max(qualifying, key=lambda mcs: mcs.data_rate_mbps()) if qualifying else MCS_TABLE[0]
         )
         assert select_mcs(snrs, margin_db=margin) == expected
-        assert mcs_for_esnr(esnr, MCS_TABLE, margin) == expected
+        assert mcs_for_esnr(esnr, margin) == expected
 
 
 class TestMcsForEsnr:
@@ -125,16 +132,6 @@ class TestMcsForEsnr:
     def test_threshold_is_inclusive(self, mcs):
         assert mcs_for_esnr(mcs.min_esnr_db) == mcs
         assert mcs_for_esnr(mcs.min_esnr_db + 2.0, margin_db=2.0) == mcs
-
-    def test_table_may_be_a_one_shot_iterator(self):
-        assert mcs_for_esnr(30.0, iter(MCS_TABLE)) == MCS_TABLE[-1]
-        assert mcs_for_esnr(-5.0, iter(MCS_TABLE)) == MCS_TABLE[0]
-
-    def test_restricted_table_never_leaves_it(self):
-        table = MCS_TABLE[2:5]
-        assert mcs_for_esnr(40.0, table) == MCS_TABLE[4]
-        assert mcs_for_esnr(-5.0, table) == MCS_TABLE[2]
-        assert mcs_for_esnr(MCS_TABLE[3].min_esnr_db, table) == MCS_TABLE[3]
 
     def test_unusable_esnr_gives_the_most_robust_entry(self):
         assert mcs_for_esnr(-np.inf) == MCS_TABLE[0]
@@ -180,15 +177,14 @@ class TestDeliveryProbability:
         prob = packet_delivery_probability([mcs.min_esnr_db] * 16, mcs, 12_000)
         assert prob == pytest.approx(1.0 / (1.0 + np.exp(-2.5)))
 
-    def test_steepness_flattens_the_cliff(self):
-        mcs = MCS_TABLE[3]
-        above = [mcs.min_esnr_db] * 16
-        below = [mcs.min_esnr_db - 5.0] * 16
-        assert packet_delivery_probability(above, mcs, 12_000, steepness_db=3.0) < (
-            packet_delivery_probability(above, mcs, 12_000, steepness_db=1.0)
-        )
-        assert packet_delivery_probability(below, mcs, 12_000, steepness_db=3.0) > (
-            packet_delivery_probability(below, mcs, 12_000, steepness_db=1.0)
+    @pytest.mark.parametrize("mcs", MCS_TABLE, ids=lambda mcs: f"mcs{mcs.index}")
+    def test_the_cliff_is_centred_and_scaled_by_the_two_constants(self, mcs):
+        centre = mcs.min_esnr_db - DELIVERY_THRESHOLD_OFFSET_DB
+        assert delivery_margin_db([centre] * 16, mcs) == pytest.approx(0.0, abs=1e-9)
+        assert packet_delivery_probability([centre] * 16, mcs, 12_000) == pytest.approx(0.5)
+        one_step = [centre + DELIVERY_STEEPNESS_DB] * 16
+        assert packet_delivery_probability(one_step, mcs, 12_000) == pytest.approx(
+            1.0 / (1.0 + np.exp(-1.0))
         )
 
     def test_packets_up_to_12000_bits_share_one_probability(self):

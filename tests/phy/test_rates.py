@@ -26,9 +26,10 @@ class TestMcsTable:
         for mcs, rate in zip(MCS_TABLE, expected):
             assert mcs.data_rate_mbps() == pytest.approx(rate / 2)
 
-    def test_streams_scale_rate_linearly(self):
+    def test_streams_divide_the_airtime(self):
         mcs = MCS_TABLE[4]
-        assert mcs.data_rate_mbps(n_streams=3) == pytest.approx(3 * mcs.data_rate_mbps())
+        bits = 30 * mcs.data_bits_per_ofdm_symbol
+        assert mcs.airtime_us(bits, n_streams=3) == pytest.approx(mcs.airtime_us(bits) / 3)
 
     def test_table_runs_from_most_robust_to_fastest(self):
         assert MCS_TABLE[0].index == 0

@@ -84,7 +84,7 @@ class TestProbeChainFrames:
         rng = np.random.default_rng((19, mcs.index))
         snrs = np.full(8, mcs.min_esnr_db - 3.0)
         for _ in range(3):
-            simulate_probe_delivery(snrs, mcs, rng, probe_bits=256)
+            simulate_probe_delivery(snrs, mcs, rng)
         assert len(captured) == 3
         for coded, n_data_bits, kwargs in captured:
             fast = viterbi_decode(coded, n_data_bits, **kwargs)

@@ -28,6 +28,7 @@ from oracles.runner import (
 from repro.exceptions import ConfigurationError
 from repro.sim.fidelity import (
     DEFAULT_BAND_DB,
+    DEFAULT_PROBE_BITS,
     FidelityEngine,
     _link_precoders,
     cross_validate_links,
@@ -284,7 +285,7 @@ class TestFidelityEngine:
             FidelityEngine(network, 1, mode="abstraction")
 
 
-def _full_frame_probe(subcarrier_snrs_db, mcs, rng, probe_bits, noise_power=1.0):
+def _full_frame_probe(subcarrier_snrs_db, mcs, rng, noise_power=1.0):
     """The probe chain with the full frame: the pre-coded preamble is built
     and spliced in front of the faded, noisy body."""
     snrs = np.asarray(subcarrier_snrs_db, dtype=float)
@@ -294,7 +295,7 @@ def _full_frame_probe(subcarrier_snrs_db, mcs, rng, probe_bits, noise_power=1.0)
     modem = OfdmModem(config)
     snr_per_bin = np.interp(np.arange(config.fft_size, dtype=float), bins[order], snrs[order])
     amplitude = np.sqrt(np.power(10.0, snr_per_bin / 10.0) * noise_power)
-    bits = rng.integers(0, 2, size=int(probe_bits), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=DEFAULT_PROBE_BITS, dtype=np.uint8)
     samples, layout = MimoTransmitter(1, config).build_frame(
         [StreamConfig(bits=bits, mcs=mcs, precoder=np.array([1.0 + 0j]))]
     )
@@ -336,8 +337,8 @@ class TestProbeChain:
         snrs = mcs.min_esnr_db + np.array([-8.0, -6.0, -4.0, -2.0, 2.0])[:, None] + np.zeros(8)
         fast_rng = np.random.default_rng((33, mcs.index))
         slow_rng = np.random.default_rng((33, mcs.index))
-        fast = [simulate_probe_delivery(row, mcs, fast_rng, probe_bits=256) for row in snrs]
-        slow = [_full_frame_probe(row, mcs, slow_rng, probe_bits=256) for row in snrs]
+        fast = [simulate_probe_delivery(row, mcs, fast_rng) for row in snrs]
+        slow = [_full_frame_probe(row, mcs, slow_rng) for row in snrs]
         assert fast == slow and True in fast and False in fast
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
@@ -386,10 +387,9 @@ class TestCrossValidation:
 
     @pytest.mark.slow
     def test_deep_sweep_agreement(self):
-        # The expensive standing sweep: more links, more scenarios, more
-        # probe trials per verdict.
+        # The expensive standing sweep: more links, more scenarios.
         for name in ("dense-lan-30", "dense-lan-50"):
-            report = cross_validate_links(name, seed=0, n_links=10, trials=5)
+            report = cross_validate_links(name, seed=0, n_links=10)
             assert report.agreement_outside_band >= self.PINNED_OUTSIDE_AGREEMENT, (
                 name,
                 report.format_table(),

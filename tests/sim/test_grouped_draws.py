@@ -108,23 +108,6 @@ class TestGroupedDrawContract:
         )
         _assert_same_channels(reference, permuted)
 
-    def test_forced_link_snrs_are_honoured(self):
-        scenario = three_pair_scenario()
-        forced = {(0, 1): 12.0, (5, 4): 7.5}
-        network = _grouped(scenario, seed=4, forced_link_snrs_db=forced)
-        assert network.link_snr_db(0, 1) == 12.0
-        assert network.link_snr_db(1, 0) == 12.0
-        assert network.link_snr_db(4, 5) == 7.5
-
-    def test_forced_pairs_do_not_shift_the_stream(self):
-        """A forced pair draws (and discards) its shadowing, so every
-        other pair's channel is unchanged by the forced set."""
-        scenario = three_pair_scenario()
-        plain = _grouped(scenario, seed=4)
-        forced = _grouped(scenario, seed=4, forced_link_snrs_db={(0, 1): 12.0})
-        assert np.array_equal(plain.true_channel(2, 3), forced.true_channel(2, 3))
-        assert plain.link_snr_db(4, 5) == forced.link_snr_db(4, 5)
-
     def test_grouped_differs_from_v2_by_design(self):
         """The schema bump exists because the contracts disagree."""
         scenario = three_pair_scenario()

@@ -35,50 +35,49 @@ def _scenario():
     return custom_pairs_scenario(list(ANTENNAS))
 
 
-def _forced(kind, scenario):
-    ids = sorted(station.node_id for station in scenario.stations)
-    first, last = (ids[0], ids[1]), (ids[-2], ids[-1])
-    return {
-        "none": None,
-        "first": {first: 12.0},
-        "last": {last: 31.5},
-        "mirrored": {(last[1], last[0]): 4.25, (ids[2], ids[0]): 18.0},
-    }[kind]
+def _first_read(kind, pairs):
+    """The directed link read before any other: the first stored pair,
+    the last one, or the middle one in its reversed direction."""
+    a, b = pairs[len(pairs) // 2]
+    return {"first": pairs[0], "last": pairs[-1], "reversed": (b, a)}[kind]
 
 
-def _build(mode, seed=5, n_subcarriers=8, forced=None, cls=Network):
+def _build(mode, seed=5, n_subcarriers=8, cls=Network):
     scenario = _scenario()
     return cls(
         scenario.stations,
         scenario.pairs,
         np.random.default_rng(seed),
         n_subcarriers=n_subcarriers,
-        forced_link_snrs_db=forced,
         channel_draws=mode,
     )
 
 
-def _eager(mode, seed, n_subcarriers, forced, network):
+def _eager(mode, seed, n_subcarriers, network):
     if mode == "grouped":
         return grouped_eager_responses(network)
-    oracle = _build("batched", seed, n_subcarriers, forced, cls=PerPairNetwork)
+    oracle = _build("batched", seed, n_subcarriers, cls=PerPairNetwork)
     return oracle.eager_responses
 
 
 class TestLazyEqualsEager:
     @pytest.mark.parametrize("mode", DRAW_CONTRACTS)
-    @pytest.mark.parametrize("forced_kind", ["none", "first", "last", "mirrored"])
+    @pytest.mark.parametrize("first_read", ["first", "last", "reversed"])
     @pytest.mark.parametrize("n_subcarriers", [1, 8, 48])
-    def test_every_pair_equals_the_eager_oracle(self, mode, forced_kind, n_subcarriers):
-        forced = _forced(forced_kind, _scenario())
-        network = _build(mode, 5, n_subcarriers, forced)
+    def test_every_pair_equals_the_eager_oracle(self, mode, first_read, n_subcarriers):
+        network = _build(mode, 5, n_subcarriers)
         bank = network.channels
         assert bank_computed_pairs(bank) == []
-        eager = _eager(mode, 5, n_subcarriers, forced, network)
+        eager = _eager(mode, 5, n_subcarriers, network)
         pairs = bank_pairs(bank)
         assert set(eager) == set(pairs)
         assert len({normals.shape[3:] for normals in bank._normals}) == 9
-        # Read half the pairs through the reverse direction first, in
+        # The first read computes its own slot and no other.
+        tx, rx = _first_read(first_read, pairs)
+        expected = eager[(tx, rx)] if (tx, rx) in eager else eager[(rx, tx)].transpose(0, 2, 1)
+        assert np.array_equal(network.true_channel(tx, rx), expected)
+        assert bank_computed_pairs(bank) == [(min(tx, rx), max(tx, rx))]
+        # Then read half the pairs through the reverse direction first, in
         # reverse slot order: the first read's direction and order are
         # irrelevant.
         for index, (a, b) in enumerate(reversed(pairs)):

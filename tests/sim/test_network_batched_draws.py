@@ -3,8 +3,7 @@
 The load-bearing guarantee: the v2 ``"batched"`` draws -- two generator
 calls per pair, the link budget, tap scaling and one stacked FFT per
 antenna-shape group as array code -- are *bit-identical* to the per-pair
-oracle loop, for every antenna mix, with and without forced link SNRs,
-all the way down to the post-draw generator state (so every downstream
+oracle loop, for every antenna mix, all the way down to the post-draw generator state (so every downstream
 draw, and therefore every simulated metric, is unchanged).
 """
 
@@ -66,13 +65,6 @@ class TestBatchedDrawsBitIdentical:
     def test_antenna_mixes(self, antenna_counts):
         scenario = custom_pairs_scenario(antenna_counts)
         _assert_identical(*_build_both(scenario, seed=3, n_subcarriers=8))
-
-    def test_forced_snr_links(self):
-        scenario = three_pair_scenario()
-        forced = {(0, 1): 12.0, (2, 3): 25.0, (5, 4): 7.5}
-        _assert_identical(
-            *_build_both(scenario, seed=5, n_subcarriers=8, forced_link_snrs_db=forced)
-        )
 
     def test_dense_lan_on_dense_testbed(self):
         scenario = dense_lan_scenario(n_pairs=8, seed=11)
@@ -144,23 +136,16 @@ class _CountingGenerator:
 
 
 class TestTwoGeneratorCallsPerPair:
-    @pytest.mark.parametrize("forced_first", [False, True])
-    def test_call_count(self, forced_first):
+    def test_call_count(self):
         scenario = dense_lan_scenario(n_pairs=6, seed=4)
-        kwargs = dict(
-            testbed=scenario.make_testbed(),
-            n_subcarriers=8,
-            forced_link_snrs_db={(0, 1): 15.0} if forced_first else None,
-        )
+        kwargs = dict(testbed=scenario.make_testbed(), n_subcarriers=8)
         counting = _CountingGenerator(np.random.default_rng(8))
         network = Network(scenario.stations, scenario.pairs, counting, **kwargs)
         n = len(scenario.stations)
         n_pairs = n * (n - 1) // 2
-        # One placement draw, then per pair a coin and one normal fill;
-        # an unforced first pair adds its leading shadowing normal.
-        assert counting.calls == Counter(
-            choice=1, random=n_pairs, standard_normal=n_pairs + (not forced_first)
-        )
+        # One placement draw, the first pair's shadowing normal, then per
+        # pair a coin and one normal fill.
+        assert counting.calls == Counter(choice=1, random=n_pairs, standard_normal=n_pairs + 1)
         rng_reference = np.random.default_rng(8)
         reference = PerPairNetwork(scenario.stations, scenario.pairs, rng_reference, **kwargs)
         _assert_identical(network, reference, counting._rng, rng_reference)
@@ -168,48 +153,24 @@ class TestTwoGeneratorCallsPerPair:
 
 @st.composite
 def _draw_cases(draw):
-    """Stations, subcarrier count and a forced-SNR map for one build."""
+    """Stations, subcarrier count and seed for one build."""
     n = draw(st.integers(2, 12))
     ids = sorted(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True)))
     stations = [Station(node, draw(st.integers(1, 3))) for node in ids]
-    canonical = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
-    hit = draw(st.sampled_from(["none", "first", "last", "every", "some"]))
-    chosen = {
-        "none": [],
-        "first": canonical[:1],
-        "last": canonical[-1:],
-        "every": canonical,
-        "some": draw(st.lists(st.sampled_from(canonical), unique=True)),
-    }[hit]
-    snr = st.floats(0.0, 40.0, allow_nan=False)
-    forced = {}
-    for a, b in chosen:
-        # Forward, mirrored, or both (the forward entry must win).
-        side = draw(st.sampled_from(["forward", "mirrored", "both"]))
-        if side != "forward":
-            forced[(b, a)] = draw(snr)
-        if side != "mirrored":
-            forced[(a, b)] = draw(snr)
     n_subcarriers = draw(st.sampled_from([1, 8, 48]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return stations, n_subcarriers, forced, seed
+    return stations, n_subcarriers, seed
 
 
 class TestDrawSplitProperty:
     @settings(max_examples=100, deadline=None)
     @given(_draw_cases())
     def test_batched_build_equals_the_per_pair_loop(self, case):
-        stations, n_subcarriers, forced, seed = case
+        stations, n_subcarriers, seed = case
         builds = []
         for network_class in (Network, PerPairNetwork):
             rng = np.random.default_rng(seed)
-            network = network_class(
-                stations,
-                [],
-                rng,
-                n_subcarriers=n_subcarriers,
-                forced_link_snrs_db=forced,
-            )
+            network = network_class(stations, [], rng, n_subcarriers=n_subcarriers)
             builds.append((network, rng))
         (batched, rng_batched), (reference, rng_reference) = builds
         _assert_identical(batched, reference, rng_batched, rng_reference)

@@ -71,17 +71,6 @@ class TestNetwork:
         with pytest.raises(KeyError):
             network.station(99)
 
-    def test_forced_link_snr(self, rng):
-        scenario = three_pair_scenario()
-        network = Network(
-            scenario.stations,
-            scenario.pairs,
-            rng,
-            n_subcarriers=8,
-            forced_link_snrs_db={(0, 1): 12.0},
-        )
-        assert network.link_snr_db(0, 1) == pytest.approx(12.0)
-
     def test_duplicate_station_ids_rejected(self, rng):
         from repro.sim.node import Station, TrafficPair
 

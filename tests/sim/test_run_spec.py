@@ -192,6 +192,25 @@ class TestResolve:
             run_sweep("three-pair", ["n+"], n_runs=1, config=config, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_a_packet_rate_that_is_not_finite_is_refused(self, tmp_path, rate):
+        config = SimulationConfig(packet_rate_pps=rate)
+        with pytest.raises(ConfigurationError, match="packet_rate_pps must be finite"):
+            RunSpec.resolve(three_pair_scenario(), config)
+        with pytest.raises(ConfigurationError, match="packet_rate_pps must be finite"):
+            run_sweep("three-pair", ["n+"], n_runs=1, config=config, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("band", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_a_fidelity_band_that_is_not_finite_and_non_negative_is_refused(self, band):
+        config = SimulationConfig(fidelity="auto", fidelity_band_db=band)
+        with pytest.raises(ConfigurationError, match="fidelity_band_db must be"):
+            RunSpec.resolve(three_pair_scenario(), config)
+
+    def test_a_zero_fidelity_band_resolves(self):
+        config = SimulationConfig(fidelity="auto", fidelity_band_db=0.0)
+        assert RunSpec.resolve(three_pair_scenario(), config).fidelity_band_db == 0.0
+
     @pytest.mark.parametrize("n_subcarriers", [49, 64])
     def test_run_simulation_refuses_more_subcarriers_than_data_bins(
         self, n_subcarriers

@@ -215,17 +215,16 @@ class TestSweepCache:
         assert scenario_digest(explicit) == baseline
 
         # An edited default floor changes the digest...
-        def edited_floor(hardware=None):
-            testbed = default_testbed(hardware)
-            return dc.replace(testbed, path_loss_exponent=9.9)
+        def edited_floor():
+            return dc.replace(default_testbed(), path_loss_exponent=9.9)
 
         monkeypatch.setattr(sweep_module, "default_testbed", edited_floor)
         assert scenario_digest(scenario) != baseline
 
         # ...and so does an edited default HardwareProfile.
-        def edited_hardware(hardware=None):
-            return default_testbed(
-                hardware or HardwareProfile(nulling_suppression_db=1.0)
+        def edited_hardware():
+            return dc.replace(
+                default_testbed(), hardware=HardwareProfile(nulling_suppression_db=1.0)
             )
 
         monkeypatch.setattr(sweep_module, "default_testbed", edited_hardware)
@@ -244,9 +243,8 @@ class TestSweepCache:
         )
         assert first.cache_misses == 1
 
-        def edited_floor(hardware=None):
-            testbed = default_testbed(hardware)
-            return dc.replace(testbed, shadowing_sigma_db=0.1)
+        def edited_floor():
+            return dc.replace(default_testbed(), shadowing_sigma_db=0.1)
 
         monkeypatch.setattr(sweep_module, "default_testbed", edited_floor)
         rerun = run_sweep(

@@ -257,6 +257,11 @@ class TestMain:
             ["sweep", "--fault-profile", "nope"],
             ["sweep", "--subcarriers", "64"],
             ["fig12", "--duration-ms", "-5"],
+            ["sweep", "--packet-rate-pps", "nan"],
+            ["sweep", "--packet-rate-pps", "inf"],
+            ["sweep", "--fidelity-band-db", "-1"],
+            ["sweep", "--fidelity-band-db", "nan"],
+            ["sweep", "--fidelity-band-db", "inf"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[1]}",
     )

@@ -66,9 +66,9 @@ class TestHappyPathBitIdentity:
 
     def test_pinv_matches_raw_pinv_exactly(self, rng):
         stack = _stack(rng, N_SUB, 4, 2)
-        out, degraded = guarded.pinv_stack(stack, rcond=1e-15)
+        out, degraded = guarded.pinv_stack(stack)
         assert not degraded.any()
-        assert np.array_equal(out, np.linalg.pinv(stack, rcond=1e-15))
+        assert np.array_equal(out, np.linalg.pinv(stack, rcond=guarded.GUARD_RCOND))
 
     def test_svd_matches_raw_svd_exactly(self, rng):
         stack = _stack(rng, N_SUB, 3, 4)
