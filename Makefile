@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke reachability settable loc
+.PHONY: test test-fast docs-check examples bench bench-compare bench-quick bench-baseline precommit invariant-smoke reachability settable loc same-results
 
 test:
 	$(PYTHON) -m pytest -q
@@ -52,6 +52,13 @@ reachability:
 # prints each as "path:line function(param=default)".
 settable:
 	$(PYTHON) tests/settable.py
+
+# Says whether a change moved any result: runs the perfbench grids and
+# the paper's two topologies (seeds 0-2) on REV and on this tree, compares
+# every cell's metrics digest and the `repro all --quick` text, and fails
+# naming the first cells that moved.  Usage: make same-results REV=HEAD~1
+same-results:
+	$(PYTHON) tests/same_results.py $(REV)
 
 # Prints the line count (wc -l) of src/repro per package, largest first,
 # then its top-level modules and the total, then the code lines of that

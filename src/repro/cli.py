@@ -14,7 +14,7 @@ Installed as a module runner::
     python -m repro.cli sweep --scenario dense-lan-20-faulty --protocols "n+,n+[recovery=erasure]" --runs 8
     python -m repro.cli sweep --scenario dense-lan-30 --runs 50 --cache-dir .sweep-cache --resume
     python -m repro.cli results --cache-dir .sweep-cache
-    python -m repro.cli replay path-to-capsule.json
+    python -m repro.cli replay --cache-dir .sweep-cache 3f9c2a1b7d04
     python -m repro.cli validate-fidelity --scenario dense-lan-20 --links 8
     python -m repro.cli all --quick
 
@@ -29,15 +29,15 @@ scenario x protocol grid through the parallel orchestrator
 on-disk result caching, ``sweep --resume`` completes an interrupted
 cached sweep exactly where it stopped, ``results`` inspects a results
 store -- recorded sweeps, per-(scenario, protocol) cell states and the
-crash capsules of failed cells (:mod:`repro.sim.store`) -- ``replay``
-re-executes a crash capsule under full validation
-(:mod:`repro.sim.capsule`) and reports whether the recorded failure
-reproduced, and ``validate-fidelity`` prints the cross-fidelity
-agreement table of :mod:`repro.sim.fidelity` for sampled links of a
-scenario.
+failed cells with their keys (:mod:`repro.sim.store`) -- ``replay``
+re-executes a failed cell, named by a prefix of its key, under full
+validation (:func:`repro.sim.sweep.replay_failed_cell`) and reports
+whether the recorded failure reproduced, and ``validate-fidelity``
+prints the cross-fidelity agreement table of :mod:`repro.sim.fidelity`
+for sampled links of a scenario.
 
 A ``sweep`` that ends with failed cells exits non-zero (even without
-``--strict``), printing one line per failure with its capsule path.
+``--strict``), printing one line per failure with its cell key.
 """
 
 from __future__ import annotations
@@ -247,29 +247,35 @@ def _run_sweep(args: argparse.Namespace) -> int:
         # into analysis must not mistake it for a clean run.
         print(f"\n{len(result.failures)} cell(s) FAILED:")
         for failure in result.failures:
-            capsule = (
-                f" capsule={failure.capsule_path}" if failure.capsule_path else ""
-            )
             print(
-                f"FAILED cell: protocol={failure.protocol} run={failure.run} "
-                f"seed={failure.run_seed}: {failure.error}{capsule}"
+                f"FAILED cell {failure.key[:12]}: protocol={failure.protocol} "
+                f"run={failure.run} seed={failure.run_seed}: {failure.error}"
             )
-        if any(f.capsule_path for f in result.failures):
-            print("replay a capsule with: python -m repro.cli replay CAPSULE_PATH")
+        if args.cache_dir is not None:
+            _print_replay_hint(args.cache_dir, result.failures[0].key)
         return 1
     return 0
 
 
-def _run_results(args: argparse.Namespace) -> None:
+def _print_replay_hint(cache_dir: str, key: str) -> None:
+    print(f"replay one with: python -m repro.cli replay --cache-dir {cache_dir} {key[:12]}")
+
+
+def _check_store(args: argparse.Namespace) -> None:
+    """Refuse a missing ``--cache-dir`` or a directory with no store."""
     if args.cache_dir is None:
         raise ConfigurationError(
-            "the 'results' command needs --cache-dir pointing at a results store"
+            f"the {args.command!r} command needs --cache-dir pointing at a results store"
         )
     path = store_path(args.cache_dir)
     if not path.exists():
         # Opening would create an empty store, so a typo'd path would
         # read as a store with no cells.
         raise ConfigurationError(f"no results store at {path}")
+
+
+def _run_results(args: argparse.Namespace) -> None:
+    _check_store(args)
     with ResultsStore(args.cache_dir) as store:
         _print_header(f"Results store -- {args.cache_dir}")
         sweeps = store.sweeps()
@@ -321,48 +327,48 @@ def _run_results(args: argparse.Namespace) -> None:
                     cell.protocol or "-",
                     "-" if cell.run is None else str(cell.run),
                     (cell.error or "")[:44],
-                    cell.capsule_path or "-",
+                    cell.key[:12],
                 ]
                 for cell in failed
             ]
-            print(format_table(["scenario", "protocol", "run", "error", "capsule"], rows))
-            print("\nreplay a capsule with: python -m repro.cli replay CAPSULE_PATH")
+            print(format_table(["scenario", "protocol", "run", "error", "cell"], rows))
+            print()
+            _print_replay_hint(args.cache_dir, failed[0].key)
 
 
 def _run_replay(args: argparse.Namespace) -> int:
-    from repro.sim.capsule import load_capsule, replay_capsule
+    from repro.sim.sweep import replay_failed_cell
 
+    _check_store(args)
     if not args.target:
         raise ConfigurationError(
-            "the 'replay' command needs the path of a crash capsule "
-            "(printed by a failing sweep and by 'repro results')"
+            "the 'replay' command needs the key (or a key prefix) of a failed "
+            "cell, as a failing sweep and 'repro results' print it"
         )
-    capsule = load_capsule(args.target)
-    _print_header(
-        f"Replay -- {capsule.scenario} / {capsule.protocol} "
-        f"run {capsule.run} (seed {capsule.run_seed})"
+    outcome = replay_failed_cell(
+        args.cache_dir, args.target, validation=args.validation or "full"
     )
-    print(f"recorded failure: {capsule.error_type}: {capsule.error_message}")
-    outcome = replay_capsule(capsule, validation=args.validation or "full")
-    if not outcome.fingerprint_matched:
+    row = outcome.row
+    _print_header(
+        f"Replay -- {row.scenario} / {row.protocol} run {row.run} "
+        f"(seed {row.run_seed}), cell {row.key[:12]}"
+    )
+    print(f"recorded failure: {row.error}")
+    if not outcome.key_matched:
         print(
-            "WARNING: the scenario definition changed since this capsule was "
-            "written; the replay may not be faithful"
+            "WARNING: the cell's inputs changed since it failed (its rebuilt key "
+            f"is {outcome.cell.key[:12]}); the replay may not be faithful"
         )
     if outcome.reproduced:
-        print(f"reproduced: {outcome.error_type}: {outcome.error_message}")
-        if outcome.traceback:
-            print()
-            print(outcome.traceback, end="")
-        return 0
-    if outcome.error_type is None:
+        print(f"reproduced: {outcome.error}")
+    elif outcome.error is None:
         print("NOT reproduced: the replay completed cleanly")
     else:
-        print(f"NOT reproduced: got {outcome.error_type}: {outcome.error_message}")
-        if outcome.traceback:
-            print()
-            print(outcome.traceback, end="")
-    return 1
+        print(f"NOT reproduced: got {outcome.error}")
+    if outcome.traceback:
+        print()
+        print(outcome.traceback, end="")
+    return 0 if outcome.reproduced else 1
 
 
 def _run_validate_fidelity(args: argparse.Namespace) -> None:
@@ -417,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         nargs="?",
         default=None,
-        help="for the 'replay' command: path of the crash capsule to re-execute",
+        help="for the 'replay' command: the key, or a unique prefix of it, of "
+        "the failed cell to re-execute (with --cache-dir)",
     )
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument(
@@ -486,8 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fault-trace",
         default=None,
-        help="JSON or CSV trace of loss episodes to replay (start_us, duration_us, "
-        "loss_rate[, tx_id, rx_id]); combined with --fault-profile if both given",
+        help="JSON trace of fault episodes to replay: a list of type-tagged "
+        "fade/loss/churn objects, as repro.sim.faults.FaultSchedule.to_jsonable "
+        "writes them; combined with --fault-profile if both given",
     )
     parser.add_argument(
         "--fidelity",
@@ -535,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: parse arguments and run the selected experiment."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # Intermixed, so a positional may follow options: "replay --cache-dir DIR KEY".
+    args = parser.parse_intermixed_args(argv)
     if args.workers < 0:
         parser.error("--workers must be >= 0 (0 = all usable cores)")
     for flag in ("trials", "runs", "links"):

@@ -50,8 +50,8 @@ class InvariantViolation(ReproError):
 
     The message names the violated checker, the round it fired in and the
     links involved; the structured fields (:attr:`checker`, :attr:`round`,
-    :attr:`links`) carry the same information for programmatic handling
-    (crash capsules serialize them).  Raised only when
+    :attr:`links`) carry the same information for programmatic
+    handling.  Raised only when
     :attr:`repro.sim.spec.SimulationConfig.validation` is ``"cheap"``
     or ``"full"`` -- the default ``"off"`` never runs the checkers.
     """

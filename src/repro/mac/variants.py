@@ -8,7 +8,7 @@ and the single-stream ``csma`` baseline.  A new protocol is one more row.
 A :class:`ProtocolSpec` is a value of one variant: a name plus validated
 overrides of the recovery family (:data:`RECOVERY_PARAMS`), which every
 variant declares.  Everything that takes a protocol (``run_simulation``,
-the sweep grid, the CLI, capsule replay) resolves it through
+the sweep grid, the CLI, a failed cell's replay) resolves it through
 :func:`resolve_protocol`, which accepts exactly two spellings: a
 ``"name"`` or ``"name[k=v,...]"`` string, or a ``ProtocolSpec``.  A bare
 name is *exactly* a default-parameter spec -- same agent, same

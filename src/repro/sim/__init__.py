@@ -25,6 +25,6 @@ nulling/alignment.
 A sweep's *plan layer* (``scenarios``, ``spec``, ``faults``,
 ``invariants``, ``metrics``, ``store`` and ``sweep`` itself) resolves the
 grid and reads stored cells; its *run layer* (``runner`` and everything
-it imports, ``fidelity``, ``supervisor``, ``capsule``) loads only when a
+it imports, ``fidelity``, ``supervisor``) loads only when a
 cell is simulated.
 """

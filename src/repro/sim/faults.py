@@ -15,14 +15,15 @@ timed episodes:
   deliveries overlapping the episode are additionally lost with
   ``loss_rate`` (network-wide, or scoped to one link).  Episodes come
   from a seeded generator (:func:`loss_episode_generator`) or from a
-  JSON/CSV trace file (:func:`read_trace`);
+  trace file (:func:`read_trace`);
 * :class:`ChurnEpisode` -- station churn: the node departs at
   ``start_us`` and returns ``duration_us`` later; while away, agents
   transmitting to or from it neither contend nor join.
 
-Schedules are either materialised from a declarative
-:class:`FaultProfile` (registered by name, see :data:`FAULT_PROFILES`)
-or built directly by tests.  **Determinism**: every episode draw comes
+Schedules are materialised from a declarative :class:`FaultProfile`
+(registered by name, see :data:`FAULT_PROFILES`), read from a trace in
+the schedule's own type-tagged JSON (:meth:`FaultSchedule.to_jsonable`),
+or both; every episode validates its own fields on construction.  **Determinism**: every episode draw comes
 from a dedicated stream seeded ``(seed, FAULT_STREAM_TAG, substream,
 ids...)`` -- one stream per faded link, per churned node, one for the
 loss process and one for the delivery coin flips -- so faulted runs are
@@ -39,14 +40,13 @@ invalidates exactly that link's estimate memos and plan-cache entries.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -84,8 +84,41 @@ _CHURN_SUBSTREAM = 3
 _DELIVERY_SUBSTREAM = 4
 
 
+def _check_number(name: str, value, positive: bool = False) -> None:
+    """Refuse a field that is not a finite number (``> 0`` if ``positive``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"field {name!r} must be a number, got {value!r}")
+    if not math.isfinite(value) or (positive and value <= 0):
+        bound = "finite and > 0" if positive else "finite"
+        raise ValueError(f"field {name!r} must be {bound}, got {value!r}")
+
+
+def _check_node(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"field {name!r} must be an integer node id, got {value!r}")
+
+
+class _Timed:
+    """The window every episode type shares, checked on construction.
+
+    Generated, traced and replayed episodes all pass this one gate:
+    ``start_us`` is finite and ``duration_us`` finite and positive, and
+    each subclass checks its own fields in :meth:`_check`.  A bad field
+    raises ``TypeError`` or ``ValueError`` naming it and its value.
+    """
+
+    def __post_init__(self) -> None:
+        _check_number("start_us", self.start_us)
+        _check_number("duration_us", self.duration_us, positive=True)
+        self._check()
+
+    @property
+    def end_us(self) -> float:
+        return self.start_us + self.duration_us
+
+
 @dataclass(frozen=True)
-class FadeEpisode:
+class FadeEpisode(_Timed):
     """A deep fade on one link: scale the channel down, then restore."""
 
     start_us: float
@@ -94,17 +127,19 @@ class FadeEpisode:
     rx_id: int
     depth_db: float
 
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.duration_us
+    def _check(self) -> None:
+        _check_node("tx_id", self.tx_id)
+        _check_node("rx_id", self.rx_id)
+        _check_number("depth_db", self.depth_db)
 
 
 @dataclass(frozen=True)
-class LossEpisode:
+class LossEpisode(_Timed):
     """A loss episode: deliveries overlapping it are lost with ``loss_rate``.
 
     ``tx_id``/``rx_id`` of ``None`` mean the episode is network-wide
-    (every link); otherwise it is scoped to one directed link.
+    (every link); otherwise it is scoped to one directed link.  An
+    episode names both ends of a link or neither.
     """
 
     start_us: float
@@ -113,22 +148,32 @@ class LossEpisode:
     tx_id: Optional[int] = None
     rx_id: Optional[int] = None
 
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.duration_us
+    def _check(self) -> None:
+        _check_number("loss_rate", self.loss_rate)
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ValueError(
+                f"field 'loss_rate' must lie in [0, 1], got {self.loss_rate!r}"
+            )
+        if (self.tx_id is None) != (self.rx_id is None):
+            raise ValueError(
+                f"a loss episode names both ends of a link (tx_id and rx_id) "
+                f"or neither, got tx_id={self.tx_id!r}, rx_id={self.rx_id!r}"
+            )
+        if self.tx_id is not None:
+            _check_node("tx_id", self.tx_id)
+            _check_node("rx_id", self.rx_id)
 
 
 @dataclass(frozen=True)
-class ChurnEpisode:
+class ChurnEpisode(_Timed):
     """A station departure: ``node_id`` is away for ``duration_us``."""
 
     start_us: float
     duration_us: float
     node_id: int
 
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.duration_us
+    def _check(self) -> None:
+        _check_node("node_id", self.node_id)
 
 
 @dataclass(frozen=True)
@@ -219,13 +264,14 @@ def loss_episode_generator(
 
 Episode = Union[FadeEpisode, LossEpisode, ChurnEpisode]
 
-#: Type tag <-> episode class, for the JSON round trip of a schedule
-#: (crash capsules serialize the exact episodes a failed run injected).
+#: Type tag <-> episode class, for the JSON form of a schedule (a fault
+#: trace, and a traced sweep's manifest).
 _EPISODE_TYPES: Dict[str, type] = {
     "fade": FadeEpisode,
     "loss": LossEpisode,
     "churn": ChurnEpisode,
 }
+_EPISODE_TAGS = {klass: tag for tag, klass in _EPISODE_TYPES.items()}
 
 
 @dataclass
@@ -233,11 +279,6 @@ class FaultSchedule:
     """The materialised episodes of one run, in no particular order."""
 
     episodes: List[Episode] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        """An empty schedule is a strict no-op (asserted by the tests)."""
-        return not self.episodes
 
     @classmethod
     def from_profile(
@@ -301,188 +342,79 @@ class FaultSchedule:
     def to_jsonable(self) -> List[dict]:
         """Type-tagged plain-dict episodes, inverse of :meth:`from_jsonable`.
 
-        Crash capsules store this form so a failed run replays against
-        the *exact* episodes it injected, independent of how the original
-        schedule was resolved (profile, trace or explicit).
+        This is the one file format of a fault trace (:func:`read_trace`),
+        and what a sweep manifest records of a traced run, so a failed
+        traced cell replays after its trace file is gone.
         """
-        out: List[dict] = []
-        for episode in self.episodes:
-            for tag, klass in _EPISODE_TYPES.items():
-                if isinstance(episode, klass):
-                    out.append({"type": tag, **asdict(episode)})
-                    break
-            else:  # pragma: no cover - schedules only hold known episode types
-                raise ConfigurationError(
-                    f"cannot serialize episode of type {type(episode).__name__}"
-                )
-        return out
+        return [
+            {"type": _EPISODE_TAGS[type(episode)], **asdict(episode)}
+            for episode in self.episodes
+        ]
 
     @classmethod
-    def from_jsonable(cls, data: Sequence[dict]) -> "FaultSchedule":
-        """Rebuild a schedule from :meth:`to_jsonable` output."""
+    def from_jsonable(cls, data, source: str = "") -> "FaultSchedule":
+        """Rebuild a schedule from :meth:`to_jsonable` output.
+
+        Anything else raises :class:`~repro.exceptions.ConfigurationError`
+        naming the episode index, the field and the bad value, after
+        ``source`` (a trace file's path, when read from one).
+        """
+        where = f"{source}: " if source else ""
+        if not isinstance(data, list):
+            raise ConfigurationError(
+                f"{where}expected a JSON list of episode objects, "
+                f"got {type(data).__name__}"
+            )
         episodes: List[Episode] = []
         for index, entry in enumerate(data):
             if not isinstance(entry, dict):
                 raise ConfigurationError(
-                    f"episode {index}: expected an object, got {type(entry).__name__}"
+                    f"{where}episode {index}: expected an object, "
+                    f"got {type(entry).__name__}"
                 )
             fields = dict(entry)
             tag = fields.pop("type", None)
             klass = _EPISODE_TYPES.get(tag)
             if klass is None:
                 raise ConfigurationError(
-                    f"episode {index}: unknown episode type {tag!r} "
-                    f"(expected one of {sorted(_EPISODE_TYPES)})"
+                    f"{where}episode {index}: field 'type' must be one of "
+                    f"{sorted(_EPISODE_TYPES)}, got {tag!r}"
                 )
             try:
                 episodes.append(klass(**fields))
-            except TypeError as exc:
-                raise ConfigurationError(f"episode {index}: {exc}") from None
-        return cls(episodes)
-
-    @classmethod
-    def _parse_trace(cls, path: Path, text: str) -> "FaultSchedule":
-        """The episodes of a trace file's ``text`` (see :func:`read_trace`)."""
-        rows: List[Tuple[str, dict]] = []  # (human row label, fields)
-        if path.suffix.lower() == ".json":
-            try:
-                data = json.loads(text)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"fault trace {path} is not valid JSON: {exc}"
-                ) from None
-            if isinstance(data, dict):
-                if "episodes" not in data:
-                    raise ConfigurationError(
-                        f"fault trace {path}: a JSON object must hold an "
-                        f"'episodes' list, got keys {sorted(data)}"
-                    )
-                data = data["episodes"]
-            if not isinstance(data, list):
-                raise ConfigurationError(
-                    f"fault trace {path} must be a JSON list of episode objects "
-                    f"(or {{'episodes': [...]}}), got {type(data).__name__}"
-                )
-            for index, entry in enumerate(data):
-                if not isinstance(entry, dict):
-                    raise ConfigurationError(
-                        f"fault trace {path}, episode {index}: expected an "
-                        f"object, got {type(entry).__name__}"
-                    )
-                rows.append((f"episode {index}", dict(entry)))
-        else:
-            first_row = True
-            for lineno, record in enumerate(csv.reader(text.splitlines()), start=1):
-                if not record or record[0].lstrip().startswith("#"):
-                    continue
-                header_allowed, first_row = first_row, False
-                try:
-                    float(record[0])
-                except ValueError:
-                    if header_allowed:
-                        continue  # header row
-                    raise ConfigurationError(
-                        f"fault trace {path}, line {lineno}: field 'start_us' "
-                        f"must be a number, got {record[0]!r}"
-                    ) from None
-                if len(record) < 3:
-                    raise ConfigurationError(
-                        f"fault trace {path}, line {lineno}: expected at least "
-                        f"3 fields (start_us, duration_us, loss_rate), got "
-                        f"{len(record)}"
-                    )
-                row = {
-                    "start_us": record[0],
-                    "duration_us": record[1],
-                    "loss_rate": record[2],
-                }
-                for index, name in ((3, "tx_id"), (4, "rx_id")):
-                    if len(record) > index and record[index].strip():
-                        row[name] = record[index]
-                rows.append((f"line {lineno}", row))
-
-        def _field(label: str, row: dict, name: str, convert, required=True):
-            if name not in row or row[name] is None:
-                if not required:
-                    return None
-                raise ConfigurationError(
-                    f"fault trace {path}, {label}: missing required field "
-                    f"{name!r} (have {sorted(row)})"
-                )
-            value = row[name]
-            try:
-                return convert(value)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"fault trace {path}, {label}: field {name!r} must be "
-                    f"{'an integer' if convert is int else 'a number'}, "
-                    f"got {value!r}"
-                ) from None
-
-        episodes: List[Episode] = []
-        for label, row in rows:
-            episode = LossEpisode(
-                start_us=_field(label, row, "start_us", float),
-                duration_us=_field(label, row, "duration_us", float),
-                loss_rate=_field(label, row, "loss_rate", float),
-                tx_id=_field(label, row, "tx_id", int, required=False),
-                rx_id=_field(label, row, "rx_id", int, required=False),
-            )
-            if (episode.tx_id is None) != (episode.rx_id is None):
-                raise ConfigurationError(
-                    f"fault trace {path}, {label}: a loss episode names both "
-                    f"ends of a link (tx_id and rx_id) or neither, got "
-                    f"tx_id={episode.tx_id}, rx_id={episode.rx_id}"
-                )
-            for name in ("start_us", "duration_us"):
-                if not math.isfinite(getattr(episode, name)):
-                    raise ConfigurationError(
-                        f"fault trace {path}, {label}: field {name!r} must be "
-                        f"finite, got {getattr(episode, name)}"
-                    )
-            if episode.duration_us <= 0:
-                raise ConfigurationError(
-                    f"fault trace {path}, {label}: non-positive duration "
-                    f"{episode.duration_us}"
-                )
-            if not 0.0 <= episode.loss_rate <= 1.0:
-                raise ConfigurationError(
-                    f"fault trace {path}, {label}: loss rate "
-                    f"{episode.loss_rate} outside [0, 1]"
-                )
-            episodes.append(episode)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{where}episode {index}: {exc}") from None
         return cls(episodes)
 
 
 def read_trace(path: Union[str, Path]) -> Tuple[str, FaultSchedule]:
-    """Read a loss-trace file once: ``(SHA-256 of its bytes, its episodes)``.
+    """Read a fault-trace file once: ``(SHA-256 of its bytes, its episodes)``.
 
-    JSON: a list of objects (or ``{"episodes": [...]}``) with keys
-    ``start_us``, ``duration_us``, ``loss_rate`` and optional
-    ``tx_id``/``rx_id``.  CSV: rows of ``start_us, duration_us,
-    loss_rate[, tx_id, rx_id]``; a header (only as the first row) and
-    ``#`` comment lines are skipped.  An episode names both ends of a
-    link (it hits that directed link only) or neither (it hits every
-    link); a row with just one end is refused.  This is the
-    LinkGuardian-style trace-driven path: measured (or generated) loss
-    traces replay identically across runs and protocols.
+    A trace is the JSON list :meth:`FaultSchedule.to_jsonable` writes:
+    type-tagged ``fade``, ``loss`` and ``churn`` objects, for example
+    ``{"type": "loss", "start_us": 0, "duration_us": 5000,
+    "loss_rate": 0.5}``.  A loss episode names both ends of a link
+    (``tx_id`` and ``rx_id``; it hits that directed link only) or
+    neither (it hits every link).  This is the LinkGuardian-style
+    trace-driven path: measured (or generated) traces replay identically
+    across runs and protocols.
 
-    Every row is validated as it is read; a malformed trace raises
+    An unreadable file, invalid JSON or a malformed episode raises
     :class:`~repro.exceptions.ConfigurationError` (a ``ValueError``)
-    naming the offending row and field -- never a raw
-    ``KeyError``/``TypeError``/``IndexError`` from the middle of the
-    parse.
-
-    The digest keys a traced run in the sweep cache.  An unreadable file
-    raises :class:`~repro.exceptions.ConfigurationError` too.
+    naming the file and, for an episode, its index, field and value.
+    The digest keys a traced run in the sweep cache.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
-        text = data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ConfigurationError(f"cannot read fault trace {path}: {exc}") from exc
-    return hashlib.sha256(data).hexdigest(), FaultSchedule._parse_trace(path, text)
+    try:
+        episodes = json.loads(data)
+    except ValueError as exc:
+        raise ConfigurationError(f"fault trace {path} is not valid JSON: {exc}") from None
+    schedule = FaultSchedule.from_jsonable(episodes, source=f"fault trace {path}")
+    return hashlib.sha256(data).hexdigest(), schedule
 
 
 def _stateful_sort_key(episode: Episode) -> tuple:

@@ -328,12 +328,11 @@ class LinkCheck:
     abstraction_probability: float
     abstraction_delivers: bool
     phy_delivered: int
-    phy_trials: int
 
     @property
     def phy_delivers(self) -> bool:
-        """Majority verdict of the probe trials."""
-        return 2 * self.phy_delivered > self.phy_trials
+        """Majority verdict of the :data:`VALIDATION_TRIALS` probe trials."""
+        return 2 * self.phy_delivered > VALIDATION_TRIALS
 
     @property
     def agree(self) -> bool:
@@ -347,7 +346,6 @@ class FidelityReport:
     scenario: str
     seed: int
     band_db: float
-    probe_bits: int
     checks: List[LinkCheck] = field(default_factory=list)
 
     @property
@@ -385,7 +383,7 @@ class FidelityReport:
     def format_table(self) -> str:
         header = (
             f"cross-fidelity validation: scenario={self.scenario} seed={self.seed} "
-            f"band=+/-{self.band_db:g} dB probe={self.probe_bits} bits"
+            f"band=+/-{self.band_db:g} dB probe={DEFAULT_PROBE_BITS} bits"
         )
         columns = (
             f"{'link':>9}  {'mcs':>3}  {'esnr':>7}  {'margin':>7}  "
@@ -456,10 +454,7 @@ def cross_validate_links(
     count = min(int(n_links), len(pairs))
     picks = [pairs[i] for i in sampler.choice(len(pairs), size=count, replace=False)]
 
-    report = FidelityReport(
-        scenario=scenario.name, seed=seed, band_db=band_db,
-        probe_bits=DEFAULT_PROBE_BITS,
-    )
+    report = FidelityReport(scenario=scenario.name, seed=seed, band_db=band_db)
     for pair in picks:
         tx = pair.transmitter.node_id
         rx = pair.receivers[0].node_id
@@ -500,7 +495,6 @@ def cross_validate_links(
                     abstraction_probability=probability,
                     abstraction_delivers=probability >= 0.5,
                     phy_delivered=int(delivered),
-                    phy_trials=VALIDATION_TRIALS,
                 )
             )
     return report

@@ -8,8 +8,9 @@ miscounted retransmission, a fault episode applied twice) historically
 surfaced only as subtly-off sweep results.  This module turns the laws
 into explicit checkers that run *during* a simulation and raise
 :class:`~repro.exceptions.InvariantViolation` -- naming the checker, the
-round and the links involved -- the moment one breaks, which is exactly
-the point a crash capsule (:mod:`repro.sim.capsule`) is most useful.
+round and the links involved -- the moment one breaks.  A sweep records
+the violation in the failed cell's store row like any crash, and
+``repro replay`` re-executes that cell from the row.
 
 Three validation modes, resolved from ``SimulationConfig.validation`` by
 :meth:`repro.sim.spec.RunSpec.resolve` like every other simulation knob:
@@ -23,7 +24,7 @@ Three validation modes, resolved from ``SimulationConfig.validation`` by
     O(links) sums per round, cheap enough for the precommit smoke.
 ``"full"``
     Everything in ``"cheap"`` plus per-link and per-queue checks each
-    round.  This is the mode ``repro replay`` re-executes crash capsules
+    round.  This is the mode ``repro replay`` re-executes a failed cell
     under.
 
 Checkers live in a registry (:func:`invariant`); registering a new law is
@@ -76,7 +77,7 @@ class InvariantSuite:
     The round loop calls :meth:`check_round` at the end of every
     transmission round (and once more when the run closes); any violated
     law raises :class:`~repro.exceptions.InvariantViolation` out of the
-    loop, which the runner boundary turns into a crash capsule.
+    loop, and a sweep records it in the failed cell's store row.
     """
 
     def __init__(self, mode: str) -> None:

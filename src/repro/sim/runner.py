@@ -42,7 +42,6 @@ processes and still match a serial sweep byte for byte.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -101,8 +100,8 @@ def build_fault_schedule(
     """Materialise the run's fault episodes, or ``None`` for none.
 
     This is *the* definition of how a (scenario, config, seed) triple
-    becomes a fault schedule -- :func:`run_simulation` and the crash
-    capsules both resolve faults here.  Profile episodes are generated
+    becomes a fault schedule: every run resolves its faults here, a
+    replayed failed cell included.  Profile episodes are generated
     from dedicated ``(seed, FAULT_STREAM_TAG, ...)`` streams; trace
     episodes are appended verbatim.  Returns ``None`` when nothing is
     configured or everything generated empty, so the caller's no-fault
@@ -271,7 +270,6 @@ class _EventDrivenLoop:
         config: Union[SimulationConfig, RunSpec],
         network: Network,
         seed: int,
-        fault_schedule: Optional[FaultSchedule] = None,
     ) -> None:
         self.run_spec = run_spec = RunSpec.resolve(scenario, config)
         self.rng = rng
@@ -289,11 +287,12 @@ class _EventDrivenLoop:
         #: Start time of the current round; never moves backwards.
         self.now_us = 0.0
         self.rounds = 0
-        # No injector for an empty/absent schedule: every fault hook in
-        # _round() is behind an ``is not None`` check, so the no-fault
-        # execution path is exactly the pre-fault one (strict no-op).
+        # No injector without episodes: every fault hook in _round() is
+        # behind an ``is not None`` check, so the no-fault execution path
+        # is exactly the pre-fault one (strict no-op).
         self.faults: Optional[FaultInjector] = None
-        if fault_schedule is not None and not fault_schedule.empty:
+        fault_schedule = build_fault_schedule(scenario, run_spec, seed)
+        if fault_schedule is not None:
             self.faults = FaultInjector(fault_schedule, network, seed)
         # No engine under "abstraction": the delivery path is exactly the
         # pre-fidelity code (strict no-op), like the fault hooks above.
@@ -311,10 +310,6 @@ class _EventDrivenLoop:
         self.invariants: Optional[InvariantSuite] = None
         if run_spec.validation != "off":
             self.invariants = InvariantSuite(run_spec.validation)
-        # Last-N round summaries for crash capsules: when a run dies, the
-        # runner boundary attaches this ring to the exception so the
-        # capsule records what the simulation was doing when it crashed.
-        self.event_ring: deque = deque(maxlen=64)
         self.arrays = TrafficStateArrays(self.agents.values())
 
     def run(self) -> NetworkMetrics:
@@ -461,15 +456,6 @@ class _EventDrivenLoop:
 
         agents, medium, metrics, rng = self.agents, self.medium, self.metrics, self.rng
         outcome = resolve_contention([agent.contender for agent in contending], rng)
-        self.event_ring.append(
-            {
-                "round": self.rounds,
-                "now_us": now,
-                "contenders": len(contending),
-                "winners": list(outcome.winners),
-                "collision": bool(outcome.collision),
-            }
-        )
         groups: List[_TransmissionGroup] = []
 
         if outcome.collision:
@@ -607,7 +593,6 @@ def run_simulation(
     seed: int = 0,
     config: Optional[SimulationConfig] = None,
     network: Optional[Network] = None,
-    fault_schedule: Optional[FaultSchedule] = None,
 ) -> NetworkMetrics:
     """Simulate one run of ``protocol`` on ``scenario``.
 
@@ -643,19 +628,13 @@ def run_simulation(
         Reuse an existing network (same placements/channels) instead of
         drawing a new one -- this is how protocols are compared on the
         same channel realisation.
-    fault_schedule:
-        An explicit :class:`~repro.sim.faults.FaultSchedule` to inject,
-        overriding whatever :func:`build_fault_schedule` would resolve
-        from the scenario/config (mainly a test hook).  ``None`` (the
-        default) resolves the schedule from the run's resolved fault
-        profile and trace; an *empty* schedule
-        -- explicit or resolved -- is a strict no-op, bit-identical to
-        a fault-free run.
+
+    The run injects the fault episodes :func:`build_fault_schedule`
+    resolves from the run's fault profile and trace; none at all is a
+    strict no-op, bit-identical to a run without the fault layer.
     """
     protocol = resolve_protocol(protocol)
     run_spec = RunSpec.resolve(scenario, config)
-    if fault_schedule is None:
-        fault_schedule = build_fault_schedule(scenario, run_spec, seed)
     rng = np.random.default_rng(seed)
     if network is None:
         network = Network(
@@ -667,23 +646,7 @@ def run_simulation(
             channel_draws=run_spec.channel_draws,
         )
     network.reseed_estimation_noise((seed, _ESTIMATION_STREAM_TAG))
-    loop = _EventDrivenLoop(
-        scenario,
-        protocol,
-        rng,
-        run_spec,
-        network,
-        seed=seed,
-        fault_schedule=fault_schedule,
-    )
-    try:
-        return loop.run()
-    except Exception as exc:
-        # Attach the last-N round summaries so the crash-capsule writer
-        # (repro.sim.capsule) can record what the run was doing; the
-        # exception itself propagates unchanged.
-        exc._repro_event_ring = list(loop.event_ring)
-        raise
+    return _EventDrivenLoop(scenario, protocol, rng, run_spec, network, seed=seed).run()
 
 
 def build_network(
@@ -692,7 +655,7 @@ def build_network(
     """Draw the placements and channels of one run.
 
     This is *the* definition of how a run seed becomes a network -- the
-    sweep orchestrator and crash-capsule replays both build their
+    sweep orchestrator and failed-cell replays both build their
     networks here, which is what keeps serial, parallel, cached and
     replayed results in lockstep.
     """

@@ -252,7 +252,7 @@ def register_scenario(name: str, factory: Callable[[], Scenario]) -> None:
     A registered name is the only way to select a scenario: the CLI's
     ``--scenario`` flag, the figure experiments and
     :func:`repro.sim.sweep.run_sweep` (where the name also keys the
-    results cache and the crash capsules) all take one.  Registering a
+    results cache and a failed cell's replay) all take one.  Registering a
     parameterised family is a one-liner with :func:`functools.partial`,
     as the ``dense-lan-*`` entries below demonstrate.  A name registers
     once.

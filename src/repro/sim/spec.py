@@ -27,7 +27,7 @@ from repro.constants import (
     NUM_DATA_SUBCARRIERS,
 )
 from repro.exceptions import ConfigurationError
-from repro.sim.faults import LossEpisode, fault_profile, read_trace
+from repro.sim.faults import Episode, fault_profile, read_trace
 from repro.sim.invariants import VALIDATION_MODES
 from repro.sim.scenarios import Scenario
 
@@ -102,10 +102,10 @@ class SimulationConfig:
         ``dense-lan-*-faulty`` variants); ``"none"`` or ``""`` disables
         faults even on such a scenario.
     fault_trace:
-        Path to a JSON/CSV loss-trace file
-        (:func:`repro.sim.faults.read_trace`) whose
-        episodes are injected in addition to the profile's.  The cache
-        key covers the file's *content*, not its path.
+        Path to a fault-trace file (:func:`repro.sim.faults.read_trace`:
+        type-tagged JSON episodes) whose episodes are injected in
+        addition to the profile's.  The cache key covers the file's
+        *content*, not its path.
     fidelity:
         PHY fidelity tier (:mod:`repro.sim.fidelity`): ``"abstraction"``
         predicts every delivery from the link abstraction, ``"auto"``
@@ -122,7 +122,7 @@ class SimulationConfig:
         ``"cheap"`` verifies the aggregate conservation laws at
         transmission-round boundaries, ``"full"`` additionally checks
         every link and queue each round (the mode ``repro replay``
-        re-executes crash capsules under).  Validation never changes
+        re-executes a failed cell under).  Validation never changes
         seeded results -- a violated invariant raises instead -- so it
         is left out of the sweep cache key.
     """
@@ -156,7 +156,7 @@ class RunSpec:
     :meth:`resolve` is *the* resolution rule -- the only place where an
     explicit config value is merged with a scenario hint -- and every
     consumer (network build, fault schedule, agents, round loop, sweep
-    keys, capsule replay, the fidelity report) reads the resolved values
+    keys, failed-cell replay, the fidelity report) reads the resolved values
     from here.  Fields keep their config names and hold the value in
     effect: ``channel_draws`` is the scenario's contract (``"batched"``
     unless it declares another), ``fault_trace`` the SHA-256 of the
@@ -173,7 +173,7 @@ class RunSpec:
     channel_draws: str
     fault_profile: Optional[str]
     fault_trace: Optional[str]
-    trace_episodes: Tuple[LossEpisode, ...]
+    trace_episodes: Tuple[Episode, ...]
     fidelity: str
     fidelity_band_db: float
     validation: str
@@ -242,6 +242,29 @@ class RunSpec:
             fidelity_band_db=DEFAULT_BAND_DB if band is None else float(band),
             validation=validation,
         )
+
+    @classmethod
+    def from_key_payload(
+        cls, payload: dict, trace_episodes: Sequence[Episode], validation: str
+    ) -> "RunSpec":
+        """The run spec whose :attr:`key_payload` is ``payload``.
+
+        The inverse of :attr:`key_payload`, given the two fields it
+        leaves out: a failed cell replays from its sweep manifest's
+        payload.  A payload this build's fields do not match raises
+        :class:`~repro.exceptions.ConfigurationError`.
+        """
+        names = [f.name for f in dataclasses.fields(cls) if f.name not in _UNKEYED_FIELDS]
+        try:
+            values = {name: payload[name] for name in names}
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"the recorded run spec has no field {exc}; it was written by "
+                "another build"
+            ) from None
+        if values["fault_profile"] is not None:
+            values["fault_profile"] = values["fault_profile"]["name"]
+        return cls(**values, trace_episodes=tuple(trace_episodes), validation=validation)
 
     @cached_property
     def key_payload(self) -> dict:

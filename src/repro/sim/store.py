@@ -67,12 +67,12 @@ _BUSY_TIMEOUT_S = 30.0
 #: Version of the store's *table layout* (independent of the cell-key
 #: schema version, which lives in :mod:`repro.sim.sweep` and is part of
 #: every cell key).  An on-disk store with any other layout is refused
-#: rather than guessed at: a newer one needs a newer build, and an older
-#: (v1) one can only hold cells keyed under cache schema 6 or below,
-#: which no current key ever hits.
-#: 2: failed cells carry ``capsule_path`` (the replayable crash capsule
-#:    written next to the store) and ``traceback``.
-STORE_SCHEMA_VERSION = 2
+#: rather than guessed at: a newer one needs a newer build, an older one
+#: the build that wrote it.
+#: 2: failed cells carry ``traceback`` and the path of a per-failure file.
+#: 3: that path is gone: a failed row and its sweep's manifest are the
+#:    record a failed cell replays from.
+STORE_SCHEMA_VERSION = 3
 
 #: The ``cells`` table holds the cell state machine: manifest rows start
 #: ``pending``, move to ``running`` when shipped to a worker, and finish
@@ -103,7 +103,6 @@ CREATE TABLE IF NOT EXISTS cells (
     sweep_id             TEXT,
     metrics_json         TEXT,
     error                TEXT,
-    capsule_path         TEXT,
     traceback            TEXT,
     updated_at           REAL NOT NULL
 );
@@ -136,7 +135,6 @@ class CellRecord:
     error: Optional[str]
     updated_at: float
     metrics_json: Optional[str] = None
-    capsule_path: Optional[str] = None
     traceback: Optional[str] = None
 
 
@@ -333,7 +331,6 @@ class ResultsStore:
         describe: dict,
         metrics_json: Optional[str],
         error: Optional[str],
-        capsule_path: Optional[str] = None,
         traceback: Optional[str] = None,
     ) -> None:
         """Write a cell's outcome; an existing row keeps its ``sweep_id``."""
@@ -342,15 +339,14 @@ class ResultsStore:
             self._conn.execute(
                 "INSERT INTO cells (key, status, scenario, scenario_fingerprint, "
                 "protocol, run, run_seed, config_digest, metrics_json, "
-                "error, capsule_path, traceback, updated_at) "
-                "VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?) "
+                "error, traceback, updated_at) "
+                "VALUES (?,?,?,?,?,?,?,?,?,?,?,?) "
                 "ON CONFLICT(key) DO UPDATE SET status=excluded.status, "
                 "scenario=excluded.scenario, "
                 "scenario_fingerprint=excluded.scenario_fingerprint, "
                 "protocol=excluded.protocol, run=excluded.run, "
                 "run_seed=excluded.run_seed, config_digest=excluded.config_digest, "
                 "metrics_json=excluded.metrics_json, error=excluded.error, "
-                "capsule_path=excluded.capsule_path, "
                 "traceback=excluded.traceback, "
                 "updated_at=excluded.updated_at",
                 (
@@ -364,7 +360,6 @@ class ResultsStore:
                     values["config_digest"],
                     metrics_json,
                     error,
-                    capsule_path,
                     traceback,
                     time.time(),
                 ),
@@ -389,19 +384,14 @@ class ResultsStore:
             )
 
     def mark_failed(
-        self,
-        key: str,
-        error: str,
-        describe: dict,
-        capsule_path: Optional[str] = None,
-        traceback: Optional[str] = None,
+        self, key: str, error: str, describe: dict, traceback: Optional[str] = None
     ) -> None:
-        """Record a cell whose computation failed after every retry,
-        with the path of its replayable crash capsule (when one was
-        written) and the parent-side traceback (when available)."""
+        """Record a cell whose computation failed, with its traceback
+        (``None`` only for a cell whose worker died on every try).  The
+        row is the failure's record: ``repro replay`` rebuilds the cell
+        from it and its sweep's manifest."""
         self._upsert(key, status="failed", describe=describe,
-                     metrics_json=None, error=error,
-                     capsule_path=capsule_path, traceback=traceback)
+                     metrics_json=None, error=error, traceback=traceback)
 
     # -- sweep manifests / checkpointing ------------------------------------
 
@@ -531,8 +521,7 @@ class ResultsStore:
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
         columns = (
             "key, status, scenario, scenario_fingerprint, protocol, run, "
-            "run_seed, config_digest, sweep_id, error, capsule_path, "
-            "traceback, updated_at"
+            "run_seed, config_digest, sweep_id, error, traceback, updated_at"
         )
         if with_metrics:
             columns += ", metrics_json"
@@ -552,7 +541,6 @@ class ResultsStore:
                 config_digest=row["config_digest"],
                 sweep_id=row["sweep_id"],
                 error=row["error"],
-                capsule_path=row["capsule_path"],
                 traceback=row["traceback"],
                 updated_at=row["updated_at"],
                 metrics_json=row["metrics_json"] if with_metrics else None,

@@ -39,11 +39,16 @@ sharing one run).  The **execute** stage consumes one stream of task
 events --
 :class:`~repro.sim.supervisor.WorkerSupervisor`'s for several workers,
 :func:`~repro.sim.supervisor.in_process_events` for one.  The **record**
-stage turns those events into store writes, :class:`FailedCell` records
-and crash capsules.  Only the plan stage's modules are imported with this
-one; the supervisor, the capsules and the round loop
-(:mod:`repro.sim.runner`) are imported by the stages that use them, so a
-sweep whose every cell is stored -- a replay -- never loads them.
+stage turns those events into store writes and :class:`FailedCell`
+records.  Only the plan stage's modules are imported with this one; the
+supervisor and the round loop (:mod:`repro.sim.runner`) are imported by
+the stages that use them, so a sweep whose every cell is stored -- a
+warm replay -- never loads them.
+
+A failed cell's store row is the one record of its failure: the error,
+the traceback and the cell's coordinates, next to the sweep's manifest.
+:func:`replay_failed_cell` rebuilds the :class:`Cell` from the two and
+simulates it again (``repro replay --cache-dir DIR KEY``).
 
 All of this is possible because every cell is a pure function of its
 coordinates: run ``r`` draws placements/channels from ``seed + 1000 * r``
@@ -73,8 +78,8 @@ Typical use::
 
 A sweep's scenario is a registered name
 (:func:`repro.sim.scenarios.register_scenario`): the name keys the
-cache, the manifest and the crash capsules, and every worker builds the
-scenario from it.
+cache, the manifest and a failed cell's replay, and every worker builds
+the scenario from it.
 """
 
 from __future__ import annotations
@@ -92,7 +97,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -109,7 +113,7 @@ from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import NetworkMetrics
 from repro.sim.scenarios import Scenario, scenario_factory
 from repro.sim.spec import RunSpec, SimulationConfig, mac_seed, placement_seed
-from repro.sim.store import ResultsStore
+from repro.sim.store import CellRecord, ResultsStore
 
 if TYPE_CHECKING:
     from repro.sim.network import Network
@@ -117,9 +121,11 @@ if TYPE_CHECKING:
 __all__ = [
     "Cell",
     "FailedCell",
+    "ReplayOutcome",
     "SweepResult",
     "ResultsStore",
     "run_sweep",
+    "replay_failed_cell",
     "config_digest",
     "scenario_digest",
     "sweep_manifest_digest",
@@ -327,24 +333,13 @@ class Cell:
             "config_digest": config_digest(self.run_spec),
         }
 
-    def fault_schedule(self, scenario: Scenario) -> Optional[FaultSchedule]:
-        """The fault episodes this cell's simulation injects."""
-        from repro.sim.runner import build_fault_schedule
-
-        return build_fault_schedule(scenario, self.run_spec, mac_seed(self.run_seed))
-
     def simulate(
-        self,
-        scenario: Scenario,
-        network: Optional[Network] = None,
-        fault_schedule: Optional[FaultSchedule] = None,
+        self, scenario: Scenario, network: Optional[Network] = None
     ) -> NetworkMetrics:
         """Simulate the cell.
 
         ``network`` is the run's draw, shared by the cells of one run;
-        ``None`` draws it from the run seed.  ``fault_schedule``
-        overrides the schedule the run spec resolves to (a crash-capsule
-        replay passes the recorded one).
+        ``None`` draws it from the run seed.
         """
         if network is None:
             network = build_network(scenario, self.run_seed, self.run_spec)
@@ -354,8 +349,95 @@ class Cell:
             seed=mac_seed(self.run_seed),
             config=self.run_spec,
             network=network,
-            fault_schedule=fault_schedule,
         )
+
+
+@dataclass(frozen=True)
+class ReplayOutcome:
+    """What a replayed failed cell did (see :func:`replay_failed_cell`).
+
+    ``row`` is the failed cell's store row and ``cell`` the cell rebuilt
+    from it.  ``error`` is the replay's ``"TypeName: message"`` string
+    and ``traceback`` its traceback, both ``None`` for a replay that
+    completed (its ``metrics`` then hold the result).
+    """
+
+    row: CellRecord
+    cell: Cell
+    error: Optional[str] = None
+    traceback: Optional[str] = None
+    metrics: Optional[NetworkMetrics] = None
+
+    @property
+    def reproduced(self) -> bool:
+        """The replay raised the recorded failure: same type and message."""
+        return self.error == self.row.error
+
+    @property
+    def key_matched(self) -> bool:
+        """The rebuilt cell has the failed row's key.
+
+        One comparison covers everything the key hashes: the scenario's
+        structure, the cache schema, the protocol, the run seed, the
+        fault profile's parameters and the trace's digest.  ``False``
+        means the cell's inputs changed since it failed.
+        """
+        return self.cell.key == self.row.key
+
+
+def _failed_row(store: ResultsStore, key: str) -> CellRecord:
+    """The one failed row whose key starts with ``key``."""
+    rows = [row for row in store.query(status="failed") if row.key.startswith(key)]
+    if len(rows) != 1:
+        found = "no failed cell" if not rows else f"{len(rows)} failed cells"
+        raise ConfigurationError(
+            f"{found} in {store.root} with a key starting {key!r}; "
+            "'repro results' lists the failed cells"
+        )
+    return rows[0]
+
+
+def replay_failed_cell(
+    cache_dir: Union[str, Path], key: str, validation: str
+) -> ReplayOutcome:
+    """Simulate a failed cell again, from its store row and sweep manifest.
+
+    ``key`` is a prefix of the failed cell's key that names one failed
+    row.  The row gives the scenario, protocol, run and run seed; the
+    manifest its sweep recorded gives the run spec's key payload, and the
+    trace's episodes for a traced sweep, so the cell replays after its
+    trace file is gone.  ``validation`` replaces the recorded mode
+    (``"full"`` narrates a failure as early as possible); it never
+    changes results.  The fault schedule is re-derived from the run
+    spec, exactly as the sweep derived it.  An unknown or ambiguous
+    ``key`` raises :class:`~repro.exceptions.ConfigurationError`.
+    """
+    with ResultsStore(cache_dir) as store:
+        row = _failed_row(store, key)
+        record = store.get_sweep(row.sweep_id) if row.sweep_id else None
+    if record is None:
+        raise ConfigurationError(f"no sweep manifest recorded for cell {row.key[:12]}")
+    manifest = record.manifest
+    episodes = FaultSchedule.from_jsonable(
+        manifest.get("trace_episodes", []), source="the sweep manifest"
+    ).episodes
+    run_spec = RunSpec.from_key_payload(manifest["run_spec"], episodes, validation)
+    scenario = scenario_factory(row.scenario)()
+    cell = Cell(
+        scenario_key=row.scenario,
+        fingerprint=scenario_digest(scenario),
+        spec=resolve_protocol(row.protocol),
+        run=row.run,
+        run_seed=row.run_seed,
+        run_spec=run_spec,
+    )
+    try:
+        metrics = cell.simulate(scenario)
+    except Exception as exc:  # the point of a replay is to observe this
+        return ReplayOutcome(
+            row, cell, f"{type(exc).__name__}: {exc}", _traceback.format_exc()
+        )
+    return ReplayOutcome(row, cell, metrics=metrics)
 
 
 def sweep_manifest_digest(manifest: dict) -> str:
@@ -398,24 +480,22 @@ def default_workers() -> int:
 class FailedCell:
     """One sweep cell that could not be computed (see :func:`run_sweep`).
 
-    Records the cell coordinates and the exception string, so a long
-    sweep reports *which* cells are missing and why instead of aborting
-    on the first crash.
-    ``capsule_path`` points at the replayable crash capsule written next
-    to the results store (``python -m repro.cli replay <path>`` re-runs
-    the exact cell); ``None`` when the sweep ran without a cache
-    directory.  ``traceback`` carries the full Python traceback of the
-    crash -- inside a simulation or before it, in the scenario factory or
-    the network draw -- captured in-worker for parallel sweeps; it is
-    ``None`` only when no exception was raised: a task whose worker died
-    on every try.
+    Records the cell's key and coordinates and the exception string, so
+    a long sweep reports *which* cells are missing and why instead of
+    aborting on the first crash.  With a cache directory the store row
+    under ``key`` holds the same record, and ``python -m repro.cli replay
+    --cache-dir DIR KEY`` re-runs the exact cell.  ``traceback`` carries
+    the full Python traceback of the crash -- inside a simulation or
+    before it, in the scenario factory or the network draw -- captured
+    in-worker for parallel sweeps; it is ``None`` only when no exception
+    was raised: a task whose worker died on every try.
     """
 
+    key: str
     protocol: str
     run: int
     run_seed: int
     error: str
-    capsule_path: Optional[str] = None
     traceback: Optional[str] = None
 
 
@@ -488,7 +568,7 @@ def _simulate_run(cells: List[Cell]) -> List[Tuple]:
     its own RNG streams.
 
     Returns one outcome per cell: ``("ok", metrics)`` for a completed
-    cell, ``("error", error, traceback, event_ring)`` for a crashed one
+    cell, ``("error", error, traceback)`` for a crashed one
     -- a crash in one protocol's simulation never fails the run's other
     cells.  Failures *before* any simulation (the scenario factory or
     the network draw) still raise and fail the whole task, because every
@@ -503,16 +583,11 @@ def _simulate_run(cells: List[Cell]) -> List[Tuple]:
         except Exception as exc:
             # Isolate the crash to this protocol's cell: the run's other
             # protocols are independent simulations off the same network
-            # draw, and failing them too would write capsules that do
-            # not reproduce.  The traceback and event ring travel as
-            # plain picklable data so parallel workers ship them too.
+            # draw, and failing them too would record failures that do
+            # not reproduce.  The traceback travels as plain text so
+            # parallel workers ship it too.
             outcomes.append(
-                (
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    _traceback.format_exc(),
-                    getattr(exc, "_repro_event_ring", None),
-                )
+                ("error", f"{type(exc).__name__}: {exc}", _traceback.format_exc())
             )
         else:
             outcomes.append(("ok", metrics))
@@ -532,8 +607,6 @@ class _SweepPlan:
     which has nothing to record.
     """
 
-    factory: Callable[[], Scenario]
-    config: SimulationConfig
     cells: List[List[Cell]]
     cache_dir: Optional[Union[str, Path]] = None
     store: Optional[ResultsStore] = None
@@ -587,15 +660,12 @@ def _plan_sweep(
             "resume=True needs a cache_dir; the results store there holds "
             "the checkpoint to resume"
         )
-    config = config or SimulationConfig()
     instance = factory()
-    run_spec = RunSpec.resolve(instance, config)
+    run_spec = RunSpec.resolve(instance, config or SimulationConfig())
     # Tie keys to the scenario's structure, not just its name, so an
     # edited scenario definition cannot replay stale cells.
     fingerprint = scenario_digest(instance) if cache_dir is not None else None
     plan = _SweepPlan(
-        factory=factory,
-        config=config,
         cells=Cell.grid(scenario, fingerprint, specs, n_runs, seed, run_spec),
         cache_dir=cache_dir,
     )
@@ -637,6 +707,13 @@ def _begin_sweep(plan: _SweepPlan, resume: bool, seed: int) -> None:
         "seed": seed,
         "run_spec": first.run_spec.key_payload,
     }
+    if first.run_spec.fault_trace is not None:
+        # The trace's episodes, so a failed traced cell replays after its
+        # file is gone; an untraced manifest (and its sweep id) is as
+        # before.
+        manifest["trace_episodes"] = FaultSchedule(
+            list(first.run_spec.trace_episodes)
+        ).to_jsonable()
     plan.sweep_id = sweep_manifest_digest(manifest)
     recorded = plan.store.get_sweep(plan.sweep_id)
     if resume and recorded is None:
@@ -732,13 +809,12 @@ def _execute(plan: _SweepPlan, recorder: "_Recorder") -> None:
 
 
 class _Recorder:
-    """The record stage: task events become store rows, failures, capsules.
+    """The record stage: task events become store rows and failures.
 
     Finished cells are stored as soon as their task completes, so an
     interrupted or partially failed sweep keeps every finished cell.
-    Capsules are written parent-side (workers ship the error and its
-    traceback as plain data) next to the results store -- so only with a
-    cache directory.
+    Workers ship a failure's error and traceback as plain data, and the
+    parent records them in the cell's store row.
     """
 
     def __init__(self, plan: _SweepPlan, strict: bool):
@@ -764,8 +840,8 @@ class _Recorder:
                 if outcome[0] == "ok":
                     self._done(cell, outcome[1])
                 else:
-                    _, error, error_tb, ring = outcome
-                    self._fail([cell], error, error_tb, ring)
+                    _, error, error_tb = outcome
+                    self._fail([cell], error, error_tb)
         elif isinstance(event, TaskFailed):
             self._fail(plan.tasks[event.task_id], event.error, event.traceback)
         elif isinstance(event, WorkerDeath):
@@ -781,43 +857,22 @@ class _Recorder:
         self,
         cells: List[Cell],
         error: str,
-        traceback_text: Optional[str] = None,
-        ring: Optional[List[dict]] = None,
+        traceback_text: Optional[str],
     ) -> None:
         if self.strict:
             raise SimulationError(
                 f"sweep cell failed (protocols {[c.spec.key for c in cells]}, "
                 f"run {cells[0].run}, run_seed {cells[0].run_seed}): {error}"
             )
-        from repro.sim.capsule import CAPSULE_DIRNAME, build_capsule, write_capsule
-
-        plan = self.plan
         for cell in cells:
-            capsule_path = None
-            if plan.cache_dir is not None:
-                try:
-                    capsule = build_capsule(
-                        cell, plan.factory(), plan.config, error,
-                        traceback_text=traceback_text, events=ring,
-                    )
-                    capsule_path = str(
-                        write_capsule(capsule, Path(plan.cache_dir) / CAPSULE_DIRNAME)
-                    )
-                except Exception:
-                    # A capsule is a debugging aid; failing to write one
-                    # must never cost the sweep its failure record.
-                    capsule_path = None
             self.failures.append(
                 FailedCell(
-                    protocol=cell.spec.key, run=cell.run, run_seed=cell.run_seed,
-                    error=error, capsule_path=capsule_path, traceback=traceback_text,
+                    key=cell.key, protocol=cell.spec.key, run=cell.run,
+                    run_seed=cell.run_seed, error=error, traceback=traceback_text,
                 )
             )
-            if plan.store is not None:
-                plan.store.mark_failed(
-                    cell.key, error, cell.row,
-                    capsule_path=capsule_path, traceback=traceback_text,
-                )
+            if self.plan.store is not None:
+                self.plan.store.mark_failed(cell.key, error, cell.row, traceback_text)
 
 
 class _InterruptRequested(KeyboardInterrupt):

@@ -17,7 +17,7 @@ deterministically* instead of raising:
    zero matrix has well-defined null spaces, complements and
    pseudo-inverses);
 2. singular or ill-conditioned systems are solved with a pseudo-inverse
-   at the pinned :data:`GUARD_RCOND` (never a caller-tuned tolerance, so
+   at the pinned :data:`RCOND` (never a caller-tuned tolerance, so
    the fallback result is reproducible across call sites);
 3. every kernel returns a per-member ``degraded`` mask next to its value,
    ``(batch,)`` booleans flagging exactly the stack members a guard fell
@@ -46,7 +46,7 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "GUARD_RCOND",
+    "RCOND",
     "CONDITION_LIMIT",
     "nonfinite_matrices",
     "sanitize_stack",
@@ -57,10 +57,11 @@ __all__ = [
     "ill_conditioned",
 ]
 
-#: Pinned ``rcond`` used by every deterministic pseudo-inverse fallback.
-#: Matches :data:`repro.utils.linalg.DEFAULT_RCOND` so guarded and
-#: unguarded rank decisions agree on well-conditioned inputs.
-GUARD_RCOND = 1e-10
+#: The package's one relative rank tolerance: singular values below
+#: ``RCOND * s_max`` count as zero in every rank test
+#: (:func:`repro.utils.linalg.singular_value_ranks`) and in every
+#: deterministic pseudo-inverse fallback here, so the two always agree.
+RCOND = 1e-10
 
 #: Condition numbers beyond this are treated as degenerate: the smallest
 #: singular value carries no information at double precision (eps ~ 2e-16),
@@ -163,13 +164,13 @@ def pinv_stack(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Batched pseudo-inverse that cannot raise: ``(pinv, degraded)``.
 
     ``np.linalg.pinv``'s own formula on the :func:`svd_stack` factors of
-    the conjugate at :data:`GUARD_RCOND`, so finite input gives
-    ``np.linalg.pinv(stack, rcond=GUARD_RCOND)`` bit for bit.
+    the conjugate at :data:`RCOND`, so finite input gives
+    ``np.linalg.pinv(stack, rcond=RCOND)`` bit for bit.
     ``degraded`` flags the members :func:`svd_stack` zeroed and any whose
     result was non-finite and had to be zeroed.
     """
     u, s, vh, degraded = svd_stack(np.conj(stack), full_matrices=False)
-    out = pinv_from_svd(u, s, vh, GUARD_RCOND * s.max(-1, keepdims=True, initial=0))
+    out = pinv_from_svd(u, s, vh, RCOND * s.max(-1, keepdims=True, initial=0))
     if not np.isfinite(out).all():  # pragma: no cover - defensive
         degraded |= nonfinite_matrices(out)
         out = np.where(np.isfinite(out), out, 0.0)

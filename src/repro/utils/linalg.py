@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.exceptions import DimensionError
 from repro.utils import guarded
+from repro.utils.guarded import RCOND
 
 __all__ = [
     "null_space_batch",
@@ -28,19 +29,15 @@ __all__ = [
     "singular_value_ranks",
 ]
 
-#: Default relative tolerance used to decide which singular values are zero.
-DEFAULT_RCOND = 1e-10
-
-
 def singular_value_ranks(singular_values: np.ndarray) -> np.ndarray:
     """Numerical ranks of a stack of matrices from their singular values.
 
     ``singular_values`` has shape ``(batch, n_sv)`` (as returned by a
-    batched SVD); the tolerance is ``DEFAULT_RCOND * s_max`` per matrix,
+    batched SVD); the tolerance is ``RCOND * s_max`` per matrix,
     so every kernel of the package agrees on rank.
     """
     s = np.asarray(singular_values)
-    tol = DEFAULT_RCOND * s[:, :1]
+    tol = RCOND * s[:, :1]
     return np.sum(s > tol, axis=1)
 
 
@@ -57,7 +54,7 @@ def null_space_batch(matrices: np.ndarray, n_vectors: int) -> np.ndarray:
     n_vectors:
         How many null-space directions to return per matrix.  Each matrix
         must have a null space of at least this dimension.  Singular
-        values below ``DEFAULT_RCOND * max(singular values)`` count as
+        values below ``RCOND * max(singular values)`` count as
         zero.
 
     Returns

@@ -30,7 +30,8 @@ from helpers import orthonormal_basis
 from repro.exceptions import DecodingError, DimensionError, PrecodingError
 from repro.mimo.precoder import compute_precoders_batch
 from repro.utils import guarded
-from repro.utils.linalg import DEFAULT_RCOND, singular_value_ranks
+from repro.utils.guarded import RCOND
+from repro.utils.linalg import singular_value_ranks
 
 
 # -- per-matrix subspaces, constraint rows and decoding ---------------------
@@ -42,7 +43,7 @@ def _rank(singular_values: np.ndarray, rcond: float) -> int:
     return int(np.sum(s > rcond * (s[0] if s.size else 0.0)))
 
 
-def null_space(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def null_space(matrix: np.ndarray, rcond: float = RCOND) -> np.ndarray:
     """Orthonormal basis (as columns) of the right null space of one
     ``(rows, cols)`` matrix: the right-singular vectors past its rank.
     With no rows nothing is constrained, so the whole space is returned."""
@@ -53,7 +54,7 @@ def null_space(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     return vh[_rank(s, rcond) :].conj().T
 
 
-def orthonormal_complement(matrix: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def orthonormal_complement(matrix: np.ndarray, rcond: float = RCOND) -> np.ndarray:
     """Orthonormal basis of the complement of one ``(n, k)`` matrix's
     column space: the left-singular vectors past its rank, so
     ``n - rank`` columns."""

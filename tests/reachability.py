@@ -10,12 +10,12 @@ records every ``src/repro`` code object that is entered:
   ``validate-fidelity``; every example; and the README/ARCHITECTURE
   ``python`` blocks;
 * the *adversity* set -- a sweep whose worker is SIGKILLed; a sweep
-  interrupted with SIGINT and then resumed; ``--fault-trace`` in CSV and
-  in JSON; a malformed trace; inputs refused up front; a NaN channel the
-  numerical guards absorb; a fade episode on a link no plan has read
-  yet (its channel response is computed by the fault kernels); and
-  ``repro replay`` of the crash capsule of a cell that broke an
-  invariant.
+  interrupted with SIGINT and then resumed; a ``--fault-trace`` with a
+  loss and a fade episode; a malformed trace; inputs refused up front; a
+  NaN channel the numerical guards absorb; a fade episode on a link no
+  plan has read yet (its channel response is computed by the fault
+  kernels); and ``repro replay`` of a traced cell that broke an
+  invariant, by its key, after its trace file is deleted.
 
 Worker processes are followed: a forked worker records what it entered
 and writes it out when it exits cleanly.  A worker that is SIGKILLed
@@ -395,21 +395,21 @@ def _interrupted_then_resumed(tmp: Path) -> None:
     _cli(*argv, "--resume")
 
 
+#: A tagged trace: a network-wide loss and a fade on link 0 -> 1.
+_TRACE = [
+    {"type": "loss", "start_us": 0, "duration_us": 5000, "loss_rate": 0.5},
+    {"type": "fade", "start_us": 2000, "duration_us": 4000, "tx_id": 0, "rx_id": 1,
+     "depth_db": 20.0},
+]
+
+
 def _fault_traces(tmp: Path) -> None:
-    csv_trace = tmp / "trace.csv"
-    csv_trace.write_text("start_us,duration_us,loss_rate,tx_id,rx_id\n0,5000,0.5,,\n2000,4000,1.0,0,1\n")
-    json_trace = tmp / "trace.json"
-    json_trace.write_text(json.dumps({
-        "episodes": [
-            {"start_us": 0, "duration_us": 5000, "loss_rate": 0.5},
-            {"start_us": 2000, "duration_us": 4000, "loss_rate": 1.0, "tx_id": 0, "rx_id": 1},
-        ]
-    }))
-    bad_trace = tmp / "bad.csv"
-    bad_trace.write_text("start_us,duration_us,loss_rate\n0,-5,2.0\n")
-    for trace in (csv_trace, json_trace):
-        _cli("sweep", "--scenario", "three-pair", "--protocols", "n+",
-             "--fault-trace", str(trace), *SHORT)
+    trace = tmp / "trace.json"
+    trace.write_text(json.dumps(_TRACE))
+    bad_trace = tmp / "bad.json"
+    bad_trace.write_text(json.dumps([{**_TRACE[0], "duration_us": -5, "loss_rate": 2.0}]))
+    _cli("sweep", "--scenario", "three-pair", "--protocols", "n+",
+         "--fault-trace", str(trace), *SHORT)
     try:
         with contextlib.redirect_stderr(io.StringIO()):
             _cli("sweep", "--scenario", "three-pair", "--fault-trace", str(bad_trace), *SHORT)
@@ -420,22 +420,30 @@ def _fault_traces(tmp: Path) -> None:
 
 
 def _failed_cell_replayed(tmp: Path) -> None:
-    """A faulty-scenario cell that breaks an (injected) invariant under
-    ``--validation full``: the store marks it failed, ``results`` lists
-    it, and ``replay`` re-executes its capsule, fault schedule included."""
+    """A traced faulty-scenario cell that breaks an (injected) invariant
+    under ``--validation full``: the store marks it failed, ``results``
+    lists it, and ``replay`` re-executes it by its key after its trace
+    file is deleted, its fault schedule re-derived and its trace's
+    episodes read from the manifest."""
     from repro.sim import invariants
+    from repro.sim.store import ResultsStore
 
     @invariants.invariant("injected-violation")
     def _violated(suite, loop):
         suite.fail("injected-violation", loop, links=["injected"], detail="injected")
 
     store = tmp / "crash-store"
+    trace = tmp / "crash-trace.json"
+    trace.write_text(json.dumps(_TRACE))
     try:
         _cli("sweep", "--scenario", "dense-lan-20-faulty", "--protocols", "n+",
-             "--validation", "full", "--cache-dir", str(store), *SHORT, expect=1)
+             "--validation", "full", "--fault-trace", str(trace),
+             "--cache-dir", str(store), *SHORT, expect=1)
         _cli("results", "--cache-dir", str(store))
-        capsule = next((store / "capsules").glob("*.json"))
-        _cli("replay", str(capsule))
+        trace.unlink()
+        with ResultsStore(store) as results:
+            (failed,) = results.query(status="failed")
+        _cli("replay", "--cache-dir", str(store), failed.key[:12])
     finally:
         del invariants._REGISTRY["injected-violation"]
 
@@ -480,24 +488,24 @@ def _poisoned_channel() -> None:
                  *SHORT)
 
 
-def _fade_on_unread_link() -> None:
+def _fade_on_unread_link(tmp: Path) -> None:
     """A fade episode on a link no plan has read yet: the fault kernels
     compute its channel response first, then snapshot, scale and restore
     it."""
-    from repro.sim.faults import FadeEpisode, FaultSchedule
     from repro.sim.runner import SimulationConfig, build_network, run_simulation
     from repro.sim.scenarios import scenario_factory
 
     scenario = scenario_factory("three-pair")()
-    config = SimulationConfig(duration_us=5_000.0)
-    network = build_network(scenario, 0, config)
     # Two receivers: no stream is ever sent between them.
     rx_a, rx_b = (pair.receivers[0].node_id for pair in scenario.pairs[:2])
+    trace = tmp / "unread-fade.json"
+    trace.write_text(json.dumps([{"type": "fade", "start_us": 0.0, "duration_us": 2_000.0,
+                                  "tx_id": rx_a, "rx_id": rx_b, "depth_db": 20.0}]))
+    config = SimulationConfig(duration_us=5_000.0, fault_trace=str(trace))
+    network = build_network(scenario, 0, config)
     group, slot, _ = network.channels.lookup(rx_a, rx_b)
     assert slot not in network.channels._responses[group]
-    fade = FadeEpisode(start_us=0.0, duration_us=2_000.0, tx_id=rx_a, rx_id=rx_b, depth_db=20.0)
-    run_simulation(scenario, "n+", seed=0, config=config, network=network,
-                   fault_schedule=FaultSchedule([fade]))
+    run_simulation(scenario, "n+", seed=0, config=config, network=network)
     assert slot in network.channels._responses[group]
 
 
@@ -505,11 +513,11 @@ def _adversity_set(tmp: Path) -> List[Tuple[str, Callable[[], None]]]:
     return [
         ("SIGKILLed worker", lambda: _killed_worker(tmp)),
         ("SIGINT, then --resume", lambda: _interrupted_then_resumed(tmp)),
-        ("--fault-trace CSV and JSON", lambda: _fault_traces(tmp)),
+        ("--fault-trace, and a malformed one", lambda: _fault_traces(tmp)),
         ("failed cell, results, replay", lambda: _failed_cell_replayed(tmp)),
         ("bad input", _bad_input),
         ("non-finite channel", _poisoned_channel),
-        ("fade on a never-read link", _fade_on_unread_link),
+        ("fade on a never-read link", lambda: _fade_on_unread_link(tmp)),
     ]
 
 

@@ -12,8 +12,10 @@ The load-bearing guarantees:
   restores the channel **bit-exactly**;
 * ``bump_link_epoch`` evicts exactly the bumped link's estimate-memo
   entries -- every other link keeps its measured estimate;
-* trace files (JSON and CSV) round-trip into ``LossEpisode`` lists and
-  malformed traces are rejected with :class:`ConfigurationError`.
+* a trace file is the schedule's own type-tagged JSON: every episode
+  type round-trips through it, and a malformed trace is rejected with a
+  :class:`ConfigurationError` naming the episode, the field and the
+  value -- the check every episode makes on construction.
 """
 
 import json
@@ -59,6 +61,19 @@ FAST = SimulationConfig(duration_us=10_000.0, n_subcarriers=8)
 FAULTY = scenario_factory("dense-lan-20-faulty")
 
 
+def _trace(tmp_path, episodes, name="trace.json"):
+    """A trace file holding ``episodes`` (episode objects or raw dicts)."""
+    path = tmp_path / name
+    raw = [e if isinstance(e, dict) else FaultSchedule([e]).to_jsonable()[0] for e in episodes]
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _loss(**fields):
+    """A raw tagged loss-episode dict: a 0.5 loss over [0, 10) plus ``fields``."""
+    return {"type": "loss", "start_us": 0.0, "duration_us": 10.0, "loss_rate": 0.5, **fields}
+
+
 def _network(seed=3, antenna_counts=(1, 2, 3, 2)):
     scenario = custom_pairs_scenario(list(antenna_counts))
     return Network(
@@ -73,26 +88,30 @@ class TestStrictNoOp:
     """Empty schedule == the fault layer was never there."""
 
     @pytest.mark.parametrize("protocol", ["802.11n", "n+", "beamforming"])
-    def test_empty_schedule_is_bit_identical(self, protocol):
+    def test_empty_schedule_is_bit_identical(self, protocol, tmp_path):
         plain = run_simulation(three_pair_scenario(), protocol, seed=11, config=FAST)
         empty = run_simulation(
             three_pair_scenario(),
             protocol,
             seed=11,
-            config=FAST,
-            fault_schedule=FaultSchedule(),
+            config=SimulationConfig(
+                duration_us=10_000.0, n_subcarriers=8,
+                fault_trace=str(_trace(tmp_path, [])),
+            ),
         )
         assert plain.to_dict() == empty.to_dict()
 
-    def test_none_profile_disables_a_faulty_scenario(self):
+    def test_none_profile_disables_a_faulty_scenario(self, tmp_path):
         """``fault_profile='none'`` is the off switch for *-faulty."""
         config = SimulationConfig(
             duration_us=10_000.0, n_subcarriers=8, fault_profile="none"
         )
         off = run_simulation(FAULTY(), "n+", seed=2, config=config)
-        empty = run_simulation(
-            FAULTY(), "n+", seed=2, config=config, fault_schedule=FaultSchedule()
+        empty_trace = SimulationConfig(
+            duration_us=10_000.0, n_subcarriers=8, fault_profile="none",
+            fault_trace=str(_trace(tmp_path, [])),
         )
+        empty = run_simulation(FAULTY(), "n+", seed=2, config=empty_trace)
         assert off.to_dict() == empty.to_dict()
 
     def test_empty_profile_resolves_to_no_schedule(self):
@@ -128,10 +147,7 @@ class TestFaultResolution:
             assert schedule.episodes
 
     def test_trace_episodes_are_appended(self, tmp_path):
-        trace = tmp_path / "loss.json"
-        trace.write_text(
-            json.dumps([{"start_us": 100.0, "duration_us": 500.0, "loss_rate": 0.5}])
-        )
+        trace = _trace(tmp_path, [LossEpisode(100.0, 500.0, 0.5)])
         config = SimulationConfig(
             duration_us=10_000.0, fault_profile="none", fault_trace=str(trace)
         )
@@ -334,88 +350,60 @@ class TestScheduleGenerators:
         schedule = FaultSchedule.from_profile(
             FaultProfile(), three_pair_scenario(), 0, 100_000.0
         )
-        assert schedule.empty
+        assert not schedule.episodes
 
 
 #: Traces that read literally would be a different schedule -- a loss on no
 #: link, or on every link -- so each is refused.
 _MISREAD_TRACES = [
-    (
-        "tx-only.json",
-        '[{"start_us": 0, "duration_us": 100, "loss_rate": 1.0, "tx_id": 3}]',
-        "both ends of a link",
-    ),
-    (
-        "rx-only.json",
-        '[{"start_us": 0, "duration_us": 100, "loss_rate": 1.0, "rx_id": 4}]',
-        "both ends of a link",
-    ),
-    (
-        "null-rx.json",
-        '[{"start_us": 0, "duration_us": 100, "loss_rate": 1.0, "tx_id": 3, '
-        '"rx_id": null}]',
-        "both ends of a link",
-    ),
-    ("empty-rx.csv", "0,100,1.0,3,\n", "both ends of a link"),
-    ("empty-tx.csv", "0,100,1.0,,4\n", "both ends of a link"),
-    ("tx-only.csv", "0,100,1.0,3\n", "both ends of a link"),
-    ("no-episodes.json", '{"loss": []}', "'episodes' list"),
+    ("tx-only.json", json.dumps([_loss(tx_id=3)]), "both ends of a link"),
+    ("rx-only.json", json.dumps([_loss(rx_id=4)]), "both ends of a link"),
+    ("null-rx.json", json.dumps([_loss(tx_id=3, rx_id=None)]), "both ends of a link"),
+    ("wrapped.json", json.dumps({"episodes": [_loss()]}), "expected a JSON list"),
+    ("untagged.json", json.dumps([{"start_us": 0, "duration_us": 10, "loss_rate": 0.5}]),
+     "field 'type' must be one of"),
 ]
 
 
 class TestTraces:
-    def test_json_trace_round_trip(self, tmp_path):
-        episodes = [
-            {"start_us": 0.0, "duration_us": 100.0, "loss_rate": 0.25},
-            {"start_us": 50.0, "duration_us": 10.0, "loss_rate": 1.0, "tx_id": 0, "rx_id": 3},
-        ]
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(episodes))
+    def test_loss_trace_round_trip(self, tmp_path):
+        path = _trace(tmp_path, [_loss(), _loss(start_us=50.0, loss_rate=1.0, tx_id=0, rx_id=3)])
         schedule = read_trace(path)[1]
         assert list(schedule.episodes) == [
-            LossEpisode(0.0, 100.0, 0.25),
+            LossEpisode(0.0, 10.0, 0.5),
             LossEpisode(50.0, 10.0, 1.0, tx_id=0, rx_id=3),
         ]
 
-    def test_json_trace_accepts_the_wrapped_form(self, tmp_path):
+    def test_every_episode_type_round_trips_through_a_trace(self, tmp_path):
+        schedule = FaultSchedule(
+            [
+                FadeEpisode(10.0, 500.0, 1, 2, 20.0),
+                LossEpisode(50.0, 100.0, 0.25),
+                LossEpisode(60.0, 100.0, 0.5, tx_id=3, rx_id=4),
+                ChurnEpisode(70.0, 1000.0, 5),
+            ]
+        )
         path = tmp_path / "trace.json"
-        path.write_text(
-            json.dumps({"episodes": [{"start_us": 1.0, "duration_us": 2.0, "loss_rate": 0.5}]})
-        )
-        assert list(read_trace(path)[1].episodes) == [LossEpisode(1.0, 2.0, 0.5)]
-
-    def test_csv_trace_skips_header_and_comments(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text(
-            "# LinkGuardian-style loss trace\n"
-            "start_us,duration_us,loss_rate,tx_id,rx_id\n"
-            "100.0,50.0,0.3,,\n"
-            "200.0,25.0,0.8,1,4\n"
-        )
-        schedule = read_trace(path)[1]
-        assert list(schedule.episodes) == [
-            LossEpisode(100.0, 50.0, 0.3),
-            LossEpisode(200.0, 25.0, 0.8, tx_id=1, rx_id=4),
-        ]
+        path.write_text(json.dumps(schedule.to_jsonable()))
+        digest, read = read_trace(path)
+        assert read.episodes == schedule.episodes
+        assert len(digest) == 64
 
     def test_invalid_traces_are_rejected(self, tmp_path):
-        bad_duration = tmp_path / "bad1.csv"
-        bad_duration.write_text("10.0,0.0,0.5\n")
-        with pytest.raises(ConfigurationError):
-            read_trace(bad_duration)
-        bad_rate = tmp_path / "bad2.csv"
-        bad_rate.write_text("10.0,5.0,1.5\n")
-        with pytest.raises(ConfigurationError):
-            read_trace(bad_rate)
-        with pytest.raises(ConfigurationError):
-            read_trace(tmp_path / "missing.csv")
+        with pytest.raises(ConfigurationError, match=r"duration_us.*> 0.*0\.0"):
+            read_trace(_trace(tmp_path, [_loss(duration_us=0.0)], "bad1.json"))
+        with pytest.raises(ConfigurationError, match=r"loss_rate.*\[0, 1\].*1\.5"):
+            read_trace(_trace(tmp_path, [_loss(loss_rate=1.5)], "bad2.json"))
+        with pytest.raises(ConfigurationError, match="cannot read fault trace"):
+            read_trace(tmp_path / "missing.json")
 
     @pytest.mark.parametrize(
         "name, text, match", _MISREAD_TRACES, ids=[case[0] for case in _MISREAD_TRACES]
     )
     def test_a_misread_trace_is_refused(self, tmp_path, name, text, match):
-        """A row naming one end of a link, or a JSON object with no
-        episodes list, is refused with a ``ConfigurationError``."""
+        """An episode naming one end of a link, or a trace in another
+        shape than the tagged list, is refused with a
+        ``ConfigurationError``."""
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ConfigurationError, match=match):
@@ -560,89 +548,66 @@ class TestTraceValidation:
     def test_configuration_error_is_a_value_error(self):
         assert issubclass(ConfigurationError, ValueError)
 
-    def test_json_trace_missing_field_names_row_and_field(self, tmp_path):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps([
-            {"start_us": 0.0, "duration_us": 10.0, "loss_rate": 0.5},
-            {"start_us": 5.0, "loss_rate": 0.5},
-        ]))
+    def test_missing_field_names_episode_and_field(self, tmp_path):
+        missing = _loss()
+        del missing["duration_us"]
         with pytest.raises(ConfigurationError, match=r"episode 1.*duration_us"):
+            read_trace(_trace(tmp_path, [_loss(), missing]))
+
+    def test_non_numeric_field_names_episode_field_and_value(self, tmp_path):
+        path = _trace(tmp_path, [_loss(start_us="soon")])
+        with pytest.raises(
+            ConfigurationError, match=rf"{path}: episode 0.*start_us.*'soon'"
+        ):
             read_trace(path)
 
-    def test_json_trace_non_numeric_field_names_row_and_field(self, tmp_path):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(
-            [{"start_us": "soon", "duration_us": 10.0, "loss_rate": 0.5}]
-        ))
-        with pytest.raises(ConfigurationError, match=r"episode 0.*start_us.*'soon'"):
-            read_trace(path)
-
-    def test_json_trace_non_integer_node_id_is_rejected(self, tmp_path):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps([
-            {"start_us": 0.0, "duration_us": 10.0, "loss_rate": 0.5,
-             "tx_id": "ap", "rx_id": 1},
-        ]))
+    @pytest.mark.parametrize("node", ["ap", 1.0, True])
+    def test_non_integer_node_id_is_rejected(self, tmp_path, node):
+        path = _trace(tmp_path, [_loss(tx_id=node, rx_id=1)])
         with pytest.raises(ConfigurationError, match=r"tx_id.*must be an integer"):
             read_trace(path)
 
-    def test_json_trace_rejects_invalid_json_and_shapes(self, tmp_path):
+    def test_rejects_invalid_json_and_shapes(self, tmp_path):
         invalid = tmp_path / "bad.json"
         invalid.write_text("{ not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             read_trace(invalid)
         scalar = tmp_path / "scalar.json"
         scalar.write_text("42")
-        with pytest.raises(ConfigurationError, match="must be a JSON list"):
+        with pytest.raises(ConfigurationError, match="expected a JSON list"):
             read_trace(scalar)
         entries = tmp_path / "entries.json"
         entries.write_text(json.dumps([["positional", "row"]]))
         with pytest.raises(ConfigurationError, match=r"episode 0.*expected an\s+object"):
             read_trace(entries)
-
-    def test_csv_trace_short_row_names_line(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("start_us,duration_us,loss_rate\n100.0,50.0\n")
-        with pytest.raises(ConfigurationError, match=r"line 2.*at least\s+3 fields"):
-            read_trace(path)
-
-    @pytest.mark.parametrize(
-        "row, field",
-        [("0,nan,0.5", "duration_us"), ("nan,1000,0.5", "start_us"),
-         ("0,inf,0.5", "duration_us")],
-    )
-    def test_csv_trace_non_finite_time_names_line_and_field(self, tmp_path, row, field):
-        path = tmp_path / "trace.csv"
-        path.write_text(f"start_us,duration_us,loss_rate\n{row}\n")
-        with pytest.raises(ConfigurationError, match=rf"line 2.*{field}.*finite"):
-            read_trace(path)
+        unknown = tmp_path / "unknown.json"
+        unknown.write_text(json.dumps([_loss(bogus=1.0)]))
+        with pytest.raises(ConfigurationError, match=r"episode 0.*bogus"):
+            read_trace(unknown)
 
     @pytest.mark.parametrize(
         "episode, field",
-        [({"start_us": 0.0, "duration_us": float("nan"), "loss_rate": 0.5}, "duration_us"),
-         ({"start_us": float("nan"), "duration_us": 1e3, "loss_rate": 0.5}, "start_us"),
-         ({"start_us": 0.0, "duration_us": float("inf"), "loss_rate": 0.5}, "duration_us")],
+        [(_loss(duration_us=float("nan")), "duration_us"),
+         (_loss(start_us=float("nan")), "start_us"),
+         (_loss(duration_us=float("inf")), "duration_us"),
+         ({"type": "fade", "start_us": 0.0, "duration_us": 10.0, "tx_id": 0,
+           "rx_id": 1, "depth_db": float("inf")}, "depth_db")],
     )
-    def test_json_trace_non_finite_time_names_episode_and_field(
-        self, tmp_path, episode, field
-    ):
-        path = tmp_path / "trace.json"
+    def test_non_finite_field_names_episode_and_field(self, tmp_path, episode, field):
         # json.dumps writes NaN/Infinity, which json.loads accepts.
-        path.write_text(json.dumps([{"start_us": 0.0, "duration_us": 10.0, "loss_rate": 0.1},
-                                    episode]))
+        path = _trace(tmp_path, [_loss(), episode])
         with pytest.raises(ConfigurationError, match=rf"episode 1.*{field}.*finite"):
             read_trace(path)
 
-    def test_csv_trace_rejects_unparseable_row_after_the_first(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("start_us,duration_us,loss_rate\n100,50,0.3\nl00,50,0.9\n")
-        with pytest.raises(ConfigurationError, match=r"line 3.*start_us.*'l00'"):
-            read_trace(path)
-
-    def test_csv_trace_bad_field_names_line_and_field(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("100.0,fifty,0.3\n")
-        with pytest.raises(
-            ConfigurationError, match=r"line 1.*duration_us.*'fifty'"
-        ):
-            read_trace(path)
+    def test_episodes_check_their_fields_on_construction(self):
+        """Generated and replayed episodes pass the trace's gate too."""
+        with pytest.raises(ValueError, match="duration_us"):
+            ChurnEpisode(0.0, -1.0, 2)
+        with pytest.raises(TypeError, match="node_id"):
+            ChurnEpisode(0.0, 1.0, "ap")
+        with pytest.raises(ValueError, match="both ends"):
+            LossEpisode(0.0, 1.0, 0.5, tx_id=1)
+        with pytest.raises(ValueError, match="depth_db"):
+            FadeEpisode(0.0, 1.0, 0, 1, float("nan"))
+        with pytest.raises(ConfigurationError, match=r"episode 0.*loss_rate.*-0\.1"):
+            FaultSchedule.from_jsonable([_loss(loss_rate=-0.1)])

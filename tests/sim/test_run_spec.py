@@ -19,7 +19,6 @@ import repro.sim.sweep as sweep_module
 from repro.exceptions import ConfigurationError
 from repro.mac.nplus import NPlusMac
 from repro.mac.variants import _VARIANTS, ProtocolVariant, resolve_protocol
-from repro.sim.capsule import load_capsule, replay_capsule
 from repro.sim.faults import read_trace
 from repro.sim.fidelity import DEFAULT_BAND_DB
 from repro.sim.runner import (
@@ -34,7 +33,7 @@ from repro.sim.scenarios import (
     scenario_factory,
     three_pair_scenario,
 )
-from repro.sim.sweep import Cell, run_sweep, scenario_digest
+from repro.sim.sweep import Cell, replay_failed_cell, run_sweep, scenario_digest
 
 FAST = SimulationConfig(duration_us=4000.0, n_subcarriers=4)
 
@@ -48,7 +47,7 @@ RESULT_NEUTRAL = {"validation", "name"}
 #: the parsed trace episodes (keyed through the trace's content hash).
 UNKEYED_RUN_SPEC_FIELDS = {"validation", "trace_episodes"}
 
-TRACE = '[{"start_us": 0, "duration_us": 1500, "loss_rate": 0.6}]'
+TRACE = '[{"type": "loss", "start_us": 0, "duration_us": 1500, "loss_rate": 0.6}]'
 
 
 class _BoomMac(NPlusMac):
@@ -310,9 +309,8 @@ class TestTraceKeying:
 
     @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crashing"])
     def test_a_sweep_reads_the_trace_once(self, tmp_path, monkeypatch, crash):
-        """Also when a cell fails: its capsule's fault schedule comes from
-        the resolved run, so it is written (and replays) even if the
-        trace file is gone by then."""
+        """Also when a cell fails: the manifest holds the trace's episodes,
+        so the failed cell replays even though the trace file is gone."""
         trace = tmp_path / "trace.json"
         trace.write_text(TRACE)
         reads = []
@@ -326,7 +324,6 @@ class TestTraceKeying:
             assert reads == [str(trace)]
             return
 
-        episodes = read_trace(trace)[1].to_jsonable()
         real_simulate = sweep_module._simulate_run
 
         def delete_trace_then_simulate(args):
@@ -346,9 +343,9 @@ class TestTraceKeying:
             ("boom", 0), ("boom", 1)
         ]
         for failure in result.failures:
-            capsule = load_capsule(failure.capsule_path)
-            assert capsule.fault_schedule == episodes
-            assert replay_capsule(capsule).reproduced
+            outcome = replay_failed_cell(tmp_path / "cache", failure.key, "full")
+            assert outcome.reproduced and outcome.key_matched
+        assert reads == [str(trace)]
 
     def test_traced_run_injects_the_trace_episodes(self, tmp_path):
         trace = tmp_path / "trace.json"
@@ -358,11 +355,8 @@ class TestTraceKeying:
         schedule = build_fault_schedule(scenario, config, 3)
         assert schedule.episodes == read_trace(trace)[1].episodes
         traced = run_simulation(scenario, "n+", seed=3, config=config)
-        explicit = run_simulation(
-            scenario, "n+", seed=3, config=FAST,
-            fault_schedule=read_trace(trace)[1],
-        )
-        assert traced.to_dict() == explicit.to_dict()
+        plain = run_simulation(scenario, "n+", seed=3, config=FAST)
+        assert traced.to_dict() != plain.to_dict()
 
 
 class TestValidationIsNotKeyed:

@@ -376,7 +376,7 @@ INSERT INTO store_meta (key, value) VALUES ('store_schema', '1');
 
 
 class TestPreV2Layout:
-    """A version-1 store (no capsule columns) is refused, not migrated."""
+    """A version-1 store (no traceback column) is refused, not migrated."""
 
     def test_v1_store_is_refused_and_left_unchanged(self, tmp_path):
         path = tmp_path / STORE_FILENAME
@@ -426,8 +426,8 @@ class TestRefusedLayout:
 
     @pytest.mark.parametrize(
         "version, relation",
-        [(1, "older"), (STORE_SCHEMA_VERSION + 1, "newer")],
-        ids=["older", "newer"],
+        [(1, "older"), (2, "older"), (STORE_SCHEMA_VERSION + 1, "newer")],
+        ids=["older", "v2", "newer"],
     )
     def test_refused_store_is_left_exactly_as_found(self, tmp_path, version, relation):
         path = tmp_path / STORE_FILENAME

@@ -162,7 +162,7 @@ class TestSweepCache:
         "scenario", [three_pair_scenario, three_pair_scenario()], ids=["factory", "object"]
     )
     def test_a_non_name_scenario_is_refused(self, tmp_path, scenario):
-        """Only a registered name keys the cache and replays from a capsule."""
+        """Only a registered name keys the cache and replays a failed cell."""
         with pytest.raises(ConfigurationError, match=r"unknown scenario .*'three-pair'"):
             run_sweep(scenario, ["n+"], n_runs=1, config=FAST, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -633,7 +633,9 @@ class TestSchemaV4FaultDigests:
 
     def test_config_digest_covers_fault_fields(self, tmp_path):
         trace = tmp_path / "trace.json"
-        trace.write_text('[{"start_us": 0, "duration_us": 500, "loss_rate": 0.5}]')
+        trace.write_text(
+            '[{"type": "loss", "start_us": 0, "duration_us": 500, "loss_rate": 0.5}]'
+        )
         base = config_digest(FAST_SPEC)
         profiled = config_digest(
             _spec(

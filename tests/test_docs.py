@@ -84,7 +84,7 @@ def test_cli_invocations_parse():
         if parts[:3] == ["python", "-m", "repro.cli"]:
             args = [a for a in parts[3:] if a != "--help"]
             try:
-                parser.parse_args(args)
+                parser.parse_intermixed_args(args)  # as repro.cli.main parses
             except SystemExit:
                 pytest.fail(f"{name}: CLI invocation no longer parses: {line!r}")
             checked += 1

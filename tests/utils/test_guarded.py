@@ -68,7 +68,7 @@ class TestHappyPathBitIdentity:
         stack = _stack(rng, N_SUB, 4, 2)
         out, degraded = guarded.pinv_stack(stack)
         assert not degraded.any()
-        assert np.array_equal(out, np.linalg.pinv(stack, rcond=guarded.GUARD_RCOND))
+        assert np.array_equal(out, np.linalg.pinv(stack, rcond=guarded.RCOND))
 
     def test_svd_matches_raw_svd_exactly(self, rng):
         stack = _stack(rng, N_SUB, 3, 4)
@@ -247,7 +247,7 @@ class TestFuzzNeverRaisesNeverNonFinite:
         assert not degraded.any()
         for k in range(N_SUB):
             assert np.allclose(
-                batched[k], np.linalg.pinv(stack[k], rcond=guarded.GUARD_RCOND)
+                batched[k], np.linalg.pinv(stack[k], rcond=guarded.RCOND)
             )
 
 
