@@ -113,7 +113,7 @@ from repro.sim.faults import FaultSchedule
 from repro.sim.metrics import NetworkMetrics
 from repro.sim.scenarios import Scenario, scenario_factory
 from repro.sim.spec import RunSpec, SimulationConfig, mac_seed, placement_seed
-from repro.sim.store import CellRecord, ResultsStore
+from repro.sim.store import CellRecord, ResultsStore, store_path
 
 if TYPE_CHECKING:
     from repro.sim.network import Network
@@ -410,8 +410,11 @@ def replay_failed_cell(
     (``"full"`` narrates a failure as early as possible); it never
     changes results.  The fault schedule is re-derived from the run
     spec, exactly as the sweep derived it.  An unknown or ambiguous
-    ``key`` raises :class:`~repro.exceptions.ConfigurationError`.
+    ``key``, or a directory with no store, raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
+    if not store_path(cache_dir).exists():
+        raise ConfigurationError(f"no results store at {store_path(cache_dir)}")
     with ResultsStore(cache_dir) as store:
         row = _failed_row(store, key)
         record = store.get_sweep(row.sweep_id) if row.sweep_id else None
@@ -709,8 +712,7 @@ def _begin_sweep(plan: _SweepPlan, resume: bool, seed: int) -> None:
     }
     if first.run_spec.fault_trace is not None:
         # The trace's episodes, so a failed traced cell replays after its
-        # file is gone; an untraced manifest (and its sweep id) is as
-        # before.
+        # file is gone.  Only a traced manifest holds them.
         manifest["trace_episodes"] = FaultSchedule(
             list(first.run_spec.trace_episodes)
         ).to_jsonable()

@@ -366,7 +366,7 @@ _MISREAD_TRACES = [
 
 
 class TestTraces:
-    def test_loss_trace_round_trip(self, tmp_path):
+    def test_json_trace_round_trip(self, tmp_path):
         path = _trace(tmp_path, [_loss(), _loss(start_us=50.0, loss_rate=1.0, tx_id=0, rx_id=3)])
         schedule = read_trace(path)[1]
         assert list(schedule.episodes) == [
@@ -548,26 +548,26 @@ class TestTraceValidation:
     def test_configuration_error_is_a_value_error(self):
         assert issubclass(ConfigurationError, ValueError)
 
-    def test_missing_field_names_episode_and_field(self, tmp_path):
+    def test_json_trace_missing_field_names_row_and_field(self, tmp_path):
         missing = _loss()
         del missing["duration_us"]
         with pytest.raises(ConfigurationError, match=r"episode 1.*duration_us"):
             read_trace(_trace(tmp_path, [_loss(), missing]))
 
-    def test_non_numeric_field_names_episode_field_and_value(self, tmp_path):
+    def test_json_trace_non_numeric_field_names_row_and_field(self, tmp_path):
         path = _trace(tmp_path, [_loss(start_us="soon")])
         with pytest.raises(
             ConfigurationError, match=rf"{path}: episode 0.*start_us.*'soon'"
         ):
             read_trace(path)
 
-    @pytest.mark.parametrize("node", ["ap", 1.0, True])
-    def test_non_integer_node_id_is_rejected(self, tmp_path, node):
-        path = _trace(tmp_path, [_loss(tx_id=node, rx_id=1)])
-        with pytest.raises(ConfigurationError, match=r"tx_id.*must be an integer"):
-            read_trace(path)
+    def test_json_trace_non_integer_node_id_is_rejected(self, tmp_path):
+        for node in ("ap", 1.0, True):
+            path = _trace(tmp_path, [_loss(tx_id=node, rx_id=1)])
+            with pytest.raises(ConfigurationError, match=r"tx_id.*must be an integer"):
+                read_trace(path)
 
-    def test_rejects_invalid_json_and_shapes(self, tmp_path):
+    def test_json_trace_rejects_invalid_json_and_shapes(self, tmp_path):
         invalid = tmp_path / "bad.json"
         invalid.write_text("{ not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
@@ -593,7 +593,9 @@ class TestTraceValidation:
          ({"type": "fade", "start_us": 0.0, "duration_us": 10.0, "tx_id": 0,
            "rx_id": 1, "depth_db": float("inf")}, "depth_db")],
     )
-    def test_non_finite_field_names_episode_and_field(self, tmp_path, episode, field):
+    def test_json_trace_non_finite_time_names_episode_and_field(
+        self, tmp_path, episode, field
+    ):
         # json.dumps writes NaN/Infinity, which json.loads accepts.
         path = _trace(tmp_path, [_loss(), episode])
         with pytest.raises(ConfigurationError, match=rf"episode 1.*{field}.*finite"):

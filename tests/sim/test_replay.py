@@ -305,6 +305,9 @@ class TestReplay:
             _replay(tmp_path, "ff")
         with pytest.raises(ConfigurationError, match="2 failed cells"):
             _replay(tmp_path, "ab")
+        with pytest.raises(ConfigurationError, match="no results store"):
+            _replay(tmp_path / "elsewhere", "ab")
+        assert not (tmp_path / "elsewhere").exists()
 
 
 class TestCli:
