@@ -23,13 +23,14 @@ timed episodes:
 Schedules are materialised from a declarative :class:`FaultProfile`
 (registered by name, see :data:`FAULT_PROFILES`), read from a trace in
 the schedule's own type-tagged JSON (:meth:`FaultSchedule.to_jsonable`),
-or both; every episode validates its own fields on construction.  **Determinism**: every episode draw comes
-from a dedicated stream seeded ``(seed, FAULT_STREAM_TAG, substream,
-ids...)`` -- one stream per faded link, per churned node, one for the
-loss process and one for the delivery coin flips -- so faulted runs are
-bit-reproducible and independent of iteration order, and an empty
-schedule consumes no randomness at all (the strict no-op contract the
-test suite asserts).
+or both; every episode validates its own fields on construction.
+
+**Determinism**: every episode draw comes from a dedicated stream seeded
+``(seed, FAULT_STREAM_TAG, substream, ids...)`` -- one stream per faded
+link, per churned node, one for the loss process and one for the
+delivery coin flips -- so faulted runs are bit-reproducible and
+independent of iteration order, and an empty schedule consumes no
+randomness at all (the strict no-op contract the test suite asserts).
 
 At run time the :class:`FaultInjector` applies episodes at event
 boundaries (the runner calls :meth:`FaultInjector.advance` at the top
@@ -103,7 +104,7 @@ class _Timed:
 
     Generated, traced and replayed episodes all pass this one gate:
     ``start_us`` is finite and ``duration_us`` finite and positive, and
-    each subclass checks its own fields in :meth:`_check`.  A bad field
+    each subclass checks its own fields in its ``_check``.  A bad field
     raises ``TypeError`` or ``ValueError`` naming it and its value.
     """
 
