@@ -410,6 +410,40 @@ class TestTraces:
             read_trace(path)
 
 
+class TestFaultScheduleJsonable:
+    """``to_jsonable``/``from_jsonable`` without a file: the manifest's
+    copy of a traced run's episodes takes this path."""
+
+    def test_round_trips_every_episode_type(self):
+        schedule = FaultSchedule(
+            [
+                FadeEpisode(10.0, 500.0, 1, 2, 20.0),
+                LossEpisode(50.0, 100.0, 0.25),
+                LossEpisode(60.0, 100.0, 0.5, tx_id=3, rx_id=4),
+                ChurnEpisode(70.0, 1000.0, 5),
+            ]
+        )
+        data = schedule.to_jsonable()
+        json.dumps(data)  # plain JSON, no numpy leakage
+        rebuilt = FaultSchedule.from_jsonable(data)
+        assert rebuilt.episodes == schedule.episodes
+
+    def test_unknown_episode_type_names_the_index(self):
+        with pytest.raises(ConfigurationError, match="episode 1.*martian"):
+            FaultSchedule.from_jsonable(
+                [
+                    {"type": "churn", "start_us": 0.0, "duration_us": 1.0, "node_id": 1},
+                    {"type": "martian", "start_us": 0.0},
+                ]
+            )
+
+    def test_bad_episode_fields_name_the_index(self):
+        with pytest.raises(ConfigurationError, match="episode 0"):
+            FaultSchedule.from_jsonable([{"type": "fade", "bogus": 1.0}])
+        with pytest.raises(ConfigurationError, match="episode 0"):
+            FaultSchedule.from_jsonable(["not-a-dict"])
+
+
 class TestInjector:
     def test_fades_apply_and_finalize_restores(self):
         scenario = three_pair_scenario()
@@ -600,6 +634,67 @@ class TestTraceValidation:
         path = _trace(tmp_path, [_loss(), episode])
         with pytest.raises(ConfigurationError, match=rf"episode 1.*{field}.*finite"):
             read_trace(path)
+
+    def test_json_trace_rejects_unparseable_value_after_the_first(self, tmp_path):
+        path = _trace(tmp_path, [_loss(start_us=100.0), _loss(start_us="l00")])
+        with pytest.raises(ConfigurationError, match=r"episode 1.*start_us.*'l00'"):
+            read_trace(path)
+
+    def test_json_trace_bad_field_names_episode_and_field(self, tmp_path):
+        path = _trace(tmp_path, [_loss(duration_us="fifty")])
+        with pytest.raises(
+            ConfigurationError, match=r"episode 0.*duration_us.*'fifty'"
+        ):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "build, error, match",
+        [
+            (lambda: LossEpisode(float("nan"), 1.0, 0.5), ValueError, "start_us.*finite"),
+            (lambda: LossEpisode("0", 1.0, 0.5), TypeError, "start_us.*number"),
+            (lambda: LossEpisode(0.0, 0.0, 0.5), ValueError, r"duration_us.*> 0"),
+            (lambda: LossEpisode(0.0, -1.0, 0.5), ValueError, r"duration_us.*> 0"),
+            (lambda: LossEpisode(0.0, float("inf"), 0.5), ValueError, "duration_us.*finite"),
+            (lambda: LossEpisode(0.0, 1.0, 1.5), ValueError, r"loss_rate.*\[0, 1\]"),
+            (lambda: LossEpisode(0.0, 1.0, -0.1), ValueError, r"loss_rate.*\[0, 1\]"),
+            (lambda: LossEpisode(0.0, 1.0, float("nan")), ValueError, "loss_rate.*finite"),
+            (lambda: LossEpisode(0.0, 1.0, True), TypeError, "loss_rate.*number"),
+            (lambda: LossEpisode(0.0, 1.0, 0.5, tx_id=True, rx_id=1), TypeError, "tx_id"),
+            (lambda: LossEpisode(0.0, 1.0, 0.5, tx_id=0, rx_id=1.0), TypeError, "rx_id"),
+            (lambda: LossEpisode(0.0, 1.0, 0.5, rx_id=4), ValueError, "both ends"),
+            (lambda: FadeEpisode(0.0, 1.0, 0, 1, float("inf")), ValueError, "depth_db"),
+            (lambda: FadeEpisode(0.0, 1.0, "ap", 1, 20.0), TypeError, "tx_id"),
+            (lambda: ChurnEpisode(0.0, 1.0, True), TypeError, "node_id"),
+            (lambda: ChurnEpisode(float("inf"), 1.0, 2), ValueError, "start_us"),
+        ],
+        ids=[
+            "nan-start", "str-start", "zero-duration", "negative-duration",
+            "inf-duration", "rate-above-1", "rate-below-0", "nan-rate", "bool-rate",
+            "bool-tx", "float-rx", "rx-only", "inf-depth", "str-fade-tx",
+            "bool-churn-node", "inf-churn-start",
+        ],
+    )
+    def test_an_episode_refuses_a_bad_field(self, build, error, match):
+        """Each field check fires on its own, with the field's name."""
+        with pytest.raises(error, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "episode",
+        [
+            LossEpisode(0.0, 1.0, 0.0),
+            LossEpisode(-5.0, 1e-9, 1.0, tx_id=0, rx_id=0),
+            FadeEpisode(0, 1, 0, 1, 20),
+        ],
+        ids=["zero-rate", "edge-window-full-rate", "integer-fields"],
+    )
+    def test_an_episode_accepts_the_bounds(self, episode):
+        """The gate's bounds are inclusive where the docs say so: a loss
+        rate of 0 or 1, any finite start, a tiny positive duration, and
+        plain ints for float fields."""
+        assert FaultSchedule.from_jsonable(
+            FaultSchedule([episode]).to_jsonable()
+        ).episodes == [episode]
 
     def test_episodes_check_their_fields_on_construction(self):
         """Generated and replayed episodes pass the trace's gate too."""
