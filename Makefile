@@ -29,6 +29,9 @@ precommit: test-fast bench-quick invariant-smoke reachability settable
 # protocol's receptions through the network's zero-forcing memo across
 # fade epochs.  The paper's two topologies run multi-receiver Eq. 7
 # pre-coding (heterogeneous-ap's two-client AP beamforms) and n+ joins.
+# The traced three-pair run reads a checked-in --fault-trace whose two
+# fades overlap on one link (composed, then restored when the last ends)
+# around a churn episode.
 invariant-smoke:
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-bursty --protocols n+ --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-20-bursty --protocols n+ --runs 1 --duration-ms 20 --validation cheap --fidelity full
@@ -37,6 +40,7 @@ invariant-smoke:
 	$(PYTHON) -m repro.cli sweep --scenario dense-lan-500-bursty --protocols n+ --runs 1 --duration-ms 5 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario heterogeneous-ap --protocols "802.11n,beamforming,n+" --runs 1 --duration-ms 20 --validation cheap
 	$(PYTHON) -m repro.cli sweep --scenario three-pair --protocols "802.11n,n+" --runs 1 --duration-ms 20 --validation cheap
+	$(PYTHON) -m repro.cli sweep --scenario three-pair --protocols "802.11n,n+" --runs 1 --duration-ms 20 --validation cheap --fault-trace examples/traces/three-pair-overlapping-fades.json
 
 # Runs the happy and adversity entry sets under a profiler and fails on
 # any src/repro function none of them executes that the allowlist

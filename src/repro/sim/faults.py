@@ -9,7 +9,8 @@ timed episodes:
   tensor is scaled down by a drawn fade depth for a drawn duration and
   restored bit-exactly afterwards (the pre-fade tensor is snapshotted,
   not re-derived, so an ended fade leaves the channel identical to one
-  that never faded);
+  that never faded; fades that overlap on one link compose, and the
+  channel is restored when the last of them ends);
 * :class:`LossEpisode` -- a trace-driven loss episode in the
   LinkGuardian style: during ``(start_us, start_us + duration_us)``
   deliveries overlapping the episode are additionally lost with
@@ -223,8 +224,8 @@ def _renewal_process(
     """Episodes of one entity: exponential gaps, non-overlapping.
 
     The next episode's gap is drawn from the *end* of the previous one,
-    so episodes of the same entity never overlap -- which is what lets a
-    fade restore its snapshot without worrying about nesting.
+    so episodes of the same entity never overlap (a trace's may: the
+    injector composes overlapping fades).
     ``draw_episode(rng)`` returns ``(duration, *extras)`` and defines
     the per-episode draw order.
     """
@@ -435,7 +436,11 @@ class FaultInjector:
     pre-fade tensor and restore it verbatim -- an ended fade leaves the
     channel bit-identical to never having faded -- and bump the link's
     channel epoch on both edges, which is what invalidates the link's
-    estimate memos and plan-cache entries (and only those).
+    estimate memos and plan-cache entries (and only those).  Fades that
+    overlap on one link (a trace's may) share the snapshot taken before
+    the first: each scales the channel further, an end restores the
+    snapshot and re-applies the fades still active, and the last end
+    leaves the pristine channel.
 
     Loss episodes are stateless: :meth:`loss_rate` combines the
     episodes overlapping a delivery interval as ``1 - prod(1 - r)`` and
@@ -455,6 +460,9 @@ class FaultInjector:
         # seq breaks ties so payloads are never compared.
         self._active: List[tuple] = []
         self._seq = 0
+        # Faded links by canonical pair: the (tx, rx, snapshot) taken
+        # before the first of its fades, and the fades now active on it.
+        self._faded: Dict[Tuple[int, int], Tuple[int, int, tuple, List[FadeEpisode]]] = {}
         self._away: Dict[int, int] = {}
         self._losses = sorted(
             (e for e in schedule.episodes if isinstance(e, LossEpisode)),
@@ -496,12 +504,16 @@ class FaultInjector:
 
     def _apply(self, episode: Episode) -> None:
         if isinstance(episode, FadeEpisode):
-            snapshot = self.network.snapshot_link(episode.tx_id, episode.rx_id)
-            self.network.fade_link(episode.tx_id, episode.rx_id, episode.depth_db)
+            tx_id, rx_id = episode.tx_id, episode.rx_id
+            pair = (tx_id, rx_id) if tx_id < rx_id else (rx_id, tx_id)
+            faded = self._faded.get(pair)
+            if faded is None:
+                snapshot = self.network.snapshot_link(tx_id, rx_id)
+                faded = self._faded[pair] = (tx_id, rx_id, snapshot, [])
+            faded[3].append(episode)
+            self.network.fade_link(tx_id, rx_id, episode.depth_db)
             self.fades_applied += 1
-            self._push_active(
-                episode.end_us, ("fade", episode.tx_id, episode.rx_id, snapshot)
-            )
+            self._push_active(episode.end_us, ("fade", pair, episode))
         else:
             assert isinstance(episode, ChurnEpisode)
             self._away[episode.node_id] = self._away.get(episode.node_id, 0) + 1
@@ -510,8 +522,17 @@ class FaultInjector:
 
     def _expire(self, payload: tuple) -> None:
         if payload[0] == "fade":
-            _, tx_id, rx_id, (response, snr_db) = payload
+            # Restore the pre-fade snapshot, then re-apply the fades still
+            # active on the link (overlapping fades compose; the channel
+            # is pristine again once the last one ends).
+            _, pair, episode = payload
+            tx_id, rx_id, (response, snr_db), active = self._faded[pair]
+            active.remove(episode)
             self.network.restore_link(tx_id, rx_id, response, snr_db)
+            for other in active:
+                self.network.fade_link(other.tx_id, other.rx_id, other.depth_db)
+            if not active:
+                del self._faded[pair]
         else:
             node_id = payload[1]
             count = self._away.get(node_id, 0) - 1
@@ -549,6 +570,12 @@ class FaultInjector:
         return boundary
 
     # -- churn queries ----------------------------------------------------------
+
+    @property
+    def anyone_away(self) -> bool:
+        """Whether churn has a station away; while not, every agent is
+        :meth:`agent_active`."""
+        return bool(self._away)
 
     def agent_active(self, agent) -> bool:
         """Whether an agent may contend/join: its transmitter and every

@@ -50,13 +50,16 @@ Two answers are fixed before any of that work:
 
 * **Idle medium.**  A traffic link whose transmitter sends ``n``
   identity-precoded streams at power ``1/n`` with nothing else on the air
-  has SNRs and an MCS that depend only on the link and its channel epoch.
+  has SNRs and an MCS that depend only on the link's channel.
   :func:`solo_link` reads them from the network's ``solo_links`` table,
   which it fills in batched passes over many traffic links, one per
   ``(N_rx, M_tx, n)`` shape (stacked LAPACK factors each matrix on its
-  own, so the bits match the one-link call); an entry whose epoch moved
-  is recomputed alone.  Idle-medium plans and solo receptions read it
-  instead of calling :func:`receiver_stream_snrs`.
+  own, so the bits match the one-link call).  Like the zero-forcing
+  memo, the table is keyed by content: a link a fault has touched is
+  keyed by its response bytes, so a restore or a fade another run
+  already applied reads the entry computed for that channel, and a
+  channel never seen is computed alone.  Idle-medium plans and solo
+  receptions read it instead of calling :func:`receiver_stream_snrs`.
 * **A full receiver** (§3's degrees of freedom): an ``N``-antenna
   receiver decoding ``n >= N`` streams has no dimension left to project
   out nonzero interference, so :func:`receiver_stream_snrs` returns the
@@ -108,15 +111,12 @@ class SoloLink:
     The transmitter sends ``len(snrs_db)`` streams, stream ``j`` pre-coded
     by :func:`identity_precoders` at power ``1 / len(snrs_db)``, and
     nothing else is on the air.  ``snrs_db`` holds each stream's
-    per-subcarrier post-projection SNRs (read-only, stream order),
-    ``mcs`` the bitrate the receiver feeds back for them, and ``epoch``
-    the link's :meth:`~repro.sim.network.Network.epoch_signature` they
-    were computed at.
+    per-subcarrier post-projection SNRs (read-only, stream order) and
+    ``mcs`` the bitrate the receiver feeds back for them.
     """
 
     snrs_db: Tuple[np.ndarray, ...]
     mcs: MCS
-    epoch: tuple
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,13 +148,14 @@ def solo_stream_count(
 
 
 def _solo_key(network, transmitter_id: int, receiver_id: int, max_streams) -> tuple:
-    """``(tx, rx, n)`` with ``n`` from :func:`solo_stream_count`."""
+    """:meth:`~repro.sim.network.Network.solo_link_key` of the link's
+    :func:`solo_stream_count`."""
     n_streams = solo_stream_count(network, transmitter_id, receiver_id, max_streams)
-    return transmitter_id, receiver_id, n_streams
+    return network.solo_link_key(transmitter_id, receiver_id, n_streams)
 
 
 def _fill_solo_links(network, keys: Iterable[tuple]) -> None:
-    """Compute the :class:`SoloLink` of every ``(tx, rx, n)`` key.
+    """Compute the :class:`SoloLink` of every ``solo_links`` key.
 
     One pass per ``(N_rx, M_tx, n)`` shape: one channel read, one
     effective-column einsum per stream and one decoder call over the
@@ -166,7 +167,7 @@ def _fill_solo_links(network, keys: Iterable[tuple]) -> None:
     """
     shapes: Dict[tuple, List[tuple]] = {}
     for key in keys:
-        tx_id, rx_id, n_streams = key
+        tx_id, rx_id, n_streams = key[:3]
         shape = (
             network.station(rx_id).n_antennas,
             network.station(tx_id).n_antennas,
@@ -198,7 +199,6 @@ def _fill_solo_links(network, keys: Iterable[tuple]) -> None:
             network.solo_links[key] = SoloLink(
                 snrs_db=streams,
                 mcs=select_mcs(np.concatenate(streams), margin_db=BITRATE_MARGIN_DB),
-                epoch=network.epoch_signature(key[:2]),
             )
 
 
@@ -209,33 +209,38 @@ def solo_link(
 
     The link sends one stream per usable antenna (``min(M, N)``), capped
     at ``max_streams`` when given.  Entries live in the network's
-    ``solo_links`` table, keyed ``(tx, rx, n)``, so every protocol run on
-    the network shares them.
+    ``solo_links`` table, keyed by what they are computed from
+    (:meth:`~repro.sim.network.Network.solo_link_key`), so every protocol
+    run on the network shares them.
 
-    A key read for the first time is computed in one batched pass with
-    as many other traffic links of ``network.pairs`` (same stream cap,
-    no entry yet) as the table already holds, so the table doubles with
-    each miss.  A network whose runs read most of its links fills them
-    in a handful of passes, and one whose runs read a few of many (the
+    A link no fault has touched (a three-part key), read for the first
+    time, is computed in one batched pass with as many other untouched
+    traffic links of ``network.pairs`` (same stream cap, no entry yet)
+    as the table already holds, so the table doubles with each such
+    miss.  A network whose runs read most of its links fills them in a
+    handful of passes, and one whose runs read a few of many (the
     500-station LAN's 20 ms runs read about 6 of its 250) computes few
-    entries it never reads.  An entry whose link epoch moved since (a
-    fade or its restore) is recomputed alone.
+    entries it never reads.  A touched link is keyed by its response
+    bytes: a fade's restore, or a fade another run on the network
+    already applied, finds the entry computed for that channel, and a
+    channel never seen is computed alone.
     """
     key = _solo_key(network, transmitter_id, receiver_id, max_streams)
     table = network.solo_links
     entry = table.get(key)
-    if entry is None:
+    if entry is not None:
+        return entry
+    others = []
+    if len(key) == 3:
         traffic = (
             _solo_key(network, pair.transmitter.node_id, receiver.node_id, max_streams)
             for pair in network.pairs
             for receiver in pair.receivers
         )
-        others = [k for k in traffic if k != key and k not in table][: len(table)]
-        _fill_solo_links(network, [key, *others])
-    elif entry.epoch != network.epoch_signature(key[:2]):
-        _fill_solo_links(network, [key])
-    else:
-        return entry
+        others = [
+            k for k in traffic if len(k) == 3 and k != key and k not in table
+        ][: len(table)]
+    _fill_solo_links(network, [key, *others])
     return table[key]
 
 

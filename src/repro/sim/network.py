@@ -475,10 +475,9 @@ class Network:
         # (see :func:`repro.mimo.decoder.post_projection_snr_batch`);
         # content keys stay valid across fades and across protocols.
         self.zero_forcing_memo: dict = {}
-        # Idle-medium SNRs and MCS of the traffic links, keyed (tx, rx,
-        # n streams) and tagged with the link epoch they were computed at
-        # (see :func:`repro.sim.link_abstraction.solo_link`); shared by
-        # every protocol run on the network.
+        # Idle-medium SNRs and MCS of the traffic links, keyed by
+        # solo_link_key (see :func:`repro.sim.link_abstraction.solo_link`);
+        # content keys stay valid across fades and across protocols.
         self.solo_links: dict = {}
 
         self._place_stations()
@@ -720,6 +719,7 @@ class Network:
         together (reciprocity).
         """
         depth = float(depth_db)
+        self._key_solo_links_by_content(tx_id, rx_id)
         self.channels.scale_links(
             [(tx_id, rx_id)], 10.0 ** (-depth / 20.0), snr_delta_db=-depth
         )
@@ -734,8 +734,36 @@ class Network:
         bit-exact: an ended fade leaves the channel identical to one
         that never faded.
         """
+        self._key_solo_links_by_content(tx_id, rx_id)
         self.channels.update_links([(tx_id, rx_id, response, snr_db)])
         self.bump_link_epoch(tx_id, rx_id)
+
+    def solo_link_key(self, tx_id: int, rx_id: int, n_streams: int) -> tuple:
+        """The :attr:`solo_links` key of a link's ``n_streams`` entry:
+        what the entry is computed from.
+
+        ``(tx, rx, n)`` names the drawn channel of a link no fault has
+        touched; once one has, the link's response bytes follow, ``(tx,
+        rx, n, bytes)``, so a restored channel, or a fade another run on
+        the network already applied, finds the entry computed for it.  A
+        link's drawn-channel entries move to the second form before its
+        first change (:meth:`fade_link`, :meth:`restore_link`).  While
+        the network is static no bytes are read.
+        """
+        pair = (tx_id, rx_id) if tx_id < rx_id else (rx_id, tx_id)
+        if pair in self._link_epochs:
+            response = self.channels.channel(tx_id, rx_id)
+            return tx_id, rx_id, n_streams, response.tobytes()
+        return tx_id, rx_id, n_streams
+
+    def _key_solo_links_by_content(self, a: int, b: int) -> None:
+        """Before a link's channel first changes, move its solo-link
+        entries to their :meth:`solo_link_key` with the response bytes."""
+        if ((a, b) if a < b else (b, a)) in self._link_epochs:
+            return
+        for key in [k for k in self.solo_links if len(k) == 3 and {k[0], k[1]} == {a, b}]:
+            response = self.channels.channel(key[0], key[1]).tobytes()
+            self.solo_links[(*key, response)] = self.solo_links.pop(key)
 
     def reseed_estimation_noise(self, seed) -> None:
         """Give channel-estimation noise its own seeded random stream.

@@ -384,7 +384,7 @@ class _EventDrivenLoop:
         arrays, medium = self.arrays, self.medium
         joinable = arrays.supports_joining
         if exhausted:
-            joinable = joinable & ~np.isin(arrays.node_ids, list(exhausted))
+            joinable = joinable & ~arrays.row_mask(exhausted)
         if not joinable.any():
             return []
         # The per-agent rule refills every joinable agent before its other
@@ -408,7 +408,7 @@ class _EventDrivenLoop:
         if not mask.any():
             return []
         busy_nodes = medium.transmitting_nodes() + medium.receiving_nodes()
-        mask &= ~np.isin(arrays.node_ids, busy_nodes)
+        mask &= ~arrays.row_mask(busy_nodes)
         return [arrays.agents[index] for index in np.nonzero(mask)[0]]
 
     # -- rounds -----------------------------------------------------------------
@@ -439,7 +439,7 @@ class _EventDrivenLoop:
             faults.advance(now)
 
         contending = self._contending_agents(now)
-        if faults is not None and contending:
+        if faults is not None and faults.anyone_away and contending:
             contending = [a for a in contending if faults.agent_active(a)]
         if not contending:
             wake = self._idle_poll_time(now)
@@ -491,7 +491,7 @@ class _EventDrivenLoop:
             exhausted: set = set()
             while True:
                 eligible = self._join_eligible(sense_start, exhausted)
-                if faults is not None and eligible:
+                if faults is not None and faults.anyone_away and eligible:
                     eligible = [a for a in eligible if faults.agent_active(a)]
                 if not eligible:
                     break

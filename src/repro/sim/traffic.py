@@ -16,7 +16,7 @@ of array operations per round instead of one Python call per agent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -244,6 +244,14 @@ class TrafficStateArrays:
         return self.refill_pending | (
             self.queue_space & (self.next_arrival_us <= now_us)
         )
+
+    def row_mask(self, node_ids: Iterable[int]) -> np.ndarray:
+        """Mask of the rows of ``node_ids``, ids of no agent ignored:
+        ``np.isin(self.node_ids, node_ids)`` read off the row index."""
+        mask = np.zeros(len(self.agents), dtype=bool)
+        row = self._row
+        mask[[row[node_id] for node_id in node_ids if node_id in row]] = True
+        return mask
 
     def refill(self, now_us: float, mask: np.ndarray) -> None:
         """Refill the masked agents (each publishes its state back here)."""

@@ -14,10 +14,13 @@ The load-bearing guarantees:
   oracle bit for bit.
 """
 
+import functools
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.runner import (
     PerAgentLoop,
@@ -190,6 +193,26 @@ class TestMaskEquivalence:
         loop._contending_agents(0.0)
         assert arrays.backlogged.all()
         assert np.isinf(arrays.next_arrival_us).all()
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_lan_20_arrays():
+    scenario = scenario_factory("dense-lan-20")()
+    network = build_network(scenario, 1, FAST)
+    return _EventDrivenLoop(
+        scenario, "n+", np.random.default_rng(1), FAST, network, seed=1
+    ).arrays
+
+
+class TestRowMask:
+    @given(ids=st.lists(st.integers(-3, 45)))
+    @settings(max_examples=200, deadline=None)
+    def test_the_row_mask_is_isin(self, ids):
+        """Unknown ids, duplicates and the empty list included."""
+        arrays = _dense_lan_20_arrays()
+        expected = np.isin(arrays.node_ids, ids)
+        assert arrays.row_mask(ids).tolist() == expected.tolist()
+        assert arrays.row_mask(set(ids)).tolist() == expected.tolist()
 
 
 class TestShuffledAgentOrderDeterminism:

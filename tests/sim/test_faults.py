@@ -9,7 +9,8 @@ The load-bearing guarantees:
   per-agent oracle loop and across the plan-cache on/off switch -- the epoch-keyed
   caches never serve a stale entry;
 * a fade scales both directions of a link in place and an ended fade
-  restores the channel **bit-exactly**;
+  restores the channel **bit-exactly**, overlapping fades on one link
+  included;
 * ``bump_link_epoch`` evicts exactly the bumped link's estimate-memo
   entries -- every other link keeps its measured estimate;
 * a trace file is the schedule's own type-tagged JSON: every episode
@@ -474,6 +475,30 @@ class TestInjector:
         assert np.array_equal(network.true_channel(0, 1), before)
         assert network.link_epochs[(0, 1)] == 2
 
+    @pytest.mark.parametrize("second", [(0, 1), (1, 0)])
+    def test_overlapping_fades_compose_and_restore_the_drawn_channel(self, second):
+        """Two fades overlap on one link (a trace may hold them): the
+        channel carries both while both are active, the later one alone
+        after the first ends, and the drawn channel after the last."""
+        network = build_network(three_pair_scenario(), 0, SimulationConfig())
+        drawn, snr_db = network.snapshot_link(0, 1)
+        schedule = FaultSchedule(
+            [
+                FadeEpisode(1_000.0, 5_000.0, 0, 1, 10.0),
+                FadeEpisode(2_000.0, 8_000.0, *second, 20.0),
+            ]
+        )
+        injector = FaultInjector(schedule, network, seed=0)
+        injector.advance(3_000.0)
+        assert network.channels.snr_db(0, 1) == pytest.approx(snr_db - 30.0)
+        injector.advance(7_000.0)
+        assert network.channels.snr_db(0, 1) == snr_db - 20.0
+        assert np.array_equal(network.true_channel(0, 1), drawn * 10.0 ** (-20.0 / 20.0))
+        injector.advance(20_000.0)
+        injector.finalize()
+        assert network.true_channel(0, 1).tobytes() == drawn.tobytes()
+        assert network.channels.snr_db(0, 1) == snr_db
+
     def test_churn_marks_nodes_away(self):
         scenario = three_pair_scenario()
         network = build_network(scenario, 4, FAST)
@@ -516,6 +541,50 @@ class TestInjector:
         assert injector.loss_rate(0, 1, 0.0, 400.0) == pytest.approx(1 - 0.5 * 0.1)
         # outside every window
         assert injector.loss_rate(2, 3, 2_000.0, 2_100.0) == 0.0
+
+
+class TestChurnFilter:
+    """The round loop asks ``agent_active`` only while a station is away,
+    and then keeps the contenders and joiners the per-agent filter keeps."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = FaultInjector.agent_active
+
+        def spy(injector, agent):
+            active = real(injector, agent)
+            calls.append((agent.node_id, active, tuple(sorted(injector._away))))
+            return active
+
+        monkeypatch.setattr(FaultInjector, "agent_active", spy)
+        return calls
+
+    def test_nobody_away_asks_nothing(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        config = SimulationConfig(
+            duration_us=10_000.0, n_subcarriers=8, fault_profile="deep-fades"
+        )
+        network = build_network(FAULTY(), 1, config)
+        run_simulation(FAULTY(), "n+", seed=1, config=config, network=network)
+        assert network.link_epochs
+        assert calls == []
+
+    def test_a_churn_episode_filters_as_the_per_agent_rule(self, monkeypatch):
+        config = SimulationConfig(
+            duration_us=20_000.0, n_subcarriers=8, fault_profile="churn"
+        )
+        calls = self._spy(monkeypatch)
+        metrics = run_simulation(FAULTY(), "n+", seed=1, config=config)
+        asked = list(calls)
+        calls.clear()
+        monkeypatch.setattr(FaultInjector, "anyone_away", property(lambda self: True))
+        every_round = run_simulation(FAULTY(), "n+", seed=1, config=config)
+        assert all(away for _, _, away in asked)
+        assert 0 < len(asked) < len(calls)
+        refused = [call for call in asked if not call[1]]
+        assert refused and refused == [call for call in calls if not call[1]]
+        assert metrics.to_dict() == every_round.to_dict()
 
 
 class TestFaultyScenarios:

@@ -212,37 +212,87 @@ class TestSingleUserPlan:
         assert all(network.solo_links[key] is entry for key, entry in table.items())
 
 
+@pytest.fixture
+def fills(monkeypatch):
+    """The key lists of every ``_fill_solo_links`` pass, in call order."""
+    passes = []
+    real = link_abstraction._fill_solo_links
+
+    def counted(network, keys):
+        keys = list(keys)
+        passes.append(keys)
+        return real(network, keys)
+
+    monkeypatch.setattr(link_abstraction, "_fill_solo_links", counted)
+    return passes
+
+
+def _read_all(network, links):
+    for tx_id, rx_id in links:
+        solo_link(network, tx_id, rx_id)
+
+
 class TestFaults:
-    def test_a_fade_and_its_restore_recompute_that_link_alone(self):
+    """The table is keyed by channel content: a channel state it has
+    already seen on the network is read, never recomputed."""
+
+    @pytest.fixture
+    def filled(self):
         _, network = _network("dense-lan-100-bursty")
         links = _traffic_links(network)
-        for tx_id, rx_id in links:
-            solo_link(network, tx_id, rx_id)
+        _read_all(network, links)
         faded = links[3]
         assert faded[::-1] not in links
-        original = dict(network.solo_links)
+        return network, links, faded, dict(network.solo_links)
+
+    def test_a_fade_and_its_restore_fill_once_for_the_faded_state(self, filled, fills):
+        network, links, faded, drawn = filled
         snapshot = network.snapshot_link(*faded)
-
-        def reread(expected_changed):
-            before = dict(network.solo_links)
-            for tx_id, rx_id in links:
-                solo_link(network, tx_id, rx_id)
-            changed = [k for k in before if network.solo_links[k] is not before[k]]
-            assert [key[:2] for key in changed] == [expected_changed]
-            for key, entry in network.solo_links.items():
-                _assert_matches_measurement(network, key, entry)
-            return changed[0]
-
         network.fade_link(*faded, 20.0)
-        key = reread(faded)
-        assert network.solo_links[key].snrs_db[0].tobytes() != (
-            original[key].snrs_db[0].tobytes()
-        )
+        _read_all(network, links)
+        assert [[key[:2] for key in keys] for keys in fills] == [[faded]]
+        (key,) = fills[0]
+        entry = network.solo_links[key]
+        _assert_matches_measurement(network, key[:3], entry)
+        assert entry.snrs_db[0].tobytes() != drawn[key[:3]].snrs_db[0].tobytes()
         network.restore_link(*faded, *snapshot)
-        reread(faded)
-        assert [a.tobytes() for a in network.solo_links[key].snrs_db] == [
-            a.tobytes() for a in original[key].snrs_db
-        ]
+        _read_all(network, links)
+        assert len(fills) == 1
+
+    def test_the_restore_reads_the_drawn_entry(self, filled, fills):
+        network, links, faded, drawn = filled
+        (key,) = [key for key in drawn if key[:2] == faded]
+        snapshot = network.snapshot_link(*faded)
+        network.fade_link(*faded, 20.0)
+        faded_entry = solo_link(network, *faded)
+        network.restore_link(*faded, *snapshot)
+        entry = solo_link(network, *faded)
+        assert entry is drawn[key] and entry is not faded_entry
+        assert [a.tobytes() for a in entry.snrs_db] == [a.tobytes() for a in drawn[key].snrs_db]
+        _assert_matches_measurement(network, key, entry)
+        assert len(fills) == 1
+
+    def test_a_fade_of_another_depth_fills_once(self, filled, fills):
+        network, links, faded, _ = filled
+        snapshot = network.snapshot_link(*faded)
+        for depth in (20.0, 10.0, 20.0):
+            network.fade_link(*faded, depth)
+            _read_all(network, links)
+            network.restore_link(*faded, *snapshot)
+            _read_all(network, links)
+        assert [[key[:2] for key in keys] for keys in fills] == [[faded], [faded]]
+        assert fills[0][0][3] != fills[1][0][3]
+
+    def test_a_second_run_replaying_the_fades_fills_nothing(self, fills):
+        scenario = scenario_factory("dense-lan-20-faulty")()
+        network = build_network(scenario, 0, CONFIG)
+        first = run_simulation(scenario, "n+", seed=0, config=CONFIG, network=network)
+        assert network.link_epochs
+        assert any(len(key) == 4 for keys in fills for key in keys)
+        fills.clear()
+        second = run_simulation(scenario, "n+", seed=0, config=CONFIG, network=network)
+        assert fills == []
+        assert second.to_dict() == first.to_dict()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_runs_are_identical_when_every_read_recomputes(self, seed, monkeypatch):
